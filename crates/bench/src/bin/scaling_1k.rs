@@ -5,10 +5,10 @@
 //! clients stay busy), swept over testbed sizes; the headline number is the
 //! root master's peak queue depth — backlogged split requests plus
 //! recovered subproblems — which grows O(n) flat and stays O(sites)
-//! hierarchical. Control-plane bytes (everything that is not a solver
-//! payload) and the load-report coalescing counters are read off the
-//! deterministic engine trace and the client stats, for
-//! `BENCH_scale.json` at the repo root.
+//! hierarchical. Control-plane bytes (everything that is neither a
+//! solver payload nor the roster broadcast), roster bytes, and the
+//! load-report coalescing counters are read off the deterministic engine
+//! trace and the client stats, for `BENCH_scale.json` at the repo root.
 //!
 //! Usage: cargo run --release -p gridsat-bench --bin scaling_1k \
 //!            [--fast] [--check] [--out PATH]
@@ -25,10 +25,47 @@ use gridsat_satgen as satgen;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Message kinds that carry solver payloads; everything else is
-/// control-plane chatter (registrations, split handshakes, load reports,
-/// heartbeats, steal tickets, journal acks, site status).
-const PAYLOAD_KINDS: &[&str] = &["subproblem", "share", "solve", "checkpoint", "adopt"];
+/// What a traced message carries, as far as this bench's byte columns
+/// are concerned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Traffic {
+    /// Solver state on the move: subproblem specs, share batches,
+    /// checkpoints and the journal records that replicate them.
+    Payload,
+    /// The registered-client list the master broadcasts on every
+    /// membership change (`peers`): O(n) bytes to each of n clients.
+    Roster,
+    /// Everything else: registrations, split handshakes, results, load
+    /// reports, heartbeats, steal tickets, acks, site status.
+    Control,
+}
+
+/// Message kinds that carry solver payloads.
+const PAYLOAD_KINDS: &[&str] = &[
+    "subproblem",
+    "solve",
+    "requeue",
+    "share",
+    "checkpoint",
+    "adopt",
+    "journal-batch",
+];
+
+/// Sort an engine-trace label (`GridMsg::label`, or the reliability
+/// layer's `ack`). Labels carry a parenthesised detail — `subproblem(3)`,
+/// `split-done(ok)`, `journal-batch(12)` — that is not part of the kind
+/// and is stripped before matching. Same grouping as the repository
+/// benchmark's `layers::classify`, with its three payload groups merged.
+fn classify(label: &str) -> Traffic {
+    let kind = label.split('(').next().unwrap_or(label);
+    if PAYLOAD_KINDS.contains(&kind) {
+        Traffic::Payload
+    } else if kind == "peers" {
+        Traffic::Roster
+    } else {
+        Traffic::Control
+    }
+}
 
 /// Commodity-grid solver speed (work units per simulated second; the
 /// root and brokers stay at 1000). Slow clients hold each cube longer,
@@ -51,6 +88,7 @@ struct Row {
     wire_bytes: u64,
     control_bytes: u64,
     control_msgs: u64,
+    roster_bytes: u64,
     load_reports_sent: u64,
     load_reports_suppressed: u64,
     splits: u64,
@@ -95,11 +133,15 @@ fn run_one(
     sim.run_until(cap + 60.0);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     let r = experiment::report(&sim, cap);
-    let (mut control_bytes, mut control_msgs) = (0u64, 0u64);
+    let (mut control_bytes, mut control_msgs, mut roster_bytes) = (0u64, 0u64, 0u64);
     for ev in sim.trace_events() {
-        if !PAYLOAD_KINDS.contains(&ev.label.as_str()) {
-            control_bytes += ev.bytes as u64;
-            control_msgs += 1;
+        match classify(&ev.label) {
+            Traffic::Payload => {}
+            Traffic::Roster => roster_bytes += ev.bytes as u64,
+            Traffic::Control => {
+                control_bytes += ev.bytes as u64;
+                control_msgs += 1;
+            }
         }
     }
     Row {
@@ -120,6 +162,7 @@ fn run_one(
         wire_bytes: r.sim.bytes_delivered,
         control_bytes,
         control_msgs,
+        roster_bytes,
         load_reports_sent: r.clients.load_reports_sent,
         load_reports_suppressed: r.clients.load_reports_suppressed,
         splits: r.master.splits,
@@ -137,7 +180,7 @@ fn json_row(out: &mut String, row: &Row) {
             "\"sim_s\":{:.1},\"wall_ms\":{:.0},",
             "\"peak_queue\":{},\"mean_queue\":{:.2},",
             "\"messages\":{},\"wire_bytes\":{},",
-            "\"control_bytes\":{},\"control_msgs\":{},",
+            "\"control_bytes\":{},\"control_msgs\":{},\"roster_bytes\":{},",
             "\"load_reports_sent\":{},\"load_reports_suppressed\":{},",
             "\"splits\":{},\"steals_settled\":{},\"escalations\":{},\"tickets\":{}}}"
         ),
@@ -154,6 +197,7 @@ fn json_row(out: &mut String, row: &Row) {
         row.wire_bytes,
         row.control_bytes,
         row.control_msgs,
+        row.roster_bytes,
         row.load_reports_sent,
         row.load_reports_suppressed,
         row.splits,
@@ -186,7 +230,7 @@ fn main() {
 
     println!("instance family: urquhart(size, 38) per tier | modes: flat vs hierarchical\n");
     println!(
-        "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9} {:>10} {:>10} {:>11} {:>8} {:>7}",
+        "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9} {:>10} {:>10} {:>11} {:>12} {:>8} {:>7}",
         "n",
         "sites",
         "instance",
@@ -196,6 +240,7 @@ fn main() {
         "peak q",
         "mean q",
         "ctl bytes",
+        "roster bytes",
         "splits",
         "steals"
     );
@@ -206,7 +251,7 @@ fn main() {
         for hierarchical in [false, true] {
             let row = run_one(&f, n, sites, hierarchical, check);
             println!(
-                "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9.1} {:>10} {:>10.2} {:>11} {:>8} {:>7}",
+                "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9.1} {:>10} {:>10.2} {:>11} {:>12} {:>8} {:>7}",
                 row.n,
                 row.sites,
                 row.instance,
@@ -216,6 +261,7 @@ fn main() {
                 row.peak_queue,
                 row.mean_queue,
                 row.control_bytes,
+                row.roster_bytes,
                 row.splits,
                 row.steals_settled,
             );
@@ -232,7 +278,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"workload\": \"weak-scaling urquhart UNSAT refutations (instance per row), client speed {} (saturated regime); flat = every client talks to the root, hierarchical = per-site sub-masters broker splits and steal tickets; control bytes = all non-payload traffic off the engine trace\",",
+        "  \"workload\": \"weak-scaling urquhart UNSAT refutations (instance per row), client speed {} (saturated regime); flat = every client talks to the root, hierarchical = per-site sub-masters broker splits and steal tickets; bytes by kind off the engine trace: control = neither solver payload (subproblem/solve/requeue/share/checkpoint/adopt/journal-batch) nor roster (peers)\",",
         CLIENT_SPEED
     );
     json.push_str("  \"rows\": [\n");
@@ -290,5 +336,189 @@ fn main() {
             std::process::exit(1);
         }
         println!("scaling_1k: all gates passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsat::journal::SealedRecord;
+    use gridsat::msg::{Checkpoint, EndReason, GridMsg, ProblemId, SubResult};
+    use gridsat::wire::{EncodedBatch, SpecFrame};
+    use gridsat_grid::{MessageSize, NodeId};
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    /// One message of every `GridMsg` variant (both label spellings
+    /// where a variant has two) with the column it must land in.
+    fn one_of_each() -> Vec<(GridMsg, Traffic)> {
+        use Traffic::{Control, Payload, Roster};
+        let problem = ProblemId::new(NodeId(1), 1);
+        let spec = || Box::new(SpecFrame::from_wire(Vec::new()));
+        let light = || Box::new(Checkpoint::Light { level0: Vec::new() });
+        let split_done = |ok| GridMsg::SplitDone {
+            requester: NodeId(1),
+            peer: NodeId(2),
+            ok,
+            problem: None,
+            checkpoint: None,
+            stolen: false,
+        };
+        vec![
+            (
+                GridMsg::Register {
+                    memory: 0,
+                    availability: 1.0,
+                },
+                Control,
+            ),
+            (GridMsg::SplitRequest { problem }, Control),
+            (split_done(true), Control),
+            (split_done(false), Control),
+            (
+                GridMsg::Result {
+                    result: SubResult::Unsat,
+                    problem,
+                },
+                Control,
+            ),
+            (
+                GridMsg::Result {
+                    result: SubResult::Sat(Vec::new()),
+                    problem,
+                },
+                Control,
+            ),
+            (GridMsg::LoadReport { availability: 1.0 }, Control),
+            (
+                GridMsg::CheckpointMsg {
+                    problem,
+                    checkpoint: light(),
+                },
+                Payload,
+            ),
+            (GridMsg::Heartbeat, Control),
+            (
+                GridMsg::Requeue {
+                    spec: spec(),
+                    problem: None,
+                },
+                Payload,
+            ),
+            (
+                GridMsg::Solve {
+                    spec: spec(),
+                    problem,
+                },
+                Payload,
+            ),
+            (
+                GridMsg::SplitGrant {
+                    peer: NodeId(2),
+                    problem,
+                },
+                Control,
+            ),
+            (
+                GridMsg::Migrate {
+                    peer: NodeId(2),
+                    problem,
+                },
+                Control,
+            ),
+            (
+                GridMsg::Peers {
+                    epoch: 1,
+                    peers: [NodeId(1), NodeId(2)].into(),
+                },
+                Roster,
+            ),
+            (GridMsg::Terminate(EndReason::Unsat), Control),
+            (
+                GridMsg::Subproblem {
+                    spec: spec(),
+                    sent_at: 0.0,
+                    problem,
+                    stolen: false,
+                },
+                Payload,
+            ),
+            (
+                GridMsg::Share {
+                    batch: Arc::new(EncodedBatch::encode(&[])),
+                    origin: NodeId(1),
+                    epoch: 1,
+                },
+                Payload,
+            ),
+            (
+                GridMsg::JournalBatch {
+                    start: 0,
+                    records: vec![SealedRecord::from_wire(Vec::new()); 12],
+                },
+                Payload,
+            ),
+            (GridMsg::JournalAck { next: 0 }, Control),
+            (GridMsg::Takeover, Control),
+            (
+                GridMsg::Adopt {
+                    memory: 0,
+                    availability: 1.0,
+                    problem: None,
+                    checkpoint: None,
+                },
+                Payload,
+            ),
+            (GridMsg::StealRequest, Control),
+            (
+                GridMsg::StealTicket {
+                    donor: NodeId(1),
+                    problem,
+                },
+                Control,
+            ),
+            (GridMsg::Steal { problem }, Control),
+            (GridMsg::StealRefused { problem }, Control),
+            (
+                GridMsg::StealNotice {
+                    thief: NodeId(2),
+                    problem,
+                    at: 0.0,
+                },
+                Control,
+            ),
+            (
+                GridMsg::SplitEscalate {
+                    requester: NodeId(1),
+                    problem,
+                },
+                Control,
+            ),
+            (GridMsg::OfferSolicit, Control),
+            (
+                GridMsg::SiteStatus {
+                    idle: 0,
+                    busy: 0,
+                    steals: 0,
+                },
+                Control,
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_message_kind_lands_in_its_column() {
+        let all = one_of_each();
+        let kinds: BTreeSet<&str> = all.iter().map(|(m, _)| m.kind_str()).collect();
+        assert_eq!(kinds.len(), 27, "one message of every GridMsg variant");
+        for (msg, want) in &all {
+            assert_eq!(classify(&msg.label()), *want, "{}", msg.label());
+        }
+        // the labels that carry a parenthesised detail are the ones the
+        // exact-match classifier used to book as control
+        assert_eq!(classify("subproblem(3)"), Traffic::Payload);
+        assert_eq!(classify("journal-batch(12)"), Traffic::Payload);
+        // the reliability layer's own envelope
+        assert_eq!(classify("ack"), Traffic::Control);
     }
 }

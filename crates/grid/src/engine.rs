@@ -12,7 +12,7 @@ use crate::topology::{NodeId, Testbed};
 use gridsat_nws::LoadTrace;
 use gridsat_obs::{DropReason, Event as ObsEvent, MetricsRegistry, Obs};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// One network event recorded when tracing is on (used to reproduce the
 /// paper's Figure 3 message diagram).
@@ -140,6 +140,9 @@ enum EventKind<M> {
         from: NodeId,
         to: NodeId,
         msg: M,
+        /// `msg.size_bytes()` as charged at send time; the delivery books
+        /// the same number instead of walking the payload again.
+        bytes: u64,
         /// Causal stamp of the matching `msg_send` event on `from`
         /// (0 when tracing is off or unclocked), so the delivery can be
         /// recorded as caused-by the send across nodes.
@@ -204,13 +207,14 @@ pub struct Sim<P: Process> {
     shutdown: bool,
     pub stats: SimStats,
     trace: Option<Vec<TraceEvent>>,
-    /// Per-(from, to) last delivery time: messages between a pair are
-    /// FIFO, as on the TCP streams of the paper's messaging layer.
-    last_delivery: HashMap<(NodeId, NodeId), u64>,
+    /// Last delivery time per link, `last_delivery[from][to]`: messages
+    /// between a pair are FIFO, as on the TCP streams of the paper's
+    /// messaging layer. A source's row stays empty until its first send.
+    last_delivery: Vec<Vec<u64>>,
     /// Event-tracing handle (disabled by default).
     obs: Obs,
-    /// Messages currently in flight toward each destination.
-    inflight: HashMap<NodeId, u64>,
+    /// Messages currently in flight toward each destination node.
+    inflight: Vec<u64>,
     /// Per-destination in-flight cap; sends over it are dropped.
     inflight_cap: Option<u64>,
     /// Administratively-downed links, as normalized (low, high) pairs.
@@ -235,7 +239,8 @@ const US: f64 = 1_000_000.0;
 impl<P: Process> Sim<P> {
     /// Build a simulation: `make` constructs the process for each node.
     pub fn new(testbed: Testbed, mut make: impl FnMut(NodeId) -> P) -> Sim<P> {
-        let mut nodes = Vec::with_capacity(testbed.num_hosts());
+        let num_nodes = testbed.num_hosts();
+        let mut nodes = Vec::with_capacity(num_nodes);
         let mut events = BinaryHeap::new();
         let mut seq = 0u64;
         for (i, host) in testbed.hosts.iter().enumerate() {
@@ -273,9 +278,9 @@ impl<P: Process> Sim<P> {
             shutdown: false,
             stats: SimStats::default(),
             trace: None,
-            last_delivery: HashMap::new(),
+            last_delivery: vec![Vec::new(); num_nodes],
             obs: Obs::default(),
-            inflight: HashMap::new(),
+            inflight: vec![0; num_nodes],
             inflight_cap: None,
             links_down: BTreeSet::new(),
             chaos: None,
@@ -458,13 +463,11 @@ impl<P: Process> Sim<P> {
                 from,
                 to,
                 msg,
+                bytes,
                 send_seq,
             } => {
                 // the message leaves the network either way
-                if let Some(n) = self.inflight.get_mut(&to) {
-                    *n = n.saturating_sub(1);
-                }
-                let bytes = msg.size_bytes() as u64;
+                self.inflight[to.0 as usize] -= 1;
                 if !self.nodes[to.0 as usize].up {
                     self.stats.dropped_dead_peer += 1;
                     self.obs.emit(self.now(), to.0, || ObsEvent::MsgDrop {
@@ -629,7 +632,7 @@ impl<P: Process> Sim<P> {
                             }
                         }
                     }
-                    let inflight = self.inflight.entry(to).or_insert(0);
+                    let inflight = &mut self.inflight[to.0 as usize];
                     if self.inflight_cap.is_some_and(|cap| *inflight >= cap) {
                         self.stats.dropped_capacity += 1;
                         self.obs.emit(self.now(), node.0, || ObsEvent::MsgDrop {
@@ -656,7 +659,11 @@ impl<P: Process> Sim<P> {
                         }
                     }
                     // FIFO per link: never overtake an earlier message
-                    let slot = self.last_delivery.entry((node, to)).or_insert(0);
+                    let row = &mut self.last_delivery[node.0 as usize];
+                    if row.is_empty() {
+                        row.resize(self.nodes.len(), 0);
+                    }
+                    let slot = &mut row[to.0 as usize];
                     arrival = arrival.max(*slot + 1);
                     *slot = arrival;
                     if let Some(trace) = &mut self.trace {
@@ -681,6 +688,7 @@ impl<P: Process> Sim<P> {
                             from: node,
                             to,
                             msg,
+                            bytes: bytes as u64,
                             send_seq,
                         },
                     }));

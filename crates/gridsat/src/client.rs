@@ -136,37 +136,81 @@ impl ClientStats {
     }
 }
 
-/// Children of `me` in the `branch`-ary relay tree rooted at `origin`,
-/// derived purely from the shared roster: rotate the roster so the
-/// origin sits at position 0, lay the positions out as a heap (children
-/// of position `p` are `branch*p + 1 ..= branch*p + branch`), and map
-/// positions back to node ids. Every client derives the same tree from
-/// the same roster, so one batch reaches all `n-1` other clients in
-/// exactly `n-1` messages with per-node fan-out at most `branch`.
-/// Nodes absent from the roster have no children (stale trees die out).
-pub(crate) fn relay_children(
-    peers: &[NodeId],
-    origin: NodeId,
-    me: NodeId,
-    branch: usize,
-) -> Vec<NodeId> {
-    let n = peers.len();
-    let (Some(oi), Some(mi)) = (
-        peers.iter().position(|&p| p == origin),
-        peers.iter().position(|&p| p == me),
-    ) else {
-        return Vec::new();
-    };
-    let pos = (mi + n - oi) % n;
-    let first = branch * pos + 1;
-    let mut out = Vec::new();
-    for slot in first..first.saturating_add(branch) {
-        if slot >= n {
-            break;
-        }
-        out.push(peers[(slot + oi) % n]);
+/// The roster a client routes shares on: the master's registered-client
+/// list, shared by refcount with every other recipient of the same
+/// broadcast, plus this node's own slot in it — looked up once per
+/// installed roster, not once per share receipt.
+#[derive(Default)]
+struct Roster {
+    peers: Arc<[NodeId]>,
+    /// Strictly ascending, as every roster the master builds is (it walks
+    /// a `BTreeMap`), so lookups binary-search. A roster that arrives in
+    /// any other order is routed on all the same, by linear scan.
+    sorted: bool,
+    /// This node's slot in `peers`, if it is listed.
+    me_at: Option<usize>,
+}
+
+impl Roster {
+    fn new(peers: Arc<[NodeId]>, me: NodeId) -> Roster {
+        let sorted = peers.windows(2).all(|w| w[0] < w[1]);
+        let mut roster = Roster {
+            peers,
+            sorted,
+            me_at: None,
+        };
+        roster.me_at = roster.index_of(me);
+        roster
     }
-    out
+
+    fn index_of(&self, node: NodeId) -> Option<usize> {
+        if self.sorted {
+            self.peers.binary_search(&node).ok()
+        } else {
+            self.peers.iter().position(|&p| p == node)
+        }
+    }
+
+    /// Children of this node in the `branch`-ary relay tree rooted at
+    /// `origin`, derived purely from the shared roster: rotate the roster
+    /// so the origin sits at position 0, lay the positions out as a heap
+    /// (children of position `p` are `branch*p + 1 ..= branch*p + branch`),
+    /// and map positions back to node ids. Every client derives the same
+    /// tree from the same roster, so one batch reaches all `n-1` other
+    /// clients in exactly `n-1` messages with per-node fan-out at most
+    /// `branch`. Nodes absent from the roster have no children (stale
+    /// trees die out).
+    fn relay_children(&self, origin: NodeId, branch: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let n = self.peers.len();
+        let (slots, oi) = match (self.index_of(origin), self.me_at) {
+            (Some(oi), Some(mi)) => {
+                let first = branch * ((mi + n - oi) % n) + 1;
+                (first.min(n)..first.saturating_add(branch).min(n), oi)
+            }
+            _ => (0..0, 0),
+        };
+        slots.map(move |slot| self.peers[(slot + oi) % n])
+    }
+
+    /// Where a batch rooted at `origin` goes next from this node (`me`):
+    /// its children in the relay tree, or — relay disabled — every other
+    /// client (the paper's all-pairs broadcast). Never `me`, never the
+    /// master.
+    fn share_targets(
+        &self,
+        relay_branch: Option<usize>,
+        origin: NodeId,
+        me: NodeId,
+        master: NodeId,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        let relay = relay_branch.map(|branch| self.relay_children(origin, branch));
+        let flood = relay_branch.is_none().then(|| self.peers.iter().copied());
+        relay
+            .into_iter()
+            .flatten()
+            .chain(flood.into_iter().flatten())
+            .filter(move |&p| p != me && p != master)
+    }
 }
 
 /// Pure decision core of the adaptive share tuner: given one window's
@@ -220,8 +264,8 @@ pub struct Client {
     config: GridConfig,
     state: State,
     solver: Option<Solver>,
-    peers: Vec<NodeId>,
-    /// Roster generation the current `peers` list belongs to; tags
+    roster: Roster,
+    /// Roster generation the current `roster` belongs to; tags
     /// outgoing shares so forwards routed on a stale tree die at the
     /// first hop after a membership change.
     peers_epoch: u64,
@@ -277,7 +321,7 @@ impl Client {
             config,
             state: State::Idle,
             solver: None,
-            peers: Vec::new(),
+            roster: Roster::default(),
             peers_epoch: 0,
             fp_window: FpWindow::new(SHARE_FP_WINDOW),
             problem_started: 0.0,
@@ -511,24 +555,6 @@ impl Client {
         self.enter_idle(ctx);
     }
 
-    /// Where a batch goes next from this node: our children in the relay
-    /// tree rooted at `origin`, or — relay disabled — every other client
-    /// (the paper's all-pairs broadcast).
-    fn share_targets(&self, origin: NodeId, me: NodeId) -> Vec<NodeId> {
-        match self.config.share_relay_branch {
-            Some(branch) => relay_children(&self.peers, origin, me, branch)
-                .into_iter()
-                .filter(|&p| p != self.master && p != me)
-                .collect(),
-            None => self
-                .peers
-                .iter()
-                .copied()
-                .filter(|&p| p != me && p != self.master)
-                .collect(),
-        }
-    }
-
     fn drain_shares(&mut self, ctx: &mut Ctx<GridMsg>) {
         let Some(solver) = &mut self.solver else {
             return;
@@ -547,8 +573,11 @@ impl Client {
         // refcount and the simulated wire carries the encoded length
         let batch = Arc::new(EncodedBatch::encode(&shares));
         let me = ctx.me();
-        let targets = self.share_targets(me, me);
-        if targets.is_empty() {
+        let mut targets = self
+            .roster
+            .share_targets(self.config.share_relay_branch, me, me, self.master)
+            .peekable();
+        if targets.peek().is_none() {
             return;
         }
         let bytes = (24 + batch.wire_len()) as u64;
@@ -686,7 +715,7 @@ impl Process for Client {
         self.solver = None;
         self.current_problem = None;
         self.split_requested_at = None;
-        self.peers.clear();
+        self.roster = Roster::default();
         self.peers_epoch = 0;
         self.last_heartbeat = ctx.now();
         ctx.send(
@@ -957,7 +986,13 @@ impl Process for Client {
                     && self.config.share_relay_branch.is_some()
                 {
                     let bytes = (24 + batch.wire_len()) as u64;
-                    for peer in self.share_targets(origin, ctx.me()) {
+                    let children = self.roster.share_targets(
+                        self.config.share_relay_branch,
+                        origin,
+                        ctx.me(),
+                        self.master,
+                    );
+                    for peer in children {
                         self.stats.shares_forwarded += 1;
                         self.stats.share_bytes_sent += bytes;
                         ctx.send(
@@ -976,7 +1011,7 @@ impl Process for Client {
                 // broadcasts can arrive reordered on the lossy plane
                 if epoch >= self.peers_epoch {
                     self.peers_epoch = epoch;
-                    self.peers = peers;
+                    self.roster = Roster::new(peers, ctx.me());
                 }
             }
             GridMsg::Takeover => {
@@ -1233,6 +1268,14 @@ mod tests {
         }
     }
 
+    /// `me`'s relay children under `origin`, through a freshly installed
+    /// roster (what a client holds after a `Peers` delivery).
+    fn children(peers: &Arc<[NodeId]>, origin: NodeId, me: NodeId, branch: usize) -> Vec<NodeId> {
+        Roster::new(Arc::clone(peers), me)
+            .relay_children(origin, branch)
+            .collect()
+    }
+
     #[test]
     fn client_stats_absorb_is_lossless() {
         let full = ClientStats {
@@ -1293,12 +1336,12 @@ mod tests {
 
     #[test]
     fn relay_tree_reaches_every_peer_exactly_once() {
-        let peers: Vec<NodeId> = (1..=9).map(NodeId).collect();
-        for &origin in &peers {
+        let peers: Arc<[NodeId]> = (1..=9).map(NodeId).collect();
+        for &origin in peers.iter() {
             for branch in [1usize, 2, 4, 8] {
                 let mut received: std::collections::BTreeMap<u32, usize> = Default::default();
-                for &me in &peers {
-                    let kids = relay_children(&peers, origin, me, branch);
+                for &me in peers.iter() {
+                    let kids = children(&peers, origin, me, branch);
                     assert!(kids.len() <= branch, "fan-out bounded by the branch factor");
                     for kid in kids {
                         assert_ne!(kid, origin, "the origin never re-receives its batch");
@@ -1313,9 +1356,87 @@ mod tests {
             }
         }
         // nodes outside the roster have no children (stale-tree safety)
-        assert!(relay_children(&peers, NodeId(99), NodeId(1), 4).is_empty());
-        assert!(relay_children(&peers, NodeId(1), NodeId(99), 4).is_empty());
-        assert!(relay_children(&[], NodeId(1), NodeId(1), 4).is_empty());
+        assert!(children(&peers, NodeId(99), NodeId(1), 4).is_empty());
+        assert!(children(&peers, NodeId(1), NodeId(99), 4).is_empty());
+        assert!(children(&Arc::default(), NodeId(1), NodeId(1), 4).is_empty());
+    }
+
+    /// The lookup the indexed roster replaced, kept as the reference:
+    /// two linear scans over the roster per call.
+    fn relay_children_by_scan(
+        peers: &[NodeId],
+        origin: NodeId,
+        me: NodeId,
+        branch: usize,
+    ) -> Vec<NodeId> {
+        let n = peers.len();
+        let (Some(oi), Some(mi)) = (
+            peers.iter().position(|&p| p == origin),
+            peers.iter().position(|&p| p == me),
+        ) else {
+            return Vec::new();
+        };
+        let pos = (mi + n - oi) % n;
+        let first = branch * pos + 1;
+        let mut out = Vec::new();
+        for slot in first..first.saturating_add(branch) {
+            if slot >= n {
+                break;
+            }
+            out.push(peers[(slot + oi) % n]);
+        }
+        out
+    }
+
+    /// Property: the indexed lookup (cached own slot, binary search for
+    /// the origin) names exactly the children the linear scan names — on
+    /// the ascending rosters the master builds, on rosters in any other
+    /// order (the scan fallback), for every branch factor 1..=8, and when
+    /// the origin or this node is not listed. Seeded xorshift instead of
+    /// `proptest`, like the codec properties in `wire.rs`.
+    #[test]
+    fn indexed_relay_children_match_the_linear_scan() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % bound as u64) as usize
+        };
+        let mut unsorted_seen = 0;
+        for case in 0..60 {
+            // distinct ids with gaps, ascending; every other case shuffled
+            let n = next(24);
+            let mut ids = Vec::with_capacity(n);
+            let mut id = 0u32;
+            for _ in 0..n {
+                id += 1 + next(3) as u32;
+                ids.push(NodeId(id));
+            }
+            if case % 2 == 1 {
+                for i in (1..n).rev() {
+                    ids.swap(i, next(i + 1));
+                }
+            }
+            let peers: Arc<[NodeId]> = ids.into();
+            // every listed node plus ids below, between and above them
+            let probes: Vec<NodeId> = (0..=id + 2).map(NodeId).collect();
+            for &me in &probes {
+                let roster = Roster::new(Arc::clone(&peers), me);
+                assert_eq!(roster.sorted, peers.windows(2).all(|w| w[0] < w[1]));
+                unsorted_seen += usize::from(!roster.sorted);
+                for &origin in &probes {
+                    for branch in 1..=8 {
+                        assert_eq!(
+                            roster.relay_children(origin, branch).collect::<Vec<_>>(),
+                            relay_children_by_scan(&peers, origin, me, branch),
+                            "roster {peers:?} origin {origin:?} me {me:?} branch {branch}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(unsorted_seen > 0, "the scan fallback was exercised");
     }
 
     #[test]
@@ -1539,13 +1660,12 @@ mod tests {
     fn fresh_shares_are_forwarded_down_the_relay_tree() {
         let mut c = Client::new(NodeId(0), GridConfig::default());
         // roster of 8 clients; we are node 1
-        let peers: Vec<NodeId> = (1..=8).map(NodeId).collect();
         let mut cx = ctx(0.0);
         c.on_message(
             NodeId(0),
             GridMsg::Peers {
                 epoch: 7,
-                peers: peers.clone(),
+                peers: (1..=8).map(NodeId).collect(),
             },
             &mut cx,
         );
@@ -1623,12 +1743,12 @@ mod tests {
     fn stale_peer_rosters_are_ignored() {
         let mut c = Client::new(NodeId(0), GridConfig::default());
         let mut cx = ctx(0.0);
-        let fresh: Vec<NodeId> = (1..=4).map(NodeId).collect();
+        let fresh: Arc<[NodeId]> = (1..=4).map(NodeId).collect();
         c.on_message(
             NodeId(0),
             GridMsg::Peers {
                 epoch: 5,
-                peers: fresh.clone(),
+                peers: Arc::clone(&fresh),
             },
             &mut cx,
         );
@@ -1636,11 +1756,15 @@ mod tests {
             NodeId(0),
             GridMsg::Peers {
                 epoch: 4,
-                peers: vec![NodeId(1)],
+                peers: [NodeId(1)].into(),
             },
             &mut cx,
         );
-        assert_eq!(c.peers, fresh, "a reordered older roster must not win");
+        assert!(
+            Arc::ptr_eq(&c.roster.peers, &fresh),
+            "a reordered older roster must not win, and the held roster is the delivered allocation"
+        );
+        assert_eq!(c.roster.me_at, Some(0), "this client is node 1");
         assert_eq!(c.peers_epoch, 5);
     }
 
@@ -1694,14 +1818,28 @@ mod tests {
             },
             &mut cx,
         );
+        c.on_message(
+            NodeId(0),
+            GridMsg::Peers {
+                epoch: 3,
+                peers: (1..=4).map(NodeId).collect(),
+            },
+            &mut cx,
+        );
         let _ = cx.take_actions();
         assert!(c.is_solving());
+        assert_eq!(c.roster.me_at, Some(0));
         // crash + restart: on_start fires again
         let mut cx = ctx(50.0);
         c.on_start(&mut cx);
         assert!(!c.is_solving());
         assert!(c.solver.is_none());
         assert!(c.current_problem.is_none());
+        // the pre-crash roster and its cached slot go too: the master
+        // deregistered us, and re-broadcasts once we re-register
+        assert!(c.roster.peers.is_empty());
+        assert_eq!(c.roster.me_at, None);
+        assert_eq!(c.peers_epoch, 0);
         assert!(cx.take_actions().iter().any(|a| matches!(
             a,
             gridsat_grid::Action::Send {
@@ -1829,7 +1967,7 @@ mod tests {
     fn relay_tree_spans_a_1000_node_roster_with_bounded_fanout() {
         use std::collections::HashSet;
         let n = 1000usize;
-        let peers: Vec<NodeId> = (1..=n as u32).map(NodeId).collect();
+        let peers: Arc<[NodeId]> = (1..=n as u32).map(NodeId).collect();
         for branch in [2usize, 4, 8] {
             for &origin in &[peers[0], peers[1], peers[499], peers[999]] {
                 let mut seen: HashSet<NodeId> = HashSet::new();
@@ -1841,7 +1979,7 @@ mod tests {
                     depth += 1;
                     let mut next = Vec::new();
                     for &node in &frontier {
-                        let kids = relay_children(&peers, origin, node, branch);
+                        let kids = children(&peers, origin, node, branch);
                         assert!(kids.len() <= branch, "fan-out stays bounded per hop");
                         for kid in kids {
                             assert!(seen.insert(kid), "{kid:?} received the batch twice");

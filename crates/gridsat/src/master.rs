@@ -26,6 +26,7 @@ use gridsat_nws::Forecaster;
 use gridsat_obs::{Event, Histogram, MetricsRegistry, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 #[cfg(doc)]
 use gridsat_solver::SplitSpec;
@@ -1175,19 +1176,21 @@ impl Master {
     /// The roster carries its epoch so clients agree on which relay tree
     /// a share batch was routed on; every membership change bumps it.
     fn broadcast_peers(&mut self, ctx: &mut Ctx<GridMsg>) {
-        let peers: Vec<NodeId> = self.core.clients.keys().copied().collect();
+        // built once per broadcast, ascending by node id (map order);
+        // the n messages below share it by refcount
+        let peers: Arc<[NodeId]> = self.core.clients.keys().copied().collect();
         let epoch = self.core.peers_epoch;
         self.obs
             .emit(ctx.now(), ctx.me().0, || Event::RelayRebuild {
                 epoch,
                 peers: peers.len() as u64,
             });
-        for id in &peers {
+        for &id in peers.iter() {
             ctx.send(
-                *id,
+                id,
                 GridMsg::Peers {
                     epoch,
-                    peers: peers.clone(),
+                    peers: Arc::clone(&peers),
                 },
             );
         }

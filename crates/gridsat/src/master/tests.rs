@@ -74,6 +74,38 @@ fn first_registrant_gets_the_whole_problem() {
 }
 
 #[test]
+fn one_broadcast_shares_one_sorted_roster_across_all_recipients() {
+    let mut m = master();
+    // register out of id order: the roster still comes out ascending
+    let mut last = Vec::new();
+    for (k, id) in [3, 1, 4, 2].into_iter().enumerate() {
+        last = register(&mut m, id, k as f64);
+    }
+    let rosters: Vec<(NodeId, u64, Arc<[NodeId]>)> = last
+        .into_iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                to,
+                msg: GridMsg::Peers { epoch, peers },
+            } => Some((to, epoch, peers)),
+            _ => None,
+        })
+        .collect();
+    let recipients: Vec<NodeId> = rosters.iter().map(|(to, ..)| *to).collect();
+    let sorted: Vec<NodeId> = (1..=4).map(NodeId).collect();
+    assert_eq!(recipients, sorted, "every registered client gets one");
+    let (_, epoch, first) = &rosters[0];
+    assert_eq!(**first, *sorted, "the roster is the sorted client set");
+    for (_, e, peers) in &rosters {
+        assert_eq!(e, epoch);
+        assert!(
+            Arc::ptr_eq(peers, first),
+            "one allocation per broadcast, not one per recipient"
+        );
+    }
+}
+
+#[test]
 fn split_request_grants_best_ranked_idle_peer() {
     let mut m = master();
     register(&mut m, 1, 0.0); // gets the problem (busy)

@@ -138,7 +138,9 @@ pub enum GridMsg {
     /// Current set of registered clients (for clause-sharing fan-out).
     /// `epoch` counts membership changes; clients use it to agree on the
     /// relay tree and to drop share forwards routed on a stale tree.
-    Peers { epoch: u64, peers: Vec<NodeId> },
+    /// One broadcast builds the roster once; every recipient's message
+    /// (and every client that installs it) shares that allocation.
+    Peers { epoch: u64, peers: Arc<[NodeId]> },
     /// End of run.
     Terminate(EndReason),
 
@@ -578,7 +580,7 @@ mod tests {
         assert!(!GridMsg::LoadReport { availability: 1.0 }.is_control());
         assert!(!GridMsg::Peers {
             epoch: 0,
-            peers: vec![]
+            peers: Arc::default()
         }
         .is_control());
         assert!(!GridMsg::Heartbeat.is_control());

@@ -54,4 +54,14 @@ if [[ "${CHECK_SCALE:-0}" == "1" ]]; then
   cargo run --release -p gridsat-bench --bin scaling_1k -- --fast --check > /dev/null
 fi
 
+# Opt-in: the repository benchmark (BENCHMARK.json) is a package of its
+# own that compiles against the public API of the crates here, so a
+# signature change that breaks it fails this gate, not the next
+# benchmark run. Its unit tests, then every workload once at toy size.
+if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
+  echo "== benchmark package (unit tests + smoke run of all workloads)"
+  cargo test --offline --manifest-path benchmark/Cargo.toml
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke --seconds 0
+fi
+
 echo "OK"
