@@ -15,11 +15,13 @@
 //!
 //! `--sim` runs PHP(9,8) over a uniform testbed (13 nodes by default)
 //! with a causal ring installed and reports on the captured trace plus
-//! the master's control-plane telemetry. `--check` exits nonzero when
+//! the master's control-plane telemetry and the worst step-budget overrun
+//! any client saw. `--check` exits nonzero when
 //! an anomaly fires, the critical path is missing or does not end at
 //! the answer, or the path's segments fail to cover its span — the CI
 //! smoke mode.
 
+use gridsat::client::ClientStats;
 use gridsat::{experiment, GridConfig, GridOutcome, LatencySummary, MasterTelemetry};
 use gridsat_grid::Testbed;
 use gridsat_obs::{analyze, from_jsonl, Obs, TimedEvent, TraceAnalysis};
@@ -156,6 +158,15 @@ fn render_control_plane(t: &MasterTelemetry) -> String {
     out
 }
 
+/// Step-budget section of the sim-mode text report: how far one solver
+/// step, and one foreign-clause merge inside it, ran past the quantum.
+fn render_step_overrun(c: &ClientStats) -> String {
+    format!(
+        "solver steps (work units, worst client):\n  max step work   {}\n  max merge burst {}\n",
+        c.max_step_work, c.max_merge_burst
+    )
+}
+
 fn latency_json(s: &LatencySummary) -> String {
     format!(
         "{{\"count\":{},\"p50_s\":{:.9},\"p90_s\":{:.9},\"p99_s\":{:.9},\"mean_s\":{:.9}}}",
@@ -222,11 +233,14 @@ fn main() {
             out.truncate(out.len() - 1);
             let _ = write!(
                 out,
-                ",\"events\":{},\"outcome\":{:?},\"run_seconds\":{:.3},\"control_plane\":{}}}",
+                ",\"events\":{},\"outcome\":{:?},\"run_seconds\":{:.3},\"control_plane\":{},\
+                 \"max_step_work\":{},\"max_merge_burst\":{}}}",
                 events.len(),
                 outcome_str(&r.outcome),
                 r.seconds,
-                control_plane_json(&r.telemetry)
+                control_plane_json(&r.telemetry),
+                r.clients.max_step_work,
+                r.clients.max_merge_burst
             );
         }
         println!("{out}");
@@ -245,6 +259,8 @@ fn main() {
         if let Some(r) = &report {
             println!();
             print!("{}", render_control_plane(&r.telemetry));
+            println!();
+            print!("{}", render_step_overrun(&r.clients));
         }
     }
 

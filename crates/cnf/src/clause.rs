@@ -57,6 +57,12 @@ impl Clause {
         &mut self.lits
     }
 
+    /// The literals, by value.
+    #[inline]
+    pub fn into_lits(self) -> Vec<Lit> {
+        self.lits
+    }
+
     /// Iterate over the literals.
     pub fn iter(&self) -> impl Iterator<Item = Lit> + '_ {
         self.lits.iter().copied()
@@ -118,16 +124,30 @@ impl Clause {
     /// codes. Permutations and repeated literals fingerprint identically,
     /// so the distributed share path can recognize a clause it has
     /// already merged without comparing literal vectors.
+    ///
+    /// Literal codes already in strictly ascending order — every decoded
+    /// share clause and every [`normalized`](Clause::normalized) one —
+    /// are folded in place; only other orders pay for a sorted copy.
     pub fn fingerprint(&self) -> u64 {
+        let ascending = self.lits.windows(2).all(|w| w[0].code() < w[1].code());
+        if ascending {
+            return fp_fold(self.lits.len(), self.lits.iter().map(|l| l.code() as u32));
+        }
         let mut codes: Vec<u32> = self.lits.iter().map(|l| l.code() as u32).collect();
         codes.sort_unstable();
         codes.dedup();
-        let mut h = fp_mix(0x9e37_79b9_7f4a_7c15 ^ codes.len() as u64);
-        for c in codes {
-            h = fp_mix(h ^ (c as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
-        }
-        h
+        fp_fold(codes.len(), codes.iter().copied())
     }
+}
+
+/// Fold `len` sorted, distinct literal codes into a fingerprint.
+#[inline]
+fn fp_fold(len: usize, codes: impl Iterator<Item = u32>) -> u64 {
+    let mut h = fp_mix(0x9e37_79b9_7f4a_7c15 ^ len as u64);
+    for c in codes {
+        h = fp_mix(h ^ u64::from(c).wrapping_mul(0x2545_f491_4f6c_dd1d));
+    }
+    h
 }
 
 /// splitmix64 finalizer: a cheap full-avalanche 64-bit mixer.
@@ -256,6 +276,51 @@ mod tests {
             Clause::empty().fingerprint(),
             Clause::new([lit(1)]).fingerprint()
         );
+    }
+
+    /// The fingerprint as first written: always copy, sort, dedup.
+    fn reference_fingerprint(c: &Clause) -> u64 {
+        let mut codes: Vec<u32> = c.lits.iter().map(|l| l.code() as u32).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        let mut h = fp_mix(0x9e37_79b9_7f4a_7c15 ^ codes.len() as u64);
+        for c in codes {
+            h = fp_mix(h ^ (c as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
+        }
+        h
+    }
+
+    #[test]
+    fn sorted_fast_path_agrees_with_the_reference_on_every_order() {
+        // xorshift64*: shuffled, duplicated and already-sorted literal
+        // lists of every small length, including the empty clause
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        for case in 0..4000 {
+            let len = (next() % 9) as usize;
+            let span = 1 + next() % 40; // small spans force duplicates
+            let mut lits: Vec<Lit> = (0..len)
+                .map(|_| Lit::new(Var((next() % span) as u32), next() % 2 == 1))
+                .collect();
+            match case % 3 {
+                0 => {}                    // as drawn: shuffled, duplicates
+                1 => lits.sort_unstable(), // sorted, duplicates kept
+                _ => {
+                    lits.sort_unstable(); // strictly ascending: the fast path
+                    lits.dedup();
+                }
+            }
+            let c = Clause::new(lits);
+            assert_eq!(c.fingerprint(), reference_fingerprint(&c), "{c}");
+            if let Some(n) = c.normalized() {
+                assert_eq!(n.fingerprint(), c.fingerprint(), "{c}");
+            }
+        }
     }
 
     #[test]

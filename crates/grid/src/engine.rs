@@ -224,6 +224,9 @@ pub struct Sim<P: Process> {
     chaos_rng: u64,
     /// How the most recent `run_until` call ended.
     last_run_end: Option<RunEnd>,
+    /// The action vector every activation collects into, handed from one
+    /// [`Ctx`] to the next so the steady state allocates none.
+    action_buf: Vec<Action<P::Msg>>,
 }
 
 fn norm_pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -286,6 +289,7 @@ impl<P: Process> Sim<P> {
             chaos: None,
             chaos_rng: 1,
             last_run_end: None,
+            action_buf: Vec::new(),
         }
     }
 
@@ -425,6 +429,12 @@ impl<P: Process> Sim<P> {
         }
     }
 
+    /// A callback context for `id`, collecting into the recycled action
+    /// buffer ([`Sim::apply_actions`] hands it back).
+    fn ctx(&mut self, id: NodeId) -> Ctx<P::Msg> {
+        Ctx::with_buffer(self.info(id), std::mem::take(&mut self.action_buf))
+    }
+
     fn dispatch(&mut self, ev: Event<P::Msg>) {
         match ev.kind {
             EventKind::NodeUp { node } => {
@@ -435,7 +445,7 @@ impl<P: Process> Sim<P> {
                 let up_seq = self.obs.emit_seq(self.now(), node.0, || ObsEvent::NodeUp);
                 // startup actions are caused by coming up
                 self.obs.set_cause(node.0, up_seq);
-                let mut ctx = Ctx::new(self.info(node));
+                let mut ctx = self.ctx(node);
                 self.nodes[node.0 as usize].proc.on_start(&mut ctx);
                 self.apply_actions(node, &mut ctx);
                 self.obs.restore_anchor(node.0);
@@ -453,7 +463,7 @@ impl<P: Process> Sim<P> {
                         continue;
                     }
                     let id = NodeId(i as u32);
-                    let mut ctx = Ctx::new(self.info(id));
+                    let mut ctx = self.ctx(id);
                     self.nodes[i].proc.on_node_down(node, &mut ctx);
                     self.apply_actions(id, &mut ctx);
                     self.obs.restore_anchor(id.0);
@@ -495,7 +505,7 @@ impl<P: Process> Sim<P> {
                         });
                 // events the handler emits hang off the delivery
                 self.obs.set_cause(to.0, deliver_seq);
-                let mut ctx = Ctx::new(self.info(to));
+                let mut ctx = self.ctx(to);
                 self.nodes[to.0 as usize]
                     .proc
                     .on_message(from, msg, &mut ctx);
@@ -520,7 +530,7 @@ impl<P: Process> Sim<P> {
                 }
                 n.next_tick_us = None;
                 self.stats.ticks += 1;
-                let mut ctx = Ctx::new(self.info(node));
+                let mut ctx = self.ctx(node);
                 self.nodes[node.0 as usize].proc.on_tick(&mut ctx);
                 self.apply_actions(node, &mut ctx);
                 self.obs.restore_anchor(node.0);
@@ -538,7 +548,7 @@ impl<P: Process> Sim<P> {
     }
 
     fn apply_actions(&mut self, node: NodeId, ctx: &mut Ctx<P::Msg>) {
-        let actions = ctx.take_actions();
+        let mut actions = ctx.take_actions();
         // first pass: total work charged in this activation
         let mut work_units = 0u64;
         for a in &actions {
@@ -561,7 +571,7 @@ impl<P: Process> Sim<P> {
         };
         let end_us = self.now_us + elapsed_us;
 
-        for a in actions {
+        for a in actions.drain(..) {
             match a {
                 Action::Work { .. } => {}
                 Action::Idle => {
@@ -696,6 +706,7 @@ impl<P: Process> Sim<P> {
                 }
             }
         }
+        self.action_buf = actions;
     }
 }
 

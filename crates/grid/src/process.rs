@@ -77,9 +77,18 @@ pub struct Ctx<M> {
 
 impl<M> Ctx<M> {
     pub fn new(info: NodeInfo) -> Ctx<M> {
+        Ctx::with_buffer(info, Vec::new())
+    }
+
+    /// Like [`Ctx::new`], but collecting into `buffer` (emptied first).
+    /// A driver that activates processes in a loop passes the vector it
+    /// got back from the previous [`take_actions`](Ctx::take_actions), so
+    /// the steady state allocates nothing per activation.
+    pub fn with_buffer(info: NodeInfo, mut buffer: Vec<Action<M>>) -> Ctx<M> {
+        buffer.clear();
         Ctx {
             info,
-            actions: Vec::new(),
+            actions: buffer,
         }
     }
 
@@ -172,5 +181,30 @@ mod tests {
         assert!(matches!(actions[1], Action::Send { to: NodeId(0), .. }));
         assert!(matches!(actions[2], Action::ScheduleTick { .. }));
         assert!(ctx.take_actions().is_empty());
+    }
+
+    #[test]
+    fn a_recycled_buffer_starts_empty_and_keeps_its_allocation() {
+        let info = NodeInfo {
+            id: NodeId(0),
+            speed: 1.0,
+            memory: 0,
+            now: 0.0,
+            availability: 1.0,
+        };
+        let mut ctx: Ctx<Ping> = Ctx::new(info);
+        for _ in 0..8 {
+            ctx.send(NodeId(1), Ping);
+        }
+        let used = ctx.take_actions();
+        let (ptr, cap) = (used.as_ptr(), used.capacity());
+        // stale actions in a handed-back buffer never leak into the next
+        // activation
+        let mut ctx: Ctx<Ping> = Ctx::with_buffer(info, used);
+        ctx.idle();
+        let actions = ctx.take_actions();
+        assert_eq!(actions.len(), 1);
+        assert!(matches!(actions[0], Action::Idle));
+        assert_eq!((actions.as_ptr(), actions.capacity()), (ptr, cap));
     }
 }

@@ -219,6 +219,9 @@ pub struct Reliable<P: ReliableProcess> {
     rng: u64,
     pub stats: ReliableStats,
     obs: Obs,
+    /// The action vector every inner callback collects into, handed from
+    /// one inner [`Ctx`] to the next so the steady state allocates none.
+    inner_buf: Vec<Action<P::Msg>>,
 }
 
 impl<P: ReliableProcess> Reliable<P> {
@@ -235,6 +238,7 @@ impl<P: ReliableProcess> Reliable<P> {
             rng: seed | 1,
             stats: ReliableStats::default(),
             obs: Obs::default(),
+            inner_buf: Vec::new(),
         }
     }
 
@@ -284,13 +288,20 @@ impl<P: ReliableProcess> Reliable<P> {
             .min_by(f64::total_cmp)
     }
 
+    /// A context for one inner-protocol callback, collecting into the
+    /// recycled action buffer ([`Reliable::translate`] hands it back).
+    fn inner_ctx(&mut self, info: NodeInfo) -> Ctx<P::Msg> {
+        Ctx::with_buffer(info, std::mem::take(&mut self.inner_buf))
+    }
+
     /// Translate the inner protocol's actions onto the wire: control
     /// sends become tracked `Data`, everything else passes through, and
     /// `Idle` is withheld while retransmit timers are pending (an idle
     /// engine node receives no ticks, which would silence the timers).
     fn translate(&mut self, ictx: &mut Ctx<P::Msg>, ctx: &mut Ctx<Wire<P::Msg>>) {
         let now = ctx.now();
-        for action in ictx.take_actions() {
+        let mut actions = ictx.take_actions();
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
                     if self.config.is_some() && P::is_control(&msg) {
@@ -332,6 +343,7 @@ impl<P: ReliableProcess> Reliable<P> {
                 }
             }
         }
+        self.inner_buf = actions;
         if let Some(deadline) = self.next_deadline() {
             ctx.schedule_tick((deadline - now).max(0.0));
         }
@@ -411,7 +423,7 @@ impl<P: ReliableProcess> Reliable<P> {
         if expired.is_empty() {
             return;
         }
-        let mut ictx = Ctx::new(info);
+        let mut ictx = self.inner_ctx(info);
         for (to, msg) in expired {
             self.inner.on_undeliverable(to, msg, &mut ictx);
         }
@@ -453,7 +465,7 @@ impl<P: ReliableProcess> Reliable<P> {
             from: from.0,
             label: label.clone(),
         });
-        let mut ictx = Ctx::new(ctx.info);
+        let mut ictx = self.inner_ctx(ctx.info);
         self.inner.on_corrupt(from, &label, &mut ictx);
         self.translate(&mut ictx, ctx);
     }
@@ -475,7 +487,7 @@ impl<P: ReliableProcess> Process for Reliable<P> {
                 .collect();
         }
         self.started = true;
-        let mut ictx = Ctx::new(ctx.info);
+        let mut ictx = self.inner_ctx(ctx.info);
         self.inner.on_start(&mut ictx);
         // the previous life's outbox died with it; let the protocol
         // decide what each lost message means (requeue, refree, resend)
@@ -495,7 +507,7 @@ impl<P: ReliableProcess> Process for Reliable<P> {
                     self.discard_corrupt(from, &m, ctx);
                     return;
                 }
-                let mut ictx = Ctx::new(ctx.info);
+                let mut ictx = self.inner_ctx(ctx.info);
                 self.inner.on_message(from, m, &mut ictx);
                 self.translate(&mut ictx, ctx);
             }
@@ -519,7 +531,7 @@ impl<P: ReliableProcess> Process for Reliable<P> {
                     });
                     return;
                 }
-                let mut ictx = Ctx::new(ctx.info);
+                let mut ictx = self.inner_ctx(ctx.info);
                 self.inner.on_message(from, msg, &mut ictx);
                 self.translate(&mut ictx, ctx);
             }
@@ -539,7 +551,7 @@ impl<P: ReliableProcess> Process for Reliable<P> {
 
     fn on_tick(&mut self, ctx: &mut Ctx<Self::Msg>) {
         let expired = self.poll(ctx);
-        let mut ictx = Ctx::new(ctx.info);
+        let mut ictx = self.inner_ctx(ctx.info);
         for (to, msg) in expired {
             self.inner.on_undeliverable(to, msg, &mut ictx);
         }
@@ -565,7 +577,7 @@ impl<P: ReliableProcess> Process for Reliable<P> {
         }
         let info = ctx.info;
         self.deliver_expired(expired, info, ctx);
-        let mut ictx = Ctx::new(ctx.info);
+        let mut ictx = self.inner_ctx(ctx.info);
         self.inner.on_node_down(node, &mut ictx);
         self.translate(&mut ictx, ctx);
     }

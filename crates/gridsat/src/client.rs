@@ -52,6 +52,14 @@ pub struct ClientStats {
     pub load_reports_sent: u64,
     /// Load reports suppressed by the delta/staleness coalescer.
     pub load_reports_suppressed: u64,
+    /// Largest work one solver step charged to one tick. The quantum is
+    /// a target, not a bound — see
+    /// [`Stats::max_step_work`](gridsat_solver::Stats::max_step_work).
+    pub max_step_work: u64,
+    /// Largest work one foreign-clause merge charged: the client is
+    /// "busy" but deaf to ticks for this long
+    /// ([`Stats::max_merge_burst`](gridsat_solver::Stats::max_merge_burst)).
+    pub max_merge_burst: u64,
 }
 
 impl ClientStats {
@@ -75,6 +83,8 @@ impl ClientStats {
             steals,
             load_reports_sent,
             load_reports_suppressed,
+            max_step_work,
+            max_merge_burst,
         } = *other;
         self.subproblems += subproblems;
         self.splits += splits;
@@ -91,6 +101,8 @@ impl ClientStats {
         self.steals += steals;
         self.load_reports_sent += load_reports_sent;
         self.load_reports_suppressed += load_reports_suppressed;
+        self.max_step_work = self.max_step_work.max(max_step_work);
+        self.max_merge_burst = self.max_merge_burst.max(max_merge_burst);
     }
 
     /// Bridge every counter into a [`MetricsRegistry`] under `prefix`.
@@ -111,6 +123,8 @@ impl ClientStats {
             steals,
             load_reports_sent,
             load_reports_suppressed,
+            max_step_work,
+            max_merge_burst,
         } = *self;
         reg.counter_add(&format!("{prefix}.subproblems"), subproblems);
         reg.counter_add(&format!("{prefix}.splits"), splits);
@@ -133,6 +147,8 @@ impl ClientStats {
             &format!("{prefix}.load_reports_suppressed"),
             load_reports_suppressed,
         );
+        reg.gauge_set(&format!("{prefix}.max_step_work"), max_step_work as f64);
+        reg.gauge_set(&format!("{prefix}.max_merge_burst"), max_merge_burst as f64);
     }
 }
 
@@ -952,7 +968,10 @@ impl Process for Client {
                 origin,
                 epoch,
             } => {
-                let decoded = match batch.decode() {
+                // the verified decode belongs to the buffer, which the
+                // whole fan-out shares: the first recipient pays for it,
+                // the rest borrow it
+                let decoded = match batch.decoded() {
                     Ok(d) => d,
                     Err(e) => {
                         debug_assert!(false, "undecodable share batch: {e}");
@@ -963,12 +982,12 @@ impl Process for Client {
                 self.stats.clauses_received += total;
                 let mut fresh = 0u64;
                 for (clause, fp) in decoded {
-                    if !self.fp_window.insert(fp) {
+                    if !self.fp_window.insert(*fp) {
                         continue;
                     }
                     fresh += 1;
                     if let Some(solver) = &mut self.solver {
-                        solver.queue_foreign_fp(clause, fp);
+                        solver.queue_foreign_fp(clause.clone(), *fp);
                     }
                 }
                 let dropped = total - fresh;
@@ -1161,8 +1180,11 @@ impl Process for Client {
             solver.set_obs_now(ctx.now());
             let before = solver.stats().work;
             let step = solver.step(quantum);
-            let done = solver.stats().work - before;
+            let after = solver.stats();
+            let done = after.work - before;
             self.stats.work += done;
+            self.stats.max_step_work = self.stats.max_step_work.max(after.max_step_work);
+            self.stats.max_merge_burst = self.stats.max_merge_burst.max(after.max_merge_burst);
             ctx.work(done);
             step
         };
@@ -1294,6 +1316,8 @@ mod tests {
             steals: 13,
             load_reports_sent: 14,
             load_reports_suppressed: 15,
+            max_step_work: 16,
+            max_merge_burst: 17,
         };
         let mut acc = ClientStats::default();
         acc.absorb(&full);
@@ -1317,6 +1341,8 @@ mod tests {
                 steals: 26,
                 load_reports_sent: 28,
                 load_reports_suppressed: 30,
+                max_step_work: 16,   // max, not sum
+                max_merge_burst: 17, // max, not sum
             }
         );
 
@@ -1328,9 +1354,11 @@ mod tests {
         assert_eq!(reg.counter("client.share_limit_changes"), 9);
         assert_eq!(reg.counter("client.steals"), 13);
         assert_eq!(reg.counter("client.load_reports_suppressed"), 15);
+        assert_eq!(reg.gauge("client.max_step_work"), Some(16.0));
+        assert_eq!(reg.gauge("client.max_merge_burst"), Some(17.0));
         assert_eq!(
             reg.render_prometheus().matches("# TYPE client_").count(),
-            15
+            17
         );
     }
 
@@ -1654,6 +1682,118 @@ mod tests {
         assert_eq!(c.stats.clauses_received, 2);
         assert_eq!(c.stats.dup_share_drops, 1);
         assert_eq!(c.solver.as_ref().unwrap().pending_foreign(), 1);
+    }
+
+    /// Two clients of one roster (node 1 idle, node 2 solving) each take
+    /// delivery of batches 0 and 1 from origin 8; `handle(i)` is the `Arc`
+    /// a delivery of batch `i` carries. Returns what the share path left
+    /// behind per client: the stats, the solver's inbox depth and where it
+    /// forwarded to.
+    fn deliver_to_two(
+        handle: impl Fn(usize) -> Arc<EncodedBatch>,
+    ) -> Vec<(ClientStats, Option<usize>, Vec<NodeId>)> {
+        let node_ctx = |id: u32, now: f64| {
+            Ctx::new(NodeInfo {
+                id: NodeId(id),
+                speed: 1000.0,
+                memory: 3 << 20,
+                now,
+                availability: 1.0,
+            })
+        };
+        let mut out = Vec::new();
+        for id in [1u32, 2] {
+            let mut c = Client::new(NodeId(0), GridConfig::default());
+            let mut cx = node_ctx(id, 0.0);
+            c.on_message(
+                NodeId(0),
+                GridMsg::Peers {
+                    epoch: 7,
+                    peers: (1..=8).map(NodeId).collect(),
+                },
+                &mut cx,
+            );
+            if id == 2 {
+                c.on_message(
+                    NodeId(0),
+                    GridMsg::Solve {
+                        spec: framed(&whole_problem()),
+                        problem: ProblemId::new(NodeId(0), 1),
+                    },
+                    &mut cx,
+                );
+            }
+            let mut forwards = Vec::new();
+            for i in 0..2 {
+                let batch = handle(i);
+                let mut cx = node_ctx(id, 0.5 + i as f64);
+                c.on_message(
+                    NodeId(8),
+                    GridMsg::Share {
+                        batch: Arc::clone(&batch),
+                        origin: NodeId(8),
+                        epoch: 7,
+                    },
+                    &mut cx,
+                );
+                for a in cx.take_actions() {
+                    if let gridsat_grid::Action::Send {
+                        to,
+                        msg: GridMsg::Share { batch: fwd, .. },
+                    } = a
+                    {
+                        assert!(Arc::ptr_eq(&fwd, &batch), "forwards share the buffer");
+                        forwards.push(to);
+                    }
+                }
+            }
+            let inbox = c.solver.as_ref().map(Solver::pending_foreign);
+            out.push((c.stats, inbox, forwards));
+        }
+        out
+    }
+
+    #[test]
+    fn one_shared_decode_serves_every_recipient_like_a_decode_each() {
+        use gridsat_cnf::{Clause, Lit};
+        let encode = |clauses: &[Clause]| {
+            let shares: Vec<(Clause, u64)> = clauses
+                .iter()
+                .map(|c| (c.clone(), c.fingerprint()))
+                .collect();
+            EncodedBatch::encode(&shares)
+        };
+        // the second batch overlaps the first: one duplicate, one fresh
+        let batches = [
+            encode(&[
+                Clause::new([Lit::pos(0), Lit::neg(3)]),
+                Clause::new([Lit::neg(1)]),
+                Clause::new([Lit::pos(2), Lit::pos(4), Lit::neg(5)]),
+            ]),
+            encode(&[
+                Clause::new([Lit::neg(3), Lit::pos(0)]),
+                Clause::new([Lit::pos(6), Lit::neg(2)]),
+            ]),
+        ];
+        // the decode-once path: both recipients hold the same buffer
+        let shared = batches.clone().map(Arc::new);
+        let once = deliver_to_two(|i| Arc::clone(&shared[i]));
+        assert!(shared.iter().all(|b| b.intact()));
+        // the per-recipient path: every delivery verifies a copy of its own
+        let each = deliver_to_two(|i| Arc::new(batches[i].clone()));
+        assert_eq!(once, each);
+
+        let (idle, solving) = (&once[0], &once[1]);
+        for (stats, _, forwards) in [idle, solving] {
+            assert_eq!(stats.clauses_received, 5);
+            assert_eq!(stats.dup_share_drops, 1);
+            assert_eq!(stats.shares_forwarded, forwards.len() as u64);
+        }
+        assert_eq!(idle.1, None, "no solver, nothing queued or cloned");
+        assert_eq!(solving.1, Some(4), "each fresh clause queued once");
+        // from origin 8, node 1 sits at tree position 1: an inner node,
+        // which forwards both batches (each carried a fresh clause)
+        assert!(!idle.2.is_empty());
     }
 
     #[test]

@@ -474,6 +474,16 @@ impl std::fmt::Display for MasterSnapshot {
     }
 }
 
+/// The idle clients a grant may go to, ascending by node id.
+fn idle_clients(
+    clients: &BTreeMap<NodeId, ClientInfo>,
+    exclude: NodeId,
+) -> impl Iterator<Item = (&NodeId, &ClientInfo)> {
+    clients
+        .iter()
+        .filter(move |(id, c)| **id != exclude && c.state == ClientState::Idle)
+}
+
 impl Master {
     /// `host_info` is the static per-host information (speed, site) the
     /// paper's master culls from the Grid information system.
@@ -779,30 +789,31 @@ impl Master {
     /// Pick an idle client per the configured policy; `near` biases the
     /// NWS policy toward transfer locality.
     fn pick_idle(&mut self, exclude: NodeId, near: Option<Site>) -> Option<NodeId> {
-        let idle: Vec<NodeId> = self
-            .core
-            .clients
-            .iter()
-            .filter(|(id, c)| **id != exclude && c.state == ClientState::Idle)
-            .map(|(id, _)| *id)
-            .collect();
-        if idle.is_empty() {
-            return None;
-        }
         match self.config.scheduler {
-            SchedPolicy::NwsRank => idle.into_iter().max_by(|a, b| {
-                let ra = self.placement_score(*a, &self.core.clients[a], near);
-                let rb = self.placement_score(*b, &self.core.clients[b], near);
-                ra.total_cmp(&rb).then(b.cmp(a)) // deterministic ties: lower id
-            }),
-            SchedPolicy::WorstRank => idle.into_iter().min_by(|a, b| {
-                let ra = self.rank(*a, &self.core.clients[a]);
-                let rb = self.rank(*b, &self.core.clients[b]);
-                ra.total_cmp(&rb).then(a.cmp(b))
-            }),
+            SchedPolicy::NwsRank => idle_clients(&self.core.clients, exclude)
+                .max_by(|(a, ia), (b, ib)| {
+                    let ra = self.placement_score(**a, ia, near);
+                    let rb = self.placement_score(**b, ib, near);
+                    ra.total_cmp(&rb).then(b.cmp(a)) // deterministic ties: lower id
+                })
+                .map(|(id, _)| *id),
+            SchedPolicy::WorstRank => idle_clients(&self.core.clients, exclude)
+                .min_by(|(a, ia), (b, ib)| {
+                    let ra = self.rank(**a, ia);
+                    let rb = self.rank(**b, ib);
+                    ra.total_cmp(&rb).then(a.cmp(b))
+                })
+                .map(|(id, _)| *id),
             SchedPolicy::Random(_) => {
-                let i = (self.xorshift() % idle.len() as u64) as usize;
-                Some(idle[i])
+                // no draw without a candidate: the stream must not advance
+                let n = idle_clients(&self.core.clients, exclude).count();
+                if n == 0 {
+                    return None;
+                }
+                let i = (self.xorshift() % n as u64) as usize;
+                idle_clients(&self.core.clients, exclude)
+                    .nth(i)
+                    .map(|(id, _)| *id)
             }
         }
     }

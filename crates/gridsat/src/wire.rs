@@ -54,6 +54,7 @@
 use gridsat_cnf::{Clause, Lit};
 use gridsat_solver::SplitSpec;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Decoding failure on a wire payload: line noise (the chaos harness
 /// corrupts frames in flight), truncation, or an encoder/decoder
@@ -285,13 +286,61 @@ pub(crate) fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireE
 /// codes); the per-clause fingerprints ride alongside in memory for the
 /// sender's dedup filter but are *not* part of the wire image — the
 /// receiver recomputes them from the decoded literals.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// ## Decode once per buffer
+///
+/// All recipients of one broadcast hold the same immutable bytes, so
+/// the frame check and the verified decode are properties of the
+/// *buffer*, not of the recipient: the first accessor of
+/// [`intact`](EncodedBatch::intact) / [`decoded`](EncodedBatch::decoded)
+/// runs the CRC, the parse and the fingerprint recomputation, and every
+/// later one reads the stored verdict. Anything that yields different
+/// or unvouched-for bytes — [`from_wire`](EncodedBatch::from_wire),
+/// [`corrupt_bit`](EncodedBatch::corrupt_bit), `clone()` (hence
+/// `Arc::make_mut` on a shared batch) — yields an unmemoised batch that
+/// is verified from scratch. Equality compares the wire image and the
+/// sender fingerprints only.
+#[derive(Debug)]
 pub struct EncodedBatch {
     bytes: Vec<u8>,
     fingerprints: Vec<u64>,
+    /// Verdict of [`open_frame`] on `bytes`, filled by the first check.
+    frame: OnceLock<Result<(), WireError>>,
+    /// The fully verified decode of `bytes`, filled by the first
+    /// [`decoded`](EncodedBatch::decoded).
+    clauses: OnceLock<Result<DecodedShares, WireError>>,
 }
 
+/// A batch's clauses with their recomputed fingerprints.
+type DecodedShares = Box<[(Clause, u64)]>;
+
+impl Clone for EncodedBatch {
+    /// A copy starts unmemoised: whoever mutates it (fault injection goes
+    /// through `Arc::make_mut`) must not inherit a verdict about the
+    /// original bytes, and the original keeps its own.
+    fn clone(&self) -> EncodedBatch {
+        EncodedBatch::unverified(self.bytes.clone(), self.fingerprints.clone())
+    }
+}
+
+impl PartialEq for EncodedBatch {
+    fn eq(&self, other: &EncodedBatch) -> bool {
+        self.bytes == other.bytes && self.fingerprints == other.fingerprints
+    }
+}
+
+impl Eq for EncodedBatch {}
+
 impl EncodedBatch {
+    fn unverified(bytes: Vec<u8>, fingerprints: Vec<u64>) -> EncodedBatch {
+        EncodedBatch {
+            bytes,
+            fingerprints,
+            frame: OnceLock::new(),
+            clauses: OnceLock::new(),
+        }
+    }
+
     /// Serialize `(clause, fingerprint)` pairs into one framed buffer.
     pub fn encode(shares: &[(Clause, u64)]) -> EncodedBatch {
         let mut payload = Vec::new();
@@ -304,56 +353,61 @@ impl EncodedBatch {
             encode_codes(&codes, &mut payload);
             fingerprints.push(*fp);
         }
-        EncodedBatch {
-            bytes: seal_frame(&payload),
-            fingerprints,
-        }
+        EncodedBatch::unverified(seal_frame(&payload), fingerprints)
     }
 
     /// Adopt raw wire bytes as a batch, as a receiver (or fuzzer) would:
     /// no fingerprints are known until [`decode`](EncodedBatch::decode)
     /// verifies the frame and recomputes them.
     pub fn from_wire(bytes: Vec<u8>) -> EncodedBatch {
-        EncodedBatch {
-            bytes,
-            fingerprints: Vec::new(),
-        }
+        EncodedBatch::unverified(bytes, Vec::new())
     }
 
     /// Decode back into `(clause, fingerprint)` pairs after verifying
     /// the frame checksum. Fingerprints are recomputed from the
     /// canonical decoded literals, so they agree with what
     /// [`encode`](EncodedBatch::encode) was handed as long as the sender
-    /// used [`Clause::fingerprint`].
+    /// used [`Clause::fingerprint`]. Always does the full work and never
+    /// touches the memo; receivers use [`decoded`](EncodedBatch::decoded).
     pub fn decode(&self) -> Result<Vec<(Clause, u64)>, WireError> {
-        let buf = open_frame(&self.bytes)?;
-        let mut pos = 0usize;
-        let count = read_varint(buf, &mut pos)?;
-        if count > buf.len() as u64 {
-            return Err(WireError::Truncated);
-        }
-        let mut out = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let clause = decode_clause(buf, &mut pos)?;
-            let fp = clause.fingerprint();
-            out.push((clause, fp));
-        }
-        if pos != buf.len() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(out)
+        decode_batch(open_frame(&self.bytes)?)
+    }
+
+    /// The verified decode, computed by the first caller and borrowed by
+    /// every later one — for a batch fanned out by `Arc`, once per
+    /// broadcast instead of once per recipient. Same checks and same
+    /// result as [`decode`](EncodedBatch::decode).
+    pub fn decoded(&self) -> Result<&[(Clause, u64)], WireError> {
+        self.clauses
+            .get_or_init(|| decode_batch(self.payload()?).map(Vec::into_boxed_slice))
+            .as_deref()
+            .map_err(|&e| e)
+    }
+
+    /// The framed payload, once the frame has been verified — by this
+    /// call or an earlier one.
+    fn payload(&self) -> Result<&[u8], WireError> {
+        (*self
+            .frame
+            .get_or_init(|| open_frame(&self.bytes).map(|_| ())))?;
+        // a verified frame is the fixed-size header, then the payload
+        Ok(&self.bytes[FRAME_HEADER_BYTES..])
     }
 
     /// Cheap integrity check: does the frame header still match the
     /// payload? The reliability layer calls this on receipt to treat a
-    /// corrupted batch as a drop without decoding the clauses.
+    /// corrupted batch as a drop without decoding the clauses. The CRC
+    /// runs on the first call per buffer.
     pub fn intact(&self) -> bool {
-        open_frame(&self.bytes).is_ok()
+        self.payload().is_ok()
     }
 
     /// Fault injection: flip one payload/header bit, chosen by `seed`.
+    /// Whatever was known about the old bytes is forgotten.
     pub fn corrupt_bit(&mut self, seed: u64) {
         flip_bit(&mut self.bytes, seed);
+        self.frame = OnceLock::new();
+        self.clauses = OnceLock::new();
     }
 
     /// Number of clauses in the batch.
@@ -376,6 +430,26 @@ impl EncodedBatch {
     pub fn wire_len(&self) -> usize {
         self.bytes.len()
     }
+}
+
+/// Parse a share-batch payload (the bytes inside a verified frame) and
+/// recompute every clause's fingerprint.
+fn decode_batch(buf: &[u8]) -> Result<Vec<(Clause, u64)>, WireError> {
+    let mut pos = 0usize;
+    let count = read_varint(buf, &mut pos)?;
+    if count > buf.len() as u64 {
+        return Err(WireError::Truncated);
+    }
+    let mut out = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let clause = decode_clause(buf, &mut pos)?;
+        let fp = clause.fingerprint();
+        out.push((clause, fp));
+    }
+    if pos != buf.len() {
+        return Err(WireError::TrailingBytes);
+    }
+    Ok(out)
 }
 
 /// Flip one pseudo-random bit of `bytes`, chosen by `seed` (splitmix64
@@ -657,6 +731,7 @@ mod tests {
             bad.bytes[bit / 8] ^= 1 << (bit % 8);
             assert!(!bad.intact(), "flip of bit {bit} went undetected");
             assert!(bad.decode().is_err());
+            assert_eq!(bad.decoded().err(), bad.decode().err());
         }
         // deterministic: the same seed flips the same bit
         let mut a = clean.clone();
@@ -666,6 +741,115 @@ mod tests {
         assert_eq!(a, b);
         assert!(!a.intact(), "a flipped bit must fail the CRC");
         assert!(a.decode().is_err());
+    }
+
+    fn sample_batch() -> EncodedBatch {
+        let shares: Vec<(Clause, u64)> = (0..5u32)
+            .map(|i| {
+                let c = Clause::new([Lit::neg(i * 7 + 2), Lit::pos(i * 7), Lit::pos(i * 7 + 5)]);
+                let fp = c.fingerprint();
+                (c, fp)
+            })
+            .collect();
+        EncodedBatch::encode(&shares)
+    }
+
+    /// Has either memo been filled? (test-only view of the `OnceLock`s)
+    fn memoised(b: &EncodedBatch) -> bool {
+        b.frame.get().is_some() || b.clauses.get().is_some()
+    }
+
+    #[test]
+    fn the_decode_is_computed_once_and_agrees_with_the_uncached_path() {
+        let batch = sample_batch();
+        assert!(!memoised(&batch), "encode vouches for nothing");
+        let first = batch.decoded().expect("clean batch");
+        assert_eq!(first, &batch.decode().expect("clean batch")[..]);
+        assert!(first
+            .iter()
+            .map(|(_, fp)| *fp)
+            .eq(batch.fingerprints().iter().copied()));
+        // the second access borrows the very same slice
+        let second = batch.decoded().expect("clean batch");
+        assert!(std::ptr::eq(first, second));
+        // and the frame verdict was settled on the way
+        assert!(batch.frame.get().is_some());
+        assert!(batch.intact());
+        // decode() stays the uncached path: a fresh vector each call
+        let uncached = batch.decode().expect("clean batch");
+        assert!(!std::ptr::eq(&uncached[..], first));
+    }
+
+    #[test]
+    fn a_failed_verdict_is_memoised_too_and_matches_decode() {
+        // framed, checksummed garbage: passes the CRC, fails the parse
+        let parse_err = EncodedBatch::from_wire(seal_frame(&[0x05, 0x02]));
+        assert!(parse_err.intact(), "the frame itself is fine");
+        assert_eq!(
+            parse_err.decoded().map(<[_]>::len),
+            parse_err.decode().map(|v| v.len())
+        );
+        assert!(parse_err.decoded().is_err());
+        assert!(parse_err.decoded().is_err(), "and stays an error");
+        // unframed bytes: fails the frame check before any parse
+        let unframed = EncodedBatch::from_wire(vec![0x05, 0x02]);
+        assert_eq!(unframed.decoded().err(), Some(WireError::Truncated));
+        assert!(!unframed.intact());
+    }
+
+    #[test]
+    fn corruption_forgets_the_memo() {
+        let mut batch = sample_batch();
+        assert!(batch.intact());
+        assert_eq!(batch.decoded().map(<[_]>::len), Ok(5));
+        batch.corrupt_bit(42);
+        assert!(!memoised(&batch), "new bytes, no verdict");
+        assert!(!batch.intact(), "the stale verdict must not survive");
+        assert!(batch.decoded().is_err());
+        assert_eq!(batch.decoded().err(), batch.decode().err());
+    }
+
+    #[test]
+    fn copy_on_write_leaves_the_shared_buffer_and_its_memo_alone() {
+        use std::sync::Arc;
+        let origin = Arc::new(sample_batch());
+        let clean = origin.decoded().expect("clean batch").as_ptr();
+        // two more recipients of the same broadcast
+        let sibling = Arc::clone(&origin);
+        let mut victim = Arc::clone(&origin);
+        // the engine flips a bit in one delivery only
+        Arc::make_mut(&mut victim).corrupt_bit(9);
+        assert!(!Arc::ptr_eq(&victim, &origin), "shared: mutation copied");
+        assert!(!victim.intact());
+        assert!(victim.decoded().is_err());
+        // the siblings still hold the verified bytes and the same memo
+        assert!(sibling.intact());
+        assert_eq!(sibling.decoded().expect("untouched").as_ptr(), clean);
+        assert_eq!(*sibling, sample_batch(), "bytes untouched");
+        // a sole owner is mutated in place, and forgets its verdict
+        let mut lone = Arc::new(sample_batch());
+        assert!(lone.intact());
+        Arc::make_mut(&mut lone).corrupt_bit(9);
+        assert!(!lone.intact());
+    }
+
+    #[test]
+    fn clones_and_adopted_bytes_start_unmemoised_and_equality_ignores_the_memo() {
+        let batch = sample_batch();
+        let cold = batch.clone();
+        assert_eq!(batch.decoded().map(<[_]>::len), Ok(5));
+        assert!(memoised(&batch) && !memoised(&cold));
+        assert_eq!(batch, cold, "same bytes, same fingerprints: equal");
+        let warm_clone = batch.clone();
+        assert!(!memoised(&warm_clone), "a clone never inherits a verdict");
+        assert_eq!(warm_clone.decoded(), batch.decoded());
+        let adopted = EncodedBatch::from_wire(batch.bytes.clone());
+        assert!(!memoised(&adopted));
+        assert_eq!(adopted.decoded(), batch.decoded());
+        // equality still sees a real difference
+        let mut other = batch.clone();
+        other.corrupt_bit(1);
+        assert_ne!(batch, other);
     }
 
     #[test]

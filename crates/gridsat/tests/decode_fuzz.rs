@@ -2,7 +2,9 @@
 //! must return an error on mangled input — never panic — and must
 //! round-trip clean input exactly. Covers the three wire decoders:
 //! checksummed frames ([`wire::open_frame`]), clause-share batches
-//! ([`EncodedBatch`]), and sealed journal records ([`SealedRecord`]).
+//! ([`EncodedBatch`], through both the uncached `decode` and the
+//! memoised `decoded` receivers use), and sealed journal records
+//! ([`SealedRecord`]).
 //!
 //! The generator is a plain xorshift so failures reproduce from the
 //! printed seed alone (`DECODE_FUZZ_SEED=<n>`), and the iteration count
@@ -163,7 +165,18 @@ fn fuzz_share_batch_decoder_never_panics() {
             shares,
             "iter {i}: clean round-trip"
         );
+        // the memoised accessor receivers use: same verdict, same clauses
+        assert_eq!(
+            clean.decoded().expect("clean batch decodes"),
+            &shares[..],
+            "iter {i}: clean round-trip, memoised"
+        );
+        // half the victims are mangled with the memo filled (the engine
+        // corrupts batches other recipients already verified), half cold
         let mut bad = clean.clone();
+        if rng.next() & 1 == 0 {
+            assert!(bad.intact() && bad.decoded().is_ok());
+        }
         bad.corrupt_bit(rng.next());
         // a single flipped bit must never pass the CRC
         assert!(
@@ -171,10 +184,21 @@ fn fuzz_share_batch_decoder_never_panics() {
             "iter {i}: bit-flipped batch decoded (seed {})",
             seed()
         );
-        // unstructured garbage must error, not panic
+        assert!(!bad.intact(), "iter {i}: stale frame verdict survived");
+        assert_eq!(
+            bad.decoded().err(),
+            bad.decode().err(),
+            "iter {i}: memoised verdict differs (seed {})",
+            seed()
+        );
+        // unstructured garbage must error, not panic — and the memoised
+        // accessor must agree with the uncached one, first call and second
         let garbage =
             EncodedBatch::from_wire((0..rng.below(200)).map(|_| rng.next() as u8).collect());
-        let _ = garbage.decode();
+        let uncached = garbage.decode();
+        for _ in 0..2 {
+            assert_eq!(garbage.decoded().map(<[_]>::to_vec), uncached, "iter {i}");
+        }
     }
 }
 

@@ -1224,15 +1224,14 @@ impl Solver {
             // local DRAT trace is no longer self-contained
             self.proof_complete = false;
         }
-        while let Some(clause) = self.inbox.pop_front() {
+        while let Some(mut clause) = self.inbox.pop_front() {
             if self.status.is_some() {
                 return;
             }
-            let normalized = match clause.normalized() {
-                None => continue, // tautology: no pruning power
-                Some(c) => c,
-            };
-            let lits: Vec<Lit> = normalized.lits().to_vec();
+            if clause.normalize() {
+                continue; // tautology: no pruning power
+            }
+            let lits = clause.into_lits();
             let mut unknown = 0usize;
             let mut satisfied = false;
             for &l in &lits {
@@ -1295,8 +1294,19 @@ impl Solver {
     // Search
     // ------------------------------------------------------------------
 
-    /// Run search for roughly `work_budget` work units.
+    /// Run search for roughly `work_budget` work units. The budget is
+    /// checked between search steps, and one foreign-clause merge drains
+    /// the whole inbox, so a call can overrun it —
+    /// [`Stats::max_step_work`] and [`Stats::max_merge_burst`] record by
+    /// how much.
     pub fn step(&mut self, work_budget: u64) -> Step {
+        let before = self.stats.work;
+        let step = self.search(work_budget);
+        self.stats.max_step_work = self.stats.max_step_work.max(self.stats.work - before);
+        step
+    }
+
+    fn search(&mut self, work_budget: u64) -> Step {
         match self.status {
             Some(SolveStatus::Sat) => return Step::Sat,
             Some(SolveStatus::Unsat) => return Step::Unsat,
@@ -1334,7 +1344,10 @@ impl Solver {
                         self.prune_level0();
                     }
                     if !self.inbox.is_empty() {
+                        let before = self.stats.work;
                         self.merge_foreign();
+                        let burst = self.stats.work - before;
+                        self.stats.max_merge_burst = self.stats.max_merge_burst.max(burst);
                         if self.status == Some(SolveStatus::Unsat) {
                             return Step::Unsat;
                         }

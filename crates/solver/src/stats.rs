@@ -39,6 +39,13 @@ pub struct Stats {
     pub max_level: u64,
     /// Abstract work units (see type docs).
     pub work: u64,
+    /// Largest work one [`Solver::step`](crate::Solver::step) call
+    /// charged. A step checks its budget between search steps, so this
+    /// exceeds the budget by whatever the last one cost.
+    pub max_step_work: u64,
+    /// Largest work one foreign-clause merge charged: a merge drains the
+    /// whole inbox in one go, however much the step's budget was.
+    pub max_merge_burst: u64,
     /// Peak clause-database footprint in (model) bytes.
     pub peak_db_bytes: usize,
     /// Relocating garbage collections of the clause arena.
@@ -73,6 +80,8 @@ impl Stats {
             merge_skipped,
             max_level,
             work,
+            max_step_work,
+            max_merge_burst,
             peak_db_bytes,
             gc_runs,
             gc_words,
@@ -92,6 +101,8 @@ impl Stats {
         self.merge_skipped += merge_skipped;
         self.max_level = self.max_level.max(max_level);
         self.work += work;
+        self.max_step_work = self.max_step_work.max(max_step_work);
+        self.max_merge_burst = self.max_merge_burst.max(max_merge_burst);
         self.peak_db_bytes = self.peak_db_bytes.max(peak_db_bytes);
         self.gc_runs += gc_runs;
         self.gc_words += gc_words;
@@ -126,6 +137,8 @@ impl Stats {
             merge_skipped,
             max_level,
             work,
+            max_step_work,
+            max_merge_burst,
             peak_db_bytes,
             gc_runs,
             gc_words,
@@ -147,6 +160,8 @@ impl Stats {
         reg.counter_add(&format!("{prefix}.gc_runs"), gc_runs);
         reg.counter_add(&format!("{prefix}.gc_words"), gc_words);
         reg.gauge_set(&format!("{prefix}.max_level"), max_level as f64);
+        reg.gauge_set(&format!("{prefix}.max_step_work"), max_step_work as f64);
+        reg.gauge_set(&format!("{prefix}.max_merge_burst"), max_merge_burst as f64);
         reg.gauge_set(&format!("{prefix}.peak_db_bytes"), peak_db_bytes as f64);
         for (i, &n) in lbd_hist.iter().enumerate() {
             if n > 0 {
@@ -178,6 +193,8 @@ mod tests {
             merge_skipped: 25,
             max_level: 12,
             work: 13,
+            max_step_work: 26,
+            max_merge_burst: 27,
             peak_db_bytes: 14,
             gc_runs: 15,
             gc_words: 16,
@@ -227,7 +244,9 @@ mod tests {
             merge_skipped: 50,
             max_level: 12, // max, not sum
             work: 26,
-            peak_db_bytes: 14, // max, not sum
+            max_step_work: 26,   // max, not sum
+            max_merge_burst: 27, // max, not sum
+            peak_db_bytes: 14,   // max, not sum
             gc_runs: 30,
             gc_words: 32,
             lbd_hist: [34, 36, 38, 40, 42, 44, 46, 48],
@@ -256,11 +275,13 @@ mod tests {
         assert_eq!(reg.counter("solver.gc_words"), 16);
         assert_eq!(reg.gauge("solver.max_level"), Some(12.0));
         assert_eq!(reg.gauge("solver.peak_db_bytes"), Some(14.0));
+        assert_eq!(reg.gauge("solver.max_step_work"), Some(26.0));
+        assert_eq!(reg.gauge("solver.max_merge_burst"), Some(27.0));
         // every lbd_hist bucket lands in the histogram
         let h = reg.histogram("solver.lbd").expect("lbd histogram");
         assert_eq!(h.count(), (17..=24).sum::<u64>());
-        // 15 counters + 2 gauges + 1 histogram, all present in the exposition
+        // 15 counters + 4 gauges + 1 histogram, all present in the exposition
         let text = reg.render_prometheus();
-        assert_eq!(text.matches("# TYPE solver_").count(), 18);
+        assert_eq!(text.matches("# TYPE solver_").count(), 20);
     }
 }

@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# A/B the repository benchmark (BENCHMARK.json) between two checkouts:
+# alternating parent/change runs of one workload, then per side the median
+# and quartiles of every end-to-end metric, the change's win count, and
+# whether the difference clears the gain rule — change better in at least
+# nine tenths of the pairs (ties count for neither) and the medians apart
+# by more than the distance between the parent's own quartiles.
+#
+#   scripts/ab.sh <parent-dir> <change-dir> <workload> [pairs] [seed]
+#
+# Each directory is a checkout of this repository (for the parent, e.g.
+# `git archive <commit> | tar x -C <dir>`). Each side's benchmark package
+# is built once into <dir>/.bench_build; the built executables are then
+# run directly, with the run length BENCHMARK.json declares, the side
+# that goes first swapping every pair. Defaults: 10 pairs, seed 0 —
+# repeat with a seed not used while writing the change before claiming.
+set -euo pipefail
+
+if [[ $# -lt 3 ]]; then
+  sed -n '2,16p' "$0" >&2
+  exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+workload=$3
+pairs=${4:-10}
+seed=${5:-0}
+
+# the end-to-end metrics of BENCHMARK.json; lower is better for all four
+metrics=(sim_answer_s host_wall_s setup_s peak_rss_mb)
+
+seconds=$(grep -o '"run_seconds": *[0-9]*' "$change/BENCHMARK.json" | grep -o '[0-9]*$')
+
+build() {
+  echo "== building $1" >&2
+  CARGO_TARGET_DIR="$1/.bench_build" cargo build --release --offline --quiet \
+    --manifest-path "$1/benchmark/Cargo.toml"
+}
+build "$parent"
+build "$change"
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+# one benchmark run; appends "<value> ..." (one per metric) to $out/<side>
+run() {
+  local side=$1 dir=$2 line name values=""
+  line=$("$dir/.bench_build/release/gridsat-benchmark" \
+    --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+  if ! grep -q '"failed": *0[,}]' <<<"$line"; then
+    echo "ab: $side run reported failed operations: $line" >&2
+    exit 1
+  fi
+  for name in "${metrics[@]}"; do
+    values+="$(grep -o "\"$name\": *{\"value\": *[-0-9.e+]*" <<<"$line" | grep -o '[-0-9.e+]*$') "
+  done
+  echo "$values" >>"$out/$side"
+  echo "   $side: $values" >&2
+}
+
+for ((i = 1; i <= pairs; i++)); do
+  echo "== pair $i/$pairs" >&2
+  if ((i % 2)); then
+    run parent "$parent"
+    run change "$change"
+  else
+    run change "$change"
+    run parent "$parent"
+  fi
+done
+
+# median and nearest-rank quartiles of column $2 of file $1: "med q1 q3"
+summary() {
+  awk -v c="$2" '{ print $c }' "$1" | sort -g | awk '
+    { v[NR] = $1 }
+    END {
+      med = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+      q1 = v[int((NR + 3) / 4)]; q3 = v[int((3 * NR + 3) / 4)]
+      printf "%.9g %.9g %.9g", med, q1, q3
+    }'
+}
+
+echo
+echo "workload $workload, seed $seed, $pairs pairs of ${seconds}-second runs"
+printf '%-13s %-34s %-34s %8s %7s  %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" delta wins gain
+col=0
+for name in "${metrics[@]}"; do
+  col=$((col + 1))
+  read -r pm p1 p3 <<<"$(summary "$out/parent" "$col")"
+  read -r cm c1 c3 <<<"$(summary "$out/change" "$col")"
+  # pair k is line k of each file: the two runs that ran back to back
+  wins=$(paste "$out/parent" "$out/change" | awk -v c="$col" -v n="${#metrics[@]}" \
+    '$(c + n) < $c { w++ } END { print w + 0 }')
+  awk -v name="$name" -v pm="$pm" -v p1="$p1" -v p3="$p3" -v cm="$cm" -v c1="$c1" -v c3="$c3" \
+    -v wins="$wins" -v pairs="$pairs" 'BEGIN {
+      delta = (pm != 0) ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "n/a"
+      gain = (wins * 10 >= pairs * 9 && pm - cm > p3 - p1) ? "yes" : "no"
+      printf "%-13s %-34s %-34s %8s %4d/%-2d  %s\n", name,
+        sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", cm, c1, c3),
+        delta, wins, pairs, gain
+    }'
+done

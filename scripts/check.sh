@@ -26,11 +26,13 @@ if [[ "${CHECK_CHAOS:-0}" == "1" ]]; then
 fi
 
 # Opt-in: the data-integrity gate — a decode-fuzz smoke pass over every
-# wire decoder (reduced iteration count; the full 10k runs in the normal
-# test suite) plus a bit-rot-only soak: every payload kind sees bit
-# flips and the runs must still end with the oracle's answer.
+# wire decoder, share batches through both the uncached decode and the
+# memoised accessor receivers use (reduced iteration count; the full 10k
+# runs in the normal test suite) plus a bit-rot-only soak: every payload
+# kind sees bit flips and the runs must still end with the oracle's
+# answer.
 if [[ "${CHECK_CORRUPT:-0}" == "1" ]]; then
-  echo "== decode fuzz smoke (truncation / bit flips / garbage)"
+  echo "== decode fuzz smoke (truncation / bit flips / garbage; uncached + memoised share decode)"
   DECODE_FUZZ_ITERS=2000 cargo test --release -q -p gridsat --test decode_fuzz
   echo "== bit-rot soak (fast profile)"
   cargo run --release -p gridsat-bench --bin chaos_soak -- --fast --plan bit-rot --repro
@@ -63,5 +65,9 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
   cargo test --offline --manifest-path benchmark/Cargo.toml
   cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke --seconds 0
 fi
+
+# Not a gate: `scripts/ab.sh <parent-dir> <change-dir> <workload> [pairs]
+# [seed]` measures a change against its parent with the same benchmark
+# (alternating runs, medians, quartiles, win count).
 
 echo "OK"

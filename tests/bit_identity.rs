@@ -1,20 +1,23 @@
 //! Bit-identity gate for simulator-only changes.
 //!
 //! A change to the engine, the roster plumbing or any other host-side
-//! data structure must not move one simulated number. These two seeded
+//! data structure must not move one simulated number. These seeded
 //! runs — the flat and the hierarchical control plane on the same small
-//! fleet — pin the verdict time and the exact engine and master counts.
-//! The numbers were captured on the commit *before* the roster/link-table
-//! rewrite (PR 12) was applied; a change that moves them on purpose
-//! (message sizes, protocol, solver heuristics) re-captures them and says
-//! so, a change that claims to be simulator-only may not.
+//! fleet, and the flat one again under payload bit rot — pin the verdict
+//! time and the exact engine, master and client share-path counts.
+//! The engine and master numbers were captured on the commit *before*
+//! the roster/link-table rewrite (PR 12) was applied, the client counts
+//! and the bit-rot run on the commit before the decode-once share path
+//! (PR 13); a change that moves them on purpose (message sizes, protocol,
+//! solver heuristics) re-captures them and says so, a change that claims
+//! to be simulator-only may not.
 //!
 //! The instance is a pigeonhole formula, not one of the seeded families:
 //! its generator draws no random numbers, so the pins do not depend on
 //! which `rand` implementation the workspace was built against.
 
-use gridsat::{experiment, GridConfig, GridOutcome};
-use gridsat_grid::Testbed;
+use gridsat::{experiment, GridConfig, GridOutcome, GridReport};
+use gridsat_grid::{NetChaos, Testbed};
 use gridsat_satgen as satgen;
 
 /// What a run is pinned to. `seconds_bits` is the verdict time's
@@ -27,20 +30,46 @@ struct Pins {
     bytes_delivered: u64,
     ticks: u64,
     splits: u64,
+    // the share path, summed over every client
+    clauses_received: u64,
+    dup_share_drops: u64,
+    shares_forwarded: u64,
+    share_batches_sent: u64,
+}
+
+impl Pins {
+    fn of(r: &GridReport) -> Pins {
+        Pins {
+            seconds_bits: r.seconds.to_bits(),
+            events: r.sim.events,
+            messages_delivered: r.sim.messages_delivered,
+            bytes_delivered: r.sim.bytes_delivered,
+            ticks: r.sim.ticks,
+            splits: r.master.splits,
+            clauses_received: r.clients.clauses_received,
+            dup_share_drops: r.clients.dup_share_drops,
+            shares_forwarded: r.clients.shares_forwarded,
+            share_batches_sent: r.clients.share_batches_sent,
+        }
+    }
 }
 
 /// The `scaling_1k` regime in miniature: 24 slow clients on 2 sites,
 /// small quanta so splits, relay-tree shares, roster broadcasts and
 /// (hierarchical) ticketed steals all happen within a fraction of a
 /// host second.
-fn run(hierarchical: bool) -> Pins {
-    let base = GridConfig {
+fn miniature(base: GridConfig) -> GridConfig {
+    GridConfig {
         min_split_timeout: 0.5,
         work_quantum_s: 0.25,
         load_report_period: 5.0,
         audit: true,
-        ..GridConfig::default()
-    };
+        ..base
+    }
+}
+
+fn run(hierarchical: bool) -> Pins {
+    let base = miniature(GridConfig::default());
     let config = if hierarchical {
         base.hierarchical()
     } else {
@@ -49,14 +78,35 @@ fn run(hierarchical: bool) -> Pins {
     let testbed = Testbed::scaling(24, 2, hierarchical).with_client_speed(400.0);
     let r = experiment::run(&satgen::php::php(8, 7), testbed, config);
     assert_eq!(r.outcome, GridOutcome::Unsat, "php(8, 7) is unsatisfiable");
-    Pins {
-        seconds_bits: r.seconds.to_bits(),
-        events: r.sim.events,
-        messages_delivered: r.sim.messages_delivered,
-        bytes_delivered: r.sim.bytes_delivered,
-        ticks: r.sim.ticks,
-        splits: r.master.splits,
-    }
+    Pins::of(&r)
+}
+
+/// The flat fleet again with 6 % of sends bit-flipped in flight (the
+/// `bit-rot` fault plan's rate),
+/// under the reliability layer: corrupted share batches take the
+/// copy-on-write path (`Arc::make_mut` on a buffer the rest of the relay
+/// fan-out still holds) and are discarded at the receiver, corrupted
+/// control traffic is retransmitted. Returns the share-path pins plus
+/// how many payloads the engine mangled and how many the receivers
+/// caught.
+fn run_bit_rot() -> (Pins, u64, u64) {
+    let config = miniature(GridConfig::chaos_hardened());
+    let cap = config.overall_timeout;
+    let testbed = Testbed::scaling(24, 2, false).with_client_speed(400.0);
+    let mut sim = experiment::build_sim(&satgen::php::php(8, 7), testbed, config);
+    sim.set_net_chaos(NetChaos {
+        corrupt_prob: 0.06,
+        seed: 7,
+        ..NetChaos::default()
+    });
+    sim.run_until(cap + 60.0);
+    let r = experiment::report(&sim, cap);
+    assert_eq!(r.outcome, GridOutcome::Unsat, "bit rot must not change it");
+    (
+        Pins::of(&r),
+        r.sim.corrupted_payloads,
+        r.reliable.corrupt_drops,
+    )
 }
 
 #[test]
@@ -70,6 +120,10 @@ fn flat_run_is_bit_identical_to_the_pinned_parent() {
             bytes_delivered: 552_263,
             ticks: 3795,
             splits: 182,
+            clauses_received: 1227,
+            dup_share_drops: 9,
+            shares_forwarded: 992,
+            share_batches_sent: 53,
         }
     );
 }
@@ -85,6 +139,32 @@ fn hierarchical_run_is_bit_identical_to_the_pinned_parent() {
             bytes_delivered: 1_229_493,
             ticks: 4186,
             splits: 22,
+            clauses_received: 2351,
+            dup_share_drops: 59,
+            shares_forwarded: 1813,
+            share_batches_sent: 100,
         }
     );
+}
+
+#[test]
+fn bit_rot_run_is_bit_identical_to_the_pinned_parent() {
+    let (pins, corrupted_payloads, corrupt_drops) = run_bit_rot();
+    assert_eq!(
+        pins,
+        Pins {
+            seconds_bits: 111.867002f64.to_bits(),
+            events: 16_481,
+            messages_delivered: 6312,
+            bytes_delivered: 637_064,
+            ticks: 3737,
+            splits: 126,
+            clauses_received: 1473,
+            dup_share_drops: 24,
+            shares_forwarded: 1255,
+            share_batches_sent: 75,
+        }
+    );
+    // every mangled payload was caught by a receiver's frame check
+    assert_eq!((corrupted_payloads, corrupt_drops), (115, 115));
 }
