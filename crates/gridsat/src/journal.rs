@@ -273,8 +273,7 @@ fn get_pairs(buf: &[u8], pos: &mut usize) -> Result<Vec<(Lit, bool)>, RecordErro
 fn put_clauses(clauses: &[Clause], out: &mut Vec<u8>) {
     wire::write_varint(clauses.len() as u64, out);
     for clause in clauses {
-        let codes: Vec<u32> = clause.iter().map(|l| l.code() as u32).collect();
-        wire::encode_codes(&codes, out);
+        wire::encode_codes(clause.lits().iter().map(|l| l.code() as u32), out);
     }
 }
 

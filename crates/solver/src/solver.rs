@@ -32,7 +32,7 @@
 //! collections; `check_invariants` verifies both watch symmetry and that
 //! every antecedent still resolves after compaction.
 
-use crate::clausedb::{ClauseDb, ClauseRef, Visit, LV_TRUE, LV_UNASSIGNED};
+use crate::clausedb::{ClauseDb, ClauseRef, Visit, LV_FALSE, LV_TRUE, LV_UNASSIGNED};
 use crate::config::SolverConfig;
 use crate::proof::{Proof, ProofStep};
 use crate::share::FpWindow;
@@ -138,6 +138,17 @@ pub struct GraphNode {
     pub preds: Vec<Var>,
 }
 
+/// Decode a valuation byte (a variable's `assign8` entry, or that xor a
+/// literal's sign): `LV_TRUE`, `LV_FALSE`, anything else unassigned.
+#[inline]
+fn value_of(b: u8) -> Value {
+    match b {
+        LV_TRUE => Value::True,
+        LV_FALSE => Value::False,
+        _ => Value::Unassigned,
+    }
+}
+
 #[derive(Clone, Copy)]
 struct Watch {
     cref: ClauseRef,
@@ -150,11 +161,9 @@ pub struct Solver {
     num_vars: usize,
     db: ClauseDb,
     watches: Vec<Vec<Watch>>,
-    value: Vec<Value>,
-    /// Branchless mirror of `value` for the BCP hot path: one byte per
-    /// variable (`LV_TRUE`/`LV_FALSE`/`LV_UNASSIGNED`), so a literal's
-    /// value is `assign8[var] ^ sign` with no enum decode. Kept in
-    /// lockstep with `value` by `enqueue_with_global` and `backtrack`.
+    /// The assignment, one byte per variable (`LV_TRUE`/`LV_FALSE`/
+    /// `LV_UNASSIGNED`): a literal's value is `assign8[var] ^ sign`, so
+    /// the BCP hot path tests it with no enum decode. Never resized.
     assign8: Vec<u8>,
     var_level: Vec<u32>,
     reason: Vec<ClauseRef>,
@@ -182,6 +191,11 @@ pub struct Solver {
     /// before any merge work.
     known_fps: FpWindow,
     seen: Vec<bool>,
+    /// Conflict-analysis scratch, reused across conflicts: the clause
+    /// being learned (slot 0 = asserting literal) and every variable
+    /// whose `seen` flag the analysis set.
+    learned: Vec<Lit>,
+    touched: Vec<usize>,
     max_learned: f64,
     next_restart: Option<u64>,
     restart_interval: f64,
@@ -208,17 +222,14 @@ pub struct Solver {
 impl Solver {
     /// Build a solver for a whole formula (no assumptions).
     pub fn new(formula: &Formula, config: SolverConfig) -> Solver {
-        Solver::from_parts(
-            formula.num_vars(),
-            formula.clauses().iter().cloned(),
-            &[],
-            config,
-        )
+        let clauses = formula.clauses().iter().map(Clause::lits);
+        Solver::load(formula.num_vars(), clauses, &[], config)
     }
 
     /// Build a solver for a subproblem received from a peer.
     pub fn from_split(spec: &SplitSpec, config: SolverConfig) -> Solver {
-        let mut s = Solver::from_parts(spec.num_vars, spec.clauses.iter().cloned(), &[], config);
+        let clauses = spec.clauses.iter().map(Clause::lits);
+        let mut s = Solver::load(spec.num_vars, clauses, &[], config);
         for &(lit, global) in &spec.assumptions {
             s.add_assumption(lit, global);
         }
@@ -234,10 +245,42 @@ impl Solver {
         assumptions: &[Lit],
         config: SolverConfig,
     ) -> Solver {
-        let mut s = Solver {
+        let clauses: Vec<Clause> = clauses.into_iter().collect();
+        let clauses = clauses.iter().map(Clause::lits);
+        Solver::load(num_vars, clauses, assumptions, config)
+    }
+
+    /// The one loader behind every constructor: clauses come in as
+    /// borrowed literal slices and are copied exactly once, into the
+    /// arena.
+    fn load<'a>(
+        num_vars: usize,
+        clauses: impl Iterator<Item = &'a [Lit]>,
+        assumptions: &[Lit],
+        config: SolverConfig,
+    ) -> Solver {
+        let mut s = Solver::empty(num_vars, config);
+        for lit in assumptions {
+            s.add_assumption(*lit, false);
+        }
+        let mut original = 0usize;
+        let mut scratch = Vec::new();
+        for clause in clauses {
+            s.add_original_clause(clause, &mut scratch);
+            original += 1;
+        }
+        // the clauses bumped their literals' counters unordered
+        s.vsids.reorder();
+        s.max_learned = (original as f64 * s.config.max_learned_factor).max(1000.0);
+        s.initial_propagate();
+        s
+    }
+
+    /// A solver over `num_vars` variables with no clauses yet.
+    fn empty(num_vars: usize, config: SolverConfig) -> Solver {
+        Solver {
             db: ClauseDb::new(config.bytes_per_lit, config.bytes_per_clause),
             watches: vec![Vec::new(); num_vars * 2],
-            value: vec![Value::Unassigned; num_vars],
             assign8: vec![LV_UNASSIGNED; num_vars],
             var_level: vec![0; num_vars],
             reason: vec![ClauseRef::NONE; num_vars],
@@ -254,6 +297,8 @@ impl Solver {
             inbox: VecDeque::new(),
             known_fps: FpWindow::new(KNOWN_FP_WINDOW),
             seen: vec![false; num_vars],
+            learned: Vec::new(),
+            touched: Vec::new(),
             max_learned: 0.0,
             next_restart: config.restart.map(|r| r.first_interval),
             restart_interval: config
@@ -272,18 +317,7 @@ impl Solver {
             obs: Obs::default(),
             obs_node: 0,
             obs_now: 0.0,
-        };
-        for lit in assumptions {
-            s.add_assumption(*lit, false);
         }
-        let mut original = 0usize;
-        for clause in clauses {
-            s.add_original_clause(clause);
-            original += 1;
-        }
-        s.max_learned = (original as f64 * s.config.max_learned_factor).max(1000.0);
-        s.initial_propagate();
-        s
     }
 
     fn add_assumption(&mut self, lit: Lit, global: bool) {
@@ -300,37 +334,44 @@ impl Solver {
         }
     }
 
-    fn add_original_clause(&mut self, clause: Clause) {
+    /// Add one input clause: sorted, deduplicated (in `scratch`, unless
+    /// `raw` is strictly ascending already — every normalised or decoded
+    /// clause is) and dropped when tautological.
+    fn add_original_clause(&mut self, raw: &[Lit], scratch: &mut Vec<Lit>) {
         if self.status.is_some() {
             return;
         }
-        let normalized = match clause.normalized() {
+        let lits = if raw.windows(2).all(|w| w[0] < w[1]) {
+            raw
+        } else {
+            scratch.clear();
+            scratch.extend_from_slice(raw);
+            scratch.sort_unstable();
+            scratch.dedup();
+            scratch.as_slice()
+        };
+        if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
             // tautologies still consume a display id slot so the paper
             // numbering stays aligned with the input formula
-            None => {
-                let cref = self.db.insert(clause.lits(), false, true, 0);
-                self.db.delete(cref);
-                return;
-            }
-            Some(c) => c,
-        };
-        if normalized.is_empty() {
+            let cref = self.db.insert(raw, false, true, 0);
+            self.db.delete(cref);
+            return;
+        }
+        if lits.is_empty() {
             self.mark_unsat();
             return;
         }
-        let lits = normalized.lits().to_vec();
-        for &l in &lits {
-            self.vsids.bump(l);
+        for &l in lits {
+            self.vsids.bump_unordered(l);
         }
-        let cref = self.db.insert(&lits, false, true, 0);
-        if self.db.lits(cref).len() >= 2 {
+        let cref = self.db.insert(lits, false, true, 0);
+        if lits.len() >= 2 {
             self.attach(cref);
         } else {
-            let unit = self.db.lits(cref)[0];
-            match self.lit_value(unit) {
+            match self.lit_value(lits[0]) {
                 Value::True => {}
                 Value::False => self.mark_unsat(),
-                Value::Unassigned => self.enqueue(unit, cref),
+                Value::Unassigned => self.enqueue(lits[0], cref),
             }
         }
         self.note_db_peak();
@@ -369,9 +410,9 @@ impl Solver {
     /// Current (possibly partial) assignment.
     pub fn assignment(&self) -> Assignment {
         let mut a = Assignment::new(self.num_vars);
-        for (i, &v) in self.value.iter().enumerate() {
-            if v.is_assigned() {
-                a.set(Var(i as u32), v);
+        for (i, &b) in self.assign8.iter().enumerate() {
+            if b != LV_UNASSIGNED {
+                a.set(Var(i as u32), value_of(b));
             }
         }
         a
@@ -427,18 +468,18 @@ impl Solver {
     /// The truth value of a literal under the current assignment.
     #[inline]
     pub fn lit_value(&self, l: Lit) -> Value {
-        l.value_under(self.value[l.var().index()])
+        value_of(self.assign8[l.var().index()] ^ (l.code() as u8 & 1))
     }
 
     /// The truth value of a variable.
     #[inline]
     pub fn var_value(&self, v: Var) -> Value {
-        self.value[v.index()]
+        value_of(self.assign8[v.index()])
     }
 
     /// The decision level of an assigned variable.
     pub fn var_decision_level(&self, v: Var) -> Option<usize> {
-        if self.value[v.index()].is_assigned() {
+        if self.assign8[v.index()] != LV_UNASSIGNED {
             Some(self.var_level[v.index()] as usize)
         } else {
             None
@@ -529,8 +570,7 @@ impl Solver {
 
     fn enqueue_with_global(&mut self, l: Lit, reason: ClauseRef, global: bool) {
         let v = l.var().index();
-        debug_assert_eq!(self.value[v], Value::Unassigned);
-        self.value[v] = l.satisfying_value();
+        debug_assert_eq!(self.assign8[v], LV_UNASSIGNED);
         self.assign8[v] = l.code() as u8 & 1; // satisfied lit: var true iff positive
         self.var_level[v] = self.decision_level() as u32;
         self.reason[v] = reason;
@@ -560,9 +600,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var().index();
             if self.config.phase_saving {
-                self.saved_phase[v] = self.value[v] == Value::True;
+                self.saved_phase[v] = self.assign8[v] == LV_TRUE;
             }
-            self.value[v] = Value::Unassigned;
             self.assign8[v] = LV_UNASSIGNED;
             self.reason[v] = ClauseRef::NONE;
             self.vsids.reinsert(l);
@@ -618,123 +657,88 @@ impl Solver {
     // BCP
     // ------------------------------------------------------------------
 
-    /// Read the watch at `watches[code][i]` without bounds checks.
-    ///
-    /// # Safety
-    /// `code` must be a literal code of this formula and `i` in bounds of
-    /// that list. BCP maintains both (see `propagate`).
-    #[inline]
-    unsafe fn watch_at(&self, code: usize, i: usize) -> Watch {
-        debug_assert!(i < self.watches[code].len());
-        unsafe { *self.watches.get_unchecked(code).get_unchecked(i) }
-    }
-
-    /// Write the watch at `watches[code][i]` without bounds checks.
-    ///
-    /// # Safety
-    /// Same contract as [`Solver::watch_at`].
-    #[inline]
-    unsafe fn watch_set(&mut self, code: usize, i: usize, w: Watch) {
-        debug_assert!(i < self.watches[code].len());
-        unsafe { *self.watches.get_unchecked_mut(code).get_unchecked_mut(i) = w }
-    }
-
-    /// Branchless literal valuation (`LV_TRUE`/`LV_FALSE`/unassigned ≥ 2)
-    /// via the `assign8` mirror: one load and one xor, no enum decode.
-    ///
-    /// # Safety
-    /// `l` must be a literal of this formula (its variable indexes
-    /// `assign8`). Every literal BCP sees comes from a stored clause or
-    /// watch list, which maintains this.
-    #[inline]
-    unsafe fn lit_val8(&self, l: Lit) -> u8 {
-        debug_assert!(l.var().index() < self.assign8.len());
-        unsafe { *self.assign8.get_unchecked(l.var().index()) ^ (l.code() as u8 & 1) }
-    }
-
     /// Propagate to fixpoint; `Some(conflicting clause)` on conflict.
     ///
-    /// Hot path: the watch list is compacted in place with a read/write
-    /// index pair (no `mem::take` round-trip), the blocker is tested
-    /// before any arena access, the whole clause visit runs under one
-    /// arena borrow ([`ClauseDb::propagate_visit`]), and per-visit work
-    /// is batched into one `stats.work` update per literal.
+    /// Hot path: the walked watch list and the assignment are read through
+    /// base pointers taken once per trail literal (`enqueue` and the
+    /// relocation push sit inside the visit loop, so going through `&self`
+    /// would re-derive both on every watch), the list is compacted in
+    /// place with a read/write index pair, the blocker is tested before
+    /// any arena access, the whole clause visit runs under one arena
+    /// borrow ([`ClauseDb::propagate_visit`]), and per-visit work is
+    /// batched into one `stats.work` update per literal.
     fn propagate(&mut self) -> Option<ClauseRef> {
+        // `assign8` is never resized, so its buffer stays put
+        let assign: *const u8 = self.assign8.as_ptr();
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = !p;
             let code = false_lit.code();
-            // the list length is invariant during this pass: relocations
-            // push to *other* lists (a clause never holds a literal twice)
-            // and the compaction write index trails the read index
             let n = self.watches[code].len();
+            let ws: *mut Watch = self.watches[code].as_mut_ptr();
             let mut i = 0;
             let mut j = 0;
-            let mut visited = 0u64;
+            let mut visited = n;
             let mut conflict = None;
-            // SAFETY (watch_at/watch_set): `code` indexes a per-literal
-            // list and `j <= i < n == watches[code].len()` throughout.
+            // SAFETY (every `ws` access below): `ws` is the buffer of
+            // `watches[code]`, `n` its length, and `j <= i <= n`
+            // throughout. The buffer cannot move while it is walked: the
+            // only list operation inside the loop is the relocation push,
+            // and it goes to another list — asserted there, and true
+            // because a clause never holds a literal twice (the new watch
+            // `lits[k]`, k >= 2, differs from `lits[1] == false_lit`).
+            // `enqueue` touches no watch list.
             while i < n {
-                let w = unsafe { self.watch_at(code, i) };
+                let w = unsafe { *ws.add(i) };
                 i += 1;
-                visited += 1;
                 if i < n {
                     // overlap the next visit's arena load with this one
-                    let nxt = unsafe { self.watch_at(code, i) };
-                    self.db.prefetch(nxt.cref);
+                    self.db.prefetch(unsafe { (*ws.add(i)).cref });
                 }
                 // blocker check: no clause dereference when it is true.
-                // SAFETY (lit_val8): blockers are clause literals.
-                if unsafe { self.lit_val8(w.blocker) } == LV_TRUE {
-                    unsafe { self.watch_set(code, j, w) };
+                // SAFETY: a blocker is a literal of a stored clause, so
+                // its variable indexes `assign8`.
+                debug_assert!(w.blocker.var().index() < self.assign8.len());
+                let bv = unsafe { *assign.add(w.blocker.var().index()) };
+                if bv ^ (w.blocker.code() as u8 & 1) == LV_TRUE {
+                    unsafe { *ws.add(j) = w };
                     j += 1;
                     continue;
                 }
                 // one arena borrow per visit: normalize, test the other
                 // watch, scan for a replacement (field-disjoint borrows of
                 // `db` and `assign8` keep the scan over a single slice)
-                let visit = self.db.propagate_visit(w.cref, false_lit, &self.assign8);
-                match visit {
-                    Visit::Relocated(first, lk) => {
-                        self.watches[lk.code()].push(Watch {
-                            cref: w.cref,
-                            blocker: first,
-                        });
+                let cref = w.cref;
+                match self.db.propagate_visit(cref, false_lit, &self.assign8) {
+                    Visit::Relocated(blocker, lk) => {
+                        assert_ne!(lk, false_lit, "{cref:?} holds a literal twice");
+                        self.watches[lk.code()].push(Watch { cref, blocker });
                     }
-                    Visit::Satisfied(first) | Visit::Unit(first) => {
-                        let keep = Watch {
-                            cref: w.cref,
-                            blocker: first,
-                        };
-                        unsafe { self.watch_set(code, j, keep) };
+                    Visit::Satisfied(blocker) => {
+                        unsafe { *ws.add(j) = Watch { cref, blocker } };
                         j += 1;
-                        if matches!(visit, Visit::Unit(_)) {
-                            self.enqueue(first, w.cref);
-                        }
                     }
-                    Visit::Conflict(first) => {
-                        let keep = Watch {
-                            cref: w.cref,
-                            blocker: first,
-                        };
-                        unsafe { self.watch_set(code, j, keep) };
+                    Visit::Unit(blocker) => {
+                        unsafe { *ws.add(j) = Watch { cref, blocker } };
                         j += 1;
-                        conflict = Some(w.cref);
+                        self.enqueue(blocker, cref);
+                    }
+                    Visit::Conflict(blocker) => {
+                        unsafe { *ws.add(j) = Watch { cref, blocker } };
+                        j += 1;
+                        conflict = Some(cref);
+                        visited = i;
                         // keep the remaining watches
-                        while i < n {
-                            unsafe {
-                                let w = self.watch_at(code, i);
-                                self.watch_set(code, j, w);
-                            }
-                            j += 1;
-                            i += 1;
-                        }
+                        unsafe { std::ptr::copy(ws.add(i), ws.add(j), n - i) };
+                        j += n - i;
                         break;
                     }
                 }
             }
-            self.stats.work += visited;
+            debug_assert_eq!(self.watches[code].len(), n);
+            debug_assert_eq!(self.watches[code].as_ptr(), ws.cast_const());
+            self.stats.work += visited as u64;
             self.watches[code].truncate(j);
             if conflict.is_some() {
                 self.qhead = self.trail.len();
@@ -751,56 +755,59 @@ impl Solver {
     /// Analyze a conflict at a positive decision level. Does not mutate
     /// the trail; the caller applies the result via [`Solver::learn`].
     pub fn analyze(&mut self, confl: ClauseRef) -> ConflictAnalysis {
+        let mut analysis = self.analyze_into_buffer(confl);
+        analysis.learned = Clause::new(self.learned.iter().copied());
+        analysis
+    }
+
+    /// [`Solver::analyze`] with the learned clause left in `self.learned`
+    /// (the returned `learned` is empty): the search loop's conflict path
+    /// allocates nothing.
+    fn analyze_into_buffer(&mut self, confl: ClauseRef) -> ConflictAnalysis {
         debug_assert!(self.decision_level() > 0);
         let current = self.decision_level() as u32;
-        let mut learned: Vec<Lit> = vec![Lit::pos(0)]; // slot 0 = asserting lit
+        self.learned.clear();
+        self.learned.push(Lit::pos(0)); // slot 0 = asserting lit
         let mut steps: Vec<ResolutionStep> = Vec::new();
-        // every var whose `seen` flag we set, so all flags are cleared at
-        // the end even when minimization drops literals from the clause
-        let mut touched: Vec<usize> = Vec::new();
+        // `touched`: every var whose `seen` flag we set, so all flags are
+        // cleared at the end even when minimization drops literals
+        debug_assert!(self.touched.is_empty());
         let mut counter = 0usize;
         let mut global = true;
-        let mut p: Option<Lit> = None;
+        let mut resolved = false;
         let mut idx = self.trail.len();
         let mut cref = confl;
         let conflict_id = self.db.display_id(confl);
 
-        loop {
+        let uip = loop {
             global &= self.db.is_global(cref);
             if self.db.is_learned(cref) {
                 self.db.bump_activity(cref);
             }
-            let start = usize::from(p.is_some());
-            let len = self.db.lits(cref).len();
-            for k in start..len {
-                let q = self.db.lits(cref)[k];
+            // an antecedent's first literal is the one it implied
+            let lits = self.db.lits(cref);
+            for &q in &lits[usize::from(resolved)..] {
                 let v = q.var().index();
                 if self.seen[v] {
                     continue;
                 }
                 debug_assert_eq!(self.lit_value(q), Value::False);
                 let lvl = self.var_level[v];
-                if lvl == 0 {
-                    if self.level0_global[v] {
-                        // globally true fact: sound to drop
-                        continue;
-                    }
-                    // assumption-derived: keep so the clause stays valid
-                    // for the original problem
-                    self.seen[v] = true;
-                    touched.push(v);
-                    learned.push(q);
-                } else if lvl == current {
-                    self.seen[v] = true;
-                    touched.push(v);
+                if lvl == 0 && self.level0_global[v] {
+                    // globally true fact: sound to drop
+                    continue;
+                }
+                self.seen[v] = true;
+                self.touched.push(v);
+                if lvl == current {
                     counter += 1;
                 } else {
-                    self.seen[v] = true;
-                    touched.push(v);
-                    learned.push(q);
+                    // lower level, or level 0 and assumption-derived: kept
+                    // so the clause stays valid for the original problem
+                    self.learned.push(q);
                 }
             }
-            self.stats.work += len as u64;
+            self.stats.work += lits.len() as u64;
 
             // next seen literal on the trail at the current level
             loop {
@@ -813,9 +820,8 @@ impl Solver {
             self.seen[pl.var().index()] = false;
             counter -= 1;
             if counter == 0 {
-                learned[0] = !pl;
-                p = Some(pl);
-                break;
+                self.learned[0] = !pl;
+                break pl.var();
             }
             cref = self.reason[pl.var().index()];
             debug_assert!(cref.is_real(), "non-UIP literal must be implied");
@@ -825,15 +831,17 @@ impl Solver {
                     antecedent_id: self.db.display_id(cref),
                 });
             }
-            p = Some(pl);
-        }
-        let uip = p.expect("loop sets p").var();
+            resolved = true;
+        };
 
         if self.config.minimize_learned {
+            let mut learned = std::mem::take(&mut self.learned);
             self.minimize(&mut learned);
+            self.learned = learned;
         }
 
         // place a literal of the backjump level at index 1 (watch invariant)
+        let learned = &mut self.learned;
         let mut backjump = 0usize;
         if learned.len() > 1 {
             let mut max_i = 1;
@@ -850,12 +858,12 @@ impl Solver {
 
         // clear every flag we set (minimization may have removed literals
         // from `learned`, so the clause itself is not a complete record)
-        for v in touched {
+        for v in self.touched.drain(..) {
             self.seen[v] = false;
         }
 
         ConflictAnalysis {
-            learned: Clause::new(learned),
+            learned: Clause::empty(),
             backjump,
             uip,
             conflict_id,
@@ -988,6 +996,13 @@ impl Solver {
     /// Apply a conflict analysis: backjump, add the learned clause,
     /// enqueue the asserting literal, and run periodic maintenance.
     pub fn learn(&mut self, analysis: &ConflictAnalysis) {
+        self.learned.clear();
+        self.learned.extend_from_slice(analysis.learned.lits());
+        self.learn_from_buffer(analysis);
+    }
+
+    /// [`Solver::learn`] of the clause in `self.learned`.
+    fn learn_from_buffer(&mut self, analysis: &ConflictAnalysis) {
         self.stats.conflicts += 1;
         self.stats.learned += 1;
         let conflict_level = self.decision_level() as u64;
@@ -995,10 +1010,13 @@ impl Solver {
             .emit(self.obs_now, self.obs_node, || Event::Conflict {
                 level: conflict_level,
             });
-        let lits = analysis.learned.lits().to_vec();
+        // out of `self` for the duration; handed back at the end
+        let lits = std::mem::take(&mut self.learned);
         let lbd = self.compute_lbd(&lits);
         self.stats.note_lbd(lbd);
-        self.log_proof(ProofStep::Add(lits.clone()));
+        if let Some(p) = &mut self.proof {
+            p.steps.push(ProofStep::Add(lits.clone()));
+        }
         self.backtrack(analysis.backjump);
 
         // paper Section 2.4: bump counters of every literal in an added clause
@@ -1038,13 +1056,15 @@ impl Solver {
                 .share_lbd_limit
                 .is_none_or(|max_lbd| lbd <= max_lbd);
             if analysis.global && lits.len() <= limit && low_glue {
-                let fp = analysis.learned.fingerprint();
+                let clause = Clause::new(lits.iter().copied());
+                let fp = clause.fingerprint();
                 // remember own shared clauses so grid echoes are skipped
                 self.known_fps.insert(fp);
-                self.outbox.push((analysis.learned.clone(), fp));
+                self.outbox.push((clause, fp));
                 self.stats.shared_out += 1;
             }
         }
+        self.learned = lits;
 
         // periodic VSIDS decay
         self.conflicts_since_decay += 1;
@@ -1319,8 +1339,8 @@ impl Solver {
                     self.mark_unsat();
                     return Step::Unsat;
                 }
-                let analysis = self.analyze(confl);
-                self.learn(&analysis);
+                let analysis = self.analyze_into_buffer(confl);
+                self.learn_from_buffer(&analysis);
                 if self.status == Some(SolveStatus::Unsat) {
                     return Step::Unsat;
                 }
@@ -1390,12 +1410,12 @@ impl Solver {
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
-        let value = &self.value;
+        let assign8 = &self.assign8;
         let phase_saving = self.config.phase_saving;
         let saved = &self.saved_phase;
         let picked = self
             .vsids
-            .pop_best(|l| value[l.var().index()] == Value::Unassigned)?;
+            .pop_best(|l| assign8[l.var().index()] == LV_UNASSIGNED)?;
         if phase_saving {
             let v = picked.var();
             Some(v.lit(!saved[v.index()]))
@@ -1406,7 +1426,7 @@ impl Solver {
 
     fn rebuild_order(&mut self) {
         for i in 0..self.num_vars {
-            if self.value[i] == Value::Unassigned {
+            if self.assign8[i] == LV_UNASSIGNED {
                 self.vsids.reinsert(Lit::pos(i as u32));
                 self.vsids.reinsert(Lit::neg(i as u32));
             }
@@ -1577,17 +1597,9 @@ impl Solver {
             assert!(self.level_start[lvl] <= i);
         }
         // every assigned var is on the trail exactly once
-        let assigned = self.value.iter().filter(|v| v.is_assigned()).count();
-        assert_eq!(assigned, self.trail.len());
-        // the branchless BCP mirror agrees with the canonical assignment
-        for (i, &v) in self.value.iter().enumerate() {
-            let expect = match v {
-                Value::True => LV_TRUE,
-                Value::False => crate::clausedb::LV_FALSE,
-                Value::Unassigned => LV_UNASSIGNED,
-            };
-            assert_eq!(self.assign8[i], expect, "assign8 out of sync at var {i}");
-        }
+        assert!(self.assign8.iter().all(|&b| b <= LV_UNASSIGNED));
+        let assigned = self.assign8.iter().filter(|&&b| b != LV_UNASSIGNED);
+        assert_eq!(assigned.count(), self.trail.len());
         // watch symmetry: clauses with >= 2 lits are watched at lits[0],lits[1]
         for cref in self.db.iter_refs() {
             let lits = self.db.lits(cref);
@@ -1629,5 +1641,166 @@ impl Solver {
         }
         // arena byte/garbage accounting is internally consistent
         self.db.check_accounting();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `from_split` as first written: normalise a clone of each clause (a
+    /// sort and a dedup, always), copy its literals once more, and sift
+    /// the VSIDS heap on every bump.
+    fn reference_from_split(spec: &SplitSpec, config: SolverConfig) -> Solver {
+        let mut s = Solver::empty(spec.num_vars, config);
+        for clause in &spec.clauses {
+            if s.status.is_some() {
+                break;
+            }
+            let Some(normalized) = clause.normalized() else {
+                let cref = s.db.insert(clause.lits(), false, true, 0);
+                s.db.delete(cref);
+                continue;
+            };
+            if normalized.is_empty() {
+                s.mark_unsat();
+                continue;
+            }
+            let lits = normalized.lits().to_vec();
+            for &l in &lits {
+                s.vsids.bump(l);
+            }
+            let cref = s.db.insert(&lits, false, true, 0);
+            if lits.len() >= 2 {
+                s.attach(cref);
+            } else {
+                match s.lit_value(lits[0]) {
+                    Value::True => {}
+                    Value::False => s.mark_unsat(),
+                    Value::Unassigned => s.enqueue(lits[0], cref),
+                }
+            }
+            s.note_db_peak();
+        }
+        s.max_learned = (spec.clauses.len() as f64 * s.config.max_learned_factor).max(1000.0);
+        s.initial_propagate();
+        for &(lit, global) in &spec.assumptions {
+            s.add_assumption(lit, global);
+        }
+        s.initial_propagate();
+        s
+    }
+
+    /// A spec mixing every shape the loader special-cases: ascending
+    /// clauses (the no-sort path), shuffled ones, repeated literals,
+    /// tautologies, units and, now and then, the empty clause.
+    fn arbitrary_spec(rng: &mut SmallRng) -> SplitSpec {
+        let num_vars = rng.gen_range(1..13usize);
+        let lit = |rng: &mut SmallRng| Lit::new(Var(rng.gen_range(0..num_vars as u32)), rng.gen());
+        let clauses = (0..rng.gen_range(0..24usize))
+            .map(|_| {
+                let len = match rng.gen_range(0..20u32) {
+                    0 => 0,
+                    1..=4 => 1,
+                    _ => rng.gen_range(2..6usize),
+                };
+                let mut lits: Vec<Lit> = (0..len).map(|_| lit(rng)).collect();
+                match rng.gen_range(0..4u32) {
+                    // as drawn: unsorted, duplicates and tautologies likely
+                    0 => {}
+                    // sorted, duplicates kept
+                    1 => lits.sort_unstable(),
+                    // a tautology for sure
+                    2 if len >= 2 => lits[1] = !lits[0],
+                    // strictly ascending: the no-sort path
+                    _ => {
+                        lits.sort_unstable();
+                        lits.dedup();
+                    }
+                }
+                Clause::new(lits)
+            })
+            .collect();
+        let assumptions = (0..rng.gen_range(0..3usize))
+            .map(|_| (lit(rng), rng.gen()))
+            .collect();
+        SplitSpec {
+            num_vars,
+            assumptions,
+            clauses,
+        }
+    }
+
+    /// Everything the loader decides, on both solvers.
+    fn loaded_state(s: &Solver) -> impl PartialEq + std::fmt::Debug {
+        let ids: Vec<u32> = s.db.iter_refs().map(|c| s.db.display_id(c)).collect();
+        let scores: Vec<u64> = (0..s.num_vars * 2)
+            .map(|code| s.vsids_score(Lit::from_code(code)))
+            .collect();
+        (
+            s.status(),
+            s.export_clauses(),
+            s.level0_assignment(),
+            ids,
+            scores,
+            s.db_arena_stats(),
+            *s.stats(),
+            s.max_learned.to_bits(),
+        )
+    }
+
+    #[test]
+    fn slice_loader_agrees_with_the_clone_and_normalise_path() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        let (mut decided, mut searched) = (0, 0);
+        for case in 0..2000 {
+            let spec = arbitrary_spec(&mut rng);
+            let mut new = Solver::from_split(&spec, SolverConfig::default());
+            let mut old = reference_from_split(&spec, SolverConfig::default());
+            new.check_invariants();
+            assert_eq!(
+                loaded_state(&new),
+                loaded_state(&old),
+                "case {case}: {spec:?}"
+            );
+            if new.status().is_some() {
+                decided += 1;
+                continue;
+            }
+            // the heaps were built differently; the decisions must not be
+            searched += 1;
+            assert_eq!(new.step(u64::MAX), old.step(u64::MAX), "case {case}");
+            assert_eq!(new.stats(), old.stats(), "case {case}: {spec:?}");
+            assert_eq!(new.model(), old.model(), "case {case}");
+        }
+        assert!(decided > 100 && searched > 100, "{decided} / {searched}");
+    }
+
+    /// `Solver::new` and `from_parts` go through the same loader.
+    #[test]
+    fn every_constructor_loads_alike() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        for _ in 0..200 {
+            let spec = SplitSpec {
+                assumptions: Vec::new(),
+                ..arbitrary_spec(&mut rng)
+            };
+            let mut f = Formula::new(spec.num_vars);
+            for c in &spec.clauses {
+                f.add_clause(c.iter());
+            }
+            let want = loaded_state(&reference_from_split(&spec, SolverConfig::default()));
+            let new = Solver::new(&f, SolverConfig::default());
+            assert_eq!(loaded_state(&new), want, "{spec:?}");
+            let parts = Solver::from_parts(
+                spec.num_vars,
+                spec.clauses.iter().cloned(),
+                &[],
+                SolverConfig::default(),
+            );
+            assert_eq!(loaded_state(&parts), want, "{spec:?}");
+        }
     }
 }

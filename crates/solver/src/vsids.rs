@@ -27,14 +27,13 @@ impl Vsids {
     /// in the heap.
     pub fn new(num_vars: usize) -> Vsids {
         let n = num_vars * 2;
-        let mut v = Vsids {
+        let v = Vsids {
             score: vec![0; n],
             heap: (0..n as u32).collect(),
             pos: (0..n as u32).collect(),
         };
-        // all scores equal; any heap order is valid
+        // all scores equal: ascending codes are a valid heap
         debug_assert!(v.check_invariants());
-        let _ = &mut v;
         v
     }
 
@@ -89,22 +88,35 @@ impl Vsids {
         }
     }
 
+    /// Increment a literal's counter without restoring the order; the
+    /// caller finishes a run of these with one [`Vsids::reorder`]. Which
+    /// literal pops next is a function of the scores alone (`better` is a
+    /// strict total order), so a bulk load bumps this way and heapifies
+    /// once instead of sifting per literal.
+    pub fn bump_unordered(&mut self, l: Lit) {
+        self.score[l.code()] += 1;
+    }
+
+    /// Rebuild the heap order from the current scores.
+    pub fn reorder(&mut self) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
+        }
+        debug_assert!(self.check_invariants());
+    }
+
     /// Current counter of a literal.
     pub fn score(&self, l: Lit) -> u64 {
         self.score[l.code()]
     }
 
-    /// Divide all counters by `2^shift` and rebuild the order.
+    /// Divide all counters by `2^shift` and rebuild the order (relative
+    /// order may change on integer ties).
     pub fn decay(&mut self, shift: u32) {
         for s in &mut self.score {
             *s >>= shift;
         }
-        // relative order may change on integer ties; rebuild
-        let n = self.heap.len();
-        for i in (0..n / 2).rev() {
-            self.sift_down(i);
-        }
-        debug_assert!(self.check_invariants());
+        self.reorder();
     }
 
     /// Re-insert a literal after its variable was unassigned.
@@ -223,6 +235,63 @@ mod tests {
         v.bump(l); // not in heap: score updates, no heap op
         v.reinsert(l);
         assert_eq!(v.pop_best(|_| true).unwrap(), l);
+    }
+
+    /// The loader's shortcut: a run of unordered bumps closed by one
+    /// reorder must leave a heap that behaves, pop for pop, like the one
+    /// sift-on-bump built — also through later bumps, reinserts and decays.
+    #[test]
+    fn unordered_bumps_and_one_reorder_pop_like_sift_on_bump() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for schedule in 0..1000u64 {
+            let mut rng = SmallRng::seed_from_u64(schedule);
+            let n_lits = 2 * rng.gen_range(1..40usize);
+            let mut sifted = Vsids::new(n_lits / 2);
+            let mut bulk = Vsids::new(n_lits / 2);
+            // few distinct scores, so ties are the common case
+            for _ in 0..rng.gen_range(0..300usize) {
+                let l = lit(rng.gen_range(0..n_lits));
+                sifted.bump(l);
+                bulk.bump_unordered(l);
+            }
+            bulk.reorder();
+            assert_eq!(sifted.score, bulk.score);
+            let mut out: Vec<Lit> = Vec::new();
+            for _ in 0..3 * n_lits {
+                match rng.gen_range(0..8u32) {
+                    0..=3 => {
+                        let skip = rng.gen_range(0..n_lits);
+                        let a = sifted.pop_best(|l| l.code() != skip);
+                        let b = bulk.pop_best(|l| l.code() != skip);
+                        assert_eq!(a, b, "schedule {schedule}");
+                        out.extend(a);
+                    }
+                    4 | 5 => {
+                        let l = lit(rng.gen_range(0..n_lits));
+                        sifted.bump(l);
+                        bulk.bump(l);
+                    }
+                    6 => {
+                        if let Some(l) = out.pop() {
+                            sifted.reinsert(l);
+                            bulk.reinsert(l);
+                        }
+                    }
+                    _ => {
+                        sifted.decay(1);
+                        bulk.decay(1);
+                    }
+                }
+            }
+            loop {
+                let (a, b) = (sifted.pop_best(|_| true), bulk.pop_best(|_| true));
+                assert_eq!(a, b, "schedule {schedule}");
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

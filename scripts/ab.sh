@@ -6,7 +6,10 @@
 # nine tenths of the pairs (ties count for neither) and the medians apart
 # by more than the distance between the parent's own quartiles.
 #
-#   scripts/ab.sh <parent-dir> <change-dir> <workload> [pairs] [seed]
+#   scripts/ab.sh <parent-dir> <change-dir> <workload>|all [pairs] [seed]
+#
+# `all` measures every workload BENCHMARK.json lists, one after the other,
+# and prints one table with a block of rows per workload.
 #
 # Each directory is a checkout of this repository (for the parent, e.g.
 # `git archive <commit> | tar x -C <dir>`). Each side's benchmark package
@@ -17,7 +20,7 @@
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
-  sed -n '2,16p' "$0" >&2
+  sed -n '2,19p' "$0" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -30,6 +33,12 @@ seed=${5:-0}
 metrics=(sim_answer_s host_wall_s setup_s peak_rss_mb)
 
 seconds=$(grep -o '"run_seconds": *[0-9]*' "$change/BENCHMARK.json" | grep -o '[0-9]*$')
+if [[ $workload == all ]]; then
+  # the entries that carry a "why" are the workloads
+  mapfile -t workloads < <(grep -o '{"name": *"[^"]*", *"why"' "$change/BENCHMARK.json" | cut -d'"' -f4)
+else
+  workloads=("$workload")
+fi
 
 build() {
   echo "== building $1" >&2
@@ -42,7 +51,7 @@ build "$change"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-# one benchmark run; appends "<value> ..." (one per metric) to $out/<side>
+# one run of $workload; appends "<value> ..." (one per metric) to $out/<side>.$workload
 run() {
   local side=$1 dir=$2 line name values=""
   line=$("$dir/.bench_build/release/gridsat-benchmark" \
@@ -54,19 +63,21 @@ run() {
   for name in "${metrics[@]}"; do
     values+="$(grep -o "\"$name\": *{\"value\": *[-0-9.e+]*" <<<"$line" | grep -o '[-0-9.e+]*$') "
   done
-  echo "$values" >>"$out/$side"
+  echo "$values" >>"$out/$side.$workload"
   echo "   $side: $values" >&2
 }
 
-for ((i = 1; i <= pairs; i++)); do
-  echo "== pair $i/$pairs" >&2
-  if ((i % 2)); then
-    run parent "$parent"
-    run change "$change"
-  else
-    run change "$change"
-    run parent "$parent"
-  fi
+for workload in "${workloads[@]}"; do
+  for ((i = 1; i <= pairs; i++)); do
+    echo "== $workload pair $i/$pairs" >&2
+    if ((i % 2)); then
+      run parent "$parent"
+      run change "$change"
+    else
+      run change "$change"
+      run parent "$parent"
+    fi
+  done
 done
 
 # median and nearest-rank quartiles of column $2 of file $1: "med q1 q3"
@@ -81,22 +92,24 @@ summary() {
 }
 
 echo
-echo "workload $workload, seed $seed, $pairs pairs of ${seconds}-second runs"
-printf '%-13s %-34s %-34s %8s %7s  %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" delta wins gain
-col=0
-for name in "${metrics[@]}"; do
-  col=$((col + 1))
-  read -r pm p1 p3 <<<"$(summary "$out/parent" "$col")"
-  read -r cm c1 c3 <<<"$(summary "$out/change" "$col")"
-  # pair k is line k of each file: the two runs that ran back to back
-  wins=$(paste "$out/parent" "$out/change" | awk -v c="$col" -v n="${#metrics[@]}" \
-    '$(c + n) < $c { w++ } END { print w + 0 }')
-  awk -v name="$name" -v pm="$pm" -v p1="$p1" -v p3="$p3" -v cm="$cm" -v c1="$c1" -v c3="$c3" \
-    -v wins="$wins" -v pairs="$pairs" 'BEGIN {
-      delta = (pm != 0) ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "n/a"
-      gain = (wins * 10 >= pairs * 9 && pm - cm > p3 - p1) ? "yes" : "no"
-      printf "%-13s %-34s %-34s %8s %4d/%-2d  %s\n", name,
-        sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", cm, c1, c3),
-        delta, wins, pairs, gain
-    }'
+echo "seed $seed, $pairs pairs of ${seconds}-second runs per workload"
+printf '%-13s %-13s %-34s %-34s %8s %7s  %s\n' workload metric "parent median [q1, q3]" "change median [q1, q3]" delta wins gain
+for workload in "${workloads[@]}"; do
+  col=0
+  for name in "${metrics[@]}"; do
+    col=$((col + 1))
+    read -r pm p1 p3 <<<"$(summary "$out/parent.$workload" "$col")"
+    read -r cm c1 c3 <<<"$(summary "$out/change.$workload" "$col")"
+    # pair k is line k of each file: the two runs that ran back to back
+    wins=$(paste "$out/parent.$workload" "$out/change.$workload" | awk -v c="$col" -v n="${#metrics[@]}" \
+      '$(c + n) < $c { w++ } END { print w + 0 }')
+    awk -v workload="$workload" -v name="$name" -v pm="$pm" -v p1="$p1" -v p3="$p3" -v cm="$cm" -v c1="$c1" -v c3="$c3" \
+      -v wins="$wins" -v pairs="$pairs" 'BEGIN {
+        delta = (pm != 0) ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "n/a"
+        gain = (wins * 10 >= pairs * 9 && pm - cm > p3 - p1) ? "yes" : "no"
+        printf "%-13s %-13s %-34s %-34s %8s %4d/%-2d  %s\n", workload, name,
+          sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", cm, c1, c3),
+          delta, wins, pairs, gain
+      }'
+  done
 done

@@ -66,8 +66,19 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
   cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke --seconds 0
 fi
 
-# Not a gate: `scripts/ab.sh <parent-dir> <change-dir> <workload> [pairs]
-# [seed]` measures a change against its parent with the same benchmark
-# (alternating runs, medians, quartiles, win count).
+# Opt-in: the solver's own tests at optimised speed with debug assertions
+# on. BCP walks its watch list and the assignment through raw pointers;
+# the `debug_assert!`s beside those accesses (and in the clause arena)
+# compile out of a plain release build, and a debug build is too slow to
+# push the fuzzers far. Unit tests, gc_relocation, invariant_fuzz, the
+# trajectory pins and the rest of crates/solver/tests.
+if [[ "${CHECK_SOLVER:-0}" == "1" ]]; then
+  echo "== solver tests, release + debug assertions"
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-solver
+fi
+
+# Not a gate: `scripts/ab.sh <parent-dir> <change-dir> <workload>|all
+# [pairs] [seed]` measures a change against its parent with the same
+# benchmark (alternating runs, medians, quartiles, win count).
 
 echo "OK"
