@@ -9,6 +9,10 @@
 //! solver payload nor the roster broadcast), roster bytes, and the
 //! load-report coalescing counters are read off the deterministic engine
 //! trace and the client stats, for `BENCH_scale.json` at the repo root.
+//! Each row also carries what a counting allocator saw while it ran —
+//! peak live heap bytes and allocator calls — the numbers a memory claim
+//! needs beside resident-set size, which the allocator's own caching and
+//! the page granularity blur.
 //!
 //! Usage: cargo run --release -p gridsat-bench --bin scaling_1k \
 //!            [--fast] [--check] [--out PATH]
@@ -22,8 +26,93 @@
 use gridsat::{experiment, GridConfig, GridOutcome};
 use gridsat_grid::Testbed;
 use gridsat_satgen as satgen;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
+
+/// The system allocator with four counters in front of it. Statistics
+/// only, so every update is relaxed; the simulator is single-threaded.
+struct Counting;
+
+/// Bytes allocated and not yet freed.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Highest `LIVE_BYTES` since the last [`HeapMark::take`].
+static PEAK_LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// `alloc`, `alloc_zeroed` and `realloc` calls.
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes those calls asked for.
+static BYTES_REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+fn count_alloc(freed: usize, size: usize) {
+    ALLOC_CALLS.fetch_add(1, Relaxed);
+    BYTES_REQUESTED.fetch_add(size as u64, Relaxed);
+    LIVE_BYTES.fetch_sub(freed, Relaxed);
+    let live = LIVE_BYTES.fetch_add(size, Relaxed) + size;
+    PEAK_LIVE_BYTES.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters never touch the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            count_alloc(0, layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            count_alloc(0, layout.size());
+        }
+        p
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            count_alloc(layout.size(), new_size);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The counters at the start of a measured section.
+struct HeapMark {
+    calls: u64,
+    requested: u64,
+}
+
+impl HeapMark {
+    /// Start a section: the peak restarts from what is live now.
+    fn take() -> HeapMark {
+        PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Relaxed), Relaxed);
+        HeapMark {
+            calls: ALLOC_CALLS.load(Relaxed),
+            requested: BYTES_REQUESTED.load(Relaxed),
+        }
+    }
+
+    /// (peak live bytes, allocator calls, bytes requested) since `take`.
+    fn since(&self) -> (u64, u64, u64) {
+        (
+            PEAK_LIVE_BYTES.load(Relaxed) as u64,
+            ALLOC_CALLS.load(Relaxed) - self.calls,
+            BYTES_REQUESTED.load(Relaxed) - self.requested,
+        )
+    }
+}
 
 /// What a traced message carries, as far as this bench's byte columns
 /// are concerned.
@@ -95,6 +184,9 @@ struct Row {
     steals_settled: u64,
     escalations: u64,
     tickets: u64,
+    peak_live_heap_bytes: u64,
+    alloc_calls: u64,
+    alloc_bytes_requested: u64,
 }
 
 fn config(hierarchical: bool, check: bool) -> GridConfig {
@@ -124,6 +216,9 @@ fn run_one(
     hierarchical: bool,
     check: bool,
 ) -> Row {
+    // building the fleet is part of the row: its windows, rosters and
+    // solvers are the resident memory of a run
+    let heap = HeapMark::take();
     let cfg = config(hierarchical, check);
     let cap = cfg.overall_timeout;
     let tb = Testbed::scaling(n, sites, hierarchical).with_client_speed(CLIENT_SPEED);
@@ -133,6 +228,7 @@ fn run_one(
     sim.run_until(cap + 60.0);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     let r = experiment::report(&sim, cap);
+    let (peak_live_heap_bytes, alloc_calls, alloc_bytes_requested) = heap.since();
     let (mut control_bytes, mut control_msgs, mut roster_bytes) = (0u64, 0u64, 0u64);
     for ev in sim.trace_events() {
         match classify(&ev.label) {
@@ -169,6 +265,9 @@ fn run_one(
         steals_settled: r.master.steals_settled,
         escalations: r.master.escalations,
         tickets: r.submasters.tickets,
+        peak_live_heap_bytes,
+        alloc_calls,
+        alloc_bytes_requested,
     }
 }
 
@@ -182,7 +281,8 @@ fn json_row(out: &mut String, row: &Row) {
             "\"messages\":{},\"wire_bytes\":{},",
             "\"control_bytes\":{},\"control_msgs\":{},\"roster_bytes\":{},",
             "\"load_reports_sent\":{},\"load_reports_suppressed\":{},",
-            "\"splits\":{},\"steals_settled\":{},\"escalations\":{},\"tickets\":{}}}"
+            "\"splits\":{},\"steals_settled\":{},\"escalations\":{},\"tickets\":{},",
+            "\"peak_live_heap_bytes\":{},\"alloc_calls\":{},\"alloc_bytes_requested\":{}}}"
         ),
         row.n,
         row.sites,
@@ -204,6 +304,9 @@ fn json_row(out: &mut String, row: &Row) {
         row.steals_settled,
         row.escalations,
         row.tickets,
+        row.peak_live_heap_bytes,
+        row.alloc_calls,
+        row.alloc_bytes_requested,
     );
 }
 
@@ -230,7 +333,7 @@ fn main() {
 
     println!("instance family: urquhart(size, 38) per tier | modes: flat vs hierarchical\n");
     println!(
-        "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9} {:>10} {:>10} {:>11} {:>12} {:>8} {:>7}",
+        "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9} {:>10} {:>10} {:>11} {:>12} {:>8} {:>7} {:>12} {:>11}",
         "n",
         "sites",
         "instance",
@@ -242,7 +345,9 @@ fn main() {
         "ctl bytes",
         "roster bytes",
         "splits",
-        "steals"
+        "steals",
+        "peak heap MB",
+        "alloc calls"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -251,7 +356,7 @@ fn main() {
         for hierarchical in [false, true] {
             let row = run_one(&f, n, sites, hierarchical, check);
             println!(
-                "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9.1} {:>10} {:>10.2} {:>11} {:>12} {:>8} {:>7}",
+                "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9.1} {:>10} {:>10.2} {:>11} {:>12} {:>8} {:>7} {:>12.2} {:>11}",
                 row.n,
                 row.sites,
                 row.instance,
@@ -264,6 +369,8 @@ fn main() {
                 row.roster_bytes,
                 row.splits,
                 row.steals_settled,
+                row.peak_live_heap_bytes as f64 / 1e6,
+                row.alloc_calls,
             );
             rows.push(row);
         }

@@ -487,6 +487,8 @@ impl Client {
         solver.set_obs(self.obs.clone(), ctx.me().0);
         solver.set_obs_now(ctx.now());
         self.solver = Some(solver);
+        // the tuner's evidence is counted from this solver's counters
+        self.tuning_mark = (0, 0);
         self.current_problem = Some(problem);
         self.state = State::Solving;
         // anchor this node's causal register on the adoption: solver
@@ -987,7 +989,14 @@ impl Process for Client {
                     }
                     fresh += 1;
                     if let Some(solver) = &mut self.solver {
-                        solver.queue_foreign_fp(clause.clone(), *fp);
+                        // the one dedup fence: the solver's own window holds
+                        // only clauses it shared, which `drain_shares` put
+                        // into ours the tick they were learned — so until
+                        // ours first forgets, a second check skips nothing
+                        debug_assert!(
+                            !solver.knows_fp(*fp) || self.fp_window.len() >= SHARE_FP_WINDOW / 2
+                        );
+                        solver.queue_fresh(clause.lits());
                     }
                 }
                 let dropped = total - fresh;
@@ -1682,6 +1691,134 @@ mod tests {
         assert_eq!(c.stats.clauses_received, 2);
         assert_eq!(c.stats.dup_share_drops, 1);
         assert_eq!(c.solver.as_ref().unwrap().pending_foreign(), 1);
+    }
+
+    /// Property: the client's fingerprint window is the only dedup fence
+    /// the grid path needs. Whatever a checked queue would remember in the
+    /// solver's own window — the clauses the solver offered for sharing and
+    /// every clause queued on it since it was adopted — is inside the
+    /// client's window after every step of a random schedule of deliveries
+    /// (fresh clauses, repeats, echoes of the client's own shares), search
+    /// ticks that learn and share, and adoptions of further subproblems; so
+    /// no clause that passes the client's window would have been skipped.
+    /// Seeded xorshift, like the roster property below.
+    #[test]
+    fn solver_window_stays_inside_the_client_window() {
+        use gridsat_cnf::{Clause, Lit};
+        use std::collections::HashSet;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        };
+        let mut c = Client::new(NodeId(0), GridConfig::default());
+        let mut cx = ctx(0.0);
+        let peers = GridMsg::Peers {
+            epoch: 0,
+            peers: (1..=4).map(NodeId).collect(),
+        };
+        c.on_message(NodeId(0), peers, &mut cx);
+
+        // every fingerprint in play, and the ones a checked queue would
+        // have put into the current solver's window
+        let mut universe: HashSet<u64> = HashSet::new();
+        let mut queued: HashSet<u64> = HashSet::new();
+        let mut echoes: Vec<Clause> = Vec::new();
+        let (mut adoptions, mut passed, mut dropped) = (0u32, 0u32, 0u32);
+        for step in 0..1200u32 {
+            let mut cx = ctx(step as f64);
+            if !c.is_solving() {
+                // adopt: a pigeonhole instance that takes many ticks, or a
+                // near-threshold 3-SAT one that takes few
+                let f = match next(2) {
+                    0 => gridsat_satgen::php::php(7, 6),
+                    _ => gridsat_satgen::random_ksat::random_ksat(42, 180, 3, next(1 << 20)),
+                };
+                let spec = SplitSpec {
+                    num_vars: f.num_vars(),
+                    assumptions: vec![],
+                    clauses: f.clauses().to_vec(),
+                };
+                adoptions += 1;
+                let problem = ProblemId::new(NodeId(0), adoptions);
+                let solve = GridMsg::Solve {
+                    spec: framed(&spec),
+                    problem,
+                };
+                c.on_message(NodeId(0), solve, &mut cx);
+                assert!(c.is_solving());
+                queued.clear();
+            } else if next(3) == 0 {
+                // search: learn, share (fingerprints enter the window in
+                // `drain_shares`), maybe report and go idle
+                c.on_tick(&mut cx);
+                for a in cx.take_actions() {
+                    if let gridsat_grid::Action::Send {
+                        msg: GridMsg::Share { batch, .. },
+                        ..
+                    } = a
+                    {
+                        for (clause, fp) in batch.decoded().expect("own batch decodes") {
+                            universe.insert(*fp);
+                            echoes.push(clause.clone());
+                        }
+                    }
+                }
+            } else {
+                // receive: a batch of small clauses from a narrow pool
+                // (repeats are common) and echoes of what this node sent
+                let clauses: Vec<Clause> = (0..1 + next(4))
+                    .map(|_| {
+                        if !echoes.is_empty() && next(4) == 0 {
+                            return echoes[next(echoes.len() as u64) as usize].clone();
+                        }
+                        // two or three literals over the instances' 42 variables
+                        let v = next(36) as u32;
+                        let w = v + 1 + next(3) as u32;
+                        let mut lits = vec![Lit::new(v.into(), next(2) == 0)];
+                        lits.push(Lit::new(w.into(), next(2) == 0));
+                        if next(2) == 0 {
+                            lits.push(Lit::new((w + 1 + next(2) as u32).into(), next(2) == 0));
+                        }
+                        Clause::new(lits)
+                    })
+                    .collect();
+                let mut batch_fps = HashSet::new();
+                for clause in &clauses {
+                    let fp = clause.fingerprint();
+                    universe.insert(fp);
+                    if c.fp_window.contains(fp) || !batch_fps.insert(fp) {
+                        dropped += 1;
+                        continue;
+                    }
+                    // the client will queue it unchecked: a checked queue
+                    // must not have skipped it
+                    passed += 1;
+                    let solver = c.solver.as_ref().expect("solving");
+                    assert!(!solver.knows_fp(fp) && queued.insert(fp), "step {step}");
+                }
+                let before = c.solver.as_ref().expect("solving").pending_foreign();
+                c.on_message(NodeId(2), share_msg(NodeId(2), clauses), &mut cx);
+                let after = c.solver.as_ref().expect("solving").pending_foreign();
+                assert_eq!(after - before, batch_fps.len(), "step {step}");
+            }
+            // the subset invariant, after every step
+            if let Some(solver) = &c.solver {
+                for &fp in &universe {
+                    if solver.knows_fp(fp) || queued.contains(&fp) {
+                        assert!(c.fp_window.contains(fp), "step {step}: {fp:#x}");
+                    }
+                }
+            }
+        }
+        assert!(
+            adoptions > 3 && passed > 300 && dropped > 300 && echoes.len() > 30,
+            "{adoptions} adoptions, {passed} passed, {dropped} dropped, {} shared",
+            echoes.len()
+        );
+        assert!(c.fp_window.len() < SHARE_FP_WINDOW / 2, "nothing forgotten");
     }
 
     /// Two clients of one roster (node 1 idle, node 2 solving) each take
@@ -2486,14 +2623,9 @@ mod adaptive_tests {
         let _ = cx.take_actions();
     }
 
-    #[test]
-    fn useless_foreign_clauses_tighten_the_limit() {
-        let mut c = adaptive_client();
-        give_problem(&mut c, 0.0);
-        // feed tautologies: merged (skipped) clauses with zero implications
-        // won't count as merges, so use satisfied/unknown clauses instead:
-        // long clauses of fresh unassigned literals merge as "added" (no
-        // implication) — rate 0 => tighten
+    /// Deliver 40 long clauses of unassigned literals: each merges as
+    /// "added" with no implication — evidence for tightening the limit.
+    fn feed_useless_clauses(c: &mut Client) {
         for i in 0..40u32 {
             let lits: Vec<gridsat_cnf::Lit> = (0..3)
                 .map(|j| gridsat_cnf::Lit::new((((i * 3 + j) % 40) + 1).into(), j % 2 == 0))
@@ -2505,6 +2637,17 @@ mod adaptive_tests {
                 &mut cx,
             );
         }
+    }
+
+    #[test]
+    fn useless_foreign_clauses_tighten_the_limit() {
+        let mut c = adaptive_client();
+        give_problem(&mut c, 0.0);
+        // feed tautologies: merged (skipped) clauses with zero implications
+        // won't count as merges, so use satisfied/unknown clauses instead:
+        // long clauses of fresh unassigned literals merge as "added" (no
+        // implication) — rate 0 => tighten
+        feed_useless_clauses(&mut c);
         // tick to merge (level 0) and then tune after the period
         let mut cx = ctx(0.6);
         c.on_tick(&mut cx);
@@ -2515,6 +2658,36 @@ mod adaptive_tests {
         let _ = cx.take_actions();
         let after = c.share_limit_now.unwrap();
         assert!(after <= before, "limit should not widen on useless merges");
+    }
+
+    /// The tuner's mark belongs to one solver: a second subproblem starts
+    /// counting merge evidence from zero instead of subtracting the first
+    /// solver's totals from its own (an underflow).
+    #[test]
+    fn a_second_subproblem_is_tuned_on_its_own_evidence() {
+        let mut c = adaptive_client();
+        give_problem(&mut c, 0.0);
+        feed_useless_clauses(&mut c);
+        // solve to the end, tuning on the way: the mark moves off zero
+        let mut now = 0.0;
+        while c.is_solving() {
+            now += 2.0;
+            let mut cx = ctx(now);
+            c.on_tick(&mut cx);
+            let _ = cx.take_actions();
+        }
+        assert_eq!(c.stats.results, 1);
+        assert!(c.tuning_mark.0 > 0, "the first solver merged and was tuned");
+
+        give_problem(&mut c, now);
+        assert_eq!(c.tuning_mark, (0, 0));
+        let (limit, changes) = (c.share_limit_now, c.stats.share_limit_changes);
+        // past the tuning period on the new solver, which merged nothing
+        let mut cx = ctx(now + 2.0);
+        c.on_tick(&mut cx);
+        assert!(c.is_solving(), "the tick reached the tuner");
+        assert_eq!(c.share_limit_now, limit, "no evidence, no change");
+        assert_eq!(c.stats.share_limit_changes, changes);
     }
 
     #[test]
@@ -2532,17 +2705,7 @@ mod adaptive_tests {
             },
         );
         give_problem(&mut c, 0.0);
-        for i in 0..40u32 {
-            let lits: Vec<gridsat_cnf::Lit> = (0..3)
-                .map(|j| gridsat_cnf::Lit::new((((i * 3 + j) % 40) + 1).into(), j % 2 == 0))
-                .collect();
-            let mut cx = ctx(0.5);
-            c.on_message(
-                NodeId(2),
-                super::tests::share_msg(NodeId(2), vec![gridsat_cnf::Clause::new(lits)]),
-                &mut cx,
-            );
-        }
+        feed_useless_clauses(&mut c);
         for t in 1..6 {
             let mut cx = ctx(t as f64);
             c.on_tick(&mut cx);

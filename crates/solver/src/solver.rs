@@ -183,12 +183,17 @@ pub struct Solver {
     assumptions: Vec<Lit>,
     /// Learned clauses awaiting pickup for sharing, with fingerprints.
     outbox: Vec<(Clause, u64)>,
-    /// Foreign clauses awaiting merge at level 0.
-    inbox: VecDeque<Clause>,
+    /// Foreign clauses awaiting merge at level 0, oldest first, as one
+    /// ring of records: a literal count, then that many literal codes.
+    inbox: VecDeque<u32>,
+    /// Records in `inbox`.
+    inbox_clauses: usize,
+    /// The record [`Solver::merge_foreign`] is working on.
+    merge_buf: Vec<Lit>,
     /// Fingerprints of clauses this solver already knows: its own shared
-    /// learned clauses plus every foreign clause accepted for merge.
-    /// Bounded window — duplicates arriving within it are skipped
-    /// before any merge work.
+    /// learned clauses plus every foreign clause that came through the
+    /// checked entry ([`Solver::queue_foreign_fp`]). Bounded window —
+    /// duplicates arriving within it are skipped before any merge work.
     known_fps: FpWindow,
     seen: Vec<bool>,
     /// Conflict-analysis scratch, reused across conflicts: the clause
@@ -295,6 +300,8 @@ impl Solver {
             assumptions: Vec::new(),
             outbox: Vec::new(),
             inbox: VecDeque::new(),
+            inbox_clauses: 0,
+            merge_buf: Vec::new(),
             known_fps: FpWindow::new(KNOWN_FP_WINDOW),
             seen: vec![false; num_vars],
             learned: Vec::new(),
@@ -1227,80 +1234,110 @@ impl Solver {
             self.stats.merge_skipped += 1;
             return;
         }
-        self.inbox.push_back(clause);
+        self.queue_fresh(clause.lits());
+    }
+
+    /// Queue a clause the caller has already found fresh in a fingerprint
+    /// window of its own, one that also holds every clause this solver
+    /// offered for sharing (the grid client's): no second dedup here.
+    pub fn queue_fresh(&mut self, lits: &[Lit]) {
+        let len = u32::try_from(lits.len()).expect("clause length fits a u32");
+        self.inbox.push_back(len);
+        self.inbox.extend(lits.iter().map(|l| l.code() as u32));
+        self.inbox_clauses += 1;
+    }
+
+    /// `true` iff the checked entry would skip a clause fingerprinted `fp`.
+    pub fn knows_fp(&self, fp: u64) -> bool {
+        self.known_fps.contains(fp)
     }
 
     /// Number of foreign clauses awaiting merge.
     pub fn pending_foreign(&self) -> usize {
-        self.inbox.len()
+        self.inbox_clauses
     }
 
     /// Merge all queued foreign clauses. Must be at decision level 0.
-    /// Implements the paper's four cases.
     fn merge_foreign(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
-        if !self.inbox.is_empty() {
+        if self.inbox_clauses > 0 {
             // foreign clauses carry derivations from other clients; the
             // local DRAT trace is no longer self-contained
             self.proof_complete = false;
         }
-        while let Some(mut clause) = self.inbox.pop_front() {
-            if self.status.is_some() {
-                return;
-            }
-            if clause.normalize() {
-                continue; // tautology: no pruning power
-            }
-            let lits = clause.into_lits();
-            let mut unknown = 0usize;
-            let mut satisfied = false;
-            for &l in &lits {
-                match self.lit_value(l) {
-                    Value::True => satisfied = true,
-                    Value::Unassigned => unknown += 1,
-                    Value::False => {}
-                }
-            }
-            self.stats.work += lits.len() as u64;
-            if satisfied {
-                // case 4: evaluates true — discard
-                self.stats.merge_discarded += 1;
-                continue;
-            }
-            if unknown == 0 {
-                // case 3: all false — subproblem unsatisfiable
-                self.mark_unsat();
-                self.stats.merged_in += 1;
-                return;
-            }
-            // order lits: unknown first so watches are sound
-            let mut ordered = lits;
-            ordered.sort_by_key(|&l| self.lit_value(l) == Value::False);
-            for &l in &ordered {
-                self.vsids.bump(l);
-            }
-            if ordered.len() == 1 {
-                let l = ordered[0];
-                self.enqueue_with_global(l, ClauseRef::NONE, self.level0_shared_global(&[l], l));
-                self.stats.merged_in += 1;
-                self.stats.merge_implications += 1;
-                continue;
-            }
-            let implied = if unknown == 1 { Some(ordered[0]) } else { None };
-            // foreign clauses arrive without their sender's glue; score them
-            // pessimistically (LBD = length) so reduction treats them like
-            // any other long clause until they prove useful
-            let cref = self.db.insert(&ordered, true, true, ordered.len() as u32);
-            self.attach(cref);
-            self.stats.merged_in += 1;
-            if let Some(l) = implied {
-                // case 1: one unknown literal — an implication
-                self.enqueue(l, cref);
-                self.stats.merge_implications += 1;
-            }
-            // case 2 (>1 unknown): simply added to the learned set
+        let mut lits = std::mem::take(&mut self.merge_buf);
+        while self.status.is_none() {
+            let Some(len) = self.inbox.pop_front() else {
+                break;
+            };
+            debug_assert!(
+                self.inbox_clauses > 0 && len as usize <= self.inbox.len(),
+                "inbox record of {len} literals overruns the ring"
+            );
+            self.inbox_clauses -= 1;
+            lits.clear();
+            let codes = self.inbox.drain(..len as usize);
+            lits.extend(codes.map(|code| Lit::from_code(code as usize)));
+            self.merge_clause(&mut lits);
         }
-        self.note_db_peak();
+        self.merge_buf = lits;
+        if self.status.is_none() {
+            debug_assert_eq!(self.inbox_clauses, 0);
+            self.note_db_peak();
+        }
+    }
+
+    /// Merge one foreign clause at decision level 0: the paper's four cases.
+    fn merge_clause(&mut self, lits: &mut Vec<Lit>) {
+        // exactly `Clause::normalize`
+        lits.sort_unstable();
+        lits.dedup();
+        if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return; // tautology: no pruning power
+        }
+        let mut unknown = 0usize;
+        let mut satisfied = false;
+        for &l in lits.iter() {
+            match self.lit_value(l) {
+                Value::True => satisfied = true,
+                Value::Unassigned => unknown += 1,
+                Value::False => {}
+            }
+        }
+        self.stats.work += lits.len() as u64;
+        if satisfied {
+            // case 4: evaluates true — discard
+            self.stats.merge_discarded += 1;
+            return;
+        }
+        if unknown == 0 {
+            // case 3: all false — subproblem unsatisfiable
+            self.mark_unsat();
+            self.stats.merged_in += 1;
+            return;
+        }
+        // unknown literals first so watches are sound
+        lits.sort_by_key(|&l| self.lit_value(l) == Value::False);
+        for &l in lits.iter() {
+            self.vsids.bump(l);
+        }
+        self.stats.merged_in += 1;
+        if let [l] = lits[..] {
+            self.enqueue_with_global(l, ClauseRef::NONE, self.level0_shared_global(&[l], l));
+            self.stats.merge_implications += 1;
+            return;
+        }
+        // foreign clauses arrive without their sender's glue; score them
+        // pessimistically (LBD = length) so reduction treats them like
+        // any other long clause until they prove useful
+        let cref = self.db.insert(lits, true, true, lits.len() as u32);
+        self.attach(cref);
+        if unknown == 1 {
+            // case 1: one unknown literal — an implication
+            self.enqueue(lits[0], cref);
+            self.stats.merge_implications += 1;
+        }
+        // case 2 (>1 unknown): simply added to the learned set
     }
 
     fn level0_shared_global(&self, lits: &[Lit], implied: Lit) -> bool {
@@ -1363,7 +1400,7 @@ impl Solver {
                     if self.config.level0_pruning && self.trail.len() > self.pruned_at {
                         self.prune_level0();
                     }
-                    if !self.inbox.is_empty() {
+                    if self.inbox_clauses > 0 {
                         let before = self.stats.work;
                         self.merge_foreign();
                         let burst = self.stats.work - before;
@@ -1693,38 +1730,44 @@ mod tests {
         s
     }
 
-    /// A spec mixing every shape the loader special-cases: ascending
-    /// clauses (the no-sort path), shuffled ones, repeated literals,
-    /// tautologies, units and, now and then, the empty clause.
+    /// A clause in one of the shapes the loader and the merge special-case:
+    /// ascending (the no-sort path), shuffled, repeated literals, a
+    /// tautology, a unit and, now and then, the empty clause.
+    fn arbitrary_clause(rng: &mut SmallRng, num_vars: usize) -> Clause {
+        let lit = |rng: &mut SmallRng| Lit::new(Var(rng.gen_range(0..num_vars as u32)), rng.gen());
+        let len = match rng.gen_range(0..20u32) {
+            0 => 0,
+            1..=4 => 1,
+            _ => rng.gen_range(2..6usize),
+        };
+        let mut lits: Vec<Lit> = (0..len).map(|_| lit(rng)).collect();
+        match rng.gen_range(0..4u32) {
+            // as drawn: unsorted, duplicates and tautologies likely
+            0 => {}
+            // sorted, duplicates kept
+            1 => lits.sort_unstable(),
+            // a tautology for sure
+            2 if len >= 2 => lits[1] = !lits[0],
+            // strictly ascending: the no-sort path
+            _ => {
+                lits.sort_unstable();
+                lits.dedup();
+            }
+        }
+        Clause::new(lits)
+    }
+
+    /// A spec of up to two dozen [`arbitrary_clause`]s and a few assumptions.
     fn arbitrary_spec(rng: &mut SmallRng) -> SplitSpec {
         let num_vars = rng.gen_range(1..13usize);
-        let lit = |rng: &mut SmallRng| Lit::new(Var(rng.gen_range(0..num_vars as u32)), rng.gen());
         let clauses = (0..rng.gen_range(0..24usize))
-            .map(|_| {
-                let len = match rng.gen_range(0..20u32) {
-                    0 => 0,
-                    1..=4 => 1,
-                    _ => rng.gen_range(2..6usize),
-                };
-                let mut lits: Vec<Lit> = (0..len).map(|_| lit(rng)).collect();
-                match rng.gen_range(0..4u32) {
-                    // as drawn: unsorted, duplicates and tautologies likely
-                    0 => {}
-                    // sorted, duplicates kept
-                    1 => lits.sort_unstable(),
-                    // a tautology for sure
-                    2 if len >= 2 => lits[1] = !lits[0],
-                    // strictly ascending: the no-sort path
-                    _ => {
-                        lits.sort_unstable();
-                        lits.dedup();
-                    }
-                }
-                Clause::new(lits)
-            })
+            .map(|_| arbitrary_clause(rng, num_vars))
             .collect();
         let assumptions = (0..rng.gen_range(0..3usize))
-            .map(|_| (lit(rng), rng.gen()))
+            .map(|_| {
+                let var = Var(rng.gen_range(0..num_vars as u32));
+                (Lit::new(var, rng.gen()), rng.gen())
+            })
             .collect();
         SplitSpec {
             num_vars,
@@ -1776,6 +1819,128 @@ mod tests {
             assert_eq!(new.model(), old.model(), "case {case}");
         }
         assert!(decided > 100 && searched > 100, "{decided} / {searched}");
+    }
+
+    /// The foreign-clause merge as first written: every queued clause a
+    /// heap `Clause` of its own in a `VecDeque`, normalised in place, its
+    /// literal vector reordered and copied into the arena.
+    fn reference_merge(s: &mut Solver, inbox: &mut VecDeque<Clause>) {
+        assert_eq!(s.decision_level(), 0);
+        if !inbox.is_empty() {
+            s.proof_complete = false;
+        }
+        while let Some(mut clause) = inbox.pop_front() {
+            if s.status.is_some() {
+                return;
+            }
+            if clause.normalize() {
+                continue;
+            }
+            let lits = clause.into_lits();
+            let mut unknown = 0usize;
+            let mut satisfied = false;
+            for &l in &lits {
+                match s.lit_value(l) {
+                    Value::True => satisfied = true,
+                    Value::Unassigned => unknown += 1,
+                    Value::False => {}
+                }
+            }
+            s.stats.work += lits.len() as u64;
+            if satisfied {
+                s.stats.merge_discarded += 1;
+                continue;
+            }
+            if unknown == 0 {
+                s.mark_unsat();
+                s.stats.merged_in += 1;
+                return;
+            }
+            let mut ordered = lits;
+            ordered.sort_by_key(|&l| s.lit_value(l) == Value::False);
+            for &l in &ordered {
+                s.vsids.bump(l);
+            }
+            if ordered.len() == 1 {
+                let l = ordered[0];
+                s.enqueue_with_global(l, ClauseRef::NONE, s.level0_shared_global(&[l], l));
+                s.stats.merged_in += 1;
+                s.stats.merge_implications += 1;
+                continue;
+            }
+            let implied = if unknown == 1 { Some(ordered[0]) } else { None };
+            let cref = s.db.insert(&ordered, true, true, ordered.len() as u32);
+            s.attach(cref);
+            s.stats.merged_in += 1;
+            if let Some(l) = implied {
+                s.enqueue(l, cref);
+                s.stats.merge_implications += 1;
+            }
+        }
+        s.note_db_peak();
+    }
+
+    #[test]
+    fn flat_inbox_merges_like_the_queue_of_clauses() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        let (mut implied, mut refuted, mut discarded, mut skipped) = (0, 0, 0, 0);
+        for case in 0..2000 {
+            let spec = arbitrary_spec(&mut rng);
+            let mut new = Solver::from_split(&spec, SolverConfig::default());
+            let mut old = Solver::from_split(&spec, SolverConfig::default());
+            let mut old_inbox = VecDeque::new();
+            // a merge into the freshly loaded subproblem, then two more
+            // after some search, back at level 0 among learned clauses
+            for round in 0..3 {
+                if round > 0 {
+                    assert_eq!(new.step(40), old.step(40), "case {case}");
+                    new.check_invariants();
+                    new.backtrack(0);
+                    old.backtrack(0);
+                }
+                if new.status().is_some() {
+                    break;
+                }
+                for _ in 0..rng.gen_range(1..10usize) {
+                    let clause = arbitrary_clause(&mut rng, spec.num_vars);
+                    let fp = clause.fingerprint();
+                    // the unchecked entry, or one of the two checked ones
+                    let checked = rng.gen_range(0..3u32);
+                    if checked > 0 && !old.known_fps.insert(fp) {
+                        old.stats.merge_skipped += 1;
+                    } else {
+                        old_inbox.push_back(clause.clone());
+                    }
+                    match checked {
+                        0 => new.queue_fresh(clause.lits()),
+                        1 => new.queue_foreign_fp(clause, fp),
+                        _ => new.queue_foreign(clause),
+                    }
+                }
+                assert_eq!(new.pending_foreign(), old_inbox.len(), "case {case}");
+                new.merge_foreign();
+                reference_merge(&mut old, &mut old_inbox);
+                assert_eq!(
+                    loaded_state(&new),
+                    loaded_state(&old),
+                    "case {case} round {round}: {spec:?}"
+                );
+                assert_eq!(new.proof_complete, old.proof_complete);
+                refuted += u64::from(new.status() == Some(SolveStatus::Unsat));
+            }
+            let s = new.stats();
+            implied += s.merge_implications;
+            discarded += s.merge_discarded;
+            skipped += s.merge_skipped;
+            // both run on to the same verdict by the same steps
+            assert_eq!(new.step(u64::MAX), old.step(u64::MAX), "case {case}");
+            assert_eq!(new.stats(), old.stats(), "case {case}: {spec:?}");
+            assert_eq!(new.model(), old.model(), "case {case}");
+        }
+        assert!(
+            implied > 100 && refuted > 100 && discarded > 100 && skipped > 100,
+            "{implied} / {refuted} / {discarded} / {skipped}"
+        );
     }
 
     /// `Solver::new` and `from_parts` go through the same loader.

@@ -71,10 +71,15 @@ fi
 # the `debug_assert!`s beside those accesses (and in the clause arena)
 # compile out of a plain release build, and a debug build is too slow to
 # push the fuzzers far. Unit tests, gc_relocation, invariant_fuzz, the
-# trajectory pins and the rest of crates/solver/tests.
+# trajectory pins and the rest of crates/solver/tests — then the grid
+# crate's tests and the 24-client bit-identity runs the same way: the
+# share path asserts there that the client's fingerprint window is the
+# only dedup fence it needs and that every inbox record is whole.
 if [[ "${CHECK_SOLVER:-0}" == "1" ]]; then
-  echo "== solver tests, release + debug assertions"
+  echo "== solver, grid and bit-identity tests, release + debug assertions"
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-solver
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test bit_identity
 fi
 
 # Not a gate: `scripts/ab.sh <parent-dir> <change-dir> <workload>|all
