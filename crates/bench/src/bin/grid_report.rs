@@ -1,8 +1,7 @@
 //! Fold a causal JSONL event trace into the full observability report:
 //! per-client busy timeline, utilization summary, critical-path
 //! breakdown (solve / wire / master-queue / retransmit), and anomaly
-//! flags. Supersedes `trace_report`, which now wraps this binary's
-//! trace mode.
+//! flags.
 //!
 //! Capture a trace with the `--trace` flag of the `table1` or `fig1`
 //! binaries (or via `gridsat::experiment::build_sim_obs` plus

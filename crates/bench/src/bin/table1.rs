@@ -14,7 +14,7 @@
 //! Usage: `cargo run --release -p gridsat-bench --bin table1 [filter] [--trace FILE]`
 //! Writes `table1.csv` next to the printed table. With `--trace FILE`,
 //! every GridSAT run is captured as a JSONL event stream (concatenated
-//! into FILE) that `trace_report` folds into per-client utilization —
+//! into FILE) that `grid_report` folds into per-client utilization —
 //! best combined with a filter selecting a single instance.
 
 use gridsat::{experiment, GridConfig, GridOutcome};
@@ -148,7 +148,7 @@ fn main() {
     std::fs::write("table1.csv", csv).expect("write table1.csv");
     if let Some(path) = trace_path {
         std::fs::write(&path, trace).expect("write trace");
-        eprintln!("event trace written to {path} (fold with the trace_report binary)");
+        eprintln!("event trace written to {path} (fold with the grid_report binary)");
     }
     eprintln!(
         "table1.csv written; wall time {:.0} s",

@@ -1,13 +1,12 @@
 //! Partial and total variable assignments.
 
 use crate::{Lit, Value, Var};
-use serde::{Deserialize, Serialize};
 
 /// A (partial) assignment of truth values to variables.
 ///
 /// Backed by a dense `Vec<Value>` indexed by variable; all variables start
 /// [`Value::Unassigned`].
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Assignment {
     values: Vec<Value>,
     assigned: usize,

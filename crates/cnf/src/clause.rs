@@ -1,7 +1,6 @@
 //! Clauses: disjunctions of literals.
 
 use crate::{Assignment, Lit, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A clause: a disjunction (logical OR) of literals.
@@ -9,7 +8,7 @@ use std::fmt;
 /// This is the *interchange* representation used by formulas, generators,
 /// messages and checkpoints. The solver keeps its own packed clause arena
 /// internally and converts at the boundary.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Clause {
     lits: Vec<Lit>,
 }

@@ -1,7 +1,6 @@
 //! CNF formulas.
 
 use crate::{Assignment, Clause, Lit, Value, Var};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CNF formula: a conjunction of clauses over `num_vars` variables.
@@ -9,7 +8,7 @@ use std::fmt;
 /// This is the interchange representation produced by parsers and
 /// generators and consumed by the solver; it is also what travels between
 /// GridSAT master and clients when a whole problem is shipped.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Formula {
     num_vars: usize,
     clauses: Vec<Clause>,

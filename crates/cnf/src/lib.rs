@@ -34,6 +34,7 @@ pub mod dimacs;
 mod formula;
 mod lit;
 pub mod paper;
+pub mod rng;
 
 pub use assignment::Assignment;
 pub use clause::Clause;

@@ -1,13 +1,12 @@
 //! Variables, literals and truth values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A propositional variable, identified by a zero-based index.
 ///
 /// DIMACS numbers variables from 1; [`Var::from_dimacs`] and
 /// [`Var::to_dimacs`] convert. The paper's `V14` is `Var(13)`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(pub u32);
 
 impl Var {
@@ -80,7 +79,7 @@ impl fmt::Display for Var {
 /// `repr(transparent)`: a `Lit` is layout-identical to its `u32` code, so
 /// flat storage (the solver's clause arena) can reinterpret `u32` words
 /// written via [`Lit::code`] as `&[Lit]` without copying.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct Lit(u32);
 
@@ -209,7 +208,7 @@ impl fmt::Display for Lit {
 }
 
 /// A three-valued truth value: the state of a variable during search.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum Value {
     True,
     False,

@@ -14,7 +14,7 @@
 //!   per-host speed and NWS-style background-load traces, and manages
 //!   batch node windows;
 //! * [`threads`] — a real-thread backend running the same processes with
-//!   crossbeam channels for genuine parallelism;
+//!   `std::sync::mpsc` channels for genuine parallelism;
 //! * [`reliable`] — an acked at-least-once delivery wrapper for
 //!   control-plane messages (the paper's protocol assumes TCP streams;
 //!   the engine's drops and injected chaos need explicit recovery).

@@ -1,6 +1,6 @@
 //! Real-thread backend: runs the same [`Process`] state machines on OS
-//! threads with crossbeam channels, for genuine parallel execution on one
-//! machine (the paper's algorithm, minus the simulated WAN).
+//! threads with `std::sync::mpsc` channels, for genuine parallel execution
+//! on one machine (the paper's algorithm, minus the simulated WAN).
 //!
 //! Timing comes from the wall clock, work is real solver compute, and
 //! message transfer is channel send — so this backend demonstrates real
@@ -9,9 +9,8 @@
 
 use crate::process::{Action, Ctx, NodeInfo, Process};
 use crate::topology::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,7 +36,7 @@ impl<P: Process + 'static> ThreadGrid<P> {
         let mut senders = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<Envelope<P::Msg>>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -147,14 +146,6 @@ fn apply<M: Clone + Send>(
     tick_pending
 }
 
-/// Shared cell for harvesting a result out of worker processes.
-pub type ResultCell<T> = Arc<Mutex<Option<T>>>;
-
-/// A fresh, empty result cell.
-pub fn result_cell<T>() -> ResultCell<T> {
-    Arc::new(Mutex::new(None))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +164,6 @@ mod tests {
         target: u64,
         acc: u64,
         next: u64,
-        result: ResultCell<u64>,
         is_master: bool,
         workers: u32,
         reports: u64,
@@ -191,7 +181,6 @@ mod tests {
                 self.acc += msg.0;
                 self.reports += 1;
                 if self.reports == u64::from(self.workers) {
-                    *self.result.lock() = Some(self.acc);
                     ctx.shutdown();
                 }
             }
@@ -215,20 +204,18 @@ mod tests {
 
     #[test]
     fn threaded_fanout_computes_and_shuts_down() {
-        let cell = result_cell();
         let workers = 3u32;
         let grid = ThreadGrid::spawn(1 + workers as usize, 1 << 20, |id| SumWorker {
             target: 10_000,
             acc: 0,
             next: 1,
-            result: Arc::clone(&cell),
             is_master: id == NodeId(0),
             workers,
             reports: 0,
         });
         let procs = grid.join(std::time::Duration::from_secs(10));
         let expected = 3 * (10_000u64 * 10_001 / 2);
-        assert_eq!(cell.lock().unwrap(), expected);
+        assert_eq!(procs[0].acc, expected);
         assert_eq!(procs.len(), 4);
     }
 }

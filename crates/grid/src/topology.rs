@@ -15,10 +15,9 @@
 //!   messages.
 
 use gridsat_nws::TraceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a node (host) in a testbed. The master is a node too.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -28,7 +27,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Geographic site; links within a site are LAN, across sites WAN.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Site {
     Utk,
     Uiuc,
@@ -41,7 +40,7 @@ pub enum Site {
 }
 
 /// Static description of one host.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HostSpec {
     pub name: String,
     pub site: Site,
@@ -58,7 +57,6 @@ pub struct HostSpec {
     pub down_at: f64,
     /// Host runs a site sub-master (hierarchical control plane) instead
     /// of a solver client.
-    #[serde(default)]
     pub broker: bool,
 }
 
@@ -94,7 +92,7 @@ impl HostSpec {
 }
 
 /// Link parameters between two nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Link {
     pub latency_s: f64,
     pub bandwidth_bytes_per_s: f64,
@@ -108,7 +106,7 @@ impl Link {
 }
 
 /// Network model: LAN within a site, WAN across sites.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetModel {
     pub lan: Link,
     pub wan: Link,

@@ -1,8 +1,22 @@
 //! Property tests for the discrete-event engine: delivery ordering,
 //! determinism and timing invariants under randomized workloads.
+//! Fixed-seed case loops; a failing assertion names its case seed.
 
+use gridsat_cnf::rng::Rng;
 use gridsat_grid::{Action, Ctx, HostSpec, MessageSize, NodeId, Process, Sim, Site, Testbed};
-use proptest::prelude::*;
+
+const CASES: u64 = 256;
+
+/// `len` message sizes, each drawn from `bytes`.
+fn arb_sizes(
+    rng: &mut Rng,
+    len: std::ops::Range<usize>,
+    bytes: std::ops::Range<usize>,
+) -> Vec<usize> {
+    (0..rng.range_usize(len))
+        .map(|_| rng.range_usize(bytes.clone()))
+        .collect()
+}
 
 #[derive(Clone, Debug)]
 struct Tagged {
@@ -96,16 +110,21 @@ fn three_hosts() -> Testbed {
     }
 }
 
-proptest! {
-    /// FIFO holds per (source, destination) pair, not per source or per
-    /// destination: two sends A→B never overtake each other however
-    /// A→C and C→B traffic of other sizes is interleaved with them, and
-    /// nothing is lost or duplicated. This is the property the engine's
-    /// per-link last-delivery table exists for.
-    #[test]
-    fn fifo_holds_per_pair_under_interleaved_traffic(
-        plan in prop::collection::vec((0u32..3, 0u32..3, 1usize..200_000), 1..60)
-    ) {
+/// FIFO holds per (source, destination) pair, not per source or per
+/// destination: two sends A→B never overtake each other however
+/// A→C and C→B traffic of other sizes is interleaved with them, and
+/// nothing is lost or duplicated. This is the property the engine's
+/// per-link last-delivery table exists for.
+#[test]
+fn fifo_holds_per_pair_under_interleaved_traffic() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let plan: Vec<(u32, u32, usize)> = (0..rng.range_usize(1..60))
+            .map(|_| {
+                let (from, to) = (rng.range_u32(0..3), rng.range_u32(0..3));
+                (from, to, rng.range_usize(1..200_000))
+            })
+            .collect();
         let mut sim = Sim::new(three_hosts(), |_| Mesh {
             plan: plan.clone(),
             received: Vec::new(),
@@ -127,17 +146,20 @@ proptest! {
                     .filter(|(_, &(f, t, _))| f == from && t == to)
                     .map(|(i, _)| i as u64)
                     .collect();
-                prop_assert_eq!(got, sent, "link {}->{}", from, to);
+                assert_eq!(got, sent, "link {from}->{to}, case seed {seed}");
             }
         }
-        prop_assert_eq!(delivered, plan.len());
+        assert_eq!(delivered, plan.len(), "case seed {seed}");
     }
+}
 
-    /// Messages between one pair of nodes arrive in send order (FIFO),
-    /// regardless of their sizes — like the TCP streams of the paper's
-    /// messaging layer.
-    #[test]
-    fn per_link_delivery_is_fifo(plan in prop::collection::vec(1usize..100_000, 1..40)) {
+/// Messages between one pair of nodes arrive in send order (FIFO),
+/// regardless of their sizes — like the TCP streams of the paper's
+/// messaging layer.
+#[test]
+fn per_link_delivery_is_fifo() {
+    for seed in 0..CASES {
+        let plan = arb_sizes(&mut Rng::seed_from_u64(seed), 1..40, 1..100_000);
         let n = plan.len();
         let mut sim = Sim::new(two_hosts(), |_| Sender {
             plan: plan.clone(),
@@ -145,54 +167,79 @@ proptest! {
         });
         sim.run_until(1e7);
         let received = &sim.process(NodeId(1)).received;
-        prop_assert_eq!(received.len(), n);
-        prop_assert!(received.windows(2).all(|w| w[0] < w[1]), "{:?}", received);
+        assert_eq!(received.len(), n, "case seed {seed}");
+        assert!(
+            received.windows(2).all(|w| w[0] < w[1]),
+            "{received:?}, case seed {seed}"
+        );
     }
+}
 
-    /// Whole runs are deterministic functions of the inputs.
-    #[test]
-    fn runs_are_deterministic(plan in prop::collection::vec(1usize..10_000, 1..20)) {
+/// Whole runs are deterministic functions of the inputs.
+#[test]
+fn runs_are_deterministic() {
+    for seed in 0..CASES {
+        let plan = arb_sizes(&mut Rng::seed_from_u64(seed), 1..20, 1..10_000);
         let run = || {
             let mut sim = Sim::new(two_hosts(), |_| Sender {
                 plan: plan.clone(),
                 received: Vec::new(),
             });
             sim.run_until(1e7);
-            (sim.now(), sim.stats.messages_delivered, sim.stats.bytes_delivered)
+            (
+                sim.now(),
+                sim.stats.messages_delivered,
+                sim.stats.bytes_delivered,
+            )
         };
-        prop_assert_eq!(run(), run());
-    }
-
-    /// Bigger messages never arrive earlier than the link could carry
-    /// them: total delivery time respects latency + size/bandwidth.
-    #[test]
-    fn transfer_time_respects_bandwidth(bytes in 1usize..1_000_000) {
-        struct One {
-            bytes: usize,
-            arrived_at: Option<f64>,
-        }
-        impl Process for One {
-            type Msg = Tagged;
-            fn on_start(&mut self, ctx: &mut Ctx<Tagged>) {
-                if ctx.me() == NodeId(0) {
-                    ctx.send(NodeId(1), Tagged { seq: 0, bytes: self.bytes });
-                }
-            }
-            fn on_message(&mut self, _f: NodeId, _m: Tagged, ctx: &mut Ctx<Tagged>) {
-                self.arrived_at = Some(ctx.now());
-            }
-            fn on_tick(&mut self, _ctx: &mut Ctx<Tagged>) {}
-        }
-        let tb = two_hosts();
-        let expected = tb.net.wan.transfer_time(bytes);
-        let mut sim = Sim::new(tb, |_| One { bytes, arrived_at: None });
-        sim.run_until(1e9);
-        let arrived = sim.process(NodeId(1)).arrived_at.expect("delivered");
-        prop_assert!((arrived - expected).abs() < 1e-3, "{arrived} vs {expected}");
+        assert_eq!(run(), run(), "case seed {seed}");
     }
 }
 
-/// Action enum construction smoke check (non-proptest).
+/// Bigger messages never arrive earlier than the link could carry
+/// them: total delivery time respects latency + size/bandwidth.
+#[test]
+fn transfer_time_respects_bandwidth() {
+    struct One {
+        bytes: usize,
+        arrived_at: Option<f64>,
+    }
+    impl Process for One {
+        type Msg = Tagged;
+        fn on_start(&mut self, ctx: &mut Ctx<Tagged>) {
+            if ctx.me() == NodeId(0) {
+                ctx.send(
+                    NodeId(1),
+                    Tagged {
+                        seq: 0,
+                        bytes: self.bytes,
+                    },
+                );
+            }
+        }
+        fn on_message(&mut self, _f: NodeId, _m: Tagged, ctx: &mut Ctx<Tagged>) {
+            self.arrived_at = Some(ctx.now());
+        }
+        fn on_tick(&mut self, _ctx: &mut Ctx<Tagged>) {}
+    }
+    for seed in 0..CASES {
+        let bytes = Rng::seed_from_u64(seed).range_usize(1..1_000_000);
+        let tb = two_hosts();
+        let expected = tb.net.wan.transfer_time(bytes);
+        let mut sim = Sim::new(tb, |_| One {
+            bytes,
+            arrived_at: None,
+        });
+        sim.run_until(1e9);
+        let arrived = sim.process(NodeId(1)).arrived_at.expect("delivered");
+        assert!(
+            (arrived - expected).abs() < 1e-3,
+            "{arrived} vs {expected}, case seed {seed}"
+        );
+    }
+}
+
+/// Action enum construction smoke check (not a property).
 #[test]
 fn actions_debug_format() {
     let a: Action<Tagged> = Action::ScheduleTick { delay_s: 1.0 };

@@ -14,11 +14,10 @@
 
 use crate::experiment::GridSim;
 use gridsat_grid::{NetChaos, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A node outage: down at `down_at`, back (with a clean restart) at
 /// `up_at`, or gone for good when `up_at` is `None`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CrashWindow {
     pub node: u32,
     pub down_at: f64,
@@ -26,7 +25,7 @@ pub struct CrashWindow {
 }
 
 /// A link outage between two nodes (both directions).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkWindow {
     pub a: u32,
     pub b: u32,
@@ -35,7 +34,7 @@ pub struct LinkWindow {
 }
 
 /// Everything that will go wrong during one run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Display name for matrices and failure reports.
     pub name: String,
@@ -49,7 +48,6 @@ pub struct FaultPlan {
     pub delay_extra_s: f64,
     /// Per-send probability of payload bit flips (scalar-only messages
     /// are dropped instead, modeling header corruption).
-    #[serde(default)]
     pub corrupt_prob: f64,
     /// Seed for the loss/delay/corruption draws.
     pub seed: u64,

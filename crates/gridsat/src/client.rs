@@ -9,7 +9,6 @@ use crate::wire::{EncodedBatch, SpecFrame};
 use gridsat_grid::{Ctx, NodeId, Process};
 use gridsat_obs::{Event, MetricsRegistry, Obs};
 use gridsat_solver::{FpWindow, Solver, SolverConfig, SplitSpec, Step};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Capacity of the per-client fingerprint window that deduplicates
@@ -18,7 +17,7 @@ use std::sync::Arc;
 const SHARE_FP_WINDOW: usize = 1 << 16;
 
 /// Client-side counters, aggregated into the experiment report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Subproblems this client received (initial problem counts too).
     pub subproblems: u64,
@@ -1429,8 +1428,8 @@ mod tests {
     /// the origin) names exactly the children the linear scan names — on
     /// the ascending rosters the master builds, on rosters in any other
     /// order (the scan fallback), for every branch factor 1..=8, and when
-    /// the origin or this node is not listed. Seeded xorshift instead of
-    /// `proptest`, like the codec properties in `wire.rs`.
+    /// the origin or this node is not listed. Seeded xorshift, like the
+    /// codec properties in `wire.rs`.
     #[test]
     fn indexed_relay_children_match_the_linear_scan() {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;

@@ -1,10 +1,8 @@
 //! GridSAT run configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How the master picks the idle resource for a split (the scheduler
 /// ablation; the paper uses NWS-style ranking).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SchedPolicy {
     /// Rank by forecast availability x speed, memory as tie-break
     /// (paper Section 3.3).
@@ -18,7 +16,7 @@ pub enum SchedPolicy {
 /// How the share-length limit is chosen (the paper leaves automatic
 /// determination as an open problem: "we do not yet have a way of
 /// determining the length of the clauses to share automatically").
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum ShareTuning {
     /// Use the configured limit as-is (the paper's mode).
     Fixed,
@@ -29,7 +27,7 @@ pub enum ShareTuning {
 }
 
 /// Checkpointing mode (paper Section 3.4; extension, off by default).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CheckpointMode {
     Off,
     /// Level-0 assignments only.
@@ -41,7 +39,7 @@ pub enum CheckpointMode {
 /// Reliable-delivery and failure-detection tunables (robustness
 /// extension; the paper's protocol assumes TCP and concedes it "will
 /// not tolerate a machine crash").
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ReliabilityConfig {
     /// Base retransmit time-out for control messages, seconds.
     pub rto_s: f64,
@@ -65,12 +63,7 @@ pub struct ReliabilityConfig {
     /// a link that mangles this much traffic is indistinguishable from
     /// a byzantine or dying host. High enough that ambient bit rot on a
     /// healthy peer never trips it within a run (integrity extension).
-    #[serde(default = "default_quarantine_strikes")]
     pub quarantine_strikes: u32,
-}
-
-fn default_quarantine_strikes() -> u32 {
-    40
 }
 
 impl Default for ReliabilityConfig {
@@ -83,7 +76,7 @@ impl Default for ReliabilityConfig {
             jitter_frac: 0.1,
             heartbeat_period: 10.0,
             lease_misses: 3,
-            quarantine_strikes: default_quarantine_strikes(),
+            quarantine_strikes: 40,
         }
     }
 }
@@ -92,7 +85,7 @@ impl Default for ReliabilityConfig {
 /// tails the master's write-ahead journal over the control plane and
 /// promotes itself to master when the journal feed goes quiet for
 /// longer than the grace period.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct FailoverConfig {
     /// Node that doubles as the journal-tailing standby.
     pub standby_node: u32,
@@ -114,7 +107,7 @@ impl Default for FailoverConfig {
 /// broker split traffic locally via steal tickets, escalating to the
 /// root master only when a site has no idle capacity. The root still
 /// owns the journal, the conservation audit, and the global verdict.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct HierarchyConfig {
     /// Period at which an idle client (re-)announces itself to its
     /// sub-master, seconds. Also the cadence of its idle housekeeping
@@ -140,7 +133,7 @@ impl Default for HierarchyConfig {
 
 /// Tunables of a GridSAT run. Defaults reproduce the paper's first
 /// experiment set (share limit 10, 100-second split time-out floor).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GridConfig {
     /// Maximum length of shared learned clauses (10 in experiment set 1,
     /// 3 in set 2). `None` disables sharing (ablation).
@@ -185,7 +178,6 @@ pub struct GridConfig {
     /// `Some(k)` routes each batch along a tree derived from the client
     /// roster (O(n) messages per batch, at most `k` sends per node);
     /// `None` is the paper's all-pairs broadcast (O(n²) per round).
-    #[serde(default = "default_share_relay_branch")]
     pub share_relay_branch: Option<usize>,
     /// Reliable control-plane delivery + heartbeat leases. `None` (the
     /// default) runs the paper's bare protocol — the wire is then
@@ -193,22 +185,15 @@ pub struct GridConfig {
     pub reliability: Option<ReliabilityConfig>,
     /// Journal-tailing standby master. `None` (the default, and the
     /// paper's behaviour) means a dead master wedges the run.
-    #[serde(default)]
     pub failover: Option<FailoverConfig>,
     /// Hierarchical control plane: per-site sub-masters + intra-site
     /// work stealing. `None` (the default, and the paper's behaviour)
     /// routes every split request through the root master.
-    #[serde(default)]
     pub hierarchy: Option<HierarchyConfig>,
     /// Run the search-space conservation auditor alongside the run,
     /// panicking with a counterexample guiding path if the outstanding
     /// cubes ever stop partitioning the search space exactly.
-    #[serde(default)]
     pub audit: bool,
-}
-
-fn default_share_relay_branch() -> Option<usize> {
-    Some(4)
 }
 
 impl Default for GridConfig {
@@ -230,7 +215,7 @@ impl Default for GridConfig {
             checkpoint_period: 300.0,
             assumed_bw_bytes_per_s: 4_000.0,
             share_tuning: ShareTuning::Fixed,
-            share_relay_branch: default_share_relay_branch(),
+            share_relay_branch: Some(4),
             reliability: None,
             failover: None,
             hierarchy: None,

@@ -24,14 +24,13 @@ use gridsat_cnf::{Clause, Lit};
 use gridsat_grid::NodeId;
 use gridsat_nws::{Adaptive, Forecaster};
 use gridsat_solver::SplitSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// A recovered or requeued subproblem awaiting an idle client, plus the
 /// identity of the instance it re-covers (for audit provenance: the
 /// re-dispatch owns the same guiding-path cube as `source`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RecoverySpec {
     pub spec: SplitSpec,
     pub source: Option<ProblemId>,
@@ -40,7 +39,7 @@ pub struct RecoverySpec {
 /// One appended scheduling decision. Every variant is a plain state
 /// delta; the journal is the authoritative history and [`MasterCore`] is
 /// its fold.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
     /// A client registered (or re-registered after a restart).
     Launch {

@@ -24,7 +24,6 @@ use gridsat_cnf::{Assignment, Formula};
 use gridsat_grid::{Ctx, NodeId, Process, Site};
 use gridsat_nws::Forecaster;
 use gridsat_obs::{Event, Histogram, MetricsRegistry, Obs};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -62,7 +61,7 @@ impl GridOutcome {
 }
 
 /// Master-side counters for the experiment report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MasterStats {
     /// Peak number of simultaneously busy clients (the paper's
     /// "Max # of clients" column).
@@ -181,7 +180,7 @@ impl MasterStats {
 
 /// Quantile summary of a latency histogram, in seconds — the
 /// serializable face of [`Histogram`] for snapshots and reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     pub count: u64,
     pub p50_s: f64,
@@ -316,7 +315,7 @@ impl MasterTelemetry {
 }
 
 /// A client's scheduling state as the master sees it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ClientState {
     /// Registered, no work.
     Idle,
@@ -327,7 +326,7 @@ pub enum ClientState {
 }
 
 /// What an in-flight grant is for.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GrantKind {
     Split,
     Migrate,
@@ -401,7 +400,7 @@ pub struct Master {
 }
 
 /// One client's row in a [`MasterSnapshot`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClientSnapshot {
     pub id: u32,
     pub state: ClientState,
@@ -413,7 +412,7 @@ pub struct ClientSnapshot {
 /// Structured, serializable snapshot of the master's scheduler state
 /// (replaces the old free-text `debug_state` dump). `Display` renders
 /// the same human-readable summary the dump used to give.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct MasterSnapshot {
     pub clients: Vec<ClientSnapshot>,
     /// Requesters waiting for an idle peer, in queue order.

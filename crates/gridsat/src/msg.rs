@@ -9,7 +9,6 @@ use crate::journal::SealedRecord;
 use crate::wire::{EncodedBatch, SpecFrame};
 use gridsat_cnf::{Clause, Lit};
 use gridsat_grid::{MessageSize, NodeId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Globally unique subproblem identity: creator node in the high bits,
@@ -17,7 +16,7 @@ use std::sync::Arc;
 /// master and clients never act on a stale grant, result or migration —
 /// subproblems move between nodes asynchronously, and timestamps alone
 /// cannot identify them.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ProblemId(pub u64);
 
 impl ProblemId {
@@ -27,7 +26,7 @@ impl ProblemId {
 }
 
 /// Why a run ended.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EndReason {
     Sat,
     Unsat,
@@ -38,7 +37,7 @@ pub enum EndReason {
 }
 
 /// The result a client reports for its subproblem.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum SubResult {
     /// Satisfying assignment, as the list of true literals
     /// ("this client sends the assignment stack to the master which
@@ -49,7 +48,7 @@ pub enum SubResult {
 }
 
 /// Checkpoint payloads (paper Section 3.4, implemented as an extension).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Checkpoint {
     /// Level-0 assignment only ("light checkpoint").
     Light { level0: Vec<(Lit, bool)> },

@@ -625,34 +625,14 @@ pub fn spec_wire_bytes(spec: &SplitSpec) -> usize {
 mod tests {
     use super::*;
 
-    /// Deterministic xorshift64* — the codec property tests run in
-    /// environments without the `proptest`/`rand` crates, so the random
-    /// cases are hand-rolled.
-    struct Rng(u64);
+    use gridsat_cnf::rng::Rng;
 
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        }
+    fn lit(rng: &mut Rng, max_var: u32) -> Lit {
+        Lit::new(gridsat_cnf::Var(rng.range_u32(0..max_var)), rng.next_bool())
+    }
 
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        fn clause(&mut self, max_var: u64, max_len: u64) -> Clause {
-            let len = self.below(max_len + 1);
-            Clause::new((0..len).map(|_| {
-                Lit::new(
-                    gridsat_cnf::Var(self.below(max_var) as u32),
-                    self.below(2) == 1,
-                )
-            }))
-        }
+    fn clause(rng: &mut Rng, max_var: u32, max_len: usize) -> Clause {
+        Clause::new((0..rng.range_usize(0..max_len + 1)).map(|_| lit(rng, max_var)))
     }
 
     fn canonical(c: &Clause) -> Clause {
@@ -724,8 +704,8 @@ mod tests {
 
     #[test]
     fn sliced_crc32_agrees_with_the_bytewise_loop() {
-        let mut rng = Rng(0x0123_4567_89ab_cdef);
-        let big: Vec<u8> = (0..1 << 20).map(|_| rng.next() as u8).collect();
+        let mut rng = Rng::seed_from_u64(0x0123_4567_89ab_cdef);
+        let big: Vec<u8> = (0..1 << 20).map(|_| rng.next_u64() as u8).collect();
         assert_eq!(crc32(&big), crc32_bytewise(&big));
         // every length around the 8-byte stride, at every alignment of
         // the tail, and not starting on an aligned address either
@@ -930,12 +910,12 @@ mod tests {
 
     #[test]
     fn random_batches_round_trip_canonically() {
-        let mut rng = Rng(0x1234_5678_9abc_def0);
+        let mut rng = Rng::seed_from_u64(0x1234_5678_9abc_def0);
         for _ in 0..200 {
-            let n = rng.below(8) as usize;
+            let n = rng.range_usize(0..8);
             let shares: Vec<(Clause, u64)> = (0..n)
                 .map(|_| {
-                    let c = rng.clause(5000, 12);
+                    let c = clause(&mut rng, 5000, 12);
                     let fp = c.fingerprint();
                     (c, fp)
                 })
@@ -960,21 +940,16 @@ mod tests {
 
     #[test]
     fn random_specs_round_trip_identically() {
-        let mut rng = Rng(0xfeed_beef_cafe_f00d);
+        let mut rng = Rng::seed_from_u64(0xfeed_beef_cafe_f00d);
         for _ in 0..200 {
-            let n_asm = rng.below(6) as usize;
-            let n_cl = rng.below(10) as usize;
+            let n_asm = rng.range_usize(0..6);
+            let n_cl = rng.range_usize(0..10);
             let spec = SplitSpec {
-                num_vars: rng.below(100_000) as usize,
+                num_vars: rng.range_usize(0..100_000),
                 assumptions: (0..n_asm)
-                    .map(|_| {
-                        (
-                            Lit::new(gridsat_cnf::Var(rng.below(5000) as u32), rng.below(2) == 1),
-                            rng.below(2) == 1,
-                        )
-                    })
+                    .map(|_| (lit(&mut rng, 5000), rng.next_bool()))
                     .collect(),
-                clauses: (0..n_cl).map(|_| rng.clause(5000, 12)).collect(),
+                clauses: (0..n_cl).map(|_| clause(&mut rng, 5000, 12)).collect(),
             };
             let bytes = encode_spec(&spec);
             assert_eq!(

@@ -6,7 +6,6 @@
 //! far — *dynamic predictor selection*. GridSAT's master consumes these
 //! forecasts to rank resources (paper Section 3.3).
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A single-series forecaster: feed measurements, ask for the next value.
@@ -20,7 +19,7 @@ pub trait Forecaster {
 }
 
 /// Predicts the last observed value.
-#[derive(Default, Clone, Debug, Serialize, Deserialize)]
+#[derive(Default, Clone, Debug)]
 pub struct LastValue {
     last: Option<f64>,
 }
@@ -38,7 +37,7 @@ impl Forecaster for LastValue {
 }
 
 /// Predicts the mean of the whole history.
-#[derive(Default, Clone, Debug, Serialize, Deserialize)]
+#[derive(Default, Clone, Debug)]
 pub struct RunningMean {
     sum: f64,
     n: u64,
@@ -58,7 +57,7 @@ impl Forecaster for RunningMean {
 }
 
 /// Predicts the mean of the last `window` measurements.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SlidingMean {
     window: usize,
     buf: VecDeque<f64>,
@@ -93,7 +92,7 @@ impl Forecaster for SlidingMean {
 }
 
 /// Predicts the median of the last `window` measurements.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SlidingMedian {
     window: usize,
     buf: VecDeque<f64>,
@@ -135,7 +134,7 @@ impl Forecaster for SlidingMedian {
 }
 
 /// Exponential smoothing with gain `alpha`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExpSmoothing {
     alpha: f64,
     state: Option<f64>,

@@ -8,12 +8,10 @@
 //! is the canonical shape of the CPU-availability series NWS was built to
 //! predict.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use gridsat_cnf::rng::Rng;
 
 /// Parameters of a synthetic host-load trace.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Long-run mean CPU availability in `[0, 1]` (1.0 = fully idle).
     pub mean_availability: f64,
@@ -78,7 +76,7 @@ impl TraceConfig {
 #[derive(Clone, Debug)]
 pub struct LoadTrace {
     config: TraceConfig,
-    rng: SmallRng,
+    rng: Rng,
     state: f64,
     burst_left: u32,
     step: u64,
@@ -89,7 +87,7 @@ impl LoadTrace {
         LoadTrace {
             state: config.mean_availability,
             config,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             burst_left: 0,
             step: 0,
         }
@@ -108,15 +106,15 @@ impl LoadTrace {
         };
         if self.burst_left > 0 {
             self.burst_left -= 1;
-            let jitter: f64 = self.rng.gen_range(-0.05..0.05);
+            let jitter: f64 = self.rng.range_f64(-0.05..0.05);
             return (c.burst_availability + jitter).clamp(0.05, 1.0);
         }
         if c.burst_prob > 0.0 && self.rng.gen_bool(c.burst_prob) {
-            let len = (c.burst_len * self.rng.gen_range(0.5..1.5)).max(1.0);
+            let len = (c.burst_len * self.rng.range_f64(0.5..1.5)).max(1.0);
             self.burst_left = len as u32;
         }
         let eps: f64 = if c.noise > 0.0 {
-            self.rng.gen_range(-c.noise..c.noise)
+            self.rng.range_f64(-c.noise..c.noise)
         } else {
             0.0
         };

@@ -1,7 +1,6 @@
 //! A minimal JSON layer for the trace format: enough to write one event
-//! per line and read it back, with no external crates (the build
-//! environment cannot reach crates.io, and `serde_json` is only a
-//! dev-dependency elsewhere in the workspace).
+//! per line and read it back, with no external crates (the workspace
+//! depends on none).
 //!
 //! The writer produces flat objects of scalars (`ObjWriter`); the parser
 //! accepts exactly that shape. Field order is preserved on write so the

@@ -5,9 +5,8 @@
 //! (The at-most-one-colour-per-vertex constraint is unnecessary for
 //! satisfiability and is omitted, as in the classic DIMACS encodings.)
 
+use gridsat_cnf::rng::Rng;
 use gridsat_cnf::{Formula, Var};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// A simple undirected graph as an edge list.
 pub struct Graph {
@@ -57,11 +56,11 @@ impl Graph {
 
     /// Erdos-Renyi random graph `G(n, p)`, deterministic in `seed`.
     pub fn random(n: usize, p: f64, seed: u64) -> Graph {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut edges = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                if rng.gen::<f64>() < p {
+                if rng.next_f64() < p {
                     edges.push((i, j));
                 }
             }
@@ -72,12 +71,12 @@ impl Graph {
     /// Random graph that is `k`-colourable by construction: vertices are
     /// secretly partitioned into `k` classes and edges only cross classes.
     pub fn random_colorable(n: usize, p: f64, k: usize, seed: u64) -> Graph {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let class: Vec<usize> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+        let mut rng = Rng::seed_from_u64(seed);
+        let class: Vec<usize> = (0..n).map(|_| rng.range_usize(0..k)).collect();
         let mut edges = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                if class[i] != class[j] && rng.gen::<f64>() < p {
+                if class[i] != class[j] && rng.next_f64() < p {
                     edges.push((i, j));
                 }
             }

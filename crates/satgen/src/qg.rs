@@ -6,10 +6,8 @@
 //! almost always completable; adding a deliberate row conflict gives UNSAT
 //! instances.
 
+use gridsat_cnf::rng::Rng;
 use gridsat_cnf::{Formula, Var};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
 /// Variable `x(r, c, s)` = "cell (r,c) holds symbol s".
 fn x(r: usize, c: usize, s: usize, n: usize) -> Var {
@@ -63,17 +61,17 @@ pub fn latin_square(n: usize, clues: &[(usize, usize, usize)], name: impl Into<S
 /// A `qg`-style instance: an `n x n` Latin square with `clue_count` random
 /// clues taken from a hidden complete square (always completable => SAT).
 pub fn qg_sat(n: usize, clue_count: usize, seed: u64) -> Formula {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     // hidden square: cyclic Latin square with shuffled symbols/rows
     let perm: Vec<usize> = {
         let mut p: Vec<usize> = (0..n).collect();
-        p.shuffle(&mut rng);
+        rng.shuffle(&mut p);
         p
     };
     let square = |r: usize, c: usize| perm[(r + c) % n];
 
     let mut cells: Vec<(usize, usize)> = (0..n).flat_map(|r| (0..n).map(move |c| (r, c))).collect();
-    cells.shuffle(&mut rng);
+    rng.shuffle(&mut cells);
     let clues: Vec<(usize, usize, usize)> = cells
         .into_iter()
         .take(clue_count)
@@ -88,12 +86,12 @@ pub fn qg_sat(n: usize, clue_count: usize, seed: u64) -> Formula {
 /// axioms to refute.
 pub fn qg_unsat(n: usize, clue_count: usize, seed: u64) -> Formula {
     assert!(n >= 2);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
     // consistent random clues on rows 1.., then the row-0 conflict
     let mut clues: Vec<(usize, usize, usize)> = Vec::new();
     for _ in 0..clue_count {
-        let r = rng.gen_range(1..n);
-        let c = rng.gen_range(0..n);
+        let r = rng.range_usize(1..n);
+        let c = rng.range_usize(0..n);
         let s = (r + c) % n; // consistent with the cyclic square
         if !clues.iter().any(|&(cr, cc, _)| cr == r && cc == c) {
             clues.push((r, c, s));

@@ -7,24 +7,22 @@
 //! with a *planted* satisfying assignment (guaranteed SAT, glassy energy
 //! landscape).
 
+use gridsat_cnf::rng::Rng;
 use gridsat_cnf::{Formula, Lit};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
 /// Uniform random k-SAT: `m` clauses of `k` distinct variables over `n`
 /// variables, signs fair coins. Deterministic in `seed`.
 pub fn random_ksat(n: usize, m: usize, k: usize, seed: u64) -> Formula {
     assert!(k >= 1 && n >= k);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut f = Formula::new(n);
     f.set_name(format!("rand{k}sat-n{n}-m{m}-s{seed}"));
     let mut vars: Vec<u32> = (0..n as u32).collect();
     for _ in 0..m {
-        let (chosen, _) = vars.partial_shuffle(&mut rng, k);
+        let (chosen, _) = rng.partial_shuffle(&mut vars, k);
         let clause: Vec<Lit> = chosen
             .iter()
-            .map(|&v| Lit::new(v.into(), rng.gen::<bool>()))
+            .map(|&v| Lit::new(v.into(), rng.next_bool()))
             .collect();
         f.add_clause(clause);
     }
@@ -45,17 +43,17 @@ pub fn random_3sat_phase_transition(n: usize, seed: u64) -> Formula {
 /// is SAT by construction ("glassy" landscape).
 pub fn planted_ksat(n: usize, m: usize, k: usize, seed: u64) -> Formula {
     assert!(k >= 1 && n >= k);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let hidden: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+    let mut rng = Rng::seed_from_u64(seed);
+    let hidden: Vec<bool> = (0..n).map(|_| rng.next_bool()).collect();
     let mut f = Formula::new(n);
     f.set_name(format!("glassy-planted-n{n}-m{m}-s{seed}"));
     let mut vars: Vec<u32> = (0..n as u32).collect();
     for _ in 0..m {
         loop {
-            let (chosen, _) = vars.partial_shuffle(&mut rng, k);
+            let (chosen, _) = rng.partial_shuffle(&mut vars, k);
             let clause: Vec<Lit> = chosen
                 .iter()
-                .map(|&v| Lit::new(v.into(), rng.gen::<bool>()))
+                .map(|&v| Lit::new(v.into(), rng.next_bool()))
                 .collect();
             // keep only clauses the hidden assignment satisfies
             let satisfied = clause.iter().any(|&l| {
@@ -78,8 +76,8 @@ pub fn planted_ksat(n: usize, m: usize, k: usize, seed: u64) -> Formula {
 /// The hidden assignment a planted instance was built around
 /// (for tests: regenerate with the same seed).
 pub fn planted_hidden_assignment(n: usize, seed: u64) -> Vec<bool> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen()).collect()
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..n).map(|_| rng.next_bool()).collect()
 }
 
 #[cfg(test)]

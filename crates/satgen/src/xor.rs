@@ -7,10 +7,8 @@
 //! auxiliary variables so the expansion stays small — the same construction
 //! the DIMACS parity benchmarks use.
 
+use gridsat_cnf::rng::Rng;
 use gridsat_cnf::{Formula, Lit, Var};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
 /// Maximum direct-encoding width; wider XORs are chained.
 const MAX_XOR_WIDTH: usize = 4;
@@ -70,8 +68,8 @@ fn add_xor_direct(f: &mut Formula, lits: &[Lit], rhs: bool) {
 /// what makes the DIMACS parity family hard.
 pub fn parity(n: usize, rows: usize, width: usize, sat: bool, seed: u64) -> Formula {
     assert!(width >= 2 && n >= width);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let hidden: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+    let mut rng = Rng::seed_from_u64(seed);
+    let hidden: Vec<bool> = (0..n).map(|_| rng.next_bool()).collect();
     let mut f = Formula::new(n);
     f.set_name(format!(
         "par-n{n}-r{rows}-w{width}-{}-s{seed}",
@@ -81,7 +79,7 @@ pub fn parity(n: usize, rows: usize, width: usize, sat: bool, seed: u64) -> Form
     let mut vars: Vec<u32> = (0..n as u32).collect();
     let mut row_data: Vec<(Vec<Lit>, bool)> = Vec::with_capacity(rows + 1);
     for _ in 0..rows {
-        let (chosen, _) = vars.partial_shuffle(&mut rng, width);
+        let (chosen, _) = rng.partial_shuffle(&mut vars, width);
         let lits: Vec<Lit> = chosen.iter().map(|&v| Var(v).positive()).collect();
         let rhs = lits
             .iter()
@@ -92,7 +90,7 @@ pub fn parity(n: usize, rows: usize, width: usize, sat: bool, seed: u64) -> Form
         // Extra row = GF(2) sum of a random subset of rows, rhs flipped.
         let subset_size = (rows / 2).max(2).min(rows);
         let mut idx: Vec<usize> = (0..rows).collect();
-        let (subset, _) = idx.partial_shuffle(&mut rng, subset_size);
+        let (subset, _) = rng.partial_shuffle(&mut idx, subset_size);
         let subset: Vec<usize> = subset.to_vec();
         let mut var_parity = vec![false; n];
         let mut rhs_sum = false;
@@ -132,7 +130,7 @@ pub fn parity(n: usize, rows: usize, width: usize, sat: bool, seed: u64) -> Form
 /// appears in exactly two constraints, forcing even total parity).
 pub fn urquhart(rungs: usize, seed: u64) -> Formula {
     assert!(rungs >= 3);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     // Circular ladder CL_rungs: 2*rungs vertices, 3*rungs edges
     // (two cycles of length `rungs` plus the rungs between them).
     let n_edges = 3 * rungs;
@@ -150,8 +148,8 @@ pub fn urquhart(rungs: usize, seed: u64) -> Formula {
     charges[0] = true;
     // flipping a random pair keeps total parity odd
     for _ in 0..rungs {
-        let a = rng.gen_range(0..2 * rungs);
-        let b = rng.gen_range(0..2 * rungs);
+        let a = rng.range_usize(0..2 * rungs);
+        let b = rng.range_usize(0..2 * rungs);
         if a != b {
             charges[a] = !charges[a];
             charges[b] = !charges[b];

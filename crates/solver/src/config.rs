@@ -1,9 +1,7 @@
 //! Solver configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Restart policy (off by default; zChaff-era restarts are geometric).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RestartConfig {
     /// Conflicts before the first restart.
     pub first_interval: u64,
@@ -26,7 +24,7 @@ impl Default for RestartConfig {
 /// VSIDS with periodic division, FirstUIP learning without minimization,
 /// no restarts, no phase saving. The post-2003 refinements are available
 /// behind flags for the ablation benches.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SolverConfig {
     /// Conflicts between VSIDS decays ("periodically all counts are
     /// divided by a constant", Section 2.4).

@@ -40,7 +40,6 @@ use crate::stats::Stats;
 use crate::vsids::Vsids;
 use gridsat_cnf::{Assignment, Clause, Formula, Lit, Value, Var};
 use gridsat_obs::{Event, Obs};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Capacity of the known-clause fingerprint window. Sized so that on a
@@ -49,7 +48,7 @@ use std::collections::VecDeque;
 const KNOWN_FP_WINDOW: usize = 1 << 16;
 
 /// Terminal status of a (sub)problem.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SolveStatus {
     /// A satisfying assignment was found (valid for the subproblem;
     /// the GridSAT master re-verifies against the original formula).
@@ -78,7 +77,7 @@ pub enum Step {
 /// Contains the level-0 assignment (with per-literal "globally derivable"
 /// flags) and every clause not already satisfied at level 0. Clauses are
 /// transferred *unstripped* so they remain valid for the original problem.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SplitSpec {
     /// Variable universe size (shared by all clients).
     pub num_vars: usize,
@@ -1684,8 +1683,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use gridsat_cnf::rng::Rng;
 
     /// `from_split` as first written: normalise a clone of each clause (a
     /// sort and a dedup, always), copy its literals once more, and sift
@@ -1733,15 +1731,15 @@ mod tests {
     /// A clause in one of the shapes the loader and the merge special-case:
     /// ascending (the no-sort path), shuffled, repeated literals, a
     /// tautology, a unit and, now and then, the empty clause.
-    fn arbitrary_clause(rng: &mut SmallRng, num_vars: usize) -> Clause {
-        let lit = |rng: &mut SmallRng| Lit::new(Var(rng.gen_range(0..num_vars as u32)), rng.gen());
-        let len = match rng.gen_range(0..20u32) {
+    fn arbitrary_clause(rng: &mut Rng, num_vars: usize) -> Clause {
+        let lit = |rng: &mut Rng| Lit::new(Var(rng.range_u32(0..num_vars as u32)), rng.next_bool());
+        let len = match rng.range_u32(0..20) {
             0 => 0,
             1..=4 => 1,
-            _ => rng.gen_range(2..6usize),
+            _ => rng.range_usize(2..6),
         };
         let mut lits: Vec<Lit> = (0..len).map(|_| lit(rng)).collect();
-        match rng.gen_range(0..4u32) {
+        match rng.range_u32(0..4) {
             // as drawn: unsorted, duplicates and tautologies likely
             0 => {}
             // sorted, duplicates kept
@@ -1758,15 +1756,15 @@ mod tests {
     }
 
     /// A spec of up to two dozen [`arbitrary_clause`]s and a few assumptions.
-    fn arbitrary_spec(rng: &mut SmallRng) -> SplitSpec {
-        let num_vars = rng.gen_range(1..13usize);
-        let clauses = (0..rng.gen_range(0..24usize))
+    fn arbitrary_spec(rng: &mut Rng) -> SplitSpec {
+        let num_vars = rng.range_usize(1..13);
+        let clauses = (0..rng.range_usize(0..24))
             .map(|_| arbitrary_clause(rng, num_vars))
             .collect();
-        let assumptions = (0..rng.gen_range(0..3usize))
+        let assumptions = (0..rng.range_usize(0..3))
             .map(|_| {
-                let var = Var(rng.gen_range(0..num_vars as u32));
-                (Lit::new(var, rng.gen()), rng.gen())
+                let var = Var(rng.range_u32(0..num_vars as u32));
+                (Lit::new(var, rng.next_bool()), rng.next_bool())
             })
             .collect();
         SplitSpec {
@@ -1796,7 +1794,7 @@ mod tests {
 
     #[test]
     fn slice_loader_agrees_with_the_clone_and_normalise_path() {
-        let mut rng = SmallRng::seed_from_u64(14);
+        let mut rng = Rng::seed_from_u64(14);
         let (mut decided, mut searched) = (0, 0);
         for case in 0..2000 {
             let spec = arbitrary_spec(&mut rng);
@@ -1882,7 +1880,7 @@ mod tests {
 
     #[test]
     fn flat_inbox_merges_like_the_queue_of_clauses() {
-        let mut rng = SmallRng::seed_from_u64(15);
+        let mut rng = Rng::seed_from_u64(15);
         let (mut implied, mut refuted, mut discarded, mut skipped) = (0, 0, 0, 0);
         for case in 0..2000 {
             let spec = arbitrary_spec(&mut rng);
@@ -1901,11 +1899,11 @@ mod tests {
                 if new.status().is_some() {
                     break;
                 }
-                for _ in 0..rng.gen_range(1..10usize) {
+                for _ in 0..rng.range_usize(1..10) {
                     let clause = arbitrary_clause(&mut rng, spec.num_vars);
                     let fp = clause.fingerprint();
                     // the unchecked entry, or one of the two checked ones
-                    let checked = rng.gen_range(0..3u32);
+                    let checked = rng.range_u32(0..3);
                     if checked > 0 && !old.known_fps.insert(fp) {
                         old.stats.merge_skipped += 1;
                     } else {
@@ -1946,7 +1944,7 @@ mod tests {
     /// `Solver::new` and `from_parts` go through the same loader.
     #[test]
     fn every_constructor_loads_alike() {
-        let mut rng = SmallRng::seed_from_u64(41);
+        let mut rng = Rng::seed_from_u64(41);
         for _ in 0..200 {
             let spec = SplitSpec {
                 assumptions: Vec::new(),

@@ -1,14 +1,13 @@
 //! Search statistics and the work metric used by the Grid simulator.
 
 use gridsat_obs::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 
 /// Counters accumulated over a solver's lifetime.
 ///
 /// `work` is the simulator's time proxy: it advances on every watch-list
 /// visit, enqueue, and conflict-analysis step, so simulated seconds can be
 /// computed as `work / host_speed` independent of wall-clock noise.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Decisions made (VSIDS or scripted).
     pub decisions: u64,

@@ -242,16 +242,15 @@ mod tests {
     /// sift-on-bump built — also through later bumps, reinserts and decays.
     #[test]
     fn unordered_bumps_and_one_reorder_pop_like_sift_on_bump() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use gridsat_cnf::rng::Rng;
         for schedule in 0..1000u64 {
-            let mut rng = SmallRng::seed_from_u64(schedule);
-            let n_lits = 2 * rng.gen_range(1..40usize);
+            let mut rng = Rng::seed_from_u64(schedule);
+            let n_lits = 2 * rng.range_usize(1..40);
             let mut sifted = Vsids::new(n_lits / 2);
             let mut bulk = Vsids::new(n_lits / 2);
             // few distinct scores, so ties are the common case
-            for _ in 0..rng.gen_range(0..300usize) {
-                let l = lit(rng.gen_range(0..n_lits));
+            for _ in 0..rng.range_usize(0..300) {
+                let l = lit(rng.range_usize(0..n_lits));
                 sifted.bump(l);
                 bulk.bump_unordered(l);
             }
@@ -259,16 +258,16 @@ mod tests {
             assert_eq!(sifted.score, bulk.score);
             let mut out: Vec<Lit> = Vec::new();
             for _ in 0..3 * n_lits {
-                match rng.gen_range(0..8u32) {
+                match rng.range_u32(0..8) {
                     0..=3 => {
-                        let skip = rng.gen_range(0..n_lits);
+                        let skip = rng.range_usize(0..n_lits);
                         let a = sifted.pop_best(|l| l.code() != skip);
                         let b = bulk.pop_best(|l| l.code() != skip);
                         assert_eq!(a, b, "schedule {schedule}");
                         out.extend(a);
                     }
                     4 | 5 => {
-                        let l = lit(rng.gen_range(0..n_lits));
+                        let l = lit(rng.range_usize(0..n_lits));
                         sifted.bump(l);
                         bulk.bump(l);
                     }
@@ -296,14 +295,13 @@ mod tests {
 
     #[test]
     fn heavy_random_usage_keeps_invariants() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(1);
+        use gridsat_cnf::rng::Rng;
+        let mut rng = Rng::seed_from_u64(1);
         let mut v = Vsids::new(50);
         let mut out: Vec<Lit> = Vec::new();
         for _ in 0..2000 {
-            match rng.gen_range(0..4) {
-                0 => v.bump(lit(rng.gen_range(0..100))),
+            match rng.range_u32(0..4) {
+                0 => v.bump(lit(rng.range_usize(0..100))),
                 1 => {
                     if let Some(l) = v.pop_best(|_| true) {
                         out.push(l);

@@ -1,10 +1,13 @@
 //! Solver correctness against ground truth: brute force on random small
 //! instances, and the generator families' known statuses.
 
+use gridsat_cnf::rng::Rng;
 use gridsat_cnf::{Formula, Lit, Value};
 use gridsat_satgen as satgen;
 use gridsat_solver::{driver, SolveStatus, SolverConfig};
-use proptest::prelude::*;
+
+/// Cases per property; a failing assertion names its case seed.
+const CASES: u64 = 200;
 
 /// Exponential reference check (small instances only).
 fn brute_force(f: &Formula) -> bool {
@@ -32,62 +35,71 @@ fn brute_force(f: &Formula) -> bool {
     rec(f, &mut a, 0)
 }
 
-fn check(f: &Formula) {
+fn check(f: &Formula, seed: u64) {
     let expected = brute_force(f);
     let report = driver::solve(f, SolverConfig::default(), driver::Limits::default());
     match report.outcome {
         gridsat_solver::Outcome::Sat(model) => {
-            assert!(expected, "solver said SAT, brute force says UNSAT: {f:?}");
-            assert!(f.is_satisfied_by(&model), "model does not verify: {f:?}");
+            assert!(
+                expected,
+                "solver said SAT, brute force says UNSAT: {f:?}, case seed {seed}"
+            );
+            assert!(
+                f.is_satisfied_by(&model),
+                "model does not verify: {f:?}, case seed {seed}"
+            );
         }
         gridsat_solver::Outcome::Unsat => {
-            assert!(!expected, "solver said UNSAT, brute force says SAT: {f:?}");
+            assert!(
+                !expected,
+                "solver said UNSAT, brute force says SAT: {f:?}, case seed {seed}"
+            );
         }
-        other => panic!("unexpected outcome {other:?}"),
+        other => panic!("unexpected outcome {other:?}, case seed {seed}"),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// Random 3-SAT across densities agrees with brute force, and SAT
-    /// models verify.
-    #[test]
-    fn random_3sat_agrees_with_brute_force(
-        n in 3usize..12,
-        density in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        let m = n * density;
-        let f = satgen::random_ksat::random_ksat(n, m, 3, seed);
-        check(&f);
+/// Random 3-SAT across densities agrees with brute force, and SAT
+/// models verify.
+#[test]
+fn random_3sat_agrees_with_brute_force() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.range_usize(3..12);
+        let m = n * rng.range_usize(1..8);
+        let f = satgen::random_ksat::random_ksat(n, m, 3, rng.next_u64());
+        check(&f, seed);
     }
+}
 
-    /// Random mixed-width clauses (including units and binaries).
-    #[test]
-    fn random_mixed_agrees_with_brute_force(
-        n in 2usize..10,
-        clauses in prop::collection::vec(
-            prop::collection::vec((0u32..10, any::<bool>()), 1..5),
-            1..25,
-        ),
-    ) {
+/// Random mixed-width clauses (including units and binaries).
+#[test]
+fn random_mixed_agrees_with_brute_force() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.range_usize(2..10);
         let mut f = Formula::new(n);
-        for c in &clauses {
+        for _ in 0..rng.range_usize(1..25) {
+            let len = rng.range_usize(1..5);
             f.add_clause(
-                c.iter().map(|&(v, neg)| Lit::new((v % n as u32).into(), neg)),
+                (0..len).map(|_| Lit::new(rng.range_u32(0..n as u32).into(), rng.next_bool())),
             );
         }
-        check(&f);
+        check(&f, seed);
     }
+}
 
-    /// With every paper-era extension toggled on, answers stay correct.
-    #[test]
-    fn extensions_preserve_correctness(
-        n in 3usize..10,
-        seed in any::<u64>(),
-    ) {
-        let f = satgen::random_ksat::random_ksat(n, n * 5, 3, seed);
+/// With every paper-era extension toggled on, answers stay correct.
+#[test]
+fn extensions_preserve_correctness() {
+    // a case that failed once, then `CASES` fresh ones
+    let regression = (8, 3043869692080702881);
+    let fresh = (0..CASES).map(|seed| {
+        let mut rng = Rng::seed_from_u64(seed);
+        (rng.range_usize(3..10), rng.next_u64())
+    });
+    for (n, gen_seed) in std::iter::once(regression).chain(fresh) {
+        let f = satgen::random_ksat::random_ksat(n, n * 5, 3, gen_seed);
         let expected = brute_force(&f);
         let config = SolverConfig {
             minimize_learned: true,
@@ -101,13 +113,14 @@ proptest! {
             ..SolverConfig::default()
         };
         let report = driver::solve(&f, config, driver::Limits::default());
+        let case = format!("random_ksat({n}, {}, 3, {gen_seed})", n * 5);
         match report.outcome {
             gridsat_solver::Outcome::Sat(model) => {
-                prop_assert!(expected);
-                prop_assert!(f.is_satisfied_by(&model));
+                assert!(expected, "{case}");
+                assert!(f.is_satisfied_by(&model), "{case}");
             }
-            gridsat_solver::Outcome::Unsat => prop_assert!(!expected),
-            other => panic!("unexpected outcome {other:?}"),
+            gridsat_solver::Outcome::Unsat => assert!(!expected, "{case}"),
+            other => panic!("unexpected outcome {other:?} on {case}"),
         }
     }
 }

@@ -2,40 +2,55 @@
 //! of stepping, splitting, foreign-clause merging and database reduction,
 //! checking the internal invariants after every operation.
 
+use gridsat_cnf::rng::Rng;
 use gridsat_cnf::{Clause, Lit};
 use gridsat_satgen as satgen;
 use gridsat_solver::{SolveStatus, Solver, SolverConfig, Step};
-use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
-    Step(u16),
+    Step(u64),
     Split,
     Reduce,
-    Foreign(Vec<(u8, bool)>),
+    Foreign(u32),
 }
 
-fn arb_op(n_vars: u8) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (1u16..2000).prop_map(Op::Step),
-        1 => Just(Op::Split),
-        1 => Just(Op::Reduce),
-        1 => prop::collection::vec((0..n_vars, any::<bool>()), 1..4).prop_map(Op::Foreign),
-    ]
+/// Steps four times in seven; splits, reductions and foreign clauses (on
+/// a variable below `n_vars`) once each.
+fn arb_op(rng: &mut Rng, n_vars: u32) -> Op {
+    match rng.range_u32(0..7) {
+        0..=3 => Op::Step(u64::from(rng.range_u32(1..2000))),
+        4 => Op::Split,
+        5 => Op::Reduce,
+        _ => Op::Foreign(rng.range_u32(0..n_vars)),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+/// The invariant checks panic inside the solver, where no message can
+/// carry the case seed: this prints it while such a panic unwinds.
+struct CaseSeed(u64);
 
-    /// Random operation sequences never violate the solver's invariants,
-    /// and all produced halves jointly agree with ground truth.
-    #[test]
-    fn random_interleavings_keep_invariants(
-        seed in any::<u64>(),
-        n in 8usize..16,
-        ops in prop::collection::vec(arb_op(16), 1..30),
-    ) {
-        let f = satgen::random_ksat::random_ksat(n, (n as f64 * 4.3) as usize, 3, seed);
+impl Drop for CaseSeed {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("case seed {}", self.0);
+        }
+    }
+}
+
+/// Random operation sequences never violate the solver's invariants,
+/// and all produced halves jointly agree with ground truth.
+#[test]
+fn random_interleavings_keep_invariants() {
+    for seed in 0..40 {
+        let _case = CaseSeed(seed);
+        let mut rng = Rng::seed_from_u64(seed);
+        let gen_seed = rng.next_u64();
+        let n = rng.range_usize(8..16);
+        let ops: Vec<Op> = (0..rng.range_usize(1..30))
+            .map(|_| arb_op(&mut rng, n as u32))
+            .collect();
+        let f = satgen::random_ksat::random_ksat(n, (n as f64 * 4.3) as usize, 3, gen_seed);
         let truth = {
             // ground truth from a clean solve
             gridsat_solver::driver::decide(&f)
@@ -49,7 +64,7 @@ proptest! {
             }
             match op {
                 Op::Step(q) => {
-                    let _ = s.step(u64::from(*q));
+                    let _ = s.step(*q);
                 }
                 Op::Split => {
                     if let Some(spec) = s.split_off() {
@@ -57,12 +72,11 @@ proptest! {
                     }
                 }
                 Op::Reduce => s.reduce_db(),
-                Op::Foreign(lits) => {
+                Op::Foreign(v) => {
                     // only share clauses implied by the formula: a clause
                     // containing some var twice with both signs is a
                     // tautology, trivially sound to merge
-                    let v = lits[0].0 as u32 % n as u32;
-                    s.queue_foreign(Clause::new([Lit::pos(v), Lit::neg(v)]));
+                    s.queue_foreign(Clause::new([Lit::pos(*v), Lit::neg(*v)]));
                 }
             }
             s.check_invariants();
@@ -74,7 +88,7 @@ proptest! {
             let mut h = Solver::from_split(spec, SolverConfig::default());
             any_sat |= finish(&mut h) == SolveStatus::Sat;
         }
-        prop_assert_eq!(any_sat, truth == SolveStatus::Sat);
+        assert_eq!(any_sat, truth == SolveStatus::Sat);
     }
 }
 

@@ -2,9 +2,9 @@
 //! real instances is backed by a trace the independent RUP checker
 //! accepts; corrupted traces are rejected.
 
+use gridsat_cnf::rng::Rng;
 use gridsat_satgen as satgen;
 use gridsat_solver::{proof, Solver, SolverConfig, Step};
-use proptest::prelude::*;
 
 fn prove_unsat(f: &gridsat_cnf::Formula, config: SolverConfig) -> proof::Proof {
     let mut s = Solver::new(f, config);
@@ -140,13 +140,14 @@ fn drat_text_export_is_wellformed() {
     assert!(text.lines().all(|l| l.ends_with(" 0") || l == "0"));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Every UNSAT random instance yields a checkable proof.
-    #[test]
-    fn random_unsat_proofs_check(n in 5usize..12, seed in any::<u64>()) {
-        let f = satgen::random_ksat::random_ksat(n, n * 6, 3, seed);
+/// Every UNSAT random instance yields a checkable proof.
+#[test]
+fn random_unsat_proofs_check() {
+    for seed in 0..40 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.range_usize(5..12);
+        let gen_seed = rng.next_u64();
+        let f = satgen::random_ksat::random_ksat(n, n * 6, 3, gen_seed);
         let mut s = Solver::new(&f, SolverConfig::default());
         s.enable_proof();
         let unsat = loop {
@@ -158,7 +159,7 @@ proptest! {
         };
         if unsat {
             let p = s.take_proof().expect("proof");
-            prop_assert!(proof::check(&f, &p).is_ok());
+            assert!(proof::check(&f, &p).is_ok(), "case seed {seed}");
         }
     }
 }

@@ -9,10 +9,10 @@
 //!    though peers work under different split assumptions);
 //! 3. merging foreign clauses follows the paper's four cases.
 
+use gridsat_cnf::rng::Rng;
 use gridsat_cnf::{Clause, Formula, Lit, Value};
 use gridsat_satgen as satgen;
 use gridsat_solver::{SolveStatus, Solver, SolverConfig, SplitSpec, Step};
-use proptest::prelude::*;
 
 fn brute_force(f: &Formula) -> bool {
     let n = f.num_vars();
@@ -73,17 +73,15 @@ fn solve_solver(s: &mut Solver) -> SolveStatus {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(60))]
-
-    /// SAT(original) == SAT(left half) OR SAT(right half), recursively.
-    #[test]
-    fn split_partitions_the_search_space(
-        n in 4usize..12,
-        density in 3usize..6,
-        seed in any::<u64>(),
-    ) {
-        let f = satgen::random_ksat::random_ksat(n, n * density, 3, seed);
+/// SAT(original) == SAT(left half) OR SAT(right half), recursively.
+#[test]
+fn split_partitions_the_search_space() {
+    for seed in 0..60 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.range_usize(4..12);
+        let density = rng.range_usize(3..6);
+        let gen_seed = rng.next_u64();
+        let f = satgen::random_ksat::random_ksat(n, n * density, 3, gen_seed);
         let expected = brute_force(&f);
 
         let mut left = Solver::new(&f, SolverConfig::default());
@@ -94,15 +92,15 @@ proptest! {
                 let sl = solve_solver(&mut left);
                 let sr = solve_solver(&mut right);
                 if sl == SolveStatus::Sat {
-                    prop_assert!(
+                    assert!(
                         f.is_satisfied_by(&left.model().unwrap()),
-                        "left model must satisfy the ORIGINAL formula"
+                        "left model must satisfy the ORIGINAL formula, case seed {seed}"
                     );
                 }
                 if sr == SolveStatus::Sat {
-                    prop_assert!(
+                    assert!(
                         f.is_satisfied_by(&right.model().unwrap()),
-                        "right model must satisfy the ORIGINAL formula"
+                        "right model must satisfy the ORIGINAL formula, case seed {seed}"
                     );
                 }
                 if sl == SolveStatus::Sat || sr == SolveStatus::Sat {
@@ -112,17 +110,19 @@ proptest! {
                 }
             }
         };
-        prop_assert_eq!(status == SolveStatus::Sat, expected);
+        assert_eq!(status == SolveStatus::Sat, expected, "case seed {seed}");
     }
+}
 
-    /// Clauses offered for sharing are implied by the original formula,
-    /// even when learned under split assumptions.
-    #[test]
-    fn shared_clauses_are_globally_valid(
-        n in 4usize..10,
-        seed in any::<u64>(),
-    ) {
-        let f = satgen::random_ksat::random_ksat(n, n * 5, 3, seed);
+/// Clauses offered for sharing are implied by the original formula,
+/// even when learned under split assumptions.
+#[test]
+fn shared_clauses_are_globally_valid() {
+    for seed in 0..60 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.range_usize(4..10);
+        let gen_seed = rng.next_u64();
+        let f = satgen::random_ksat::random_ksat(n, n * 5, 3, gen_seed);
         let config = SolverConfig {
             share_len_limit: Some(10),
             ..SolverConfig::default()
@@ -139,23 +139,25 @@ proptest! {
             for s in &mut solvers {
                 let _ = s.step(20_000);
                 for (clause, fp) in s.take_shared() {
-                    prop_assert!(
+                    assert!(
                         implied_by(&f, &clause),
-                        "shared clause {clause} is not implied by the original formula"
+                        "shared clause {clause} is not implied by the original formula, case seed {seed}"
                     );
-                    prop_assert_eq!(fp, clause.fingerprint());
+                    assert_eq!(fp, clause.fingerprint(), "case seed {seed}");
                 }
             }
         }
     }
+}
 
-    /// Splitting repeatedly and solving every leaf gives the right answer.
-    #[test]
-    fn recursive_splits_cover_everything(
-        n in 4usize..10,
-        seed in any::<u64>(),
-    ) {
-        let f = satgen::random_ksat::random_ksat(n, (n as f64 * 4.3) as usize, 3, seed);
+/// Splitting repeatedly and solving every leaf gives the right answer.
+#[test]
+fn recursive_splits_cover_everything() {
+    for seed in 0..60 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.range_usize(4..10);
+        let gen_seed = rng.next_u64();
+        let f = satgen::random_ksat::random_ksat(n, (n as f64 * 4.3) as usize, 3, gen_seed);
         let expected = brute_force(&f);
 
         let mut frontier = vec![Solver::new(&f, SolverConfig::default())];
@@ -171,21 +173,23 @@ proptest! {
                 }
             }
             if solve_solver(&mut s) == SolveStatus::Sat {
-                prop_assert!(f.is_satisfied_by(&s.model().unwrap()));
+                assert!(f.is_satisfied_by(&s.model().unwrap()), "case seed {seed}");
                 any_sat = true;
             }
         }
-        prop_assert_eq!(any_sat, expected);
+        assert_eq!(any_sat, expected, "case seed {seed}");
     }
+}
 
-    /// Exchanging shared clauses between split halves never changes the
-    /// answer.
-    #[test]
-    fn sharing_preserves_answers(
-        n in 4usize..10,
-        seed in any::<u64>(),
-    ) {
-        let f = satgen::random_ksat::random_ksat(n, n * 4, 3, seed);
+/// Exchanging shared clauses between split halves never changes the
+/// answer.
+#[test]
+fn sharing_preserves_answers() {
+    for seed in 0..60 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.range_usize(4..10);
+        let gen_seed = rng.next_u64();
+        let f = satgen::random_ksat::random_ksat(n, n * 4, 3, gen_seed);
         let expected = brute_force(&f);
         let config = SolverConfig {
             share_len_limit: Some(10),
@@ -193,7 +197,7 @@ proptest! {
         };
         let mut a = Solver::new(&f, config.clone());
         let Some(spec) = split_when_possible(&mut a) else {
-            return Ok(());
+            continue;
         };
         let mut b = Solver::from_split(&spec, config);
 
@@ -232,13 +236,13 @@ proptest! {
         }
         match sat {
             Some(model) => {
-                prop_assert!(expected);
-                prop_assert!(f.is_satisfied_by(&model));
+                assert!(expected, "case seed {seed}");
+                assert!(f.is_satisfied_by(&model), "case seed {seed}");
             }
             None => {
-                prop_assert_eq!(a.status(), Some(SolveStatus::Unsat));
-                prop_assert_eq!(b.status(), Some(SolveStatus::Unsat));
-                prop_assert!(!expected);
+                assert_eq!(a.status(), Some(SolveStatus::Unsat), "case seed {seed}");
+                assert_eq!(b.status(), Some(SolveStatus::Unsat), "case seed {seed}");
+                assert!(!expected, "case seed {seed}");
             }
         }
     }
@@ -336,13 +340,6 @@ fn split_spec_roundtrips_and_reports_size() {
     let spec = split_when_possible(&mut s).expect("php(5,4) needs decisions");
     assert!(spec.approx_message_bytes() > 0);
     assert!(!spec.assumptions.is_empty());
-
-    // serde roundtrip (what EveryWare-style messaging does)
-    let json = serde_json::to_string(&spec).unwrap();
-    let back: SplitSpec = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.num_vars, spec.num_vars);
-    assert_eq!(back.assumptions, spec.assumptions);
-    assert_eq!(back.clauses, spec.clauses);
 }
 
 #[test]
@@ -393,18 +390,16 @@ fn split_drops_satisfied_clauses_only() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(120))]
-
-    /// With recursive minimization on, answers still agree with brute
-    /// force and every clause offered for sharing (i.e. every minimized
-    /// learned clause under the limit) is still implied by the formula.
-    #[test]
-    fn minimized_clauses_stay_implied(
-        n in 4usize..11,
-        seed in any::<u64>(),
-    ) {
-        let f = satgen::random_ksat::random_ksat(n, n * 5, 3, seed);
+/// With recursive minimization on, answers still agree with brute
+/// force and every clause offered for sharing (i.e. every minimized
+/// learned clause under the limit) is still implied by the formula.
+#[test]
+fn minimized_clauses_stay_implied() {
+    for seed in 0..120 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.range_usize(4..11);
+        let gen_seed = rng.next_u64();
+        let f = satgen::random_ksat::random_ksat(n, n * 5, 3, gen_seed);
         let expected = brute_force(&f);
         let config = SolverConfig {
             minimize_learned: true,
@@ -415,19 +410,19 @@ proptest! {
         loop {
             let step = s.step(5_000);
             for (clause, _) in s.take_shared() {
-                prop_assert!(
+                assert!(
                     implied_by(&f, &clause),
-                    "minimized clause {clause} not implied"
+                    "minimized clause {clause} not implied, case seed {seed}"
                 );
             }
             match step {
                 Step::Sat => {
-                    prop_assert!(expected);
-                    prop_assert!(f.is_satisfied_by(&s.model().unwrap()));
+                    assert!(expected, "case seed {seed}");
+                    assert!(f.is_satisfied_by(&s.model().unwrap()), "case seed {seed}");
                     break;
                 }
                 Step::Unsat => {
-                    prop_assert!(!expected);
+                    assert!(!expected, "case seed {seed}");
                     break;
                 }
                 _ => {}

@@ -1,6 +1,6 @@
 //! Real parallelism: the same GridSAT master/client processes running on
-//! OS threads with crossbeam channels — no simulation, real wall-clock
-//! speedup on a multicore machine.
+//! OS threads with `std::sync::mpsc` channels — no simulation, real
+//! wall-clock speedup on a multicore machine.
 //!
 //!     cargo run --release -p gridsat-examples --bin threads_parallel
 

@@ -1,19 +1,33 @@
 #!/usr/bin/env bash
 # Offline quality gate: formatting, lints-as-errors, tests.
-# Run from the repo root. Everything works without network access.
+# Run from the repo root. Everything works without network access: the
+# workspace depends on no crate outside the tree, and the first gate
+# keeps it that way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "== no registry dependencies (Cargo.lock sources, [workspace.dependencies] paths)"
+if grep -n '^source = ' Cargo.lock; then
+  echo "Cargo.lock lists a package from outside the workspace" >&2
+  exit 1
+fi
+if awk '/^\[/ { deps = ($0 == "[workspace.dependencies]"); next }
+        deps && NF && !/^#/ && !/path *=/' Cargo.toml | grep .; then
+  echo "[workspace.dependencies] names a crate without a path" >&2
+  exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "== cargo clippy (-D warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
-echo "== cargo test"
-cargo test -q --workspace
+echo "== cargo build + test"
+cargo build --release --offline --locked
+cargo test -q --workspace --offline --locked
 
 echo "== grid_report causal smoke (13-client sim, anomaly/path gate)"
 cargo run --release -p gridsat-bench --bin grid_report -- --sim --check > /dev/null
