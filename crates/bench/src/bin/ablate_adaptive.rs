@@ -36,7 +36,7 @@ fn main() {
             let config = GridConfig {
                 share_len_limit: limit,
                 share_tuning: tuning,
-                ..GridConfig::default()
+                ..GridConfig::experiment1()
             };
             let r = experiment::run(f, Testbed::grads(), config);
             println!(

@@ -34,7 +34,7 @@ fn main() {
         for timeout in [5.0, 25.0, 100.0, 400.0, 1600.0] {
             let config = GridConfig {
                 min_split_timeout: timeout,
-                ..GridConfig::default()
+                ..GridConfig::experiment1()
             };
             let r = experiment::run(f, Testbed::grads(), config);
             let speedup = match r.outcome {

@@ -26,7 +26,7 @@ fn main() {
         ] {
             let config = GridConfig {
                 scheduler: policy,
-                ..GridConfig::default()
+                ..GridConfig::experiment1()
             };
             let r = experiment::run(f, Testbed::grads(), config);
             println!(

@@ -31,7 +31,7 @@ fn main() {
         ] {
             let config = GridConfig {
                 share_len_limit: limit,
-                ..GridConfig::default()
+                ..GridConfig::experiment1()
             };
             let r = experiment::run(f, Testbed::grads(), config);
             println!(

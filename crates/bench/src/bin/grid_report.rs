@@ -14,14 +14,17 @@
 //!
 //! `--sim` runs PHP(9,8) over a uniform testbed (13 nodes by default)
 //! with a causal ring installed and reports on the captured trace plus
-//! the master's control-plane telemetry and the worst step-budget overrun
-//! any client saw. `--check` exits nonzero when
+//! the master's control-plane telemetry, the worst step-budget overrun
+//! any client saw and what the share rounds and fixed-size inboxes
+//! dropped. `--check` exits nonzero when
 //! an anomaly fires, the critical path is missing or does not end at
-//! the answer, or the path's segments fail to cover its span — the CI
-//! smoke mode.
+//! the answer, the path's segments fail to cover its span, or (`--sim`)
+//! one foreign-clause merge charged more than a quantum plus the longest
+//! shareable clause — the CI smoke mode.
 
 use gridsat::client::ClientStats;
 use gridsat::{experiment, GridConfig, GridOutcome, LatencySummary, MasterTelemetry};
+use gridsat_bench::{merge_burst_bound, REFERENCE_SPEED};
 use gridsat_grid::Testbed;
 use gridsat_obs::{analyze, from_jsonl, Obs, TimedEvent, TraceAnalysis};
 use std::fmt::Write as _;
@@ -97,18 +100,21 @@ fn load_trace(path: &str) -> Vec<TimedEvent> {
 
 /// The seeded smoke simulation: PHP(9,8) over a uniform testbed with
 /// splits forced early so the run actually fans out. Deterministic.
-fn run_sim(clients: usize) -> (Vec<TimedEvent>, experiment::GridReport) {
+/// Also returns what one foreign-clause merge may charge under the
+/// run's sharing rounds ([`merge_burst_bound`]).
+fn run_sim(clients: usize) -> (Vec<TimedEvent>, experiment::GridReport, Option<u64>) {
     let formula = gridsat_satgen::php::php(9, 8);
     let config = GridConfig {
         min_split_timeout: 0.5,
         work_quantum_s: 0.25,
         ..GridConfig::default()
     };
+    let merge_bound = merge_burst_bound(&config, REFERENCE_SPEED);
     let cap = config.overall_timeout;
     let (obs, ring) = Obs::causal_ring(1 << 20);
     let mut sim = experiment::build_sim_obs(
         &formula,
-        Testbed::uniform(clients, 1000.0, 3 << 20),
+        Testbed::uniform(clients, REFERENCE_SPEED, 3 << 20),
         config,
         obs,
     );
@@ -121,7 +127,7 @@ fn run_sim(clients: usize) -> (Vec<TimedEvent>, experiment::GridReport) {
             ring.evicted()
         );
     }
-    (ring.events(), report)
+    (ring.events(), report, merge_bound)
 }
 
 fn outcome_str(outcome: &GridOutcome) -> String {
@@ -158,11 +164,25 @@ fn render_control_plane(t: &MasterTelemetry) -> String {
 }
 
 /// Step-budget section of the sim-mode text report: how far one solver
-/// step, and one foreign-clause merge inside it, ran past the quantum.
-fn render_step_overrun(c: &ClientStats) -> String {
+/// step, and one foreign-clause merge inside it, ran past the quantum,
+/// and what the bounds that keep the merge short cost — clauses evicted
+/// from a full inbox, clauses a round's batch had no room for.
+fn render_step_overrun(c: &ClientStats, merge_bound: Option<u64>) -> String {
+    let bound = merge_bound.map_or(String::new(), |b| {
+        format!(" (bound {b}: quantum + longest shareable clause)")
+    });
     format!(
-        "solver steps (work units, worst client):\n  max step work   {}\n  max merge burst {}\n",
-        c.max_step_work, c.max_merge_burst
+        "solver steps (work units, worst client):\n  \
+         max step work   {}\n  \
+         max merge burst {}{bound}\n  \
+         inbox peak      {} literals, {} clauses evicted unmerged\n  \
+         share rounds    {} flushed, {} clauses dropped at the source\n",
+        c.max_step_work,
+        c.max_merge_burst,
+        c.peak_inbox_lits,
+        c.merge_dropped,
+        c.share_rounds,
+        c.share_export_dropped
     )
 }
 
@@ -217,8 +237,8 @@ fn check_failures(analysis: &TraceAnalysis) -> Vec<String> {
 fn main() {
     let args = parse_args();
     let (events, report) = if args.sim {
-        let (events, report) = run_sim(args.clients);
-        (events, Some(report))
+        let (events, report, merge_bound) = run_sim(args.clients);
+        (events, Some((report, merge_bound)))
     } else {
         (load_trace(args.trace.as_deref().unwrap()), None)
     };
@@ -226,25 +246,33 @@ fn main() {
 
     if args.json {
         let mut out = analysis.render_json();
-        if let Some(r) = &report {
+        if let Some((r, merge_bound)) = &report {
             // splice run metadata + control-plane telemetry into the
             // analysis object rather than nesting a second document
             out.truncate(out.len() - 1);
+            let c = &r.clients;
             let _ = write!(
                 out,
                 ",\"events\":{},\"outcome\":{:?},\"run_seconds\":{:.3},\"control_plane\":{},\
-                 \"max_step_work\":{},\"max_merge_burst\":{}}}",
+                 \"max_step_work\":{},\"max_merge_burst\":{},\"merge_burst_bound\":{},\
+                 \"peak_inbox_lits\":{},\"merge_dropped\":{},\
+                 \"share_rounds\":{},\"share_export_dropped\":{}}}",
                 events.len(),
                 outcome_str(&r.outcome),
                 r.seconds,
                 control_plane_json(&r.telemetry),
-                r.clients.max_step_work,
-                r.clients.max_merge_burst
+                c.max_step_work,
+                c.max_merge_burst,
+                merge_bound.map_or("null".into(), |b| b.to_string()),
+                c.peak_inbox_lits,
+                c.merge_dropped,
+                c.share_rounds,
+                c.share_export_dropped
             );
         }
         println!("{out}");
     } else {
-        if let Some(r) = &report {
+        if let Some((r, _)) = &report {
             println!(
                 "{} events; outcome {} in {:.1}s simulated\n",
                 events.len(),
@@ -255,16 +283,24 @@ fn main() {
             println!("{} events\n", events.len());
         }
         print!("{}", analysis.render_text());
-        if let Some(r) = &report {
+        if let Some((r, merge_bound)) = &report {
             println!();
             print!("{}", render_control_plane(&r.telemetry));
             println!();
-            print!("{}", render_step_overrun(&r.clients));
+            print!("{}", render_step_overrun(&r.clients, *merge_bound));
         }
     }
 
     if args.check {
-        let fails = check_failures(&analysis);
+        let mut fails = check_failures(&analysis);
+        if let Some((r, Some(merge_bound))) = &report {
+            let burst = r.clients.max_merge_burst;
+            if burst > *merge_bound {
+                fails.push(format!(
+                    "one merge charged {burst} work units, over the {merge_bound} a slice may"
+                ));
+            }
+        }
         if !fails.is_empty() {
             for f in &fails {
                 eprintln!("grid_report: check failed: {f}");

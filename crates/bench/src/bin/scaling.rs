@@ -31,7 +31,7 @@ fn main() {
         let r = experiment::run(
             &f,
             Testbed::uniform(workers, 1000.0, 3 << 20),
-            GridConfig::default(),
+            GridConfig::experiment1(),
         );
         let speedup = match r.outcome {
             gridsat::GridOutcome::Sat(_) | gridsat::GridOutcome::Unsat => {

@@ -20,10 +20,13 @@
 //! `--fast` sweeps n ∈ {12, 100} (the CI smoke profile); the default
 //! adds n = 1000. `--check` exits nonzero unless every run reaches the
 //! oracle answer (the instance family is UNSAT by construction), the
-//! conservation auditor stays silent, and the hierarchical peak queue
-//! depth honors its O(sites) bound.
+//! conservation auditor stays silent, the hierarchical peak queue
+//! depth honors its O(sites) bound, and no foreign-clause merge charged
+//! a client more than a quantum plus the longest shareable clause.
 
+use gridsat::client::ClientStats;
 use gridsat::{experiment, GridConfig, GridOutcome};
+use gridsat_bench::merge_burst_bound;
 use gridsat_grid::Testbed;
 use gridsat_satgen as satgen;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -184,6 +187,9 @@ struct Row {
     steals_settled: u64,
     escalations: u64,
     tickets: u64,
+    clients: ClientStats,
+    /// What one foreign-clause merge may charge ([`merge_burst_bound`]).
+    merge_bound: Option<u64>,
     peak_live_heap_bytes: u64,
     alloc_calls: u64,
     alloc_bytes_requested: u64,
@@ -221,6 +227,7 @@ fn run_one(
     let heap = HeapMark::take();
     let cfg = config(hierarchical, check);
     let cap = cfg.overall_timeout;
+    let merge_bound = merge_burst_bound(&cfg, CLIENT_SPEED);
     let tb = Testbed::scaling(n, sites, hierarchical).with_client_speed(CLIENT_SPEED);
     let mut sim = experiment::build_sim(f, tb, cfg);
     sim.enable_trace();
@@ -265,6 +272,8 @@ fn run_one(
         steals_settled: r.master.steals_settled,
         escalations: r.master.escalations,
         tickets: r.submasters.tickets,
+        clients: r.clients,
+        merge_bound,
         peak_live_heap_bytes,
         alloc_calls,
         alloc_bytes_requested,
@@ -282,6 +291,9 @@ fn json_row(out: &mut String, row: &Row) {
             "\"control_bytes\":{},\"control_msgs\":{},\"roster_bytes\":{},",
             "\"load_reports_sent\":{},\"load_reports_suppressed\":{},",
             "\"splits\":{},\"steals_settled\":{},\"escalations\":{},\"tickets\":{},",
+            "\"share_batches_sent\":{},\"clauses_received\":{},\"dup_share_drops\":{},",
+            "\"share_export_dropped\":{},\"merge_dropped\":{},\"peak_inbox_lits\":{},",
+            "\"max_step_work\":{},\"max_merge_burst\":{},",
             "\"peak_live_heap_bytes\":{},\"alloc_calls\":{},\"alloc_bytes_requested\":{}}}"
         ),
         row.n,
@@ -304,6 +316,14 @@ fn json_row(out: &mut String, row: &Row) {
         row.steals_settled,
         row.escalations,
         row.tickets,
+        row.clients.share_batches_sent,
+        row.clients.clauses_received,
+        row.clients.dup_share_drops,
+        row.clients.share_export_dropped,
+        row.clients.merge_dropped,
+        row.clients.peak_inbox_lits,
+        row.clients.max_step_work,
+        row.clients.max_merge_burst,
         row.peak_live_heap_bytes,
         row.alloc_calls,
         row.alloc_bytes_requested,
@@ -422,6 +442,14 @@ fn main() {
                 failures.push(format!(
                     "{} n={}: expected UNSAT (instance family is UNSAT by construction), got {}",
                     row.mode, row.n, row.outcome
+                ));
+            }
+            // sharing in rounds: a merge is one slice of at most a quantum
+            let burst = row.clients.max_merge_burst;
+            if let Some(bound) = row.merge_bound.filter(|&bound| burst > bound) {
+                failures.push(format!(
+                    "{} n={}: one merge charged {burst} work units, over the {bound} a slice may",
+                    row.mode, row.n
                 ));
             }
             if row.mode == "hierarchical" {

@@ -17,6 +17,16 @@ pub const ZCHAFF_WORK_CAP: u64 = 18_000_000;
 /// The sequential baseline's memory budget in model bytes (~1 GB scaled).
 pub const ZCHAFF_MEM_BUDGET: usize = (22 << 20) / 10;
 
+/// What one foreign-clause merge may charge a client of `speed` work
+/// units per second under `config`'s sharing rounds: a quantum plus the
+/// longest shareable clause. `None` under the paper's share protocol,
+/// where a merge drains the whole inbox whatever it costs.
+pub fn merge_burst_bound(config: &gridsat::GridConfig, speed: f64) -> Option<u64> {
+    config.share_round_s?;
+    let quantum = (speed * config.work_quantum_s).max(1.0) as u64;
+    Some(quantum + config.share_len_limit.unwrap_or(0) as u64)
+}
+
 /// Convert baseline work units to the paper's "seconds on the fastest
 /// dedicated machine".
 pub fn work_to_seconds(work: u64) -> f64 {

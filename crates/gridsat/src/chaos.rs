@@ -372,6 +372,38 @@ mod tests {
         }
     }
 
+    /// `chaos_soak --plan submaster-loss`, family php, seed 10: the run
+    /// that wedged in a ghost-Busy thief. Thief n4's `SplitDone{stolen}`
+    /// is lost once and retransmitted at t = 12.0, after its `Result` for
+    /// the same cube was consumed at t = 7.3; settling the steal then
+    /// marked n4 — idle, heartbeating, its lease never expiring — Busy for
+    /// good and the run timed out. Under the paper's share protocol the
+    /// schedule is that one to the message; under rounds it is whatever
+    /// the soak runs today.
+    #[test]
+    fn a_result_overtaking_its_steal_confirmation_does_not_wedge_the_run() {
+        let seed = 10u64;
+        let plan = FaultPlan::submaster_loss(seed.wrapping_mul(31).wrapping_add(7));
+        let f = gridsat_satgen::php::php(6, 5);
+        for share_round_s in [None, GridConfig::default().share_round_s] {
+            let config = GridConfig {
+                min_split_timeout: 0.2,
+                work_quantum_s: 0.1,
+                audit: true,
+                share_round_s,
+                ..GridConfig::chaos_hardened()
+            }
+            .hierarchical();
+            let cap = config.overall_timeout;
+            let mut sim = build_sim(&f, Testbed::scaling(4, 2, true), config);
+            plan.apply(&mut sim);
+            sim.run_until(cap + 60.0);
+            let r = report(&sim, cap);
+            assert_eq!(r.outcome, GridOutcome::Unsat, "rounds: {share_round_s:?}");
+            assert!(r.seconds < 100.0, "{} s to the verdict", r.seconds);
+        }
+    }
+
     #[test]
     fn a_bit_rotted_network_still_reaches_the_right_answer() {
         for seed in 0..2 {

@@ -6,6 +6,7 @@ use crate::audit::Audit;
 use crate::config::{CheckpointMode, GridConfig, ShareTuning};
 use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
 use crate::wire::{EncodedBatch, SpecFrame};
+use gridsat_cnf::Clause;
 use gridsat_grid::{Ctx, NodeId, Process};
 use gridsat_obs::{Event, MetricsRegistry, Obs};
 use gridsat_solver::{FpWindow, Solver, SolverConfig, SplitSpec, Step};
@@ -15,6 +16,17 @@ use std::sync::Arc;
 /// share traffic in both directions (HordeSat-style recently-sent /
 /// recently-received filter).
 const SHARE_FP_WINDOW: usize = 1 << 16;
+
+/// Literals one sharing round's batch may carry; what a client learned
+/// beyond that since its last batch is dropped at the source, longest
+/// clauses first. HordeSat's export buffer: 1,500 literals per round.
+pub const SHARE_ROUND_LITS: usize = 1500;
+
+/// Capacity of a solver's foreign-clause inbox under sharing in rounds,
+/// literals ([`SolverConfig::inbox_lits`]). A few slices' worth: whatever
+/// is queued beyond what the next visits to level 0 will merge is older
+/// than the clauses still arriving, and the ring evicts oldest first.
+pub const INBOX_LITS: usize = 1024;
 
 /// Client-side counters, aggregated into the experiment report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,6 +48,12 @@ pub struct ClientStats {
     pub shares_forwarded: u64,
     /// Bytes of share traffic put on the wire (originated + forwarded).
     pub share_bytes_sent: u64,
+    /// Sharing rounds closed: flushes of a non-empty export buffer under
+    /// [`GridConfig::share_round_s`] (none under the paper presets).
+    pub share_rounds: u64,
+    /// Learned clauses a round's batch had no room for, dropped at the
+    /// source ([`SHARE_ROUND_LITS`]).
+    pub share_export_dropped: u64,
     /// Solver work executed.
     pub work: u64,
     /// Results reported (SAT or UNSAT subproblems).
@@ -59,6 +77,12 @@ pub struct ClientStats {
     /// "busy" but deaf to ticks for this long
     /// ([`Stats::max_merge_burst`](gridsat_solver::Stats::max_merge_burst)).
     pub max_merge_burst: u64,
+    /// Foreign clauses the fixed-size inboxes evicted unmerged
+    /// ([`Stats::merge_dropped`](gridsat_solver::Stats::merge_dropped)).
+    pub merge_dropped: u64,
+    /// Most literals one solver's inbox held
+    /// ([`Stats::peak_inbox_lits`](gridsat_solver::Stats::peak_inbox_lits)).
+    pub peak_inbox_lits: u64,
 }
 
 impl ClientStats {
@@ -75,6 +99,8 @@ impl ClientStats {
             dup_share_drops,
             shares_forwarded,
             share_bytes_sent,
+            share_rounds,
+            share_export_dropped,
             work,
             results,
             migrations,
@@ -84,6 +110,8 @@ impl ClientStats {
             load_reports_suppressed,
             max_step_work,
             max_merge_burst,
+            merge_dropped,
+            peak_inbox_lits,
         } = *other;
         self.subproblems += subproblems;
         self.splits += splits;
@@ -93,6 +121,8 @@ impl ClientStats {
         self.dup_share_drops += dup_share_drops;
         self.shares_forwarded += shares_forwarded;
         self.share_bytes_sent += share_bytes_sent;
+        self.share_rounds += share_rounds;
+        self.share_export_dropped += share_export_dropped;
         self.work += work;
         self.results += results;
         self.migrations += migrations;
@@ -102,6 +132,8 @@ impl ClientStats {
         self.load_reports_suppressed += load_reports_suppressed;
         self.max_step_work = self.max_step_work.max(max_step_work);
         self.max_merge_burst = self.max_merge_burst.max(max_merge_burst);
+        self.merge_dropped += merge_dropped;
+        self.peak_inbox_lits = self.peak_inbox_lits.max(peak_inbox_lits);
     }
 
     /// Bridge every counter into a [`MetricsRegistry`] under `prefix`.
@@ -115,6 +147,8 @@ impl ClientStats {
             dup_share_drops,
             shares_forwarded,
             share_bytes_sent,
+            share_rounds,
+            share_export_dropped,
             work,
             results,
             migrations,
@@ -124,6 +158,8 @@ impl ClientStats {
             load_reports_suppressed,
             max_step_work,
             max_merge_burst,
+            merge_dropped,
+            peak_inbox_lits,
         } = *self;
         reg.counter_add(&format!("{prefix}.subproblems"), subproblems);
         reg.counter_add(&format!("{prefix}.splits"), splits);
@@ -133,6 +169,11 @@ impl ClientStats {
         reg.counter_add(&format!("{prefix}.dup_share_drops"), dup_share_drops);
         reg.counter_add(&format!("{prefix}.shares_forwarded"), shares_forwarded);
         reg.counter_add(&format!("{prefix}.share_bytes_sent"), share_bytes_sent);
+        reg.counter_add(&format!("{prefix}.share_rounds"), share_rounds);
+        reg.counter_add(
+            &format!("{prefix}.share_export_dropped"),
+            share_export_dropped,
+        );
         reg.counter_add(&format!("{prefix}.work"), work);
         reg.counter_add(&format!("{prefix}.results"), results);
         reg.counter_add(&format!("{prefix}.migrations"), migrations);
@@ -148,6 +189,8 @@ impl ClientStats {
         );
         reg.gauge_set(&format!("{prefix}.max_step_work"), max_step_work as f64);
         reg.gauge_set(&format!("{prefix}.max_merge_burst"), max_merge_burst as f64);
+        reg.counter_add(&format!("{prefix}.merge_dropped"), merge_dropped);
+        reg.gauge_set(&format!("{prefix}.peak_inbox_lits"), peak_inbox_lits as f64);
     }
 }
 
@@ -287,6 +330,12 @@ pub struct Client {
     /// Fingerprints of clauses that recently crossed this node's wire,
     /// in either direction; duplicates are dropped on both paths.
     fp_window: FpWindow,
+    /// Learned clauses (with fingerprints) waiting for the sharing round
+    /// to close. The client's, not the solver's: what a subproblem left
+    /// here goes out with the next round, whatever is being solved then.
+    export_buf: Vec<(Clause, u64)>,
+    /// When the export buffer was last flushed.
+    last_share_flush: f64,
     /// When the current subproblem started (for the split time-out).
     problem_started: f64,
     /// Transfer time of the problem we received; the split time-out is
@@ -339,6 +388,8 @@ impl Client {
             roster: Roster::default(),
             peers_epoch: 0,
             fp_window: FpWindow::new(SHARE_FP_WINDOW),
+            export_buf: Vec::new(),
+            last_share_flush: 0.0,
             problem_started: 0.0,
             transfer_time: 0.0,
             split_requested_at: None,
@@ -441,6 +492,7 @@ impl Client {
         };
         cfg.mem_budget = Some(budget);
         cfg.share_lbd_limit = self.config.share_lbd_limit;
+        cfg.inbox_lits = self.config.share_round_s.map(|_| INBOX_LITS);
         cfg
     }
 
@@ -572,19 +624,45 @@ impl Client {
         self.enter_idle(ctx);
     }
 
-    fn drain_shares(&mut self, ctx: &mut Ctx<GridMsg>) {
+    /// Move what the solver learned this quantum into the export buffer
+    /// and, when the sharing round is over, send the buffer as one batch.
+    /// Without rounds (the paper presets) every quantum is a round of its
+    /// own and the batch is the quantum's clauses as learned; with them, a
+    /// round ends `share_round_s` after the last flush or on the
+    /// subproblem's final quantum, and its batch is the buffer's shortest
+    /// clauses, [`SHARE_ROUND_LITS`] literals at most.
+    fn drain_shares(&mut self, final_quantum: bool, ctx: &mut Ctx<GridMsg>) {
         let Some(solver) = &mut self.solver else {
             return;
         };
         let mut shares = solver.take_shared();
-        if shares.is_empty() {
-            return;
-        }
         // recently-sent filter: clauses that already crossed this node's
         // wire (in either direction) are not offered to the grid again
         shares.retain(|&(_, fp)| self.fp_window.insert(fp));
-        if shares.is_empty() {
+        self.export_buf.append(&mut shares);
+        let round_over = self
+            .config
+            .share_round_s
+            .is_none_or(|round| final_quantum || ctx.now() - self.last_share_flush >= round);
+        if !round_over || self.export_buf.is_empty() {
             return;
+        }
+        self.last_share_flush = ctx.now();
+        let mut shares = std::mem::take(&mut self.export_buf);
+        if self.config.share_round_s.is_some() {
+            self.stats.share_rounds += 1;
+            // stable: equally long clauses leave in the order learned
+            shares.sort_by_key(|(clause, _)| clause.len());
+            let mut lits = 0;
+            let fits = shares
+                .iter()
+                .take_while(|(clause, _)| {
+                    lits += clause.len();
+                    lits <= SHARE_ROUND_LITS
+                })
+                .count();
+            self.stats.share_export_dropped += (shares.len() - fits) as u64;
+            shares.truncate(fits);
         }
         // encode once; every recipient's message shares the bytes by
         // refcount and the simulated wire carries the encoded length
@@ -732,6 +810,7 @@ impl Process for Client {
         self.solver = None;
         self.current_problem = None;
         self.split_requested_at = None;
+        self.export_buf.clear();
         self.roster = Roster::default();
         self.peers_epoch = 0;
         self.last_heartbeat = ctx.now();
@@ -982,6 +1061,10 @@ impl Process for Client {
                 let total = decoded.len() as u64;
                 self.stats.clauses_received += total;
                 let mut fresh = 0u64;
+                let evicted = |solver: &Option<Solver>| {
+                    solver.as_ref().map_or(0, |s| s.stats().merge_dropped)
+                };
+                let evicted_before = evicted(&self.solver);
                 for (clause, fp) in decoded {
                     if !self.fp_window.insert(*fp) {
                         continue;
@@ -998,6 +1081,7 @@ impl Process for Client {
                         solver.queue_fresh(clause.lits());
                     }
                 }
+                self.stats.merge_dropped += evicted(&self.solver) - evicted_before;
                 let dropped = total - fresh;
                 if dropped > 0 {
                     self.stats.dup_share_drops += dropped;
@@ -1193,12 +1277,13 @@ impl Process for Client {
             self.stats.work += done;
             self.stats.max_step_work = self.stats.max_step_work.max(after.max_step_work);
             self.stats.max_merge_burst = self.stats.max_merge_burst.max(after.max_merge_burst);
+            self.stats.peak_inbox_lits = self.stats.peak_inbox_lits.max(after.peak_inbox_lits);
             ctx.work(done);
             step
         };
 
         // share fresh clauses even on the final quantum
-        self.drain_shares(ctx);
+        self.drain_shares(matches!(step, Step::Sat | Step::Unsat), ctx);
 
         match step {
             Step::Sat => {
@@ -1326,6 +1411,10 @@ mod tests {
             load_reports_suppressed: 15,
             max_step_work: 16,
             max_merge_burst: 17,
+            share_rounds: 18,
+            share_export_dropped: 19,
+            merge_dropped: 20,
+            peak_inbox_lits: 21,
         };
         let mut acc = ClientStats::default();
         acc.absorb(&full);
@@ -1351,6 +1440,10 @@ mod tests {
                 load_reports_suppressed: 30,
                 max_step_work: 16,   // max, not sum
                 max_merge_burst: 17, // max, not sum
+                share_rounds: 36,
+                share_export_dropped: 38,
+                merge_dropped: 40,
+                peak_inbox_lits: 21, // max, not sum
             }
         );
 
@@ -1364,9 +1457,13 @@ mod tests {
         assert_eq!(reg.counter("client.load_reports_suppressed"), 15);
         assert_eq!(reg.gauge("client.max_step_work"), Some(16.0));
         assert_eq!(reg.gauge("client.max_merge_burst"), Some(17.0));
+        assert_eq!(reg.counter("client.share_rounds"), 18);
+        assert_eq!(reg.counter("client.share_export_dropped"), 19);
+        assert_eq!(reg.counter("client.merge_dropped"), 20);
+        assert_eq!(reg.gauge("client.peak_inbox_lits"), Some(21.0));
         assert_eq!(
             reg.render_prometheus().matches("# TYPE client_").count(),
-            17
+            21
         );
     }
 
@@ -1690,6 +1787,257 @@ mod tests {
         assert_eq!(c.stats.clauses_received, 2);
         assert_eq!(c.stats.dup_share_drops, 1);
         assert_eq!(c.solver.as_ref().unwrap().pending_foreign(), 1);
+    }
+
+    /// A client on a roster of eight (it is node 1, so its own batches go
+    /// to its four relay children), solving `f` whole.
+    fn sharing_client(config: GridConfig, f: &gridsat_cnf::Formula) -> Client {
+        let mut c = Client::new(NodeId(0), config);
+        let mut cx = ctx(0.0);
+        let peers = GridMsg::Peers {
+            epoch: 0,
+            peers: (1..=8).map(NodeId).collect(),
+        };
+        c.on_message(NodeId(0), peers, &mut cx);
+        let spec = SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![],
+            clauses: f.clauses().to_vec(),
+        };
+        let solve = GridMsg::Solve {
+            spec: framed(&spec),
+            problem: ProblemId::new(NodeId(0), 1),
+        };
+        c.on_message(NodeId(0), solve, &mut cx);
+        assert!(c.is_solving());
+        c
+    }
+
+    /// The share batches among `actions`, one entry per batch (a batch
+    /// goes to every relay child as the same buffer), and whether a
+    /// result was reported.
+    fn batches_sent(actions: Vec<gridsat_grid::Action<GridMsg>>) -> (Vec<Arc<EncodedBatch>>, bool) {
+        let mut batches: Vec<Arc<EncodedBatch>> = Vec::new();
+        let mut reported = false;
+        for a in actions {
+            match a {
+                gridsat_grid::Action::Send {
+                    msg: GridMsg::Share { batch, origin, .. },
+                    ..
+                } => {
+                    assert_eq!(origin, NodeId(1));
+                    if !batches.iter().any(|b| Arc::ptr_eq(b, &batch)) {
+                        batches.push(batch);
+                    }
+                }
+                gridsat_grid::Action::Send {
+                    msg: GridMsg::Result { .. },
+                    ..
+                } => reported = true,
+                _ => {}
+            }
+        }
+        (batches, reported)
+    }
+
+    /// Tick `c` at `now`; the share batches it sent and whether it reported.
+    fn tick_at(c: &mut Client, now: f64) -> (Vec<Arc<EncodedBatch>>, bool) {
+        let mut cx = ctx(now);
+        c.on_tick(&mut cx);
+        batches_sent(cx.take_actions())
+    }
+
+    fn clauses_of(batch: &EncodedBatch) -> Vec<Clause> {
+        let decoded = batch.decoded().expect("own batch decodes");
+        decoded.iter().map(|(clause, _)| clause.clone()).collect()
+    }
+
+    /// Quanta of 50 work units: a pigeonhole refutation takes hundreds.
+    fn small_quanta(base: GridConfig) -> GridConfig {
+        GridConfig {
+            work_quantum_s: 0.05,
+            ..base
+        }
+    }
+
+    #[test]
+    fn a_round_is_one_batch_and_nothing_leaves_before_it_is_over() {
+        let f = gridsat_satgen::php::php(7, 6);
+        let mut c = sharing_client(small_quanta(GridConfig::default()), &f);
+        let round = c.config.share_round_s.expect("rounds by default");
+        let mut rounds = 0;
+        let mut last_flush = 0.0;
+        for k in 1..400 {
+            let now = k as f64 * 0.25;
+            let buffered = c.export_buf.len();
+            let (batches, reported) = tick_at(&mut c, now);
+            if reported {
+                // the final quantum closes the round whenever it comes
+                rounds += batches.len() as u64;
+                break;
+            }
+            if batches.is_empty() {
+                assert!(
+                    now - last_flush < round || c.export_buf.is_empty(),
+                    "t = {now}: the round was over and the buffer held clauses"
+                );
+                assert!(c.export_buf.len() >= buffered, "t = {now}: nothing leaks");
+                continue;
+            }
+            assert!(now - last_flush >= round, "t = {now}: sent inside a round");
+            assert_eq!(batches.len(), 1, "t = {now}: one batch per round");
+            assert!(c.export_buf.is_empty());
+            let sent = clauses_of(&batches[0]);
+            assert!(sent.len() >= buffered, "the whole buffer went");
+            assert!(sent.windows(2).all(|w| w[0].len() <= w[1].len()));
+            rounds += 1;
+            last_flush = now;
+        }
+        assert!(rounds >= 3, "{rounds} rounds");
+        assert_eq!(c.stats.share_rounds, rounds);
+        assert_eq!(c.stats.share_batches_sent, rounds);
+        assert_eq!(c.stats.share_export_dropped, 0);
+    }
+
+    #[test]
+    fn the_final_quantum_flushes_the_round_early() {
+        let f = gridsat_satgen::php::php(5, 4);
+        let mut c = sharing_client(small_quanta(GridConfig::default()), &f);
+        for k in 1..400 {
+            // the whole refutation fits inside the first round
+            let now = k as f64 * 0.01;
+            let (batches, reported) = tick_at(&mut c, now);
+            if !reported {
+                assert!(batches.is_empty(), "t = {now}: sent inside the round");
+                continue;
+            }
+            assert!(now < c.config.share_round_s.unwrap());
+            assert_eq!(batches.len(), 1, "what was learned leaves with the result");
+            assert!(c.export_buf.is_empty());
+            assert_eq!(c.stats.share_rounds, 1);
+            return;
+        }
+        panic!("php(5, 4) never refuted");
+    }
+
+    /// A clause of `len` literals no other call returns.
+    fn distinct_clause(serial: u32, len: usize) -> (Clause, u64) {
+        let lits =
+            (0..len as u32).map(|i| gridsat_cnf::Lit::new((serial * 16 + i).into(), i % 2 == 0));
+        let clause = Clause::new(lits);
+        let fp = clause.fingerprint();
+        (clause, fp)
+    }
+
+    #[test]
+    fn a_round_keeps_the_shortest_clauses_and_drops_the_rest_at_the_source() {
+        // no share limit: the solver offers nothing, the buffer is ours
+        let config = GridConfig {
+            share_len_limit: None,
+            ..small_quanta(GridConfig::default())
+        };
+        let mut c = sharing_client(config, &gridsat_satgen::php::php(7, 6));
+        // lengths 10, 9, .., 1, 10, 9, ..: 2,200 literals in learn order
+        let learned: Vec<(Clause, u64)> = (0..400)
+            .map(|k| distinct_clause(k, 10 - k as usize % 10))
+            .collect();
+        c.export_buf = learned.clone();
+        let (batches, _) = tick_at(&mut c, 5.0);
+        assert_eq!(batches.len(), 1);
+        let sent = clauses_of(&batches[0]);
+        // shortest first, equally long ones in learn order
+        let mut want: Vec<Clause> = learned.into_iter().map(|(clause, _)| clause).collect();
+        want.sort_by_key(Clause::len);
+        assert_eq!(sent[..], want[..sent.len()]);
+        let lits: usize = sent.iter().map(Clause::len).sum();
+        assert!(lits <= SHARE_ROUND_LITS && lits + want[sent.len()].len() > SHARE_ROUND_LITS);
+        assert_eq!(
+            c.stats.share_export_dropped as usize,
+            want.len() - sent.len()
+        );
+        assert!(c.export_buf.is_empty(), "the overflow is dropped, not kept");
+    }
+
+    #[test]
+    fn the_export_buffer_outlives_its_subproblem() {
+        let config = GridConfig {
+            share_len_limit: None,
+            ..small_quanta(GridConfig::default())
+        };
+        let f = gridsat_satgen::php::php(7, 6);
+        let mut c = sharing_client(config, &f);
+        let (batches, _) = tick_at(&mut c, 1.0);
+        assert!(batches.is_empty());
+        c.export_buf = (0..3).map(|k| distinct_clause(k, 2)).collect();
+        // the subproblem migrates away mid-round
+        let mut cx = ctx(2.0);
+        let migrate = GridMsg::Migrate {
+            peer: NodeId(5),
+            problem: ProblemId::new(NodeId(0), 1),
+        };
+        c.on_message(NodeId(0), migrate, &mut cx);
+        assert!(!c.is_solving());
+        let (batches, _) = batches_sent(cx.take_actions());
+        assert!(batches.is_empty());
+        assert_eq!(c.export_buf.len(), 3);
+        // a new one arrives; its first round carries what the old one left
+        let spec = SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![],
+            clauses: f.clauses().to_vec(),
+        };
+        let mut cx = ctx(3.0);
+        let solve = GridMsg::Solve {
+            spec: framed(&spec),
+            problem: ProblemId::new(NodeId(0), 2),
+        };
+        c.on_message(NodeId(0), solve, &mut cx);
+        assert!(tick_at(&mut c, 4.0).0.is_empty());
+        let (batches, _) = tick_at(&mut c, 5.0);
+        assert_eq!(batches.len(), 1);
+        let want: Vec<Clause> = (0..3).map(|k| distinct_clause(k, 2).0).collect();
+        assert_eq!(clauses_of(&batches[0]), want);
+    }
+
+    #[test]
+    fn without_rounds_every_quantum_sends_what_it_learned_in_learn_order() {
+        let f = gridsat_satgen::php::php(7, 6);
+        let mut c = sharing_client(small_quanta(GridConfig::experiment1()), &f);
+        // a solver of the client's own making, stepped alongside
+        let spec = SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![],
+            clauses: f.clauses().to_vec(),
+        };
+        let mut twin = Solver::from_split(&spec, c.solver_config(3 << 20));
+        let mut seen = std::collections::HashSet::new();
+        let mut batches_seen = 0;
+        for k in 1..400 {
+            let (batches, reported) = tick_at(&mut c, k as f64 * 0.05);
+            let _ = twin.step(50);
+            // by fingerprint: the codec ships a clause's literals sorted
+            let learned: Vec<u64> = twin
+                .take_shared()
+                .into_iter()
+                .map(|(_, fp)| fp)
+                .filter(|&fp| seen.insert(fp))
+                .collect();
+            let sent: Vec<u64> = batches
+                .iter()
+                .flat_map(|b| b.decoded().expect("own batch decodes"))
+                .map(|&(_, fp)| fp)
+                .collect();
+            assert!(batches.len() <= 1);
+            assert_eq!(sent, learned, "quantum {k}");
+            assert!(c.export_buf.is_empty());
+            batches_seen += batches.len();
+            if reported {
+                break;
+            }
+        }
+        assert!(batches_seen > 20, "{batches_seen} batches");
+        assert_eq!(c.stats.share_rounds, 0);
+        assert_eq!(c.stats.share_export_dropped, 0);
     }
 
     /// Property: the client's fingerprint window is the only dedup fence

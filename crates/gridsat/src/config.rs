@@ -131,8 +131,10 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Tunables of a GridSAT run. Defaults reproduce the paper's first
-/// experiment set (share limit 10, 100-second split time-out floor).
+/// Tunables of a GridSAT run. Defaults are the paper's first experiment
+/// set (share limit 10, 100-second split time-out floor) with clause
+/// sharing in rounds; [`GridConfig::experiment1`] and its siblings are the
+/// paper's protocol to the letter.
 #[derive(Clone, Debug)]
 pub struct GridConfig {
     /// Maximum length of shared learned clauses (10 in experiment set 1,
@@ -179,6 +181,16 @@ pub struct GridConfig {
     /// roster (O(n) messages per batch, at most `k` sends per node);
     /// `None` is the paper's all-pairs broadcast (O(n²) per round).
     pub share_relay_branch: Option<usize>,
+    /// Length of a clause-sharing round, seconds (HordeSat's discipline).
+    /// `Some(r)`: a client collects what it learns in an export buffer
+    /// and sends it as one batch once `r` seconds have passed since its
+    /// last one (or on its subproblem's final quantum) — shortest clauses
+    /// first, what does not fit the batch dropped at the source — and its
+    /// solver takes foreign clauses through a fixed-size inbox, a slice
+    /// per visit to level 0. `None` is the paper's protocol: broadcast
+    /// "as soon as learned" (every quantum, everything, in learn order),
+    /// queue without bound, merge the whole inbox at level 0.
+    pub share_round_s: Option<f64>,
     /// Reliable control-plane delivery + heartbeat leases. `None` (the
     /// default) runs the paper's bare protocol — the wire is then
     /// bit-identical to a build without the reliability layer.
@@ -216,6 +228,7 @@ impl Default for GridConfig {
             assumed_bw_bytes_per_s: 4_000.0,
             share_tuning: ShareTuning::Fixed,
             share_relay_branch: Some(4),
+            share_round_s: Some(5.0),
             reliability: None,
             failover: None,
             hierarchy: None,
@@ -225,16 +238,20 @@ impl Default for GridConfig {
 }
 
 impl GridConfig {
-    /// The paper's first experiment set: share limit 10, 6000 s cap.
+    /// The paper's first experiment set: share limit 10, 6000 s cap,
+    /// clauses broadcast as soon as they are learned.
     pub fn experiment1() -> GridConfig {
-        GridConfig::default()
+        GridConfig {
+            share_round_s: None,
+            ..GridConfig::default()
+        }
     }
 
     /// First set, challenge benchmarks: 12000 s cap.
     pub fn experiment1_challenge() -> GridConfig {
         GridConfig {
             overall_timeout: 12000.0,
-            ..GridConfig::default()
+            ..GridConfig::experiment1()
         }
     }
 
@@ -243,7 +260,7 @@ impl GridConfig {
         GridConfig {
             share_len_limit: Some(3),
             overall_timeout,
-            ..GridConfig::default()
+            ..GridConfig::experiment1()
         }
     }
 
@@ -292,6 +309,14 @@ mod tests {
         let e2 = GridConfig::experiment2(200_000.0);
         assert_eq!(e2.share_len_limit, Some(3));
         assert_eq!(e2.overall_timeout, 200_000.0);
+
+        // the paper broadcasts a clause as soon as it is learned; rounds
+        // are the default everywhere else
+        assert!(e1.share_round_s.is_none());
+        assert!(GridConfig::experiment1_challenge().share_round_s.is_none());
+        assert!(e2.share_round_s.is_none());
+        assert_eq!(GridConfig::default().share_round_s, Some(5.0));
+        assert_eq!(GridConfig::chaos_hardened().share_round_s, Some(5.0));
 
         // relay-tree fan-out is on by default with a small branch factor
         assert_eq!(e1.share_relay_branch, Some(4));

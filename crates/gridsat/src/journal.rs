@@ -150,8 +150,9 @@ pub enum JournalRecord {
         checkpoint: Option<Checkpoint>,
         at: f64,
     },
-    /// The stolen transfer failed or its subproblem was requeued; the
-    /// steal stops gating termination.
+    /// The stolen transfer failed, its subproblem was requeued, or the
+    /// thief's result arrived before its confirmation; the steal stops
+    /// gating termination and a late confirmation is a duplicate.
     StealAbort { problem: ProblemId },
 }
 

@@ -1722,6 +1722,7 @@ impl Process for Master {
                     // that was consumed long ago.
                     let already_done =
                         problem.is_some_and(|p| self.core.early_results.contains(&(from, p)));
+                    let grant_open = grant.is_some_and(|(p, _)| p == from);
                     if already_done {
                         self.commit(
                             ctx.now(),
@@ -1730,8 +1731,21 @@ impl Process for Master {
                                 problem: problem.expect("checked above"),
                             },
                         );
+                        // that result idled the peer only if it named the
+                        // cube we believed the peer held, and a checkpoint
+                        // of its previous cube, retransmitted while it was
+                        // Receiving, can have taught us that one's id
+                        // instead. The pair matched, so the cube is done:
+                        // release the peer, or it stays Receiving for good
+                        let stale_id = self.core.clients.get(&from).is_some_and(|i| {
+                            i.state == ClientState::Receiving
+                                && i.problem.is_some()
+                                && i.problem != problem
+                        });
+                        if grant_open && stale_id {
+                            self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
+                        }
                     }
-                    let grant_open = grant.is_some_and(|(p, _)| p == from);
                     if ok && !already_done {
                         if self.core.clients.contains_key(&from) {
                             // a confirmation from a tracked peer with no
@@ -1831,6 +1845,21 @@ impl Process for Master {
                             problem,
                         },
                     );
+                }
+                // the steal path's version of that guard: the thief's
+                // result overtook its `SplitDone{stolen}` (lost once and
+                // retransmitted). Close the steal now, so the late
+                // confirmation finds it in `seen_steals` and cannot mark
+                // an idle thief Busy for good. A result for a cube the
+                // root never tracked on its sender also overtook the
+                // donor's notice: closed the same way, before it opens.
+                let open = self.core.pending_steals.contains_key(&problem);
+                let untracked = self.config.hierarchy.is_some()
+                    && !self.core.seen_steals.contains(&problem)
+                    && (self.core.clients.get(&from)).is_none_or(|i| i.problem != Some(problem));
+                if open || untracked {
+                    self.commit(ctx.now(), JournalRecord::StealAbort { problem });
+                    self.stats.steals_settled += u64::from(open);
                 }
                 // a duplicate of an old result (client-side delivery
                 // retries) must not idle a client that has since

@@ -1281,3 +1281,150 @@ fn randomized_schedules_replay_to_the_live_state() {
         );
     }
 }
+
+/// The three messages a settled steal and its result bring to the root:
+/// the donor's notice, the thief's confirmation, the thief's result.
+#[derive(Clone, Copy, Debug)]
+enum StealMsg {
+    Notice,
+    Done,
+    Result,
+}
+
+#[test]
+fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
+    use StealMsg::{Done, Notice, Result};
+    let f = gridsat_cnf::paper::fig1_formula();
+    let cfg = GridConfig::chaos_hardened().hierarchical();
+    let (donor, thief) = (NodeId(1), NodeId(2));
+    let stolen = ProblemId::new(donor, 1);
+    // in order; the confirmation lost once and retransmitted after the
+    // result (the `chaos_soak --plan submaster-loss` seed-10 wedge); the
+    // notice retransmitted as well
+    for order in [
+        [Notice, Done, Result],
+        [Notice, Result, Done],
+        [Result, Notice, Done],
+    ] {
+        let mut m = Master::new(f.clone(), cfg.clone(), speeds(4));
+        register(&mut m, donor.0, 0.0); // busy with the whole problem
+        register(&mut m, thief.0, 0.0); // idle
+        for (k, msg) in order.into_iter().enumerate() {
+            let mut cx = ctx(1.0 + k as f64);
+            let (from, msg) = match msg {
+                Notice => (
+                    donor,
+                    GridMsg::StealNotice {
+                        thief,
+                        problem: stolen,
+                        at: 1.0,
+                    },
+                ),
+                Done => (
+                    thief,
+                    GridMsg::SplitDone {
+                        requester: donor,
+                        peer: thief,
+                        ok: true,
+                        problem: Some(stolen),
+                        checkpoint: Some(Box::new(Checkpoint::Light { level0: vec![] })),
+                        stolen: true,
+                    },
+                ),
+                Result => (
+                    thief,
+                    GridMsg::Result {
+                        result: SubResult::Unsat,
+                        problem: stolen,
+                    },
+                ),
+            };
+            m.on_message(from, msg, &mut cx);
+        }
+        assert_eq!(
+            m.core.clients[&thief].state,
+            ClientState::Idle,
+            "{order:?}: the thief finished its cube"
+        );
+        assert!(m.core.pending_steals.is_empty(), "{order:?}");
+        assert!(m.core.seen_steals.contains(&stolen), "{order:?}");
+        // counted as settled unless the root never saw the steal open
+        let seen_open = !matches!(order[0], Result);
+        assert_eq!(m.stats.steals_settled, u64::from(seen_open), "{order:?}");
+        // replay and the standby fold the same records to the same state
+        let replayed = MasterJournal::replay(&f, &cfg, m.journal.records());
+        assert_eq!(replayed.image(), m.core.image(), "{order:?}");
+        // nothing is left to hold off all-idle termination
+        let root = m.core.clients[&donor].problem.expect("donor's half");
+        let mut cx = ctx(9.0);
+        m.on_message(
+            donor,
+            GridMsg::Result {
+                result: SubResult::Unsat,
+                problem: root,
+            },
+            &mut cx,
+        );
+        assert_eq!(m.outcome(), Some(&GridOutcome::Unsat), "{order:?}");
+    }
+}
+
+#[test]
+fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
+    // `chaos_soak` php/seed 6/bit-rot under sharing in rounds: a
+    // checkpoint of the peer's *previous* cube, retransmitted, lands while
+    // the peer is Receiving its next one and teaches the root the old id;
+    // the peer's result for the new cube then overtakes its transfer
+    // confirmation, names a cube the root does not think it holds, and
+    // idles nobody — the peer stayed Receiving with no grant, for good.
+    let f = gridsat_cnf::paper::fig1_formula();
+    let cfg = GridConfig::chaos_hardened();
+    let mut m = Master::new(f.clone(), cfg.clone(), speeds(4));
+    register(&mut m, 1, 0.0); // busy with the whole problem
+    register(&mut m, 2, 0.0); // idle
+    let whole = ProblemId::new(NodeId(0), 1);
+    let mut cx = ctx(1.0);
+    m.on_message(NodeId(1), GridMsg::SplitRequest { problem: whole }, &mut cx);
+    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Receiving);
+    let previous = ProblemId::new(NodeId(3), 7);
+    let cube = ProblemId::new(NodeId(1), 1);
+    let light = || Box::new(Checkpoint::Light { level0: vec![] });
+    for (k, msg) in [
+        GridMsg::CheckpointMsg {
+            problem: previous,
+            checkpoint: light(),
+        },
+        GridMsg::Result {
+            result: SubResult::Unsat,
+            problem: cube,
+        },
+        GridMsg::SplitDone {
+            requester: NodeId(1),
+            peer: NodeId(2),
+            ok: true,
+            problem: Some(cube),
+            checkpoint: Some(light()),
+            stolen: false,
+        },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut cx = ctx(2.0 + k as f64);
+        m.on_message(NodeId(2), msg, &mut cx);
+    }
+    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Idle);
+    assert!(m.core.grants.is_empty() && m.core.early_results.is_empty());
+    let replayed = MasterJournal::replay(&f, &cfg, m.journal.records());
+    assert_eq!(replayed.image(), m.core.image());
+    let mut cx = ctx(9.0);
+    m.on_message(
+        NodeId(1),
+        GridMsg::Result {
+            result: SubResult::Unsat,
+            problem: whole,
+        },
+        &mut cx,
+    );
+    assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
+}

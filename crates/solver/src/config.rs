@@ -65,6 +65,14 @@ pub struct SolverConfig {
     /// Run the relocating arena GC when at least this fraction of arena
     /// words is garbage (checked after reductions and level-0 pruning).
     pub gc_frac: f64,
+    /// Capacity of the foreign-clause inbox, in literals. `None` (the
+    /// default, and the paper's "merged in batches") queues without bound
+    /// and merges the whole inbox on reaching level 0. `Some(cap)` makes
+    /// it a fixed-size ring — a clause that does not fit evicts the
+    /// oldest queued ones — merged one slice of at most a step's work
+    /// budget per visit to level 0, so a step never runs far past its
+    /// budget with no decision open.
+    pub inbox_lits: Option<usize>,
 }
 
 impl Default for SolverConfig {
@@ -85,6 +93,7 @@ impl Default for SolverConfig {
             bytes_per_clause: 48,
             lbd_keep: 2,
             gc_frac: 0.25,
+            inbox_lits: None,
         }
     }
 }
@@ -132,6 +141,7 @@ mod tests {
         assert_eq!(c.lbd_keep, 2);
         assert!(c.share_lbd_limit.is_none());
         assert!(c.gc_frac > 0.0 && c.gc_frac < 1.0);
+        assert!(c.inbox_lits.is_none());
     }
 
     #[test]

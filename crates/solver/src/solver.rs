@@ -184,9 +184,14 @@ pub struct Solver {
     outbox: Vec<(Clause, u64)>,
     /// Foreign clauses awaiting merge at level 0, oldest first, as one
     /// ring of records: a literal count, then that many literal codes.
+    /// Holds at most `config.inbox_lits` literals when that is set.
     inbox: VecDeque<u32>,
     /// Records in `inbox`.
     inbox_clauses: usize,
+    /// A merge ran at this visit to level 0; the next decision clears it.
+    /// What makes a fixed-size inbox's merge one slice per visit: the
+    /// residue waits until search is next back at level 0.
+    merge_visited: bool,
     /// The record [`Solver::merge_foreign`] is working on.
     merge_buf: Vec<Lit>,
     /// Fingerprints of clauses this solver already knows: its own shared
@@ -300,6 +305,7 @@ impl Solver {
             outbox: Vec::new(),
             inbox: VecDeque::new(),
             inbox_clauses: 0,
+            merge_visited: false,
             merge_buf: Vec::new(),
             known_fps: FpWindow::new(KNOWN_FP_WINDOW),
             seen: vec![false; num_vars],
@@ -591,6 +597,7 @@ impl Solver {
     fn decide(&mut self, l: Lit) {
         debug_assert_eq!(self.lit_value(l), Value::Unassigned);
         self.level_start.push(self.trail.len());
+        self.merge_visited = false;
         self.enqueue(l, ClauseRef::DECISION);
         self.stats.decisions += 1;
         self.stats.max_level = self.stats.max_level.max(self.decision_level() as u64);
@@ -1239,11 +1246,42 @@ impl Solver {
     /// Queue a clause the caller has already found fresh in a fingerprint
     /// window of its own, one that also holds every clause this solver
     /// offered for sharing (the grid client's): no second dedup here.
+    /// A fixed-size inbox makes room by evicting whole records, oldest
+    /// first; a clause longer than the inbox is dropped itself.
     pub fn queue_fresh(&mut self, lits: &[Lit]) {
         let len = u32::try_from(lits.len()).expect("clause length fits a u32");
+        if let Some(cap) = self.config.inbox_lits {
+            if lits.len() > cap {
+                self.stats.merge_dropped += 1;
+                return;
+            }
+            while self.inbox_lits() + lits.len() > cap {
+                let evicted = self.pop_record_len().expect("literals queued");
+                self.inbox.drain(..evicted);
+                self.stats.merge_dropped += 1;
+            }
+        }
         self.inbox.push_back(len);
         self.inbox.extend(lits.iter().map(|l| l.code() as u32));
         self.inbox_clauses += 1;
+        self.stats.peak_inbox_lits = self.stats.peak_inbox_lits.max(self.inbox_lits() as u64);
+    }
+
+    /// Literals queued in the inbox: its words less one header per record.
+    fn inbox_lits(&self) -> usize {
+        self.inbox.len() - self.inbox_clauses
+    }
+
+    /// Pop the oldest record's header; its literal codes, that many, are
+    /// now at the front of the ring.
+    fn pop_record_len(&mut self) -> Option<usize> {
+        let len = self.inbox.pop_front()? as usize;
+        debug_assert!(
+            self.inbox_clauses > 0 && len <= self.inbox.len(),
+            "inbox record of {len} literals overruns the ring"
+        );
+        self.inbox_clauses -= 1;
+        Some(len)
     }
 
     /// `true` iff the checked entry would skip a clause fingerprinted `fp`.
@@ -1256,32 +1294,35 @@ impl Solver {
         self.inbox_clauses
     }
 
-    /// Merge all queued foreign clauses. Must be at decision level 0.
-    fn merge_foreign(&mut self) {
+    /// Merge queued foreign clauses, oldest first. Must be at decision
+    /// level 0. An unbounded inbox is merged whole; a fixed-size one until
+    /// the merge has charged `work_budget`, the rest staying queued.
+    fn merge_foreign(&mut self, work_budget: u64) {
         debug_assert_eq!(self.decision_level(), 0);
+        let slice = match self.config.inbox_lits {
+            Some(_) => work_budget,
+            None => u64::MAX,
+        };
+        let start = self.stats.work;
         if self.inbox_clauses > 0 {
             // foreign clauses carry derivations from other clients; the
             // local DRAT trace is no longer self-contained
             self.proof_complete = false;
         }
         let mut lits = std::mem::take(&mut self.merge_buf);
-        while self.status.is_none() {
-            let Some(len) = self.inbox.pop_front() else {
+        while self.status.is_none() && self.stats.work - start < slice {
+            let Some(len) = self.pop_record_len() else {
                 break;
             };
-            debug_assert!(
-                self.inbox_clauses > 0 && len as usize <= self.inbox.len(),
-                "inbox record of {len} literals overruns the ring"
-            );
-            self.inbox_clauses -= 1;
             lits.clear();
-            let codes = self.inbox.drain(..len as usize);
+            let codes = self.inbox.drain(..len);
             lits.extend(codes.map(|code| Lit::from_code(code as usize)));
             self.merge_clause(&mut lits);
         }
         self.merge_buf = lits;
+        self.merge_visited = true;
         if self.status.is_none() {
-            debug_assert_eq!(self.inbox_clauses, 0);
+            debug_assert!(self.inbox_clauses == 0 || slice < u64::MAX);
             self.note_db_peak();
         }
     }
@@ -1351,10 +1392,13 @@ impl Solver {
     // ------------------------------------------------------------------
 
     /// Run search for roughly `work_budget` work units. The budget is
-    /// checked between search steps, and one foreign-clause merge drains
-    /// the whole inbox, so a call can overrun it —
-    /// [`Stats::max_step_work`] and [`Stats::max_merge_burst`] record by
-    /// how much.
+    /// checked between search steps, and a merge of an unbounded inbox
+    /// drains all of it, so a call can overrun it — [`Stats::max_step_work`]
+    /// and [`Stats::max_merge_burst`] record by how much. With
+    /// [`SolverConfig::inbox_lits`] set, a visit to level 0 merges one
+    /// slice of at most `work_budget` and search decides and carries on:
+    /// returning instead would leave the caller a solver with no decision
+    /// open, which cannot split, for as long as the inbox stays fed.
     pub fn step(&mut self, work_budget: u64) -> Step {
         let before = self.stats.work;
         let step = self.search(work_budget);
@@ -1399,9 +1443,9 @@ impl Solver {
                     if self.config.level0_pruning && self.trail.len() > self.pruned_at {
                         self.prune_level0();
                     }
-                    if self.inbox_clauses > 0 {
+                    if self.inbox_clauses > 0 && !self.merge_visited {
                         let before = self.stats.work;
-                        self.merge_foreign();
+                        self.merge_foreign(work_budget);
                         let burst = self.stats.work - before;
                         self.stats.max_merge_burst = self.stats.max_merge_burst.max(burst);
                         if self.status == Some(SolveStatus::Unsat) {
@@ -1819,15 +1863,58 @@ mod tests {
         assert!(decided > 100 && searched > 100, "{decided} / {searched}");
     }
 
-    /// The foreign-clause merge as first written: every queued clause a
-    /// heap `Clause` of its own in a `VecDeque`, normalised in place, its
-    /// literal vector reordered and copied into the arena.
-    fn reference_merge(s: &mut Solver, inbox: &mut VecDeque<Clause>) {
+    /// The inbox as first written — every queued clause a heap `Clause` of
+    /// its own in a `VecDeque` — with the fixed-size ring's rule stated
+    /// over whole clauses: a newcomer that does not fit drops the oldest
+    /// until it does, one longer than the inbox is dropped itself.
+    #[derive(Default)]
+    struct ReferenceInbox {
+        queue: VecDeque<Clause>,
+        cap: Option<usize>,
+        dropped: u64,
+        peak_lits: u64,
+    }
+
+    impl ReferenceInbox {
+        fn lits(&self) -> usize {
+            self.queue.iter().map(Clause::len).sum()
+        }
+
+        fn push(&mut self, clause: Clause) {
+            if let Some(cap) = self.cap {
+                if clause.len() > cap {
+                    self.dropped += 1;
+                    return;
+                }
+                while self.lits() + clause.len() > cap {
+                    self.queue.pop_front();
+                    self.dropped += 1;
+                }
+            }
+            self.queue.push_back(clause);
+            self.peak_lits = self.peak_lits.max(self.lits() as u64);
+        }
+
+        /// `old`'s counters for what the solver's own inbox counts.
+        fn stamp(&self, old: &mut Solver) {
+            old.stats.merge_dropped = self.dropped;
+            old.stats.peak_inbox_lits = self.peak_lits;
+        }
+    }
+
+    /// The foreign-clause merge as first written: each clause normalised
+    /// in place, its literal vector reordered and copied into the arena.
+    /// Stops once it has charged `slice` work units (`u64::MAX`: never).
+    fn reference_merge(s: &mut Solver, inbox: &mut VecDeque<Clause>, slice: u64) {
         assert_eq!(s.decision_level(), 0);
         if !inbox.is_empty() {
             s.proof_complete = false;
         }
-        while let Some(mut clause) = inbox.pop_front() {
+        let start = s.stats.work;
+        while s.stats.work - start < slice {
+            let Some(mut clause) = inbox.pop_front() else {
+                break;
+            };
             if s.status.is_some() {
                 return;
             }
@@ -1878,18 +1965,63 @@ mod tests {
         s.note_db_peak();
     }
 
+    /// Queue one [`arbitrary_clause`] on `new` through one of its three
+    /// entries and on the reference, which keeps `old`'s fingerprint
+    /// window for the checked ones.
+    fn queue_on_both(
+        rng: &mut Rng,
+        num_vars: usize,
+        new: &mut Solver,
+        old: &mut Solver,
+        old_inbox: &mut ReferenceInbox,
+    ) {
+        let clause = arbitrary_clause(rng, num_vars);
+        let fp = clause.fingerprint();
+        // the unchecked entry, or one of the two checked ones
+        let checked = rng.range_u32(0..3);
+        if checked > 0 && !old.known_fps.insert(fp) {
+            old.stats.merge_skipped += 1;
+        } else {
+            old_inbox.push(clause.clone());
+        }
+        match checked {
+            0 => new.queue_fresh(clause.lits()),
+            1 => new.queue_foreign_fp(clause, fp),
+            _ => new.queue_foreign(clause),
+        }
+        assert_eq!(new.pending_foreign(), old_inbox.queue.len());
+        assert_eq!(new.inbox_lits(), old_inbox.lits());
+    }
+
+    /// With no capacity the ring merges whole, exactly like the queue of
+    /// clauses. With one, every merge is a slice: it stops within a clause
+    /// of its budget, takes the queue's oldest clauses in arrival order,
+    /// leaves the rest for the next call, and what the ring evicted to
+    /// stay inside its capacity is what the reference dropped.
     #[test]
     fn flat_inbox_merges_like_the_queue_of_clauses() {
         let mut rng = Rng::seed_from_u64(15);
         let (mut implied, mut refuted, mut discarded, mut skipped) = (0, 0, 0, 0);
-        for case in 0..2000 {
+        let (mut sliced, mut evicted) = (0, 0);
+        for case in 0..3000 {
             let spec = arbitrary_spec(&mut rng);
-            let mut new = Solver::from_split(&spec, SolverConfig::default());
-            let mut old = Solver::from_split(&spec, SolverConfig::default());
-            let mut old_inbox = VecDeque::new();
+            // two cases in three on the unbounded ring
+            let cap = (case % 3 == 2).then(|| rng.range_usize(3..40));
+            let config = SolverConfig {
+                inbox_lits: cap,
+                ..SolverConfig::default()
+            };
+            let mut new = Solver::from_split(&spec, config.clone());
+            let mut old = Solver::from_split(&spec, config);
+            let mut old_inbox = ReferenceInbox {
+                cap,
+                ..ReferenceInbox::default()
+            };
+            let (mut queued, mut taken) = (0, 0);
             // a merge into the freshly loaded subproblem, then two more
-            // after some search, back at level 0 among learned clauses
-            for round in 0..3 {
+            // after some search, back at level 0 among learned clauses,
+            // then whatever a fixed-size ring still holds
+            for round in 0..4 {
                 if round > 0 {
                     assert_eq!(new.step(40), old.step(40), "case {case}");
                     new.check_invariants();
@@ -1899,38 +2031,55 @@ mod tests {
                 if new.status().is_some() {
                     break;
                 }
-                for _ in 0..rng.range_usize(1..10) {
-                    let clause = arbitrary_clause(&mut rng, spec.num_vars);
-                    let fp = clause.fingerprint();
-                    // the unchecked entry, or one of the two checked ones
-                    let checked = rng.range_u32(0..3);
-                    if checked > 0 && !old.known_fps.insert(fp) {
-                        old.stats.merge_skipped += 1;
-                    } else {
-                        old_inbox.push_back(clause.clone());
-                    }
-                    match checked {
-                        0 => new.queue_fresh(clause.lits()),
-                        1 => new.queue_foreign_fp(clause, fp),
-                        _ => new.queue_foreign(clause),
-                    }
+                let slice = match (cap, round) {
+                    (Some(_), 0..3) => rng.range_u32(1..10) as u64,
+                    _ => u64::MAX,
+                };
+                let fresh = if round < 3 { rng.range_usize(1..10) } else { 0 };
+                for _ in 0..fresh {
+                    queue_on_both(&mut rng, spec.num_vars, &mut new, &mut old, &mut old_inbox);
                 }
-                assert_eq!(new.pending_foreign(), old_inbox.len(), "case {case}");
-                new.merge_foreign();
-                reference_merge(&mut old, &mut old_inbox);
+                queued += fresh as u64;
+                let longest = old_inbox.queue.iter().map(Clause::len).max().unwrap_or(0);
+                let (before, pending) = (new.stats().work, new.pending_foreign());
+                new.merge_foreign(slice);
+                new.check_invariants();
+                let burst = new.stats().work - before;
+                assert!(
+                    burst <= slice.saturating_add(longest as u64),
+                    "case {case} round {round}: a slice of {slice} charged {burst}"
+                );
+                sliced += u64::from(new.pending_foreign() > 0 && new.status().is_none());
+                reference_merge(&mut old, &mut old_inbox.queue, slice);
+                old_inbox.stamp(&mut old);
                 assert_eq!(
                     loaded_state(&new),
                     loaded_state(&old),
                     "case {case} round {round}: {spec:?}"
                 );
                 assert_eq!(new.proof_complete, old.proof_complete);
+                assert_eq!(new.pending_foreign(), old_inbox.queue.len(), "case {case}");
+                assert!(cap.is_none_or(|cap| new.stats().peak_inbox_lits <= cap as u64));
+                // every clause queued was skipped, evicted or taken by a
+                // merge, or is waiting
+                taken += (pending - new.pending_foreign()) as u64;
+                let s = new.stats();
+                assert_eq!(
+                    queued,
+                    s.merge_skipped + s.merge_dropped + taken + new.pending_foreign() as u64,
+                    "case {case} round {round}"
+                );
                 refuted += u64::from(new.status() == Some(SolveStatus::Unsat));
             }
             let s = new.stats();
             implied += s.merge_implications;
             discarded += s.merge_discarded;
             skipped += s.merge_skipped;
+            evicted += s.merge_dropped;
             // both run on to the same verdict by the same steps
+            if new.status().is_none() {
+                assert_eq!(new.pending_foreign(), 0, "case {case}");
+            }
             assert_eq!(new.step(u64::MAX), old.step(u64::MAX), "case {case}");
             assert_eq!(new.stats(), old.stats(), "case {case}: {spec:?}");
             assert_eq!(new.model(), old.model(), "case {case}");
@@ -1938,6 +2087,90 @@ mod tests {
         assert!(
             implied > 100 && refuted > 100 && discarded > 100 && skipped > 100,
             "{implied} / {refuted} / {discarded} / {skipped}"
+        );
+        assert!(sliced > 100 && evicted > 100, "{sliced} / {evicted}");
+    }
+
+    /// Inside the search loop a fixed-size inbox gives up one slice per
+    /// visit to level 0: nothing is merged while a decision is open, the
+    /// residue is merged — oldest first — when search is next back at
+    /// level 0, and a merge never charges more than the step's budget plus
+    /// one clause. Driven a budget of 1 at a time, so a call is one visit
+    /// at most and a twin fed the same clauses by hand must keep in step.
+    #[test]
+    fn a_fixed_size_inbox_gives_search_one_slice_per_visit_to_level_0() {
+        let mut rng = Rng::seed_from_u64(19);
+        let (mut waited, mut resumed, mut verdicts_over_a_residue) = (0, 0, 0);
+        for case in 0..1500 {
+            let spec = arbitrary_spec(&mut rng);
+            let cap = rng.range_usize(6..60);
+            let config = SolverConfig {
+                inbox_lits: Some(cap),
+                ..SolverConfig::default()
+            };
+            let mut new = Solver::from_split(&spec, config.clone());
+            let mut old = Solver::from_split(&spec, config.clone());
+            // the same traffic at a budget of its own: only the bound on
+            // a merge's work is checked on this one
+            let budget = rng.range_u32(1..25) as u64;
+            let mut wide = Solver::from_split(&spec, config);
+            let mut old_inbox = ReferenceInbox {
+                cap: Some(cap),
+                ..ReferenceInbox::default()
+            };
+            let mut longest = 0;
+            for _ in 0..60 {
+                if new.status().is_some() {
+                    break;
+                }
+                for _ in 0..rng.range_usize(0..4) {
+                    queue_on_both(&mut rng, spec.num_vars, &mut new, &mut old, &mut old_inbox);
+                    let last = old_inbox.queue.back().map_or(0, Clause::len);
+                    longest = longest.max(last as u64);
+                }
+                wide.inbox.clone_from(&new.inbox);
+                wide.inbox_clauses = new.inbox_clauses;
+                let _ = wide.step(budget);
+                wide.check_invariants();
+                assert!(
+                    wide.stats().max_merge_burst <= budget + longest,
+                    "case {case}"
+                );
+
+                let (level, pending) = (new.decision_level(), new.pending_foreign());
+                let step = new.step(1);
+                new.check_invariants();
+                let taken = pending - new.pending_foreign();
+                if level > 0 {
+                    assert_eq!(taken, 0, "case {case}: merged under a decision");
+                    waited += u64::from(pending > 0);
+                } else if pending > 0 && step == Step::Running {
+                    assert!(taken > 0, "case {case}: back at level 0, nothing merged");
+                    resumed += 1;
+                }
+                assert!(new.stats().max_merge_burst <= 1 + longest, "case {case}");
+                // the twin: the clauses that slice took, merged by hand
+                if taken > 0 {
+                    let mut slice: VecDeque<Clause> = old_inbox.queue.drain(..taken).collect();
+                    reference_merge(&mut old, &mut slice, u64::MAX);
+                }
+                assert_eq!(old.step(1), step, "case {case}");
+                old_inbox.stamp(&mut old);
+                old.stats.max_merge_burst = new.stats().max_merge_burst;
+                old.stats.max_step_work = new.stats().max_step_work;
+                assert_eq!(
+                    loaded_state(&new),
+                    loaded_state(&old),
+                    "case {case}: {spec:?}"
+                );
+                if new.status().is_some() && new.pending_foreign() > 0 {
+                    verdicts_over_a_residue += 1;
+                }
+            }
+        }
+        assert!(
+            waited > 100 && resumed > 100 && verdicts_over_a_residue > 20,
+            "{waited} / {resumed} / {verdicts_over_a_residue}"
         );
     }
 

@@ -34,6 +34,11 @@ pub struct Stats {
     /// Foreign clauses dropped before any merge work because their
     /// fingerprint was already known (duplicate share traffic).
     pub merge_skipped: u64,
+    /// Foreign clauses evicted from a full fixed-size inbox, never merged
+    /// ([`SolverConfig::inbox_lits`](crate::SolverConfig::inbox_lits)).
+    pub merge_dropped: u64,
+    /// Most literals the inbox ever held.
+    pub peak_inbox_lits: u64,
     /// Deepest decision level reached.
     pub max_level: u64,
     /// Abstract work units (see type docs).
@@ -42,8 +47,10 @@ pub struct Stats {
     /// charged. A step checks its budget between search steps, so this
     /// exceeds the budget by whatever the last one cost.
     pub max_step_work: u64,
-    /// Largest work one foreign-clause merge charged: a merge drains the
-    /// whole inbox in one go, however much the step's budget was.
+    /// Largest work one foreign-clause merge charged. An unbounded inbox
+    /// is drained in one go, however much the step's budget was; a
+    /// fixed-size one a slice at a time, each at most the step's budget
+    /// plus the slice's last clause.
     pub max_merge_burst: u64,
     /// Peak clause-database footprint in (model) bytes.
     pub peak_db_bytes: usize,
@@ -77,6 +84,8 @@ impl Stats {
             merge_discarded,
             merge_implications,
             merge_skipped,
+            merge_dropped,
+            peak_inbox_lits,
             max_level,
             work,
             max_step_work,
@@ -98,6 +107,8 @@ impl Stats {
         self.merge_discarded += merge_discarded;
         self.merge_implications += merge_implications;
         self.merge_skipped += merge_skipped;
+        self.merge_dropped += merge_dropped;
+        self.peak_inbox_lits = self.peak_inbox_lits.max(peak_inbox_lits);
         self.max_level = self.max_level.max(max_level);
         self.work += work;
         self.max_step_work = self.max_step_work.max(max_step_work);
@@ -134,6 +145,8 @@ impl Stats {
             merge_discarded,
             merge_implications,
             merge_skipped,
+            merge_dropped,
+            peak_inbox_lits,
             max_level,
             work,
             max_step_work,
@@ -155,6 +168,7 @@ impl Stats {
         reg.counter_add(&format!("{prefix}.merge_discarded"), merge_discarded);
         reg.counter_add(&format!("{prefix}.merge_implications"), merge_implications);
         reg.counter_add(&format!("{prefix}.merge_skipped"), merge_skipped);
+        reg.counter_add(&format!("{prefix}.merge_dropped"), merge_dropped);
         reg.counter_add(&format!("{prefix}.work"), work);
         reg.counter_add(&format!("{prefix}.gc_runs"), gc_runs);
         reg.counter_add(&format!("{prefix}.gc_words"), gc_words);
@@ -162,6 +176,7 @@ impl Stats {
         reg.gauge_set(&format!("{prefix}.max_step_work"), max_step_work as f64);
         reg.gauge_set(&format!("{prefix}.max_merge_burst"), max_merge_burst as f64);
         reg.gauge_set(&format!("{prefix}.peak_db_bytes"), peak_db_bytes as f64);
+        reg.gauge_set(&format!("{prefix}.peak_inbox_lits"), peak_inbox_lits as f64);
         for (i, &n) in lbd_hist.iter().enumerate() {
             if n > 0 {
                 reg.observe_n(&format!("{prefix}.lbd"), (i + 1) as f64, n);
@@ -190,6 +205,8 @@ mod tests {
             merge_discarded: 10,
             merge_implications: 11,
             merge_skipped: 25,
+            merge_dropped: 28,
+            peak_inbox_lits: 29,
             max_level: 12,
             work: 13,
             max_step_work: 26,
@@ -241,7 +258,9 @@ mod tests {
             merge_discarded: 20,
             merge_implications: 22,
             merge_skipped: 50,
-            max_level: 12, // max, not sum
+            merge_dropped: 56,
+            peak_inbox_lits: 29, // max, not sum
+            max_level: 12,       // max, not sum
             work: 26,
             max_step_work: 26,   // max, not sum
             max_merge_burst: 27, // max, not sum
@@ -276,11 +295,13 @@ mod tests {
         assert_eq!(reg.gauge("solver.peak_db_bytes"), Some(14.0));
         assert_eq!(reg.gauge("solver.max_step_work"), Some(26.0));
         assert_eq!(reg.gauge("solver.max_merge_burst"), Some(27.0));
+        assert_eq!(reg.counter("solver.merge_dropped"), 28);
+        assert_eq!(reg.gauge("solver.peak_inbox_lits"), Some(29.0));
         // every lbd_hist bucket lands in the histogram
         let h = reg.histogram("solver.lbd").expect("lbd histogram");
         assert_eq!(h.count(), (17..=24).sum::<u64>());
-        // 15 counters + 4 gauges + 1 histogram, all present in the exposition
+        // 16 counters + 5 gauges + 1 histogram, all present in the exposition
         let text = reg.render_prometheus();
-        assert_eq!(text.matches("# TYPE solver_").count(), 20);
+        assert_eq!(text.matches("# TYPE solver_").count(), 22);
     }
 }

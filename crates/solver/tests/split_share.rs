@@ -182,70 +182,83 @@ fn recursive_splits_cover_everything() {
 }
 
 /// Exchanging shared clauses between split halves never changes the
-/// answer.
+/// answer — through the unbounded inbox merged whole, and through a
+/// fixed-size one merged a slice per level-0 visit, where a verdict can
+/// arrive with clauses still queued (or evicted unmerged).
 #[test]
 fn sharing_preserves_answers() {
-    for seed in 0..60 {
-        let mut rng = Rng::seed_from_u64(seed);
-        let n = rng.range_usize(4..10);
-        let gen_seed = rng.next_u64();
-        let f = satgen::random_ksat::random_ksat(n, n * 4, 3, gen_seed);
-        let expected = brute_force(&f);
-        let config = SolverConfig {
-            share_len_limit: Some(10),
-            ..SolverConfig::default()
-        };
-        let mut a = Solver::new(&f, config.clone());
-        let Some(spec) = split_when_possible(&mut a) else {
-            continue;
-        };
-        let mut b = Solver::from_split(&spec, config);
+    let mut verdicts_over_a_residue = 0;
+    for (inbox_lits, budget) in [(None, 200), (Some(12), 5)] {
+        for seed in 0..60 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let n = rng.range_usize(4..10);
+            let gen_seed = rng.next_u64();
+            let f = satgen::random_ksat::random_ksat(n, n * 4, 3, gen_seed);
+            let expected = brute_force(&f);
+            let config = SolverConfig {
+                share_len_limit: Some(10),
+                inbox_lits,
+                ..SolverConfig::default()
+            };
+            let mut a = Solver::new(&f, config.clone());
+            let Some(spec) = split_when_possible(&mut a) else {
+                continue;
+            };
+            let mut b = Solver::from_split(&spec, config);
 
-        let mut sat = None;
-        for _round in 0..10_000 {
-            let mut done = true;
-            for s in [&mut a, &mut b] {
-                match s.step(200) {
-                    Step::Sat => {
-                        sat = Some(s.model().unwrap());
-                        done = true;
+            let mut sat = None;
+            for _round in 0..10_000 {
+                let mut done = true;
+                for s in [&mut a, &mut b] {
+                    match s.step(budget) {
+                        Step::Sat => {
+                            sat = Some(s.model().unwrap());
+                            done = true;
+                        }
+                        Step::Running => done = false,
+                        Step::Unsat | Step::MemoryPressure => {}
                     }
-                    Step::Running => done = false,
-                    Step::Unsat | Step::MemoryPressure => {}
+                    if sat.is_some() {
+                        break;
+                    }
                 }
                 if sat.is_some() {
                     break;
                 }
+                // exchange clauses both ways (wire-style: fingerprints ride along)
+                for (c, fp) in a.take_shared() {
+                    b.queue_foreign_fp(c, fp);
+                }
+                for (c, fp) in b.take_shared() {
+                    a.queue_foreign_fp(c, fp);
+                }
+                if done
+                    && a.status() == Some(SolveStatus::Unsat)
+                    && b.status() == Some(SolveStatus::Unsat)
+                {
+                    break;
+                }
             }
-            if sat.is_some() {
-                break;
+            for s in [&a, &b] {
+                let waiting = s.pending_foreign() as u64 + s.stats().merge_dropped;
+                let sliced = inbox_lits.is_some() && s.status().is_some();
+                verdicts_over_a_residue += u64::from(sliced && waiting > 0);
+                assert!(inbox_lits.is_some() || s.stats().merge_dropped == 0);
             }
-            // exchange clauses both ways (wire-style: fingerprints ride along)
-            for (c, fp) in a.take_shared() {
-                b.queue_foreign_fp(c, fp);
-            }
-            for (c, fp) in b.take_shared() {
-                a.queue_foreign_fp(c, fp);
-            }
-            if done
-                && a.status() == Some(SolveStatus::Unsat)
-                && b.status() == Some(SolveStatus::Unsat)
-            {
-                break;
-            }
-        }
-        match sat {
-            Some(model) => {
-                assert!(expected, "case seed {seed}");
-                assert!(f.is_satisfied_by(&model), "case seed {seed}");
-            }
-            None => {
-                assert_eq!(a.status(), Some(SolveStatus::Unsat), "case seed {seed}");
-                assert_eq!(b.status(), Some(SolveStatus::Unsat), "case seed {seed}");
-                assert!(!expected, "case seed {seed}");
+            match sat {
+                Some(model) => {
+                    assert!(expected, "case seed {seed}");
+                    assert!(f.is_satisfied_by(&model), "case seed {seed}");
+                }
+                None => {
+                    assert_eq!(a.status(), Some(SolveStatus::Unsat), "case seed {seed}");
+                    assert_eq!(b.status(), Some(SolveStatus::Unsat), "case seed {seed}");
+                    assert!(!expected, "case seed {seed}");
+                }
             }
         }
     }
+    assert!(verdicts_over_a_residue > 10, "{verdicts_over_a_residue}");
 }
 
 // ---------------------------------------------------------------------

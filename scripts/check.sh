@@ -32,11 +32,16 @@ cargo test -q --workspace --offline --locked
 echo "== grid_report causal smoke (13-client sim, anomaly/path gate)"
 cargo run --release -p gridsat-bench --bin grid_report -- --sim --check > /dev/null
 
-# Opt-in: the chaos soak takes a few minutes at full width, so it runs
-# in its own CI job and only here when explicitly requested.
+# Opt-in: the chaos soak runs in its own CI job and only here when
+# explicitly requested. The fast profile samples 5 seeds of every plan;
+# the hierarchical plan gets its full 20 as well (60 runs, seconds): the
+# ghost-Busy thief it found at seed 10 is a two-message race the fast
+# profile never sampled.
 if [[ "${CHECK_CHAOS:-0}" == "1" ]]; then
   echo "== chaos soak (fast profile)"
   cargo run --release -p gridsat-bench --bin chaos_soak -- --fast
+  echo "== chaos soak (submaster-loss, 20 seeds)"
+  cargo run --release -p gridsat-bench --bin chaos_soak -- --plan submaster-loss --seeds 20 --repro
 fi
 
 # Opt-in: the data-integrity gate — a decode-fuzz smoke pass over every
@@ -64,7 +69,8 @@ fi
 
 # Opt-in: the control-plane scaling smoke — flat vs hierarchical at
 # n ∈ {12, 100} with the conservation auditor armed, gating on the
-# oracle outcome and the O(sites) root-queue bound.
+# oracle outcome, the O(sites) root-queue bound and the bound on what
+# one foreign-clause merge may charge (a quantum plus one clause).
 if [[ "${CHECK_SCALE:-0}" == "1" ]]; then
   echo "== scaling smoke (scaling_1k --fast --check)"
   cargo run --release -p gridsat-bench --bin scaling_1k -- --fast --check > /dev/null

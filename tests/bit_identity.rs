@@ -12,6 +12,13 @@
 //! solver heuristics) re-captures them and says so, a change that claims
 //! to be simulator-only may not.
 //!
+//! Every run is pinned twice. Under the paper's share protocol
+//! (`share_round_s: None`, what `GridConfig::experiment1()` runs) the
+//! constants are still the ones captured then: sharing in rounds is a
+//! parameterisation of the same code path and must not move them. Under
+//! `GridConfig::default()` — rounds, fixed-size inbox, sliced merge — they
+//! were cut on the commit that introduced rounds.
+//!
 //! The instance is a pigeonhole formula, not one of the seeded families:
 //! its generator draws no random numbers, so the pins do not depend on
 //! which `rand` implementation the workspace was built against.
@@ -68,8 +75,8 @@ fn miniature(base: GridConfig) -> GridConfig {
     }
 }
 
-fn run(hierarchical: bool) -> Pins {
-    let base = miniature(GridConfig::default());
+fn run(hierarchical: bool, base: GridConfig) -> Pins {
+    let base = miniature(base);
     let config = if hierarchical {
         base.hierarchical()
     } else {
@@ -89,8 +96,11 @@ fn run(hierarchical: bool) -> Pins {
 /// control traffic is retransmitted. Returns the share-path pins plus
 /// how many payloads the engine mangled and how many the receivers
 /// caught.
-fn run_bit_rot() -> (Pins, u64, u64) {
-    let config = miniature(GridConfig::chaos_hardened());
+fn run_bit_rot(share_round_s: Option<f64>) -> (Pins, u64, u64) {
+    let config = miniature(GridConfig {
+        share_round_s,
+        ..GridConfig::chaos_hardened()
+    });
     let cap = config.overall_timeout;
     let testbed = Testbed::scaling(24, 2, false).with_client_speed(400.0);
     let mut sim = experiment::build_sim(&satgen::php::php(8, 7), testbed, config);
@@ -112,7 +122,7 @@ fn run_bit_rot() -> (Pins, u64, u64) {
 #[test]
 fn flat_run_is_bit_identical_to_the_pinned_parent() {
     assert_eq!(
-        run(false),
+        run(false, GridConfig::experiment1()),
         Pins {
             seconds_bits: 75.256425f64.to_bits(),
             events: 7690,
@@ -131,7 +141,7 @@ fn flat_run_is_bit_identical_to_the_pinned_parent() {
 #[test]
 fn hierarchical_run_is_bit_identical_to_the_pinned_parent() {
     assert_eq!(
-        run(true),
+        run(true, GridConfig::experiment1()),
         Pins {
             seconds_bits: 76.712527f64.to_bits(),
             events: 11_354,
@@ -149,7 +159,7 @@ fn hierarchical_run_is_bit_identical_to_the_pinned_parent() {
 
 #[test]
 fn bit_rot_run_is_bit_identical_to_the_pinned_parent() {
-    let (pins, corrupted_payloads, corrupt_drops) = run_bit_rot();
+    let (pins, corrupted_payloads, corrupt_drops) = run_bit_rot(None);
     assert_eq!(
         pins,
         Pins {
@@ -167,4 +177,65 @@ fn bit_rot_run_is_bit_identical_to_the_pinned_parent() {
     );
     // every mangled payload was caught by a receiver's frame check
     assert_eq!((corrupted_payloads, corrupt_drops), (115, 115));
+}
+
+#[test]
+fn flat_run_in_rounds_is_pinned() {
+    assert_eq!(
+        run(false, GridConfig::default()),
+        Pins {
+            seconds_bits: 72.26087f64.to_bits(),
+            events: 7659,
+            messages_delivered: 3850,
+            bytes_delivered: 565_024,
+            ticks: 3784,
+            splits: 192,
+            clauses_received: 1108,
+            dup_share_drops: 5,
+            shares_forwarded: 912,
+            share_batches_sent: 49,
+        }
+    );
+}
+
+#[test]
+fn hierarchical_run_in_rounds_is_pinned() {
+    assert_eq!(
+        run(true, GridConfig::default()),
+        Pins {
+            seconds_bits: 77.895162f64.to_bits(),
+            events: 11_380,
+            messages_delivered: 6875,
+            bytes_delivered: 1_100_624,
+            ticks: 4197,
+            splits: 35,
+            clauses_received: 2485,
+            dup_share_drops: 77,
+            shares_forwarded: 1695,
+            share_batches_sent: 94,
+        }
+    );
+}
+
+#[test]
+fn bit_rot_run_in_rounds_is_pinned() {
+    let rounds = GridConfig::default().share_round_s;
+    let (pins, corrupted_payloads, corrupt_drops) = run_bit_rot(rounds);
+    assert_eq!(
+        pins,
+        Pins {
+            seconds_bits: 87.818564f64.to_bits(),
+            events: 16_435,
+            messages_delivered: 6213,
+            bytes_delivered: 682_098,
+            ticks: 3794,
+            splits: 131,
+            clauses_received: 1354,
+            dup_share_drops: 71,
+            shares_forwarded: 1056,
+            share_batches_sent: 71,
+        }
+    );
+    // every mangled payload was caught by a receiver's frame check
+    assert_eq!((corrupted_payloads, corrupt_drops), (82, 82));
 }

@@ -12,7 +12,7 @@ fn traced_run() -> (Vec<TraceRow>, String) {
     let config = GridConfig {
         min_split_timeout: 1.0,
         work_quantum_s: 0.5,
-        ..GridConfig::default()
+        ..GridConfig::experiment1()
     };
     let mut sim = experiment::build_sim(&f, Testbed::uniform(3, 1000.0, 3 << 20), config);
     sim.enable_trace();
