@@ -340,8 +340,8 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--out PATH").clone());
 
     // weak scaling: the instance grows with the fleet so total work
-    // keeps 1000 slow clients occupied — hard UNSAT XOR chains (same
-    // family as the `scaling` bench) sized so split pressure, and with
+    // keeps 1000 slow clients occupied — hard UNSAT XOR chains (Table
+    // 1's `ip38` family) sized so split pressure, and with
     // it the flat root's backlog, saturates at every tier. Flat and
     // hierarchical always see the same instance at the same n, which
     // is the comparison that matters.

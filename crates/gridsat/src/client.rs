@@ -3,7 +3,10 @@
 //! to peers (paper Sections 3.1-3.3).
 
 use crate::audit::Audit;
-use crate::config::{CheckpointMode, GridConfig, ShareTuning};
+use crate::config::{
+    CheckpointMode, GridConfig, ASSUMED_BW_BYTES_PER_S, HEARTBEAT_PERIOD_S, MEM_FRACTION,
+    MIN_MEMORY,
+};
 use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
 use crate::wire::{EncodedBatch, SpecFrame};
 use gridsat_cnf::Clause;
@@ -60,8 +63,6 @@ pub struct ClientStats {
     pub results: u64,
     /// Migrations performed (sent own problem away).
     pub migrations: u64,
-    /// Adaptive share-limit adjustments (extension).
-    pub share_limit_changes: u64,
     /// Splits performed as a steal donor (hierarchy extension): work
     /// handed to an idle sibling without a master grant.
     pub steals: u64,
@@ -104,7 +105,6 @@ impl ClientStats {
             work,
             results,
             migrations,
-            share_limit_changes,
             steals,
             load_reports_sent,
             load_reports_suppressed,
@@ -126,7 +126,6 @@ impl ClientStats {
         self.work += work;
         self.results += results;
         self.migrations += migrations;
-        self.share_limit_changes += share_limit_changes;
         self.steals += steals;
         self.load_reports_sent += load_reports_sent;
         self.load_reports_suppressed += load_reports_suppressed;
@@ -152,7 +151,6 @@ impl ClientStats {
             work,
             results,
             migrations,
-            share_limit_changes,
             steals,
             load_reports_sent,
             load_reports_suppressed,
@@ -177,10 +175,6 @@ impl ClientStats {
         reg.counter_add(&format!("{prefix}.work"), work);
         reg.counter_add(&format!("{prefix}.results"), results);
         reg.counter_add(&format!("{prefix}.migrations"), migrations);
-        reg.counter_add(
-            &format!("{prefix}.share_limit_changes"),
-            share_limit_changes,
-        );
         reg.counter_add(&format!("{prefix}.steals"), steals);
         reg.counter_add(&format!("{prefix}.load_reports_sent"), load_reports_sent);
         reg.counter_add(
@@ -271,30 +265,6 @@ impl Roster {
     }
 }
 
-/// Pure decision core of the adaptive share tuner: given one window's
-/// merge evidence, pick the next share-length limit. The limit is left
-/// alone when the evidence is thin (warm-up) or the implication rate
-/// sits in the dead band, and it never leaves `[min, max]`.
-fn tuned_share_limit(
-    current: usize,
-    merged: u64,
-    implications: u64,
-    min: usize,
-    max: usize,
-) -> usize {
-    if merged < 10 {
-        return current; // not enough evidence this window
-    }
-    let rate = implications as f64 / merged as f64;
-    if rate < 0.05 {
-        current.saturating_sub(1).max(min)
-    } else if rate > 0.25 {
-        (current + 1).min(max)
-    } else {
-        current
-    }
-}
-
 /// How long a client routes split traffic back to the root after its
 /// sub-master proved unreachable (hierarchy extension).
 const BROKER_RETRY_COOLDOWN_S: f64 = 120.0;
@@ -363,11 +333,6 @@ pub struct Client {
     last_heartbeat: f64,
     /// Identity of the subproblem currently held.
     current_problem: Option<ProblemId>,
-    /// Adaptive share-limit state: current limit and the merge counters
-    /// at the last adjustment.
-    share_limit_now: Option<usize>,
-    tuning_mark: (u64, u64),
-    last_tuning: f64,
     /// Counter for subproblem ids minted by this client's splits.
     minted: u32,
     pub stats: ClientStats,
@@ -379,7 +344,6 @@ pub struct Client {
 
 impl Client {
     pub fn new(master: NodeId, config: GridConfig) -> Client {
-        let share_limit_now = config.share_len_limit;
         Client {
             master,
             config,
@@ -401,9 +365,6 @@ impl Client {
             last_load_report_sent: f64::NEG_INFINITY,
             last_checkpoint: 0.0,
             last_heartbeat: 0.0,
-            share_limit_now,
-            tuning_mark: (0, 0),
-            last_tuning: 0.0,
             current_problem: None,
             minted: 0,
             stats: ClientStats::default(),
@@ -485,43 +446,14 @@ impl Client {
     }
 
     fn solver_config(&self, host_memory: usize) -> SolverConfig {
-        let budget = (host_memory as f64 * self.config.mem_fraction) as usize;
-        let mut cfg = match self.share_limit_now {
+        let budget = (host_memory as f64 * MEM_FRACTION) as usize;
+        let mut cfg = match self.config.share_len_limit {
             Some(limit) => SolverConfig::grid_client(limit, budget),
             None => SolverConfig::sequential_baseline(budget),
         };
         cfg.mem_budget = Some(budget);
-        cfg.share_lbd_limit = self.config.share_lbd_limit;
         cfg.inbox_lits = self.config.share_round_s.map(|_| INBOX_LITS);
         cfg
-    }
-
-    /// The adaptive share-tuning extension: when merged foreign clauses
-    /// rarely produce implications the limit tightens (sharing is mostly
-    /// overhead); when most of them do, it widens.
-    fn maybe_tune_share_limit(&mut self, ctx: &Ctx<GridMsg>) {
-        let ShareTuning::Adaptive { min, max } = self.config.share_tuning else {
-            return;
-        };
-        if ctx.now() - self.last_tuning < self.config.load_report_period {
-            return;
-        }
-        self.last_tuning = ctx.now();
-        let Some(solver) = &mut self.solver else {
-            return;
-        };
-        let st = solver.stats();
-        let (m0, i0) = self.tuning_mark;
-        let merged = st.merged_in - m0;
-        let implications = st.merge_implications - i0;
-        self.tuning_mark = (st.merged_in, st.merge_implications);
-        let current = self.share_limit_now.unwrap_or(max);
-        let next = tuned_share_limit(current, merged, implications, min, max);
-        if next != current {
-            self.share_limit_now = Some(next);
-            solver.set_share_len_limit(Some(next));
-            self.stats.share_limit_changes += 1;
-        }
     }
 
     fn mint_problem_id(&mut self, ctx: &Ctx<GridMsg>) -> ProblemId {
@@ -531,15 +463,13 @@ impl Client {
 
     fn adopt_problem(&mut self, spec: &SplitSpec, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
         debug_assert!(
-            (ctx.info.memory as f64 * self.config.mem_fraction) as usize >= self.config.min_memory,
+            (ctx.info.memory as f64 * MEM_FRACTION) as usize >= MIN_MEMORY,
             "master must not assign work to under-provisioned hosts"
         );
         let mut solver = Solver::from_split(spec, self.solver_config(ctx.info.memory));
         solver.set_obs(self.obs.clone(), ctx.me().0);
         solver.set_obs_now(ctx.now());
         self.solver = Some(solver);
-        // the tuner's evidence is counted from this solver's counters
-        self.tuning_mark = (0, 0);
         self.current_problem = Some(problem);
         self.state = State::Solving;
         // anchor this node's causal register on the adoption: solver
@@ -557,10 +487,10 @@ impl Client {
     /// Renew the lease with the master when the period has elapsed
     /// (reliability extension; no-op when reliability is off).
     fn maybe_heartbeat(&mut self, ctx: &mut Ctx<GridMsg>) {
-        let Some(rel) = self.config.reliability else {
+        if !self.config.reliability {
             return;
-        };
-        if ctx.now() - self.last_heartbeat >= rel.heartbeat_period {
+        }
+        if ctx.now() - self.last_heartbeat >= HEARTBEAT_PERIOD_S {
             self.last_heartbeat = ctx.now();
             ctx.send(self.master, GridMsg::Heartbeat);
         }
@@ -596,7 +526,7 @@ impl Client {
                 // with a fresh retry budget, toward the *current* master —
                 // a takeover may have retargeted us while the send was in
                 // flight (the overall timeout bounds the retrying)
-                debug_assert!(to == self.master || self.config.failover.is_some());
+                debug_assert!(to == self.master || self.config.failover);
                 ctx.send(self.master, msg);
             }
             // the request itself re-arises from the time-out heuristic;
@@ -798,8 +728,8 @@ impl Process for Client {
     fn on_start(&mut self, ctx: &mut Ctx<GridMsg>) {
         // the paper's clients terminate if the host is under-provisioned;
         // they register otherwise and wait for work
-        let usable = (ctx.info.memory as f64 * self.config.mem_fraction) as usize;
-        if usable < self.config.min_memory {
+        let usable = (ctx.info.memory as f64 * MEM_FRACTION) as usize;
+        if usable < MIN_MEMORY {
             self.state = State::Done;
             return;
         }
@@ -821,9 +751,9 @@ impl Process for Client {
                 availability: ctx.info.availability,
             },
         );
-        if let Some(rel) = self.config.reliability {
+        if self.config.reliability {
             // idle clients must keep ticking to renew their lease
-            ctx.schedule_tick(rel.heartbeat_period);
+            ctx.schedule_tick(HEARTBEAT_PERIOD_S);
         }
         if let Some(h) = self.config.hierarchy {
             // announce idleness to the site sub-master (once the driver
@@ -978,7 +908,7 @@ impl Process for Client {
                         // "a client records the time it required to SEND or
                         // receive a problem": estimate the send cost so the
                         // split time-out backs off as the database grows
-                        let est = frame.wire_len() as f64 / self.config.assumed_bw_bytes_per_s;
+                        let est = frame.wire_len() as f64 / ASSUMED_BW_BYTES_PER_S;
                         self.transfer_time = self.transfer_time.max(est);
                         ctx.send(
                             peer,
@@ -1174,7 +1104,7 @@ impl Process for Client {
                 };
                 let keep_pivot = spec.assumptions.last().map(|&(lit, _)| !lit);
                 let frame = SpecFrame::seal(&spec);
-                let est = frame.wire_len() as f64 / self.config.assumed_bw_bytes_per_s;
+                let est = frame.wire_len() as f64 / ASSUMED_BW_BYTES_PER_S;
                 self.transfer_time = self.transfer_time.max(est);
                 ctx.send(
                     from,
@@ -1250,9 +1180,9 @@ impl Process for Client {
                 // nothing to solve, but periodic duties may remain: lease
                 // renewal (reliability) and idle announcements (hierarchy)
                 let mut next = f64::INFINITY;
-                if let Some(rel) = self.config.reliability {
+                if self.config.reliability {
                     self.maybe_heartbeat(ctx);
-                    next = next.min(rel.heartbeat_period);
+                    next = next.min(HEARTBEAT_PERIOD_S);
                 }
                 if let Some(h) = self.config.hierarchy {
                     self.maybe_announce_idle(ctx);
@@ -1307,8 +1237,6 @@ impl Process for Client {
                 }
             }
         }
-
-        self.maybe_tune_share_limit(ctx);
 
         // periodic NWS measurement for the master's forecasters — but
         // coalesced: a report goes out only when availability moved by a
@@ -1405,7 +1333,6 @@ mod tests {
             work: 6,
             results: 7,
             migrations: 8,
-            share_limit_changes: 9,
             steals: 13,
             load_reports_sent: 14,
             load_reports_suppressed: 15,
@@ -1434,7 +1361,6 @@ mod tests {
                 work: 12,
                 results: 14,
                 migrations: 16,
-                share_limit_changes: 18,
                 steals: 26,
                 load_reports_sent: 28,
                 load_reports_suppressed: 30,
@@ -1452,7 +1378,6 @@ mod tests {
         assert_eq!(reg.counter("client.subproblems"), 1);
         assert_eq!(reg.counter("client.dup_share_drops"), 10);
         assert_eq!(reg.counter("client.share_bytes_sent"), 12);
-        assert_eq!(reg.counter("client.share_limit_changes"), 9);
         assert_eq!(reg.counter("client.steals"), 13);
         assert_eq!(reg.counter("client.load_reports_suppressed"), 15);
         assert_eq!(reg.gauge("client.max_step_work"), Some(16.0));
@@ -1463,7 +1388,7 @@ mod tests {
         assert_eq!(reg.gauge("client.peak_inbox_lits"), Some(21.0));
         assert_eq!(
             reg.render_prometheus().matches("# TYPE client_").count(),
-            21
+            20
         );
     }
 
@@ -1570,26 +1495,6 @@ mod tests {
             }
         }
         assert!(unsorted_seen > 0, "the scan fallback was exercised");
-    }
-
-    #[test]
-    fn share_tuning_needs_enough_evidence() {
-        // fewer than 10 merges in the window: hold, even at rate 0 or 1
-        assert_eq!(tuned_share_limit(6, 9, 0, 2, 16), 6);
-        assert_eq!(tuned_share_limit(6, 9, 9, 2, 16), 6);
-        // the tenth merge is enough
-        assert_eq!(tuned_share_limit(6, 10, 0, 2, 16), 5);
-    }
-
-    #[test]
-    fn share_tuning_clamps_at_both_bounds() {
-        assert_eq!(tuned_share_limit(2, 100, 0, 2, 16), 2); // min clamp
-        assert_eq!(tuned_share_limit(16, 100, 100, 2, 16), 16); // max clamp
-        assert_eq!(tuned_share_limit(5, 100, 100, 2, 16), 6); // widen inside
-        assert_eq!(tuned_share_limit(5, 100, 4, 2, 16), 4); // rate .04 < .05
-        assert_eq!(tuned_share_limit(5, 100, 5, 2, 16), 5); // rate .05: dead band
-        assert_eq!(tuned_share_limit(5, 100, 25, 2, 16), 5); // rate .25: dead band
-        assert_eq!(tuned_share_limit(5, 100, 26, 2, 16), 6); // rate .26 > .25
     }
 
     #[test]
@@ -2915,171 +2820,5 @@ mod tests {
         assert!(report_sent(&cx.take_actions()));
         assert_eq!(c.stats.load_reports_sent, 3);
         assert_eq!(c.stats.load_reports_suppressed, 3);
-    }
-}
-
-#[cfg(test)]
-mod adaptive_tests {
-    use super::*;
-    use crate::config::ShareTuning;
-    use gridsat_grid::NodeInfo;
-    use gridsat_solver::SplitSpec;
-
-    fn framed(spec: &SplitSpec) -> Box<SpecFrame> {
-        Box::new(SpecFrame::seal(spec))
-    }
-
-    fn ctx(now: f64) -> Ctx<GridMsg> {
-        Ctx::new(NodeInfo {
-            id: NodeId(1),
-            speed: 1000.0,
-            memory: 3 << 20,
-            now,
-            availability: 1.0,
-        })
-    }
-
-    fn adaptive_client() -> Client {
-        Client::new(
-            NodeId(0),
-            GridConfig {
-                share_len_limit: Some(6),
-                share_tuning: ShareTuning::Adaptive { min: 2, max: 16 },
-                load_report_period: 1.0,
-                ..GridConfig::default()
-            },
-        )
-    }
-
-    fn give_problem(c: &mut Client, now: f64) {
-        let f = gridsat_satgen::php::php(7, 6);
-        let spec = SplitSpec {
-            num_vars: f.num_vars(),
-            assumptions: vec![],
-            clauses: f.clauses().to_vec(),
-        };
-        let mut cx = ctx(now);
-        c.on_message(
-            NodeId(0),
-            GridMsg::Solve {
-                spec: framed(&spec),
-                problem: ProblemId::new(NodeId(0), 1),
-            },
-            &mut cx,
-        );
-        let _ = cx.take_actions();
-    }
-
-    /// Deliver 40 long clauses of unassigned literals: each merges as
-    /// "added" with no implication — evidence for tightening the limit.
-    fn feed_useless_clauses(c: &mut Client) {
-        for i in 0..40u32 {
-            let lits: Vec<gridsat_cnf::Lit> = (0..3)
-                .map(|j| gridsat_cnf::Lit::new((((i * 3 + j) % 40) + 1).into(), j % 2 == 0))
-                .collect();
-            let mut cx = ctx(0.5);
-            c.on_message(
-                NodeId(2),
-                super::tests::share_msg(NodeId(2), vec![gridsat_cnf::Clause::new(lits)]),
-                &mut cx,
-            );
-        }
-    }
-
-    #[test]
-    fn useless_foreign_clauses_tighten_the_limit() {
-        let mut c = adaptive_client();
-        give_problem(&mut c, 0.0);
-        // feed tautologies: merged (skipped) clauses with zero implications
-        // won't count as merges, so use satisfied/unknown clauses instead:
-        // long clauses of fresh unassigned literals merge as "added" (no
-        // implication) — rate 0 => tighten
-        feed_useless_clauses(&mut c);
-        // tick to merge (level 0) and then tune after the period
-        let mut cx = ctx(0.6);
-        c.on_tick(&mut cx);
-        let _ = cx.take_actions();
-        let before = c.share_limit_now.unwrap();
-        let mut cx = ctx(2.0);
-        c.on_tick(&mut cx);
-        let _ = cx.take_actions();
-        let after = c.share_limit_now.unwrap();
-        assert!(after <= before, "limit should not widen on useless merges");
-    }
-
-    /// The tuner's mark belongs to one solver: a second subproblem starts
-    /// counting merge evidence from zero instead of subtracting the first
-    /// solver's totals from its own (an underflow).
-    #[test]
-    fn a_second_subproblem_is_tuned_on_its_own_evidence() {
-        let mut c = adaptive_client();
-        give_problem(&mut c, 0.0);
-        feed_useless_clauses(&mut c);
-        // solve to the end, tuning on the way: the mark moves off zero
-        let mut now = 0.0;
-        while c.is_solving() {
-            now += 2.0;
-            let mut cx = ctx(now);
-            c.on_tick(&mut cx);
-            let _ = cx.take_actions();
-        }
-        assert_eq!(c.stats.results, 1);
-        assert!(c.tuning_mark.0 > 0, "the first solver merged and was tuned");
-
-        give_problem(&mut c, now);
-        assert_eq!(c.tuning_mark, (0, 0));
-        let (limit, changes) = (c.share_limit_now, c.stats.share_limit_changes);
-        // past the tuning period on the new solver, which merged nothing
-        let mut cx = ctx(now + 2.0);
-        c.on_tick(&mut cx);
-        assert!(c.is_solving(), "the tick reached the tuner");
-        assert_eq!(c.share_limit_now, limit, "no evidence, no change");
-        assert_eq!(c.stats.share_limit_changes, changes);
-    }
-
-    #[test]
-    fn pinned_at_the_minimum_nothing_is_counted_as_a_change() {
-        // min == max == current: the tuner always lands on the same
-        // limit, so share_limit_changes must stay zero no matter how
-        // useless the merged clauses are
-        let mut c = Client::new(
-            NodeId(0),
-            GridConfig {
-                share_len_limit: Some(6),
-                share_tuning: ShareTuning::Adaptive { min: 6, max: 6 },
-                load_report_period: 1.0,
-                ..GridConfig::default()
-            },
-        );
-        give_problem(&mut c, 0.0);
-        feed_useless_clauses(&mut c);
-        for t in 1..6 {
-            let mut cx = ctx(t as f64);
-            c.on_tick(&mut cx);
-            let _ = cx.take_actions();
-        }
-        assert_eq!(c.share_limit_now, Some(6));
-        assert_eq!(c.stats.share_limit_changes, 0);
-    }
-
-    #[test]
-    fn fixed_tuning_never_changes_the_limit() {
-        let mut c = Client::new(
-            NodeId(0),
-            GridConfig {
-                share_len_limit: Some(6),
-                share_tuning: ShareTuning::Fixed,
-                load_report_period: 1.0,
-                ..GridConfig::default()
-            },
-        );
-        give_problem(&mut c, 0.0);
-        for t in 1..10 {
-            let mut cx = ctx(t as f64);
-            c.on_tick(&mut cx);
-            let _ = cx.take_actions();
-        }
-        assert_eq!(c.share_limit_now, Some(6));
-        assert_eq!(c.stats.share_limit_changes, 0);
     }
 }

@@ -13,19 +13,6 @@ pub enum SchedPolicy {
     WorstRank,
 }
 
-/// How the share-length limit is chosen (the paper leaves automatic
-/// determination as an open problem: "we do not yet have a way of
-/// determining the length of the clauses to share automatically").
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum ShareTuning {
-    /// Use the configured limit as-is (the paper's mode).
-    Fixed,
-    /// Adapt the limit between `min` and `max`: when merged foreign
-    /// clauses rarely produce implications, tighten; when most do, widen
-    /// (extension implementing the paper's future-work item).
-    Adaptive { min: usize, max: usize },
-}
-
 /// Checkpointing mode (paper Section 3.4; extension, off by default).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CheckpointMode {
@@ -36,72 +23,46 @@ pub enum CheckpointMode {
     Heavy,
 }
 
-/// Reliable-delivery and failure-detection tunables (robustness
-/// extension; the paper's protocol assumes TCP and concedes it "will
-/// not tolerate a machine crash").
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ReliabilityConfig {
-    /// Base retransmit time-out for control messages, seconds.
-    pub rto_s: f64,
-    /// Bandwidth assumed when scaling the time-out with message size
-    /// (matches the WAN floor, so in-flight transfers are never
-    /// retransmitted spuriously).
-    pub rto_bytes_per_s: f64,
-    /// Ceiling on exponential retransmit backoff, seconds.
-    pub backoff_cap_s: f64,
-    /// Retransmissions before a message is declared undeliverable.
-    pub max_retries: u32,
-    /// Retransmit jitter fraction (seeded; avoids retry storms).
-    pub jitter_frac: f64,
-    /// Client heartbeat period, seconds.
-    pub heartbeat_period: f64,
-    /// Consecutive missed heartbeats before the master expires a
-    /// client's lease and treats it as lost.
-    pub lease_misses: u32,
-    /// Checksum-failing deliveries attributed to one peer before the
-    /// master quarantines it (deregisters it and recovers its work) —
-    /// a link that mangles this much traffic is indistinguishable from
-    /// a byzantine or dying host. High enough that ambient bit rot on a
-    /// healthy peer never trips it within a run (integrity extension).
-    pub quarantine_strikes: u32,
-}
+/// Fraction of host memory a client's solver may use ("only use up to
+/// 60% of it").
+pub const MEM_FRACTION: f64 = 0.6;
 
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            rto_s: 5.0,
-            rto_bytes_per_s: 4_000.0,
-            backoff_cap_s: 60.0,
-            max_retries: 5,
-            jitter_frac: 0.1,
-            heartbeat_period: 10.0,
-            lease_misses: 3,
-            quarantine_strikes: 40,
-        }
-    }
-}
+/// Minimum usable memory for a client to participate (the paper's
+/// 128 MB, scaled to model bytes).
+pub const MIN_MEMORY: usize = 400 << 10;
 
-/// Master failover (robustness extension). A designated standby client
-/// tails the master's write-ahead journal over the control plane and
-/// promotes itself to master when the journal feed goes quiet for
-/// longer than the grace period.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct FailoverConfig {
-    /// Node that doubles as the journal-tailing standby.
-    pub standby_node: u32,
-    /// Silence (no journal batches, not even keepalives) the standby
-    /// tolerates before promoting itself, seconds.
-    pub promote_grace_s: f64,
-}
+/// A migration must improve the host rank by at least this factor.
+pub const MIGRATION_FACTOR: f64 = 2.0;
 
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            standby_node: 1,
-            promote_grace_s: 20.0,
-        }
-    }
-}
+/// Bandwidth a client assumes when estimating the cost of a subproblem
+/// it *sends* (the receive side measures directly), bytes per second.
+pub const ASSUMED_BW_BYTES_PER_S: f64 = 4_000.0;
+
+/// Client heartbeat period under [`GridConfig::reliability`], seconds
+/// (robustness extension; the paper's protocol assumes TCP and concedes
+/// it "will not tolerate a machine crash"). The wire half of the layer —
+/// retransmit time-out, backoff, retry budget, jitter — is
+/// `gridsat_grid::ReliableConfig::default()`.
+pub const HEARTBEAT_PERIOD_S: f64 = 10.0;
+
+/// Consecutive missed heartbeats before the master expires a client's
+/// lease and treats it as lost.
+pub const LEASE_MISSES: u32 = 3;
+
+/// Checksum-failing deliveries attributed to one peer before the master
+/// quarantines it (deregisters it and recovers its work) — a link that
+/// mangles this much traffic is indistinguishable from a byzantine or
+/// dying host. High enough that ambient bit rot on a healthy peer never
+/// trips it within a run (integrity extension).
+pub const QUARANTINE_STRIKES: u32 = 40;
+
+/// Node that doubles as the journal-tailing standby under
+/// [`GridConfig::failover`].
+pub const STANDBY_NODE: u32 = 1;
+
+/// Silence (no journal batches, not even keepalives) the standby
+/// tolerates before promoting itself, seconds.
+pub const PROMOTE_GRACE_S: f64 = 20.0;
 
 /// Hierarchical control plane (scaling extension): per-site sub-masters
 /// broker split traffic locally via steal tickets, escalating to the
@@ -140,21 +101,11 @@ pub struct GridConfig {
     /// Maximum length of shared learned clauses (10 in experiment set 1,
     /// 3 in set 2). `None` disables sharing (ablation).
     pub share_len_limit: Option<usize>,
-    /// Additional LBD (glue) ceiling on shared clauses — a HordeSat-style
-    /// quality filter layered on the paper's length limit. `None` (the
-    /// paper's behaviour) shares on length alone.
-    pub share_lbd_limit: Option<u32>,
     /// Floor for the client's split time-out ("set to 100 seconds").
     pub min_split_timeout: f64,
     /// Overall execution cap in simulated seconds (6000 solvable /
     /// 12000 challenge in the paper).
     pub overall_timeout: f64,
-    /// Fraction of host memory a client's solver may use ("only use up
-    /// to 60% of it").
-    pub mem_fraction: f64,
-    /// Minimum usable memory for a client to participate (the paper's
-    /// 128 MB, scaled to model bytes).
-    pub min_memory: usize,
     /// Seconds of solver work per client tick (scheduling granularity).
     pub work_quantum_s: f64,
     /// Period of NWS load reports from clients, seconds.
@@ -165,17 +116,10 @@ pub struct GridConfig {
     pub scheduler: SchedPolicy,
     /// Allow the master to migrate subproblems to better resources.
     pub migration: bool,
-    /// A migration must improve the host rank by at least this factor.
-    pub migration_factor: f64,
     /// Checkpointing (fault-tolerance extension).
     pub checkpoint: CheckpointMode,
     /// Checkpoint upload period, seconds.
     pub checkpoint_period: f64,
-    /// Bandwidth a client assumes when estimating the cost of a
-    /// subproblem it *sends* (the receive side measures directly).
-    pub assumed_bw_bytes_per_s: f64,
-    /// Share-limit tuning policy (extension; `Fixed` = paper behaviour).
-    pub share_tuning: ShareTuning,
     /// Fan-out of the k-ary relay tree used for clause-share traffic.
     /// `Some(k)` routes each batch along a tree derived from the client
     /// roster (O(n) messages per batch, at most `k` sends per node);
@@ -191,13 +135,16 @@ pub struct GridConfig {
     /// "as soon as learned" (every quantum, everything, in learn order),
     /// queue without bound, merge the whole inbox at level 0.
     pub share_round_s: Option<f64>,
-    /// Reliable control-plane delivery + heartbeat leases. `None` (the
+    /// Reliable control-plane delivery + heartbeat leases. `false` (the
     /// default) runs the paper's bare protocol — the wire is then
     /// bit-identical to a build without the reliability layer.
-    pub reliability: Option<ReliabilityConfig>,
-    /// Journal-tailing standby master. `None` (the default, and the
-    /// paper's behaviour) means a dead master wedges the run.
-    pub failover: Option<FailoverConfig>,
+    pub reliability: bool,
+    /// Master failover (robustness extension): node [`STANDBY_NODE`] tails
+    /// the master's write-ahead journal over the control plane and
+    /// promotes itself to master when the feed goes quiet for longer than
+    /// [`PROMOTE_GRACE_S`]. `false` (the default, and the paper's
+    /// behaviour) means a dead master wedges the run.
+    pub failover: bool,
     /// Hierarchical control plane: per-site sub-masters + intra-site
     /// work stealing. `None` (the default, and the paper's behaviour)
     /// routes every split request through the root master.
@@ -212,25 +159,19 @@ impl Default for GridConfig {
     fn default() -> Self {
         GridConfig {
             share_len_limit: Some(10),
-            share_lbd_limit: None,
             min_split_timeout: 100.0,
             overall_timeout: 6000.0,
-            mem_fraction: 0.6,
-            min_memory: 400 << 10, // scaled 128 MB
             work_quantum_s: 5.0,
             load_report_period: 60.0,
             master_period: 5.0,
             scheduler: SchedPolicy::NwsRank,
             migration: true,
-            migration_factor: 2.0,
             checkpoint: CheckpointMode::Off,
             checkpoint_period: 300.0,
-            assumed_bw_bytes_per_s: 4_000.0,
-            share_tuning: ShareTuning::Fixed,
             share_relay_branch: Some(4),
             share_round_s: Some(5.0),
-            reliability: None,
-            failover: None,
+            reliability: false,
+            failover: false,
             hierarchy: None,
             audit: false,
         }
@@ -269,7 +210,7 @@ impl GridConfig {
     /// client is recovered instead of ending the run.
     pub fn chaos_hardened() -> GridConfig {
         GridConfig {
-            reliability: Some(ReliabilityConfig::default()),
+            reliability: true,
             checkpoint: CheckpointMode::Light,
             checkpoint_period: 30.0,
             ..GridConfig::default()
@@ -286,7 +227,7 @@ impl GridConfig {
     /// the journal as a standby and takes over after the grace period.
     pub fn failover_hardened() -> GridConfig {
         GridConfig {
-            failover: Some(FailoverConfig::default()),
+            failover: true,
             ..GridConfig::chaos_hardened()
         }
     }
@@ -302,7 +243,10 @@ mod tests {
         assert_eq!(e1.share_len_limit, Some(10));
         assert_eq!(e1.min_split_timeout, 100.0);
         assert_eq!(e1.overall_timeout, 6000.0);
-        assert_eq!(e1.mem_fraction, 0.6);
+        assert_eq!(MEM_FRACTION, 0.6);
+        assert_eq!(MIN_MEMORY, 400 << 10);
+        assert_eq!(MIGRATION_FACTOR, 2.0);
+        assert_eq!(ASSUMED_BW_BYTES_PER_S, 4_000.0);
 
         assert_eq!(GridConfig::experiment1_challenge().overall_timeout, 12000.0);
 
@@ -322,18 +266,17 @@ mod tests {
         assert_eq!(e1.share_relay_branch, Some(4));
 
         // the paper presets run the bare protocol: reliability stays off
-        assert!(e1.reliability.is_none());
-        assert!(e2.reliability.is_none());
+        assert!(!e1.reliability && !e1.failover);
+        assert!(!e2.reliability && !e2.failover);
         let hardened = GridConfig::chaos_hardened();
-        assert!(hardened.reliability.is_some());
+        assert!(hardened.reliability && !hardened.failover);
         assert_eq!(hardened.checkpoint, CheckpointMode::Light);
-        assert!(hardened.failover.is_none());
+        assert_eq!((HEARTBEAT_PERIOD_S, LEASE_MISSES), (10.0, 3));
+        assert_eq!(QUARANTINE_STRIKES, 40);
 
         let failover = GridConfig::failover_hardened();
-        assert!(failover.reliability.is_some());
-        let fo = failover.failover.expect("failover preset sets a standby");
-        assert_eq!(fo.standby_node, 1);
-        assert!(fo.promote_grace_s > 0.0);
+        assert!(failover.reliability && failover.failover);
+        assert_eq!((STANDBY_NODE, PROMOTE_GRACE_S), (1, 20.0));
 
         // the paper's control plane is flat; hierarchy is opt-in
         assert!(e1.hierarchy.is_none());

@@ -3,7 +3,7 @@
 
 use crate::audit::Audit;
 use crate::client::{Client, ClientStats};
-use crate::config::GridConfig;
+use crate::config::{GridConfig, STANDBY_NODE};
 use crate::master::{GridOutcome, Master, MasterStats, MasterTelemetry};
 use crate::msg::GridMsg;
 use crate::standby::StandbyNode;
@@ -92,20 +92,6 @@ impl ReliableProcess for GridNode {
 /// [`GridConfig::reliability`] is set).
 pub type GridSim = Sim<Reliable<GridNode>>;
 
-/// Map the run-level reliability knobs onto the wire-level wrapper
-/// config (the heartbeat/lease knobs live in the master and clients, not
-/// on the wire).
-fn wire_reliability(config: &GridConfig) -> Option<ReliableConfig> {
-    config.reliability.map(|r| ReliableConfig {
-        rto_s: r.rto_s,
-        rto_bytes_per_s: r.rto_bytes_per_s,
-        backoff_cap_s: r.backoff_cap_s,
-        max_retries: r.max_retries,
-        jitter_frac: r.jitter_frac,
-        ..ReliableConfig::default()
-    })
-}
-
 /// A finished GridSAT run.
 #[derive(Debug)]
 pub struct GridReport {
@@ -170,17 +156,14 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
         .collect();
     let formula = formula.clone();
     let node_obs = obs.clone();
-    let wire = wire_reliability(&config);
+    let wire = config.reliability.then(ReliableConfig::default);
     let audit = if config.audit {
         Audit::enabled()
     } else {
         Audit::default()
     };
     audit.set_obs(obs.clone());
-    let standby_id = config
-        .failover
-        .map(|fo| NodeId(fo.standby_node))
-        .filter(|&id| id != master_id);
+    let standby_id = config.failover.then_some(NodeId(STANDBY_NODE));
     // hierarchy wiring: hosts marked as brokers become per-site
     // sub-masters, and every solver client is pointed at its site's one
     let brokers: std::collections::HashMap<gridsat_grid::Site, NodeId> =
@@ -195,7 +178,7 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
         } else {
             Default::default()
         };
-    debug_assert!(
+    assert!(
         standby_id.is_none_or(|id| !brokers.values().any(|&b| b == id)),
         "the standby host cannot double as a sub-master"
     );
@@ -372,6 +355,17 @@ mod tests {
         assert_eq!(hardened.reliable.expired, 0);
         assert_eq!(hardened.master.lease_expiries, 0);
         assert_eq!(hardened.master.requeues, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the standby host cannot double as a sub-master")]
+    fn failover_on_a_brokered_testbed_is_refused() {
+        // node 1 of a hierarchical testbed is the broker `sm0`: built as a
+        // sub-master it would drop the master's journal batches, and the
+        // run would have no standby while its config says it has
+        let f = gridsat_cnf::paper::fig1_formula();
+        let config = GridConfig::failover_hardened().hierarchical();
+        build_sim(&f, Testbed::scaling(4, 2, true), config);
     }
 
     #[test]

@@ -34,13 +34,20 @@
 //!   sharing and merging (Sections 3.1-3.3);
 //! * [`msg::GridMsg`] — the wire protocol, including Figure 3's five-way
 //!   split handshake;
+//! * [`wire`] — sealed, checksummed frames for subproblem specs and
+//!   clause batches;
 //! * [`experiment`] — deterministic end-to-end runs over
 //!   [`gridsat_grid::Testbed`]s;
-//! * [`config::GridConfig`] — the paper's parameters (share limits 10/3,
-//!   100 s split time-out, 60% memory fraction, checkpointing modes).
+//! * [`config::GridConfig`] — what differs between runs (share limits
+//!   10/3, 100 s split time-out, sharing rounds, checkpointing modes, the
+//!   extension switches below), beside the constants that do not (60%
+//!   memory fraction, 128 MB floor, heartbeat and failover timings);
+//! * [`journal`], [`StandbyNode`], [`SubMaster`], [`audit`], [`chaos`] —
+//!   the extensions: the master's write-ahead journal, the journal-tailing
+//!   standby, per-site sub-masters, the search-space conservation auditor
+//!   and the seeded fault plans they are tested under.
 
 pub mod audit;
-pub mod campaign;
 pub mod chaos;
 pub mod client;
 pub mod config;
@@ -53,12 +60,9 @@ pub mod submaster;
 pub mod wire;
 
 pub use audit::Audit;
-pub use campaign::{Comparison, ComparisonRow};
 pub use chaos::{CrashWindow, FaultPlan, LinkWindow};
 pub use client::Client;
-pub use config::{
-    CheckpointMode, FailoverConfig, GridConfig, HierarchyConfig, ReliabilityConfig, SchedPolicy,
-};
+pub use config::{CheckpointMode, GridConfig, HierarchyConfig, SchedPolicy};
 pub use experiment::{run, GridNode, GridReport, GridSim};
 pub use journal::{JournalRecord, MasterJournal, RecoverySpec};
 pub use master::{

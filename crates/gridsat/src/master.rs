@@ -16,7 +16,10 @@
 //! itself with [`Master::promoted`] when the feed goes quiet.
 
 use crate::audit::Audit;
-use crate::config::{CheckpointMode, GridConfig, SchedPolicy};
+use crate::config::{
+    CheckpointMode, GridConfig, SchedPolicy, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR,
+    PROMOTE_GRACE_S, QUARANTINE_STRIKES, STANDBY_NODE,
+};
 use crate::journal::{ClientInfo, JournalRecord, MasterCore, MasterJournal, RecoverySpec};
 use crate::msg::{Checkpoint, EndReason, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
@@ -101,9 +104,9 @@ pub struct MasterStats {
 }
 
 impl MasterStats {
-    /// Merge another master's counters (used when aggregating campaign
-    /// runs). Exhaustively destructured so a new field that isn't merged
-    /// is a compile error, not a silently-lost count.
+    /// Merge another master's counters (a promoted standby's into the
+    /// run's report). Exhaustively destructured so a new field that
+    /// isn't merged is a compile error, not a silently-lost count.
     pub fn absorb(&mut self, other: &MasterStats) {
         let MasterStats {
             max_active_clients,
@@ -504,12 +507,10 @@ impl Master {
             SchedPolicy::Random(seed) => seed | 1,
             _ => 1,
         };
-        let standby = config.failover.and_then(|f| {
-            (f.standby_node != me.0).then_some(StandbyLink {
-                node: NodeId(f.standby_node),
-                sent: 0,
-                acked: 0,
-            })
+        let standby = (config.failover && me.0 != STANDBY_NODE).then_some(StandbyLink {
+            node: NodeId(STANDBY_NODE),
+            sent: 0,
+            acked: 0,
         });
         Master {
             formula,
@@ -560,7 +561,7 @@ impl Master {
         m.journal = MasterJournal::from_records(records);
         m.started = true;
         m.last_replay = Some(now);
-        m.reconcile_until = now + m.config.failover.map_or(0.0, |f| f.promote_grace_s);
+        m.reconcile_until = now + PROMOTE_GRACE_S;
         // This node already minted problem ids while it was a client;
         // a high counter offset keeps the promoted master's mints from
         // colliding with them.
@@ -1107,7 +1108,7 @@ impl Master {
         let Some(problem) = self.core.clients.get(&weak_id).and_then(|c| c.problem) else {
             return;
         };
-        if idle_rank >= weak_rank * self.config.migration_factor {
+        if idle_rank >= weak_rank * MIGRATION_FACTOR {
             self.commit(
                 ctx.now(),
                 JournalRecord::GrantOpen {
@@ -1278,7 +1279,7 @@ impl Master {
                 self.broadcast_peers(ctx);
                 self.drain_backlog(ctx);
             }
-            ClientState::Receiving if self.config.reliability.is_some() => {
+            ClientState::Receiving if self.config.reliability => {
                 // nothing to recover: the requester still holds the whole
                 // subproblem, and its undeliverable transfer will come
                 // back to us as a Requeue
@@ -1307,10 +1308,10 @@ impl Master {
     /// out: a partitioned or silently-dead client is treated exactly like
     /// a crashed one (reliability extension).
     fn expire_leases(&mut self, ctx: &mut Ctx<GridMsg>) {
-        let Some(rel) = self.config.reliability else {
+        if !self.config.reliability {
             return;
-        };
-        let lease = rel.heartbeat_period * f64::from(rel.lease_misses);
+        }
+        let lease = HEARTBEAT_PERIOD_S * f64::from(LEASE_MISSES);
         let now = ctx.now();
         let expired: Vec<NodeId> = self
             .core
@@ -1410,11 +1411,8 @@ impl Master {
         let strikes = self.corrupt_strikes.entry(from).or_insert(0);
         *strikes += 1;
         let strikes = u64::from(*strikes);
-        let limit = self
-            .config
-            .reliability
-            .map_or(u64::MAX, |r| u64::from(r.quarantine_strikes.max(1)));
-        if strikes < limit || !self.core.clients.contains_key(&from) {
+        let quarantine = self.config.reliability && strikes >= u64::from(QUARANTINE_STRIKES);
+        if !quarantine || !self.core.clients.contains_key(&from) {
             return;
         }
         self.corrupt_strikes.remove(&from);
@@ -1551,9 +1549,12 @@ impl Process for Master {
                 // had time to land: right after a deep tear the fold
                 // may show every client idle even though some are still
                 // mid-cube
-                self.reconcile_until = self
-                    .reconcile_until
-                    .max(now + self.config.failover.map_or(2.0, |f| f.promote_grace_s));
+                let grace = if self.config.failover {
+                    PROMOTE_GRACE_S
+                } else {
+                    2.0
+                };
+                self.reconcile_until = self.reconcile_until.max(now + grace);
             }
         }
         self.started = true;

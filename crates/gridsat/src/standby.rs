@@ -7,7 +7,7 @@
 //! cumulatively acknowledged. The master sends an *empty* batch every
 //! housekeeping period as a keepalive, so a quiet feed and a dead master
 //! are distinguishable: when the feed has been silent for longer than
-//! [`FailoverConfig::promote_grace_s`](crate::config::FailoverConfig)
+//! [`PROMOTE_GRACE_S`](crate::config::PROMOTE_GRACE_S)
 //! the standby folds its journal copy into a fresh [`Master`], stops
 //! being a client (its own subproblem is queued for re-dispatch), and
 //! announces the takeover so the survivors re-register with their
@@ -15,7 +15,7 @@
 
 use crate::audit::Audit;
 use crate::client::Client;
-use crate::config::GridConfig;
+use crate::config::{GridConfig, PROMOTE_GRACE_S};
 use crate::journal::{JournalRecord, SealedRecord};
 use crate::master::Master;
 use crate::msg::GridMsg;
@@ -90,12 +90,6 @@ impl StandbyNode {
     /// introspection).
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    fn grace(&self) -> f64 {
-        self.config
-            .failover
-            .map_or(f64::INFINITY, |f| f.promote_grace_s)
     }
 
     /// Fold a batch into the contiguous prefix; stage it when it starts
@@ -230,7 +224,7 @@ impl Process for StandbyNode {
             m.on_tick(ctx);
             return;
         }
-        if !self.client.is_done() && ctx.now() - self.last_feed >= self.grace() {
+        if !self.client.is_done() && ctx.now() - self.last_feed >= PROMOTE_GRACE_S {
             self.promote(ctx);
             return;
         }

@@ -81,8 +81,8 @@ macro_rules! spec {
 
 /// The full 42-instance Table 1 suite, in the paper's row order.
 ///
-/// Parameters were calibrated (see `gridsat-bench`'s `calibrate` binary)
-/// so that sequential solve costs, in work units at the reference host
+/// Parameters were calibrated (`gridsat-bench`'s `table1` binary prints
+/// the sequential column) so that sequential solve costs, in work units at the reference host
 /// speed of 1000 units/second, land in the paper's reported regimes:
 /// the solved-by-both rows cost well under the 18M-unit zChaff cap, the
 /// GridSAT-only rows exceed the cap or overflow the 3 MB baseline memory

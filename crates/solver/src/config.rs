@@ -22,8 +22,9 @@ impl Default for RestartConfig {
 ///
 /// Defaults follow the paper's zChaff description: original per-literal
 /// VSIDS with periodic division, FirstUIP learning without minimization,
-/// no restarts, no phase saving. The post-2003 refinements are available
-/// behind flags for the ablation benches.
+/// no restarts, no phase saving. The post-2003 refinements (restarts,
+/// phase saving, learned-clause minimization) stay behind flags that no
+/// preset sets; the solver's own tests are what runs them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverConfig {
     /// Conflicts between VSIDS decays ("periodically all counts are
@@ -34,9 +35,6 @@ pub struct SolverConfig {
     /// Collect learned clauses no longer than this into the share outbox
     /// (the paper uses 10 and 3). `None` disables collection.
     pub share_len_limit: Option<usize>,
-    /// Additionally require shared clauses to have LBD (glue) at most this
-    /// (HordeSat-style quality filter). `None` shares on length alone.
-    pub share_lbd_limit: Option<u32>,
     /// Clause-database byte budget. Exceeding it (after a reduction
     /// attempt) makes [`crate::Solver::step`] report memory pressure.
     pub mem_budget: Option<usize>,
@@ -81,7 +79,6 @@ impl Default for SolverConfig {
             vsids_decay_interval: 256,
             vsids_decay_shift: 1,
             share_len_limit: None,
-            share_lbd_limit: None,
             mem_budget: None,
             max_learned_factor: 3.0,
             max_learned_growth: 1.1,
@@ -139,7 +136,6 @@ mod tests {
         assert!(!c.level0_pruning);
         assert_eq!(c.vsids_decay_shift, 1);
         assert_eq!(c.lbd_keep, 2);
-        assert!(c.share_lbd_limit.is_none());
         assert!(c.gc_frac > 0.0 && c.gc_frac < 1.0);
         assert!(c.inbox_lits.is_none());
     }

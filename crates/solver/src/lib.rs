@@ -24,18 +24,15 @@
 //! * [`driver`] — run-to-completion sequential driver with the paper's
 //!   `TIME_OUT` / `MEM_OUT` semantics.
 //! * [`SolverConfig`] — paper-era defaults, post-2003 refinements gated
-//!   behind flags for ablations.
+//!   behind flags.
 //! * [`SplitSpec`] — a serialized subproblem, produced by
 //!   [`Solver::split_off`] and consumed by [`Solver::from_split`].
 //! * [`proof`] — DRAT proof logging with a built-in independent RUP
 //!   checker (extension).
-//! * [`preprocess`] — unit propagation, subsumption and self-subsuming
-//!   resolution before search (extension).
 
 mod clausedb;
 mod config;
 pub mod driver;
-pub mod preprocess;
 pub mod proof;
 mod share;
 mod solver;

@@ -1060,15 +1060,9 @@ impl Solver {
             global: analysis.global,
         });
 
-        // sharing outbox (paper Section 3.2: only "short" clauses; the
-        // optional LBD filter additionally demands low glue — HordeSat's
-        // quality criterion for clauses worth network bandwidth)
+        // sharing outbox (paper Section 3.2: only "short" clauses)
         if let Some(limit) = self.config.share_len_limit {
-            let low_glue = self
-                .config
-                .share_lbd_limit
-                .is_none_or(|max_lbd| lbd <= max_lbd);
-            if analysis.global && lits.len() <= limit && low_glue {
+            if analysis.global && lits.len() <= limit {
                 let clause = Clause::new(lits.iter().copied());
                 let fp = clause.fingerprint();
                 // remember own shared clauses so grid echoes are skipped
@@ -1210,17 +1204,6 @@ impl Solver {
     /// its 64-bit fingerprint (computed once, at learn time).
     pub fn take_shared(&mut self) -> Vec<(Clause, u64)> {
         std::mem::take(&mut self.outbox)
-    }
-
-    /// Change the share-length limit at runtime (used by the adaptive
-    /// share-tuning extension).
-    pub fn set_share_len_limit(&mut self, limit: Option<usize>) {
-        self.config.share_len_limit = limit;
-    }
-
-    /// The current share-length limit.
-    pub fn share_len_limit(&self) -> Option<usize> {
-        self.config.share_len_limit
     }
 
     /// Queue a clause received from a peer; it is merged the next time

@@ -1,3 +1,3 @@
 //! Shared helpers for the GridSAT examples (see the sibling `*.rs`
-//! binaries: `quickstart`, `solve_dimacs`, `grid_campaign`,
-//! `threads_parallel`, `fault_tolerance`).
+//! binaries: `quickstart`, `solve_dimacs`, `threads_parallel`,
+//! `fault_tolerance`).

@@ -19,6 +19,19 @@ if awk '/^\[/ { deps = ($0 == "[workspace.dependencies]"); next }
   exit 1
 fi
 
+echo "== every binary the docs, scripts and CI run exists"
+# EXPERIMENTS.md's "History" section records outputs of binaries that
+# were removed on purpose; everything above it must name live ones.
+named=$({ cat README.md DESIGN.md scripts/*.sh .github/workflows/ci.yml
+          sed '/^## History/,$d' EXPERIMENTS.md; } |
+  grep -oE -- '--bin +[A-Za-z0-9_]+' | awk '{ print $2 }' | sort -u)
+for name in $named; do
+  if [[ ! -f "crates/bench/src/bin/$name.rs" && ! -f "examples/$name.rs" ]]; then
+    echo "the docs, scripts or CI run a binary '$name' that is neither under crates/bench/src/bin/ nor examples/" >&2
+    exit 1
+  fi
+done
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 

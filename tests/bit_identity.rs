@@ -3,7 +3,8 @@
 //! A change to the engine, the roster plumbing or any other host-side
 //! data structure must not move one simulated number. These seeded
 //! runs — the flat and the hierarchical control plane on the same small
-//! fleet, and the flat one again under payload bit rot — pin the verdict
+//! fleet, the flat one again under payload bit rot, and once more with
+//! the master killed and the standby taking over — pin the verdict
 //! time and the exact engine, master and client share-path counts.
 //! The engine and master numbers were captured on the commit *before*
 //! the roster/link-table rewrite (PR 12) was applied, the client counts
@@ -17,14 +18,18 @@
 //! constants are still the ones captured then: sharing in rounds is a
 //! parameterisation of the same code path and must not move them. Under
 //! `GridConfig::default()` — rounds, fixed-size inbox, sliced merge — they
-//! were cut on the commit that introduced rounds.
+//! were cut on the commit that introduced rounds. The failover run is
+//! pinned once, under rounds (what the chaos soak's `master-gone` plan
+//! runs), on the commit before the heartbeat, lease and standby tunables
+//! became constants (PR 21).
 //!
 //! The instance is a pigeonhole formula, not one of the seeded families:
 //! its generator draws no random numbers, so the pins do not depend on
 //! which `rand` implementation the workspace was built against.
 
-use gridsat::{experiment, GridConfig, GridOutcome, GridReport};
-use gridsat_grid::{NetChaos, Testbed};
+use gridsat::chaos::FaultPlan;
+use gridsat::{experiment, GridConfig, GridNode, GridOutcome, GridReport};
+use gridsat_grid::{NetChaos, NodeId, Testbed};
 use gridsat_satgen as satgen;
 
 /// What a run is pinned to. `seconds_bits` is the verdict time's
@@ -238,4 +243,47 @@ fn bit_rot_run_in_rounds_is_pinned() {
     );
     // every mangled payload was caught by a receiver's frame check
     assert_eq!((corrupted_payloads, corrupt_drops), (82, 82));
+}
+
+/// The flat fleet under the `master-gone` fault plan (node 0 dies for
+/// good at t = 8 s, 2 % of sends lost) and the failover profile: the
+/// verdict time hangs on the heartbeat period, the lease, the standby's
+/// promotion grace and which node the standby is.
+#[test]
+fn master_gone_failover_run_is_pinned() {
+    let config = miniature(GridConfig::failover_hardened());
+    let cap = config.overall_timeout;
+    let testbed = Testbed::scaling(24, 2, false).with_client_speed(400.0);
+    let mut sim = experiment::build_sim(&satgen::php::php(8, 7), testbed, config);
+    FaultPlan::master_gone(7).apply(&mut sim);
+    sim.run_until(cap + 60.0);
+    let r = experiment::report(&sim, cap);
+    assert_eq!(r.outcome, GridOutcome::Unsat, "php(8, 7) is unsatisfiable");
+
+    // node 0 never decided; the verdict is the promoted standby's
+    let GridNode::Master(dead) = sim.process(NodeId(0)).inner() else {
+        panic!("node 0 is the master");
+    };
+    assert!(dead.outcome().is_none());
+    let GridNode::Standby(standby) = sim.process(NodeId(1)).inner() else {
+        panic!("node 1 is the standby under failover_hardened");
+    };
+    let promoted = standby.promoted_master().expect("the standby took over");
+    assert_eq!(promoted.outcome(), Some(&GridOutcome::Unsat));
+
+    assert_eq!(
+        Pins::of(&r),
+        Pins {
+            seconds_bits: 231.787341f64.to_bits(),
+            events: 22_886,
+            messages_delivered: 6557,
+            bytes_delivered: 674_669,
+            ticks: 5018,
+            splits: 143,
+            clauses_received: 1395,
+            dup_share_drops: 22,
+            shares_forwarded: 1071,
+            share_batches_sent: 71,
+        }
+    );
 }
