@@ -25,6 +25,10 @@ const SHARE_FP_WINDOW: usize = 1 << 16;
 /// clauses first. HordeSat's export buffer: 1,500 literals per round.
 pub const SHARE_ROUND_LITS: usize = 1500;
 
+/// Fan-out of the share tree sharing in rounds runs on: every client has
+/// one parent and at most this many children.
+pub const SHARE_TREE_FANOUT: usize = 4;
+
 /// Capacity of a solver's foreign-clause inbox under sharing in rounds,
 /// literals ([`SolverConfig::inbox_lits`]). A few slices' worth: whatever
 /// is queued beyond what the next visits to level 0 will merge is older
@@ -244,6 +248,21 @@ impl Roster {
         slots.map(move |slot| self.peers[(slot + oi) % n])
     }
 
+    /// This node's parent and children in the fleet's one share tree: the
+    /// roster laid out as a [`SHARE_TREE_FANOUT`]-ary heap, slot 0 the root.
+    fn tree_links(&self) -> (Option<NodeId>, &[NodeId]) {
+        let Some(i) = self.me_at else {
+            return (None, &[]);
+        };
+        let n = self.peers.len();
+        let first = (SHARE_TREE_FANOUT * i + 1).min(n);
+        let parent = (i > 0).then(|| self.peers[(i - 1) / SHARE_TREE_FANOUT]);
+        (
+            parent,
+            &self.peers[first..(first + SHARE_TREE_FANOUT).min(n)],
+        )
+    }
+
     /// Where a batch rooted at `origin` goes next from this node (`me`):
     /// its children in the relay tree, or — relay disabled — every other
     /// client (the paper's all-pairs broadcast). Never `me`, never the
@@ -439,6 +458,11 @@ impl Client {
         } else {
             ctx.idle();
         }
+        // what the subproblem left in the export buffer still goes out
+        // with its round
+        if let Some(wait) = self.idle_flush_in(ctx.now()) {
+            ctx.schedule_tick(wait);
+        }
     }
 
     fn split_timeout(&self) -> f64 {
@@ -562,14 +586,13 @@ impl Client {
     /// subproblem's final quantum, and its batch is the buffer's shortest
     /// clauses, [`SHARE_ROUND_LITS`] literals at most.
     fn drain_shares(&mut self, final_quantum: bool, ctx: &mut Ctx<GridMsg>) {
-        let Some(solver) = &mut self.solver else {
-            return;
-        };
-        let mut shares = solver.take_shared();
-        // recently-sent filter: clauses that already crossed this node's
-        // wire (in either direction) are not offered to the grid again
-        shares.retain(|&(_, fp)| self.fp_window.insert(fp));
-        self.export_buf.append(&mut shares);
+        if let Some(solver) = &mut self.solver {
+            let mut shares = solver.take_shared();
+            // recently-sent filter: clauses that already crossed this node's
+            // wire (in either direction) are not offered to the grid again
+            shares.retain(|&(_, fp)| self.fp_window.insert(fp));
+            self.export_buf.append(&mut shares);
+        }
         let round_over = self
             .config
             .share_round_s
@@ -598,11 +621,18 @@ impl Client {
         // refcount and the simulated wire carries the encoded length
         let batch = Arc::new(EncodedBatch::encode(&shares));
         let me = ctx.me();
-        let mut targets = self
-            .roster
-            .share_targets(self.config.share_relay_branch, me, me, self.master)
-            .peekable();
-        if targets.peek().is_none() {
+        let targets: Vec<NodeId> = if self.config.share_round_s.is_some() {
+            // up to the parent; the root, which has none, down to its children
+            match self.roster.tree_links() {
+                (Some(parent), _) => vec![parent],
+                (None, children) => children.to_vec(),
+            }
+        } else {
+            self.roster
+                .share_targets(self.config.share_relay_branch, me, me, self.master)
+                .collect()
+        };
+        if targets.is_empty() {
             return;
         }
         let bytes = (24 + batch.wire_len()) as u64;
@@ -618,6 +648,15 @@ impl Client {
             );
         }
         self.stats.share_batches_sent += 1;
+    }
+
+    /// How long until the sharing round ends, when clauses are waiting in
+    /// the export buffer for it: an idle node, with no quantum to close
+    /// the round on, sleeps this long. A microsecond over, so the engine's
+    /// clock (whole microseconds, rounded down) is past the round's end.
+    fn idle_flush_in(&self, now: f64) -> Option<f64> {
+        let round = self.config.share_round_s?;
+        (!self.export_buf.is_empty()).then(|| (self.last_share_flush + round - now).max(0.0) + 1e-6)
     }
 
     fn maybe_request_split(&mut self, ctx: &mut Ctx<GridMsg>) {
@@ -990,6 +1029,14 @@ impl Process for Client {
                 };
                 let total = decoded.len() as u64;
                 self.stats.clauses_received += total;
+                // under rounds the batch came up from a child (merge it
+                // into this node's own round) or down from the parent
+                // (pass it on); `None` outside rounds
+                let from_parent = self
+                    .config
+                    .share_round_s
+                    .map(|_| self.roster.tree_links().0 == Some(from));
+                let buffered = self.export_buf.len();
                 let mut fresh = 0u64;
                 let evicted = |solver: &Option<Solver>| {
                     solver.as_ref().map_or(0, |s| s.stats().merge_dropped)
@@ -1010,6 +1057,9 @@ impl Process for Client {
                         );
                         solver.queue_fresh(clause.lits());
                     }
+                    if from_parent == Some(false) {
+                        self.export_buf.push((clause.clone(), *fp));
+                    }
                 }
                 self.stats.merge_dropped += evicted(&self.solver) - evicted_before;
                 let dropped = total - fresh;
@@ -1018,32 +1068,63 @@ impl Process for Client {
                     self.obs
                         .emit(ctx.now(), ctx.me().0, || Event::ShareDedup { dropped });
                 }
-                // forward the same encoded batch down our subtree — but
-                // only when it was routed on the roster we currently hold
-                // and carried at least one clause this node had not seen
-                // (a fully-duplicate batch means our subtree got it too)
-                if fresh > 0
-                    && epoch == self.peers_epoch
-                    && self.config.share_relay_branch.is_some()
-                {
-                    let bytes = (24 + batch.wire_len()) as u64;
-                    let children = self.roster.share_targets(
-                        self.config.share_relay_branch,
-                        origin,
-                        ctx.me(),
-                        self.master,
-                    );
-                    for peer in children {
-                        self.stats.shares_forwarded += 1;
-                        self.stats.share_bytes_sent += bytes;
-                        ctx.send(
-                            peer,
-                            GridMsg::Share {
-                                batch: batch.clone(),
+                let bytes = (24 + batch.wire_len()) as u64;
+                match from_parent {
+                    // the same encoded batch goes on down the tree, always:
+                    // this node may have seen every clause on its way up,
+                    // its other children have not
+                    Some(true) => {
+                        let (_, children) = self.roster.tree_links();
+                        for &peer in children {
+                            self.stats.shares_forwarded += 1;
+                            self.stats.share_bytes_sent += bytes;
+                            ctx.send(
+                                peer,
+                                GridMsg::Share {
+                                    batch: batch.clone(),
+                                    origin,
+                                    epoch,
+                                },
+                            );
+                        }
+                    }
+                    // an idle node has no quantum to close the round on
+                    Some(false) => {
+                        if buffered == 0 && matches!(self.state, State::Idle) {
+                            if let Some(wait) = self.idle_flush_in(ctx.now()) {
+                                ctx.schedule_tick(wait);
+                            }
+                        }
+                    }
+                    // forward the same encoded batch down the origin's relay
+                    // tree — but only when it was routed on the roster we
+                    // currently hold and carried at least one clause this
+                    // node had not seen (a fully-duplicate batch means our
+                    // subtree got it too)
+                    None => {
+                        if fresh > 0
+                            && epoch == self.peers_epoch
+                            && self.config.share_relay_branch.is_some()
+                        {
+                            let children = self.roster.share_targets(
+                                self.config.share_relay_branch,
                                 origin,
-                                epoch,
-                            },
-                        );
+                                ctx.me(),
+                                self.master,
+                            );
+                            for peer in children {
+                                self.stats.shares_forwarded += 1;
+                                self.stats.share_bytes_sent += bytes;
+                                ctx.send(
+                                    peer,
+                                    GridMsg::Share {
+                                        batch: batch.clone(),
+                                        origin,
+                                        epoch,
+                                    },
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -1180,6 +1261,11 @@ impl Process for Client {
                 // nothing to solve, but periodic duties may remain: lease
                 // renewal (reliability) and idle announcements (hierarchy)
                 let mut next = f64::INFINITY;
+                // the sharing round closes on idle nodes too
+                self.drain_shares(false, ctx);
+                if let Some(wait) = self.idle_flush_in(ctx.now()) {
+                    next = next.min(wait);
+                }
                 if self.config.reliability {
                     self.maybe_heartbeat(ctx);
                     next = next.min(HEARTBEAT_PERIOD_S);
@@ -2073,9 +2159,9 @@ mod tests {
         assert!(c.fp_window.len() < SHARE_FP_WINDOW / 2, "nothing forgotten");
     }
 
-    /// Two clients of one roster (node 1 idle, node 2 solving) each take
-    /// delivery of batches 0 and 1 from origin 8; `handle(i)` is the `Arc`
-    /// a delivery of batch `i` carries. Returns what the share path left
+    /// Two clients of one roster (node 2 idle, node 3 solving) each take
+    /// delivery of batches 0 and 1 from their parent in the share tree,
+    /// node 1; `handle(i)` is the `Arc` a delivery of batch `i` carries. Returns what the share path left
     /// behind per client: the stats, the solver's inbox depth and where it
     /// forwarded to.
     fn deliver_to_two(
@@ -2091,7 +2177,7 @@ mod tests {
             })
         };
         let mut out = Vec::new();
-        for id in [1u32, 2] {
+        for id in [2u32, 3] {
             let mut c = Client::new(NodeId(0), GridConfig::default());
             let mut cx = node_ctx(id, 0.0);
             c.on_message(
@@ -2102,7 +2188,7 @@ mod tests {
                 },
                 &mut cx,
             );
-            if id == 2 {
+            if id == 3 {
                 c.on_message(
                     NodeId(0),
                     GridMsg::Solve {
@@ -2117,10 +2203,10 @@ mod tests {
                 let batch = handle(i);
                 let mut cx = node_ctx(id, 0.5 + i as f64);
                 c.on_message(
-                    NodeId(8),
+                    NodeId(1),
                     GridMsg::Share {
                         batch: Arc::clone(&batch),
-                        origin: NodeId(8),
+                        origin: NodeId(1),
                         epoch: 7,
                     },
                     &mut cx,
@@ -2180,14 +2266,15 @@ mod tests {
         }
         assert_eq!(idle.1, None, "no solver, nothing queued or cloned");
         assert_eq!(solving.1, Some(4), "each fresh clause queued once");
-        // from origin 8, node 1 sits at tree position 1: an inner node,
-        // which forwards both batches (each carried a fresh clause)
-        assert!(!idle.2.is_empty());
+        // node 2 sits at slot 1 of the tree: an inner node, which passes
+        // both batches on to its three children
+        assert_eq!(idle.2.len(), 6);
+        assert!(solving.2.is_empty(), "slot 2 of eight is a leaf");
     }
 
     #[test]
     fn fresh_shares_are_forwarded_down_the_relay_tree() {
-        let mut c = Client::new(NodeId(0), GridConfig::default());
+        let mut c = Client::new(NodeId(0), GridConfig::experiment1());
         // roster of 8 clients; we are node 1
         let mut cx = ctx(0.0);
         c.on_message(

@@ -189,16 +189,16 @@ fn flat_run_in_rounds_is_pinned() {
     assert_eq!(
         run(false, GridConfig::default()),
         Pins {
-            seconds_bits: 72.26087f64.to_bits(),
-            events: 7659,
-            messages_delivered: 3850,
-            bytes_delivered: 565_024,
-            ticks: 3784,
-            splits: 192,
-            clauses_received: 1108,
-            dup_share_drops: 5,
-            shares_forwarded: 912,
-            share_batches_sent: 49,
+            seconds_bits: 74.100494f64.to_bits(),
+            events: 7014,
+            messages_delivered: 3188,
+            bytes_delivered: 538_236,
+            ticks: 3795,
+            splits: 193,
+            clauses_received: 1518,
+            dup_share_drops: 116,
+            shares_forwarded: 304,
+            share_batches_sent: 115,
         }
     );
 }
@@ -208,16 +208,16 @@ fn hierarchical_run_in_rounds_is_pinned() {
     assert_eq!(
         run(true, GridConfig::default()),
         Pins {
-            seconds_bits: 77.895162f64.to_bits(),
-            events: 11_380,
-            messages_delivered: 6875,
-            bytes_delivered: 1_100_624,
-            ticks: 4197,
-            splits: 35,
-            clauses_received: 2485,
-            dup_share_drops: 77,
-            shares_forwarded: 1695,
-            share_batches_sent: 94,
+            seconds_bits: 73.697838f64.to_bits(),
+            events: 9835,
+            messages_delivered: 5349,
+            bytes_delivered: 1_073_771,
+            ticks: 4200,
+            splits: 32,
+            clauses_received: 2608,
+            dup_share_drops: 231,
+            shares_forwarded: 342,
+            share_batches_sent: 158,
         }
     );
 }
@@ -229,20 +229,20 @@ fn bit_rot_run_in_rounds_is_pinned() {
     assert_eq!(
         pins,
         Pins {
-            seconds_bits: 87.818564f64.to_bits(),
-            events: 16_435,
-            messages_delivered: 6213,
-            bytes_delivered: 682_098,
-            ticks: 3794,
-            splits: 131,
-            clauses_received: 1354,
-            dup_share_drops: 71,
-            shares_forwarded: 1056,
-            share_batches_sent: 71,
+            seconds_bits: 93.435524f64.to_bits(),
+            events: 14_990,
+            messages_delivered: 5563,
+            bytes_delivered: 664_446,
+            ticks: 3803,
+            splits: 141,
+            clauses_received: 1408,
+            dup_share_drops: 269,
+            shares_forwarded: 292,
+            share_batches_sent: 145,
         }
     );
     // every mangled payload was caught by a receiver's frame check
-    assert_eq!((corrupted_payloads, corrupt_drops), (82, 82));
+    assert_eq!((corrupted_payloads, corrupt_drops), (41, 41));
 }
 
 /// The flat fleet under the `master-gone` fault plan (node 0 dies for
@@ -274,16 +274,16 @@ fn master_gone_failover_run_is_pinned() {
     assert_eq!(
         Pins::of(&r),
         Pins {
-            seconds_bits: 231.787341f64.to_bits(),
-            events: 22_886,
-            messages_delivered: 6557,
-            bytes_delivered: 674_669,
-            ticks: 5018,
-            splits: 143,
-            clauses_received: 1395,
-            dup_share_drops: 22,
-            shares_forwarded: 1071,
-            share_batches_sent: 71,
+            seconds_bits: 238.034238f64.to_bits(),
+            events: 21_353,
+            messages_delivered: 5800,
+            bytes_delivered: 664_387,
+            ticks: 4974,
+            splits: 146,
+            clauses_received: 1165,
+            dup_share_drops: 103,
+            shares_forwarded: 263,
+            share_batches_sent: 96,
         }
     );
 }
