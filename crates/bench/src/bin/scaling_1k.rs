@@ -124,8 +124,10 @@ enum Traffic {
     /// Solver state on the move: subproblem specs, share batches,
     /// checkpoints and the journal records that replicate them.
     Payload,
-    /// The registered-client list the master broadcasts on every
-    /// membership change (`peers`): O(n) bytes to each of n clients.
+    /// Membership on the wire (`peers`): the share-tree links the master
+    /// sends to the few clients a join or a leave re-links. It was the
+    /// whole client list to every client on every change, O(n) bytes to
+    /// each of n, until PR 22.
     Roster,
     /// Everything else: registrations, split handshakes, results, load
     /// reports, heartbeats, steal tickets, acks, site status.
@@ -563,8 +565,8 @@ mod tests {
             ),
             (
                 GridMsg::Peers {
-                    epoch: 1,
-                    peers: [NodeId(1), NodeId(2)].into(),
+                    up: Some(NodeId(1)),
+                    down: [NodeId(2)].into(),
                 },
                 Roster,
             ),
@@ -581,8 +583,7 @@ mod tests {
             (
                 GridMsg::Share {
                     batch: Arc::new(EncodedBatch::encode(&[])),
-                    origin: NodeId(1),
-                    epoch: 1,
+                    down: true,
                 },
                 Payload,
             ),

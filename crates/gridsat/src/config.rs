@@ -38,6 +38,11 @@ pub const MIGRATION_FACTOR: f64 = 2.0;
 /// it *sends* (the receive side measures directly), bytes per second.
 pub const ASSUMED_BW_BYTES_PER_S: f64 = 4_000.0;
 
+/// Fan-out of the share tree sharing in rounds runs on
+/// ([`GridConfig::share_round_s`]): the master gives every client one
+/// parent and at most this many children.
+pub const SHARE_TREE_FANOUT: usize = 4;
+
 /// Client heartbeat period under [`GridConfig::reliability`], seconds
 /// (robustness extension; the paper's protocol assumes TCP and concedes
 /// it "will not tolerate a machine crash"). The wire half of the layer —
@@ -120,20 +125,17 @@ pub struct GridConfig {
     pub checkpoint: CheckpointMode,
     /// Checkpoint upload period, seconds.
     pub checkpoint_period: f64,
-    /// Fan-out of the k-ary relay tree used for clause-share traffic.
-    /// `Some(k)` routes each batch along a tree derived from the client
-    /// roster (O(n) messages per batch, at most `k` sends per node);
-    /// `None` is the paper's all-pairs broadcast (O(n²) per round).
-    pub share_relay_branch: Option<usize>,
     /// Length of a clause-sharing round, seconds (HordeSat's discipline).
     /// `Some(r)`: a client collects what it learns in an export buffer
     /// and sends it as one batch once `r` seconds have passed since its
     /// last one (or on its subproblem's final quantum) — shortest clauses
-    /// first, what does not fit the batch dropped at the source — and its
-    /// solver takes foreign clauses through a fixed-size inbox, a slice
-    /// per visit to level 0. `None` is the paper's protocol: broadcast
-    /// "as soon as learned" (every quantum, everything, in learn order),
-    /// queue without bound, merge the whole inbox at level 0.
+    /// first, what does not fit the batch dropped at the source — up the
+    /// fleet's one share tree, whose root sends the merged buffer back
+    /// down; and its solver takes foreign clauses through a fixed-size
+    /// inbox, a slice per visit to level 0. `None` is the paper's
+    /// protocol: broadcast to every peer "as soon as learned" (every
+    /// quantum, everything, in learn order), queue without bound, merge
+    /// the whole inbox at level 0.
     pub share_round_s: Option<f64>,
     /// Reliable control-plane delivery + heartbeat leases. `false` (the
     /// default) runs the paper's bare protocol — the wire is then
@@ -168,7 +170,6 @@ impl Default for GridConfig {
             migration: true,
             checkpoint: CheckpointMode::Off,
             checkpoint_period: 300.0,
-            share_relay_branch: Some(4),
             share_round_s: Some(5.0),
             reliability: false,
             failover: false,
@@ -261,9 +262,6 @@ mod tests {
         assert!(e2.share_round_s.is_none());
         assert_eq!(GridConfig::default().share_round_s, Some(5.0));
         assert_eq!(GridConfig::chaos_hardened().share_round_s, Some(5.0));
-
-        // relay-tree fan-out is on by default with a small branch factor
-        assert_eq!(e1.share_relay_branch, Some(4));
 
         // the paper presets run the bare protocol: reliability stays off
         assert!(!e1.reliability && !e1.failover);

@@ -480,10 +480,10 @@ mod tests {
     }
 
     #[test]
-    fn relay_tree_bounds_share_traffic_on_a_wide_grid() {
-        // tb(13) is a master plus 13 worker clients: wide enough that
-        // the k-ary relay tree and all-pairs flooding behave very
-        // differently
+    fn share_tree_bounds_share_traffic_on_a_wide_grid() {
+        // tb(13) is a master plus 13 worker clients: a share tree three
+        // levels deep, and wide enough that it and the paper's all-pairs
+        // flood behave very differently
         let f = satgen::php::php(9, 8);
         let config = GridConfig {
             min_split_timeout: 0.5,
@@ -491,9 +491,8 @@ mod tests {
             share_len_limit: Some(10),
             ..GridConfig::default()
         };
-        let branch = config.share_relay_branch.expect("relay on by default");
         let cap = config.overall_timeout;
-        let mut sim = build_sim(&f, tb(13), config);
+        let mut sim = build_sim(&f, tb(13), config.clone());
         sim.enable_trace();
         sim.run_until(cap + 60.0);
         let r = report(&sim, cap);
@@ -502,53 +501,49 @@ mod tests {
         assert!(r.clients.clauses_received > 0);
         assert!(
             r.clients.shares_forwarded > 0,
-            "inner tree nodes must relay batches"
+            "inner tree nodes must pass the root's batches on"
         );
 
-        // sim-level O(n) guarantee: a batch visits each of the n-1 other
-        // clients at most once, so total share messages on the wire stay
-        // within batches * (n-1) — all-pairs flooding with re-forwarding
-        // would blow through this immediately
-        let n = 13u64; // clients in tb(13); the roster excludes the master
-        let share_sends = sim
-            .trace_events()
-            .iter()
-            .filter(|e| e.label == "share")
-            .count() as u64;
-        assert!(share_sends > 0);
+        // one message up per round and node, and n-1 down per round of
+        // the root: a node's batch is never on the wire more than once
+        // per other client
+        let n = 13u64; // clients in tb(13)
+        let shares = || sim.trace_events().iter().filter(|e| e.label == "share");
+        assert!(shares().count() > 0);
         assert!(
-            share_sends <= r.clients.share_batches_sent * (n - 1),
-            "{share_sends} share msgs for {} batches",
+            shares().count() as u64 <= r.clients.share_batches_sent * (n - 1),
+            "{} share msgs for {} batches",
+            shares().count(),
             r.clients.share_batches_sent
         );
 
-        // per-node egress: nobody ever sends more than branch-factor
-        // share messages at one instant per batch in flight; the
-        // all-pairs baseline would burst n-1 = 12 from the origin
-        let mut bursts: std::collections::HashMap<(u32, u64), u64> = Default::default();
-        for e in sim.trace_events().iter().filter(|e| e.label == "share") {
+        // per-node egress: nobody ever sends more than the fan-out's worth
+        // of share messages at one instant; the flood bursts n-1 = 12
+        let mut bursts: std::collections::HashMap<(u32, u64), usize> = Default::default();
+        for e in shares() {
             *bursts.entry((e.from.0, e.time_s.to_bits())).or_default() += 1;
         }
         let max_burst = bursts.values().copied().max().unwrap_or(0);
         assert!(
-            max_burst <= 2 * branch as u64,
-            "egress burst {max_burst} exceeds the relay fan-out bound"
+            max_burst <= crate::config::SHARE_TREE_FANOUT,
+            "egress burst {max_burst} exceeds the tree's fan-out"
         );
 
-        // against the all-pairs ablation: the tree must answer the same
-        // and never put more share bytes on the wire
-        let flood_config = GridConfig {
-            min_split_timeout: 0.5,
-            work_quantum_s: 0.25,
-            share_len_limit: Some(10),
-            share_relay_branch: None,
-            ..GridConfig::default()
-        };
-        let flood = run(&f, tb(13), flood_config);
+        // against the paper's flood: the tree must answer the same and
+        // never put more share bytes on the wire
+        let flood = run(
+            &f,
+            tb(13),
+            GridConfig {
+                share_round_s: None,
+                ..config
+            },
+        );
         assert_eq!(flood.outcome, GridOutcome::Unsat);
+        assert_eq!(flood.clients.shares_forwarded, 0, "the flood is one hop");
         assert!(
             r.clients.share_bytes_sent <= flood.clients.share_bytes_sent,
-            "relay tree sent {} share bytes, all-pairs {}",
+            "share tree sent {} share bytes, all-pairs {}",
             r.clients.share_bytes_sent,
             flood.clients.share_bytes_sent
         );
@@ -557,7 +552,7 @@ mod tests {
     #[test]
     fn causal_trace_critical_path_covers_a_wide_run() {
         // 13 workers on PHP(9,8) with splits forced early: the same
-        // shape as the relay-tree test, but traced with Lamport stamps
+        // shape as the share-tree test, but traced with Lamport stamps
         // so the analyzer can walk the causal chain back from the
         // UNSAT verdict.
         let f = satgen::php::php(9, 8);

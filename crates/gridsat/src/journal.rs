@@ -16,7 +16,7 @@
 //! freshness) is resolved at emit time, so `apply` never needs to guess
 //! and replay can never diverge from the live fold.
 
-use crate::config::{CheckpointMode, GridConfig};
+use crate::config::{CheckpointMode, GridConfig, SHARE_TREE_FANOUT};
 use crate::master::{ClientState, GrantKind};
 use crate::msg::{Checkpoint, ProblemId};
 use crate::wire::{self, WireError};
@@ -26,6 +26,7 @@ use gridsat_nws::{Adaptive, Forecaster};
 use gridsat_solver::SplitSpec;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// A recovered or requeued subproblem awaiting an idle client, plus the
 /// identity of the instance it re-covers (for audit provenance: the
@@ -838,7 +839,12 @@ pub struct CoreImage {
     pub pending_steals: Vec<(ProblemId, NodeId, NodeId)>,
     pub seen_steals: Vec<ProblemId>,
     pub first_problem_sent: bool,
-    pub peers_epoch: u64,
+    pub slots: Vec<NodeId>,
+}
+
+/// The slot above `slot` in the share tree; none above the root.
+pub(crate) fn tree_parent(slot: usize) -> Option<usize> {
+    slot.checked_sub(1).map(|below| below / SHARE_TREE_FANOUT)
 }
 
 /// The journaled scheduling state: a deterministic fold over
@@ -864,11 +870,12 @@ pub(crate) struct MasterCore {
     /// can arrive in either order.
     pub(crate) seen_steals: BTreeSet<ProblemId>,
     pub(crate) first_problem_sent: bool,
-    /// Roster generation for the clause-share relay tree: bumped by every
-    /// membership change, jumped far ahead on promotion so shares routed
-    /// on any pre-takeover roster are never forwarded again. Folded from
-    /// the journal, so a replayed master agrees with the live one.
-    pub(crate) peers_epoch: u64,
+    /// The registered clients in share-tree order: a
+    /// [`SHARE_TREE_FANOUT`]-ary heap, slot 0 the root. A client joins at
+    /// the end and the last one moves into the slot of one that leaves,
+    /// so a membership change re-links a handful of nodes. Folded from the
+    /// journal, so a replayed master links the fleet as the live one did.
+    pub(crate) slots: Vec<NodeId>,
 }
 
 impl MasterCore {
@@ -932,18 +939,19 @@ impl MasterCore {
                 availability,
                 at,
             } => {
-                self.clients.insert(
-                    *client,
-                    ClientInfo::launched(*memory, *speed, *availability, *at),
-                );
-                self.peers_epoch += 1;
+                let info = ClientInfo::launched(*memory, *speed, *availability, *at);
+                if self.clients.insert(*client, info).is_none() {
+                    self.slots.push(*client);
+                }
                 None
             }
             JournalRecord::Deregister { client } => {
                 self.clients.remove(client);
+                if let Some(slot) = self.slot_of(*client) {
+                    self.slots.swap_remove(slot);
+                }
                 self.backlog.retain(|id| id != client);
                 self.early_results.retain(|(n, _)| n != client);
-                self.peers_epoch += 1;
                 None
             }
             JournalRecord::AssignWhole {
@@ -1073,14 +1081,7 @@ impl MasterCore {
                 self.pending_recovery.push_back(recovery.clone());
                 None
             }
-            JournalRecord::LeaseExpired { .. } => None,
-            JournalRecord::Promoted { .. } => {
-                // the epoch leaps on takeover so every pre-promotion
-                // roster is retired at once, even if the new master then
-                // issues fewer membership changes than the old one did
-                self.peers_epoch += 1 << 20;
-                None
-            }
+            JournalRecord::LeaseExpired { .. } | JournalRecord::Promoted { .. } => None,
             JournalRecord::AdoptClaim {
                 client,
                 memory,
@@ -1100,8 +1101,9 @@ impl MasterCore {
                 info.problem_since = *at;
                 info.problem = *problem;
                 info.checkpoint = checkpoint.clone();
-                self.clients.insert(*client, info);
-                self.peers_epoch += 1;
+                if self.clients.insert(*client, info).is_none() {
+                    self.slots.push(*client);
+                }
                 None
             }
             JournalRecord::StealOpen {
@@ -1150,6 +1152,23 @@ impl MasterCore {
         }
     }
 
+    /// `client`'s slot in the share tree. Searched from the end: the
+    /// common question is about the client that just joined.
+    pub(crate) fn slot_of(&self, client: NodeId) -> Option<usize> {
+        self.slots.iter().rposition(|&c| c == client)
+    }
+
+    /// The share-tree links of the client at `slot`: its parent (none at
+    /// the root) and its children.
+    pub(crate) fn tree_links(&self, slot: usize) -> (Option<NodeId>, Arc<[NodeId]>) {
+        let n = self.slots.len();
+        let first = (SHARE_TREE_FANOUT * slot + 1).min(n);
+        (
+            tree_parent(slot).map(|p| self.slots[p]),
+            self.slots[first..(first + SHARE_TREE_FANOUT).min(n)].into(),
+        )
+    }
+
     pub(crate) fn busy_count(&self) -> usize {
         self.clients
             .values()
@@ -1185,7 +1204,7 @@ impl MasterCore {
                 .collect(),
             seen_steals: self.seen_steals.iter().copied().collect(),
             first_problem_sent: self.first_problem_sent,
-            peers_epoch: self.peers_epoch,
+            slots: self.slots.clone(),
         }
     }
 }

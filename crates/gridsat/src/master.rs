@@ -18,9 +18,11 @@
 use crate::audit::Audit;
 use crate::config::{
     CheckpointMode, GridConfig, SchedPolicy, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR,
-    PROMOTE_GRACE_S, QUARANTINE_STRIKES, STANDBY_NODE,
+    PROMOTE_GRACE_S, QUARANTINE_STRIKES, SHARE_TREE_FANOUT, STANDBY_NODE,
 };
-use crate::journal::{ClientInfo, JournalRecord, MasterCore, MasterJournal, RecoverySpec};
+use crate::journal::{
+    tree_parent, ClientInfo, JournalRecord, MasterCore, MasterJournal, RecoverySpec,
+};
 use crate::msg::{Checkpoint, EndReason, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
 use gridsat_cnf::{Assignment, Formula};
@@ -369,6 +371,12 @@ pub struct Master {
     /// instant: adoption claims from surviving clients may still be in
     /// flight, and the replayed journal suffix can be behind them.
     reconcile_until: f64,
+    /// Clients told to re-announce themselves ([`GridMsg::Takeover`])
+    /// whose [`GridMsg::Adopt`] has not arrived. The claim is a snapshot
+    /// taken when the takeover reached the client; lost once and
+    /// retransmitted, it lands after the result of the very subproblem it
+    /// claims, and must not mark the client Busy with it again.
+    awaiting_adopt: BTreeSet<NodeId>,
     /// Search-space conservation auditor (disabled by default).
     audit: Audit,
     /// Set by the first `on_start`; a second call means the master node
@@ -522,6 +530,7 @@ impl Master {
             standby,
             last_replay: None,
             reconcile_until: f64::NEG_INFINITY,
+            awaiting_adopt: BTreeSet::new(),
             audit: Audit::default(),
             started: false,
             minted: 0,
@@ -629,7 +638,8 @@ impl Master {
         let node = self.me.0;
         self.obs
             .emit(ctx.now(), node, || Event::StandbyPromote { records });
-        for id in self.core.clients.keys().copied().collect::<Vec<_>>() {
+        self.awaiting_adopt = self.core.clients.keys().copied().collect();
+        for &id in &self.awaiting_adopt {
             ctx.send(id, GridMsg::Takeover);
         }
         self.dispatch_recoveries(ctx);
@@ -1183,28 +1193,63 @@ impl Master {
         }
     }
 
-    /// Broadcast the registered-client list (clause-sharing fan-out).
-    /// The roster carries its epoch so clients agree on which relay tree
-    /// a share batch was routed on; every membership change bumps it.
-    fn broadcast_peers(&mut self, ctx: &mut Ctx<GridMsg>) {
-        // built once per broadcast, ascending by node id (map order);
-        // the n messages below share it by refcount
-        let peers: Arc<[NodeId]> = self.core.clients.keys().copied().collect();
-        let epoch = self.core.peers_epoch;
-        self.obs
-            .emit(ctx.now(), ctx.me().0, || Event::RelayRebuild {
-                epoch,
-                peers: peers.len() as u64,
-            });
-        for &id in peers.iter() {
-            ctx.send(
-                id,
-                GridMsg::Peers {
-                    epoch,
-                    peers: Arc::clone(&peers),
-                },
-            );
-        }
+    /// Tell the clients whose clause-sharing links a membership change
+    /// moved what their links are now: the clients at `changed` slots of
+    /// the share tree, each its parent and its children. Under the paper's
+    /// protocol (no sharing rounds) there is no tree — every client floods
+    /// every other — and every change tells everybody the whole list.
+    fn relink(&mut self, changed: &[usize], ctx: &mut Ctx<GridMsg>) {
+        let nodes = if self.config.share_round_s.is_none() {
+            // built once, ascending by node id (map order); the messages
+            // share it by refcount
+            let down: Arc<[NodeId]> = self.core.clients.keys().copied().collect();
+            for &id in down.iter() {
+                let down = Arc::clone(&down);
+                ctx.send(id, GridMsg::Peers { up: None, down });
+            }
+            down.len()
+        } else {
+            let mut slots: Vec<usize> = changed
+                .iter()
+                .copied()
+                .filter(|&slot| slot < self.core.slots.len())
+                .collect();
+            slots.sort_unstable();
+            slots.dedup();
+            for &slot in &slots {
+                let (up, down) = self.core.tree_links(slot);
+                ctx.send(self.core.slots[slot], GridMsg::Peers { up, down });
+            }
+            slots.len()
+        };
+        self.obs.emit(ctx.now(), ctx.me().0, || Event::Relink {
+            nodes: nodes as u64,
+        });
+    }
+
+    /// `client` joined the share tree (or, re-registering, kept its slot):
+    /// it and the node above it learn their links.
+    fn link_in(&mut self, client: NodeId, ctx: &mut Ctx<GridMsg>) {
+        let slot = self.core.slot_of(client).expect("just registered");
+        let mut changed = vec![slot];
+        changed.extend(tree_parent(slot));
+        self.relink(&changed, ctx);
+    }
+
+    /// `client` is gone: take it off the roster and out of the share
+    /// tree, where the last client moves into its slot — the nodes above
+    /// and below that slot and the node that was above the mover (at most
+    /// [`SHARE_TREE_FANOUT`] + 3 in all) learn their new links.
+    fn deregister(&mut self, client: NodeId, ctx: &mut Ctx<GridMsg>) {
+        let slot = self.core.slot_of(client);
+        self.commit(ctx.now(), JournalRecord::Deregister { client });
+        self.drop_grants_involving(client, ctx.now());
+        let Some(slot) = slot else { return };
+        let mut changed = vec![slot];
+        changed.extend(tree_parent(slot));
+        changed.extend(tree_parent(self.core.slots.len()));
+        changed.extend((1..=SHARE_TREE_FANOUT).map(|k| SHARE_TREE_FANOUT * slot + k));
+        self.relink(&changed, ctx);
     }
 
     /// Recover a lost busy client from its checkpoint (extension).
@@ -1274,27 +1319,21 @@ impl Master {
                 // Receiving reservation it pinned on the peer — must not
                 // outlive the client, or the all-idle UNSAT condition is
                 // blocked forever.
-                self.commit(ctx.now(), JournalRecord::Deregister { client: node });
-                self.drop_grants_involving(node, ctx.now());
-                self.broadcast_peers(ctx);
+                self.deregister(node, ctx);
                 self.drain_backlog(ctx);
             }
             ClientState::Receiving if self.config.reliability => {
                 // nothing to recover: the requester still holds the whole
                 // subproblem, and its undeliverable transfer will come
                 // back to us as a Requeue
-                self.commit(ctx.now(), JournalRecord::Deregister { client: node });
-                self.drop_grants_involving(node, ctx.now());
-                self.broadcast_peers(ctx);
+                self.deregister(node, ctx);
                 self.drain_backlog(ctx);
             }
             ClientState::Busy | ClientState::Receiving => {
                 // try checkpoint recovery; without it, the paper's current
                 // implementation "will not tolerate a machine crash"
                 if self.config.checkpoint != CheckpointMode::Off && self.recover(node, ctx) {
-                    self.commit(ctx.now(), JournalRecord::Deregister { client: node });
-                    self.drop_grants_involving(node, ctx.now());
-                    self.broadcast_peers(ctx);
+                    self.deregister(node, ctx);
                     self.dispatch_recoveries(ctx);
                     self.drain_backlog(ctx);
                 } else {
@@ -1390,8 +1429,8 @@ impl Master {
                     }
                 }
             }
-            // peer lists are re-broadcast on every membership change and
-            // a terminate to a dead client changes nothing
+            // the loss of a client that share-tree links or a terminate
+            // never reached is noticed on its own; neither changes it
             _ => {}
         }
         self.ship_journal(ctx, false);
@@ -1540,10 +1579,10 @@ impl Process for Master {
                         },
                     );
                 }
-                for id in self.host_info.keys().copied().collect::<Vec<_>>() {
-                    if id != self.me {
-                        ctx.send(id, GridMsg::Takeover);
-                    }
+                self.awaiting_adopt = self.host_info.keys().copied().collect();
+                self.awaiting_adopt.remove(&self.me);
+                for &id in &self.awaiting_adopt {
+                    ctx.send(id, GridMsg::Takeover);
                 }
                 // hold the UNSAT verdict until the Adopt replies have
                 // had time to land: right after a deep tear the fold
@@ -1596,7 +1635,7 @@ impl Process for Master {
                         at: ctx.now(),
                     },
                 );
-                self.broadcast_peers(ctx);
+                self.link_in(from, ctx);
                 let node = self.me.0;
                 self.obs
                     .emit(ctx.now(), node, || Event::ClientLaunch { client: from.0 });
@@ -1834,11 +1873,14 @@ impl Process for Master {
                     client: from.0,
                     sat,
                 });
-                if self.core.grants.values().any(|(p, _)| *p == from) {
-                    // this client is the peer of an in-flight transfer:
-                    // its confirmation (Figure 3 message 4) is still on
-                    // the wire and must not re-open the subproblem when
-                    // it lands after this result
+                if self.core.grants.values().any(|(p, _)| *p == from)
+                    || self.awaiting_adopt.contains(&from)
+                {
+                    // this client is the peer of an in-flight transfer, or
+                    // was asked to re-announce itself: its confirmation
+                    // (Figure 3 message 4), or its adoption claim, is
+                    // still on the wire and must not re-open the
+                    // subproblem when it lands after this result
                     self.commit(
                         ctx.now(),
                         JournalRecord::EarlyResultNote {
@@ -2031,8 +2073,24 @@ impl Process for Master {
                 checkpoint,
             } => {
                 // re-registration with in-progress state after a takeover
+                self.awaiting_adopt.remove(&from);
                 let speed = self.host_info.get(&from).map(|(s, _)| *s).unwrap_or(1.0);
-                let busy = problem.is_some();
+                // the claim was overtaken by the result of the subproblem
+                // it names: the client has been idle since
+                let finished = problem.filter(|&p| self.core.early_results.contains(&(from, p)));
+                if let Some(problem) = finished {
+                    self.commit(
+                        ctx.now(),
+                        JournalRecord::EarlyResultConsume {
+                            client: from,
+                            problem,
+                        },
+                    );
+                }
+                let (problem, checkpoint) = match finished {
+                    Some(_) => (None, None),
+                    None => (problem, checkpoint.map(|b| *b)),
+                };
                 self.commit(
                     ctx.now(),
                     JournalRecord::AdoptClaim {
@@ -2040,13 +2098,13 @@ impl Process for Master {
                         memory,
                         speed,
                         availability,
-                        busy,
+                        busy: problem.is_some(),
                         problem,
-                        checkpoint: checkpoint.map(|b| *b),
+                        checkpoint,
                         at: ctx.now(),
                     },
                 );
-                self.broadcast_peers(ctx);
+                self.link_in(from, ctx);
                 let node = self.me.0;
                 self.obs
                     .emit(ctx.now(), node, || Event::ClientLaunch { client: from.0 });

@@ -55,7 +55,7 @@ fn first_registrant_gets_the_whole_problem() {
         Action::Send { to: NodeId(2), msg: GridMsg::Solve { spec, .. } }
             if spec.open().is_ok_and(|s| s.assumptions.is_empty() && s.clauses.len() == 9)
     )));
-    // second registrant gets peers but no problem
+    // second registrant gets its share-tree links but no problem
     let actions = register(&mut m, 3, 1.0);
     assert!(!actions.iter().any(|a| matches!(
         a,
@@ -75,33 +75,145 @@ fn first_registrant_gets_the_whole_problem() {
 
 #[test]
 fn one_broadcast_shares_one_sorted_roster_across_all_recipients() {
-    let mut m = master();
+    // the paper's protocol: no share tree, everybody floods everybody
+    let mut m = Master::new(
+        gridsat_cnf::paper::fig1_formula(),
+        GridConfig::experiment1(),
+        speeds(4),
+    );
     // register out of id order: the roster still comes out ascending
     let mut last = Vec::new();
     for (k, id) in [3, 1, 4, 2].into_iter().enumerate() {
         last = register(&mut m, id, k as f64);
     }
-    let rosters: Vec<(NodeId, u64, Arc<[NodeId]>)> = last
+    let rosters: Vec<(NodeId, Option<NodeId>, Arc<[NodeId]>)> = last
         .into_iter()
         .filter_map(|a| match a {
             Action::Send {
                 to,
-                msg: GridMsg::Peers { epoch, peers },
-            } => Some((to, epoch, peers)),
+                msg: GridMsg::Peers { up, down },
+            } => Some((to, up, down)),
             _ => None,
         })
         .collect();
     let recipients: Vec<NodeId> = rosters.iter().map(|(to, ..)| *to).collect();
     let sorted: Vec<NodeId> = (1..=4).map(NodeId).collect();
     assert_eq!(recipients, sorted, "every registered client gets one");
-    let (_, epoch, first) = &rosters[0];
+    let (_, _, first) = &rosters[0];
     assert_eq!(**first, *sorted, "the roster is the sorted client set");
-    for (_, e, peers) in &rosters {
-        assert_eq!(e, epoch);
+    for (_, up, down) in &rosters {
+        assert_eq!(*up, None, "nobody's round goes up");
         assert!(
-            Arc::ptr_eq(peers, first),
+            Arc::ptr_eq(down, first),
             "one allocation per broadcast, not one per recipient"
         );
+    }
+}
+
+/// What a client holds of the share tree: its parent and its children.
+type Links = (Option<NodeId>, Vec<NodeId>);
+
+/// Apply the links messages among `actions`, in order, to the links the
+/// clients hold; how many there were.
+fn apply_links(held: &mut BTreeMap<NodeId, Links>, actions: Vec<Action<GridMsg>>) -> usize {
+    let mut messages = 0;
+    for action in actions {
+        if let Action::Send {
+            to,
+            msg: GridMsg::Peers { up, down },
+        } = action
+        {
+            held.insert(to, (up, down.to_vec()));
+            messages += 1;
+        }
+    }
+    messages
+}
+
+/// The links clients hold are exactly a `SHARE_TREE_FANOUT`-ary heap over
+/// `slots` built from scratch, and that is a tree: one root, every other
+/// client under exactly one parent, logarithmic depth.
+fn assert_share_tree(slots: &[NodeId], held: &BTreeMap<NodeId, Links>, case: &str) {
+    let n = slots.len();
+    let mut depth = vec![0usize; n];
+    let mut children_seen = 0;
+    for (i, &node) in slots.iter().enumerate() {
+        let up = (i > 0).then(|| slots[(i - 1) / SHARE_TREE_FANOUT]);
+        let down: Vec<NodeId> = (1..=SHARE_TREE_FANOUT)
+            .filter_map(|k| slots.get(SHARE_TREE_FANOUT * i + k).copied())
+            .collect();
+        assert_eq!(
+            held.get(&node),
+            Some(&(up, down.clone())),
+            "slot {i}, {case}"
+        );
+        children_seen += down.len();
+        if i > 0 {
+            depth[i] = depth[(i - 1) / SHARE_TREE_FANOUT] + 1;
+        }
+    }
+    if n > 0 {
+        // n - 1 parent-child edges over n nodes, all hanging off slot 0
+        assert_eq!(children_seen, n - 1, "{case}");
+        let bound = (1..).find(|&d| 4usize.pow(d) > 3 * n).expect("finite");
+        let deepest = depth.iter().max().expect("non-empty") + 1;
+        assert!(
+            deepest <= bound as usize,
+            "{deepest} levels for {n}, {case}"
+        );
+    }
+}
+
+/// Property: over random join / leave sequences the link messages the
+/// master sends — at most `SHARE_TREE_FANOUT` + 3 per change, to the nodes
+/// the change touched and nobody else — applied in order, leave every
+/// client holding its links in a from-scratch build of the tree over the
+/// same slots; and a standby that replays the journal holds those slots.
+#[test]
+fn share_tree_links_follow_every_join_and_leave() {
+    use gridsat_cnf::rng::Rng;
+    assert_eq!(SHARE_TREE_FANOUT, 4, "the depth bound below is log base 4");
+    for (seed, fleet) in [(0, 6u32), (1, 6), (2, 40), (3, 40), (4, 200), (5, 1000)] {
+        let mut rng = Rng::seed_from_u64(seed);
+        // light checkpoints: a busy client that leaves is recovered
+        let mut m = Master::new(
+            gridsat_cnf::paper::fig1_formula(),
+            GridConfig::chaos_hardened(),
+            speeds(fleet),
+        );
+        let mut held: BTreeMap<NodeId, Links> = BTreeMap::new();
+        let mut away: Vec<u32> = (1..=fleet).collect();
+        let mut here: Vec<u32> = Vec::new();
+        for step in 0..2 * fleet {
+            let t = f64::from(step) * 0.01; // far inside every lease
+            let case = format!("step {step}, case seed {seed}");
+            let join = here.is_empty() || (!away.is_empty() && rng.gen_bool(0.6));
+            let actions = if join {
+                let id = away.swap_remove(rng.range_usize(0..away.len()));
+                here.push(id);
+                register(&mut m, id, t)
+            } else {
+                let id = here.swap_remove(rng.range_usize(0..here.len()));
+                away.push(id);
+                held.remove(&NodeId(id));
+                let mut cx = ctx(t);
+                m.on_node_down(NodeId(id), &mut cx);
+                cx.take_actions()
+            };
+            assert!(m.outcome().is_none(), "{case}");
+            let messages = apply_links(&mut held, actions);
+            assert!(
+                messages <= SHARE_TREE_FANOUT + 3,
+                "{messages} links, {case}"
+            );
+            let mut listed: Vec<u32> = m.core.slots.iter().map(|node| node.0).collect();
+            listed.sort_unstable();
+            here.sort_unstable();
+            assert_eq!(listed, here, "{case}");
+            assert_share_tree(&m.core.slots, &held, &case);
+        }
+        let standby = MasterJournal::replay(&m.formula, &m.config, m.journal.records());
+        assert_eq!(standby.slots, m.core.slots, "case seed {seed}");
     }
 }
 
@@ -1071,8 +1183,11 @@ fn standby_rejects_a_corrupted_record_and_the_dup_ack_re_requests_it() {
     assert!(s.promoted_master().is_some(), "standby takes over");
 }
 
-#[test]
-fn promoted_standby_resumes_from_shipped_records() {
+/// Node 0 serves clients 1 (the standby, which gets the problem), 2 and 3,
+/// then dies for good; node 1 promotes at t = 60 from the records it
+/// tailed and announces the takeover. The promoted master and what the
+/// announcement sent.
+fn promote_node_1() -> (Master, Vec<Action<GridMsg>>) {
     fn harvest(actions: &[Action<GridMsg>], shipped: &mut Vec<JournalRecord>) {
         for a in actions {
             if let Action::Send {
@@ -1126,7 +1241,12 @@ fn promoted_standby_resumes_from_shipped_records() {
     p.absorb_own_client(60.0, Some((own_spec, Some(own_problem))));
     let mut cx = ctx_at(1, 60.0);
     p.announce_takeover(&mut cx);
-    let actions = cx.take_actions();
+    (p, cx.take_actions())
+}
+
+#[test]
+fn promoted_standby_resumes_from_shipped_records() {
+    let (p, actions) = promote_node_1();
     // survivors are told to re-register; the promoted master skips itself
     for id in [2u32, 3] {
         assert!(actions.iter().any(
@@ -1151,6 +1271,43 @@ fn promoted_standby_resumes_from_shipped_records() {
     let snap = p.snapshot();
     assert_eq!(snap.last_replay, Some(60.0));
     assert!(snap.standby_lag.is_none()); // a promoted master has no standby
+}
+
+#[test]
+fn an_adoption_claim_overtaken_by_its_result_leaves_the_client_idle() {
+    // client 2 held a cube the dead master's journal suffix never shipped.
+    // Its claim, a snapshot taken when the takeover reached it, is lost
+    // once; the cube's result overtakes the retransmission.
+    let cube = ProblemId::new(NodeId(3), 7);
+    let adopt = || GridMsg::Adopt {
+        memory: 3 << 20,
+        availability: 1.0,
+        problem: Some(cube),
+        checkpoint: None,
+    };
+    let result = || GridMsg::Result {
+        result: SubResult::Unsat,
+        problem: cube,
+    };
+    for overtaken in [true, false] {
+        let (mut p, _) = promote_node_1();
+        let order = if overtaken {
+            [result(), adopt()]
+        } else {
+            [adopt(), result()]
+        };
+        for (k, msg) in order.into_iter().enumerate() {
+            let mut cx = ctx_at(1, 61.0 + k as f64);
+            p.on_message(NodeId(2), msg, &mut cx);
+        }
+        let info = &p.core.clients[&NodeId(2)];
+        assert_eq!(
+            (info.state, info.problem),
+            (ClientState::Idle, None),
+            "result first: {overtaken}"
+        );
+        assert!(p.core.early_results.is_empty(), "result first: {overtaken}");
+    }
 }
 
 #[test]

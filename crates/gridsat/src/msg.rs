@@ -134,12 +134,17 @@ pub enum GridMsg {
     SplitGrant { peer: NodeId, problem: ProblemId },
     /// Move the current subproblem to `peer` (backlog/migration).
     Migrate { peer: NodeId, problem: ProblemId },
-    /// Current set of registered clients (for clause-sharing fan-out).
-    /// `epoch` counts membership changes; clients use it to agree on the
-    /// relay tree and to drop share forwards routed on a stale tree.
-    /// One broadcast builds the roster once; every recipient's message
-    /// (and every client that installs it) shares that allocation.
-    Peers { epoch: u64, peers: Arc<[NodeId]> },
+    /// The receiver's links for clause sharing, whole (not a change to
+    /// the ones it holds): `up`, where its sharing round goes — its parent
+    /// in the share tree — and `down`, who gets what travels down from it
+    /// — its children. Sent to the few nodes whose links a join, a leave
+    /// or a lease expiry changes. Under the paper's protocol there is no
+    /// tree: `up` is `None` and `down` lists every client, in one
+    /// allocation all recipients share.
+    Peers {
+        up: Option<NodeId>,
+        down: Arc<[NodeId]>,
+    },
     /// End of run.
     Terminate(EndReason),
 
@@ -157,16 +162,16 @@ pub enum GridMsg {
         /// grant; the receiver echoes this in its [`GridMsg::SplitDone`].
         stolen: bool,
     },
-    /// Learned clauses broadcast to peers (paper Section 3.2). The batch
-    /// is encoded once per drain ([`EncodedBatch`]) and shared by
-    /// reference across the whole fan-out — every relay hop forwards the
-    /// same buffer by refcount, never re-serializing. `origin` roots the
-    /// relay tree; `epoch` is the peer-list epoch the sender routed on,
-    /// so forwards computed against a stale tree are dropped.
+    /// Learned clauses on their way to the peers (paper Section 3.2). The
+    /// batch is encoded once per sharing round ([`EncodedBatch`]) and
+    /// shared by reference across the whole fan-out — every hop down the
+    /// share tree forwards the same buffer by refcount, never
+    /// re-serializing. `down` is the direction: `false` from a node to its
+    /// parent, who merges the clauses into its own round; `true` from the
+    /// root (under the paper's flood, from anyone) to everybody below.
     Share {
         batch: Arc<EncodedBatch>,
-        origin: NodeId,
-        epoch: u64,
+        down: bool,
     },
 
     // ---- master <-> standby (durability extension) ----
@@ -242,13 +247,11 @@ impl GridMsg {
     /// protocol? Control messages get acked at-least-once delivery under
     /// the reliability layer; the rest is intentionally fire-and-forget:
     /// clause shares and load reports are periodic best-effort streams,
-    /// peer-list updates are re-broadcast on every membership change, and
-    /// heartbeats exist precisely to be allowed to miss.
+    /// and heartbeats exist precisely to be allowed to miss.
     pub fn is_control(&self) -> bool {
         match self {
             GridMsg::Share { .. }
             | GridMsg::LoadReport { .. }
-            | GridMsg::Peers { .. }
             | GridMsg::JournalAck { .. }
             | GridMsg::Heartbeat
             // idle announcements re-arise on the steal period, and
@@ -270,6 +273,9 @@ impl GridMsg {
             | GridMsg::Solve { .. }
             | GridMsg::SplitGrant { .. }
             | GridMsg::Migrate { .. }
+            // sent once, to the nodes a membership change re-links: a
+            // lost one would leave a subtree out of the sharing for good
+            | GridMsg::Peers { .. }
             | GridMsg::Terminate(_)
             | GridMsg::Subproblem { .. }
             | GridMsg::Requeue { .. }
@@ -350,11 +356,11 @@ impl MessageSize for GridMsg {
             GridMsg::Solve { spec, .. } => 24 + spec.wire_len(),
             GridMsg::SplitGrant { .. } => 32,
             GridMsg::Migrate { .. } => 32,
-            GridMsg::Peers { peers, .. } => 24 + peers.len() * 4,
+            GridMsg::Peers { up, down } => 24 + (usize::from(up.is_some()) + down.len()) * 4,
             GridMsg::Terminate(_) => 32,
             GridMsg::Subproblem { spec, .. } => 24 + spec.wire_len(),
-            // 24-byte frame (origin + epoch + framing) plus the actual
-            // encoded batch — the real cost the bandwidth model charges
+            // 24-byte frame plus the actual encoded batch — the real
+            // cost the bandwidth model charges
             GridMsg::Share { batch, .. } => 24 + batch.wire_len(),
             GridMsg::JournalBatch { records, .. } => {
                 24 + records.iter().map(SealedRecord::wire_len).sum::<usize>()
@@ -480,8 +486,7 @@ mod tests {
             .collect();
         GridMsg::Share {
             batch: Arc::new(EncodedBatch::encode(&shares)),
-            origin: NodeId(1),
-            epoch: 0,
+            down: true,
         }
     }
 
@@ -574,14 +579,15 @@ mod tests {
         }
         .is_control());
         assert!(GridMsg::Terminate(EndReason::Sat).is_control());
+        // share-tree links go out once, to the nodes they change
+        assert!(GridMsg::Peers {
+            up: None,
+            down: Arc::default()
+        }
+        .is_control());
         // the lossy-by-design streams
         assert!(!share_of(vec![]).is_control());
         assert!(!GridMsg::LoadReport { availability: 1.0 }.is_control());
-        assert!(!GridMsg::Peers {
-            epoch: 0,
-            peers: Arc::default()
-        }
-        .is_control());
         assert!(!GridMsg::Heartbeat.is_control());
         // steal protocol: tickets/steals/notices/escalations are load-
         // bearing, idle announcements and site telemetry are lossy

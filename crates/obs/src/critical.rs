@@ -293,7 +293,7 @@ pub fn critical_path(events: &[TimedEvent]) -> Option<CriticalPath> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Anomaly {
     /// Stable machine-readable code (`lease_churn`, `retransmit_storm`,
-    /// `wedged`, `relay_rebuild_loop`, `corrupt_storm`,
+    /// `wedged`, `relink_churn`, `corrupt_storm`,
     /// `journal_truncated`, `peer_quarantined`).
     pub code: &'static str,
     pub detail: String,
@@ -304,8 +304,8 @@ pub struct Anomaly {
 pub fn detect_anomalies(events: &[TimedEvent]) -> Vec<Anomaly> {
     let mut lease_expiries = 0u64;
     let mut retransmits = 0u64;
-    let mut rebuilds = 0u64;
-    let mut rebuild_epochs = std::collections::BTreeSet::new();
+    let mut relinks = 0u64;
+    let mut launches = 0u64;
     let mut outcome: Option<&str> = None;
     let mut any_assign = false;
     let mut corrupt_drops = 0u64;
@@ -316,10 +316,8 @@ pub fn detect_anomalies(events: &[TimedEvent]) -> Vec<Anomaly> {
         match &e.event {
             Event::LeaseExpire { .. } => lease_expiries += 1,
             Event::Retransmit { .. } => retransmits += 1,
-            Event::RelayRebuild { epoch, .. } => {
-                rebuilds += 1;
-                rebuild_epochs.insert(*epoch);
-            }
+            Event::Relink { .. } => relinks += 1,
+            Event::ClientLaunch { .. } => launches += 1,
             Event::Outcome { outcome: o } => outcome = Some(o),
             Event::Assign { .. } => any_assign = true,
             Event::CorruptDrop { .. } => corrupt_drops += 1,
@@ -356,13 +354,12 @@ pub fn detect_anomalies(events: &[TimedEvent]) -> Vec<Anomaly> {
         }),
         _ => {}
     }
-    if rebuilds > 4 && rebuilds as f64 > 1.5 * rebuild_epochs.len() as f64 {
+    // one re-link per join is the floor; past half as many again, more
+    // than half the clients that joined were also seen to leave
+    if relinks > 4 && relinks as f64 > 1.5 * launches as f64 {
         out.push(Anomaly {
-            code: "relay_rebuild_loop",
-            detail: format!(
-                "{rebuilds} relay-tree rebuilds over {} epochs",
-                rebuild_epochs.len()
-            ),
+            code: "relink_churn",
+            detail: format!("{relinks} share-tree re-links for {launches} client launches"),
         });
     }
     // a handful of checksum drops is survivable noise (the reliable
@@ -772,7 +769,7 @@ mod tests {
         ];
         assert!(detect_anomalies(&clean).is_empty());
 
-        // churn + storm + wedged outcome + rebuild loop all flag
+        // churn + storm + wedged outcome + re-link churn all flag
         let mut noisy = Vec::new();
         for i in 0..3 {
             noisy.push(ev(1.0, 0, 0, 0, Event::LeaseExpire { client: i }));
@@ -791,7 +788,7 @@ mod tests {
             ));
         }
         for _ in 0..6 {
-            noisy.push(ev(3.0, 0, 0, 0, Event::RelayRebuild { epoch: 1, peers: 3 }));
+            noisy.push(ev(3.0, 0, 0, 0, Event::Relink { nodes: 3 }));
         }
         noisy.push(ev(
             4.0,
@@ -805,12 +802,7 @@ mod tests {
         let codes: Vec<&str> = detect_anomalies(&noisy).iter().map(|a| a.code).collect();
         assert_eq!(
             codes,
-            [
-                "lease_churn",
-                "retransmit_storm",
-                "wedged",
-                "relay_rebuild_loop"
-            ]
+            ["lease_churn", "retransmit_storm", "wedged", "relink_churn"]
         );
 
         // assigned work but no outcome at all: wedged

@@ -162,9 +162,9 @@ pub enum Event {
     /// Duplicate shared clauses dropped by a receiver's fingerprint
     /// window before any merge work was spent on them.
     ShareDedup { dropped: u64 },
-    /// The master rebroadcast the peer roster; clients derive a new
-    /// share relay tree for this epoch.
-    RelayRebuild { epoch: u64, peers: u64 },
+    /// A membership change (join, leave, lease expiry) moved clause-sharing
+    /// links: the master sent `nodes` clients their new ones.
+    Relink { nodes: u64 },
 }
 
 impl Event {
@@ -203,7 +203,7 @@ impl Event {
             Event::StandbyPromote { .. } => "standby_promote",
             Event::AuditViolation { .. } => "audit_violation",
             Event::ShareDedup { .. } => "share_dedup",
-            Event::RelayRebuild { .. } => "relay_rebuild",
+            Event::Relink { .. } => "relink",
         }
     }
 }
@@ -413,8 +413,8 @@ impl TimedEvent {
             Event::ShareDedup { dropped } => {
                 w.u64("dropped", *dropped);
             }
-            Event::RelayRebuild { epoch, peers } => {
-                w.u64("epoch", *epoch).u64("peers", *peers);
+            Event::Relink { nodes } => {
+                w.u64("nodes", *nodes);
             }
         }
         w.finish()
@@ -562,9 +562,8 @@ impl TimedEvent {
             "share_dedup" => Event::ShareDedup {
                 dropped: u64f(&m, "dropped")?,
             },
-            "relay_rebuild" => Event::RelayRebuild {
-                epoch: u64f(&m, "epoch")?,
-                peers: u64f(&m, "peers")?,
+            "relink" => Event::Relink {
+                nodes: u64f(&m, "nodes")?,
             },
             other => return Err(DecodeError::UnknownKind(other.to_string())),
         };
@@ -781,7 +780,7 @@ mod tests {
                 },
             ),
             ev(13.92, 2, Event::ShareDedup { dropped: 6 }),
-            ev(13.95, 0, Event::RelayRebuild { epoch: 3, peers: 5 }),
+            ev(13.95, 0, Event::Relink { nodes: 5 }),
             ev(
                 14.0,
                 0,

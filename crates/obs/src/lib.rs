@@ -22,7 +22,7 @@
 //!   causal `seq`/`cause` stamps backward from the final answer and
 //!   attributes every second of the run to solve / wire / master-queue
 //!   / retransmit; [`detect_anomalies`] flags the failure signatures
-//!   (lease churn, retransmit storms, wedged runs, relay rebuild loops)
+//!   (lease churn, retransmit storms, wedged runs, share-tree re-link churn)
 //!   rendered by the `grid_report` binary.
 //!
 //! No external dependencies: the crate is pure `std` so it can sit under

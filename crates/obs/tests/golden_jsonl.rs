@@ -185,7 +185,7 @@ fn golden_events() -> Vec<TimedEvent> {
             },
         ),
         ev(13.92, 2, Event::ShareDedup { dropped: 6 }),
-        ev(13.95, 0, Event::RelayRebuild { epoch: 3, peers: 5 }),
+        ev(13.95, 0, Event::Relink { nodes: 5 }),
         ev(
             14.0,
             0,

@@ -129,16 +129,16 @@ fn flat_run_is_bit_identical_to_the_pinned_parent() {
     assert_eq!(
         run(false, GridConfig::experiment1()),
         Pins {
-            seconds_bits: 75.256425f64.to_bits(),
-            events: 7690,
-            messages_delivered: 3870,
-            bytes_delivered: 552_263,
-            ticks: 3795,
+            seconds_bits: 72.676098f64.to_bits(),
+            events: 7876,
+            messages_delivered: 4062,
+            bytes_delivered: 568_547,
+            ticks: 3789,
             splits: 182,
-            clauses_received: 1227,
-            dup_share_drops: 9,
-            shares_forwarded: 992,
-            share_batches_sent: 53,
+            clauses_received: 1334,
+            dup_share_drops: 24,
+            shares_forwarded: 0,
+            share_batches_sent: 58,
         }
     );
 }
@@ -148,16 +148,16 @@ fn hierarchical_run_is_bit_identical_to_the_pinned_parent() {
     assert_eq!(
         run(true, GridConfig::experiment1()),
         Pins {
-            seconds_bits: 76.712527f64.to_bits(),
-            events: 11_354,
-            messages_delivered: 6872,
-            bytes_delivered: 1_229_493,
-            ticks: 4186,
-            splits: 22,
-            clauses_received: 2351,
-            dup_share_drops: 59,
-            shares_forwarded: 1813,
-            share_batches_sent: 100,
+            seconds_bits: 72.456842f64.to_bits(),
+            events: 11_298,
+            messages_delivered: 6851,
+            bytes_delivered: 1_188_069,
+            ticks: 4181,
+            splits: 24,
+            clauses_received: 2254,
+            dup_share_drops: 144,
+            shares_forwarded: 0,
+            share_batches_sent: 92,
         }
     );
 }
@@ -168,20 +168,20 @@ fn bit_rot_run_is_bit_identical_to_the_pinned_parent() {
     assert_eq!(
         pins,
         Pins {
-            seconds_bits: 111.867002f64.to_bits(),
-            events: 16_481,
-            messages_delivered: 6312,
-            bytes_delivered: 637_064,
-            ticks: 3737,
-            splits: 126,
-            clauses_received: 1473,
-            dup_share_drops: 24,
-            shares_forwarded: 1255,
-            share_batches_sent: 75,
+            seconds_bits: 87.785741f64.to_bits(),
+            events: 16_442,
+            messages_delivered: 6399,
+            bytes_delivered: 652_248,
+            ticks: 3718,
+            splits: 132,
+            clauses_received: 1223,
+            dup_share_drops: 0,
+            shares_forwarded: 0,
+            share_batches_sent: 58,
         }
     );
     // every mangled payload was caught by a receiver's frame check
-    assert_eq!((corrupted_payloads, corrupt_drops), (115, 115));
+    assert_eq!((corrupted_payloads, corrupt_drops), (80, 80));
 }
 
 #[test]
@@ -190,9 +190,9 @@ fn flat_run_in_rounds_is_pinned() {
         run(false, GridConfig::default()),
         Pins {
             seconds_bits: 74.100494f64.to_bits(),
-            events: 7014,
-            messages_delivered: 3188,
-            bytes_delivered: 538_236,
+            events: 6761,
+            messages_delivered: 2935,
+            bytes_delivered: 512_956,
             ticks: 3795,
             splits: 193,
             clauses_received: 1518,
@@ -209,9 +209,9 @@ fn hierarchical_run_in_rounds_is_pinned() {
         run(true, GridConfig::default()),
         Pins {
             seconds_bits: 73.697838f64.to_bits(),
-            events: 9835,
-            messages_delivered: 5349,
-            bytes_delivered: 1_073_771,
+            events: 9582,
+            messages_delivered: 5096,
+            bytes_delivered: 1_048_491,
             ticks: 4200,
             splits: 32,
             clauses_received: 2608,
@@ -229,20 +229,20 @@ fn bit_rot_run_in_rounds_is_pinned() {
     assert_eq!(
         pins,
         Pins {
-            seconds_bits: 93.435524f64.to_bits(),
-            events: 14_990,
-            messages_delivered: 5563,
-            bytes_delivered: 664_446,
-            ticks: 3803,
-            splits: 141,
-            clauses_received: 1408,
-            dup_share_drops: 269,
-            shares_forwarded: 292,
-            share_batches_sent: 145,
+            seconds_bits: 83.133315f64.to_bits(),
+            events: 14_820,
+            messages_delivered: 5271,
+            bytes_delivered: 604_852,
+            ticks: 3652,
+            splits: 152,
+            clauses_received: 1340,
+            dup_share_drops: 121,
+            shares_forwarded: 265,
+            share_batches_sent: 121,
         }
     );
     // every mangled payload was caught by a receiver's frame check
-    assert_eq!((corrupted_payloads, corrupt_drops), (41, 41));
+    assert_eq!((corrupted_payloads, corrupt_drops), (33, 33));
 }
 
 /// The flat fleet under the `master-gone` fault plan (node 0 dies for
@@ -274,16 +274,16 @@ fn master_gone_failover_run_is_pinned() {
     assert_eq!(
         Pins::of(&r),
         Pins {
-            seconds_bits: 238.034238f64.to_bits(),
-            events: 21_353,
-            messages_delivered: 5800,
-            bytes_delivered: 664_387,
-            ticks: 4974,
-            splits: 146,
-            clauses_received: 1165,
-            dup_share_drops: 103,
-            shares_forwarded: 263,
-            share_batches_sent: 96,
+            seconds_bits: 84.864665f64.to_bits(),
+            events: 17_307,
+            messages_delivered: 5043,
+            bytes_delivered: 622_668,
+            ticks: 3879,
+            splits: 149,
+            clauses_received: 1193,
+            dup_share_drops: 105,
+            shares_forwarded: 328,
+            share_batches_sent: 106,
         }
     );
 }
