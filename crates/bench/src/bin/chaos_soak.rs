@@ -5,14 +5,18 @@
 //! mismatch fails the sweep.
 //!
 //! Usage: cargo run --release -p gridsat-bench --bin chaos_soak \
-//!            [--fast] [--seeds N] [--plan NAME] [--repro]
+//!            [--fast] [--seeds N] [--plan NAME] [--preset paper] [--repro]
 //!
 //! `--fast` is the CI profile (few seeds); the default sweeps 20 seeds
 //! over all seven fault plans and three instance families. The
 //! `master-gone` plan runs under the failover profile (standby, journal,
 //! conservation auditor), `submaster-loss` under the hierarchical
 //! profile on a two-site testbed; the rest use the chaos-hardened
-//! profile on a flat one.
+//! profile on a flat one (`FaultPlan::soak_sim`).
+//!
+//! `--preset paper` runs every plan under the paper's share protocol
+//! (`GridConfig::experiment1()`'s `share_round_s: None`: the all-pairs
+//! flood, as soon as learned) instead of rounds on the share tree.
 //!
 //! `--plan NAME` restricts the sweep to one fault plan. `--repro`
 //! prints one machine-readable JSON line per failing run —
@@ -24,7 +28,6 @@
 
 use gridsat::chaos::FaultPlan;
 use gridsat::{experiment, GridConfig, GridOutcome};
-use gridsat_grid::Testbed;
 use gridsat_satgen as satgen;
 use gridsat_solver::SolveStatus;
 
@@ -52,40 +55,6 @@ const FAMILIES: &[Family] = &[
     },
 ];
 
-fn chaos_config() -> GridConfig {
-    GridConfig {
-        // small instances: force real protocol traffic (splits, shares)
-        min_split_timeout: 0.2,
-        work_quantum_s: 0.1,
-        ..GridConfig::chaos_hardened()
-    }
-}
-
-/// Killing the master for good is only survivable with a standby; the
-/// auditor cross-checks that recovery never loses or double-assigns a
-/// cube (it panics the run on a violation, which the sweep reports).
-fn failover_config() -> GridConfig {
-    GridConfig {
-        min_split_timeout: 0.2,
-        work_quantum_s: 0.1,
-        audit: true,
-        ..GridConfig::failover_hardened()
-    }
-}
-
-/// Losing a sub-master only means something on a hierarchical testbed:
-/// brokers on nodes 1..=sites, clients behind them, audit on so a steal
-/// that slips through recovery trips the conservation auditor.
-fn hierarchy_config() -> GridConfig {
-    GridConfig {
-        min_split_timeout: 0.2,
-        work_quantum_s: 0.1,
-        audit: true,
-        ..GridConfig::chaos_hardened()
-    }
-    .hierarchical()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
@@ -97,6 +66,18 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .expect("--seeds N");
     }
+    // which share protocol every plan runs under: the default (rounds on
+    // the share tree) or the paper's (flood as soon as learned)
+    let preset = match args.iter().position(|a| a == "--preset") {
+        None => GridConfig::default(),
+        Some(i) => match args.get(i + 1).map(String::as_str) {
+            Some("paper") => GridConfig::experiment1(),
+            other => {
+                eprintln!("chaos soak: unknown preset {other:?}; known presets: [\"paper\"]");
+                std::process::exit(2);
+            }
+        },
+    };
     let only_plan: Option<String> = args
         .iter()
         .position(|a| a == "--plan")
@@ -125,19 +106,11 @@ fn main() {
                     continue;
                 }
                 runs += 1;
-                let config = match plan.name.as_str() {
-                    "master-gone" => failover_config(),
-                    "submaster-loss" => hierarchy_config(),
-                    _ => chaos_config(),
-                };
-                let cap = config.overall_timeout;
                 let label = format!("{}/seed{}/{}", family.name, seed, plan.name);
                 // a panicking run (conservation-audit violation, decoder
                 // bug) must not kill the sweep before the repro line
-                let hierarchical = config.hierarchy.is_some();
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut sim = build(&f, config, hierarchical);
-                    plan.apply(&mut sim);
+                    let (mut sim, cap) = plan.soak_sim(&f, &preset);
                     sim.run_until(cap + 60.0);
                     experiment::report(&sim, cap)
                 }));
@@ -200,15 +173,4 @@ fn main() {
         eprintln!("chaos soak: {} of {runs} runs failed", failures.len());
         std::process::exit(1);
     }
-}
-
-fn build(f: &gridsat_cnf::Formula, config: GridConfig, hierarchical: bool) -> gridsat::GridSim {
-    let testbed = if hierarchical {
-        // root on node 0, brokers on 1..=2, four clients behind them;
-        // submaster-loss crashes nodes 1 and 2 — the brokers themselves
-        Testbed::scaling(4, 2, true)
-    } else {
-        Testbed::uniform(4, 1000.0, 3 << 20)
-    };
-    experiment::build_sim(f, testbed, config)
 }

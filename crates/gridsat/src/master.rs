@@ -1429,8 +1429,7 @@ impl Master {
                     }
                 }
             }
-            // the loss of a client that share-tree links or a terminate
-            // never reached is noticed on its own; neither changes it
+            // a terminate to a dead client changes nothing
             _ => {}
         }
         self.ship_journal(ctx, false);

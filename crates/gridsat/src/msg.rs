@@ -247,11 +247,14 @@ impl GridMsg {
     /// protocol? Control messages get acked at-least-once delivery under
     /// the reliability layer; the rest is intentionally fire-and-forget:
     /// clause shares and load reports are periodic best-effort streams,
-    /// and heartbeats exist precisely to be allowed to miss.
+    /// share-tree links are soft state (a lost update costs a subtree its
+    /// sharing until a later membership change re-links it, never a
+    /// verdict), and heartbeats exist precisely to be allowed to miss.
     pub fn is_control(&self) -> bool {
         match self {
             GridMsg::Share { .. }
             | GridMsg::LoadReport { .. }
+            | GridMsg::Peers { .. }
             | GridMsg::JournalAck { .. }
             | GridMsg::Heartbeat
             // idle announcements re-arise on the steal period, and
@@ -273,9 +276,6 @@ impl GridMsg {
             | GridMsg::Solve { .. }
             | GridMsg::SplitGrant { .. }
             | GridMsg::Migrate { .. }
-            // sent once, to the nodes a membership change re-links: a
-            // lost one would leave a subtree out of the sharing for good
-            | GridMsg::Peers { .. }
             | GridMsg::Terminate(_)
             | GridMsg::Subproblem { .. }
             | GridMsg::Requeue { .. }
@@ -579,15 +579,14 @@ mod tests {
         }
         .is_control());
         assert!(GridMsg::Terminate(EndReason::Sat).is_control());
-        // share-tree links go out once, to the nodes they change
-        assert!(GridMsg::Peers {
+        // the lossy-by-design streams
+        assert!(!share_of(vec![]).is_control());
+        assert!(!GridMsg::LoadReport { availability: 1.0 }.is_control());
+        assert!(!GridMsg::Peers {
             up: None,
             down: Arc::default()
         }
         .is_control());
-        // the lossy-by-design streams
-        assert!(!share_of(vec![]).is_control());
-        assert!(!GridMsg::LoadReport { availability: 1.0 }.is_control());
         assert!(!GridMsg::Heartbeat.is_control());
         // steal protocol: tickets/steals/notices/escalations are load-
         // bearing, idle announcements and site telemetry are lossy

@@ -49,12 +49,15 @@ cargo run --release -p gridsat-bench --bin grid_report -- --sim --check > /dev/n
 # explicitly requested. The fast profile samples 5 seeds of every plan;
 # the hierarchical plan gets its full 20 as well (60 runs, seconds): the
 # ghost-Busy thief it found at seed 10 is a two-message race the fast
-# profile never sampled.
+# profile never sampled. Then 20 seeds of every plan under the paper's
+# share protocol (`--preset paper`: share_round_s None, the flood).
 if [[ "${CHECK_CHAOS:-0}" == "1" ]]; then
   echo "== chaos soak (fast profile)"
   cargo run --release -p gridsat-bench --bin chaos_soak -- --fast
   echo "== chaos soak (submaster-loss, 20 seeds)"
   cargo run --release -p gridsat-bench --bin chaos_soak -- --plan submaster-loss --seeds 20 --repro
+  echo "== chaos soak (paper share protocol, every plan, 20 seeds)"
+  cargo run --release -p gridsat-bench --bin chaos_soak -- --preset paper --seeds 20 --repro
 fi
 
 # Opt-in: the data-integrity gate — a decode-fuzz smoke pass over every

@@ -168,20 +168,20 @@ fn bit_rot_run_is_bit_identical_to_the_pinned_parent() {
     assert_eq!(
         pins,
         Pins {
-            seconds_bits: 87.785741f64.to_bits(),
-            events: 16_442,
-            messages_delivered: 6399,
-            bytes_delivered: 652_248,
-            ticks: 3718,
-            splits: 132,
-            clauses_received: 1223,
-            dup_share_drops: 0,
+            seconds_bits: 117.733497f64.to_bits(),
+            events: 15_888,
+            messages_delivered: 6001,
+            bytes_delivered: 635_594,
+            ticks: 3761,
+            splits: 129,
+            clauses_received: 1187,
+            dup_share_drops: 18,
             shares_forwarded: 0,
-            share_batches_sent: 58,
+            share_batches_sent: 53,
         }
     );
     // every mangled payload was caught by a receiver's frame check
-    assert_eq!((corrupted_payloads, corrupt_drops), (80, 80));
+    assert_eq!((corrupted_payloads, corrupt_drops), (86, 86));
 }
 
 #[test]
@@ -229,20 +229,20 @@ fn bit_rot_run_in_rounds_is_pinned() {
     assert_eq!(
         pins,
         Pins {
-            seconds_bits: 83.133315f64.to_bits(),
-            events: 14_820,
-            messages_delivered: 5271,
-            bytes_delivered: 604_852,
-            ticks: 3652,
-            splits: 152,
-            clauses_received: 1340,
-            dup_share_drops: 121,
-            shares_forwarded: 265,
-            share_batches_sent: 121,
+            seconds_bits: 92.862392f64.to_bits(),
+            events: 14_196,
+            messages_delivered: 5052,
+            bytes_delivered: 581_154,
+            ticks: 3755,
+            splits: 138,
+            clauses_received: 880,
+            dup_share_drops: 69,
+            shares_forwarded: 287,
+            share_batches_sent: 87,
         }
     );
     // every mangled payload was caught by a receiver's frame check
-    assert_eq!((corrupted_payloads, corrupt_drops), (33, 33));
+    assert_eq!((corrupted_payloads, corrupt_drops), (43, 43));
 }
 
 /// The flat fleet under the `master-gone` fault plan (node 0 dies for
@@ -274,16 +274,16 @@ fn master_gone_failover_run_is_pinned() {
     assert_eq!(
         Pins::of(&r),
         Pins {
-            seconds_bits: 84.864665f64.to_bits(),
-            events: 17_307,
-            messages_delivered: 5043,
-            bytes_delivered: 622_668,
-            ticks: 3879,
-            splits: 149,
-            clauses_received: 1193,
-            dup_share_drops: 105,
-            shares_forwarded: 328,
-            share_batches_sent: 106,
+            seconds_bits: 82.27062f64.to_bits(),
+            events: 16_573,
+            messages_delivered: 4907,
+            bytes_delivered: 599_194,
+            ticks: 3717,
+            splits: 132,
+            clauses_received: 1513,
+            dup_share_drops: 129,
+            shares_forwarded: 275,
+            share_batches_sent: 110,
         }
     );
 }

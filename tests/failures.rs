@@ -69,6 +69,58 @@ fn heavy_checkpoints_preserve_learned_clauses() {
 }
 
 #[test]
+fn an_interior_share_tree_node_killed_mid_run_costs_shares_never_the_verdict() {
+    // 13 clients register in id order: node 2 sits at slot 1 of the share
+    // tree, between the root (node 1) and nodes 6..=9
+    let f = satgen::php::php(9, 8);
+    let mut tb = Testbed::uniform(13, 1000.0, 3 << 20);
+    let killed_at = 100.0;
+    tb.hosts[2].down_at = killed_at;
+    let config = GridConfig {
+        checkpoint: CheckpointMode::Light,
+        checkpoint_period: 10.0,
+        min_split_timeout: 15.0,
+        ..GridConfig::default()
+    };
+    let cap = config.overall_timeout;
+    let mut sim = experiment::build_sim(&f, tb, config);
+    sim.enable_trace();
+    sim.run_until(cap + 60.0);
+    let r = experiment::report(&sim, cap);
+    assert_eq!(r.outcome, GridOutcome::Unsat, "the verdict survives");
+    assert!(
+        r.seconds > killed_at + 20.0,
+        "{} s: it died mid-run",
+        r.seconds
+    );
+
+    let sent = |label: &'static str, from: u32| {
+        let events = sim.trace_events().iter();
+        events.filter(move |e| e.label == label && e.from.0 == from)
+    };
+    let below = |e: &&gridsat_grid::TraceEvent| (6..=9).contains(&e.to.0);
+    // while it lived, node 2 passed the root's batches on to its children
+    assert!(sent("share", 2).filter(below).count() > 0);
+    assert_eq!(sent("share", 2).filter(|e| e.time_s > killed_at).count(), 0);
+    // one re-link: the last client moves into the dead node's slot, and
+    // the nodes around that slot and its old one are told, nobody else
+    let relinked: Vec<u32> = sent("peers", 0)
+        .filter(|e| e.time_s >= killed_at)
+        .map(|e| e.to.0)
+        .collect();
+    assert!((1..=7).contains(&relinked.len()), "re-linked {relinked:?}");
+    for orphan in 6..=9 {
+        assert!(
+            relinked.contains(&orphan),
+            "node {orphan} got no new parent"
+        );
+    }
+    // and the orphans are back in the tree: node 13 took the slot
+    assert!(relinked.contains(&13));
+    assert!(sent("share", 13).filter(below).count() > 0);
+}
+
+#[test]
 fn sat_answers_survive_recovery() {
     for seed in [3u64, 5] {
         let f = satgen::random_ksat::planted_ksat(80, 336, 3, seed);
