@@ -425,18 +425,9 @@ mod tests {
         let seed = 10u64;
         let plan = FaultPlan::submaster_loss(seed.wrapping_mul(31).wrapping_add(7));
         let f = gridsat_satgen::php::php(6, 5);
-        for share_round_s in [None, GridConfig::default().share_round_s] {
-            let config = GridConfig {
-                min_split_timeout: 0.2,
-                work_quantum_s: 0.1,
-                audit: true,
-                share_round_s,
-                ..GridConfig::chaos_hardened()
-            }
-            .hierarchical();
-            let cap = config.overall_timeout;
-            let mut sim = build_sim(&f, Testbed::scaling(4, 2, true), config);
-            plan.apply(&mut sim);
+        for base in [GridConfig::experiment1(), GridConfig::default()] {
+            let share_round_s = base.share_round_s;
+            let (mut sim, cap) = plan.soak_sim(&f, &base);
             sim.run_until(cap + 60.0);
             let r = report(&sim, cap);
             assert_eq!(r.outcome, GridOutcome::Unsat, "rounds: {share_round_s:?}");

@@ -1219,14 +1219,19 @@ mod tests {
     use super::*;
     use gridsat_grid::NodeInfo;
 
-    fn ctx(now: f64) -> Ctx<GridMsg> {
+    fn ctx_at(id: u32, now: f64) -> Ctx<GridMsg> {
         Ctx::new(NodeInfo {
-            id: NodeId(1),
+            id: NodeId(id),
             speed: 1000.0,
             memory: 3 << 20,
             now,
             availability: 1.0,
         })
+    }
+
+    /// A context on node 1, where most of these tests put their client.
+    fn ctx(now: f64) -> Ctx<GridMsg> {
+        ctx_at(1, now)
     }
 
     fn whole_problem() -> SplitSpec {
@@ -1942,19 +1947,10 @@ mod tests {
     fn deliver_to_two(
         handle: impl Fn(usize) -> Arc<EncodedBatch>,
     ) -> Vec<(ClientStats, Option<usize>, Vec<NodeId>)> {
-        let node_ctx = |id: u32, now: f64| {
-            Ctx::new(NodeInfo {
-                id: NodeId(id),
-                speed: 1000.0,
-                memory: 3 << 20,
-                now,
-                availability: 1.0,
-            })
-        };
         let mut out = Vec::new();
         for id in [2u32, 3] {
             let mut c = Client::new(NodeId(0), GridConfig::default());
-            let mut cx = node_ctx(id, 0.0);
+            let mut cx = ctx_at(id, 0.0);
             // slots 1 and 2 of a tree over nodes 1..=8
             let below = if id == 2 { vec![6, 7, 8] } else { vec![] };
             c.on_message(NodeId(0), links(Some(1), below), &mut cx);
@@ -1971,7 +1967,7 @@ mod tests {
             let mut forwards = Vec::new();
             for i in 0..2 {
                 let batch = handle(i);
-                let mut cx = node_ctx(id, 0.5 + i as f64);
+                let mut cx = ctx_at(id, 0.5 + i as f64);
                 c.on_message(
                     NodeId(1),
                     GridMsg::Share {
@@ -2056,13 +2052,7 @@ mod tests {
                 .min_by(|&a, &b| queue[a].0.total_cmp(&queue[b].0))
                 .expect("non-empty");
             let (now, node, due) = queue.remove(next);
-            let mut cx = Ctx::new(NodeInfo {
-                id: node,
-                speed: 1000.0,
-                memory: 3 << 20,
-                now,
-                availability: 1.0,
-            });
+            let mut cx = ctx_at(node.0, now);
             let client = &mut fleet[node.0 as usize - 1];
             match due {
                 Due::Tick => client.on_tick(&mut cx),
@@ -2087,13 +2077,7 @@ mod tests {
         let mut fleet: Vec<Client> = (1..=n)
             .map(|id| {
                 let mut c = Client::new(NodeId(0), GridConfig::default());
-                let mut cx = Ctx::new(NodeInfo {
-                    id: NodeId(id),
-                    speed: 1000.0,
-                    memory: 3 << 20,
-                    now: 0.0,
-                    availability: 1.0,
-                });
+                let mut cx = ctx_at(id, 0.0);
                 // slot i is node i + 1; below it, slots 4i + 1 ..= 4i + 4
                 let up = (id > 1).then(|| (id - 2) / 4 + 1);
                 let down = (4 * id - 2..=4 * id + 1).filter(|&kid| kid <= n);

@@ -847,6 +847,11 @@ pub(crate) fn tree_parent(slot: usize) -> Option<usize> {
     slot.checked_sub(1).map(|below| below / SHARE_TREE_FANOUT)
 }
 
+/// The slots below `slot` in the share tree, occupied or not.
+pub(crate) fn tree_children(slot: usize) -> std::ops::Range<usize> {
+    SHARE_TREE_FANOUT * slot + 1..SHARE_TREE_FANOUT * (slot + 1) + 1
+}
+
 /// The journaled scheduling state: a deterministic fold over
 /// [`JournalRecord`]s.
 #[derive(Default)]
@@ -1162,10 +1167,10 @@ impl MasterCore {
     /// the root) and its children.
     pub(crate) fn tree_links(&self, slot: usize) -> (Option<NodeId>, Arc<[NodeId]>) {
         let n = self.slots.len();
-        let first = (SHARE_TREE_FANOUT * slot + 1).min(n);
+        let below = tree_children(slot);
         (
             tree_parent(slot).map(|p| self.slots[p]),
-            self.slots[first..(first + SHARE_TREE_FANOUT).min(n)].into(),
+            self.slots[below.start.min(n)..below.end.min(n)].into(),
         )
     }
 

@@ -18,10 +18,10 @@
 use crate::audit::Audit;
 use crate::config::{
     CheckpointMode, GridConfig, SchedPolicy, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR,
-    PROMOTE_GRACE_S, QUARANTINE_STRIKES, SHARE_TREE_FANOUT, STANDBY_NODE,
+    PROMOTE_GRACE_S, QUARANTINE_STRIKES, STANDBY_NODE,
 };
 use crate::journal::{
-    tree_parent, ClientInfo, JournalRecord, MasterCore, MasterJournal, RecoverySpec,
+    tree_children, tree_parent, ClientInfo, JournalRecord, MasterCore, MasterJournal, RecoverySpec,
 };
 use crate::msg::{Checkpoint, EndReason, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
@@ -1239,7 +1239,8 @@ impl Master {
     /// `client` is gone: take it off the roster and out of the share
     /// tree, where the last client moves into its slot — the nodes above
     /// and below that slot and the node that was above the mover (at most
-    /// [`SHARE_TREE_FANOUT`] + 3 in all) learn their new links.
+    /// [`SHARE_TREE_FANOUT`](crate::config::SHARE_TREE_FANOUT) + 3 in all)
+    /// learn their new links.
     fn deregister(&mut self, client: NodeId, ctx: &mut Ctx<GridMsg>) {
         let slot = self.core.slot_of(client);
         self.commit(ctx.now(), JournalRecord::Deregister { client });
@@ -1248,7 +1249,7 @@ impl Master {
         let mut changed = vec![slot];
         changed.extend(tree_parent(slot));
         changed.extend(tree_parent(self.core.slots.len()));
-        changed.extend((1..=SHARE_TREE_FANOUT).map(|k| SHARE_TREE_FANOUT * slot + k));
+        changed.extend(tree_children(slot));
         self.relink(&changed, ctx);
     }
 

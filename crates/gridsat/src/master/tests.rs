@@ -1,5 +1,6 @@
 use super::*;
 use crate::client::Client;
+use crate::config::SHARE_TREE_FANOUT;
 use crate::journal::SealedRecord;
 use gridsat_cnf::Clause;
 use gridsat_grid::{Action, NodeInfo};
