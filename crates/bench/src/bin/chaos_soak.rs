@@ -18,6 +18,10 @@
 //! (`GridConfig::experiment1()`'s `share_round_s: None`: the all-pairs
 //! flood, as soon as learned) instead of rounds on the share tree.
 //!
+//! An argument the sweep does not know, a missing value, an unknown plan
+//! or preset, or a seed count that is not a positive number is one line
+//! on stderr and exit status 2: nothing runs.
+//!
 //! `--plan NAME` restricts the sweep to one fault plan. `--repro`
 //! prints one machine-readable JSON line per failing run —
 //! `{"plan":...,"seed":...,"instance":...}` — so a red sweep can be
@@ -55,41 +59,77 @@ const FAMILIES: &[Family] = &[
     },
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let repro = args.iter().any(|a| a == "--repro");
-    let mut seeds: u64 = if fast { 5 } else { 20 };
-    if let Some(i) = args.iter().position(|a| a == "--seeds") {
-        seeds = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .expect("--seeds N");
-    }
-    // which share protocol every plan runs under: the default (rounds on
-    // the share tree) or the paper's (flood as soon as learned)
-    let preset = match args.iter().position(|a| a == "--preset") {
-        None => GridConfig::default(),
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("paper") => GridConfig::experiment1(),
-            other => {
-                eprintln!("chaos soak: unknown preset {other:?}; known presets: [\"paper\"]");
-                std::process::exit(2);
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+struct Options {
+    seeds: u64,
+    repro: bool,
+    /// Every plan under the paper's share protocol (flood as soon as
+    /// learned) instead of the default (rounds on the share tree).
+    paper: bool,
+    plan: Option<String>,
+}
+
+/// Parse the arguments after the program name. Anything the sweep does
+/// not know is an error: a gate that ignored `--seed 1000` would run its
+/// default and print the same green line.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let (mut fast, mut repro, mut paper) = (false, false, false);
+    let (mut seeds, mut plan) = (None, None);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--fast" => fast = true,
+            "--repro" => repro = true,
+            "--seeds" => match value()?.parse() {
+                Ok(n) if n > 0 => seeds = Some(n),
+                _ => return Err("--seeds takes a positive number".into()),
+            },
+            "--preset" => match value()?.as_str() {
+                "paper" => paper = true,
+                other => {
+                    return Err(format!(
+                        "unknown preset {other:?}; known presets: [\"paper\"]"
+                    ))
+                }
+            },
+            "--plan" => {
+                let name = value()?;
+                let roster = FaultPlan::roster(0);
+                if !roster.iter().any(|p| p.name == *name) {
+                    let known: Vec<&str> = roster.iter().map(|p| p.name.as_str()).collect();
+                    return Err(format!("unknown plan {name:?}; known plans: {known:?}"));
+                }
+                plan = Some(name.clone());
             }
-        },
-    };
-    let only_plan: Option<String> = args
-        .iter()
-        .position(|a| a == "--plan")
-        .map(|i| args.get(i + 1).expect("--plan NAME").clone());
-    if let Some(name) = &only_plan {
-        let roster = FaultPlan::roster(0);
-        if !roster.iter().any(|p| p.name == *name) {
-            let known: Vec<&str> = roster.iter().map(|p| p.name.as_str()).collect();
-            eprintln!("chaos soak: unknown plan {name:?}; known plans: {known:?}");
-            std::process::exit(2);
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    Ok(Options {
+        seeds: seeds.unwrap_or(if fast { 5 } else { 20 }),
+        repro,
+        paper,
+        plan,
+    })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        seeds,
+        repro,
+        paper,
+        plan: only_plan,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("chaos soak: {e}");
+        std::process::exit(2);
+    });
+    let preset = if paper {
+        GridConfig::experiment1()
+    } else {
+        GridConfig::default()
+    };
 
     let mut runs = 0u64;
     let mut retransmits = 0u64;
@@ -172,5 +212,62 @@ fn main() {
         }
         eprintln!("chaos soak: {} of {runs} runs failed", failures.len());
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn the_sweeps_the_gates_run_parse() {
+        let default = Options {
+            seeds: 20,
+            repro: false,
+            paper: false,
+            plan: None,
+        };
+        assert_eq!(parse(""), Ok(default));
+        assert_eq!(parse("--fast").unwrap().seeds, 5);
+        // an explicit count wins over the profile, in either order
+        assert_eq!(parse("--fast --seeds 7").unwrap().seeds, 7);
+        assert_eq!(parse("--seeds 7 --fast").unwrap().seeds, 7);
+        assert_eq!(
+            parse("--plan submaster-loss --seeds 1000 --repro"),
+            Ok(Options {
+                seeds: 1000,
+                repro: true,
+                paper: false,
+                plan: Some("submaster-loss".into()),
+            })
+        );
+        assert!(parse("--preset paper --seeds 20").unwrap().paper);
+    }
+
+    /// Each of these used to run some sweep — the default 420 runs, or
+    /// none at all — and print the all-green line.
+    #[test]
+    fn a_sweep_that_was_not_asked_for_is_refused() {
+        for line in [
+            "--seed 1000",
+            "--presets paper",
+            "--plan=master-gone",
+            "5",
+            "--seeds 0",
+            "--seeds abc",
+            "--seeds -3",
+            "--seeds",
+            "--plan",
+            "--preset",
+            "--plan no-such-plan",
+            "--preset rounds",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} parsed");
+        }
     }
 }

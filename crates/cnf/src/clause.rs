@@ -113,11 +113,6 @@ impl Clause {
         }
     }
 
-    /// Approximate heap size in bytes, used for memory accounting.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Clause>() + self.lits.capacity() * std::mem::size_of::<Lit>()
-    }
-
     /// A 64-bit fingerprint of the clause as a *set* of literals: a
     /// splitmix64-style mix folded over the sorted, deduplicated literal
     /// codes. Permutations and repeated literals fingerprint identically,

@@ -159,12 +159,6 @@ impl Formula {
         before - self.clauses.len()
     }
 
-    /// Approximate heap size in bytes, for memory accounting.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Formula>()
-            + self.clauses.iter().map(Clause::approx_bytes).sum::<usize>()
-    }
-
     /// Basic clause-length histogram (index = length, capped at `max_len`).
     pub fn length_histogram(&self, max_len: usize) -> Vec<usize> {
         let mut h = vec![0usize; max_len + 1];

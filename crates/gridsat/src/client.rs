@@ -443,15 +443,8 @@ impl Client {
         }
         match msg {
             GridMsg::Subproblem { spec, problem, .. } => {
-                // the peer died mid-transfer; hand the half back to the
-                // master so the search space is not lost
-                ctx.send(
-                    self.master,
-                    GridMsg::Requeue {
-                        spec,
-                        problem: Some(problem),
-                    },
-                );
+                // the peer died mid-transfer
+                self.hand_back(spec, problem, ctx);
             }
             GridMsg::Register { .. }
             | GridMsg::SplitDone { .. }
@@ -651,6 +644,92 @@ impl Client {
         })
     }
 
+    /// Hand a transfer nobody here will solve back to the master, so its
+    /// search space is not lost.
+    fn hand_back(&self, spec: Box<SpecFrame>, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
+        ctx.send(
+            self.master,
+            GridMsg::Requeue {
+                spec,
+                problem: Some(problem),
+            },
+        );
+    }
+
+    /// Split `problem`, the subproblem in hand, and send the other half to
+    /// `to`: on a master's grant, or `stolen` by a ticketed sibling. The
+    /// master hears of it — Figure 3 message (5), or a steal notice, on the
+    /// same FIFO channel as anything this node later says about the
+    /// problem — and gets a fresh recovery image: the old one predates the
+    /// split and would resurrect the half just handed away. `false`, with
+    /// nothing sent, when the solver has no open decision; the id minted
+    /// for the half is spent all the same.
+    fn hand_off_half(
+        &mut self,
+        to: NodeId,
+        problem: ProblemId,
+        stolen: bool,
+        ctx: &mut Ctx<GridMsg>,
+    ) -> bool {
+        let new_id = self.mint_problem_id(ctx);
+        let Some(solver) = &mut self.solver else {
+            unreachable!("current_problem implies a solver");
+        };
+        let Some(spec) = solver.split_off() else {
+            return false;
+        };
+        // the pivot we keep is the negation of the peer half's last
+        // (deepest) assumption
+        let keep_pivot = spec.assumptions.last().map(|&(lit, _)| !lit);
+        let frame = SpecFrame::seal(&spec);
+        // "a client records the time it required to SEND or receive a
+        // problem": estimate the send cost so the split time-out backs
+        // off as the database grows
+        let est = frame.wire_len() as f64 / ASSUMED_BW_BYTES_PER_S;
+        self.transfer_time = self.transfer_time.max(est);
+        ctx.send(
+            to,
+            GridMsg::Subproblem {
+                spec: Box::new(frame),
+                sent_at: ctx.now(),
+                problem: new_id,
+                stolen,
+            },
+        );
+        if stolen {
+            ctx.send(
+                self.master,
+                GridMsg::StealNotice {
+                    thief: to,
+                    problem: new_id,
+                    at: ctx.now(),
+                },
+            );
+            self.stats.steals += 1;
+        } else {
+            ctx.send(
+                self.master,
+                GridMsg::SplitDone {
+                    requester: ctx.me(),
+                    peer: to,
+                    ok: true,
+                    problem: None,
+                    checkpoint: None,
+                    stolen: false,
+                },
+            );
+            self.stats.splits += 1;
+        }
+        if let Some(pivot) = keep_pivot {
+            self.audit.split(ctx.now(), problem, new_id, pivot);
+        }
+        // the remaining half is a fresh, smaller problem
+        self.problem_started = ctx.now();
+        self.split_requested_at = None;
+        self.checkpoint_now(ctx);
+        true
+    }
+
     /// Is this client currently solving? (test/driver introspection)
     pub fn is_solving(&self) -> bool {
         matches!(self.state, State::Solving)
@@ -727,31 +806,16 @@ impl Process for Client {
                     // the master's view went stale (reordered delivery);
                     // never discard the search space we already hold
                     if self.current_problem != Some(problem) {
-                        ctx.send(
-                            self.master,
-                            GridMsg::Requeue {
-                                spec,
-                                problem: Some(problem),
-                            },
-                        );
+                        self.hand_back(spec, problem, ctx);
                     }
                     return;
                 }
                 // the reliable layer already dropped checksum-failing
                 // frames; a frame that will not open is unrecoverable
                 // here — hand it back rather than adopt garbage
-                let opened = match spec.open() {
-                    Ok(s) => s,
-                    Err(_) => {
-                        ctx.send(
-                            self.master,
-                            GridMsg::Requeue {
-                                spec,
-                                problem: Some(problem),
-                            },
-                        );
-                        return;
-                    }
+                let Ok(opened) = spec.open() else {
+                    self.hand_back(spec, problem, ctx);
+                    return;
                 };
                 self.transfer_time = 0.0; // master-local dispatch, no estimate yet
                 self.adopt_problem(&opened, problem, ctx);
@@ -763,11 +827,16 @@ impl Process for Client {
                 problem,
                 stolen,
             } => {
-                if matches!(self.state, State::Solving) {
-                    // already working (e.g. the master falsely expired our
-                    // lease and re-dispatched): refuse rather than discard
-                    // our current search space, and hand the incoming half
-                    // back so it is not lost either
+                // already working (e.g. the master falsely expired our
+                // lease and re-dispatched): refuse rather than discard our
+                // current search space. An unreadable transfer is refused
+                // too, and either way the incoming half goes back so it is
+                // not lost
+                let opened = match self.state {
+                    State::Solving => None,
+                    _ => spec.open().ok(),
+                };
+                let Some(opened) = opened else {
                     ctx.send(
                         self.master,
                         GridMsg::SplitDone {
@@ -779,40 +848,8 @@ impl Process for Client {
                             stolen,
                         },
                     );
-                    ctx.send(
-                        self.master,
-                        GridMsg::Requeue {
-                            spec,
-                            problem: Some(problem),
-                        },
-                    );
+                    self.hand_back(spec, problem, ctx);
                     return;
-                }
-                let opened = match spec.open() {
-                    Ok(s) => s,
-                    Err(_) => {
-                        // refuse the unreadable transfer and hand the
-                        // frame back so the search space is not lost
-                        ctx.send(
-                            self.master,
-                            GridMsg::SplitDone {
-                                requester: from,
-                                peer: ctx.me(),
-                                ok: false,
-                                problem: Some(problem),
-                                checkpoint: None,
-                                stolen,
-                            },
-                        );
-                        ctx.send(
-                            self.master,
-                            GridMsg::Requeue {
-                                spec,
-                                problem: Some(problem),
-                            },
-                        );
-                        return;
-                    }
                 };
                 self.transfer_time = (ctx.now() - sent_at).max(0.0);
                 self.adopt_problem(&opened, problem, ctx);
@@ -835,60 +872,22 @@ impl Process for Client {
             }
             GridMsg::SplitGrant { peer, problem } => {
                 self.split_requested_at = None;
-                let me = ctx.me();
-                let done = |ok| GridMsg::SplitDone {
-                    requester: me,
-                    peer,
-                    ok,
-                    problem: None,
-                    checkpoint: None,
-                    stolen: false,
-                };
-                // stale grant: meant for a subproblem we no longer hold
-                if self.current_problem != Some(problem) {
-                    ctx.send(self.master, done(false));
-                    return;
-                }
-                let new_id = self.mint_problem_id(ctx);
-                let Some(solver) = &mut self.solver else {
-                    unreachable!("current_problem implies a solver");
-                };
-                match solver.split_off() {
-                    Some(spec) => {
-                        // the pivot we keep is the negation of the peer
-                        // half's last (deepest) assumption
-                        let keep_pivot = spec.assumptions.last().map(|&(lit, _)| !lit);
-                        let frame = SpecFrame::seal(&spec);
-                        // "a client records the time it required to SEND or
-                        // receive a problem": estimate the send cost so the
-                        // split time-out backs off as the database grows
-                        let est = frame.wire_len() as f64 / ASSUMED_BW_BYTES_PER_S;
-                        self.transfer_time = self.transfer_time.max(est);
-                        ctx.send(
+                // a stale grant, meant for a subproblem we no longer hold,
+                // fails like one for a solver with no open decision
+                if self.current_problem != Some(problem)
+                    || !self.hand_off_half(peer, problem, false, ctx)
+                {
+                    ctx.send(
+                        self.master,
+                        GridMsg::SplitDone {
+                            requester: ctx.me(),
                             peer,
-                            GridMsg::Subproblem {
-                                spec: Box::new(frame),
-                                sent_at: ctx.now(),
-                                problem: new_id,
-                                stolen: false,
-                            },
-                        );
-                        // Figure 3 message (5): requester reports success
-                        ctx.send(self.master, done(true));
-                        self.stats.splits += 1;
-                        if let Some(pivot) = keep_pivot {
-                            self.audit.split(ctx.now(), problem, new_id, pivot);
-                        }
-                        // the remaining half is a fresh, smaller problem
-                        self.problem_started = ctx.now();
-                        // refresh the master's recovery image: the old
-                        // checkpoint predates the split and would resurrect
-                        // the half just handed away
-                        self.checkpoint_now(ctx);
-                    }
-                    None => {
-                        ctx.send(self.master, done(false));
-                    }
+                            ok: false,
+                            problem: None,
+                            checkpoint: None,
+                            stolen: false,
+                        },
+                    );
                 }
             }
             GridMsg::Migrate { peer, problem } => {
@@ -952,13 +951,6 @@ impl Process for Client {
                     }
                     fresh += 1;
                     if let Some(solver) = &mut self.solver {
-                        // the one dedup fence: the solver's own window holds
-                        // only clauses it shared, which `drain_shares` put
-                        // into ours the tick they were learned — so until
-                        // ours first forgets, a second check skips nothing
-                        debug_assert!(
-                            !solver.knows_fp(*fp) || self.fp_window.len() >= SHARE_FP_WINDOW / 2
-                        );
                         solver.queue_fresh(clause.lits());
                     }
                     if !down {
@@ -1034,49 +1026,10 @@ impl Process for Client {
                 if !matches!(self.state, State::Solving)
                     || self.current_problem != Some(problem)
                     || !self.solver.as_ref().is_some_and(Solver::can_split)
+                    || !self.hand_off_half(from, problem, true, ctx)
                 {
                     ctx.send(from, GridMsg::StealRefused { problem });
-                    return;
                 }
-                let new_id = self.mint_problem_id(ctx);
-                let Some(solver) = &mut self.solver else {
-                    unreachable!("current_problem implies a solver");
-                };
-                let Some(spec) = solver.split_off() else {
-                    ctx.send(from, GridMsg::StealRefused { problem });
-                    return;
-                };
-                let keep_pivot = spec.assumptions.last().map(|&(lit, _)| !lit);
-                let frame = SpecFrame::seal(&spec);
-                let est = frame.wire_len() as f64 / ASSUMED_BW_BYTES_PER_S;
-                self.transfer_time = self.transfer_time.max(est);
-                ctx.send(
-                    from,
-                    GridMsg::Subproblem {
-                        spec: Box::new(frame),
-                        sent_at: ctx.now(),
-                        problem: new_id,
-                        stolen: true,
-                    },
-                );
-                // the root learns of the delegated split before any later
-                // message of ours about this problem: same FIFO channel
-                ctx.send(
-                    self.master,
-                    GridMsg::StealNotice {
-                        thief: from,
-                        problem: new_id,
-                        at: ctx.now(),
-                    },
-                );
-                self.stats.steals += 1;
-                if let Some(pivot) = keep_pivot {
-                    self.audit.split(ctx.now(), problem, new_id, pivot);
-                }
-                // the remaining half is a fresh, smaller problem
-                self.problem_started = ctx.now();
-                self.split_requested_at = None;
-                self.checkpoint_now(ctx);
             }
             GridMsg::StealRefused { .. } => {
                 // our ticket was stale; go straight back on the broker's
@@ -1815,130 +1768,6 @@ mod tests {
         assert_eq!(c.stats.share_export_dropped, 0);
     }
 
-    /// Property: the client's fingerprint window is the only dedup fence
-    /// the grid path needs. Whatever a checked queue would remember in the
-    /// solver's own window — the clauses the solver offered for sharing and
-    /// every clause queued on it since it was adopted — is inside the
-    /// client's window after every step of a random schedule of deliveries
-    /// (fresh clauses, repeats, echoes of the client's own shares), search
-    /// ticks that learn and share, and adoptions of further subproblems; so
-    /// no clause that passes the client's window would have been skipped.
-    /// Seeded xorshift.
-    #[test]
-    fn solver_window_stays_inside_the_client_window() {
-        use gridsat_cnf::{Clause, Lit};
-        use std::collections::HashSet;
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |n: u64| {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
-        };
-        let mut c = Client::new(NodeId(0), GridConfig::default());
-        let mut cx = ctx(0.0);
-        c.on_message(NodeId(0), links(None, 2..=4), &mut cx);
-
-        // every fingerprint in play, and the ones a checked queue would
-        // have put into the current solver's window
-        let mut universe: HashSet<u64> = HashSet::new();
-        let mut queued: HashSet<u64> = HashSet::new();
-        let mut echoes: Vec<Clause> = Vec::new();
-        let (mut adoptions, mut passed, mut dropped) = (0u32, 0u32, 0u32);
-        for step in 0..1200u32 {
-            let mut cx = ctx(step as f64);
-            if !c.is_solving() {
-                // adopt: a pigeonhole instance that takes many ticks, or a
-                // near-threshold 3-SAT one that takes few
-                let f = match next(2) {
-                    0 => gridsat_satgen::php::php(7, 6),
-                    _ => gridsat_satgen::random_ksat::random_ksat(42, 180, 3, next(1 << 20)),
-                };
-                let spec = SplitSpec {
-                    num_vars: f.num_vars(),
-                    assumptions: vec![],
-                    clauses: f.clauses().to_vec(),
-                };
-                adoptions += 1;
-                let problem = ProblemId::new(NodeId(0), adoptions);
-                let solve = GridMsg::Solve {
-                    spec: framed(&spec),
-                    problem,
-                };
-                c.on_message(NodeId(0), solve, &mut cx);
-                assert!(c.is_solving());
-                queued.clear();
-            } else if next(3) == 0 {
-                // search: learn, share (fingerprints enter the window in
-                // `drain_shares`), maybe report and go idle
-                c.on_tick(&mut cx);
-                for a in cx.take_actions() {
-                    if let gridsat_grid::Action::Send {
-                        msg: GridMsg::Share { batch, .. },
-                        ..
-                    } = a
-                    {
-                        for (clause, fp) in batch.decoded().expect("own batch decodes") {
-                            universe.insert(*fp);
-                            echoes.push(clause.clone());
-                        }
-                    }
-                }
-            } else {
-                // receive: a batch of small clauses from a narrow pool
-                // (repeats are common) and echoes of what this node sent
-                let clauses: Vec<Clause> = (0..1 + next(4))
-                    .map(|_| {
-                        if !echoes.is_empty() && next(4) == 0 {
-                            return echoes[next(echoes.len() as u64) as usize].clone();
-                        }
-                        // two or three literals over the instances' 42 variables
-                        let v = next(36) as u32;
-                        let w = v + 1 + next(3) as u32;
-                        let mut lits = vec![Lit::new(v.into(), next(2) == 0)];
-                        lits.push(Lit::new(w.into(), next(2) == 0));
-                        if next(2) == 0 {
-                            lits.push(Lit::new((w + 1 + next(2) as u32).into(), next(2) == 0));
-                        }
-                        Clause::new(lits)
-                    })
-                    .collect();
-                let mut batch_fps = HashSet::new();
-                for clause in &clauses {
-                    let fp = clause.fingerprint();
-                    universe.insert(fp);
-                    if c.fp_window.contains(fp) || !batch_fps.insert(fp) {
-                        dropped += 1;
-                        continue;
-                    }
-                    // the client will queue it unchecked: a checked queue
-                    // must not have skipped it
-                    passed += 1;
-                    let solver = c.solver.as_ref().expect("solving");
-                    assert!(!solver.knows_fp(fp) && queued.insert(fp), "step {step}");
-                }
-                let before = c.solver.as_ref().expect("solving").pending_foreign();
-                c.on_message(NodeId(2), share_msg(true, clauses), &mut cx);
-                let after = c.solver.as_ref().expect("solving").pending_foreign();
-                assert_eq!(after - before, batch_fps.len(), "step {step}");
-            }
-            // the subset invariant, after every step
-            if let Some(solver) = &c.solver {
-                for &fp in &universe {
-                    if solver.knows_fp(fp) || queued.contains(&fp) {
-                        assert!(c.fp_window.contains(fp), "step {step}: {fp:#x}");
-                    }
-                }
-            }
-        }
-        assert!(
-            adoptions > 3 && passed > 300 && dropped > 300 && echoes.len() > 30,
-            "{adoptions} adoptions, {passed} passed, {dropped} dropped, {} shared",
-            echoes.len()
-        );
-        assert!(c.fp_window.len() < SHARE_FP_WINDOW / 2, "nothing forgotten");
-    }
-
     /// Two clients of one fleet (node 2 idle, node 3 solving) each take
     /// delivery of batches 0 and 1 from their parent in the share tree,
     /// node 1; `handle(i)` is the `Arc` a delivery of batch `i` carries. Returns what the share path left
@@ -2477,6 +2306,97 @@ mod tests {
         )));
         assert_eq!(c.stats.steals, 1);
         assert!(c.is_solving(), "the donor keeps its own half");
+    }
+
+    /// The two ways a cube moves are one hand-off: from the same solver
+    /// state a granted split and a ticketed steal send the peer the same
+    /// frame under the same id at the same time, `stolen` aside, and leave
+    /// the donor with the same recovery image, timers and next id.
+    #[test]
+    fn a_grant_and_a_steal_hand_off_the_same_half() {
+        let f = gridsat_satgen::php::php(6, 5);
+        let spec = SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![],
+            clauses: f.clauses().to_vec(),
+        };
+        let pid = ProblemId::new(NodeId(0), 1);
+        let hand_off = |ask: GridMsg| {
+            // light checkpoints on: the hand-off ends in a recovery image
+            let config = GridConfig::chaos_hardened().hierarchical();
+            let mut c = Client::new(NodeId(0), config);
+            let mut cx = ctx(0.0);
+            let solve = GridMsg::Solve {
+                spec: framed(&spec),
+                problem: pid,
+            };
+            c.on_message(NodeId(0), solve, &mut cx);
+            // a little work so the solver has an open decision to split at
+            let mut cx = ctx(1.0);
+            c.on_tick(&mut cx);
+            let mut cx = ctx(2.0);
+            c.on_message(NodeId(7), ask, &mut cx);
+            let mut sends = cx.take_actions().into_iter().map(|a| match a {
+                gridsat_grid::Action::Send { to, msg } => (to, msg),
+                other => panic!("a hand-off only sends: {other:?}"),
+            });
+            let Some((
+                NodeId(7),
+                GridMsg::Subproblem {
+                    spec,
+                    sent_at,
+                    problem,
+                    stolen,
+                },
+            )) = sends.next()
+            else {
+                panic!("the half goes out first, to the peer");
+            };
+            let (_, report) = sends.next().expect("then the master hears of it");
+            let Some((
+                NodeId(0),
+                GridMsg::CheckpointMsg {
+                    problem: kept,
+                    checkpoint,
+                },
+            )) = sends.next()
+            else {
+                panic!("then a fresh recovery image of the half kept");
+            };
+            assert!(sends.next().is_none());
+            assert_eq!(kept, pid);
+            let donor = (
+                c.transfer_time.to_bits(),
+                c.problem_started.to_bits(),
+                c.split_requested_at,
+                c.minted,
+            );
+            let half = (spec, sent_at.to_bits(), problem, checkpoint, donor);
+            (half, stolen, report)
+        };
+        let (granted, stolen, report) = hand_off(GridMsg::SplitGrant {
+            peer: NodeId(7),
+            problem: pid,
+        });
+        assert!(!stolen);
+        assert!(matches!(
+            report,
+            GridMsg::SplitDone {
+                requester: NodeId(1),
+                peer: NodeId(7),
+                ok: true,
+                problem: None,
+                checkpoint: None,
+                stolen: false,
+            }
+        ));
+        let (taken, stolen, report) = hand_off(GridMsg::Steal { problem: pid });
+        assert!(stolen);
+        assert!(matches!(
+            report,
+            GridMsg::StealNotice { thief: NodeId(7), problem, at } if problem == taken.2 && at == 2.0
+        ));
+        assert_eq!(granted, taken);
     }
 
     #[test]

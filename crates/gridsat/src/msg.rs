@@ -59,6 +59,18 @@ pub enum Checkpoint {
     },
 }
 
+impl Checkpoint {
+    /// Bytes the bandwidth model charges for the payload, whichever
+    /// message carries it.
+    fn size_bytes(&self) -> usize {
+        let (level0, learned) = match self {
+            Checkpoint::Light { level0 } => (level0, &[][..]),
+            Checkpoint::Heavy { level0, learned } => (level0, &learned[..]),
+        };
+        8 + level0.len() * 5 + learned.iter().map(|c| 8 + c.len() * 4).sum::<usize>()
+    }
+}
+
 /// All GridSAT messages.
 #[derive(Clone, Debug)]
 pub enum GridMsg {
@@ -327,14 +339,7 @@ impl MessageSize for GridMsg {
             GridMsg::Register { .. } => 64,
             GridMsg::SplitRequest { .. } => 40,
             GridMsg::SplitDone { checkpoint, .. } => {
-                48 + match checkpoint.as_deref() {
-                    None => 0,
-                    Some(Checkpoint::Light { level0 }) => 8 + level0.len() * 5,
-                    Some(Checkpoint::Heavy { level0, learned }) => {
-                        8 + level0.len() * 5
-                            + learned.iter().map(|c| 8 + c.len() * 4).sum::<usize>()
-                    }
-                }
+                48 + checkpoint.as_deref().map_or(0, Checkpoint::size_bytes)
             }
             GridMsg::Result {
                 result: SubResult::Unsat,
@@ -347,12 +352,7 @@ impl MessageSize for GridMsg {
             GridMsg::LoadReport { .. } => 32,
             GridMsg::Heartbeat => 24,
             GridMsg::Requeue { spec, .. } => 24 + spec.wire_len(),
-            GridMsg::CheckpointMsg { checkpoint, .. } => match checkpoint.as_ref() {
-                Checkpoint::Light { level0 } => 40 + level0.len() * 5,
-                Checkpoint::Heavy { level0, learned } => {
-                    40 + level0.len() * 5 + learned.iter().map(|c| 8 + c.len() * 4).sum::<usize>()
-                }
-            },
+            GridMsg::CheckpointMsg { checkpoint, .. } => 32 + checkpoint.size_bytes(),
             GridMsg::Solve { spec, .. } => 24 + spec.wire_len(),
             GridMsg::SplitGrant { .. } => 32,
             GridMsg::Migrate { .. } => 32,
@@ -376,14 +376,7 @@ impl MessageSize for GridMsg {
             GridMsg::OfferSolicit => 24,
             GridMsg::SiteStatus { .. } => 36,
             GridMsg::Adopt { checkpoint, .. } => {
-                64 + match checkpoint.as_deref() {
-                    None => 0,
-                    Some(Checkpoint::Light { level0 }) => 8 + level0.len() * 5,
-                    Some(Checkpoint::Heavy { level0, learned }) => {
-                        8 + level0.len() * 5
-                            + learned.iter().map(|c| 8 + c.len() * 4).sum::<usize>()
-                    }
-                }
+                64 + checkpoint.as_deref().map_or(0, Checkpoint::size_bytes)
             }
         }
     }
@@ -511,12 +504,57 @@ mod tests {
             stolen: false,
         };
         // the size model is the exact encoded length plus the checksum
-        // frame — still tighter than the old approximate model
+        // frame
         assert_eq!(
             sub.size_bytes(),
             24 + FRAME_HEADER_BYTES + wire::spec_wire_bytes(&spec)
         );
-        assert!(sub.size_bytes() < 24 + spec.approx_message_bytes());
+    }
+
+    /// One checkpoint model under three carriers: the payload costs the
+    /// same bytes on top of each message's own header.
+    #[test]
+    fn a_checkpoint_costs_the_same_in_every_carrier() {
+        let level0 = vec![
+            (Lit::pos(0), true),
+            (Lit::neg(1), false),
+            (Lit::pos(2), true),
+        ];
+        let light = Checkpoint::Light {
+            level0: level0.clone(),
+        };
+        let heavy = Checkpoint::Heavy {
+            level0,
+            learned: vec![
+                Clause::new([Lit::pos(3), Lit::pos(4)]),
+                Clause::new([Lit::neg(3), Lit::pos(5), Lit::neg(6)]),
+            ],
+        };
+        let problem = ProblemId::new(NodeId(1), 1);
+        for (checkpoint, payload) in [(light, 8 + 3 * 5), (heavy, 8 + 3 * 5 + 16 + 20)] {
+            let boxed = || Some(Box::new(checkpoint.clone()));
+            let done = GridMsg::SplitDone {
+                requester: NodeId(1),
+                peer: NodeId(2),
+                ok: true,
+                problem: Some(problem),
+                checkpoint: boxed(),
+                stolen: false,
+            };
+            assert_eq!(done.size_bytes(), 48 + payload);
+            let upload = GridMsg::CheckpointMsg {
+                problem,
+                checkpoint: Box::new(checkpoint.clone()),
+            };
+            assert_eq!(upload.size_bytes(), 32 + payload);
+            let adopt = GridMsg::Adopt {
+                memory: 1 << 20,
+                availability: 1.0,
+                problem: Some(problem),
+                checkpoint: boxed(),
+            };
+            assert_eq!(adopt.size_bytes(), 64 + payload);
+        }
     }
 
     #[test]

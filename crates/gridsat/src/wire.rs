@@ -34,8 +34,7 @@
 //! ```
 //!
 //! [`spec_wire_bytes`] computes a spec's encoded length without
-//! materializing the buffer; it replaces the old hand-waved
-//! `approx_message_bytes` cost model in the message layer.
+//! materializing the buffer; it is the message layer's cost model.
 //!
 //! ## Framing
 //!

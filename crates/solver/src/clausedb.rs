@@ -1,7 +1,7 @@
 //! The clause database: one flat `u32` arena (MiniSat/CaDiCaL-style).
 //!
 //! Every clause lives inline in a single contiguous buffer: a four-word
-//! header (length; learned/global/dead flags plus the LBD "glue" score;
+//! header (length; learned/dead flags plus the LBD "glue" score;
 //! activity; display id) followed by its literals. A [`ClauseRef`] is the
 //! word offset of the header, so dereferencing a clause during BCP is one
 //! indexed load into memory that neighbouring clauses already pulled into
@@ -24,9 +24,9 @@
 //! charged for its arena words (header + one word per literal) plus a
 //! fixed per-clause overhead covering its two watch-list entries, which
 //! is what the solver compares against its budget and what a GridSAT
-//! client's memory monitor watches (paper Section 3.3). With the default
-//! parameters this is `48 + 4*len` bytes per clause, unchanged from the
-//! pre-arena model, so calibrated MEM_OUT behaviour is preserved.
+//! client's memory monitor watches (paper Section 3.3): `48 + 4*len`
+//! bytes per clause, unchanged from the pre-arena model, so calibrated
+//! MEM_OUT behaviour is preserved.
 
 use gridsat_cnf::{Clause, Lit};
 
@@ -77,11 +77,15 @@ impl ClauseRef {
 const HEADER_WORDS: usize = 4;
 const WORD_BYTES: usize = 4;
 
+/// The memory model: bytes charged per stored literal, and fixed bytes
+/// charged per stored clause.
+const BYTES_PER_LIT: usize = 4;
+const BYTES_PER_CLAUSE: usize = 48;
+
 const F_LEARNED: u32 = 1;
-const F_GLOBAL: u32 = 2;
-const F_DEAD: u32 = 4;
-/// LBD occupies the flags word above the three flag bits.
-const LBD_SHIFT: u32 = 3;
+const F_DEAD: u32 = 2;
+/// LBD occupies the flags word above the two flag bits.
+const LBD_SHIFT: u32 = 2;
 const LBD_MAX: u32 = (1 << (32 - LBD_SHIFT)) - 1;
 
 /// Rescale all clause activities (and the increment) once either crosses
@@ -122,13 +126,11 @@ pub struct ClauseDb {
     garbage_words: usize,
     next_display_id: u32,
     clause_activity_inc: f32,
-    bytes_per_lit: usize,
-    bytes_per_clause: usize,
 }
 
 impl ClauseDb {
-    /// Empty database with the given memory-model parameters.
-    pub fn new(bytes_per_lit: usize, bytes_per_clause: usize) -> ClauseDb {
+    /// Empty database.
+    pub fn new() -> ClauseDb {
         ClauseDb {
             arena: Vec::new(),
             live: 0,
@@ -137,13 +139,11 @@ impl ClauseDb {
             garbage_words: 0,
             next_display_id: 1,
             clause_activity_inc: 1.0,
-            bytes_per_lit,
-            bytes_per_clause,
         }
     }
 
-    fn clause_bytes(&self, len: usize) -> usize {
-        self.bytes_per_clause + len * self.bytes_per_lit
+    fn clause_bytes(len: usize) -> usize {
+        BYTES_PER_CLAUSE + len * BYTES_PER_LIT
     }
 
     #[inline]
@@ -158,21 +158,19 @@ impl ClauseDb {
 
     /// Insert a clause; returns its reference. `lbd` is the glue score
     /// (0 for original clauses, computed at learn time for learned ones).
-    pub fn insert(&mut self, lits: &[Lit], learned: bool, global: bool, lbd: u32) -> ClauseRef {
+    pub fn insert(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> ClauseRef {
         debug_assert!(!lits.is_empty());
         let off = self.arena.len();
         assert!(
             off + HEADER_WORDS + lits.len() < (u32::MAX - 1) as usize,
             "clause arena exceeds u32 offsets"
         );
-        self.bytes += self.clause_bytes(lits.len());
+        self.bytes += Self::clause_bytes(lits.len());
         self.live += 1;
         if learned {
             self.learned += 1;
         }
-        let flags = (u32::from(learned) * F_LEARNED)
-            | (u32::from(global) * F_GLOBAL)
-            | (lbd.min(LBD_MAX) << LBD_SHIFT);
+        let flags = (u32::from(learned) * F_LEARNED) | (lbd.min(LBD_MAX) << LBD_SHIFT);
         self.arena.reserve(HEADER_WORDS + lits.len());
         self.arena.push(lits.len() as u32);
         self.arena.push(flags);
@@ -195,7 +193,7 @@ impl ClauseDb {
         assert!(flags & F_DEAD == 0, "double delete of {cref:?}");
         self.arena[off + 1] = flags | F_DEAD;
         let len = self.arena[off] as usize;
-        self.bytes -= self.clause_bytes(len);
+        self.bytes -= Self::clause_bytes(len);
         self.live -= 1;
         if flags & F_LEARNED != 0 {
             self.learned -= 1;
@@ -331,12 +329,6 @@ impl ClauseDb {
     #[inline]
     pub fn is_learned(&self, cref: ClauseRef) -> bool {
         self.flags(cref) & F_LEARNED != 0
-    }
-
-    /// Is the clause derivable from the original formula alone?
-    #[inline]
-    pub fn is_global(&self, cref: ClauseRef) -> bool {
-        self.flags(cref) & F_GLOBAL != 0
     }
 
     /// Is the reference live (in bounds, on a header, not deleted)?
@@ -496,7 +488,7 @@ impl ClauseDb {
             if flags & F_DEAD == 0 {
                 live += 1;
                 learned += usize::from(flags & F_LEARNED != 0);
-                bytes += self.clause_bytes(len);
+                bytes += Self::clause_bytes(len);
             } else {
                 garbage += HEADER_WORDS + len;
             }
@@ -522,9 +514,9 @@ mod tests {
 
     #[test]
     fn insert_get_delete() {
-        let mut db = ClauseDb::new(4, 48);
-        let a = db.insert(&lits(&[1, 2, 3]), false, true, 0);
-        let b = db.insert(&lits(&[-1, 4]), true, true, 2);
+        let mut db = ClauseDb::new();
+        let a = db.insert(&lits(&[1, 2, 3]), false, 0);
+        let b = db.insert(&lits(&[-1, 4]), true, 2);
         assert_eq!(db.num_live(), 2);
         assert_eq!(db.num_learned(), 1);
         assert_eq!(db.lits(a), lits(&[1, 2, 3]).as_slice());
@@ -540,9 +532,8 @@ mod tests {
         assert_eq!(db.garbage_words(), 4 + 2);
 
         // the arena appends; display ids keep counting
-        let c = db.insert(&lits(&[5]), false, false, 0);
+        let c = db.insert(&lits(&[5]), false, 0);
         assert_eq!(db.display_id(c), 3);
-        assert!(!db.is_global(c));
         assert_eq!(db.iter_refs().count(), 2);
         db.check_accounting();
     }
@@ -550,8 +541,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "double delete")]
     fn double_delete_panics() {
-        let mut db = ClauseDb::new(4, 48);
-        let a = db.insert(&lits(&[1]), false, true, 0);
+        let mut db = ClauseDb::new();
+        let a = db.insert(&lits(&[1]), false, 0);
         db.delete(a);
         db.delete(a);
     }
@@ -560,8 +551,8 @@ mod tests {
     #[cfg_attr(not(debug_assertions), ignore = "deletion check is debug-only")]
     #[should_panic(expected = "use of deleted")]
     fn use_after_delete_panics_in_debug() {
-        let mut db = ClauseDb::new(4, 48);
-        let a = db.insert(&lits(&[1]), false, true, 0);
+        let mut db = ClauseDb::new();
+        let a = db.insert(&lits(&[1]), false, 0);
         db.delete(a);
         let _ = db.lits(a);
     }
@@ -576,10 +567,10 @@ mod tests {
 
     #[test]
     fn collect_compacts_and_remaps() {
-        let mut db = ClauseDb::new(4, 48);
-        let a = db.insert(&lits(&[1, 2, 3]), false, true, 0);
-        let b = db.insert(&lits(&[-1, 4]), true, true, 3);
-        let c = db.insert(&lits(&[2, -4, 5, 6]), true, false, 4);
+        let mut db = ClauseDb::new();
+        let a = db.insert(&lits(&[1, 2, 3]), false, 0);
+        let b = db.insert(&lits(&[-1, 4]), true, 3);
+        let c = db.insert(&lits(&[2, -4, 5, 6]), true, 4);
         db.delete(b);
         let bytes_before = db.bytes();
 
@@ -595,7 +586,7 @@ mod tests {
         assert_eq!(db.lits(c2), lits(&[2, -4, 5, 6]).as_slice());
         assert_eq!(db.display_id(c2), 3);
         assert_eq!(db.lbd(c2), 4);
-        assert!(db.is_learned(c2) && !db.is_global(c2));
+        assert!(db.is_learned(c2));
         assert_eq!(db.garbage_words(), 0);
         assert_eq!(db.bytes(), bytes_before, "model bytes unaffected by GC");
         assert_eq!(db.iter_refs().count(), 2);
@@ -605,8 +596,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "remap of dead")]
     fn remapping_a_dead_ref_panics() {
-        let mut db = ClauseDb::new(4, 48);
-        let a = db.insert(&lits(&[1, 2]), false, true, 0);
+        let mut db = ClauseDb::new();
+        let a = db.insert(&lits(&[1, 2]), false, 0);
         db.delete(a);
         let map = db.collect();
         let _ = map.remap(a);
@@ -614,8 +605,8 @@ mod tests {
 
     #[test]
     fn activity_bump_and_rescale() {
-        let mut db = ClauseDb::new(4, 48);
-        let a = db.insert(&lits(&[1, 2]), true, true, 2);
+        let mut db = ClauseDb::new();
+        let a = db.insert(&lits(&[1, 2]), true, 2);
         db.bump_activity(a);
         let before = db.activity(a);
         assert!(before > 0.0);
@@ -628,9 +619,9 @@ mod tests {
     /// activity increment must not overflow `f32` to infinity.
     #[test]
     fn decay_alone_never_overflows_the_increment() {
-        let mut db = ClauseDb::new(4, 48);
-        let a = db.insert(&lits(&[1, 2]), true, true, 2);
-        let b = db.insert(&lits(&[-1, 3]), true, true, 2);
+        let mut db = ClauseDb::new();
+        let a = db.insert(&lits(&[1, 2]), true, 2);
+        let b = db.insert(&lits(&[-1, 3]), true, 2);
         db.bump_activity(a);
         // 200k decays at 0.999 ≈ inc * e^200; overflows without rescaling
         for _ in 0..200_000 {
@@ -648,8 +639,8 @@ mod tests {
 
     #[test]
     fn lbd_saturates() {
-        let mut db = ClauseDb::new(4, 48);
-        let a = db.insert(&lits(&[1, 2]), true, true, u32::MAX);
+        let mut db = ClauseDb::new();
+        let a = db.insert(&lits(&[1, 2]), true, u32::MAX);
         assert_eq!(db.lbd(a), LBD_MAX);
     }
 }

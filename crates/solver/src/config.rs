@@ -18,20 +18,14 @@ impl Default for RestartConfig {
     }
 }
 
-/// Tunables for the CDCL core.
-///
-/// Defaults follow the paper's zChaff description: original per-literal
-/// VSIDS with periodic division, FirstUIP learning without minimization,
-/// no restarts, no phase saving. The post-2003 refinements (restarts,
-/// phase saving, learned-clause minimization) stay behind flags that no
-/// preset sets; the solver's own tests are what runs them.
+/// Tunables for the CDCL core: the six values some caller outside this
+/// crate's tests sets, or is named to set. Everything else the paper's
+/// zChaff description fixes — original per-literal VSIDS halved every 256
+/// conflicts, FirstUIP learning without minimization, no phase saving, the
+/// `48 + 4·len` byte memory model, the glue floor and the GC threshold of
+/// database reduction — is a named constant beside the code that uses it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverConfig {
-    /// Conflicts between VSIDS decays ("periodically all counts are
-    /// divided by a constant", Section 2.4).
-    pub vsids_decay_interval: u32,
-    /// Right-shift applied to every literal counter at decay (1 = halve).
-    pub vsids_decay_shift: u32,
     /// Collect learned clauses no longer than this into the share outbox
     /// (the paper uses 10 and 3). `None` disables collection.
     pub share_len_limit: Option<usize>,
@@ -41,28 +35,14 @@ pub struct SolverConfig {
     /// Learned clauses kept before a database reduction is attempted,
     /// as a multiple of the original clause count.
     pub max_learned_factor: f64,
-    /// Growth applied to the learned-clause cap after each reduction.
-    pub max_learned_growth: f64,
-    /// Restart policy; `None` (default) never restarts.
+    /// Restart policy; `None` (default, and every preset) never restarts.
+    /// Kept for its named next caller, ROADMAP open item 3(a): restarts in
+    /// the client preset, so search returns to level 0 and merges what
+    /// peers shared.
     pub restart: Option<RestartConfig>,
     /// The paper's "pruning optimization": on new level-0 facts, delete
     /// clauses already satisfied at level 0.
     pub level0_pruning: bool,
-    /// Conflict-clause minimization (post-2003 extension; default off).
-    pub minimize_learned: bool,
-    /// Phase saving (post-2003 extension; default off). When off, VSIDS
-    /// picks the highest-count *literal* exactly as Chaff describes.
-    pub phase_saving: bool,
-    /// Bytes charged per stored literal in the memory model.
-    pub bytes_per_lit: usize,
-    /// Fixed bytes charged per stored clause in the memory model.
-    pub bytes_per_clause: usize,
-    /// Learned clauses with LBD at most this survive every database
-    /// reduction ("glue" clauses; 2 keeps clauses linking two levels).
-    pub lbd_keep: u32,
-    /// Run the relocating arena GC when at least this fraction of arena
-    /// words is garbage (checked after reductions and level-0 pruning).
-    pub gc_frac: f64,
     /// Capacity of the foreign-clause inbox, in literals. `None` (the
     /// default, and the paper's "merged in batches") queues without bound
     /// and merges the whole inbox on reaching level 0. `Some(cap)` makes
@@ -76,20 +56,11 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            vsids_decay_interval: 256,
-            vsids_decay_shift: 1,
             share_len_limit: None,
             mem_budget: None,
             max_learned_factor: 3.0,
-            max_learned_growth: 1.1,
             restart: None,
             level0_pruning: false,
-            minimize_learned: false,
-            phase_saving: false,
-            bytes_per_lit: 4,
-            bytes_per_clause: 48,
-            lbd_keep: 2,
-            gc_frac: 0.25,
             inbox_lits: None,
         }
     }
@@ -131,12 +102,7 @@ mod tests {
     fn defaults_match_paper_era() {
         let c = SolverConfig::default();
         assert!(c.restart.is_none());
-        assert!(!c.minimize_learned);
-        assert!(!c.phase_saving);
         assert!(!c.level0_pruning);
-        assert_eq!(c.vsids_decay_shift, 1);
-        assert_eq!(c.lbd_keep, 2);
-        assert!(c.gc_frac > 0.0 && c.gc_frac < 1.0);
         assert!(c.inbox_lits.is_none());
     }
 

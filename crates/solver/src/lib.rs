@@ -6,7 +6,8 @@
 //! learning and non-chronological backjumping — plus the hooks GridSAT
 //! needs on top (Section 3): bounded *steppable* execution, a byte-budgeted
 //! clause database with memory-pressure reporting, guiding-path splitting,
-//! and clause-sharing outbox/inbox with the paper's four merge cases.
+//! and clause-sharing outbox/inbox with the paper's four merge cases
+//! ([`Solver::take_shared`] out, [`Solver::queue_fresh`] in).
 //!
 //! # Quick start
 //!
@@ -23,8 +24,8 @@
 //! * [`Solver`] — the CDCL engine; drive it with [`Solver::step`].
 //! * [`driver`] — run-to-completion sequential driver with the paper's
 //!   `TIME_OUT` / `MEM_OUT` semantics.
-//! * [`SolverConfig`] — paper-era defaults, post-2003 refinements gated
-//!   behind flags.
+//! * [`SolverConfig`] — the six values a caller sets; the rest of the
+//!   paper's zChaff configuration is fixed.
 //! * [`SplitSpec`] — a serialized subproblem, produced by
 //!   [`Solver::split_off`] and consumed by [`Solver::from_split`].
 //! * [`proof`] — DRAT proof logging with a built-in independent RUP

@@ -3,9 +3,9 @@
 //! Every clause that crosses the network carries a 64-bit fingerprint of
 //! its literal set ([`gridsat_cnf::Clause::fingerprint`]). A node keeps a
 //! bounded window of recently seen fingerprints: the grid client uses one
-//! to drop duplicates at the wire, in both directions, and a solver driven
-//! without a client keeps its own to skip re-merging clauses it already
-//! knows. The window is two generations of one flat open-addressed table:
+//! to drop duplicates at the wire, in both directions, before anything
+//! reaches [`Solver::queue_fresh`](crate::Solver::queue_fresh), which
+//! itself checks nothing. The window is two generations of one flat open-addressed table:
 //! fingerprints are seated in the current generation, and when that holds
 //! half the bound the older generation is dropped wholesale and the
 //! current one takes its place. So the last `cap / 2` distinct

@@ -19,7 +19,11 @@
 //! the original problem, which is what makes GridSAT's global clause
 //! sharing sound. Splitting removes only clauses already *satisfied* at
 //! level 0 (it never strips false literals), so transferred clauses stay
-//! globally valid too.
+//! globally valid too. The database therefore carries no per-clause
+//! "global" mark: every clause in it — original, learned, merged from a
+//! peer or loaded from a split — holds for the original formula, by
+//! induction over those four ways in. Only a level-0 *assignment* can
+//! depend on an assumption, and that mark is per variable.
 //!
 //! # Clause storage and garbage collection
 //!
@@ -35,17 +39,28 @@
 use crate::clausedb::{ClauseDb, ClauseRef, Visit, LV_FALSE, LV_TRUE, LV_UNASSIGNED};
 use crate::config::SolverConfig;
 use crate::proof::{Proof, ProofStep};
-use crate::share::FpWindow;
 use crate::stats::Stats;
 use crate::vsids::Vsids;
 use gridsat_cnf::{Assignment, Clause, Formula, Lit, Value, Var};
 use gridsat_obs::{Event, Obs};
 use std::collections::VecDeque;
 
-/// Capacity of the known-clause fingerprint window. Sized so that on a
-/// busy grid the window covers minutes of share traffic; an evicted
-/// fingerprint only costs a redundant (sound) re-merge.
-const KNOWN_FP_WINDOW: usize = 1 << 16;
+/// Conflicts between VSIDS decays ("periodically all counts are divided
+/// by a constant", Section 2.4), and the right-shift applied to every
+/// literal counter at a decay (1 = halve).
+const VSIDS_DECAY_INTERVAL: u32 = 256;
+const VSIDS_DECAY_SHIFT: u32 = 1;
+
+/// Growth applied to the learned-clause cap after each reduction.
+const MAX_LEARNED_GROWTH: f64 = 1.1;
+
+/// Learned clauses with LBD at most this survive every database
+/// reduction ("glue" clauses; 2 keeps clauses linking two levels).
+const LBD_KEEP: u32 = 2;
+
+/// Run the relocating arena GC when at least this fraction of arena
+/// words is garbage (checked after reductions and level-0 pruning).
+const GC_FRAC: f64 = 0.25;
 
 /// Terminal status of a (sub)problem.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,15 +102,6 @@ pub struct SplitSpec {
     pub clauses: Vec<Clause>,
 }
 
-impl SplitSpec {
-    /// Message size under the paper's transfer-cost model (the split
-    /// message "varies in size from 10 KBytes to 500 MBytes").
-    pub fn approx_message_bytes(&self) -> usize {
-        let lits: usize = self.clauses.iter().map(Clause::len).sum();
-        16 + self.assumptions.len() * 5 + self.clauses.len() * 8 + lits * 4
-    }
-}
-
 /// One resolution step of a conflict analysis (for the Figure 1 trace).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResolutionStep {
@@ -118,9 +124,6 @@ pub struct ConflictAnalysis {
     pub conflict_id: u32,
     /// Resolution steps (recorded only when tracing is enabled).
     pub steps: Vec<ResolutionStep>,
-    /// Whether the learned clause is derivable from the original formula
-    /// alone (with the include-assumptions policy this is always true).
-    pub global: bool,
 }
 
 /// A node of the implication graph (paper Section 2.2 / Figure 1).
@@ -154,7 +157,9 @@ struct Watch {
     blocker: Lit,
 }
 
-/// The CDCL solver. See module docs.
+/// The CDCL solver. See module docs. Foreign clauses come in through
+/// [`Solver::queue_fresh`] and nowhere else; clauses for peers go out
+/// through [`Solver::take_shared`].
 pub struct Solver {
     config: SolverConfig,
     num_vars: usize,
@@ -169,8 +174,6 @@ pub struct Solver {
     /// Valid for level-0 assigned vars: derivable from the original
     /// formula alone (not via split assumptions).
     level0_global: Vec<bool>,
-    /// Saved phase for the phase-saving extension.
-    saved_phase: Vec<bool>,
     trail: Vec<Lit>,
     /// `level_start[l]` = trail index where level `l` begins;
     /// `level_start[0] == 0` always.
@@ -194,17 +197,10 @@ pub struct Solver {
     merge_visited: bool,
     /// The record [`Solver::merge_foreign`] is working on.
     merge_buf: Vec<Lit>,
-    /// Fingerprints of clauses this solver already knows: its own shared
-    /// learned clauses plus every foreign clause that came through the
-    /// checked entry ([`Solver::queue_foreign_fp`]). Bounded window —
-    /// duplicates arriving within it are skipped before any merge work.
-    known_fps: FpWindow,
     seen: Vec<bool>,
     /// Conflict-analysis scratch, reused across conflicts: the clause
-    /// being learned (slot 0 = asserting literal) and every variable
-    /// whose `seen` flag the analysis set.
+    /// being learned (slot 0 = asserting literal).
     learned: Vec<Lit>,
-    touched: Vec<usize>,
     max_learned: f64,
     next_restart: Option<u64>,
     restart_interval: f64,
@@ -288,13 +284,12 @@ impl Solver {
     /// A solver over `num_vars` variables with no clauses yet.
     fn empty(num_vars: usize, config: SolverConfig) -> Solver {
         Solver {
-            db: ClauseDb::new(config.bytes_per_lit, config.bytes_per_clause),
+            db: ClauseDb::new(),
             watches: vec![Vec::new(); num_vars * 2],
             assign8: vec![LV_UNASSIGNED; num_vars],
             var_level: vec![0; num_vars],
             reason: vec![ClauseRef::NONE; num_vars],
             level0_global: vec![false; num_vars],
-            saved_phase: vec![false; num_vars],
             trail: Vec::with_capacity(num_vars),
             level_start: vec![0],
             qhead: 0,
@@ -307,10 +302,8 @@ impl Solver {
             inbox_clauses: 0,
             merge_visited: false,
             merge_buf: Vec::new(),
-            known_fps: FpWindow::new(KNOWN_FP_WINDOW),
             seen: vec![false; num_vars],
             learned: Vec::new(),
-            touched: Vec::new(),
             max_learned: 0.0,
             next_restart: config.restart.map(|r| r.first_interval),
             restart_interval: config
@@ -365,7 +358,7 @@ impl Solver {
         if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
             // tautologies still consume a display id slot so the paper
             // numbering stays aligned with the input formula
-            let cref = self.db.insert(raw, false, true, 0);
+            let cref = self.db.insert(raw, false, 0);
             self.db.delete(cref);
             return;
         }
@@ -376,7 +369,7 @@ impl Solver {
         for &l in lits {
             self.vsids.bump_unordered(l);
         }
-        let cref = self.db.insert(lits, false, true, 0);
+        let cref = self.db.insert(lits, false, 0);
         if lits.len() >= 2 {
             self.attach(cref);
         } else {
@@ -571,9 +564,6 @@ impl Solver {
             // level-0 decisions are assumptions: not globally derivable
             return false;
         }
-        if !self.db.is_global(reason) {
-            return false;
-        }
         self.db
             .lits(reason)
             .iter()
@@ -612,9 +602,6 @@ impl Solver {
         for i in (keep..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var().index();
-            if self.config.phase_saving {
-                self.saved_phase[v] = self.assign8[v] == LV_TRUE;
-            }
             self.assign8[v] = LV_UNASSIGNED;
             self.reason[v] = ClauseRef::NONE;
             self.vsids.reinsert(l);
@@ -782,18 +769,13 @@ impl Solver {
         self.learned.clear();
         self.learned.push(Lit::pos(0)); // slot 0 = asserting lit
         let mut steps: Vec<ResolutionStep> = Vec::new();
-        // `touched`: every var whose `seen` flag we set, so all flags are
-        // cleared at the end even when minimization drops literals
-        debug_assert!(self.touched.is_empty());
         let mut counter = 0usize;
-        let mut global = true;
         let mut resolved = false;
         let mut idx = self.trail.len();
         let mut cref = confl;
         let conflict_id = self.db.display_id(confl);
 
         let uip = loop {
-            global &= self.db.is_global(cref);
             if self.db.is_learned(cref) {
                 self.db.bump_activity(cref);
             }
@@ -811,7 +793,6 @@ impl Solver {
                     continue;
                 }
                 self.seen[v] = true;
-                self.touched.push(v);
                 if lvl == current {
                     counter += 1;
                 } else {
@@ -847,12 +828,6 @@ impl Solver {
             resolved = true;
         };
 
-        if self.config.minimize_learned {
-            let mut learned = std::mem::take(&mut self.learned);
-            self.minimize(&mut learned);
-            self.learned = learned;
-        }
-
         // place a literal of the backjump level at index 1 (watch invariant)
         let learned = &mut self.learned;
         let mut backjump = 0usize;
@@ -869,10 +844,10 @@ impl Solver {
             backjump = self.var_level[learned[1].var().index()] as usize;
         }
 
-        // clear every flag we set (minimization may have removed literals
-        // from `learned`, so the clause itself is not a complete record)
-        for v in self.touched.drain(..) {
-            self.seen[v] = false;
+        // the current level's flags were cleared on the way to the UIP;
+        // the rest are the clause's own literals
+        for l in &learned[1..] {
+            self.seen[l.var().index()] = false;
         }
 
         ConflictAnalysis {
@@ -881,111 +856,7 @@ impl Solver {
             uip,
             conflict_id,
             steps,
-            global,
         }
-    }
-
-    /// Recursive learned-clause minimization (post-2003 extension, off by
-    /// default): a literal is redundant when every path of antecedents
-    /// below it terminates in literals already in the clause (or in
-    /// globally-true level-0 facts). Implemented iteratively with an
-    /// explicit stack and memoized verdicts.
-    fn minimize(&mut self, learned: &mut Vec<Lit>) {
-        // verdict memo per var: 0 unknown, 1 redundant, 2 needed
-        let mut verdict = std::collections::HashMap::new();
-        let mut keep = vec![true; learned.len()];
-        for (i, &l) in learned.iter().enumerate().skip(1) {
-            if self.lit_redundant(l, &mut verdict) {
-                keep[i] = false;
-            }
-        }
-        let mut i = 0;
-        learned.retain(|_| {
-            let k = keep[i];
-            i += 1;
-            k
-        });
-    }
-
-    fn lit_redundant(&self, l: Lit, verdict: &mut std::collections::HashMap<u32, bool>) -> bool {
-        let root_reason = self.reason[l.var().index()];
-        if !root_reason.is_real() {
-            return false; // decisions/assumptions are never redundant
-        }
-        // DFS over the implication graph below `l`
-        let mut stack: Vec<Lit> = vec![l];
-        let mut visiting: Vec<Lit> = Vec::new();
-        while let Some(&top) = stack.last() {
-            let v = top.var().index() as u32;
-            if let Some(&known) = verdict.get(&v) {
-                stack.pop();
-                if !known {
-                    // some ancestor depends on a needed literal: everything
-                    // on the visiting path is needed too
-                    for q in visiting.drain(..) {
-                        verdict.insert(q.var().index() as u32, false);
-                    }
-                    return false;
-                }
-                continue;
-            }
-            let r = self.reason[top.var().index()];
-            if !r.is_real() {
-                // reached a decision that is not part of the clause: needed
-                verdict.insert(v, false);
-                for q in visiting.drain(..) {
-                    verdict.insert(q.var().index() as u32, false);
-                }
-                return false;
-            }
-            // expand: every other literal of the antecedent must be
-            // already-seen (in the clause / on the resolution path),
-            // globally true at level 0, or itself redundant
-            let mut expanded = false;
-            let len = self.db.lits(r).len();
-            let mut all_ok = true;
-            for k in 0..len {
-                let q = self.db.lits(r)[k];
-                if q.var() == top.var() {
-                    continue;
-                }
-                let qi = q.var().index();
-                if self.seen[qi]
-                    || (self.var_level[qi] == 0 && self.level0_global[qi])
-                    || verdict.get(&(qi as u32)) == Some(&true)
-                {
-                    continue;
-                }
-                if verdict.get(&(qi as u32)) == Some(&false) || !self.reason[qi].is_real() {
-                    all_ok = false;
-                    break;
-                }
-                // recurse on q
-                stack.push(q);
-                expanded = true;
-                break;
-            }
-            if !all_ok {
-                verdict.insert(v, false);
-                stack.pop();
-                for q in visiting.drain(..) {
-                    verdict.insert(q.var().index() as u32, false);
-                }
-                return false;
-            }
-            if !expanded {
-                // all dependencies resolved: redundant
-                verdict.insert(v, true);
-                stack.pop();
-                visiting.retain(|q| q.var() != top.var());
-            } else {
-                visiting.push(top);
-            }
-        }
-        verdict
-            .get(&(l.var().index() as u32))
-            .copied()
-            .unwrap_or(false)
     }
 
     /// The LBD ("glue") of a clause: distinct decision levels among its
@@ -1042,14 +913,12 @@ impl Solver {
             // learned fact at level 0; derivation is global (assumption
             // literals would appear in the clause otherwise)
             match self.lit_value(lits[0]) {
-                Value::Unassigned => {
-                    self.enqueue_with_global(lits[0], ClauseRef::NONE, analysis.global)
-                }
+                Value::Unassigned => self.enqueue_with_global(lits[0], ClauseRef::NONE, true),
                 Value::True => {}
                 Value::False => self.mark_unsat(),
             }
         } else {
-            let cref = self.db.insert(&lits, true, analysis.global, lbd);
+            let cref = self.db.insert(&lits, true, lbd);
             self.attach(cref);
             debug_assert_eq!(self.lit_value(lits[0]), Value::Unassigned);
             self.enqueue(lits[0], cref);
@@ -1057,16 +926,15 @@ impl Solver {
         self.note_db_peak();
         self.obs.emit(self.obs_now, self.obs_node, || Event::Learn {
             len: lits.len() as u64,
-            global: analysis.global,
+            // every learned clause holds for the original formula
+            global: true,
         });
 
         // sharing outbox (paper Section 3.2: only "short" clauses)
         if let Some(limit) = self.config.share_len_limit {
-            if analysis.global && lits.len() <= limit {
+            if lits.len() <= limit {
                 let clause = Clause::new(lits.iter().copied());
                 let fp = clause.fingerprint();
-                // remember own shared clauses so grid echoes are skipped
-                self.known_fps.insert(fp);
                 self.outbox.push((clause, fp));
                 self.stats.shared_out += 1;
             }
@@ -1075,34 +943,33 @@ impl Solver {
 
         // periodic VSIDS decay
         self.conflicts_since_decay += 1;
-        if self.conflicts_since_decay >= self.config.vsids_decay_interval {
+        if self.conflicts_since_decay >= VSIDS_DECAY_INTERVAL {
             self.conflicts_since_decay = 0;
-            self.vsids.decay(self.config.vsids_decay_shift);
+            self.vsids.decay(VSIDS_DECAY_SHIFT);
         }
         self.db.decay_activity(0.999);
 
         // learned-database reduction
         if self.db.num_learned() as f64 > self.max_learned {
             self.reduce_db();
-            self.max_learned *= self.config.max_learned_growth;
+            self.max_learned *= MAX_LEARNED_GROWTH;
         }
     }
 
     /// Delete roughly half of the removable learned clauses, worst glue
     /// first (highest LBD, ties broken by lowest activity). Clauses that
-    /// are antecedents are kept, and glue ≤ `lbd_keep` clauses are never
+    /// are antecedents are kept, and glue ≤ [`LBD_KEEP`] clauses are never
     /// deleted — low-glue clauses are the ones worth keeping forever
     /// (HordeSat's clause-quality observation). Runs the relocating GC
     /// afterwards when enough garbage has accumulated.
     pub fn reduce_db(&mut self) {
-        let lbd_keep = self.config.lbd_keep;
         let mut candidates: Vec<(u32, f32, ClauseRef)> = self
             .db
             .iter_refs()
             .filter(|&c| {
                 self.db.is_learned(c)
                     && self.db.lits(c).len() > 2
-                    && self.db.lbd(c) > lbd_keep
+                    && self.db.lbd(c) > LBD_KEEP
                     && !self.is_locked(c)
             })
             .map(|c| (self.db.lbd(c), self.db.activity(c), c))
@@ -1149,10 +1016,10 @@ impl Solver {
     // Relocating garbage collection
     // ------------------------------------------------------------------
 
-    /// Run the mark-compact collection if dead clauses hold more than
-    /// `config.gc_frac` of the arena.
+    /// Run the mark-compact collection if dead clauses hold at least
+    /// [`GC_FRAC`] of the arena.
     fn maybe_gc(&mut self) {
-        if self.db.garbage_words() > 0 && self.db.garbage_frac() >= self.config.gc_frac {
+        if self.db.garbage_words() > 0 && self.db.garbage_frac() >= GC_FRAC {
             self.gc();
         }
     }
@@ -1207,30 +1074,13 @@ impl Solver {
     }
 
     /// Queue a clause received from a peer; it is merged the next time
-    /// the solver is at decision level 0 ("merged in batches").
-    pub fn queue_foreign(&mut self, clause: Clause) {
-        let fp = clause.fingerprint();
-        self.queue_foreign_fp(clause, fp);
-    }
-
-    /// [`queue_foreign`](Solver::queue_foreign) with a precomputed
-    /// fingerprint (the wire codec ships clauses pre-fingerprinted).
-    /// Clauses whose fingerprint is already known — merged before, or
-    /// learned and shared by this very solver — are dropped without any
-    /// merge work and counted in `merge_skipped`.
-    pub fn queue_foreign_fp(&mut self, clause: Clause, fp: u64) {
-        if !self.known_fps.insert(fp) {
-            self.stats.merge_skipped += 1;
-            return;
-        }
-        self.queue_fresh(clause.lits());
-    }
-
-    /// Queue a clause the caller has already found fresh in a fingerprint
-    /// window of its own, one that also holds every clause this solver
-    /// offered for sharing (the grid client's): no second dedup here.
-    /// A fixed-size inbox makes room by evicting whole records, oldest
-    /// first; a clause longer than the inbox is dropped itself.
+    /// the solver is at decision level 0 ("merged in batches"). The one
+    /// entry for foreign clauses, and it does no dedup: a caller that can
+    /// see duplicates keeps an [`FpWindow`](crate::FpWindow) of its own, as
+    /// the grid client does, one that also holds every clause this solver
+    /// offered for sharing. A repeated clause costs a redundant (sound)
+    /// merge. A fixed-size inbox makes room by evicting whole records,
+    /// oldest first; a clause longer than the inbox is dropped itself.
     pub fn queue_fresh(&mut self, lits: &[Lit]) {
         let len = u32::try_from(lits.len()).expect("clause length fits a u32");
         if let Some(cap) = self.config.inbox_lits {
@@ -1265,11 +1115,6 @@ impl Solver {
         );
         self.inbox_clauses -= 1;
         Some(len)
-    }
-
-    /// `true` iff the checked entry would skip a clause fingerprinted `fp`.
-    pub fn knows_fp(&self, fp: u64) -> bool {
-        self.known_fps.contains(fp)
     }
 
     /// Number of foreign clauses awaiting merge.
@@ -1346,14 +1191,15 @@ impl Solver {
         }
         self.stats.merged_in += 1;
         if let [l] = lits[..] {
-            self.enqueue_with_global(l, ClauseRef::NONE, self.level0_shared_global(&[l], l));
+            // a shared unit holds for the original formula
+            self.enqueue_with_global(l, ClauseRef::NONE, true);
             self.stats.merge_implications += 1;
             return;
         }
         // foreign clauses arrive without their sender's glue; score them
         // pessimistically (LBD = length) so reduction treats them like
         // any other long clause until they prove useful
-        let cref = self.db.insert(lits, true, true, lits.len() as u32);
+        let cref = self.db.insert(lits, true, lits.len() as u32);
         self.attach(cref);
         if unknown == 1 {
             // case 1: one unknown literal — an implication
@@ -1361,13 +1207,6 @@ impl Solver {
             self.stats.merge_implications += 1;
         }
         // case 2 (>1 unknown): simply added to the learned set
-    }
-
-    fn level0_shared_global(&self, lits: &[Lit], implied: Lit) -> bool {
-        // shared clauses are globally valid; the implication is global if
-        // every other (false) literal is globally assigned
-        lits.iter()
-            .all(|&q| q == implied || self.level0_global[q.var().index()])
     }
 
     // ------------------------------------------------------------------
@@ -1474,17 +1313,8 @@ impl Solver {
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         let assign8 = &self.assign8;
-        let phase_saving = self.config.phase_saving;
-        let saved = &self.saved_phase;
-        let picked = self
-            .vsids
-            .pop_best(|l| assign8[l.var().index()] == LV_UNASSIGNED)?;
-        if phase_saving {
-            let v = picked.var();
-            Some(v.lit(!saved[v.index()]))
-        } else {
-            Some(picked)
-        }
+        self.vsids
+            .pop_best(|l| assign8[l.var().index()] == LV_UNASSIGNED)
     }
 
     fn rebuild_order(&mut self) {
@@ -1722,7 +1552,7 @@ mod tests {
                 break;
             }
             let Some(normalized) = clause.normalized() else {
-                let cref = s.db.insert(clause.lits(), false, true, 0);
+                let cref = s.db.insert(clause.lits(), false, 0);
                 s.db.delete(cref);
                 continue;
             };
@@ -1734,7 +1564,7 @@ mod tests {
             for &l in &lits {
                 s.vsids.bump(l);
             }
-            let cref = s.db.insert(&lits, false, true, 0);
+            let cref = s.db.insert(&lits, false, 0);
             if lits.len() >= 2 {
                 s.attach(cref);
             } else {
@@ -1931,13 +1761,13 @@ mod tests {
             }
             if ordered.len() == 1 {
                 let l = ordered[0];
-                s.enqueue_with_global(l, ClauseRef::NONE, s.level0_shared_global(&[l], l));
+                s.enqueue_with_global(l, ClauseRef::NONE, true);
                 s.stats.merged_in += 1;
                 s.stats.merge_implications += 1;
                 continue;
             }
             let implied = if unknown == 1 { Some(ordered[0]) } else { None };
-            let cref = s.db.insert(&ordered, true, true, ordered.len() as u32);
+            let cref = s.db.insert(&ordered, true, ordered.len() as u32);
             s.attach(cref);
             s.stats.merged_in += 1;
             if let Some(l) = implied {
@@ -1948,30 +1778,16 @@ mod tests {
         s.note_db_peak();
     }
 
-    /// Queue one [`arbitrary_clause`] on `new` through one of its three
-    /// entries and on the reference, which keeps `old`'s fingerprint
-    /// window for the checked ones.
+    /// Queue one [`arbitrary_clause`] on `new` and on the reference.
     fn queue_on_both(
         rng: &mut Rng,
         num_vars: usize,
         new: &mut Solver,
-        old: &mut Solver,
         old_inbox: &mut ReferenceInbox,
     ) {
         let clause = arbitrary_clause(rng, num_vars);
-        let fp = clause.fingerprint();
-        // the unchecked entry, or one of the two checked ones
-        let checked = rng.range_u32(0..3);
-        if checked > 0 && !old.known_fps.insert(fp) {
-            old.stats.merge_skipped += 1;
-        } else {
-            old_inbox.push(clause.clone());
-        }
-        match checked {
-            0 => new.queue_fresh(clause.lits()),
-            1 => new.queue_foreign_fp(clause, fp),
-            _ => new.queue_foreign(clause),
-        }
+        new.queue_fresh(clause.lits());
+        old_inbox.push(clause);
         assert_eq!(new.pending_foreign(), old_inbox.queue.len());
         assert_eq!(new.inbox_lits(), old_inbox.lits());
     }
@@ -1984,7 +1800,7 @@ mod tests {
     #[test]
     fn flat_inbox_merges_like_the_queue_of_clauses() {
         let mut rng = Rng::seed_from_u64(15);
-        let (mut implied, mut refuted, mut discarded, mut skipped) = (0, 0, 0, 0);
+        let (mut implied, mut refuted, mut discarded) = (0, 0, 0);
         let (mut sliced, mut evicted) = (0, 0);
         for case in 0..3000 {
             let spec = arbitrary_spec(&mut rng);
@@ -2020,7 +1836,7 @@ mod tests {
                 };
                 let fresh = if round < 3 { rng.range_usize(1..10) } else { 0 };
                 for _ in 0..fresh {
-                    queue_on_both(&mut rng, spec.num_vars, &mut new, &mut old, &mut old_inbox);
+                    queue_on_both(&mut rng, spec.num_vars, &mut new, &mut old_inbox);
                 }
                 queued += fresh as u64;
                 let longest = old_inbox.queue.iter().map(Clause::len).max().unwrap_or(0);
@@ -2043,13 +1859,13 @@ mod tests {
                 assert_eq!(new.proof_complete, old.proof_complete);
                 assert_eq!(new.pending_foreign(), old_inbox.queue.len(), "case {case}");
                 assert!(cap.is_none_or(|cap| new.stats().peak_inbox_lits <= cap as u64));
-                // every clause queued was skipped, evicted or taken by a
-                // merge, or is waiting
+                // every clause queued was evicted or taken by a merge, or
+                // is waiting
                 taken += (pending - new.pending_foreign()) as u64;
                 let s = new.stats();
                 assert_eq!(
                     queued,
-                    s.merge_skipped + s.merge_dropped + taken + new.pending_foreign() as u64,
+                    s.merge_dropped + taken + new.pending_foreign() as u64,
                     "case {case} round {round}"
                 );
                 refuted += u64::from(new.status() == Some(SolveStatus::Unsat));
@@ -2057,7 +1873,6 @@ mod tests {
             let s = new.stats();
             implied += s.merge_implications;
             discarded += s.merge_discarded;
-            skipped += s.merge_skipped;
             evicted += s.merge_dropped;
             // both run on to the same verdict by the same steps
             if new.status().is_none() {
@@ -2068,8 +1883,8 @@ mod tests {
             assert_eq!(new.model(), old.model(), "case {case}");
         }
         assert!(
-            implied > 100 && refuted > 100 && discarded > 100 && skipped > 100,
-            "{implied} / {refuted} / {discarded} / {skipped}"
+            implied > 100 && refuted > 100 && discarded > 100,
+            "{implied} / {refuted} / {discarded}"
         );
         assert!(sliced > 100 && evicted > 100, "{sliced} / {evicted}");
     }
@@ -2107,7 +1922,7 @@ mod tests {
                     break;
                 }
                 for _ in 0..rng.range_usize(0..4) {
-                    queue_on_both(&mut rng, spec.num_vars, &mut new, &mut old, &mut old_inbox);
+                    queue_on_both(&mut rng, spec.num_vars, &mut new, &mut old_inbox);
                     let last = old_inbox.queue.back().map_or(0, Clause::len);
                     longest = longest.max(last as u64);
                 }

@@ -31,9 +31,6 @@ pub struct Stats {
     pub merge_discarded: u64,
     /// Foreign clauses that caused an immediate implication on merge.
     pub merge_implications: u64,
-    /// Foreign clauses dropped before any merge work because their
-    /// fingerprint was already known (duplicate share traffic).
-    pub merge_skipped: u64,
     /// Foreign clauses evicted from a full fixed-size inbox, never merged
     /// ([`SolverConfig::inbox_lits`](crate::SolverConfig::inbox_lits)).
     pub merge_dropped: u64,
@@ -83,7 +80,6 @@ impl Stats {
             merged_in,
             merge_discarded,
             merge_implications,
-            merge_skipped,
             merge_dropped,
             peak_inbox_lits,
             max_level,
@@ -106,7 +102,6 @@ impl Stats {
         self.merged_in += merged_in;
         self.merge_discarded += merge_discarded;
         self.merge_implications += merge_implications;
-        self.merge_skipped += merge_skipped;
         self.merge_dropped += merge_dropped;
         self.peak_inbox_lits = self.peak_inbox_lits.max(peak_inbox_lits);
         self.max_level = self.max_level.max(max_level);
@@ -144,7 +139,6 @@ impl Stats {
             merged_in,
             merge_discarded,
             merge_implications,
-            merge_skipped,
             merge_dropped,
             peak_inbox_lits,
             max_level,
@@ -167,7 +161,6 @@ impl Stats {
         reg.counter_add(&format!("{prefix}.merged_in"), merged_in);
         reg.counter_add(&format!("{prefix}.merge_discarded"), merge_discarded);
         reg.counter_add(&format!("{prefix}.merge_implications"), merge_implications);
-        reg.counter_add(&format!("{prefix}.merge_skipped"), merge_skipped);
         reg.counter_add(&format!("{prefix}.merge_dropped"), merge_dropped);
         reg.counter_add(&format!("{prefix}.work"), work);
         reg.counter_add(&format!("{prefix}.gc_runs"), gc_runs);
@@ -204,7 +197,6 @@ mod tests {
             merged_in: 9,
             merge_discarded: 10,
             merge_implications: 11,
-            merge_skipped: 25,
             merge_dropped: 28,
             peak_inbox_lits: 29,
             max_level: 12,
@@ -257,7 +249,6 @@ mod tests {
             merged_in: 18,
             merge_discarded: 20,
             merge_implications: 22,
-            merge_skipped: 50,
             merge_dropped: 56,
             peak_inbox_lits: 29, // max, not sum
             max_level: 12,       // max, not sum
@@ -300,8 +291,8 @@ mod tests {
         // every lbd_hist bucket lands in the histogram
         let h = reg.histogram("solver.lbd").expect("lbd histogram");
         assert_eq!(h.count(), (17..=24).sum::<u64>());
-        // 16 counters + 5 gauges + 1 histogram, all present in the exposition
+        // 15 counters + 5 gauges + 1 histogram, all present in the exposition
         let text = reg.render_prometheus();
-        assert_eq!(text.matches("# TYPE solver_").count(), 22);
+        assert_eq!(text.matches("# TYPE solver_").count(), 21);
     }
 }

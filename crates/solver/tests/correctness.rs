@@ -89,7 +89,7 @@ fn random_mixed_agrees_with_brute_force() {
     }
 }
 
-/// With every paper-era extension toggled on, answers stay correct.
+/// With level-0 pruning and restarts both on, answers stay correct.
 #[test]
 fn extensions_preserve_correctness() {
     // a case that failed once, then `CASES` fresh ones
@@ -102,14 +102,11 @@ fn extensions_preserve_correctness() {
         let f = satgen::random_ksat::random_ksat(n, n * 5, 3, gen_seed);
         let expected = brute_force(&f);
         let config = SolverConfig {
-            minimize_learned: true,
-            phase_saving: true,
             level0_pruning: true,
             restart: Some(gridsat_solver::RestartConfig {
                 first_interval: 5,
                 geometric_factor: 1.2,
             }),
-            vsids_decay_interval: 16,
             ..SolverConfig::default()
         };
         let report = driver::solve(&f, config, driver::Limits::default());

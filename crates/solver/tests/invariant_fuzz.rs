@@ -3,7 +3,7 @@
 //! checking the internal invariants after every operation.
 
 use gridsat_cnf::rng::Rng;
-use gridsat_cnf::{Clause, Lit};
+use gridsat_cnf::Lit;
 use gridsat_satgen as satgen;
 use gridsat_solver::{SolveStatus, Solver, SolverConfig, Step};
 
@@ -76,7 +76,7 @@ fn random_interleavings_keep_invariants() {
                     // only share clauses implied by the formula: a clause
                     // containing some var twice with both signs is a
                     // tautology, trivially sound to merge
-                    s.queue_foreign(Clause::new([Lit::pos(*v), Lit::neg(*v)]));
+                    s.queue_fresh(&[Lit::pos(*v), Lit::neg(*v)]);
                 }
             }
             s.check_invariants();

@@ -76,17 +76,6 @@ fn proofs_check_with_deletion_heavy_configs() {
 }
 
 #[test]
-fn proofs_check_with_minimization() {
-    let config = SolverConfig {
-        minimize_learned: true,
-        ..SolverConfig::default()
-    };
-    let f = satgen::xor::urquhart(7, 9);
-    let p = prove_unsat(&f, config);
-    proof::check(&f, &p).expect("minimized proof");
-}
-
-#[test]
 fn corrupting_a_proof_makes_it_fail() {
     let f = satgen::php::php(5, 4);
     let p = prove_unsat(&f, SolverConfig::default());
@@ -118,7 +107,7 @@ fn foreign_clauses_void_the_local_proof() {
     let f = satgen::php::php(5, 4);
     let mut s = Solver::new(&f, SolverConfig::default());
     s.enable_proof();
-    s.queue_foreign(gridsat_cnf::Clause::new([gridsat_cnf::Lit::pos(0)]));
+    s.queue_fresh(&[gridsat_cnf::Lit::pos(0)]);
     loop {
         match s.step(100_000) {
             Step::Unsat | Step::Sat => break,

@@ -225,12 +225,12 @@ fn sharing_preserves_answers() {
                 if sat.is_some() {
                     break;
                 }
-                // exchange clauses both ways (wire-style: fingerprints ride along)
-                for (c, fp) in a.take_shared() {
-                    b.queue_foreign_fp(c, fp);
+                // exchange clauses both ways
+                for (c, _) in a.take_shared() {
+                    b.queue_fresh(c.lits());
                 }
-                for (c, fp) in b.take_shared() {
-                    a.queue_foreign_fp(c, fp);
+                for (c, _) in b.take_shared() {
+                    a.queue_fresh(c.lits());
                 }
                 if done
                     && a.status() == Some(SolveStatus::Unsat)
@@ -281,7 +281,7 @@ fn fixture() -> Solver {
 #[test]
 fn merge_case_satisfied_is_discarded() {
     let mut s = fixture();
-    s.queue_foreign(Clause::new([lit(1), lit(3)]));
+    s.queue_fresh(&[lit(1), lit(3)]);
     let _ = s.step(100);
     assert_eq!(s.stats().merge_discarded, 1);
     assert_eq!(s.stats().merged_in, 0);
@@ -291,7 +291,7 @@ fn merge_case_satisfied_is_discarded() {
 fn merge_case_implication() {
     let mut s = fixture();
     // (V2 + V3): V2 is false, so V3 is implied
-    s.queue_foreign(Clause::new([lit(2), lit(3)]));
+    s.queue_fresh(&[lit(2), lit(3)]);
     let _ = s.step(100);
     assert_eq!(s.stats().merge_implications, 1);
     assert_eq!(s.var_value(gridsat_cnf::Var(2)), Value::True);
@@ -301,7 +301,7 @@ fn merge_case_implication() {
 fn merge_case_added() {
     let mut s = fixture();
     let before = s.num_learned();
-    s.queue_foreign(Clause::new([lit(3), lit(4)]));
+    s.queue_fresh(&[lit(3), lit(4)]);
     let _ = s.step(100);
     assert_eq!(s.stats().merged_in, 1);
     assert_eq!(s.stats().merge_implications, 0);
@@ -312,7 +312,7 @@ fn merge_case_added() {
 fn merge_case_conflict_is_unsat() {
     let mut s = fixture();
     // (~V1 + V2): both literals false at level 0
-    s.queue_foreign(Clause::new([lit(-1), lit(2)]));
+    s.queue_fresh(&[lit(-1), lit(2)]);
     let step = s.step(100);
     assert_eq!(step, Step::Unsat);
     assert_eq!(s.status(), Some(SolveStatus::Unsat));
@@ -321,7 +321,7 @@ fn merge_case_conflict_is_unsat() {
 #[test]
 fn merge_tautology_is_skipped() {
     let mut s = fixture();
-    s.queue_foreign(Clause::new([lit(3), lit(-3)]));
+    s.queue_fresh(&[lit(3), lit(-3)]);
     let _ = s.step(100);
     assert_eq!(s.stats().merged_in, 0);
     assert_eq!(s.stats().merge_discarded, 0);
@@ -338,7 +338,7 @@ fn merge_waits_until_level_zero() {
     if s.status().is_some() {
         return; // solved instantly; nothing to test
     }
-    s.queue_foreign(Clause::new([lit(1), lit(2)]));
+    s.queue_fresh(&[lit(1), lit(2)]);
     assert_eq!(
         s.pending_foreign(),
         1,
@@ -351,7 +351,6 @@ fn split_spec_roundtrips_and_reports_size() {
     let f = satgen::php::php(5, 4);
     let mut s = Solver::new(&f, SolverConfig::default());
     let spec = split_when_possible(&mut s).expect("php(5,4) needs decisions");
-    assert!(spec.approx_message_bytes() > 0);
     assert!(!spec.assumptions.is_empty());
 }
 
@@ -400,46 +399,5 @@ fn split_drops_satisfied_clauses_only() {
             .find(|o| o.normalized().unwrap().lits() == c.lits())
             .unwrap_or_else(|| panic!("clause {c} not found unstripped in the original"));
         assert_eq!(orig.normalized().unwrap().len(), c.len());
-    }
-}
-
-/// With recursive minimization on, answers still agree with brute
-/// force and every clause offered for sharing (i.e. every minimized
-/// learned clause under the limit) is still implied by the formula.
-#[test]
-fn minimized_clauses_stay_implied() {
-    for seed in 0..120 {
-        let mut rng = Rng::seed_from_u64(seed);
-        let n = rng.range_usize(4..11);
-        let gen_seed = rng.next_u64();
-        let f = satgen::random_ksat::random_ksat(n, n * 5, 3, gen_seed);
-        let expected = brute_force(&f);
-        let config = SolverConfig {
-            minimize_learned: true,
-            share_len_limit: Some(16),
-            ..SolverConfig::default()
-        };
-        let mut s = Solver::new(&f, config);
-        loop {
-            let step = s.step(5_000);
-            for (clause, _) in s.take_shared() {
-                assert!(
-                    implied_by(&f, &clause),
-                    "minimized clause {clause} not implied, case seed {seed}"
-                );
-            }
-            match step {
-                Step::Sat => {
-                    assert!(expected, "case seed {seed}");
-                    assert!(f.is_satisfied_by(&s.model().unwrap()), "case seed {seed}");
-                    break;
-                }
-                Step::Unsat => {
-                    assert!(!expected, "case seed {seed}");
-                    break;
-                }
-                _ => {}
-            }
-        }
     }
 }

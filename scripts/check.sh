@@ -3,10 +3,113 @@
 # Run from the repo root. Everything works without network access: the
 # workspace depends on no crate outside the tree, and the first gate
 # keeps it that way.
+#
+#   scripts/check.sh                  the prelude: fmt, clippy, build, tests,
+#                                     causal smoke
+#   CHECK_<GATE>=1 scripts/check.sh   the prelude, then that opt-in gate
+#   scripts/check.sh --only <gate>    that gate alone — what each CI job
+#                                     runs, so a gate's commands live here
+#                                     and nowhere else
+#
+# Gates: chaos (CHECK_CHAOS), integrity (CHECK_CORRUPT), audit
+# (CHECK_AUDIT), scaling (CHECK_SCALE), benchmark (CHECK_BENCH),
+# solver-asserts (CHECK_SOLVER).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
+
+# The chaos soak against the sequential oracle. The fast profile samples
+# 5 seeds of every plan; the hierarchical plan gets its full 20 as well
+# (60 runs, seconds): the ghost-Busy thief it found at seed 10 is a
+# two-message race the fast profile never sampled. Then 20 seeds of
+# every plan under the paper's share protocol (`--preset paper`:
+# share_round_s None, the all-pairs flood as soon as learned; what
+# Table 1 runs): 420 runs, under a second.
+gate_chaos() {
+  echo "== chaos soak (fast profile)"
+  cargo run --release -p gridsat-bench --bin chaos_soak -- --fast
+  echo "== chaos soak (submaster-loss, 20 seeds)"
+  cargo run --release -p gridsat-bench --bin chaos_soak -- --plan submaster-loss --seeds 20 --repro
+  echo "== chaos soak (paper share protocol, every plan, 20 seeds)"
+  cargo run --release -p gridsat-bench --bin chaos_soak -- --preset paper --seeds 20 --repro
+}
+
+# Data integrity: every wire decoder against truncated, bit-flipped and
+# garbage bytes (share batches through both the uncached decode and the
+# memoised accessor receivers use), optimised, then a bit-rot-only soak:
+# every payload kind sees bit flips, checksum failures must be dropped
+# and recovered, never acted on, and each run must still end with the
+# oracle's answer.
+gate_integrity() {
+  echo "== decode fuzz (truncation / bit flips / garbage; uncached + memoised share decode)"
+  cargo test --release -q -p gridsat --test decode_fuzz
+  echo "== bit-rot soak (fast profile)"
+  cargo run --release -p gridsat-bench --bin chaos_soak -- --fast --plan bit-rot --repro
+}
+
+# The search-space conservation audit: journal/auditor unit tests plus
+# the failover integration tests with the auditor armed (any lost or
+# double-assigned guiding-path cube panics the run).
+gate_audit() {
+  echo "== conservation audit (journal + failover under the auditor)"
+  cargo test --release -q -p gridsat -- audit journal
+  cargo test --release -q -p gridsat-tests --test reliability -- \
+    dead_master_fails_over_to_the_standby failover_preserves_sat_models
+}
+
+# The control-plane scaling smoke: flat vs hierarchical at n ∈ {12, 100}
+# with the conservation auditor armed, gating on the oracle outcome, the
+# O(sites) root-queue bound and the bound on what one foreign-clause
+# merge may charge (a quantum plus one clause).
+gate_scaling() {
+  echo "== scaling smoke (scaling_1k --fast --check)"
+  cargo run --release -p gridsat-bench --bin scaling_1k -- --fast --check > /dev/null
+}
+
+# The repository benchmark (BENCHMARK.json) is a package of its own that
+# compiles against the public API of the crates here — it reads `Stats`,
+# `ClientStats`, `SolverConfig`'s presets and `GridConfig`, which lose a
+# field when a counter or a switch turns out to have one value in use as
+# well as gain one when a layer is measured anew — so a signature change
+# that breaks it fails this gate, not the next benchmark run. Its unit
+# tests, then every workload once at toy size.
+gate_benchmark() {
+  echo "== benchmark package (unit tests + smoke run of all workloads)"
+  cargo test --offline --manifest-path benchmark/Cargo.toml
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke --seconds 0
+}
+
+# The solver's own tests at optimised speed with debug assertions on.
+# BCP walks its watch list and the assignment through raw pointers; the
+# `debug_assert!`s beside those accesses (and in the clause arena)
+# compile out of a plain release build, and a debug build is too slow to
+# push the fuzzers far. Unit tests, gc_relocation, invariant_fuzz, the
+# trajectory pins and the rest of crates/solver/tests — then the grid
+# crate's tests and the 24-client bit-identity runs the same way, where
+# every quantum of every client goes through the same walk and the merge
+# asserts that every inbox record is whole.
+gate_solver_asserts() {
+  echo "== solver, grid and bit-identity tests, release + debug assertions"
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-solver
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test bit_identity
+}
+
+if [[ $# -gt 0 ]]; then
+  case "$*" in
+    "--only chaos" | "--only integrity" | "--only audit" | "--only scaling" | "--only benchmark")
+      "gate_$2"
+      ;;
+    "--only solver-asserts") gate_solver_asserts ;;
+    *)
+      echo "usage: scripts/check.sh [--only chaos|integrity|audit|scaling|benchmark|solver-asserts]" >&2
+      exit 2
+      ;;
+  esac
+  echo "OK"
+  exit 0
+fi
 
 echo "== no registry dependencies (Cargo.lock sources, [workspace.dependencies] paths)"
 if grep -n '^source = ' Cargo.lock; then
@@ -45,78 +148,12 @@ cargo test -q --workspace --offline --locked
 echo "== grid_report causal smoke (13-client sim, anomaly/path gate)"
 cargo run --release -p gridsat-bench --bin grid_report -- --sim --check > /dev/null
 
-# Opt-in: the chaos soak runs in its own CI job and only here when
-# explicitly requested. The fast profile samples 5 seeds of every plan;
-# the hierarchical plan gets its full 20 as well (60 runs, seconds): the
-# ghost-Busy thief it found at seed 10 is a two-message race the fast
-# profile never sampled. Then 20 seeds of every plan under the paper's
-# share protocol (`--preset paper`: share_round_s None, the flood).
-if [[ "${CHECK_CHAOS:-0}" == "1" ]]; then
-  echo "== chaos soak (fast profile)"
-  cargo run --release -p gridsat-bench --bin chaos_soak -- --fast
-  echo "== chaos soak (submaster-loss, 20 seeds)"
-  cargo run --release -p gridsat-bench --bin chaos_soak -- --plan submaster-loss --seeds 20 --repro
-  echo "== chaos soak (paper share protocol, every plan, 20 seeds)"
-  cargo run --release -p gridsat-bench --bin chaos_soak -- --preset paper --seeds 20 --repro
-fi
-
-# Opt-in: the data-integrity gate — a decode-fuzz smoke pass over every
-# wire decoder, share batches through both the uncached decode and the
-# memoised accessor receivers use (reduced iteration count; the full 10k
-# runs in the normal test suite) plus a bit-rot-only soak: every payload
-# kind sees bit flips and the runs must still end with the oracle's
-# answer.
-if [[ "${CHECK_CORRUPT:-0}" == "1" ]]; then
-  echo "== decode fuzz smoke (truncation / bit flips / garbage; uncached + memoised share decode)"
-  DECODE_FUZZ_ITERS=2000 cargo test --release -q -p gridsat --test decode_fuzz
-  echo "== bit-rot soak (fast profile)"
-  cargo run --release -p gridsat-bench --bin chaos_soak -- --fast --plan bit-rot --repro
-fi
-
-# Opt-in: the search-space conservation audit — journal/auditor unit
-# tests plus the failover integration tests with the auditor armed
-# (any lost or double-assigned cube panics the run).
-if [[ "${CHECK_AUDIT:-0}" == "1" ]]; then
-  echo "== conservation audit (journal + failover under the auditor)"
-  cargo test --release -q -p gridsat -- audit journal
-  cargo test --release -q -p gridsat-tests --test reliability -- \
-    dead_master_fails_over_to_the_standby failover_preserves_sat_models
-fi
-
-# Opt-in: the control-plane scaling smoke — flat vs hierarchical at
-# n ∈ {12, 100} with the conservation auditor armed, gating on the
-# oracle outcome, the O(sites) root-queue bound and the bound on what
-# one foreign-clause merge may charge (a quantum plus one clause).
-if [[ "${CHECK_SCALE:-0}" == "1" ]]; then
-  echo "== scaling smoke (scaling_1k --fast --check)"
-  cargo run --release -p gridsat-bench --bin scaling_1k -- --fast --check > /dev/null
-fi
-
-# Opt-in: the repository benchmark (BENCHMARK.json) is a package of its
-# own that compiles against the public API of the crates here, so a
-# signature change that breaks it fails this gate, not the next
-# benchmark run. Its unit tests, then every workload once at toy size.
-if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
-  echo "== benchmark package (unit tests + smoke run of all workloads)"
-  cargo test --offline --manifest-path benchmark/Cargo.toml
-  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke --seconds 0
-fi
-
-# Opt-in: the solver's own tests at optimised speed with debug assertions
-# on. BCP walks its watch list and the assignment through raw pointers;
-# the `debug_assert!`s beside those accesses (and in the clause arena)
-# compile out of a plain release build, and a debug build is too slow to
-# push the fuzzers far. Unit tests, gc_relocation, invariant_fuzz, the
-# trajectory pins and the rest of crates/solver/tests — then the grid
-# crate's tests and the 24-client bit-identity runs the same way: the
-# share path asserts there that the client's fingerprint window is the
-# only dedup fence it needs and that every inbox record is whole.
-if [[ "${CHECK_SOLVER:-0}" == "1" ]]; then
-  echo "== solver, grid and bit-identity tests, release + debug assertions"
-  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-solver
-  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat
-  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test bit_identity
-fi
+if [[ "${CHECK_CHAOS:-0}" == "1" ]]; then gate_chaos; fi
+if [[ "${CHECK_CORRUPT:-0}" == "1" ]]; then gate_integrity; fi
+if [[ "${CHECK_AUDIT:-0}" == "1" ]]; then gate_audit; fi
+if [[ "${CHECK_SCALE:-0}" == "1" ]]; then gate_scaling; fi
+if [[ "${CHECK_BENCH:-0}" == "1" ]]; then gate_benchmark; fi
+if [[ "${CHECK_SOLVER:-0}" == "1" ]]; then gate_solver_asserts; fi
 
 # Not a gate: `scripts/ab.sh <parent-dir> <change-dir> <workload>|all
 # [pairs] [seed]` measures a change against its parent with the same
