@@ -10,7 +10,7 @@
 use crate::process::{Action, Ctx, MessageSize, NodeInfo, Process};
 use crate::topology::{NodeId, Testbed};
 use gridsat_nws::LoadTrace;
-use gridsat_obs::{DropReason, Event as ObsEvent, MetricsRegistry, Obs};
+use gridsat_obs::{DropReason, Event as ObsEvent, Obs};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
@@ -59,36 +59,6 @@ impl SimStats {
             + self.dropped_dead_peer
             + self.dropped_chaos
             + self.dropped_corrupt
-    }
-
-    /// Bridge every counter into a [`MetricsRegistry`] under `prefix`.
-    /// The exhaustive destructuring makes forgetting a new field a
-    /// compile error.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let SimStats {
-            messages_delivered,
-            bytes_delivered,
-            dropped_capacity,
-            dropped_link_down,
-            dropped_dead_peer,
-            dropped_chaos,
-            dropped_corrupt,
-            corrupted_payloads,
-            delay_spikes,
-            ticks,
-            events,
-        } = *self;
-        reg.counter_add(&format!("{prefix}.messages_delivered"), messages_delivered);
-        reg.counter_add(&format!("{prefix}.bytes_delivered"), bytes_delivered);
-        reg.counter_add(&format!("{prefix}.dropped.capacity"), dropped_capacity);
-        reg.counter_add(&format!("{prefix}.dropped.link_down"), dropped_link_down);
-        reg.counter_add(&format!("{prefix}.dropped.dead_peer"), dropped_dead_peer);
-        reg.counter_add(&format!("{prefix}.dropped.chaos"), dropped_chaos);
-        reg.counter_add(&format!("{prefix}.dropped.corrupt"), dropped_corrupt);
-        reg.counter_add(&format!("{prefix}.corrupted_payloads"), corrupted_payloads);
-        reg.counter_add(&format!("{prefix}.delay_spikes"), delay_spikes);
-        reg.counter_add(&format!("{prefix}.ticks"), ticks);
-        reg.counter_add(&format!("{prefix}.events"), events);
     }
 }
 
@@ -950,16 +920,15 @@ mod tests {
     }
 
     #[test]
-    fn drop_reasons_surface_in_the_metrics_registry() {
+    fn drop_reasons_surface_in_sim_stats() {
         let mut sim = Sim::new(tiny_testbed(), |_| Spam5);
         sim.set_inflight_cap(1);
         sim.run_until(10.0);
-        let mut reg = MetricsRegistry::new();
-        sim.stats.export_metrics(&mut reg, "sim");
-        assert_eq!(reg.counter("sim.dropped.capacity"), 4);
-        assert_eq!(reg.counter("sim.dropped.link_down"), 0);
-        assert_eq!(reg.counter("sim.dropped.dead_peer"), 0);
-        assert_eq!(reg.counter("sim.messages_delivered"), 1);
+        assert_eq!(sim.stats.dropped_capacity, 4);
+        assert_eq!(sim.stats.dropped_link_down, 0);
+        assert_eq!(sim.stats.dropped_dead_peer, 0);
+        assert_eq!(sim.stats.messages_dropped(), 4);
+        assert_eq!(sim.stats.messages_delivered, 1);
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod topology;
 
 pub use engine::{NetChaos, RunEnd, Sim, SimStats, TraceEvent};
 pub use process::{Action, Ctx, MessageSize, NodeInfo, Process};
-pub use reliable::{Reliable, ReliableConfig, ReliableProcess, ReliableStats, Wire};
+pub use reliable::{Reliable, ReliableProcess, ReliableStats, Wire};
 pub use threads::ThreadGrid;
 pub use topology::{HostSpec, Link, NetModel, NodeId, Site, Testbed};

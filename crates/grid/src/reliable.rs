@@ -16,43 +16,26 @@
 
 use crate::process::{Action, Ctx, MessageSize, NodeInfo, Process};
 use crate::topology::NodeId;
-use gridsat_obs::{Event as ObsEvent, MetricsRegistry, Obs};
+use gridsat_obs::{Event as ObsEvent, Obs};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Tunables of the reliable-delivery layer.
-#[derive(Clone, Copy, Debug)]
-pub struct ReliableConfig {
-    /// Base retransmit time-out for a zero-byte message, seconds.
-    pub rto_s: f64,
-    /// Assumed worst-case bandwidth used to scale the time-out with
-    /// message size, so a multi-megabyte subproblem transfer over a WAN
-    /// link is not retransmitted while still in flight.
-    pub rto_bytes_per_s: f64,
-    /// Ceiling on the exponential backoff (the size-scaled base may
-    /// exceed it for very large transfers).
-    pub backoff_cap_s: f64,
-    /// Retransmissions after the original send before the message is
-    /// declared undeliverable.
-    pub max_retries: u32,
-    /// Jitter fraction: each time-out is stretched by up to this much,
-    /// drawn from the seeded RNG (avoids synchronized retry storms).
-    pub jitter_frac: f64,
-    /// Seed for the jitter RNG (mixed with the node id per wrapper).
-    pub seed: u64,
-}
-
-impl Default for ReliableConfig {
-    fn default() -> ReliableConfig {
-        ReliableConfig {
-            rto_s: 5.0,
-            rto_bytes_per_s: 4_000.0,
-            backoff_cap_s: 60.0,
-            max_retries: 5,
-            jitter_frac: 0.1,
-            seed: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-}
+/// Base retransmit time-out for a zero-byte message, seconds.
+const RTO_S: f64 = 5.0;
+/// Assumed worst-case bandwidth used to scale the time-out with message
+/// size, so a multi-megabyte subproblem transfer over a WAN link is not
+/// retransmitted while still in flight.
+const RTO_BYTES_PER_S: f64 = 4_000.0;
+/// Ceiling on the exponential backoff (the size-scaled base may exceed
+/// it for very large transfers).
+const BACKOFF_CAP_S: f64 = 60.0;
+/// Retransmissions after the original send before the message is
+/// declared undeliverable.
+const MAX_RETRIES: u32 = 5;
+/// Jitter fraction: each time-out is stretched by up to this much, drawn
+/// from the seeded RNG (avoids synchronized retry storms).
+const JITTER_FRAC: f64 = 0.1;
+/// Seed for the jitter RNG (mixed with the node id per wrapper).
+const JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The wire envelope around the inner protocol's messages.
 #[derive(Clone, Debug)]
@@ -141,24 +124,6 @@ impl ReliableStats {
         self.corrupt_drops += corrupt_drops;
         self.expired += expired;
     }
-
-    /// Bridge every counter into a [`MetricsRegistry`] under `prefix`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let ReliableStats {
-            data_sent,
-            retransmits,
-            acks_received,
-            dup_drops,
-            corrupt_drops,
-            expired,
-        } = *self;
-        reg.counter_add(&format!("{prefix}.data_sent"), data_sent);
-        reg.counter_add(&format!("{prefix}.retransmits"), retransmits);
-        reg.counter_add(&format!("{prefix}.acks_received"), acks_received);
-        reg.counter_add(&format!("{prefix}.dup_drops"), dup_drops);
-        reg.counter_add(&format!("{prefix}.corrupt_drops"), corrupt_drops);
-        reg.counter_add(&format!("{prefix}.expired"), expired);
-    }
 }
 
 /// What the inner protocol must tell the wrapper.
@@ -205,12 +170,13 @@ struct RecvWindow {
     seen: BTreeSet<u64>,
 }
 
-/// The reliability wrapper. With `config: None` it is a pure
+/// The reliability wrapper. With `tracked: false` it is a pure
 /// passthrough: every send travels as [`Wire::Plain`], no timers run,
 /// and the simulation is bit-identical to the unwrapped protocol.
 pub struct Reliable<P: ReliableProcess> {
     inner: P,
-    config: Option<ReliableConfig>,
+    /// Control messages travel as acked, retransmitted `Data`.
+    tracked: bool,
     epoch: u32,
     started: bool,
     next_seq: BTreeMap<NodeId, u64>,
@@ -225,25 +191,24 @@ pub struct Reliable<P: ReliableProcess> {
 }
 
 impl<P: ReliableProcess> Reliable<P> {
-    pub fn new(inner: P, config: Option<ReliableConfig>) -> Reliable<P> {
-        let seed = config.map(|c| c.seed).unwrap_or(1);
+    pub fn new(inner: P, tracked: bool) -> Reliable<P> {
         Reliable {
             inner,
-            config,
+            tracked,
             epoch: 0,
             started: false,
             next_seq: BTreeMap::new(),
             outstanding: BTreeMap::new(),
             recv: BTreeMap::new(),
-            rng: seed | 1,
+            rng: JITTER_SEED | 1,
             stats: ReliableStats::default(),
             obs: Obs::default(),
             inner_buf: Vec::new(),
         }
     }
 
-    /// Mix a per-node salt into the jitter RNG so wrappers sharing a
-    /// config seed do not jitter in lockstep.
+    /// Mix a per-node salt into the jitter RNG so wrappers sharing
+    /// [`JITTER_SEED`] do not jitter in lockstep.
     pub fn with_rng_salt(mut self, salt: u64) -> Reliable<P> {
         self.rng = (self.rng ^ salt.wrapping_mul(0x2545_F491_4F6C_DD1D)) | 1;
         self
@@ -274,11 +239,11 @@ impl<P: ReliableProcess> Reliable<P> {
     /// retransmissions: size-scaled base, doubled per attempt, capped,
     /// stretched by seeded jitter.
     fn rto(&mut self, bytes: usize, attempt: u32) -> f64 {
-        let cfg = self.config.expect("rto only used with reliability on");
-        let base = cfg.rto_s + bytes as f64 / cfg.rto_bytes_per_s;
+        debug_assert!(self.tracked, "rto only used with reliability on");
+        let base = RTO_S + bytes as f64 / RTO_BYTES_PER_S;
         let backed_off = base * f64::from(1u32 << attempt.min(16));
-        let capped = backed_off.min(cfg.backoff_cap_s.max(base));
-        capped * (1.0 + cfg.jitter_frac * self.jitter())
+        let capped = backed_off.min(BACKOFF_CAP_S.max(base));
+        capped * (1.0 + JITTER_FRAC * self.jitter())
     }
 
     fn next_deadline(&self) -> Option<f64> {
@@ -304,7 +269,7 @@ impl<P: ReliableProcess> Reliable<P> {
         for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
-                    if self.config.is_some() && P::is_control(&msg) {
+                    if self.tracked && P::is_control(&msg) {
                         let counter = self.next_seq.entry(to).or_insert(1);
                         let seq = *counter;
                         *counter += 1;
@@ -352,9 +317,9 @@ impl<P: ReliableProcess> Reliable<P> {
     /// Retransmit due messages; expired ones are removed and returned
     /// for the inner protocol's `on_undeliverable`.
     fn poll(&mut self, ctx: &mut Ctx<Wire<P::Msg>>) -> Vec<(NodeId, P::Msg)> {
-        let Some(cfg) = self.config else {
+        if !self.tracked {
             return Vec::new();
-        };
+        }
         let now = ctx.now();
         // tolerance of one engine tick (1 µs): a deadline landing between
         // microsecond grid points must count as due, or the wrapper would
@@ -368,7 +333,7 @@ impl<P: ReliableProcess> Reliable<P> {
         let mut expired = Vec::new();
         for (to, seq) in due {
             let p = self.outstanding.get(&(to, seq)).expect("due entry");
-            if p.attempt >= cfg.max_retries {
+            if p.attempt >= MAX_RETRIES {
                 let p = self.outstanding.remove(&(to, seq)).expect("due entry");
                 self.stats.expired += 1;
                 expired.push((to, p.msg));
@@ -691,29 +656,20 @@ mod tests {
         }
     }
 
-    fn fast_cfg() -> ReliableConfig {
-        ReliableConfig {
-            rto_s: 1.0,
-            backoff_cap_s: 4.0,
-            max_retries: 3,
-            ..ReliableConfig::default()
-        }
-    }
-
-    fn build(cfg: Option<ReliableConfig>, ctl: u32, lossy: u32) -> Sim<Reliable<Toy>> {
+    fn build(tracked: bool, ctl: u32, lossy: u32) -> Sim<Reliable<Toy>> {
         Sim::new(tiny_testbed(), move |id| {
             let toy = if id == NodeId(0) {
                 Toy::sender(ctl, lossy)
             } else {
                 Toy::receiver()
             };
-            Reliable::new(toy, cfg).with_rng_salt(u64::from(id.0))
+            Reliable::new(toy, tracked).with_rng_salt(u64::from(id.0))
         })
     }
 
     #[test]
     fn fault_free_run_has_zero_retransmits() {
-        let mut sim = build(Some(fast_cfg()), 5, 2);
+        let mut sim = build(true, 5, 2);
         sim.run_until(60.0);
         let rx = sim.process(NodeId(1));
         assert_eq!(rx.inner().received.len(), 7);
@@ -727,7 +683,7 @@ mod tests {
 
     #[test]
     fn control_messages_survive_a_downed_link() {
-        let mut sim = build(Some(fast_cfg()), 3, 3);
+        let mut sim = build(true, 3, 3);
         sim.set_link_down(NodeId(0), NodeId(1));
         sim.schedule_link_up(NodeId(0), NodeId(1), 2.5);
         sim.run_until(60.0);
@@ -756,7 +712,7 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_reports_undeliverable() {
-        let mut sim = build(Some(fast_cfg()), 2, 0);
+        let mut sim = build(true, 2, 0);
         sim.set_link_down(NodeId(0), NodeId(1)); // never comes back
         sim.run_until(300.0);
         let tx = sim.process(NodeId(0));
@@ -778,7 +734,7 @@ mod tests {
             now,
             availability: 1.0,
         };
-        let mut rx = Reliable::new(Toy::receiver(), Some(fast_cfg()));
+        let mut rx = Reliable::new(Toy::receiver(), true);
         let data = Wire::Data {
             seq: 1,
             epoch: 0,
@@ -811,7 +767,7 @@ mod tests {
             now,
             availability: 1.0,
         };
-        let mut rx = Reliable::new(Toy::receiver(), Some(fast_cfg()));
+        let mut rx = Reliable::new(Toy::receiver(), true);
         let mut mangled = ToyMsg::Blob { v: 7, intact: true };
         assert!(mangled.corrupt(1));
         let mut ctx = Ctx::new(info(0.0));
@@ -867,7 +823,7 @@ mod tests {
             now: 0.0,
             availability: 1.0,
         };
-        let mut rx = Reliable::new(Toy::receiver(), Some(fast_cfg()));
+        let mut rx = Reliable::new(Toy::receiver(), true);
         let mut mangled = ToyMsg::Blob { v: 3, intact: true };
         assert!(mangled.corrupt(2));
         let mut ctx = Ctx::new(info);
@@ -891,7 +847,7 @@ mod tests {
             now: 0.0,
             availability: 1.0,
         };
-        let mut rx = Reliable::new(Toy::receiver(), Some(fast_cfg()));
+        let mut rx = Reliable::new(Toy::receiver(), true);
         let send = |rx: &mut Reliable<Toy>, seq, epoch, v| {
             let mut ctx = Ctx::new(info);
             rx.on_message(
@@ -913,7 +869,7 @@ mod tests {
 
     #[test]
     fn passthrough_mode_adds_nothing_to_the_wire() {
-        let mut sim = build(None, 4, 4);
+        let mut sim = build(false, 4, 4);
         sim.run_until(60.0);
         let tx = sim.process(NodeId(0));
         assert_eq!(tx.stats, ReliableStats::default());

@@ -263,7 +263,7 @@ impl FaultPlan {
             share_round_s: base.share_round_s,
             ..profile
         };
-        let testbed = if config.hierarchy.is_some() {
+        let testbed = if config.hierarchy {
             Testbed::scaling(4, 2, true)
         } else {
             Testbed::uniform(4, 1000.0, 3 << 20)
@@ -482,6 +482,29 @@ mod tests {
     fn random_3sat_seed953_submaster_loss_is_answered_sat() {
         let f = gridsat_satgen::random_ksat::random_ksat(30, 126, 3, 953);
         assert_soak_run_agrees_with_the_oracle(&f, 953, "submaster-loss", &GridConfig::default());
+    }
+
+    /// `chaos_soak --seeds 20` with the auditor armed in every plan:
+    /// php/seed13/crash-restart declares UNSAT while a cube is still
+    /// uncovered. `soak_sim` runs this plan without the auditor, so the
+    /// soak's gate stays green over it; the answer is right only because
+    /// php is UNSAT anyway.
+    #[test]
+    #[ignore = "open: ROADMAP item 1, a cube crash-restart leaks past the disarmed auditor"]
+    fn php_seed13_crash_restart_keeps_every_cube_covered() {
+        let config = GridConfig {
+            min_split_timeout: 0.2,
+            work_quantum_s: 0.1,
+            audit: true,
+            ..GridConfig::chaos_hardened()
+        };
+        let cap = config.overall_timeout;
+        let f = gridsat_satgen::php::php(7, 6);
+        let mut sim = build_sim(&f, Testbed::uniform(4, 1000.0, 3 << 20), config);
+        // the soak derives a plan's seed from its own: 13 * 31 + 7
+        FaultPlan::crash_restart(13 * 31 + 7).apply(&mut sim);
+        sim.run_until(cap + 60.0);
+        assert_eq!(report(&sim, cap).outcome, GridOutcome::Unsat);
     }
 
     #[test]

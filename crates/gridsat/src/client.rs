@@ -11,7 +11,7 @@ use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
 use crate::wire::{EncodedBatch, SpecFrame};
 use gridsat_cnf::Clause;
 use gridsat_grid::{Ctx, NodeId, Process};
-use gridsat_obs::{Event, MetricsRegistry, Obs};
+use gridsat_obs::{Event, Obs};
 use gridsat_solver::{FpWindow, Solver, SolverConfig, SplitSpec, Step};
 use std::sync::Arc;
 
@@ -141,63 +141,16 @@ impl ClientStats {
         self.merge_dropped += merge_dropped;
         self.peak_inbox_lits = self.peak_inbox_lits.max(peak_inbox_lits);
     }
-
-    /// Bridge every counter into a [`MetricsRegistry`] under `prefix`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let ClientStats {
-            subproblems,
-            splits,
-            split_requests,
-            share_batches_sent,
-            clauses_received,
-            dup_share_drops,
-            shares_forwarded,
-            share_bytes_sent,
-            share_rounds,
-            share_export_dropped,
-            work,
-            results,
-            migrations,
-            steals,
-            load_reports_sent,
-            load_reports_suppressed,
-            max_step_work,
-            max_merge_burst,
-            merge_dropped,
-            peak_inbox_lits,
-        } = *self;
-        reg.counter_add(&format!("{prefix}.subproblems"), subproblems);
-        reg.counter_add(&format!("{prefix}.splits"), splits);
-        reg.counter_add(&format!("{prefix}.split_requests"), split_requests);
-        reg.counter_add(&format!("{prefix}.share_batches_sent"), share_batches_sent);
-        reg.counter_add(&format!("{prefix}.clauses_received"), clauses_received);
-        reg.counter_add(&format!("{prefix}.dup_share_drops"), dup_share_drops);
-        reg.counter_add(&format!("{prefix}.shares_forwarded"), shares_forwarded);
-        reg.counter_add(&format!("{prefix}.share_bytes_sent"), share_bytes_sent);
-        reg.counter_add(&format!("{prefix}.share_rounds"), share_rounds);
-        reg.counter_add(
-            &format!("{prefix}.share_export_dropped"),
-            share_export_dropped,
-        );
-        reg.counter_add(&format!("{prefix}.work"), work);
-        reg.counter_add(&format!("{prefix}.results"), results);
-        reg.counter_add(&format!("{prefix}.migrations"), migrations);
-        reg.counter_add(&format!("{prefix}.steals"), steals);
-        reg.counter_add(&format!("{prefix}.load_reports_sent"), load_reports_sent);
-        reg.counter_add(
-            &format!("{prefix}.load_reports_suppressed"),
-            load_reports_suppressed,
-        );
-        reg.gauge_set(&format!("{prefix}.max_step_work"), max_step_work as f64);
-        reg.gauge_set(&format!("{prefix}.max_merge_burst"), max_merge_burst as f64);
-        reg.counter_add(&format!("{prefix}.merge_dropped"), merge_dropped);
-        reg.gauge_set(&format!("{prefix}.peak_inbox_lits"), peak_inbox_lits as f64);
-    }
 }
 
 /// How long a client routes split traffic back to the root after its
 /// sub-master proved unreachable (hierarchy extension).
 const BROKER_RETRY_COOLDOWN_S: f64 = 120.0;
+
+/// Period at which an idle client (re-)announces itself to its
+/// sub-master, seconds; also the cadence of its idle housekeeping tick
+/// while stealing is possible (hierarchy extension).
+const STEAL_PERIOD_S: f64 = 10.0;
 
 /// Availability must move by this much before a fresh load report is
 /// worth a message (load-report coalescing).
@@ -330,7 +283,9 @@ impl Client {
     /// The broker to talk to right now, or `None` when hierarchy is off,
     /// no broker is wired, or the broker is inside its failure cooldown.
     fn broker_target(&mut self, now: f64) -> Option<NodeId> {
-        self.config.hierarchy?;
+        if !self.config.hierarchy {
+            return None;
+        }
         let broker = self.broker?;
         if let Some(down) = self.broker_down_at {
             if now - down < BROKER_RETRY_COOLDOWN_S {
@@ -353,10 +308,10 @@ impl Client {
     /// Re-announce idleness when the steal period has elapsed; the
     /// announcement is best-effort soft state, so it is simply repeated.
     fn maybe_announce_idle(&mut self, ctx: &mut Ctx<GridMsg>) {
-        let Some(h) = self.config.hierarchy else {
+        if !self.config.hierarchy {
             return;
-        };
-        if ctx.now() - self.last_idle_announce >= h.steal_period_s {
+        }
+        if ctx.now() - self.last_idle_announce >= STEAL_PERIOD_S {
             self.announce_idle(ctx);
         }
     }
@@ -366,9 +321,9 @@ impl Client {
     /// with it, the client announces itself to the sub-master and keeps
     /// ticking so the announcement refreshes.
     fn enter_idle(&mut self, ctx: &mut Ctx<GridMsg>) {
-        if let Some(h) = self.config.hierarchy {
+        if self.config.hierarchy {
             self.announce_idle(ctx);
-            ctx.schedule_tick(h.steal_period_s);
+            ctx.schedule_tick(STEAL_PERIOD_S);
         } else {
             ctx.idle();
         }
@@ -788,11 +743,11 @@ impl Process for Client {
             // idle clients must keep ticking to renew their lease
             ctx.schedule_tick(HEARTBEAT_PERIOD_S);
         }
-        if let Some(h) = self.config.hierarchy {
+        if self.config.hierarchy {
             // announce idleness to the site sub-master (once the driver
             // has wired one) and keep ticking to refresh it
             self.announce_idle(ctx);
-            ctx.schedule_tick(h.steal_period_s);
+            ctx.schedule_tick(STEAL_PERIOD_S);
         }
     }
 
@@ -1086,9 +1041,9 @@ impl Process for Client {
                     self.maybe_heartbeat(ctx);
                     next = next.min(HEARTBEAT_PERIOD_S);
                 }
-                if let Some(h) = self.config.hierarchy {
+                if self.config.hierarchy {
                     self.maybe_announce_idle(ctx);
-                    next = next.min(h.steal_period_s);
+                    next = next.min(STEAL_PERIOD_S);
                 }
                 if next.is_finite() {
                     ctx.schedule_tick(next);
@@ -1278,24 +1233,6 @@ mod tests {
                 merge_dropped: 40,
                 peak_inbox_lits: 21, // max, not sum
             }
-        );
-
-        let mut reg = MetricsRegistry::default();
-        full.export_metrics(&mut reg, "client");
-        assert_eq!(reg.counter("client.subproblems"), 1);
-        assert_eq!(reg.counter("client.dup_share_drops"), 10);
-        assert_eq!(reg.counter("client.share_bytes_sent"), 12);
-        assert_eq!(reg.counter("client.steals"), 13);
-        assert_eq!(reg.counter("client.load_reports_suppressed"), 15);
-        assert_eq!(reg.gauge("client.max_step_work"), Some(16.0));
-        assert_eq!(reg.gauge("client.max_merge_burst"), Some(17.0));
-        assert_eq!(reg.counter("client.share_rounds"), 18);
-        assert_eq!(reg.counter("client.share_export_dropped"), 19);
-        assert_eq!(reg.counter("client.merge_dropped"), 20);
-        assert_eq!(reg.gauge("client.peak_inbox_lits"), Some(21.0));
-        assert_eq!(
-            reg.render_prometheus().matches("# TYPE client_").count(),
-            20
         );
     }
 
@@ -2163,8 +2100,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, gridsat_grid::Action::ScheduleTick { .. })));
         // idle ticks re-announce once the steal period has elapsed
-        let period = c.config.hierarchy.unwrap().steal_period_s;
-        let mut cx = ctx(period + 1.0);
+        let mut cx = ctx(STEAL_PERIOD_S + 1.0);
         c.on_tick(&mut cx);
         assert!(cx.take_actions().iter().any(|a| matches!(
             a,

@@ -46,8 +46,8 @@ pub const SHARE_TREE_FANOUT: usize = 4;
 /// Client heartbeat period under [`GridConfig::reliability`], seconds
 /// (robustness extension; the paper's protocol assumes TCP and concedes
 /// it "will not tolerate a machine crash"). The wire half of the layer —
-/// retransmit time-out, backoff, retry budget, jitter — is
-/// `gridsat_grid::ReliableConfig::default()`.
+/// retransmit time-out, backoff, retry budget, jitter — lives in
+/// constants of `gridsat_grid::reliable`.
 pub const HEARTBEAT_PERIOD_S: f64 = 10.0;
 
 /// Consecutive missed heartbeats before the master expires a client's
@@ -68,34 +68,6 @@ pub const STANDBY_NODE: u32 = 1;
 /// Silence (no journal batches, not even keepalives) the standby
 /// tolerates before promoting itself, seconds.
 pub const PROMOTE_GRACE_S: f64 = 20.0;
-
-/// Hierarchical control plane (scaling extension): per-site sub-masters
-/// broker split traffic locally via steal tickets, escalating to the
-/// root master only when a site has no idle capacity. The root still
-/// owns the journal, the conservation audit, and the global verdict.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct HierarchyConfig {
-    /// Period at which an idle client (re-)announces itself to its
-    /// sub-master, seconds. Also the cadence of its idle housekeeping
-    /// tick while stealing is possible.
-    pub steal_period_s: f64,
-    /// Minimum spacing between a sub-master's escalations of unmatched
-    /// split offers to the root, seconds. Rate-limits the root-bound
-    /// control stream when a whole site is saturated.
-    pub escalate_period_s: f64,
-    /// Period of sub-master site-status telemetry to the root, seconds.
-    pub status_period_s: f64,
-}
-
-impl Default for HierarchyConfig {
-    fn default() -> Self {
-        HierarchyConfig {
-            steal_period_s: 10.0,
-            escalate_period_s: 60.0,
-            status_period_s: 120.0,
-        }
-    }
-}
 
 /// Tunables of a GridSAT run. Defaults are the paper's first experiment
 /// set (share limit 10, 100-second split time-out floor) with clause
@@ -147,10 +119,13 @@ pub struct GridConfig {
     /// [`PROMOTE_GRACE_S`]. `false` (the default, and the paper's
     /// behaviour) means a dead master wedges the run.
     pub failover: bool,
-    /// Hierarchical control plane: per-site sub-masters + intra-site
-    /// work stealing. `None` (the default, and the paper's behaviour)
-    /// routes every split request through the root master.
-    pub hierarchy: Option<HierarchyConfig>,
+    /// Hierarchical control plane (scaling extension): per-site
+    /// sub-masters broker split traffic locally via steal tickets,
+    /// escalating to the root master only when a site has no idle
+    /// capacity. The root still owns the journal, the conservation
+    /// audit, and the global verdict. `false` (the default, and the
+    /// paper's behaviour) routes every split request through the root.
+    pub hierarchy: bool,
     /// Run the search-space conservation auditor alongside the run,
     /// panicking with a counterexample guiding path if the outstanding
     /// cubes ever stop partitioning the search space exactly.
@@ -173,7 +148,7 @@ impl Default for GridConfig {
             share_round_s: Some(5.0),
             reliability: false,
             failover: false,
-            hierarchy: None,
+            hierarchy: false,
             audit: false,
         }
     }
@@ -218,9 +193,9 @@ impl GridConfig {
         }
     }
 
-    /// Turn on the hierarchical control plane with default periods.
+    /// Turn on the hierarchical control plane.
     pub fn hierarchical(mut self) -> GridConfig {
-        self.hierarchy = Some(HierarchyConfig::default());
+        self.hierarchy = true;
         self
     }
 
@@ -277,10 +252,7 @@ mod tests {
         assert_eq!((STANDBY_NODE, PROMOTE_GRACE_S), (1, 20.0));
 
         // the paper's control plane is flat; hierarchy is opt-in
-        assert!(e1.hierarchy.is_none());
-        let h = GridConfig::default().hierarchical();
-        let hc = h.hierarchy.expect("hierarchical() sets the plane");
-        assert!(hc.steal_period_s > 0.0);
-        assert!(hc.escalate_period_s >= hc.steal_period_s);
+        assert!(!e1.hierarchy);
+        assert!(GridConfig::default().hierarchical().hierarchy);
     }
 }

@@ -10,10 +10,9 @@ use crate::standby::StandbyNode;
 use crate::submaster::{SubMaster, SubMasterStats};
 use gridsat_cnf::Formula;
 use gridsat_grid::{
-    Ctx, NodeId, Process, Reliable, ReliableConfig, ReliableProcess, ReliableStats, RunEnd, Sim,
-    SimStats, Testbed,
+    Ctx, NodeId, Process, Reliable, ReliableProcess, ReliableStats, RunEnd, Sim, SimStats, Testbed,
 };
-use gridsat_obs::{MetricsRegistry, Obs};
+use gridsat_obs::Obs;
 use std::collections::BTreeMap;
 
 /// Any role, so one `Sim` hosts all process kinds.
@@ -122,20 +121,6 @@ impl GridReport {
             other => other.table_cell(),
         }
     }
-
-    /// Fold every stats struct of the run into one metrics registry,
-    /// ready for Prometheus-text or JSON exposition.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.gauge_set("run.seconds", self.seconds);
-        self.master.export_metrics(&mut reg, "master");
-        self.telemetry.export_metrics(&mut reg, "master");
-        self.clients.export_metrics(&mut reg, "client");
-        self.submasters.export_metrics(&mut reg, "submaster");
-        self.reliable.export_metrics(&mut reg, "reliable");
-        self.sim.export_metrics(&mut reg, "sim");
-        reg
-    }
 }
 
 /// Build the simulation for a run (exposed so figures and tests can
@@ -156,7 +141,6 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
         .collect();
     let formula = formula.clone();
     let node_obs = obs.clone();
-    let wire = config.reliability.then(ReliableConfig::default);
     let audit = if config.audit {
         Audit::enabled()
     } else {
@@ -166,18 +150,17 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
     let standby_id = config.failover.then_some(NodeId(STANDBY_NODE));
     // hierarchy wiring: hosts marked as brokers become per-site
     // sub-masters, and every solver client is pointed at its site's one
-    let brokers: std::collections::HashMap<gridsat_grid::Site, NodeId> =
-        if config.hierarchy.is_some() {
-            testbed
-                .hosts
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.broker)
-                .map(|(i, h)| (h.site, NodeId(i as u32)))
-                .collect()
-        } else {
-            Default::default()
-        };
+    let brokers: std::collections::HashMap<gridsat_grid::Site, NodeId> = if config.hierarchy {
+        testbed
+            .hosts
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.broker)
+            .map(|(i, h)| (h.site, NodeId(i as u32)))
+            .collect()
+    } else {
+        Default::default()
+    };
     assert!(
         standby_id.is_none_or(|id| !brokers.values().any(|&b| b == id)),
         "the standby host cannot double as a sub-master"
@@ -189,8 +172,7 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
             master.set_audit(audit.clone());
             GridNode::Master(Box::new(master))
         } else if brokers.values().any(|&b| b == id) {
-            let hc = config.hierarchy.expect("brokers imply hierarchy");
-            GridNode::SubMaster(Box::new(SubMaster::new(master_id, hc)))
+            GridNode::SubMaster(Box::new(SubMaster::new(master_id)))
         } else {
             let mut client = Client::new(master_id, config.clone());
             client.set_obs(node_obs.clone());
@@ -211,7 +193,8 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
                 GridNode::Client(Box::new(client))
             }
         };
-        let mut wrapped = Reliable::new(node, wire).with_rng_salt(u64::from(id.0) + 1);
+        let mut wrapped =
+            Reliable::new(node, config.reliability).with_rng_salt(u64::from(id.0) + 1);
         wrapped.set_obs(node_obs.clone());
         wrapped
     });
@@ -330,13 +313,12 @@ mod tests {
         let busy: f64 = util.clients.iter().map(|c| c.busy_s).sum();
         assert!(busy > 0.0, "at least one client did work");
 
-        // the metrics bridge covers all three stats structs
-        let reg = r.metrics();
-        let prom = reg.render_prometheus();
-        assert!(prom.contains("# TYPE master_results counter"));
-        assert!(prom.contains("# TYPE client_work"));
-        assert!(prom.contains("# TYPE sim_messages_delivered"));
-        assert!(prom.contains("# TYPE run_seconds gauge"));
+        // the report's stats structs agree with the trace they ran beside
+        let count = |k: &str| util.event_counts.get(k).copied().unwrap_or(0);
+        assert!(r.master.results > 0 && r.clients.work > 0);
+        assert!(r.clients.results >= r.master.results);
+        assert_eq!(count("result"), r.master.results);
+        assert_eq!(count("msg_deliver"), r.sim.messages_delivered);
     }
 
     #[test]
@@ -396,14 +378,10 @@ mod tests {
         let config = GridConfig {
             min_split_timeout: 0.5,
             work_quantum_s: 0.25,
-            hierarchy: Some(crate::config::HierarchyConfig {
-                steal_period_s: 1.0,
-                escalate_period_s: 5.0,
-                status_period_s: 30.0,
-            }),
             audit: true,
             ..GridConfig::default()
-        };
+        }
+        .hierarchical();
         let r = run(&f, Testbed::scaling(6, 2, true), config);
         assert_eq!(r.outcome, GridOutcome::Unsat);
         assert_eq!(r.master.verification_failures, 0);
@@ -600,20 +578,16 @@ mod tests {
             .unwrap_or(0.0);
         assert!(solve > 0.0, "some chain time must be solver work");
 
-        // control-plane telemetry reached the snapshot and the report
-        let GridNode::Master(master) = sim.process(NodeId(0)).inner() else {
-            panic!("node 0 is the master");
-        };
-        let snap = master.snapshot();
-        assert!(snap.queue_depth_max > 0, "backlog was sampled");
-        assert!(snap.split_wait.count > 0, "split waits were observed");
-        assert!(snap.split_wait.p99_s >= snap.split_wait.p50_s);
-        assert!(snap
-            .service
+        // control-plane telemetry reached the report
+        let t = &r.telemetry;
+        assert!(t.queue_depth_max > 0, "backlog was sampled");
+        let sw = t.split_wait_summary();
+        assert!(sw.count > 0, "split waits were observed");
+        assert!(sw.p99_s >= sw.p50_s);
+        assert!(t
+            .service_summaries()
             .iter()
             .any(|(k, s)| k == "split_request" && s.count > 0));
-        let sw = r.telemetry.split_wait_summary();
-        assert_eq!(sw.count, snap.split_wait.count);
     }
 
     #[test]

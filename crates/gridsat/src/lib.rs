@@ -62,12 +62,11 @@ pub mod wire;
 pub use audit::Audit;
 pub use chaos::{CrashWindow, FaultPlan, LinkWindow};
 pub use client::Client;
-pub use config::{CheckpointMode, GridConfig, HierarchyConfig, SchedPolicy};
+pub use config::{CheckpointMode, GridConfig, SchedPolicy};
 pub use experiment::{run, GridNode, GridReport, GridSim};
 pub use journal::{JournalRecord, MasterJournal, RecoverySpec};
 pub use master::{
-    ClientSnapshot, ClientState, GrantKind, GridOutcome, LatencySummary, Master, MasterSnapshot,
-    MasterStats, MasterTelemetry,
+    ClientState, GrantKind, GridOutcome, LatencySummary, Master, MasterStats, MasterTelemetry,
 };
 pub use msg::{EndReason, GridMsg, SubResult};
 pub use standby::StandbyNode;

@@ -28,7 +28,7 @@ use crate::wire::SpecFrame;
 use gridsat_cnf::{Assignment, Formula};
 use gridsat_grid::{Ctx, NodeId, Process, Site};
 use gridsat_nws::Forecaster;
-use gridsat_obs::{Event, Histogram, MetricsRegistry, Obs};
+use gridsat_obs::{Event, Histogram, Obs};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -141,50 +141,10 @@ impl MasterStats {
         self.steals_aborted += steals_aborted;
         self.escalations += escalations;
     }
-
-    /// Bridge every counter into a [`MetricsRegistry`] under `prefix`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let MasterStats {
-            max_active_clients,
-            splits,
-            backlogged,
-            migrations,
-            verification_failures,
-            results,
-            recoveries,
-            lease_expiries,
-            requeues,
-            corrupt_msgs,
-            quarantines,
-            steals_settled,
-            steals_aborted,
-            escalations,
-        } = *self;
-        reg.gauge_set(
-            &format!("{prefix}.max_active_clients"),
-            max_active_clients as f64,
-        );
-        reg.counter_add(&format!("{prefix}.splits"), splits);
-        reg.counter_add(&format!("{prefix}.backlogged"), backlogged);
-        reg.counter_add(&format!("{prefix}.migrations"), migrations);
-        reg.counter_add(
-            &format!("{prefix}.verification_failures"),
-            verification_failures,
-        );
-        reg.counter_add(&format!("{prefix}.results"), results);
-        reg.counter_add(&format!("{prefix}.recoveries"), recoveries);
-        reg.counter_add(&format!("{prefix}.lease_expiries"), lease_expiries);
-        reg.counter_add(&format!("{prefix}.requeues"), requeues);
-        reg.counter_add(&format!("{prefix}.corrupt_msgs"), corrupt_msgs);
-        reg.counter_add(&format!("{prefix}.quarantines"), quarantines);
-        reg.counter_add(&format!("{prefix}.steals_settled"), steals_settled);
-        reg.counter_add(&format!("{prefix}.steals_aborted"), steals_aborted);
-        reg.counter_add(&format!("{prefix}.escalations"), escalations);
-    }
 }
 
 /// Quantile summary of a latency histogram, in seconds — the
-/// serializable face of [`Histogram`] for snapshots and reports.
+/// serializable face of [`Histogram`] for reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     pub count: u64,
@@ -214,9 +174,9 @@ impl LatencySummary {
 /// without perturbing the simulation's timing.
 #[derive(Clone, Debug)]
 pub struct MasterTelemetry {
-    /// Queue-depth proxy sampled on every handled message: backlogged
-    /// split requests plus recovered subproblems awaiting dispatch.
-    pub queue_depth: u64,
+    /// Highest queue-depth proxy sampled on a handled message or tick:
+    /// backlogged split requests plus recovered subproblems awaiting
+    /// dispatch.
     pub queue_depth_max: u64,
     queue_depth_sum: u64,
     queue_samples: u64,
@@ -229,7 +189,6 @@ pub struct MasterTelemetry {
 impl Default for MasterTelemetry {
     fn default() -> MasterTelemetry {
         MasterTelemetry {
-            queue_depth: 0,
             queue_depth_max: 0,
             queue_depth_sum: 0,
             queue_samples: 0,
@@ -241,7 +200,6 @@ impl Default for MasterTelemetry {
 
 impl MasterTelemetry {
     fn sample_queue(&mut self, depth: u64) {
-        self.queue_depth = depth;
         self.queue_depth_max = self.queue_depth_max.max(depth);
         self.queue_depth_sum += depth;
         self.queue_samples += 1;
@@ -298,25 +256,6 @@ impl MasterTelemetry {
         }
         self.split_wait.merge(&other.split_wait);
     }
-
-    /// Bridge the telemetry into a [`MetricsRegistry`] under `prefix`:
-    /// queue gauges plus the latency histograms themselves (exposition
-    /// renders their p50/p90/p99).
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.gauge_set(&format!("{prefix}.queue_depth"), self.queue_depth as f64);
-        reg.gauge_set(
-            &format!("{prefix}.queue_depth_max"),
-            self.queue_depth_max as f64,
-        );
-        reg.gauge_set(
-            &format!("{prefix}.queue_depth_mean"),
-            self.mean_queue_depth(),
-        );
-        reg.insert_histogram(&format!("{prefix}.split_wait_s"), self.split_wait.clone());
-        for (k, h) in &self.service {
-            reg.insert_histogram(&format!("{prefix}.service_s.{k}"), h.clone());
-        }
-    }
 }
 
 /// A client's scheduling state as the master sees it.
@@ -364,9 +303,6 @@ pub struct Master {
     pub(crate) core: MasterCore,
     journal: MasterJournal,
     standby: Option<StandbyLink>,
-    /// Simulated second of the last journal replay (restart or
-    /// promotion), for the snapshot.
-    last_replay: Option<f64>,
     /// After a promotion, hold the all-idle UNSAT verdict until this
     /// instant: adoption claims from surviving clients may still be in
     /// flight, and the replayed journal suffix can be behind them.
@@ -408,80 +344,6 @@ pub struct Master {
     corrupt_strikes: BTreeMap<NodeId, u32>,
     /// Event-tracing handle (disabled by default).
     obs: Obs,
-}
-
-/// One client's row in a [`MasterSnapshot`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClientSnapshot {
-    pub id: u32,
-    pub state: ClientState,
-    /// Simulated second the client's current subproblem was assigned.
-    pub problem_since: f64,
-    pub has_checkpoint: bool,
-}
-
-/// Structured, serializable snapshot of the master's scheduler state
-/// (replaces the old free-text `debug_state` dump). `Display` renders
-/// the same human-readable summary the dump used to give.
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct MasterSnapshot {
-    pub clients: Vec<ClientSnapshot>,
-    /// Requesters waiting for an idle peer, in queue order.
-    pub backlog: Vec<u32>,
-    /// In-flight grants as `(requester, peer, kind)`.
-    pub grants: Vec<(u32, u32, GrantKind)>,
-    /// Recovered subproblems awaiting an idle client.
-    pub pending_recoveries: usize,
-    /// The outcome's table cell, once decided.
-    pub outcome: Option<String>,
-    pub stats: MasterStats,
-    /// Records appended to the write-ahead journal so far.
-    pub journal_len: u64,
-    /// Unacked journal suffix at the standby, when one is configured.
-    pub standby_lag: Option<u64>,
-    /// Simulated second of the last journal replay (restart or
-    /// promotion).
-    pub last_replay: Option<f64>,
-    /// Queue-depth proxy at snapshot time (backlog + pending
-    /// recoveries).
-    pub queue_depth: u64,
-    /// Highest queue depth sampled over the run.
-    pub queue_depth_max: u64,
-    /// Split-request -> grant wait latency quantiles.
-    pub split_wait: LatencySummary,
-    /// Modeled per-message-kind service-time quantiles.
-    pub service: Vec<(String, LatencySummary)>,
-}
-
-impl std::fmt::Display for MasterSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for c in &self.clients {
-            if c.state != ClientState::Idle {
-                writeln!(
-                    f,
-                    "n{}: {:?} since {:.0}{}",
-                    c.id,
-                    c.state,
-                    c.problem_since,
-                    if c.has_checkpoint { " [ckpt]" } else { "" }
-                )?;
-            }
-        }
-        writeln!(f, "backlog: {:?}", self.backlog)?;
-        writeln!(f, "grants: {:?}", self.grants)?;
-        match self.standby_lag {
-            Some(lag) => writeln!(
-                f,
-                "journal: {} records, standby lag {lag}",
-                self.journal_len
-            )?,
-            None => writeln!(f, "journal: {} records", self.journal_len)?,
-        }
-        if let Some(outcome) = &self.outcome {
-            writeln!(f, "outcome: {outcome}")?;
-        }
-        Ok(())
-    }
 }
 
 /// The idle clients a grant may go to, ascending by node id.
@@ -528,7 +390,6 @@ impl Master {
             core: MasterCore::default(),
             journal: MasterJournal::new(),
             standby,
-            last_replay: None,
             reconcile_until: f64::NEG_INFINITY,
             awaiting_adopt: BTreeSet::new(),
             audit: Audit::default(),
@@ -569,7 +430,6 @@ impl Master {
         m.core = MasterJournal::replay(&m.formula, &m.config, &records);
         m.journal = MasterJournal::from_records(records);
         m.started = true;
-        m.last_replay = Some(now);
         m.reconcile_until = now + PROMOTE_GRACE_S;
         // This node already minted problem ids while it was a client;
         // a high counter offset keeps the promoted master's mints from
@@ -675,44 +535,6 @@ impl Master {
     /// Simulated second at which the outcome was decided.
     pub fn finished_at(&self) -> f64 {
         self.finished_at
-    }
-
-    /// Structured snapshot of scheduler state (serializable; `Display`
-    /// renders the human-readable form).
-    pub fn snapshot(&self) -> MasterSnapshot {
-        MasterSnapshot {
-            clients: self
-                .core
-                .clients
-                .iter()
-                .map(|(id, c)| ClientSnapshot {
-                    id: id.0,
-                    state: c.state,
-                    problem_since: c.problem_since,
-                    has_checkpoint: c.checkpoint.is_some(),
-                })
-                .collect(),
-            backlog: self.core.backlog.iter().map(|id| id.0).collect(),
-            grants: self
-                .core
-                .grants
-                .iter()
-                .map(|(r, (p, k))| (r.0, p.0, *k))
-                .collect(),
-            pending_recoveries: self.core.pending_recovery.len(),
-            outcome: self.outcome.as_ref().map(|o| o.table_cell()),
-            stats: self.stats,
-            journal_len: self.journal.len(),
-            standby_lag: self
-                .standby
-                .as_ref()
-                .map(|s| self.journal.len().saturating_sub(s.acked)),
-            last_replay: self.last_replay,
-            queue_depth: self.queue_depth(),
-            queue_depth_max: self.telemetry.queue_depth_max,
-            split_wait: self.telemetry.split_wait_summary(),
-            service: self.telemetry.service_summaries(),
-        }
     }
 
     /// The master's inbox-pressure proxy: backlogged split requests plus
@@ -1547,7 +1369,6 @@ impl Process for Master {
             let records = self.journal.len();
             self.obs
                 .emit(now, node, || Event::JournalReplay { records });
-            self.last_replay = Some(now);
             // anything shipped but unacked may have died with us — and a
             // truncated journal may now be shorter than what was acked
             if let Some(link) = self.standby.as_mut() {
@@ -1897,7 +1718,7 @@ impl Process for Master {
                 // root never tracked on its sender also overtook the
                 // donor's notice: closed the same way, before it opens.
                 let open = self.core.pending_steals.contains_key(&problem);
-                let untracked = self.config.hierarchy.is_some()
+                let untracked = self.config.hierarchy
                     && !self.core.seen_steals.contains(&problem)
                     && (self.core.clients.get(&from)).is_none_or(|i| i.problem != Some(problem));
                 if open || untracked {

@@ -17,16 +17,22 @@
 //!
 //! When a whole site is saturated (offers but no idle capacity), the
 //! sub-master escalates at most one offer per
-//! [`HierarchyConfig::escalate_period_s`] to the root
+//! [`ESCALATE_PERIOD_S`] to the root
 //! ([`GridMsg::SplitEscalate`]), which treats it like a plain split
 //! request. The rate limit is the point: the root's queue sees O(sites)
 //! control traffic instead of O(clients).
 
-use crate::config::HierarchyConfig;
 use crate::msg::{GridMsg, ProblemId};
 use gridsat_grid::{Ctx, NodeId, Process};
-use gridsat_obs::MetricsRegistry;
 use std::collections::{BTreeSet, VecDeque};
+
+/// Minimum spacing between a sub-master's escalations of unmatched split
+/// offers to the root, seconds. Rate-limits the root-bound control
+/// stream when a whole site is saturated.
+const ESCALATE_PERIOD_S: f64 = 60.0;
+
+/// Period of sub-master site-status telemetry to the root, seconds.
+const STATUS_PERIOD_S: f64 = 120.0;
 
 /// Counters a sub-master keeps (merged across sites in the report).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -54,25 +60,11 @@ impl SubMasterStats {
         self.offers += offers;
         self.announcements += announcements;
     }
-
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let SubMasterStats {
-            tickets,
-            escalations,
-            offers,
-            announcements,
-        } = *self;
-        reg.counter_add(&format!("{prefix}.tickets"), tickets);
-        reg.counter_add(&format!("{prefix}.escalations"), escalations);
-        reg.counter_add(&format!("{prefix}.offers"), offers);
-        reg.counter_add(&format!("{prefix}.announcements"), announcements);
-    }
 }
 
 /// The sub-master process for one site.
 pub struct SubMaster {
     root: NodeId,
-    config: HierarchyConfig,
     /// Clients of this site currently announced idle.
     idle: BTreeSet<NodeId>,
     /// Unmatched split offers: (donor, problem), one per donor.
@@ -86,10 +78,9 @@ pub struct SubMaster {
 }
 
 impl SubMaster {
-    pub fn new(root: NodeId, config: HierarchyConfig) -> SubMaster {
+    pub fn new(root: NodeId) -> SubMaster {
         SubMaster {
             root,
-            config,
             idle: BTreeSet::new(),
             offers: VecDeque::new(),
             // allow an immediate first escalation
@@ -118,7 +109,7 @@ impl Process for SubMaster {
         self.idle.clear();
         self.offers.clear();
         self.root_wants_work = false;
-        ctx.schedule_tick(self.config.status_period_s);
+        ctx.schedule_tick(STATUS_PERIOD_S);
     }
 
     fn on_message(&mut self, from: NodeId, msg: GridMsg, ctx: &mut Ctx<GridMsg>) {
@@ -144,7 +135,7 @@ impl Process for SubMaster {
                 if let Some(thief) = self.idle.pop_first() {
                     self.issue_ticket(thief, ctx);
                 } else if self.root_wants_work
-                    || ctx.now() - self.last_escalate >= self.config.escalate_period_s
+                    || ctx.now() - self.last_escalate >= ESCALATE_PERIOD_S
                 {
                     // site saturated: hand one offer to the root —
                     // immediately if a solicit is pending, otherwise
@@ -193,7 +184,7 @@ impl Process for SubMaster {
                 steals: self.stats.tickets,
             },
         );
-        ctx.schedule_tick(self.config.status_period_s);
+        ctx.schedule_tick(STATUS_PERIOD_S);
     }
 
     fn on_node_down(&mut self, node: NodeId, _ctx: &mut Ctx<GridMsg>) {
@@ -241,7 +232,7 @@ mod tests {
     }
 
     fn sm() -> SubMaster {
-        SubMaster::new(NodeId(0), HierarchyConfig::default())
+        SubMaster::new(NodeId(0))
     }
 
     #[test]
@@ -320,7 +311,7 @@ mod tests {
         assert!(sent(&mut c).is_empty(), "escalation is rate-limited");
         assert_eq!(s.stats.escalations, 1);
         // past the window it escalates again
-        let mut c = ctx(1.0 + HierarchyConfig::default().escalate_period_s);
+        let mut c = ctx(1.0 + ESCALATE_PERIOD_S);
         s.on_message(
             NodeId(5),
             GridMsg::SplitRequest {

@@ -1,17 +1,8 @@
-//! A registry of named counters, gauges and histograms with
-//! Prometheus-text and JSON exposition.
-//!
-//! The three pre-existing stats structs (`gridsat_solver::Stats`,
-//! `gridsat_grid::SimStats`, `gridsat::MasterStats`/`ClientStats`) bridge
-//! into one registry via their `export_metrics` methods, so a run's
-//! counters land in a single scrapeable document instead of three
-//! disconnected `Debug` dumps.
+//! The fixed-bucket [`Histogram`] behind the master's control-plane
+//! latency telemetry (`gridsat::MasterTelemetry`): quantiles, mean and a
+//! lossless merge, nothing rendered.
 
-use crate::json::{write_escaped, write_f64};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// A fixed-bucket histogram (cumulative on exposition, like Prometheus).
+/// A fixed-bucket histogram.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     /// Upper bounds of the finite buckets, strictly increasing.
@@ -24,12 +15,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Powers-of-two bounds from 1 to 65536 — a good default for the
-    /// sizes and lengths this codebase observes.
-    pub fn pow2() -> Histogram {
-        Histogram::with_bounds((0..=16).map(|i| f64::from(1u32 << i)).collect())
-    }
-
     /// Doubling latency bounds from 100 µs to ~104 s — the right scale
     /// for the control-plane latencies (queue waits, service times) this
     /// codebase measures in seconds.
@@ -59,37 +44,12 @@ impl Histogram {
         self.count += 1;
     }
 
-    /// Observe the same value `n` times in one step (bridging a
-    /// pre-aggregated bucket count into the histogram).
-    pub fn observe_n(&mut self, v: f64, n: u64) {
-        let i = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[i] += n;
-        self.sum += v * n as f64;
-        self.count += n;
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }
 
     pub fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// `(upper_bound, cumulative_count)` pairs, ending with `(inf, count)`.
-    pub fn cumulative(&self) -> Vec<(f64, u64)> {
-        let mut acc = 0;
-        let mut out = Vec::with_capacity(self.counts.len());
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            let bound = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            out.push((bound, acc));
-        }
-        out
     }
 
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) from the bucket counts,
@@ -172,194 +132,9 @@ impl Histogram {
     }
 }
 
-/// The registry. Metric names are free-form here; exposition sanitizes
-/// them to the Prometheus charset.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += v;
-    }
-
-    pub fn gauge_set(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
-    }
-
-    /// Observe into a histogram, created with power-of-two buckets on
-    /// first use.
-    pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::pow2)
-            .observe(v);
-    }
-
-    /// Observe the same value `n` times into a histogram (created with
-    /// power-of-two buckets on first use). Used to bridge counters that
-    /// were aggregated outside the registry, like the solver's per-bucket
-    /// LBD counts.
-    pub fn observe_n(&mut self, name: &str, v: f64, n: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::pow2)
-            .observe_n(v, n);
-    }
-
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Install a fully-populated histogram under `name` (merging into an
-    /// existing one is not supported — last insert wins). Used to bridge
-    /// histograms aggregated outside the registry, like the master's
-    /// control-plane latency telemetry.
-    pub fn insert_histogram(&mut self, name: &str, h: Histogram) {
-        self.histograms.insert(name.to_string(), h);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Prometheus text exposition format (v0.0.4).
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (bound, cum) in h.cumulative() {
-                if bound.is_finite() {
-                    let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cum}");
-                } else {
-                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
-                }
-            }
-            let _ = writeln!(out, "{name}_sum {}", h.sum());
-            let _ = writeln!(out, "{name}_count {}", h.count());
-            let _ = writeln!(out, "{name}_p50 {}", h.p50());
-            let _ = writeln!(out, "{name}_p90 {}", h.p90());
-            let _ = writeln!(out, "{name}_p99 {}", h.p99());
-        }
-        out
-    }
-
-    /// JSON exposition: one object with `counters`, `gauges` and
-    /// `histograms` sections.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(&mut out, name);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(&mut out, name);
-            out.push(':');
-            write_f64(&mut out, *v);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(&mut out, name);
-            let _ = write!(out, ":{{\"count\":{},\"sum\":", h.count());
-            write_f64(&mut out, h.sum());
-            for (label, v) in [("p50", h.p50()), ("p90", h.p90()), ("p99", h.p99())] {
-                let _ = write!(out, ",\"{label}\":");
-                write_f64(&mut out, v);
-            }
-            out.push_str(",\"buckets\":[");
-            for (j, (bound, cum)) in h.cumulative().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                if bound.is_finite() {
-                    write_f64(&mut out, *bound);
-                } else {
-                    out.push_str("null");
-                }
-                let _ = write!(out, ",{cum}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-/// Prometheus metric names are `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-fn sanitize(name: &str) -> String {
-    let mut s: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        s.insert(0, '_');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate_and_missing_reads_zero() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("solver.conflicts", 3);
-        r.counter_add("solver.conflicts", 4);
-        assert_eq!(r.counter("solver.conflicts"), 7);
-        assert_eq!(r.counter("absent"), 0);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let mut r = MetricsRegistry::new();
-        r.gauge_set("clients.active", 3.0);
-        r.gauge_set("clients.active", 5.0);
-        assert_eq!(r.gauge("clients.active"), Some(5.0));
-    }
 
     #[test]
     fn histogram_buckets_are_cumulative() {
@@ -369,46 +144,16 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 5060.5);
-        assert_eq!(
-            h.cumulative(),
-            vec![(1.0, 1), (10.0, 3), (100.0, 4), (f64::INFINITY, 5)]
-        );
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("sim.messages-delivered", 12);
-        r.gauge_set("run.seconds", 33.5);
-        r.observe("learn.len", 3.0);
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE sim_messages_delivered counter"));
-        assert!(text.contains("sim_messages_delivered 12"));
-        assert!(text.contains("# TYPE run_seconds gauge"));
-        assert!(text.contains("run_seconds 33.5"));
-        assert!(text.contains("learn_len_bucket{le=\"4\"} 1"));
-        assert!(text.contains("learn_len_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("learn_len_count 1"));
-    }
-
-    #[test]
-    fn json_exposition_parses_as_flat_sections() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("a", 1);
-        r.gauge_set("g", 0.5);
-        r.observe("h", 2.0);
-        let json = r.render_json();
-        // the document nests, so spot-check the layout textually
-        assert!(json.starts_with("{\"counters\":{\"a\":1}"));
-        assert!(json.contains("\"gauges\":{\"g\":0.5}"));
-        assert!(json.contains("\"histograms\":{\"h\":{\"count\":1,\"sum\":2,"));
-        assert!(json.ends_with("}}"));
-    }
-
-    #[test]
-    fn name_sanitization() {
-        assert_eq!(sanitize("a.b-c d"), "a_b_c_d");
-        assert_eq!(sanitize("0bad"), "_0bad");
+        // cumulative counts 1, 3, 4, 5: the quantile at each bucket's
+        // cumulative share is that bucket's upper bound, and the
+        // overflow bucket clamps to the last finite one
+        for (q, bound) in [(0.2, 1.0), (0.6, 10.0), (0.8, 100.0), (1.0, 100.0)] {
+            assert!(
+                (h.quantile(q) - bound).abs() < 1e-9,
+                "q={q}: {}",
+                h.quantile(q)
+            );
+        }
     }
 
     #[test]
@@ -448,7 +193,7 @@ mod tests {
 
     #[test]
     fn quantile_edge_cases() {
-        let empty = Histogram::pow2();
+        let empty = Histogram::latency_s();
         assert_eq!(empty.p50(), 0.0);
         assert_eq!(empty.mean(), 0.0);
         // everything in the +Inf overflow bucket clamps to the highest
@@ -508,22 +253,5 @@ mod tests {
         // half the mass is at ~1ms, half at ~100ms: p90 lands high
         assert!(a.p90() > 0.05, "p90 = {}", a.p90());
         assert!(a.p50() <= 0.0512, "p50 = {}", a.p50());
-    }
-
-    #[test]
-    fn quantiles_in_expositions() {
-        let mut r = MetricsRegistry::new();
-        let mut h = Histogram::with_bounds(vec![1.0, 2.0]);
-        h.observe(0.5);
-        h.observe(0.5);
-        r.insert_histogram("lat", h);
-        let text = r.render_prometheus();
-        assert!(text.contains("lat_p50 0.5"));
-        assert!(text.contains("lat_p90 0.9"));
-        assert!(text.contains("lat_p99 0.99"));
-        let json = r.render_json();
-        assert!(
-            json.contains("\"lat\":{\"count\":2,\"sum\":1,\"p50\":0.5,\"p90\":0.9,\"p99\":0.99,")
-        );
     }
 }

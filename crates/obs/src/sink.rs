@@ -1,28 +1,14 @@
-//! Event sinks and the cloneable [`Obs`] handle threaded through the
-//! solver, engine, master and client.
+//! The bounded [`RingBuffer`] recorder and the cloneable [`Obs`] handle
+//! threaded through the solver, engine, master and client.
 //!
 //! The handle's disabled state is a bare `None`, so an instrumented hot
 //! path pays one branch and never constructs the event (payload closures
-//! run only when a sink is installed). This is what keeps the solver-core
+//! run only when a ring is installed). This is what keeps the solver-core
 //! benchmarks flat when tracing is off.
 
 use crate::event::{Event, TimedEvent};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-/// Receives lifecycle events. Implementations must be `Send` because the
-/// real-thread Grid backend runs processes on OS threads.
-pub trait EventSink: Send {
-    fn record(&mut self, ev: TimedEvent);
-}
-
-/// Discards everything (useful to measure sink-call overhead itself).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _ev: TimedEvent) {}
-}
 
 /// A bounded ring buffer of events: when full, the oldest events are
 /// evicted and counted, so a runaway trace can never exhaust memory.
@@ -69,9 +55,7 @@ impl RingBuffer {
         }
         out
     }
-}
 
-impl EventSink for RingBuffer {
     fn record(&mut self, ev: TimedEvent) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
@@ -118,38 +102,25 @@ fn lock_clocks(clocks: &Arc<Mutex<ClockTable>>) -> std::sync::MutexGuard<'_, Clo
     }
 }
 
-/// Cloneable handle to an optional shared sink. `Obs::default()` is the
+/// Cloneable handle to an optional shared ring. `Obs::default()` is the
 /// disabled no-op; every instrumented component holds one. A *causal*
 /// handle additionally carries a shared [`ClockTable`] and stamps every
 /// event with a per-node Lamport `seq` and a `cause` edge; unclocked
 /// handles write `seq == cause == 0` (the pre-causal format).
 #[derive(Clone, Default)]
 pub struct Obs {
-    sink: Option<Arc<Mutex<dyn EventSink>>>,
+    ring: Option<Arc<Mutex<RingBuffer>>>,
     clocks: Option<Arc<Mutex<ClockTable>>>,
 }
 
 impl Obs {
-    /// The disabled handle (same as `Obs::default()`).
-    pub fn disabled() -> Obs {
-        Obs::default()
-    }
-
-    /// Wrap an arbitrary shared sink.
-    pub fn with_sink(sink: Arc<Mutex<dyn EventSink>>) -> Obs {
-        Obs {
-            sink: Some(sink),
-            clocks: None,
-        }
-    }
-
     /// A handle backed by a fresh bounded ring buffer; the second return
     /// value keeps typed access for export after the run.
     pub fn ring(cap: usize) -> (Obs, Arc<Mutex<RingBuffer>>) {
         let ring = Arc::new(Mutex::new(RingBuffer::new(cap)));
         (
             Obs {
-                sink: Some(ring.clone() as Arc<Mutex<dyn EventSink>>),
+                ring: Some(ring.clone()),
                 clocks: None,
             },
             ring,
@@ -167,21 +138,21 @@ impl Obs {
     /// disabled handle). All clones taken *after* this call share the
     /// table; clones taken before keep stamping `seq == 0`.
     pub fn causal(mut self) -> Obs {
-        if self.sink.is_some() {
+        if self.ring.is_some() {
             self.clocks = Some(Arc::new(Mutex::new(ClockTable::default())));
         }
         self
     }
 
-    /// Is a sink installed? Callers with expensive pre-computation can
+    /// Is a ring installed? Callers with expensive pre-computation can
     /// guard on this; simple payloads should just use [`Obs::emit`].
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.sink.is_some()
+        self.ring.is_some()
     }
 
     /// Record an event. The payload closure is evaluated only when a
-    /// sink is installed, so the disabled path costs a single branch.
+    /// ring is installed, so the disabled path costs a single branch.
     /// On a causal handle the event's `cause` is the node's current
     /// cause register (see [`Obs::set_cause`]).
     #[inline]
@@ -218,7 +189,7 @@ impl Obs {
         cause: Option<u64>,
         event: impl FnOnce() -> Event,
     ) -> u64 {
-        let Some(sink) = &self.sink else {
+        let Some(ring) = &self.ring else {
             return 0;
         };
         let (seq, cause) = match &self.clocks {
@@ -237,9 +208,9 @@ impl Obs {
             cause,
             event: event(),
         };
-        // a panic while a sink lock was held poisons it; keep
+        // a panic while the ring's lock was held poisons it; keep
         // recording rather than silently disabling the trace
-        match sink.lock() {
+        match ring.lock() {
             Ok(mut guard) => guard.record(ev),
             Err(poisoned) => poisoned.into_inner().record(ev),
         }
@@ -333,7 +304,7 @@ mod tests {
 
     #[test]
     fn disabled_handle_never_runs_the_payload() {
-        let obs = Obs::disabled();
+        let obs = Obs::default();
         let mut ran = false;
         obs.emit(0.0, 0, || {
             ran = true;

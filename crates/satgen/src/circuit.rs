@@ -233,11 +233,6 @@ impl CircuitBuilder {
     pub fn finish(self, name: impl Into<String>) -> Formula {
         self.f.with_name(name)
     }
-
-    /// Access the formula under construction (e.g. to add raw clauses).
-    pub fn formula_mut(&mut self) -> &mut Formula {
-        &mut self.f
-    }
 }
 
 impl Default for CircuitBuilder {

@@ -77,11 +77,6 @@ pub fn adder_miter(width: usize, block: usize, inject_bug: bool) -> Formula {
     ))
 }
 
-/// Expected status: SAT iff a bug was injected.
-pub fn adder_miter_is_sat(inject_bug: bool) -> bool {
-    inject_bug
-}
-
 /// Multiplier-commutativity miter: asserts `a*b != b*a` over two instances
 /// of the array multiplier. UNSAT, and *hard* — multiplier equivalence is
 /// among the hardest circuit families for CDCL, which is what the biggest

@@ -465,11 +465,6 @@ impl Solver {
         self.db.activity_increment()
     }
 
-    /// The split assumptions this solver was created with.
-    pub fn split_assumptions(&self) -> &[Lit] {
-        &self.assumptions
-    }
-
     /// The truth value of a literal under the current assignment.
     #[inline]
     pub fn lit_value(&self, l: Lit) -> Value {
@@ -1449,11 +1444,6 @@ impl Solver {
                 }
             })
             .collect()
-    }
-
-    /// The literals of a clause by reference (introspection).
-    pub fn clause_lits(&self, cref: ClauseRef) -> &[Lit] {
-        self.db.lits(cref)
     }
 
     /// Export every live clause (used by checkpointing).

@@ -1,7 +1,5 @@
 //! Search statistics and the work metric used by the Grid simulator.
 
-use gridsat_obs::MetricsRegistry;
-
 /// Counters accumulated over a solver's lifetime.
 ///
 /// `work` is the simulator's time proxy: it advances on every watch-list
@@ -122,60 +120,6 @@ impl Stats {
         let bucket = (lbd.clamp(1, 8) - 1) as usize;
         self.lbd_hist[bucket] += 1;
     }
-
-    /// Bridge every counter into a [`MetricsRegistry`] under `prefix`
-    /// (e.g. `solver` → `solver.conflicts`). High-water marks export as
-    /// gauges; everything else as counters.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let Stats {
-            decisions,
-            propagations,
-            conflicts,
-            learned,
-            deleted,
-            pruned,
-            restarts,
-            shared_out,
-            merged_in,
-            merge_discarded,
-            merge_implications,
-            merge_dropped,
-            peak_inbox_lits,
-            max_level,
-            work,
-            max_step_work,
-            max_merge_burst,
-            peak_db_bytes,
-            gc_runs,
-            gc_words,
-            lbd_hist,
-        } = *self;
-        reg.counter_add(&format!("{prefix}.decisions"), decisions);
-        reg.counter_add(&format!("{prefix}.propagations"), propagations);
-        reg.counter_add(&format!("{prefix}.conflicts"), conflicts);
-        reg.counter_add(&format!("{prefix}.learned"), learned);
-        reg.counter_add(&format!("{prefix}.deleted"), deleted);
-        reg.counter_add(&format!("{prefix}.pruned"), pruned);
-        reg.counter_add(&format!("{prefix}.restarts"), restarts);
-        reg.counter_add(&format!("{prefix}.shared_out"), shared_out);
-        reg.counter_add(&format!("{prefix}.merged_in"), merged_in);
-        reg.counter_add(&format!("{prefix}.merge_discarded"), merge_discarded);
-        reg.counter_add(&format!("{prefix}.merge_implications"), merge_implications);
-        reg.counter_add(&format!("{prefix}.merge_dropped"), merge_dropped);
-        reg.counter_add(&format!("{prefix}.work"), work);
-        reg.counter_add(&format!("{prefix}.gc_runs"), gc_runs);
-        reg.counter_add(&format!("{prefix}.gc_words"), gc_words);
-        reg.gauge_set(&format!("{prefix}.max_level"), max_level as f64);
-        reg.gauge_set(&format!("{prefix}.max_step_work"), max_step_work as f64);
-        reg.gauge_set(&format!("{prefix}.max_merge_burst"), max_merge_burst as f64);
-        reg.gauge_set(&format!("{prefix}.peak_db_bytes"), peak_db_bytes as f64);
-        reg.gauge_set(&format!("{prefix}.peak_inbox_lits"), peak_inbox_lits as f64);
-        for (i, &n) in lbd_hist.iter().enumerate() {
-            if n > 0 {
-                reg.observe_n(&format!("{prefix}.lbd"), (i + 1) as f64, n);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -272,27 +216,5 @@ mod tests {
         s.note_lbd(8);
         s.note_lbd(100); // saturates into the last bucket
         assert_eq!(s.lbd_hist, [1, 2, 0, 0, 0, 0, 0, 2]);
-    }
-
-    #[test]
-    fn metrics_export_covers_every_counter() {
-        let mut reg = MetricsRegistry::new();
-        full().export_metrics(&mut reg, "solver");
-        assert_eq!(reg.counter("solver.decisions"), 1);
-        assert_eq!(reg.counter("solver.work"), 13);
-        assert_eq!(reg.counter("solver.gc_runs"), 15);
-        assert_eq!(reg.counter("solver.gc_words"), 16);
-        assert_eq!(reg.gauge("solver.max_level"), Some(12.0));
-        assert_eq!(reg.gauge("solver.peak_db_bytes"), Some(14.0));
-        assert_eq!(reg.gauge("solver.max_step_work"), Some(26.0));
-        assert_eq!(reg.gauge("solver.max_merge_burst"), Some(27.0));
-        assert_eq!(reg.counter("solver.merge_dropped"), 28);
-        assert_eq!(reg.gauge("solver.peak_inbox_lits"), Some(29.0));
-        // every lbd_hist bucket lands in the histogram
-        let h = reg.histogram("solver.lbd").expect("lbd histogram");
-        assert_eq!(h.count(), (17..=24).sum::<u64>());
-        // 15 counters + 5 gauges + 1 histogram, all present in the exposition
-        let text = reg.render_prometheus();
-        assert_eq!(text.matches("# TYPE solver_").count(), 21);
     }
 }
