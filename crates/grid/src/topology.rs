@@ -27,7 +27,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Geographic site; links within a site are LAN, across sites WAN.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Site {
     Utk,
     Uiuc,

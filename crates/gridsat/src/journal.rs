@@ -17,6 +17,7 @@
 //! and replay can never diverge from the live fold.
 
 use crate::config::{CheckpointMode, GridConfig, SHARE_TREE_FANOUT};
+use crate::idle::{Hosts, IdleIndex};
 use crate::master::{ClientState, GrantKind};
 use crate::msg::{Checkpoint, ProblemId};
 use crate::wire::{self, WireError};
@@ -779,12 +780,15 @@ impl SealedRecord {
 /// [`MasterCore`]; the forecaster and lease clock are live-only
 /// refinements excluded from replay equality (they are rebuilt from the
 /// availability carried in Launch/AdoptClaim records and from fresh
-/// traffic).
+/// traffic). State and rank change only through [`MasterCore`], which
+/// keeps its idle index in step with them.
 pub(crate) struct ClientInfo {
-    pub(crate) state: ClientState,
-    pub(crate) memory: usize,
-    pub(crate) speed: f64,
-    pub(crate) forecast: Adaptive,
+    state: ClientState,
+    memory: usize,
+    speed: f64,
+    forecast: Adaptive,
+    /// Cached [`ClientInfo::rank`], refreshed whenever the forecast moves.
+    rank: f64,
     /// When the client's current subproblem was assigned.
     pub(crate) problem_since: f64,
     /// Identity of the client's current subproblem, as far as the master
@@ -800,18 +804,37 @@ pub(crate) struct ClientInfo {
 
 impl ClientInfo {
     fn launched(memory: usize, speed: f64, availability: f64, at: f64) -> ClientInfo {
-        let mut forecast = Adaptive::standard();
-        forecast.update(availability);
-        ClientInfo {
+        let mut info = ClientInfo {
             state: ClientState::Idle,
             memory,
             speed,
-            forecast,
+            forecast: Adaptive::standard(),
+            rank: 0.0,
             problem_since: 0.0,
             problem: None,
             checkpoint: None,
             last_seen: at,
-        }
+        };
+        info.observe(availability);
+        info
+    }
+
+    pub(crate) fn state(&self) -> ClientState {
+        self.state
+    }
+
+    /// The scheduler's rank (paper Section 3.3): peak speed times the
+    /// forecast availability, memory as a small tie-break so
+    /// better-provisioned hosts win.
+    pub(crate) fn rank(&self) -> f64 {
+        self.rank
+    }
+
+    /// Feed one availability measurement to the forecaster.
+    fn observe(&mut self, availability: f64) {
+        self.forecast.update(availability);
+        let availability = self.forecast.predict().unwrap_or(1.0).clamp(0.01, 1.0);
+        self.rank = self.speed * availability + self.memory as f64 * 1e-9;
     }
 }
 
@@ -881,9 +904,87 @@ pub(crate) struct MasterCore {
     /// so a membership change re-links a handful of nodes. Folded from the
     /// journal, so a replayed master links the fleet as the live one did.
     pub(crate) slots: Vec<NodeId>,
+    /// Derived from `clients` and kept in step with it by
+    /// [`MasterCore::set_state`], [`MasterCore::admit`],
+    /// [`MasterCore::remove`] and [`MasterCore::report_load`]: the idle
+    /// clients ordered for the scheduler, and how many clients are Busy or
+    /// Receiving. Outside [`CoreImage`]; a replay rebuilds both.
+    pub(crate) idle: IdleIndex,
+    busy: usize,
 }
 
 impl MasterCore {
+    /// An empty core whose idle index knows each host's site.
+    pub(crate) fn new(hosts: Hosts) -> MasterCore {
+        MasterCore {
+            idle: IdleIndex::new(hosts),
+            ..MasterCore::default()
+        }
+    }
+
+    /// Take `client` out of the derived counts before its row changes.
+    fn untrack(&mut self, client: NodeId) {
+        if let Some(info) = self.clients.get(&client) {
+            match info.state {
+                ClientState::Idle => self.idle.remove(client, info.rank),
+                ClientState::Busy | ClientState::Receiving => self.busy -= 1,
+            }
+        }
+    }
+
+    /// Put `client` back into the derived counts after its row changed.
+    fn track(&mut self, client: NodeId) {
+        if let Some(info) = self.clients.get(&client) {
+            match info.state {
+                ClientState::Idle => self.idle.insert(client, info.rank),
+                ClientState::Busy | ClientState::Receiving => self.busy += 1,
+            }
+        }
+    }
+
+    /// Every state transition of a registered client goes through here.
+    fn set_state(&mut self, client: NodeId, state: ClientState) {
+        self.untrack(client);
+        if let Some(info) = self.clients.get_mut(&client) {
+            info.state = state;
+        }
+        self.track(client);
+    }
+
+    /// Put `info` on the roster under `client`, replacing any earlier row.
+    fn admit(&mut self, client: NodeId, info: ClientInfo) {
+        self.untrack(client);
+        if self.clients.insert(client, info).is_none() {
+            self.slots.push(client);
+        }
+        self.track(client);
+    }
+
+    /// Take `client` off the roster; the client in the share tree's last
+    /// slot moves into its slot.
+    fn remove(&mut self, client: NodeId) {
+        self.untrack(client);
+        self.clients.remove(&client);
+        if let Some(slot) = self.slot_of(client) {
+            self.slots.swap_remove(slot);
+        }
+    }
+
+    /// A client's availability measurement (a live-only refinement, not
+    /// journaled): its forecast and rank move.
+    pub(crate) fn report_load(&mut self, client: NodeId, availability: f64) {
+        self.untrack(client);
+        if let Some(info) = self.clients.get_mut(&client) {
+            info.observe(availability);
+        }
+        self.track(client);
+    }
+
+    /// How many registered clients are Busy or Receiving.
+    pub(crate) fn busy_count(&self) -> usize {
+        self.busy
+    }
+
     /// Install a freshly dispatched subproblem on `client`, with the
     /// synthesized initial recovery image (the exact spec sent, so a
     /// crash before the client's first own checkpoint stays
@@ -899,13 +1000,13 @@ impl MasterCore {
         let Some(info) = self.clients.get_mut(&client) else {
             return;
         };
-        info.state = ClientState::Busy;
         info.problem_since = at;
         info.problem = Some(problem);
         info.checkpoint = (config.checkpoint != CheckpointMode::Off).then(|| Checkpoint::Heavy {
             level0: spec.assumptions.clone(),
             learned: spec.clauses.clone(),
         });
+        self.set_state(client, ClientState::Busy);
     }
 
     /// Rebuild a dispatchable subproblem from a recovery image.
@@ -945,16 +1046,11 @@ impl MasterCore {
                 at,
             } => {
                 let info = ClientInfo::launched(*memory, *speed, *availability, *at);
-                if self.clients.insert(*client, info).is_none() {
-                    self.slots.push(*client);
-                }
+                self.admit(*client, info);
                 None
             }
             JournalRecord::Deregister { client } => {
-                self.clients.remove(client);
-                if let Some(slot) = self.slot_of(*client) {
-                    self.slots.swap_remove(slot);
-                }
+                self.remove(*client);
                 self.backlog.retain(|id| id != client);
                 self.early_results.retain(|(n, _)| n != client);
                 None
@@ -1003,9 +1099,7 @@ impl MasterCore {
                 peer,
                 kind,
             } => {
-                if let Some(p) = self.clients.get_mut(peer) {
-                    p.state = ClientState::Receiving;
-                }
+                self.set_state(*peer, ClientState::Receiving);
                 self.grants.insert(*requester, (*peer, *kind));
                 None
             }
@@ -1014,12 +1108,10 @@ impl MasterCore {
                 free_peer,
             } => {
                 if let Some((peer, _)) = self.grants.remove(requester) {
-                    if *free_peer {
-                        if let Some(p) = self.clients.get_mut(&peer) {
-                            if p.state == ClientState::Receiving {
-                                p.state = ClientState::Idle;
-                            }
-                        }
+                    let receiving = (self.clients.get(&peer))
+                        .is_some_and(|p| p.state == ClientState::Receiving);
+                    if *free_peer && receiving {
+                        self.set_state(peer, ClientState::Idle);
                     }
                 }
                 None
@@ -1031,9 +1123,7 @@ impl MasterCore {
                 None
             }
             JournalRecord::MigrateSent { requester } => {
-                if let Some(r) = self.clients.get_mut(requester) {
-                    r.state = ClientState::Idle;
-                }
+                self.set_state(*requester, ClientState::Idle);
                 None
             }
             JournalRecord::TransferIn {
@@ -1043,13 +1133,13 @@ impl MasterCore {
                 at,
             } => {
                 if let Some(info) = self.clients.get_mut(peer) {
-                    info.state = ClientState::Busy;
                     info.problem_since = *at;
                     info.problem = *problem;
                     if let Some(cp) = checkpoint {
                         info.checkpoint = Some(cp.clone());
                     }
                 }
+                self.set_state(*peer, ClientState::Busy);
                 None
             }
             JournalRecord::CheckpointAccept {
@@ -1068,10 +1158,10 @@ impl MasterCore {
             }
             JournalRecord::ClientIdle { client } => {
                 if let Some(info) = self.clients.get_mut(client) {
-                    info.state = ClientState::Idle;
                     info.problem = None;
                     info.checkpoint = None;
                 }
+                self.set_state(*client, ClientState::Idle);
                 None
             }
             JournalRecord::EarlyResultNote { client, problem } => {
@@ -1106,9 +1196,7 @@ impl MasterCore {
                 info.problem_since = *at;
                 info.problem = *problem;
                 info.checkpoint = checkpoint.clone();
-                if self.clients.insert(*client, info).is_none() {
-                    self.slots.push(*client);
-                }
+                self.admit(*client, info);
                 None
             }
             JournalRecord::StealOpen {
@@ -1140,13 +1228,13 @@ impl MasterCore {
                 // thief is now busy with the stolen extension (like
                 // TransferIn, but no grant reserved it)
                 if let Some(t) = self.clients.get_mut(thief) {
-                    t.state = ClientState::Busy;
                     t.problem_since = *at;
                     t.problem = Some(*problem);
                     if let Some(cp) = checkpoint {
                         t.checkpoint = Some(cp.clone());
                     }
                 }
+                self.set_state(*thief, ClientState::Busy);
                 None
             }
             JournalRecord::StealAbort { problem } => {
@@ -1172,13 +1260,6 @@ impl MasterCore {
             tree_parent(slot).map(|p| self.slots[p]),
             self.slots[below.start.min(n)..below.end.min(n)].into(),
         )
-    }
-
-    pub(crate) fn busy_count(&self) -> usize {
-        self.clients
-            .values()
-            .filter(|c| matches!(c.state, ClientState::Busy | ClientState::Receiving))
-            .count()
     }
 
     /// The replay-equality image (see [`CoreImage`]).
@@ -1583,11 +1664,11 @@ mod tests {
         let mut a = MasterJournal::replay(&f, &cfg, &records);
         let b = MasterJournal::replay(&f, &cfg, &records);
         // live-only refinements do not affect the image
-        a.clients.get_mut(&NodeId(1)).unwrap().forecast.update(0.5);
+        a.report_load(NodeId(1), 0.5);
         a.clients.get_mut(&NodeId(1)).unwrap().last_seen = 99.0;
         assert_eq!(a.image(), b.image());
         // scheduling state does
-        a.clients.get_mut(&NodeId(1)).unwrap().state = ClientState::Busy;
+        a.set_state(NodeId(1), ClientState::Busy);
         assert_ne!(a.image(), b.image());
     }
 

@@ -52,6 +52,7 @@ pub mod chaos;
 pub mod client;
 pub mod config;
 pub mod experiment;
+mod idle;
 pub mod journal;
 pub mod master;
 pub mod msg;

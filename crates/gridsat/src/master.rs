@@ -20,6 +20,7 @@ use crate::config::{
     CheckpointMode, GridConfig, SchedPolicy, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR,
     PROMOTE_GRACE_S, QUARANTINE_STRIKES, STANDBY_NODE,
 };
+use crate::idle::{Hosts, REMOTE_DISCOUNT};
 use crate::journal::{
     tree_children, tree_parent, ClientInfo, JournalRecord, MasterCore, MasterJournal, RecoverySpec,
 };
@@ -27,7 +28,6 @@ use crate::msg::{Checkpoint, EndReason, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
 use gridsat_cnf::{Assignment, Formula};
 use gridsat_grid::{Ctx, NodeId, Process, Site};
-use gridsat_nws::Forecaster;
 use gridsat_obs::{Event, Histogram, Obs};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -293,7 +293,7 @@ pub struct Master {
     config: GridConfig,
     /// Static host information from the Grid information service
     /// (MDS-style): peak speed and site.
-    host_info: BTreeMap<NodeId, (f64, Site)>,
+    host_info: Hosts,
     /// This master's own node id: 0 for the initial master, the
     /// standby's id after a promotion.
     me: NodeId,
@@ -346,14 +346,50 @@ pub struct Master {
     obs: Obs,
 }
 
-/// The idle clients a grant may go to, ascending by node id.
+/// The idle clients a grant may go to, ascending by node id: the walk
+/// over the whole roster that the core's idle index replaced.
 fn idle_clients(
     clients: &BTreeMap<NodeId, ClientInfo>,
     exclude: NodeId,
 ) -> impl Iterator<Item = (&NodeId, &ClientInfo)> {
     clients
         .iter()
-        .filter(move |(id, c)| **id != exclude && c.state == ClientState::Idle)
+        .filter(move |(id, c)| **id != exclude && c.state() == ClientState::Idle)
+}
+
+/// What [`Master::pick_idle`] picks, found by walking the whole roster:
+/// the reference model the idle index is checked against, called only by
+/// that function's `debug_assert` and the tests. `draw` is the Random
+/// policy's xorshift draw.
+fn pick_by_walk(
+    clients: &BTreeMap<NodeId, ClientInfo>,
+    host_info: &Hosts,
+    policy: SchedPolicy,
+    exclude: NodeId,
+    near: Option<Site>,
+    draw: u64,
+) -> Option<NodeId> {
+    let score = |id: &NodeId, info: &ClientInfo| match (near, host_info.get(id)) {
+        (Some(a), Some((_, b))) if a != *b => info.rank() * REMOTE_DISCOUNT,
+        _ => info.rank(),
+    };
+    match policy {
+        SchedPolicy::NwsRank => idle_clients(clients, exclude)
+            .max_by(|(a, ia), (b, ib)| {
+                // deterministic ties: lower id
+                score(a, ia).total_cmp(&score(b, ib)).then(b.cmp(a))
+            })
+            .map(|(id, _)| *id),
+        SchedPolicy::WorstRank => idle_clients(clients, exclude)
+            .min_by(|(a, ia), (b, ib)| ia.rank().total_cmp(&ib.rank()).then(a.cmp(b)))
+            .map(|(id, _)| *id),
+        SchedPolicy::Random(_) => match idle_clients(clients, exclude).count() as u64 {
+            0 => None,
+            n => idle_clients(clients, exclude)
+                .nth((draw % n) as usize)
+                .map(|(id, _)| *id),
+        },
+    }
 }
 
 impl Master {
@@ -382,12 +418,13 @@ impl Master {
             sent: 0,
             acked: 0,
         });
+        let host_info = Arc::new(host_info);
         Master {
             formula,
             config,
+            core: MasterCore::new(Arc::clone(&host_info)),
             host_info,
             me,
-            core: MasterCore::default(),
             journal: MasterJournal::new(),
             standby,
             reconcile_until: f64::NEG_INFINITY,
@@ -427,7 +464,7 @@ impl Master {
         let mut m = Master::boot(formula, config, host_info, me);
         m.obs = obs;
         m.audit = audit;
-        m.core = MasterJournal::replay(&m.formula, &m.config, &records);
+        m.core = m.fold(&records);
         m.journal = MasterJournal::from_records(records);
         m.started = true;
         m.reconcile_until = now + PROMOTE_GRACE_S;
@@ -558,6 +595,16 @@ impl Master {
         self.core.apply(&rec, &self.formula, &self.config)
     }
 
+    /// The scheduling state `records` fold to (replay after a restart or a
+    /// promotion), its idle index rebuilt along the way.
+    fn fold(&self, records: &[JournalRecord]) -> MasterCore {
+        let mut core = MasterCore::new(Arc::clone(&self.host_info));
+        for rec in records {
+            core.apply(rec, &self.formula, &self.config);
+        }
+        core
+    }
+
     /// Ship the unsent journal suffix to the standby. With `keepalive`
     /// an empty batch is sent even when nothing is new — the periodic
     /// feed is what lets the standby distinguish a dead master from a
@@ -580,32 +627,8 @@ impl Master {
         ctx.send(to, GridMsg::JournalBatch { start, records });
     }
 
-    fn rank(&self, id: NodeId, info: &ClientInfo) -> f64 {
-        let availability = info.forecast.predict().unwrap_or(1.0).clamp(0.01, 1.0);
-        let speed = self
-            .host_info
-            .get(&id)
-            .map(|(s, _)| *s)
-            .unwrap_or(info.speed);
-        // memory as a small tie-break so better-provisioned hosts win
-        speed * availability + info.memory as f64 * 1e-9
-    }
-
     fn site_of(&self, id: NodeId) -> Option<Site> {
         self.host_info.get(&id).map(|(_, site)| *site)
-    }
-
-    /// Rank discounted by transfer locality: subproblem transfers are
-    /// large, so a same-site target is worth more than a slightly faster
-    /// remote one ("the master [can] select machines that are near the
-    /// splitting client, leading to more efficient use of the available
-    /// bandwidth", Section 3.4).
-    fn placement_score(&self, id: NodeId, info: &ClientInfo, near: Option<Site>) -> f64 {
-        let base = self.rank(id, info);
-        match (near, self.site_of(id)) {
-            (Some(a), Some(b)) if a != b => base * 0.4,
-            _ => base,
-        }
     }
 
     fn xorshift(&mut self) -> u64 {
@@ -618,36 +641,35 @@ impl Master {
         x
     }
 
-    /// Pick an idle client per the configured policy; `near` biases the
-    /// NWS policy toward transfer locality.
-    fn pick_idle(&mut self, exclude: NodeId, near: Option<Site>) -> Option<NodeId> {
-        match self.config.scheduler {
-            SchedPolicy::NwsRank => idle_clients(&self.core.clients, exclude)
-                .max_by(|(a, ia), (b, ib)| {
-                    let ra = self.placement_score(**a, ia, near);
-                    let rb = self.placement_score(**b, ib, near);
-                    ra.total_cmp(&rb).then(b.cmp(a)) // deterministic ties: lower id
-                })
-                .map(|(id, _)| *id),
-            SchedPolicy::WorstRank => idle_clients(&self.core.clients, exclude)
-                .min_by(|(a, ia), (b, ib)| {
-                    let ra = self.rank(**a, ia);
-                    let rb = self.rank(**b, ib);
-                    ra.total_cmp(&rb).then(a.cmp(b))
-                })
-                .map(|(id, _)| *id),
-            SchedPolicy::Random(_) => {
-                // no draw without a candidate: the stream must not advance
-                let n = idle_clients(&self.core.clients, exclude).count();
-                if n == 0 {
-                    return None;
-                }
-                let i = (self.xorshift() % n as u64) as usize;
-                idle_clients(&self.core.clients, exclude)
-                    .nth(i)
-                    .map(|(id, _)| *id)
-            }
-        }
+    /// Pick an idle client other than `exclude` per `policy`, from the
+    /// core's idle index. `near` biases the NWS policy toward transfer
+    /// locality: a client on another site scores its rank times
+    /// [`REMOTE_DISCOUNT`].
+    fn pick_idle(
+        &mut self,
+        policy: SchedPolicy,
+        exclude: NodeId,
+        near: Option<Site>,
+    ) -> Option<NodeId> {
+        // no draw without a candidate: the stream must not advance
+        let draw = match policy {
+            SchedPolicy::Random(_) if self.core.idle.count_except(exclude) > 0 => self.xorshift(),
+            _ => 0,
+        };
+        let pick = self.core.idle.pick(policy, exclude, near, draw);
+        debug_assert_eq!(
+            pick,
+            pick_by_walk(
+                &self.core.clients,
+                &self.host_info,
+                policy,
+                exclude,
+                near,
+                draw
+            ),
+            "the idle index disagrees with the roster walk"
+        );
+        pick
     }
 
     /// The longest-running busy client with a backlogged request
@@ -661,7 +683,7 @@ impl Master {
             let Some(info) = self.core.clients.get(id) else {
                 continue;
             };
-            if info.state != ClientState::Busy {
+            if info.state() != ClientState::Busy {
                 continue;
             }
             match best {
@@ -681,7 +703,7 @@ impl Master {
             .core
             .clients
             .get(&from)
-            .map(|c| c.state == ClientState::Busy)
+            .map(|c| c.state() == ClientState::Busy)
             .unwrap_or(false);
         if busy {
             if self.core.clients[&from].problem.is_none() {
@@ -799,7 +821,7 @@ impl Master {
             return false;
         };
         let near = self.site_of(requester);
-        let Some(peer) = self.pick_idle(requester, near) else {
+        let Some(peer) = self.pick_idle(self.config.scheduler, requester, near) else {
             if !self.core.backlog.contains(&requester) {
                 self.commit(ctx.now(), JournalRecord::BacklogPush { client: requester });
                 self.stats.backlogged += 1;
@@ -859,15 +881,8 @@ impl Master {
         if self.solicit_credits.is_empty()
             || self.outcome.is_some()
             || !self.core.backlog.is_empty()
+            || self.core.idle.len() == 0
         {
-            return;
-        }
-        let any_idle = self
-            .core
-            .clients
-            .values()
-            .any(|c| c.state == ClientState::Idle);
-        if !any_idle {
             return;
         }
         if let Some(broker) = self.solicit_credits.pop_first() {
@@ -891,14 +906,8 @@ impl Master {
         // Only rescue stragglers during the drain phase: a migrated
         // subproblem restarts its search (keeping learned clauses), so
         // mid-run migration costs more than it saves.
-        let idle_count = self
-            .core
-            .clients
-            .values()
-            .filter(|c| c.state == ClientState::Idle)
-            .count();
         let busy = self.core.busy_count();
-        if idle_count < 3 || busy * 4 > self.core.clients.len() {
+        if self.core.idle.len() < 3 || busy * 4 > self.core.clients.len() {
             return;
         }
         // weakest busy client, not already involved in a grant and old
@@ -906,13 +915,13 @@ impl Master {
         let min_age = (2.0 * self.config.min_split_timeout).max(200.0);
         let mut weakest: Option<(NodeId, f64)> = None;
         for (id, c) in &self.core.clients {
-            if c.state != ClientState::Busy || self.core.grants.contains_key(id) {
+            if c.state() != ClientState::Busy || self.core.grants.contains_key(id) {
                 continue;
             }
             if ctx.now() - c.problem_since < min_age {
                 continue;
             }
-            let r = self.rank(*id, c);
+            let r = c.rank();
             if weakest.map(|(_, wr)| r < wr).unwrap_or(true) {
                 weakest = Some((*id, r));
             }
@@ -924,19 +933,10 @@ impl Master {
         // Random/Worst scheduler ablations): moving a hard subproblem to a
         // weak host would defeat the point
         let near = self.site_of(weak_id);
-        let best_idle = self
-            .core
-            .clients
-            .iter()
-            .filter(|(id, c)| **id != weak_id && c.state == ClientState::Idle)
-            .max_by(|(a, ca), (b, cb)| {
-                let ra = self.placement_score(**a, ca, near);
-                let rb = self.placement_score(**b, cb, near);
-                ra.total_cmp(&rb).then(b.cmp(a))
-            })
-            .map(|(id, _)| *id);
-        let Some(best_idle) = best_idle else { return };
-        let idle_rank = self.rank(best_idle, &self.core.clients[&best_idle]);
+        let Some(best_idle) = self.pick_idle(SchedPolicy::NwsRank, weak_id, near) else {
+            return;
+        };
+        let idle_rank = self.core.clients[&best_idle].rank();
         let Some(problem) = self.core.clients.get(&weak_id).and_then(|c| c.problem) else {
             return;
         };
@@ -1130,7 +1130,7 @@ impl Master {
         let Some(info) = self.core.clients.get(&node) else {
             return;
         };
-        match info.state {
+        match info.state() {
             ClientState::Idle => {
                 // "When an idle client is killed ... the master becomes
                 // aware of it and marks the resource as free."
@@ -1294,7 +1294,7 @@ impl Master {
     /// Hand queued recovered subproblems to idle clients.
     fn dispatch_recoveries(&mut self, ctx: &mut Ctx<GridMsg>) {
         while !self.core.pending_recovery.is_empty() {
-            let Some(target) = self.pick_idle(NodeId(u32::MAX), None) else {
+            let Some(target) = self.pick_idle(self.config.scheduler, NodeId(u32::MAX), None) else {
                 return;
             };
             self.minted += 1;
@@ -1362,7 +1362,7 @@ impl Process for Master {
                 });
             }
             self.journal = recovered;
-            self.core = MasterJournal::replay(&self.formula, &self.config, self.journal.records());
+            self.core = self.fold(self.journal.records());
             for info in self.core.clients.values_mut() {
                 info.last_seen = now;
             }
@@ -1599,7 +1599,7 @@ impl Process for Master {
                         // instead. The pair matched, so the cube is done:
                         // release the peer, or it stays Receiving for good
                         let stale_id = self.core.clients.get(&from).is_some_and(|i| {
-                            i.state == ClientState::Receiving
+                            i.state() == ClientState::Receiving
                                 && i.problem.is_some()
                                 && i.problem != problem
                         });
@@ -1773,9 +1773,7 @@ impl Process for Master {
                 }
             }
             GridMsg::LoadReport { availability } => {
-                if let Some(info) = self.core.clients.get_mut(&from) {
-                    info.forecast.update(availability);
-                }
+                self.core.report_load(from, availability);
             }
             // lease renewal; the blanket last_seen refresh above did the work
             GridMsg::Heartbeat => {}
@@ -1845,9 +1843,9 @@ impl Process for Master {
                         // beats the transfer confirmation here, so it
                         // also teaches us the subproblem id early.
                         let fresh =
-                            info.problem == Some(problem) || info.state == ClientState::Receiving;
+                            info.problem == Some(problem) || info.state() == ClientState::Receiving;
                         if fresh {
-                            let learn_problem = info.state == ClientState::Receiving;
+                            let learn_problem = info.state() == ClientState::Receiving;
                             let heavy = matches!(*checkpoint, Checkpoint::Heavy { .. });
                             self.commit(
                                 ctx.now(),

@@ -292,7 +292,7 @@ fn failed_split_frees_the_peer() {
         &mut cx,
     );
     let _ = cx.take_actions();
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Receiving);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
     let mut cx = ctx(2.0);
     m.on_message(
         NodeId(1),
@@ -306,7 +306,7 @@ fn failed_split_frees_the_peer() {
         },
         &mut cx,
     );
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Idle);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
     assert!(m.core.grants.is_empty());
 }
 
@@ -324,7 +324,7 @@ fn undeliverable_grant_frees_the_peer() {
         &mut cx,
     );
     let _ = cx.take_actions();
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Receiving);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
     // the grant toward node 1 exhausts its retry budget
     let mut cx = ctx(40.0);
     m.on_undeliverable(
@@ -335,7 +335,7 @@ fn undeliverable_grant_frees_the_peer() {
         },
         &mut cx,
     );
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Idle);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
     assert!(m.core.grants.is_empty());
 }
 
@@ -365,7 +365,7 @@ fn undeliverable_assign_requeues_the_subproblem() {
         &mut cx,
     );
     assert_eq!(m.stats.requeues, 1);
-    assert_eq!(m.core.clients[&NodeId(1)].state, ClientState::Idle);
+    assert_eq!(m.core.clients[&NodeId(1)].state(), ClientState::Idle);
     // the subproblem went straight back out to the idle node 2
     assert!(cx.take_actions().iter().any(|a| matches!(
         a,
@@ -374,7 +374,7 @@ fn undeliverable_assign_requeues_the_subproblem() {
             msg: GridMsg::Solve { .. }
         }
     )));
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Busy);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
     assert!(m.core.pending_recovery.is_empty());
 }
 
@@ -530,7 +530,7 @@ fn successful_split_protocol_transitions() {
         &mut cx,
     );
     assert_eq!(m.stats.splits, 1);
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Receiving);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
     // message (4) from the peer completes the grant
     let mut cx = ctx(3.0);
     m.on_message(
@@ -545,7 +545,7 @@ fn successful_split_protocol_transitions() {
         },
         &mut cx,
     );
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Busy);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
     assert!(m.core.grants.is_empty());
     assert_eq!(m.stats.max_active_clients, 2);
 }
@@ -686,7 +686,7 @@ fn double_crash_recovers_from_light_then_heavy_checkpoint() {
     let spec = spec.open().expect("frame verifies");
     assert_eq!(spec.assumptions, light_level0);
     assert_eq!(spec.clauses.len(), 9); // light = original clauses
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Busy);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
     // crash 2: the inheritor checkpoints heavily, then dies too
     let heavy_level0 = vec![
         (gridsat_cnf::Lit::pos(0), true),
@@ -770,7 +770,7 @@ fn silent_client_lease_expires_and_is_recovered() {
     assert_eq!(m.stats.lease_expiries, 1);
     assert_eq!(m.stats.recoveries, 1);
     assert!(!m.core.clients.contains_key(&NodeId(1)));
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Busy);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
     assert!(m.outcome().is_none());
     let events = ring.lock().unwrap().events();
     assert!(events
@@ -793,23 +793,45 @@ fn idle_client_loss_is_tolerated() {
 fn backlog_prefers_longest_running_requester() {
     let mut m = master();
     register(&mut m, 1, 0.0); // busy since 0
-                              // make 2 and 3 busy via manual state (simulating earlier splits)
     register(&mut m, 2, 0.0);
     register(&mut m, 3, 0.0);
-    m.core.clients.get_mut(&NodeId(2)).unwrap().state = ClientState::Busy;
-    m.core.clients.get_mut(&NodeId(2)).unwrap().problem_since = 10.0;
-    m.core.clients.get_mut(&NodeId(3)).unwrap().state = ClientState::Busy;
-    m.core.clients.get_mut(&NodeId(3)).unwrap().problem_since = 20.0;
+    // earlier splits of node 1's problem made 2 busy at 10 and 3 at 20;
+    // node 1's own confirmations (Figure 3 message 5) are still in
+    // flight, so its clock still reads 0
+    for (peer, at) in [(2u32, 10.0), (3, 20.0)] {
+        let (requester, peer) = (NodeId(1), NodeId(peer));
+        let records = [
+            JournalRecord::GrantOpen {
+                requester,
+                peer,
+                kind: GrantKind::Split,
+            },
+            JournalRecord::TransferIn {
+                peer,
+                problem: Some(ProblemId::new(requester, peer.0)),
+                checkpoint: None,
+                at,
+            },
+            JournalRecord::GrantClose {
+                requester,
+                free_peer: false,
+            },
+        ];
+        for rec in records {
+            m.commit(at, rec);
+        }
+    }
     // all busy: requests back up (naming the subproblem the master
     // believes each client holds, as real clients do)
     for id in [2u32, 3, 1] {
-        let problem = m.core.clients[&NodeId(id)]
-            .problem
-            .unwrap_or(ProblemId::new(NodeId(id), 1));
+        let problem = m.core.clients[&NodeId(id)].problem.expect("busy");
         let mut cx = ctx(30.0);
         m.on_message(NodeId(id), GridMsg::SplitRequest { problem }, &mut cx);
     }
     assert_eq!(m.core.backlog.len(), 3);
+    // the journal replays to exactly this state
+    let replayed = MasterJournal::replay(&m.formula, &m.config, m.journal.records());
+    assert_eq!(replayed.image(), m.core.image());
     // node 1 has been running longest (since 0.0)
     assert_eq!(m.pop_backlog(30.0), Some(NodeId(1)));
     assert_eq!(m.pop_backlog(30.0), Some(NodeId(2)));
@@ -823,10 +845,10 @@ fn registered_state_reads_straight_from_the_core() {
     register(&mut m, 2, 0.0);
     assert_eq!(m.core.clients.len(), 2);
     let busy = &m.core.clients[&NodeId(1)];
-    assert_eq!(busy.state, ClientState::Busy);
+    assert_eq!(busy.state(), ClientState::Busy);
     assert_eq!(busy.problem_since, 0.0);
     assert!(busy.checkpoint.is_none());
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Idle);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
     assert!(m.core.backlog.is_empty() && m.core.grants.is_empty());
     assert!(m.outcome().is_none());
     // identical histories fold to identical state
@@ -1308,7 +1330,7 @@ fn an_adoption_claim_overtaken_by_its_result_leaves_the_client_idle() {
         }
         let info = &p.core.clients[&NodeId(2)];
         assert_eq!(
-            (info.state, info.problem),
+            (info.state(), info.problem),
             (ClientState::Idle, None),
             "result first: {overtaken}"
         );
@@ -1505,7 +1527,7 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
             m.on_message(from, msg, &mut cx);
         }
         assert_eq!(
-            m.core.clients[&thief].state,
+            m.core.clients[&thief].state(),
             ClientState::Idle,
             "{order:?}: the thief finished its cube"
         );
@@ -1548,7 +1570,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
     let whole = ProblemId::new(NodeId(0), 1);
     let mut cx = ctx(1.0);
     m.on_message(NodeId(1), GridMsg::SplitRequest { problem: whole }, &mut cx);
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Receiving);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
     let previous = ProblemId::new(NodeId(3), 7);
     let cube = ProblemId::new(NodeId(1), 1);
     let light = || Box::new(Checkpoint::Light { level0: vec![] });
@@ -1576,7 +1598,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
         let mut cx = ctx(2.0 + k as f64);
         m.on_message(NodeId(2), msg, &mut cx);
     }
-    assert_eq!(m.core.clients[&NodeId(2)].state, ClientState::Idle);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
     assert!(m.core.grants.is_empty() && m.core.early_results.is_empty());
     let replayed = MasterJournal::replay(&f, &cfg, m.journal.records());
     assert_eq!(replayed.image(), m.core.image());
@@ -1590,4 +1612,274 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
         &mut cx,
     );
     assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
+}
+
+/// The registered clients in `state`, ascending by id.
+fn clients_in(m: &Master, state: ClientState) -> Vec<NodeId> {
+    (m.core.clients.iter())
+        .filter(|(_, c)| c.state() == state)
+        .map(|(id, _)| *id)
+        .collect()
+}
+
+fn choose(rng: &mut gridsat_cnf::rng::Rng, ids: &[NodeId]) -> Option<NodeId> {
+    (!ids.is_empty()).then(|| ids[rng.range_usize(0..ids.len())])
+}
+
+/// Property: over random schedules of every roster change the fold knows
+/// (register, deregister, dispatch, grant open and close with both
+/// `free_peer` values, transfer-in, client idle, steal settle,
+/// migrate-sent, load reports, a master restart, a standby promotion),
+/// the core's idle index picks exactly what the roster walk it replaced
+/// picks, under every policy, `near` site and `exclude`, and its counts
+/// equal their walks. The hosts make rank ties (equal speeds) and remote
+/// rounding ties (neighbouring speeds whose discounted scores round to
+/// one float, the higher rank on the higher id); the test checks that
+/// both were met.
+#[test]
+fn idle_index_agrees_with_the_roster_walk() {
+    use gridsat_cnf::rng::Rng;
+    const MEMORY: usize = 3 << 20;
+    let rank_at = |speed: f64| speed + MEMORY as f64 * 1e-9; // full availability
+    let base = (100..)
+        .map(f64::from)
+        .find(|&s| {
+            let (low, high) = (rank_at(s), rank_at(s.next_up()));
+            low != high && low * REMOTE_DISCOUNT == high * REMOTE_DISCOUNT
+        })
+        .expect("some speed has a remote rounding tie");
+    let sites = [Site::Ucsd, Site::Utk, Site::Uiuc];
+    let speeds = [base, base.next_up(), base, 2.5 * base];
+    // node 13 registers without host information
+    let hosts: BTreeMap<NodeId, (f64, Site)> = (1..=12u32)
+        .map(|i| (NodeId(i), (speeds[i as usize % 4], sites[i as usize % 3])))
+        .collect();
+    let availabilities = [1.0, 1.0, 0.5, 0.25];
+    let register = |availability| GridMsg::Register {
+        memory: MEMORY,
+        availability,
+    };
+    let f = gridsat_cnf::paper::fig1_formula();
+    let cfg = GridConfig::default();
+    let (mut rank_ties, mut rounding_ties) = (0, 0);
+    for seed in 0..16 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut m = Master::new(f.clone(), cfg.clone(), hosts.clone());
+        m.on_start(&mut ctx(0.0));
+        // the whole fleet joins first, so most steps find many clients idle
+        for id in 1..=13 {
+            let availability = availabilities[rng.range_usize(0..4)];
+            m.on_message(NodeId(id), register(availability), &mut ctx(0.0));
+        }
+        let mut minted = 0;
+        for step in 0..80 {
+            let t = f64::from(step);
+            let case = format!("step {step}, case seed {seed}");
+            let mut cx = ctx(t);
+            let idle = clients_in(&m, ClientState::Idle);
+            let busy = clients_in(&m, ClientState::Busy);
+            let registered: Vec<NodeId> = m.core.clients.keys().copied().collect();
+            let granted: Vec<NodeId> = m.core.grants.keys().copied().collect();
+            let problem = |minted: u32| ProblemId::new(NodeId(0), minted);
+            match rng.range_usize(0..12) {
+                0 => {
+                    let id = NodeId(1 + rng.range_u32(0..13));
+                    let availability = availabilities[rng.range_usize(0..4)];
+                    m.on_message(id, register(availability), &mut cx);
+                }
+                1 => {
+                    if let Some(id) = choose(&mut rng, &registered) {
+                        m.deregister(id, &mut cx);
+                    }
+                }
+                2 => {
+                    if let Some(client) = choose(&mut rng, &idle) {
+                        minted += 1;
+                        let problem = problem(minted);
+                        m.commit(
+                            t,
+                            JournalRecord::AssignWhole {
+                                client,
+                                problem,
+                                at: t,
+                            },
+                        );
+                    }
+                }
+                3 => {
+                    let free: Vec<NodeId> = (busy.iter().copied())
+                        .filter(|id| !m.core.grants.contains_key(id))
+                        .collect();
+                    if let (Some(requester), Some(peer)) =
+                        (choose(&mut rng, &free), choose(&mut rng, &idle))
+                    {
+                        let kind = if rng.gen_bool(0.5) {
+                            GrantKind::Split
+                        } else {
+                            GrantKind::Migrate
+                        };
+                        m.commit(
+                            t,
+                            JournalRecord::GrantOpen {
+                                requester,
+                                peer,
+                                kind,
+                            },
+                        );
+                    }
+                }
+                4 => {
+                    if let Some(requester) = choose(&mut rng, &granted) {
+                        let free_peer = rng.gen_bool(0.5);
+                        m.commit(
+                            t,
+                            JournalRecord::GrantClose {
+                                requester,
+                                free_peer,
+                            },
+                        );
+                    }
+                }
+                5 => {
+                    if let Some(requester) = choose(&mut rng, &granted) {
+                        let peer = m.core.grants[&requester].0;
+                        minted += 1;
+                        let transfer = JournalRecord::TransferIn {
+                            peer,
+                            problem: Some(problem(minted)),
+                            checkpoint: None,
+                            at: t,
+                        };
+                        m.commit(t, transfer);
+                        let close = JournalRecord::GrantClose {
+                            requester,
+                            free_peer: false,
+                        };
+                        m.commit(t, close);
+                    }
+                }
+                6 => {
+                    if let Some(client) = choose(&mut rng, &busy) {
+                        m.commit(t, JournalRecord::ClientIdle { client });
+                    }
+                }
+                7 => {
+                    if let (Some(donor), Some(thief)) =
+                        (choose(&mut rng, &busy), choose(&mut rng, &idle))
+                    {
+                        minted += 1;
+                        let problem = problem(minted);
+                        let open = JournalRecord::StealOpen {
+                            donor,
+                            thief,
+                            problem,
+                            at: t,
+                        };
+                        m.commit(t, open);
+                        let settle = JournalRecord::StealSettle {
+                            donor,
+                            thief,
+                            problem,
+                            checkpoint: None,
+                            at: t,
+                        };
+                        m.commit(t, settle);
+                    }
+                }
+                8 => {
+                    let migrating: Vec<NodeId> = (m.core.grants.iter())
+                        .filter(|(_, (_, kind))| *kind == GrantKind::Migrate)
+                        .map(|(requester, _)| *requester)
+                        .collect();
+                    if let Some(requester) = choose(&mut rng, &migrating) {
+                        m.commit(t, JournalRecord::MigrateSent { requester });
+                    }
+                }
+                9 => {
+                    if let Some(id) = choose(&mut rng, &registered) {
+                        let availability = availabilities[rng.range_usize(0..4)];
+                        m.on_message(id, GridMsg::LoadReport { availability }, &mut cx);
+                    }
+                }
+                10 => m.on_start(&mut cx), // restart: replay the journal
+                _ => {
+                    let me = NodeId(1 + rng.range_u32(0..12));
+                    let records = m.journal.records().to_vec();
+                    let (obs, audit) = (Obs::default(), Audit::default());
+                    m = Master::promoted(
+                        f.clone(),
+                        cfg.clone(),
+                        hosts.clone(),
+                        me,
+                        records,
+                        t,
+                        obs,
+                        audit,
+                    );
+                    m.absorb_own_client(t, None);
+                }
+            }
+            assert!(m.outcome().is_none(), "{case}");
+
+            let idle: Vec<(NodeId, f64)> = idle_clients(&m.core.clients, NodeId(u32::MAX))
+                .map(|(id, c)| (*id, c.rank()))
+                .collect();
+            assert_eq!(m.core.idle.len(), idle.len(), "{case}");
+            let busy = m.core.clients.len() - idle.len();
+            assert_eq!(m.core.busy_count(), busy, "{case}");
+            for (k, &(low_id, low)) in idle.iter().enumerate() {
+                for &(high_id, high) in &idle[k + 1..] {
+                    rank_ties += usize::from(low == high);
+                    let same_site =
+                        m.site_of(low_id).is_some() && m.site_of(low_id) == m.site_of(high_id);
+                    rounding_ties += usize::from(
+                        same_site && low < high && low * REMOTE_DISCOUNT == high * REMOTE_DISCOUNT,
+                    );
+                }
+            }
+
+            for policy in [
+                SchedPolicy::NwsRank,
+                SchedPolicy::WorstRank,
+                SchedPolicy::Random(1),
+            ] {
+                let draws: &[u64] = match policy {
+                    SchedPolicy::Random(_) => &[0, 1, 7, u64::MAX],
+                    _ => &[0],
+                };
+                for near in [None, Some(Site::Ucsd), Some(Site::Utk), Some(Site::Uiuc)] {
+                    for exclude in (0..=13).map(NodeId).chain([NodeId(u32::MAX)]) {
+                        let what = format!("{policy:?} near {near:?} exclude {exclude}, {case}");
+                        for &draw in draws {
+                            let walk = pick_by_walk(
+                                &m.core.clients,
+                                &m.host_info,
+                                policy,
+                                exclude,
+                                near,
+                                draw,
+                            );
+                            let index = m.core.idle.pick(policy, exclude, near, draw);
+                            assert_eq!(index, walk, "draw {draw}, {what}");
+                        }
+                        // a Random pick leaves its draw as the generator state
+                        let picked = m.pick_idle(policy, exclude, near);
+                        let walk = pick_by_walk(
+                            &m.core.clients,
+                            &m.host_info,
+                            policy,
+                            exclude,
+                            near,
+                            m.rng_state,
+                        );
+                        assert_eq!(picked, walk, "{what}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        rank_ties > 0 && rounding_ties > 0,
+        "{rank_ties} rank ties, {rounding_ties} rounding ties"
+    );
 }

@@ -157,6 +157,8 @@ if [[ "${CHECK_SOLVER:-0}" == "1" ]]; then gate_solver_asserts; fi
 
 # Not a gate: `scripts/ab.sh <parent-dir> <change-dir> <workload>|all
 # [pairs] [seed]` measures a change against its parent with the same
-# benchmark (alternating runs, medians, quartiles, win count).
+# benchmark (alternating runs, medians, quartiles, win count), and
+# `scripts/same_counts.sh <parent-dir> <change-dir> [seed]` checks that
+# the two compute the same `sim_answer_s` and exact per-layer counts.
 
 echo "OK"
