@@ -3,13 +3,13 @@
 //!
 //! Every scheduling decision the master takes — launch, assign, grant,
 //! backlog movement, checkpoint accept, recovery, adoption — is first
-//! appended to the [`MasterJournal`] as a typed [`JournalRecord`] and
-//! only then applied to the in-memory [`MasterCore`]. The core is a
-//! deterministic fold over the journal: `replay(formula, config,
-//! records)` rebuilds the exact client roster, grants, backlog and
-//! checkpoint set, which is what lets a restarted master self-check its
-//! state and lets a standby promote itself after tailing the record
-//! stream piggybacked on control traffic.
+//! appended to the [`MasterJournal`] as a [`JournalRecord`], sealed into
+//! its byte log, and only then applied to the in-memory [`MasterCore`].
+//! The byte log is the only copy of that history. The core is a
+//! deterministic fold over it, record by record, which rebuilds the
+//! exact client roster, grants, backlog and checkpoint set: that is what
+//! lets a restarted master self-check its state and lets a standby
+//! promote itself from the bytes it tailed off the control traffic.
 //!
 //! Records are *unconditional* state deltas: every conditional the live
 //! master evaluates (problem-id matches, grant-open checks, checkpoint
@@ -25,6 +25,7 @@ use gridsat_cnf::{Clause, Lit};
 use gridsat_grid::NodeId;
 use gridsat_nws::{Adaptive, Forecaster};
 use gridsat_solver::SplitSpec;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -1313,19 +1314,17 @@ impl RecoverReport {
     }
 }
 
-/// The append-only record log. The live master appends before applying;
-/// a standby receives suffixes piggybacked on control traffic and can
-/// fold them at any time.
-///
-/// Alongside the typed records the journal maintains `log`, the
-/// byte-serialized durable image: every record sealed
-/// ([`SealedRecord`]) and concatenated, exactly what a real master
-/// would have on disk. A crashed master restarts from those bytes via
-/// [`MasterJournal::recover`], which truncates any torn or corrupt
-/// tail instead of trusting it.
+/// The append-only record log: every record sealed ([`SealedRecord`])
+/// and concatenated, exactly what a real master would have on disk. It
+/// is the only copy of the master's history; [`MasterJournal::records`]
+/// decodes it. The live master appends before applying. A standby
+/// appends each shipped record that verifies as the next one, so its log
+/// is a prefix of the master's, byte for byte, and a promotion takes it
+/// over as it is. A crashed master restarts from the bytes via
+/// [`MasterJournal::recover`], which truncates any torn or corrupt tail
+/// instead of trusting it.
 #[derive(Default)]
 pub struct MasterJournal {
-    records: Vec<JournalRecord>,
     /// Simulated disk image: concatenated sealed records.
     log: Vec<u8>,
     /// Byte offset of each record in `log`.
@@ -1337,48 +1336,63 @@ impl MasterJournal {
         MasterJournal::default()
     }
 
-    /// Rebuild a journal from shipped records (standby side).
-    pub fn from_records(records: Vec<JournalRecord>) -> MasterJournal {
-        let mut j = MasterJournal::new();
-        for rec in records {
-            j.append(rec);
-        }
-        j
-    }
-
     /// Append one record; returns its 0-based sequence number.
-    pub fn append(&mut self, rec: JournalRecord) -> u64 {
-        let seq = self.records.len() as u64;
-        let sealed = SealedRecord::seal(seq, &rec);
+    pub fn append(&mut self, rec: impl Borrow<JournalRecord>) -> u64 {
+        let seq = self.len();
+        let sealed = SealedRecord::seal(seq, rec.borrow());
         self.offsets.push(self.log.len());
         self.log.extend_from_slice(&sealed.bytes);
-        self.records.push(rec);
         seq
     }
 
+    /// Append a shipped record if it verifies as the next one (the
+    /// standby's side of the feed). One that does not is left out, and
+    /// nothing after it can verify until it is re-shipped.
+    pub fn append_sealed(&mut self, sealed: &SealedRecord) -> Result<(), RecordError> {
+        if self.verify_next(&sealed.bytes, 0)? != sealed.bytes.len() {
+            return Err(WireError::TrailingBytes.into());
+        }
+        self.offsets.push(self.log.len());
+        self.log.extend_from_slice(&sealed.bytes);
+        Ok(())
+    }
+
+    /// Where the sealed record at `buf[start..]` ends, if it verifies as
+    /// this journal's next record: its checksum holds, its payload
+    /// decodes, and its stamp is [`MasterJournal::len`].
+    fn verify_next(&self, buf: &[u8], start: usize) -> Result<usize, RecordError> {
+        let (seq, _, next) = parse_sealed(buf, start)?;
+        let want = self.len();
+        if seq != want {
+            return Err(RecordError::BadSeq { want, got: seq });
+        }
+        Ok(next)
+    }
+
     pub fn len(&self) -> u64 {
-        self.records.len() as u64
+        self.offsets.len() as u64
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.offsets.is_empty()
     }
 
-    pub fn records(&self) -> &[JournalRecord] {
-        &self.records
-    }
-
-    /// The suffix starting at sequence number `start` (for shipping).
-    pub fn slice_from(&self, start: u64) -> &[JournalRecord] {
-        let start = (start as usize).min(self.records.len());
-        &self.records[start..]
+    /// The records, decoded from the log. The log must be whole: after a
+    /// simulated-disk fault only [`MasterJournal::recover`] reads it.
+    pub fn records(&self) -> Vec<JournalRecord> {
+        (self.offsets.iter())
+            .map(|&at| {
+                let (_, rec, _) = parse_sealed(&self.log, at).expect("the log verified on append");
+                rec
+            })
+            .collect()
     }
 
     /// The suffix starting at `start`, in sealed wire form (what a
-    /// `JournalBatch` actually carries).
+    /// `JournalBatch` carries).
     pub fn sealed_from(&self, start: u64) -> Vec<SealedRecord> {
-        let start = (start as usize).min(self.records.len());
-        (start..self.records.len())
+        let start = (start as usize).min(self.offsets.len());
+        (start..self.offsets.len())
             .map(|i| {
                 let end = self.offsets.get(i + 1).copied().unwrap_or(self.log.len());
                 SealedRecord {
@@ -1395,9 +1409,10 @@ impl MasterJournal {
 
     /// Simulated-disk fault: tear the byte log at an arbitrary byte
     /// boundary, as a crash mid-append would. Only the disk image is
-    /// damaged; the in-memory records stand in for the state lost with
-    /// the crashed process and are discarded by the restart's
-    /// [`MasterJournal::recover`].
+    /// damaged; the record offsets stand in for the state lost with the
+    /// crashed process (their count is how the restart tells a tear at a
+    /// record boundary from records never written) and are discarded by
+    /// the restart's [`MasterJournal::recover`].
     pub fn tear_log(&mut self, keep_bytes: usize) {
         self.log.truncate(keep_bytes.min(self.log.len()));
     }
@@ -1409,23 +1424,18 @@ impl MasterJournal {
     }
 
     /// Rebuild a journal from a durable byte image, truncating at the
-    /// first record that fails its checksum, sequence check, or parse.
-    /// Everything before the failure is verified good; everything from
-    /// it on is discarded (the report says how much and why).
+    /// first record that does not verify as the next one: a failed
+    /// checksum, sequence check, or parse. Everything before the failure
+    /// is verified good; everything from it on is discarded (the report
+    /// says how much and why).
     pub fn recover(bytes: &[u8]) -> (MasterJournal, RecoverReport) {
         let mut j = MasterJournal::new();
         let mut pos = 0usize;
         let mut error = None;
         while pos < bytes.len() {
-            match parse_sealed(bytes, pos) {
-                Ok((seq, rec, next)) => {
-                    let want = j.records.len() as u64;
-                    if seq != want {
-                        error = Some(RecordError::BadSeq { want, got: seq });
-                        break;
-                    }
+            match j.verify_next(bytes, pos) {
+                Ok(next) => {
                     j.offsets.push(pos);
-                    j.records.push(rec);
                     pos = next;
                 }
                 Err(e) => {
@@ -1436,24 +1446,11 @@ impl MasterJournal {
         }
         j.log.extend_from_slice(&bytes[..pos]);
         let report = RecoverReport {
-            recovered: j.records.len() as u64,
+            recovered: j.len(),
             truncated_bytes: bytes.len() - pos,
             error,
         };
         (j, report)
-    }
-
-    /// Fold a record sequence into the scheduling state it encodes.
-    pub(crate) fn replay(
-        formula: &gridsat_cnf::Formula,
-        config: &GridConfig,
-        records: &[JournalRecord],
-    ) -> MasterCore {
-        let mut core = MasterCore::default();
-        for rec in records {
-            core.apply(rec, formula, config);
-        }
-        core
     }
 }
 
@@ -1467,6 +1464,15 @@ mod tests {
             checkpoint: crate::config::CheckpointMode::Heavy,
             ..GridConfig::default()
         }
+    }
+
+    /// The state `records` fold to, applied one by one to an empty core.
+    fn fold(f: &gridsat_cnf::Formula, cfg: &GridConfig, records: &[JournalRecord]) -> MasterCore {
+        let mut core = MasterCore::default();
+        for rec in records {
+            core.apply(rec, f, cfg);
+        }
+        core
     }
 
     #[test]
@@ -1519,7 +1525,7 @@ mod tests {
                 free_peer: false,
             },
         ];
-        let core = MasterJournal::replay(&f, &cfg, &records);
+        let core = fold(&f, &cfg, &records);
         assert!(core.first_problem_sent);
         assert_eq!(core.clients.len(), 2);
         assert_eq!(core.clients[&n1].state, ClientState::Busy);
@@ -1661,8 +1667,8 @@ mod tests {
             availability: 1.0,
             at: 0.0,
         }];
-        let mut a = MasterJournal::replay(&f, &cfg, &records);
-        let b = MasterJournal::replay(&f, &cfg, &records);
+        let mut a = fold(&f, &cfg, &records);
+        let b = fold(&f, &cfg, &records);
         // live-only refinements do not affect the image
         a.report_load(NodeId(1), 0.5);
         a.clients.get_mut(&NodeId(1)).unwrap().last_seen = 99.0;
@@ -1673,7 +1679,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_from_clamps_and_ships_suffixes() {
+    fn sealed_from_clamps_and_ships_suffixes() {
         let mut j = MasterJournal::new();
         assert_eq!(
             j.append(JournalRecord::LeaseExpired { client: NodeId(1) }),
@@ -1687,10 +1693,9 @@ mod tests {
             1
         );
         assert_eq!(j.len(), 2);
-        assert_eq!(j.slice_from(1).len(), 1);
-        assert_eq!(j.slice_from(7).len(), 0);
-        let j2 = MasterJournal::from_records(j.records().to_vec());
-        assert_eq!(j2.len(), 2);
+        assert_eq!(j.sealed_from(1).len(), 1);
+        assert_eq!(j.sealed_from(1)[0].open().expect("verifies").0, 1);
+        assert_eq!(j.sealed_from(7).len(), 0);
     }
 
     #[test]
@@ -1915,12 +1920,64 @@ mod tests {
     }
 
     #[test]
+    fn journal_records_decode_exactly_what_was_appended() {
+        let mut j = MasterJournal::new();
+        assert!(j.is_empty() && j.records().is_empty());
+        for (seq, rec) in sample_records().into_iter().enumerate() {
+            assert_eq!(j.append(rec), seq as u64);
+        }
+        assert_eq!(j.len(), sample_records().len() as u64);
+        assert_eq!(j.records(), sample_records());
+    }
+
+    #[test]
+    fn journal_tail_appends_a_shipped_record_only_as_the_next_one() {
+        let mut master = MasterJournal::new();
+        for rec in sample_records() {
+            master.append(rec);
+        }
+        let shipped = master.sealed_from(0);
+        let mut tail = MasterJournal::new();
+        for sealed in &shipped[..3] {
+            tail.append_sealed(sealed).expect("in order and intact");
+        }
+        // a record mangled in flight, one that skips ahead, one already
+        // held, and one with trailing bytes are all left out
+        let mut mangled = shipped[3].clone();
+        mangled.corrupt_bit(7);
+        assert!(tail.append_sealed(&mangled).is_err());
+        assert_eq!(
+            tail.append_sealed(&shipped[4]),
+            Err(RecordError::BadSeq { want: 3, got: 4 })
+        );
+        assert_eq!(
+            tail.append_sealed(&shipped[2]),
+            Err(RecordError::BadSeq { want: 3, got: 2 })
+        );
+        let mut padded = shipped[3].bytes.clone();
+        padded.push(0);
+        assert_eq!(
+            tail.append_sealed(&SealedRecord::from_wire(padded)),
+            Err(RecordError::Wire(WireError::TrailingBytes))
+        );
+        assert_eq!(tail.len(), 3);
+        assert!(master.log_bytes().starts_with(tail.log_bytes()));
+        // the re-shipped suffix completes the tail, byte for byte
+        for sealed in master.sealed_from(tail.len()) {
+            tail.append_sealed(&sealed).expect("re-shipped intact");
+        }
+        assert_eq!(tail.log_bytes(), master.log_bytes());
+        assert_eq!(tail.records(), master.records());
+    }
+
+    #[test]
     fn recover_truncates_a_torn_tail_at_any_byte_boundary() {
         let mut j = MasterJournal::new();
         for rec in sample_records() {
             j.append(rec);
         }
         let full = j.log_bytes().to_vec();
+        let records = j.records();
         for cut in 0..full.len() {
             let (back, report) = MasterJournal::recover(&full[..cut]);
             // the verified prefix is a whole number of records and a
@@ -1928,7 +1985,7 @@ mod tests {
             assert!(back.len() <= j.len());
             assert_eq!(
                 back.records(),
-                &j.records()[..back.len() as usize],
+                &records[..back.len() as usize],
                 "cut at {cut}"
             );
             // clean iff the cut landed exactly on a record boundary

@@ -213,7 +213,7 @@ fn share_tree_links_follow_every_join_and_leave() {
             assert_eq!(listed, here, "{case}");
             assert_share_tree(&m.core.slots, &held, &case);
         }
-        let standby = MasterJournal::replay(&m.formula, &m.config, m.journal.records());
+        let standby = m.fold(&m.journal);
         assert_eq!(standby.slots, m.core.slots, "case seed {seed}");
     }
 }
@@ -830,7 +830,7 @@ fn backlog_prefers_longest_running_requester() {
     }
     assert_eq!(m.core.backlog.len(), 3);
     // the journal replays to exactly this state
-    let replayed = MasterJournal::replay(&m.formula, &m.config, m.journal.records());
+    let replayed = m.fold(&m.journal);
     assert_eq!(replayed.image(), m.core.image());
     // node 1 has been running longest (since 0.0)
     assert_eq!(m.pop_backlog(30.0), Some(NodeId(1)));
@@ -1044,8 +1044,12 @@ fn torn_journal_restart_rebuilds_from_the_verified_prefix() {
         },
         &mut cx,
     );
-    let records = m.journal.records().to_vec();
+    let records = m.journal.records();
     assert!(records.len() >= 3);
+    let mut prefix = MasterJournal::new();
+    for rec in &records[..records.len() - 1] {
+        prefix.append(rec);
+    }
     // the crash tears the last disk append mid-record: every record but
     // the final one survives verification
     let torn_at = m.journal.log_bytes().len() - 2;
@@ -1053,9 +1057,10 @@ fn torn_journal_restart_rebuilds_from_the_verified_prefix() {
     let mut cx = ctx(50.0);
     m.on_start(&mut cx);
     assert_eq!(m.journal.len() as usize, records.len() - 1);
+    assert_eq!(m.journal.log_bytes(), prefix.log_bytes());
     assert_eq!(
         m.core.image(),
-        MasterJournal::replay(&f, &cfg, &records[..records.len() - 1]).image(),
+        m.fold(&prefix).image(),
         "rebuilt state must be the fold of the verified prefix"
     );
     let events = ring.lock().unwrap().events();
@@ -1124,34 +1129,28 @@ fn journal_ships_and_acks_trim_the_standby_lag() {
     )));
 }
 
-#[test]
-fn standby_rejects_a_corrupted_record_and_the_dup_ack_re_requests_it() {
-    use crate::standby::StandbyNode;
+/// The non-empty journal batches among `actions` for standby node 1.
+fn batches_to_standby(actions: &[Action<GridMsg>]) -> Vec<(u64, Vec<SealedRecord>)> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                to: NodeId(1),
+                msg: GridMsg::JournalBatch { start, records },
+            } if !records.is_empty() => Some((*start, records.clone())),
+            _ => None,
+        })
+        .collect()
+}
 
-    fn batches_to_standby(actions: &[Action<GridMsg>]) -> Vec<(u64, Vec<SealedRecord>)> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send {
-                    to: NodeId(1),
-                    msg: GridMsg::JournalBatch { start, records },
-                } if !records.is_empty() => Some((*start, records.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
+/// A failover master on the fig. 1 formula, started, and a standby on
+/// node 1 that has been sent nothing yet.
+fn master_and_standby() -> (Master, crate::standby::StandbyNode) {
     let f = gridsat_cnf::paper::fig1_formula();
     let cfg = GridConfig::failover_hardened();
     let mut m = Master::new(f.clone(), cfg.clone(), speeds(4));
-    let mut cx = ctx(0.0);
-    m.on_start(&mut cx);
-    let mut batches = batches_to_standby(&register(&mut m, 2, 0.0));
-    batches.extend(batches_to_standby(&register(&mut m, 3, 0.5)));
-    assert!(!batches.is_empty());
-    let total: usize = batches.iter().map(|(_, r)| r.len()).sum();
-
-    let mut s = StandbyNode::new(
+    m.on_start(&mut ctx(0.0));
+    let s = crate::standby::StandbyNode::new(
         Client::new(NodeId(1), cfg.clone()),
         f,
         cfg,
@@ -1159,6 +1158,17 @@ fn standby_rejects_a_corrupted_record_and_the_dup_ack_re_requests_it() {
         Obs::default(),
         Audit::default(),
     );
+    (m, s)
+}
+
+#[test]
+fn standby_rejects_a_corrupted_record_and_the_dup_ack_re_requests_it() {
+    let (mut m, mut s) = master_and_standby();
+    let mut batches = batches_to_standby(&register(&mut m, 2, 0.0));
+    batches.extend(batches_to_standby(&register(&mut m, 3, 0.5)));
+    assert!(!batches.is_empty());
+    let total: usize = batches.iter().map(|(_, r)| r.len()).sum();
+
     // first batch arrives with one record mangled in flight: nothing
     // past the damage may be applied, and the ack repeats the last
     // verified position instead of covering the batch
@@ -1168,7 +1178,7 @@ fn standby_rejects_a_corrupted_record_and_the_dup_ack_re_requests_it() {
     let mut cx = ctx_at(1, 1.0);
     s.on_message(NodeId(0), GridMsg::JournalBatch { start, records }, &mut cx);
     assert_eq!(s.rejected(), 1);
-    assert_eq!(s.tailed(), 0, "a rejected record is never applied");
+    assert_eq!(s.tailed().len(), 0, "a rejected record is never applied");
     let acks: Vec<u64> = cx
         .take_actions()
         .iter()
@@ -1201,7 +1211,7 @@ fn standby_rejects_a_corrupted_record_and_the_dup_ack_re_requests_it() {
         let mut cx = ctx_at(1, 6.0);
         s.on_message(NodeId(0), GridMsg::JournalBatch { start, records }, &mut cx);
     }
-    assert_eq!(s.tailed(), total);
+    assert_eq!(s.tailed().len() as usize, total);
     assert_eq!(s.rejected(), 1);
 
     // with the journal intact, a quiet feed still promotes cleanly
@@ -1210,12 +1220,54 @@ fn standby_rejects_a_corrupted_record_and_the_dup_ack_re_requests_it() {
     assert!(s.promoted_master().is_some(), "standby takes over");
 }
 
+#[test]
+fn standby_journal_is_the_masters_byte_prefix_through_a_rejected_record() {
+    let (mut m, mut s) = master_and_standby();
+    let mut batches = Vec::new();
+    for (id, t) in [(2, 0.0), (3, 0.5), (4, 1.0)] {
+        batches.extend(batches_to_standby(&register(&mut m, id, t)));
+    }
+    assert!(batches.len() >= 3 && batches[0].1.len() >= 2);
+    // one batch to the standby; the standby's ack to the master; what
+    // the master re-ships in answer
+    let deliver = |m: &mut Master, s: &mut crate::standby::StandbyNode, (start, records), t| {
+        let mut cx = ctx_at(1, t);
+        s.on_message(NodeId(0), GridMsg::JournalBatch { start, records }, &mut cx);
+        let mut reshipped = Vec::new();
+        for action in cx.take_actions() {
+            if let Action::Send { msg, .. } = action {
+                let mut cx = ctx(t);
+                m.on_message(NodeId(1), msg, &mut cx);
+                reshipped.extend(batches_to_standby(&cx.take_actions()));
+            }
+        }
+        assert!(m.journal.log_bytes().starts_with(s.tailed().log_bytes()));
+        reshipped
+    };
+    // the first batch's second record is mangled in flight: its first
+    // record is acked
+    let (start, mut records) = batches[0].clone();
+    records[1].corrupt_bit(3);
+    assert!(deliver(&mut m, &mut s, (start, records), 1.5).is_empty());
+    assert_eq!((s.tailed().len(), s.rejected()), (1, 1));
+    // the third batch overtakes the second and is staged; the repeated
+    // ack re-ships from the rejected record, which closes the gap and
+    // releases the staged batch
+    let reshipped = deliver(&mut m, &mut s, batches[2].clone(), 1.6);
+    assert_eq!(s.tailed().len(), 1, "a batch past the gap waits");
+    assert_eq!(reshipped.first().map(|(start, _)| *start), Some(1));
+    for batch in reshipped {
+        deliver(&mut m, &mut s, batch, 2.0);
+    }
+    assert_eq!(s.tailed().log_bytes(), m.journal.log_bytes());
+    assert_eq!(s.tailed().records(), m.journal.records());
+}
+
 /// Node 0 serves clients 1 (the standby, which gets the problem), 2 and 3,
-/// then dies for good; node 1 promotes at t = 60 from the records it
-/// tailed and announces the takeover. The promoted master and what the
-/// announcement sent.
+/// then dies for good; node 1, which tailed every journal batch, promotes
+/// at t = 60. The promoted master and what its takeover sent.
 fn promote_node_1() -> (Master, Vec<Action<GridMsg>>) {
-    fn harvest(actions: &[Action<GridMsg>], shipped: &mut Vec<JournalRecord>) {
+    fn tail(actions: &[Action<GridMsg>], tailed: &mut MasterJournal) {
         for a in actions {
             if let Action::Send {
                 to: NodeId(1),
@@ -1223,12 +1275,12 @@ fn promote_node_1() -> (Master, Vec<Action<GridMsg>>) {
             } = a
             {
                 // batches arrive gapless and in order on a healthy link
-                assert_eq!(*start, shipped.len() as u64);
-                shipped.extend(records.iter().enumerate().map(|(i, sealed)| {
-                    let (seq, rec) = sealed.open().expect("sealed record verifies");
-                    assert_eq!(seq, start + i as u64);
-                    rec
-                }));
+                assert_eq!(*start, tailed.len());
+                for sealed in records {
+                    tailed
+                        .append_sealed(sealed)
+                        .expect("verifies as the next record");
+                }
             }
         }
     }
@@ -1237,10 +1289,10 @@ fn promote_node_1() -> (Master, Vec<Action<GridMsg>>) {
     let mut m = Master::new(f.clone(), cfg.clone(), speeds(4));
     let mut cx = ctx(0.0);
     m.on_start(&mut cx);
-    let mut shipped: Vec<JournalRecord> = Vec::new();
+    let mut tailed = MasterJournal::new();
     // node 1 doubles as standby and first client: it gets the problem
     let actions = register(&mut m, 1, 0.0);
-    harvest(&actions, &mut shipped);
+    tail(&actions, &mut tailed);
     let own_spec = actions
         .iter()
         .find_map(|a| match a {
@@ -1252,22 +1304,21 @@ fn promote_node_1() -> (Master, Vec<Action<GridMsg>>) {
         })
         .expect("first registrant gets the problem");
     let own_problem = ProblemId::new(NodeId(0), 1);
-    harvest(&register(&mut m, 2, 1.0), &mut shipped);
-    harvest(&register(&mut m, 3, 2.0), &mut shipped);
+    tail(&register(&mut m, 2, 1.0), &mut tailed);
+    tail(&register(&mut m, 3, 2.0), &mut tailed);
+    assert_eq!(tailed.log_bytes(), m.journal.log_bytes());
     // node 0 dies for good; the standby promotes from what it tailed
-    let mut p = Master::promoted(
+    let mut cx = ctx_at(1, 60.0);
+    let p = Master::promoted(
         f,
         cfg,
         speeds(4),
-        NodeId(1),
-        shipped,
-        60.0,
+        tailed,
+        Some((own_spec, Some(own_problem))),
         Obs::default(),
         Audit::default(),
+        &mut cx,
     );
-    p.absorb_own_client(60.0, Some((own_spec, Some(own_problem))));
-    let mut cx = ctx_at(1, 60.0);
-    p.announce_takeover(&mut cx);
     (p, cx.take_actions())
 }
 
@@ -1458,7 +1509,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                 break;
             }
         }
-        let replayed = MasterJournal::replay(&f, &cfg, m.journal.records());
+        let replayed = m.fold(&m.journal);
         assert_eq!(
             replayed.image(),
             m.core.image(),
@@ -1537,7 +1588,7 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
         let seen_open = !matches!(order[0], Result);
         assert_eq!(m.stats.steals_settled, u64::from(seen_open), "{order:?}");
         // replay and the standby fold the same records to the same state
-        let replayed = MasterJournal::replay(&f, &cfg, m.journal.records());
+        let replayed = m.fold(&m.journal);
         assert_eq!(replayed.image(), m.core.image(), "{order:?}");
         // nothing is left to hold off all-idle termination
         let root = m.core.clients[&donor].problem.expect("donor's half");
@@ -1600,7 +1651,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
     }
     assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
     assert!(m.core.grants.is_empty() && m.core.early_results.is_empty());
-    let replayed = MasterJournal::replay(&f, &cfg, m.journal.records());
+    let replayed = m.fold(&m.journal);
     assert_eq!(replayed.image(), m.core.image());
     let mut cx = ctx(9.0);
     m.on_message(
@@ -1803,20 +1854,19 @@ fn idle_index_agrees_with_the_roster_walk() {
                 }
                 10 => m.on_start(&mut cx), // restart: replay the journal
                 _ => {
-                    let me = NodeId(1 + rng.range_u32(0..12));
-                    let records = m.journal.records().to_vec();
+                    let me = 1 + rng.range_u32(0..12);
+                    let journal = std::mem::take(&mut m.journal);
                     let (obs, audit) = (Obs::default(), Audit::default());
                     m = Master::promoted(
                         f.clone(),
                         cfg.clone(),
                         hosts.clone(),
-                        me,
-                        records,
-                        t,
+                        journal,
+                        None,
                         obs,
                         audit,
+                        &mut ctx_at(me, t),
                     );
-                    m.absorb_own_client(t, None);
                 }
             }
             assert!(m.outcome().is_none(), "{case}");

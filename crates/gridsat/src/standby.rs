@@ -3,20 +3,22 @@
 //! The designated standby node runs an ordinary [`Client`] — it
 //! registers, solves, splits — while also tailing the master's
 //! write-ahead journal: every [`GridMsg::JournalBatch`] piggybacked on
-//! the control plane is staged, applied in sequence order, and
-//! cumulatively acknowledged. The master sends an *empty* batch every
-//! housekeeping period as a keepalive, so a quiet feed and a dead master
-//! are distinguishable: when the feed has been silent for longer than
-//! [`PROMOTE_GRACE_S`](crate::config::PROMOTE_GRACE_S)
-//! the standby folds its journal copy into a fresh [`Master`], stops
-//! being a client (its own subproblem is queued for re-dispatch), and
+//! the control plane is staged, appended in sequence order to a
+//! [`MasterJournal`] of its own, and cumulatively acknowledged. The
+//! tailed log is the master's, byte for byte, as far as it verified. The
+//! master sends an *empty* batch every housekeeping period as a
+//! keepalive, so a quiet feed and a dead master are distinguishable:
+//! when the feed has been silent for longer than
+//! [`PROMOTE_GRACE_S`](crate::config::PROMOTE_GRACE_S) the standby hands
+//! its journal to [`Master::promoted`], which folds it, retires this
+//! node's client (its own subproblem is queued for re-dispatch), and
 //! announces the takeover so the survivors re-register with their
 //! in-progress state.
 
 use crate::audit::Audit;
 use crate::client::Client;
 use crate::config::{GridConfig, PROMOTE_GRACE_S};
-use crate::journal::{JournalRecord, SealedRecord};
+use crate::journal::{MasterJournal, SealedRecord};
 use crate::master::Master;
 use crate::msg::GridMsg;
 use gridsat_cnf::Formula;
@@ -30,9 +32,9 @@ pub struct StandbyNode {
     formula: Formula,
     config: GridConfig,
     host_info: BTreeMap<NodeId, (f64, Site)>,
-    /// Contiguous journal prefix received so far — every record opened,
-    /// checksum-verified, and stamp-checked before it was appended.
-    records: Vec<JournalRecord>,
+    /// The master's journal as far as it verified here: every record
+    /// appended only once its checksum, payload and stamp checked out.
+    journal: MasterJournal,
     /// Out-of-order batches, keyed by their start sequence; verified
     /// record by record when they become contiguous.
     staged: BTreeMap<u64, Vec<SealedRecord>>,
@@ -61,7 +63,7 @@ impl StandbyNode {
             formula,
             config,
             host_info,
-            records: Vec::new(),
+            journal: MasterJournal::new(),
             staged: BTreeMap::new(),
             rejected: 0,
             last_feed: 0.0,
@@ -81,9 +83,9 @@ impl StandbyNode {
         &self.client
     }
 
-    /// Journal records tailed so far (test introspection).
-    pub fn tailed(&self) -> usize {
-        self.records.len()
+    /// The journal tailed so far (test introspection).
+    pub fn tailed(&self) -> &MasterJournal {
+        &self.journal
     }
 
     /// Sealed journal records rejected for failing verification (test
@@ -103,75 +105,57 @@ impl StandbyNode {
         now: f64,
         me: u32,
     ) {
-        let have = self.records.len() as u64;
-        if start <= have {
-            self.verify_extend(from, start, batch, now, me);
+        if start <= self.journal.len() {
+            self.extend(from, start, batch, now, me);
         } else {
             self.staged.insert(start, batch);
         }
-        loop {
-            let have = self.records.len() as u64;
-            let Some((&s, _)) = self.staged.iter().next() else {
-                break;
-            };
-            if s > have {
+        while let Some(first) = self.staged.first_entry() {
+            if *first.key() > self.journal.len() {
                 break;
             }
-            let batch = self.staged.remove(&s).expect("key just observed");
-            self.verify_extend(from, s, batch, now, me);
+            let (s, batch) = first.remove_entry();
+            self.extend(from, s, batch, now, me);
         }
     }
 
-    /// Open each sealed record, verify its checksum and sequence stamp,
-    /// and append it. A record that fails verification must never enter
-    /// the replayed history: it and the rest of its batch are dropped,
-    /// and the resulting withheld ack (a duplicate of the last one) is
-    /// what tells the master to re-ship from the gap.
-    fn verify_extend(
-        &mut self,
-        from: NodeId,
-        start: u64,
-        batch: Vec<SealedRecord>,
-        now: f64,
-        me: u32,
-    ) {
-        let skip = (self.records.len() as u64 - start) as usize;
-        for (i, sealed) in batch.into_iter().enumerate().skip(skip) {
-            let want = start + i as u64;
-            match sealed.open() {
-                Ok((seq, rec)) if seq == want => self.records.push(rec),
-                _ => {
-                    self.rejected += 1;
-                    self.obs.emit(now, me, || Event::CorruptDrop {
-                        from: from.0,
-                        label: "journal-record".into(),
-                    });
-                    return;
-                }
+    /// Append the records of a batch starting at `start` that the journal
+    /// does not hold yet. A record that fails verification must never
+    /// enter the replayed history: it and the rest of its batch are
+    /// dropped, and the resulting withheld ack (a duplicate of the last
+    /// one) is what tells the master to re-ship from the gap.
+    fn extend(&mut self, from: NodeId, start: u64, batch: Vec<SealedRecord>, now: f64, me: u32) {
+        let held = (self.journal.len() - start) as usize;
+        for sealed in &batch[held.min(batch.len())..] {
+            if self.journal.append_sealed(sealed).is_err() {
+                self.rejected += 1;
+                self.obs.emit(now, me, || Event::CorruptDrop {
+                    from: from.0,
+                    label: "journal-record".into(),
+                });
+                return;
             }
         }
     }
 
-    /// The feed went quiet past the grace period: fold the tailed
-    /// journal into a master, hand this node's own subproblem back to
-    /// the scheduling queue, and take over.
+    /// The feed went quiet past the grace period: take over as master
+    /// from the tailed journal, handing this node's own subproblem back
+    /// to the scheduling queue.
     fn promote(&mut self, ctx: &mut Ctx<GridMsg>) {
         let own = self.client.hand_over();
         // this node stops being a client: drop the causal anchor on its
         // abandoned subproblem so master events don't chain to it
         self.obs.clear_anchor(ctx.me().0);
-        let mut master = Master::promoted(
+        let master = Master::promoted(
             self.formula.clone(),
             self.config.clone(),
             self.host_info.clone(),
-            ctx.me(),
-            std::mem::take(&mut self.records),
-            ctx.now(),
+            std::mem::take(&mut self.journal),
+            own,
             self.obs.clone(),
             self.audit.clone(),
+            ctx,
         );
-        master.absorb_own_client(ctx.now(), own);
-        master.announce_takeover(ctx);
         self.promoted = Some(Box::new(master));
     }
 
@@ -211,7 +195,7 @@ impl Process for StandbyNode {
                 ctx.send(
                     from,
                     GridMsg::JournalAck {
-                        next: self.records.len() as u64,
+                        next: self.journal.len(),
                     },
                 );
             }

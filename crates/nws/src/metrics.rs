@@ -1,6 +1,7 @@
 //! Forecast-accuracy evaluation: run a forecaster over a series and
 //! report the error metrics NWS publications use (mean absolute error,
-//! RMSE, mean error/bias). Used by tests and by the forecasting bench.
+//! RMSE, mean error/bias). Only tests call it: this module's and
+//! `trace.rs`'s, which score the forecasters on synthetic load traces.
 
 use crate::forecast::Forecaster;
 
