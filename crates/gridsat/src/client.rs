@@ -1015,7 +1015,6 @@ impl Process for Client {
             | GridMsg::StealNotice { .. }
             | GridMsg::SplitEscalate { .. }
             | GridMsg::OfferSolicit
-            | GridMsg::SiteStatus { .. }
             | GridMsg::Adopt { .. } => {
                 debug_assert!(
                     false,

@@ -31,9 +31,6 @@ use std::collections::{BTreeSet, VecDeque};
 /// stream when a whole site is saturated.
 const ESCALATE_PERIOD_S: f64 = 60.0;
 
-/// Period of sub-master site-status telemetry to the root, seconds.
-const STATUS_PERIOD_S: f64 = 120.0;
-
 /// Counters a sub-master keeps (merged across sites in the report).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SubMasterStats {
@@ -103,13 +100,12 @@ impl SubMaster {
 impl Process for SubMaster {
     type Msg = GridMsg;
 
-    fn on_start(&mut self, ctx: &mut Ctx<GridMsg>) {
-        // soft state only: a restarted sub-master just resumes ticking;
-        // clients re-announce and offers re-arise on their own timers
+    fn on_start(&mut self, _ctx: &mut Ctx<GridMsg>) {
+        // soft state only: a restarted sub-master starts empty; clients
+        // re-announce and offers re-arise on their own timers
         self.idle.clear();
         self.offers.clear();
         self.root_wants_work = false;
-        ctx.schedule_tick(STATUS_PERIOD_S);
     }
 
     fn on_message(&mut self, from: NodeId, msg: GridMsg, ctx: &mut Ctx<GridMsg>) {
@@ -175,17 +171,9 @@ impl Process for SubMaster {
         }
     }
 
-    fn on_tick(&mut self, ctx: &mut Ctx<GridMsg>) {
-        ctx.send(
-            self.root,
-            GridMsg::SiteStatus {
-                idle: self.idle.len() as u32,
-                busy: 0, // the root infers busy from its own roster
-                steals: self.stats.tickets,
-            },
-        );
-        ctx.schedule_tick(STATUS_PERIOD_S);
-    }
+    /// A sub-master schedules no ticks; it acts only on messages. The
+    /// reliable layer's retransmit timers still call this.
+    fn on_tick(&mut self, _ctx: &mut Ctx<GridMsg>) {}
 
     fn on_node_down(&mut self, node: NodeId, _ctx: &mut Ctx<GridMsg>) {
         self.idle.remove(&node);
