@@ -8,7 +8,7 @@ use crate::config::{
     MIN_MEMORY,
 };
 use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
-use crate::wire::{EncodedBatch, SpecFrame};
+use crate::wire::{EncodedBatch, FlatSpec, SpecFrame};
 use gridsat_cnf::Clause;
 use gridsat_grid::{Ctx, NodeId, Process};
 use gridsat_obs::{Event, Obs};
@@ -354,12 +354,17 @@ impl Client {
         ProblemId::new(ctx.me(), self.minted)
     }
 
-    fn adopt_problem(&mut self, spec: &SplitSpec, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
+    fn adopt_problem(&mut self, spec: &FlatSpec, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
         debug_assert!(
             (ctx.info.memory as f64 * MEM_FRACTION) as usize >= MIN_MEMORY,
             "master must not assign work to under-provisioned hosts"
         );
-        let mut solver = Solver::from_split(spec, self.solver_config(ctx.info.memory));
+        let mut solver = Solver::from_split_parts(
+            spec.num_vars,
+            &spec.assumptions,
+            spec.clauses(),
+            self.solver_config(ctx.info.memory),
+        );
         solver.set_obs(self.obs.clone(), ctx.me().0);
         solver.set_obs_now(ctx.now());
         self.solver = Some(solver);
@@ -630,13 +635,12 @@ impl Client {
         let Some(solver) = &mut self.solver else {
             unreachable!("current_problem implies a solver");
         };
-        let Some(spec) = solver.split_off() else {
+        let Some((frame, assumptions)) = SpecFrame::split_off(solver) else {
             return false;
         };
         // the pivot we keep is the negation of the peer half's last
         // (deepest) assumption
-        let keep_pivot = spec.assumptions.last().map(|&(lit, _)| !lit);
-        let frame = SpecFrame::seal(&spec);
+        let keep_pivot = assumptions.last().map(|&(lit, _)| !lit);
         // "a client records the time it required to SEND or receive a
         // problem": estimate the send cost so the split time-out backs
         // off as the database grows
@@ -768,7 +772,7 @@ impl Process for Client {
                 // the reliable layer already dropped checksum-failing
                 // frames; a frame that will not open is unrecoverable
                 // here — hand it back rather than adopt garbage
-                let Ok(opened) = spec.open() else {
+                let Ok(opened) = spec.open_flat() else {
                     self.hand_back(spec, problem, ctx);
                     return;
                 };
@@ -789,7 +793,7 @@ impl Process for Client {
                 // not lost
                 let opened = match self.state {
                     State::Solving => None,
-                    _ => spec.open().ok(),
+                    _ => spec.open_flat().ok(),
                 };
                 let Some(opened) = opened else {
                     ctx.send(

@@ -501,7 +501,7 @@ mod tests {
         // frame
         assert_eq!(
             sub.size_bytes(),
-            24 + FRAME_HEADER_BYTES + wire::spec_wire_bytes(&spec)
+            24 + FRAME_HEADER_BYTES + wire::encode_spec(&spec).len()
         );
     }
 

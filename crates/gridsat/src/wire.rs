@@ -33,8 +33,13 @@
 //! varint(#clauses) · clause*
 //! ```
 //!
-//! [`spec_wire_bytes`] computes a spec's encoded length without
-//! materializing the buffer; it is the message layer's cost model.
+//! A spec has one encoder, `SpecEncoder`, and one decoder,
+//! [`decode_spec_flat`]. A donor's split streams its clauses from the
+//! solver's arena into the encoder ([`SpecFrame::split_off`]) and a
+//! thief loads its solver from the flat decode ([`FlatSpec`]), so a
+//! hand-off builds no heap `Clause` on either side; [`SpecFrame::seal`]
+//! and [`SpecFrame::open`] wrap the same two for whoever holds a
+//! [`SplitSpec`]. A message's size is its frame's length.
 //!
 //! ## Framing
 //!
@@ -51,7 +56,7 @@
 //! decoder in this module can panic on external bytes.
 
 use gridsat_cnf::{Clause, Lit};
-use gridsat_solver::SplitSpec;
+use gridsat_solver::{Solver, SplitSpec};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -176,13 +181,29 @@ pub const FRAME_HEADER_BYTES: usize = 11;
 
 /// Wrap `payload` in a versioned, checksummed frame.
 pub fn seal_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    let mut out = begin_frame(payload.len());
+    out.extend_from_slice(payload);
+    end_frame(&mut out);
+    out
+}
+
+/// A frame buffer for a payload of `payload_len` bytes, sized exactly
+/// for it: the header with its length and checksum still blank. The
+/// payload is appended in place, then [`end_frame`] fills them in.
+fn begin_frame(payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload_len);
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(FRAME_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.resize(FRAME_HEADER_BYTES, 0);
     out
+}
+
+/// Fill in the length and checksum of the payload appended to a
+/// [`begin_frame`] buffer.
+fn end_frame(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
+    header[3..7].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[7..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Verify a frame and return its payload. Rejects short buffers, wrong
@@ -242,12 +263,6 @@ pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError>
     }
 }
 
-/// Encoded length of `v` as a varint, without encoding it.
-pub(crate) fn varint_len(v: u64) -> usize {
-    // ceil(bits/7) where bits = 64 - leading_zeros, at least one byte
-    ((70 - (v | 1).leading_zeros()) / 7) as usize
-}
-
 #[inline]
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -275,25 +290,20 @@ pub(crate) fn encode_codes(codes: impl ExactSizeIterator<Item = u32>, out: &mut 
     }
 }
 
-pub(crate) fn clause_wire_len(clause: &Clause) -> usize {
-    let mut n = varint_len(clause.len() as u64);
-    let mut prev = 0i64;
-    for (i, l) in clause.iter().enumerate() {
-        let code = l.code() as i64;
-        let d = if i == 0 { code } else { code - prev };
-        n += varint_len(zigzag(d));
-        prev = code;
-    }
-    n
+pub(crate) fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireError> {
+    let mut lits = Vec::new();
+    decode_clause_into(buf, pos, &mut lits)?;
+    Ok(Clause::new(lits))
 }
 
-pub(crate) fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireError> {
+/// The clause decoder: appends one clause's literals to `out`.
+fn decode_clause_into(buf: &[u8], pos: &mut usize, out: &mut Vec<Lit>) -> Result<(), WireError> {
     let len = read_varint(buf, pos)?;
     if len > buf.len() as u64 {
         // each literal takes ≥ 1 byte; an impossible count means garbage
         return Err(WireError::Truncated);
     }
-    let mut lits = Vec::with_capacity(len as usize);
+    out.reserve_exact(len as usize);
     let mut prev = 0i64;
     for i in 0..len {
         let d = unzigzag(read_varint(buf, pos)?);
@@ -301,10 +311,10 @@ pub(crate) fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireE
         if !(0..=i64::from(u32::MAX)).contains(&code) {
             return Err(WireError::Overflow);
         }
-        lits.push(Lit::from_code(code as usize));
+        out.push(Lit::from_code(code as usize));
         prev = code;
     }
-    Ok(Clause::new(lits))
+    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -378,8 +388,11 @@ impl EncodedBatch {
         let mut payload = Vec::new();
         write_varint(shares.len() as u64, &mut payload);
         let mut fingerprints = Vec::with_capacity(shares.len());
+        // canonical form, one clause at a time in one scratch buffer
+        let mut codes: Vec<u32> = Vec::new();
         for (clause, fp) in shares {
-            let mut codes: Vec<u32> = clause.iter().map(|l| l.code() as u32).collect();
+            codes.clear();
+            codes.extend(clause.iter().map(|l| l.code() as u32));
             codes.sort_unstable();
             codes.dedup();
             encode_codes(codes.iter().copied(), &mut payload);
@@ -502,29 +515,117 @@ pub(crate) fn flip_bit(bytes: &mut [u8], seed: u64) {
 // Subproblem specs
 // ----------------------------------------------------------------------
 
+/// The one subproblem-spec encoder. Clauses are pushed one at a time —
+/// straight from a donor's clause arena ([`SpecFrame::split_off`]), or
+/// from a [`SplitSpec`]'s list — and the head (variable count,
+/// assumptions, clause count) goes in front once the spec is finished,
+/// when the clause count is known.
+#[derive(Default)]
+struct SpecEncoder {
+    /// The clause records pushed so far. Grown by doubling on purpose:
+    /// it is a temporary, and sizing a temporary exactly leaves odd-sized
+    /// holes behind (sizing `encode_spec`'s buffer from a length model
+    /// cost `scale400_hier` 7 % of peak RSS for no measurable time).
+    clauses: Vec<u8>,
+    count: u64,
+}
+
+impl SpecEncoder {
+    /// An encoder holding every clause of `spec`.
+    fn of(spec: &SplitSpec) -> SpecEncoder {
+        let mut enc = SpecEncoder::default();
+        for clause in &spec.clauses {
+            enc.push(clause.lits());
+        }
+        enc
+    }
+
+    /// Append one clause, its literals in the order given.
+    fn push(&mut self, lits: &[Lit]) {
+        encode_codes(lits.iter().map(|l| l.code() as u32), &mut self.clauses);
+        self.count += 1;
+    }
+
+    /// Everything of the payload before the clause records.
+    fn head(&self, num_vars: usize, assumptions: &[(Lit, bool)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(num_vars as u64, &mut out);
+        write_varint(assumptions.len() as u64, &mut out);
+        for &(lit, global) in assumptions {
+            write_varint((lit.code() as u64) << 1 | u64::from(global), &mut out);
+        }
+        write_varint(self.count, &mut out);
+        out
+    }
+
+    /// The finished payload.
+    fn finish(self, num_vars: usize, assumptions: &[(Lit, bool)]) -> Vec<u8> {
+        let mut out = self.head(num_vars, assumptions);
+        out.extend_from_slice(&self.clauses);
+        out
+    }
+
+    /// The finished spec, sealed in a frame sized exactly for it.
+    fn seal(self, num_vars: usize, assumptions: &[(Lit, bool)]) -> SpecFrame {
+        let head = self.head(num_vars, assumptions);
+        let mut bytes = begin_frame(head.len() + self.clauses.len());
+        bytes.extend_from_slice(&head);
+        bytes.extend_from_slice(&self.clauses);
+        end_frame(&mut bytes);
+        SpecFrame { bytes }
+    }
+}
+
 /// Serialize a subproblem spec (guiding-path assumptions + level-0
 /// units and unsatisfied clauses).
 pub fn encode_spec(spec: &SplitSpec) -> Vec<u8> {
-    // grown by doubling on purpose: this buffer is a temporary (copied
-    // into a frame or a journal record), and sizing it exactly from
-    // `spec_wire_bytes` left odd-sized holes behind that cost
-    // `scale400_hier` 7 % of peak RSS for no measurable time
-    let mut out = Vec::new();
-    write_varint(spec.num_vars as u64, &mut out);
-    write_varint(spec.assumptions.len() as u64, &mut out);
-    for &(lit, global) in &spec.assumptions {
-        write_varint((lit.code() as u64) << 1 | u64::from(global), &mut out);
-    }
-    write_varint(spec.clauses.len() as u64, &mut out);
-    for clause in &spec.clauses {
-        encode_codes(clause.lits().iter().map(|l| l.code() as u32), &mut out);
-    }
-    out
+    SpecEncoder::of(spec).finish(spec.num_vars, &spec.assumptions)
 }
 
-/// Decode a subproblem spec. Inverse of [`encode_spec`]: specs keep
-/// their literal order on the wire, so the round-trip is the identity.
-pub fn decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
+/// A subproblem spec decoded flat: what a [`SplitSpec`] holds, with
+/// every clause's literals back to back in one buffer instead of a heap
+/// `Clause` each. A thief loads its solver from it
+/// ([`Solver::from_split_parts`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct FlatSpec {
+    /// Variable universe size.
+    pub num_vars: usize,
+    /// Level-0 literals: `(lit, globally_derivable)`.
+    pub assumptions: Vec<(Lit, bool)>,
+    /// The literals of every clause, clause after clause.
+    lits: Vec<Lit>,
+    /// Where each clause ends in `lits`: non-decreasing, the last one
+    /// `lits.len()`.
+    ends: Vec<usize>,
+}
+
+impl FlatSpec {
+    /// Each clause's literals, in order.
+    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + Clone {
+        (0..self.ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.lits[start..self.ends[i]]
+        })
+    }
+
+    /// The same spec with a heap `Clause` per clause.
+    pub fn into_spec(self) -> SplitSpec {
+        let clauses = self
+            .clauses()
+            .map(|c| Clause::new(c.iter().copied()))
+            .collect();
+        SplitSpec {
+            num_vars: self.num_vars,
+            assumptions: self.assumptions,
+            clauses,
+        }
+    }
+}
+
+/// The one subproblem-spec decoder: inverse of `SpecEncoder`, into the
+/// flat form. Specs keep their literal order on the wire, so the
+/// round-trip is the identity.
+pub fn decode_spec_flat(buf: &[u8]) -> Result<FlatSpec, WireError> {
     let mut pos = 0usize;
     let num_vars = read_varint(buf, &mut pos)?;
     let n_asm = read_varint(buf, &mut pos)?;
@@ -544,18 +645,29 @@ pub fn decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
     if n_clauses > buf.len() as u64 {
         return Err(WireError::Truncated);
     }
-    let mut clauses = Vec::with_capacity(n_clauses as usize);
+    // a clause takes at least its length byte and a literal at least one
+    // byte, so what is left of the buffer bounds the literal count
+    let room = (buf.len() - pos).saturating_sub(n_clauses as usize);
+    let mut lits = Vec::with_capacity(room);
+    let mut ends = Vec::with_capacity(n_clauses as usize);
     for _ in 0..n_clauses {
-        clauses.push(decode_clause(buf, &mut pos)?);
+        decode_clause_into(buf, &mut pos, &mut lits)?;
+        ends.push(lits.len());
     }
     if pos != buf.len() {
         return Err(WireError::TrailingBytes);
     }
-    Ok(SplitSpec {
+    Ok(FlatSpec {
         num_vars: num_vars as usize,
         assumptions,
-        clauses,
+        lits,
+        ends,
     })
+}
+
+/// Decode a subproblem spec with a heap `Clause` per clause.
+pub fn decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
+    decode_spec_flat(buf).map(FlatSpec::into_spec)
 }
 
 /// A subproblem spec sealed in a checksummed frame — the form `Solve`,
@@ -571,9 +683,18 @@ pub struct SpecFrame {
 impl SpecFrame {
     /// Encode and frame a spec.
     pub fn seal(spec: &SplitSpec) -> SpecFrame {
-        SpecFrame {
-            bytes: seal_frame(&encode_spec(spec)),
-        }
+        SpecEncoder::of(spec).seal(spec.num_vars, &spec.assumptions)
+    }
+
+    /// Split `solver` and seal the half it gives away as its clauses
+    /// stream out of the arena ([`Solver::split_off_with`]): the bytes of
+    /// `SpecFrame::seal(&solver.split_off()?)`, with no clause built on
+    /// the heap. Returns the frame and that half's assumptions; `None`
+    /// when the solver has no open decision.
+    pub fn split_off(solver: &mut Solver) -> Option<(SpecFrame, Vec<(Lit, bool)>)> {
+        let mut enc = SpecEncoder::default();
+        let assumptions = solver.split_off_with(|lits| enc.push(lits))?;
+        Some((enc.seal(solver.num_vars(), &assumptions), assumptions))
     }
 
     /// Adopt raw wire bytes (receiver/fuzzer entry).
@@ -583,7 +704,12 @@ impl SpecFrame {
 
     /// Verify the frame and decode the spec.
     pub fn open(&self) -> Result<SplitSpec, WireError> {
-        decode_spec(open_frame(&self.bytes)?)
+        self.open_flat().map(FlatSpec::into_spec)
+    }
+
+    /// Verify the frame and decode the spec flat.
+    pub fn open_flat(&self) -> Result<FlatSpec, WireError> {
+        decode_spec_flat(open_frame(&self.bytes)?)
     }
 
     /// Frame-level integrity check without decoding the spec.
@@ -600,24 +726,6 @@ impl SpecFrame {
     pub fn corrupt_bit(&mut self, seed: u64) {
         flip_bit(&mut self.bytes, seed);
     }
-}
-
-/// Exact [`encode_spec`] output length, computed without allocating the
-/// buffer. This is the payload half of the transfer-size model for
-/// `Solve` / `Subproblem` / `Requeue` messages and the NWS
-/// transfer-time forecasts; [`SpecFrame::wire_len`] adds the frame
-/// header.
-pub fn spec_wire_bytes(spec: &SplitSpec) -> usize {
-    let mut n = varint_len(spec.num_vars as u64);
-    n += varint_len(spec.assumptions.len() as u64);
-    for &(lit, global) in &spec.assumptions {
-        n += varint_len((lit.code() as u64) << 1 | u64::from(global));
-    }
-    n += varint_len(spec.clauses.len() as u64);
-    for clause in &spec.clauses {
-        n += clause_wire_len(clause);
-    }
-    n
 }
 
 #[cfg(test)]
@@ -643,20 +751,20 @@ mod tests {
 
     #[test]
     fn varint_round_trips_at_boundaries() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            129,
-            16383,
-            16384,
-            u32::MAX as u64,
-            u64::MAX,
+        for (v, len) in [
+            (0u64, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (129, 2),
+            (16383, 2),
+            (16384, 3),
+            (u32::MAX as u64, 5),
+            (u64::MAX, 10),
         ] {
             let mut buf = Vec::new();
             write_varint(v, &mut buf);
-            assert_eq!(buf.len(), varint_len(v), "len model for {v}");
+            assert_eq!(buf.len(), len, "length of {v}");
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos), Ok(v));
             assert_eq!(pos, buf.len());
@@ -894,12 +1002,18 @@ mod tests {
             assumptions: vec![(Lit::pos(3), true), (Lit::neg(7), false)],
             clauses: vec![Clause::new([Lit::pos(1), Lit::neg(2), Lit::pos(9)])],
         };
+        // the layout, byte by byte: num_vars, #assumptions, code≪1|global
+        // twice, #clauses, then the clause — length, zigzag(2), zigzag(+3),
+        // zigzag(+13)
+        let payload = [40, 2, 13, 30, 1, 3, 4, 6, 26];
+        assert_eq!(encode_spec(&spec), payload);
         let frame = SpecFrame::seal(&spec);
         assert!(frame.intact());
-        assert_eq!(
-            frame.wire_len(),
-            FRAME_HEADER_BYTES + spec_wire_bytes(&spec)
-        );
+        assert_eq!(frame.bytes, seal_frame(&payload));
+        assert_eq!(frame.wire_len(), FRAME_HEADER_BYTES + payload.len());
+        let flat = frame.open_flat().expect("clean frame");
+        assert_eq!(flat.lits, spec.clauses[0].lits());
+        assert_eq!(flat.ends, [3]);
         assert_eq!(frame.open(), Ok(spec));
         let mut bad = frame.clone();
         bad.corrupt_bit(7);
@@ -922,6 +1036,17 @@ mod tests {
             let batch = EncodedBatch::encode(&shares);
             assert_eq!(batch.len(), n);
             assert_eq!(batch.wire_len(), batch.bytes.len());
+            // the encoder as first written, a fresh vector of codes per
+            // clause: the same bytes
+            let mut reference = Vec::new();
+            write_varint(n as u64, &mut reference);
+            for (c, _) in &shares {
+                let mut codes: Vec<u32> = c.iter().map(|l| l.code() as u32).collect();
+                codes.sort_unstable();
+                codes.dedup();
+                encode_codes(codes.iter().copied(), &mut reference);
+            }
+            assert_eq!(batch.bytes, seal_frame(&reference));
             let decoded = batch.decode().expect("round trip");
             assert_eq!(decoded.len(), n);
             for ((orig, fp), (dec, dec_fp)) in shares.iter().zip(&decoded) {
@@ -951,11 +1076,9 @@ mod tests {
                 clauses: (0..n_cl).map(|_| clause(&mut rng, 5000, 12)).collect(),
             };
             let bytes = encode_spec(&spec);
-            assert_eq!(
-                bytes.len(),
-                spec_wire_bytes(&spec),
-                "size model is exact, not approximate"
-            );
+            assert_eq!(SpecFrame::seal(&spec).bytes, seal_frame(&bytes));
+            let flat = decode_spec_flat(&bytes).expect("clean payload");
+            assert!(flat.clauses().eq(spec.clauses.iter().map(Clause::lits)));
             assert_eq!(decode_spec(&bytes), Ok(spec), "identity round trip");
         }
     }
@@ -998,11 +1121,11 @@ mod tests {
             assumptions: vec![(Lit::pos(3), true)],
             clauses: vec![],
         };
-        let mut prev = spec_wire_bytes(&spec);
+        let mut prev = encode_spec(&spec).len();
         for i in 0..10u32 {
             spec.clauses
                 .push(Clause::new([Lit::pos(i), Lit::neg(i + 1)]));
-            let len = spec_wire_bytes(&spec);
+            let len = encode_spec(&spec).len();
             assert!(len > prev);
             prev = len;
         }

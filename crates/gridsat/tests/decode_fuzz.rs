@@ -3,8 +3,9 @@
 //! round-trip clean input exactly. Covers the three wire decoders:
 //! checksummed frames ([`wire::open_frame`]), clause-share batches
 //! ([`EncodedBatch`], through both the uncached `decode` and the
-//! memoised `decoded` receivers use), and sealed journal records
-//! ([`SealedRecord`]).
+//! memoised `decoded` receivers use), subproblem specs ([`SpecFrame`],
+//! through the flat decoder held against a model of the `SplitSpec` one
+//! it replaced), and sealed journal records ([`SealedRecord`]).
 //!
 //! The generator is a plain xorshift so failures reproduce from the
 //! printed seed alone (`DECODE_FUZZ_SEED=<n>`), and the iteration count
@@ -12,7 +13,7 @@
 
 use gridsat::journal::{JournalRecord, SealedRecord};
 use gridsat::msg::{Checkpoint, ProblemId};
-use gridsat::wire::{self, EncodedBatch, SpecFrame};
+use gridsat::wire::{self, EncodedBatch, FlatSpec, SpecFrame, WireError};
 use gridsat_cnf::{Clause, Lit};
 use gridsat_grid::NodeId;
 use gridsat_solver::SplitSpec;
@@ -202,6 +203,74 @@ fn fuzz_share_batch_decoder_never_panics() {
     }
 }
 
+/// The spec decoder as first written, a heap `Clause` per clause: the
+/// model the flat decoder must agree with, error for error.
+fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
+    fn varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
+        let (mut v, mut shift) = (0u64, 0u32);
+        loop {
+            let byte = *buf.get(*pos).ok_or(WireError::Truncated)?;
+            *pos += 1;
+            if shift == 63 && byte > 1 {
+                return Err(WireError::Overflow);
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(WireError::Overflow);
+            }
+        }
+    }
+    let unzigzag = |v: u64| ((v >> 1) as i64) ^ -((v & 1) as i64);
+    let mut pos = 0;
+    let num_vars = varint(buf, &mut pos)?;
+    let n_asm = varint(buf, &mut pos)?;
+    if n_asm > buf.len() as u64 {
+        return Err(WireError::Truncated);
+    }
+    let mut assumptions = Vec::new();
+    for _ in 0..n_asm {
+        let packed = varint(buf, &mut pos)?;
+        if packed >> 1 > u64::from(u32::MAX) {
+            return Err(WireError::Overflow);
+        }
+        assumptions.push((Lit::from_code((packed >> 1) as usize), packed & 1 == 1));
+    }
+    let n_clauses = varint(buf, &mut pos)?;
+    if n_clauses > buf.len() as u64 {
+        return Err(WireError::Truncated);
+    }
+    let mut clauses = Vec::new();
+    for _ in 0..n_clauses {
+        let len = varint(buf, &mut pos)?;
+        if len > buf.len() as u64 {
+            return Err(WireError::Truncated);
+        }
+        let (mut lits, mut prev) = (Vec::new(), 0i64);
+        for k in 0..len {
+            let d = unzigzag(varint(buf, &mut pos)?);
+            let code = if k == 0 { d } else { prev + d };
+            if !(0..=i64::from(u32::MAX)).contains(&code) {
+                return Err(WireError::Overflow);
+            }
+            lits.push(Lit::from_code(code as usize));
+            prev = code;
+        }
+        clauses.push(Clause::new(lits));
+    }
+    if pos != buf.len() {
+        return Err(WireError::TrailingBytes);
+    }
+    Ok(SplitSpec {
+        num_vars: num_vars as usize,
+        assumptions,
+        clauses,
+    })
+}
+
 #[test]
 fn fuzz_spec_frame_decoder_never_panics() {
     let mut rng = Rng(seed() | 1);
@@ -213,15 +282,39 @@ fn fuzz_spec_frame_decoder_never_panics() {
             spec,
             "iter {i}: clean round-trip"
         );
+        assert_eq!(
+            clean.open_flat().map(FlatSpec::into_spec),
+            Ok(spec.clone()),
+            "iter {i}: clean round-trip, flat"
+        );
         let mut bad = clean.clone();
         bad.corrupt_bit(rng.next());
         assert!(
-            bad.open().is_err(),
+            bad.open().is_err() && bad.open_flat().is_err(),
             "iter {i}: bit-flipped spec frame opened (seed {})",
             seed()
         );
         let garbage = SpecFrame::from_wire((0..rng.below(200)).map(|_| rng.next() as u8).collect());
-        let _ = garbage.open();
+        assert_eq!(
+            garbage.open_flat().map(FlatSpec::into_spec),
+            garbage.open(),
+            "iter {i}"
+        );
+        // the same mangles behind a valid checksum, so the parse itself
+        // sees them: the flat decoder answers what the model answers
+        let payload = mangle(&mut rng, &wire::encode_spec(&spec));
+        let flat = wire::decode_spec_flat(&payload);
+        assert_eq!(
+            flat.clone().map(FlatSpec::into_spec),
+            reference_decode_spec(&payload),
+            "iter {i}: flat decode differs from the model (seed {})",
+            seed()
+        );
+        assert_eq!(
+            SpecFrame::from_wire(wire::seal_frame(&payload)).open_flat(),
+            flat,
+            "iter {i}"
+        );
     }
 }
 

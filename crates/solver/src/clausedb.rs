@@ -181,6 +181,18 @@ impl ClauseDb {
         ClauseRef(off as u32)
     }
 
+    /// Reserve arena room for clauses of the given lengths at once, so a
+    /// bulk load copies each clause in without regrowing the arena.
+    /// Rounded up to a power of two, as repeated doubling would have left
+    /// it: an odd-sized block is a hole nothing else reuses once the
+    /// learned clauses outgrow it.
+    pub(crate) fn reserve_for(&mut self, lens: impl Iterator<Item = usize>) {
+        let words: usize = lens.map(|len| HEADER_WORDS + len).sum();
+        if words > 0 {
+            self.arena.reserve(words.next_power_of_two());
+        }
+    }
+
     /// Delete a clause: marks it dead and releases its model bytes. The
     /// words stay in the arena as garbage until the next [`collect`]
     /// (the caller must already have detached its watches).

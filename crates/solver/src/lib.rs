@@ -27,7 +27,10 @@
 //! * [`SolverConfig`] — the six values a caller sets; the rest of the
 //!   paper's zChaff configuration is fixed.
 //! * [`SplitSpec`] — a serialized subproblem, produced by
-//!   [`Solver::split_off`] and consumed by [`Solver::from_split`].
+//!   [`Solver::split_off`] and consumed by [`Solver::from_split`]. Both
+//!   wrap the borrowing forms a sender that encodes as it goes uses:
+//!   [`Solver::split_off_with`] hands each clause out of the arena, and
+//!   [`Solver::from_split_parts`] loads literal slices.
 //! * [`proof`] — DRAT proof logging with a built-in independent RUP
 //!   checker (extension).
 

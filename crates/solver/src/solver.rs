@@ -228,17 +228,33 @@ impl Solver {
     /// Build a solver for a whole formula (no assumptions).
     pub fn new(formula: &Formula, config: SolverConfig) -> Solver {
         let clauses = formula.clauses().iter().map(Clause::lits);
-        Solver::load(formula.num_vars(), clauses, &[], config)
+        let mut s = Solver::load(formula.num_vars(), clauses, &[], config);
+        s.order_decisions();
+        s
     }
 
     /// Build a solver for a subproblem received from a peer.
     pub fn from_split(spec: &SplitSpec, config: SolverConfig) -> Solver {
         let clauses = spec.clauses.iter().map(Clause::lits);
-        let mut s = Solver::load(spec.num_vars, clauses, &[], config);
-        for &(lit, global) in &spec.assumptions {
+        Solver::from_split_parts(spec.num_vars, &spec.assumptions, clauses, config)
+    }
+
+    /// Build a solver for a subproblem given as borrowed parts: the
+    /// level-0 literals with their "globally derivable" flags, and each
+    /// clause as a literal slice (a decoder's flat buffer, say). The one
+    /// constructor behind [`Solver::from_split`].
+    pub fn from_split_parts<'a>(
+        num_vars: usize,
+        assumptions: &[(Lit, bool)],
+        clauses: impl Iterator<Item = &'a [Lit]> + Clone,
+        config: SolverConfig,
+    ) -> Solver {
+        let mut s = Solver::load(num_vars, clauses, &[], config);
+        for &(lit, global) in assumptions {
             s.add_assumption(lit, global);
         }
         s.initial_propagate();
+        s.order_decisions();
         s
     }
 
@@ -252,19 +268,24 @@ impl Solver {
     ) -> Solver {
         let clauses: Vec<Clause> = clauses.into_iter().collect();
         let clauses = clauses.iter().map(Clause::lits);
-        Solver::load(num_vars, clauses, assumptions, config)
+        let mut s = Solver::load(num_vars, clauses, assumptions, config);
+        s.order_decisions();
+        s
     }
 
     /// The one loader behind every constructor: clauses come in as
-    /// borrowed literal slices and are copied exactly once, into the
-    /// arena.
+    /// borrowed literal slices and are copied exactly once, into an arena
+    /// reserved for all of them up front. Ends with the initial
+    /// propagation; the caller finishes with [`Solver::order_decisions`]
+    /// once nothing is left to pin at level 0.
     fn load<'a>(
         num_vars: usize,
-        clauses: impl Iterator<Item = &'a [Lit]>,
+        clauses: impl Iterator<Item = &'a [Lit]> + Clone,
         assumptions: &[Lit],
         config: SolverConfig,
     ) -> Solver {
         let mut s = Solver::empty(num_vars, config);
+        s.db.reserve_for(clauses.clone().map(<[Lit]>::len));
         for lit in assumptions {
             s.add_assumption(*lit, false);
         }
@@ -274,11 +295,19 @@ impl Solver {
             s.add_original_clause(clause, &mut scratch);
             original += 1;
         }
-        // the clauses bumped their literals' counters unordered
-        s.vsids.reorder();
         s.max_learned = (original as f64 * s.config.max_learned_factor).max(1000.0);
         s.initial_propagate();
         s
+    }
+
+    /// Order the decision heap once loading is over: the clauses bumped
+    /// their literals' counters unordered, and level 0 is never undone,
+    /// so the heap keeps only the literals still unassigned. `pop_best`
+    /// would discard the others on the way anyway; every pick is the same.
+    fn order_decisions(&mut self) {
+        let assign8 = &self.assign8;
+        self.vsids
+            .rebuild(|l| assign8[l.var().index()] == LV_UNASSIGNED);
     }
 
     /// A solver over `num_vars` variables with no clauses yet.
@@ -1337,6 +1366,22 @@ impl Solver {
     /// satisfied under them. This solver absorbs its level 1 into level 0
     /// (the Figure 2 stack transformation) and keeps searching its half.
     pub fn split_off(&mut self) -> Option<SplitSpec> {
+        let mut clauses = Vec::new();
+        let assumptions =
+            self.split_off_with(|lits| clauses.push(Clause::new(lits.iter().copied())))?;
+        Some(SplitSpec {
+            num_vars: self.num_vars,
+            assumptions,
+            clauses,
+        })
+    }
+
+    /// [`Solver::split_off`] with the other half's clauses handed to
+    /// `emit` one by one, straight from the arena and in arena order,
+    /// instead of collected; returns that half's assumptions. What a
+    /// sender that encodes as it goes calls: no clause is built on the
+    /// heap.
+    pub fn split_off_with(&mut self, mut emit: impl FnMut(&[Lit])) -> Option<Vec<(Lit, bool)>> {
         if !self.can_split() {
             return None;
         }
@@ -1351,20 +1396,21 @@ impl Solver {
             .collect();
         assumptions.push((!d1, false));
 
-        let clauses: Vec<Clause> = self
-            .db
-            .iter_refs()
-            .filter(|&c| {
-                // keep clauses NOT satisfied by the other side's level 0
-                !self.db.lits(c).iter().any(|&l| {
-                    let sat_by_level0 =
-                        self.lit_value(l) == Value::True && self.var_level[l.var().index()] == 0;
-                    let sat_by_neg_d1 = l == !d1;
-                    sat_by_level0 || sat_by_neg_d1
-                })
-            })
-            .map(|c| self.db.export(c))
-            .collect();
+        // keep clauses NOT satisfied by the other side's level 0
+        let mut emitted_lits = 0u64;
+        for c in self.db.iter_refs() {
+            let lits = self.db.lits(c);
+            let satisfied = lits.iter().any(|&l| {
+                let v = l.var().index();
+                let sat_by_level0 =
+                    self.assign8[v] ^ (l.code() as u8 & 1) == LV_TRUE && self.var_level[v] == 0;
+                sat_by_level0 || l == !d1
+            });
+            if !satisfied {
+                emit(lits);
+                emitted_lits += lits.len() as u64;
+            }
+        }
 
         // --- this side: absorb level 1 into level 0 ---
         let l1_end = if self.decision_level() >= 2 {
@@ -1386,13 +1432,8 @@ impl Solver {
         self.level_start.remove(1);
         self.assumptions.push(d1);
 
-        self.stats.work += clauses.iter().map(|c| c.len() as u64).sum::<u64>();
-
-        Some(SplitSpec {
-            num_vars: self.num_vars,
-            assumptions,
-            clauses,
-        })
+        self.stats.work += emitted_lits;
+        Some(assumptions)
     }
 
     // ------------------------------------------------------------------
@@ -1463,6 +1504,28 @@ impl Solver {
             .iter()
             .map(|&l| (l, self.level0_global[l.var().index()]))
             .collect()
+    }
+
+    /// Everything a load or a split decides that later search can see —
+    /// status, clauses in arena order with their display ids, level 0,
+    /// VSIDS scores, arena occupancy, counters, the learned-clause cap —
+    /// for tests that build one solver two ways and compare.
+    #[doc(hidden)]
+    pub fn loaded_state(&self) -> impl PartialEq + std::fmt::Debug {
+        let ids: Vec<u32> = self.db.iter_refs().map(|c| self.db.display_id(c)).collect();
+        let scores: Vec<u64> = (0..self.num_vars * 2)
+            .map(|code| self.vsids_score(Lit::from_code(code)))
+            .collect();
+        (
+            self.status(),
+            self.export_clauses(),
+            self.level0_assignment(),
+            ids,
+            scores,
+            self.db_arena_stats(),
+            *self.stats(),
+            self.max_learned.to_bits(),
+        )
     }
 
     /// Consistency checks used by tests and debug assertions.
@@ -1621,24 +1684,6 @@ mod tests {
         }
     }
 
-    /// Everything the loader decides, on both solvers.
-    fn loaded_state(s: &Solver) -> impl PartialEq + std::fmt::Debug {
-        let ids: Vec<u32> = s.db.iter_refs().map(|c| s.db.display_id(c)).collect();
-        let scores: Vec<u64> = (0..s.num_vars * 2)
-            .map(|code| s.vsids_score(Lit::from_code(code)))
-            .collect();
-        (
-            s.status(),
-            s.export_clauses(),
-            s.level0_assignment(),
-            ids,
-            scores,
-            s.db_arena_stats(),
-            *s.stats(),
-            s.max_learned.to_bits(),
-        )
-    }
-
     #[test]
     fn slice_loader_agrees_with_the_clone_and_normalise_path() {
         let mut rng = Rng::seed_from_u64(14);
@@ -1649,8 +1694,8 @@ mod tests {
             let mut old = reference_from_split(&spec, SolverConfig::default());
             new.check_invariants();
             assert_eq!(
-                loaded_state(&new),
-                loaded_state(&old),
+                new.loaded_state(),
+                old.loaded_state(),
                 "case {case}: {spec:?}"
             );
             if new.status().is_some() {
@@ -1842,8 +1887,8 @@ mod tests {
                 reference_merge(&mut old, &mut old_inbox.queue, slice);
                 old_inbox.stamp(&mut old);
                 assert_eq!(
-                    loaded_state(&new),
-                    loaded_state(&old),
+                    new.loaded_state(),
+                    old.loaded_state(),
                     "case {case} round {round}: {spec:?}"
                 );
                 assert_eq!(new.proof_complete, old.proof_complete);
@@ -1947,8 +1992,8 @@ mod tests {
                 old.stats.max_merge_burst = new.stats().max_merge_burst;
                 old.stats.max_step_work = new.stats().max_step_work;
                 assert_eq!(
-                    loaded_state(&new),
-                    loaded_state(&old),
+                    new.loaded_state(),
+                    old.loaded_state(),
                     "case {case}: {spec:?}"
                 );
                 if new.status().is_some() && new.pending_foreign() > 0 {
@@ -1975,16 +2020,16 @@ mod tests {
             for c in &spec.clauses {
                 f.add_clause(c.iter());
             }
-            let want = loaded_state(&reference_from_split(&spec, SolverConfig::default()));
+            let want = reference_from_split(&spec, SolverConfig::default()).loaded_state();
             let new = Solver::new(&f, SolverConfig::default());
-            assert_eq!(loaded_state(&new), want, "{spec:?}");
+            assert_eq!(new.loaded_state(), want, "{spec:?}");
             let parts = Solver::from_parts(
                 spec.num_vars,
                 spec.clauses.iter().cloned(),
                 &[],
                 SolverConfig::default(),
             );
-            assert_eq!(loaded_state(&parts), want, "{spec:?}");
+            assert_eq!(parts.loaded_state(), want, "{spec:?}");
         }
     }
 }

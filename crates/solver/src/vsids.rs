@@ -8,6 +8,8 @@
 //!
 //! The order is maintained by an indexed binary max-heap with
 //! sift-on-bump; decays rebuild the heap wholesale (they are rare).
+//! Assigned literals are skipped lazily, when they surface at the top;
+//! [`Vsids::rebuild`] leaves out the ones that will never be unassigned.
 
 use gridsat_cnf::Lit;
 
@@ -95,6 +97,21 @@ impl Vsids {
     /// once instead of sifting per literal.
     pub fn bump_unordered(&mut self, l: Lit) {
         self.score[l.code()] += 1;
+    }
+
+    /// Rebuild the heap from the literals `keep` accepts, in the order of
+    /// the current scores; the rest leave it until [`Vsids::reinsert`].
+    pub fn rebuild(&mut self, mut keep: impl FnMut(Lit) -> bool) {
+        self.heap.clear();
+        for code in 0..self.pos.len() {
+            if keep(Lit::from_code(code)) {
+                self.pos[code] = self.heap.len() as u32;
+                self.heap.push(code as u32);
+            } else {
+                self.pos[code] = NOT_IN_HEAP;
+            }
+        }
+        self.reorder();
     }
 
     /// Rebuild the heap order from the current scores.
@@ -291,6 +308,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The loader's heap: rebuilt without the variables fixed for good
+    /// (level 0), it must pop exactly what the full heap pops when it
+    /// skips them lazily — through decisions, backtracks that reinsert
+    /// both literals of a variable, bumps of any literal, and decays.
+    #[test]
+    fn a_heap_without_the_fixed_variables_pops_like_lazy_skipping() {
+        use gridsat_cnf::rng::Rng;
+        let (mut picks, mut skipped) = (0u64, 0u64);
+        for schedule in 0..1000u64 {
+            let mut rng = Rng::seed_from_u64(schedule);
+            let n_vars = rng.range_usize(1..40);
+            let mut lazy = Vsids::new(n_vars);
+            let mut lean = Vsids::new(n_vars);
+            for _ in 0..rng.range_usize(0..200) {
+                let l = lit(rng.range_usize(0..2 * n_vars));
+                lazy.bump_unordered(l);
+                lean.bump_unordered(l);
+            }
+            // fixed: at level 0 for good; decided: assigned above it
+            let fixed: Vec<bool> = (0..n_vars).map(|_| rng.gen_bool(0.3)).collect();
+            let mut decided = vec![false; n_vars];
+            lazy.reorder();
+            lean.rebuild(|l| !fixed[l.var().index()]);
+            assert!(lean.check_invariants());
+            for _ in 0..6 * n_vars {
+                match rng.range_u32(0..8) {
+                    0..=3 => {
+                        let free = |l: Lit| {
+                            let v = l.var().index();
+                            !fixed[v] && !decided[v]
+                        };
+                        let before = lazy.heap.len();
+                        let a = lazy.pop_best(free);
+                        let b = lean.pop_best(free);
+                        assert_eq!(a, b, "schedule {schedule}");
+                        skipped += (before - lazy.heap.len()) as u64 - u64::from(a.is_some());
+                        if let Some(l) = a {
+                            decided[l.var().index()] = true;
+                            picks += 1;
+                        }
+                    }
+                    4 | 5 => {
+                        let l = lit(rng.range_usize(0..2 * n_vars));
+                        lazy.bump(l);
+                        lean.bump(l);
+                    }
+                    6 => {
+                        let v = rng.range_usize(0..n_vars);
+                        if decided[v] {
+                            decided[v] = false;
+                            for l in [Lit::pos(v as u32), Lit::neg(v as u32)] {
+                                lazy.reinsert(l);
+                                lean.reinsert(l);
+                            }
+                        }
+                    }
+                    _ => {
+                        lazy.decay(1);
+                        lean.decay(1);
+                    }
+                }
+                assert!(lean.check_invariants());
+            }
+            assert_eq!(lazy.score, lean.score);
+        }
+        assert!(picks > 1000 && skipped > 1000, "{picks} / {skipped}");
     }
 
     #[test]

@@ -6,13 +6,14 @@
 # nine tenths of the pairs (ties count for neither) and the medians apart
 # by more than the distance between the parent's own quartiles.
 #
-#   scripts/ab.sh <parent-dir> <change-dir> <workload>|all [pairs] [seed]
+#   scripts/ab.sh <parent> <change> <workload>|all [pairs] [seed]
 #
 # `all` measures every workload BENCHMARK.json lists, one after the other,
 # and prints one table with a block of rows per workload.
 #
-# Each directory is a checkout of this repository (for the parent, e.g.
-# `git archive <commit> | tar x -C <dir>`). Each side's benchmark package
+# Each side is a checkout directory of this repository or a commit of it
+# (e.g. `HEAD~1`), which is exported with `git archive` into a directory
+# under ${TMPDIR:-/tmp} (scripts/side.sh). Each side's benchmark package
 # is built once into <dir>/.bench_build; the built executables are then
 # run directly, with the run length BENCHMARK.json declares, the side
 # that goes first swapping every pair. Defaults: 10 pairs, seed 0 —
@@ -20,11 +21,12 @@
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
-  sed -n '2,19p' "$0" >&2
+  sed -n '2,20p' "$0" >&2
   exit 2
 fi
-parent=$(cd "$1" && pwd)
-change=$(cd "$2" && pwd)
+source "$(dirname "$0")/side.sh"
+parent=$(resolve_side "$1")
+change=$(resolve_side "$2")
 workload=$3
 pairs=${4:-10}
 seed=${5:-0}

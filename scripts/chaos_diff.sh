@@ -7,20 +7,21 @@
 # messages with backtraces and source paths. Prints the lines that differ,
 # command by command, and exits 1 on any difference.
 #
-#   scripts/chaos_diff.sh <parent-dir> <change-dir>
+#   scripts/chaos_diff.sh <parent> <change>
 #
-# Each directory is a checkout of this repository (for the parent, e.g.
-# `git archive <commit> | tar x -C <dir>`). Each side's `chaos_soak` is
-# built into <dir>/.chaos_build (git-ignored). After the builds, ~35 s
-# per side; the 1000-seed commands take ~8 s each.
+# Each side is a checkout directory of this repository or a commit of it,
+# exported with `git archive` under ${TMPDIR:-/tmp} (scripts/side.sh).
+# Each side's `chaos_soak` is built into <dir>/.chaos_build (git-ignored).
+# After the builds, ~35 s per side; the 1000-seed commands take ~8 s each.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
   sed -n '2,15p' "$0" >&2
   exit 2
 fi
-parent=$(cd "$1" && pwd)
-change=$(cd "$2" && pwd)
+source "$(dirname "$0")/side.sh"
+parent=$(resolve_side "$1")
+change=$(resolve_side "$2")
 
 commands=(
   "--fast"

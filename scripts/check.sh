@@ -155,10 +155,12 @@ if [[ "${CHECK_SCALE:-0}" == "1" ]]; then gate_scaling; fi
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then gate_benchmark; fi
 if [[ "${CHECK_SOLVER:-0}" == "1" ]]; then gate_solver_asserts; fi
 
-# Not a gate: `scripts/ab.sh <parent-dir> <change-dir> <workload>|all
-# [pairs] [seed]` measures a change against its parent with the same
-# benchmark (alternating runs, medians, quartiles, win count), and
-# `scripts/same_counts.sh <parent-dir> <change-dir> [seed]` checks that
-# the two compute the same `sim_answer_s` and exact per-layer counts.
+# Not a gate: `scripts/ab.sh <parent> <change> <workload>|all [pairs]
+# [seed]` measures a change against its parent with the same benchmark
+# (alternating runs, medians, quartiles, win count),
+# `scripts/same_counts.sh <parent> <change> [seed]` checks that the two
+# compute the same `sim_answer_s` and exact per-layer counts, and
+# `scripts/chaos_diff.sh <parent> <change>` that their chaos soaks print
+# the same. Each side is a checkout directory or a commit.
 
 echo "OK"

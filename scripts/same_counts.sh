@@ -8,20 +8,22 @@
 # failed operations, and how many values were compared; exits 1 on any of
 # them.
 #
-#   scripts/same_counts.sh <parent-dir> <change-dir> [seed]
+#   scripts/same_counts.sh <parent> <change> [seed]
 #
-# Each directory is a checkout of this repository (for the parent, e.g.
-# `git archive <commit> | tar x -C <dir>`). Each side's benchmark package
-# is built into <dir>/.bench_build, as scripts/ab.sh does; the
-# `benchmark/Cargo.lock` the build rewrites is put back. Default seed 0.
+# Each side is a checkout directory of this repository or a commit of it,
+# exported with `git archive` under ${TMPDIR:-/tmp} (scripts/side.sh).
+# Each side's benchmark package is built into <dir>/.bench_build, as
+# scripts/ab.sh does; the `benchmark/Cargo.lock` the build rewrites is put
+# back. Default seed 0.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
-  sed -n '2,16p' "$0" >&2
+  sed -n '2,17p' "$0" >&2
   exit 2
 fi
-parent=$(cd "$1" && pwd)
-change=$(cd "$2" && pwd)
+source "$(dirname "$0")/side.sh"
+parent=$(resolve_side "$1")
+change=$(resolve_side "$2")
 seed=${3:-0}
 
 # the entries that carry a "why" are the workloads
