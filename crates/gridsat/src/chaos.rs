@@ -484,6 +484,22 @@ mod tests {
         assert_soak_run_agrees_with_the_oracle(&f, 953, "submaster-loss", &GridConfig::default());
     }
 
+    /// ROADMAP item 1 (b), the largest family of `chaos_soak --seeds 1000`
+    /// failures: a client adopts a cube whose level 0 contradicts the
+    /// path the auditor recorded for it, always php under
+    /// `submaster-loss`, mostly the same cube. `chaos_soak --plan
+    /// submaster-loss --seeds 183`: php/seed182/submaster-loss panics with
+    /// `adopted spec contradicts the recorded path` on `[-1 2 10 13 -30]`,
+    /// the cube of 9 of the family's 12 default-preset failures. Under
+    /// `--preset paper` the first of the 35 on `[-1 2 13 15 -20]` is seed
+    /// 56.
+    #[test]
+    #[ignore = "open: ROADMAP item 1 (b), an adopted cube off its recorded path"]
+    fn php_seed182_submaster_loss_adopts_the_cube_on_record() {
+        let f = gridsat_satgen::php::php(6, 5);
+        assert_soak_run_agrees_with_the_oracle(&f, 182, "submaster-loss", &GridConfig::default());
+    }
+
     /// `chaos_soak --seeds 20` with the auditor armed in every plan:
     /// php/seed13/crash-restart declares UNSAT while a cube is still
     /// uncovered. `soak_sim` runs this plan without the auditor, so the

@@ -12,7 +12,7 @@ use crate::wire::{EncodedBatch, FlatSpec, SpecFrame};
 use gridsat_cnf::Clause;
 use gridsat_grid::{Ctx, NodeId, Process};
 use gridsat_obs::{Event, Obs};
-use gridsat_solver::{FpWindow, Solver, SolverConfig, SplitSpec, Step};
+use gridsat_solver::{FpWindow, Solver, SolverConfig, Step};
 use std::sync::Arc;
 
 /// Capacity of the per-client fingerprint window that deduplicates
@@ -594,16 +594,6 @@ impl Client {
         );
     }
 
-    /// Export the full current subproblem (for migration).
-    fn export_subproblem(&self) -> Option<SplitSpec> {
-        let solver = self.solver.as_ref()?;
-        Some(SplitSpec {
-            num_vars: solver.num_vars(),
-            assumptions: solver.level0_assignment(),
-            clauses: solver.export_clauses(),
-        })
-    }
-
     /// Hand a transfer nobody here will solve back to the master, so its
     /// search space is not lost.
     fn hand_back(&self, spec: Box<SpecFrame>, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
@@ -699,13 +689,11 @@ impl Client {
         matches!(self.state, State::Done)
     }
 
-    /// Surrender the in-progress subproblem and retire; the standby
-    /// promotion path queues the returned spec for re-dispatch so the
-    /// new master's host doubles as scheduler only.
-    pub(crate) fn hand_over(&mut self) -> Option<(SplitSpec, Option<ProblemId>)> {
-        let out = self
-            .export_subproblem()
-            .map(|spec| (spec, self.current_problem));
+    /// Surrender the in-progress subproblem, sealed, and retire; the
+    /// standby promotion path queues the returned frame for re-dispatch
+    /// so the new master's host doubles as scheduler only.
+    pub(crate) fn hand_over(&mut self) -> Option<(SpecFrame, Option<ProblemId>)> {
+        let out = (self.solver.as_ref()).map(|s| (SpecFrame::export(s), self.current_problem));
         self.state = State::Done;
         self.solver = None;
         self.current_problem = None;
@@ -864,12 +852,12 @@ impl Process for Client {
                     ctx.send(self.master, done(false));
                     return;
                 }
-                if let Some(spec) = self.export_subproblem() {
+                if let Some(solver) = &self.solver {
                     // the subproblem keeps its identity when it moves
                     ctx.send(
                         peer,
                         GridMsg::Subproblem {
-                            spec: Box::new(SpecFrame::seal(&spec)),
+                            spec: Box::new(SpecFrame::export(solver)),
                             sent_at: ctx.now(),
                             problem,
                             stolen: false,
@@ -1129,6 +1117,7 @@ impl Process for Client {
 mod tests {
     use super::*;
     use gridsat_grid::NodeInfo;
+    use gridsat_solver::SplitSpec;
 
     fn ctx_at(id: u32, now: f64) -> Ctx<GridMsg> {
         Ctx::new(NodeInfo {

@@ -20,22 +20,22 @@ use crate::config::{CheckpointMode, GridConfig, SHARE_TREE_FANOUT};
 use crate::idle::{Hosts, IdleIndex};
 use crate::master::{ClientState, GrantKind};
 use crate::msg::{Checkpoint, ProblemId};
-use crate::wire::{self, WireError};
-use gridsat_cnf::{Clause, Lit};
+use crate::wire::{self, SpecFrame, WireError};
+use gridsat_cnf::Clause;
 use gridsat_grid::NodeId;
 use gridsat_nws::{Adaptive, Forecaster};
-use gridsat_solver::SplitSpec;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-/// A recovered or requeued subproblem awaiting an idle client, plus the
-/// identity of the instance it re-covers (for audit provenance: the
-/// re-dispatch owns the same guiding-path cube as `source`).
+/// A recovered or requeued subproblem awaiting an idle client, as the
+/// sealed frame its next `Solve` sends, plus the identity of the instance
+/// it re-covers (for audit provenance: the re-dispatch owns the same
+/// guiding-path cube as `source`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoverySpec {
-    pub spec: SplitSpec,
+    pub frame: SpecFrame,
     pub source: Option<ProblemId>,
 }
 
@@ -249,30 +249,6 @@ fn get_bool(buf: &[u8], pos: &mut usize) -> Result<bool, RecordError> {
     }
 }
 
-fn put_pairs(pairs: &[(Lit, bool)], out: &mut Vec<u8>) {
-    wire::write_varint(pairs.len() as u64, out);
-    for &(lit, flag) in pairs {
-        wire::write_varint((lit.code() as u64) << 1 | u64::from(flag), out);
-    }
-}
-
-fn get_pairs(buf: &[u8], pos: &mut usize) -> Result<Vec<(Lit, bool)>, RecordError> {
-    let n = wire::read_varint(buf, pos)?;
-    if n > buf.len() as u64 {
-        return Err(WireError::Truncated.into());
-    }
-    let mut pairs = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let packed = wire::read_varint(buf, pos)?;
-        let code = packed >> 1;
-        if code > u64::from(u32::MAX) {
-            return Err(WireError::Overflow.into());
-        }
-        pairs.push((Lit::from_code(code as usize), packed & 1 == 1));
-    }
-    Ok(pairs)
-}
-
 fn put_clauses(clauses: &[Clause], out: &mut Vec<u8>) {
     wire::write_varint(clauses.len() as u64, out);
     for clause in clauses {
@@ -296,11 +272,11 @@ fn put_checkpoint(cp: &Checkpoint, out: &mut Vec<u8>) {
     match cp {
         Checkpoint::Light { level0 } => {
             out.push(0);
-            put_pairs(level0, out);
+            wire::write_pairs(level0, out);
         }
         Checkpoint::Heavy { level0, learned } => {
             out.push(1);
-            put_pairs(level0, out);
+            wire::write_pairs(level0, out);
             put_clauses(learned, out);
         }
     }
@@ -311,13 +287,13 @@ fn get_checkpoint(buf: &[u8], pos: &mut usize) -> Result<Checkpoint, RecordError
         Some(0) => {
             *pos += 1;
             Ok(Checkpoint::Light {
-                level0: get_pairs(buf, pos)?,
+                level0: wire::read_pairs(buf, pos)?,
             })
         }
         Some(1) => {
             *pos += 1;
             Ok(Checkpoint::Heavy {
-                level0: get_pairs(buf, pos)?,
+                level0: wire::read_pairs(buf, pos)?,
                 learned: get_clauses(buf, pos)?,
             })
         }
@@ -348,23 +324,23 @@ fn get_opt<T>(
     })
 }
 
-/// Specs are embedded length-prefixed because [`wire::decode_spec`]
-/// demands full consumption of its buffer.
-fn put_spec(spec: &SplitSpec, out: &mut Vec<u8>) {
-    let body = wire::encode_spec(spec);
+/// A spec is journaled as its frame's payload, length-prefixed because
+/// the spec decoder demands full consumption of its buffer.
+fn put_frame(frame: &SpecFrame, out: &mut Vec<u8>) {
+    let body = frame.payload();
     wire::write_varint(body.len() as u64, out);
-    out.extend_from_slice(&body);
+    out.extend_from_slice(body);
 }
 
-fn get_spec(buf: &[u8], pos: &mut usize) -> Result<SplitSpec, RecordError> {
+fn get_frame(buf: &[u8], pos: &mut usize) -> Result<SpecFrame, RecordError> {
     let len = wire::read_varint(buf, pos)?;
     if len > buf.len().saturating_sub(*pos) as u64 {
         return Err(WireError::Truncated.into());
     }
     let end = *pos + len as usize;
-    let spec = wire::decode_spec(&buf[*pos..end])?;
+    let frame = SpecFrame::from_payload(&buf[*pos..end])?;
     *pos = end;
-    Ok(spec)
+    Ok(frame)
 }
 
 /// Serialize one record: a tag byte (the variant's declaration index)
@@ -492,7 +468,7 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
         }
         JournalRecord::RecoveryQueued { recovery } => {
             out.push(16);
-            put_spec(&recovery.spec, out);
+            put_frame(&recovery.frame, out);
             put_opt(&recovery.source, |p, o| put_problem(*p, o), out);
         }
         JournalRecord::LeaseExpired { client } => {
@@ -648,7 +624,7 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         },
         16 => JournalRecord::RecoveryQueued {
             recovery: RecoverySpec {
-                spec: get_spec(buf, &mut pos)?,
+                frame: get_frame(buf, &mut pos)?,
                 source: get_opt(buf, &mut pos, get_problem)?,
             },
         },
@@ -795,8 +771,8 @@ pub(crate) struct ClientInfo {
     /// Identity of the client's current subproblem, as far as the master
     /// knows (refreshed by dispatches, split confirmations and requests).
     pub(crate) problem: Option<ProblemId>,
-    /// Last checkpoint uploaded by this client (extension).
-    pub(crate) checkpoint: Option<Checkpoint>,
+    /// What the client's cube is rebuilt from if it is lost (extension).
+    pub(crate) image: Option<RecoveryImage>,
     /// Simulated second of the last message from this client; heartbeats
     /// keep it fresh so the master can expire silent clients
     /// (reliability extension).
@@ -813,7 +789,7 @@ impl ClientInfo {
             rank: 0.0,
             problem_since: 0.0,
             problem: None,
-            checkpoint: None,
+            image: None,
             last_seen: at,
         };
         info.observe(availability);
@@ -839,6 +815,26 @@ impl ClientInfo {
     }
 }
 
+/// What the master rebuilds a lost client's cube from.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RecoveryImage {
+    /// The frame the master dispatched, until the client's first
+    /// checkpoint lands: recovering re-sends the same bytes.
+    Sent(SpecFrame),
+    /// The client's latest checkpoint, re-dispatched as `Checkpoint::frame`.
+    Uploaded(Checkpoint),
+}
+
+impl RecoveryImage {
+    /// The cube as the frame that re-dispatches it.
+    pub(crate) fn frame(&self, formula: &gridsat_cnf::Formula) -> SpecFrame {
+        match self {
+            RecoveryImage::Sent(frame) => frame.clone(),
+            RecoveryImage::Uploaded(cp) => cp.frame(formula),
+        }
+    }
+}
+
 /// One client's row in a [`CoreImage`]: id, state, memory,
 /// problem-since, assigned problem, recovery image.
 pub type ClientImage = (
@@ -847,7 +843,7 @@ pub type ClientImage = (
     usize,
     f64,
     Option<ProblemId>,
-    Option<Checkpoint>,
+    Option<RecoveryImage>,
 );
 
 /// Replay-equality image of a [`MasterCore`]: everything scheduling
@@ -987,14 +983,13 @@ impl MasterCore {
     }
 
     /// Install a freshly dispatched subproblem on `client`, with the
-    /// synthesized initial recovery image (the exact spec sent, so a
-    /// crash before the client's first own checkpoint stays
-    /// recoverable).
+    /// frame sent as its initial recovery image, so a crash before the
+    /// client's first own checkpoint stays recoverable.
     fn install(
         &mut self,
         client: NodeId,
         problem: ProblemId,
-        spec: &SplitSpec,
+        frame: &SpecFrame,
         at: f64,
         config: &GridConfig,
     ) {
@@ -1003,30 +998,9 @@ impl MasterCore {
         };
         info.problem_since = at;
         info.problem = Some(problem);
-        info.checkpoint = (config.checkpoint != CheckpointMode::Off).then(|| Checkpoint::Heavy {
-            level0: spec.assumptions.clone(),
-            learned: spec.clauses.clone(),
-        });
+        info.image =
+            (config.checkpoint != CheckpointMode::Off).then(|| RecoveryImage::Sent(frame.clone()));
         self.set_state(client, ClientState::Busy);
-    }
-
-    /// Rebuild a dispatchable subproblem from a recovery image.
-    pub(crate) fn spec_from_checkpoint(
-        formula: &gridsat_cnf::Formula,
-        cp: Checkpoint,
-    ) -> SplitSpec {
-        match cp {
-            Checkpoint::Light { level0 } => SplitSpec {
-                num_vars: formula.num_vars(),
-                assumptions: level0,
-                clauses: formula.clauses().to_vec(),
-            },
-            Checkpoint::Heavy { level0, learned } => SplitSpec {
-                num_vars: formula.num_vars(),
-                assumptions: level0,
-                clauses: learned, // export_clauses() includes originals
-            },
-        }
     }
 
     /// Apply one record. Returns the dispatched subproblem for the two
@@ -1034,7 +1008,7 @@ impl MasterCore {
     /// it).
     pub(crate) fn apply(
         &mut self,
-        rec: &JournalRecord,
+        rec: JournalRecord,
         formula: &gridsat_cnf::Formula,
         config: &GridConfig,
     ) -> Option<RecoverySpec> {
@@ -1046,14 +1020,14 @@ impl MasterCore {
                 availability,
                 at,
             } => {
-                let info = ClientInfo::launched(*memory, *speed, *availability, *at);
-                self.admit(*client, info);
+                let info = ClientInfo::launched(memory, speed, availability, at);
+                self.admit(client, info);
                 None
             }
             JournalRecord::Deregister { client } => {
-                self.remove(*client);
-                self.backlog.retain(|id| id != client);
-                self.early_results.retain(|(n, _)| n != client);
+                self.remove(client);
+                self.backlog.retain(|id| *id != client);
+                self.early_results.retain(|(n, _)| *n != client);
                 None
             }
             JournalRecord::AssignWhole {
@@ -1062,13 +1036,13 @@ impl MasterCore {
                 at,
             } => {
                 self.first_problem_sent = true;
-                let spec = SplitSpec {
-                    num_vars: formula.num_vars(),
-                    assumptions: Vec::new(),
-                    clauses: formula.clauses().to_vec(),
-                };
-                self.install(*client, *problem, &spec, *at, config);
-                Some(RecoverySpec { spec, source: None })
+                let clauses = formula.clauses().iter().map(Clause::lits);
+                let frame = SpecFrame::build(formula.num_vars(), &[], clauses);
+                self.install(client, problem, &frame, at, config);
+                Some(RecoverySpec {
+                    frame,
+                    source: None,
+                })
             }
             JournalRecord::AssignRecovery {
                 client,
@@ -1076,23 +1050,23 @@ impl MasterCore {
                 at,
             } => {
                 let recovery = self.pending_recovery.pop_front()?;
-                self.install(*client, *problem, &recovery.spec, *at, config);
+                self.install(client, problem, &recovery.frame, at, config);
                 Some(recovery)
             }
             JournalRecord::ProblemLearned { client, problem } => {
-                if let Some(info) = self.clients.get_mut(client) {
-                    info.problem = Some(*problem);
+                if let Some(info) = self.clients.get_mut(&client) {
+                    info.problem = Some(problem);
                 }
                 None
             }
             JournalRecord::BacklogPush { client } => {
-                if !self.backlog.contains(client) {
-                    self.backlog.push_back(*client);
+                if !self.backlog.contains(&client) {
+                    self.backlog.push_back(client);
                 }
                 None
             }
             JournalRecord::BacklogRemove { client } => {
-                self.backlog.retain(|id| id != client);
+                self.backlog.retain(|id| *id != client);
                 None
             }
             JournalRecord::GrantOpen {
@@ -1100,31 +1074,31 @@ impl MasterCore {
                 peer,
                 kind,
             } => {
-                self.set_state(*peer, ClientState::Receiving);
-                self.grants.insert(*requester, (*peer, *kind));
+                self.set_state(peer, ClientState::Receiving);
+                self.grants.insert(requester, (peer, kind));
                 None
             }
             JournalRecord::GrantClose {
                 requester,
                 free_peer,
             } => {
-                if let Some((peer, _)) = self.grants.remove(requester) {
+                if let Some((peer, _)) = self.grants.remove(&requester) {
                     let receiving = (self.clients.get(&peer))
                         .is_some_and(|p| p.state == ClientState::Receiving);
-                    if *free_peer && receiving {
+                    if free_peer && receiving {
                         self.set_state(peer, ClientState::Idle);
                     }
                 }
                 None
             }
             JournalRecord::SplitKept { requester, at } => {
-                if let Some(r) = self.clients.get_mut(requester) {
-                    r.problem_since = *at;
+                if let Some(r) = self.clients.get_mut(&requester) {
+                    r.problem_since = at;
                 }
                 None
             }
             JournalRecord::MigrateSent { requester } => {
-                self.set_state(*requester, ClientState::Idle);
+                self.set_state(requester, ClientState::Idle);
                 None
             }
             JournalRecord::TransferIn {
@@ -1133,14 +1107,14 @@ impl MasterCore {
                 checkpoint,
                 at,
             } => {
-                if let Some(info) = self.clients.get_mut(peer) {
-                    info.problem_since = *at;
-                    info.problem = *problem;
+                if let Some(info) = self.clients.get_mut(&peer) {
+                    info.problem_since = at;
+                    info.problem = problem;
                     if let Some(cp) = checkpoint {
-                        info.checkpoint = Some(cp.clone());
+                        info.image = Some(RecoveryImage::Uploaded(cp));
                     }
                 }
-                self.set_state(*peer, ClientState::Busy);
+                self.set_state(peer, ClientState::Busy);
                 None
             }
             JournalRecord::CheckpointAccept {
@@ -1149,32 +1123,32 @@ impl MasterCore {
                 checkpoint,
                 learn_problem,
             } => {
-                if let Some(info) = self.clients.get_mut(client) {
-                    if *learn_problem {
-                        info.problem = Some(*problem);
+                if let Some(info) = self.clients.get_mut(&client) {
+                    if learn_problem {
+                        info.problem = Some(problem);
                     }
-                    info.checkpoint = Some(checkpoint.clone());
+                    info.image = Some(RecoveryImage::Uploaded(checkpoint));
                 }
                 None
             }
             JournalRecord::ClientIdle { client } => {
-                if let Some(info) = self.clients.get_mut(client) {
+                if let Some(info) = self.clients.get_mut(&client) {
                     info.problem = None;
-                    info.checkpoint = None;
+                    info.image = None;
                 }
-                self.set_state(*client, ClientState::Idle);
+                self.set_state(client, ClientState::Idle);
                 None
             }
             JournalRecord::EarlyResultNote { client, problem } => {
-                self.early_results.insert((*client, *problem));
+                self.early_results.insert((client, problem));
                 None
             }
             JournalRecord::EarlyResultConsume { client, problem } => {
-                self.early_results.remove(&(*client, *problem));
+                self.early_results.remove(&(client, problem));
                 None
             }
             JournalRecord::RecoveryQueued { recovery } => {
-                self.pending_recovery.push_back(recovery.clone());
+                self.pending_recovery.push_back(recovery);
                 None
             }
             JournalRecord::LeaseExpired { .. } | JournalRecord::Promoted { .. } => None,
@@ -1188,16 +1162,16 @@ impl MasterCore {
                 checkpoint,
                 at,
             } => {
-                let mut info = ClientInfo::launched(*memory, *speed, *availability, *at);
-                info.state = if *busy {
+                let mut info = ClientInfo::launched(memory, speed, availability, at);
+                info.state = if busy {
                     ClientState::Busy
                 } else {
                     ClientState::Idle
                 };
-                info.problem_since = *at;
-                info.problem = *problem;
-                info.checkpoint = checkpoint.clone();
-                self.admit(*client, info);
+                info.problem_since = at;
+                info.problem = problem;
+                info.image = checkpoint.map(RecoveryImage::Uploaded);
+                self.admit(client, info);
                 None
             }
             JournalRecord::StealOpen {
@@ -1208,8 +1182,8 @@ impl MasterCore {
             } => {
                 // a notice redelivered after the settle/abort must not
                 // reopen the steal
-                if !self.seen_steals.contains(problem) {
-                    self.pending_steals.insert(*problem, (*donor, *thief));
+                if !self.seen_steals.contains(&problem) {
+                    self.pending_steals.insert(problem, (donor, thief));
                 }
                 None
             }
@@ -1220,27 +1194,27 @@ impl MasterCore {
                 checkpoint,
                 at,
             } => {
-                self.pending_steals.remove(problem);
-                self.seen_steals.insert(*problem);
+                self.pending_steals.remove(&problem);
+                self.seen_steals.insert(problem);
                 // donor kept its half on a fresh clock (like SplitKept)
-                if let Some(d) = self.clients.get_mut(donor) {
-                    d.problem_since = *at;
+                if let Some(d) = self.clients.get_mut(&donor) {
+                    d.problem_since = at;
                 }
                 // thief is now busy with the stolen extension (like
                 // TransferIn, but no grant reserved it)
-                if let Some(t) = self.clients.get_mut(thief) {
-                    t.problem_since = *at;
-                    t.problem = Some(*problem);
+                if let Some(t) = self.clients.get_mut(&thief) {
+                    t.problem_since = at;
+                    t.problem = Some(problem);
                     if let Some(cp) = checkpoint {
-                        t.checkpoint = Some(cp.clone());
+                        t.image = Some(RecoveryImage::Uploaded(cp));
                     }
                 }
-                self.set_state(*thief, ClientState::Busy);
+                self.set_state(thief, ClientState::Busy);
                 None
             }
             JournalRecord::StealAbort { problem } => {
-                self.pending_steals.remove(problem);
-                self.seen_steals.insert(*problem);
+                self.pending_steals.remove(&problem);
+                self.seen_steals.insert(problem);
                 None
             }
         }
@@ -1276,7 +1250,7 @@ impl MasterCore {
                         c.memory,
                         c.problem_since,
                         c.problem,
-                        c.checkpoint.clone(),
+                        c.image.clone(),
                     )
                 })
                 .collect(),
@@ -1458,6 +1432,7 @@ impl MasterJournal {
 mod tests {
     use super::*;
     use gridsat_cnf::Lit;
+    use gridsat_solver::SplitSpec;
 
     fn config() -> GridConfig {
         GridConfig {
@@ -1470,7 +1445,7 @@ mod tests {
     fn fold(f: &gridsat_cnf::Formula, cfg: &GridConfig, records: &[JournalRecord]) -> MasterCore {
         let mut core = MasterCore::default();
         for rec in records {
-            core.apply(rec, f, cfg);
+            core.apply(rec.clone(), f, cfg);
         }
         core
     }
@@ -1534,11 +1509,18 @@ mod tests {
         assert_eq!(core.clients[&n2].state, ClientState::Busy);
         assert_eq!(core.clients[&n2].problem, Some(p2));
         assert!(core.grants.is_empty());
-        // the whole-problem dispatch synthesized a recovery image
-        assert!(matches!(
-            core.clients[&n1].checkpoint,
-            Some(Checkpoint::Heavy { .. })
-        ));
+        // the whole-problem dispatch keeps the frame it sent as the
+        // recovery image: the formula, encoded by reference
+        let whole = SpecFrame::seal(&SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![],
+            clauses: f.clauses().to_vec(),
+        });
+        assert_eq!(
+            core.clients[&n1].image,
+            Some(RecoveryImage::Sent(whole.clone()))
+        );
+        assert_eq!(core.clients[&n1].image.as_ref().unwrap().frame(&f), whole);
     }
 
     #[test]
@@ -1547,7 +1529,7 @@ mod tests {
         let cfg = config();
         let mut core = MasterCore::default();
         core.apply(
-            &JournalRecord::Launch {
+            JournalRecord::Launch {
                 client: NodeId(3),
                 memory: 1 << 20,
                 speed: 100.0,
@@ -1557,15 +1539,15 @@ mod tests {
             &f,
             &cfg,
         );
-        let spec = SplitSpec {
+        let frame = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![(Lit::neg(2), false)],
             clauses: vec![],
-        };
+        });
         core.apply(
-            &JournalRecord::RecoveryQueued {
+            JournalRecord::RecoveryQueued {
                 recovery: RecoverySpec {
-                    spec: spec.clone(),
+                    frame: frame.clone(),
                     source: Some(ProblemId::new(NodeId(0), 1)),
                 },
             },
@@ -1575,7 +1557,7 @@ mod tests {
         assert_eq!(core.pending_recovery.len(), 1);
         let out = core
             .apply(
-                &JournalRecord::AssignRecovery {
+                JournalRecord::AssignRecovery {
                     client: NodeId(3),
                     problem: ProblemId::new(NodeId(0), 2),
                     at: 5.0,
@@ -1584,10 +1566,15 @@ mod tests {
                 &cfg,
             )
             .expect("dispatch returns the spec");
-        assert_eq!(out.spec, spec);
+        assert_eq!(out.frame, frame);
         assert_eq!(out.source, Some(ProblemId::new(NodeId(0), 1)));
         assert!(core.pending_recovery.is_empty());
         assert_eq!(core.clients[&NodeId(3)].state, ClientState::Busy);
+        // the frame sent is the recovery image, re-sent as it was
+        assert_eq!(
+            core.clients[&NodeId(3)].image.as_ref().map(|i| i.frame(&f)),
+            Some(frame)
+        );
     }
 
     #[test]
@@ -1599,7 +1586,7 @@ mod tests {
         let mut core = MasterCore::default();
         for (client, at) in [(donor, 0.0), (thief, 0.5)] {
             core.apply(
-                &JournalRecord::Launch {
+                JournalRecord::Launch {
                     client,
                     memory: 1 << 20,
                     speed: 100.0,
@@ -1616,10 +1603,10 @@ mod tests {
             problem: stolen,
             at: 1.0,
         };
-        core.apply(&open, &f, &cfg);
+        core.apply(open.clone(), &f, &cfg);
         assert_eq!(core.pending_steals.get(&stolen), Some(&(donor, thief)));
         core.apply(
-            &JournalRecord::StealSettle {
+            JournalRecord::StealSettle {
                 donor,
                 thief,
                 problem: stolen,
@@ -1637,12 +1624,12 @@ mod tests {
         assert_eq!(core.clients[&thief].problem_since, 2.0);
         assert_eq!(core.clients[&donor].problem_since, 2.0, "fresh clock");
         // a redelivered notice after the settle must not reopen the steal
-        core.apply(&open, &f, &cfg);
+        core.apply(open, &f, &cfg);
         assert!(core.pending_steals.is_empty(), "seen-steals dedup holds");
         // aborts settle the ledger too
         let other = ProblemId::new(donor, 6);
         core.apply(
-            &JournalRecord::StealOpen {
+            JournalRecord::StealOpen {
                 donor,
                 thief,
                 problem: other,
@@ -1651,7 +1638,7 @@ mod tests {
             &f,
             &cfg,
         );
-        core.apply(&JournalRecord::StealAbort { problem: other }, &f, &cfg);
+        core.apply(JournalRecord::StealAbort { problem: other }, &f, &cfg);
         assert!(core.pending_steals.is_empty());
         assert!(core.image().seen_steals.contains(&other));
     }
@@ -1730,11 +1717,11 @@ mod tests {
                 Clause::new(vec![Lit::pos(4)]),
             ],
         };
-        let spec = SplitSpec {
+        let frame = SpecFrame::seal(&SplitSpec {
             num_vars: 6,
             assumptions: vec![(Lit::pos(2), true)],
             clauses: vec![Clause::new(vec![Lit::neg(0), Lit::pos(5)])],
-        };
+        });
         vec![
             JournalRecord::Launch {
                 client: NodeId(1),
@@ -1805,7 +1792,7 @@ mod tests {
             },
             JournalRecord::RecoveryQueued {
                 recovery: RecoverySpec {
-                    spec,
+                    frame,
                     source: Some(ProblemId::new(NodeId(3), 9)),
                 },
             },
@@ -1852,6 +1839,66 @@ mod tests {
             assert_eq!(seq, i as u64);
             assert_eq!(back, rec, "variant {i} round-trips");
         }
+    }
+
+    /// A recovery journals its frame's payload as received: for a fixed
+    /// spec the sealed record is the bytes the decode-and-re-encode path
+    /// wrote, captured before the frame became the one form. The
+    /// standby's feed and a restart read that format back to the frame.
+    #[test]
+    fn a_recovery_record_seals_to_the_pinned_bytes() {
+        let frame = SpecFrame::seal(&SplitSpec {
+            num_vars: 6,
+            assumptions: vec![(Lit::pos(2), true), (Lit::neg(4), false)],
+            clauses: vec![
+                Clause::new(vec![Lit::neg(0), Lit::pos(5)]),
+                Clause::new(vec![Lit::pos(1), Lit::neg(3), Lit::pos(2)]),
+            ],
+        });
+        let rec = JournalRecord::RecoveryQueued {
+            recovery: RecoverySpec {
+                frame,
+                source: Some(ProblemId::new(NodeId(3), 9)),
+            },
+        };
+        let pinned: [u8; 26] = [
+            7, 20, 150, 55, 173, 63, 16, 12, 6, 2, 9, 18, 2, 2, 2, 18, 3, 4, 10, 5, 1, 137, 128,
+            128, 128, 48,
+        ];
+        assert_eq!(SealedRecord::seal(7, &rec).bytes, pinned);
+        // the standby's feed: a record at seq 7 verifies as a tail's next
+        let mut master = MasterJournal::new();
+        for client in 0..7 {
+            master.append(JournalRecord::ClientIdle {
+                client: NodeId(client),
+            });
+        }
+        master.append(&rec);
+        let mut tail = MasterJournal::new();
+        for sealed in master.sealed_from(0) {
+            tail.append_sealed(&sealed)
+                .expect("verifies as the next record");
+        }
+        assert!(tail.log_bytes().ends_with(&pinned));
+        assert_eq!(tail.records()[7], rec);
+        // a restart: recovered from the bytes, the record is the frame
+        let (back, report) = MasterJournal::recover(tail.log_bytes());
+        assert!(report.is_clean());
+        assert_eq!(back.records()[7], rec);
+        // a record without a source, over an empty spec
+        let empty = JournalRecord::RecoveryQueued {
+            recovery: RecoverySpec {
+                frame: SpecFrame::seal(&SplitSpec {
+                    num_vars: 1,
+                    assumptions: vec![],
+                    clauses: vec![],
+                }),
+                source: None,
+            },
+        };
+        let sealed = SealedRecord::seal(0, &empty);
+        assert_eq!(sealed.bytes, [0, 6, 141, 190, 8, 77, 16, 3, 1, 0, 0, 0]);
+        assert_eq!(sealed.open(), Ok((0, empty)));
     }
 
     #[test]

@@ -31,7 +31,6 @@ use crate::wire::SpecFrame;
 use gridsat_cnf::{Assignment, Formula};
 use gridsat_grid::{Ctx, NodeId, Process, Site};
 use gridsat_obs::{Event, Histogram, Obs};
-use gridsat_solver::SplitSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -458,7 +457,7 @@ impl Master {
         config: GridConfig,
         host_info: BTreeMap<NodeId, (f64, Site)>,
         journal: MasterJournal,
-        own: Option<(SplitSpec, Option<ProblemId>)>,
+        own: Option<(SpecFrame, Option<ProblemId>)>,
         obs: Obs,
         audit: Audit,
         ctx: &mut Ctx<GridMsg>,
@@ -480,14 +479,8 @@ impl Master {
         if m.core.clients.contains_key(&me) {
             m.commit(now, JournalRecord::Deregister { client: me });
         }
-        if let Some((spec, source)) = own {
-            m.stats.recoveries += 1;
-            m.commit(
-                now,
-                JournalRecord::RecoveryQueued {
-                    recovery: RecoverySpec { spec, source },
-                },
-            );
+        if let Some((frame, source)) = own {
+            m.take_back(frame, source, |s| &mut s.recoveries, ctx);
         }
         let records = m.journal.len();
         m.obs.emit(now, me.0, || Event::StandbyPromote { records });
@@ -591,7 +584,7 @@ impl Master {
         let node = self.me.0;
         self.obs
             .emit(now, node, || Event::JournalAppend { record, lag });
-        self.core.apply(&rec, &self.formula, &self.config)
+        self.core.apply(rec, &self.formula, &self.config)
     }
 
     /// The scheduling state `journal` folds to, its idle index rebuilt
@@ -599,9 +592,61 @@ impl Master {
     fn fold(&self, journal: &MasterJournal) -> MasterCore {
         let mut core = MasterCore::new(Arc::clone(&self.host_info));
         for rec in journal.records() {
-            core.apply(&rec, &self.formula, &self.config);
+            core.apply(rec, &self.formula, &self.config);
         }
         core
+    }
+
+    /// The one door back into the master for a cube: queue `frame` — a
+    /// handed-back frame the caller verified, or one rebuilt here from a
+    /// recovery image — as a re-dispatch of `source`'s cube, count it
+    /// where `counter` says (a recovery or a requeue), and dispatch.
+    fn take_back(
+        &mut self,
+        frame: SpecFrame,
+        source: Option<ProblemId>,
+        counter: fn(&mut MasterStats) -> &mut u64,
+        ctx: &mut Ctx<GridMsg>,
+    ) {
+        let recovery = RecoverySpec { frame, source };
+        self.commit(ctx.now(), JournalRecord::RecoveryQueued { recovery });
+        *counter(&mut self.stats) += 1;
+        self.dispatch_recoveries(ctx);
+    }
+
+    /// The one way out for a cube: mint a problem id, commit `client`'s
+    /// assignment — the whole formula for the first registrant (`whole`),
+    /// else the head of the recovery queue — book it with the auditor and
+    /// send it as a [`GridMsg::Solve`].
+    fn assign(&mut self, client: NodeId, whole: bool, ctx: &mut Ctx<GridMsg>) {
+        self.minted += 1;
+        let (problem, at) = (ProblemId::new(self.me, self.minted), ctx.now());
+        let rec = if whole {
+            JournalRecord::AssignWhole {
+                client,
+                problem,
+                at,
+            }
+        } else {
+            JournalRecord::AssignRecovery {
+                client,
+                problem,
+                at,
+            }
+        };
+        let RecoverySpec { frame, source } = self
+            .commit(at, rec)
+            .expect("an assignment returns the cube it hands out");
+        if whole {
+            self.audit.assign_root(at, problem, client);
+        } else {
+            self.audit.reassign(at, source, problem, Some(client));
+        }
+        let spec = Box::new(frame);
+        ctx.send(client, GridMsg::Solve { spec, problem });
+        let node = self.me.0;
+        self.obs
+            .emit(at, node, || Event::Assign { client: client.0 });
     }
 
     /// Ship the unsent journal suffix to the standby. With `keepalive`
@@ -779,29 +824,13 @@ impl Master {
                     peer: from.0,
                 });
                 self.note_activity();
-            } else if let Some(cp) = checkpoint {
-                // the thief's lease expired mid-steal and it was
-                // deregistered, yet it is solving the cube untracked:
-                // close the steal and re-dispatch from the bundled image
-                // (duplicated work beats losing sight of a search space)
+            } else {
+                // the steal closes first: its thief is gone from the roster
                 self.commit(ctx.now(), JournalRecord::StealAbort { problem });
                 self.stats.steals_aborted += 1;
-                let spec = MasterCore::spec_from_checkpoint(&self.formula, *cp);
-                self.commit(
-                    ctx.now(),
-                    JournalRecord::RecoveryQueued {
-                        recovery: RecoverySpec {
-                            spec,
-                            source: Some(problem),
-                        },
-                    },
-                );
-                self.stats.recoveries += 1;
-                self.dispatch_recoveries(ctx);
-            } else {
-                // no image to recover from (checkpointing off)
-                self.finish(GridOutcome::ClientLost, EndReason::ClientLost, ctx);
-                return;
+                if !self.confirmed_untracked(Some(problem), checkpoint, ctx) {
+                    return;
+                }
             }
         } else {
             self.commit(ctx.now(), JournalRecord::StealAbort { problem });
@@ -1080,19 +1109,33 @@ impl Master {
         let Some(info) = self.core.clients.get(&lost) else {
             return false;
         };
-        let source = info.problem;
-        let Some(cp) = info.checkpoint.clone() else {
+        let Some(image) = &info.image else {
             return false;
         };
-        let spec = MasterCore::spec_from_checkpoint(&self.formula, cp);
-        self.commit(
-            ctx.now(),
-            JournalRecord::RecoveryQueued {
-                recovery: RecoverySpec { spec, source },
-            },
-        );
-        self.stats.recoveries += 1;
-        self.dispatch_recoveries(ctx);
+        let (frame, source) = (image.frame(&self.formula), info.problem);
+        self.take_back(frame, source, |s| &mut s.recoveries, ctx);
+        true
+    }
+
+    /// A receiver confirmed a transfer — Figure 3 message (4), or a
+    /// thief's report on a steal — while off the roster: its lease
+    /// expired mid-transfer and it was deregistered, yet the transfer
+    /// landed and it is solving `source`'s cube untracked. Re-dispatch the
+    /// cube from the bundled image: duplicated work, but UNSAT must never
+    /// close over a search space the master has lost sight of. With no
+    /// image (checkpointing off) the run is lost, and `false` says so.
+    fn confirmed_untracked(
+        &mut self,
+        source: Option<ProblemId>,
+        checkpoint: Option<Box<Checkpoint>>,
+        ctx: &mut Ctx<GridMsg>,
+    ) -> bool {
+        let Some(cp) = checkpoint else {
+            self.finish(GridOutcome::ClientLost, EndReason::ClientLost, ctx);
+            return false;
+        };
+        let frame = cp.frame(&self.formula);
+        self.take_back(frame, source, |s| &mut s.recoveries, ctx);
         true
     }
 
@@ -1205,9 +1248,11 @@ impl Master {
             GridMsg::Solve { spec, problem } => {
                 // the assignment never arrived: take the subproblem back
                 // and hand it to someone else. The returned frame is our
-                // own stored clean copy, so it always opens; a frame that
-                // somehow does not carries no search space to recover.
-                let Ok(spec) = spec.open() else { return };
+                // own stored clean copy, so it always verifies; a frame
+                // that somehow does not carries no search space to recover.
+                if spec.verify().is_err() {
+                    return;
+                }
                 if self
                     .core
                     .clients
@@ -1216,17 +1261,7 @@ impl Master {
                 {
                     self.commit(ctx.now(), JournalRecord::ClientIdle { client: to });
                 }
-                self.commit(
-                    ctx.now(),
-                    JournalRecord::RecoveryQueued {
-                        recovery: RecoverySpec {
-                            spec,
-                            source: Some(problem),
-                        },
-                    },
-                );
-                self.stats.requeues += 1;
-                self.dispatch_recoveries(ctx);
+                self.take_back(*spec, Some(problem), |s| &mut s.requeues, ctx);
             }
             GridMsg::SplitGrant { .. } | GridMsg::Migrate { .. } => {
                 // the grant never reached the requester: forget it and
@@ -1296,30 +1331,7 @@ impl Master {
             let Some(target) = self.pick_idle(self.config.scheduler, NodeId(u32::MAX), None) else {
                 return;
             };
-            self.minted += 1;
-            let problem = ProblemId::new(self.me, self.minted);
-            let rec = self
-                .commit(
-                    ctx.now(),
-                    JournalRecord::AssignRecovery {
-                        client: target,
-                        problem,
-                        at: ctx.now(),
-                    },
-                )
-                .expect("non-empty recovery queue returns the spec");
-            self.audit
-                .reassign(ctx.now(), rec.source, problem, Some(target));
-            ctx.send(
-                target,
-                GridMsg::Solve {
-                    spec: Box::new(SpecFrame::seal(&rec.spec)),
-                    problem,
-                },
-            );
-            let node = self.me.0;
-            self.obs
-                .emit(ctx.now(), node, || Event::Assign { client: target.0 });
+            self.assign(target, false, ctx);
         }
     }
 }
@@ -1431,28 +1443,7 @@ impl Process for Master {
                 if !self.core.first_problem_sent {
                     // "The first client to register with the master is
                     // sent the entire problem to solve."
-                    self.minted += 1;
-                    let problem = ProblemId::new(self.me, self.minted);
-                    let rec = self
-                        .commit(
-                            ctx.now(),
-                            JournalRecord::AssignWhole {
-                                client: from,
-                                problem,
-                                at: ctx.now(),
-                            },
-                        )
-                        .expect("whole-problem dispatch returns the spec");
-                    self.audit.assign_root(ctx.now(), problem, from);
-                    ctx.send(
-                        from,
-                        GridMsg::Solve {
-                            spec: Box::new(SpecFrame::seal(&rec.spec)),
-                            problem,
-                        },
-                    );
-                    self.obs
-                        .emit(ctx.now(), node, || Event::Assign { client: from.0 });
+                    self.assign(from, true, ctx);
                 } else {
                     // a fresh resource may unblock the backlog
                     self.drain_backlog(ctx);
@@ -1608,28 +1599,7 @@ impl Process for Master {
                                     });
                                 }
                             }
-                        } else if let Some(cp) = checkpoint {
-                            // the peer's lease expired mid-transfer and it
-                            // was deregistered — yet the transfer landed
-                            // and it is now solving, untracked. Re-dispatch
-                            // from the bundled image: duplicated work, but
-                            // UNSAT must never close over a search space
-                            // the master has lost sight of.
-                            let spec = MasterCore::spec_from_checkpoint(&self.formula, *cp);
-                            self.commit(
-                                ctx.now(),
-                                JournalRecord::RecoveryQueued {
-                                    recovery: RecoverySpec {
-                                        spec,
-                                        source: problem,
-                                    },
-                                },
-                            );
-                            self.stats.recoveries += 1;
-                            self.dispatch_recoveries(ctx);
-                        } else {
-                            // no image to recover from (checkpointing off)
-                            self.finish(GridOutcome::ClientLost, EndReason::ClientLost, ctx);
+                        } else if !self.confirmed_untracked(problem, checkpoint, ctx) {
                             return;
                         }
                     }
@@ -1746,12 +1716,12 @@ impl Process for Master {
                 // a client could not deliver a subproblem transfer; take
                 // the search space back so it is not lost. The reliable
                 // layer already discarded checksum-failing frames, so a
-                // frame that does not open here is a decoder-level defect
-                // in the sender — strike it and wait for its retry.
-                let Ok(spec) = spec.open() else {
+                // frame that does not verify here is a decoder-level
+                // defect in the sender — strike it and wait for its retry.
+                if spec.verify().is_err() {
                     self.on_corrupt(from, ctx);
                     return;
-                };
+                }
                 if self.core.grants.contains_key(&from) {
                     self.commit(
                         ctx.now(),
@@ -1783,17 +1753,7 @@ impl Process for Master {
                         self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
                     }
                 }
-                self.commit(
-                    ctx.now(),
-                    JournalRecord::RecoveryQueued {
-                        recovery: RecoverySpec {
-                            spec,
-                            source: problem,
-                        },
-                    },
-                );
-                self.stats.requeues += 1;
-                self.dispatch_recoveries(ctx);
+                self.take_back(*spec, problem, |s| &mut s.requeues, ctx);
                 self.drain_backlog(ctx);
             }
             GridMsg::CheckpointMsg {
@@ -1901,21 +1861,11 @@ impl Process for Master {
             // master brokered the split): recover the cube instead of
             // dropping it
             GridMsg::Subproblem { spec, problem, .. } => {
-                let Ok(spec) = spec.open() else {
+                if spec.verify().is_err() {
                     self.on_corrupt(from, ctx);
                     return;
-                };
-                self.stats.recoveries += 1;
-                self.commit(
-                    ctx.now(),
-                    JournalRecord::RecoveryQueued {
-                        recovery: RecoverySpec {
-                            spec,
-                            source: Some(problem),
-                        },
-                    },
-                );
-                self.dispatch_recoveries(ctx);
+                }
+                self.take_back(*spec, Some(problem), |s| &mut s.recoveries, ctx);
             }
             // clause-share gossip addressed to this host's retired client
             // can still be in flight when a standby promotes; sharing is

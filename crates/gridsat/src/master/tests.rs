@@ -501,6 +501,95 @@ fn requeued_assignment_releases_the_ghost_roster_entry() {
     assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
 }
 
+/// The frame of the `Solve` among `actions` addressed to `to`.
+fn solve_to(actions: &[Action<GridMsg>], to: u32) -> Option<SpecFrame> {
+    actions.iter().find_map(|a| match a {
+        Action::Send {
+            to: dest,
+            msg: GridMsg::Solve { spec, .. },
+        } if *dest == NodeId(to) => Some(*spec.clone()),
+        _ => None,
+    })
+}
+
+/// A cube handed back by `Requeue` keeps its bytes at the master: the
+/// frame waits in the recovery queue as received, survives a restart's
+/// replay of the journal, and goes out in the next `Solve` unchanged.
+#[test]
+fn a_requeued_frame_reaches_the_next_solve_byte_for_byte() {
+    let f = gridsat_cnf::paper::fig1_formula();
+    let mut m = Master::new(f.clone(), GridConfig::chaos_hardened(), speeds(4));
+    m.on_start(&mut ctx(0.0));
+    register(&mut m, 1, 0.0); // busy with the whole problem
+    let handed_back = |neg: u32| {
+        SpecFrame::seal(&SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![(gridsat_cnf::Lit::neg(neg), false)],
+            clauses: f.clauses()[..4].to_vec(),
+        })
+    };
+    // nobody is idle: the frame waits in the queue
+    let frame = handed_back(3);
+    let mut cx = ctx(1.0);
+    let spec = Box::new(frame.clone());
+    m.on_message(
+        NodeId(1),
+        GridMsg::Requeue {
+            spec,
+            problem: None,
+        },
+        &mut cx,
+    );
+    assert_eq!(m.stats.requeues, 1);
+    assert_eq!(m.core.pending_recovery[0].frame, frame);
+    // the master restarts: the queue is folded back from the journal's
+    // bytes (and the fold self-checks against the live state)
+    m.on_start(&mut ctx(2.0));
+    assert_eq!(m.core.pending_recovery[0].frame, frame);
+    // the next idle client is sent those very bytes
+    register(&mut m, 2, 3.0);
+    let mut cx = ctx(4.0);
+    m.on_tick(&mut cx);
+    assert_eq!(solve_to(&cx.take_actions(), 2), Some(frame));
+    // with an idle client at hand, a hand-back goes straight out
+    register(&mut m, 3, 5.0);
+    let frame = handed_back(5);
+    let mut cx = ctx(6.0);
+    let spec = Box::new(frame.clone());
+    m.on_message(
+        NodeId(1),
+        GridMsg::Requeue {
+            spec,
+            problem: None,
+        },
+        &mut cx,
+    );
+    assert_eq!(solve_to(&cx.take_actions(), 3), Some(frame));
+    assert!(m.core.pending_recovery.is_empty());
+}
+
+/// A client lost before its first checkpoint is recovered from the
+/// frame it was dispatched: the re-dispatch sends the same bytes, the
+/// root problem's and a recovered cube's alike.
+#[test]
+fn a_client_lost_before_its_first_checkpoint_is_resent_its_frame() {
+    let mut m = Master::new(
+        gridsat_cnf::paper::fig1_formula(),
+        GridConfig::chaos_hardened(),
+        speeds(4),
+    );
+    let whole = solve_to(&register(&mut m, 1, 0.0), 1).expect("the whole problem");
+    register(&mut m, 2, 0.0);
+    let mut cx = ctx(5.0);
+    m.on_node_down(NodeId(1), &mut cx);
+    assert_eq!(solve_to(&cx.take_actions(), 2), Some(whole.clone()));
+    register(&mut m, 3, 6.0);
+    let mut cx = ctx(7.0);
+    m.on_node_down(NodeId(2), &mut cx);
+    assert_eq!(solve_to(&cx.take_actions(), 3), Some(whole));
+    assert_eq!(m.stats.recoveries, 2);
+}
+
 #[test]
 fn successful_split_protocol_transitions() {
     let mut m = master();
@@ -847,7 +936,7 @@ fn registered_state_reads_straight_from_the_core() {
     let busy = &m.core.clients[&NodeId(1)];
     assert_eq!(busy.state(), ClientState::Busy);
     assert_eq!(busy.problem_since, 0.0);
-    assert!(busy.checkpoint.is_none());
+    assert!(busy.image.is_none());
     assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
     assert!(m.core.backlog.is_empty() && m.core.grants.is_empty());
     assert!(m.outcome().is_none());
@@ -1299,7 +1388,7 @@ fn promote_node_1() -> (Master, Vec<Action<GridMsg>>) {
             Action::Send {
                 to: NodeId(1),
                 msg: GridMsg::Solve { spec, .. },
-            } => Some(spec.open().expect("frame verifies")),
+            } => Some(*spec.clone()),
             _ => None,
         })
         .expect("first registrant gets the problem");

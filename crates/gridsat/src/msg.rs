@@ -7,7 +7,7 @@
 
 use crate::journal::SealedRecord;
 use crate::wire::{EncodedBatch, SpecFrame};
-use gridsat_cnf::{Clause, Lit};
+use gridsat_cnf::{Clause, Formula, Lit};
 use gridsat_grid::{MessageSize, NodeId};
 use std::sync::Arc;
 
@@ -60,6 +60,17 @@ pub enum Checkpoint {
 }
 
 impl Checkpoint {
+    /// The cube this image re-dispatches as: level 0 over the formula's
+    /// clauses (light), or over every clause the client held, the
+    /// formula's included (heavy).
+    pub(crate) fn frame(&self, formula: &Formula) -> SpecFrame {
+        let (level0, clauses) = match self {
+            Checkpoint::Light { level0 } => (level0, formula.clauses()),
+            Checkpoint::Heavy { level0, learned } => (level0, &learned[..]),
+        };
+        SpecFrame::build(formula.num_vars(), level0, clauses.iter().map(Clause::lits))
+    }
+
     /// Bytes the bandwidth model charges for the payload, whichever
     /// message carries it.
     fn size_bytes(&self) -> usize {
@@ -460,7 +471,7 @@ impl MessageSize for GridMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{self, FRAME_HEADER_BYTES};
+    use crate::wire::FRAME_HEADER_BYTES;
     use gridsat_solver::SplitSpec;
 
     fn share_of(clauses: Vec<Clause>) -> GridMsg {
@@ -491,17 +502,48 @@ mod tests {
             assumptions: vec![(Lit::pos(0), true)],
             clauses: vec![Clause::new([Lit::pos(1), Lit::pos(2)])],
         };
+        let frame = SpecFrame::seal(&spec);
+        let payload = frame.payload().len();
         let sub = GridMsg::Subproblem {
-            spec: Box::new(SpecFrame::seal(&spec)),
+            spec: Box::new(frame),
             sent_at: 0.0,
             problem: ProblemId::new(NodeId(1), 1),
             stolen: false,
         };
         // the size model is the exact encoded length plus the checksum
         // frame
+        assert_eq!(sub.size_bytes(), 24 + FRAME_HEADER_BYTES + payload);
+    }
+
+    /// A recovery image re-dispatches as the spec it describes: light
+    /// over the formula's clauses, heavy over the clauses it carries.
+    #[test]
+    fn a_checkpoint_frames_as_its_cube() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let level0 = vec![(Lit::pos(0), true), (Lit::neg(2), false)];
+        let light = Checkpoint::Light {
+            level0: level0.clone(),
+        };
         assert_eq!(
-            sub.size_bytes(),
-            24 + FRAME_HEADER_BYTES + wire::encode_spec(&spec).len()
+            light.frame(&f),
+            SpecFrame::seal(&SplitSpec {
+                num_vars: f.num_vars(),
+                assumptions: level0.clone(),
+                clauses: f.clauses().to_vec(),
+            })
+        );
+        let learned = vec![Clause::new([Lit::pos(3)]), Clause::new([Lit::neg(1)])];
+        let heavy = Checkpoint::Heavy {
+            level0: level0.clone(),
+            learned: learned.clone(),
+        };
+        assert_eq!(
+            heavy.frame(&f),
+            SpecFrame::seal(&SplitSpec {
+                num_vars: f.num_vars(),
+                assumptions: level0,
+                clauses: learned,
+            })
         );
     }
 

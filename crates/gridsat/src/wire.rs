@@ -34,12 +34,15 @@
 //! ```
 //!
 //! A spec has one encoder, `SpecEncoder`, and one decoder,
-//! [`decode_spec_flat`]. A donor's split streams its clauses from the
-//! solver's arena into the encoder ([`SpecFrame::split_off`]) and a
-//! thief loads its solver from the flat decode ([`FlatSpec`]), so a
-//! hand-off builds no heap `Clause` on either side; [`SpecFrame::seal`]
-//! and [`SpecFrame::open`] wrap the same two for whoever holds a
-//! [`SplitSpec`]. A message's size is its frame's length.
+//! [`decode_spec_flat`]. A donor's split and a migration stream their
+//! clauses from the solver's arena into the encoder
+//! ([`SpecFrame::split_off`], [`SpecFrame::export`]) and a thief loads
+//! its solver from the flat decode ([`FlatSpec`]), so a hand-off builds
+//! no heap `Clause` on either side. The master and its journal route the
+//! sealed frame as it is (`SpecFrame::verify`, [`SpecFrame::payload`]);
+//! [`SpecFrame::seal`] and [`SpecFrame::open`] wrap the encoder and the
+//! decoder for whoever holds a [`SplitSpec`]. A message's size is its
+//! frame's length.
 //!
 //! ## Framing
 //!
@@ -296,6 +299,32 @@ pub(crate) fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireE
     Ok(Clause::new(lits))
 }
 
+/// `(literal, flag)` pairs — a spec's assumptions, a checkpoint's level
+/// 0: their count, then `code≪1 | flag` each.
+pub(crate) fn write_pairs(pairs: &[(Lit, bool)], out: &mut Vec<u8>) {
+    write_varint(pairs.len() as u64, out);
+    for &(lit, flag) in pairs {
+        write_varint((lit.code() as u64) << 1 | u64::from(flag), out);
+    }
+}
+
+pub(crate) fn read_pairs(buf: &[u8], pos: &mut usize) -> Result<Vec<(Lit, bool)>, WireError> {
+    let n = read_varint(buf, pos)?;
+    if n > buf.len() as u64 {
+        return Err(WireError::Truncated);
+    }
+    let mut pairs = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        let packed = read_varint(buf, pos)?;
+        let code = packed >> 1;
+        if code > u64::from(u32::MAX) {
+            return Err(WireError::Overflow);
+        }
+        pairs.push((Lit::from_code(code as usize), packed & 1 == 1));
+    }
+    Ok(pairs)
+}
+
 /// The clause decoder: appends one clause's literals to `out`.
 fn decode_clause_into(buf: &[u8], pos: &mut usize, out: &mut Vec<Lit>) -> Result<(), WireError> {
     let len = read_varint(buf, pos)?;
@@ -516,70 +545,41 @@ pub(crate) fn flip_bit(bytes: &mut [u8], seed: u64) {
 // ----------------------------------------------------------------------
 
 /// The one subproblem-spec encoder. Clauses are pushed one at a time —
-/// straight from a donor's clause arena ([`SpecFrame::split_off`]), or
-/// from a [`SplitSpec`]'s list — and the head (variable count,
-/// assumptions, clause count) goes in front once the spec is finished,
-/// when the clause count is known.
+/// straight from a solver's clause arena ([`SpecFrame::split_off`],
+/// [`SpecFrame::export`]), or from a list held by reference
+/// ([`SpecFrame::build`]) — and the head (variable count, assumptions,
+/// clause count) goes in front once the spec is finished, when the
+/// clause count is known.
 #[derive(Default)]
 struct SpecEncoder {
     /// The clause records pushed so far. Grown by doubling on purpose:
     /// it is a temporary, and sizing a temporary exactly leaves odd-sized
-    /// holes behind (sizing `encode_spec`'s buffer from a length model
-    /// cost `scale400_hier` 7 % of peak RSS for no measurable time).
+    /// holes behind (sizing the spec buffer from a length model cost
+    /// `scale400_hier` 7 % of peak RSS for no measurable time).
     clauses: Vec<u8>,
     count: u64,
 }
 
 impl SpecEncoder {
-    /// An encoder holding every clause of `spec`.
-    fn of(spec: &SplitSpec) -> SpecEncoder {
-        let mut enc = SpecEncoder::default();
-        for clause in &spec.clauses {
-            enc.push(clause.lits());
-        }
-        enc
-    }
-
     /// Append one clause, its literals in the order given.
     fn push(&mut self, lits: &[Lit]) {
         encode_codes(lits.iter().map(|l| l.code() as u32), &mut self.clauses);
         self.count += 1;
     }
 
-    /// Everything of the payload before the clause records.
-    fn head(&self, num_vars: usize, assumptions: &[(Lit, bool)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_varint(num_vars as u64, &mut out);
-        write_varint(assumptions.len() as u64, &mut out);
-        for &(lit, global) in assumptions {
-            write_varint((lit.code() as u64) << 1 | u64::from(global), &mut out);
-        }
-        write_varint(self.count, &mut out);
-        out
-    }
-
-    /// The finished payload.
-    fn finish(self, num_vars: usize, assumptions: &[(Lit, bool)]) -> Vec<u8> {
-        let mut out = self.head(num_vars, assumptions);
-        out.extend_from_slice(&self.clauses);
-        out
-    }
-
     /// The finished spec, sealed in a frame sized exactly for it.
     fn seal(self, num_vars: usize, assumptions: &[(Lit, bool)]) -> SpecFrame {
-        let head = self.head(num_vars, assumptions);
+        // everything of the payload before the clause records
+        let mut head = Vec::new();
+        write_varint(num_vars as u64, &mut head);
+        write_pairs(assumptions, &mut head);
+        write_varint(self.count, &mut head);
         let mut bytes = begin_frame(head.len() + self.clauses.len());
         bytes.extend_from_slice(&head);
         bytes.extend_from_slice(&self.clauses);
         end_frame(&mut bytes);
         SpecFrame { bytes }
     }
-}
-
-/// Serialize a subproblem spec (guiding-path assumptions + level-0
-/// units and unsatisfied clauses).
-pub fn encode_spec(spec: &SplitSpec) -> Vec<u8> {
-    SpecEncoder::of(spec).finish(spec.num_vars, &spec.assumptions)
 }
 
 /// A subproblem spec decoded flat: what a [`SplitSpec`] holds, with
@@ -628,19 +628,7 @@ impl FlatSpec {
 pub fn decode_spec_flat(buf: &[u8]) -> Result<FlatSpec, WireError> {
     let mut pos = 0usize;
     let num_vars = read_varint(buf, &mut pos)?;
-    let n_asm = read_varint(buf, &mut pos)?;
-    if n_asm > buf.len() as u64 {
-        return Err(WireError::Truncated);
-    }
-    let mut assumptions = Vec::with_capacity(n_asm as usize);
-    for _ in 0..n_asm {
-        let packed = read_varint(buf, &mut pos)?;
-        let code = packed >> 1;
-        if code > u64::from(u32::MAX) {
-            return Err(WireError::Overflow);
-        }
-        assumptions.push((Lit::from_code(code as usize), packed & 1 == 1));
-    }
+    let assumptions = read_pairs(buf, &mut pos)?;
     let n_clauses = read_varint(buf, &mut pos)?;
     if n_clauses > buf.len() as u64 {
         return Err(WireError::Truncated);
@@ -665,16 +653,13 @@ pub fn decode_spec_flat(buf: &[u8]) -> Result<FlatSpec, WireError> {
     })
 }
 
-/// Decode a subproblem spec with a heap `Clause` per clause.
-pub fn decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
-    decode_spec_flat(buf).map(FlatSpec::into_spec)
-}
-
-/// A subproblem spec sealed in a checksummed frame — the form `Solve`,
-/// `Subproblem` and `Requeue` messages actually carry. Encoding happens
-/// once at send; the receiver verifies the CRC and decodes, so a
-/// bit-flipped transfer surfaces as a typed error instead of a mangled
-/// search space.
+/// A subproblem spec sealed in a checksummed frame — the one form a cube
+/// takes between clients, the master, its journal and the standby:
+/// `Solve`, `Subproblem` and `Requeue` carry it, the master's recovery
+/// queue holds it, and a `RecoveryQueued` record journals its payload.
+/// Encoding happens once, where the cube is cut; a receiver verifies the
+/// CRC and decodes, so a bit-flipped transfer surfaces as a typed error
+/// instead of a mangled search space.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecFrame {
     bytes: Vec<u8>,
@@ -683,7 +668,34 @@ pub struct SpecFrame {
 impl SpecFrame {
     /// Encode and frame a spec.
     pub fn seal(spec: &SplitSpec) -> SpecFrame {
-        SpecEncoder::of(spec).seal(spec.num_vars, &spec.assumptions)
+        SpecFrame::build(
+            spec.num_vars,
+            &spec.assumptions,
+            spec.clauses.iter().map(Clause::lits),
+        )
+    }
+
+    /// Encode and frame the spec `(num_vars, assumptions, clauses)`, the
+    /// clauses read by reference.
+    pub(crate) fn build<'a>(
+        num_vars: usize,
+        assumptions: &[(Lit, bool)],
+        clauses: impl IntoIterator<Item = &'a [Lit]>,
+    ) -> SpecFrame {
+        let mut enc = SpecEncoder::default();
+        for lits in clauses {
+            enc.push(lits);
+        }
+        enc.seal(num_vars, assumptions)
+    }
+
+    /// Seal the whole subproblem `solver` holds — level 0 and every live
+    /// clause, streamed from the arena ([`Solver::export_with`]): what a
+    /// migration sends and a retiring standby hands back.
+    pub fn export(solver: &Solver) -> SpecFrame {
+        let mut enc = SpecEncoder::default();
+        let assumptions = solver.export_with(|lits| enc.push(lits));
+        enc.seal(solver.num_vars(), &assumptions)
     }
 
     /// Split `solver` and seal the half it gives away as its clauses
@@ -702,6 +714,15 @@ impl SpecFrame {
         SpecFrame { bytes }
     }
 
+    /// Frame a spec payload kept apart from its frame (a journaled
+    /// recovery), once the decoder has checked it parses.
+    pub(crate) fn from_payload(payload: &[u8]) -> Result<SpecFrame, WireError> {
+        decode_spec_flat(payload)?;
+        Ok(SpecFrame {
+            bytes: seal_frame(payload),
+        })
+    }
+
     /// Verify the frame and decode the spec.
     pub fn open(&self) -> Result<SplitSpec, WireError> {
         self.open_flat().map(FlatSpec::into_spec)
@@ -710,6 +731,18 @@ impl SpecFrame {
     /// Verify the frame and decode the spec flat.
     pub fn open_flat(&self) -> Result<FlatSpec, WireError> {
         decode_spec_flat(open_frame(&self.bytes)?)
+    }
+
+    /// Every check [`SpecFrame::open_flat`] makes — CRC and parse — with
+    /// the decode dropped: what a holder that only routes the cube runs.
+    pub(crate) fn verify(&self) -> Result<(), WireError> {
+        self.open_flat().map(drop)
+    }
+
+    /// The encoded spec inside the frame: of a verified frame, exactly
+    /// the bytes the encoder wrote.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[FRAME_HEADER_BYTES.min(self.bytes.len())..]
     }
 
     /// Frame-level integrity check without decoding the spec.
@@ -1006,11 +1039,12 @@ mod tests {
         // twice, #clauses, then the clause — length, zigzag(2), zigzag(+3),
         // zigzag(+13)
         let payload = [40, 2, 13, 30, 1, 3, 4, 6, 26];
-        assert_eq!(encode_spec(&spec), payload);
         let frame = SpecFrame::seal(&spec);
-        assert!(frame.intact());
+        assert_eq!(frame.payload(), payload);
+        assert!(frame.intact() && frame.verify().is_ok());
         assert_eq!(frame.bytes, seal_frame(&payload));
         assert_eq!(frame.wire_len(), FRAME_HEADER_BYTES + payload.len());
+        assert_eq!(SpecFrame::from_payload(&payload), Ok(frame.clone()));
         let flat = frame.open_flat().expect("clean frame");
         assert_eq!(flat.lits, spec.clauses[0].lits());
         assert_eq!(flat.ends, [3]);
@@ -1018,7 +1052,14 @@ mod tests {
         let mut bad = frame.clone();
         bad.corrupt_bit(7);
         assert!(bad.open().is_err());
+        assert_eq!(bad.verify(), bad.open_flat().map(drop));
         assert!(SpecFrame::from_wire(vec![1, 2, 3]).open().is_err());
+        assert!(SpecFrame::from_wire(vec![1, 2, 3]).payload().is_empty());
+        // a payload that does not parse is never framed
+        assert_eq!(
+            SpecFrame::from_payload(&payload[..4]),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]
@@ -1075,11 +1116,15 @@ mod tests {
                     .collect(),
                 clauses: (0..n_cl).map(|_| clause(&mut rng, 5000, 12)).collect(),
             };
-            let bytes = encode_spec(&spec);
-            assert_eq!(SpecFrame::seal(&spec).bytes, seal_frame(&bytes));
-            let flat = decode_spec_flat(&bytes).expect("clean payload");
+            let frame = SpecFrame::seal(&spec);
+            let bytes = frame.payload();
+            assert_eq!(frame.bytes, seal_frame(bytes));
+            let flat = decode_spec_flat(bytes).expect("clean payload");
             assert!(flat.clauses().eq(spec.clauses.iter().map(Clause::lits)));
-            assert_eq!(decode_spec(&bytes), Ok(spec), "identity round trip");
+            // decoded and encoded again, a spec is the same bytes
+            let again = flat.clone().into_spec();
+            assert_eq!(SpecFrame::seal(&again), frame, "identity round trip");
+            assert_eq!(again, spec);
         }
     }
 
@@ -1121,11 +1166,11 @@ mod tests {
             assumptions: vec![(Lit::pos(3), true)],
             clauses: vec![],
         };
-        let mut prev = encode_spec(&spec).len();
+        let mut prev = SpecFrame::seal(&spec).wire_len();
         for i in 0..10u32 {
             spec.clauses
                 .push(Clause::new([Lit::pos(i), Lit::neg(i + 1)]));
-            let len = encode_spec(&spec).len();
+            let len = SpecFrame::seal(&spec).wire_len();
             assert!(len > prev);
             prev = len;
         }

@@ -5,13 +5,14 @@
 //! ([`EncodedBatch`], through both the uncached `decode` and the
 //! memoised `decoded` receivers use), subproblem specs ([`SpecFrame`],
 //! through the flat decoder held against a model of the `SplitSpec` one
-//! it replaced), and sealed journal records ([`SealedRecord`]).
+//! it replaced), and sealed journal records ([`SealedRecord`]), a
+//! recovery's journaled spec payload among them.
 //!
 //! The generator is a plain xorshift so failures reproduce from the
 //! printed seed alone (`DECODE_FUZZ_SEED=<n>`), and the iteration count
 //! scales down with `DECODE_FUZZ_ITERS` for smoke runs.
 
-use gridsat::journal::{JournalRecord, SealedRecord};
+use gridsat::journal::{JournalRecord, RecordError, RecoverySpec, SealedRecord};
 use gridsat::msg::{Checkpoint, ProblemId};
 use gridsat::wire::{self, EncodedBatch, FlatSpec, SpecFrame, WireError};
 use gridsat_cnf::{Clause, Lit};
@@ -78,7 +79,14 @@ fn random_spec(rng: &mut Rng) -> SplitSpec {
 }
 
 fn random_record(rng: &mut Rng) -> JournalRecord {
-    match rng.below(4) {
+    match rng.below(5) {
+        4 => JournalRecord::RecoveryQueued {
+            recovery: RecoverySpec {
+                frame: SpecFrame::seal(&random_spec(rng)),
+                source: (rng.next() & 1 == 0)
+                    .then(|| ProblemId::new(NodeId(2), rng.next() as u32 & 0xffff)),
+            },
+        },
         0 => JournalRecord::ClientIdle {
             client: NodeId(rng.below(9) as u32),
         },
@@ -302,7 +310,7 @@ fn fuzz_spec_frame_decoder_never_panics() {
         );
         // the same mangles behind a valid checksum, so the parse itself
         // sees them: the flat decoder answers what the model answers
-        let payload = mangle(&mut rng, &wire::encode_spec(&spec));
+        let payload = mangle(&mut rng, clean.payload());
         let flat = wire::decode_spec_flat(&payload);
         assert_eq!(
             flat.clone().map(FlatSpec::into_spec),
@@ -341,5 +349,26 @@ fn fuzz_sealed_record_decoder_never_panics() {
         let garbage =
             SealedRecord::from_wire((0..rng.below(200)).map(|_| rng.next() as u8).collect());
         let _ = garbage.open();
+        // a recovery whose spec is mangled behind a valid frame and a
+        // valid record checksum: the journal decoder answers what the
+        // spec decoder answers
+        let frame = SpecFrame::seal(&random_spec(&mut rng));
+        let payload = mangle(&mut rng, frame.payload());
+        let rec = JournalRecord::RecoveryQueued {
+            recovery: RecoverySpec {
+                frame: SpecFrame::from_wire(wire::seal_frame(&payload)),
+                source: None,
+            },
+        };
+        let reopened = SealedRecord::seal(seq, &rec).open();
+        match wire::decode_spec_flat(&payload) {
+            Ok(_) => assert_eq!(reopened, Ok((seq, rec)), "iter {i}"),
+            Err(e) => assert_eq!(
+                reopened,
+                Err(RecordError::Wire(e)),
+                "iter {i}: a mangled recovery opened (seed {})",
+                seed()
+            ),
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! A cube hand-off without heap clauses is the same hand-off.
 //!
-//! The donor streams the half it gives away from its clause arena into
-//! the spec encoder ([`SpecFrame::split_off`]), and the thief loads its
+//! The donor streams the half it gives away — or, migrating, the whole
+//! subproblem ([`SpecFrame::export`]) — from its clause arena into the
+//! spec encoder ([`SpecFrame::split_off`]), and the thief loads its
 //! solver from the flat decode ([`SpecFrame::open_flat`] and
 //! [`Solver::from_split_parts`]). These tests hold both against the
 //! `SplitSpec` path they replace — [`Solver::split_off`] sealed with
@@ -41,10 +42,14 @@ fn assert_thieves_agree(frame: &SpecFrame, config: &SolverConfig, what: &str) {
 /// forced reductions and collections, foreign clauses merged at level
 /// 0 — split at the same moments, one by `split_off` and a sealed
 /// `SplitSpec`, the other by streaming its arena into the frame. The
-/// frames must be the same bytes, and the donors must stay twins.
+/// frames must be the same bytes, and the donors must stay twins. After
+/// every round the streamed export of the whole subproblem
+/// ([`SpecFrame::export`]) must be the sealed `SplitSpec` of level 0 and
+/// every live clause, byte for byte, and leave the donor as it was.
 #[test]
 fn a_streamed_split_is_the_sealed_split_off_byte_for_byte() {
     let (mut splits, mut gcs, mut reductions, mut merged) = (0u64, 0u64, 0u64, 0u64);
+    let mut exports = 0u64;
     for seed in 0..60u64 {
         let mut rng = Rng::seed_from_u64(seed);
         let n = rng.range_usize(60..120);
@@ -89,6 +94,19 @@ fn a_streamed_split_is_the_sealed_split_off_byte_for_byte() {
                     splits += 1;
                 }
             }
+            // the whole subproblem, as a migration or a retiring standby
+            // sends it: streamed from the arena, it is the sealed export
+            let export = SplitSpec {
+                num_vars: heavy.num_vars(),
+                assumptions: heavy.level0_assignment(),
+                clauses: heavy.export_clauses(),
+            };
+            assert_eq!(
+                SpecFrame::export(&lean),
+                SpecFrame::seal(&export),
+                "{what}: export bytes"
+            );
+            exports += 1;
             lean.check_invariants();
             assert_eq!(heavy.stats(), lean.stats(), "{what}");
             assert_eq!(heavy.loaded_state(), lean.loaded_state(), "{what}");
@@ -100,8 +118,8 @@ fn a_streamed_split_is_the_sealed_split_off_byte_for_byte() {
         merged += s.merged_in + s.merge_discarded;
     }
     assert!(
-        splits > 100 && gcs > 50 && reductions > 50 && merged > 50,
-        "{splits} / {gcs} / {reductions} / {merged}"
+        splits > 100 && gcs > 50 && reductions > 50 && merged > 50 && exports > 1000,
+        "{splits} / {gcs} / {reductions} / {merged} / {exports}"
     );
 }
 

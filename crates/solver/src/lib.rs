@@ -30,7 +30,8 @@
 //!   [`Solver::split_off`] and consumed by [`Solver::from_split`]. Both
 //!   wrap the borrowing forms a sender that encodes as it goes uses:
 //!   [`Solver::split_off_with`] hands each clause out of the arena, and
-//!   [`Solver::from_split_parts`] loads literal slices.
+//!   [`Solver::from_split_parts`] loads literal slices;
+//!   [`Solver::export_with`] hands out the whole subproblem the same way.
 //! * [`proof`] — DRAT proof logging with a built-in independent RUP
 //!   checker (extension).
 

@@ -1492,6 +1492,18 @@ impl Solver {
         self.db.iter_refs().map(|c| self.db.export(c)).collect()
     }
 
+    /// The whole subproblem this solver holds, for a sender that encodes
+    /// as it goes: every live clause handed to `emit` straight from the
+    /// arena, in the order of [`Solver::export_clauses`], and level 0
+    /// ([`Solver::level0_assignment`]) returned. Beside
+    /// [`Solver::split_off_with`], which gives away half.
+    pub fn export_with(&self, mut emit: impl FnMut(&[Lit])) -> Vec<(Lit, bool)> {
+        for c in self.db.iter_refs() {
+            emit(self.db.lits(c));
+        }
+        self.level0_assignment()
+    }
+
     /// The level-0 assignment with per-variable global flags
     /// (used by checkpointing; paper Section 3.4 "light checkpoint").
     pub fn level0_assignment(&self) -> Vec<(Lit, bool)> {
