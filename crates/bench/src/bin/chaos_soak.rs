@@ -34,6 +34,7 @@ use gridsat::chaos::FaultPlan;
 use gridsat::{experiment, GridConfig, GridOutcome};
 use gridsat_satgen as satgen;
 use gridsat_solver::SolveStatus;
+use std::collections::BTreeMap;
 
 struct Family {
     name: &'static str,
@@ -58,6 +59,17 @@ const FAMILIES: &[Family] = &[
         },
     },
 ];
+
+/// A failure's family: its reason without the cube or model it names — an
+/// audit check without its path, an oracle mismatch without the grid's
+/// model.
+fn kind_of(reason: &str) -> &str {
+    let reason = (reason.strip_prefix("panicked: search-space audit violation: "))
+        .map_or(reason, |check| {
+            check.split(": path ").next().unwrap_or(check)
+        });
+    reason.split('(').next().unwrap_or(reason)
+}
 
 /// What the command line asks for.
 #[derive(Debug, PartialEq)]
@@ -136,6 +148,7 @@ fn main() {
     let mut recoveries = 0u64;
     let mut requeues = 0u64;
     let mut failures: Vec<String> = Vec::new();
+    let mut tally: BTreeMap<(String, String), u64> = BTreeMap::new();
 
     for family in FAMILIES {
         for seed in 0..seeds {
@@ -154,38 +167,34 @@ fn main() {
                     sim.run_until(cap + 60.0);
                     experiment::report(&sim, cap)
                 }));
-                let failed = match run {
+                let reason = match run {
                     Err(panic) => {
                         let what = panic
                             .downcast_ref::<String>()
                             .map(String::as_str)
                             .or_else(|| panic.downcast_ref::<&str>().copied())
                             .unwrap_or("panic");
-                        failures.push(format!("{label}: panicked: {what}"));
-                        true
+                        Some(format!("panicked: {what}"))
                     }
                     Ok(r) => {
                         retransmits += r.reliable.retransmits;
                         recoveries += r.master.recoveries;
                         requeues += r.master.requeues + r.reliable.expired;
                         match (want, &r.outcome) {
-                            (SolveStatus::Sat, GridOutcome::Sat(model)) => {
-                                if f.is_satisfied_by(model) {
-                                    false
-                                } else {
-                                    failures.push(format!("{label}: SAT model does not verify"));
-                                    true
-                                }
-                            }
-                            (SolveStatus::Unsat, GridOutcome::Unsat) => false,
-                            (want, got) => {
-                                failures.push(format!("{label}: oracle {want:?}, grid {got:?}"));
-                                true
-                            }
+                            (SolveStatus::Sat, GridOutcome::Sat(model)) => (!f
+                                .is_satisfied_by(model))
+                            .then(|| "SAT model does not verify".to_string()),
+                            (SolveStatus::Unsat, GridOutcome::Unsat) => None,
+                            (want, got) => Some(format!("oracle {want:?}, grid {got:?}")),
                         }
                     }
                 };
-                if failed && repro {
+                let Some(reason) = reason else { continue };
+                *tally
+                    .entry((plan.name.clone(), kind_of(&reason).to_string()))
+                    .or_default() += 1;
+                failures.push(format!("{label}: {reason}"));
+                if repro {
                     println!(
                         "{{\"plan\":\"{}\",\"seed\":{},\"instance\":\"{}\"}}",
                         plan.name, seed, family.name
@@ -209,6 +218,10 @@ fn main() {
     } else {
         for f in &failures {
             println!("  FAIL {f}");
+        }
+        println!("  failures by plan and reason:");
+        for ((plan, kind), n) in &tally {
+            println!("  {n:>5}  {plan}: {kind}");
         }
         eprintln!("chaos soak: {} of {runs} runs failed", failures.len());
         std::process::exit(1);
@@ -247,6 +260,26 @@ mod tests {
             })
         );
         assert!(parse("--preset paper --seeds 20").unwrap().paper);
+    }
+
+    #[test]
+    fn failures_are_tallied_without_the_cube_or_model_they_name() {
+        for (reason, kind) in [
+            (
+                "panicked: search-space audit violation: adopted spec contradicts the \
+                 recorded path: path [-1 2 10 13 -30]",
+                "adopted spec contradicts the recorded path",
+            ),
+            ("oracle Sat, grid Unsat", "oracle Sat, grid Unsat"),
+            (
+                "oracle Unsat, grid Sat(Assignment { .. })",
+                "oracle Unsat, grid Sat",
+            ),
+            ("SAT model does not verify", "SAT model does not verify"),
+            ("panicked: decoder bug", "panicked: decoder bug"),
+        ] {
+            assert_eq!(kind_of(reason), kind);
+        }
     }
 
     /// Each of these used to run some sweep — the default 420 runs, or
