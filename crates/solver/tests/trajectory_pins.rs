@@ -155,6 +155,37 @@ fn php_9_8_with_reductions_is_pinned() {
     assert_eq!(pins, want);
 }
 
+/// The benchmark's steady `seq_suite` case: random 3-SAT above the
+/// threshold under the default preset, stopped at a work budget. Its many
+/// decays halve the counters into ties, so this run pins how the decision
+/// heap breaks them. Captured on the per-literal heap, before the heap
+/// went to one entry per variable.
+#[test]
+fn a_budgeted_3sat_run_with_tied_counters_is_pinned() {
+    const BUDGET: u64 = 2_000_000;
+    let f = satgen::random_ksat::random_ksat(300, 1380, 3, 7);
+    let mut s = Solver::new(&f, SolverConfig::default());
+    while s.stats().work < BUDGET {
+        let left = BUDGET - s.stats().work;
+        assert_eq!(s.step(left.min(20_000)), Step::Running);
+        s.check_invariants();
+    }
+    assert_eq!(
+        Pins::of(s.stats()),
+        Pins {
+            work: 2000026,
+            propagations: 219596,
+            decisions: 4631,
+            conflicts: 3477,
+            learned: 3477,
+            deleted: 0,
+            pruned: 0,
+            gc_runs: 0,
+            max_level: 37,
+        }
+    );
+}
+
 /// One scripted hand-off: search a while, split at the first decision,
 /// rebuild the other half from its spec, run both halves to a verdict.
 #[test]
