@@ -281,12 +281,14 @@ impl ClauseDb {
             unsafe { *assign.get_unchecked(l.var().index()) ^ (l.code() as u8 & 1) }
         };
         unsafe {
-            if *lits.get_unchecked(0) == false_lit {
-                let p = lits.as_mut_ptr();
-                std::ptr::swap(p, p.add(1));
-            }
-            debug_assert_eq!(lits[1], false_lit);
-            let first = *lits.get_unchecked(0);
+            // the false watch is one of the first two: the other is the xor
+            // of the three codes, and writing both slots moves it to slot 1
+            // without a branch on which slot it was in
+            debug_assert!(lits[0] == false_lit || lits[1] == false_lit);
+            let p = lits.as_mut_ptr();
+            let first = Lit::from_code((*p).code() ^ (*p.add(1)).code() ^ false_lit.code());
+            *p = first;
+            *p.add(1) = false_lit;
             let fv = val(first);
             if fv == LV_TRUE {
                 return Visit::Satisfied(first);

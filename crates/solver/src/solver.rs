@@ -302,12 +302,11 @@ impl Solver {
 
     /// Order the decision heap once loading is over: the clauses bumped
     /// their literals' counters unordered, and level 0 is never undone,
-    /// so the heap keeps only the literals still unassigned. `pop_best`
+    /// so the heap keeps only the variables still unassigned. `pop_best`
     /// would discard the others on the way anyway; every pick is the same.
     fn order_decisions(&mut self) {
         let assign8 = &self.assign8;
-        self.vsids
-            .rebuild(|l| assign8[l.var().index()] == LV_UNASSIGNED);
+        self.vsids.rebuild(|v| assign8[v.index()] == LV_UNASSIGNED);
     }
 
     /// A solver over `num_vars` variables with no clauses yet.
@@ -628,8 +627,7 @@ impl Solver {
             let v = l.var().index();
             self.assign8[v] = LV_UNASSIGNED;
             self.reason[v] = ClauseRef::NONE;
-            self.vsids.reinsert(l);
-            self.vsids.reinsert(!l);
+            self.vsids.reinsert(l.var());
         }
         self.trail.truncate(keep);
         self.level_start.truncate(to_level + 1);
@@ -1314,20 +1312,10 @@ impl Solver {
                         continue;
                     }
                 }
-                match self.pick_branch_lit() {
-                    Some(l) => self.decide(l),
-                    None => {
-                        // heap exhausted while vars remain: rebuild
-                        self.rebuild_order();
-                        match self.pick_branch_lit() {
-                            Some(l) => self.decide(l),
-                            None => {
-                                self.status = Some(SolveStatus::Sat);
-                                return Step::Sat;
-                            }
-                        }
-                    }
-                }
+                // a variable is unassigned, so it is in the decision heap
+                // (`check_invariants`)
+                let l = self.pick_branch_lit().expect("an unassigned variable");
+                self.decide(l);
             }
             if self.stats.work >= target {
                 return Step::Running;
@@ -1337,17 +1325,7 @@ impl Solver {
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         let assign8 = &self.assign8;
-        self.vsids
-            .pop_best(|l| assign8[l.var().index()] == LV_UNASSIGNED)
-    }
-
-    fn rebuild_order(&mut self) {
-        for i in 0..self.num_vars {
-            if self.assign8[i] == LV_UNASSIGNED {
-                self.vsids.reinsert(Lit::pos(i as u32));
-                self.vsids.reinsert(Lit::neg(i as u32));
-            }
-        }
+        self.vsids.pop_best(|v| assign8[v.index()] == LV_UNASSIGNED)
     }
 
     // ------------------------------------------------------------------
@@ -1558,6 +1536,18 @@ impl Solver {
         assert!(self.assign8.iter().all(|&b| b <= LV_UNASSIGNED));
         let assigned = self.assign8.iter().filter(|&&b| b != LV_UNASSIGNED);
         assert_eq!(assigned.count(), self.trail.len());
+        // the decision heap is ordered and holds every unassigned variable,
+        // so a pick comes up empty only when every variable is assigned
+        assert!(self.vsids.check_invariants(), "decision heap out of order");
+        for (v, &b) in self.assign8.iter().enumerate() {
+            if b == LV_UNASSIGNED {
+                assert!(
+                    self.vsids.contains(Var(v as u32)),
+                    "unassigned variable {} not in the decision heap",
+                    v + 1
+                );
+            }
+        }
         // watch symmetry: clauses with >= 2 lits are watched at lits[0],lits[1]
         for cref in self.db.iter_refs() {
             let lits = self.db.lits(cref);

@@ -4,7 +4,10 @@
 # and quartiles of every end-to-end metric, the change's win count, and
 # whether the difference clears the gain rule — change better in at least
 # nine tenths of the pairs (ties count for neither) and the medians apart
-# by more than the distance between the parent's own quartiles.
+# by more than the distance between the parent's own quartiles. Each
+# workload's block ends with one line on bit identity: sim_answer_s the
+# same in all 2 x pairs runs, or the runs whose value differs from the
+# parent's first.
 #
 #   scripts/ab.sh <parent> <change> <workload>|all [pairs] [seed]
 #
@@ -21,7 +24,7 @@
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
-  sed -n '2,20p' "$0" >&2
+  sed -n '2,23p' "$0" >&2
   exit 2
 fi
 source "$(dirname "$0")/side.sh"
@@ -114,4 +117,15 @@ for workload in "${workloads[@]}"; do
           delta, wins, pairs, gain
       }'
   done
+  # bit identity, the precondition of a host-side claim: every run's
+  # sim_answer_s (column 1) against the parent's first, compared as the
+  # printed text (the shortest that reads back to the same f64)
+  awk -v workload="$workload" -v runs=$((2 * pairs)) '
+    NR == 1 { ref = $1 "" }
+    FNR == 1 { side = (NR == 1) ? "parent" : "change" }
+    $1 "" != ref { diff = diff sprintf(" %s %d (%s)", side, FNR, $1) }
+    END {
+      if (diff == "") printf "%-13s sim_answer_s identical in all %d runs (%s)\n", workload, runs, ref
+      else printf "%-13s sim_answer_s differs from parent run 1 (%s) in:%s\n", workload, ref, diff
+    }' "$out/parent.$workload" "$out/change.$workload"
 done
