@@ -9,10 +9,11 @@
 //!
 //! `--fast` is the CI profile (few seeds); the default sweeps 20 seeds
 //! over all seven fault plans and three instance families. The
-//! `master-gone` plan runs under the failover profile (standby, journal,
-//! conservation auditor), `submaster-loss` under the hierarchical
-//! profile on a two-site testbed; the rest use the chaos-hardened
-//! profile on a flat one (`FaultPlan::soak_sim`).
+//! `master-gone` plan runs under the failover profile (standby and
+//! journal), `submaster-loss` under the hierarchical profile on a
+//! two-site testbed; the rest use the chaos-hardened profile on a flat
+//! one (`FaultPlan::soak_sim`). Every run is checked by the master's cube
+//! ledger, which is always on.
 //!
 //! `--preset paper` runs every plan under the paper's share protocol
 //! (`GridConfig::experiment1()`'s `share_round_s: None`: the all-pairs
@@ -26,9 +27,9 @@
 //! prints one machine-readable JSON line per failing run —
 //! `{"plan":...,"seed":...,"instance":...}` — so a red sweep can be
 //! replayed as `chaos_soak --plan <plan> --seeds <seed+1>` without
-//! rerunning the whole matrix; a run that panics (e.g. a conservation
-//! audit violation) is caught and reported the same way instead of
-//! killing the sweep.
+//! rerunning the whole matrix; a run that panics (e.g. a cube-ledger
+//! check) is caught and reported the same way instead of killing the
+//! sweep.
 
 use gridsat::chaos::FaultPlan;
 use gridsat::{experiment, GridConfig, GridOutcome};
@@ -60,15 +61,15 @@ const FAMILIES: &[Family] = &[
     },
 ];
 
-/// A failure's family: its reason without the cube or model it names — an
-/// audit check without its path, an oracle mismatch without the grid's
-/// model.
+/// A failure's family: its reason without the cube or model it names — a
+/// ledger check without the record and path, an oracle mismatch without
+/// the grid's model.
 fn kind_of(reason: &str) -> &str {
     let reason = (reason.strip_prefix("panicked: search-space audit violation: "))
         .map_or(reason, |check| {
             check.split(": path ").next().unwrap_or(check)
         });
-    reason.split('(').next().unwrap_or(reason)
+    reason.split('(').next().unwrap_or(reason).trim_end()
 }
 
 /// What the command line asks for.
@@ -160,8 +161,8 @@ fn main() {
                 }
                 runs += 1;
                 let label = format!("{}/seed{}/{}", family.name, seed, plan.name);
-                // a panicking run (conservation-audit violation, decoder
-                // bug) must not kill the sweep before the repro line
+                // a panicking run (cube-ledger check, decoder bug) must
+                // not kill the sweep before the repro line
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let (mut sim, cap) = plan.soak_sim(&f, &preset);
                     sim.run_until(cap + 60.0);
@@ -267,8 +268,12 @@ mod tests {
         for (reason, kind) in [
             (
                 "panicked: search-space audit violation: adopted spec contradicts the \
-                 recorded path: path [-1 2 10 13 -30]",
+                 recorded path (TransferIn): path [-1 2 10 13 -30]",
                 "adopted spec contradicts the recorded path",
+            ),
+            (
+                "panicked: search-space audit violation: cube owned twice (AssignWhole): path []",
+                "cube owned twice",
             ),
             ("oracle Sat, grid Unsat", "oracle Sat, grid Unsat"),
             (

@@ -20,7 +20,7 @@
 //! `--fast` sweeps n ∈ {12, 100} (the CI smoke profile); the default
 //! adds n = 1000. `--check` exits nonzero unless every run reaches the
 //! oracle answer (the instance family is UNSAT by construction), the
-//! conservation auditor stays silent, the hierarchical peak queue
+//! master's cube ledger stays silent, the hierarchical peak queue
 //! depth honors its O(sites) bound, and no foreign-clause merge charged
 //! a client more than a quantum plus the longest shareable clause.
 
@@ -197,7 +197,7 @@ struct Row {
     alloc_bytes_requested: u64,
 }
 
-fn config(hierarchical: bool, check: bool) -> GridConfig {
+fn config(hierarchical: bool) -> GridConfig {
     let base = GridConfig {
         // small quanta force real split pressure at every testbed size
         min_split_timeout: 0.5,
@@ -205,9 +205,6 @@ fn config(hierarchical: bool, check: bool) -> GridConfig {
         // report fast enough that the coalescing actually has traffic
         // to suppress within a run
         load_report_period: 5.0,
-        // the auditor panics the run on any lost or double-assigned
-        // cube, which --check reports as a failure
-        audit: check,
         ..GridConfig::default()
     };
     if hierarchical {
@@ -217,17 +214,11 @@ fn config(hierarchical: bool, check: bool) -> GridConfig {
     }
 }
 
-fn run_one(
-    f: &gridsat_cnf::Formula,
-    n: usize,
-    sites: usize,
-    hierarchical: bool,
-    check: bool,
-) -> Row {
+fn run_one(f: &gridsat_cnf::Formula, n: usize, sites: usize, hierarchical: bool) -> Row {
     // building the fleet is part of the row: its windows, rosters and
     // solvers are the resident memory of a run
     let heap = HeapMark::take();
-    let cfg = config(hierarchical, check);
+    let cfg = config(hierarchical);
     let cap = cfg.overall_timeout;
     let merge_bound = merge_burst_bound(&cfg, CLIENT_SPEED);
     let tb = Testbed::scaling(n, sites, hierarchical).with_client_speed(CLIENT_SPEED);
@@ -376,7 +367,7 @@ fn main() {
     for &(n, sites, size) in sweep {
         let f = satgen::xor::urquhart(size, 38);
         for hierarchical in [false, true] {
-            let row = run_one(&f, n, sites, hierarchical, check);
+            let row = run_one(&f, n, sites, hierarchical);
             println!(
                 "{:>6} {:>6} {:>11} {:>13} {:>8} {:>9.1} {:>10} {:>10.2} {:>11} {:>12} {:>8} {:>7} {:>12.2} {:>11}",
                 row.n,
@@ -498,6 +489,7 @@ mod tests {
             peer: NodeId(2),
             ok,
             problem: None,
+            pivot: None,
             checkpoint: None,
             stolen: false,
         };
@@ -617,9 +609,9 @@ mod tests {
             (GridMsg::StealRefused { problem }, Control),
             (
                 GridMsg::StealNotice {
-                    thief: NodeId(2),
+                    parent: problem,
                     problem,
-                    at: 0.0,
+                    pivot: None,
                 },
                 Control,
             ),

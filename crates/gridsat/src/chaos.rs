@@ -236,24 +236,18 @@ impl FaultPlan {
 
     /// The soak's run of this plan on `formula`, built and armed, with
     /// the simulated second its configuration gives up at. `master-gone`
-    /// runs under the failover profile (standby, journal, conservation
-    /// auditor — killing the master for good is only survivable with a
-    /// standby), `submaster-loss` under the hierarchical profile with the
-    /// auditor on a two-site testbed (root on node 0, the brokers the plan
-    /// crashes on 1 and 2, four clients behind them), the rest under the
-    /// chaos-hardened profile on a flat one. `base` says how clauses are
-    /// shared: its `share_round_s` is the one value taken from it.
+    /// runs under the failover profile (standby and journal — killing the
+    /// master for good is only survivable with a standby),
+    /// `submaster-loss` under the hierarchical profile on a two-site
+    /// testbed (root on node 0, the brokers the plan crashes on 1 and 2,
+    /// four clients behind them), the rest under the chaos-hardened
+    /// profile on a flat one. Every plan runs with the master's cube
+    /// ledger, which is always on. `base` says how clauses are shared: its
+    /// `share_round_s` is the one value taken from it.
     pub fn soak_sim(&self, formula: &Formula, base: &GridConfig) -> (GridSim, f64) {
         let profile = match self.name.as_str() {
-            "master-gone" => GridConfig {
-                audit: true,
-                ..GridConfig::failover_hardened()
-            },
-            "submaster-loss" => GridConfig {
-                audit: true,
-                ..GridConfig::chaos_hardened()
-            }
-            .hierarchical(),
+            "master-gone" => GridConfig::failover_hardened(),
+            "submaster-loss" => GridConfig::chaos_hardened().hierarchical(),
             _ => GridConfig::chaos_hardened(),
         };
         let config = GridConfig {
@@ -460,58 +454,54 @@ mod tests {
         }
     }
 
-    // ROADMAP item 1 (a): the grid answers UNSAT on a satisfiable formula
-    // with the conservation auditor armed and silent. The two runs below
-    // are `chaos_soak --seeds 1000` failures that reproduce on this commit
-    // (which seeds fail moves with every change to what is on the wire);
-    // `cargo test -p gridsat -- --ignored` is where that item starts.
+    // ROADMAP item 1: `chaos_soak --seeds 1000` failures that reproduced
+    // with the conservation auditor (which seeds fail moves with every
+    // change to what is on the wire). The master's cube ledger answers
+    // each of them: a verdict waits for every cube it has minted, and a
+    // lost cube comes back from its image or its path.
 
     /// `chaos_soak --preset paper --plan master-gone --seeds 311`:
-    /// planted-3sat/seed310/master-gone, oracle Sat, grid Unsat.
+    /// planted-3sat/seed310/master-gone, oracle Sat, grid Unsat with the
+    /// auditor armed and silent — a cube left behind by the failover.
     #[test]
-    #[ignore = "open: ROADMAP item 1 (a), an unsound verdict after a failover"]
     fn planted_3sat_seed310_master_gone_is_answered_sat() {
         let f = gridsat_satgen::random_ksat::planted_ksat(40, 168, 3, 310);
         assert_soak_run_agrees_with_the_oracle(&f, 310, "master-gone", &GridConfig::experiment1());
     }
 
     /// `chaos_soak --plan submaster-loss --seeds 954`:
-    /// random-3sat/seed953/submaster-loss, oracle Sat, grid Unsat.
+    /// random-3sat/seed953/submaster-loss, oracle Sat, grid Unsat with the
+    /// auditor armed and silent.
     #[test]
-    #[ignore = "open: ROADMAP item 1 (a), an unsound verdict after losing a sub-master"]
     fn random_3sat_seed953_submaster_loss_is_answered_sat() {
         let f = gridsat_satgen::random_ksat::random_ksat(30, 126, 3, 953);
         assert_soak_run_agrees_with_the_oracle(&f, 953, "submaster-loss", &GridConfig::default());
     }
 
-    /// ROADMAP item 1 (b), the largest family of `chaos_soak --seeds 1000`
-    /// failures: a client adopts a cube whose level 0 contradicts the
-    /// path the auditor recorded for it, always php under
-    /// `submaster-loss`, mostly the same cube. `chaos_soak --plan
-    /// submaster-loss --seeds 183`: php/seed182/submaster-loss panics with
-    /// `adopted spec contradicts the recorded path` on `[-1 2 10 13 -30]`,
-    /// the cube of 9 of the family's 12 default-preset failures. Under
-    /// `--preset paper` the first of the 35 on `[-1 2 13 15 -20]` is seed
-    /// 56.
+    /// The largest family under the auditor: a client adopts a cube whose
+    /// level 0 contradicts the path the auditor recorded for it, always
+    /// php under `submaster-loss`. `chaos_soak --plan submaster-loss
+    /// --seeds 183`: php/seed182/submaster-loss panicked with `adopted
+    /// spec contradicts the recorded path` on `[-1 2 10 13 -30]`; under
+    /// the ledger no check fires and the run answers UNSAT.
     #[test]
-    #[ignore = "open: ROADMAP item 1 (b), an adopted cube off its recorded path"]
     fn php_seed182_submaster_loss_adopts_the_cube_on_record() {
         let f = gridsat_satgen::php::php(6, 5);
         assert_soak_run_agrees_with_the_oracle(&f, 182, "submaster-loss", &GridConfig::default());
     }
 
-    /// `chaos_soak --seeds 20` with the auditor armed in every plan:
-    /// php/seed13/crash-restart declares UNSAT while a cube is still
-    /// uncovered. `soak_sim` runs this plan without the auditor, so the
-    /// soak's gate stays green over it; the answer is right only because
-    /// php is UNSAT anyway.
+    /// `chaos_soak --seeds 20` with the old auditor armed in every plan:
+    /// php/seed13/crash-restart declared UNSAT while a cube was still
+    /// uncovered. Node 1, the peer of node 3's split, adopted the child and
+    /// went down before its confirmation reached the master, which
+    /// deregistered it as Receiving and never heard of the child. Message
+    /// (5) now names the child and its pivot, so the master rebuilds it
+    /// from its path, and the verdict waits for it.
     #[test]
-    #[ignore = "open: ROADMAP item 1, a cube crash-restart leaks past the disarmed auditor"]
     fn php_seed13_crash_restart_keeps_every_cube_covered() {
         let config = GridConfig {
             min_split_timeout: 0.2,
             work_quantum_s: 0.1,
-            audit: true,
             ..GridConfig::chaos_hardened()
         };
         let cap = config.overall_timeout;

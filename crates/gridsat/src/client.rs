@@ -2,7 +2,6 @@
 //! requests splits, shares clauses, and hands halves of its search space
 //! to peers (paper Sections 3.1-3.3).
 
-use crate::audit::Audit;
 use crate::config::{
     CheckpointMode, GridConfig, ASSUMED_BW_BYTES_PER_S, HEARTBEAT_PERIOD_S, MEM_FRACTION,
     MIN_MEMORY,
@@ -224,8 +223,6 @@ pub struct Client {
     pub stats: ClientStats,
     /// Event-tracing handle, installed into every solver this client runs.
     obs: Obs,
-    /// Search-space conservation auditor (disabled by default).
-    audit: Audit,
 }
 
 impl Client {
@@ -255,13 +252,7 @@ impl Client {
             minted: 0,
             stats: ClientStats::default(),
             obs: Obs::default(),
-            audit: Audit::default(),
         }
-    }
-
-    /// Install a search-space conservation auditor handle.
-    pub fn set_audit(&mut self, audit: Audit) {
-        self.audit = audit;
     }
 
     /// Install an event-tracing handle; it is threaded into the solver of
@@ -377,8 +368,6 @@ impl Client {
         self.problem_started = ctx.now();
         self.split_requested_at = None;
         self.stats.subproblems += 1;
-        self.audit
-            .adopt(ctx.now(), problem, ctx.me(), &spec.assumptions);
         ctx.schedule_tick(0.0);
     }
 
@@ -434,7 +423,6 @@ impl Client {
 
     fn report_result(&mut self, result: SubResult, ctx: &mut Ctx<GridMsg>) {
         let problem = self.current_problem.take().expect("solving a problem");
-        self.audit.retire(ctx.now(), problem);
         ctx.send(self.master, GridMsg::Result { result, problem });
         self.stats.results += 1;
         self.solver = None;
@@ -608,12 +596,13 @@ impl Client {
 
     /// Split `problem`, the subproblem in hand, and send the other half to
     /// `to`: on a master's grant, or `stolen` by a ticketed sibling. The
-    /// master hears of it — Figure 3 message (5), or a steal notice, on the
-    /// same FIFO channel as anything this node later says about the
-    /// problem — and gets a fresh recovery image: the old one predates the
-    /// split and would resurrect the half just handed away. `false`, with
-    /// nothing sent, when the solver has no open decision; the id minted
-    /// for the half is spent all the same.
+    /// master hears of it — Figure 3 message (5), or a steal notice naming
+    /// `problem`, on the same channel as anything this node later says
+    /// about the problem — with the half's id and the pivot kept, and gets
+    /// a fresh recovery image: the old one predates the split and would
+    /// resurrect the half just handed away. `false`, with nothing sent,
+    /// when the solver has no open decision; the id minted for the half is
+    /// spent all the same.
     fn hand_off_half(
         &mut self,
         to: NodeId,
@@ -649,9 +638,9 @@ impl Client {
             ctx.send(
                 self.master,
                 GridMsg::StealNotice {
-                    thief: to,
+                    parent: problem,
                     problem: new_id,
-                    at: ctx.now(),
+                    pivot: keep_pivot,
                 },
             );
             self.stats.steals += 1;
@@ -662,15 +651,13 @@ impl Client {
                     requester: ctx.me(),
                     peer: to,
                     ok: true,
-                    problem: None,
+                    problem: Some(new_id),
+                    pivot: keep_pivot,
                     checkpoint: None,
                     stolen: false,
                 },
             );
             self.stats.splits += 1;
-        }
-        if let Some(pivot) = keep_pivot {
-            self.audit.split(ctx.now(), problem, new_id, pivot);
         }
         // the remaining half is a fresh, smaller problem
         self.problem_started = ctx.now();
@@ -791,6 +778,7 @@ impl Process for Client {
                             peer: ctx.me(),
                             ok: false,
                             problem: Some(problem),
+                            pivot: None,
                             checkpoint: None,
                             stolen,
                         },
@@ -812,6 +800,7 @@ impl Process for Client {
                         peer: ctx.me(),
                         ok: true,
                         problem: Some(problem),
+                        pivot: None,
                         checkpoint: self.build_checkpoint(),
                         stolen,
                     },
@@ -831,6 +820,7 @@ impl Process for Client {
                             peer,
                             ok: false,
                             problem: None,
+                            pivot: None,
                             checkpoint: None,
                             stolen: false,
                         },
@@ -844,6 +834,7 @@ impl Process for Client {
                     peer,
                     ok,
                     problem: None,
+                    pivot: None,
                     checkpoint: None,
                     stolen: false,
                 };
@@ -2226,11 +2217,8 @@ mod tests {
             a,
             gridsat_grid::Action::Send {
                 to: NodeId(0),
-                msg: GridMsg::StealNotice {
-                    thief: NodeId(7),
-                    ..
-                }
-            }
+                msg: GridMsg::StealNotice { parent, .. }
+            } if *parent == pid
         )));
         assert_eq!(c.stats.steals, 1);
         assert!(c.is_solving(), "the donor keeps its own half");
@@ -2307,22 +2295,29 @@ mod tests {
             problem: pid,
         });
         assert!(!stolen);
-        assert!(matches!(
-            report,
-            GridMsg::SplitDone {
-                requester: NodeId(1),
-                peer: NodeId(7),
-                ok: true,
-                problem: None,
-                checkpoint: None,
-                stolen: false,
-            }
-        ));
+        // message (5) names the half handed away and the pivot kept: the
+        // complement of the half's deepest assumption
+        let GridMsg::SplitDone {
+            requester: NodeId(1),
+            peer: NodeId(7),
+            ok: true,
+            problem: Some(half),
+            pivot: Some(pivot),
+            checkpoint: None,
+            stolen: false,
+        } = report
+        else {
+            panic!("message (5) names the half and its pivot: {report:?}");
+        };
+        assert_eq!(half, granted.2);
+        let sent = granted.0.open().expect("the half's frame opens");
+        assert_eq!(sent.assumptions.last().map(|&(l, _)| !l), Some(pivot));
         let (taken, stolen, report) = hand_off(GridMsg::Steal { problem: pid });
         assert!(stolen);
         assert!(matches!(
             report,
-            GridMsg::StealNotice { thief: NodeId(7), problem, at } if problem == taken.2 && at == 2.0
+            GridMsg::StealNotice { parent, problem, pivot: kept }
+                if parent == pid && problem == taken.2 && kept == Some(pivot)
         ));
         assert_eq!(granted, taken);
     }

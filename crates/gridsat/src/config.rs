@@ -122,14 +122,10 @@ pub struct GridConfig {
     /// Hierarchical control plane (scaling extension): per-site
     /// sub-masters broker split traffic locally via steal tickets,
     /// escalating to the root master only when a site has no idle
-    /// capacity. The root still owns the journal, the conservation
-    /// audit, and the global verdict. `false` (the default, and the
-    /// paper's behaviour) routes every split request through the root.
+    /// capacity. The root still owns the journal, the cube ledger, and
+    /// the global verdict. `false` (the default, and the paper's
+    /// behaviour) routes every split request through the root.
     pub hierarchy: bool,
-    /// Run the search-space conservation auditor alongside the run,
-    /// panicking with a counterexample guiding path if the outstanding
-    /// cubes ever stop partitioning the search space exactly.
-    pub audit: bool,
 }
 
 impl Default for GridConfig {
@@ -149,7 +145,6 @@ impl Default for GridConfig {
             reliability: false,
             failover: false,
             hierarchy: false,
-            audit: false,
         }
     }
 }

@@ -1,7 +1,6 @@
 //! End-to-end experiment driver: wire a formula, a testbed and a
 //! configuration into the discrete-event engine, run, and report.
 
-use crate::audit::Audit;
 use crate::client::{Client, ClientStats};
 use crate::config::{GridConfig, STANDBY_NODE};
 use crate::master::{GridOutcome, Master, MasterStats, MasterTelemetry};
@@ -141,12 +140,6 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
         .collect();
     let formula = formula.clone();
     let node_obs = obs.clone();
-    let audit = if config.audit {
-        Audit::enabled()
-    } else {
-        Audit::default()
-    };
-    audit.set_obs(obs.clone());
     let standby_id = config.failover.then_some(NodeId(STANDBY_NODE));
     // hierarchy wiring: hosts marked as brokers become per-site
     // sub-masters, and every solver client is pointed at its site's one
@@ -169,14 +162,12 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
         let node = if id == master_id {
             let mut master = Master::new(formula.clone(), config.clone(), speeds.clone());
             master.set_obs(node_obs.clone());
-            master.set_audit(audit.clone());
             GridNode::Master(Box::new(master))
         } else if brokers.values().any(|&b| b == id) {
             GridNode::SubMaster(Box::new(SubMaster::new(master_id)))
         } else {
             let mut client = Client::new(master_id, config.clone());
             client.set_obs(node_obs.clone());
-            client.set_audit(audit.clone());
             if let Some(&broker) = speeds.get(&id).and_then(|(_, site)| brokers.get(site)) {
                 client.set_broker(broker);
             }
@@ -187,7 +178,6 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
                     config.clone(),
                     speeds.clone(),
                     node_obs.clone(),
-                    audit.clone(),
                 )))
             } else {
                 GridNode::Client(Box::new(client))
@@ -378,7 +368,6 @@ mod tests {
         let config = GridConfig {
             min_split_timeout: 0.5,
             work_quantum_s: 0.25,
-            audit: true,
             ..GridConfig::default()
         }
         .hierarchical();
@@ -393,8 +382,9 @@ mod tests {
             r.submasters.tickets,
         );
         assert!(r.submasters.announcements > 0, "idle clients announce");
-        // `audit: true` wires the conservation auditor, which panics on any
-        // lost or double-assigned cube — reaching this line means it held.
+        // the master's cube ledger panics on any illegal transition and
+        // holds the verdict while a cube is unsettled: reaching UNSAT
+        // means every cube of the split tree was refuted
     }
 
     #[test]

@@ -11,28 +11,28 @@
 //! lets a restarted master self-check its state and lets a standby
 //! promote itself from the bytes it tailed off the control traffic.
 //!
-//! Records are *unconditional* state deltas: every conditional the live
-//! master evaluates (problem-id matches, grant-open checks, checkpoint
-//! freshness) is resolved at emit time, so `apply` never needs to guess
-//! and replay can never diverge from the live fold.
+//! Records are state deltas: every conditional the live master evaluates
+//! on a message is resolved at emit time, and what a record reads of the
+//! core is state the fold holds too, so replay never diverges from the
+//! live fold. The fold includes the cube ledger (`Cubes`): every cube the
+//! run minted, where it came from, and where it is.
 
 use crate::config::{CheckpointMode, GridConfig, SHARE_TREE_FANOUT};
 use crate::idle::{Hosts, IdleIndex};
 use crate::master::{ClientState, GrantKind};
 use crate::msg::{Checkpoint, ProblemId};
 use crate::wire::{self, SpecFrame, WireError};
-use gridsat_cnf::Clause;
+use gridsat_cnf::{Clause, Lit};
 use gridsat_grid::NodeId;
 use gridsat_nws::{Adaptive, Forecaster};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
 /// A recovered or requeued subproblem awaiting an idle client, as the
-/// sealed frame its next `Solve` sends, plus the identity of the instance
-/// it re-covers (for audit provenance: the re-dispatch owns the same
-/// guiding-path cube as `source`).
+/// sealed frame its next `Solve` sends, plus the identity of the cube it
+/// re-covers: the re-dispatch is that cube's twin in the ledger.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoverySpec {
     pub frame: SpecFrame,
@@ -67,33 +67,38 @@ pub enum JournalRecord {
         problem: ProblemId,
         at: f64,
     },
-    /// The master learned which subproblem a busy client holds (from a
-    /// split request naming a problem we had lost track of).
-    ProblemLearned { client: NodeId, problem: ProblemId },
     /// A split request found no idle peer and joined the backlog.
     BacklogPush { client: NodeId },
     /// A client left the backlog (served, finished, or deregistered).
     BacklogRemove { client: NodeId },
-    /// A split or migrate grant opened: `peer` turns Receiving.
+    /// A grant of the requester's cube `problem` opened: `peer` turns
+    /// Receiving.
     GrantOpen {
         requester: NodeId,
         peer: NodeId,
         kind: GrantKind,
+        problem: ProblemId,
     },
     /// A grant closed; `free_peer` records whether the reserved peer
     /// returns to Idle (transfer failed / grant dropped) or not (the
     /// transfer confirmation already made it Busy, or the peer is gone).
     GrantClose { requester: NodeId, free_peer: bool },
-    /// Figure 3 message (5): the requester kept its half on a fresh
-    /// clock.
-    SplitKept { requester: NodeId, at: f64 },
+    /// Figure 3 message (5): the requester handed `child` to `peer` and
+    /// kept `pivot`, on a fresh clock while its split grant is open.
+    SplitKept {
+        requester: NodeId,
+        peer: NodeId,
+        child: ProblemId,
+        pivot: Lit,
+        at: f64,
+    },
     /// A migration source handed its subproblem off and went idle.
     MigrateSent { requester: NodeId },
     /// Figure 3 message (4): the receiving peer confirmed the transfer
     /// and is now busy, with its bundled initial recovery image.
     TransferIn {
         peer: NodeId,
-        problem: Option<ProblemId>,
+        problem: ProblemId,
         checkpoint: Option<Checkpoint>,
         at: f64,
     },
@@ -108,12 +113,13 @@ pub enum JournalRecord {
     },
     /// A client finished (or was confirmed finished) and went idle.
     ClientIdle { client: NodeId },
-    /// A result arrived from the peer of an in-flight transfer before
-    /// the transfer confirmation; remember it so the late confirmation
-    /// cannot resurrect a finished subproblem.
-    EarlyResultNote { client: NodeId, problem: ProblemId },
-    /// The late transfer confirmation consumed an early result.
-    EarlyResultConsume { client: NodeId, problem: ProblemId },
+    /// `client` refuted `problem`: the cube settles, and the client goes
+    /// idle when the roster has it holding that cube (`idle`).
+    Refuted {
+        client: NodeId,
+        problem: ProblemId,
+        idle: bool,
+    },
     /// A subproblem was taken back (checkpoint recovery, undeliverable
     /// assignment, or a client's Requeue) and queued for re-dispatch.
     RecoveryQueued { recovery: RecoverySpec },
@@ -135,14 +141,14 @@ pub enum JournalRecord {
     /// Narrative marker: `node` promoted itself to master at `at`.
     Promoted { node: NodeId, at: f64 },
     /// A sub-master-brokered steal transfer is in flight (hierarchy
-    /// extension): `donor` is splitting `problem`'s extension off to
-    /// `thief` without a grant. Opened from the donor's notice, settled
-    /// or aborted by the thief's confirmation.
+    /// extension): `donor` split `problem` off its cube `parent` without
+    /// a grant, keeping `pivot`. Settled by the thief's confirmation or
+    /// result; a failed steal comes back as a requeue.
     StealOpen {
         donor: NodeId,
-        thief: NodeId,
+        parent: ProblemId,
         problem: ProblemId,
-        at: f64,
+        pivot: Lit,
     },
     /// The thief confirmed the stolen transfer: donor keeps its half on
     /// a fresh clock, thief turns Busy with its bundled recovery image.
@@ -153,10 +159,6 @@ pub enum JournalRecord {
         checkpoint: Option<Checkpoint>,
         at: f64,
     },
-    /// The stolen transfer failed, its subproblem was requeued, or the
-    /// thief's result arrived before its confirmation; the steal stops
-    /// gating termination and a late confirmation is a duplicate.
-    StealAbort { problem: ProblemId },
 }
 
 // ----------------------------------------------------------------------
@@ -218,6 +220,18 @@ fn put_problem(p: ProblemId, out: &mut Vec<u8>) {
 
 fn get_problem(buf: &[u8], pos: &mut usize) -> Result<ProblemId, RecordError> {
     Ok(ProblemId(wire::read_varint(buf, pos)?))
+}
+
+fn put_lit(lit: Lit, out: &mut Vec<u8>) {
+    wire::write_varint(lit.code() as u64, out);
+}
+
+fn get_lit(buf: &[u8], pos: &mut usize) -> Result<Lit, RecordError> {
+    let code = wire::read_varint(buf, pos)?;
+    if code > u64::from(u32::MAX) {
+        return Err(WireError::Overflow.into());
+    }
+    Ok(Lit::from_code(code as usize))
 }
 
 fn put_f64(v: f64, out: &mut Vec<u8>) {
@@ -343,8 +357,8 @@ fn get_frame(buf: &[u8], pos: &mut usize) -> Result<SpecFrame, RecordError> {
     Ok(frame)
 }
 
-/// Serialize one record: a tag byte (the variant's declaration index)
-/// followed by its fields.
+/// Serialize one record: the variant's tag byte followed by its fields.
+/// A tag is never reused for a different variant.
 fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
     match rec {
         JournalRecord::Launch {
@@ -385,11 +399,6 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             put_problem(*problem, out);
             put_f64(*at, out);
         }
-        JournalRecord::ProblemLearned { client, problem } => {
-            out.push(4);
-            put_node(*client, out);
-            put_problem(*problem, out);
-        }
         JournalRecord::BacklogPush { client } => {
             out.push(5);
             put_node(*client, out);
@@ -402,6 +411,7 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             requester,
             peer,
             kind,
+            problem,
         } => {
             out.push(7);
             put_node(*requester, out);
@@ -410,6 +420,7 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
                 GrantKind::Split => 0,
                 GrantKind::Migrate => 1,
             });
+            put_problem(*problem, out);
         }
         JournalRecord::GrantClose {
             requester,
@@ -419,9 +430,18 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             put_node(*requester, out);
             put_bool(*free_peer, out);
         }
-        JournalRecord::SplitKept { requester, at } => {
+        JournalRecord::SplitKept {
+            requester,
+            peer,
+            child,
+            pivot,
+            at,
+        } => {
             out.push(9);
             put_node(*requester, out);
+            put_node(*peer, out);
+            put_problem(*child, out);
+            put_lit(*pivot, out);
             put_f64(*at, out);
         }
         JournalRecord::MigrateSent { requester } => {
@@ -436,7 +456,7 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
         } => {
             out.push(11);
             put_node(*peer, out);
-            put_opt(problem, |p, o| put_problem(*p, o), out);
+            put_problem(*problem, out);
             put_opt(checkpoint, put_checkpoint, out);
             put_f64(*at, out);
         }
@@ -456,15 +476,15 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             out.push(13);
             put_node(*client, out);
         }
-        JournalRecord::EarlyResultNote { client, problem } => {
+        JournalRecord::Refuted {
+            client,
+            problem,
+            idle,
+        } => {
             out.push(14);
             put_node(*client, out);
             put_problem(*problem, out);
-        }
-        JournalRecord::EarlyResultConsume { client, problem } => {
-            out.push(15);
-            put_node(*client, out);
-            put_problem(*problem, out);
+            put_bool(*idle, out);
         }
         JournalRecord::RecoveryQueued { recovery } => {
             out.push(16);
@@ -502,15 +522,15 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
         }
         JournalRecord::StealOpen {
             donor,
-            thief,
+            parent,
             problem,
-            at,
+            pivot,
         } => {
             out.push(20);
             put_node(*donor, out);
-            put_node(*thief, out);
+            put_problem(*parent, out);
             put_problem(*problem, out);
-            put_f64(*at, out);
+            put_lit(*pivot, out);
         }
         JournalRecord::StealSettle {
             donor,
@@ -525,10 +545,6 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             put_problem(*problem, out);
             put_opt(checkpoint, put_checkpoint, out);
             put_f64(*at, out);
-        }
-        JournalRecord::StealAbort { problem } => {
-            out.push(22);
-            put_problem(*problem, out);
         }
     }
 }
@@ -562,10 +578,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
             problem: get_problem(buf, &mut pos)?,
             at: get_f64(buf, &mut pos)?,
         },
-        4 => JournalRecord::ProblemLearned {
-            client: get_node(buf, &mut pos)?,
-            problem: get_problem(buf, &mut pos)?,
-        },
         5 => JournalRecord::BacklogPush {
             client: get_node(buf, &mut pos)?,
         },
@@ -587,6 +599,7 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
                 Some(_) => return Err(WireError::Overflow.into()),
                 None => return Err(WireError::Truncated.into()),
             },
+            problem: get_problem(buf, &mut pos)?,
         },
         8 => JournalRecord::GrantClose {
             requester: get_node(buf, &mut pos)?,
@@ -594,6 +607,9 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         },
         9 => JournalRecord::SplitKept {
             requester: get_node(buf, &mut pos)?,
+            peer: get_node(buf, &mut pos)?,
+            child: get_problem(buf, &mut pos)?,
+            pivot: get_lit(buf, &mut pos)?,
             at: get_f64(buf, &mut pos)?,
         },
         10 => JournalRecord::MigrateSent {
@@ -601,7 +617,7 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         },
         11 => JournalRecord::TransferIn {
             peer: get_node(buf, &mut pos)?,
-            problem: get_opt(buf, &mut pos, get_problem)?,
+            problem: get_problem(buf, &mut pos)?,
             checkpoint: get_opt(buf, &mut pos, get_checkpoint)?,
             at: get_f64(buf, &mut pos)?,
         },
@@ -614,13 +630,10 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         13 => JournalRecord::ClientIdle {
             client: get_node(buf, &mut pos)?,
         },
-        14 => JournalRecord::EarlyResultNote {
+        14 => JournalRecord::Refuted {
             client: get_node(buf, &mut pos)?,
             problem: get_problem(buf, &mut pos)?,
-        },
-        15 => JournalRecord::EarlyResultConsume {
-            client: get_node(buf, &mut pos)?,
-            problem: get_problem(buf, &mut pos)?,
+            idle: get_bool(buf, &mut pos)?,
         },
         16 => JournalRecord::RecoveryQueued {
             recovery: RecoverySpec {
@@ -647,9 +660,9 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         },
         20 => JournalRecord::StealOpen {
             donor: get_node(buf, &mut pos)?,
-            thief: get_node(buf, &mut pos)?,
+            parent: get_problem(buf, &mut pos)?,
             problem: get_problem(buf, &mut pos)?,
-            at: get_f64(buf, &mut pos)?,
+            pivot: get_lit(buf, &mut pos)?,
         },
         21 => JournalRecord::StealSettle {
             donor: get_node(buf, &mut pos)?,
@@ -657,9 +670,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
             problem: get_problem(buf, &mut pos)?,
             checkpoint: get_opt(buf, &mut pos, get_checkpoint)?,
             at: get_f64(buf, &mut pos)?,
-        },
-        22 => JournalRecord::StealAbort {
-            problem: get_problem(buf, &mut pos)?,
         },
         other => return Err(RecordError::BadTag(other)),
     };
@@ -835,6 +845,270 @@ impl RecoveryImage {
     }
 }
 
+// ----------------------------------------------------------------------
+// The cube ledger
+// ----------------------------------------------------------------------
+
+/// Where a cube came from, which is what its path is built from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Origin {
+    /// The whole problem: the empty path.
+    Root,
+    /// Known by id alone: met in a confirmation, claim, result or requeue
+    /// ahead of any report naming its parent, or split off a cube whose
+    /// own path is unknown. Rebuilt only from an image.
+    Unknown,
+    /// `parent` as it stood with `at` pivots kept, then `lit`: a split off
+    /// it (`lit` the complement of the pivot kept), or a re-dispatch of it
+    /// (no `lit`).
+    From {
+        parent: ProblemId,
+        at: usize,
+        lit: Option<Lit>,
+    },
+}
+
+/// Where a cube is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CubeState {
+    /// Queued for re-dispatch.
+    Backlog,
+    /// Held by a client.
+    Open(NodeId),
+    /// On its way to a client: a split's or a migration's transfer, or a
+    /// steal's (`steal`).
+    InFlight { to: NodeId, steal: bool },
+    /// Done with: refuted by a result (`refuted`), or superseded by the
+    /// twin a re-dispatch minted.
+    Settled { refuted: bool },
+}
+
+impl CubeState {
+    fn sent(to: NodeId, steal: bool) -> CubeState {
+        CubeState::InFlight { to, steal }
+    }
+}
+
+/// A pivot a cube kept, the half it split off, and where in
+/// [`Cubes::kept`] the cube's next kept pivot is.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Kept {
+    pivot: Lit,
+    half: ProblemId,
+    next: u32,
+}
+
+/// The end of a list of kept pivots.
+const NONE: u32 = u32::MAX;
+
+/// A ledger entry: where the cube came from, the first of the pivots it
+/// has kept since, and where it is. A path is built only to rebuild or
+/// check one.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Cube {
+    origin: Origin,
+    kept: u32,
+    state: CubeState,
+}
+
+/// The cube ledger: the split tree of every cube the run has minted,
+/// each with its place. Every record costs O(1).
+#[derive(Default)]
+pub(crate) struct Cubes {
+    map: BTreeMap<ProblemId, Cube>,
+    /// Every cube's kept pivots, linked lists in one buffer: a vector per
+    /// cube fragments the heap the clients' solvers share.
+    kept: Vec<Kept>,
+    /// Entries not `Settled`; the UNSAT verdict waits for none.
+    unsettled: usize,
+}
+
+impl Cubes {
+    pub(crate) fn state(&self, id: ProblemId) -> Option<CubeState> {
+        self.map.get(&id).map(|c| c.state)
+    }
+
+    /// How many cubes are queued, held or in flight.
+    pub(crate) fn unsettled(&self) -> usize {
+        self.unsettled
+    }
+
+    /// Did a result refute `id`?
+    pub(crate) fn refuted(&self, id: ProblemId) -> bool {
+        self.state(id) == Some(CubeState::Settled { refuted: true })
+    }
+
+    /// Has `id` a known parent or twin source (or is it the root)?
+    pub(crate) fn placed(&self, id: ProblemId) -> bool {
+        self.map
+            .get(&id)
+            .is_some_and(|c| c.origin != Origin::Unknown)
+    }
+
+    /// The kept pivots of the list starting at `first`, in split order.
+    fn pivots(&self, first: u32) -> impl Iterator<Item = &Kept> {
+        std::iter::successors(self.kept.get(first as usize), |k| {
+            self.kept.get(k.next as usize)
+        })
+    }
+
+    /// Move `id` to `state`, entering it by id alone if it is new.
+    fn enter(&mut self, id: ProblemId, state: CubeState) {
+        let open = |s: CubeState| usize::from(!matches!(s, CubeState::Settled { .. }));
+        let cube = self.map.entry(id).or_insert(Cube {
+            origin: Origin::Unknown,
+            kept: NONE,
+            state: CubeState::Settled { refuted: false },
+        });
+        self.unsettled = self.unsettled + open(state) - open(cube.state);
+        cube.state = state;
+    }
+
+    /// Move `id` to `state` unless it is settled already.
+    fn advance(&mut self, id: ProblemId, state: CubeState) {
+        if !matches!(self.state(id), Some(CubeState::Settled { .. })) {
+            self.enter(id, state);
+        }
+    }
+
+    /// The master sent `holder` a fresh id: the root, or the twin of the
+    /// cube a re-dispatch re-covers, whose path stops at the pivots its
+    /// frame carries (an image taken before the source's latest splits
+    /// covers their halves too). A queued source is superseded.
+    fn mint(&mut self, id: ProblemId, twin: Option<&RecoverySpec>, holder: NodeId) {
+        let origin = match twin {
+            None => Origin::Root,
+            Some(RecoverySpec { frame, source }) => {
+                match source.and_then(|s| Some((s, self.map.get(&s)?.kept))) {
+                    Some((parent, first)) => {
+                        let carried = if first == NONE {
+                            vec![]
+                        } else {
+                            frame.assumptions()
+                        };
+                        let at = (self.pivots(first))
+                            .take_while(|k| carried.iter().any(|&(l, _)| l == k.pivot))
+                            .count();
+                        Origin::From {
+                            parent,
+                            at,
+                            lit: None,
+                        }
+                    }
+                    None => Origin::Unknown,
+                }
+            }
+        };
+        self.enter(id, CubeState::Open(holder));
+        self.map.get_mut(&id).expect("entered").origin = origin;
+        if let Some(source) = twin.and_then(|t| t.source) {
+            if self.state(source) == Some(CubeState::Backlog) {
+                self.enter(source, CubeState::Settled { refuted: false });
+            }
+        }
+    }
+
+    /// `parent` kept `pivot` and split `child` off, now `state`; a child
+    /// known by id keeps its state. A report landing after a later split's
+    /// takes its place in the order the holder's minted ids give, so the
+    /// halves recorded since keep paths that omit its pivot.
+    fn split(&mut self, parent: Option<ProblemId>, child: ProblemId, pivot: Lit, state: CubeState) {
+        if self.placed(child) {
+            return;
+        }
+        let origin = match parent {
+            Some(parent) if parent != child => match self.map.get(&parent) {
+                Some(cube) => {
+                    let minter = |id: ProblemId| id.0 >> 32;
+                    let (mut at, mut prev, mut next) = (0, NONE, cube.kept);
+                    while let Some(k) = self.kept.get(next as usize) {
+                        if minter(k.half) == minter(child) && k.half > child {
+                            break;
+                        }
+                        (at, prev, next) = (at + 1, next, k.next);
+                    }
+                    let this = self.kept.len() as u32;
+                    (self.kept).push(Kept {
+                        pivot,
+                        half: child,
+                        next,
+                    });
+                    match self.kept.get_mut(prev as usize) {
+                        Some(k) => k.next = this,
+                        None => self.map.get_mut(&parent).expect("present").kept = this,
+                    }
+                    let lit = Some(!pivot);
+                    Origin::From { parent, at, lit }
+                }
+                None => Origin::Unknown,
+            },
+            _ => Origin::Unknown,
+        };
+        if !self.map.contains_key(&child) {
+            self.enter(child, state);
+        }
+        self.map.get_mut(&child).expect("entered").origin = origin;
+    }
+
+    /// The literals that cut `id` out of the whole problem, or `None`
+    /// when some cube on its lineage is known by id alone.
+    pub(crate) fn path(&self, id: ProblemId) -> Option<Vec<Lit>> {
+        // leaf to root: the literal each cube began with, and its first
+        // kept pivots
+        let mut pieces = Vec::new();
+        let (mut id, mut at) = (id, usize::MAX);
+        loop {
+            let cube = self.map.get(&id)?;
+            let kept = (cube.kept, at);
+            if pieces.len() > self.map.len() {
+                return None; // an origin cycle, from ids confused by faults
+            }
+            match cube.origin {
+                Origin::Root => {
+                    pieces.push((None, kept));
+                    break;
+                }
+                Origin::Unknown => return None,
+                Origin::From { parent, at: k, lit } => {
+                    pieces.push((lit, kept));
+                    (id, at) = (parent, k);
+                }
+            }
+        }
+        let mut path = Vec::new();
+        for (lit, (first, at)) in pieces.into_iter().rev() {
+            path.extend(lit);
+            path.extend(self.pivots(first).take(at).map(|k| k.pivot));
+        }
+        Some(path)
+    }
+
+    /// The highest id counter among the cubes `node` minted.
+    pub(crate) fn last_minted(&self, node: NodeId) -> u32 {
+        let ids = ProblemId::new(node, 0)..=ProblemId::new(node, u32::MAX);
+        self.map
+            .range(ids)
+            .next_back()
+            .map_or(0, |(id, _)| id.0 as u32)
+    }
+
+    /// The unsettled cubes held or being sent, with their holders.
+    pub(crate) fn held(&self) -> impl Iterator<Item = (ProblemId, NodeId)> + '_ {
+        self.map.iter().filter_map(|(id, c)| match c.state {
+            CubeState::Open(n) | CubeState::InFlight { to: n, .. } => Some((*id, n)),
+            CubeState::Backlog | CubeState::Settled { .. } => None,
+        })
+    }
+
+    /// The unsettled cubes `node` holds or is being sent.
+    pub(crate) fn held_by(&self, node: NodeId) -> Vec<ProblemId> {
+        (self.held())
+            .filter(|&(_, n)| n == node)
+            .map(|(id, _)| id)
+            .collect()
+    }
+}
+
 /// One client's row in a [`CoreImage`]: id, state, memory,
 /// problem-since, assigned problem, recovery image.
 pub type ClientImage = (
@@ -853,11 +1127,9 @@ pub type ClientImage = (
 pub struct CoreImage {
     pub clients: Vec<ClientImage>,
     pub backlog: Vec<NodeId>,
-    pub grants: Vec<(NodeId, NodeId, GrantKind)>,
+    pub grants: Vec<(NodeId, NodeId, GrantKind, ProblemId)>,
     pub pending_recovery: Vec<RecoverySpec>,
-    pub early_results: Vec<(NodeId, ProblemId)>,
-    pub pending_steals: Vec<(ProblemId, NodeId, NodeId)>,
-    pub seen_steals: Vec<ProblemId>,
+    pub cubes: Vec<(ProblemId, Cube, Vec<Lit>)>,
     pub first_problem_sent: bool,
     pub slots: Vec<NodeId>,
 }
@@ -878,22 +1150,18 @@ pub(crate) fn tree_children(slot: usize) -> std::ops::Range<usize> {
 pub(crate) struct MasterCore {
     pub(crate) clients: BTreeMap<NodeId, ClientInfo>,
     pub(crate) backlog: VecDeque<NodeId>,
-    /// requester -> (peer, kind) for in-flight grants.
-    pub(crate) grants: BTreeMap<NodeId, (NodeId, GrantKind)>,
+    /// requester -> (peer, kind, the requester's cube) for in-flight
+    /// grants.
+    pub(crate) grants: BTreeMap<NodeId, (NodeId, GrantKind, ProblemId)>,
+    /// (requester, peer) -> (cube, horizon) of each split grant, open or
+    /// closed, whose message (5) has not landed; `horizon` is the last id
+    /// the ledger had seen the requester mint when the grant opened.
+    split_grants: BTreeMap<(NodeId, NodeId), (ProblemId, u32)>,
     /// Subproblems recovered from checkpoints of lost clients (or handed
     /// back by clients), awaiting an idle client.
     pub(crate) pending_recovery: VecDeque<RecoverySpec>,
-    /// Results that arrived before the transfer confirmation that would
-    /// have marked their sender Busy (at-least-once delivery reorders).
-    pub(crate) early_results: BTreeSet<(NodeId, ProblemId)>,
-    /// Steal transfers the root knows are in flight (hierarchy
-    /// extension): stolen problem -> (donor, thief). Gates the all-idle
-    /// termination check exactly like an open grant.
-    pub(crate) pending_steals: BTreeMap<ProblemId, (NodeId, NodeId)>,
-    /// Every steal ever opened, settled or aborted — dedups the
-    /// at-least-once redeliveries of notices and confirmations, which
-    /// can arrive in either order.
-    pub(crate) seen_steals: BTreeSet<ProblemId>,
+    /// Every cube of the run and where it is.
+    pub(crate) cubes: Cubes,
     pub(crate) first_problem_sent: bool,
     /// The registered clients in share-tree order: a
     /// [`SHARE_TREE_FANOUT`]-ary heap, slot 0 the root. A client joins at
@@ -1027,7 +1295,8 @@ impl MasterCore {
             JournalRecord::Deregister { client } => {
                 self.remove(client);
                 self.backlog.retain(|id| *id != client);
-                self.early_results.retain(|(n, _)| *n != client);
+                self.split_grants
+                    .retain(|&(requester, _), _| requester != client);
                 None
             }
             JournalRecord::AssignWhole {
@@ -1039,6 +1308,7 @@ impl MasterCore {
                 let clauses = formula.clauses().iter().map(Clause::lits);
                 let frame = SpecFrame::build(formula.num_vars(), &[], clauses);
                 self.install(client, problem, &frame, at, config);
+                self.cubes.mint(problem, None, client);
                 Some(RecoverySpec {
                     frame,
                     source: None,
@@ -1051,13 +1321,8 @@ impl MasterCore {
             } => {
                 let recovery = self.pending_recovery.pop_front()?;
                 self.install(client, problem, &recovery.frame, at, config);
+                self.cubes.mint(problem, Some(&recovery), client);
                 Some(recovery)
-            }
-            JournalRecord::ProblemLearned { client, problem } => {
-                if let Some(info) = self.clients.get_mut(&client) {
-                    info.problem = Some(problem);
-                }
-                None
             }
             JournalRecord::BacklogPush { client } => {
                 if !self.backlog.contains(&client) {
@@ -1073,16 +1338,21 @@ impl MasterCore {
                 requester,
                 peer,
                 kind,
+                problem,
             } => {
                 self.set_state(peer, ClientState::Receiving);
-                self.grants.insert(requester, (peer, kind));
+                self.grants.insert(requester, (peer, kind, problem));
+                if kind == GrantKind::Split {
+                    let horizon = self.cubes.last_minted(requester);
+                    (self.split_grants).insert((requester, peer), (problem, horizon));
+                }
                 None
             }
             JournalRecord::GrantClose {
                 requester,
                 free_peer,
             } => {
-                if let Some((peer, _)) = self.grants.remove(&requester) {
+                if let Some((peer, ..)) = self.grants.remove(&requester) {
                     let receiving = (self.clients.get(&peer))
                         .is_some_and(|p| p.state == ClientState::Receiving);
                     if free_peer && receiving {
@@ -1091,13 +1361,29 @@ impl MasterCore {
                 }
                 None
             }
-            JournalRecord::SplitKept { requester, at } => {
-                if let Some(r) = self.clients.get_mut(&requester) {
+            JournalRecord::SplitKept {
+                requester,
+                peer,
+                child,
+                pivot,
+                at,
+            } => {
+                let split_grant =
+                    matches!(self.grants.get(&requester), Some((_, GrantKind::Split, _)));
+                if let (true, Some(r)) = (split_grant, self.clients.get_mut(&requester)) {
                     r.problem_since = at;
                 }
+                let parent = self.split_parent(requester, peer, child);
+                if parent.is_some() {
+                    self.split_grants.remove(&(requester, peer));
+                }
+                (self.cubes).split(parent, child, pivot, CubeState::sent(peer, false));
                 None
             }
             JournalRecord::MigrateSent { requester } => {
+                if let Some(&(peer, _, cube)) = self.grants.get(&requester) {
+                    self.cubes.advance(cube, CubeState::sent(peer, false));
+                }
                 self.set_state(requester, ClientState::Idle);
                 None
             }
@@ -1109,12 +1395,13 @@ impl MasterCore {
             } => {
                 if let Some(info) = self.clients.get_mut(&peer) {
                     info.problem_since = at;
-                    info.problem = problem;
+                    info.problem = Some(problem);
                     if let Some(cp) = checkpoint {
                         info.image = Some(RecoveryImage::Uploaded(cp));
                     }
                 }
                 self.set_state(peer, ClientState::Busy);
+                self.cubes.enter(problem, CubeState::Open(peer));
                 None
             }
             JournalRecord::CheckpointAccept {
@@ -1132,22 +1419,25 @@ impl MasterCore {
                 None
             }
             JournalRecord::ClientIdle { client } => {
-                if let Some(info) = self.clients.get_mut(&client) {
-                    info.problem = None;
-                    info.image = None;
+                self.idle(client);
+                None
+            }
+            JournalRecord::Refuted {
+                client,
+                problem,
+                idle,
+            } => {
+                self.cubes
+                    .enter(problem, CubeState::Settled { refuted: true });
+                if idle {
+                    self.idle(client);
                 }
-                self.set_state(client, ClientState::Idle);
-                None
-            }
-            JournalRecord::EarlyResultNote { client, problem } => {
-                self.early_results.insert((client, problem));
-                None
-            }
-            JournalRecord::EarlyResultConsume { client, problem } => {
-                self.early_results.remove(&(client, problem));
                 None
             }
             JournalRecord::RecoveryQueued { recovery } => {
+                if let Some(source) = recovery.source {
+                    self.cubes.advance(source, CubeState::Backlog);
+                }
                 self.pending_recovery.push_back(recovery);
                 None
             }
@@ -1172,19 +1462,20 @@ impl MasterCore {
                 info.problem = problem;
                 info.image = checkpoint.map(RecoveryImage::Uploaded);
                 self.admit(client, info);
+                if let (true, Some(problem)) = (busy, problem) {
+                    self.cubes.enter(problem, CubeState::Open(client));
+                }
                 None
             }
             JournalRecord::StealOpen {
                 donor,
-                thief,
+                parent,
                 problem,
-                ..
+                pivot,
             } => {
-                // a notice redelivered after the settle/abort must not
-                // reopen the steal
-                if !self.seen_steals.contains(&problem) {
-                    self.pending_steals.insert(problem, (donor, thief));
-                }
+                // in flight from the donor until the thief confirms it
+                let to = CubeState::sent(donor, true);
+                self.cubes.split(Some(parent), problem, pivot, to);
                 None
             }
             JournalRecord::StealSettle {
@@ -1194,8 +1485,6 @@ impl MasterCore {
                 checkpoint,
                 at,
             } => {
-                self.pending_steals.remove(&problem);
-                self.seen_steals.insert(problem);
                 // donor kept its half on a fresh clock (like SplitKept)
                 if let Some(d) = self.clients.get_mut(&donor) {
                     d.problem_since = at;
@@ -1210,14 +1499,118 @@ impl MasterCore {
                     }
                 }
                 self.set_state(thief, ClientState::Busy);
-                None
-            }
-            JournalRecord::StealAbort { problem } => {
-                self.pending_steals.remove(&problem);
-                self.seen_steals.insert(problem);
+                self.cubes.enter(problem, CubeState::Open(thief));
                 None
             }
         }
+    }
+
+    /// The cube `requester` split `child` off to `peer`: the one their
+    /// split grant named, which the client checked was its own, if `child`
+    /// was minted after it opened. The peer's confirmation or loss can
+    /// close the grant first; an older, retransmitted report is unplaced.
+    fn split_parent(&self, requester: NodeId, peer: NodeId, child: ProblemId) -> Option<ProblemId> {
+        let &(cube, horizon) = self.split_grants.get(&(requester, peer))?;
+        (child.0 as u32 > horizon && child.0 >> 32 == u64::from(requester.0)).then_some(cube)
+    }
+
+    /// `client` holds nothing any more.
+    fn idle(&mut self, client: NodeId) {
+        if let Some(info) = self.clients.get_mut(&client) {
+            info.problem = None;
+            info.image = None;
+        }
+        self.set_state(client, ClientState::Idle);
+    }
+
+    /// The panic message of the ledger check `rec` fails, if any: a split
+    /// must not pivot on a literal its cube's path decides, a minted or
+    /// adopted cube must not be held elsewhere, and an adopted cube's
+    /// level 0 must not contradict its path (`[?]`: path unknown).
+    pub(crate) fn violation(&self, rec: &JournalRecord) -> Option<String> {
+        let on_path = "split pivot already on the path";
+        let (check, path) = match *rec {
+            JournalRecord::AssignWhole { problem, .. }
+            | JournalRecord::AssignRecovery { problem, .. } => {
+                let state = self.cubes.state(problem);
+                let held = state.is_some_and(|s| !matches!(s, CubeState::Settled { .. }));
+                (
+                    held.then_some("cube owned twice")?,
+                    self.cubes.path(problem),
+                )
+            }
+            JournalRecord::SplitKept {
+                requester,
+                peer,
+                child,
+                pivot,
+                ..
+            } => {
+                let parent = self.split_parent(requester, peer, child)?;
+                (on_path, Some(self.pivot_on_path(parent, child, pivot)?))
+            }
+            JournalRecord::StealOpen {
+                parent,
+                problem,
+                pivot,
+                ..
+            } => (on_path, Some(self.pivot_on_path(parent, problem, pivot)?)),
+            JournalRecord::TransferIn {
+                peer: to,
+                problem: cube,
+                ref checkpoint,
+                ..
+            }
+            | JournalRecord::StealSettle {
+                thief: to,
+                problem: cube,
+                ref checkpoint,
+                ..
+            } => self.adoption(to, cube, checkpoint.as_ref())?,
+            _ => return None,
+        };
+        let lits = path.map(|p| {
+            p.iter()
+                .map(|l| l.to_dimacs().to_string())
+                .collect::<Vec<_>>()
+        });
+        let path = lits.map_or("[?]".into(), |lits| format!("[{}]", lits.join(" ")));
+        // the record's variant name, from its debug form
+        let record = format!("{rec:?}");
+        let record = record.split(' ').next().unwrap_or_default();
+        Some(format!(
+            "search-space audit violation: {check} ({record}): path {path}"
+        ))
+    }
+
+    /// The path of `parent` when it already decides `pivot`'s variable; a
+    /// `child` already placed is a repeated report, checked the first time.
+    fn pivot_on_path(&self, parent: ProblemId, child: ProblemId, pivot: Lit) -> Option<Vec<Lit>> {
+        if self.cubes.placed(child) {
+            return None;
+        }
+        let path = self.cubes.path(parent)?;
+        path.iter().any(|l| l.var() == pivot.var()).then_some(path)
+    }
+
+    /// What is wrong with `to` adopting `cube` with `checkpoint`: a cube held
+    /// elsewhere (not by a migration), or a level 0 against its path.
+    fn adoption(
+        &self,
+        to: NodeId,
+        cube: ProblemId,
+        checkpoint: Option<&Checkpoint>,
+    ) -> Option<(&'static str, Option<Vec<Lit>>)> {
+        if let Some(CubeState::Open(holder)) = self.cubes.state(cube) {
+            let migrating = self.grants.get(&holder) == Some(&(to, GrantKind::Migrate, cube));
+            if holder != to && !migrating {
+                return Some(("cube owned twice", self.cubes.path(cube)));
+            }
+        }
+        let (Checkpoint::Light { level0 } | Checkpoint::Heavy { level0, .. }) = checkpoint?;
+        let path = self.cubes.path(cube)?;
+        let contradicts = level0.iter().any(|&(l, _)| path.contains(&!l));
+        contradicts.then_some(("adopted spec contradicts the recorded path", Some(path)))
     }
 
     /// `client`'s slot in the share tree. Searched from the end: the
@@ -1255,15 +1648,16 @@ impl MasterCore {
                 })
                 .collect(),
             backlog: self.backlog.iter().copied().collect(),
-            grants: self.grants.iter().map(|(r, (p, k))| (*r, *p, *k)).collect(),
-            pending_recovery: self.pending_recovery.iter().cloned().collect(),
-            early_results: self.early_results.iter().copied().collect(),
-            pending_steals: self
-                .pending_steals
-                .iter()
-                .map(|(p, (d, t))| (*p, *d, *t))
+            grants: (self.grants.iter())
+                .map(|(r, &(p, k, c))| (*r, p, k, c))
                 .collect(),
-            seen_steals: self.seen_steals.iter().copied().collect(),
+            pending_recovery: self.pending_recovery.iter().cloned().collect(),
+            cubes: (self.cubes.map.iter())
+                .map(|(id, c)| {
+                    let pivots = self.cubes.pivots(c.kept).map(|k| k.pivot).collect();
+                    (*id, c.clone(), pivots)
+                })
+                .collect(),
             first_problem_sent: self.first_problem_sent,
             slots: self.slots.clone(),
         }
@@ -1482,16 +1876,20 @@ mod tests {
                 requester: n1,
                 peer: n2,
                 kind: GrantKind::Split,
+                problem: p1,
             },
             JournalRecord::SplitKept {
                 requester: n1,
+                peer: n2,
+                child: p2,
+                pivot: Lit::pos(0),
                 at: 3.0,
             },
             JournalRecord::TransferIn {
                 peer: n2,
-                problem: Some(p2),
+                problem: p2,
                 checkpoint: Some(Checkpoint::Light {
-                    level0: vec![(Lit::pos(0), false)],
+                    level0: vec![(Lit::neg(0), false)],
                 }),
                 at: 4.0,
             },
@@ -1501,6 +1899,11 @@ mod tests {
             },
         ];
         let core = fold(&f, &cfg, &records);
+        // the split tree: the root kept +1, the child holds -1
+        assert_eq!(core.cubes.path(p1), Some(vec![Lit::pos(0)]));
+        assert_eq!(core.cubes.path(p2), Some(vec![Lit::neg(0)]));
+        assert_eq!(core.cubes.state(p2), Some(CubeState::Open(n2)));
+        assert_eq!(core.cubes.unsettled(), 2);
         assert!(core.first_problem_sent);
         assert_eq!(core.clients.len(), 2);
         assert_eq!(core.clients[&n1].state, ClientState::Busy);
@@ -1577,70 +1980,481 @@ mod tests {
         );
     }
 
+    /// Launch `clients` on an empty core; the first is handed the whole
+    /// problem as `ProblemId(0, 1)`.
+    fn fleet(f: &gridsat_cnf::Formula, cfg: &GridConfig, clients: &[u32]) -> MasterCore {
+        let mut core = MasterCore::default();
+        for &client in clients {
+            let launch = JournalRecord::Launch {
+                client: NodeId(client),
+                memory: 1 << 20,
+                speed: 100.0,
+                availability: 1.0,
+                at: 0.0,
+            };
+            core.apply(launch, f, cfg);
+        }
+        let whole = JournalRecord::AssignWhole {
+            client: NodeId(clients[0]),
+            problem: ProblemId::new(NodeId(0), 1),
+            at: 0.0,
+        };
+        commit(&mut core, f, cfg, whole);
+        core
+    }
+
+    /// Apply `rec` the way the master commits it: a transition the
+    /// ledger cannot take panics with the check it fails.
+    fn commit(
+        core: &mut MasterCore,
+        f: &gridsat_cnf::Formula,
+        cfg: &GridConfig,
+        rec: JournalRecord,
+    ) {
+        if let Some(violation) = core.violation(&rec) {
+            panic!("{violation}");
+        }
+        core.apply(rec, f, cfg);
+    }
+
+    /// The whole problem, as [`fleet`] hands it out.
+    const ROOT: ProblemId = ProblemId(1);
+
+    /// `requester` was granted a split of `cube` with `peer`, kept `pivot`
+    /// and handed `child` to it: a grant and message (5).
+    fn kept(
+        requester: u32,
+        cube: ProblemId,
+        peer: u32,
+        child: ProblemId,
+        pivot: Lit,
+    ) -> [JournalRecord; 2] {
+        let (requester, peer) = (NodeId(requester), NodeId(peer));
+        [
+            JournalRecord::GrantOpen {
+                requester,
+                peer,
+                kind: GrantKind::Split,
+                problem: cube,
+            },
+            JournalRecord::SplitKept {
+                requester,
+                peer,
+                child,
+                pivot,
+                at: 1.0,
+            },
+        ]
+    }
+
+    /// Message (4): `peer` took `problem` in, bundling `level0`, and the
+    /// grant closed.
+    fn transfer_in(peer: u32, problem: ProblemId, level0: Vec<(Lit, bool)>) -> [JournalRecord; 2] {
+        [
+            JournalRecord::TransferIn {
+                peer: NodeId(peer),
+                problem,
+                checkpoint: Some(Checkpoint::Light { level0 }),
+                at: 2.0,
+            },
+            JournalRecord::GrantClose {
+                requester: NodeId(1),
+                free_peer: false,
+            },
+        ]
+    }
+
+    fn refuted(client: u32, problem: ProblemId) -> JournalRecord {
+        JournalRecord::Refuted {
+            client: NodeId(client),
+            problem,
+            idle: true,
+        }
+    }
+
+    /// The panic message of `run`.
+    fn panic_of(run: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(run).expect_err("the transition must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
     fn steal_records_fold_like_a_grantless_split() {
         let f = gridsat_cnf::paper::fig1_formula();
         let cfg = config();
         let (donor, thief) = (NodeId(1), NodeId(2));
+        let root = ProblemId::new(NodeId(0), 1);
         let stolen = ProblemId::new(donor, 5);
-        let mut core = MasterCore::default();
-        for (client, at) in [(donor, 0.0), (thief, 0.5)] {
-            core.apply(
-                JournalRecord::Launch {
-                    client,
-                    memory: 1 << 20,
-                    speed: 100.0,
-                    availability: 1.0,
-                    at,
-                },
-                &f,
-                &cfg,
-            );
-        }
+        let mut core = fleet(&f, &cfg, &[1, 2]);
         let open = JournalRecord::StealOpen {
+            donor,
+            parent: root,
+            problem: stolen,
+            pivot: Lit::pos(3),
+        };
+        commit(&mut core, &f, &cfg, open.clone());
+        // in flight from the donor until the thief confirms it
+        let in_flight = CubeState::InFlight {
+            to: donor,
+            steal: true,
+        };
+        assert_eq!(core.cubes.state(stolen), Some(in_flight));
+        assert_eq!(core.cubes.path(stolen), Some(vec![Lit::neg(3)]));
+        let settle = JournalRecord::StealSettle {
             donor,
             thief,
             problem: stolen,
-            at: 1.0,
+            checkpoint: Some(Checkpoint::Light {
+                level0: vec![(Lit::neg(3), false)],
+            }),
+            at: 2.0,
         };
-        core.apply(open.clone(), &f, &cfg);
-        assert_eq!(core.pending_steals.get(&stolen), Some(&(donor, thief)));
-        core.apply(
-            JournalRecord::StealSettle {
-                donor,
-                thief,
-                problem: stolen,
-                checkpoint: Some(Checkpoint::Light {
-                    level0: vec![(Lit::pos(0), false)],
-                }),
-                at: 2.0,
-            },
-            &f,
-            &cfg,
-        );
-        assert!(core.pending_steals.is_empty());
+        commit(&mut core, &f, &cfg, settle);
+        assert_eq!(core.cubes.state(stolen), Some(CubeState::Open(thief)));
         assert_eq!(core.clients[&thief].state, ClientState::Busy);
         assert_eq!(core.clients[&thief].problem, Some(stolen));
         assert_eq!(core.clients[&thief].problem_since, 2.0);
         assert_eq!(core.clients[&donor].problem_since, 2.0, "fresh clock");
-        // a redelivered notice after the settle must not reopen the steal
-        core.apply(open, &f, &cfg);
-        assert!(core.pending_steals.is_empty(), "seen-steals dedup holds");
-        // aborts settle the ledger too
+        // a redelivered notice after the settle reopens nothing, and the
+        // donor's cube keeps its pivot once
+        commit(&mut core, &f, &cfg, open);
+        assert_eq!(core.cubes.state(stolen), Some(CubeState::Open(thief)));
+        assert_eq!(core.cubes.path(root), Some(vec![Lit::pos(3)]));
+        // a failed steal stays in flight until its requeue lands
         let other = ProblemId::new(donor, 6);
-        core.apply(
-            JournalRecord::StealOpen {
-                donor,
-                thief,
-                problem: other,
-                at: 3.0,
+        let open = JournalRecord::StealOpen {
+            donor,
+            parent: root,
+            problem: other,
+            pivot: Lit::neg(5),
+        };
+        commit(&mut core, &f, &cfg, open);
+        assert_eq!(core.cubes.held_by(donor), [root, other]);
+        let frame = SpecFrame::seal(&SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![(Lit::pos(3), false), (Lit::pos(5), false)],
+            clauses: vec![],
+        });
+        let requeue = JournalRecord::RecoveryQueued {
+            recovery: RecoverySpec {
+                frame,
+                source: Some(other),
             },
-            &f,
-            &cfg,
+        };
+        commit(&mut core, &f, &cfg, requeue);
+        assert_eq!(core.cubes.state(other), Some(CubeState::Backlog));
+        assert_eq!(core.cubes.held_by(donor), [root]);
+        assert_eq!(core.cubes.held_by(thief), [stolen]);
+    }
+
+    /// An exact partition, as ledger transitions: the root
+    /// splits twice, every cube is refuted, and nothing is left for the
+    /// verdict to wait on.
+    #[test]
+    fn an_exact_partition_settles_every_cube() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let cfg = config();
+        let root = ProblemId::new(NodeId(0), 1);
+        let (c1, c2) = (ProblemId::new(NodeId(1), 1), ProblemId::new(NodeId(1), 2));
+        let mut core = fleet(&f, &cfg, &[1, 2, 3]);
+        let level0 = vec![(Lit::neg(3), false), (Lit::pos(7), false)];
+        for rec in [
+            kept(1, ROOT, 2, c1, Lit::pos(3)),
+            transfer_in(2, c1, level0),
+            kept(1, ROOT, 3, c2, Lit::neg(5)),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            commit(&mut core, &f, &cfg, rec);
+        }
+        assert_eq!(core.cubes.path(root), Some(vec![Lit::pos(3), Lit::neg(5)]));
+        assert_eq!(core.cubes.path(c1), Some(vec![Lit::neg(3)]));
+        assert_eq!(core.cubes.path(c2), Some(vec![Lit::pos(3), Lit::pos(5)]));
+        assert_eq!(core.cubes.unsettled(), 3);
+        for (client, cube) in [(2, c1), (3, c2), (1, root)] {
+            commit(&mut core, &f, &cfg, refuted(client, cube));
+        }
+        assert_eq!(core.cubes.unsettled(), 0);
+        assert!(core.cubes.refuted(c2));
+    }
+
+    /// A leak: only the kept side is refuted. The child stays unsettled,
+    /// with its holder and its path, which is what holds the verdict and
+    /// rebuilds the cube.
+    #[test]
+    fn a_leaked_cube_stays_unsettled_with_its_path() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let cfg = config();
+        let root = ProblemId::new(NodeId(0), 1);
+        let child = ProblemId::new(NodeId(1), 1);
+        let mut core = fleet(&f, &cfg, &[1, 2]);
+        for rec in kept(1, ROOT, 2, child, Lit::pos(3)) {
+            commit(&mut core, &f, &cfg, rec);
+        }
+        commit(&mut core, &f, &cfg, refuted(1, root));
+        assert_eq!(core.cubes.unsettled(), 1);
+        assert_eq!(core.cubes.held_by(NodeId(2)), [child]);
+        assert_eq!(core.cubes.path(child), Some(vec![Lit::neg(3)]));
+    }
+
+    #[test]
+    fn a_cube_owned_twice_panics_naming_its_record_and_path() {
+        let msg = panic_of(|| {
+            let f = gridsat_cnf::paper::fig1_formula();
+            let cfg = config();
+            let child = ProblemId::new(NodeId(1), 1);
+            let mut core = fleet(&f, &cfg, &[1, 2, 3]);
+            let records = [
+                kept(1, ROOT, 2, child, Lit::pos(3)),
+                transfer_in(2, child, vec![]),
+            ];
+            for rec in records.into_iter().flatten() {
+                commit(&mut core, &f, &cfg, rec);
+            }
+            // no grant moves the cube from node 2 to node 3
+            let [again, _] = transfer_in(3, child, vec![]);
+            commit(&mut core, &f, &cfg, again);
+        });
+        assert!(msg.contains("cube owned twice (TransferIn)"), "got: {msg}");
+        assert!(msg.ends_with("path [-4]"), "got: {msg}");
+        // a minted id handed out while its cube is still held
+        let msg = panic_of(|| {
+            let f = gridsat_cnf::paper::fig1_formula();
+            let cfg = config();
+            let mut core = fleet(&f, &cfg, &[1, 2]);
+            let again = JournalRecord::AssignWhole {
+                client: NodeId(2),
+                problem: ProblemId::new(NodeId(0), 1),
+                at: 1.0,
+            };
+            commit(&mut core, &f, &cfg, again);
+        });
+        assert!(msg.contains("cube owned twice (AssignWhole)"), "got: {msg}");
+    }
+
+    /// A re-dispatch supersedes its source with a twin. The falsely
+    /// expired holder of the source keeps solving and splitting it; both
+    /// lineages split on the same pivot, and neither is owned twice.
+    #[test]
+    fn sanctioned_twins_are_tolerated() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let cfg = config();
+        let root = ProblemId::new(NodeId(0), 1);
+        let twin = ProblemId::new(NodeId(0), 2);
+        let (a, b) = (ProblemId::new(NodeId(1), 1), ProblemId::new(NodeId(2), 1));
+        let mut core = fleet(&f, &cfg, &[1, 2, 3, 4]);
+        let whole = SpecFrame::seal(&SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![],
+            clauses: f.clauses().to_vec(),
+        });
+        let requeue = JournalRecord::RecoveryQueued {
+            recovery: RecoverySpec {
+                frame: whole,
+                source: Some(root),
+            },
+        };
+        let assign = JournalRecord::AssignRecovery {
+            client: NodeId(2),
+            problem: twin,
+            at: 5.0,
+        };
+        let splits = [
+            kept(1, ROOT, 3, a, Lit::pos(3)),
+            kept(2, twin, 4, b, Lit::pos(3)),
+        ];
+        for rec in [requeue, assign]
+            .into_iter()
+            .chain(splits.into_iter().flatten())
+        {
+            commit(&mut core, &f, &cfg, rec);
+        }
+        let superseded = CubeState::Settled { refuted: false };
+        assert_eq!(core.cubes.state(root), Some(superseded));
+        assert_eq!(core.cubes.path(a), core.cubes.path(b));
+        assert_eq!(core.cubes.path(twin), Some(vec![Lit::pos(3)]));
+        for (client, cube) in [(2, twin), (4, b), (3, a)] {
+            commit(&mut core, &f, &cfg, refuted(client, cube));
+        }
+        assert_eq!(core.cubes.unsettled(), 0);
+    }
+
+    /// A re-dispatch of a frame handed back without its id is tracked by
+    /// id alone: its path and its children's are unknown, so it is never
+    /// rebuilt from one nor checked against one.
+    #[test]
+    fn unknown_provenance_is_tracked_by_id_alone() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let cfg = config();
+        let lone = ProblemId::new(NodeId(0), 2);
+        let child = ProblemId::new(NodeId(3), 1);
+        let mut core = fleet(&f, &cfg, &[1, 3, 4]);
+        let frame = SpecFrame::seal(&SplitSpec {
+            num_vars: f.num_vars(),
+            assumptions: vec![(Lit::neg(2), false)],
+            clauses: vec![],
+        });
+        let requeue = JournalRecord::RecoveryQueued {
+            recovery: RecoverySpec {
+                frame,
+                source: None,
+            },
+        };
+        let assign = JournalRecord::AssignRecovery {
+            client: NodeId(3),
+            problem: lone,
+            at: 5.0,
+        };
+        let split = [
+            kept(3, lone, 4, child, Lit::pos(1)),
+            transfer_in(4, child, vec![(Lit::pos(1), false)]),
+        ];
+        for rec in [requeue, assign]
+            .into_iter()
+            .chain(split.into_iter().flatten())
+        {
+            commit(&mut core, &f, &cfg, rec);
+        }
+        assert_eq!(core.cubes.path(lone), None);
+        assert_eq!(core.cubes.path(child), None);
+        assert_eq!(core.cubes.held_by(NodeId(3)), [lone]);
+        assert_eq!(core.cubes.unsettled(), 3);
+    }
+
+    #[test]
+    fn a_pivot_already_on_the_path_panics_naming_its_record() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let cfg = config();
+        let child = |n| ProblemId::new(NodeId(1), n);
+        let split_twice = |second: Vec<JournalRecord>| {
+            let (f, cfg) = (f.clone(), cfg.clone());
+            panic_of(move || {
+                let mut core = fleet(&f, &cfg, &[1, 2, 3]);
+                for rec in kept(1, ROOT, 2, child(1), Lit::pos(3))
+                    .into_iter()
+                    .chain(second)
+                {
+                    commit(&mut core, &f, &cfg, rec);
+                }
+            })
+        };
+        let msg = split_twice(kept(1, ROOT, 3, child(2), Lit::neg(3)).to_vec());
+        assert_eq!(
+            msg,
+            "search-space audit violation: split pivot already on the path (SplitKept): path [4]"
         );
-        core.apply(JournalRecord::StealAbort { problem: other }, &f, &cfg);
-        assert!(core.pending_steals.is_empty());
-        assert!(core.image().seen_steals.contains(&other));
+        let msg = split_twice(vec![JournalRecord::StealOpen {
+            donor: NodeId(1),
+            parent: ProblemId::new(NodeId(0), 1),
+            problem: child(2),
+            pivot: Lit::pos(3),
+        }]);
+        assert!(
+            msg.contains("on the path (StealOpen): path [4]"),
+            "got: {msg}"
+        );
+    }
+
+    #[test]
+    fn an_adopted_cube_off_its_path_panics_naming_its_record() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let cfg = config();
+        let child = ProblemId::new(NodeId(1), 1);
+        let msg = panic_of(|| {
+            let mut core = fleet(&f, &cfg, &[1, 2]);
+            let records = [
+                kept(1, ROOT, 2, child, Lit::pos(3)),
+                transfer_in(2, child, vec![(Lit::pos(3), false)]),
+            ];
+            for rec in records.into_iter().flatten() {
+                commit(&mut core, &f, &cfg, rec);
+            }
+        });
+        assert_eq!(
+            msg,
+            "search-space audit violation: adopted spec contradicts the recorded path \
+             (TransferIn): path [-4]"
+        );
+        let msg = panic_of(|| {
+            let mut core = fleet(&f, &cfg, &[1, 2]);
+            let open = JournalRecord::StealOpen {
+                donor: NodeId(1),
+                parent: ProblemId::new(NodeId(0), 1),
+                problem: child,
+                pivot: Lit::pos(3),
+            };
+            commit(&mut core, &f, &cfg, open);
+            let settle = JournalRecord::StealSettle {
+                donor: NodeId(1),
+                thief: NodeId(2),
+                problem: child,
+                checkpoint: Some(Checkpoint::Light {
+                    level0: vec![(Lit::pos(3), true)],
+                }),
+                at: 2.0,
+            };
+            commit(&mut core, &f, &cfg, settle);
+        });
+        assert!(
+            msg.contains("recorded path (StealSettle): path [-4]"),
+            "got: {msg}"
+        );
+    }
+
+    /// The ledger is part of the fold: a journal's records folded live,
+    /// and the same records recovered from the log's bytes and folded
+    /// again, reproduce the cubes with their origins, pivots and places.
+    #[test]
+    fn a_fold_and_a_replay_reproduce_the_cubes() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let cfg = config();
+        let root = ProblemId::new(NodeId(0), 1);
+        let (c1, c2, c3) = (
+            ProblemId::new(NodeId(1), 1),
+            ProblemId::new(NodeId(1), 2),
+            ProblemId::new(NodeId(2), 1),
+        );
+        let mut live = fleet(&f, &cfg, &[1, 2, 3]);
+        let mut journal = MasterJournal::new();
+        for client in [1, 2, 3] {
+            journal.append(JournalRecord::Launch {
+                client: NodeId(client),
+                memory: 1 << 20,
+                speed: 100.0,
+                availability: 1.0,
+                at: 0.0,
+            });
+        }
+        journal.append(JournalRecord::AssignWhole {
+            client: NodeId(1),
+            problem: root,
+            at: 0.0,
+        });
+        let steal = JournalRecord::StealOpen {
+            donor: NodeId(2),
+            parent: c1,
+            problem: c3,
+            pivot: Lit::pos(6),
+        };
+        let records = [
+            kept(1, ROOT, 2, c1, Lit::pos(3)),
+            transfer_in(2, c1, vec![(Lit::neg(3), false)]),
+            [steal, refuted(2, c1)],
+            kept(1, ROOT, 3, c2, Lit::neg(5)),
+        ];
+        for rec in records.into_iter().flatten() {
+            journal.append(&rec);
+            commit(&mut live, &f, &cfg, rec);
+        }
+        let (back, report) = MasterJournal::recover(journal.log_bytes());
+        assert!(report.is_clean());
+        let replayed = fold(&f, &cfg, &back.records());
+        assert_eq!(replayed.image(), live.image());
+        assert_eq!(replayed.image().cubes.len(), 4);
+        assert_eq!(replayed.cubes.unsettled(), live.cubes.unsettled());
+        let path = vec![Lit::neg(3), Lit::neg(6)];
+        assert_eq!(replayed.cubes.path(c3), Some(path));
     }
 
     #[test]
@@ -1741,16 +2555,13 @@ mod tests {
                 problem: ProblemId::new(NodeId(0), 2),
                 at: 3.0,
             },
-            JournalRecord::ProblemLearned {
-                client: NodeId(3),
-                problem: ProblemId::new(NodeId(3), 7),
-            },
             JournalRecord::BacklogPush { client: NodeId(4) },
             JournalRecord::BacklogRemove { client: NodeId(4) },
             JournalRecord::GrantOpen {
                 requester: NodeId(1),
                 peer: NodeId(3),
                 kind: GrantKind::Split,
+                problem: ProblemId::new(NodeId(0), 1),
             },
             JournalRecord::GrantClose {
                 requester: NodeId(1),
@@ -1758,6 +2569,9 @@ mod tests {
             },
             JournalRecord::SplitKept {
                 requester: NodeId(1),
+                peer: NodeId(3),
+                child: ProblemId::new(NodeId(1), 2),
+                pivot: Lit::neg(4),
                 at: 4.5,
             },
             JournalRecord::MigrateSent {
@@ -1765,13 +2579,13 @@ mod tests {
             },
             JournalRecord::TransferIn {
                 peer: NodeId(3),
-                problem: Some(ProblemId::new(NodeId(1), 2)),
+                problem: ProblemId::new(NodeId(1), 2),
                 checkpoint: Some(cp_light.clone()),
                 at: 5.0,
             },
             JournalRecord::TransferIn {
                 peer: NodeId(6),
-                problem: None,
+                problem: ProblemId::new(NodeId(1), 3),
                 checkpoint: None,
                 at: 5.5,
             },
@@ -1782,13 +2596,15 @@ mod tests {
                 learn_problem: true,
             },
             JournalRecord::ClientIdle { client: NodeId(3) },
-            JournalRecord::EarlyResultNote {
+            JournalRecord::Refuted {
                 client: NodeId(5),
                 problem: ProblemId::new(NodeId(5), 1),
+                idle: true,
             },
-            JournalRecord::EarlyResultConsume {
-                client: NodeId(5),
-                problem: ProblemId::new(NodeId(5), 1),
+            JournalRecord::Refuted {
+                client: NodeId(6),
+                problem: ProblemId::new(NodeId(1), 2),
+                idle: false,
             },
             JournalRecord::RecoveryQueued {
                 recovery: RecoverySpec {
@@ -1813,9 +2629,9 @@ mod tests {
             },
             JournalRecord::StealOpen {
                 donor: NodeId(3),
-                thief: NodeId(4),
+                parent: ProblemId::new(NodeId(5), 2),
                 problem: ProblemId::new(NodeId(3), 11),
-                at: 8.0,
+                pivot: Lit::pos(70_000),
             },
             JournalRecord::StealSettle {
                 donor: NodeId(3),
@@ -1823,9 +2639,6 @@ mod tests {
                 problem: ProblemId::new(NodeId(3), 11),
                 checkpoint: Some(cp_light),
                 at: 8.5,
-            },
-            JournalRecord::StealAbort {
-                problem: ProblemId::new(NodeId(3), 12),
             },
         ]
     }

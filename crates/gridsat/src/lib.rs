@@ -42,12 +42,11 @@
 //!   10/3, 100 s split time-out, sharing rounds, checkpointing modes, the
 //!   extension switches below), beside the constants that do not (60%
 //!   memory fraction, 128 MB floor, heartbeat and failover timings);
-//! * [`journal`], [`StandbyNode`], [`SubMaster`], [`audit`], [`chaos`] —
-//!   the extensions: the master's write-ahead journal, the journal-tailing
-//!   standby, per-site sub-masters, the search-space conservation auditor
-//!   and the seeded fault plans they are tested under.
+//! * [`journal`], [`StandbyNode`], [`SubMaster`], [`chaos`] — the
+//!   extensions: the master's write-ahead journal and the cube ledger it
+//!   folds to, the journal-tailing standby, per-site sub-masters and the
+//!   seeded fault plans they are tested under.
 
-pub mod audit;
 pub mod chaos;
 pub mod client;
 pub mod config;
@@ -60,7 +59,6 @@ pub mod standby;
 pub mod submaster;
 pub mod wire;
 
-pub use audit::Audit;
 pub use chaos::{CrashWindow, FaultPlan, LinkWindow};
 pub use client::Client;
 pub use config::{CheckpointMode, GridConfig, SchedPolicy};

@@ -16,19 +16,25 @@
 //! itself with [`Master::promoted`] when the feed goes quiet. A restart
 //! that lost committed records and a promotion come back to the fleet
 //! the same way, through one resync ([`Master::resync`]).
+//!
+//! The core's cube ledger is the master's account of the search space:
+//! a split reports the pivot it kept, so every cube's path is known from
+//! the split tree. "All the clients are idle" becomes UNSAT only once no
+//! cube is left unsettled, and a cube whose holder is lost is rebuilt —
+//! from its recovery image, or from the base formula and its path.
 
-use crate::audit::Audit;
 use crate::config::{
     CheckpointMode, GridConfig, SchedPolicy, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR,
     PROMOTE_GRACE_S, QUARANTINE_STRIKES, STANDBY_NODE,
 };
 use crate::idle::{Hosts, REMOTE_DISCOUNT};
 use crate::journal::{
-    tree_children, tree_parent, ClientInfo, JournalRecord, MasterCore, MasterJournal, RecoverySpec,
+    tree_children, tree_parent, ClientInfo, CubeState, JournalRecord, MasterCore, MasterJournal,
+    RecoverySpec,
 };
 use crate::msg::{Checkpoint, EndReason, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
-use gridsat_cnf::{Assignment, Formula};
+use gridsat_cnf::{Assignment, Formula, Lit};
 use gridsat_grid::{Ctx, NodeId, Process, Site};
 use gridsat_obs::{Event, Histogram, Obs};
 use std::collections::{BTreeMap, BTreeSet};
@@ -306,14 +312,6 @@ pub struct Master {
     /// instant: adoption claims from surviving clients may still be in
     /// flight, and the replayed journal suffix can be behind them.
     reconcile_until: f64,
-    /// Clients told to re-announce themselves ([`GridMsg::Takeover`])
-    /// whose [`GridMsg::Adopt`] has not arrived. The claim is a snapshot
-    /// taken when the takeover reached the client; lost once and
-    /// retransmitted, it lands after the result of the very subproblem it
-    /// claims, and must not mark the client Busy with it again.
-    awaiting_adopt: BTreeSet<NodeId>,
-    /// Search-space conservation auditor (disabled by default).
-    audit: Audit,
     /// Set by the first `on_start`; a second call means the master node
     /// was restarted, which replays the journal and grants every client
     /// a fresh lease (their heartbeats could not have reached us while
@@ -344,6 +342,10 @@ pub struct Master {
     /// Event-tracing handle (disabled by default).
     obs: Obs,
 }
+
+/// Cubes on their way back to the master: each frame with the cube it
+/// re-covers.
+type Frames = Vec<(SpecFrame, Option<ProblemId>)>;
 
 /// The idle clients a grant may go to, ascending by node id: the walk
 /// over the whole roster that the core's idle index replaced.
@@ -427,8 +429,6 @@ impl Master {
             journal: MasterJournal::new(),
             standby,
             reconcile_until: f64::NEG_INFINITY,
-            awaiting_adopt: BTreeSet::new(),
-            audit: Audit::default(),
             started: false,
             minted: 0,
             outcome: None,
@@ -449,9 +449,9 @@ impl Master {
     /// surviving client is resynced ([`Master::resync`]) with
     /// [`PROMOTE_GRACE_S`] to reconcile the journal suffix the standby
     /// never saw. This node's client retires: it leaves the roster, and
-    /// `own`, the subproblem it was solving, is queued for re-dispatch.
-    /// Then whatever is queued goes out and the housekeeping clock starts.
-    #[allow(clippy::too_many_arguments)]
+    /// `own`, the subproblem it was solving, is queued for re-dispatch,
+    /// with anything else the ledger has it holding. Then whatever is
+    /// queued goes out and the housekeeping clock starts.
     pub fn promoted(
         formula: Formula,
         config: GridConfig,
@@ -459,29 +459,27 @@ impl Master {
         journal: MasterJournal,
         own: Option<(SpecFrame, Option<ProblemId>)>,
         obs: Obs,
-        audit: Audit,
         ctx: &mut Ctx<GridMsg>,
     ) -> Master {
         let (me, now) = (ctx.me(), ctx.now());
         let mut m = Master::boot(formula, config, host_info, me);
         m.obs = obs;
-        m.audit = audit;
         m.started = true;
         // This node already minted problem ids while it was a client;
         // a high counter offset keeps the promoted master's mints from
-        // colliding with them.
-        m.minted = 1 << 31;
+        // colliding with them, and with an earlier master's on this node.
         m.replay(journal, now);
+        m.minted = m.core.cubes.last_minted(me).max(1 << 31);
         m.commit(now, JournalRecord::Promoted { node: me, at: now });
         let mut survivors: BTreeSet<NodeId> = m.core.clients.keys().copied().collect();
         survivors.remove(&me);
         m.resync(survivors, PROMOTE_GRACE_S, ctx);
+        let (mut held, _) = m.held_frames(me);
+        held.retain(|(_, cube)| own.as_ref().is_none_or(|(_, source)| cube != source));
         if m.core.clients.contains_key(&me) {
             m.commit(now, JournalRecord::Deregister { client: me });
         }
-        if let Some((frame, source)) = own {
-            m.take_back(frame, source, |s| &mut s.recoveries, ctx);
-        }
+        m.take_back_all(own.into_iter().chain(held).collect(), ctx);
         let records = m.journal.len();
         m.obs.emit(now, me.0, || Event::StandbyPromote { records });
         m.dispatch_recoveries(ctx);
@@ -529,10 +527,9 @@ impl Master {
                 },
             );
         }
-        for &id in &targets {
+        for id in targets {
             ctx.send(id, GridMsg::Takeover);
         }
-        self.awaiting_adopt = targets;
         self.reconcile_until = self.reconcile_until.max(now + grace);
     }
 
@@ -541,11 +538,6 @@ impl Master {
     /// result, journal, outcome) into it.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Install a search-space conservation auditor handle.
-    pub fn set_audit(&mut self, audit: Audit) {
-        self.audit = audit;
     }
 
     /// Direct access to the write-ahead journal, for fault injection:
@@ -574,8 +566,16 @@ impl Master {
 
     /// Append a record to the write-ahead journal, then apply it to the
     /// core. This is the *only* mutation path for scheduling state: the
-    /// journal is always a complete history of the core.
+    /// journal is always a complete history of the core. A record the
+    /// cube ledger cannot take as a legal transition panics, naming the
+    /// check, the record and the cube's path, in every build profile.
     fn commit(&mut self, now: f64, rec: JournalRecord) -> Option<RecoverySpec> {
+        if let Some(violation) = self.core.violation(&rec) {
+            let path = violation.rsplit("path ").next().unwrap_or_default().into();
+            self.obs
+                .emit(now, self.me.0, || Event::AuditViolation { path });
+            panic!("{violation}");
+        }
         let record = self.journal.append(&rec);
         let lag = self
             .standby
@@ -616,8 +616,8 @@ impl Master {
 
     /// The one way out for a cube: mint a problem id, commit `client`'s
     /// assignment — the whole formula for the first registrant (`whole`),
-    /// else the head of the recovery queue — book it with the auditor and
-    /// send it as a [`GridMsg::Solve`].
+    /// else the head of the recovery queue, whose cube the new id twins —
+    /// and send it as a [`GridMsg::Solve`].
     fn assign(&mut self, client: NodeId, whole: bool, ctx: &mut Ctx<GridMsg>) {
         self.minted += 1;
         let (problem, at) = (ProblemId::new(self.me, self.minted), ctx.now());
@@ -634,14 +634,9 @@ impl Master {
                 at,
             }
         };
-        let RecoverySpec { frame, source } = self
+        let RecoverySpec { frame, .. } = self
             .commit(at, rec)
             .expect("an assignment returns the cube it hands out");
-        if whole {
-            self.audit.assign_root(at, problem, client);
-        } else {
-            self.audit.reassign(at, source, problem, Some(client));
-        }
         let spec = Box::new(frame);
         ctx.send(client, GridMsg::Solve { spec, problem });
         let node = self.me.0;
@@ -750,16 +745,6 @@ impl Master {
             .map(|c| c.state() == ClientState::Busy)
             .unwrap_or(false);
         if busy {
-            if self.core.clients[&from].problem.is_none() {
-                // learn the requester's subproblem if we missed it
-                self.commit(
-                    ctx.now(),
-                    JournalRecord::ProblemLearned {
-                        client: from,
-                        problem,
-                    },
-                );
-            }
             // grant only when the request names the subproblem we
             // believe the client holds: a retransmitted request
             // can land long after that subproblem was finished,
@@ -782,8 +767,9 @@ impl Master {
     /// success the steal settles: the thief is Busy on the minted
     /// subproblem and the donor's clock restarts — the exact effect of a
     /// grant-brokered split, folded through the journal so standby
-    /// promotion and the conservation audit stay exact. On failure the
-    /// steal aborts; the search space comes back via the thief's Requeue.
+    /// promotion and the ledger stay exact. On failure the steal aborts;
+    /// the search space comes back via the thief's Requeue, and the
+    /// ledger holds the cube in flight until it lands.
     fn handle_steal_done(
         &mut self,
         from: NodeId,
@@ -797,8 +783,11 @@ impl Master {
             debug_assert!(false, "stolen SplitDone always names the minted problem");
             return;
         };
-        if self.core.seen_steals.contains(&problem) {
-            return; // duplicate delivery of a settled/aborted steal
+        // the steal is open until its cube settles, comes back or lands:
+        // anything else is a duplicate delivery of a closed one
+        let state = self.core.cubes.state(problem);
+        if !state.is_none_or(|s| matches!(s, CubeState::InFlight { steal: true, .. })) {
+            return;
         }
         if ok {
             if self.core.clients.contains_key(&from) {
@@ -825,18 +814,14 @@ impl Master {
                 });
                 self.note_activity();
             } else {
-                // the steal closes first: its thief is gone from the roster
-                self.commit(ctx.now(), JournalRecord::StealAbort { problem });
+                // its thief is gone from the roster
                 self.stats.steals_aborted += 1;
                 if !self.confirmed_untracked(Some(problem), checkpoint, ctx) {
                     return;
                 }
             }
         } else {
-            self.commit(ctx.now(), JournalRecord::StealAbort { problem });
             self.stats.steals_aborted += 1;
-            // closing the ledger entry may release all-idle termination
-            self.check_termination(ctx);
         }
         self.drain_backlog(ctx);
     }
@@ -868,6 +853,7 @@ impl Master {
                 requester,
                 peer,
                 kind: GrantKind::Split,
+                problem,
             },
         );
         // close the request->grant latency window, and re-anchor the
@@ -975,6 +961,7 @@ impl Master {
                     requester: weak_id,
                     peer: best_idle,
                     kind: GrantKind::Migrate,
+                    problem,
                 },
             );
             ctx.send(
@@ -1002,12 +989,6 @@ impl Master {
         if self.outcome.is_some() {
             return;
         }
-        // the auditor's conservation check fires exactly at the UNSAT
-        // declaration; every other outcome releases it
-        match &outcome {
-            GridOutcome::Unsat => self.audit.unsat_declared(ctx.now()),
-            _ => self.audit.conclude(),
-        }
         self.finished_at = ctx.now();
         let cell = outcome.table_cell();
         let node = self.me.0;
@@ -1031,16 +1012,27 @@ impl Master {
         // "All the clients are idle" => unsatisfiable. Guard against
         // in-flight transfers via the Receiving state, open grants,
         // queued recoveries, and a just-promoted master's reconcile
-        // window.
-        if self.core.first_problem_sent
+        // window — and hold it while the ledger has a cube unsettled:
+        // an uncovered cube cannot be declared refuted.
+        let all_idle = self.core.first_problem_sent
             && self.core.busy_count() == 0
             && self.core.grants.is_empty()
             && self.core.pending_recovery.is_empty()
-            && self.core.pending_steals.is_empty()
-            && ctx.now() >= self.reconcile_until
-        {
-            self.finish(GridOutcome::Unsat, EndReason::Unsat, ctx);
+            && ctx.now() >= self.reconcile_until;
+        if !all_idle {
+            return;
         }
+        if self.core.cubes.unsettled() == 0 {
+            self.finish(GridOutcome::Unsat, EndReason::Unsat, ctx);
+            return;
+        }
+        // all idle, yet cubes unsettled: finished under a master whose
+        // journal suffix died, or lost. Rebuild what has a path
+        let cubes = &self.core.cubes;
+        let lost: Vec<_> = (cubes.held())
+            .filter_map(|(cube, _)| Some((self.path_frame(cubes.path(cube)?), Some(cube))))
+            .collect();
+        self.take_back_all(lost, ctx);
     }
 
     /// Tell the clients whose clause-sharing links a membership change
@@ -1103,18 +1095,46 @@ impl Master {
         self.relink(&changed, ctx);
     }
 
-    /// Recover a lost busy client from its checkpoint (extension).
-    /// Returns `false` when no checkpoint exists (recovery impossible).
-    fn recover(&mut self, lost: NodeId, ctx: &mut Ctx<GridMsg>) -> bool {
-        let Some(info) = self.core.clients.get(&lost) else {
-            return false;
-        };
-        let Some(image) = &info.image else {
-            return false;
-        };
-        let (frame, source) = (image.frame(&self.formula), info.problem);
-        self.take_back(frame, source, |s| &mut s.recoveries, ctx);
-        true
+    /// The frames that take back what `node` holds: its recovery image's
+    /// cube, and every other cube the ledger has it holding, rebuilt from
+    /// base and path; `false` if some cube has neither.
+    fn held_frames(&self, node: NodeId) -> (Frames, bool) {
+        let mut frames = Vec::new();
+        let info = self.core.clients.get(&node);
+        let imaged = info.and_then(|i| Some((i.problem, i.image.as_ref()?)));
+        if let Some((problem, image)) = imaged {
+            let settled = problem.is_some_and(|p| {
+                matches!(self.core.cubes.state(p), Some(CubeState::Settled { .. }))
+            });
+            if !settled {
+                frames.push((image.frame(&self.formula), problem));
+            }
+        }
+        let mut whole = true;
+        for cube in self.core.cubes.held_by(node) {
+            if imaged.is_some_and(|(p, _)| p == Some(cube)) {
+                continue;
+            }
+            match self.core.cubes.path(cube) {
+                Some(path) => frames.push((self.path_frame(path), Some(cube))),
+                None => whole = false,
+            }
+        }
+        (frames, whole)
+    }
+
+    /// The cube `path` cuts out of the base formula, as the frame that
+    /// dispatches it.
+    fn path_frame(&self, path: Vec<Lit>) -> SpecFrame {
+        let level0 = path.into_iter().map(|l| (l, false)).collect();
+        Checkpoint::Light { level0 }.frame(&self.formula)
+    }
+
+    /// Queue `frames`, the cubes a lost holder had, for re-dispatch.
+    fn take_back_all(&mut self, frames: Frames, ctx: &mut Ctx<GridMsg>) {
+        for (frame, source) in frames {
+            self.take_back(frame, source, |s| &mut s.recoveries, ctx);
+        }
     }
 
     /// A receiver confirmed a transfer — Figure 3 message (4), or a
@@ -1148,8 +1168,8 @@ impl Master {
             .core
             .grants
             .iter()
-            .filter(|(r, (p, _))| **r == node || *p == node)
-            .map(|(r, (p, _))| (*r, *p))
+            .filter(|(r, (p, ..))| **r == node || *p == node)
+            .map(|(r, (p, ..))| (*r, *p))
             .collect();
         for (requester, peer) in dropped {
             self.commit(
@@ -1163,7 +1183,7 @@ impl Master {
     }
 
     /// A client is gone (node down or lease expired): free its resources
-    /// and recover its subproblem if possible.
+    /// and take back what it held if possible.
     fn handle_client_loss(&mut self, node: NodeId, ctx: &mut Ctx<GridMsg>) {
         // a dead requester's split request will never be granted; drop
         // it from the latency window so it cannot close much later
@@ -1172,39 +1192,35 @@ impl Master {
         let Some(info) = self.core.clients.get(&node) else {
             return;
         };
-        match info.state() {
-            ClientState::Idle => {
-                // "When an idle client is killed ... the master becomes
-                // aware of it and marks the resource as free."
-                //
-                // An idle client can still be the requester of an open
-                // grant: it went idle after asking to split (its result
-                // beat the grant), and the SplitDone that would have
-                // closed the handshake died with it. The grant — and the
-                // Receiving reservation it pinned on the peer — must not
-                // outlive the client, or the all-idle UNSAT condition is
-                // blocked forever.
-                self.deregister(node, ctx);
-                self.drain_backlog(ctx);
-            }
-            ClientState::Receiving if self.config.reliability => {
-                // nothing to recover: the requester still holds the whole
-                // subproblem, and its undeliverable transfer will come
-                // back to us as a Requeue
-                self.deregister(node, ctx);
-                self.drain_backlog(ctx);
-            }
-            ClientState::Busy | ClientState::Receiving => {
-                // try checkpoint recovery; without it, the paper's current
-                // implementation "will not tolerate a machine crash"
-                if self.config.checkpoint != CheckpointMode::Off && self.recover(node, ctx) {
-                    self.deregister(node, ctx);
-                    self.dispatch_recoveries(ctx);
-                    self.drain_backlog(ctx);
-                } else {
-                    self.finish(GridOutcome::ClientLost, EndReason::ClientLost, ctx);
-                }
-            }
+        let state = info.state();
+        let (held, whole) = self.held_frames(node);
+        // "When an idle client is killed ... the master becomes aware
+        // of it and marks the resource as free."
+        //
+        // An idle client can still be the requester of an open grant:
+        // it went idle after asking to split (its result beat the
+        // grant), and the SplitDone that would have closed the
+        // handshake died with it. The grant — and the Receiving
+        // reservation it pinned on the peer — must not outlive the
+        // client, or the all-idle UNSAT condition is blocked forever.
+        //
+        // A Receiving peer's transfer, if it never landed, comes back as
+        // the requester's Requeue; a half message (5) named is rebuilt.
+        if state == ClientState::Idle
+            || (state == ClientState::Receiving && self.config.reliability)
+        {
+            self.deregister(node, ctx);
+            self.take_back_all(held, ctx);
+            self.drain_backlog(ctx);
+        } else if self.config.checkpoint != CheckpointMode::Off && whole {
+            // checkpoint recovery; without it, the paper's current
+            // implementation "will not tolerate a machine crash"
+            self.take_back_all(held, ctx);
+            self.deregister(node, ctx);
+            self.dispatch_recoveries(ctx);
+            self.drain_backlog(ctx);
+        } else {
+            self.finish(GridOutcome::ClientLost, EndReason::ClientLost, ctx);
         }
     }
 
@@ -1426,6 +1442,9 @@ impl Process for Master {
                 availability,
             } => {
                 let speed = self.host_info.get(&from).map(|(s, _)| *s).unwrap_or(1.0);
+                // a client registering again has restarted: whatever the
+                // ledger has it holding is lost
+                let (held, _) = self.held_frames(from);
                 self.commit(
                     ctx.now(),
                     JournalRecord::Launch {
@@ -1440,6 +1459,7 @@ impl Process for Master {
                 let node = self.me.0;
                 self.obs
                     .emit(ctx.now(), node, || Event::ClientLaunch { client: from.0 });
+                self.take_back_all(held, ctx);
                 if !self.core.first_problem_sent {
                     // "The first client to register with the master is
                     // sent the entire problem to solve."
@@ -1464,20 +1484,24 @@ impl Process for Master {
                 self.solicit_credits.insert(from);
                 self.handle_split_request(requester, problem, ctx);
             }
-            GridMsg::StealNotice { thief, problem, at } => {
+            GridMsg::StealNotice {
+                parent,
+                problem,
+                pivot,
+            } => {
                 // a donor delegated a split inside its site; open the
                 // steal in the ledger so all-idle termination waits for
-                // the thief's report and standby promotion sees the cube
-                if !self.core.seen_steals.contains(&problem)
-                    && !self.core.pending_steals.contains_key(&problem)
-                {
+                // the thief's report and standby promotion sees the cube.
+                // A notice redelivered, or overtaken by the steal's end,
+                // places the cube in the split tree and moves nothing
+                if let (false, Some(pivot)) = (self.core.cubes.placed(problem), pivot) {
                     self.commit(
                         ctx.now(),
                         JournalRecord::StealOpen {
                             donor: from,
-                            thief,
+                            parent,
                             problem,
-                            at,
+                            pivot,
                         },
                     );
                 }
@@ -1487,6 +1511,7 @@ impl Process for Master {
                 peer,
                 ok,
                 problem,
+                pivot,
                 checkpoint,
                 stolen,
             } => {
@@ -1498,7 +1523,7 @@ impl Process for Master {
                 if from == requester {
                     // Figure 3 message (5): the requester's report
                     match (ok, grant) {
-                        (false, Some((granted_peer, _))) => {
+                        (false, Some((granted_peer, ..))) => {
                             // transfer never happened; free the peer
                             debug_assert_eq!(granted_peer, peer);
                             self.commit(
@@ -1509,59 +1534,61 @@ impl Process for Master {
                                 },
                             );
                         }
-                        (true, Some((_, GrantKind::Split))) => {
-                            // requester keeps its half on a fresh clock
-                            self.commit(
-                                ctx.now(),
-                                JournalRecord::SplitKept {
-                                    requester,
-                                    at: ctx.now(),
-                                },
-                            );
-                            self.stats.splits += 1;
-                            let node = self.me.0;
-                            self.obs.emit(ctx.now(), node, || Event::Split {
-                                requester: requester.0,
-                                peer: peer.0,
-                            });
-                        }
-                        (true, Some((_, GrantKind::Migrate))) => {
+                        (true, Some((_, GrantKind::Migrate, _))) => {
                             self.commit(ctx.now(), JournalRecord::MigrateSent { requester });
                         }
-                        // peer's confirmation already closed the grant
-                        (_, None) => {}
+                        (true, grant) => {
+                            // the requester keeps its half and names the
+                            // one it handed away (the peer's confirmation
+                            // may have closed the grant already)
+                            if let (Some(child), Some(pivot)) = (problem, pivot) {
+                                let at = ctx.now();
+                                let rec = JournalRecord::SplitKept {
+                                    requester,
+                                    peer,
+                                    child,
+                                    pivot,
+                                    at,
+                                };
+                                self.commit(at, rec);
+                            }
+                            if grant.is_some() {
+                                self.stats.splits += 1;
+                                let node = self.me.0;
+                                self.obs.emit(ctx.now(), node, || Event::Split {
+                                    requester: requester.0,
+                                    peer: peer.0,
+                                });
+                            }
+                            // the peer died before this report landed: the
+                            // half went with it
+                            if !self.core.clients.contains_key(&peer) {
+                                let (held, _) = self.held_frames(peer);
+                                self.take_back_all(held, ctx);
+                            }
+                        }
+                        (false, None) => {}
                     }
                 } else if from == peer {
                     // Figure 3 message (4): the receiving peer's report.
                     // If the peer's result overtook this confirmation the
-                    // subproblem is already finished; marking the peer
-                    // Busy now would wedge the run waiting for a result
-                    // that was consumed long ago.
-                    let already_done =
-                        problem.is_some_and(|p| self.core.early_results.contains(&(from, p)));
-                    let grant_open = grant.is_some_and(|(p, _)| p == from);
-                    if already_done {
-                        self.commit(
-                            ctx.now(),
-                            JournalRecord::EarlyResultConsume {
-                                client: from,
-                                problem: problem.expect("checked above"),
-                            },
-                        );
-                        // that result idled the peer only if it named the
-                        // cube we believed the peer held, and a checkpoint
-                        // of its previous cube, retransmitted while it was
-                        // Receiving, can have taught us that one's id
-                        // instead. The pair matched, so the cube is done:
-                        // release the peer, or it stays Receiving for good
-                        let stale_id = self.core.clients.get(&from).is_some_and(|i| {
-                            i.state() == ClientState::Receiving
-                                && i.problem.is_some()
-                                && i.problem != problem
-                        });
-                        if grant_open && stale_id {
-                            self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
-                        }
+                    // cube is settled already; marking the peer Busy now
+                    // would wedge the run waiting for a result that was
+                    // consumed long ago.
+                    let already_done = problem.is_some_and(|p| self.core.cubes.refuted(p));
+                    let grant_open = grant.is_some_and(|(p, ..)| p == from);
+                    // that result idled the peer only if it named the cube
+                    // we believed the peer held, and a checkpoint of its
+                    // previous cube, retransmitted while it was Receiving,
+                    // can have taught us that one's id instead. The cube is
+                    // done: release the peer, or it stays Receiving for good
+                    let stale_id = self.core.clients.get(&from).is_some_and(|i| {
+                        i.state() == ClientState::Receiving
+                            && i.problem.is_some()
+                            && i.problem != problem
+                    });
+                    if already_done && grant_open && stale_id {
+                        self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
                     }
                     if ok && !already_done {
                         if self.core.clients.contains_key(&from) {
@@ -1570,7 +1597,7 @@ impl Process for Master {
                             // processed (our dedup window died with a
                             // restart); the subproblem it confirms has
                             // long been handled
-                            if grant_open {
+                            if let (true, Some(problem)) = (grant_open, problem) {
                                 // the confirmation bundles the peer's
                                 // initial recovery image, so a client is
                                 // never Busy without one — a crash at any
@@ -1629,47 +1656,28 @@ impl Process for Master {
                     client: from.0,
                     sat,
                 });
-                if self.core.grants.values().any(|(p, _)| *p == from)
-                    || self.awaiting_adopt.contains(&from)
-                {
-                    // this client is the peer of an in-flight transfer, or
-                    // was asked to re-announce itself: its confirmation
-                    // (Figure 3 message 4), or its adoption claim, is
-                    // still on the wire and must not re-open the
-                    // subproblem when it lands after this result
-                    self.commit(
-                        ctx.now(),
-                        JournalRecord::EarlyResultNote {
-                            client: from,
-                            problem,
-                        },
-                    );
-                }
-                // the steal path's version of that guard: the thief's
-                // result overtook its `SplitDone{stolen}` (lost once and
-                // retransmitted). Close the steal now, so the late
-                // confirmation finds it in `seen_steals` and cannot mark
-                // an idle thief Busy for good. A result for a cube the
-                // root never tracked on its sender also overtook the
-                // donor's notice: closed the same way, before it opens.
-                let open = self.core.pending_steals.contains_key(&problem);
-                let untracked = self.config.hierarchy
-                    && !self.core.seen_steals.contains(&problem)
-                    && (self.core.clients.get(&from)).is_none_or(|i| i.problem != Some(problem));
-                if open || untracked {
-                    self.commit(ctx.now(), JournalRecord::StealAbort { problem });
-                    self.stats.steals_settled += u64::from(open);
-                }
                 // a duplicate of an old result (client-side delivery
-                // retries) must not idle a client that has since
-                // been handed different work
-                if self
-                    .core
-                    .clients
-                    .get(&from)
-                    .is_some_and(|i| i.problem == Some(problem) || i.problem.is_none())
-                {
+                // retries) must not idle a client that has since been
+                // handed different work
+                let idle = (self.core.clients.get(&from))
+                    .is_some_and(|i| i.problem == Some(problem) || i.problem.is_none());
+                // a result that overtook its steal's confirmation settles
+                // the steal
+                let stolen = self.core.cubes.state(problem);
+                let stolen = matches!(stolen, Some(CubeState::InFlight { steal: true, .. }));
+                self.stats.steals_settled += u64::from(stolen);
+                if matches!(result, SubResult::Unsat) {
+                    // a late confirmation, claim or notice finds it settled
+                    let rec = JournalRecord::Refuted {
+                        client: from,
+                        problem,
+                        idle,
+                    };
+                    self.commit(ctx.now(), rec);
+                } else if idle {
                     self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
+                }
+                if idle {
                     // its subproblem is gone; an unanswered split request
                     // for it can never be granted
                     self.pending_split_req.remove(&from);
@@ -1731,13 +1739,13 @@ impl Process for Master {
                         },
                     );
                 }
-                // a thief handing back a stolen transfer closes that
-                // steal (its SplitDone{ok:false} may still be in flight;
-                // seen_steals dedups whichever lands second)
+                // the donor handing back a stolen transfer closes that
+                // steal; the thief's own hand-back follows its
+                // SplitDone{ok:false}, which counted the abort already
                 if let Some(p) = problem {
-                    if self.core.pending_steals.contains_key(&p) {
-                        self.commit(ctx.now(), JournalRecord::StealAbort { problem: p });
-                        self.stats.steals_aborted += 1;
+                    if let Some(CubeState::InFlight { to, steal: true }) = self.core.cubes.state(p)
+                    {
+                        self.stats.steals_aborted += u64::from(to == from);
                     }
                     // the sender may be handing back the very assignment
                     // we gave it — a Solve that raced with an intra-site
@@ -1817,23 +1825,12 @@ impl Process for Master {
                 checkpoint,
             } => {
                 // re-registration with in-progress state after a takeover
-                self.awaiting_adopt.remove(&from);
                 let speed = self.host_info.get(&from).map(|(s, _)| *s).unwrap_or(1.0);
-                // the claim was overtaken by the result of the subproblem
-                // it names: the client has been idle since
-                let finished = problem.filter(|&p| self.core.early_results.contains(&(from, p)));
-                if let Some(problem) = finished {
-                    self.commit(
-                        ctx.now(),
-                        JournalRecord::EarlyResultConsume {
-                            client: from,
-                            problem,
-                        },
-                    );
-                }
-                let (problem, checkpoint) = match finished {
-                    Some(_) => (None, None),
-                    None => (problem, checkpoint.map(|b| *b)),
+                // a claim overtaken by the result of the cube it names:
+                // the client has been idle since
+                let (problem, checkpoint) = match problem {
+                    Some(p) if self.core.cubes.refuted(p) => (None, None),
+                    _ => (problem, checkpoint.map(|b| *b)),
                 };
                 self.commit(
                     ctx.now(),

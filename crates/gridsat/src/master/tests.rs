@@ -301,6 +301,7 @@ fn failed_split_frees_the_peer() {
             peer: NodeId(2),
             ok: false,
             problem: None,
+            pivot: None,
             checkpoint: None,
             stolen: false,
         },
@@ -398,7 +399,7 @@ fn requeue_message_returns_a_lost_transfer() {
         &mut cx,
     );
     let _ = cx.take_actions();
-    let (peer, _) = m.core.grants[&NodeId(1)];
+    let (peer, ..) = m.core.grants[&NodeId(1)];
     // the peer died mid-transfer; the requester hands the half back
     let mut cx = ctx(2.0);
     m.on_node_down(peer, &mut cx);
@@ -613,6 +614,7 @@ fn successful_split_protocol_transitions() {
             peer: NodeId(2),
             ok: true,
             problem: Some(ProblemId::new(NodeId(1), 1)),
+            pivot: None,
             checkpoint: None,
             stolen: false,
         },
@@ -629,6 +631,7 @@ fn successful_split_protocol_transitions() {
             peer: NodeId(2),
             ok: true,
             problem: Some(ProblemId::new(NodeId(1), 1)),
+            pivot: None,
             checkpoint: None,
             stolen: false,
         },
@@ -637,6 +640,56 @@ fn successful_split_protocol_transitions() {
     assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
     assert!(m.core.grants.is_empty());
     assert_eq!(m.stats.max_active_clients, 2);
+}
+
+/// The crash-restart leak, as a unit: the peer of a split adopts the
+/// half and goes down before its confirmation (message 4) lands. The
+/// requester's message (5) names the half and the pivot it kept, so the
+/// master takes the half back as the base formula under its path, and
+/// the verdict waits for it.
+#[test]
+fn a_peer_lost_with_a_named_half_gets_the_half_rebuilt_from_its_path() {
+    let f = gridsat_cnf::paper::fig1_formula();
+    let mut m = Master::new(f.clone(), GridConfig::chaos_hardened(), speeds(4));
+    register(&mut m, 1, 0.0); // busy with the whole problem
+    register(&mut m, 2, 0.0);
+    register(&mut m, 3, 0.0);
+    let whole = ProblemId::new(NodeId(0), 1);
+    let mut cx = ctx(1.0);
+    m.on_message(NodeId(1), GridMsg::SplitRequest { problem: whole }, &mut cx);
+    let (peer, ..) = m.core.grants[&NodeId(1)];
+    assert_eq!(peer, NodeId(3), "the best-ranked idle client");
+    // message (5): node 1 kept +3 and handed the half -3 to the peer
+    let half = ProblemId::new(NodeId(1), 1);
+    let kept = gridsat_cnf::Lit::pos(2);
+    let report = GridMsg::SplitDone {
+        requester: NodeId(1),
+        peer,
+        ok: true,
+        problem: Some(half),
+        pivot: Some(kept),
+        checkpoint: None,
+        stolen: false,
+    };
+    m.on_message(NodeId(1), report, &mut ctx(2.0));
+    // the peer dies Receiving, with no recovery image
+    let mut cx = ctx(3.0);
+    m.on_node_down(peer, &mut cx);
+    let frame = solve_to(&cx.take_actions(), 2).expect("the half goes back out");
+    let spec = frame.open().expect("a sealed frame opens");
+    assert_eq!(spec.assumptions, [(!kept, false)]);
+    assert_eq!(spec.clauses, f.clauses());
+    // every client idle but node 2, and node 1's half refuted: the
+    // rebuilt half is what UNSAT waits for
+    let result = |problem| GridMsg::Result {
+        result: SubResult::Unsat,
+        problem,
+    };
+    m.on_message(NodeId(1), result(whole), &mut ctx(4.0));
+    assert_eq!(m.outcome(), None);
+    let twin = m.core.clients[&NodeId(2)].problem.expect("node 2 holds it");
+    m.on_message(NodeId(2), result(twin), &mut ctx(5.0));
+    assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
 }
 
 #[test]
@@ -894,10 +947,11 @@ fn backlog_prefers_longest_running_requester() {
                 requester,
                 peer,
                 kind: GrantKind::Split,
+                problem: ProblemId::new(NodeId(0), 1),
             },
             JournalRecord::TransferIn {
                 peer,
-                problem: Some(ProblemId::new(requester, peer.0)),
+                problem: ProblemId::new(requester, peer.0),
                 checkpoint: None,
                 at,
             },
@@ -1014,6 +1068,7 @@ fn scheduling_events_reach_the_obs_sink() {
             peer: NodeId(2),
             ok: true,
             problem: Some(ProblemId::new(NodeId(1), 1)),
+            pivot: None,
             checkpoint: None,
             stolen: false,
         },
@@ -1245,7 +1300,6 @@ fn master_and_standby() -> (Master, crate::standby::StandbyNode) {
         cfg,
         speeds(4),
         Obs::default(),
-        Audit::default(),
     );
     (m, s)
 }
@@ -1405,7 +1459,6 @@ fn promote_node_1() -> (Master, Vec<Action<GridMsg>>) {
         tailed,
         Some((own_spec, Some(own_problem))),
         Obs::default(),
-        Audit::default(),
         &mut cx,
     );
     (p, cx.take_actions())
@@ -1474,7 +1527,7 @@ fn an_adoption_claim_overtaken_by_its_result_leaves_the_client_idle() {
             (ClientState::Idle, None),
             "result first: {overtaken}"
         );
-        assert!(p.core.early_results.is_empty(), "result first: {overtaken}");
+        assert!(p.core.cubes.refuted(cube), "result first: {overtaken}");
     }
 }
 
@@ -1525,7 +1578,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                 }
                 2 => {
                     // complete an open grant with the full (5)+(4) pair
-                    let grant = m.core.grants.iter().next().map(|(r, (p, _))| (*r, *p));
+                    let grant = m.core.grants.iter().next().map(|(r, (p, ..))| (*r, *p));
                     if let Some((requester, peer)) = grant {
                         child += 1;
                         let p_child = ProblemId::new(requester, child);
@@ -1538,6 +1591,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                                 peer,
                                 ok: true,
                                 problem: Some(p_child),
+                                pivot: None,
                                 checkpoint: None,
                                 stolen: false,
                             },
@@ -1551,6 +1605,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                                 peer,
                                 ok: true,
                                 problem: Some(p_child),
+                                pivot: None,
                                 checkpoint: Some(Box::new(Checkpoint::Light { level0: vec![] })),
                                 stolen: false,
                             },
@@ -1640,9 +1695,9 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
                 Notice => (
                     donor,
                     GridMsg::StealNotice {
-                        thief,
+                        parent: ProblemId::new(NodeId(0), 1),
                         problem: stolen,
-                        at: 1.0,
+                        pivot: Some(gridsat_cnf::Lit::pos(2)),
                     },
                 ),
                 Done => (
@@ -1652,6 +1707,7 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
                         peer: thief,
                         ok: true,
                         problem: Some(stolen),
+                        pivot: None,
                         checkpoint: Some(Box::new(Checkpoint::Light { level0: vec![] })),
                         stolen: true,
                     },
@@ -1671,8 +1727,11 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
             ClientState::Idle,
             "{order:?}: the thief finished its cube"
         );
-        assert!(m.core.pending_steals.is_empty(), "{order:?}");
-        assert!(m.core.seen_steals.contains(&stolen), "{order:?}");
+        // the stolen cube is refuted, and placed in the split tree below
+        // the donor's: the root's cube kept the pivot
+        assert!(m.core.cubes.refuted(stolen), "{order:?}");
+        let neg = gridsat_cnf::Lit::neg(2);
+        assert_eq!(m.core.cubes.path(stolen), Some(vec![neg]), "{order:?}");
         // counted as settled unless the root never saw the steal open
         let seen_open = !matches!(order[0], Result);
         assert_eq!(m.stats.steals_settled, u64::from(seen_open), "{order:?}");
@@ -1728,6 +1787,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
             peer: NodeId(2),
             ok: true,
             problem: Some(cube),
+            pivot: None,
             checkpoint: Some(light()),
             stolen: false,
         },
@@ -1739,7 +1799,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
         m.on_message(NodeId(2), msg, &mut cx);
     }
     assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
-    assert!(m.core.grants.is_empty() && m.core.early_results.is_empty());
+    assert!(m.core.grants.is_empty() && m.core.cubes.refuted(cube));
     let replayed = m.fold(&m.journal);
     assert_eq!(replayed.image(), m.core.image());
     let mut cx = ctx(9.0);
@@ -1811,7 +1871,8 @@ fn idle_index_agrees_with_the_roster_walk() {
             let availability = availabilities[rng.range_usize(0..4)];
             m.on_message(NodeId(id), register(availability), &mut ctx(0.0));
         }
-        let mut minted = 0;
+        // ids apart from the ones the master mints itself
+        let mut minted = 1000;
         for step in 0..80 {
             let t = f64::from(step);
             let case = format!("step {step}, case seed {seed}");
@@ -1858,12 +1919,15 @@ fn idle_index_agrees_with_the_roster_walk() {
                         } else {
                             GrantKind::Migrate
                         };
+                        let problem = m.core.clients[&requester].problem;
+                        let problem = problem.unwrap_or(ProblemId::new(requester, 0));
                         m.commit(
                             t,
                             JournalRecord::GrantOpen {
                                 requester,
                                 peer,
                                 kind,
+                                problem,
                             },
                         );
                     }
@@ -1886,7 +1950,7 @@ fn idle_index_agrees_with_the_roster_walk() {
                         minted += 1;
                         let transfer = JournalRecord::TransferIn {
                             peer,
-                            problem: Some(problem(minted)),
+                            problem: problem(minted),
                             checkpoint: None,
                             at: t,
                         };
@@ -1911,9 +1975,9 @@ fn idle_index_agrees_with_the_roster_walk() {
                         let problem = problem(minted);
                         let open = JournalRecord::StealOpen {
                             donor,
-                            thief,
+                            parent: problem,
                             problem,
-                            at: t,
+                            pivot: gridsat_cnf::Lit::pos(0),
                         };
                         m.commit(t, open);
                         let settle = JournalRecord::StealSettle {
@@ -1928,7 +1992,7 @@ fn idle_index_agrees_with_the_roster_walk() {
                 }
                 8 => {
                     let migrating: Vec<NodeId> = (m.core.grants.iter())
-                        .filter(|(_, (_, kind))| *kind == GrantKind::Migrate)
+                        .filter(|(_, (_, kind, _))| *kind == GrantKind::Migrate)
                         .map(|(requester, _)| *requester)
                         .collect();
                     if let Some(requester) = choose(&mut rng, &migrating) {
@@ -1945,15 +2009,13 @@ fn idle_index_agrees_with_the_roster_walk() {
                 _ => {
                     let me = 1 + rng.range_u32(0..12);
                     let journal = std::mem::take(&mut m.journal);
-                    let (obs, audit) = (Obs::default(), Audit::default());
                     m = Master::promoted(
                         f.clone(),
                         cfg.clone(),
                         hosts.clone(),
                         journal,
                         None,
-                        obs,
-                        audit,
+                        Obs::default(),
                         &mut ctx_at(me, t),
                     );
                 }

@@ -101,16 +101,19 @@ pub enum GridMsg {
         requester: NodeId,
         peer: NodeId,
         ok: bool,
-        /// For the peer's confirmation: the subproblem it now holds.
+        /// The half that moved (the peer holds it now).
         problem: Option<ProblemId>,
+        /// For the requester's report: the pivot it kept. The half is its
+        /// cube plus the pivot's complement.
+        pivot: Option<Lit>,
         /// For the peer's confirmation: its initial recovery image,
         /// bundled so the master never holds a Busy client without a
         /// checkpoint (a separate upload could be lost while the client
         /// dies, making the subproblem unrecoverable).
         checkpoint: Option<Box<Checkpoint>>,
         /// The transfer was a sub-master-brokered steal, not a master
-        /// grant: the root settles it against its pending-steal ledger
-        /// instead of a grant entry (hierarchy extension).
+        /// grant: the root settles it against the steal its cube ledger
+        /// holds open instead of a grant entry (hierarchy extension).
         stolen: bool,
     },
     /// Subproblem finished.
@@ -240,13 +243,13 @@ pub enum GridMsg {
     /// immediately instead of waiting out its idle period.
     StealRefused { problem: ProblemId },
     /// Donor tells the root master a steal transfer is in flight, at the
-    /// instant it splits. Travels on the donor->root channel ahead of the
-    /// donor's own later results, so the root opens the steal before it
-    /// could ever see them.
+    /// instant it splits: the cube it split (`parent`, which only the
+    /// donor knows), the stolen half and the pivot it kept. Travels on the
+    /// donor->root channel ahead of the donor's own later results.
     StealNotice {
-        thief: NodeId,
+        parent: ProblemId,
         problem: ProblemId,
-        at: f64,
+        pivot: Option<Lit>,
     },
     /// Sub-master escalates an unmatched split offer to the root master
     /// when its site has no idle capacity (rate-limited).
@@ -340,6 +343,10 @@ impl GridMsg {
     }
 }
 
+/// A control message is a 24-byte header and a fixed body: `SplitDone`'s
+/// requester and peer (4 bytes each), `ok`, `stolen`, the checkpoint's
+/// presence (1 each), problem (8) and pivot (4) are 23 of its 24, and
+/// `StealNotice`'s parent, half (8 each) and pivot (4) 20 of 20.
 impl MessageSize for GridMsg {
     fn size_bytes(&self) -> usize {
         match self {
@@ -574,6 +581,7 @@ mod tests {
                 peer: NodeId(2),
                 ok: true,
                 problem: Some(problem),
+                pivot: None,
                 checkpoint: boxed(),
                 stolen: false,
             };
@@ -672,9 +680,9 @@ mod tests {
         .is_control());
         assert!(GridMsg::Steal { problem: pid }.is_control());
         assert!(GridMsg::StealNotice {
-            thief: NodeId(4),
+            parent: ProblemId::new(NodeId(0), 1),
             problem: pid,
-            at: 1.0
+            pivot: Some(Lit::pos(3)),
         }
         .is_control());
         assert!(GridMsg::SplitEscalate {

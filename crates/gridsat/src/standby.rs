@@ -15,7 +15,6 @@
 //! announces the takeover so the survivors re-register with their
 //! in-progress state.
 
-use crate::audit::Audit;
 use crate::client::Client;
 use crate::config::{GridConfig, PROMOTE_GRACE_S};
 use crate::journal::{MasterJournal, SealedRecord};
@@ -46,7 +45,6 @@ pub struct StandbyNode {
     /// here from then on.
     promoted: Option<Box<Master>>,
     obs: Obs,
-    audit: Audit,
 }
 
 impl StandbyNode {
@@ -56,7 +54,6 @@ impl StandbyNode {
         config: GridConfig,
         host_info: BTreeMap<NodeId, (f64, Site)>,
         obs: Obs,
-        audit: Audit,
     ) -> StandbyNode {
         StandbyNode {
             client,
@@ -69,7 +66,6 @@ impl StandbyNode {
             last_feed: 0.0,
             promoted: None,
             obs,
-            audit,
         }
     }
 
@@ -153,7 +149,6 @@ impl StandbyNode {
             std::mem::take(&mut self.journal),
             own,
             self.obs.clone(),
-            self.audit.clone(),
             ctx,
         );
         self.promoted = Some(Box::new(master));

@@ -739,6 +739,15 @@ impl SpecFrame {
         self.open_flat().map(drop)
     }
 
+    /// The spec's assumptions, read from the payload's head alone; none
+    /// when the head does not parse.
+    pub(crate) fn assumptions(&self) -> Vec<(Lit, bool)> {
+        let (payload, mut pos) = (self.payload(), 0);
+        read_varint(payload, &mut pos)
+            .and_then(|_| read_pairs(payload, &mut pos))
+            .unwrap_or_default()
+    }
+
     /// The encoded spec inside the frame: of a verified frame, exactly
     /// the bytes the encoder wrote.
     pub fn payload(&self) -> &[u8] {

@@ -13,6 +13,7 @@
 //! scales down with `DECODE_FUZZ_ITERS` for smoke runs.
 
 use gridsat::journal::{JournalRecord, RecordError, RecoverySpec, SealedRecord};
+use gridsat::master::GrantKind;
 use gridsat::msg::{Checkpoint, ProblemId};
 use gridsat::wire::{self, EncodedBatch, FlatSpec, SpecFrame, WireError};
 use gridsat_cnf::{Clause, Lit};
@@ -78,8 +79,39 @@ fn random_spec(rng: &mut Rng) -> SplitSpec {
     }
 }
 
+fn random_lit(rng: &mut Rng) -> Lit {
+    Lit::from_code(rng.below(1 << 20))
+}
+
+fn random_problem(rng: &mut Rng) -> ProblemId {
+    ProblemId::new(NodeId(rng.below(9) as u32), rng.next() as u32)
+}
+
 fn random_record(rng: &mut Rng) -> JournalRecord {
-    match rng.below(5) {
+    match rng.below(8) {
+        5 => JournalRecord::SplitKept {
+            requester: NodeId(rng.below(9) as u32),
+            peer: NodeId(rng.below(9) as u32),
+            child: random_problem(rng),
+            pivot: random_lit(rng),
+            at: rng.below(1000) as f64 / 8.0,
+        },
+        6 => JournalRecord::GrantOpen {
+            requester: NodeId(rng.below(9) as u32),
+            peer: NodeId(rng.below(9) as u32),
+            kind: if rng.next() & 1 == 0 {
+                GrantKind::Split
+            } else {
+                GrantKind::Migrate
+            },
+            problem: random_problem(rng),
+        },
+        7 => JournalRecord::StealOpen {
+            donor: NodeId(rng.below(9) as u32),
+            parent: random_problem(rng),
+            problem: random_problem(rng),
+            pivot: random_lit(rng),
+        },
         4 => JournalRecord::RecoveryQueued {
             recovery: RecoverySpec {
                 frame: SpecFrame::seal(&random_spec(rng)),

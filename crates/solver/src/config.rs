@@ -36,9 +36,9 @@ pub struct SolverConfig {
     /// as a multiple of the original clause count.
     pub max_learned_factor: f64,
     /// Restart policy; `None` (default, and every preset) never restarts.
-    /// Kept for its named next caller, ROADMAP open item 3(a): restarts in
-    /// the client preset, so search returns to level 0 and merges what
-    /// peers shared.
+    /// Kept for its named next caller, the ROADMAP item on small fleets
+    /// ("stop waiting for level 0"): restarts in the client preset, so
+    /// search returns to level 0 and merges what peers shared.
     pub restart: Option<RestartConfig>,
     /// The paper's "pruning optimization": on new level-0 facts, delete
     /// clauses already satisfied at level 0.

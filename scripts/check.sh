@@ -11,22 +11,28 @@
 #                                     runs, so a gate's commands live here
 #                                     and nowhere else
 #
-# Gates: chaos (CHECK_CHAOS), integrity (CHECK_CORRUPT), audit
-# (CHECK_AUDIT), scaling (CHECK_SCALE), benchmark (CHECK_BENCH),
-# solver-asserts (CHECK_SOLVER).
+# Gates: chaos (CHECK_CHAOS), integrity (CHECK_CORRUPT), scaling
+# (CHECK_SCALE), benchmark (CHECK_BENCH), solver-asserts (CHECK_SOLVER).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-# The chaos soak against the sequential oracle. The fast profile samples
-# 5 seeds of every plan; the hierarchical plan gets its full 20 as well
+# The chaos soak against the sequential oracle, with the master's cube
+# ledger checking every run (a lost cube holds the verdict; an illegal
+# transition panics the run). First the journal and ledger unit tests
+# and the two failover integration tests. The fast profile samples 5
+# seeds of every plan; the hierarchical plan gets its full 20 as well
 # (60 runs, seconds): the ghost-Busy thief it found at seed 10 is a
 # two-message race the fast profile never sampled. Then 20 seeds of
 # every plan under the paper's share protocol (`--preset paper`:
 # share_round_s None, the all-pairs flood as soon as learned; what
 # Table 1 runs): 420 runs, under a second.
 gate_chaos() {
+  echo "== journal + cube ledger tests, failover under the ledger"
+  cargo test --release -q -p gridsat -- journal
+  cargo test --release -q -p gridsat-tests --test reliability -- \
+    dead_master_fails_over_to_the_standby failover_preserves_sat_models
   echo "== chaos soak (fast profile)"
   cargo run --release -p gridsat-bench --bin chaos_soak -- --fast
   echo "== chaos soak (submaster-loss, 20 seeds)"
@@ -48,18 +54,8 @@ gate_integrity() {
   cargo run --release -p gridsat-bench --bin chaos_soak -- --fast --plan bit-rot --repro
 }
 
-# The search-space conservation audit: journal/auditor unit tests plus
-# the failover integration tests with the auditor armed (any lost or
-# double-assigned guiding-path cube panics the run).
-gate_audit() {
-  echo "== conservation audit (journal + failover under the auditor)"
-  cargo test --release -q -p gridsat -- audit journal
-  cargo test --release -q -p gridsat-tests --test reliability -- \
-    dead_master_fails_over_to_the_standby failover_preserves_sat_models
-}
-
 # The control-plane scaling smoke: flat vs hierarchical at n ∈ {12, 100}
-# with the conservation auditor armed, gating on the oracle outcome, the
+# under the master's cube ledger, gating on the oracle outcome, the
 # O(sites) root-queue bound and the bound on what one foreign-clause
 # merge may charge (a quantum plus one clause).
 gate_scaling() {
@@ -98,12 +94,12 @@ gate_solver_asserts() {
 
 if [[ $# -gt 0 ]]; then
   case "$*" in
-    "--only chaos" | "--only integrity" | "--only audit" | "--only scaling" | "--only benchmark")
+    "--only chaos" | "--only integrity" | "--only scaling" | "--only benchmark")
       "gate_$2"
       ;;
     "--only solver-asserts") gate_solver_asserts ;;
     *)
-      echo "usage: scripts/check.sh [--only chaos|integrity|audit|scaling|benchmark|solver-asserts]" >&2
+      echo "usage: scripts/check.sh [--only chaos|integrity|scaling|benchmark|solver-asserts]" >&2
       exit 2
       ;;
   esac
@@ -150,7 +146,6 @@ cargo run --release -p gridsat-bench --bin grid_report -- --sim --check > /dev/n
 
 if [[ "${CHECK_CHAOS:-0}" == "1" ]]; then gate_chaos; fi
 if [[ "${CHECK_CORRUPT:-0}" == "1" ]]; then gate_integrity; fi
-if [[ "${CHECK_AUDIT:-0}" == "1" ]]; then gate_audit; fi
 if [[ "${CHECK_SCALE:-0}" == "1" ]]; then gate_scaling; fi
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then gate_benchmark; fi
 if [[ "${CHECK_SOLVER:-0}" == "1" ]]; then gate_solver_asserts; fi

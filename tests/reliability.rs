@@ -103,14 +103,13 @@ fn dead_master_fails_over_to_the_standby() {
     // the master dies for good at t=8 on a lossy network; under the
     // failover profile node 1 tails the journal, notices the silence,
     // promotes itself, re-adopts the survivors, and drives the run to
-    // the oracle's answer — with the conservation auditor cross-checking
-    // that no cube is ever lost or double-assigned along the way
+    // the oracle's answer — with the master's cube ledger checking that
+    // no cube is ever lost or owned twice along the way
     let f = satgen::php::php(7, 6);
     let plan = FaultPlan::master_gone(3);
     let config = GridConfig {
         min_split_timeout: 0.2,
         work_quantum_s: 0.1,
-        audit: true,
         ..GridConfig::failover_hardened()
     };
     let cap = config.overall_timeout;
@@ -137,7 +136,6 @@ fn failover_preserves_sat_models() {
     let config = GridConfig {
         min_split_timeout: 0.2,
         work_quantum_s: 0.1,
-        audit: true,
         ..GridConfig::failover_hardened()
     };
     let r = run_with_plan(&f, &plan, config);
