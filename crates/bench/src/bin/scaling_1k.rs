@@ -1,8 +1,9 @@
 //! Control-plane scaling to 1000 clients: flat (every client talks to
 //! the root master) vs hierarchical (per-site sub-masters broker split
-//! traffic and steal tickets locally, escalating rate-limited). Hard
-//! UNSAT instances sized to the fleet (weak scaling, so 1000 slow
-//! clients stay busy), swept over testbed sizes; the headline number is the
+//! traffic and steal tickets locally, the root pulling offers from
+//! saturated sites for its idle clients). Hard UNSAT instances sized to
+//! the fleet (weak scaling, so 1000 slow clients stay busy), swept over
+//! testbed sizes; the headline number is the
 //! root master's peak queue depth — backlogged split requests plus
 //! recovered subproblems — which grows O(n) flat and stays O(sites)
 //! hierarchical. Control-plane bytes (everything that is neither a
@@ -617,12 +618,11 @@ mod tests {
             ),
             (
                 GridMsg::SplitEscalate {
-                    requester: NodeId(1),
-                    problem,
+                    offers: vec![(NodeId(1), problem)],
                 },
                 Control,
             ),
-            (GridMsg::OfferSolicit, Control),
+            (GridMsg::OfferSolicit { want: 1 }, Control),
         ]
     }
 

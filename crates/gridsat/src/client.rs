@@ -997,7 +997,7 @@ impl Process for Client {
             | GridMsg::StealRequest
             | GridMsg::StealNotice { .. }
             | GridMsg::SplitEscalate { .. }
-            | GridMsg::OfferSolicit
+            | GridMsg::OfferSolicit { .. }
             | GridMsg::Adopt { .. } => {
                 debug_assert!(
                     false,

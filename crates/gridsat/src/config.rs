@@ -120,11 +120,11 @@ pub struct GridConfig {
     /// behaviour) means a dead master wedges the run.
     pub failover: bool,
     /// Hierarchical control plane (scaling extension): per-site
-    /// sub-masters broker split traffic locally via steal tickets,
-    /// escalating to the root master only when a site has no idle
-    /// capacity. The root still owns the journal, the cube ledger, and
-    /// the global verdict. `false` (the default, and the paper's
-    /// behaviour) routes every split request through the root.
+    /// sub-masters broker split traffic locally via steal tickets, and
+    /// the root pulls offers from sites with no idle capacity for its
+    /// own idle clients. The root still owns the journal, the cube
+    /// ledger, and the global verdict. `false` (the default, and the
+    /// paper's behaviour) routes every split request through the root.
     pub hierarchy: bool,
 }
 

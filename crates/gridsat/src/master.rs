@@ -330,11 +330,13 @@ pub struct Master {
     /// unanswered request, causal stamp of its delivery). Not journaled —
     /// it feeds telemetry and trace causality, never scheduling.
     pending_split_req: BTreeMap<NodeId, (f64, u64)>,
-    /// Sub-masters that escalated an offer and may hold more: one solicit
-    /// credit each, spent when the root has idle capacity and an empty
-    /// backlog (hierarchy extension). Soft state — a lost solicit is
-    /// covered by the broker's periodic escalation.
-    solicit_credits: BTreeSet<NodeId>,
+    /// Sub-masters whose site holds split offers no client of its own
+    /// can take (hierarchy extension): each escalated an offer unasked,
+    /// and stays here while it answers every pull in full. Soft state,
+    /// like the sub-masters themselves.
+    saturated: BTreeSet<NodeId>,
+    /// Pulls in flight: how many offers each sub-master was asked for.
+    pulls: BTreeMap<NodeId, u32>,
     /// Per-peer count of checksum-failing deliveries (integrity
     /// extension). Not journaled: strikes are evidence about the live
     /// network path, worthless to a replay.
@@ -438,7 +440,8 @@ impl Master {
             stats: MasterStats::default(),
             telemetry: MasterTelemetry::default(),
             pending_split_req: BTreeMap::new(),
-            solicit_credits: BTreeSet::new(),
+            saturated: BTreeSet::new(),
+            pulls: BTreeMap::new(),
             corrupt_strikes: BTreeMap::new(),
             obs: Obs::default(),
         }
@@ -884,23 +887,39 @@ impl Master {
                 depth,
             });
         }
-        self.maybe_solicit(ctx);
     }
 
-    /// Idle capacity with nothing backlogged: spend one solicit credit
-    /// pulling an offer from a work-surplus site, instead of letting a
-    /// freed client sit out a broker's escalate window (hierarchy
-    /// extension; a no-op in flat mode, where no credits ever accrue).
-    fn maybe_solicit(&mut self, ctx: &mut Ctx<GridMsg>) {
-        if self.solicit_credits.is_empty()
-            || self.outcome.is_some()
-            || !self.core.backlog.is_empty()
-            || self.core.idle.len() == 0
-        {
+    /// Once per master period, with idle clients and nothing backlogged:
+    /// ask the saturated sites for as many offers as there are idle
+    /// clients no pull in flight will cover, spread evenly over the sites
+    /// with no pull of their own in flight (hierarchy extension; a no-op
+    /// in flat mode, where no site ever reports saturation). Not at every
+    /// change: a client that has just gone idle is usually matched by its
+    /// own site's broker within a round trip, and a grant racing that
+    /// steal comes back as a requeue. The clients still idle at the tick
+    /// are the ones their sites could not place.
+    fn pull_offers(&mut self, ctx: &mut Ctx<GridMsg>) {
+        if self.saturated.is_empty() || self.outcome.is_some() || !self.core.backlog.is_empty() {
             return;
         }
-        if let Some(broker) = self.solicit_credits.pop_first() {
-            ctx.send(broker, GridMsg::OfferSolicit);
+        let covered: u32 = self.pulls.values().sum();
+        let want = (self.core.idle.len() as u32).saturating_sub(covered);
+        if want == 0 {
+            return;
+        }
+        let sites: Vec<NodeId> = self
+            .saturated
+            .iter()
+            .filter(|b| !self.pulls.contains_key(b))
+            .copied()
+            .collect();
+        let n = sites.len() as u32;
+        for (i, broker) in (0..).zip(sites) {
+            let want = want / n + u32::from(i < want % n);
+            if want > 0 {
+                self.pulls.insert(broker, want);
+                ctx.send(broker, GridMsg::OfferSolicit { want });
+            }
         }
     }
 
@@ -1293,6 +1312,11 @@ impl Master {
                 }
                 self.drain_backlog(ctx);
             }
+            GridMsg::OfferSolicit { .. } => {
+                // the sub-master is gone: so are its offers
+                self.saturated.remove(&to);
+                self.pulls.remove(&to);
+            }
             GridMsg::JournalBatch { start, .. } => {
                 // the standby missed a batch: rewind the ship cursor so
                 // the next ship re-sends from the gap
@@ -1380,6 +1404,10 @@ impl Process for Master {
             }
             let live = std::mem::take(&mut self.core);
             self.replay(recovered, now);
+            // the brokers' soft state went with ours: pulls in flight are
+            // lost, and a saturated site says so again on its own clock
+            self.saturated.clear();
+            self.pulls.clear();
             if !damaged {
                 // with an undamaged log the fold must reproduce the
                 // pre-crash live state exactly
@@ -1473,16 +1501,22 @@ impl Process for Master {
             GridMsg::SplitRequest { problem } => {
                 self.handle_split_request(from, problem, ctx);
             }
-            GridMsg::SplitEscalate { requester, problem } => {
-                // a sub-master had no idle client on its site and hands
-                // the split request up; broker the grant globally, exactly
-                // as if the requester had asked the root directly. The
-                // escalation also earns the broker a solicit credit: its
-                // site likely holds more unmatched offers, and the root
-                // will pull one the moment capacity frees elsewhere
-                self.stats.escalations += 1;
-                self.solicit_credits.insert(from);
-                self.handle_split_request(requester, problem, ctx);
+            GridMsg::SplitEscalate { offers } => {
+                // a sub-master hands up split offers its site cannot take:
+                // unasked, the first one of a site that just saturated, or
+                // the answer to a pull. A site stays saturated while it
+                // answers in full. Each offer is brokered globally, exactly
+                // as if its requester had asked the root directly
+                let asked = self.pulls.remove(&from).unwrap_or(0);
+                if offers.len() as u32 >= asked.max(1) {
+                    self.saturated.insert(from);
+                } else {
+                    self.saturated.remove(&from);
+                }
+                self.stats.escalations += offers.len() as u64;
+                for (requester, problem) in offers {
+                    self.handle_split_request(requester, problem, ctx);
+                }
             }
             GridMsg::StealNotice {
                 parent,
@@ -1877,7 +1911,7 @@ impl Process for Master {
             | GridMsg::StealTicket { .. }
             | GridMsg::Steal { .. }
             | GridMsg::StealRefused { .. }
-            | GridMsg::OfferSolicit
+            | GridMsg::OfferSolicit { .. }
             | GridMsg::Terminate(_) => {
                 debug_assert!(false, "master got client message from {from}");
             }
@@ -1897,6 +1931,7 @@ impl Process for Master {
         }
         self.dispatch_recoveries(ctx);
         self.drain_backlog(ctx);
+        self.pull_offers(ctx);
         self.maybe_migrate(ctx);
         self.check_termination(ctx);
         self.note_activity();
@@ -1912,8 +1947,9 @@ impl Process for Master {
         if self.outcome.is_some() {
             return;
         }
-        // a dead sub-master cannot answer a solicit
-        self.solicit_credits.remove(&node);
+        // a dead sub-master holds no offers and answers no pull
+        self.saturated.remove(&node);
+        self.pulls.remove(&node);
         self.handle_client_loss(node, ctx);
         self.ship_journal(ctx, false);
     }

@@ -278,6 +278,100 @@ fn no_idle_peer_means_backlog() {
     assert!(m.core.backlog.is_empty());
 }
 
+/// The pulls `actions` send: (sub-master, offers asked for).
+fn pulls_in(actions: &[Action<GridMsg>]) -> Vec<(u32, u32)> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                to,
+                msg: GridMsg::OfferSolicit { want },
+            } => Some((to.0, *want)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn escalate(m: &mut Master, broker: u32, offers: &[u32], t: f64) -> Vec<Action<GridMsg>> {
+    let offers = offers
+        .iter()
+        .map(|&c| (NodeId(c), ProblemId::new(NodeId(0), 1)))
+        .collect();
+    let mut cx = ctx(t);
+    m.on_message(NodeId(broker), GridMsg::SplitEscalate { offers }, &mut cx);
+    cx.take_actions()
+}
+
+#[test]
+fn the_root_pulls_as_many_offers_as_it_has_idle_clients() {
+    // nodes 1..=4 are clients, 7 and 8 the sub-masters of two sites
+    let mut m = master();
+    for id in 1..=4 {
+        register(&mut m, id, 0.0); // node 1 holds the whole problem
+    }
+    // site 7 saturates: its first offer goes up unasked and is granted
+    // (to node 4, the best idle), which leaves two idle clients and no
+    // pull in flight, so the next tick pulls for both from site 7
+    let granted = escalate(&mut m, 7, &[1], 1.0);
+    assert!(
+        pulls_in(&granted).is_empty(),
+        "the root pulls only on its tick"
+    );
+    let mut cx = ctx(2.0);
+    m.on_tick(&mut cx);
+    assert_eq!(pulls_in(&cx.take_actions()), [(7, 2)]);
+    // another saturated site is not asked while the pull in flight
+    // covers every idle client
+    m.saturated.insert(NodeId(8));
+    let mut cx = ctx(3.0);
+    m.on_tick(&mut cx);
+    assert!(pulls_in(&cx.take_actions()).is_empty());
+    assert_eq!(m.stats.escalations, 1);
+}
+
+#[test]
+fn a_short_answer_drops_the_site_until_it_saturates_again() {
+    let mut m = master();
+    for id in 1..=4 {
+        register(&mut m, id, 0.0);
+    }
+    escalate(&mut m, 7, &[1], 1.0);
+    let mut cx = ctx(2.0);
+    m.on_tick(&mut cx);
+    assert_eq!(pulls_in(&cx.take_actions()), [(7, 2)]);
+    // asked for two, it had none: the site has run dry and is not
+    // pulled again, however many clients stand idle
+    escalate(&mut m, 7, &[], 2.5);
+    let mut cx = ctx(3.0);
+    m.on_tick(&mut cx);
+    assert!(pulls_in(&cx.take_actions()).is_empty());
+    assert!(m.saturated.is_empty() && m.pulls.is_empty());
+    // until it hands an offer up unasked again
+    escalate(&mut m, 7, &[1], 4.0);
+    let mut cx = ctx(5.0);
+    m.on_tick(&mut cx);
+    assert_eq!(pulls_in(&cx.take_actions()), [(7, 2)]);
+}
+
+#[test]
+fn a_pull_is_spread_over_the_saturated_sites() {
+    let mut m = Master::new(
+        gridsat_cnf::paper::fig1_formula(),
+        GridConfig::default(),
+        speeds(6),
+    );
+    for id in 1..=6 {
+        register(&mut m, id, 0.0); // node 1 busy, five idle
+    }
+    m.saturated.extend([NodeId(7), NodeId(8)]);
+    let mut cx = ctx(1.0);
+    m.on_tick(&mut cx);
+    // five idle clients over two sites: as even as they go, the lower
+    // id taking the odd one
+    assert_eq!(pulls_in(&cx.take_actions()), [(7, 3), (8, 2)]);
+    assert_eq!(m.pulls.values().sum::<u32>(), 5);
+}
+
 #[test]
 fn failed_split_frees_the_peer() {
     let mut m = master();

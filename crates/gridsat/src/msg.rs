@@ -251,18 +251,15 @@ pub enum GridMsg {
         problem: ProblemId,
         pivot: Option<Lit>,
     },
-    /// Sub-master escalates an unmatched split offer to the root master
-    /// when its site has no idle capacity (rate-limited).
-    SplitEscalate {
-        requester: NodeId,
-        problem: ProblemId,
-    },
-    /// Root invites a sub-master that recently escalated to hand up its
-    /// next unmatched offer right away: the root has idle capacity and
-    /// an empty backlog, so a work-surplus site should not sit on its
-    /// escalate timer while another site drains. Best-effort — the
-    /// periodic escalation is the fallback.
-    OfferSolicit,
+    /// Sub-master hands split offers its site cannot take up to the root
+    /// master, each a `(requester, problem)` the root brokers like a
+    /// direct [`GridMsg::SplitRequest`]: one offer unasked when the site
+    /// saturates, then the answer to each [`GridMsg::OfferSolicit`] — up
+    /// to the offers asked for, and empty when it holds none.
+    SplitEscalate { offers: Vec<(NodeId, ProblemId)> },
+    /// Root pulls up to `want` offers from a saturated site: it has that
+    /// many idle clients no other pull covers, and nothing backlogged.
+    OfferSolicit { want: u32 },
 }
 
 impl GridMsg {
@@ -285,9 +282,7 @@ impl GridMsg {
             // idle announcements re-arise on the steal period
             | GridMsg::StealRequest
             // a refusal only shortcuts the thief's own retry timer
-            | GridMsg::StealRefused { .. }
-            // a solicit is re-armed by the next escalation
-            | GridMsg::OfferSolicit => false,
+            | GridMsg::StealRefused { .. } => false,
             GridMsg::Register { .. }
             | GridMsg::JournalBatch { .. }
             | GridMsg::Takeover
@@ -305,7 +300,9 @@ impl GridMsg {
             | GridMsg::StealTicket { .. }
             | GridMsg::Steal { .. }
             | GridMsg::StealNotice { .. }
-            | GridMsg::SplitEscalate { .. } => true,
+            | GridMsg::SplitEscalate { .. }
+            // the root counts a pull in flight until it is answered
+            | GridMsg::OfferSolicit { .. } => true,
         }
     }
 
@@ -338,7 +335,7 @@ impl GridMsg {
             GridMsg::StealRefused { .. } => "steal_refused",
             GridMsg::StealNotice { .. } => "steal_notice",
             GridMsg::SplitEscalate { .. } => "split_escalate",
-            GridMsg::OfferSolicit => "offer_solicit",
+            GridMsg::OfferSolicit { .. } => "offer_solicit",
         }
     }
 }
@@ -386,8 +383,8 @@ impl MessageSize for GridMsg {
             GridMsg::Steal { .. } => 32,
             GridMsg::StealRefused { .. } => 32,
             GridMsg::StealNotice { .. } => 44,
-            GridMsg::SplitEscalate { .. } => 36,
-            GridMsg::OfferSolicit => 24,
+            GridMsg::SplitEscalate { offers } => 24 + offers.len() * 12,
+            GridMsg::OfferSolicit { .. } => 28,
             GridMsg::Adopt { checkpoint, .. } => {
                 64 + checkpoint.as_deref().map_or(0, Checkpoint::size_bytes)
             }
@@ -430,7 +427,7 @@ impl MessageSize for GridMsg {
             GridMsg::StealRefused { .. } => "steal-refused".into(),
             GridMsg::StealNotice { .. } => "steal-notice".into(),
             GridMsg::SplitEscalate { .. } => "split-escalate".into(),
-            GridMsg::OfferSolicit => "offer-solicit".into(),
+            GridMsg::OfferSolicit { .. } => "offer-solicit".into(),
         }
     }
 
@@ -670,8 +667,8 @@ mod tests {
         }
         .is_control());
         assert!(!GridMsg::Heartbeat.is_control());
-        // steal protocol: tickets/steals/notices/escalations are load-
-        // bearing, idle announcements are lossy
+        // steal protocol: tickets/steals/notices/escalations and the
+        // root's pulls are load-bearing, idle announcements are lossy
         let pid = ProblemId::new(NodeId(3), 1);
         assert!(GridMsg::StealTicket {
             donor: NodeId(3),
@@ -686,20 +683,21 @@ mod tests {
         }
         .is_control());
         assert!(GridMsg::SplitEscalate {
-            requester: NodeId(3),
-            problem: pid
+            offers: vec![(NodeId(3), pid)]
         }
         .is_control());
+        assert!(GridMsg::OfferSolicit { want: 2 }.is_control());
         assert!(!GridMsg::StealRequest.is_control());
-        // both ends of a lost pull recover on their own timers: a
-        // refused thief re-announces, a solicited broker re-escalates
+        // a refused thief re-announces on its own timer
         assert!(!GridMsg::StealRefused { problem: pid }.is_control());
-        assert!(!GridMsg::OfferSolicit.is_control());
         assert_eq!(
             GridMsg::StealRefused { problem: pid }.kind_str(),
             "steal_refused"
         );
-        assert_eq!(GridMsg::OfferSolicit.kind_str(), "offer_solicit");
+        assert_eq!(
+            GridMsg::OfferSolicit { want: 1 }.kind_str(),
+            "offer_solicit"
+        );
     }
 
     #[test]

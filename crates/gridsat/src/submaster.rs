@@ -16,19 +16,23 @@
 //! chaos plan exercises exactly this).
 //!
 //! When a whole site is saturated (offers but no idle capacity), the
-//! sub-master escalates at most one offer per
-//! [`ESCALATE_PERIOD_S`] to the root
-//! ([`GridMsg::SplitEscalate`]), which treats it like a plain split
-//! request. The rate limit is the point: the root's queue sees O(sites)
-//! control traffic instead of O(clients).
+//! sub-master hands its oldest offer to the root at once
+//! ([`GridMsg::SplitEscalate`]); the root brokers it like a plain split
+//! request and counts the site as saturated. The rest of the site's
+//! offers wait for the root to pull them ([`GridMsg::OfferSolicit`]):
+//! once per master period it asks for as many as it has idle clients,
+//! so the root's queue sees O(sites) unasked traffic, and what it asks
+//! for it can place. A site the root has not pulled from for
+//! [`ESCALATE_PERIOD_S`] hands up one offer unasked again, which is how
+//! a root that lost its soft state (a restart) learns the site is
+//! saturated.
 
 use crate::msg::{GridMsg, ProblemId};
 use gridsat_grid::{Ctx, NodeId, Process};
 use std::collections::{BTreeSet, VecDeque};
 
-/// Minimum spacing between a sub-master's escalations of unmatched split
-/// offers to the root, seconds. Rate-limits the root-bound control
-/// stream when a whole site is saturated.
+/// How long a saturated site waits for a pull before it hands an offer
+/// up unasked again, seconds.
 const ESCALATE_PERIOD_S: f64 = 60.0;
 
 /// Counters a sub-master keeps (merged across sites in the report).
@@ -36,7 +40,7 @@ const ESCALATE_PERIOD_S: f64 = 60.0;
 pub struct SubMasterStats {
     /// Steal tickets issued (idle client paired with a loaded donor).
     pub tickets: u64,
-    /// Offers escalated to the root for lack of local idle capacity.
+    /// Offers handed up to the root for lack of local idle capacity.
     pub escalations: u64,
     /// Split offers received from site clients.
     pub offers: u64,
@@ -66,11 +70,12 @@ pub struct SubMaster {
     idle: BTreeSet<NodeId>,
     /// Unmatched split offers: (donor, problem), one per donor.
     offers: VecDeque<(NodeId, ProblemId)>,
+    /// The root counts this site as saturated: set when an offer goes up
+    /// unasked, kept while the site answers every pull in full. While it
+    /// is set, offers no local client takes wait for a pull.
+    saturated: bool,
+    /// When the root last heard from this site: its last escalation.
     last_escalate: f64,
-    /// The root solicited an offer while we had none: the pull stays
-    /// pending, and the next saturated offer escalates immediately
-    /// instead of waiting out the periodic budget.
-    root_wants_work: bool,
     pub stats: SubMasterStats,
 }
 
@@ -80,9 +85,8 @@ impl SubMaster {
             root,
             idle: BTreeSet::new(),
             offers: VecDeque::new(),
-            // allow an immediate first escalation
+            saturated: false,
             last_escalate: f64::NEG_INFINITY,
-            root_wants_work: false,
             stats: SubMasterStats::default(),
         }
     }
@@ -95,6 +99,20 @@ impl SubMaster {
         self.stats.tickets += 1;
         ctx.send(thief, GridMsg::StealTicket { donor, problem });
     }
+
+    /// Hand the `want` oldest offers (fewer if the site holds fewer, even
+    /// none) up to the root in one message; returns how many went. Each
+    /// stays standing, rotated to the back: the root may not place it,
+    /// and a site-mate going idle still can.
+    fn escalate(&mut self, want: u32, ctx: &mut Ctx<GridMsg>) -> u32 {
+        let n = self.offers.len().min(want as usize);
+        let offers: Vec<_> = self.offers.iter().take(n).copied().collect();
+        self.offers.rotate_left(n);
+        self.stats.escalations += n as u64;
+        self.last_escalate = ctx.now();
+        ctx.send(self.root, GridMsg::SplitEscalate { offers });
+        n as u32
+    }
 }
 
 impl Process for SubMaster {
@@ -105,7 +123,7 @@ impl Process for SubMaster {
         // re-announce and offers re-arise on their own timers
         self.idle.clear();
         self.offers.clear();
-        self.root_wants_work = false;
+        self.saturated = false;
     }
 
     fn on_message(&mut self, from: NodeId, msg: GridMsg, ctx: &mut Ctx<GridMsg>) {
@@ -130,40 +148,18 @@ impl Process for SubMaster {
                 }
                 if let Some(thief) = self.idle.pop_first() {
                     self.issue_ticket(thief, ctx);
-                } else if self.root_wants_work
-                    || ctx.now() - self.last_escalate >= ESCALATE_PERIOD_S
-                {
-                    // site saturated: hand one offer to the root —
-                    // immediately if a solicit is pending, otherwise
-                    // rate-limited so the root queue scales with sites
-                    if !self.root_wants_work {
-                        self.last_escalate = ctx.now();
-                    }
-                    self.root_wants_work = false;
-                    self.stats.escalations += 1;
-                    ctx.send(
-                        self.root,
-                        GridMsg::SplitEscalate {
-                            requester: from,
-                            problem,
-                        },
-                    );
+                } else if !self.saturated || ctx.now() - self.last_escalate >= ESCALATE_PERIOD_S {
+                    // the site just saturated, or the root has not
+                    // pulled for a period: tell it by handing it an
+                    // offer; the rest wait for its pulls
+                    self.escalate(1, ctx);
+                    self.saturated = true;
                 }
             }
-            GridMsg::OfferSolicit => {
-                // the root has idle capacity and nothing backlogged:
-                // hand up the oldest unmatched offer right away, outside
-                // the periodic budget (the root asked for it), and
-                // rotate it so repeated solicits spread across donors
-                if let Some((requester, problem)) = self.offers.pop_front() {
-                    self.offers.push_back((requester, problem));
-                    self.stats.escalations += 1;
-                    ctx.send(self.root, GridMsg::SplitEscalate { requester, problem });
-                } else {
-                    // nothing to hand up yet: the pull stays pending and
-                    // the next saturated offer answers it immediately
-                    self.root_wants_work = true;
-                }
+            GridMsg::OfferSolicit { want } => {
+                // the root has `want` idle clients for this site's offers;
+                // a short answer tells it the site has run dry
+                self.saturated = self.escalate(want, ctx) == want;
             }
             // anything else reaching a sub-master is stray traffic from
             // a roster change mid-flight; it has no state to act on
@@ -223,13 +219,37 @@ mod tests {
         SubMaster::new(NodeId(0))
     }
 
+    /// A sub-master whose site the root already counts as saturated and
+    /// heard from at t = 1: its offers wait for a pull.
+    fn saturated() -> SubMaster {
+        SubMaster {
+            saturated: true,
+            last_escalate: 1.0,
+            ..sm()
+        }
+    }
+
+    fn offer(s: &mut SubMaster, donor: u32, c: &mut Ctx<GridMsg>) -> ProblemId {
+        let problem = ProblemId::new(NodeId(donor), 1);
+        s.on_message(NodeId(donor), GridMsg::SplitRequest { problem }, c);
+        problem
+    }
+
+    /// The offers of the one message `out` holds: a hand-up to the root.
+    fn escalated(out: &[(NodeId, GridMsg)]) -> Vec<NodeId> {
+        match out {
+            [(NodeId(0), GridMsg::SplitEscalate { offers })] => {
+                offers.iter().map(|(donor, _)| *donor).collect()
+            }
+            _ => panic!("expected one escalation to the root, got {out:?}"),
+        }
+    }
+
     #[test]
     fn pairs_an_offer_with_a_later_idle_announcement() {
-        let mut s = sm();
-        let pid = ProblemId::new(NodeId(2), 1);
+        let mut s = saturated();
         let mut c = ctx(1.0);
-        s.last_escalate = 0.5; // suppress escalation for this test
-        s.on_message(NodeId(2), GridMsg::SplitRequest { problem: pid }, &mut c);
+        let pid = offer(&mut s, 2, &mut c);
         assert!(sent(&mut c).is_empty(), "no idle capacity yet");
         s.on_message(NodeId(3), GridMsg::StealRequest, &mut c);
         let out = sent(&mut c);
@@ -247,26 +267,24 @@ mod tests {
     #[test]
     fn pairs_an_idle_client_with_a_later_offer() {
         let mut s = sm();
-        let pid = ProblemId::new(NodeId(2), 1);
         let mut c = ctx(1.0);
         s.on_message(NodeId(3), GridMsg::StealRequest, &mut c);
         assert!(sent(&mut c).is_empty());
-        s.on_message(NodeId(2), GridMsg::SplitRequest { problem: pid }, &mut c);
+        offer(&mut s, 2, &mut c);
         let out = sent(&mut c);
         assert!(
             matches!(out[..], [(to, GridMsg::StealTicket { donor, .. })]
                 if to == NodeId(3) && donor == NodeId(2)),
             "{out:?}"
         );
+        assert!(!s.saturated, "a site that matched locally is not saturated");
     }
 
     #[test]
     fn never_pairs_a_client_with_itself() {
-        let mut s = sm();
-        let pid = ProblemId::new(NodeId(2), 1);
+        let mut s = saturated();
         let mut c = ctx(1.0);
-        s.last_escalate = 0.5;
-        s.on_message(NodeId(2), GridMsg::SplitRequest { problem: pid }, &mut c);
+        offer(&mut s, 2, &mut c);
         // the donor finishes its own problem and goes idle: its stale
         // offer must be dropped, not matched back to it
         s.on_message(NodeId(2), GridMsg::StealRequest, &mut c);
@@ -276,48 +294,69 @@ mod tests {
     }
 
     #[test]
-    fn escalates_saturated_offers_rate_limited() {
+    fn a_saturating_site_hands_up_one_offer_then_waits_for_pulls() {
         let mut s = sm();
-        let pid = ProblemId::new(NodeId(2), 1);
         let mut c = ctx(1.0);
-        s.on_message(NodeId(2), GridMsg::SplitRequest { problem: pid }, &mut c);
-        let out = sent(&mut c);
-        assert!(
-            matches!(out[..], [(to, GridMsg::SplitEscalate { requester, .. })]
-                if to == NodeId(0) && requester == NodeId(2)),
-            "{out:?}"
-        );
-        // a second saturated offer inside the window stays local
+        offer(&mut s, 2, &mut c);
+        assert_eq!(escalated(&sent(&mut c)), [NodeId(2)]);
+        assert!(s.saturated);
+        // the offer stays standing: a site-mate going idle still takes it
+        assert_eq!(s.offers.len(), 1);
+        // later offers wait for the root to pull them
         let mut c = ctx(2.0);
-        s.on_message(
-            NodeId(4),
-            GridMsg::SplitRequest {
-                problem: ProblemId::new(NodeId(4), 1),
-            },
-            &mut c,
-        );
-        assert!(sent(&mut c).is_empty(), "escalation is rate-limited");
+        offer(&mut s, 4, &mut c);
+        assert!(sent(&mut c).is_empty(), "no pull, no hand-up");
         assert_eq!(s.stats.escalations, 1);
-        // past the window it escalates again
+        // a root that has not pulled for a period hears from the site
+        // again: it may have lost its soft state
         let mut c = ctx(1.0 + ESCALATE_PERIOD_S);
-        s.on_message(
-            NodeId(5),
-            GridMsg::SplitRequest {
-                problem: ProblemId::new(NodeId(5), 1),
-            },
-            &mut c,
-        );
-        assert_eq!(sent(&mut c).len(), 1);
+        offer(&mut s, 5, &mut c);
+        assert_eq!(escalated(&sent(&mut c)).len(), 1);
         assert_eq!(s.stats.escalations, 2);
     }
 
     #[test]
+    fn a_pull_is_answered_with_as_many_offers_as_asked_and_held() {
+        let mut s = saturated();
+        let mut c = ctx(2.0);
+        for donor in [2, 4, 5] {
+            offer(&mut s, donor, &mut c);
+        }
+        assert!(sent(&mut c).is_empty());
+        // asked for two: the two oldest go up in one message, rotated to
+        // the back of the standing offers, and the site stays saturated
+        s.on_message(NodeId(0), GridMsg::OfferSolicit { want: 2 }, &mut c);
+        assert_eq!(escalated(&sent(&mut c)), [NodeId(2), NodeId(4)]);
+        assert!(s.saturated);
+        let order: Vec<NodeId> = s.offers.iter().map(|(d, _)| *d).collect();
+        assert_eq!(order, [NodeId(5), NodeId(2), NodeId(4)]);
+        // asked for more than it holds: all go, and the short answer
+        // tells the root the site has run dry
+        s.on_message(NodeId(0), GridMsg::OfferSolicit { want: 5 }, &mut c);
+        assert_eq!(escalated(&sent(&mut c)).len(), 3);
+        assert!(!s.saturated);
+        assert_eq!(s.stats.escalations, 5);
+        // so the next offer no site-mate takes sends the oldest up at once
+        offer(&mut s, 6, &mut c);
+        assert_eq!(escalated(&sent(&mut c)), [NodeId(5)]);
+        assert!(s.saturated);
+    }
+
+    #[test]
+    fn a_pull_finding_no_offer_is_answered_empty() {
+        let mut s = saturated();
+        let mut c = ctx(2.0);
+        s.on_message(NodeId(0), GridMsg::OfferSolicit { want: 3 }, &mut c);
+        assert!(escalated(&sent(&mut c)).is_empty());
+        assert!(!s.saturated);
+        assert_eq!(s.stats.escalations, 0);
+    }
+
+    #[test]
     fn undeliverable_ticket_requeues_the_offer() {
-        let mut s = sm();
-        let pid = ProblemId::new(NodeId(2), 1);
+        let mut s = saturated();
         let mut c = ctx(1.0);
-        s.last_escalate = 0.5;
-        s.on_message(NodeId(2), GridMsg::SplitRequest { problem: pid }, &mut c);
+        let pid = offer(&mut s, 2, &mut c);
         s.on_message(NodeId(3), GridMsg::StealRequest, &mut c);
         assert_eq!(sent(&mut c).len(), 1, "ticket issued");
         s.on_undeliverable(
@@ -342,14 +381,10 @@ mod tests {
         let mut s = sm();
         let mut c = ctx(1.0);
         s.on_message(NodeId(3), GridMsg::StealRequest, &mut c);
-        s.on_message(
-            NodeId(2),
-            GridMsg::SplitRequest {
-                problem: ProblemId::new(NodeId(2), 1),
-            },
-            &mut c,
-        );
+        offer(&mut s, 2, &mut c);
+        offer(&mut s, 4, &mut c);
+        assert!(s.saturated);
         s.on_start(&mut c);
-        assert!(s.idle.is_empty() && s.offers.is_empty());
+        assert!(s.idle.is_empty() && s.offers.is_empty() && !s.saturated);
     }
 }

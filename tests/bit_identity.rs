@@ -147,16 +147,16 @@ fn hierarchical_run_is_bit_identical_to_the_pinned_parent() {
     assert_eq!(
         run(true, GridConfig::experiment1()),
         Pins {
-            seconds_bits: 72.456842f64.to_bits(),
-            events: 11_298,
-            messages_delivered: 6851,
-            bytes_delivered: 1_188_069,
-            ticks: 4181,
-            splits: 24,
-            clauses_received: 2254,
-            dup_share_drops: 144,
+            seconds_bits: 78.623115f64.to_bits(),
+            events: 9537,
+            messages_delivered: 5311,
+            bytes_delivered: 820_420,
+            ticks: 3995,
+            splits: 11,
+            clauses_received: 1587,
+            dup_share_drops: 0,
             shares_forwarded: 0,
-            share_batches_sent: 92,
+            share_batches_sent: 68,
         }
     );
 }
@@ -207,16 +207,16 @@ fn hierarchical_run_in_rounds_is_pinned() {
     assert_eq!(
         run(true, GridConfig::default()),
         Pins {
-            seconds_bits: 73.697838f64.to_bits(),
-            events: 9582,
-            messages_delivered: 5096,
-            bytes_delivered: 1_048_491,
-            ticks: 4200,
-            splits: 32,
-            clauses_received: 2608,
-            dup_share_drops: 231,
-            shares_forwarded: 342,
-            share_batches_sent: 158,
+            seconds_bits: 72.920985f64.to_bits(),
+            events: 7937,
+            messages_delivered: 3690,
+            bytes_delivered: 538_462,
+            ticks: 4049,
+            splits: 8,
+            clauses_received: 2091,
+            dup_share_drops: 168,
+            shares_forwarded: 285,
+            share_batches_sent: 126,
         }
     );
 }
