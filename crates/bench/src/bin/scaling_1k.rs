@@ -484,7 +484,7 @@ mod tests {
         use Traffic::{Control, Payload, Roster};
         let problem = ProblemId::new(NodeId(1), 1);
         let spec = || Box::new(SpecFrame::from_wire(Vec::new()));
-        let light = || Box::new(Checkpoint::Light { level0: Vec::new() });
+        let light = || Box::new(Checkpoint { level0: Vec::new() });
         let split_done = |ok| GridMsg::SplitDone {
             requester: NodeId(1),
             peer: NodeId(2),

@@ -490,6 +490,24 @@ mod tests {
         assert_soak_run_agrees_with_the_oracle(&f, 182, "submaster-loss", &GridConfig::default());
     }
 
+    /// Open (ROADMAP item 1): `chaos_soak --plan submaster-loss --preset
+    /// paper --seeds 5000` panics on php/seed1540/submaster-loss with
+    /// `adopted spec contradicts the recorded path (TransferIn)` on
+    /// `[-1 -25 1 -30]` — a recorded path that holds both a literal and
+    /// its complement, so the ledger's account of the split tree is wrong
+    /// before the adoption is checked against it.
+    #[test]
+    #[ignore = "ROADMAP item 1: php/seed1540 submaster-loss records a path holding 1 and -1"]
+    fn php_seed1540_submaster_loss_records_a_consistent_path() {
+        let f = gridsat_satgen::php::php(6, 5);
+        assert_soak_run_agrees_with_the_oracle(
+            &f,
+            1540,
+            "submaster-loss",
+            &GridConfig::experiment1(),
+        );
+    }
+
     /// `chaos_soak --seeds 20` with the old auditor armed in every plan:
     /// php/seed13/crash-restart declared UNSAT while a cube was still
     /// uncovered. Node 1, the peer of node 3's split, adopted the child and

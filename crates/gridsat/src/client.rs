@@ -3,7 +3,7 @@
 //! to peers (paper Sections 3.1-3.3).
 
 use crate::config::{
-    CheckpointMode, GridConfig, ASSUMED_BW_BYTES_PER_S, HEARTBEAT_PERIOD_S, MEM_FRACTION,
+    GridConfig, ASSUMED_BW_BYTES_PER_S, CHECKPOINT_PERIOD_S, HEARTBEAT_PERIOD_S, MEM_FRACTION,
     MIN_MEMORY,
 };
 use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
@@ -538,29 +538,18 @@ impl Client {
         self.stats.split_requests += 1;
     }
 
-    fn maybe_checkpoint(&mut self, ctx: &mut Ctx<GridMsg>) {
-        if ctx.now() - self.last_checkpoint < self.config.checkpoint_period {
-            return;
-        }
-        self.checkpoint_now(ctx);
-    }
-
     /// Build a recovery image of the current search space, or `None`
-    /// when checkpointing is off or nothing is being solved.
+    /// when reliability is off or nothing is being solved.
     fn build_checkpoint(&self) -> Option<Box<Checkpoint>> {
         let solver = self.solver.as_ref()?;
-        let level0 = solver.level0_assignment();
-        match self.config.checkpoint {
-            CheckpointMode::Off => None,
-            CheckpointMode::Light => Some(Box::new(Checkpoint::Light { level0 })),
-            CheckpointMode::Heavy => Some(Box::new(Checkpoint::Heavy {
-                level0,
-                learned: solver.export_clauses(),
-            })),
-        }
+        self.config.reliability.then(|| {
+            Box::new(Checkpoint {
+                level0: solver.level0_assignment(),
+            })
+        })
     }
 
-    /// Upload a checkpoint immediately (if checkpointing is on). Called
+    /// Upload a checkpoint immediately (if reliability is on). Called
     /// right after adopting or splitting a subproblem so the master's
     /// copy of the guiding path is never older than the client's current
     /// search space — a crash in the very first period is then
@@ -1098,7 +1087,9 @@ impl Process for Client {
                 self.stats.load_reports_suppressed += 1;
             }
         }
-        self.maybe_checkpoint(ctx);
+        if ctx.now() - self.last_checkpoint >= CHECKPOINT_PERIOD_S {
+            self.checkpoint_now(ctx);
+        }
         self.maybe_heartbeat(ctx);
         ctx.schedule_tick(0.0);
     }
@@ -2238,7 +2229,7 @@ mod tests {
         };
         let pid = ProblemId::new(NodeId(0), 1);
         let hand_off = |ask: GridMsg| {
-            // light checkpoints on: the hand-off ends in a recovery image
+            // checkpoints on: the hand-off ends in a recovery image
             let config = GridConfig::chaos_hardened().hierarchical();
             let mut c = Client::new(NodeId(0), config);
             let mut cx = ctx(0.0);

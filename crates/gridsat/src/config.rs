@@ -13,16 +13,6 @@ pub enum SchedPolicy {
     WorstRank,
 }
 
-/// Checkpointing mode (paper Section 3.4; extension, off by default).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CheckpointMode {
-    Off,
-    /// Level-0 assignments only.
-    Light,
-    /// Level 0 plus learned clauses.
-    Heavy,
-}
-
 /// Fraction of host memory a client's solver may use ("only use up to
 /// 60% of it").
 pub const MEM_FRACTION: f64 = 0.6;
@@ -49,6 +39,12 @@ pub const SHARE_TREE_FANOUT: usize = 4;
 /// retransmit time-out, backoff, retry budget, jitter — lives in
 /// constants of `gridsat_grid::reliable`.
 pub const HEARTBEAT_PERIOD_S: f64 = 10.0;
+
+/// Period of a busy client's level-0 checkpoint uploads under
+/// [`GridConfig::reliability`], seconds (the paper's Section 3.4 sketch,
+/// as an extension). A checkpoint also goes up after each adopt and
+/// split, so an image never lags the cube it describes.
+pub const CHECKPOINT_PERIOD_S: f64 = 30.0;
 
 /// Consecutive missed heartbeats before the master expires a client's
 /// lease and treats it as lost.
@@ -93,10 +89,6 @@ pub struct GridConfig {
     pub scheduler: SchedPolicy,
     /// Allow the master to migrate subproblems to better resources.
     pub migration: bool,
-    /// Checkpointing (fault-tolerance extension).
-    pub checkpoint: CheckpointMode,
-    /// Checkpoint upload period, seconds.
-    pub checkpoint_period: f64,
     /// Length of a clause-sharing round, seconds (HordeSat's discipline).
     /// `Some(r)`: a client collects what it learns in an export buffer
     /// and sends it as one batch once `r` seconds have passed since its
@@ -109,9 +101,11 @@ pub struct GridConfig {
     /// quantum, everything, in learn order), queue without bound, merge
     /// the whole inbox at level 0.
     pub share_round_s: Option<f64>,
-    /// Reliable control-plane delivery + heartbeat leases. `false` (the
-    /// default) runs the paper's bare protocol — the wire is then
-    /// bit-identical to a build without the reliability layer.
+    /// Reliable control-plane delivery, heartbeat leases, and level-0
+    /// checkpoints every [`CHECKPOINT_PERIOD_S`], so a lost busy client's
+    /// cube is recovered instead of ending the run. `false` (the default)
+    /// runs the paper's bare protocol — the wire is then bit-identical to
+    /// a build without the reliability layer.
     pub reliability: bool,
     /// Master failover (robustness extension): node [`STANDBY_NODE`] tails
     /// the master's write-ahead journal over the control plane and
@@ -139,8 +133,6 @@ impl Default for GridConfig {
             master_period: 5.0,
             scheduler: SchedPolicy::NwsRank,
             migration: true,
-            checkpoint: CheckpointMode::Off,
-            checkpoint_period: 300.0,
             share_round_s: Some(5.0),
             reliability: false,
             failover: false,
@@ -177,13 +169,11 @@ impl GridConfig {
     }
 
     /// Survive-anything profile for chaos runs: reliable control-plane
-    /// delivery, heartbeat leases, and light checkpoints so a lost busy
+    /// delivery, heartbeat leases, and level-0 checkpoints so a lost busy
     /// client is recovered instead of ending the run.
     pub fn chaos_hardened() -> GridConfig {
         GridConfig {
             reliability: true,
-            checkpoint: CheckpointMode::Light,
-            checkpoint_period: 30.0,
             ..GridConfig::default()
         }
     }
@@ -238,8 +228,8 @@ mod tests {
         assert!(!e2.reliability && !e2.failover);
         let hardened = GridConfig::chaos_hardened();
         assert!(hardened.reliability && !hardened.failover);
-        assert_eq!(hardened.checkpoint, CheckpointMode::Light);
         assert_eq!((HEARTBEAT_PERIOD_S, LEASE_MISSES), (10.0, 3));
+        assert_eq!(CHECKPOINT_PERIOD_S, 30.0);
         assert_eq!(QUARANTINE_STRIKES, 40);
 
         let failover = GridConfig::failover_hardened();

@@ -17,7 +17,7 @@
 //! live fold. The fold includes the cube ledger (`Cubes`): every cube the
 //! run minted, where it came from, and where it is.
 
-use crate::config::{CheckpointMode, GridConfig, SHARE_TREE_FANOUT};
+use crate::config::{GridConfig, SHARE_TREE_FANOUT};
 use crate::idle::{Hosts, IdleIndex};
 use crate::master::{ClientState, GrantKind};
 use crate::msg::{Checkpoint, ProblemId};
@@ -263,52 +263,20 @@ fn get_bool(buf: &[u8], pos: &mut usize) -> Result<bool, RecordError> {
     }
 }
 
-fn put_clauses(clauses: &[Clause], out: &mut Vec<u8>) {
-    wire::write_varint(clauses.len() as u64, out);
-    for clause in clauses {
-        wire::encode_codes(clause.lits().iter().map(|l| l.code() as u32), out);
-    }
-}
-
-fn get_clauses(buf: &[u8], pos: &mut usize) -> Result<Vec<Clause>, RecordError> {
-    let n = wire::read_varint(buf, pos)?;
-    if n > buf.len() as u64 {
-        return Err(WireError::Truncated.into());
-    }
-    let mut clauses = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        clauses.push(wire::decode_clause(buf, pos)?);
-    }
-    Ok(clauses)
-}
-
+/// A checkpoint is tag byte `0` and its level 0. The tag stays so that
+/// records keep the bytes the retired heavy kind (tag `1`) stood beside;
+/// any other tag is an error.
 fn put_checkpoint(cp: &Checkpoint, out: &mut Vec<u8>) {
-    match cp {
-        Checkpoint::Light { level0 } => {
-            out.push(0);
-            wire::write_pairs(level0, out);
-        }
-        Checkpoint::Heavy { level0, learned } => {
-            out.push(1);
-            wire::write_pairs(level0, out);
-            put_clauses(learned, out);
-        }
-    }
+    out.push(0);
+    wire::write_pairs(&cp.level0, out);
 }
 
 fn get_checkpoint(buf: &[u8], pos: &mut usize) -> Result<Checkpoint, RecordError> {
     match buf.get(*pos) {
         Some(0) => {
             *pos += 1;
-            Ok(Checkpoint::Light {
+            Ok(Checkpoint {
                 level0: wire::read_pairs(buf, pos)?,
-            })
-        }
-        Some(1) => {
-            *pos += 1;
-            Ok(Checkpoint::Heavy {
-                level0: wire::read_pairs(buf, pos)?,
-                learned: get_clauses(buf, pos)?,
             })
         }
         Some(_) => Err(WireError::Overflow.into()),
@@ -1266,8 +1234,9 @@ impl MasterCore {
         };
         info.problem_since = at;
         info.problem = Some(problem);
-        info.image =
-            (config.checkpoint != CheckpointMode::Off).then(|| RecoveryImage::Sent(frame.clone()));
+        info.image = config
+            .reliability
+            .then(|| RecoveryImage::Sent(frame.clone()));
         self.set_state(client, ClientState::Busy);
     }
 
@@ -1607,7 +1576,7 @@ impl MasterCore {
                 return Some(("cube owned twice", self.cubes.path(cube)));
             }
         }
-        let (Checkpoint::Light { level0 } | Checkpoint::Heavy { level0, .. }) = checkpoint?;
+        let level0 = &checkpoint?.level0;
         let path = self.cubes.path(cube)?;
         let contradicts = level0.iter().any(|&(l, _)| path.contains(&!l));
         contradicts.then_some(("adopted spec contradicts the recorded path", Some(path)))
@@ -1829,10 +1798,7 @@ mod tests {
     use gridsat_solver::SplitSpec;
 
     fn config() -> GridConfig {
-        GridConfig {
-            checkpoint: crate::config::CheckpointMode::Heavy,
-            ..GridConfig::default()
-        }
+        GridConfig::chaos_hardened()
     }
 
     /// The state `records` fold to, applied one by one to an empty core.
@@ -1888,7 +1854,7 @@ mod tests {
             JournalRecord::TransferIn {
                 peer: n2,
                 problem: p2,
-                checkpoint: Some(Checkpoint::Light {
+                checkpoint: Some(Checkpoint {
                     level0: vec![(Lit::neg(0), false)],
                 }),
                 at: 4.0,
@@ -2054,7 +2020,7 @@ mod tests {
             JournalRecord::TransferIn {
                 peer: NodeId(peer),
                 problem,
-                checkpoint: Some(Checkpoint::Light { level0 }),
+                checkpoint: Some(Checkpoint { level0 }),
                 at: 2.0,
             },
             JournalRecord::GrantClose {
@@ -2104,7 +2070,7 @@ mod tests {
             donor,
             thief,
             problem: stolen,
-            checkpoint: Some(Checkpoint::Light {
+            checkpoint: Some(Checkpoint {
                 level0: vec![(Lit::neg(3), false)],
             }),
             at: 2.0,
@@ -2389,7 +2355,7 @@ mod tests {
                 donor: NodeId(1),
                 thief: NodeId(2),
                 problem: child,
-                checkpoint: Some(Checkpoint::Light {
+                checkpoint: Some(Checkpoint {
                     level0: vec![(Lit::pos(3), true)],
                 }),
                 at: 2.0,
@@ -2504,13 +2470,13 @@ mod tests {
         let small = JournalRecord::CheckpointAccept {
             client: NodeId(1),
             problem: ProblemId::new(NodeId(1), 1),
-            checkpoint: Checkpoint::Light { level0: vec![] },
+            checkpoint: Checkpoint { level0: vec![] },
             learn_problem: false,
         };
         let big = JournalRecord::CheckpointAccept {
             client: NodeId(1),
             problem: ProblemId::new(NodeId(1), 1),
-            checkpoint: Checkpoint::Light {
+            checkpoint: Checkpoint {
                 level0: (0..100).map(|v| (Lit::pos(v), false)).collect(),
             },
             learn_problem: false,
@@ -2521,14 +2487,14 @@ mod tests {
     /// One of every record variant, with every optional field exercised
     /// in both polarities across the set.
     fn sample_records() -> Vec<JournalRecord> {
-        let cp_light = Checkpoint::Light {
+        let cp = Checkpoint {
             level0: vec![(Lit::pos(0), false), (Lit::neg(3), true)],
         };
-        let cp_heavy = Checkpoint::Heavy {
-            level0: vec![(Lit::neg(1), false)],
-            learned: vec![
-                Clause::new(vec![Lit::pos(0), Lit::neg(2)]),
-                Clause::new(vec![Lit::pos(4)]),
+        let cp_deeper = Checkpoint {
+            level0: vec![
+                (Lit::neg(1), false),
+                (Lit::pos(0), true),
+                (Lit::pos(4), true),
             ],
         };
         let frame = SpecFrame::seal(&SplitSpec {
@@ -2580,7 +2546,7 @@ mod tests {
             JournalRecord::TransferIn {
                 peer: NodeId(3),
                 problem: ProblemId::new(NodeId(1), 2),
-                checkpoint: Some(cp_light.clone()),
+                checkpoint: Some(cp.clone()),
                 at: 5.0,
             },
             JournalRecord::TransferIn {
@@ -2592,7 +2558,7 @@ mod tests {
             JournalRecord::CheckpointAccept {
                 client: NodeId(3),
                 problem: ProblemId::new(NodeId(1), 2),
-                checkpoint: cp_heavy.clone(),
+                checkpoint: cp_deeper.clone(),
                 learn_problem: true,
             },
             JournalRecord::ClientIdle { client: NodeId(3) },
@@ -2620,7 +2586,7 @@ mod tests {
                 availability: 0.5,
                 busy: true,
                 problem: Some(ProblemId::new(NodeId(7), 3)),
-                checkpoint: Some(cp_heavy),
+                checkpoint: Some(cp_deeper),
                 at: 6.0,
             },
             JournalRecord::Promoted {
@@ -2637,7 +2603,7 @@ mod tests {
                 donor: NodeId(3),
                 thief: NodeId(4),
                 problem: ProblemId::new(NodeId(3), 11),
-                checkpoint: Some(cp_light),
+                checkpoint: Some(cp),
                 at: 8.5,
             },
         ]
@@ -2714,12 +2680,100 @@ mod tests {
         assert_eq!(sealed.open(), Ok((0, empty)));
     }
 
+    /// A checkpoint record keeps the tag byte `0` heavy checkpoints once
+    /// stood beside, so its sealed bytes are the ones the two-kind
+    /// encoding wrote (captured before the heavy kind went).
+    #[test]
+    fn a_checkpoint_record_seals_to_the_pinned_bytes() {
+        let rec = JournalRecord::CheckpointAccept {
+            client: NodeId(3),
+            problem: ProblemId::new(NodeId(1), 2),
+            checkpoint: Checkpoint {
+                level0: vec![(Lit::pos(1), false), (Lit::neg(4), true)],
+            },
+            learn_problem: true,
+        };
+        let pinned: [u8; 18] = [
+            5, 12, 227, 40, 158, 23, 12, 3, 130, 128, 128, 128, 16, 0, 2, 4, 19, 1,
+        ];
+        let sealed = SealedRecord::seal(5, &rec);
+        assert_eq!(sealed.bytes, pinned);
+        assert_eq!(sealed.open(), Ok((5, rec)));
+    }
+
+    /// A record carrying a checkpoint in the retired heavy encoding (tag
+    /// `1`, level 0, then learned clauses) is an error, not a checkpoint.
+    #[test]
+    fn a_heavy_checkpoint_record_does_not_decode() {
+        let level0 = vec![(Lit::pos(1), false), (Lit::neg(4), true)];
+        let mut light = vec![0];
+        wire::write_pairs(&level0, &mut light);
+        // tag 1, level 0, and one learned clause
+        let mut heavy = vec![1];
+        wire::write_pairs(&level0, &mut heavy);
+        wire::write_varint(1, &mut heavy);
+        let learned = [Lit::pos(0), Lit::neg(2)];
+        wire::encode_codes(learned.iter().map(|l| l.code() as u32), &mut heavy);
+        // `head`, the checkpoint's bytes, `tail`, sealed at seq 0
+        let open = |head: &[u8], checkpoint: &[u8], tail: &[u8]| {
+            let payload = [head, checkpoint, tail].concat();
+            let mut bytes = Vec::new();
+            wire::write_varint(0, &mut bytes);
+            wire::write_varint(payload.len() as u64, &mut bytes);
+            bytes.extend_from_slice(&record_check(0, &payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            SealedRecord::from_wire(bytes).open()
+        };
+        let (client, problem) = (NodeId(3), ProblemId::new(NodeId(1), 2));
+        let checkpoint = Checkpoint {
+            level0: level0.clone(),
+        };
+        let retired = Err(RecordError::Wire(WireError::Overflow));
+
+        let mut head = vec![12];
+        put_node(client, &mut head);
+        put_problem(problem, &mut head);
+        let mut tail = Vec::new();
+        put_bool(false, &mut tail);
+        let accept = JournalRecord::CheckpointAccept {
+            client,
+            problem,
+            checkpoint: checkpoint.clone(),
+            learn_problem: false,
+        };
+        assert_eq!(open(&head, &light, &tail), Ok((0, accept)));
+        assert_eq!(open(&head, &heavy, &tail), retired);
+
+        let mut head = vec![18];
+        put_node(client, &mut head);
+        wire::write_varint(1 << 20, &mut head);
+        put_f64(42.0, &mut head);
+        put_f64(0.5, &mut head);
+        put_bool(true, &mut head);
+        put_opt(&Some(problem), |p, o| put_problem(*p, o), &mut head);
+        head.push(1); // the checkpoint is Some
+        let mut tail = Vec::new();
+        put_f64(6.0, &mut tail);
+        let adopt = JournalRecord::AdoptClaim {
+            client,
+            memory: 1 << 20,
+            speed: 42.0,
+            availability: 0.5,
+            busy: true,
+            problem: Some(problem),
+            checkpoint: Some(checkpoint),
+            at: 6.0,
+        };
+        assert_eq!(open(&head, &light, &tail), Ok((0, adopt)));
+        assert_eq!(open(&head, &heavy, &tail), retired);
+    }
+
     #[test]
     fn sealed_record_rejects_any_single_bit_flip() {
         let rec = JournalRecord::CheckpointAccept {
             client: NodeId(3),
             problem: ProblemId::new(NodeId(1), 2),
-            checkpoint: Checkpoint::Light {
+            checkpoint: Checkpoint {
                 level0: vec![(Lit::pos(1), false)],
             },
             learn_problem: false,

@@ -24,8 +24,8 @@
 //! from its recovery image, or from the base formula and its path.
 
 use crate::config::{
-    CheckpointMode, GridConfig, SchedPolicy, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR,
-    PROMOTE_GRACE_S, QUARANTINE_STRIKES, STANDBY_NODE,
+    GridConfig, SchedPolicy, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR, PROMOTE_GRACE_S,
+    QUARANTINE_STRIKES, STANDBY_NODE,
 };
 use crate::idle::{Hosts, REMOTE_DISCOUNT};
 use crate::journal::{
@@ -794,11 +794,7 @@ impl Master {
         }
         if ok {
             if self.core.clients.contains_key(&from) {
-                let cp = if self.config.checkpoint != CheckpointMode::Off {
-                    checkpoint.map(|b| *b)
-                } else {
-                    None
-                };
+                let cp = checkpoint.filter(|_| self.config.reliability).map(|b| *b);
                 self.commit(
                     ctx.now(),
                     JournalRecord::StealSettle {
@@ -1146,7 +1142,7 @@ impl Master {
     /// dispatches it.
     fn path_frame(&self, path: Vec<Lit>) -> SpecFrame {
         let level0 = path.into_iter().map(|l| (l, false)).collect();
-        Checkpoint::Light { level0 }.frame(&self.formula)
+        Checkpoint { level0 }.frame(&self.formula)
     }
 
     /// Queue `frames`, the cubes a lost holder had, for re-dispatch.
@@ -1231,7 +1227,7 @@ impl Master {
             self.deregister(node, ctx);
             self.take_back_all(held, ctx);
             self.drain_backlog(ctx);
-        } else if self.config.checkpoint != CheckpointMode::Off && whole {
+        } else if self.config.reliability && whole {
             // checkpoint recovery; without it, the paper's current
             // implementation "will not tolerate a machine crash"
             self.take_back_all(held, ctx);
@@ -1636,13 +1632,8 @@ impl Process for Master {
                                 // initial recovery image, so a client is
                                 // never Busy without one — a crash at any
                                 // point after this stays recoverable
-                                let cp = if self.config.checkpoint != CheckpointMode::Off {
-                                    checkpoint.map(|b| *b)
-                                } else {
-                                    None
-                                };
-                                let heavy =
-                                    cp.as_ref().map(|c| matches!(c, Checkpoint::Heavy { .. }));
+                                let cp = checkpoint.filter(|_| self.config.reliability).map(|b| *b);
+                                let saved = cp.is_some();
                                 self.commit(
                                     ctx.now(),
                                     JournalRecord::TransferIn {
@@ -1652,11 +1643,10 @@ impl Process for Master {
                                         at: ctx.now(),
                                     },
                                 );
-                                if let Some(heavy) = heavy {
+                                if saved {
                                     let node = self.me.0;
                                     self.obs.emit(ctx.now(), node, || Event::CheckpointSaved {
                                         client: from.0,
-                                        heavy,
                                     });
                                 }
                             }
@@ -1802,7 +1792,7 @@ impl Process for Master {
                 problem,
                 checkpoint,
             } => {
-                if self.config.checkpoint != CheckpointMode::Off {
+                if self.config.reliability {
                     if let Some(info) = self.core.clients.get(&from) {
                         // Reordering guard: only keep a checkpoint for
                         // the subproblem the client is known to hold. A
@@ -1813,7 +1803,6 @@ impl Process for Master {
                             info.problem == Some(problem) || info.state() == ClientState::Receiving;
                         if fresh {
                             let learn_problem = info.state() == ClientState::Receiving;
-                            let heavy = matches!(*checkpoint, Checkpoint::Heavy { .. });
                             self.commit(
                                 ctx.now(),
                                 JournalRecord::CheckpointAccept {
@@ -1826,7 +1815,6 @@ impl Process for Master {
                             let node = self.me.0;
                             self.obs.emit(ctx.now(), node, || Event::CheckpointSaved {
                                 client: from.0,
-                                heavy,
                             });
                         }
                     }

@@ -2,7 +2,6 @@ use super::*;
 use crate::client::Client;
 use crate::config::SHARE_TREE_FANOUT;
 use crate::journal::SealedRecord;
-use gridsat_cnf::Clause;
 use gridsat_grid::{Action, NodeInfo};
 use gridsat_solver::SplitSpec;
 
@@ -176,7 +175,7 @@ fn share_tree_links_follow_every_join_and_leave() {
     assert_eq!(SHARE_TREE_FANOUT, 4, "the depth bound below is log base 4");
     for (seed, fleet) in [(0, 6u32), (1, 6), (2, 40), (3, 40), (4, 200), (5, 1000)] {
         let mut rng = Rng::seed_from_u64(seed);
-        // light checkpoints: a busy client that leaves is recovered
+        // checkpoints on: a busy client that leaves is recovered
         let mut m = Master::new(
             gridsat_cnf::paper::fig1_formula(),
             GridConfig::chaos_hardened(),
@@ -877,27 +876,24 @@ fn busy_client_loss_without_checkpoint_ends_the_run() {
 }
 
 #[test]
-fn double_crash_recovers_from_light_then_heavy_checkpoint() {
+fn double_crash_recovers_from_two_level0_checkpoints() {
     let mut m = Master::new(
         gridsat_cnf::paper::fig1_formula(),
-        GridConfig {
-            checkpoint: CheckpointMode::Heavy,
-            ..GridConfig::default()
-        },
+        GridConfig::chaos_hardened(),
         speeds(4),
     );
     register(&mut m, 1, 0.0); // busy with the whole problem
     register(&mut m, 2, 0.0);
-    // crash 1: recover node 1 from a light checkpoint
-    let light_level0 = vec![(gridsat_cnf::Lit::pos(0), true)];
+    // crash 1: recover node 1 from its checkpoint
+    let first_level0 = vec![(gridsat_cnf::Lit::pos(0), true)];
     let p1 = m.core.clients[&NodeId(1)].problem.expect("assigned");
     let mut cx = ctx(10.0);
     m.on_message(
         NodeId(1),
         GridMsg::CheckpointMsg {
             problem: p1,
-            checkpoint: Box::new(Checkpoint::Light {
-                level0: light_level0.clone(),
+            checkpoint: Box::new(Checkpoint {
+                level0: first_level0.clone(),
             }),
         },
         &mut cx,
@@ -920,15 +916,14 @@ fn double_crash_recovers_from_light_then_heavy_checkpoint() {
         })
         .expect("recovery dispatched");
     let spec = spec.open().expect("frame verifies");
-    assert_eq!(spec.assumptions, light_level0);
-    assert_eq!(spec.clauses.len(), 9); // light = original clauses
+    assert_eq!(spec.assumptions, first_level0);
+    assert_eq!(spec.clauses.len(), 9); // over the original clauses
     assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
-    // crash 2: the inheritor checkpoints heavily, then dies too
-    let heavy_level0 = vec![
+    // crash 2: the inheritor checkpoints a deeper level 0, then dies too
+    let second_level0 = vec![
         (gridsat_cnf::Lit::pos(0), true),
         (gridsat_cnf::Lit::neg(1), false),
     ];
-    let learned = vec![Clause::new([gridsat_cnf::Lit::pos(2)])];
     let p2 = m.core.clients[&NodeId(2)]
         .problem
         .expect("recovery assigned");
@@ -937,9 +932,8 @@ fn double_crash_recovers_from_light_then_heavy_checkpoint() {
         NodeId(2),
         GridMsg::CheckpointMsg {
             problem: p2,
-            checkpoint: Box::new(Checkpoint::Heavy {
-                level0: heavy_level0.clone(),
-                learned: learned.clone(),
+            checkpoint: Box::new(Checkpoint {
+                level0: second_level0.clone(),
             }),
         },
         &mut cx,
@@ -970,9 +964,9 @@ fn double_crash_recovers_from_light_then_heavy_checkpoint() {
         })
         .expect("second recovery dispatched");
     let spec = spec.open().expect("frame verifies");
-    // heavy = deeper guiding path plus the learned clauses
-    assert_eq!(spec.assumptions, heavy_level0);
-    assert_eq!(spec.clauses, learned);
+    // the deeper guiding path, over the original clauses again
+    assert_eq!(spec.assumptions, second_level0);
+    assert_eq!(spec.clauses.len(), 9);
     assert!(m.core.pending_recovery.is_empty());
 }
 
@@ -993,7 +987,7 @@ fn silent_client_lease_expires_and_is_recovered() {
         NodeId(1),
         GridMsg::CheckpointMsg {
             problem: p1,
-            checkpoint: Box::new(Checkpoint::Light { level0: vec![] }),
+            checkpoint: Box::new(Checkpoint { level0: vec![] }),
         },
         &mut cx,
     );
@@ -1635,10 +1629,7 @@ fn randomized_schedules_replay_to_the_live_state() {
         *s
     }
     let f = gridsat_cnf::paper::fig1_formula();
-    let cfg = GridConfig {
-        checkpoint: CheckpointMode::Heavy,
-        ..GridConfig::chaos_hardened()
-    };
+    let cfg = GridConfig::chaos_hardened();
     let mut seed = 0x9e3779b97f4a7c15u64;
     for round in 0..20 {
         let mut m = Master::new(f.clone(), cfg.clone(), speeds(6));
@@ -1700,7 +1691,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                                 ok: true,
                                 problem: Some(p_child),
                                 pivot: None,
-                                checkpoint: Some(Box::new(Checkpoint::Light { level0: vec![] })),
+                                checkpoint: Some(Box::new(Checkpoint { level0: vec![] })),
                                 stolen: false,
                             },
                             &mut cx,
@@ -1728,7 +1719,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                             node,
                             GridMsg::CheckpointMsg {
                                 problem: p,
-                                checkpoint: Box::new(Checkpoint::Light {
+                                checkpoint: Box::new(Checkpoint {
                                     level0: vec![(lit, true)],
                                 }),
                             },
@@ -1802,7 +1793,7 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
                         ok: true,
                         problem: Some(stolen),
                         pivot: None,
-                        checkpoint: Some(Box::new(Checkpoint::Light { level0: vec![] })),
+                        checkpoint: Some(Box::new(Checkpoint { level0: vec![] })),
                         stolen: true,
                     },
                 ),
@@ -1866,7 +1857,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
     assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
     let previous = ProblemId::new(NodeId(3), 7);
     let cube = ProblemId::new(NodeId(1), 1);
-    let light = || Box::new(Checkpoint::Light { level0: vec![] });
+    let light = || Box::new(Checkpoint { level0: vec![] });
     for (k, msg) in [
         GridMsg::CheckpointMsg {
             problem: previous,

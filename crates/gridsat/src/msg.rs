@@ -47,38 +47,26 @@ pub enum SubResult {
     Unsat,
 }
 
-/// Checkpoint payloads (paper Section 3.4, implemented as an extension).
+/// A checkpoint (paper Section 3.4's "light checkpoint", implemented as
+/// an extension): the client's level-0 assignment, which over the base
+/// formula describes the cube it holds.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Checkpoint {
-    /// Level-0 assignment only ("light checkpoint").
-    Light { level0: Vec<(Lit, bool)> },
-    /// Level 0 plus the learned clauses ("heavy checkpoint").
-    Heavy {
-        level0: Vec<(Lit, bool)>,
-        learned: Vec<Clause>,
-    },
+pub struct Checkpoint {
+    pub level0: Vec<(Lit, bool)>,
 }
 
 impl Checkpoint {
     /// The cube this image re-dispatches as: level 0 over the formula's
-    /// clauses (light), or over every clause the client held, the
-    /// formula's included (heavy).
+    /// clauses.
     pub(crate) fn frame(&self, formula: &Formula) -> SpecFrame {
-        let (level0, clauses) = match self {
-            Checkpoint::Light { level0 } => (level0, formula.clauses()),
-            Checkpoint::Heavy { level0, learned } => (level0, &learned[..]),
-        };
-        SpecFrame::build(formula.num_vars(), level0, clauses.iter().map(Clause::lits))
+        let clauses = formula.clauses().iter().map(Clause::lits);
+        SpecFrame::build(formula.num_vars(), &self.level0, clauses)
     }
 
     /// Bytes the bandwidth model charges for the payload, whichever
     /// message carries it.
     fn size_bytes(&self) -> usize {
-        let (level0, learned) = match self {
-            Checkpoint::Light { level0 } => (level0, &[][..]),
-            Checkpoint::Heavy { level0, learned } => (level0, &learned[..]),
-        };
-        8 + level0.len() * 5 + learned.iter().map(|c| 8 + c.len() * 4).sum::<usize>()
+        8 + self.level0.len() * 5
     }
 }
 
@@ -519,34 +507,21 @@ mod tests {
         assert_eq!(sub.size_bytes(), 24 + FRAME_HEADER_BYTES + payload);
     }
 
-    /// A recovery image re-dispatches as the spec it describes: light
-    /// over the formula's clauses, heavy over the clauses it carries.
+    /// A recovery image re-dispatches as the spec it describes: level 0
+    /// over the formula's clauses.
     #[test]
     fn a_checkpoint_frames_as_its_cube() {
         let f = gridsat_cnf::paper::fig1_formula();
         let level0 = vec![(Lit::pos(0), true), (Lit::neg(2), false)];
-        let light = Checkpoint::Light {
+        let checkpoint = Checkpoint {
             level0: level0.clone(),
         };
         assert_eq!(
-            light.frame(&f),
-            SpecFrame::seal(&SplitSpec {
-                num_vars: f.num_vars(),
-                assumptions: level0.clone(),
-                clauses: f.clauses().to_vec(),
-            })
-        );
-        let learned = vec![Clause::new([Lit::pos(3)]), Clause::new([Lit::neg(1)])];
-        let heavy = Checkpoint::Heavy {
-            level0: level0.clone(),
-            learned: learned.clone(),
-        };
-        assert_eq!(
-            heavy.frame(&f),
+            checkpoint.frame(&f),
             SpecFrame::seal(&SplitSpec {
                 num_vars: f.num_vars(),
                 assumptions: level0,
-                clauses: learned,
+                clauses: f.clauses().to_vec(),
             })
         );
     }
@@ -555,47 +530,38 @@ mod tests {
     /// same bytes on top of each message's own header.
     #[test]
     fn a_checkpoint_costs_the_same_in_every_carrier() {
-        let level0 = vec![
-            (Lit::pos(0), true),
-            (Lit::neg(1), false),
-            (Lit::pos(2), true),
-        ];
-        let light = Checkpoint::Light {
-            level0: level0.clone(),
-        };
-        let heavy = Checkpoint::Heavy {
-            level0,
-            learned: vec![
-                Clause::new([Lit::pos(3), Lit::pos(4)]),
-                Clause::new([Lit::neg(3), Lit::pos(5), Lit::neg(6)]),
+        let checkpoint = Checkpoint {
+            level0: vec![
+                (Lit::pos(0), true),
+                (Lit::neg(1), false),
+                (Lit::pos(2), true),
             ],
         };
+        let payload = 8 + 3 * 5;
         let problem = ProblemId::new(NodeId(1), 1);
-        for (checkpoint, payload) in [(light, 8 + 3 * 5), (heavy, 8 + 3 * 5 + 16 + 20)] {
-            let boxed = || Some(Box::new(checkpoint.clone()));
-            let done = GridMsg::SplitDone {
-                requester: NodeId(1),
-                peer: NodeId(2),
-                ok: true,
-                problem: Some(problem),
-                pivot: None,
-                checkpoint: boxed(),
-                stolen: false,
-            };
-            assert_eq!(done.size_bytes(), 48 + payload);
-            let upload = GridMsg::CheckpointMsg {
-                problem,
-                checkpoint: Box::new(checkpoint.clone()),
-            };
-            assert_eq!(upload.size_bytes(), 32 + payload);
-            let adopt = GridMsg::Adopt {
-                memory: 1 << 20,
-                availability: 1.0,
-                problem: Some(problem),
-                checkpoint: boxed(),
-            };
-            assert_eq!(adopt.size_bytes(), 64 + payload);
-        }
+        let boxed = || Some(Box::new(checkpoint.clone()));
+        let done = GridMsg::SplitDone {
+            requester: NodeId(1),
+            peer: NodeId(2),
+            ok: true,
+            problem: Some(problem),
+            pivot: None,
+            checkpoint: boxed(),
+            stolen: false,
+        };
+        assert_eq!(done.size_bytes(), 48 + payload);
+        let upload = GridMsg::CheckpointMsg {
+            problem,
+            checkpoint: Box::new(checkpoint.clone()),
+        };
+        assert_eq!(upload.size_bytes(), 32 + payload);
+        let adopt = GridMsg::Adopt {
+            memory: 1 << 20,
+            availability: 1.0,
+            problem: Some(problem),
+            checkpoint: boxed(),
+        };
+        assert_eq!(adopt.size_bytes(), 64 + payload);
     }
 
     #[test]

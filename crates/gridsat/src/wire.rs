@@ -293,7 +293,7 @@ pub(crate) fn encode_codes(codes: impl ExactSizeIterator<Item = u32>, out: &mut 
     }
 }
 
-pub(crate) fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireError> {
+fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireError> {
     let mut lits = Vec::new();
     decode_clause_into(buf, pos, &mut lits)?;
     Ok(Clause::new(lits))

@@ -135,9 +135,10 @@ fn random_record(rng: &mut Rng) -> JournalRecord {
         _ => JournalRecord::CheckpointAccept {
             client: NodeId(rng.below(9) as u32),
             problem: ProblemId::new(NodeId(1), rng.next() as u32 & 0xffff),
-            checkpoint: Checkpoint::Heavy {
-                level0: vec![(Lit::pos(rng.below(40) as u32), false)],
-                learned: (0..rng.below(3)).map(|_| random_clause(rng)).collect(),
+            checkpoint: Checkpoint {
+                level0: (0..1 + rng.below(3))
+                    .map(|_| (Lit::pos(rng.below(40) as u32), rng.next() & 1 == 0))
+                    .collect(),
             },
             learn_problem: rng.next() & 1 == 0,
         },

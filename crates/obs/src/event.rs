@@ -134,7 +134,7 @@ pub enum Event {
     /// The master moved a subproblem between clients.
     Migrate { from: u32, to: u32 },
     /// A client uploaded a checkpoint.
-    CheckpointSaved { client: u32, heavy: bool },
+    CheckpointSaved { client: u32 },
     /// A client reported its subproblem's result.
     ResultReport { client: u32, sat: bool },
     /// The run ended (`SAT`/`UNSAT`/`TIME_OUT`/`CLIENT_LOST`).
@@ -386,8 +386,8 @@ impl TimedEvent {
             Event::Migrate { from, to } => {
                 w.u64("from", u64::from(*from)).u64("to", u64::from(*to));
             }
-            Event::CheckpointSaved { client, heavy } => {
-                w.u64("client", u64::from(*client)).bool("heavy", *heavy);
+            Event::CheckpointSaved { client } => {
+                w.u64("client", u64::from(*client));
             }
             Event::ResultReport { client, sat } => {
                 w.u64("client", u64::from(*client)).bool("sat", *sat);
@@ -519,7 +519,6 @@ impl TimedEvent {
             },
             "checkpoint" => Event::CheckpointSaved {
                 client: u32f(&m, "client")?,
-                heavy: boolean(&m, "heavy")?,
             },
             "result" => Event::ResultReport {
                 client: u32f(&m, "client")?,
@@ -702,14 +701,7 @@ mod tests {
                 },
             ),
             ev(10.0, 0, Event::Migrate { from: 2, to: 4 }),
-            ev(
-                11.0,
-                0,
-                Event::CheckpointSaved {
-                    client: 4,
-                    heavy: false,
-                },
-            ),
+            ev(11.0, 0, Event::CheckpointSaved { client: 4 }),
             ev(
                 12.0,
                 0,

@@ -107,14 +107,7 @@ fn golden_events() -> Vec<TimedEvent> {
             },
         ),
         ev(10.0, 0, Event::Migrate { from: 2, to: 4 }),
-        ev(
-            11.0,
-            0,
-            Event::CheckpointSaved {
-                client: 4,
-                heavy: false,
-            },
-        ),
+        ev(11.0, 0, Event::CheckpointSaved { client: 4 }),
         ev(
             12.0,
             0,

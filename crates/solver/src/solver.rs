@@ -1465,7 +1465,8 @@ impl Solver {
             .collect()
     }
 
-    /// Export every live clause (used by checkpointing).
+    /// Every live clause, in arena order (what [`Solver::export_with`]
+    /// streams; tests compare the two).
     pub fn export_clauses(&self) -> Vec<Clause> {
         self.db.iter_refs().map(|c| self.db.export(c)).collect()
     }

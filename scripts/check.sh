@@ -5,7 +5,7 @@
 # keeps it that way.
 #
 #   scripts/check.sh                  the prelude: fmt, clippy, build, tests,
-#                                     causal smoke
+#                                     causal smoke, fault-tolerance example
 #   CHECK_<GATE>=1 scripts/check.sh   the prelude, then that opt-in gate
 #   scripts/check.sh --only <gate>    that gate alone — what each CI job
 #                                     runs, so a gate's commands live here
@@ -143,6 +143,9 @@ cargo test -q --workspace --offline --locked
 
 echo "== grid_report causal smoke (13-client sim, anomaly/path gate)"
 cargo run --release -p gridsat-bench --bin grid_report -- --sim --check > /dev/null
+
+echo "== fault_tolerance example (a busy client lost: CLIENT_LOST without reliability, UNSAT with it)"
+cargo run --release -p gridsat-examples --bin fault_tolerance > /dev/null
 
 if [[ "${CHECK_CHAOS:-0}" == "1" ]]; then gate_chaos; fi
 if [[ "${CHECK_CORRUPT:-0}" == "1" ]]; then gate_integrity; fi

@@ -2,7 +2,7 @@
 //! recovery" (idle-client loss tolerated, busy-client loss fatal) and the
 //! checkpointing extension that lifts the limitation.
 
-use gridsat::{experiment, CheckpointMode, GridConfig, GridOutcome};
+use gridsat::{experiment, GridConfig, GridOutcome};
 use gridsat_grid::Testbed;
 use gridsat_satgen as satgen;
 
@@ -35,37 +35,20 @@ fn busy_client_death_without_checkpoints_is_fatal() {
 
 #[test]
 fn checkpointing_survives_cascading_failures() {
-    // two busy clients die at different times; light checkpoints recover
-    // both subproblems and the answer stays correct
+    // two busy clients die at different times; checkpoints recover both
+    // subproblems and the answer stays correct
     let f = satgen::php::php(9, 8);
     let mut tb = Testbed::uniform(6, 1000.0, 3 << 20);
     tb.hosts[1].down_at = 80.0;
     tb.hosts[2].down_at = 160.0;
     let config = GridConfig {
-        checkpoint: CheckpointMode::Light,
-        checkpoint_period: 10.0,
+        reliability: true,
         min_split_timeout: 15.0,
         ..GridConfig::default()
     };
     let r = experiment::run(&f, tb, config);
     assert_eq!(r.outcome, GridOutcome::Unsat);
     assert!(r.master.recoveries >= 1, "at least one recovery happened");
-}
-
-#[test]
-fn heavy_checkpoints_preserve_learned_clauses() {
-    let f = satgen::php::php(9, 8);
-    let mut tb = Testbed::uniform(5, 1000.0, 3 << 20);
-    tb.hosts[1].down_at = 120.0;
-    let config = GridConfig {
-        checkpoint: CheckpointMode::Heavy,
-        checkpoint_period: 10.0,
-        min_split_timeout: 15.0,
-        ..GridConfig::default()
-    };
-    let r = experiment::run(&f, tb, config);
-    assert_eq!(r.outcome, GridOutcome::Unsat);
-    assert!(r.master.recoveries >= 1);
 }
 
 #[test]
@@ -77,8 +60,7 @@ fn an_interior_share_tree_node_killed_mid_run_costs_shares_never_the_verdict() {
     let killed_at = 100.0;
     tb.hosts[2].down_at = killed_at;
     let config = GridConfig {
-        checkpoint: CheckpointMode::Light,
-        checkpoint_period: 10.0,
+        reliability: true,
         min_split_timeout: 15.0,
         ..GridConfig::default()
     };
@@ -127,8 +109,7 @@ fn sat_answers_survive_recovery() {
         let mut tb = Testbed::uniform(4, 1000.0, 3 << 20);
         tb.hosts[1].down_at = 30.0;
         let config = GridConfig {
-            checkpoint: CheckpointMode::Light,
-            checkpoint_period: 5.0,
+            reliability: true,
             min_split_timeout: 10.0,
             ..GridConfig::default()
         };
