@@ -48,7 +48,7 @@ pub use clausedb::ClauseRef;
 pub use config::{RestartConfig, SolverConfig};
 pub use driver::{Limits, Outcome, Report};
 pub use proof::{Proof, ProofError, ProofStep};
-pub use share::FpWindow;
+pub use share::{FpIds, FpWindow, LockedWindow};
 pub use solver::{
     ConflictAnalysis, GraphNode, ResolutionStep, SolveStatus, Solver, SplitSpec, Step,
 };
