@@ -45,13 +45,8 @@ else
   workloads=("$workload")
 fi
 
-build() {
-  echo "== building $1" >&2
-  CARGO_TARGET_DIR="$1/.bench_build" cargo build --release --offline --quiet \
-    --manifest-path "$1/benchmark/Cargo.toml"
-}
-build "$parent"
-build "$change"
+build_bench "$parent"
+build_bench "$change"
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT

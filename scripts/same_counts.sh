@@ -33,15 +33,8 @@ exact=$(grep -o '{"name": *"[^"]*", *"unit": *"\(count\|bytes\)"' "$change/BENCH
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-build() {
-  echo "== building $1" >&2
-  cp "$1/benchmark/Cargo.lock" "$out/Cargo.lock"
-  CARGO_TARGET_DIR="$1/.bench_build" cargo build --release --offline --quiet \
-    --manifest-path "$1/benchmark/Cargo.toml"
-  cp "$out/Cargo.lock" "$1/benchmark/Cargo.lock"
-}
-build "$parent"
-build "$change"
+build_bench "$parent"
+build_bench "$change"
 
 # "<name> <value>" lines of one side's exact metrics for $workload, plus
 # each run's failed operations (a run with any exits nonzero, and its

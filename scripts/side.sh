@@ -29,3 +29,14 @@ resolve_side() {
   fi
   echo "$dir"
 }
+
+# build_bench <dir>: build its benchmark package into <dir>/.bench_build and
+# put back the benchmark/Cargo.lock cargo rewrites (unused [patch] entries).
+build_bench() {
+  echo "== building $1" >&2
+  local lock
+  lock=$(cat "$1/benchmark/Cargo.lock")
+  CARGO_TARGET_DIR="$1/.bench_build" cargo build --release --offline --quiet \
+    --manifest-path "$1/benchmark/Cargo.toml"
+  echo "$lock" >"$1/benchmark/Cargo.lock"
+}
