@@ -25,9 +25,10 @@ const SHARE_FP_WINDOW: usize = 1 << 16;
 pub const SHARE_ROUND_LITS: usize = 1500;
 
 /// Capacity of a solver's foreign-clause inbox under sharing in rounds,
-/// literals ([`SolverConfig::inbox_lits`]). A few slices' worth: whatever
-/// is queued beyond what the next visits to level 0 will merge is older
-/// than the clauses still arriving, and the ring evicts oldest first.
+/// in literals, not bytes ([`SolverConfig::inbox_lits`]; the inbox holds
+/// a literal in a byte or a few). A few slices' worth: whatever is queued
+/// beyond what the next visits to level 0 will merge is older than the
+/// clauses still arriving, and the inbox evicts oldest first.
 pub const INBOX_LITS: usize = 1024;
 
 /// Client-side counters, aggregated into the experiment report.

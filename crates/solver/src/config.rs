@@ -43,13 +43,14 @@ pub struct SolverConfig {
     /// The paper's "pruning optimization": on new level-0 facts, delete
     /// clauses already satisfied at level 0.
     pub level0_pruning: bool,
-    /// Capacity of the foreign-clause inbox, in literals. `None` (the
-    /// default, and the paper's "merged in batches") queues without bound
-    /// and merges the whole inbox on reaching level 0. `Some(cap)` makes
-    /// it a fixed-size ring — a clause that does not fit evicts the
-    /// oldest queued ones — merged one slice of at most a step's work
-    /// budget per visit to level 0, so a step never runs far past its
-    /// budget with no decision open.
+    /// Capacity of the foreign-clause inbox, in literals queued (not the
+    /// bytes that hold them: the inbox stores each clause as varint gaps
+    /// between its sorted literal codes). `None` (the default, and the
+    /// paper's "merged in batches") queues without bound and merges the
+    /// whole inbox on reaching level 0. `Some(cap)` caps it — a clause
+    /// that does not fit evicts the oldest queued ones — and merges one
+    /// slice of at most a step's work budget per visit to level 0, so a
+    /// step never runs far past its budget with no decision open.
     pub inbox_lits: Option<usize>,
 }
 
