@@ -19,7 +19,7 @@ fn main() {
         formula.num_clauses(),
         formula.num_vars()
     );
-    for (i, c) in formula.iter().enumerate() {
+    for (i, c) in formula.clauses().enumerate() {
         println!("  clause {}: {}", i + 1, c);
     }
 

@@ -5,7 +5,7 @@
 //! Usage: `cargo run -p gridsat-bench --bin fig2`
 
 use gridsat_cnf::paper;
-use gridsat_cnf::{Lit, Value};
+use gridsat_cnf::{Clause, Lit, Value};
 use gridsat_solver::{Solver, SolverConfig};
 
 fn stack(solver: &Solver) -> Vec<(usize, Vec<String>)> {
@@ -94,7 +94,7 @@ fn main() {
     // verify the specific removals the paper lists for client B
     let not_v10 = Lit::from_dimacs(-10);
     for (idx, satisfied_by) in [(6usize, not_v10), (8, Lit::from_dimacs(14))] {
-        let c = &formula.clauses()[idx];
+        let c = Clause::from(formula.clause(idx));
         assert!(
             c.contains(satisfied_by),
             "paper clause {} should contain {satisfied_by}",

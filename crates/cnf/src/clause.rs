@@ -1,13 +1,15 @@
 //! Clauses: disjunctions of literals.
 
+use crate::clause_list::{eval_lits, fmt_lits, ClauseLits};
 use crate::{Assignment, Lit, Value};
 use std::fmt;
 
 /// A clause: a disjunction (logical OR) of literals.
 ///
-/// This is the *interchange* representation used by formulas, generators,
-/// messages and checkpoints. The solver keeps its own packed clause arena
-/// internally and converts at the boundary.
+/// This is the owned representation used by messages, subproblem specs,
+/// checkpoints and shares. A [`Formula`](crate::Formula) keeps its
+/// clauses back to back in a [`ClauseList`](crate::ClauseList) instead,
+/// and the solver in its own packed clause arena.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Clause {
     lits: Vec<Lit>,
@@ -50,12 +52,6 @@ impl Clause {
         &self.lits
     }
 
-    /// Mutable access to the literals (used by normalization passes).
-    #[inline]
-    pub fn lits_mut(&mut self) -> &mut Vec<Lit> {
-        &mut self.lits
-    }
-
     /// The literals, by value.
     #[inline]
     pub fn into_lits(self) -> Vec<Lit> {
@@ -78,19 +74,7 @@ impl Clause {
     /// all literals are false, and [`Value::Unassigned`] otherwise. The
     /// empty clause evaluates to false.
     pub fn eval(&self, a: &Assignment) -> Value {
-        let mut any_unassigned = false;
-        for &l in &self.lits {
-            match a.lit_value(l) {
-                Value::True => return Value::True,
-                Value::Unassigned => any_unassigned = true,
-                Value::False => {}
-            }
-        }
-        if any_unassigned {
-            Value::Unassigned
-        } else {
-            Value::False
-        }
+        eval_lits(&self.lits, a)
     }
 
     /// Normalize: sort literals, drop duplicates, and report tautology.
@@ -164,6 +148,14 @@ impl From<Vec<Lit>> for Clause {
     }
 }
 
+impl From<ClauseLits<'_>> for Clause {
+    fn from(lits: ClauseLits<'_>) -> Clause {
+        Clause {
+            lits: lits.to_vec(),
+        }
+    }
+}
+
 impl<'a> IntoIterator for &'a Clause {
     type Item = Lit;
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, Lit>>;
@@ -175,14 +167,7 @@ impl<'a> IntoIterator for &'a Clause {
 
 impl fmt::Debug for Clause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, l) in self.lits.iter().enumerate() {
-            if i > 0 {
-                write!(f, " + ")?;
-            }
-            write!(f, "{l}")?;
-        }
-        write!(f, ")")
+        fmt_lits(&self.lits, f)
     }
 }
 

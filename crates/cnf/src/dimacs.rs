@@ -169,8 +169,8 @@ pub fn write_dimacs<W: Write>(w: &mut W, f: &Formula) -> io::Result<()> {
         writeln!(w, "c {name}")?;
     }
     writeln!(w, "p cnf {} {}", f.num_vars(), f.num_clauses())?;
-    for c in f.iter() {
-        for l in c {
+    for c in f.clauses() {
+        for l in c.lits() {
             write!(w, "{} ", l.to_dimacs())?;
         }
         writeln!(w, "0")?;
@@ -195,15 +195,15 @@ mod tests {
         let f = parse_dimacs_str("c a comment\np cnf 3 2\n1 -2 0\n2 3 0\n").unwrap();
         assert_eq!(f.num_vars(), 3);
         assert_eq!(f.num_clauses(), 2);
-        assert_eq!(f.clauses()[0].lits(), &[Lit::pos(0), Lit::neg(1)]);
+        assert_eq!(f.clause(0).lits(), &[Lit::pos(0), Lit::neg(1)]);
     }
 
     #[test]
     fn parse_multiline_clause_and_missing_final_zero() {
         let f = parse_dimacs_str("p cnf 4 2\n1 2\n3 0\n-4 1\n").unwrap();
         assert_eq!(f.num_clauses(), 2);
-        assert_eq!(f.clauses()[0].len(), 3);
-        assert_eq!(f.clauses()[1].lits(), &[Lit::neg(3), Lit::pos(0)]);
+        assert_eq!(f.clause(0).len(), 3);
+        assert_eq!(f.clause(1).lits(), &[Lit::neg(3), Lit::pos(0)]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! CNF formula representation for the GridSAT reproduction.
 //!
 //! This crate provides the vocabulary types shared by every other crate in
-//! the workspace: [`Var`], [`Lit`], [`Value`], [`Clause`], [`Formula`] and
-//! [`Assignment`], plus DIMACS CNF reading and writing in [`dimacs`].
+//! the workspace: [`Var`], [`Lit`], [`Value`], [`Clause`], [`ClauseList`],
+//! [`Formula`] and [`Assignment`], plus DIMACS CNF reading and writing in
+//! [`dimacs`].
 //!
 //! Conventions follow the paper ("GridSAT: A Chaff-based Distributed SAT
 //! Solver for the Grid", SC'03):
@@ -30,6 +31,7 @@
 
 mod assignment;
 mod clause;
+mod clause_list;
 pub mod dimacs;
 mod formula;
 mod lit;
@@ -38,6 +40,7 @@ pub mod rng;
 
 pub use assignment::Assignment;
 pub use clause::Clause;
+pub use clause_list::{ClauseList, ClauseLits, Clauses};
 pub use dimacs::{
     parse_dimacs, parse_dimacs_file, parse_dimacs_str, to_dimacs_string, write_dimacs, DimacsError,
 };

@@ -119,7 +119,7 @@ mod tests {
             a.assign_lit(Lit::from_dimacs(implied));
         }
         // Clause 7 is now falsified: the conflict on V3.
-        assert_eq!(f.clauses()[6].eval(&a), Value::False);
+        assert_eq!(f.clause(6).eval(&a), Value::False);
     }
 
     /// The learned clause is logically implied by the formula and is
@@ -152,7 +152,7 @@ mod tests {
         // Satisfied: clause 8 (by ~V13), clause 9 (by V14) — and nothing else.
         // (Clause 8 is also satisfied via nothing else: ~V10 is false.)
         let sat_a: Vec<usize> = (0..fa.num_clauses())
-            .filter(|&i| fa.clauses()[i].eval(&a0) == Value::True)
+            .filter(|&i| fa.clause(i).eval(&a0) == Value::True)
             .collect();
         assert_eq!(sat_a, vec![7, 8], "client A drops clauses 8 and 9");
 
@@ -163,7 +163,7 @@ mod tests {
         b0.assign_lit(Lit::from_dimacs(14));
         b0.assign_lit(Var(9).negative());
         let sat_b: Vec<usize> = (0..fb.num_clauses())
-            .filter(|&i| fb.clauses()[i].eval(&b0) == Value::True)
+            .filter(|&i| fb.clause(i).eval(&b0) == Value::True)
             .collect();
         // Clause 7 (contains ~V10), clause 8 (~V10), clause 9 (V14) and the
         // learned clause (~V10). The paper lists 7, 9 and the learned clause;
@@ -175,12 +175,13 @@ mod tests {
     /// Helper: if `clause` (0-based index) is unit under `a`, return the
     /// implied literal.
     fn unit_lit(f: &Formula, clause: usize, a: &Assignment) -> Option<Lit> {
-        let c = &f.clauses()[clause];
+        let c = f.clause(clause);
         if c.eval(a) != Value::Unassigned {
             return None;
         }
         let unknown: Vec<Lit> = c
             .iter()
+            .copied()
             .filter(|&l| a.lit_value(l) == Value::Unassigned)
             .collect();
         if unknown.len() == 1 {

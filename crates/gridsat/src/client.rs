@@ -1133,7 +1133,7 @@ mod tests {
         SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         }
     }
 
@@ -1320,7 +1320,7 @@ mod tests {
         let spec = SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         };
         c.on_message(
             NodeId(0),
@@ -1430,7 +1430,7 @@ mod tests {
         let spec = SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         };
         let solve = GridMsg::Solve {
             spec: framed(&spec),
@@ -1607,7 +1607,7 @@ mod tests {
         let spec = SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         };
         let mut cx = ctx(3.0);
         let solve = GridMsg::Solve {
@@ -1658,7 +1658,7 @@ mod tests {
         let spec = SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         };
         let mut twin = Solver::from_split(&spec, c.solver_config(3 << 20));
         let mut seen = std::collections::HashSet::new();
@@ -2170,7 +2170,7 @@ mod tests {
         let spec = SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         };
         let pid = ProblemId::new(NodeId(0), 1);
         let mut cx = ctx(0.0);
@@ -2237,7 +2237,7 @@ mod tests {
         let spec = SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         };
         let pid = ProblemId::new(NodeId(0), 1);
         let hand_off = |ask: GridMsg| {
@@ -2333,7 +2333,7 @@ mod tests {
         let spec = SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         };
         let pid = ProblemId::new(NodeId(0), 1);
         let mut cx = ctx(0.0);
@@ -2423,7 +2423,7 @@ mod tests {
         let spec = SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         };
         let mut cx = cx_with(0.0, 1.0);
         c.on_message(

@@ -22,7 +22,7 @@ use crate::idle::{Hosts, IdleIndex};
 use crate::master::{ClientState, GrantKind};
 use crate::msg::{Checkpoint, ProblemId};
 use crate::wire::{self, SpecFrame, WireError};
-use gridsat_cnf::{Clause, Lit};
+use gridsat_cnf::{ClauseLits, Lit};
 use gridsat_grid::NodeId;
 use gridsat_nws::{Adaptive, Forecaster};
 use std::borrow::Borrow;
@@ -1274,7 +1274,7 @@ impl MasterCore {
                 at,
             } => {
                 self.first_problem_sent = true;
-                let clauses = formula.clauses().iter().map(Clause::lits);
+                let clauses = formula.clauses().map(ClauseLits::lits);
                 let frame = SpecFrame::build(formula.num_vars(), &[], clauses);
                 self.install(client, problem, &frame, at, config);
                 self.cubes.mint(problem, None, client);
@@ -1794,7 +1794,7 @@ impl MasterJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsat_cnf::Lit;
+    use gridsat_cnf::Clause;
     use gridsat_solver::SplitSpec;
 
     fn config() -> GridConfig {
@@ -1883,7 +1883,7 @@ mod tests {
         let whole = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         });
         assert_eq!(
             core.clients[&n1].image,
@@ -2213,7 +2213,7 @@ mod tests {
         let whole = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(Clause::from).collect(),
         });
         let requeue = JournalRecord::RecoveryQueued {
             recovery: RecoverySpec {

@@ -2,6 +2,7 @@ use super::*;
 use crate::client::Client;
 use crate::config::SHARE_TREE_FANOUT;
 use crate::journal::SealedRecord;
+use gridsat_cnf::Clause;
 use gridsat_grid::{Action, NodeInfo};
 use gridsat_solver::SplitSpec;
 
@@ -619,7 +620,7 @@ fn a_requeued_frame_reaches_the_next_solve_byte_for_byte() {
         SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![(gridsat_cnf::Lit::neg(neg), false)],
-            clauses: f.clauses()[..4].to_vec(),
+            clauses: f.clauses().take(4).map(Clause::from).collect(),
         })
     };
     // nobody is idle: the frame waits in the queue
@@ -771,7 +772,10 @@ fn a_peer_lost_with_a_named_half_gets_the_half_rebuilt_from_its_path() {
     let frame = solve_to(&cx.take_actions(), 2).expect("the half goes back out");
     let spec = frame.open().expect("a sealed frame opens");
     assert_eq!(spec.assumptions, [(!kept, false)]);
-    assert_eq!(spec.clauses, f.clauses());
+    assert_eq!(
+        spec.clauses,
+        f.clauses().map(Clause::from).collect::<Vec<_>>()
+    );
     // every client idle but node 2, and node 1's half refuted: the
     // rebuilt half is what UNSAT waits for
     let result = |problem| GridMsg::Result {

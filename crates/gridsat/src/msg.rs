@@ -7,7 +7,7 @@
 
 use crate::journal::SealedRecord;
 use crate::wire::{EncodedBatch, SpecFrame};
-use gridsat_cnf::{Clause, Formula, Lit};
+use gridsat_cnf::{ClauseLits, Formula, Lit};
 use gridsat_grid::{MessageSize, NodeId};
 use std::sync::Arc;
 
@@ -59,7 +59,7 @@ impl Checkpoint {
     /// The cube this image re-dispatches as: level 0 over the formula's
     /// clauses.
     pub(crate) fn frame(&self, formula: &Formula) -> SpecFrame {
-        let clauses = formula.clauses().iter().map(Clause::lits);
+        let clauses = formula.clauses().map(ClauseLits::lits);
         SpecFrame::build(formula.num_vars(), &self.level0, clauses)
     }
 
@@ -464,6 +464,7 @@ impl MessageSize for GridMsg {
 mod tests {
     use super::*;
     use crate::wire::FRAME_HEADER_BYTES;
+    use gridsat_cnf::Clause;
     use gridsat_solver::SplitSpec;
 
     fn share_of(clauses: Vec<Clause>) -> GridMsg {
@@ -521,7 +522,7 @@ mod tests {
             SpecFrame::seal(&SplitSpec {
                 num_vars: f.num_vars(),
                 assumptions: level0,
-                clauses: f.clauses().to_vec(),
+                clauses: f.clauses().map(Clause::from).collect(),
             })
         );
     }

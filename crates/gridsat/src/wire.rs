@@ -58,7 +58,7 @@
 //! [`WireError`] on any mangled, truncated or over-length input — no
 //! decoder in this module can panic on external bytes.
 
-use gridsat_cnf::{Clause, Lit};
+use gridsat_cnf::{Clause, ClauseList, ClauseLits, Lit};
 use gridsat_solver::{Solver, SplitSpec};
 use std::fmt;
 use std::sync::OnceLock;
@@ -583,8 +583,8 @@ impl SpecEncoder {
 }
 
 /// A subproblem spec decoded flat: what a [`SplitSpec`] holds, with
-/// every clause's literals back to back in one buffer instead of a heap
-/// `Clause` each. A thief loads its solver from it
+/// every clause's literals back to back in one [`ClauseList`] instead of
+/// a heap `Clause` each. A thief loads its solver from it
 /// ([`Solver::from_split_parts`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlatSpec {
@@ -592,32 +592,21 @@ pub struct FlatSpec {
     pub num_vars: usize,
     /// Level-0 literals: `(lit, globally_derivable)`.
     pub assumptions: Vec<(Lit, bool)>,
-    /// The literals of every clause, clause after clause.
-    lits: Vec<Lit>,
-    /// Where each clause ends in `lits`: non-decreasing, the last one
-    /// `lits.len()`.
-    ends: Vec<usize>,
+    clauses: ClauseList,
 }
 
 impl FlatSpec {
     /// Each clause's literals, in order.
-    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + Clone {
-        (0..self.ends.len()).map(|i| {
-            let start = if i == 0 { 0 } else { self.ends[i - 1] };
-            &self.lits[start..self.ends[i]]
-        })
+    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + Clone {
+        self.clauses.iter().map(ClauseLits::lits)
     }
 
     /// The same spec with a heap `Clause` per clause.
     pub fn into_spec(self) -> SplitSpec {
-        let clauses = self
-            .clauses()
-            .map(|c| Clause::new(c.iter().copied()))
-            .collect();
         SplitSpec {
             num_vars: self.num_vars,
             assumptions: self.assumptions,
-            clauses,
+            clauses: self.clauses.iter().map(Clause::from).collect(),
         }
     }
 }
@@ -636,11 +625,9 @@ pub fn decode_spec_flat(buf: &[u8]) -> Result<FlatSpec, WireError> {
     // a clause takes at least its length byte and a literal at least one
     // byte, so what is left of the buffer bounds the literal count
     let room = (buf.len() - pos).saturating_sub(n_clauses as usize);
-    let mut lits = Vec::with_capacity(room);
-    let mut ends = Vec::with_capacity(n_clauses as usize);
+    let mut clauses = ClauseList::with_capacity(n_clauses as usize, room);
     for _ in 0..n_clauses {
-        decode_clause_into(buf, &mut pos, &mut lits)?;
-        ends.push(lits.len());
+        clauses.push_with(|lits| decode_clause_into(buf, &mut pos, lits))?;
     }
     if pos != buf.len() {
         return Err(WireError::TrailingBytes);
@@ -648,8 +635,7 @@ pub fn decode_spec_flat(buf: &[u8]) -> Result<FlatSpec, WireError> {
     Ok(FlatSpec {
         num_vars: num_vars as usize,
         assumptions,
-        lits,
-        ends,
+        clauses,
     })
 }
 
@@ -1055,8 +1041,7 @@ mod tests {
         assert_eq!(frame.wire_len(), FRAME_HEADER_BYTES + payload.len());
         assert_eq!(SpecFrame::from_payload(&payload), Ok(frame.clone()));
         let flat = frame.open_flat().expect("clean frame");
-        assert_eq!(flat.lits, spec.clauses[0].lits());
-        assert_eq!(flat.ends, [3]);
+        assert!(flat.clauses().eq([spec.clauses[0].lits()]));
         assert_eq!(frame.open(), Ok(spec));
         let mut bad = frame.clone();
         bad.corrupt_bit(7);

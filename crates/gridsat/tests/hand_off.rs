@@ -77,7 +77,7 @@ fn a_streamed_split_is_the_sealed_split_off_byte_for_byte() {
                 7 => {
                     // an input clause comes back as a peer's share: merged
                     // on the next visit to level 0
-                    let c = &f.clauses()[rng.range_usize(0..f.clauses().len())];
+                    let c = f.clause(rng.range_usize(0..f.num_clauses()));
                     heavy.queue_fresh(c.lits());
                     lean.queue_fresh(c.lits());
                 }

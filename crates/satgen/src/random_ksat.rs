@@ -91,7 +91,7 @@ mod tests {
         let f = random_ksat(50, 100, 3, 7);
         assert_eq!(f.num_vars(), 50);
         assert_eq!(f.num_clauses(), 100);
-        for c in f.iter() {
+        for c in f.clauses() {
             assert_eq!(c.len(), 3);
             // distinct variables within a clause
             let mut vs: Vec<_> = c.iter().map(|l| l.var()).collect();

@@ -13,7 +13,7 @@
 //! `MEM_OUT`.
 
 use crate::{SolveStatus, Solver, SolverConfig, Stats, Step};
-use gridsat_cnf::{Assignment, Formula};
+use gridsat_cnf::{Assignment, ClauseLits, Formula};
 
 /// Outcome of a sequential run.
 #[derive(Clone, Debug, PartialEq)]
@@ -139,7 +139,7 @@ pub fn solve_with_assumptions(
 ) -> Report {
     let mut solver = crate::Solver::from_parts(
         formula.num_vars(),
-        formula.clauses().iter().cloned(),
+        formula.clauses().map(ClauseLits::lits),
         assumptions,
         config,
     );

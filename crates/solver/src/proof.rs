@@ -190,7 +190,6 @@ pub fn check(formula: &Formula, proof: &Proof) -> Result<(), ProofError> {
     let mut db = CheckDb {
         clauses: formula
             .clauses()
-            .iter()
             .map(|c| Some(CheckDb::key(c.lits())))
             .collect(),
         num_vars: formula.num_vars(),

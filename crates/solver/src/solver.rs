@@ -41,7 +41,7 @@ use crate::config::SolverConfig;
 use crate::proof::{Proof, ProofStep};
 use crate::stats::Stats;
 use crate::vsids::Vsids;
-use gridsat_cnf::{Assignment, Clause, Formula, Lit, Value, Var};
+use gridsat_cnf::{Assignment, Clause, ClauseLits, Formula, Lit, Value, Var};
 use gridsat_obs::{Event, Obs};
 use std::collections::VecDeque;
 
@@ -333,7 +333,7 @@ pub struct Solver {
 impl Solver {
     /// Build a solver for a whole formula (no assumptions).
     pub fn new(formula: &Formula, config: SolverConfig) -> Solver {
-        let clauses = formula.clauses().iter().map(Clause::lits);
+        let clauses = formula.clauses().map(ClauseLits::lits);
         let mut s = Solver::load(formula.num_vars(), clauses, &[], config);
         s.order_decisions();
         s
@@ -364,16 +364,15 @@ impl Solver {
         s
     }
 
-    /// Build from raw parts. `assumptions` are pinned at level 0 and
-    /// treated as non-global (split prefix).
-    pub fn from_parts(
+    /// Build from raw parts, each clause a borrowed literal slice.
+    /// `assumptions` are pinned at level 0 and treated as non-global
+    /// (split prefix).
+    pub fn from_parts<'a>(
         num_vars: usize,
-        clauses: impl IntoIterator<Item = Clause>,
+        clauses: impl Iterator<Item = &'a [Lit]> + Clone,
         assumptions: &[Lit],
         config: SolverConfig,
     ) -> Solver {
-        let clauses: Vec<Clause> = clauses.into_iter().collect();
-        let clauses = clauses.iter().map(Clause::lits);
         let mut s = Solver::load(num_vars, clauses, assumptions, config);
         s.order_decisions();
         s
@@ -2215,7 +2214,7 @@ mod tests {
             assert_eq!(new.loaded_state(), want, "{spec:?}");
             let parts = Solver::from_parts(
                 spec.num_vars,
-                spec.clauses.iter().cloned(),
+                spec.clauses.iter().map(Clause::lits),
                 &[],
                 SolverConfig::default(),
             );

@@ -395,7 +395,7 @@ fn split_drops_satisfied_clauses_only() {
     for c in &spec.clauses {
         let orig = f
             .clauses()
-            .iter()
+            .map(Clause::from)
             .find(|o| o.normalized().unwrap().lits() == c.lits())
             .unwrap_or_else(|| panic!("clause {c} not found unstripped in the original"));
         assert_eq!(orig.normalized().unwrap().len(), c.len());

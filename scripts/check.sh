@@ -84,9 +84,13 @@ gate_benchmark() {
 # trajectory pins and the rest of crates/solver/tests — then the grid
 # crate's tests and the 24-client bit-identity runs the same way, where
 # every quantum of every client goes through the same walk and the merge
-# asserts that every inbox record is whole.
+# asserts that every inbox record is whole. First the CNF crate's tests
+# and the generator pins, where every formula's clause list checks its
+# end offsets as it is read.
 gate_solver_asserts() {
-  echo "== solver, grid and bit-identity tests, release + debug assertions"
+  echo "== cnf, solver, grid and bit-identity tests, release + debug assertions"
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-cnf
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test generator_pins
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-solver
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test bit_identity

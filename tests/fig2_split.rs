@@ -1,7 +1,7 @@
 //! Integration test for the Figure 2 reproduction: the split stack
 //! transformation and clause reduction, checked end to end.
 
-use gridsat_cnf::{paper, Lit, Value};
+use gridsat_cnf::{paper, Clause, Lit, Value};
 use gridsat_solver::{Solver, SolverConfig};
 use gridsat_tests::solve_to_end;
 
@@ -48,8 +48,7 @@ fn split_promotes_level_one_and_complements_the_decision() {
         let cn = c.normalized().unwrap();
         assert!(
             orig.clauses()
-                .iter()
-                .any(|o| o.normalized().unwrap().lits() == cn.lits()),
+                .any(|o| Clause::from(o).normalized().unwrap().lits() == cn.lits()),
             "transferred clause {c} must be an original clause, unstripped"
         );
     }
