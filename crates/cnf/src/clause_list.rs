@@ -54,6 +54,9 @@ impl ClauseList {
     }
 
     /// Append a clause and return its literals.
+    ///
+    /// # Panics
+    /// Panics if the list would hold 2^32 literals or more.
     pub fn push(&mut self, lits: impl IntoIterator<Item = Lit>) -> &[Lit] {
         let start = self.lits.len();
         self.lits.extend(lits);
@@ -197,7 +200,7 @@ impl fmt::Debug for Clauses<'_> {
 /// One clause of a [`ClauseList`]: its literals, borrowed. Dereferences
 /// to `[Lit]`, and answers `lits` and `eval` as a [`Clause`](crate::Clause)
 /// does.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct ClauseLits<'a>(&'a [Lit]);
 
 impl<'a> ClauseLits<'a> {

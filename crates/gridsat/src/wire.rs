@@ -597,7 +597,7 @@ pub struct FlatSpec {
 
 impl FlatSpec {
     /// Each clause's literals, in order.
-    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + Clone {
+    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + Clone {
         self.clauses.iter().map(ClauseLits::lits)
     }
 
@@ -621,6 +621,11 @@ pub fn decode_spec_flat(buf: &[u8]) -> Result<FlatSpec, WireError> {
     let n_clauses = read_varint(buf, &mut pos)?;
     if n_clauses > buf.len() as u64 {
         return Err(WireError::Truncated);
+    }
+    // a frame's length field is a `u32`: a longer payload was never
+    // framed, and its literals could overflow the list's `u32` ends
+    if u32::try_from(buf.len()).is_err() {
+        return Err(WireError::Overflow);
     }
     // a clause takes at least its length byte and a literal at least one
     // byte, so what is left of the buffer bounds the literal count
