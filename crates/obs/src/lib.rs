@@ -15,8 +15,8 @@
 //! - [`Histogram`]: fixed buckets with quantiles and a lossless merge,
 //!   behind the master's latency telemetry.
 //! - [`fold_utilization`] / [`UtilizationReport`]: folds a trace into
-//!   per-client busy spans and the paper-style utilization summary
-//!   rendered by the `trace_report` binary.
+//!   per-client busy spans and the paper-style utilization summary,
+//!   which [`analyze`] carries to the `grid_report` binary.
 //! - [`critical_path`] / [`CriticalPath`] / [`analyze`]: walks the
 //!   causal `seq`/`cause` stamps backward from the final answer and
 //!   attributes every second of the run to solve / wire / master-queue

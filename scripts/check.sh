@@ -122,15 +122,32 @@ if awk '/^\[/ { deps = ($0 == "[workspace.dependencies]"); next }
   exit 1
 fi
 
-echo "== every binary the docs, scripts and CI run exists"
-# EXPERIMENTS.md's "History" section records outputs of binaries that
-# were removed on purpose; everything above it must name live ones.
+echo "== every script parses (bash -n)"
+for script in scripts/*.sh; do
+  bash -n "$script"
+done
+
+echo "== every binary and script the docs, scripts and CI run exists"
+# EXPERIMENTS.md's "History" section records outputs of binaries and
+# scripts that were removed on purpose; everything above it must name
+# live ones.
 named=$({ cat README.md DESIGN.md scripts/*.sh .github/workflows/ci.yml
           sed '/^## History/,$d' EXPERIMENTS.md; } |
   grep -oE -- '--bin +[A-Za-z0-9_]+' | awk '{ print $2 }' | sort -u)
 for name in $named; do
   if [[ ! -f "crates/bench/src/bin/$name.rs" && ! -f "examples/$name.rs" ]]; then
     echo "the docs, scripts or CI run a binary '$name' that is neither under crates/bench/src/bin/ nor examples/" >&2
+    exit 1
+  fi
+done
+# DESIGN.md is not searched for scripts: its measurements keep the name
+# of the script that took them.
+scripts=$({ cat README.md .claude/skills/verify/SKILL.md scripts/*.sh .github/workflows/ci.yml
+            sed '/^## History/,$d' EXPERIMENTS.md; } |
+  grep -oE 'scripts/[A-Za-z0-9_]+\.sh' | sort -u)
+for script in $scripts; do
+  if [[ ! -f $script ]]; then
+    echo "the docs, scripts or CI name a script '$script' that does not exist" >&2
     exit 1
   fi
 done
@@ -157,12 +174,11 @@ if [[ "${CHECK_SCALE:-0}" == "1" ]]; then gate_scaling; fi
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then gate_benchmark; fi
 if [[ "${CHECK_SOLVER:-0}" == "1" ]]; then gate_solver_asserts; fi
 
-# Not a gate: `scripts/ab.sh <parent> <change> <workload>|all [pairs]
-# [seed]` measures a change against its parent with the same benchmark
-# (alternating runs, medians, quartiles, win count),
-# `scripts/same_counts.sh <parent> <change> [seed]` checks that the two
-# compute the same `sim_answer_s` and exact per-layer counts, and
-# `scripts/chaos_diff.sh <parent> <change>` that their chaos soaks print
-# the same. Each side is a checkout directory or a commit.
+# Not a gate: `scripts/compare.sh <parent> <change> [pairs [seed
+# [workload]]]` checks that a change computes the same `sim_answer_s` and
+# exact per-layer counts as its parent and prints the same chaos soaks,
+# and with pairs > 0 measures it against the parent with the benchmark
+# (alternating runs, medians, quartiles, win count). Each side is a
+# checkout directory or a commit.
 
 echo "OK"
