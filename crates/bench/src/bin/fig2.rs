@@ -5,7 +5,7 @@
 //! Usage: `cargo run -p gridsat-bench --bin fig2`
 
 use gridsat_cnf::paper;
-use gridsat_cnf::{Clause, Lit, Value};
+use gridsat_cnf::{Clause, Lit};
 use gridsat_solver::{Solver, SolverConfig};
 
 fn stack(solver: &Solver) -> Vec<(usize, Vec<String>)> {
@@ -127,6 +127,3 @@ fn run(s: &mut Solver) -> gridsat_solver::SolveStatus {
         }
     }
 }
-
-#[allow(dead_code)]
-fn unused(_: Value) {}

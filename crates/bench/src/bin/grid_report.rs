@@ -157,9 +157,6 @@ fn render_control_plane(t: &MasterTelemetry) -> String {
         t.queue_samples()
     );
     render_latency(&mut out, "split wait", &t.split_wait_summary());
-    for (kind, s) in t.service_summaries() {
-        render_latency(&mut out, &format!("svc {kind}"), &s);
-    }
     out
 }
 
@@ -194,22 +191,13 @@ fn latency_json(s: &LatencySummary) -> String {
 }
 
 fn control_plane_json(t: &MasterTelemetry) -> String {
-    let mut out = format!(
-        "{{\"queue_depth_max\":{},\"queue_depth_mean\":{:.6},\"queue_samples\":{},\"split_wait\":{}",
+    format!(
+        "{{\"queue_depth_max\":{},\"queue_depth_mean\":{:.6},\"queue_samples\":{},\"split_wait\":{}}}",
         t.queue_depth_max,
         t.mean_queue_depth(),
         t.queue_samples(),
         latency_json(&t.split_wait_summary())
-    );
-    out.push_str(",\"service\":{");
-    for (i, (kind, s)) in t.service_summaries().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{kind:?}:{}", latency_json(s));
-    }
-    out.push_str("}}");
-    out
+    )
 }
 
 /// `--check`: every condition the CI smoke run demands of a healthy

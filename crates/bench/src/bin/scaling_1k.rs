@@ -472,7 +472,7 @@ fn main() {
 mod tests {
     use super::*;
     use gridsat::journal::SealedRecord;
-    use gridsat::msg::{Checkpoint, EndReason, GridMsg, ProblemId, SubResult};
+    use gridsat::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
     use gridsat::wire::{EncodedBatch, SpecFrame};
     use gridsat_grid::{MessageSize, NodeId};
     use std::collections::BTreeSet;
@@ -563,7 +563,7 @@ mod tests {
                 },
                 Roster,
             ),
-            (GridMsg::Terminate(EndReason::Unsat), Control),
+            (GridMsg::Terminate, Control),
             (
                 GridMsg::Subproblem {
                     spec: spec(),
@@ -607,7 +607,7 @@ mod tests {
                 Control,
             ),
             (GridMsg::Steal { problem }, Control),
-            (GridMsg::StealRefused { problem }, Control),
+            (GridMsg::StealRefused, Control),
             (
                 GridMsg::StealNotice {
                     parent: problem,
@@ -629,7 +629,11 @@ mod tests {
     #[test]
     fn every_message_kind_lands_in_its_column() {
         let all = one_of_each();
-        let kinds: BTreeSet<&str> = all.iter().map(|(m, _)| m.kind_str()).collect();
+        // a label's kind is what precedes its parenthesised detail
+        let kinds: BTreeSet<String> = all
+            .iter()
+            .map(|(m, _)| m.label().split('(').next().unwrap_or_default().to_owned())
+            .collect();
         assert_eq!(kinds.len(), 26, "one message of every GridMsg variant");
         for (msg, want) in &all {
             assert_eq!(classify(&msg.label()), *want, "{}", msg.label());

@@ -208,7 +208,7 @@ impl<P: ReliableProcess> Reliable<P> {
     }
 
     /// Mix a per-node salt into the jitter RNG so wrappers sharing
-    /// [`JITTER_SEED`] do not jitter in lockstep.
+    /// `JITTER_SEED` do not jitter in lockstep.
     pub fn with_rng_salt(mut self, salt: u64) -> Reliable<P> {
         self.rng = (self.rng ^ salt.wrapping_mul(0x2545_F491_4F6C_DD1D)) | 1;
         self

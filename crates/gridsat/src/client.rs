@@ -967,17 +967,17 @@ impl Process for Client {
                     || !self.solver.as_ref().is_some_and(Solver::can_split)
                     || !self.hand_off_half(from, problem, true, ctx)
                 {
-                    ctx.send(from, GridMsg::StealRefused { problem });
+                    ctx.send(from, GridMsg::StealRefused);
                 }
             }
-            GridMsg::StealRefused { .. } => {
+            GridMsg::StealRefused => {
                 // our ticket was stale; go straight back on the broker's
                 // idle list so the next offer can pair with us
                 if matches!(self.state, State::Idle) {
                     self.announce_idle(ctx);
                 }
             }
-            GridMsg::Terminate(_) => {
+            GridMsg::Terminate => {
                 self.state = State::Done;
                 self.solver = None;
                 self.current_problem = None;
@@ -2055,11 +2055,7 @@ mod tests {
         );
         let _ = cx.take_actions();
         let mut cx = ctx(1.0);
-        c.on_message(
-            NodeId(0),
-            GridMsg::Terminate(crate::msg::EndReason::Sat),
-            &mut cx,
-        );
+        c.on_message(NodeId(0), GridMsg::Terminate, &mut cx);
         assert!(matches!(c.state, State::Done));
         // ticks are inert afterwards
         let mut cx = ctx(2.0);
@@ -2199,8 +2195,8 @@ mod tests {
             actions[0],
             gridsat_grid::Action::Send {
                 to: NodeId(7),
-                msg: GridMsg::StealRefused { problem }
-            } if problem == stale
+                msg: GridMsg::StealRefused
+            }
         ));
         assert_eq!(c.stats.steals, 0);
 

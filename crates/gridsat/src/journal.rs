@@ -4,7 +4,7 @@
 //! Every scheduling decision the master takes — launch, assign, grant,
 //! backlog movement, checkpoint accept, recovery, adoption — is first
 //! appended to the [`MasterJournal`] as a [`JournalRecord`], sealed into
-//! its byte log, and only then applied to the in-memory [`MasterCore`].
+//! its byte log, and only then applied to the in-memory `MasterCore`.
 //! The byte log is the only copy of that history. The core is a
 //! deterministic fold over it, record by record, which rebuilds the
 //! exact client roster, grants, backlog and checkpoint set: that is what
@@ -40,7 +40,7 @@ pub struct RecoverySpec {
 }
 
 /// One appended scheduling decision. Every variant is a plain state
-/// delta; the journal is the authoritative history and [`MasterCore`] is
+/// delta; the journal is the authoritative history and `MasterCore` is
 /// its fold.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
@@ -123,9 +123,6 @@ pub enum JournalRecord {
     /// A subproblem was taken back (checkpoint recovery, undeliverable
     /// assignment, or a client's Requeue) and queued for re-dispatch.
     RecoveryQueued { recovery: RecoverySpec },
-    /// Narrative marker: a client's heartbeat lease ran out (the state
-    /// consequences follow as Deregister/RecoveryQueued records).
-    LeaseExpired { client: NodeId },
     /// A client re-registered with its in-progress state after a
     /// takeover (failover extension).
     AdoptClaim {
@@ -138,8 +135,6 @@ pub enum JournalRecord {
         checkpoint: Option<Checkpoint>,
         at: f64,
     },
-    /// Narrative marker: `node` promoted itself to master at `at`.
-    Promoted { node: NodeId, at: f64 },
     /// A sub-master-brokered steal transfer is in flight (hierarchy
     /// extension): `donor` split `problem` off its cube `parent` without
     /// a grant, keeping `pivot`. Settled by the thief's confirmation or
@@ -326,7 +321,8 @@ fn get_frame(buf: &[u8], pos: &mut usize) -> Result<SpecFrame, RecordError> {
 }
 
 /// Serialize one record: the variant's tag byte followed by its fields.
-/// A tag is never reused for a different variant.
+/// A tag is never reused for a different variant: 4, 15, 17 and 19
+/// belonged to retired ones.
 fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
     match rec {
         JournalRecord::Launch {
@@ -459,10 +455,6 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             put_frame(&recovery.frame, out);
             put_opt(&recovery.source, |p, o| put_problem(*p, o), out);
         }
-        JournalRecord::LeaseExpired { client } => {
-            out.push(17);
-            put_node(*client, out);
-        }
         JournalRecord::AdoptClaim {
             client,
             memory,
@@ -481,11 +473,6 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             put_bool(*busy, out);
             put_opt(problem, |p, o| put_problem(*p, o), out);
             put_opt(checkpoint, put_checkpoint, out);
-            put_f64(*at, out);
-        }
-        JournalRecord::Promoted { node, at } => {
-            out.push(19);
-            put_node(*node, out);
             put_f64(*at, out);
         }
         JournalRecord::StealOpen {
@@ -609,9 +596,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
                 source: get_opt(buf, &mut pos, get_problem)?,
             },
         },
-        17 => JournalRecord::LeaseExpired {
-            client: get_node(buf, &mut pos)?,
-        },
         18 => JournalRecord::AdoptClaim {
             client: get_node(buf, &mut pos)?,
             memory: wire::read_varint(buf, &mut pos)? as usize,
@@ -620,10 +604,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
             busy: get_bool(buf, &mut pos)?,
             problem: get_opt(buf, &mut pos, get_problem)?,
             checkpoint: get_opt(buf, &mut pos, get_checkpoint)?,
-            at: get_f64(buf, &mut pos)?,
-        },
-        19 => JournalRecord::Promoted {
-            node: get_node(buf, &mut pos)?,
             at: get_f64(buf, &mut pos)?,
         },
         20 => JournalRecord::StealOpen {
@@ -751,9 +731,9 @@ pub(crate) struct ClientInfo {
     pub(crate) problem: Option<ProblemId>,
     /// What the client's cube is rebuilt from if it is lost (extension).
     pub(crate) image: Option<RecoveryImage>,
-    /// Simulated second of the last message from this client; heartbeats
-    /// keep it fresh so the master can expire silent clients
-    /// (reliability extension).
+    /// Simulated second of the last message from this client: any message
+    /// keeps it fresh, heartbeats when there is nothing else to send, so
+    /// the master can expire silent clients (reliability extension).
     pub(crate) last_seen: f64,
 }
 
@@ -1088,7 +1068,7 @@ pub type ClientImage = (
     Option<RecoveryImage>,
 );
 
-/// Replay-equality image of a [`MasterCore`]: everything scheduling
+/// Replay-equality image of a `MasterCore`: everything scheduling
 /// depends on, excluding the live-only forecaster state and lease
 /// clocks.
 #[derive(Clone, Debug, PartialEq)]
@@ -1410,7 +1390,6 @@ impl MasterCore {
                 self.pending_recovery.push_back(recovery);
                 None
             }
-            JournalRecord::LeaseExpired { .. } | JournalRecord::Promoted { .. } => None,
             JournalRecord::AdoptClaim {
                 client,
                 memory,
@@ -2448,17 +2427,8 @@ mod tests {
     #[test]
     fn sealed_from_clamps_and_ships_suffixes() {
         let mut j = MasterJournal::new();
-        assert_eq!(
-            j.append(JournalRecord::LeaseExpired { client: NodeId(1) }),
-            0
-        );
-        assert_eq!(
-            j.append(JournalRecord::Promoted {
-                node: NodeId(1),
-                at: 3.0
-            }),
-            1
-        );
+        assert_eq!(j.append(JournalRecord::ClientIdle { client: NodeId(1) }), 0);
+        assert_eq!(j.append(JournalRecord::ClientIdle { client: NodeId(2) }), 1);
         assert_eq!(j.len(), 2);
         assert_eq!(j.sealed_from(1).len(), 1);
         assert_eq!(j.sealed_from(1)[0].open().expect("verifies").0, 1);
@@ -2578,7 +2548,6 @@ mod tests {
                     source: Some(ProblemId::new(NodeId(3), 9)),
                 },
             },
-            JournalRecord::LeaseExpired { client: NodeId(6) },
             JournalRecord::AdoptClaim {
                 client: NodeId(7),
                 memory: 1 << 20,
@@ -2588,10 +2557,6 @@ mod tests {
                 problem: Some(ProblemId::new(NodeId(7), 3)),
                 checkpoint: Some(cp_deeper),
                 at: 6.0,
-            },
-            JournalRecord::Promoted {
-                node: NodeId(9),
-                at: 7.0,
             },
             JournalRecord::StealOpen {
                 donor: NodeId(3),

@@ -39,9 +39,9 @@
 //! * [`experiment`] — deterministic end-to-end runs over
 //!   [`gridsat_grid::Testbed`]s;
 //! * [`config::GridConfig`] — what differs between runs (share limits
-//!   10/3, 100 s split time-out, sharing rounds, checkpointing modes, the
-//!   extension switches below), beside the constants that do not (60%
-//!   memory fraction, 128 MB floor, heartbeat and failover timings);
+//!   10/3, 100 s split time-out, sharing rounds, the extension switches
+//!   below), beside the constants that do not (60% memory fraction,
+//!   128 MB floor, heartbeat and failover timings);
 //! * [`journal`], [`StandbyNode`], [`SubMaster`], [`chaos`] — the
 //!   extensions: the master's write-ahead journal and the cube ledger it
 //!   folds to, the journal-tailing standby, per-site sub-masters and the
@@ -67,7 +67,7 @@ pub use journal::{JournalRecord, MasterJournal, RecoverySpec};
 pub use master::{
     ClientState, GrantKind, GridOutcome, LatencySummary, Master, MasterStats, MasterTelemetry,
 };
-pub use msg::{EndReason, GridMsg, SubResult};
+pub use msg::{GridMsg, SubResult};
 pub use standby::StandbyNode;
 pub use submaster::{SubMaster, SubMasterStats};
 pub use wire::{EncodedBatch, WireError};

@@ -9,13 +9,13 @@
 //!
 //! Durability extension: every scheduling decision is appended to a
 //! write-ahead [`MasterJournal`] *before* it is applied, and the
-//! scheduling state itself lives in a [`MasterCore`] that is a
+//! scheduling state itself lives in a `MasterCore` that is a
 //! deterministic fold over the journal. A restarted master replays its
 //! own journal (and self-checks the fold); a designated standby tails
 //! journal batches piggybacked on control traffic and can promote
 //! itself with [`Master::promoted`] when the feed goes quiet. A restart
 //! that lost committed records and a promotion come back to the fleet
-//! the same way, through one resync ([`Master::resync`]).
+//! the same way, through one resync (`Master::resync`).
 //!
 //! The core's cube ledger is the master's account of the search space:
 //! a split reports the pivot it kept, so every cube's path is known from
@@ -32,7 +32,7 @@ use crate::journal::{
     tree_children, tree_parent, ClientInfo, CubeState, JournalRecord, MasterCore, MasterJournal,
     RecoverySpec,
 };
-use crate::msg::{Checkpoint, EndReason, GridMsg, ProblemId, SubResult};
+use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
 use gridsat_cnf::{Assignment, Formula, Lit};
 use gridsat_grid::{Ctx, NodeId, Process, Site};
@@ -172,11 +172,8 @@ impl LatencySummary {
 }
 
 /// Control-plane latency telemetry (observability extension): how loaded
-/// the master's inbox is, how long each message kind takes to service,
-/// and how long a split request waits before its grant goes out. The
-/// service time is *modeled* (a per-message fixed cost plus a per-byte
-/// cost, scaled by the host's relative speed) — it feeds the report
-/// without perturbing the simulation's timing.
+/// the master's inbox is, and how long a split request waits before its
+/// grant goes out.
 #[derive(Clone, Debug)]
 pub struct MasterTelemetry {
     /// Highest queue-depth proxy sampled on a handled message or tick:
@@ -185,8 +182,6 @@ pub struct MasterTelemetry {
     pub queue_depth_max: u64,
     queue_depth_sum: u64,
     queue_samples: u64,
-    /// Modeled service time per [`GridMsg::kind_str`] kind.
-    service: BTreeMap<&'static str, Histogram>,
     /// Latency from a split request's arrival to its grant being sent.
     split_wait: Histogram,
 }
@@ -197,7 +192,6 @@ impl Default for MasterTelemetry {
             queue_depth_max: 0,
             queue_depth_sum: 0,
             queue_samples: 0,
-            service: BTreeMap::new(),
             split_wait: Histogram::latency_s(),
         }
     }
@@ -208,13 +202,6 @@ impl MasterTelemetry {
         self.queue_depth_max = self.queue_depth_max.max(depth);
         self.queue_depth_sum += depth;
         self.queue_samples += 1;
-    }
-
-    fn observe_service(&mut self, kind: &'static str, seconds: f64) {
-        self.service
-            .entry(kind)
-            .or_insert_with(Histogram::latency_s)
-            .observe(seconds);
     }
 
     fn observe_split_wait(&mut self, seconds: f64) {
@@ -239,26 +226,12 @@ impl MasterTelemetry {
         LatencySummary::from_histogram(&self.split_wait)
     }
 
-    /// Per-kind service-time summaries, alphabetical by kind.
-    pub fn service_summaries(&self) -> Vec<(String, LatencySummary)> {
-        self.service
-            .iter()
-            .map(|(k, h)| ((*k).to_string(), LatencySummary::from_histogram(h)))
-            .collect()
-    }
-
     /// Fold another master's telemetry into this one (a promoted standby
     /// absorbing the dead master's history).
     pub fn absorb(&mut self, other: &MasterTelemetry) {
         self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
         self.queue_depth_sum += other.queue_depth_sum;
         self.queue_samples += other.queue_samples;
-        for (k, h) in &other.service {
-            self.service
-                .entry(k)
-                .or_insert_with(Histogram::latency_s)
-                .merge(h);
-        }
         self.split_wait.merge(&other.split_wait);
     }
 }
@@ -449,7 +422,7 @@ impl Master {
 
     /// Take over as master on the standby's node (`ctx.me()`) from the
     /// journal it tailed. The scheduling state is the journal's fold. Every
-    /// surviving client is resynced ([`Master::resync`]) with
+    /// surviving client is resynced (`Master::resync`) with
     /// [`PROMOTE_GRACE_S`] to reconcile the journal suffix the standby
     /// never saw. This node's client retires: it leaves the roster, and
     /// `own`, the subproblem it was solving, is queued for re-dispatch,
@@ -473,7 +446,6 @@ impl Master {
         // colliding with them, and with an earlier master's on this node.
         m.replay(journal, now);
         m.minted = m.core.cubes.last_minted(me).max(1 << 31);
-        m.commit(now, JournalRecord::Promoted { node: me, at: now });
         let mut survivors: BTreeSet<NodeId> = m.core.clients.keys().copied().collect();
         survivors.remove(&me);
         m.resync(survivors, PROMOTE_GRACE_S, ctx);
@@ -1000,7 +972,7 @@ impl Master {
         self.stats.max_active_clients = self.stats.max_active_clients.max(self.core.busy_count());
     }
 
-    fn finish(&mut self, outcome: GridOutcome, reason: EndReason, ctx: &mut Ctx<GridMsg>) {
+    fn finish(&mut self, outcome: GridOutcome, ctx: &mut Ctx<GridMsg>) {
         if self.outcome.is_some() {
             return;
         }
@@ -1011,7 +983,7 @@ impl Master {
             .emit(ctx.now(), node, || Event::Outcome { outcome: cell });
         self.outcome = Some(outcome);
         for id in self.core.clients.keys().copied().collect::<Vec<_>>() {
-            ctx.send(id, GridMsg::Terminate(reason));
+            ctx.send(id, GridMsg::Terminate);
         }
         ctx.shutdown();
     }
@@ -1021,7 +993,7 @@ impl Master {
             return;
         }
         if ctx.now() >= self.config.overall_timeout {
-            self.finish(GridOutcome::TimeOut, EndReason::TimeOut, ctx);
+            self.finish(GridOutcome::TimeOut, ctx);
             return;
         }
         // "All the clients are idle" => unsatisfiable. Guard against
@@ -1038,7 +1010,7 @@ impl Master {
             return;
         }
         if self.core.cubes.unsettled() == 0 {
-            self.finish(GridOutcome::Unsat, EndReason::Unsat, ctx);
+            self.finish(GridOutcome::Unsat, ctx);
             return;
         }
         // all idle, yet cubes unsettled: finished under a master whose
@@ -1166,7 +1138,7 @@ impl Master {
         ctx: &mut Ctx<GridMsg>,
     ) -> bool {
         let Some(cp) = checkpoint else {
-            self.finish(GridOutcome::ClientLost, EndReason::ClientLost, ctx);
+            self.finish(GridOutcome::ClientLost, ctx);
             return false;
         };
         let frame = cp.frame(&self.formula);
@@ -1235,7 +1207,7 @@ impl Master {
             self.dispatch_recoveries(ctx);
             self.drain_backlog(ctx);
         } else {
-            self.finish(GridOutcome::ClientLost, EndReason::ClientLost, ctx);
+            self.finish(GridOutcome::ClientLost, ctx);
         }
     }
 
@@ -1260,7 +1232,6 @@ impl Master {
             let node = self.me.0;
             self.obs
                 .emit(now, node, || Event::LeaseExpire { client: id.0 });
-            self.commit(now, JournalRecord::LeaseExpired { client: id });
             self.handle_client_loss(id, ctx);
             if self.outcome.is_some() {
                 return;
@@ -1354,9 +1325,8 @@ impl Master {
             client: from.0,
             strikes,
         });
-        // same exit as a lease expiry: the journal records the loss, and
-        // the client's work is recovered or requeued
-        self.commit(now, JournalRecord::LeaseExpired { client: from });
+        // same exit as a lease expiry: the client's work is recovered or
+        // requeued
         self.handle_client_loss(from, ctx);
         self.ship_journal(ctx, false);
     }
@@ -1445,17 +1415,8 @@ impl Process for Master {
         if self.outcome.is_some() {
             return;
         }
-        // control-plane telemetry on every handled message: inbox
-        // pressure, and a modeled service time (fixed per-message cost
-        // plus a per-byte cost, scaled by this host's relative speed —
-        // never charged against the simulation clock)
+        // control-plane telemetry: inbox pressure on every handled message
         self.telemetry.sample_queue(self.queue_depth());
-        {
-            use gridsat_grid::MessageSize;
-            let speed_rel = (ctx.info.speed / 1000.0).max(1e-6);
-            let service_s = (50e-6 + msg.size_bytes() as f64 * 2e-9) / speed_rel;
-            self.telemetry.observe_service(msg.kind_str(), service_s);
-        }
         // any traffic renews the sender's lease, not just heartbeats
         if let Some(info) = self.core.clients.get_mut(&from) {
             info.last_seen = ctx.now();
@@ -1726,7 +1687,7 @@ impl Process for Master {
                             }
                         }
                         if self.formula.is_satisfied_by(&a) {
-                            self.finish(GridOutcome::Sat(a), EndReason::Sat, ctx);
+                            self.finish(GridOutcome::Sat(a), ctx);
                         } else {
                             self.stats.verification_failures += 1;
                         }
@@ -1898,9 +1859,9 @@ impl Process for Master {
             | GridMsg::StealRequest
             | GridMsg::StealTicket { .. }
             | GridMsg::Steal { .. }
-            | GridMsg::StealRefused { .. }
+            | GridMsg::StealRefused
             | GridMsg::OfferSolicit { .. }
-            | GridMsg::Terminate(_) => {
+            | GridMsg::Terminate => {
                 debug_assert!(false, "master got client message from {from}");
             }
         }

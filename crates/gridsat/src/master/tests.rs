@@ -819,7 +819,7 @@ fn sat_result_is_verified_and_ends_the_run() {
     assert!(actions.iter().any(|a| matches!(
         a,
         Action::Send {
-            msg: GridMsg::Terminate(EndReason::Sat),
+            msg: GridMsg::Terminate,
             ..
         }
     )));

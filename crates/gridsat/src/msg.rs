@@ -25,17 +25,6 @@ impl ProblemId {
     }
 }
 
-/// Why a run ended.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EndReason {
-    Sat,
-    Unsat,
-    /// Overall execution cap expired without an answer.
-    TimeOut,
-    /// A busy client was lost and recovery was not enabled.
-    ClientLost,
-}
-
 /// The result a client reports for its subproblem.
 #[derive(Clone, Debug)]
 pub enum SubResult {
@@ -160,7 +149,7 @@ pub enum GridMsg {
         down: Arc<[NodeId]>,
     },
     /// End of run.
-    Terminate(EndReason),
+    Terminate,
 
     // ---- client -> client ----
     /// Figure 3 message (3): the subproblem transfer, "by far the
@@ -229,7 +218,7 @@ pub enum GridMsg {
     /// Donor declines a steal its subproblem has outgrown (finished,
     /// migrated, or too shallow to split). The thief re-announces itself
     /// immediately instead of waiting out its idle period.
-    StealRefused { problem: ProblemId },
+    StealRefused,
     /// Donor tells the root master a steal transfer is in flight, at the
     /// instant it splits: the cube it split (`parent`, which only the
     /// donor knows), the stolen half and the pivot it kept. Travels on the
@@ -270,7 +259,7 @@ impl GridMsg {
             // idle announcements re-arise on the steal period
             | GridMsg::StealRequest
             // a refusal only shortcuts the thief's own retry timer
-            | GridMsg::StealRefused { .. } => false,
+            | GridMsg::StealRefused => false,
             GridMsg::Register { .. }
             | GridMsg::JournalBatch { .. }
             | GridMsg::Takeover
@@ -282,7 +271,7 @@ impl GridMsg {
             | GridMsg::Solve { .. }
             | GridMsg::SplitGrant { .. }
             | GridMsg::Migrate { .. }
-            | GridMsg::Terminate(_)
+            | GridMsg::Terminate
             | GridMsg::Subproblem { .. }
             | GridMsg::Requeue { .. }
             | GridMsg::StealTicket { .. }
@@ -291,39 +280,6 @@ impl GridMsg {
             | GridMsg::SplitEscalate { .. }
             // the root counts a pull in flight until it is answered
             | GridMsg::OfferSolicit { .. } => true,
-        }
-    }
-
-    /// Stable short name of the message kind, used as the metric label
-    /// for the master's per-kind service-time histograms.
-    pub fn kind_str(&self) -> &'static str {
-        match self {
-            GridMsg::Register { .. } => "register",
-            GridMsg::SplitRequest { .. } => "split_request",
-            GridMsg::SplitDone { .. } => "split_done",
-            GridMsg::Result { .. } => "result",
-            GridMsg::LoadReport { .. } => "load_report",
-            GridMsg::CheckpointMsg { .. } => "checkpoint",
-            GridMsg::Heartbeat => "heartbeat",
-            GridMsg::Requeue { .. } => "requeue",
-            GridMsg::Solve { .. } => "solve",
-            GridMsg::SplitGrant { .. } => "split_grant",
-            GridMsg::Migrate { .. } => "migrate",
-            GridMsg::Peers { .. } => "peers",
-            GridMsg::Terminate(_) => "terminate",
-            GridMsg::Subproblem { .. } => "subproblem",
-            GridMsg::Share { .. } => "share",
-            GridMsg::JournalBatch { .. } => "journal_batch",
-            GridMsg::JournalAck { .. } => "journal_ack",
-            GridMsg::Takeover => "takeover",
-            GridMsg::Adopt { .. } => "adopt",
-            GridMsg::StealRequest => "steal_request",
-            GridMsg::StealTicket { .. } => "steal_ticket",
-            GridMsg::Steal { .. } => "steal",
-            GridMsg::StealRefused { .. } => "steal_refused",
-            GridMsg::StealNotice { .. } => "steal_notice",
-            GridMsg::SplitEscalate { .. } => "split_escalate",
-            GridMsg::OfferSolicit { .. } => "offer_solicit",
         }
     }
 }
@@ -356,7 +312,7 @@ impl MessageSize for GridMsg {
             GridMsg::SplitGrant { .. } => 32,
             GridMsg::Migrate { .. } => 32,
             GridMsg::Peers { up, down } => 24 + (usize::from(up.is_some()) + down.len()) * 4,
-            GridMsg::Terminate(_) => 32,
+            GridMsg::Terminate => 32,
             GridMsg::Subproblem { spec, .. } => 24 + spec.wire_len(),
             // 24-byte frame plus the actual encoded batch — the real
             // cost the bandwidth model charges
@@ -369,7 +325,7 @@ impl MessageSize for GridMsg {
             GridMsg::StealRequest => 24,
             GridMsg::StealTicket { .. } => 36,
             GridMsg::Steal { .. } => 32,
-            GridMsg::StealRefused { .. } => 32,
+            GridMsg::StealRefused => 32,
             GridMsg::StealNotice { .. } => 44,
             GridMsg::SplitEscalate { offers } => 24 + offers.len() * 12,
             GridMsg::OfferSolicit { .. } => 28,
@@ -402,7 +358,7 @@ impl MessageSize for GridMsg {
             GridMsg::SplitGrant { .. } => "split-grant(2)".into(),
             GridMsg::Migrate { .. } => "migrate".into(),
             GridMsg::Peers { .. } => "peers".into(),
-            GridMsg::Terminate(_) => "terminate".into(),
+            GridMsg::Terminate => "terminate".into(),
             GridMsg::Subproblem { .. } => "subproblem(3)".into(),
             GridMsg::Share { .. } => "share".into(),
             GridMsg::JournalBatch { records, .. } => format!("journal-batch({})", records.len()),
@@ -412,7 +368,7 @@ impl MessageSize for GridMsg {
             GridMsg::StealRequest => "steal-request".into(),
             GridMsg::StealTicket { .. } => "steal-ticket".into(),
             GridMsg::Steal { .. } => "steal".into(),
-            GridMsg::StealRefused { .. } => "steal-refused".into(),
+            GridMsg::StealRefused => "steal-refused".into(),
             GridMsg::StealNotice { .. } => "steal-notice".into(),
             GridMsg::SplitEscalate { .. } => "split-escalate".into(),
             GridMsg::OfferSolicit { .. } => "offer-solicit".into(),
@@ -463,6 +419,7 @@ impl MessageSize for GridMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalRecord;
     use crate::wire::FRAME_HEADER_BYTES;
     use gridsat_cnf::Clause;
     use gridsat_solver::SplitSpec;
@@ -506,6 +463,140 @@ mod tests {
         // the size model is the exact encoded length plus the checksum
         // frame
         assert_eq!(sub.size_bytes(), 24 + FRAME_HEADER_BYTES + payload);
+    }
+
+    /// Every variant's modelled size, pinned: the fixed constants of the
+    /// scalar-only messages and the formula of each payload-carrying one.
+    /// A change to what a message carries must leave this table alone
+    /// unless it means to move bytes on the wire.
+    #[test]
+    fn every_message_size_is_pinned() {
+        let (problem, peer, donor) = (ProblemId::new(NodeId(1), 1), NodeId(2), NodeId(3));
+        let frame = SpecFrame::seal(&SplitSpec {
+            num_vars: 10,
+            assumptions: vec![(Lit::pos(0), true)],
+            clauses: vec![Clause::new([Lit::pos(1), Lit::pos(2)])],
+        });
+        let spec_len = frame.wire_len();
+        let spec = || Box::new(frame.clone());
+        let checkpoint = Checkpoint {
+            level0: vec![(Lit::pos(0), true), (Lit::neg(1), false)],
+        };
+        let image = 8 + 2 * 5;
+        let clause = Clause::new([Lit::pos(0), Lit::neg(3)]);
+        let shares = [(clause.clone(), clause.fingerprint())];
+        let batch = Arc::new(EncodedBatch::encode(&shares));
+        let batch_len = batch.wire_len();
+        let record = SealedRecord::seal(0, &JournalRecord::ClientIdle { client: peer });
+        let record_len = record.wire_len();
+        let (start, records) = (7, vec![record.clone(), record]);
+        let (up, down) = (Some(NodeId(0)), Arc::from(vec![peer, donor]));
+        let offers = vec![(peer, problem), (donor, problem)];
+        let cases: Vec<(GridMsg, usize)> = vec![
+            (
+                GridMsg::Register {
+                    memory: 1 << 20,
+                    availability: 1.0,
+                },
+                64,
+            ),
+            (GridMsg::SplitRequest { problem }, 40),
+            (
+                GridMsg::SplitDone {
+                    requester: NodeId(1),
+                    peer,
+                    ok: true,
+                    problem: Some(problem),
+                    pivot: Some(Lit::pos(4)),
+                    checkpoint: Some(Box::new(checkpoint.clone())),
+                    stolen: false,
+                },
+                48 + image,
+            ),
+            (
+                GridMsg::Result {
+                    result: SubResult::Unsat,
+                    problem,
+                },
+                40,
+            ),
+            (
+                GridMsg::Result {
+                    result: SubResult::Sat(vec![Lit::pos(0), Lit::neg(1), Lit::pos(2)]),
+                    problem,
+                },
+                40 + 3 * 5,
+            ),
+            (GridMsg::LoadReport { availability: 0.5 }, 32),
+            (
+                GridMsg::CheckpointMsg {
+                    problem,
+                    checkpoint: Box::new(checkpoint.clone()),
+                },
+                32 + image,
+            ),
+            (GridMsg::Heartbeat, 24),
+            (
+                GridMsg::Requeue {
+                    spec: spec(),
+                    problem: Some(problem),
+                },
+                24 + spec_len,
+            ),
+            (
+                GridMsg::Solve {
+                    spec: spec(),
+                    problem,
+                },
+                24 + spec_len,
+            ),
+            (GridMsg::SplitGrant { peer, problem }, 32),
+            (GridMsg::Migrate { peer, problem }, 32),
+            (GridMsg::Peers { up, down }, 24 + 3 * 4),
+            (GridMsg::Terminate, 32),
+            (
+                GridMsg::Subproblem {
+                    spec: spec(),
+                    sent_at: 1.5,
+                    problem,
+                    stolen: true,
+                },
+                24 + spec_len,
+            ),
+            (GridMsg::Share { batch, down: true }, 24 + batch_len),
+            (
+                GridMsg::JournalBatch { start, records },
+                24 + 2 * record_len,
+            ),
+            (GridMsg::JournalAck { next: 9 }, 24),
+            (GridMsg::Takeover, 24),
+            (
+                GridMsg::Adopt {
+                    memory: 1 << 20,
+                    availability: 1.0,
+                    problem: Some(problem),
+                    checkpoint: Some(Box::new(checkpoint)),
+                },
+                64 + image,
+            ),
+            (GridMsg::StealRequest, 24),
+            (GridMsg::StealTicket { donor, problem }, 36),
+            (GridMsg::Steal { problem }, 32),
+            (GridMsg::StealRefused, 32),
+            (
+                GridMsg::StealNotice {
+                    parent: ProblemId::new(NodeId(0), 1),
+                    problem,
+                    pivot: Some(Lit::pos(3)),
+                },
+                44,
+            ),
+            (GridMsg::SplitEscalate { offers }, 24 + 2 * 12),
+            (GridMsg::OfferSolicit { want: 2 }, 28),
+        ];
+        for (msg, bytes) in &cases {
+            assert_eq!(msg.size_bytes(), *bytes, "{}", msg.label());
+        }
     }
 
     /// A recovery image re-dispatches as the spec it describes: level 0
@@ -594,7 +685,6 @@ mod tests {
 
     #[test]
     fn a_corrupted_journal_batch_is_delivered_for_per_record_rejection() {
-        use crate::journal::{JournalRecord, SealedRecord};
         let records = vec![
             SealedRecord::seal(0, &JournalRecord::ClientIdle { client: NodeId(1) }),
             SealedRecord::seal(1, &JournalRecord::ClientIdle { client: NodeId(2) }),
@@ -624,7 +714,7 @@ mod tests {
             problem: ProblemId::new(NodeId(0), 0)
         }
         .is_control());
-        assert!(GridMsg::Terminate(EndReason::Sat).is_control());
+        assert!(GridMsg::Terminate.is_control());
         // the lossy-by-design streams
         assert!(!share_of(vec![]).is_control());
         assert!(!GridMsg::LoadReport { availability: 1.0 }.is_control());
@@ -656,15 +746,7 @@ mod tests {
         assert!(GridMsg::OfferSolicit { want: 2 }.is_control());
         assert!(!GridMsg::StealRequest.is_control());
         // a refused thief re-announces on its own timer
-        assert!(!GridMsg::StealRefused { problem: pid }.is_control());
-        assert_eq!(
-            GridMsg::StealRefused { problem: pid }.kind_str(),
-            "steal_refused"
-        );
-        assert_eq!(
-            GridMsg::OfferSolicit { want: 1 }.kind_str(),
-            "offer_solicit"
-        );
+        assert!(!GridMsg::StealRefused.is_control());
     }
 
     #[test]

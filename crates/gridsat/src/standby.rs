@@ -8,12 +8,11 @@
 //! tailed log is the master's, byte for byte, as far as it verified. The
 //! master sends an *empty* batch every housekeeping period as a
 //! keepalive, so a quiet feed and a dead master are distinguishable:
-//! when the feed has been silent for longer than
-//! [`PROMOTE_GRACE_S`](crate::config::PROMOTE_GRACE_S) the standby hands
-//! its journal to [`Master::promoted`], which folds it, retires this
-//! node's client (its own subproblem is queued for re-dispatch), and
-//! announces the takeover so the survivors re-register with their
-//! in-progress state.
+//! when the feed has been silent for longer than [`PROMOTE_GRACE_S`] the
+//! standby hands its journal to [`Master::promoted`], which folds it,
+//! retires this node's client (its own subproblem is queued for
+//! re-dispatch), and announces the takeover so the survivors re-register
+//! with their in-progress state.
 
 use crate::client::Client;
 use crate::config::{GridConfig, PROMOTE_GRACE_S};

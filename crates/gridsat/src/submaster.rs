@@ -23,7 +23,7 @@
 //! once per master period it asks for as many as it has idle clients,
 //! so the root's queue sees O(sites) unasked traffic, and what it asks
 //! for it can place. A site the root has not pulled from for
-//! [`ESCALATE_PERIOD_S`] hands up one offer unasked again, which is how
+//! `ESCALATE_PERIOD_S` hands up one offer unasked again, which is how
 //! a root that lost its soft state (a restart) learns the site is
 //! saturated.
 

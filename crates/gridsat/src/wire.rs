@@ -2,7 +2,7 @@
 //!
 //! The simulator never pushes real bytes through sockets, but the
 //! bandwidth/latency model and the NWS transfer forecasts are only as
-//! honest as [`GridMsg::size_bytes`](crate::msg::GridMsg::size_bytes).
+//! honest as [`GridMsg::size_bytes`](gridsat_grid::MessageSize::size_bytes).
 //! This module gives the two bulk payloads — share batches and
 //! subproblem specs — a concrete binary layout so message sizes are the
 //! *actual* encoded length, and so a share batch is serialized exactly

@@ -26,11 +26,11 @@
 //! ```
 
 pub mod forecast;
-pub mod metrics;
+#[cfg(test)]
+mod metrics;
 pub mod trace;
 
 pub use forecast::{
     Adaptive, ExpSmoothing, Forecaster, LastValue, RunningMean, SlidingMean, SlidingMedian,
 };
-pub use metrics::{compare, evaluate, Accuracy};
 pub use trace::{LoadTrace, TraceConfig};

@@ -179,8 +179,8 @@ impl CriticalPath {
 /// Fold a causally-stamped trace into its [`CriticalPath`].
 ///
 /// Returns `None` when the trace holds no answer event, or when the
-/// answer carries no causal stamps (a pre-causal trace): there is no
-/// chain to walk.
+/// answer carries no causal stamps (a trace recorded without a causal
+/// clock): there is no chain to walk.
 pub fn critical_path(events: &[TimedEvent]) -> Option<CriticalPath> {
     let answer_idx = events
         .iter()

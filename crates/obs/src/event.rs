@@ -143,9 +143,7 @@ pub enum Event {
     // ---- master durability ----
     /// A scheduling decision was appended to the master journal.
     /// `record` is the 0-based record index; `lag` is how many records
-    /// the standby has not yet acknowledged. (Serialized as `record`;
-    /// pre-causal traces wrote it as `seq`, which now names the Lamport
-    /// stamp — the decoder accepts both.)
+    /// the standby has not yet acknowledged.
     JournalAppend { record: u64, lag: u64 },
     /// A restarted master rebuilt its state by folding the journal.
     JournalReplay { records: u64 },
@@ -154,8 +152,8 @@ pub enum Event {
     JournalTruncate { kept: u64, dropped_bytes: u64 },
     /// A standby promoted itself to master after the lease lapsed.
     StandbyPromote { records: u64 },
-    /// The search-space conservation auditor found a leaked or
-    /// doubly-owned guiding-path cube (the run aborts right after).
+    /// The master's cube ledger refused a record that would leak or
+    /// doubly own a guiding-path cube (the run aborts right after).
     AuditViolation { path: String },
 
     // ---- clause sharing ----
@@ -217,8 +215,8 @@ pub struct TimedEvent {
     /// Node the event happened on (`NodeId.0`; the master is 0).
     pub node: u32,
     /// Per-node Lamport sequence number. 0 means "unstamped" (trace
-    /// recorded without a causal clock, or a pre-causal trace); stamped
-    /// events start at 1, so `(node, seq)` is unique whenever `seq != 0`.
+    /// recorded without a causal clock); stamped events start at 1, so
+    /// `(node, seq)` is unique whenever `seq != 0`.
     pub seq: u64,
     /// `seq` of the event this one is a causal consequence of. The cause
     /// lives on the *same* node, except for `msg_deliver` events whose
@@ -286,16 +284,6 @@ fn boolean(m: &Fields, k: &'static str) -> Result<bool, DecodeError> {
         Some(JsonScalar::Bool(b)) => Ok(*b),
         Some(_) => Err(DecodeError::BadField(k)),
         None => Err(DecodeError::MissingField(k)),
-    }
-}
-
-/// Optional non-negative integer, defaulting to 0 when absent — used for
-/// the causal stamps so pre-causal (PR-1-era) traces still decode.
-fn u64_or_zero(m: &Fields, k: &'static str) -> Result<u64, DecodeError> {
-    if m.contains_key(k) {
-        u64f(m, k)
-    } else {
-        Ok(0)
     }
 }
 
@@ -425,8 +413,8 @@ impl TimedEvent {
         let m = parse_object(line).map_err(DecodeError::Json)?;
         let t_s = num(&m, "t")?;
         let node = u32f(&m, "node")?;
-        let mut seq = u64_or_zero(&m, "seq")?;
-        let cause = u64_or_zero(&m, "cause")?;
+        let seq = u64f(&m, "seq")?;
+        let cause = u64f(&m, "cause")?;
         let kind = string(&m, "kind")?;
         let event = match kind.as_str() {
             "conflict" => Event::Conflict {
@@ -527,24 +515,10 @@ impl TimedEvent {
             "outcome" => Event::Outcome {
                 outcome: string(&m, "outcome")?,
             },
-            "journal_append" => {
-                let record = if m.contains_key("record") {
-                    u64f(&m, "record")?
-                } else {
-                    // pre-causal traces named the record index "seq"; in
-                    // that format (recognizable by the missing "cause")
-                    // the value we read into the stamp is the payload
-                    let r = u64f(&m, "seq")?;
-                    if !m.contains_key("cause") {
-                        seq = 0;
-                    }
-                    r
-                };
-                Event::JournalAppend {
-                    record,
-                    lag: u64f(&m, "lag")?,
-                }
-            }
+            "journal_append" => Event::JournalAppend {
+                record: u64f(&m, "record")?,
+                lag: u64f(&m, "lag")?,
+            },
             "journal_replay" => Event::JournalReplay {
                 records: u64f(&m, "records")?,
             },
@@ -834,40 +808,9 @@ mod tests {
     }
 
     #[test]
-    fn pre_causal_lines_decode_with_zero_stamps() {
-        // PR-1-era traces carry no seq/cause fields at all.
-        let ev = TimedEvent::from_json_line(r#"{"t":1.5,"node":2,"kind":"conflict","level":4}"#)
-            .unwrap();
-        assert_eq!(ev.seq, 0);
-        assert_eq!(ev.cause, 0);
-        assert_eq!(ev.event, Event::Conflict { level: 4 });
-    }
-
-    #[test]
-    fn pre_causal_journal_append_keeps_seq_as_the_record() {
-        // the old journal_append payload named its record index "seq" —
-        // that must land in the payload, not the Lamport stamp
-        let ev = TimedEvent::from_json_line(
-            r#"{"t":2,"node":0,"kind":"journal_append","seq":41,"lag":3}"#,
-        )
-        .unwrap();
-        assert_eq!(ev.seq, 0);
-        assert_eq!(ev.event, Event::JournalAppend { record: 41, lag: 3 });
-        // and the modern form round-trips with both
-        let modern = TimedEvent {
-            t_s: 2.0,
-            node: 0,
-            seq: 7,
-            cause: 6,
-            event: Event::JournalAppend { record: 41, lag: 3 },
-        };
-        let back = TimedEvent::from_json_line(&modern.to_json_line()).unwrap();
-        assert_eq!(back, modern);
-    }
-
-    #[test]
     fn unknown_kind_is_an_error() {
-        let err = TimedEvent::from_json_line(r#"{"t":0,"node":0,"kind":"frobnicate"}"#);
+        let err =
+            TimedEvent::from_json_line(r#"{"t":0,"node":0,"seq":0,"cause":0,"kind":"frobnicate"}"#);
         assert!(matches!(err, Err(DecodeError::UnknownKind(_))));
     }
 }

@@ -16,7 +16,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Doubling latency bounds from 100 µs to ~104 s — the right scale
-    /// for the control-plane latencies (queue waits, service times) this
+    /// for the control-plane latencies (split request → grant waits) this
     /// codebase measures in seconds.
     pub fn latency_s() -> Histogram {
         Histogram::with_bounds((0..=20).map(|i| 1e-4 * f64::from(1u32 << i)).collect())

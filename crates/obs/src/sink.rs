@@ -104,9 +104,9 @@ fn lock_clocks(clocks: &Arc<Mutex<ClockTable>>) -> std::sync::MutexGuard<'_, Clo
 
 /// Cloneable handle to an optional shared ring. `Obs::default()` is the
 /// disabled no-op; every instrumented component holds one. A *causal*
-/// handle additionally carries a shared [`ClockTable`] and stamps every
+/// handle additionally carries a shared `ClockTable` and stamps every
 /// event with a per-node Lamport `seq` and a `cause` edge; unclocked
-/// handles write `seq == cause == 0` (the pre-causal format).
+/// handles write `seq == cause == 0`.
 #[derive(Clone, Default)]
 pub struct Obs {
     ring: Option<Arc<Mutex<RingBuffer>>>,

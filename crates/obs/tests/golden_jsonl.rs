@@ -6,9 +6,6 @@
 use gridsat_obs::{from_jsonl, to_jsonl, DropReason, Event, TimedEvent};
 
 const GOLDEN: &str = include_str!("golden_trace.jsonl");
-/// The same trace as written before the causal upgrade (no `seq`/`cause`
-/// fields): the decoder must keep accepting it forever.
-const GOLDEN_V1: &str = include_str!("golden_trace_v1.jsonl");
 
 /// The exact events `golden_trace.jsonl` encodes — one of every kind.
 /// Line `i` carries `seq == i + 1` and `cause == i` (a simple chain), so
@@ -220,19 +217,4 @@ fn golden_file_survives_a_full_round_trip() {
     let parsed = from_jsonl(GOLDEN).unwrap();
     let re_encoded = to_jsonl(&parsed);
     assert_eq!(re_encoded, GOLDEN, "re-encoding must be byte-stable");
-}
-
-#[test]
-fn pre_causal_golden_file_still_decodes() {
-    let parsed = from_jsonl(GOLDEN_V1).expect("PR-1-era traces must keep decoding");
-    // same events, but every causal stamp defaults to the unstamped 0
-    let expected: Vec<TimedEvent> = golden_events()
-        .into_iter()
-        .map(|mut e| {
-            e.seq = 0;
-            e.cause = 0;
-            e
-        })
-        .collect();
-    assert_eq!(parsed, expected);
 }

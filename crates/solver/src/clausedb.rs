@@ -53,8 +53,8 @@ pub(crate) enum Visit {
 }
 
 /// Reference to a clause: the arena word offset of its header. Stable
-/// only until the next [`ClauseDb::collect`]; remap through the returned
-/// [`RelocMap`] to survive a collection.
+/// only until the next `ClauseDb::collect`; remap through the returned
+/// `RelocMap` to survive a collection.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ClauseRef(pub(crate) u32);
 

@@ -1084,7 +1084,7 @@ impl Solver {
 
     /// Delete roughly half of the removable learned clauses, worst glue
     /// first (highest LBD, ties broken by lowest activity). Clauses that
-    /// are antecedents are kept, and glue ≤ [`LBD_KEEP`] clauses are never
+    /// are antecedents are kept, and glue ≤ `LBD_KEEP` clauses are never
     /// deleted — low-glue clauses are the ones worth keeping forever
     /// (HordeSat's clause-quality observation). Runs the relocating GC
     /// afterwards when enough garbage has accumulated.

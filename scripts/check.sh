@@ -4,8 +4,9 @@
 # workspace depends on no crate outside the tree, and the first gate
 # keeps it that way.
 #
-#   scripts/check.sh                  the prelude: fmt, clippy, build, tests,
-#                                     causal smoke, fault-tolerance example
+#   scripts/check.sh                  the prelude: fmt, clippy, docs, build,
+#                                     tests, causal smoke, fault-tolerance
+#                                     example
 #   CHECK_<GATE>=1 scripts/check.sh   the prelude, then that opt-in gate
 #   scripts/check.sh --only <gate>    that gate alone — what each CI job
 #                                     runs, so a gate's commands live here
@@ -157,6 +158,11 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+
+# Docs as errors: a link to a deleted or renamed item, or a public doc
+# linking a private one, fails here instead of rotting unnoticed.
+echo "== cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 
 echo "== cargo build + test"
 cargo build --release --offline --locked
