@@ -32,8 +32,6 @@ pub struct TraceEvent {
 pub struct SimStats {
     pub messages_delivered: u64,
     pub bytes_delivered: u64,
-    /// Dropped because the destination was over its in-flight cap.
-    pub dropped_capacity: u64,
     /// Dropped because the link was administratively down.
     pub dropped_link_down: u64,
     /// Dropped because the destination node had left the Grid.
@@ -55,11 +53,7 @@ pub struct SimStats {
 impl SimStats {
     /// Total messages dropped, across all reasons.
     pub fn messages_dropped(&self) -> u64 {
-        self.dropped_capacity
-            + self.dropped_link_down
-            + self.dropped_dead_peer
-            + self.dropped_chaos
-            + self.dropped_corrupt
+        self.dropped_link_down + self.dropped_dead_peer + self.dropped_chaos + self.dropped_corrupt
     }
 }
 
@@ -186,10 +180,6 @@ pub struct Sim<P: Process> {
     last_delivery: HashMap<u64, u64, BuildHasherDefault<LinkHasher>>,
     /// Event-tracing handle (disabled by default).
     obs: Obs,
-    /// Messages currently in flight toward each destination node.
-    inflight: Vec<u64>,
-    /// Per-destination in-flight cap; sends over it are dropped.
-    inflight_cap: Option<u64>,
     /// Administratively-downed links, as normalized (low, high) pairs.
     links_down: BTreeSet<(NodeId, NodeId)>,
     /// Random loss/delay injection (off by default).
@@ -281,8 +271,6 @@ impl<P: Process> Sim<P> {
             trace: None,
             last_delivery: HashMap::default(),
             obs: Obs::default(),
-            inflight: vec![0; num_nodes],
-            inflight_cap: None,
             links_down: BTreeSet::new(),
             chaos: None,
             chaos_rng: 1,
@@ -300,12 +288,6 @@ impl<P: Process> Sim<P> {
     /// send/deliver/drop and node up/down events into it.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Cap how many messages may be in flight toward any one destination;
-    /// sends over the cap are dropped (and counted as capacity drops).
-    pub fn set_inflight_cap(&mut self, cap: u64) {
-        self.inflight_cap = Some(cap);
     }
 
     /// Administratively take the link between `a` and `b` down: sends on
@@ -474,8 +456,6 @@ impl<P: Process> Sim<P> {
                 bytes,
                 send_seq,
             } => {
-                // the message leaves the network either way
-                self.inflight[to.0 as usize] -= 1;
                 if !self.nodes[to.0 as usize].up {
                     self.stats.dropped_dead_peer += 1;
                     self.obs.emit(self.now(), to.0, || ObsEvent::MsgDrop {
@@ -640,19 +620,6 @@ impl<P: Process> Sim<P> {
                             }
                         }
                     }
-                    let inflight = &mut self.inflight[to.0 as usize];
-                    if self.inflight_cap.is_some_and(|cap| *inflight >= cap) {
-                        self.stats.dropped_capacity += 1;
-                        self.obs.emit(self.now(), node.0, || ObsEvent::MsgDrop {
-                            from: node.0,
-                            to: to.0,
-                            label: msg.label(),
-                            bytes: bytes as u64,
-                            reason: DropReason::Capacity,
-                        });
-                        continue;
-                    }
-                    *inflight += 1;
                     let from_site = self.testbed.hosts[node.0 as usize].site;
                     let to_site = self.testbed.hosts[to.0 as usize].site;
                     let link = self.testbed.net.link(from_site, to_site);
@@ -900,7 +867,7 @@ mod tests {
         assert_eq!(sim.stats.messages_delivered, 0);
     }
 
-    /// Sends five pings from node 0 at startup (reused by the drop tests).
+    /// Sends five pings from node 0 at startup.
     struct Spam5;
     impl Process for Spam5 {
         type Msg = Msg;
@@ -916,23 +883,12 @@ mod tests {
     }
 
     #[test]
-    fn inflight_cap_drops_count_as_capacity() {
-        let mut sim = Sim::new(tiny_testbed(), |_| Spam5);
-        sim.set_inflight_cap(2);
-        sim.run_until(10.0);
-        assert_eq!(sim.stats.dropped_capacity, 3);
-        assert_eq!(sim.stats.dropped_link_down, 0);
-        assert_eq!(sim.stats.dropped_dead_peer, 0);
-        assert_eq!(sim.stats.messages_delivered, 2);
-        assert_eq!(sim.stats.messages_dropped(), 3);
-    }
-
-    #[test]
     fn downed_link_drops_count_as_link_down() {
         let mut sim = Sim::new(tiny_testbed(), |_| Spam5);
         sim.set_link_down(NodeId(1), NodeId(0)); // either order works
         sim.run_until(10.0);
         assert_eq!(sim.stats.dropped_link_down, 5);
+        assert_eq!(sim.stats.messages_dropped(), 5);
         assert_eq!(sim.stats.messages_delivered, 0);
         // restoring the link lets a fresh sim (same spec) deliver again
         let mut sim2 = Sim::new(tiny_testbed(), |_| Spam5);
@@ -941,18 +897,6 @@ mod tests {
         sim2.run_until(10.0);
         assert_eq!(sim2.stats.dropped_link_down, 0);
         assert_eq!(sim2.stats.messages_delivered, 5);
-    }
-
-    #[test]
-    fn drop_reasons_surface_in_sim_stats() {
-        let mut sim = Sim::new(tiny_testbed(), |_| Spam5);
-        sim.set_inflight_cap(1);
-        sim.run_until(10.0);
-        assert_eq!(sim.stats.dropped_capacity, 4);
-        assert_eq!(sim.stats.dropped_link_down, 0);
-        assert_eq!(sim.stats.dropped_dead_peer, 0);
-        assert_eq!(sim.stats.messages_dropped(), 4);
-        assert_eq!(sim.stats.messages_delivered, 1);
     }
 
     #[test]

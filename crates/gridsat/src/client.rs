@@ -53,8 +53,6 @@ pub struct ClientStats {
     /// up is a batch of its own, [`ClientStats::share_batches_sent`]).
     /// None under the paper's flood, which is one hop.
     pub shares_forwarded: u64,
-    /// Bytes of share traffic put on the wire (originated + forwarded).
-    pub share_bytes_sent: u64,
     /// Sharing rounds closed: flushes of a non-empty export buffer under
     /// [`GridConfig::share_round_s`] (none under the paper presets).
     pub share_rounds: u64,
@@ -106,7 +104,6 @@ impl ClientStats {
             clauses_received,
             dup_share_drops,
             shares_forwarded,
-            share_bytes_sent,
             share_rounds,
             share_export_dropped,
             work,
@@ -127,7 +124,6 @@ impl ClientStats {
         self.clauses_received += clauses_received;
         self.dup_share_drops += dup_share_drops;
         self.shares_forwarded += shares_forwarded;
-        self.share_bytes_sent += share_bytes_sent;
         self.share_rounds += share_rounds;
         self.share_export_dropped += share_export_dropped;
         self.work += work;
@@ -487,7 +483,6 @@ impl Client {
         // up to the parent; from a node that has none, down
         let sent = match self.up {
             Some(parent) => {
-                self.stats.share_bytes_sent += (24 + batch.wire_len()) as u64;
                 ctx.send(parent, GridMsg::Share { batch, down: false });
                 1
             }
@@ -500,10 +495,8 @@ impl Client {
     /// sharing the bytes by refcount; how many went.
     fn send_down(&mut self, batch: &Arc<EncodedBatch>, ctx: &mut Ctx<GridMsg>) -> u64 {
         let me = ctx.me();
-        let bytes = (24 + batch.wire_len()) as u64;
         let mut sent = 0;
         for &peer in Arc::clone(&self.down).iter().filter(|&&peer| peer != me) {
-            self.stats.share_bytes_sent += bytes;
             ctx.send(
                 peer,
                 GridMsg::Share {
@@ -1177,7 +1170,6 @@ mod tests {
             clauses_received: 5,
             dup_share_drops: 10,
             shares_forwarded: 11,
-            share_bytes_sent: 12,
             work: 6,
             results: 7,
             migrations: 8,
@@ -1205,7 +1197,6 @@ mod tests {
                 clauses_received: 10,
                 dup_share_drops: 20,
                 shares_forwarded: 22,
-                share_bytes_sent: 24,
                 work: 12,
                 results: 14,
                 migrations: 16,

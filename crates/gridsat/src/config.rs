@@ -1,18 +1,5 @@
 //! GridSAT run configuration.
 
-/// How the master picks the idle resource for a split (the scheduler
-/// ablation; the paper uses NWS-style ranking).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SchedPolicy {
-    /// Rank by forecast availability x speed, memory as tie-break
-    /// (paper Section 3.3).
-    NwsRank,
-    /// Uniform random among idle resources (seeded).
-    Random(u64),
-    /// Deliberately pick the worst-ranked resource (ablation lower bound).
-    WorstRank,
-}
-
 /// Fraction of host memory a client's solver may use ("only use up to
 /// 60% of it").
 pub const MEM_FRACTION: f64 = 0.6;
@@ -85,8 +72,6 @@ pub struct GridConfig {
     pub load_report_period: f64,
     /// Master housekeeping period, seconds.
     pub master_period: f64,
-    /// Scheduler policy.
-    pub scheduler: SchedPolicy,
     /// Allow the master to migrate subproblems to better resources.
     pub migration: bool,
     /// Length of a clause-sharing round, seconds (HordeSat's discipline).
@@ -131,7 +116,6 @@ impl Default for GridConfig {
             work_quantum_s: 5.0,
             load_report_period: 60.0,
             master_period: 5.0,
-            scheduler: SchedPolicy::NwsRank,
             migration: true,
             share_round_s: Some(5.0),
             reliability: false,

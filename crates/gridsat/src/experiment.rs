@@ -107,9 +107,9 @@ pub struct GridReport {
     /// off or the network was fault-free).
     pub reliable: ReliableStats,
     pub sim: SimStats,
-    /// Control-plane latency telemetry (queue depth, per-kind service
-    /// times, split-request -> grant waits), merged across the original
-    /// master and any promoted standby.
+    /// Control-plane telemetry (queue depth and split-request -> grant
+    /// waits), merged across the original master and any promoted
+    /// standby.
     pub telemetry: MasterTelemetry,
 }
 
@@ -464,10 +464,14 @@ mod tests {
             ..GridConfig::default()
         };
         let cap = config.overall_timeout;
-        let mut sim = build_sim(&f, tb(13), config.clone());
-        sim.enable_trace();
-        sim.run_until(cap + 60.0);
-        let r = report(&sim, cap);
+        let traced = |config: GridConfig| {
+            let mut sim = build_sim(&f, tb(13), config);
+            sim.enable_trace();
+            sim.run_until(cap + 60.0);
+            let r = report(&sim, cap);
+            (sim, r)
+        };
+        let (sim, r) = traced(config.clone());
         assert_eq!(r.outcome, GridOutcome::Unsat, "oracle answer first");
         assert!(r.clients.share_batches_sent > 0);
         assert!(r.clients.clauses_received > 0);
@@ -503,21 +507,20 @@ mod tests {
 
         // against the paper's flood: the tree must answer the same and
         // never put more share bytes on the wire
-        let flood = run(
-            &f,
-            tb(13),
-            GridConfig {
-                share_round_s: None,
-                ..config
-            },
-        );
+        let (flood_sim, flood) = traced(GridConfig {
+            share_round_s: None,
+            ..config
+        });
         assert_eq!(flood.outcome, GridOutcome::Unsat);
         assert_eq!(flood.clients.shares_forwarded, 0, "the flood is one hop");
+        let share_bytes = |sim: &GridSim| -> usize {
+            let events = sim.trace_events().iter();
+            events.filter(|e| e.label == "share").map(|e| e.bytes).sum()
+        };
+        let (tree_bytes, flood_bytes) = (share_bytes(&sim), share_bytes(&flood_sim));
         assert!(
-            r.clients.share_bytes_sent <= flood.clients.share_bytes_sent,
-            "share tree sent {} share bytes, all-pairs {}",
-            r.clients.share_bytes_sent,
-            flood.clients.share_bytes_sent
+            tree_bytes <= flood_bytes,
+            "share tree sent {tree_bytes} share bytes, all-pairs {flood_bytes}"
         );
     }
 

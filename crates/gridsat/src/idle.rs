@@ -7,7 +7,6 @@
 //! the one place a client's state or rank changes; every replay rebuilds
 //! it, and it is never journaled.
 
-use crate::config::SchedPolicy;
 use gridsat_grid::{NodeId, Site};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,7 +57,7 @@ pub(crate) struct IdleIndex {
     /// Per site (`None`: a host the information service does not list),
     /// best rank first and lower id first among equal ranks.
     by_site: BTreeMap<Option<Site>, BTreeSet<Key>>,
-    /// Ascending by id.
+    /// Every indexed client.
     ids: BTreeSet<NodeId>,
 }
 
@@ -100,39 +99,11 @@ impl IdleIndex {
         self.ids.len()
     }
 
-    /// How many idle clients there are besides `exclude`.
-    pub(crate) fn count_except(&self, exclude: NodeId) -> usize {
-        self.ids.len() - usize::from(self.ids.contains(&exclude))
-    }
-
-    /// The idle client besides `exclude` that `policy` picks. `near` is
-    /// the requester's site (NWS policy); `draw` is the Random policy's
-    /// draw, taken as an index into the candidates ascending by id.
-    pub(crate) fn pick(
-        &self,
-        policy: SchedPolicy,
-        exclude: NodeId,
-        near: Option<Site>,
-        draw: u64,
-    ) -> Option<NodeId> {
-        match policy {
-            SchedPolicy::NwsRank => self.best(exclude, near),
-            SchedPolicy::WorstRank => self.worst(exclude),
-            SchedPolicy::Random(_) => match self.count_except(exclude) as u64 {
-                0 => None,
-                n => {
-                    let mut candidates = self.ids.iter().filter(|&&id| id != exclude);
-                    candidates.nth((draw % n) as usize).copied()
-                }
-            },
-        }
-    }
-
     /// The best-placed idle client besides `exclude`: the highest score,
     /// lower id on equal scores. A client's score is its rank, times
     /// [`REMOTE_DISCOUNT`] when it and `near` are on known, different
     /// sites.
-    fn best(&self, exclude: NodeId, near: Option<Site>) -> Option<NodeId> {
+    pub(crate) fn pick(&self, exclude: NodeId, near: Option<Site>) -> Option<NodeId> {
         let mut best: Option<(f64, NodeId)> = None;
         for (site, set) in &self.by_site {
             let remote = matches!((near, site), (Some(a), Some(b)) if a != *b);
@@ -152,20 +123,6 @@ impl IdleIndex {
             }
         }
         best.map(|(_, id)| id)
-    }
-
-    /// The worst-ranked idle client besides `exclude`, lower id on equal
-    /// ranks.
-    fn worst(&self, exclude: NodeId) -> Option<NodeId> {
-        self.by_site
-            .values()
-            .filter_map(|set| {
-                let (Reverse(low), _) = set.iter().rev().find(|(_, id)| *id != exclude)?;
-                // the lowest id of the lowest rank opens that rank's run
-                first_except(set.range((Reverse(*low), NodeId(0))..), exclude)
-            })
-            .min_by(|(ra, a), (rb, b)| ra.total_cmp(rb).then(a.cmp(b)))
-            .map(|(_, id)| id)
     }
 }
 

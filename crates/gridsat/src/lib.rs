@@ -61,7 +61,7 @@ pub mod wire;
 
 pub use chaos::{CrashWindow, FaultPlan, LinkWindow};
 pub use client::Client;
-pub use config::{GridConfig, SchedPolicy};
+pub use config::GridConfig;
 pub use experiment::{run, GridNode, GridReport, GridSim};
 pub use journal::{JournalRecord, MasterJournal, RecoverySpec};
 pub use master::{

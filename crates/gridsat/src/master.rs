@@ -24,7 +24,7 @@
 //! from its recovery image, or from the base formula and its path.
 
 use crate::config::{
-    GridConfig, SchedPolicy, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR, PROMOTE_GRACE_S,
+    GridConfig, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR, PROMOTE_GRACE_S,
     QUARANTINE_STRIKES, STANDBY_NODE,
 };
 use crate::idle::{Hosts, REMOTE_DISCOUNT};
@@ -94,12 +94,6 @@ pub struct MasterStats {
     /// Subproblems taken back after an undeliverable assignment or
     /// transfer (reliability extension).
     pub requeues: u64,
-    /// Checksum-failing deliveries attributed to a peer (integrity
-    /// extension).
-    pub corrupt_msgs: u64,
-    /// Clients deregistered for exceeding the corruption threshold
-    /// (integrity extension).
-    pub quarantines: u64,
     /// Delegated steal splits settled (hierarchy extension): a
     /// donor-to-thief transfer that completed without a master grant.
     pub steals_settled: u64,
@@ -125,8 +119,6 @@ impl MasterStats {
             recoveries,
             lease_expiries,
             requeues,
-            corrupt_msgs,
-            quarantines,
             steals_settled,
             steals_aborted,
             escalations,
@@ -140,8 +132,6 @@ impl MasterStats {
         self.recoveries += recoveries;
         self.lease_expiries += lease_expiries;
         self.requeues += requeues;
-        self.corrupt_msgs += corrupt_msgs;
-        self.quarantines += quarantines;
         self.steals_settled += steals_settled;
         self.steals_aborted += steals_aborted;
         self.escalations += escalations;
@@ -294,7 +284,6 @@ pub struct Master {
     minted: u32,
     outcome: Option<GridOutcome>,
     finished_at: f64,
-    rng_state: u64,
     last_migration: f64,
     pub stats: MasterStats,
     /// Control-plane latency telemetry (always on; cheap counters).
@@ -335,37 +324,23 @@ fn idle_clients(
 
 /// What [`Master::pick_idle`] picks, found by walking the whole roster:
 /// the reference model the idle index is checked against, called only by
-/// that function's `debug_assert` and the tests. `draw` is the Random
-/// policy's xorshift draw.
+/// that function's `debug_assert` and the tests.
 fn pick_by_walk(
     clients: &BTreeMap<NodeId, ClientInfo>,
     host_info: &Hosts,
-    policy: SchedPolicy,
     exclude: NodeId,
     near: Option<Site>,
-    draw: u64,
 ) -> Option<NodeId> {
     let score = |id: &NodeId, info: &ClientInfo| match (near, host_info.get(id)) {
         (Some(a), Some((_, b))) if a != *b => info.rank() * REMOTE_DISCOUNT,
         _ => info.rank(),
     };
-    match policy {
-        SchedPolicy::NwsRank => idle_clients(clients, exclude)
-            .max_by(|(a, ia), (b, ib)| {
-                // deterministic ties: lower id
-                score(a, ia).total_cmp(&score(b, ib)).then(b.cmp(a))
-            })
-            .map(|(id, _)| *id),
-        SchedPolicy::WorstRank => idle_clients(clients, exclude)
-            .min_by(|(a, ia), (b, ib)| ia.rank().total_cmp(&ib.rank()).then(a.cmp(b)))
-            .map(|(id, _)| *id),
-        SchedPolicy::Random(_) => match idle_clients(clients, exclude).count() as u64 {
-            0 => None,
-            n => idle_clients(clients, exclude)
-                .nth((draw % n) as usize)
-                .map(|(id, _)| *id),
-        },
-    }
+    idle_clients(clients, exclude)
+        .max_by(|(a, ia), (b, ib)| {
+            // deterministic ties: lower id
+            score(a, ia).total_cmp(&score(b, ib)).then(b.cmp(a))
+        })
+        .map(|(id, _)| *id)
 }
 
 impl Master {
@@ -385,10 +360,6 @@ impl Master {
         host_info: BTreeMap<NodeId, (f64, Site)>,
         me: NodeId,
     ) -> Master {
-        let rng_state = match config.scheduler {
-            SchedPolicy::Random(seed) => seed | 1,
-            _ => 1,
-        };
         let standby = (config.failover && me.0 != STANDBY_NODE).then_some(StandbyLink {
             node: NodeId(STANDBY_NODE),
             sent: 0,
@@ -408,7 +379,6 @@ impl Master {
             minted: 0,
             outcome: None,
             finished_at: 0.0,
-            rng_state,
             last_migration: f64::NEG_INFINITY,
             stats: MasterStats::default(),
             telemetry: MasterTelemetry::default(),
@@ -645,42 +615,15 @@ impl Master {
         self.host_info.get(&id).map(|(_, site)| *site)
     }
 
-    fn xorshift(&mut self) -> u64 {
-        // deterministic scheduler randomness for the Random policy
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
-    }
-
-    /// Pick an idle client other than `exclude` per `policy`, from the
-    /// core's idle index. `near` biases the NWS policy toward transfer
+    /// The best NWS-ranked idle client other than `exclude`, from the
+    /// core's idle index. `near` biases the pick toward transfer
     /// locality: a client on another site scores its rank times
     /// [`REMOTE_DISCOUNT`].
-    fn pick_idle(
-        &mut self,
-        policy: SchedPolicy,
-        exclude: NodeId,
-        near: Option<Site>,
-    ) -> Option<NodeId> {
-        // no draw without a candidate: the stream must not advance
-        let draw = match policy {
-            SchedPolicy::Random(_) if self.core.idle.count_except(exclude) > 0 => self.xorshift(),
-            _ => 0,
-        };
-        let pick = self.core.idle.pick(policy, exclude, near, draw);
+    fn pick_idle(&self, exclude: NodeId, near: Option<Site>) -> Option<NodeId> {
+        let pick = self.core.idle.pick(exclude, near);
         debug_assert_eq!(
             pick,
-            pick_by_walk(
-                &self.core.clients,
-                &self.host_info,
-                policy,
-                exclude,
-                near,
-                draw
-            ),
+            pick_by_walk(&self.core.clients, &self.host_info, exclude, near),
             "the idle index disagrees with the roster walk"
         );
         pick
@@ -805,7 +748,7 @@ impl Master {
             return false;
         };
         let near = self.site_of(requester);
-        let Some(peer) = self.pick_idle(self.config.scheduler, requester, near) else {
+        let Some(peer) = self.pick_idle(requester, near) else {
             if !self.core.backlog.contains(&requester) {
                 self.commit(ctx.now(), JournalRecord::BacklogPush { client: requester });
                 self.stats.backlogged += 1;
@@ -930,11 +873,8 @@ impl Master {
         let Some((weak_id, weak_rank)) = weakest else {
             return;
         };
-        // migration targets are always rank-picked (even under the
-        // Random/Worst scheduler ablations): moving a hard subproblem to a
-        // weak host would defeat the point
         let near = self.site_of(weak_id);
-        let Some(best_idle) = self.pick_idle(SchedPolicy::NwsRank, weak_id, near) else {
+        let Some(best_idle) = self.pick_idle(weak_id, near) else {
             return;
         };
         let idle_rank = self.core.clients[&best_idle].rank();
@@ -1309,7 +1249,6 @@ impl Master {
         if self.outcome.is_some() {
             return;
         }
-        self.stats.corrupt_msgs += 1;
         let strikes = self.corrupt_strikes.entry(from).or_insert(0);
         *strikes += 1;
         let strikes = u64::from(*strikes);
@@ -1318,7 +1257,6 @@ impl Master {
             return;
         }
         self.corrupt_strikes.remove(&from);
-        self.stats.quarantines += 1;
         let now = ctx.now();
         let node = self.me.0;
         self.obs.emit(now, node, || Event::PeerQuarantine {
@@ -1334,7 +1272,7 @@ impl Master {
     /// Hand queued recovered subproblems to idle clients.
     fn dispatch_recoveries(&mut self, ctx: &mut Ctx<GridMsg>) {
         while !self.core.pending_recovery.is_empty() {
-            let Some(target) = self.pick_idle(self.config.scheduler, NodeId(u32::MAX), None) else {
+            let Some(target) = self.pick_idle(NodeId(u32::MAX), None) else {
                 return;
             };
             self.assign(target, false, ctx);

@@ -42,8 +42,6 @@ pub struct SubMasterStats {
     pub tickets: u64,
     /// Offers handed up to the root for lack of local idle capacity.
     pub escalations: u64,
-    /// Split offers received from site clients.
-    pub offers: u64,
     /// Idle announcements received.
     pub announcements: u64,
 }
@@ -53,12 +51,10 @@ impl SubMasterStats {
         let SubMasterStats {
             tickets,
             escalations,
-            offers,
             announcements,
         } = *other;
         self.tickets += tickets;
         self.escalations += escalations;
-        self.offers += offers;
         self.announcements += announcements;
     }
 }
@@ -139,7 +135,6 @@ impl Process for SubMaster {
                 }
             }
             GridMsg::SplitRequest { problem } => {
-                self.stats.offers += 1;
                 self.idle.remove(&from); // a donor is certainly busy
                 if let Some(slot) = self.offers.iter_mut().find(|(d, _)| *d == from) {
                     slot.1 = problem; // refresh a re-arisen offer

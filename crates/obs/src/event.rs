@@ -6,8 +6,8 @@
 //! and the [`Event`] payload. One event serializes to one flat JSON
 //! object per line; field order is fixed (`t`, `node`, `seq`, `cause`,
 //! `kind`, then payload fields) so traces are byte-stable and diffable.
-//! Traces written before the causal upgrade omit `seq`/`cause`; they
-//! decode with both stamps zero (the "unstamped" value).
+//! A line without `seq` or `cause` does not decode (a `MissingField`
+//! error); an unstamped ring writes both as zero.
 
 use crate::json::{parse_object, JsonScalar, ObjWriter};
 use std::collections::BTreeMap;
@@ -15,9 +15,6 @@ use std::collections::BTreeMap;
 /// Why the engine dropped a message instead of delivering it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DropReason {
-    /// The destination already had the configured maximum number of
-    /// messages in flight.
-    Capacity,
     /// The link between the endpoints was administratively down.
     LinkDown,
     /// The destination node had left the Grid before delivery.
@@ -32,7 +29,6 @@ pub enum DropReason {
 impl DropReason {
     pub fn as_str(&self) -> &'static str {
         match self {
-            DropReason::Capacity => "capacity",
             DropReason::LinkDown => "link_down",
             DropReason::DeadPeer => "dead_peer",
             DropReason::Chaos => "chaos",
@@ -42,7 +38,6 @@ impl DropReason {
 
     pub fn parse(s: &str) -> Option<DropReason> {
         match s {
-            "capacity" => Some(DropReason::Capacity),
             "link_down" => Some(DropReason::LinkDown),
             "dead_peer" => Some(DropReason::DeadPeer),
             "chaos" => Some(DropReason::Chaos),

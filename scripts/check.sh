@@ -132,12 +132,15 @@ echo "== every binary and script the docs, scripts and CI run exists"
 # EXPERIMENTS.md's "History" section records outputs of binaries and
 # scripts that were removed on purpose; everything above it must name
 # live ones.
-named=$({ cat README.md DESIGN.md scripts/*.sh .github/workflows/ci.yml
+# A binary is named by a command (`--bin <name>`) or by its source file
+# (`bin/<name>.rs`).
+named=$({ cat README.md DESIGN.md .claude/skills/verify/SKILL.md scripts/*.sh .github/workflows/ci.yml
           sed '/^## History/,$d' EXPERIMENTS.md; } |
-  grep -oE -- '--bin +[A-Za-z0-9_]+' | awk '{ print $2 }' | sort -u)
+  grep -oE -- '--bin +[A-Za-z0-9_]+|bin/[A-Za-z0-9_]+\.rs' |
+  sed -E 's/^--bin +//; s/^bin\/([A-Za-z0-9_]+)\.rs$/\1/' | sort -u)
 for name in $named; do
   if [[ ! -f "crates/bench/src/bin/$name.rs" && ! -f "examples/$name.rs" ]]; then
-    echo "the docs, scripts or CI run a binary '$name' that is neither under crates/bench/src/bin/ nor examples/" >&2
+    echo "the docs, scripts or CI name a binary '$name' that is neither under crates/bench/src/bin/ nor examples/" >&2
     exit 1
   fi
 done

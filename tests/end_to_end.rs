@@ -1,7 +1,7 @@
 //! Whole-stack integration: generators -> sequential core -> Grid runs on
 //! the paper's testbeds, answers cross-checked three ways.
 
-use gridsat::{experiment, GridConfig, GridOutcome, SchedPolicy};
+use gridsat::{experiment, GridConfig, GridOutcome};
 use gridsat_cnf::Formula;
 use gridsat_grid::Testbed;
 use gridsat_satgen as satgen;
@@ -41,24 +41,6 @@ fn families_agree_on_the_grads_testbed() {
     ];
     for f in &instances {
         check_agreement(f, GridConfig::default());
-    }
-}
-
-#[test]
-fn scheduler_policies_all_reach_the_right_answer() {
-    let f = satgen::php::php(8, 7);
-    for policy in [
-        SchedPolicy::NwsRank,
-        SchedPolicy::Random(7),
-        SchedPolicy::WorstRank,
-    ] {
-        let config = GridConfig {
-            scheduler: policy,
-            min_split_timeout: 2.0,
-            ..GridConfig::default()
-        };
-        let (outcome, _) = grid_status(&f, Testbed::grads(), config);
-        assert_eq!(outcome, GridOutcome::Unsat, "{policy:?}");
     }
 }
 
