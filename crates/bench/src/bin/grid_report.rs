@@ -9,8 +9,8 @@
 //! skip the file and run the built-in seeded simulation:
 //!
 //! Usage:
-//!   grid_report <trace.jsonl> [--json] [--check]
-//!   grid_report --sim [--clients N] [--json] [--check]
+//!   grid_report <trace.jsonl> [--check]
+//!   grid_report --sim [--clients N] [--check]
 //!
 //! `--sim` runs PHP(9,8) over a uniform testbed (13 nodes by default)
 //! with a causal ring installed and reports on the captured trace plus
@@ -34,7 +34,6 @@ struct Args {
     trace: Option<String>,
     sim: bool,
     clients: usize,
-    json: bool,
     check: bool,
 }
 
@@ -43,14 +42,12 @@ fn parse_args() -> Args {
         trace: None,
         sim: false,
         clients: 13,
-        json: false,
         check: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--sim" => args.sim = true,
-            "--json" => args.json = true,
             "--check" => args.check = true,
             "--clients" => {
                 let n = it.next().and_then(|v| v.parse().ok());
@@ -61,8 +58,8 @@ fn parse_args() -> Args {
                 args.clients = n;
             }
             "--help" | "-h" => {
-                eprintln!("usage: grid_report <trace.jsonl> [--json] [--check]");
-                eprintln!("       grid_report --sim [--clients N] [--json] [--check]");
+                eprintln!("usage: grid_report <trace.jsonl> [--check]");
+                eprintln!("       grid_report --sim [--clients N] [--check]");
                 exit(2);
             }
             other if !other.starts_with('-') && args.trace.is_none() => {
@@ -183,23 +180,6 @@ fn render_step_overrun(c: &ClientStats, merge_bound: Option<u64>) -> String {
     )
 }
 
-fn latency_json(s: &LatencySummary) -> String {
-    format!(
-        "{{\"count\":{},\"p50_s\":{:.9},\"p90_s\":{:.9},\"p99_s\":{:.9},\"mean_s\":{:.9}}}",
-        s.count, s.p50_s, s.p90_s, s.p99_s, s.mean_s
-    )
-}
-
-fn control_plane_json(t: &MasterTelemetry) -> String {
-    format!(
-        "{{\"queue_depth_max\":{},\"queue_depth_mean\":{:.6},\"queue_samples\":{},\"split_wait\":{}}}",
-        t.queue_depth_max,
-        t.mean_queue_depth(),
-        t.queue_samples(),
-        latency_json(&t.split_wait_summary())
-    )
-}
-
 /// `--check`: every condition the CI smoke run demands of a healthy
 /// causal trace. Returns the failures (empty = pass).
 fn check_failures(analysis: &TraceAnalysis) -> Vec<String> {
@@ -232,51 +212,22 @@ fn main() {
     };
     let analysis = analyze(&events);
 
-    if args.json {
-        let mut out = analysis.render_json();
-        if let Some((r, merge_bound)) = &report {
-            // splice run metadata + control-plane telemetry into the
-            // analysis object rather than nesting a second document
-            out.truncate(out.len() - 1);
-            let c = &r.clients;
-            let _ = write!(
-                out,
-                ",\"events\":{},\"outcome\":{:?},\"run_seconds\":{:.3},\"control_plane\":{},\
-                 \"max_step_work\":{},\"max_merge_burst\":{},\"merge_burst_bound\":{},\
-                 \"peak_inbox_lits\":{},\"merge_dropped\":{},\
-                 \"share_rounds\":{},\"share_export_dropped\":{}}}",
-                events.len(),
-                outcome_str(&r.outcome),
-                r.seconds,
-                control_plane_json(&r.telemetry),
-                c.max_step_work,
-                c.max_merge_burst,
-                merge_bound.map_or("null".into(), |b| b.to_string()),
-                c.peak_inbox_lits,
-                c.merge_dropped,
-                c.share_rounds,
-                c.share_export_dropped
-            );
-        }
-        println!("{out}");
+    if let Some((r, _)) = &report {
+        println!(
+            "{} events; outcome {} in {:.1}s simulated\n",
+            events.len(),
+            outcome_str(&r.outcome),
+            r.seconds
+        );
     } else {
-        if let Some((r, _)) = &report {
-            println!(
-                "{} events; outcome {} in {:.1}s simulated\n",
-                events.len(),
-                outcome_str(&r.outcome),
-                r.seconds
-            );
-        } else {
-            println!("{} events\n", events.len());
-        }
-        print!("{}", analysis.render_text());
-        if let Some((r, merge_bound)) = &report {
-            println!();
-            print!("{}", render_control_plane(&r.telemetry));
-            println!();
-            print!("{}", render_step_overrun(&r.clients, *merge_bound));
-        }
+        println!("{} events\n", events.len());
+    }
+    print!("{}", analysis.render_text());
+    if let Some((r, merge_bound)) = &report {
+        println!();
+        print!("{}", render_control_plane(&r.telemetry));
+        println!();
+        print!("{}", render_step_overrun(&r.clients, *merge_bound));
     }
 
     if args.check {

@@ -9,7 +9,6 @@ use crate::{Lit, Value, Var};
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Assignment {
     values: Vec<Value>,
-    assigned: usize,
 }
 
 impl Assignment {
@@ -17,7 +16,6 @@ impl Assignment {
     pub fn new(num_vars: usize) -> Assignment {
         Assignment {
             values: vec![Value::Unassigned; num_vars],
-            assigned: 0,
         }
     }
 
@@ -25,18 +23,6 @@ impl Assignment {
     #[inline]
     pub fn num_vars(&self) -> usize {
         self.values.len()
-    }
-
-    /// Number of currently assigned variables.
-    #[inline]
-    pub fn num_assigned(&self) -> usize {
-        self.assigned
-    }
-
-    /// `true` iff every variable is assigned.
-    #[inline]
-    pub fn is_total(&self) -> bool {
-        self.assigned == self.values.len()
     }
 
     /// The value of a variable.
@@ -57,25 +43,14 @@ impl Assignment {
         self.lit_value(l) == Value::True
     }
 
-    /// Set a variable's value, tracking the assigned count.
+    /// Set a variable's value.
     pub fn set(&mut self, v: Var, val: Value) {
-        let slot = &mut self.values[v.index()];
-        match (slot.is_assigned(), val.is_assigned()) {
-            (false, true) => self.assigned += 1,
-            (true, false) => self.assigned -= 1,
-            _ => {}
-        }
-        *slot = val;
+        self.values[v.index()] = val;
     }
 
     /// Assign the variable so that the literal becomes true.
     pub fn assign_lit(&mut self, l: Lit) {
         self.set(l.var(), l.satisfying_value());
-    }
-
-    /// Clear a variable back to unassigned.
-    pub fn unset(&mut self, v: Var) {
-        self.set(v, Value::Unassigned);
     }
 
     /// Iterate over `(Var, Value)` pairs of *assigned* variables.
@@ -100,32 +75,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_and_count() {
+    fn set_overwrites_and_clears() {
         let mut a = Assignment::new(4);
         assert_eq!(a.num_vars(), 4);
-        assert_eq!(a.num_assigned(), 0);
-        assert!(!a.is_total());
+        assert_eq!(a.iter_assigned().count(), 0);
 
         a.set(Var(0), Value::True);
         a.set(Var(2), Value::False);
-        assert_eq!(a.num_assigned(), 2);
         assert_eq!(a.value(Var(0)), Value::True);
         assert_eq!(a.value(Var(1)), Value::Unassigned);
 
-        // overwriting an assigned var does not change the count
         a.set(Var(0), Value::False);
-        assert_eq!(a.num_assigned(), 2);
+        assert_eq!(a.value(Var(0)), Value::False);
 
-        a.unset(Var(0));
-        assert_eq!(a.num_assigned(), 1);
-        // unsetting an unassigned var is a no-op
-        a.unset(Var(0));
-        assert_eq!(a.num_assigned(), 1);
-
-        a.set(Var(0), Value::True);
-        a.set(Var(1), Value::True);
-        a.set(Var(3), Value::False);
-        assert!(a.is_total());
+        a.set(Var(0), Value::Unassigned);
+        assert_eq!(a.value(Var(0)), Value::Unassigned);
+        assert_eq!(a.iter_assigned().count(), 1);
     }
 
     #[test]

@@ -40,12 +40,6 @@ impl Clause {
         self.lits.is_empty()
     }
 
-    /// `true` iff this is a unit clause (exactly one literal).
-    #[inline]
-    pub fn is_unit(&self) -> bool {
-        self.lits.len() == 1
-    }
-
     /// The literals.
     #[inline]
     pub fn lits(&self) -> &[Lit] {
@@ -191,10 +185,8 @@ mod tests {
         let c = Clause::new([lit(1), lit(-2), lit(3)]);
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
-        assert!(!c.is_unit());
         assert!(c.contains(lit(-2)));
         assert!(!c.contains(lit(2)));
-        assert!(Clause::new([lit(5)]).is_unit());
         assert!(Clause::empty().is_empty());
     }
 

@@ -158,15 +158,6 @@ impl Formula {
             |l| a.lit_value(l) != Value::False,
         )
     }
-
-    /// Basic clause-length histogram (index = length, capped at `max_len`).
-    pub fn length_histogram(&self, max_len: usize) -> Vec<usize> {
-        let mut h = vec![0usize; max_len + 1];
-        for c in self.clauses() {
-            h[c.len().min(max_len)] += 1;
-        }
-        h
-    }
 }
 
 impl fmt::Debug for Formula {
@@ -345,13 +336,5 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(f.num_clauses(), 1);
         assert_eq!(f.clause(0).lits(), &[Lit::from_dimacs(-13)]);
-    }
-
-    #[test]
-    fn length_histogram_caps() {
-        let f = crate::paper::fig1_formula();
-        let h = f.length_histogram(3);
-        assert_eq!(h.iter().sum::<usize>(), 9);
-        assert_eq!(h[1], 1); // clause 9 is the only unit
     }
 }

@@ -68,9 +68,6 @@ pub struct ClientStats {
     pub results: u64,
     /// Migrations performed (sent own problem away).
     pub migrations: u64,
-    /// Splits performed as a steal donor (hierarchy extension): work
-    /// handed to an idle sibling without a master grant.
-    pub steals: u64,
     /// Load reports actually sent to the master.
     pub load_reports_sent: u64,
     /// Load reports suppressed by the delta/staleness coalescer.
@@ -109,7 +106,6 @@ impl ClientStats {
             work,
             results,
             migrations,
-            steals,
             load_reports_sent,
             load_reports_suppressed,
             max_step_work,
@@ -129,7 +125,6 @@ impl ClientStats {
         self.work += work;
         self.results += results;
         self.migrations += migrations;
-        self.steals += steals;
         self.load_reports_sent += load_reports_sent;
         self.load_reports_suppressed += load_reports_suppressed;
         self.max_step_work = self.max_step_work.max(max_step_work);
@@ -159,8 +154,11 @@ const LOAD_REPORT_STALE_FACTOR: f64 = 4.0;
 enum State {
     /// No problem assigned.
     Idle,
-    /// Solving a subproblem.
-    Solving,
+    /// Solving `problem`, the cube in hand.
+    Solving {
+        solver: Box<Solver>,
+        problem: ProblemId,
+    },
     /// Run over.
     Done,
 }
@@ -170,7 +168,6 @@ pub struct Client {
     master: NodeId,
     config: GridConfig,
     state: State,
-    solver: Option<Solver>,
     /// Where this node's sharing round goes: its parent in the share
     /// tree, as the master last told it ([`GridMsg::Peers`]). `None` at
     /// the tree's root and, under the paper's all-pairs flood, at every
@@ -213,8 +210,6 @@ pub struct Client {
     last_checkpoint: f64,
     /// Last lease renewal sent to the master (reliability extension).
     last_heartbeat: f64,
-    /// Identity of the subproblem currently held.
-    current_problem: Option<ProblemId>,
     /// Counter for subproblem ids minted by this client's splits.
     minted: u32,
     pub stats: ClientStats,
@@ -236,7 +231,6 @@ impl Client {
             master,
             config,
             state: State::Idle,
-            solver: None,
             up: None,
             down: Arc::default(),
             fp_window: FpWindow::over(SHARE_FP_WINDOW, ids),
@@ -253,7 +247,6 @@ impl Client {
             last_load_report_sent: f64::NEG_INFINITY,
             last_checkpoint: 0.0,
             last_heartbeat: 0.0,
-            current_problem: None,
             minted: 0,
             stats: ClientStats::default(),
             obs: Obs::default(),
@@ -264,7 +257,7 @@ impl Client {
     /// every subproblem this client adopts.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-        if let Some(solver) = &mut self.solver {
+        if let State::Solving { solver, .. } = &mut self.state {
             // node id is unknown outside a Ctx; adopt_problem refreshes it
             solver.set_obs(self.obs.clone(), 0);
         }
@@ -345,9 +338,12 @@ impl Client {
         cfg
     }
 
-    fn mint_problem_id(&mut self, ctx: &Ctx<GridMsg>) -> ProblemId {
-        self.minted += 1;
-        ProblemId::new(ctx.me(), self.minted)
+    /// The cube in hand, if any.
+    fn problem(&self) -> Option<ProblemId> {
+        match self.state {
+            State::Solving { problem, .. } => Some(problem),
+            State::Idle | State::Done => None,
+        }
     }
 
     fn adopt_problem(&mut self, spec: &FlatSpec, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
@@ -363,9 +359,10 @@ impl Client {
         );
         solver.set_obs(self.obs.clone(), ctx.me().0);
         solver.set_obs_now(ctx.now());
-        self.solver = Some(solver);
-        self.current_problem = Some(problem);
-        self.state = State::Solving;
+        self.state = State::Solving {
+            solver: Box::new(solver),
+            problem,
+        };
         // anchor this node's causal register on the adoption: solver
         // events emitted from later ticks chain back to the delivery
         // that brought the subproblem, not to unrelated traffic
@@ -426,11 +423,9 @@ impl Client {
         }
     }
 
-    fn report_result(&mut self, result: SubResult, ctx: &mut Ctx<GridMsg>) {
-        let problem = self.current_problem.take().expect("solving a problem");
+    fn report_result(&mut self, result: SubResult, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
         ctx.send(self.master, GridMsg::Result { result, problem });
         self.stats.results += 1;
-        self.solver = None;
         self.state = State::Idle;
         self.split_requested_at = None;
         // the subproblem is over; later events must not chain to it
@@ -446,7 +441,7 @@ impl Client {
     /// subproblem's final quantum, and its batch is the buffer's shortest
     /// clauses, [`SHARE_ROUND_LITS`] literals at most.
     fn drain_shares(&mut self, final_quantum: bool, ctx: &mut Ctx<GridMsg>) {
-        if let Some(solver) = &mut self.solver {
+        if let State::Solving { solver, .. } = &mut self.state {
             let mut shares = solver.take_shared();
             // recently-sent filter: clauses that already crossed this node's
             // wire (in either direction) are not offered to the grid again
@@ -528,11 +523,10 @@ impl Client {
         if since_request < self.split_timeout() {
             return;
         }
-        let can = self.solver.as_ref().is_some_and(Solver::can_split);
-        if !can {
-            return;
-        }
-        let problem = self.current_problem.expect("solving a problem");
+        let problem = match &self.state {
+            State::Solving { solver, problem } if solver.can_split() => *problem,
+            _ => return,
+        };
         // under the hierarchy the site sub-master brokers the split
         // locally; only it escalates to the root when the site is busy
         let target = self.broker_target(now).unwrap_or(self.master);
@@ -544,7 +538,9 @@ impl Client {
     /// Build a recovery image of the current search space, or `None`
     /// when reliability is off or nothing is being solved.
     fn build_checkpoint(&self) -> Option<Box<Checkpoint>> {
-        let solver = self.solver.as_ref()?;
+        let State::Solving { solver, .. } = &self.state else {
+            return None;
+        };
         self.config.reliability.then(|| {
             Box::new(Checkpoint {
                 level0: solver.level0_assignment(),
@@ -558,7 +554,7 @@ impl Client {
     /// search space — a crash in the very first period is then
     /// recoverable too.
     fn checkpoint_now(&mut self, ctx: &mut Ctx<GridMsg>) {
-        let Some(problem) = self.current_problem else {
+        let Some(problem) = self.problem() else {
             return;
         };
         let Some(checkpoint) = self.build_checkpoint() else {
@@ -593,8 +589,9 @@ impl Client {
     /// about the problem — with the half's id and the pivot kept, and gets
     /// a fresh recovery image: the old one predates the split and would
     /// resurrect the half just handed away. `false`, with nothing sent,
-    /// when the solver has no open decision; the id minted for the half is
-    /// spent all the same.
+    /// when `problem` is not in hand or the solver has no open decision;
+    /// in the second case the id minted for the half is spent all the
+    /// same.
     fn hand_off_half(
         &mut self,
         to: NodeId,
@@ -602,10 +599,15 @@ impl Client {
         stolen: bool,
         ctx: &mut Ctx<GridMsg>,
     ) -> bool {
-        let new_id = self.mint_problem_id(ctx);
-        let Some(solver) = &mut self.solver else {
-            unreachable!("current_problem implies a solver");
+        let solver = match &mut self.state {
+            State::Solving {
+                solver,
+                problem: held,
+            } if *held == problem => solver,
+            _ => return false,
         };
+        self.minted += 1;
+        let new_id = ProblemId::new(ctx.me(), self.minted);
         let Some((frame, assumptions)) = SpecFrame::split_off(solver) else {
             return false;
         };
@@ -635,7 +637,6 @@ impl Client {
                     pivot: keep_pivot,
                 },
             );
-            self.stats.steals += 1;
         } else {
             ctx.send(
                 self.master,
@@ -660,7 +661,7 @@ impl Client {
 
     /// Is this client currently solving? (test/driver introspection)
     pub fn is_solving(&self) -> bool {
-        matches!(self.state, State::Solving)
+        self.problem().is_some()
     }
 
     /// Has this client permanently retired?
@@ -671,13 +672,12 @@ impl Client {
     /// Surrender the in-progress subproblem, sealed, and retire; the
     /// standby promotion path queues the returned frame for re-dispatch
     /// so the new master's host doubles as scheduler only.
-    pub(crate) fn hand_over(&mut self) -> Option<(SpecFrame, Option<ProblemId>)> {
-        let out = (self.solver.as_ref()).map(|s| (SpecFrame::export(s), self.current_problem));
-        self.state = State::Done;
-        self.solver = None;
-        self.current_problem = None;
+    pub(crate) fn hand_over(&mut self) -> Option<(SpecFrame, ProblemId)> {
         self.split_requested_at = None;
-        out
+        match std::mem::replace(&mut self.state, State::Done) {
+            State::Solving { solver, problem } => Some((SpecFrame::export(&solver), problem)),
+            State::Idle | State::Done => None,
+        }
     }
 }
 
@@ -696,8 +696,6 @@ impl Process for Client {
         // pre-crash solving state (the master has already recovered or
         // requeued the subproblem) and registers as a fresh resource
         self.state = State::Idle;
-        self.solver = None;
-        self.current_problem = None;
         self.split_requested_at = None;
         self.export_buf.clear();
         self.up = None;
@@ -728,10 +726,10 @@ impl Process for Client {
         }
         match msg {
             GridMsg::Solve { spec, problem } => {
-                if matches!(self.state, State::Solving) {
+                if let Some(held) = self.problem() {
                     // the master's view went stale (reordered delivery);
                     // never discard the search space we already hold
-                    if self.current_problem != Some(problem) {
+                    if held != problem {
                         self.hand_back(spec, problem, ctx);
                     }
                     return;
@@ -759,8 +757,8 @@ impl Process for Client {
                 // too, and either way the incoming half goes back so it is
                 // not lost
                 let opened = match self.state {
-                    State::Solving => None,
-                    _ => spec.open_flat().ok(),
+                    State::Solving { .. } => None,
+                    State::Idle | State::Done => spec.open_flat().ok(),
                 };
                 let Some(opened) = opened else {
                     ctx.send(
@@ -802,9 +800,7 @@ impl Process for Client {
                 self.split_requested_at = None;
                 // a stale grant, meant for a subproblem we no longer hold,
                 // fails like one for a solver with no open decision
-                if self.current_problem != Some(problem)
-                    || !self.hand_off_half(peer, problem, false, ctx)
-                {
+                if !self.hand_off_half(peer, problem, false, ctx) {
                     ctx.send(
                         self.master,
                         GridMsg::SplitDone {
@@ -830,31 +826,31 @@ impl Process for Client {
                     checkpoint: None,
                     stolen: false,
                 };
-                if self.current_problem != Some(problem) {
-                    // stale: this migration was meant for a previous problem
-                    ctx.send(self.master, done(false));
-                    return;
-                }
-                if let Some(solver) = &self.solver {
-                    // the subproblem keeps its identity when it moves
-                    ctx.send(
-                        peer,
-                        GridMsg::Subproblem {
-                            spec: Box::new(SpecFrame::export(solver)),
-                            sent_at: ctx.now(),
-                            problem,
-                            stolen: false,
-                        },
-                    );
-                    self.solver = None;
-                    self.current_problem = None;
-                    self.state = State::Idle;
-                    self.stats.migrations += 1;
-                    ctx.send(self.master, done(true));
-                    self.enter_idle(ctx);
-                } else {
-                    ctx.send(self.master, done(false));
-                }
+                let spec = match &self.state {
+                    State::Solving {
+                        solver,
+                        problem: held,
+                    } if *held == problem => SpecFrame::export(solver),
+                    _ => {
+                        // stale: this migration was meant for a previous problem
+                        ctx.send(self.master, done(false));
+                        return;
+                    }
+                };
+                // the subproblem keeps its identity when it moves
+                ctx.send(
+                    peer,
+                    GridMsg::Subproblem {
+                        spec: Box::new(spec),
+                        sent_at: ctx.now(),
+                        problem,
+                        stolen: false,
+                    },
+                );
+                self.state = State::Idle;
+                self.stats.migrations += 1;
+                ctx.send(self.master, done(true));
+                self.enter_idle(ctx);
             }
             GridMsg::Share { batch, down } => {
                 // the verified decode belongs to the buffer, which the
@@ -871,17 +867,21 @@ impl Process for Client {
                 self.stats.clauses_received += total;
                 let buffered = self.export_buf.len();
                 let mut fresh = 0u64;
-                let evicted = |solver: &Option<Solver>| {
+                let mut solver = match &mut self.state {
+                    State::Solving { solver, .. } => Some(solver),
+                    State::Idle | State::Done => None,
+                };
+                let evicted = |solver: &Option<&mut Box<Solver>>| {
                     solver.as_ref().map_or(0, |s| s.stats().merge_dropped)
                 };
-                let evicted_before = evicted(&self.solver);
+                let evicted_before = evicted(&solver);
                 let mut window = self.fp_window.lock();
                 for (clause, fp) in decoded {
                     if !window.insert(*fp) {
                         continue;
                     }
                     fresh += 1;
-                    if let Some(solver) = &mut self.solver {
+                    if let Some(solver) = &mut solver {
                         solver.queue_fresh(clause.lits());
                     }
                     if !down {
@@ -891,7 +891,7 @@ impl Process for Client {
                     }
                 }
                 drop(window);
-                self.stats.merge_dropped += evicted(&self.solver) - evicted_before;
+                self.stats.merge_dropped += evicted(&solver) - evicted_before;
                 let dropped = total - fresh;
                 if dropped > 0 {
                     self.stats.dup_share_drops += dropped;
@@ -935,7 +935,7 @@ impl Process for Client {
                     GridMsg::Adopt {
                         memory: ctx.info.memory,
                         availability: ctx.info.availability,
-                        problem: self.current_problem,
+                        problem: self.problem(),
                         checkpoint: self.build_checkpoint(),
                     },
                 );
@@ -955,11 +955,9 @@ impl Process for Client {
                 // subproblem and it is still splittable; a refusal sends
                 // the thief straight back to its broker instead of
                 // leaving it to wait out a full idle period.
-                if !matches!(self.state, State::Solving)
-                    || self.current_problem != Some(problem)
-                    || !self.solver.as_ref().is_some_and(Solver::can_split)
-                    || !self.hand_off_half(from, problem, true, ctx)
-                {
+                let can =
+                    matches!(&self.state, State::Solving { solver, .. } if solver.can_split());
+                if !can || !self.hand_off_half(from, problem, true, ctx) {
                     ctx.send(from, GridMsg::StealRefused);
                 }
             }
@@ -972,8 +970,6 @@ impl Process for Client {
             }
             GridMsg::Terminate => {
                 self.state = State::Done;
-                self.solver = None;
-                self.current_problem = None;
                 self.obs.clear_anchor(ctx.me().0);
                 ctx.idle();
             }
@@ -1003,7 +999,7 @@ impl Process for Client {
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<GridMsg>) {
-        if !matches!(self.state, State::Solving) {
+        let State::Solving { solver, problem } = &mut self.state else {
             if matches!(self.state, State::Idle) {
                 // nothing to solve, but periodic duties may remain: lease
                 // renewal (reliability) and idle announcements (hierarchy)
@@ -1028,47 +1024,36 @@ impl Process for Client {
             }
             ctx.idle();
             return;
-        }
+        };
+        let problem = *problem;
         let quantum = (ctx.info.speed * self.config.work_quantum_s).max(1.0) as u64;
-        let step = {
-            let solver = self.solver.as_mut().expect("solving state has a solver");
-            solver.set_obs_now(ctx.now());
-            let before = solver.stats().work;
-            let step = solver.step(quantum);
-            let after = solver.stats();
-            let done = after.work - before;
-            self.stats.work += done;
-            self.stats.max_step_work = self.stats.max_step_work.max(after.max_step_work);
-            self.stats.max_merge_burst = self.stats.max_merge_burst.max(after.max_merge_burst);
-            self.stats.peak_inbox_lits = self.stats.peak_inbox_lits.max(after.peak_inbox_lits);
-            ctx.work(done);
-            step
+        solver.set_obs_now(ctx.now());
+        let before = solver.stats().work;
+        let step = solver.step(quantum);
+        let after = solver.stats();
+        let done = after.work - before;
+        self.stats.work += done;
+        self.stats.max_step_work = self.stats.max_step_work.max(after.max_step_work);
+        self.stats.max_merge_burst = self.stats.max_merge_burst.max(after.max_merge_burst);
+        self.stats.peak_inbox_lits = self.stats.peak_inbox_lits.max(after.peak_inbox_lits);
+        ctx.work(done);
+        let answer = match step {
+            Step::Sat => Some(SubResult::Sat(solver.assignment().to_lits())),
+            Step::Unsat => Some(SubResult::Unsat),
+            Step::MemoryPressure | Step::Running => None,
         };
 
         // share fresh clauses even on the final quantum
-        self.drain_shares(matches!(step, Step::Sat | Step::Unsat), ctx);
-
-        match step {
-            Step::Sat => {
-                let solver = self.solver.as_ref().expect("solver");
-                let lits = solver.assignment().to_lits();
-                self.report_result(SubResult::Sat(lits), ctx);
-                return;
-            }
-            Step::Unsat => {
-                self.report_result(SubResult::Unsat, ctx);
-                return;
-            }
-            Step::MemoryPressure => {
-                // the paper's way out of memory pressure is a split
-                self.maybe_request_split(ctx);
-            }
-            Step::Running => {
-                if ctx.now() - self.problem_started > self.split_timeout() {
-                    // long-running subproblem: probably hard, ask for help
-                    self.maybe_request_split(ctx);
-                }
-            }
+        self.drain_shares(answer.is_some(), ctx);
+        if let Some(result) = answer {
+            self.report_result(result, problem, ctx);
+            return;
+        }
+        // the paper's way out of memory pressure is a split; a
+        // long-running subproblem is probably hard: ask for help
+        let overdue = ctx.now() - self.problem_started > self.split_timeout();
+        if matches!(step, Step::MemoryPressure) || overdue {
+            self.maybe_request_split(ctx);
         }
 
         // periodic NWS measurement for the master's forecasters — but
@@ -1105,6 +1090,16 @@ mod tests {
     use super::*;
     use gridsat_grid::NodeInfo;
     use gridsat_solver::SplitSpec;
+
+    impl Client {
+        /// The solver of the cube in hand, if any.
+        fn solver(&self) -> Option<&Solver> {
+            match &self.state {
+                State::Solving { solver, .. } => Some(solver),
+                State::Idle | State::Done => None,
+            }
+        }
+    }
 
     fn ctx_at(id: u32, now: f64) -> Ctx<GridMsg> {
         Ctx::new(NodeInfo {
@@ -1173,7 +1168,6 @@ mod tests {
             work: 6,
             results: 7,
             migrations: 8,
-            steals: 13,
             load_reports_sent: 14,
             load_reports_suppressed: 15,
             max_step_work: 16,
@@ -1200,7 +1194,6 @@ mod tests {
                 work: 12,
                 results: 14,
                 migrations: 16,
-                steals: 26,
                 load_reports_sent: 28,
                 load_reports_suppressed: 30,
                 max_step_work: 16,   // max, not sum
@@ -1395,7 +1388,7 @@ mod tests {
         c.on_message(NodeId(2), share_msg(true, vec![clause.clone()]), &mut cx);
         assert_eq!(c.stats.clauses_received, 1);
         assert_eq!(c.stats.dup_share_drops, 0);
-        assert_eq!(c.solver.as_ref().unwrap().pending_foreign(), 1);
+        assert_eq!(c.solver().unwrap().pending_foreign(), 1);
 
         // the same clause again: the fingerprint window drops it before
         // it reaches the solver
@@ -1403,7 +1396,7 @@ mod tests {
         c.on_message(NodeId(3), share_msg(true, vec![clause]), &mut cx);
         assert_eq!(c.stats.clauses_received, 2);
         assert_eq!(c.stats.dup_share_drops, 1);
-        assert_eq!(c.solver.as_ref().unwrap().pending_foreign(), 1);
+        assert_eq!(c.solver().unwrap().pending_foreign(), 1);
     }
 
     /// A client in a fleet of eight, solving `f` whole. It is node 1: under
@@ -1730,7 +1723,7 @@ mod tests {
                     }
                 }
             }
-            let inbox = c.solver.as_ref().map(Solver::pending_foreign);
+            let inbox = c.solver().map(Solver::pending_foreign);
             out.push((c.stats, inbox, forwards));
         }
         out
@@ -1935,8 +1928,6 @@ mod tests {
         let mut cx = ctx(50.0);
         c.on_start(&mut cx);
         assert!(!c.is_solving());
-        assert!(c.solver.is_none());
-        assert!(c.current_problem.is_none());
         // the pre-crash links go too: the master deregistered us, and
         // re-links us once we re-register
         assert!(c.up.is_none() && c.down.is_empty());
@@ -1989,7 +1980,7 @@ mod tests {
             }
         )));
         // still on the original problem
-        assert_eq!(c.current_problem, Some(ProblemId::new(NodeId(0), 1)));
+        assert_eq!(c.problem(), Some(ProblemId::new(NodeId(0), 1)));
     }
 
     #[test]
@@ -2189,7 +2180,6 @@ mod tests {
                 msg: GridMsg::StealRefused
             }
         ));
-        assert_eq!(c.stats.steals, 0);
 
         // the real one ships half the guiding path straight to the thief
         // and tells the root master about the delegated split
@@ -2210,7 +2200,6 @@ mod tests {
                 msg: GridMsg::StealNotice { parent, .. }
             } if *parent == pid
         )));
-        assert_eq!(c.stats.steals, 1);
         assert!(c.is_solving(), "the donor keeps its own half");
     }
 

@@ -51,14 +51,14 @@ impl Ord for Rank {
 type Key = (Reverse<Rank>, NodeId);
 
 /// The idle clients, grouped by site and ordered by rank.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct IdleIndex {
     hosts: Hosts,
     /// Per site (`None`: a host the information service does not list),
     /// best rank first and lower id first among equal ranks.
     by_site: BTreeMap<Option<Site>, BTreeSet<Key>>,
-    /// Every indexed client.
-    ids: BTreeSet<NodeId>,
+    /// How many clients are indexed.
+    len: usize,
 }
 
 impl IdleIndex {
@@ -80,8 +80,8 @@ impl IdleIndex {
             .entry(site)
             .or_default()
             .insert((Reverse(Rank(rank)), id));
-        let fresh_id = self.ids.insert(id);
-        debug_assert!(fresh && fresh_id, "{id} indexed twice");
+        debug_assert!(fresh, "{id} indexed twice");
+        self.len += usize::from(fresh);
     }
 
     /// Take out `id`, indexed under `rank`.
@@ -91,12 +91,12 @@ impl IdleIndex {
             .by_site
             .get_mut(&site)
             .is_some_and(|set| set.remove(&(Reverse(Rank(rank)), id)));
-        let held_id = self.ids.remove(&id);
-        debug_assert!(held && held_id, "{id} was not indexed");
+        debug_assert!(held, "{id} was not indexed");
+        self.len -= usize::from(held);
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// The best-placed idle client besides `exclude`: the highest score,

@@ -712,8 +712,8 @@ impl SealedRecord {
 }
 
 /// A client's row in the master's roster. All scheduling state lives in
-/// [`MasterCore`]; the forecaster and lease clock are live-only
-/// refinements excluded from replay equality (they are rebuilt from the
+/// [`MasterCore`]; the forecaster, its rank and the lease clock are
+/// live-only refinements its equality skips (they are rebuilt from the
 /// availability carried in Launch/AdoptClaim records and from fresh
 /// traffic). State and rank change only through [`MasterCore`], which
 /// keeps its idle index in step with them.
@@ -770,6 +770,49 @@ impl ClientInfo {
         self.forecast.update(availability);
         let availability = self.forecast.predict().unwrap_or(1.0).clamp(0.01, 1.0);
         self.rank = self.speed * availability + self.memory as f64 * 1e-9;
+    }
+}
+
+/// Replay equality: every journaled field, none of the live-only ones.
+/// Destructured, so a field added to the row does not compile until it is
+/// put in one group or the other.
+impl PartialEq for ClientInfo {
+    fn eq(&self, other: &ClientInfo) -> bool {
+        let ClientInfo {
+            state,
+            memory,
+            speed,
+            problem_since,
+            problem,
+            image,
+            forecast: _,
+            rank: _,
+            last_seen: _,
+        } = self;
+        (state, memory, speed, problem_since, problem, image)
+            == (
+                &other.state,
+                &other.memory,
+                &other.speed,
+                &other.problem_since,
+                &other.problem,
+                &other.image,
+            )
+    }
+}
+
+impl fmt::Debug for ClientInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClientInfo")
+            .field("state", &self.state)
+            .field("memory", &self.memory)
+            .field("speed", &self.speed)
+            .field("problem_since", &self.problem_since)
+            .field("problem", &self.problem)
+            .field("image", &self.image)
+            .field("rank", &self.rank)
+            .field("last_seen", &self.last_seen)
+            .finish_non_exhaustive()
     }
 }
 
@@ -852,8 +895,8 @@ const NONE: u32 = u32::MAX;
 /// A ledger entry: where the cube came from, the first of the pivots it
 /// has kept since, and where it is. A path is built only to rebuild or
 /// check one.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Cube {
+#[derive(Debug, PartialEq)]
+struct Cube {
     origin: Origin,
     kept: u32,
     state: CubeState,
@@ -861,7 +904,7 @@ pub struct Cube {
 
 /// The cube ledger: the split tree of every cube the run has minted,
 /// each with its place. Every record costs O(1).
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Cubes {
     map: BTreeMap<ProblemId, Cube>,
     /// Every cube's kept pivots, linked lists in one buffer: a vector per
@@ -1057,31 +1100,6 @@ impl Cubes {
     }
 }
 
-/// One client's row in a [`CoreImage`]: id, state, memory,
-/// problem-since, assigned problem, recovery image.
-pub type ClientImage = (
-    NodeId,
-    ClientState,
-    usize,
-    f64,
-    Option<ProblemId>,
-    Option<RecoveryImage>,
-);
-
-/// Replay-equality image of a `MasterCore`: everything scheduling
-/// depends on, excluding the live-only forecaster state and lease
-/// clocks.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CoreImage {
-    pub clients: Vec<ClientImage>,
-    pub backlog: Vec<NodeId>,
-    pub grants: Vec<(NodeId, NodeId, GrantKind, ProblemId)>,
-    pub pending_recovery: Vec<RecoverySpec>,
-    pub cubes: Vec<(ProblemId, Cube, Vec<Lit>)>,
-    pub first_problem_sent: bool,
-    pub slots: Vec<NodeId>,
-}
-
 /// The slot above `slot` in the share tree; none above the root.
 pub(crate) fn tree_parent(slot: usize) -> Option<usize> {
     slot.checked_sub(1).map(|below| below / SHARE_TREE_FANOUT)
@@ -1094,7 +1112,7 @@ pub(crate) fn tree_children(slot: usize) -> std::ops::Range<usize> {
 
 /// The journaled scheduling state: a deterministic fold over
 /// [`JournalRecord`]s.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct MasterCore {
     pub(crate) clients: BTreeMap<NodeId, ClientInfo>,
     pub(crate) backlog: VecDeque<NodeId>,
@@ -1121,9 +1139,51 @@ pub(crate) struct MasterCore {
     /// [`MasterCore::set_state`], [`MasterCore::admit`],
     /// [`MasterCore::remove`] and [`MasterCore::report_load`]: the idle
     /// clients ordered for the scheduler, and how many clients are Busy or
-    /// Receiving. Outside [`CoreImage`]; a replay rebuilds both.
+    /// Receiving. A replay rebuilds both.
     pub(crate) idle: IdleIndex,
     busy: usize,
+}
+
+/// Replay equality: a fold of the journal reproduces every field but the
+/// idle index, which orders clients by their live-only forecasts.
+/// Destructured, so a field added to the core does not compile until it is
+/// put in one group or the other.
+impl PartialEq for MasterCore {
+    fn eq(&self, other: &MasterCore) -> bool {
+        let MasterCore {
+            clients,
+            backlog,
+            grants,
+            split_grants,
+            pending_recovery,
+            cubes,
+            first_problem_sent,
+            slots,
+            idle: _,
+            busy,
+        } = self;
+        (
+            clients,
+            backlog,
+            grants,
+            split_grants,
+            pending_recovery,
+            cubes,
+            first_problem_sent,
+            slots,
+            busy,
+        ) == (
+            &other.clients,
+            &other.backlog,
+            &other.grants,
+            &other.split_grants,
+            &other.pending_recovery,
+            &other.cubes,
+            &other.first_problem_sent,
+            &other.slots,
+            &other.busy,
+        )
+    }
 }
 
 impl MasterCore {
@@ -1576,39 +1636,6 @@ impl MasterCore {
             tree_parent(slot).map(|p| self.slots[p]),
             self.slots[below.start.min(n)..below.end.min(n)].into(),
         )
-    }
-
-    /// The replay-equality image (see [`CoreImage`]).
-    pub(crate) fn image(&self) -> CoreImage {
-        CoreImage {
-            clients: self
-                .clients
-                .iter()
-                .map(|(id, c)| {
-                    (
-                        *id,
-                        c.state,
-                        c.memory,
-                        c.problem_since,
-                        c.problem,
-                        c.image.clone(),
-                    )
-                })
-                .collect(),
-            backlog: self.backlog.iter().copied().collect(),
-            grants: (self.grants.iter())
-                .map(|(r, &(p, k, c))| (*r, p, k, c))
-                .collect(),
-            pending_recovery: self.pending_recovery.iter().cloned().collect(),
-            cubes: (self.cubes.map.iter())
-                .map(|(id, c)| {
-                    let pivots = self.cubes.pivots(c.kept).map(|k| k.pivot).collect();
-                    (*id, c.clone(), pivots)
-                })
-                .collect(),
-            first_problem_sent: self.first_problem_sent,
-            slots: self.slots.clone(),
-        }
     }
 }
 
@@ -2395,8 +2422,8 @@ mod tests {
         let (back, report) = MasterJournal::recover(journal.log_bytes());
         assert!(report.is_clean());
         let replayed = fold(&f, &cfg, &back.records());
-        assert_eq!(replayed.image(), live.image());
-        assert_eq!(replayed.image().cubes.len(), 4);
+        assert_eq!(replayed, live);
+        assert_eq!(replayed.cubes.map.len(), 4);
         assert_eq!(replayed.cubes.unsettled(), live.cubes.unsettled());
         let path = vec![Lit::neg(3), Lit::neg(6)];
         assert_eq!(replayed.cubes.path(c3), Some(path));
@@ -2406,22 +2433,50 @@ mod tests {
     fn images_ignore_forecast_but_compare_scheduling_state() {
         let f = gridsat_cnf::paper::fig1_formula();
         let cfg = config();
-        let records = vec![JournalRecord::Launch {
-            client: NodeId(1),
-            memory: 1 << 20,
-            speed: 100.0,
-            availability: 1.0,
+        let (n1, n2) = (NodeId(1), NodeId(2));
+        let mut records: Vec<_> = [n1, n2]
+            .map(|client| JournalRecord::Launch {
+                client,
+                memory: 1 << 20,
+                speed: 100.0,
+                availability: 1.0,
+                at: 0.0,
+            })
+            .into();
+        records.push(JournalRecord::AssignWhole {
+            client: n1,
+            problem: ProblemId::new(NodeId(0), 1),
             at: 0.0,
-        }];
+        });
         let mut a = fold(&f, &cfg, &records);
         let b = fold(&f, &cfg, &records);
-        // live-only refinements do not affect the image
-        a.report_load(NodeId(1), 0.5);
-        a.clients.get_mut(&NodeId(1)).unwrap().last_seen = 99.0;
-        assert_eq!(a.image(), b.image());
+        // live-only refinements do not affect equality
+        a.report_load(n1, 0.5);
+        assert_eq!(a, b);
+        a.clients.get_mut(&n1).unwrap().last_seen = 99.0;
+        assert_eq!(a, b);
+        // a split grant the peer's confirmation closed still waits for the
+        // requester's message (5): only the core's split grants differ
+        let mut c = fold(&f, &cfg, &records);
+        let problem = ProblemId::new(NodeId(0), 1);
+        let open = JournalRecord::GrantOpen {
+            requester: n1,
+            peer: n2,
+            kind: GrantKind::Split,
+            problem,
+        };
+        let close = JournalRecord::GrantClose {
+            requester: n1,
+            free_peer: true,
+        };
+        for rec in [open, close] {
+            c.apply(rec, &f, &cfg);
+        }
+        assert!(c.grants.is_empty() && c.clients[&n2].state() == ClientState::Idle);
+        assert_ne!(c, b);
         // scheduling state does
-        a.set_state(NodeId(1), ClientState::Busy);
-        assert_ne!(a.image(), b.image());
+        a.set_state(n1, ClientState::Idle);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -403,7 +403,7 @@ impl Master {
         config: GridConfig,
         host_info: BTreeMap<NodeId, (f64, Site)>,
         journal: MasterJournal,
-        own: Option<(SpecFrame, Option<ProblemId>)>,
+        own: Option<(SpecFrame, ProblemId)>,
         obs: Obs,
         ctx: &mut Ctx<GridMsg>,
     ) -> Master {
@@ -420,10 +420,14 @@ impl Master {
         survivors.remove(&me);
         m.resync(survivors, PROMOTE_GRACE_S, ctx);
         let (mut held, _) = m.held_frames(me);
-        held.retain(|(_, cube)| own.as_ref().is_none_or(|(_, source)| cube != source));
+        held.retain(|(_, cube)| {
+            own.as_ref()
+                .is_none_or(|(_, source)| *cube != Some(*source))
+        });
         if m.core.clients.contains_key(&me) {
             m.commit(now, JournalRecord::Deregister { client: me });
         }
+        let own = own.map(|(frame, source)| (frame, Some(source)));
         m.take_back_all(own.into_iter().chain(held).collect(), ctx);
         let records = m.journal.len();
         m.obs.emit(now, me.0, || Event::StandbyPromote { records });
@@ -1316,8 +1320,7 @@ impl Process for Master {
                 // with an undamaged log the fold must reproduce the
                 // pre-crash live state exactly
                 debug_assert_eq!(
-                    self.core.image(),
-                    live.image(),
+                    self.core, live,
                     "journal replay must reproduce the live scheduling state"
                 );
             }
@@ -1452,9 +1455,10 @@ impl Process for Master {
                 if from == requester {
                     // Figure 3 message (5): the requester's report
                     match (ok, grant) {
-                        (false, Some((granted_peer, ..))) => {
-                            // transfer never happened; free the peer
-                            debug_assert_eq!(granted_peer, peer);
+                        (false, Some((granted_peer, ..))) if granted_peer == peer => {
+                            // transfer never happened; free the peer. A
+                            // late report about an earlier grant's peer
+                            // leaves the current grant alone
                             self.commit(
                                 ctx.now(),
                                 JournalRecord::GrantClose {
@@ -1496,7 +1500,7 @@ impl Process for Master {
                                 self.take_back_all(held, ctx);
                             }
                         }
-                        (false, None) => {}
+                        (false, _) => {}
                     }
                 } else if from == peer {
                     // Figure 3 message (4): the receiving peer's report.

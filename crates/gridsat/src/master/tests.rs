@@ -403,6 +403,36 @@ fn failed_split_frees_the_peer() {
     );
     assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
     assert!(m.core.grants.is_empty());
+    // the next grant goes to node 3, the fastest; a late retransmit of the
+    // report about node 2 must leave it and its Receiving peer alone
+    register(&mut m, 3, 2.0);
+    let mut cx = ctx(3.0);
+    m.on_message(
+        NodeId(1),
+        GridMsg::SplitRequest {
+            problem: ProblemId::new(NodeId(0), 1),
+        },
+        &mut cx,
+    );
+    let _ = cx.take_actions();
+    let granted = (NodeId(3), GrantKind::Split, ProblemId::new(NodeId(0), 1));
+    assert_eq!(m.core.grants.get(&NodeId(1)), Some(&granted));
+    let mut cx = ctx(4.0);
+    m.on_message(
+        NodeId(1),
+        GridMsg::SplitDone {
+            requester: NodeId(1),
+            peer: NodeId(2),
+            ok: false,
+            problem: None,
+            pivot: None,
+            checkpoint: None,
+            stolen: false,
+        },
+        &mut cx,
+    );
+    assert_eq!(m.core.grants.get(&NodeId(1)), Some(&granted));
+    assert_eq!(m.core.clients[&NodeId(3)].state(), ClientState::Receiving);
 }
 
 #[test]
@@ -1066,7 +1096,7 @@ fn backlog_prefers_longest_running_requester() {
     assert_eq!(m.core.backlog.len(), 3);
     // the journal replays to exactly this state
     let replayed = m.fold(&m.journal);
-    assert_eq!(replayed.image(), m.core.image());
+    assert_eq!(replayed, m.core);
     // node 1 has been running longest (since 0.0)
     assert_eq!(m.pop_backlog(30.0), Some(NodeId(1)));
     assert_eq!(m.pop_backlog(30.0), Some(NodeId(2)));
@@ -1090,7 +1120,7 @@ fn registered_state_reads_straight_from_the_core() {
     let mut m2 = master();
     register(&mut m2, 1, 0.0);
     register(&mut m2, 2, 0.0);
-    assert_eq!(m2.core.image(), m.core.image());
+    assert_eq!(m2.core, m.core);
     assert_eq!(m2.journal.len(), m.journal.len());
 }
 
@@ -1198,14 +1228,15 @@ fn master_restart_replays_its_journal() {
         },
         &mut cx,
     );
-    let image = m.core.image();
+    let before = m.fold(&m.journal);
+    assert_eq!(before, m.core);
     // the master node restarts: a second on_start folds the journal back
     // into the same scheduling state (and self-checks the fold)
     let (obs, ring) = Obs::ring(64);
     m.set_obs(obs);
     let mut cx = ctx(50.0);
     m.on_start(&mut cx);
-    assert_eq!(m.core.image(), image);
+    assert_eq!(m.core, before);
     assert!(m.journal.len() >= 3); // launches, assignment, grant
     let replays: Vec<(f64, u64)> = ring
         .lock()
@@ -1256,8 +1287,8 @@ fn torn_journal_restart_rebuilds_from_the_verified_prefix() {
     assert_eq!(m.journal.len() as usize, records.len() - 1);
     assert_eq!(m.journal.log_bytes(), prefix.log_bytes());
     assert_eq!(
-        m.core.image(),
-        m.fold(&prefix).image(),
+        m.core,
+        m.fold(&prefix),
         "rebuilt state must be the fold of the verified prefix"
     );
     let events = ring.lock().unwrap().events();
@@ -1510,7 +1541,7 @@ fn promote_node_1() -> (Master, Vec<Action<GridMsg>>) {
         cfg,
         speeds(4),
         tailed,
-        Some((own_spec, Some(own_problem))),
+        Some((own_spec, own_problem)),
         Obs::default(),
         &mut cx,
     );
@@ -1705,8 +1736,7 @@ fn randomized_schedules_replay_to_the_live_state() {
         }
         let replayed = m.fold(&m.journal);
         assert_eq!(
-            replayed.image(),
-            m.core.image(),
+            replayed, m.core,
             "round {round}: replayed scheduling state diverged from live state"
         );
     }
@@ -1787,7 +1817,7 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
         assert_eq!(m.stats.steals_settled, u64::from(seen_open), "{order:?}");
         // replay and the standby fold the same records to the same state
         let replayed = m.fold(&m.journal);
-        assert_eq!(replayed.image(), m.core.image(), "{order:?}");
+        assert_eq!(replayed, m.core, "{order:?}");
         // nothing is left to hold off all-idle termination
         let root = m.core.clients[&donor].problem.expect("donor's half");
         let mut cx = ctx(9.0);
@@ -1851,7 +1881,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
     assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
     assert!(m.core.grants.is_empty() && m.core.cubes.refuted(cube));
     let replayed = m.fold(&m.journal);
-    assert_eq!(replayed.image(), m.core.image());
+    assert_eq!(replayed, m.core);
     let mut cx = ctx(9.0);
     m.on_message(
         NodeId(1),

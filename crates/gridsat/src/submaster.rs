@@ -42,8 +42,6 @@ pub struct SubMasterStats {
     pub tickets: u64,
     /// Offers handed up to the root for lack of local idle capacity.
     pub escalations: u64,
-    /// Idle announcements received.
-    pub announcements: u64,
 }
 
 impl SubMasterStats {
@@ -51,11 +49,9 @@ impl SubMasterStats {
         let SubMasterStats {
             tickets,
             escalations,
-            announcements,
         } = *other;
         self.tickets += tickets;
         self.escalations += escalations;
-        self.announcements += announcements;
     }
 }
 
@@ -125,7 +121,6 @@ impl Process for SubMaster {
     fn on_message(&mut self, from: NodeId, msg: GridMsg, ctx: &mut Ctx<GridMsg>) {
         match msg {
             GridMsg::StealRequest => {
-                self.stats.announcements += 1;
                 // an idle announcer cannot be a donor any more
                 self.offers.retain(|(d, _)| *d != from);
                 if !self.offers.is_empty() {

@@ -21,7 +21,6 @@
 //! - any other local edge -> **solve**: the client was computing.
 
 use crate::event::{Event, TimedEvent};
-use crate::json::{write_escaped, write_f64};
 use crate::report::UtilizationReport;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -468,81 +467,6 @@ impl TraceAnalysis {
         }
         out
     }
-
-    /// Machine-readable form of the same analysis.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"horizon_s\":");
-        write_f64(&mut out, self.utilization.horizon_s);
-        let _ = write!(
-            out,
-            ",\"peak_active\":{},\"mean_utilization\":",
-            self.utilization.peak_active
-        );
-        write_f64(&mut out, self.utilization.mean_utilization());
-        out.push_str(",\"clients\":[");
-        for (i, c) in self.utilization.clients.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"client\":{},\"busy_s\":", c.client);
-            write_f64(&mut out, c.busy_s);
-            let _ = write!(out, ",\"spans\":{}}}", c.spans);
-        }
-        out.push_str("],\"critical_path\":");
-        match &self.critical {
-            None => out.push_str("null"),
-            Some(cp) => {
-                out.push_str("{\"start_s\":");
-                write_f64(&mut out, cp.start_s);
-                out.push_str(",\"end_s\":");
-                write_f64(&mut out, cp.end_s);
-                out.push_str(",\"total_s\":");
-                write_f64(&mut out, cp.total_s());
-                let _ = write!(
-                    out,
-                    ",\"events\":{},\"answer_node\":{},\"answer_kind\":",
-                    cp.events, cp.answer_node
-                );
-                write_escaped(&mut out, cp.answer_kind);
-                out.push_str(",\"breakdown\":{");
-                for (i, (kind, secs)) in cp.breakdown().iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(&mut out, kind.as_str());
-                    out.push(':');
-                    write_f64(&mut out, *secs);
-                }
-                out.push_str("},\"segments\":[");
-                for (i, s) in cp.merged().iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"kind\":");
-                    write_escaped(&mut out, s.kind.as_str());
-                    let _ = write!(out, ",\"node\":{},\"start_s\":", s.node);
-                    write_f64(&mut out, s.start_s);
-                    out.push_str(",\"end_s\":");
-                    write_f64(&mut out, s.end_s);
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push_str(",\"anomalies\":[");
-        for (i, a) in self.anomalies.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"code\":");
-            write_escaped(&mut out, a.code);
-            out.push_str(",\"detail\":");
-            write_escaped(&mut out, &a.detail);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -878,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn analysis_renders_text_and_json() {
+    fn analysis_renders_text() {
         let events = vec![
             ev(0.0, 0, 1, 0, Event::Assign { client: 1 }),
             send(0.0, 0, 2, 1, 1),
@@ -904,10 +828,5 @@ mod tests {
         assert!(text.contains("critical path:"));
         assert!(text.contains("anomalies: none"));
         assert!(text.contains("timeline"));
-        let json = a.render_json();
-        assert!(json.starts_with("{\"horizon_s\":4,"));
-        assert!(json.contains("\"critical_path\":{"));
-        assert!(json.contains("\"breakdown\":{\"solve\":"));
-        assert!(json.ends_with("\"anomalies\":[]}"));
     }
 }

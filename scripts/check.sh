@@ -28,18 +28,23 @@ export CARGO_NET_OFFLINE=true
 # two-message race the fast profile never sampled. Then 20 seeds of
 # every plan under the paper's share protocol (`--preset paper`:
 # share_round_s None, the all-pairs flood as soon as learned; what
-# Table 1 runs): 420 runs, under a second.
+# Table 1 runs): 420 runs, under a second. Everything runs optimised
+# with debug assertions on, so a fault reaches every `debug_assert` in
+# master, client and journal — among them the restart's check that the
+# replayed core equals the live one.
 gate_chaos() {
-  echo "== journal + cube ledger tests, failover under the ledger"
-  cargo test --release -q -p gridsat -- journal
-  cargo test --release -q -p gridsat-tests --test reliability -- \
+  echo "== journal + cube ledger tests, failover under the ledger (release + debug assertions)"
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat -- journal
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test reliability -- \
     dead_master_fails_over_to_the_standby failover_preserves_sat_models
   echo "== chaos soak (fast profile)"
-  cargo run --release -p gridsat-bench --bin chaos_soak -- --fast
+  RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- --fast
   echo "== chaos soak (submaster-loss, 20 seeds)"
-  cargo run --release -p gridsat-bench --bin chaos_soak -- --plan submaster-loss --seeds 20 --repro
+  RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- \
+    --plan submaster-loss --seeds 20 --repro
   echo "== chaos soak (paper share protocol, every plan, 20 seeds)"
-  cargo run --release -p gridsat-bench --bin chaos_soak -- --preset paper --seeds 20 --repro
+  RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- \
+    --preset paper --seeds 20 --repro
 }
 
 # Data integrity: every wire decoder against truncated, bit-flipped and
@@ -47,12 +52,14 @@ gate_chaos() {
 # memoised accessor receivers use), optimised, then a bit-rot-only soak:
 # every payload kind sees bit flips, checksum failures must be dropped
 # and recovered, never acted on, and each run must still end with the
-# oracle's answer.
+# oracle's answer. Like the chaos gate, optimised with debug assertions
+# on.
 gate_integrity() {
   echo "== decode fuzz (truncation / bit flips / garbage; uncached + memoised share decode)"
-  cargo test --release -q -p gridsat --test decode_fuzz
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat --test decode_fuzz
   echo "== bit-rot soak (fast profile)"
-  cargo run --release -p gridsat-bench --bin chaos_soak -- --fast --plan bit-rot --repro
+  RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- \
+    --fast --plan bit-rot --repro
 }
 
 # The control-plane scaling smoke: flat vs hierarchical at n ∈ {12, 100}
