@@ -19,7 +19,7 @@
 
 use crate::config::{GridConfig, SHARE_TREE_FANOUT};
 use crate::idle::{Hosts, IdleIndex};
-use crate::master::{ClientState, GrantKind};
+use crate::master::GrantKind;
 use crate::msg::{Checkpoint, ProblemId};
 use crate::wire::{self, SpecFrame, WireError};
 use gridsat_cnf::{ClauseLits, Lit};
@@ -711,6 +711,50 @@ impl SealedRecord {
     }
 }
 
+/// A client's scheduling state as the master sees it: the row names a
+/// cube, and keeps what that cube is rebuilt from, only while the client
+/// holds or is being sent one. An idle row naming a cube, or a busy row
+/// naming none, cannot be written.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ClientState {
+    /// Registered, no work.
+    Idle,
+    /// A subproblem transfer to this client is in flight; its id is
+    /// learned early when the client's first checkpoint overtakes the
+    /// confirmation.
+    Receiving {
+        cube: Option<ProblemId>,
+        image: Option<RecoveryImage>,
+    },
+    /// Solving `cube`; `image` rebuilds it if the client is lost
+    /// (reliability extension).
+    Busy {
+        cube: ProblemId,
+        image: Option<RecoveryImage>,
+    },
+}
+
+impl ClientState {
+    /// The cube the row names, if any.
+    pub fn cube(&self) -> Option<ProblemId> {
+        match self {
+            ClientState::Idle => None,
+            ClientState::Receiving { cube, .. } => *cube,
+            ClientState::Busy { cube, .. } => Some(*cube),
+        }
+    }
+
+    /// What the row's cube is rebuilt from if the client is lost.
+    pub fn image(&self) -> Option<&RecoveryImage> {
+        match self {
+            ClientState::Idle => None,
+            ClientState::Receiving { image, .. } | ClientState::Busy { image, .. } => {
+                image.as_ref()
+            }
+        }
+    }
+}
+
 /// A client's row in the master's roster. All scheduling state lives in
 /// [`MasterCore`]; the forecaster, its rank and the lease clock are
 /// live-only refinements its equality skips (they are rebuilt from the
@@ -726,11 +770,6 @@ pub(crate) struct ClientInfo {
     rank: f64,
     /// When the client's current subproblem was assigned.
     pub(crate) problem_since: f64,
-    /// Identity of the client's current subproblem, as far as the master
-    /// knows (refreshed by dispatches, split confirmations and requests).
-    pub(crate) problem: Option<ProblemId>,
-    /// What the client's cube is rebuilt from if it is lost (extension).
-    pub(crate) image: Option<RecoveryImage>,
     /// Simulated second of the last message from this client: any message
     /// keeps it fresh, heartbeats when there is nothing else to send, so
     /// the master can expire silent clients (reliability extension).
@@ -746,16 +785,19 @@ impl ClientInfo {
             forecast: Adaptive::standard(),
             rank: 0.0,
             problem_since: 0.0,
-            problem: None,
-            image: None,
             last_seen: at,
         };
         info.observe(availability);
         info
     }
 
-    pub(crate) fn state(&self) -> ClientState {
-        self.state
+    pub(crate) fn state(&self) -> &ClientState {
+        &self.state
+    }
+
+    /// The cube the master believes the client holds or is being sent.
+    pub(crate) fn cube(&self) -> Option<ProblemId> {
+        self.state.cube()
     }
 
     /// The scheduler's rank (paper Section 3.3): peak speed times the
@@ -783,20 +825,16 @@ impl PartialEq for ClientInfo {
             memory,
             speed,
             problem_since,
-            problem,
-            image,
             forecast: _,
             rank: _,
             last_seen: _,
         } = self;
-        (state, memory, speed, problem_since, problem, image)
+        (state, memory, speed, problem_since)
             == (
                 &other.state,
                 &other.memory,
                 &other.speed,
                 &other.problem_since,
-                &other.problem,
-                &other.image,
             )
     }
 }
@@ -808,8 +846,6 @@ impl fmt::Debug for ClientInfo {
             .field("memory", &self.memory)
             .field("speed", &self.speed)
             .field("problem_since", &self.problem_since)
-            .field("problem", &self.problem)
-            .field("image", &self.image)
             .field("rank", &self.rank)
             .field("last_seen", &self.last_seen)
             .finish_non_exhaustive()
@@ -924,6 +960,11 @@ impl Cubes {
         self.unsettled
     }
 
+    /// Is `id` done with?
+    fn settled(&self, id: ProblemId) -> bool {
+        matches!(self.state(id), Some(CubeState::Settled { .. }))
+    }
+
     /// Did a result refute `id`?
     pub(crate) fn refuted(&self, id: ProblemId) -> bool {
         self.state(id) == Some(CubeState::Settled { refuted: true })
@@ -957,7 +998,7 @@ impl Cubes {
 
     /// Move `id` to `state` unless it is settled already.
     fn advance(&mut self, id: ProblemId, state: CubeState) {
-        if !matches!(self.state(id), Some(CubeState::Settled { .. })) {
+        if !self.settled(id) {
             self.enter(id, state);
         }
     }
@@ -1200,7 +1241,7 @@ impl MasterCore {
         if let Some(info) = self.clients.get(&client) {
             match info.state {
                 ClientState::Idle => self.idle.remove(client, info.rank),
-                ClientState::Busy | ClientState::Receiving => self.busy -= 1,
+                ClientState::Busy { .. } | ClientState::Receiving { .. } => self.busy -= 1,
             }
         }
     }
@@ -1210,7 +1251,7 @@ impl MasterCore {
         if let Some(info) = self.clients.get(&client) {
             match info.state {
                 ClientState::Idle => self.idle.insert(client, info.rank),
-                ClientState::Busy | ClientState::Receiving => self.busy += 1,
+                ClientState::Busy { .. } | ClientState::Receiving { .. } => self.busy += 1,
             }
         }
     }
@@ -1258,26 +1299,54 @@ impl MasterCore {
         self.busy
     }
 
-    /// Install a freshly dispatched subproblem on `client`, with the
-    /// frame sent as its initial recovery image, so a crash before the
-    /// client's first own checkpoint stays recoverable.
-    fn install(
-        &mut self,
-        client: NodeId,
-        problem: ProblemId,
-        frame: &SpecFrame,
-        at: f64,
-        config: &GridConfig,
-    ) {
+    /// `client` now holds `cube` on a clock started `at`, rebuilt from
+    /// `image`, or without one from what its row had: a Receiving peer's
+    /// early checkpoint.
+    fn occupy(&mut self, client: NodeId, cube: ProblemId, image: Option<RecoveryImage>, at: f64) {
         let Some(info) = self.clients.get_mut(&client) else {
             return;
         };
         info.problem_since = at;
-        info.problem = Some(problem);
-        info.image = config
-            .reliability
-            .then(|| RecoveryImage::Sent(frame.clone()));
-        self.set_state(client, ClientState::Busy);
+        let image = image.or_else(|| info.state.image().cloned());
+        self.set_state(client, ClientState::Busy { cube, image });
+    }
+
+    /// `client` holds nothing any more.
+    fn release(&mut self, client: NodeId) {
+        self.set_state(client, ClientState::Idle);
+    }
+
+    /// Move `cube` to `to` in the ledger, and release the row that named
+    /// it when the move puts it at another client, in flight to another
+    /// client, or settled: a row names only a cube its client holds or is
+    /// being sent. Queued for re-dispatch a cube is nobody's, and the row
+    /// that held it waits for its own record (a requeue, the client's
+    /// loss).
+    fn relocate(&mut self, cube: ProblemId, to: CubeState) {
+        let held_by = |state: Option<CubeState>| match state {
+            Some(CubeState::Open(n) | CubeState::InFlight { to: n, .. }) => Some(n),
+            _ => None,
+        };
+        let from = held_by(self.cubes.state(cube));
+        self.cubes.enter(cube, to);
+        let away = |row: NodeId| match to {
+            CubeState::Backlog => false,
+            CubeState::Settled { .. } => true,
+            CubeState::Open(n) | CubeState::InFlight { to: n, .. } => n != row,
+        };
+        if let Some(holder) = from.filter(|&h| away(h)) {
+            if self
+                .clients
+                .get(&holder)
+                .is_some_and(|i| i.cube() == Some(cube))
+            {
+                self.release(holder);
+            }
+        }
+        debug_assert!(
+            !(self.clients.iter()).any(|(&n, i)| i.cube() == Some(cube) && away(n)),
+            "a row names {cube:?}, which the ledger has {to:?}"
+        );
     }
 
     /// Apply one record. Returns the dispatched subproblem for the two
@@ -1316,7 +1385,10 @@ impl MasterCore {
                 self.first_problem_sent = true;
                 let clauses = formula.clauses().map(ClauseLits::lits);
                 let frame = SpecFrame::build(formula.num_vars(), &[], clauses);
-                self.install(client, problem, &frame, at, config);
+                let image = config
+                    .reliability
+                    .then(|| RecoveryImage::Sent(frame.clone()));
+                self.occupy(client, problem, image, at);
                 self.cubes.mint(problem, None, client);
                 Some(RecoverySpec {
                     frame,
@@ -1329,7 +1401,9 @@ impl MasterCore {
                 at,
             } => {
                 let recovery = self.pending_recovery.pop_front()?;
-                self.install(client, problem, &recovery.frame, at, config);
+                let image =
+                    (config.reliability).then(|| RecoveryImage::Sent(recovery.frame.clone()));
+                self.occupy(client, problem, image, at);
                 self.cubes.mint(problem, Some(&recovery), client);
                 Some(recovery)
             }
@@ -1349,7 +1423,11 @@ impl MasterCore {
                 kind,
                 problem,
             } => {
-                self.set_state(peer, ClientState::Receiving);
+                let receiving = ClientState::Receiving {
+                    cube: None,
+                    image: None,
+                };
+                self.set_state(peer, receiving);
                 self.grants.insert(requester, (peer, kind, problem));
                 if kind == GrantKind::Split {
                     let horizon = self.cubes.last_minted(requester);
@@ -1363,9 +1441,9 @@ impl MasterCore {
             } => {
                 if let Some((peer, ..)) = self.grants.remove(&requester) {
                     let receiving = (self.clients.get(&peer))
-                        .is_some_and(|p| p.state == ClientState::Receiving);
+                        .is_some_and(|p| matches!(p.state, ClientState::Receiving { .. }));
                     if free_peer && receiving {
-                        self.set_state(peer, ClientState::Idle);
+                        self.release(peer);
                     }
                 }
                 None
@@ -1391,9 +1469,10 @@ impl MasterCore {
             }
             JournalRecord::MigrateSent { requester } => {
                 if let Some(&(peer, _, cube)) = self.grants.get(&requester) {
-                    self.cubes.advance(cube, CubeState::sent(peer, false));
+                    if !self.cubes.settled(cube) {
+                        self.relocate(cube, CubeState::sent(peer, false));
+                    }
                 }
-                self.set_state(requester, ClientState::Idle);
                 None
             }
             JournalRecord::TransferIn {
@@ -1402,15 +1481,8 @@ impl MasterCore {
                 checkpoint,
                 at,
             } => {
-                if let Some(info) = self.clients.get_mut(&peer) {
-                    info.problem_since = at;
-                    info.problem = Some(problem);
-                    if let Some(cp) = checkpoint {
-                        info.image = Some(RecoveryImage::Uploaded(cp));
-                    }
-                }
-                self.set_state(peer, ClientState::Busy);
-                self.cubes.enter(problem, CubeState::Open(peer));
+                self.occupy(peer, problem, checkpoint.map(RecoveryImage::Uploaded), at);
+                self.relocate(problem, CubeState::Open(peer));
                 None
             }
             JournalRecord::CheckpointAccept {
@@ -1420,15 +1492,22 @@ impl MasterCore {
                 learn_problem,
             } => {
                 if let Some(info) = self.clients.get_mut(&client) {
-                    if learn_problem {
-                        info.problem = Some(problem);
+                    let upload = Some(RecoveryImage::Uploaded(checkpoint));
+                    match &mut info.state {
+                        ClientState::Idle => {}
+                        ClientState::Receiving { cube, image } => {
+                            if learn_problem {
+                                *cube = Some(problem);
+                            }
+                            *image = upload;
+                        }
+                        ClientState::Busy { image, .. } => *image = upload,
                     }
-                    info.image = Some(RecoveryImage::Uploaded(checkpoint));
                 }
                 None
             }
             JournalRecord::ClientIdle { client } => {
-                self.idle(client);
+                self.release(client);
                 None
             }
             JournalRecord::Refuted {
@@ -1436,11 +1515,10 @@ impl MasterCore {
                 problem,
                 idle,
             } => {
-                self.cubes
-                    .enter(problem, CubeState::Settled { refuted: true });
                 if idle {
-                    self.idle(client);
+                    self.release(client);
                 }
+                self.relocate(problem, CubeState::Settled { refuted: true });
                 None
             }
             JournalRecord::RecoveryQueued { recovery } => {
@@ -1461,17 +1539,14 @@ impl MasterCore {
                 at,
             } => {
                 let mut info = ClientInfo::launched(memory, speed, availability, at);
-                info.state = if busy {
-                    ClientState::Busy
-                } else {
-                    ClientState::Idle
-                };
                 info.problem_since = at;
-                info.problem = problem;
-                info.image = checkpoint.map(RecoveryImage::Uploaded);
+                if let (true, Some(cube)) = (busy, problem) {
+                    let image = checkpoint.map(RecoveryImage::Uploaded);
+                    info.state = ClientState::Busy { cube, image };
+                }
                 self.admit(client, info);
                 if let (true, Some(problem)) = (busy, problem) {
-                    self.cubes.enter(problem, CubeState::Open(client));
+                    self.relocate(problem, CubeState::Open(client));
                 }
                 None
             }
@@ -1499,15 +1574,8 @@ impl MasterCore {
                 }
                 // thief is now busy with the stolen extension (like
                 // TransferIn, but no grant reserved it)
-                if let Some(t) = self.clients.get_mut(&thief) {
-                    t.problem_since = at;
-                    t.problem = Some(problem);
-                    if let Some(cp) = checkpoint {
-                        t.image = Some(RecoveryImage::Uploaded(cp));
-                    }
-                }
-                self.set_state(thief, ClientState::Busy);
-                self.cubes.enter(problem, CubeState::Open(thief));
+                self.occupy(thief, problem, checkpoint.map(RecoveryImage::Uploaded), at);
+                self.relocate(problem, CubeState::Open(thief));
                 None
             }
         }
@@ -1520,15 +1588,6 @@ impl MasterCore {
     fn split_parent(&self, requester: NodeId, peer: NodeId, child: ProblemId) -> Option<ProblemId> {
         let &(cube, horizon) = self.split_grants.get(&(requester, peer))?;
         (child.0 as u32 > horizon && child.0 >> 32 == u64::from(requester.0)).then_some(cube)
-    }
-
-    /// `client` holds nothing any more.
-    fn idle(&mut self, client: NodeId) {
-        if let Some(info) = self.clients.get_mut(&client) {
-            info.problem = None;
-            info.image = None;
-        }
-        self.set_state(client, ClientState::Idle);
     }
 
     /// The panic message of the ledger check `rec` fails, if any: a split
@@ -1878,11 +1937,9 @@ mod tests {
         assert_eq!(core.cubes.unsettled(), 2);
         assert!(core.first_problem_sent);
         assert_eq!(core.clients.len(), 2);
-        assert_eq!(core.clients[&n1].state, ClientState::Busy);
-        assert_eq!(core.clients[&n1].problem, Some(p1));
+        assert!(matches!(core.clients[&n1].state, ClientState::Busy { cube, .. } if cube == p1));
         assert_eq!(core.clients[&n1].problem_since, 3.0);
-        assert_eq!(core.clients[&n2].state, ClientState::Busy);
-        assert_eq!(core.clients[&n2].problem, Some(p2));
+        assert!(matches!(core.clients[&n2].state, ClientState::Busy { cube, .. } if cube == p2));
         assert!(core.grants.is_empty());
         // the whole-problem dispatch keeps the frame it sent as the
         // recovery image: the formula, encoded by reference
@@ -1891,11 +1948,9 @@ mod tests {
             assumptions: vec![],
             clauses: f.clauses().map(Clause::from).collect(),
         });
-        assert_eq!(
-            core.clients[&n1].image,
-            Some(RecoveryImage::Sent(whole.clone()))
-        );
-        assert_eq!(core.clients[&n1].image.as_ref().unwrap().frame(&f), whole);
+        let image = core.clients[&n1].state.image();
+        assert_eq!(image, Some(&RecoveryImage::Sent(whole.clone())));
+        assert_eq!(image.unwrap().frame(&f), whole);
     }
 
     #[test]
@@ -1944,12 +1999,10 @@ mod tests {
         assert_eq!(out.frame, frame);
         assert_eq!(out.source, Some(ProblemId::new(NodeId(0), 1)));
         assert!(core.pending_recovery.is_empty());
-        assert_eq!(core.clients[&NodeId(3)].state, ClientState::Busy);
         // the frame sent is the recovery image, re-sent as it was
-        assert_eq!(
-            core.clients[&NodeId(3)].image.as_ref().map(|i| i.frame(&f)),
-            Some(frame)
-        );
+        let state = &core.clients[&NodeId(3)].state;
+        assert_eq!(state.cube(), Some(ProblemId::new(NodeId(0), 2)));
+        assert_eq!(state.image().map(|i| i.frame(&f)), Some(frame));
     }
 
     /// Launch `clients` on an empty core; the first is handed the whole
@@ -2083,8 +2136,8 @@ mod tests {
         };
         commit(&mut core, &f, &cfg, settle);
         assert_eq!(core.cubes.state(stolen), Some(CubeState::Open(thief)));
-        assert_eq!(core.clients[&thief].state, ClientState::Busy);
-        assert_eq!(core.clients[&thief].problem, Some(stolen));
+        let state = &core.clients[&thief].state;
+        assert!(matches!(state, ClientState::Busy { cube, .. } if *cube == stolen));
         assert_eq!(core.clients[&thief].problem_since, 2.0);
         assert_eq!(core.clients[&donor].problem_since, 2.0, "fresh clock");
         // a redelivered notice after the settle reopens nothing, and the
@@ -2472,7 +2525,7 @@ mod tests {
         for rec in [open, close] {
             c.apply(rec, &f, &cfg);
         }
-        assert!(c.grants.is_empty() && c.clients[&n2].state() == ClientState::Idle);
+        assert!(c.grants.is_empty() && *c.clients[&n2].state() == ClientState::Idle);
         assert_ne!(c, b);
         // scheduling state does
         a.set_state(n1, ClientState::Idle);

@@ -63,10 +63,8 @@ pub use chaos::{CrashWindow, FaultPlan, LinkWindow};
 pub use client::Client;
 pub use config::GridConfig;
 pub use experiment::{run, GridNode, GridReport, GridSim};
-pub use journal::{JournalRecord, MasterJournal, RecoverySpec};
-pub use master::{
-    ClientState, GrantKind, GridOutcome, LatencySummary, Master, MasterStats, MasterTelemetry,
-};
+pub use journal::{ClientState, JournalRecord, MasterJournal, RecoverySpec};
+pub use master::{GrantKind, GridOutcome, LatencySummary, Master, MasterStats, MasterTelemetry};
 pub use msg::{GridMsg, SubResult};
 pub use standby::StandbyNode;
 pub use submaster::{SubMaster, SubMasterStats};

@@ -29,8 +29,8 @@ use crate::config::{
 };
 use crate::idle::{Hosts, REMOTE_DISCOUNT};
 use crate::journal::{
-    tree_children, tree_parent, ClientInfo, CubeState, JournalRecord, MasterCore, MasterJournal,
-    RecoverySpec,
+    tree_children, tree_parent, ClientInfo, ClientState, CubeState, JournalRecord, MasterCore,
+    MasterJournal, RecoverySpec,
 };
 use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
@@ -226,17 +226,6 @@ impl MasterTelemetry {
     }
 }
 
-/// A client's scheduling state as the master sees it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ClientState {
-    /// Registered, no work.
-    Idle,
-    /// A subproblem transfer to this client is in flight.
-    Receiving,
-    /// Solving a subproblem.
-    Busy,
-}
-
 /// What an in-flight grant is for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GrantKind {
@@ -319,7 +308,7 @@ fn idle_clients(
 ) -> impl Iterator<Item = (&NodeId, &ClientInfo)> {
     clients
         .iter()
-        .filter(move |(id, c)| **id != exclude && c.state() == ClientState::Idle)
+        .filter(move |(id, c)| **id != exclude && matches!(c.state(), ClientState::Idle))
 }
 
 /// What [`Master::pick_idle`] picks, found by walking the whole roster:
@@ -644,7 +633,7 @@ impl Master {
             let Some(info) = self.core.clients.get(id) else {
                 continue;
             };
-            if info.state() != ClientState::Busy {
+            if !matches!(info.state(), ClientState::Busy { .. }) {
                 continue;
             }
             match best {
@@ -660,20 +649,14 @@ impl Master {
     /// A split request reached the root — directly from a client, or
     /// escalated by a sub-master whose site had no idle sibling.
     fn handle_split_request(&mut self, from: NodeId, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
-        let busy = self
-            .core
-            .clients
-            .get(&from)
-            .map(|c| c.state() == ClientState::Busy)
-            .unwrap_or(false);
-        if busy {
-            // grant only when the request names the subproblem we
-            // believe the client holds: a retransmitted request
-            // can land long after that subproblem was finished,
-            // and taking its word would regress our view. The
-            // client re-requests periodically, so a skipped grant
-            // only delays the split.
-            if self.core.clients[&from].problem == Some(problem) {
+        // grant only when the request names the subproblem we believe
+        // the client is busy on: a retransmitted request can land long
+        // after that subproblem was finished or moved, and taking its word
+        // would regress our view. The client re-requests periodically, so
+        // a skipped grant only delays the split.
+        let state = self.core.clients.get(&from).map(|c| c.state());
+        if let Some(&ClientState::Busy { cube, .. }) = state {
+            if cube == problem {
                 // start the request->grant latency clock at the
                 // *first* unanswered request; periodic re-requests
                 // must not reset it
@@ -748,7 +731,7 @@ impl Master {
         if self.core.grants.contains_key(&requester) {
             return false;
         }
-        let Some(problem) = self.core.clients.get(&requester).and_then(|c| c.problem) else {
+        let Some(problem) = self.core.clients.get(&requester).and_then(|c| c.cube()) else {
             return false;
         };
         let near = self.site_of(requester);
@@ -863,7 +846,7 @@ impl Master {
         let min_age = (2.0 * self.config.min_split_timeout).max(200.0);
         let mut weakest: Option<(NodeId, f64)> = None;
         for (id, c) in &self.core.clients {
-            if c.state() != ClientState::Busy || self.core.grants.contains_key(id) {
+            if !matches!(c.state(), ClientState::Busy { .. }) || self.core.grants.contains_key(id) {
                 continue;
             }
             if ctx.now() - c.problem_since < min_age {
@@ -882,7 +865,7 @@ impl Master {
             return;
         };
         let idle_rank = self.core.clients[&best_idle].rank();
-        let Some(problem) = self.core.clients.get(&weak_id).and_then(|c| c.problem) else {
+        let Some(problem) = self.core.clients.get(&weak_id).and_then(|c| c.cube()) else {
             return;
         };
         if idle_rank >= weak_rank * MIGRATION_FACTOR {
@@ -1032,7 +1015,7 @@ impl Master {
     fn held_frames(&self, node: NodeId) -> (Frames, bool) {
         let mut frames = Vec::new();
         let info = self.core.clients.get(&node);
-        let imaged = info.and_then(|i| Some((i.problem, i.image.as_ref()?)));
+        let imaged = info.and_then(|i| Some((i.cube(), i.state().image()?)));
         if let Some((problem, image)) = imaged {
             let settled = problem.is_some_and(|p| {
                 matches!(self.core.cubes.state(p), Some(CubeState::Settled { .. }))
@@ -1123,7 +1106,11 @@ impl Master {
         let Some(info) = self.core.clients.get(&node) else {
             return;
         };
-        let state = info.state();
+        let released = match info.state() {
+            ClientState::Idle => true,
+            ClientState::Receiving { .. } => self.config.reliability,
+            ClientState::Busy { .. } => false,
+        };
         let (held, whole) = self.held_frames(node);
         // "When an idle client is killed ... the master becomes aware
         // of it and marks the resource as free."
@@ -1137,9 +1124,7 @@ impl Master {
         //
         // A Receiving peer's transfer, if it never landed, comes back as
         // the requester's Requeue; a half message (5) named is rebuilt.
-        if state == ClientState::Idle
-            || (state == ClientState::Receiving && self.config.reliability)
-        {
+        if released {
             self.deregister(node, ctx);
             self.take_back_all(held, ctx);
             self.drain_backlog(ctx);
@@ -1203,7 +1188,7 @@ impl Master {
                     .core
                     .clients
                     .get(&to)
-                    .is_some_and(|i| i.problem == Some(problem))
+                    .is_some_and(|i| i.cube() == Some(problem))
                 {
                     self.commit(ctx.now(), JournalRecord::ClientIdle { client: to });
                 }
@@ -1516,9 +1501,8 @@ impl Process for Master {
                     // can have taught us that one's id instead. The cube is
                     // done: release the peer, or it stays Receiving for good
                     let stale_id = self.core.clients.get(&from).is_some_and(|i| {
-                        i.state() == ClientState::Receiving
-                            && i.problem.is_some()
-                            && i.problem != problem
+                        matches!(i.state(), ClientState::Receiving { cube: Some(c), .. }
+                            if Some(*c) != problem)
                     });
                     if already_done && grant_open && stale_id {
                         self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
@@ -1587,7 +1571,7 @@ impl Process for Master {
                 // retries) must not idle a client that has since been
                 // handed different work
                 let idle = (self.core.clients.get(&from))
-                    .is_some_and(|i| i.problem == Some(problem) || i.problem.is_none());
+                    .is_some_and(|i| i.cube().is_none_or(|c| c == problem));
                 // a result that overtook its steal's confirmation settles
                 // the steal
                 let stolen = self.core.cubes.state(problem);
@@ -1683,7 +1667,7 @@ impl Process for Master {
                         .core
                         .clients
                         .get(&from)
-                        .is_some_and(|c| c.problem == Some(p))
+                        .is_some_and(|c| c.cube() == Some(p))
                     {
                         self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
                     }
@@ -1702,10 +1686,9 @@ impl Process for Master {
                         // Receiving peer's adopt-time checkpoint usually
                         // beats the transfer confirmation here, so it
                         // also teaches us the subproblem id early.
-                        let fresh =
-                            info.problem == Some(problem) || info.state() == ClientState::Receiving;
-                        if fresh {
-                            let learn_problem = info.state() == ClientState::Receiving;
+                        let receiving = matches!(info.state(), ClientState::Receiving { .. });
+                        if info.cube() == Some(problem) || receiving {
+                            let learn_problem = receiving;
                             self.commit(
                                 ctx.now(),
                                 JournalRecord::CheckpointAccept {

@@ -386,7 +386,7 @@ fn failed_split_frees_the_peer() {
         &mut cx,
     );
     let _ = cx.take_actions();
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
+    assert_eq!(state_of(&m, 2), "receiving");
     let mut cx = ctx(2.0);
     m.on_message(
         NodeId(1),
@@ -401,7 +401,7 @@ fn failed_split_frees_the_peer() {
         },
         &mut cx,
     );
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
+    assert_eq!(state_of(&m, 2), "idle");
     assert!(m.core.grants.is_empty());
     // the next grant goes to node 3, the fastest; a late retransmit of the
     // report about node 2 must leave it and its Receiving peer alone
@@ -432,7 +432,7 @@ fn failed_split_frees_the_peer() {
         &mut cx,
     );
     assert_eq!(m.core.grants.get(&NodeId(1)), Some(&granted));
-    assert_eq!(m.core.clients[&NodeId(3)].state(), ClientState::Receiving);
+    assert_eq!(state_of(&m, 3), "receiving");
 }
 
 #[test]
@@ -449,7 +449,7 @@ fn undeliverable_grant_frees_the_peer() {
         &mut cx,
     );
     let _ = cx.take_actions();
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
+    assert_eq!(state_of(&m, 2), "receiving");
     // the grant toward node 1 exhausts its retry budget
     let mut cx = ctx(40.0);
     m.on_undeliverable(
@@ -460,7 +460,7 @@ fn undeliverable_grant_frees_the_peer() {
         },
         &mut cx,
     );
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
+    assert_eq!(state_of(&m, 2), "idle");
     assert!(m.core.grants.is_empty());
 }
 
@@ -490,7 +490,7 @@ fn undeliverable_assign_requeues_the_subproblem() {
         &mut cx,
     );
     assert_eq!(m.stats.requeues, 1);
-    assert_eq!(m.core.clients[&NodeId(1)].state(), ClientState::Idle);
+    assert_eq!(state_of(&m, 1), "idle");
     // the subproblem went straight back out to the idle node 2
     assert!(cx.take_actions().iter().any(|a| matches!(
         a,
@@ -499,7 +499,7 @@ fn undeliverable_assign_requeues_the_subproblem() {
             msg: GridMsg::Solve { .. }
         }
     )));
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
+    assert_eq!(state_of(&m, 2), "busy");
     assert!(m.core.pending_recovery.is_empty());
 }
 
@@ -584,7 +584,7 @@ fn requeued_assignment_releases_the_ghost_roster_entry() {
     );
     let _ = cx.take_actions();
     let ghost = m.core.clients[&NodeId(2)]
-        .problem
+        .cube()
         .expect("recovery dispatched");
     // node 2 was already busy when the Solve arrived and hands it back
     let mut cx = ctx(2.0);
@@ -599,10 +599,10 @@ fn requeued_assignment_releases_the_ghost_roster_entry() {
     let _ = cx.take_actions();
     // the ghost assignment is gone (the handler may re-dispatch the
     // requeued space immediately, but never under the returned id)
-    assert_ne!(m.core.clients[&NodeId(2)].problem, Some(ghost));
+    assert_ne!(m.core.clients[&NodeId(2)].cube(), Some(ghost));
     // and the run can still terminate: close whatever is open
     let mut cx = ctx(3.0);
-    if let Some(p) = m.core.clients[&NodeId(2)].problem {
+    if let Some(p) = m.core.clients[&NodeId(2)].cube() {
         m.on_message(
             NodeId(2),
             GridMsg::Result {
@@ -613,7 +613,7 @@ fn requeued_assignment_releases_the_ghost_roster_entry() {
         );
     }
     let p1 = m.core.clients[&NodeId(1)]
-        .problem
+        .cube()
         .expect("node 1 holds the root problem");
     m.on_message(
         NodeId(1),
@@ -745,7 +745,7 @@ fn successful_split_protocol_transitions() {
         &mut cx,
     );
     assert_eq!(m.stats.splits, 1);
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
+    assert_eq!(state_of(&m, 2), "receiving");
     // message (4) from the peer completes the grant
     let mut cx = ctx(3.0);
     m.on_message(
@@ -761,9 +761,89 @@ fn successful_split_protocol_transitions() {
         },
         &mut cx,
     );
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
+    assert_eq!(state_of(&m, 2), "busy");
     assert!(m.core.grants.is_empty());
     assert_eq!(m.stats.max_active_clients, 2);
+}
+
+/// Nodes 1–5 registered, node 1 (the slowest) busy on the whole problem
+/// since 0 s: at 300 s the migration policy moves it to the fastest idle
+/// node, 5. Returns the master and the migrating cube.
+fn migrating(config: GridConfig) -> (Master, ProblemId) {
+    let mut m = Master::new(gridsat_cnf::paper::fig1_formula(), config, speeds(5));
+    for id in 1..=5 {
+        register(&mut m, id, 0.0);
+    }
+    m.maybe_migrate(&mut ctx(300.0));
+    let cube = ProblemId::new(NodeId(0), 1);
+    let grant = (NodeId(5), GrantKind::Migrate, cube);
+    assert_eq!(m.core.grants.get(&NodeId(1)), Some(&grant));
+    (m, cube)
+}
+
+/// A migration's Figure 3 message from `from`: the peer's confirmation
+/// (4) of `cube`, or the source's report (5).
+fn migrated(cube: ProblemId, from: u32) -> GridMsg {
+    let peer = from == 5;
+    GridMsg::SplitDone {
+        requester: NodeId(1),
+        peer: NodeId(5),
+        ok: true,
+        problem: peer.then_some(cube),
+        pivot: None,
+        checkpoint: peer.then(|| Box::new(Checkpoint { level0: vec![] })),
+        stolen: false,
+    }
+}
+
+/// The order that wedged Table 1's `Mat26`: the peer's confirmation (4)
+/// lands first and closes the migration grant; a split request the source
+/// sent before it migrated lands next, then the source's report (5). The
+/// confirmation released the source, so the stale request opens no grant
+/// and counts no split, and nothing is left Busy on a cube its client
+/// gave away.
+#[test]
+fn a_stale_split_request_after_a_migration_opens_no_grant() {
+    let (mut m, cube) = migrating(GridConfig::default());
+    let order = [
+        (5, migrated(cube, 5)),
+        (1, GridMsg::SplitRequest { problem: cube }),
+        (1, migrated(cube, 1)),
+    ];
+    for (k, (from, msg)) in order.into_iter().enumerate() {
+        m.on_message(NodeId(from), msg, &mut ctx(301.0 + k as f64));
+    }
+    assert_eq!(state_of(&m, 1), "idle");
+    assert_eq!(m.core.clients[&NodeId(1)].cube(), None);
+    assert!(m.core.grants.is_empty());
+    assert_eq!(m.stats.splits, 0);
+    assert_eq!(m.core.clients[&NodeId(5)].cube(), Some(cube));
+    assert_eq!(m.core.cubes.state(cube), Some(CubeState::Open(NodeId(5))));
+}
+
+/// The source's report (5) lands before the peer's confirmation (4):
+/// the source's row lets go of the cube and its image, so losing the
+/// source takes nothing back, and the cube stays in flight to the peer.
+#[test]
+fn a_lost_migration_source_leaves_the_migrated_cube_with_its_peer() {
+    let (mut m, cube) = migrating(GridConfig::chaos_hardened());
+    m.on_message(NodeId(1), migrated(cube, 1), &mut ctx(301.0));
+    assert_eq!(m.core.clients[&NodeId(1)].state(), &ClientState::Idle);
+    m.on_node_down(NodeId(1), &mut ctx(302.0));
+    assert_eq!(m.stats.recoveries, 0);
+    assert!(m.core.pending_recovery.is_empty());
+    let in_flight = CubeState::InFlight {
+        to: NodeId(5),
+        steal: false,
+    };
+    assert_eq!(m.core.cubes.state(cube), Some(in_flight));
+    // the peer's result is the last word on the cube
+    let result = GridMsg::Result {
+        result: SubResult::Unsat,
+        problem: cube,
+    };
+    m.on_message(NodeId(5), result, &mut ctx(303.0));
+    assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
 }
 
 /// The crash-restart leak, as a unit: the peer of a split adopts the
@@ -814,7 +894,7 @@ fn a_peer_lost_with_a_named_half_gets_the_half_rebuilt_from_its_path() {
     };
     m.on_message(NodeId(1), result(whole), &mut ctx(4.0));
     assert_eq!(m.outcome(), None);
-    let twin = m.core.clients[&NodeId(2)].problem.expect("node 2 holds it");
+    let twin = m.core.clients[&NodeId(2)].cube().expect("node 2 holds it");
     m.on_message(NodeId(2), result(twin), &mut ctx(5.0));
     assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
 }
@@ -920,7 +1000,7 @@ fn double_crash_recovers_from_two_level0_checkpoints() {
     register(&mut m, 2, 0.0);
     // crash 1: recover node 1 from its checkpoint
     let first_level0 = vec![(gridsat_cnf::Lit::pos(0), true)];
-    let p1 = m.core.clients[&NodeId(1)].problem.expect("assigned");
+    let p1 = m.core.clients[&NodeId(1)].cube().expect("assigned");
     let mut cx = ctx(10.0);
     m.on_message(
         NodeId(1),
@@ -952,14 +1032,14 @@ fn double_crash_recovers_from_two_level0_checkpoints() {
     let spec = spec.open().expect("frame verifies");
     assert_eq!(spec.assumptions, first_level0);
     assert_eq!(spec.clauses.len(), 9); // over the original clauses
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
+    assert_eq!(state_of(&m, 2), "busy");
     // crash 2: the inheritor checkpoints a deeper level 0, then dies too
     let second_level0 = vec![
         (gridsat_cnf::Lit::pos(0), true),
         (gridsat_cnf::Lit::neg(1), false),
     ];
     let p2 = m.core.clients[&NodeId(2)]
-        .problem
+        .cube()
         .expect("recovery assigned");
     let mut cx = ctx(30.0);
     m.on_message(
@@ -1015,7 +1095,7 @@ fn silent_client_lease_expires_and_is_recovered() {
     m.set_obs(obs);
     register(&mut m, 1, 0.0); // busy with the whole problem
     register(&mut m, 2, 0.0);
-    let p1 = m.core.clients[&NodeId(1)].problem.expect("assigned");
+    let p1 = m.core.clients[&NodeId(1)].cube().expect("assigned");
     let mut cx = ctx(5.0);
     m.on_message(
         NodeId(1),
@@ -1034,7 +1114,7 @@ fn silent_client_lease_expires_and_is_recovered() {
     assert_eq!(m.stats.lease_expiries, 1);
     assert_eq!(m.stats.recoveries, 1);
     assert!(!m.core.clients.contains_key(&NodeId(1)));
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Busy);
+    assert_eq!(state_of(&m, 2), "busy");
     assert!(m.outcome().is_none());
     let events = ring.lock().unwrap().events();
     assert!(events
@@ -1089,7 +1169,7 @@ fn backlog_prefers_longest_running_requester() {
     // all busy: requests back up (naming the subproblem the master
     // believes each client holds, as real clients do)
     for id in [2u32, 3, 1] {
-        let problem = m.core.clients[&NodeId(id)].problem.expect("busy");
+        let problem = m.core.clients[&NodeId(id)].cube().expect("busy");
         let mut cx = ctx(30.0);
         m.on_message(NodeId(id), GridMsg::SplitRequest { problem }, &mut cx);
     }
@@ -1110,10 +1190,16 @@ fn registered_state_reads_straight_from_the_core() {
     register(&mut m, 2, 0.0);
     assert_eq!(m.core.clients.len(), 2);
     let busy = &m.core.clients[&NodeId(1)];
-    assert_eq!(busy.state(), ClientState::Busy);
+    let whole = ProblemId::new(NodeId(0), 1);
+    assert_eq!(
+        busy.state(),
+        &ClientState::Busy {
+            cube: whole,
+            image: None
+        }
+    );
     assert_eq!(busy.problem_since, 0.0);
-    assert!(busy.image.is_none());
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
+    assert_eq!(state_of(&m, 2), "idle");
     assert!(m.core.backlog.is_empty() && m.core.grants.is_empty());
     assert!(m.outcome().is_none());
     // identical histories fold to identical state
@@ -1607,11 +1693,26 @@ fn an_adoption_claim_overtaken_by_its_result_leaves_the_client_idle() {
         }
         let info = &p.core.clients[&NodeId(2)];
         assert_eq!(
-            (info.state(), info.problem),
-            (ClientState::Idle, None),
+            (info.state(), info.cube()),
+            (&ClientState::Idle, None),
             "result first: {overtaken}"
         );
         assert!(p.core.cubes.refuted(cube), "result first: {overtaken}");
+    }
+}
+
+/// No row names a cube the ledger has at another client, in flight to
+/// another client, or settled.
+fn assert_rows_follow_the_ledger(m: &Master, case: &str) {
+    for (&id, info) in &m.core.clients {
+        let Some(cube) = info.cube() else { continue };
+        let state = m.core.cubes.state(cube);
+        let here = match state {
+            Some(CubeState::Open(n) | CubeState::InFlight { to: n, .. }) => n == id,
+            Some(CubeState::Settled { .. }) => false,
+            Some(CubeState::Backlog) | None => true,
+        };
+        assert!(here, "{case}: row {id} names {cube:?}, which is {state:?}");
     }
 }
 
@@ -1627,15 +1728,19 @@ fn randomized_schedules_replay_to_the_live_state() {
     let f = gridsat_cnf::paper::fig1_formula();
     let cfg = GridConfig::chaos_hardened();
     let mut seed = 0x9e3779b97f4a7c15u64;
-    for round in 0..20 {
+    for round in 0..40 {
         let mut m = Master::new(f.clone(), cfg.clone(), speeds(6));
+        // every cube a client was handed or named, for stale messages
         let mut known: Vec<ProblemId> = Vec::new();
         let mut child = 0u32;
         let mut t = 0.0;
-        for _ in 0..40 {
+        for step in 0..40 {
             t += 0.5; // stays far under the 30 s lease
             let node = NodeId(1 + (xs(&mut seed) % 6) as u32);
-            match xs(&mut seed) % 6 {
+            known.extend(m.core.clients.values().filter_map(|c| c.cube()));
+            known.sort_unstable();
+            known.dedup();
+            match xs(&mut seed) % 8 {
                 0 => {
                     let mut cx = ctx(t);
                     m.on_message(
@@ -1648,54 +1753,60 @@ fn randomized_schedules_replay_to_the_live_state() {
                     );
                 }
                 1 => {
-                    let problem = m
-                        .core
-                        .clients
-                        .get(&node)
-                        .and_then(|c| c.problem)
-                        .unwrap_or(ProblemId::new(node, 1));
+                    // the cube the client holds, or one it may have held
+                    // long ago: a request overtaken by what became of it
+                    let held = m.core.clients.get(&node).and_then(|c| c.cube());
+                    let stale = known.get(xs(&mut seed) as usize % known.len().max(1));
+                    let problem = if xs(&mut seed).is_multiple_of(2) {
+                        held
+                    } else {
+                        stale.copied()
+                    };
+                    let problem = problem.unwrap_or(ProblemId::new(node, 1));
                     let mut cx = ctx(t);
                     m.on_message(node, GridMsg::SplitRequest { problem }, &mut cx);
                 }
                 2 => {
-                    // complete an open grant with the full (5)+(4) pair
-                    let grant = m.core.grants.iter().next().map(|(r, (p, ..))| (*r, *p));
-                    if let Some((requester, peer)) = grant {
-                        child += 1;
-                        let p_child = ProblemId::new(requester, child);
-                        known.push(p_child);
-                        let mut cx = ctx(t);
-                        m.on_message(
+                    // complete an open grant with its (5) and (4), in
+                    // either order; a migration keeps its cube's id
+                    let grant = m.core.grants.iter().next().map(|(r, g)| (*r, *g));
+                    if let Some((requester, (peer, kind, cube))) = grant {
+                        let moved = match kind {
+                            GrantKind::Split => {
+                                child += 1;
+                                ProblemId::new(requester, child)
+                            }
+                            GrantKind::Migrate => cube,
+                        };
+                        let report = GridMsg::SplitDone {
                             requester,
-                            GridMsg::SplitDone {
-                                requester,
-                                peer,
-                                ok: true,
-                                problem: Some(p_child),
-                                pivot: None,
-                                checkpoint: None,
-                                stolen: false,
-                            },
-                            &mut cx,
-                        );
-                        let mut cx = ctx(t);
-                        m.on_message(
                             peer,
-                            GridMsg::SplitDone {
-                                requester,
-                                peer,
-                                ok: true,
-                                problem: Some(p_child),
-                                pivot: None,
-                                checkpoint: Some(Box::new(Checkpoint { level0: vec![] })),
-                                stolen: false,
-                            },
-                            &mut cx,
-                        );
+                            ok: true,
+                            problem: (kind == GrantKind::Split).then_some(moved),
+                            pivot: None,
+                            checkpoint: None,
+                            stolen: false,
+                        };
+                        let confirm = GridMsg::SplitDone {
+                            requester,
+                            peer,
+                            ok: true,
+                            problem: Some(moved),
+                            pivot: None,
+                            checkpoint: Some(Box::new(Checkpoint { level0: vec![] })),
+                            stolen: false,
+                        };
+                        let mut order = [(requester, report), (peer, confirm)];
+                        if xs(&mut seed).is_multiple_of(2) {
+                            order.reverse();
+                        }
+                        for (from, msg) in order {
+                            m.on_message(from, msg, &mut ctx(t));
+                        }
                     }
                 }
                 3 => {
-                    if let Some(&p) = known.first() {
+                    if let Some(&p) = known.get(xs(&mut seed) as usize % known.len().max(1)) {
                         let mut cx = ctx(t);
                         m.on_message(
                             node,
@@ -1709,7 +1820,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                 }
                 4 => {
                     let lit = gridsat_cnf::Lit::pos((xs(&mut seed) % 14) as u32);
-                    if let Some(p) = m.core.clients.get(&node).and_then(|c| c.problem) {
+                    if let Some(p) = m.core.clients.get(&node).and_then(|c| c.cube()) {
                         let mut cx = ctx(t);
                         m.on_message(
                             node,
@@ -1723,6 +1834,24 @@ fn randomized_schedules_replay_to_the_live_state() {
                         );
                     }
                 }
+                5 => {
+                    // the migration policy's grant, for a busy client
+                    // without one, toward an idle peer
+                    let busy = m.core.clients.get(&node).map(|c| c.state());
+                    if let (Some(&ClientState::Busy { cube, .. }), false) =
+                        (busy, m.core.grants.contains_key(&node))
+                    {
+                        if let Some(peer) = m.pick_idle(node, None) {
+                            let rec = JournalRecord::GrantOpen {
+                                requester: node,
+                                peer,
+                                kind: GrantKind::Migrate,
+                                problem: cube,
+                            };
+                            m.commit(t, rec);
+                        }
+                    }
+                }
                 _ => {
                     if m.core.clients.len() > 1 && m.core.clients.contains_key(&node) {
                         let mut cx = ctx(t);
@@ -1730,6 +1859,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                     }
                 }
             }
+            assert_rows_follow_the_ledger(&m, &format!("round {round} step {step}"));
             if m.outcome().is_some() {
                 break;
             }
@@ -1804,7 +1934,7 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
         }
         assert_eq!(
             m.core.clients[&thief].state(),
-            ClientState::Idle,
+            &ClientState::Idle,
             "{order:?}: the thief finished its cube"
         );
         // the stolen cube is refuted, and placed in the split tree below
@@ -1819,7 +1949,7 @@ fn a_stolen_cubes_result_closes_its_steal_in_every_delivery_order() {
         let replayed = m.fold(&m.journal);
         assert_eq!(replayed, m.core, "{order:?}");
         // nothing is left to hold off all-idle termination
-        let root = m.core.clients[&donor].problem.expect("donor's half");
+        let root = m.core.clients[&donor].cube().expect("donor's half");
         let mut cx = ctx(9.0);
         m.on_message(
             donor,
@@ -1849,7 +1979,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
     let whole = ProblemId::new(NodeId(0), 1);
     let mut cx = ctx(1.0);
     m.on_message(NodeId(1), GridMsg::SplitRequest { problem: whole }, &mut cx);
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Receiving);
+    assert_eq!(state_of(&m, 2), "receiving");
     let previous = ProblemId::new(NodeId(3), 7);
     let cube = ProblemId::new(NodeId(1), 1);
     let light = || Box::new(Checkpoint { level0: vec![] });
@@ -1878,7 +2008,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
         let mut cx = ctx(2.0 + k as f64);
         m.on_message(NodeId(2), msg, &mut cx);
     }
-    assert_eq!(m.core.clients[&NodeId(2)].state(), ClientState::Idle);
+    assert_eq!(state_of(&m, 2), "idle");
     assert!(m.core.grants.is_empty() && m.core.cubes.refuted(cube));
     let replayed = m.fold(&m.journal);
     assert_eq!(replayed, m.core);
@@ -1895,10 +2025,19 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
 }
 
 /// The registered clients in `state`, ascending by id.
-fn clients_in(m: &Master, state: ClientState) -> Vec<NodeId> {
-    (m.core.clients.iter())
-        .filter(|(_, c)| c.state() == state)
-        .map(|(id, _)| *id)
+/// The name of `id`'s scheduling state.
+fn state_of(m: &Master, id: u32) -> &'static str {
+    match m.core.clients[&NodeId(id)].state() {
+        ClientState::Idle => "idle",
+        ClientState::Receiving { .. } => "receiving",
+        ClientState::Busy { .. } => "busy",
+    }
+}
+
+fn clients_in(m: &Master, state: &str) -> Vec<NodeId> {
+    (m.core.clients.keys())
+        .filter(|id| state_of(m, id.0) == state)
+        .copied()
         .collect()
 }
 
@@ -1957,8 +2096,8 @@ fn idle_index_agrees_with_the_roster_walk() {
             let t = f64::from(step);
             let case = format!("step {step}, case seed {seed}");
             let mut cx = ctx(t);
-            let idle = clients_in(&m, ClientState::Idle);
-            let busy = clients_in(&m, ClientState::Busy);
+            let idle = clients_in(&m, "idle");
+            let busy = clients_in(&m, "busy");
             let registered: Vec<NodeId> = m.core.clients.keys().copied().collect();
             let granted: Vec<NodeId> = m.core.grants.keys().copied().collect();
             let problem = |minted: u32| ProblemId::new(NodeId(0), minted);
@@ -1999,7 +2138,7 @@ fn idle_index_agrees_with_the_roster_walk() {
                         } else {
                             GrantKind::Migrate
                         };
-                        let problem = m.core.clients[&requester].problem;
+                        let problem = m.core.clients[&requester].cube();
                         let problem = problem.unwrap_or(ProblemId::new(requester, 0));
                         m.commit(
                             t,
