@@ -12,7 +12,8 @@
 //!   the challenge categories — all per the paper's Section 4.
 //!
 //! Usage: `cargo run --release -p gridsat-bench --bin table1 [filter] [--trace FILE]`
-//! Writes `table1.csv` next to the printed table. With `--trace FILE`,
+//! Writes `table1.csv` next to the printed table, unless a filter makes
+//! it a partial table, which is only printed. With `--trace FILE`,
 //! every GridSAT run is captured as a JSONL event stream (concatenated
 //! into FILE) that `grid_report` folds into per-client utilization —
 //! best combined with a filter selecting a single instance.
@@ -145,13 +146,16 @@ fn main() {
             _ => {}
         }
     }
-    std::fs::write("table1.csv", csv).expect("write table1.csv");
+    // a filtered run is part of the table: it must not replace the whole
+    let written = if filter.is_empty() {
+        std::fs::write("table1.csv", csv).expect("write table1.csv");
+        "table1.csv written".to_string()
+    } else {
+        format!("filter {filter:?} ran part of the table: table1.csv not written")
+    };
     if let Some(path) = trace_path {
         std::fs::write(&path, trace).expect("write trace");
         eprintln!("event trace written to {path} (fold with the grid_report binary)");
     }
-    eprintln!(
-        "table1.csv written; wall time {:.0} s",
-        wall.elapsed().as_secs_f64()
-    );
+    eprintln!("{written}; wall time {:.0} s", wall.elapsed().as_secs_f64());
 }

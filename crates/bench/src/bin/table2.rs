@@ -8,7 +8,8 @@
 //! ("(12 - 8) hours x 8 cpus/node x 100 nodes = 3200 processor hours").
 //!
 //! Usage: `cargo run --release -p gridsat-bench --bin table2 [--quick]`
-//! `--quick` scales the windows down 8x for a fast smoke run.
+//! `--quick` scales the windows down 8x for a fast smoke run, whose table
+//! is only printed: `table2.csv` holds full runs alone.
 
 use gridsat::{experiment, GridConfig, GridOutcome};
 use gridsat_grid::Testbed;
@@ -132,9 +133,11 @@ fn main() {
         );
     }
 
-    std::fs::write("table2.csv", csv).expect("write table2.csv");
-    eprintln!(
-        "table2.csv written; wall {:.0} s",
-        wall.elapsed().as_secs_f64()
-    );
+    let written = if quick {
+        "--quick scaled the windows down: table2.csv not written"
+    } else {
+        std::fs::write("table2.csv", csv).expect("write table2.csv");
+        "table2.csv written"
+    };
+    eprintln!("{written}; wall {:.0} s", wall.elapsed().as_secs_f64());
 }
