@@ -719,13 +719,10 @@ impl SealedRecord {
 pub enum ClientState {
     /// Registered, no work.
     Idle,
-    /// A subproblem transfer to this client is in flight; its id is
-    /// learned early when the client's first checkpoint overtakes the
-    /// confirmation.
-    Receiving {
-        cube: Option<ProblemId>,
-        image: Option<RecoveryImage>,
-    },
+    /// A subproblem transfer to this client is in flight; its id and
+    /// image are learned early when the client's first checkpoint
+    /// overtakes the confirmation.
+    Receiving(Option<(ProblemId, RecoveryImage)>),
     /// Solving `cube`; `image` rebuilds it if the client is lost
     /// (reliability extension).
     Busy {
@@ -736,21 +733,20 @@ pub enum ClientState {
 
 impl ClientState {
     /// The cube the row names, if any.
-    pub fn cube(&self) -> Option<ProblemId> {
+    pub(crate) fn cube(&self) -> Option<ProblemId> {
         match self {
             ClientState::Idle => None,
-            ClientState::Receiving { cube, .. } => *cube,
+            ClientState::Receiving(learned) => learned.as_ref().map(|(cube, _)| *cube),
             ClientState::Busy { cube, .. } => Some(*cube),
         }
     }
 
     /// What the row's cube is rebuilt from if the client is lost.
-    pub fn image(&self) -> Option<&RecoveryImage> {
+    pub(crate) fn image(&self) -> Option<&RecoveryImage> {
         match self {
             ClientState::Idle => None,
-            ClientState::Receiving { image, .. } | ClientState::Busy { image, .. } => {
-                image.as_ref()
-            }
+            ClientState::Receiving(learned) => learned.as_ref().map(|(_, image)| image),
+            ClientState::Busy { image, .. } => image.as_ref(),
         }
     }
 }
@@ -914,6 +910,14 @@ impl CubeState {
     fn sent(to: NodeId, steal: bool) -> CubeState {
         CubeState::InFlight { to, steal }
     }
+
+    /// The client the cube is at or on its way to.
+    fn holder(self) -> Option<NodeId> {
+        match self {
+            CubeState::Open(n) | CubeState::InFlight { to: n, .. } => Some(n),
+            CubeState::Backlog | CubeState::Settled { .. } => None,
+        }
+    }
 }
 
 /// A pivot a cube kept, the half it split off, and where in
@@ -960,11 +964,6 @@ impl Cubes {
         self.unsettled
     }
 
-    /// Is `id` done with?
-    fn settled(&self, id: ProblemId) -> bool {
-        matches!(self.state(id), Some(CubeState::Settled { .. }))
-    }
-
     /// Did a result refute `id`?
     pub(crate) fn refuted(&self, id: ProblemId) -> bool {
         self.state(id) == Some(CubeState::Settled { refuted: true })
@@ -998,7 +997,7 @@ impl Cubes {
 
     /// Move `id` to `state` unless it is settled already.
     fn advance(&mut self, id: ProblemId, state: CubeState) {
-        if !self.settled(id) {
+        if !matches!(self.state(id), Some(CubeState::Settled { .. })) {
             self.enter(id, state);
         }
     }
@@ -1126,10 +1125,7 @@ impl Cubes {
 
     /// The unsettled cubes held or being sent, with their holders.
     pub(crate) fn held(&self) -> impl Iterator<Item = (ProblemId, NodeId)> + '_ {
-        self.map.iter().filter_map(|(id, c)| match c.state {
-            CubeState::Open(n) | CubeState::InFlight { to: n, .. } => Some((*id, n)),
-            CubeState::Backlog | CubeState::Settled { .. } => None,
-        })
+        (self.map.iter()).filter_map(|(id, c)| Some((*id, c.state.holder()?)))
     }
 
     /// The unsettled cubes `node` holds or is being sent.
@@ -1241,7 +1237,7 @@ impl MasterCore {
         if let Some(info) = self.clients.get(&client) {
             match info.state {
                 ClientState::Idle => self.idle.remove(client, info.rank),
-                ClientState::Busy { .. } | ClientState::Receiving { .. } => self.busy -= 1,
+                ClientState::Busy { .. } | ClientState::Receiving(_) => self.busy -= 1,
             }
         }
     }
@@ -1251,7 +1247,7 @@ impl MasterCore {
         if let Some(info) = self.clients.get(&client) {
             match info.state {
                 ClientState::Idle => self.idle.insert(client, info.rank),
-                ClientState::Busy { .. } | ClientState::Receiving { .. } => self.busy += 1,
+                ClientState::Busy { .. } | ClientState::Receiving(_) => self.busy += 1,
             }
         }
     }
@@ -1323,28 +1319,15 @@ impl MasterCore {
     /// that held it waits for its own record (a requeue, the client's
     /// loss).
     fn relocate(&mut self, cube: ProblemId, to: CubeState) {
-        let held_by = |state: Option<CubeState>| match state {
-            Some(CubeState::Open(n) | CubeState::InFlight { to: n, .. }) => Some(n),
-            _ => None,
-        };
-        let from = held_by(self.cubes.state(cube));
+        let from = self.cubes.state(cube).and_then(CubeState::holder);
         self.cubes.enter(cube, to);
-        let away = |row: NodeId| match to {
-            CubeState::Backlog => false,
-            CubeState::Settled { .. } => true,
-            CubeState::Open(n) | CubeState::InFlight { to: n, .. } => n != row,
-        };
-        if let Some(holder) = from.filter(|&h| away(h)) {
-            if self
-                .clients
-                .get(&holder)
-                .is_some_and(|i| i.cube() == Some(cube))
-            {
-                self.release(holder);
-            }
+        let away = |row: NodeId| to != CubeState::Backlog && to.holder() != Some(row);
+        let names = |i: &ClientInfo| i.cube() == Some(cube);
+        if let Some(h) = from.filter(|&h| away(h) && self.clients.get(&h).is_some_and(names)) {
+            self.release(h);
         }
         debug_assert!(
-            !(self.clients.iter()).any(|(&n, i)| i.cube() == Some(cube) && away(n)),
+            !(self.clients.iter()).any(|(&n, i)| names(i) && away(n)),
             "a row names {cube:?}, which the ledger has {to:?}"
         );
     }
@@ -1358,6 +1341,9 @@ impl MasterCore {
         formula: &gridsat_cnf::Formula,
         config: &GridConfig,
     ) -> Option<RecoverySpec> {
+        // a dispatched client's first recovery image: the frame it was sent
+        let sent =
+            |frame: &SpecFrame| (config.reliability).then(|| RecoveryImage::Sent(frame.clone()));
         match rec {
             JournalRecord::Launch {
                 client,
@@ -1385,10 +1371,7 @@ impl MasterCore {
                 self.first_problem_sent = true;
                 let clauses = formula.clauses().map(ClauseLits::lits);
                 let frame = SpecFrame::build(formula.num_vars(), &[], clauses);
-                let image = config
-                    .reliability
-                    .then(|| RecoveryImage::Sent(frame.clone()));
-                self.occupy(client, problem, image, at);
+                self.occupy(client, problem, sent(&frame), at);
                 self.cubes.mint(problem, None, client);
                 Some(RecoverySpec {
                     frame,
@@ -1401,9 +1384,7 @@ impl MasterCore {
                 at,
             } => {
                 let recovery = self.pending_recovery.pop_front()?;
-                let image =
-                    (config.reliability).then(|| RecoveryImage::Sent(recovery.frame.clone()));
-                self.occupy(client, problem, image, at);
+                self.occupy(client, problem, sent(&recovery.frame), at);
                 self.cubes.mint(problem, Some(&recovery), client);
                 Some(recovery)
             }
@@ -1423,11 +1404,7 @@ impl MasterCore {
                 kind,
                 problem,
             } => {
-                let receiving = ClientState::Receiving {
-                    cube: None,
-                    image: None,
-                };
-                self.set_state(peer, receiving);
+                self.set_state(peer, ClientState::Receiving(None));
                 self.grants.insert(requester, (peer, kind, problem));
                 if kind == GrantKind::Split {
                     let horizon = self.cubes.last_minted(requester);
@@ -1441,7 +1418,7 @@ impl MasterCore {
             } => {
                 if let Some((peer, ..)) = self.grants.remove(&requester) {
                     let receiving = (self.clients.get(&peer))
-                        .is_some_and(|p| matches!(p.state, ClientState::Receiving { .. }));
+                        .is_some_and(|p| matches!(p.state, ClientState::Receiving(_)));
                     if free_peer && receiving {
                         self.release(peer);
                     }
@@ -1469,7 +1446,7 @@ impl MasterCore {
             }
             JournalRecord::MigrateSent { requester } => {
                 if let Some(&(peer, _, cube)) = self.grants.get(&requester) {
-                    if !self.cubes.settled(cube) {
+                    if !matches!(self.cubes.state(cube), Some(CubeState::Settled { .. })) {
                         self.relocate(cube, CubeState::sent(peer, false));
                     }
                 }
@@ -1489,19 +1466,14 @@ impl MasterCore {
                 client,
                 problem,
                 checkpoint,
-                learn_problem,
+                learn_problem: _,
             } => {
                 if let Some(info) = self.clients.get_mut(&client) {
-                    let upload = Some(RecoveryImage::Uploaded(checkpoint));
+                    let upload = RecoveryImage::Uploaded(checkpoint);
                     match &mut info.state {
                         ClientState::Idle => {}
-                        ClientState::Receiving { cube, image } => {
-                            if learn_problem {
-                                *cube = Some(problem);
-                            }
-                            *image = upload;
-                        }
-                        ClientState::Busy { image, .. } => *image = upload,
+                        ClientState::Receiving(learned) => *learned = Some((problem, upload)),
+                        ClientState::Busy { image, .. } => *image = Some(upload),
                     }
                 }
                 None

@@ -654,17 +654,14 @@ impl Master {
         // after that subproblem was finished or moved, and taking its word
         // would regress our view. The client re-requests periodically, so
         // a skipped grant only delays the split.
-        let state = self.core.clients.get(&from).map(|c| c.state());
-        if let Some(&ClientState::Busy { cube, .. }) = state {
-            if cube == problem {
-                // start the request->grant latency clock at the
-                // *first* unanswered request; periodic re-requests
-                // must not reset it
-                self.pending_split_req
-                    .entry(from)
-                    .or_insert((ctx.now(), self.obs.cause_of(self.me.0)));
-                self.grant_split(from, ctx);
-            }
+        let state = self.core.clients.get(&from).map(ClientInfo::state);
+        if matches!(state, Some(ClientState::Busy { cube, .. }) if *cube == problem) {
+            // start the request->grant latency clock at the *first*
+            // unanswered request; periodic re-requests must not reset it
+            self.pending_split_req
+                .entry(from)
+                .or_insert((ctx.now(), self.obs.cause_of(self.me.0)));
+            self.grant_split(from, ctx);
         }
     }
 
@@ -1106,11 +1103,8 @@ impl Master {
         let Some(info) = self.core.clients.get(&node) else {
             return;
         };
-        let released = match info.state() {
-            ClientState::Idle => true,
-            ClientState::Receiving { .. } => self.config.reliability,
-            ClientState::Busy { .. } => false,
-        };
+        let idle = matches!(info.state(), ClientState::Idle);
+        let receiving = matches!(info.state(), ClientState::Receiving(_));
         let (held, whole) = self.held_frames(node);
         // "When an idle client is killed ... the master becomes aware
         // of it and marks the resource as free."
@@ -1124,7 +1118,7 @@ impl Master {
         //
         // A Receiving peer's transfer, if it never landed, comes back as
         // the requester's Requeue; a half message (5) named is rebuilt.
-        if released {
+        if idle || (receiving && self.config.reliability) {
             self.deregister(node, ctx);
             self.take_back_all(held, ctx);
             self.drain_backlog(ctx);
@@ -1500,10 +1494,10 @@ impl Process for Master {
                     // previous cube, retransmitted while it was Receiving,
                     // can have taught us that one's id instead. The cube is
                     // done: release the peer, or it stays Receiving for good
-                    let stale_id = self.core.clients.get(&from).is_some_and(|i| {
-                        matches!(i.state(), ClientState::Receiving { cube: Some(c), .. }
-                            if Some(*c) != problem)
-                    });
+                    let learned =
+                        |i: &ClientInfo| matches!(i.state(), ClientState::Receiving(Some(_)));
+                    let stale_id = (self.core.clients.get(&from))
+                        .is_some_and(|i| learned(i) && i.cube() != problem);
                     if already_done && grant_open && stale_id {
                         self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
                     }
@@ -1686,16 +1680,15 @@ impl Process for Master {
                         // Receiving peer's adopt-time checkpoint usually
                         // beats the transfer confirmation here, so it
                         // also teaches us the subproblem id early.
-                        let receiving = matches!(info.state(), ClientState::Receiving { .. });
+                        let receiving = matches!(info.state(), ClientState::Receiving(_));
                         if info.cube() == Some(problem) || receiving {
-                            let learn_problem = receiving;
                             self.commit(
                                 ctx.now(),
                                 JournalRecord::CheckpointAccept {
                                     client: from,
                                     problem,
                                     checkpoint: *checkpoint,
-                                    learn_problem,
+                                    learn_problem: receiving,
                                 },
                             );
                             let node = self.me.0;

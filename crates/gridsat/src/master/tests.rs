@@ -2029,7 +2029,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
 fn state_of(m: &Master, id: u32) -> &'static str {
     match m.core.clients[&NodeId(id)].state() {
         ClientState::Idle => "idle",
-        ClientState::Receiving { .. } => "receiving",
+        ClientState::Receiving(_) => "receiving",
         ClientState::Busy { .. } => "busy",
     }
 }
