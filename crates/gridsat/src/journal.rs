@@ -102,35 +102,28 @@ pub enum JournalRecord {
         checkpoint: Option<Checkpoint>,
         at: f64,
     },
-    /// A checkpoint upload passed the freshness guard. `learn_problem`
-    /// records that the upload also taught us a Receiving peer's
-    /// subproblem id.
+    /// A checkpoint upload passed the freshness guard; a Receiving peer's
+    /// upload also teaches the master its subproblem id.
     CheckpointAccept {
         client: NodeId,
         problem: ProblemId,
         checkpoint: Checkpoint,
-        learn_problem: bool,
     },
     /// A client finished (or was confirmed finished) and went idle.
     ClientIdle { client: NodeId },
     /// `client` refuted `problem`: the cube settles, and the client goes
-    /// idle when the roster has it holding that cube (`idle`).
-    Refuted {
-        client: NodeId,
-        problem: ProblemId,
-        idle: bool,
-    },
+    /// idle when its row names that cube or none.
+    Refuted { client: NodeId, problem: ProblemId },
     /// A subproblem was taken back (checkpoint recovery, undeliverable
     /// assignment, or a client's Requeue) and queued for re-dispatch.
     RecoveryQueued { recovery: RecoverySpec },
     /// A client re-registered with its in-progress state after a
-    /// takeover (failover extension).
+    /// takeover (failover extension): busy on `problem`, or idle.
     AdoptClaim {
         client: NodeId,
         memory: usize,
         speed: f64,
         availability: f64,
-        busy: bool,
         problem: Option<ProblemId>,
         checkpoint: Option<Checkpoint>,
         at: f64,
@@ -428,27 +421,20 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             client,
             problem,
             checkpoint,
-            learn_problem,
         } => {
             out.push(12);
             put_node(*client, out);
             put_problem(*problem, out);
             put_checkpoint(checkpoint, out);
-            put_bool(*learn_problem, out);
         }
         JournalRecord::ClientIdle { client } => {
             out.push(13);
             put_node(*client, out);
         }
-        JournalRecord::Refuted {
-            client,
-            problem,
-            idle,
-        } => {
+        JournalRecord::Refuted { client, problem } => {
             out.push(14);
             put_node(*client, out);
             put_problem(*problem, out);
-            put_bool(*idle, out);
         }
         JournalRecord::RecoveryQueued { recovery } => {
             out.push(16);
@@ -460,7 +446,6 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             memory,
             speed,
             availability,
-            busy,
             problem,
             checkpoint,
             at,
@@ -470,7 +455,6 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             wire::write_varint(*memory as u64, out);
             put_f64(*speed, out);
             put_f64(*availability, out);
-            put_bool(*busy, out);
             put_opt(problem, |p, o| put_problem(*p, o), out);
             put_opt(checkpoint, put_checkpoint, out);
             put_f64(*at, out);
@@ -580,7 +564,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
             client: get_node(buf, &mut pos)?,
             problem: get_problem(buf, &mut pos)?,
             checkpoint: get_checkpoint(buf, &mut pos)?,
-            learn_problem: get_bool(buf, &mut pos)?,
         },
         13 => JournalRecord::ClientIdle {
             client: get_node(buf, &mut pos)?,
@@ -588,7 +571,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         14 => JournalRecord::Refuted {
             client: get_node(buf, &mut pos)?,
             problem: get_problem(buf, &mut pos)?,
-            idle: get_bool(buf, &mut pos)?,
         },
         16 => JournalRecord::RecoveryQueued {
             recovery: RecoverySpec {
@@ -601,7 +583,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
             memory: wire::read_varint(buf, &mut pos)? as usize,
             speed: get_f64(buf, &mut pos)?,
             availability: get_f64(buf, &mut pos)?,
-            busy: get_bool(buf, &mut pos)?,
             problem: get_opt(buf, &mut pos, get_problem)?,
             checkpoint: get_opt(buf, &mut pos, get_checkpoint)?,
             at: get_f64(buf, &mut pos)?,
@@ -1307,11 +1288,6 @@ impl MasterCore {
         self.set_state(client, ClientState::Busy { cube, image });
     }
 
-    /// `client` holds nothing any more.
-    fn release(&mut self, client: NodeId) {
-        self.set_state(client, ClientState::Idle);
-    }
-
     /// Move `cube` to `to` in the ledger, and release the row that named
     /// it when the move puts it at another client, in flight to another
     /// client, or settled: a row names only a cube its client holds or is
@@ -1324,7 +1300,7 @@ impl MasterCore {
         let away = |row: NodeId| to != CubeState::Backlog && to.holder() != Some(row);
         let names = |i: &ClientInfo| i.cube() == Some(cube);
         if let Some(h) = from.filter(|&h| away(h) && self.clients.get(&h).is_some_and(names)) {
-            self.release(h);
+            self.set_state(h, ClientState::Idle);
         }
         debug_assert!(
             !(self.clients.iter()).any(|(&n, i)| names(i) && away(n)),
@@ -1420,7 +1396,7 @@ impl MasterCore {
                     let receiving = (self.clients.get(&peer))
                         .is_some_and(|p| matches!(p.state, ClientState::Receiving(_)));
                     if free_peer && receiving {
-                        self.release(peer);
+                        self.set_state(peer, ClientState::Idle);
                     }
                 }
                 None
@@ -1466,7 +1442,6 @@ impl MasterCore {
                 client,
                 problem,
                 checkpoint,
-                learn_problem: _,
             } => {
                 if let Some(info) = self.clients.get_mut(&client) {
                     let upload = RecoveryImage::Uploaded(checkpoint);
@@ -1479,16 +1454,13 @@ impl MasterCore {
                 None
             }
             JournalRecord::ClientIdle { client } => {
-                self.release(client);
+                self.set_state(client, ClientState::Idle);
                 None
             }
-            JournalRecord::Refuted {
-                client,
-                problem,
-                idle,
-            } => {
-                if idle {
-                    self.release(client);
+            JournalRecord::Refuted { client, problem } => {
+                let named = self.clients.get(&client).map(ClientInfo::cube);
+                if named.is_some_and(|cube| cube.is_none_or(|c| c == problem)) {
+                    self.set_state(client, ClientState::Idle);
                 }
                 self.relocate(problem, CubeState::Settled { refuted: true });
                 None
@@ -1505,19 +1477,18 @@ impl MasterCore {
                 memory,
                 speed,
                 availability,
-                busy,
                 problem,
                 checkpoint,
                 at,
             } => {
                 let mut info = ClientInfo::launched(memory, speed, availability, at);
                 info.problem_since = at;
-                if let (true, Some(cube)) = (busy, problem) {
+                if let Some(cube) = problem {
                     let image = checkpoint.map(RecoveryImage::Uploaded);
                     info.state = ClientState::Busy { cube, image };
                 }
                 self.admit(client, info);
-                if let (true, Some(problem)) = (busy, problem) {
+                if let Some(problem) = problem {
                     self.relocate(problem, CubeState::Open(client));
                 }
                 None
@@ -2065,7 +2036,6 @@ mod tests {
         JournalRecord::Refuted {
             client: NodeId(client),
             problem,
-            idle: true,
         }
     }
 
@@ -2521,7 +2491,6 @@ mod tests {
             client: NodeId(1),
             problem: ProblemId::new(NodeId(1), 1),
             checkpoint: Checkpoint { level0: vec![] },
-            learn_problem: false,
         };
         let big = JournalRecord::CheckpointAccept {
             client: NodeId(1),
@@ -2529,7 +2498,6 @@ mod tests {
             checkpoint: Checkpoint {
                 level0: (0..100).map(|v| (Lit::pos(v), false)).collect(),
             },
-            learn_problem: false,
         };
         assert!(SealedRecord::seal(0, &big).wire_len() > SealedRecord::seal(0, &small).wire_len());
     }
@@ -2609,18 +2577,15 @@ mod tests {
                 client: NodeId(3),
                 problem: ProblemId::new(NodeId(1), 2),
                 checkpoint: cp_deeper.clone(),
-                learn_problem: true,
             },
             JournalRecord::ClientIdle { client: NodeId(3) },
             JournalRecord::Refuted {
                 client: NodeId(5),
                 problem: ProblemId::new(NodeId(5), 1),
-                idle: true,
             },
             JournalRecord::Refuted {
                 client: NodeId(6),
                 problem: ProblemId::new(NodeId(1), 2),
-                idle: false,
             },
             JournalRecord::RecoveryQueued {
                 recovery: RecoverySpec {
@@ -2633,7 +2598,6 @@ mod tests {
                 memory: 1 << 20,
                 speed: 42.0,
                 availability: 0.5,
-                busy: true,
                 problem: Some(ProblemId::new(NodeId(7), 3)),
                 checkpoint: Some(cp_deeper),
                 at: 6.0,
@@ -2727,7 +2691,9 @@ mod tests {
 
     /// A checkpoint record keeps the tag byte `0` heavy checkpoints once
     /// stood beside, so its sealed bytes are the ones the two-kind
-    /// encoding wrote (captured before the heavy kind went).
+    /// encoding wrote (captured before the heavy kind went), less the
+    /// trailing byte that said whether a Receiving peer's id was learned,
+    /// which the fold reads off the row.
     #[test]
     fn a_checkpoint_record_seals_to_the_pinned_bytes() {
         let rec = JournalRecord::CheckpointAccept {
@@ -2736,10 +2702,9 @@ mod tests {
             checkpoint: Checkpoint {
                 level0: vec![(Lit::pos(1), false), (Lit::neg(4), true)],
             },
-            learn_problem: true,
         };
-        let pinned: [u8; 18] = [
-            5, 12, 227, 40, 158, 23, 12, 3, 130, 128, 128, 128, 16, 0, 2, 4, 19, 1,
+        let pinned: [u8; 17] = [
+            5, 11, 184, 108, 55, 147, 12, 3, 130, 128, 128, 128, 16, 0, 2, 4, 19,
         ];
         let sealed = SealedRecord::seal(5, &rec);
         assert_eq!(sealed.bytes, pinned);
@@ -2778,13 +2743,11 @@ mod tests {
         let mut head = vec![12];
         put_node(client, &mut head);
         put_problem(problem, &mut head);
-        let mut tail = Vec::new();
-        put_bool(false, &mut tail);
+        let tail = Vec::new();
         let accept = JournalRecord::CheckpointAccept {
             client,
             problem,
             checkpoint: checkpoint.clone(),
-            learn_problem: false,
         };
         assert_eq!(open(&head, &light, &tail), Ok((0, accept)));
         assert_eq!(open(&head, &heavy, &tail), retired);
@@ -2794,7 +2757,6 @@ mod tests {
         wire::write_varint(1 << 20, &mut head);
         put_f64(42.0, &mut head);
         put_f64(0.5, &mut head);
-        put_bool(true, &mut head);
         put_opt(&Some(problem), |p, o| put_problem(*p, o), &mut head);
         head.push(1); // the checkpoint is Some
         let mut tail = Vec::new();
@@ -2804,7 +2766,6 @@ mod tests {
             memory: 1 << 20,
             speed: 42.0,
             availability: 0.5,
-            busy: true,
             problem: Some(problem),
             checkpoint: Some(checkpoint),
             at: 6.0,
@@ -2821,7 +2782,6 @@ mod tests {
             checkpoint: Checkpoint {
                 level0: vec![(Lit::pos(1), false)],
             },
-            learn_problem: false,
         };
         let sealed = SealedRecord::seal(5, &rec);
         for bit in 0..sealed.wire_len() * 8 {

@@ -1563,7 +1563,8 @@ impl Process for Master {
                 });
                 // a duplicate of an old result (client-side delivery
                 // retries) must not idle a client that has since been
-                // handed different work
+                // handed different work; `Refuted` reads the same off
+                // the core
                 let idle = (self.core.clients.get(&from))
                     .is_some_and(|i| i.cube().is_none_or(|c| c == problem));
                 // a result that overtook its steal's confirmation settles
@@ -1576,7 +1577,6 @@ impl Process for Master {
                     let rec = JournalRecord::Refuted {
                         client: from,
                         problem,
-                        idle,
                     };
                     self.commit(ctx.now(), rec);
                 } else if idle {
@@ -1688,7 +1688,6 @@ impl Process for Master {
                                     client: from,
                                     problem,
                                     checkpoint: *checkpoint,
-                                    learn_problem: receiving,
                                 },
                             );
                             let node = self.me.0;
@@ -1740,7 +1739,6 @@ impl Process for Master {
                         memory,
                         speed,
                         availability,
-                        busy: problem.is_some(),
                         problem,
                         checkpoint,
                         at: ctx.now(),

@@ -140,7 +140,6 @@ fn random_record(rng: &mut Rng) -> JournalRecord {
                     .map(|_| (Lit::pos(rng.below(40) as u32), rng.next() & 1 == 0))
                     .collect(),
             },
-            learn_problem: rng.next() & 1 == 0,
         },
     }
 }
