@@ -79,10 +79,10 @@ pub enum JournalRecord {
         kind: GrantKind,
         problem: ProblemId,
     },
-    /// A grant closed; `free_peer` records whether the reserved peer
-    /// returns to Idle (transfer failed / grant dropped) or not (the
-    /// transfer confirmation already made it Busy, or the peer is gone).
-    GrantClose { requester: NodeId, free_peer: bool },
+    /// A grant closed: a peer it left Receiving returns to Idle (the
+    /// transfer failed or the grant was dropped); one the confirmation
+    /// made Busy, or one that is gone, is left alone.
+    GrantClose { requester: NodeId },
     /// Figure 3 message (5): the requester handed `child` to `peer` and
     /// kept `pivot`, on a fresh clock while its split grant is open.
     SplitKept {
@@ -236,10 +236,6 @@ fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, RecordError> {
     Ok(f64::from_bits(u64::from_le_bytes(b)))
 }
 
-fn put_bool(v: bool, out: &mut Vec<u8>) {
-    out.push(u8::from(v));
-}
-
 fn get_bool(buf: &[u8], pos: &mut usize) -> Result<bool, RecordError> {
     match buf.get(*pos) {
         Some(&b @ (0 | 1)) => {
@@ -379,13 +375,9 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             });
             put_problem(*problem, out);
         }
-        JournalRecord::GrantClose {
-            requester,
-            free_peer,
-        } => {
+        JournalRecord::GrantClose { requester } => {
             out.push(8);
             put_node(*requester, out);
-            put_bool(*free_peer, out);
         }
         JournalRecord::SplitKept {
             requester,
@@ -542,7 +534,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         },
         8 => JournalRecord::GrantClose {
             requester: get_node(buf, &mut pos)?,
-            free_peer: get_bool(buf, &mut pos)?,
         },
         9 => JournalRecord::SplitKept {
             requester: get_node(buf, &mut pos)?,
@@ -950,6 +941,11 @@ impl Cubes {
         self.state(id) == Some(CubeState::Settled { refuted: true })
     }
 
+    /// Is `id` done with?
+    pub(crate) fn settled(&self, id: ProblemId) -> bool {
+        matches!(self.state(id), Some(CubeState::Settled { .. }))
+    }
+
     /// Has `id` a known parent or twin source (or is it the root)?
     pub(crate) fn placed(&self, id: ProblemId) -> bool {
         self.map
@@ -974,13 +970,6 @@ impl Cubes {
         });
         self.unsettled = self.unsettled + open(state) - open(cube.state);
         cube.state = state;
-    }
-
-    /// Move `id` to `state` unless it is settled already.
-    fn advance(&mut self, id: ProblemId, state: CubeState) {
-        if !matches!(self.state(id), Some(CubeState::Settled { .. })) {
-            self.enter(id, state);
-        }
     }
 
     /// The master sent `holder` a fresh id: the root, or the twin of the
@@ -1289,15 +1278,14 @@ impl MasterCore {
     }
 
     /// Move `cube` to `to` in the ledger, and release the row that named
-    /// it when the move puts it at another client, in flight to another
-    /// client, or settled: a row names only a cube its client holds or is
-    /// being sent. Queued for re-dispatch a cube is nobody's, and the row
-    /// that held it waits for its own record (a requeue, the client's
-    /// loss).
+    /// it unless the move keeps it at that row's client: a row names only
+    /// a cube its client holds or is being sent. Queued for re-dispatch a
+    /// cube is nobody's, so a take-back releases its holder too; a lost
+    /// client leaves the roster before its cubes go back.
     fn relocate(&mut self, cube: ProblemId, to: CubeState) {
         let from = self.cubes.state(cube).and_then(CubeState::holder);
         self.cubes.enter(cube, to);
-        let away = |row: NodeId| to != CubeState::Backlog && to.holder() != Some(row);
+        let away = |row: NodeId| to.holder() != Some(row);
         let names = |i: &ClientInfo| i.cube() == Some(cube);
         if let Some(h) = from.filter(|&h| away(h) && self.clients.get(&h).is_some_and(names)) {
             self.set_state(h, ClientState::Idle);
@@ -1388,14 +1376,11 @@ impl MasterCore {
                 }
                 None
             }
-            JournalRecord::GrantClose {
-                requester,
-                free_peer,
-            } => {
+            JournalRecord::GrantClose { requester } => {
                 if let Some((peer, ..)) = self.grants.remove(&requester) {
                     let receiving = (self.clients.get(&peer))
                         .is_some_and(|p| matches!(p.state, ClientState::Receiving(_)));
-                    if free_peer && receiving {
+                    if receiving {
                         self.set_state(peer, ClientState::Idle);
                     }
                 }
@@ -1422,7 +1407,7 @@ impl MasterCore {
             }
             JournalRecord::MigrateSent { requester } => {
                 if let Some(&(peer, _, cube)) = self.grants.get(&requester) {
-                    if !matches!(self.cubes.state(cube), Some(CubeState::Settled { .. })) {
+                    if !self.cubes.settled(cube) {
                         self.relocate(cube, CubeState::sent(peer, false));
                     }
                 }
@@ -1466,8 +1451,8 @@ impl MasterCore {
                 None
             }
             JournalRecord::RecoveryQueued { recovery } => {
-                if let Some(source) = recovery.source {
-                    self.cubes.advance(source, CubeState::Backlog);
+                if let Some(source) = recovery.source.filter(|&s| !self.cubes.settled(s)) {
+                    self.relocate(source, CubeState::Backlog);
                 }
                 self.pending_recovery.push_back(recovery);
                 None
@@ -1867,10 +1852,7 @@ mod tests {
                 }),
                 at: 4.0,
             },
-            JournalRecord::GrantClose {
-                requester: n1,
-                free_peer: false,
-            },
+            JournalRecord::GrantClose { requester: n1 },
         ];
         let core = fold(&f, &cfg, &records);
         // the split tree: the root kept +1, the child holds -1
@@ -2027,7 +2009,6 @@ mod tests {
             },
             JournalRecord::GrantClose {
                 requester: NodeId(1),
-                free_peer: false,
             },
         ]
     }
@@ -2460,10 +2441,7 @@ mod tests {
             kind: GrantKind::Split,
             problem,
         };
-        let close = JournalRecord::GrantClose {
-            requester: n1,
-            free_peer: true,
-        };
+        let close = JournalRecord::GrantClose { requester: n1 };
         for rec in [open, close] {
             c.apply(rec, &f, &cfg);
         }
@@ -2549,7 +2527,6 @@ mod tests {
             },
             JournalRecord::GrantClose {
                 requester: NodeId(1),
-                free_peer: true,
             },
             JournalRecord::SplitKept {
                 requester: NodeId(1),

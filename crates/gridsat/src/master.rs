@@ -457,13 +457,7 @@ impl Master {
     fn resync(&mut self, targets: BTreeSet<NodeId>, grace: f64, ctx: &mut Ctx<GridMsg>) {
         let now = ctx.now();
         for requester in self.core.grants.keys().copied().collect::<Vec<_>>() {
-            self.commit(
-                now,
-                JournalRecord::GrantClose {
-                    requester,
-                    free_peer: true,
-                },
-            );
+            self.commit(now, JournalRecord::GrantClose { requester });
         }
         for id in targets {
             ctx.send(id, GridMsg::Takeover);
@@ -1014,10 +1008,7 @@ impl Master {
         let info = self.core.clients.get(&node);
         let imaged = info.and_then(|i| Some((i.cube(), i.state().image()?)));
         if let Some((problem, image)) = imaged {
-            let settled = problem.is_some_and(|p| {
-                matches!(self.core.cubes.state(p), Some(CubeState::Settled { .. }))
-            });
-            if !settled {
+            if !problem.is_some_and(|p| self.core.cubes.settled(p)) {
                 frames.push((image.frame(&self.formula), problem));
             }
         }
@@ -1070,26 +1061,17 @@ impl Master {
         true
     }
 
-    /// Drop every open grant involving `node`, and free any still-tracked
-    /// peer those grants had reserved: a Receiving reservation must never
-    /// outlive the grant that made it, or the peer blocks the all-idle
-    /// UNSAT condition forever.
+    /// Drop every open grant involving `node`. Closing a grant frees the
+    /// peer it left Receiving: a reservation must never outlive the grant
+    /// that made it, or the peer blocks the all-idle UNSAT condition
+    /// forever.
     fn drop_grants_involving(&mut self, node: NodeId, now: f64) {
-        let dropped: Vec<(NodeId, NodeId)> = self
-            .core
-            .grants
-            .iter()
+        let dropped: Vec<NodeId> = (self.core.grants.iter())
             .filter(|(r, (p, ..))| **r == node || *p == node)
-            .map(|(r, (p, ..))| (*r, *p))
+            .map(|(r, _)| *r)
             .collect();
-        for (requester, peer) in dropped {
-            self.commit(
-                now,
-                JournalRecord::GrantClose {
-                    requester,
-                    free_peer: peer != node,
-                },
-            );
+        for requester in dropped {
+            self.commit(now, JournalRecord::GrantClose { requester });
         }
     }
 
@@ -1118,15 +1100,14 @@ impl Master {
         //
         // A Receiving peer's transfer, if it never landed, comes back as
         // the requester's Requeue; a half message (5) named is rebuilt.
-        if idle || (receiving && self.config.reliability) {
+        // A busy client's cubes come back by checkpoint recovery; without
+        // it, the paper's current implementation "will not tolerate a
+        // machine crash". The client leaves the roster first: a take-back
+        // releases the row naming the cube, and a released client still
+        // on the roster would be handed its own cube back.
+        if idle || (self.config.reliability && (receiving || whole)) {
             self.deregister(node, ctx);
             self.take_back_all(held, ctx);
-            self.drain_backlog(ctx);
-        } else if self.config.reliability && whole {
-            // checkpoint recovery; without it, the paper's current
-            // implementation "will not tolerate a machine crash"
-            self.take_back_all(held, ctx);
-            self.deregister(node, ctx);
             self.dispatch_recoveries(ctx);
             self.drain_backlog(ctx);
         } else {
@@ -1178,27 +1159,14 @@ impl Master {
                 if spec.verify().is_err() {
                     return;
                 }
-                if self
-                    .core
-                    .clients
-                    .get(&to)
-                    .is_some_and(|i| i.cube() == Some(problem))
-                {
-                    self.commit(ctx.now(), JournalRecord::ClientIdle { client: to });
-                }
+                // taking it back releases the row that names it
                 self.take_back(*spec, Some(problem), |s| &mut s.requeues, ctx);
             }
             GridMsg::SplitGrant { .. } | GridMsg::Migrate { .. } => {
                 // the grant never reached the requester: forget it and
                 // free the reserved peer
                 if self.core.grants.contains_key(&to) {
-                    self.commit(
-                        ctx.now(),
-                        JournalRecord::GrantClose {
-                            requester: to,
-                            free_peer: true,
-                        },
-                    );
+                    self.commit(ctx.now(), JournalRecord::GrantClose { requester: to });
                 }
                 self.drain_backlog(ctx);
             }
@@ -1438,13 +1406,7 @@ impl Process for Master {
                             // transfer never happened; free the peer. A
                             // late report about an earlier grant's peer
                             // leaves the current grant alone
-                            self.commit(
-                                ctx.now(),
-                                JournalRecord::GrantClose {
-                                    requester,
-                                    free_peer: true,
-                                },
-                            );
+                            self.commit(ctx.now(), JournalRecord::GrantClose { requester });
                         }
                         (true, Some((_, GrantKind::Migrate, _))) => {
                             self.commit(ctx.now(), JournalRecord::MigrateSent { requester });
@@ -1488,27 +1450,25 @@ impl Process for Master {
                     // would wedge the run waiting for a result that was
                     // consumed long ago.
                     let already_done = problem.is_some_and(|p| self.core.cubes.refuted(p));
+                    // only the grant that reserved this peer closes: a late
+                    // confirmation from an earlier grant's peer leaves the
+                    // requester's current grant and its Receiving peer alone
                     let grant_open = grant.is_some_and(|(p, ..)| p == from);
-                    // that result idled the peer only if it named the cube
-                    // we believed the peer held, and a checkpoint of its
-                    // previous cube, retransmitted while it was Receiving,
-                    // can have taught us that one's id instead. The cube is
-                    // done: release the peer, or it stays Receiving for good
-                    let learned =
-                        |i: &ClientInfo| matches!(i.state(), ClientState::Receiving(Some(_)));
-                    let stale_id = (self.core.clients.get(&from))
-                        .is_some_and(|i| learned(i) && i.cube() != problem);
-                    if already_done && grant_open && stale_id {
-                        self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
-                    }
+                    // the ledger sending the cube here: a source lost after
+                    // its report (5) dropped the grant, and freed this peer
+                    let sent = CubeState::InFlight {
+                        to: from,
+                        steal: false,
+                    };
+                    let sent_here = problem.is_some_and(|p| self.core.cubes.state(p) == Some(sent));
                     if ok && !already_done {
                         if self.core.clients.contains_key(&from) {
-                            // a confirmation from a tracked peer with no
-                            // open grant is a replay of one we already
-                            // processed (our dedup window died with a
-                            // restart); the subproblem it confirms has
-                            // long been handled
-                            if let (true, Some(problem)) = (grant_open, problem) {
+                            // a confirmation from a tracked peer that neither
+                            // a grant nor the ledger expects is a replay of
+                            // one we already processed (our dedup window
+                            // died with a restart); the subproblem it
+                            // confirms has long been handled
+                            if let (true, Some(problem)) = (grant_open || sent_here, problem) {
                                 // the confirmation bundles the peer's
                                 // initial recovery image, so a client is
                                 // never Busy without one — a crash at any
@@ -1535,14 +1495,10 @@ impl Process for Master {
                             return;
                         }
                     }
-                    if grant.is_some() {
-                        self.commit(
-                            ctx.now(),
-                            JournalRecord::GrantClose {
-                                requester,
-                                free_peer: false,
-                            },
-                        );
+                    // a peer the confirmation did not make Busy (a refused
+                    // transfer, a cube settled already) goes back to Idle
+                    if grant_open {
+                        self.commit(ctx.now(), JournalRecord::GrantClose { requester });
                     }
                     if already_done {
                         // closing the grant may have been the last thing
@@ -1636,36 +1592,21 @@ impl Process for Master {
                     return;
                 }
                 if self.core.grants.contains_key(&from) {
-                    self.commit(
-                        ctx.now(),
-                        JournalRecord::GrantClose {
-                            requester: from,
-                            free_peer: true,
-                        },
-                    );
+                    self.commit(ctx.now(), JournalRecord::GrantClose { requester: from });
                 }
                 // the donor handing back a stolen transfer closes that
                 // steal; the thief's own hand-back follows its
                 // SplitDone{ok:false}, which counted the abort already
-                if let Some(p) = problem {
-                    if let Some(CubeState::InFlight { to, steal: true }) = self.core.cubes.state(p)
-                    {
-                        self.stats.steals_aborted += u64::from(to == from);
-                    }
-                    // the sender may be handing back the very assignment
-                    // we gave it — a Solve that raced with an intra-site
-                    // steal making the client busy first. Release the
-                    // roster entry, or all-idle termination waits forever
-                    // on a cube the client is not actually working
-                    if self
-                        .core
-                        .clients
-                        .get(&from)
-                        .is_some_and(|c| c.cube() == Some(p))
-                    {
-                        self.commit(ctx.now(), JournalRecord::ClientIdle { client: from });
-                    }
+                if let Some(CubeState::InFlight { to, steal: true }) =
+                    problem.and_then(|p| self.core.cubes.state(p))
+                {
+                    self.stats.steals_aborted += u64::from(to == from);
                 }
+                // the sender may be handing back the very assignment we
+                // gave it — a Solve that raced with an intra-site steal
+                // making the client busy first. Taking the cube back
+                // releases the roster entry, or all-idle termination would
+                // wait forever on a cube the client is not working
                 self.take_back(*spec, problem, |s| &mut s.requeues, ctx);
                 self.drain_backlog(ctx);
             }

@@ -372,67 +372,53 @@ fn a_pull_is_spread_over_the_saturated_sites() {
     assert_eq!(m.pulls.values().sum::<u32>(), 5);
 }
 
+/// Node 1's split report from `from` about `peer`: the requester's (5)
+/// or the peer's (4), handing over `child`.
+fn split_done(from: u32, peer: u32, ok: bool, child: Option<ProblemId>) -> GridMsg {
+    GridMsg::SplitDone {
+        requester: NodeId(1),
+        peer: NodeId(peer),
+        ok,
+        problem: child,
+        pivot: None,
+        checkpoint: (from == peer).then(|| Box::new(Checkpoint { level0: vec![] })),
+        stolen: false,
+    }
+}
+
+/// A failed transfer closes its grant, and closing it frees the peer it
+/// left Receiving, whether the requester (5) or the peer (4) reports the
+/// failure. A late report from an earlier grant's peer closes nothing.
 #[test]
 fn failed_split_frees_the_peer() {
     let mut m = master();
     register(&mut m, 1, 0.0);
     register(&mut m, 2, 0.0);
-    let mut cx = ctx(1.0);
-    m.on_message(
-        NodeId(1),
-        GridMsg::SplitRequest {
-            problem: ProblemId::new(NodeId(0), 1),
-        },
-        &mut cx,
-    );
-    let _ = cx.take_actions();
+    let whole = ProblemId::new(NodeId(0), 1);
+    let request = || GridMsg::SplitRequest { problem: whole };
+    m.on_message(NodeId(1), request(), &mut ctx(1.0));
     assert_eq!(state_of(&m, 2), "receiving");
-    let mut cx = ctx(2.0);
-    m.on_message(
-        NodeId(1),
-        GridMsg::SplitDone {
-            requester: NodeId(1),
-            peer: NodeId(2),
-            ok: false,
-            problem: None,
-            pivot: None,
-            checkpoint: None,
-            stolen: false,
-        },
-        &mut cx,
-    );
+    m.on_message(NodeId(1), split_done(1, 2, false, None), &mut ctx(2.0));
     assert_eq!(state_of(&m, 2), "idle");
     assert!(m.core.grants.is_empty());
-    // the next grant goes to node 3, the fastest; a late retransmit of the
-    // report about node 2 must leave it and its Receiving peer alone
+    // the next grant goes to node 3, the fastest; a late retransmit of
+    // either report about node 2 must leave it and its Receiving peer
+    // alone
     register(&mut m, 3, 2.0);
-    let mut cx = ctx(3.0);
-    m.on_message(
-        NodeId(1),
-        GridMsg::SplitRequest {
-            problem: ProblemId::new(NodeId(0), 1),
-        },
-        &mut cx,
-    );
-    let _ = cx.take_actions();
-    let granted = (NodeId(3), GrantKind::Split, ProblemId::new(NodeId(0), 1));
+    m.on_message(NodeId(1), request(), &mut ctx(3.0));
+    let granted = (NodeId(3), GrantKind::Split, whole);
     assert_eq!(m.core.grants.get(&NodeId(1)), Some(&granted));
-    let mut cx = ctx(4.0);
-    m.on_message(
-        NodeId(1),
-        GridMsg::SplitDone {
-            requester: NodeId(1),
-            peer: NodeId(2),
-            ok: false,
-            problem: None,
-            pivot: None,
-            checkpoint: None,
-            stolen: false,
-        },
-        &mut cx,
-    );
+    let half = Some(ProblemId::new(NodeId(1), 1));
+    m.on_message(NodeId(1), split_done(1, 2, false, None), &mut ctx(4.0));
+    m.on_message(NodeId(2), split_done(2, 2, false, half), &mut ctx(5.0));
     assert_eq!(m.core.grants.get(&NodeId(1)), Some(&granted));
     assert_eq!(state_of(&m, 3), "receiving");
+    // node 3 refuses the transfer: busy with work the master does not
+    // know of, it hands the half back
+    m.on_message(NodeId(3), split_done(3, 3, false, half), &mut ctx(6.0));
+    assert_eq!(state_of(&m, 3), "idle");
+    assert!(m.core.grants.is_empty());
+    assert_eq!(m.fold(&m.journal), m.core);
 }
 
 #[test]
@@ -824,6 +810,8 @@ fn a_stale_split_request_after_a_migration_opens_no_grant() {
 /// The source's report (5) lands before the peer's confirmation (4):
 /// the source's row lets go of the cube and its image, so losing the
 /// source takes nothing back, and the cube stays in flight to the peer.
+/// The loss drops the grant, yet the peer's confirmation still lands the
+/// cube on the peer's row: the ledger was sending it there.
 #[test]
 fn a_lost_migration_source_leaves_the_migrated_cube_with_its_peer() {
     let (mut m, cube) = migrating(GridConfig::chaos_hardened());
@@ -837,12 +825,15 @@ fn a_lost_migration_source_leaves_the_migrated_cube_with_its_peer() {
         steal: false,
     };
     assert_eq!(m.core.cubes.state(cube), Some(in_flight));
+    m.on_message(NodeId(5), migrated(cube, 5), &mut ctx(303.0));
+    assert_eq!(m.core.clients[&NodeId(5)].cube(), Some(cube));
+    assert_eq!(m.core.cubes.state(cube), Some(CubeState::Open(NodeId(5))));
     // the peer's result is the last word on the cube
     let result = GridMsg::Result {
         result: SubResult::Unsat,
         problem: cube,
     };
-    m.on_message(NodeId(5), result, &mut ctx(303.0));
+    m.on_message(NodeId(5), result, &mut ctx(304.0));
     assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
 }
 
@@ -1157,10 +1148,7 @@ fn backlog_prefers_longest_running_requester() {
                 checkpoint: None,
                 at,
             },
-            JournalRecord::GrantClose {
-                requester,
-                free_peer: false,
-            },
+            JournalRecord::GrantClose { requester },
         ];
         for rec in records {
             m.commit(at, rec);
@@ -1702,15 +1690,15 @@ fn an_adoption_claim_overtaken_by_its_result_leaves_the_client_idle() {
 }
 
 /// No row names a cube the ledger has at another client, in flight to
-/// another client, or settled.
+/// another client, queued for re-dispatch, or settled.
 fn assert_rows_follow_the_ledger(m: &Master, case: &str) {
     for (&id, info) in &m.core.clients {
         let Some(cube) = info.cube() else { continue };
         let state = m.core.cubes.state(cube);
         let here = match state {
             Some(CubeState::Open(n) | CubeState::InFlight { to: n, .. }) => n == id,
-            Some(CubeState::Settled { .. }) => false,
-            Some(CubeState::Backlog) | None => true,
+            Some(CubeState::Backlog | CubeState::Settled { .. }) => false,
+            None => true,
         };
         assert!(here, "{case}: row {id} names {cube:?}, which is {state:?}");
     }
@@ -1740,7 +1728,7 @@ fn randomized_schedules_replay_to_the_live_state() {
             known.extend(m.core.clients.values().filter_map(|c| c.cube()));
             known.sort_unstable();
             known.dedup();
-            match xs(&mut seed) % 8 {
+            match xs(&mut seed) % 9 {
                 0 => {
                     let mut cx = ctx(t);
                     m.on_message(
@@ -1850,6 +1838,23 @@ fn randomized_schedules_replay_to_the_live_state() {
                             };
                             m.commit(t, rec);
                         }
+                    }
+                }
+                6 => {
+                    // a holder hands back a cube the ledger has at it
+                    let held: Vec<_> = m.core.cubes.held().collect();
+                    let pick = held.get(xs(&mut seed) as usize % held.len().max(1));
+                    if let Some(&(cube, holder)) = pick {
+                        let spec = SplitSpec {
+                            num_vars: 1,
+                            assumptions: vec![(gridsat_cnf::Lit::pos(0), true)],
+                            clauses: vec![],
+                        };
+                        let requeue = GridMsg::Requeue {
+                            spec: Box::new(SpecFrame::seal(&spec)),
+                            problem: Some(cube),
+                        };
+                        m.on_message(holder, requeue, &mut ctx(t));
                     }
                 }
                 _ => {
@@ -2046,15 +2051,14 @@ fn choose(rng: &mut gridsat_cnf::rng::Rng, ids: &[NodeId]) -> Option<NodeId> {
 }
 
 /// Property: over random schedules of every roster change the fold knows
-/// (register, deregister, dispatch, grant open and close with both
-/// `free_peer` values, transfer-in, client idle, steal settle,
-/// migrate-sent, load reports, a master restart, a standby promotion),
-/// the core's idle index picks exactly what the roster walk it replaced
-/// picks, under every `near` site and `exclude`, and its counts
-/// equal their walks. The hosts make rank ties (equal speeds) and remote
-/// rounding ties (neighbouring speeds whose discounted scores round to
-/// one float, the higher rank on the higher id); the test checks that
-/// both were met.
+/// (register, deregister, dispatch, grant open and close, transfer-in,
+/// client idle, steal settle, migrate-sent, load reports, a master
+/// restart, a standby promotion), the core's idle index picks exactly
+/// what the roster walk it replaced picks, under every `near` site and
+/// `exclude`, and its counts equal their walks. The hosts make rank ties
+/// (equal speeds) and remote rounding ties (neighbouring speeds whose
+/// discounted scores round to one float, the higher rank on the higher
+/// id); the test checks that both were met.
 #[test]
 fn idle_index_agrees_with_the_roster_walk() {
     use gridsat_cnf::rng::Rng;
@@ -2153,14 +2157,7 @@ fn idle_index_agrees_with_the_roster_walk() {
                 }
                 4 => {
                     if let Some(requester) = choose(&mut rng, &granted) {
-                        let free_peer = rng.gen_bool(0.5);
-                        m.commit(
-                            t,
-                            JournalRecord::GrantClose {
-                                requester,
-                                free_peer,
-                            },
-                        );
+                        m.commit(t, JournalRecord::GrantClose { requester });
                     }
                 }
                 5 => {
@@ -2174,11 +2171,7 @@ fn idle_index_agrees_with_the_roster_walk() {
                             at: t,
                         };
                         m.commit(t, transfer);
-                        let close = JournalRecord::GrantClose {
-                            requester,
-                            free_peer: false,
-                        };
-                        m.commit(t, close);
+                        m.commit(t, JournalRecord::GrantClose { requester });
                     }
                 }
                 6 => {

@@ -28,7 +28,10 @@ export CARGO_NET_OFFLINE=true
 # two-message race the fast profile never sampled. Then 20 seeds of
 # every plan under the paper's share protocol (`--preset paper`:
 # share_round_s None, the all-pairs flood as soon as learned; what
-# Table 1 runs): 420 runs, under a second. Then the two Table 1 rows a
+# Table 1 runs): 420 runs, under a second. Then 1000 seeds of every
+# plan under the paper's protocol (21,000 runs, ~20 s on two cores),
+# which must all end with the oracle's answer; the default preset's
+# 1000-seed sweep joins once it is green too. Then the two Table 1 rows a
 # migration wedged until the 12,000 s cap, with no fault injected: the
 # peer's confirmation closed the grant first and the source stayed Busy
 # on a cube it had given away. Their GridSAT column must not read
@@ -36,7 +39,7 @@ export CARGO_NET_OFFLINE=true
 # fault reaches every `debug_assert` in master, client and journal —
 # among them the restart's check that the replayed core equals the live
 # one, and the check that no roster row names a cube the ledger has
-# elsewhere.
+# elsewhere or queued.
 gate_chaos() {
   echo "== journal + cube ledger tests, failover under the ledger (release + debug assertions)"
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat -- journal
@@ -50,6 +53,9 @@ gate_chaos() {
   echo "== chaos soak (paper share protocol, every plan, 20 seeds)"
   RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- \
     --preset paper --seeds 20 --repro
+  echo "== chaos soak (paper share protocol, every plan, 1000 seeds)"
+  RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- \
+    --preset paper --seeds 1000 --repro
   for row in Mat26 pyhala-braun-unsat-40-4-01; do
     echo "== table1 $row (the GridSAT column must not read TIME_OUT)"
     table=$(RUSTFLAGS="-C debug-assertions=on" cargo run --release -q -p gridsat-bench --bin table1 -- "$row")
