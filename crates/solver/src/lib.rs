@@ -43,6 +43,7 @@ mod share;
 mod solver;
 mod stats;
 mod vsids;
+mod watch;
 
 pub use clausedb::ClauseRef;
 pub use config::{RestartConfig, SolverConfig};

@@ -35,12 +35,22 @@
 //! *not* stable across [`Solver::reduce_db`] or the GC, only between
 //! collections; `check_invariants` verifies both watch symmetry and that
 //! every antecedent still resolves after compaction.
+//!
+//! # Watch lists
+//!
+//! Each literal has one `WatchList` (see `watch.rs`): two watches inline
+//! in its 24-byte header, a heap block from the third on. A cube's solver
+//! averages under two watches per literal, so most of its lists never
+//! allocate. Because a short list's slots live inside the vector of
+//! lists itself, `propagate` reaches both the walked list and the list a
+//! watch moves to through one base pointer into that vector.
 
 use crate::clausedb::{ClauseDb, ClauseRef, Visit, LV_FALSE, LV_TRUE, LV_UNASSIGNED};
 use crate::config::SolverConfig;
 use crate::proof::{Proof, ProofStep};
 use crate::stats::Stats;
 use crate::vsids::Vsids;
+use crate::watch::{Watch, WatchList};
 use gridsat_cnf::{Assignment, Clause, ClauseLits, Formula, Lit, Value, Var};
 use gridsat_obs::{Event, Obs};
 use std::collections::VecDeque;
@@ -149,12 +159,6 @@ fn value_of(b: u8) -> Value {
         LV_FALSE => Value::False,
         _ => Value::Unassigned,
     }
-}
-
-#[derive(Clone, Copy)]
-struct Watch {
-    cref: ClauseRef,
-    blocker: Lit,
 }
 
 /// Foreign clauses awaiting merge, oldest first, as one byte ring of
@@ -272,7 +276,9 @@ pub struct Solver {
     config: SolverConfig,
     num_vars: usize,
     db: ClauseDb,
-    watches: Vec<Vec<Watch>>,
+    /// One list per literal code, never resized: `propagate` walks a
+    /// list through a base pointer into this vector (see [`WatchList`]).
+    watches: Vec<WatchList>,
     /// The assignment, one byte per variable (`LV_TRUE`/`LV_FALSE`/
     /// `LV_UNASSIGNED`): a literal's value is `assign8[var] ^ sign`, so
     /// the BCP hot path tests it with no enum decode. Never resized.
@@ -418,7 +424,7 @@ impl Solver {
     fn empty(num_vars: usize, config: SolverConfig) -> Solver {
         Solver {
             db: ClauseDb::new(),
-            watches: vec![Vec::new(); num_vars * 2],
+            watches: (0..num_vars * 2).map(|_| WatchList::new()).collect(),
             assign8: vec![LV_UNASSIGNED; num_vars],
             var_level: vec![0; num_vars],
             reason: vec![ClauseRef::NONE; num_vars],
@@ -785,36 +791,48 @@ impl Solver {
 
     /// Propagate to fixpoint; `Some(conflicting clause)` on conflict.
     ///
-    /// Hot path: the walked watch list and the assignment are read through
-    /// base pointers taken once per trail literal (`enqueue` and the
-    /// relocation push sit inside the visit loop, so going through `&self`
-    /// would re-derive both on every watch), the list is compacted in
-    /// place with a read/write index pair, the blocker is tested before
-    /// any arena access, the whole clause visit runs under one arena
-    /// borrow ([`ClauseDb::propagate_visit`]), and per-visit work is
-    /// batched into one `stats.work` update per literal.
+    /// Hot path: the watch lists and the assignment are read through base
+    /// pointers taken once per call, and the walked list's slots through
+    /// one taken once per trail literal (`enqueue` and the relocation push
+    /// sit inside the visit loop, so going through `&self` would re-derive
+    /// them on every watch). The list is compacted in place with a
+    /// read/write index pair, the blocker is tested before any arena
+    /// access, the whole clause visit runs under one arena borrow
+    /// ([`ClauseDb::propagate_visit`]), and per-visit work is batched into
+    /// one `stats.work` update per literal.
     fn propagate(&mut self) -> Option<ClauseRef> {
-        // `assign8` is never resized, so its buffer stays put
+        // `assign8` and `watches` are never resized, so their buffers stay put
         let assign: *const u8 = self.assign8.as_ptr();
+        let lists: *mut WatchList = self.watches.as_mut_ptr();
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = !p;
             let code = false_lit.code();
-            let n = self.watches[code].len();
-            let ws: *mut Watch = self.watches[code].as_mut_ptr();
+            // memory safety rests on this index: a real check, once a literal
+            assert!(code < self.watches.len(), "{false_lit} has no watch list");
+            // SAFETY: `code` indexes `watches`; the borrow ends here
+            let (ws, n) = unsafe {
+                let list = &mut *lists.add(code);
+                (list.as_mut_ptr(), list.len())
+            };
             let mut i = 0;
             let mut j = 0;
             let mut visited = n;
             let mut conflict = None;
-            // SAFETY (every `ws` access below): `ws` is the buffer of
+            // SAFETY (every `ws` access below): `ws` is the first slot of
             // `watches[code]`, `n` its length, and `j <= i <= n`
-            // throughout. The buffer cannot move while it is walked: the
-            // only list operation inside the loop is the relocation push,
-            // and it goes to another list — asserted there, and true
-            // because a clause never holds a literal twice (the new watch
-            // `lits[k]`, k >= 2, differs from `lits[1] == false_lit`).
-            // `enqueue` touches no watch list.
+            // throughout. Those slots are the list's heap block, or, while
+            // it holds two watches or fewer, the list's own header inside
+            // `watches`' buffer. Either way they stay put and stay ours
+            // while they are walked: the only list operation inside the
+            // loop is the relocation push, and it goes to another list —
+            // asserted there, and true because a clause never holds a
+            // literal twice (the new watch `lits[k]`, k >= 2, differs from
+            // `lits[1] == false_lit`) — reached through `lists`, the same
+            // base pointer, so no borrow of the whole vector, which would
+            // cover the walked header, is taken. `enqueue` touches no
+            // watch list.
             while i < n {
                 let w = unsafe { *ws.add(i) };
                 i += 1;
@@ -839,7 +857,10 @@ impl Solver {
                 match self.db.propagate_visit(cref, false_lit, &self.assign8) {
                     Visit::Relocated(blocker, lk) => {
                         assert_ne!(lk, false_lit, "{cref:?} holds a literal twice");
-                        self.watches[lk.code()].push(Watch { cref, blocker });
+                        assert!(lk.code() < self.watches.len(), "{lk} has no watch list");
+                        // SAFETY: `lk.code()` indexes `watches`, and it is
+                        // not the walked list's (both asserted)
+                        unsafe { (*lists.add(lk.code())).push(Watch { cref, blocker }) };
                     }
                     Visit::Satisfied(blocker) => {
                         unsafe { *ws.add(j) = Watch { cref, blocker } };
@@ -862,10 +883,12 @@ impl Solver {
                     }
                 }
             }
-            debug_assert_eq!(self.watches[code].len(), n);
-            debug_assert_eq!(self.watches[code].as_ptr(), ws.cast_const());
+            // SAFETY: the walk is over, so `ws` is no longer used
+            let list = unsafe { &mut *lists.add(code) };
+            debug_assert_eq!(list.len(), n);
+            debug_assert_eq!(list.as_ptr(), ws.cast_const());
+            list.truncate(j);
             self.stats.work += visited as u64;
-            self.watches[code].truncate(j);
             if conflict.is_some() {
                 self.qhead = self.trail.len();
                 return conflict;
@@ -1651,7 +1674,7 @@ impl Solver {
         // (a relocating GC that missed a watch list would fail here)
         for code in 0..self.watches.len() {
             let wl = Lit::from_code(code);
-            for w in &self.watches[code] {
+            for w in self.watches[code].iter() {
                 assert!(
                     self.db.is_live(w.cref),
                     "watch on {wl} references dead/stale {:?}",

@@ -111,14 +111,17 @@ gate_benchmark() {
 # every quantum of every client goes through the same walk and the merge
 # asserts that every inbox record is whole. First the CNF crate's tests
 # and the generator pins, where every formula's clause list checks its
-# end offsets as it is read.
+# end offsets as it is read. Last the threads backend's tests, where
+# solvers (and their watch lists, `Send` by an unsafe impl) move between
+# OS threads.
 gate_solver_asserts() {
-  echo "== cnf, solver, grid and bit-identity tests, release + debug assertions"
+  echo "== cnf, solver, grid, bit-identity and threads-backend tests, release + debug assertions"
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-cnf
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test generator_pins
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-solver
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat
   RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test bit_identity
+  RUSTFLAGS="-C debug-assertions=on" cargo test --release -q -p gridsat-tests --test threads_backend
 }
 
 if [[ $# -gt 0 ]]; then
