@@ -53,7 +53,7 @@ pub enum JournalRecord {
         at: f64,
     },
     /// A client left the roster (loss, lease expiry, or promotion of the
-    /// standby out of client duty).
+    /// standby out of client duty); every grant naming it closes.
     Deregister { client: NodeId },
     /// The first registrant was handed the entire problem.
     AssignWhole {
@@ -67,12 +67,11 @@ pub enum JournalRecord {
         problem: ProblemId,
         at: f64,
     },
-    /// A split request found no idle peer and joined the backlog.
+    /// A split request found no idle peer and joined the backlog. The
+    /// entry goes when the client's row changes or its grant opens.
     BacklogPush { client: NodeId },
-    /// A client left the backlog (served, finished, or deregistered).
-    BacklogRemove { client: NodeId },
     /// A grant of the requester's cube `problem` opened: `peer` turns
-    /// Receiving.
+    /// Receiving and the requester leaves the backlog.
     GrantOpen {
         requester: NodeId,
         peer: NodeId,
@@ -310,7 +309,7 @@ fn get_frame(buf: &[u8], pos: &mut usize) -> Result<SpecFrame, RecordError> {
 }
 
 /// Serialize one record: the variant's tag byte followed by its fields.
-/// A tag is never reused for a different variant: 4, 15, 17 and 19
+/// A tag is never reused for a different variant: 4, 6, 15, 17 and 19
 /// belonged to retired ones.
 fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
     match rec {
@@ -354,10 +353,6 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
         }
         JournalRecord::BacklogPush { client } => {
             out.push(5);
-            put_node(*client, out);
-        }
-        JournalRecord::BacklogRemove { client } => {
-            out.push(6);
             put_node(*client, out);
         }
         JournalRecord::GrantOpen {
@@ -510,9 +505,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
             at: get_f64(buf, &mut pos)?,
         },
         5 => JournalRecord::BacklogPush {
-            client: get_node(buf, &mut pos)?,
-        },
-        6 => JournalRecord::BacklogRemove {
             client: get_node(buf, &mut pos)?,
         },
         7 => JournalRecord::GrantOpen {
@@ -1222,8 +1214,10 @@ impl MasterCore {
         }
     }
 
-    /// Every state transition of a registered client goes through here.
+    /// Every state transition of a registered client goes through here;
+    /// it ends the client's wait in the backlog.
     fn set_state(&mut self, client: NodeId, state: ClientState) {
+        self.unqueue(client);
         self.untrack(client);
         if let Some(info) = self.clients.get_mut(&client) {
             info.state = state;
@@ -1233,6 +1227,7 @@ impl MasterCore {
 
     /// Put `info` on the roster under `client`, replacing any earlier row.
     fn admit(&mut self, client: NodeId, info: ClientInfo) {
+        self.unqueue(client);
         self.untrack(client);
         if self.clients.insert(client, info).is_none() {
             self.slots.push(client);
@@ -1243,10 +1238,32 @@ impl MasterCore {
     /// Take `client` off the roster; the client in the share tree's last
     /// slot moves into its slot.
     fn remove(&mut self, client: NodeId) {
+        self.unqueue(client);
         self.untrack(client);
         self.clients.remove(&client);
         if let Some(slot) = self.slot_of(client) {
             self.slots.swap_remove(slot);
+        }
+    }
+
+    /// Take `client`'s split request out of the backlog. The fold is the
+    /// one place that does, so an entry always names a Busy row with no
+    /// open grant.
+    fn unqueue(&mut self, client: NodeId) {
+        self.backlog.retain(|&id| id != client);
+    }
+
+    /// Close `requester`'s grant: a peer it left Receiving returns to
+    /// Idle; one the confirmation made Busy, or one that is gone, is left
+    /// alone. A reservation must never outlive the grant that made it, or
+    /// the peer blocks the all-idle UNSAT verdict forever.
+    fn close_grant(&mut self, requester: NodeId) {
+        if let Some((peer, ..)) = self.grants.remove(&requester) {
+            let receiving = (self.clients.get(&peer))
+                .is_some_and(|p| matches!(p.state, ClientState::Receiving(_)));
+            if receiving {
+                self.set_state(peer, ClientState::Idle);
+            }
         }
     }
 
@@ -1322,7 +1339,13 @@ impl MasterCore {
             }
             JournalRecord::Deregister { client } => {
                 self.remove(client);
-                self.backlog.retain(|id| *id != client);
+                let named: Vec<NodeId> = (self.grants.iter())
+                    .filter(|&(&r, &(p, ..))| r == client || p == client)
+                    .map(|(&r, _)| r)
+                    .collect();
+                for requester in named {
+                    self.close_grant(requester);
+                }
                 self.split_grants
                     .retain(|&(requester, _), _| requester != client);
                 None
@@ -1353,13 +1376,15 @@ impl MasterCore {
                 Some(recovery)
             }
             JournalRecord::BacklogPush { client } => {
+                debug_assert!(
+                    (self.clients.get(&client))
+                        .is_some_and(|c| matches!(c.state, ClientState::Busy { .. }))
+                        && !self.grants.contains_key(&client),
+                    "backlogged {client} is not a Busy row without a grant"
+                );
                 if !self.backlog.contains(&client) {
                     self.backlog.push_back(client);
                 }
-                None
-            }
-            JournalRecord::BacklogRemove { client } => {
-                self.backlog.retain(|id| *id != client);
                 None
             }
             JournalRecord::GrantOpen {
@@ -1368,6 +1393,7 @@ impl MasterCore {
                 kind,
                 problem,
             } => {
+                self.unqueue(requester);
                 self.set_state(peer, ClientState::Receiving(None));
                 self.grants.insert(requester, (peer, kind, problem));
                 if kind == GrantKind::Split {
@@ -1377,13 +1403,7 @@ impl MasterCore {
                 None
             }
             JournalRecord::GrantClose { requester } => {
-                if let Some((peer, ..)) = self.grants.remove(&requester) {
-                    let receiving = (self.clients.get(&peer))
-                        .is_some_and(|p| matches!(p.state, ClientState::Receiving(_)));
-                    if receiving {
-                        self.set_state(peer, ClientState::Idle);
-                    }
-                }
+                self.close_grant(requester);
                 None
             }
             JournalRecord::SplitKept {
@@ -1970,6 +1990,34 @@ mod tests {
     /// The whole problem, as [`fleet`] hands it out.
     const ROOT: ProblemId = ProblemId(1);
 
+    /// The fold alone takes a client out of the backlog and closes a lost
+    /// client's grants: a grant opening for a backlogged requester, a
+    /// requester's loss and a peer's loss each need no record of their own.
+    #[test]
+    fn the_fold_releases_backlog_entries_and_a_lost_clients_grants() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let cfg = config();
+        let mut core = fleet(&f, &cfg, &[1, 2, 3]);
+        let grant = |requester: u32, peer: u32| JournalRecord::GrantOpen {
+            requester: NodeId(requester),
+            peer: NodeId(peer),
+            kind: GrantKind::Split,
+            problem: ROOT,
+        };
+        core.apply(JournalRecord::BacklogPush { client: NodeId(1) }, &f, &cfg);
+        assert_eq!(core.backlog, [NodeId(1)]);
+        core.apply(grant(1, 2), &f, &cfg);
+        assert!(core.backlog.is_empty());
+        // the peer is lost: the requester's grant closes
+        core.apply(JournalRecord::Deregister { client: NodeId(2) }, &f, &cfg);
+        assert!(core.grants.is_empty());
+        // the requester is lost: its peer is released
+        core.apply(grant(1, 3), &f, &cfg);
+        core.apply(JournalRecord::Deregister { client: NodeId(1) }, &f, &cfg);
+        assert!(core.grants.is_empty());
+        assert_eq!(core.clients[&NodeId(3)].state(), &ClientState::Idle);
+    }
+
     /// `requester` was granted a split of `cube` with `peer`, kept `pivot`
     /// and handed `child` to it: a grant and message (5).
     fn kept(
@@ -2518,7 +2566,6 @@ mod tests {
                 at: 3.0,
             },
             JournalRecord::BacklogPush { client: NodeId(4) },
-            JournalRecord::BacklogRemove { client: NodeId(4) },
             JournalRecord::GrantOpen {
                 requester: NodeId(1),
                 peer: NodeId(3),
@@ -2786,18 +2833,20 @@ mod tests {
             SealedRecord::from_wire(padded).open(),
             Err(RecordError::Wire(WireError::TrailingBytes))
         );
-        // unknown tag, re-sealed with a valid CRC
-        let mut payload = vec![200u8];
-        payload.push(1);
-        let mut bytes = Vec::new();
-        wire::write_varint(0, &mut bytes);
-        wire::write_varint(payload.len() as u64, &mut bytes);
-        bytes.extend_from_slice(&record_check(0, &payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert_eq!(
-            SealedRecord::from_wire(bytes).open(),
-            Err(RecordError::BadTag(200))
-        );
+        // an unknown tag and a retired one (6, the backlog remove the
+        // fold made redundant), re-sealed with a valid CRC
+        for tag in [200u8, 6] {
+            let payload = [tag, 1];
+            let mut bytes = Vec::new();
+            wire::write_varint(0, &mut bytes);
+            wire::write_varint(payload.len() as u64, &mut bytes);
+            bytes.extend_from_slice(&record_check(0, &payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            assert_eq!(
+                SealedRecord::from_wire(bytes).open(),
+                Err(RecordError::BadTag(tag))
+            );
+        }
     }
 
     #[test]

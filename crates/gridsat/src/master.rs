@@ -616,28 +616,15 @@ impl Master {
         pick
     }
 
-    /// The longest-running busy client with a backlogged request
-    /// ("the master splits clients which have been running the longest").
-    fn pop_backlog(&mut self, now: f64) -> Option<NodeId> {
-        if self.core.backlog.is_empty() {
-            return None;
-        }
-        let mut best: Option<(NodeId, f64)> = None;
-        for id in self.core.backlog.iter() {
-            let Some(info) = self.core.clients.get(id) else {
-                continue;
-            };
-            if !matches!(info.state(), ClientState::Busy { .. }) {
-                continue;
-            }
-            match best {
-                Some((_, t)) if info.problem_since >= t => {}
-                _ => best = Some((*id, info.problem_since)),
-            }
-        }
-        let (id, _) = best?;
-        self.commit(now, JournalRecord::BacklogRemove { client: id });
-        Some(id)
+    /// The longest-running client with a backlogged request ("the master
+    /// splits clients which have been running the longest"); the earlier
+    /// entry wins a tie. Every entry is a Busy row: the fold drops it as
+    /// the row changes.
+    fn oldest_backlogged(&self) -> Option<NodeId> {
+        let since = |id: &NodeId| self.core.clients[id].problem_since;
+        (self.core.backlog.iter())
+            .reduce(|best, id| if since(id) < since(best) { id } else { best })
+            .copied()
     }
 
     /// A split request reached the root — directly from a client, or
@@ -763,11 +750,16 @@ impl Master {
         true
     }
 
-    /// Serve backlog entries while idle clients remain.
+    /// Serve backlog entries while idle clients remain, one scan for the
+    /// oldest requester a grant. A grant takes its requester out of the
+    /// backlog; with no idle client the drain writes nothing.
     fn drain_backlog(&mut self, ctx: &mut Ctx<GridMsg>) {
-        while let Some(requester) = self.pop_backlog(ctx.now()) {
+        while self.core.idle.len() > 0 {
+            let Some(requester) = self.oldest_backlogged() else {
+                break;
+            };
             if !self.grant_split(requester, ctx) {
-                break; // no idle peers left (requester went back to backlog)
+                break; // not reached: an entry is a Busy row with no grant
             }
             let depth = self.core.backlog.len() as u64;
             let node = self.me.0;
@@ -991,7 +983,6 @@ impl Master {
     fn deregister(&mut self, client: NodeId, ctx: &mut Ctx<GridMsg>) {
         let slot = self.core.slot_of(client);
         self.commit(ctx.now(), JournalRecord::Deregister { client });
-        self.drop_grants_involving(client, ctx.now());
         let Some(slot) = slot else { return };
         let mut changed = vec![slot];
         changed.extend(tree_parent(slot));
@@ -1059,20 +1050,6 @@ impl Master {
         let frame = cp.frame(&self.formula);
         self.take_back(frame, source, |s| &mut s.recoveries, ctx);
         true
-    }
-
-    /// Drop every open grant involving `node`. Closing a grant frees the
-    /// peer it left Receiving: a reservation must never outlive the grant
-    /// that made it, or the peer blocks the all-idle UNSAT condition
-    /// forever.
-    fn drop_grants_involving(&mut self, node: NodeId, now: f64) {
-        let dropped: Vec<NodeId> = (self.core.grants.iter())
-            .filter(|(r, (p, ..))| **r == node || *p == node)
-            .map(|(r, _)| *r)
-            .collect();
-        for requester in dropped {
-            self.commit(now, JournalRecord::GrantClose { requester });
-        }
     }
 
     /// A client is gone (node down or lease expired): free its resources
@@ -1542,9 +1519,6 @@ impl Process for Master {
                     // its subproblem is gone; an unanswered split request
                     // for it can never be granted
                     self.pending_split_req.remove(&from);
-                }
-                if self.core.backlog.contains(&from) {
-                    self.commit(ctx.now(), JournalRecord::BacklogRemove { client: from });
                 }
                 match result {
                     SubResult::Sat(lits) => {

@@ -1126,7 +1126,11 @@ fn idle_client_loss_is_tolerated() {
 
 #[test]
 fn backlog_prefers_longest_running_requester() {
-    let mut m = master();
+    let mut m = Master::new(
+        gridsat_cnf::paper::fig1_formula(),
+        GridConfig::default(),
+        speeds(6),
+    );
     register(&mut m, 1, 0.0); // busy since 0
     register(&mut m, 2, 0.0);
     register(&mut m, 3, 0.0);
@@ -1165,10 +1169,54 @@ fn backlog_prefers_longest_running_requester() {
     // the journal replays to exactly this state
     let replayed = m.fold(&m.journal);
     assert_eq!(replayed, m.core);
-    // node 1 has been running longest (since 0.0)
-    assert_eq!(m.pop_backlog(30.0), Some(NodeId(1)));
-    assert_eq!(m.pop_backlog(30.0), Some(NodeId(2)));
-    assert_eq!(m.pop_backlog(30.0), Some(NodeId(3)));
+    // each fresh registrant is granted to the longest-running requester
+    // left: node 1 (since 0.0), then 2 (10.0), then 3 (20.0)
+    for (peer, requester) in [(4u32, 1u32), (5, 2), (6, 3)] {
+        let actions = register(&mut m, peer, 40.0);
+        let granted: Vec<_> = (actions.iter())
+            .filter_map(|a| match a {
+                Action::Send {
+                    to,
+                    msg: GridMsg::SplitGrant { peer, .. },
+                } => Some((to.0, peer.0)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(granted, [(requester, peer)]);
+    }
+    assert!(m.core.backlog.is_empty());
+    assert_eq!(m.fold(&m.journal), m.core);
+}
+
+/// A backlogged request and a lone busy client: nobody to grant to.
+fn backlogged_alone() -> Master {
+    let mut m = master();
+    register(&mut m, 1, 0.0);
+    let problem = ProblemId::new(NodeId(0), 1);
+    m.on_message(NodeId(1), GridMsg::SplitRequest { problem }, &mut ctx(1.0));
+    assert_eq!(m.core.backlog, [NodeId(1)]);
+    m
+}
+
+#[test]
+fn a_drain_without_an_idle_peer_journals_nothing() {
+    let mut m = backlogged_alone();
+    let (records, backlogged) = (m.journal.len(), m.stats.backlogged);
+    // a late failure report about no open grant: the handler writes
+    // nothing and then tries the backlog
+    let late = split_done(1, 2, false, None);
+    m.on_message(NodeId(1), late, &mut ctx(2.0));
+    assert_eq!(m.core.backlog, [NodeId(1)]);
+    assert_eq!(m.journal.len(), records);
+    assert_eq!(m.stats.backlogged, backlogged);
+}
+
+#[test]
+fn a_client_that_registers_again_leaves_the_backlog() {
+    let mut m = backlogged_alone();
+    register(&mut m, 1, 2.0);
+    assert!(m.core.backlog.is_empty());
+    assert_eq!(m.fold(&m.journal), m.core);
 }
 
 #[test]
@@ -1690,8 +1738,18 @@ fn an_adoption_claim_overtaken_by_its_result_leaves_the_client_idle() {
 }
 
 /// No row names a cube the ledger has at another client, in flight to
-/// another client, queued for re-dispatch, or settled.
+/// another client, queued for re-dispatch, or settled; every backlog
+/// entry names a Busy row with no open grant.
 fn assert_rows_follow_the_ledger(m: &Master, case: &str) {
+    for id in &m.core.backlog {
+        let state = m.core.clients.get(id).map(ClientInfo::state);
+        let busy = matches!(state, Some(ClientState::Busy { .. }));
+        let granted = m.core.grants.contains_key(id);
+        assert!(
+            busy && !granted,
+            "{case}: backlogged {id} is {state:?}, granted {granted}"
+        );
+    }
     for (&id, info) in &m.core.clients {
         let Some(cube) = info.cube() else { continue };
         let state = m.core.cubes.state(cube);
@@ -1716,6 +1774,9 @@ fn randomized_schedules_replay_to_the_live_state() {
     let f = gridsat_cnf::paper::fig1_formula();
     let cfg = GridConfig::chaos_hardened();
     let mut seed = 0x9e3779b97f4a7c15u64;
+    // requests that backlogged, and losses of a backlogged client or of
+    // one a grant names
+    let (mut queued, mut lost_queued, mut lost_granted) = (0, 0, 0);
     for round in 0..40 {
         let mut m = Master::new(f.clone(), cfg.clone(), speeds(6));
         // every cube a client was handed or named, for stale messages
@@ -1753,6 +1814,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                     let problem = problem.unwrap_or(ProblemId::new(node, 1));
                     let mut cx = ctx(t);
                     m.on_message(node, GridMsg::SplitRequest { problem }, &mut cx);
+                    queued += usize::from(m.core.backlog.contains(&node));
                 }
                 2 => {
                     // complete an open grant with its (5) and (4), in
@@ -1857,8 +1919,22 @@ fn randomized_schedules_replay_to_the_live_state() {
                         m.on_message(holder, requeue, &mut ctx(t));
                     }
                 }
-                _ => {
-                    if m.core.clients.len() > 1 && m.core.clients.contains_key(&node) {
+                draw => {
+                    // a loss; one draw in two picks a backlogged client,
+                    // even the last one, or with none one an open grant
+                    // names
+                    let mut named: Vec<NodeId> = m.core.backlog.iter().copied().collect();
+                    if named.is_empty() {
+                        named.extend(m.core.grants.iter().flat_map(|(&r, &(p, ..))| [r, p]));
+                    }
+                    let pick = named.get(xs(&mut seed) as usize % named.len().max(1));
+                    let node = pick.copied().filter(|_| draw == 7).unwrap_or(node);
+                    let last = m.core.clients.len() == 1 && !m.core.backlog.contains(&node);
+                    if !last && m.core.clients.contains_key(&node) {
+                        lost_queued += usize::from(m.core.backlog.contains(&node));
+                        let granted =
+                            |(r, (p, ..)): (&NodeId, &(NodeId, _, _))| *r == node || *p == node;
+                        lost_granted += usize::from(m.core.grants.iter().any(granted));
                         let mut cx = ctx(t);
                         m.on_node_down(node, &mut cx);
                     }
@@ -1875,6 +1951,10 @@ fn randomized_schedules_replay_to_the_live_state() {
             "round {round}: replayed scheduling state diverged from live state"
         );
     }
+    assert!(
+        queued > 0 && lost_queued > 0 && lost_granted > 0,
+        "backlogged {queued}, lost while backlogged {lost_queued}, lost under a grant {lost_granted}"
+    );
 }
 
 /// The three messages a settled steal and its result bring to the root:

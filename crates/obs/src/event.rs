@@ -54,8 +54,6 @@ pub enum Event {
     // ---- solver ----
     /// A conflict was analyzed (at the decision level it occurred on).
     Conflict { level: u64 },
-    /// The solver restarted (cumulative conflict count at that point).
-    Restart { conflicts: u64 },
     /// A clause was learned; `global` means it is sound to share.
     Learn { len: u64, global: bool },
     /// The learned database was reduced.
@@ -165,7 +163,6 @@ impl Event {
     pub fn kind(&self) -> &'static str {
         match self {
             Event::Conflict { .. } => "conflict",
-            Event::Restart { .. } => "restart",
             Event::Learn { .. } => "learn",
             Event::DbReduce { .. } => "db_reduce",
             Event::DbGc { .. } => "db_gc",
@@ -293,9 +290,6 @@ impl TimedEvent {
             Event::Conflict { level } => {
                 w.u64("level", *level);
             }
-            Event::Restart { conflicts } => {
-                w.u64("conflicts", *conflicts);
-            }
             Event::Learn { len, global } => {
                 w.u64("len", *len).bool("global", *global);
             }
@@ -414,9 +408,6 @@ impl TimedEvent {
         let event = match kind.as_str() {
             "conflict" => Event::Conflict {
                 level: u64f(&m, "level")?,
-            },
-            "restart" => Event::Restart {
-                conflicts: u64f(&m, "conflicts")?,
             },
             "learn" => Event::Learn {
                 len: u64f(&m, "len")?,
@@ -617,7 +608,6 @@ mod tests {
                     global: true,
                 },
             ),
-            ev(4.5, 1, Event::Restart { conflicts: 100 }),
             ev(
                 5.0,
                 1,

@@ -6,7 +6,7 @@
 //! vocabulary for that:
 //!
 //! - [`Event`] / [`TimedEvent`]: the lifecycle taxonomy (solver
-//!   conflicts/restarts/learning, engine message send/deliver/drop,
+//!   conflicts/learning, engine message send/deliver/drop,
 //!   master scheduling decisions and outcomes), serialized one event per
 //!   line as flat JSON ([`to_jsonl`] / [`from_jsonl`]).
 //! - [`RingBuffer`] / [`Obs`]: a bounded recorder behind a cloneable

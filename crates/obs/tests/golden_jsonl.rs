@@ -51,7 +51,6 @@ fn golden_events() -> Vec<TimedEvent> {
                 global: true,
             },
         ),
-        ev(4.5, 1, Event::Restart { conflicts: 100 }),
         ev(
             5.0,
             1,
@@ -198,7 +197,7 @@ fn golden_events() -> Vec<TimedEvent> {
 fn golden_file_covers_every_event_kind() {
     let kinds: std::collections::BTreeSet<&str> =
         golden_events().iter().map(|e| e.event.kind()).collect();
-    assert_eq!(kinds.len(), 33, "update the golden trace when adding kinds");
+    assert_eq!(kinds.len(), 32, "update the golden trace when adding kinds");
 }
 
 #[test]

@@ -1,27 +1,9 @@
 //! Solver configuration.
 
-/// Restart policy (off by default; zChaff-era restarts are geometric).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RestartConfig {
-    /// Conflicts before the first restart.
-    pub first_interval: u64,
-    /// Multiplier applied to the interval after each restart.
-    pub geometric_factor: f64,
-}
-
-impl Default for RestartConfig {
-    fn default() -> Self {
-        RestartConfig {
-            first_interval: 700,
-            geometric_factor: 1.5,
-        }
-    }
-}
-
-/// Tunables for the CDCL core: the six values some caller outside this
-/// crate's tests sets, or is named to set. Everything else the paper's
-/// zChaff description fixes — original per-literal VSIDS halved every 256
-/// conflicts, FirstUIP learning without minimization, no phase saving, the
+/// Tunables for the CDCL core: the five values some caller outside this
+/// crate's tests sets. Everything else the paper's zChaff description
+/// fixes — original per-literal VSIDS halved every 256 conflicts, FirstUIP
+/// learning without minimization, no phase saving, no restarts, the
 /// `48 + 4·len` byte memory model, the glue floor and the GC threshold of
 /// database reduction — is a named constant beside the code that uses it.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,11 +17,6 @@ pub struct SolverConfig {
     /// Learned clauses kept before a database reduction is attempted,
     /// as a multiple of the original clause count.
     pub max_learned_factor: f64,
-    /// Restart policy; `None` (default, and every preset) never restarts.
-    /// Kept for its named next caller, the ROADMAP item on small fleets
-    /// ("stop waiting for level 0"): restarts in the client preset, so
-    /// search returns to level 0 and merges what peers shared.
-    pub restart: Option<RestartConfig>,
     /// The paper's "pruning optimization": on new level-0 facts, delete
     /// clauses already satisfied at level 0.
     pub level0_pruning: bool,
@@ -60,7 +37,6 @@ impl Default for SolverConfig {
             share_len_limit: None,
             mem_budget: None,
             max_learned_factor: 3.0,
-            restart: None,
             level0_pruning: false,
             inbox_lits: None,
         }
@@ -102,7 +78,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_era() {
         let c = SolverConfig::default();
-        assert!(c.restart.is_none());
         assert!(!c.level0_pruning);
         assert!(c.inbox_lits.is_none());
     }

@@ -46,7 +46,7 @@ mod vsids;
 mod watch;
 
 pub use clausedb::ClauseRef;
-pub use config::{RestartConfig, SolverConfig};
+pub use config::SolverConfig;
 pub use driver::{Limits, Outcome, Report};
 pub use proof::{Proof, ProofError, ProofStep};
 pub use share::{FpIds, FpWindow, LockedWindow};

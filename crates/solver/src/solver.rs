@@ -314,8 +314,6 @@ pub struct Solver {
     /// being learned (slot 0 = asserting literal).
     learned: Vec<Lit>,
     max_learned: f64,
-    next_restart: Option<u64>,
-    restart_interval: f64,
     conflicts_since_decay: u32,
     /// Trail length at level 0 when pruning last ran.
     pruned_at: usize,
@@ -443,11 +441,6 @@ impl Solver {
             seen: vec![false; num_vars],
             learned: Vec::new(),
             max_learned: 0.0,
-            next_restart: config.restart.map(|r| r.first_interval),
-            restart_interval: config
-                .restart
-                .map(|r| r.first_interval as f64)
-                .unwrap_or(0.0),
             conflicts_since_decay: 0,
             pruned_at: 0,
             lbd_stamp: vec![0; num_vars + 1],
@@ -1011,7 +1004,7 @@ impl Solver {
     /// The LBD ("glue") of a clause: distinct decision levels among its
     /// literals. Computed *before* backtracking, while every literal is
     /// still assigned. HordeSat-style clause quality: low glue ⇒ the
-    /// clause links few levels and stays useful across restarts.
+    /// clause links few levels and stays useful across backjumps.
     fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
         self.lbd_stamp_gen += 1;
         let gen = self.lbd_stamp_gen;
@@ -1404,20 +1397,6 @@ impl Solver {
                         if self.status == Some(SolveStatus::Unsat) {
                             return Step::Unsat;
                         }
-                        continue;
-                    }
-                }
-                if let Some(at) = self.next_restart {
-                    if self.stats.conflicts >= at && self.decision_level() > 0 {
-                        self.backtrack(0);
-                        self.stats.restarts += 1;
-                        let conflicts = self.stats.conflicts;
-                        self.obs
-                            .emit(self.obs_now, self.obs_node, || Event::Restart { conflicts });
-                        let r = self.config.restart.expect("restart configured");
-                        self.restart_interval *= r.geometric_factor;
-                        self.next_restart =
-                            Some(self.stats.conflicts + self.restart_interval as u64);
                         continue;
                     }
                 }

@@ -19,8 +19,6 @@ pub struct Stats {
     pub deleted: u64,
     /// Clauses removed by the level-0 pruning optimization.
     pub pruned: u64,
-    /// Restarts performed.
-    pub restarts: u64,
     /// Learned clauses copied to the share outbox.
     pub shared_out: u64,
     /// Foreign clauses merged from the inbox.
@@ -73,7 +71,6 @@ impl Stats {
             learned,
             deleted,
             pruned,
-            restarts,
             shared_out,
             merged_in,
             merge_discarded,
@@ -95,7 +92,6 @@ impl Stats {
         self.learned += learned;
         self.deleted += deleted;
         self.pruned += pruned;
-        self.restarts += restarts;
         self.shared_out += shared_out;
         self.merged_in += merged_in;
         self.merge_discarded += merge_discarded;
@@ -136,7 +132,6 @@ mod tests {
             learned: 4,
             deleted: 5,
             pruned: 6,
-            restarts: 7,
             shared_out: 8,
             merged_in: 9,
             merge_discarded: 10,
@@ -188,7 +183,6 @@ mod tests {
             learned: 8,
             deleted: 10,
             pruned: 12,
-            restarts: 14,
             shared_out: 16,
             merged_in: 18,
             merge_discarded: 20,

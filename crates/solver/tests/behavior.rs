@@ -1,10 +1,10 @@
 //! Behavioural tests for the solver's operational surface: bounded
-//! stepping, memory pressure, restarts, sharing outbox discipline,
+//! stepping, memory pressure, sharing outbox discipline,
 //! statistics, and the paper-era configuration knobs.
 
 use gridsat_cnf::{Formula, Lit};
 use gridsat_satgen as satgen;
-use gridsat_solver::{driver, RestartConfig, SolveStatus, Solver, SolverConfig, Step};
+use gridsat_solver::{driver, SolveStatus, Solver, SolverConfig, Step};
 
 fn run_to_end(s: &mut Solver) -> SolveStatus {
     loop {
@@ -86,21 +86,6 @@ fn reduce_db_frees_memory_and_preserves_answers() {
     assert!(s.num_learned() < learned_before);
     assert_eq!(run_to_end(&mut s), SolveStatus::Unsat);
     assert!(s.stats().deleted > 0);
-}
-
-#[test]
-fn restarts_fire_and_preserve_correctness() {
-    let f = satgen::php::php(8, 7);
-    let config = SolverConfig {
-        restart: Some(RestartConfig {
-            first_interval: 20,
-            geometric_factor: 1.3,
-        }),
-        ..SolverConfig::default()
-    };
-    let mut s = Solver::new(&f, config);
-    assert_eq!(run_to_end(&mut s), SolveStatus::Unsat);
-    assert!(s.stats().restarts > 0);
 }
 
 #[test]

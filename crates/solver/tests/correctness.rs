@@ -89,7 +89,7 @@ fn random_mixed_agrees_with_brute_force() {
     }
 }
 
-/// With level-0 pruning and restarts both on, answers stay correct.
+/// With level-0 pruning on, answers stay correct.
 #[test]
 fn extensions_preserve_correctness() {
     // a case that failed once, then `CASES` fresh ones
@@ -103,10 +103,6 @@ fn extensions_preserve_correctness() {
         let expected = brute_force(&f);
         let config = SolverConfig {
             level0_pruning: true,
-            restart: Some(gridsat_solver::RestartConfig {
-                first_interval: 5,
-                geometric_factor: 1.2,
-            }),
             ..SolverConfig::default()
         };
         let report = driver::solve(&f, config, driver::Limits::default());

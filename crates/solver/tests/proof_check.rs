@@ -46,13 +46,9 @@ fn parity_proof_checks() {
 
 #[test]
 fn proofs_check_with_deletion_heavy_configs() {
-    // restarts + pruning + forced database reductions exercise Delete lines
+    // pruning + forced database reductions exercise Delete lines
     let config = SolverConfig {
         level0_pruning: true,
-        restart: Some(gridsat_solver::RestartConfig {
-            first_interval: 30,
-            geometric_factor: 1.2,
-        }),
         ..SolverConfig::default()
     };
     let f = satgen::php::php(8, 7);
