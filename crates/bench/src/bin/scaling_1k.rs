@@ -22,13 +22,18 @@
 //! adds n = 1000. `--check` exits nonzero unless every run reaches the
 //! oracle answer (the instance family is UNSAT by construction), the
 //! master's cube ledger stays silent, the hierarchical peak queue
-//! depth honors its O(sites) bound, and no foreign-clause merge charged
-//! a client more than a quantum plus the longest shareable clause.
+//! depth honors its O(sites) bound, no foreign-clause merge charged
+//! a client more than a quantum plus the longest shareable clause, and
+//! no row's peak live heap exceeds its row in the checked-in
+//! `BENCH_scale.json` by more than 5 % — the memory footprint's
+//! regression gate. The ledger is read before the sweep runs, so
+//! `--check --out BENCH_scale.json` holds the new rows to the old ones.
 
 use gridsat::client::ClientStats;
 use gridsat::{experiment, GridConfig, GridOutcome};
 use gridsat_bench::merge_burst_bound;
 use gridsat_grid::Testbed;
+use gridsat_obs::json::{parse_object, JsonScalar};
 use gridsat_satgen as satgen;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -168,6 +173,43 @@ fn classify(label: &str) -> Traffic {
 /// measures control-plane behavior in the saturated regime — the one
 /// where the root's queue is the bottleneck.
 const CLIENT_SPEED: f64 = 400.0;
+
+/// The checked-in ledger `--check` holds each row's peak live heap to.
+const LEDGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
+
+/// How far a row's peak live heap may rise above its checked-in row.
+const HEAP_SLACK: f64 = 1.05;
+
+/// A ledger's rows as `(n, mode, peak_live_heap_bytes)`: every line that
+/// holds one row object, the way [`json_row`] writes them. A ledger
+/// without one is an error, not a gate that holds nothing.
+fn ledger_heaps(json: &str) -> Result<Vec<(usize, String, u64)>, String> {
+    let rows: Vec<_> = json
+        .lines()
+        .map(|line| line.trim().trim_end_matches(','))
+        .filter(|line| line.starts_with("{\"n\":"))
+        .map(|line| {
+            let row = parse_object(line).map_err(|e| format!("{e} in {line}"))?;
+            let num = |k: &str| match row.get(k) {
+                Some(JsonScalar::Num(x)) => Ok(*x),
+                _ => Err(format!("no number {k:?} in {line}")),
+            };
+            let mode = match row.get("mode") {
+                Some(JsonScalar::Str(mode)) => mode.clone(),
+                _ => return Err(format!("no mode in {line}")),
+            };
+            Ok((
+                num("n")? as usize,
+                mode,
+                num("peak_live_heap_bytes")? as u64,
+            ))
+        })
+        .collect::<Result<_, String>>()?;
+    if rows.is_empty() {
+        return Err("no rows".into());
+    }
+    Ok(rows)
+}
 
 struct Row {
     n: usize,
@@ -332,6 +374,12 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .map(|i| args.get(i + 1).expect("--out PATH").clone());
+    // read before the sweep: `--out` may be about to overwrite it
+    let ledger = check.then(|| {
+        std::fs::read_to_string(LEDGER)
+            .map_err(|e| format!("cannot read {LEDGER}: {e}"))
+            .and_then(|json| ledger_heaps(&json))
+    });
 
     // weak scaling: the instance grows with the fleet so total work
     // keeps 1000 slow clients occupied — hard UNSAT XOR chains (Table
@@ -431,7 +479,35 @@ fn main() {
 
     if check {
         let mut failures: Vec<String> = Vec::new();
+        let ledger = ledger.expect("read under --check").unwrap_or_else(|e| {
+            failures.push(format!("checked-in rows: {e}"));
+            Vec::new()
+        });
         for row in &rows {
+            // the footprint: a row may not outgrow its checked-in row
+            let checked_in = ledger
+                .iter()
+                .find(|(n, mode, _)| *n == row.n && mode == row.mode);
+            match checked_in {
+                Some(&(_, _, heap))
+                    if row.peak_live_heap_bytes as f64 > heap as f64 * HEAP_SLACK =>
+                {
+                    failures.push(format!(
+                        "{} n={}: peak live heap {} bytes, over the checked-in {heap} by more than {:.0} %",
+                        row.mode,
+                        row.n,
+                        row.peak_live_heap_bytes,
+                        (HEAP_SLACK - 1.0) * 100.0
+                    ));
+                }
+                Some(_) => {}
+                // unreadable: one failure above says so
+                None if ledger.is_empty() => {}
+                None => failures.push(format!(
+                    "{} n={}: no checked-in row in {LEDGER} to hold its peak live heap to",
+                    row.mode, row.n
+                )),
+            }
             if row.outcome != "UNSAT" {
                 failures.push(format!(
                     "{} n={}: expected UNSAT (instance family is UNSAT by construction), got {}",
@@ -644,5 +720,28 @@ mod tests {
         assert_eq!(classify("journal-batch(12)"), Traffic::Payload);
         // the reliability layer's own envelope
         assert_eq!(classify("ack"), Traffic::Control);
+    }
+
+    /// `--check` holds every row of the full sweep to a checked-in row:
+    /// the ledger parses, and has one row per size and mode.
+    #[test]
+    fn the_ledger_holds_a_heap_bound_for_every_swept_row() {
+        let rows =
+            ledger_heaps(include_str!("../../../../BENCH_scale.json")).expect("the ledger parses");
+        for n in [12, 100, 1000] {
+            for mode in ["flat", "hierarchical"] {
+                let found: Vec<_> = rows.iter().filter(|r| r.0 == n && r.1 == mode).collect();
+                assert_eq!(found.len(), 1, "n={n} {mode}");
+                assert!(found[0].2 > 1_000_000, "n={n} {mode}: {} bytes", found[0].2);
+            }
+        }
+        let row = r#"    {"n":12,"mode":"flat","sim_s":1.0},"#;
+        assert!(ledger_heaps(row)
+            .unwrap_err()
+            .contains("peak_live_heap_bytes"));
+        assert_eq!(
+            ledger_heaps("{\n  \"rows\": [\n  ]\n}\n"),
+            Err("no rows".into())
+        );
     }
 }

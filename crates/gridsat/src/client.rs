@@ -876,8 +876,15 @@ impl Process for Client {
                 };
                 let evicted_before = evicted(&solver);
                 let mut window = self.fp_window.lock();
-                for (clause, fp) in decoded {
-                    if !window.insert(*fp) {
+                // the first recipient interns the batch in the run's
+                // table; the rest of the fan-out marks the ids it left
+                let ids = window.batch_ids(decoded.iter().map(|(_, fp)| *fp), batch.fp_ids());
+                for (k, (clause, fp)) in decoded.iter().enumerate() {
+                    let fresh_here = match ids {
+                        Some(ids) => window.insert_id(ids[k]),
+                        None => window.insert(*fp),
+                    };
+                    if !fresh_here {
                         continue;
                     }
                     fresh += 1;

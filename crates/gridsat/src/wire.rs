@@ -59,7 +59,7 @@
 //! decoder in this module can panic on external bytes.
 
 use gridsat_cnf::{Clause, ClauseList, ClauseLits, Lit};
-use gridsat_solver::{Solver, SplitSpec};
+use gridsat_solver::{BatchIds, Solver, SplitSpec};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -365,7 +365,9 @@ fn decode_clause_into(buf: &[u8], pos: &mut usize, out: &mut Vec<Lit>) -> Result
 /// *buffer*, not of the recipient: the first accessor of
 /// [`intact`](EncodedBatch::intact) / [`decoded`](EncodedBatch::decoded)
 /// runs the CRC, the parse and the fingerprint recomputation, and every
-/// later one reads the stored verdict. Anything that yields different
+/// later one reads the stored verdict. The first recipient's fingerprint
+/// window leaves its table's ids for those fingerprints beside them
+/// ([`fp_ids`](EncodedBatch::fp_ids)). Anything that yields different
 /// or unvouched-for bytes — [`from_wire`](EncodedBatch::from_wire),
 /// [`corrupt_bit`](EncodedBatch::corrupt_bit), `clone()` (hence
 /// `Arc::make_mut` on a shared batch) — yields an unmemoised batch that
@@ -380,6 +382,9 @@ pub struct EncodedBatch {
     /// The fully verified decode of `bytes`, filled by the first
     /// [`decoded`](EncodedBatch::decoded).
     clauses: OnceLock<Result<DecodedShares, WireError>>,
+    /// The decoded fingerprints' ids in the run's fingerprint table,
+    /// filled by the first recipient's window ([`EncodedBatch::fp_ids`]).
+    fp_ids: BatchIds,
 }
 
 /// A batch's clauses with their recomputed fingerprints.
@@ -409,6 +414,7 @@ impl EncodedBatch {
             fingerprints,
             frame: OnceLock::new(),
             clauses: OnceLock::new(),
+            fp_ids: BatchIds::default(),
         }
     }
 
@@ -458,6 +464,14 @@ impl EncodedBatch {
             .map_err(|&e| e)
     }
 
+    /// Where the first recipient's fingerprint window leaves the ids its
+    /// table gave the [`decoded`](EncodedBatch::decoded) fingerprints, so
+    /// every later window over that table marks them without probing
+    /// ([`LockedWindow::batch_ids`](gridsat_solver::LockedWindow::batch_ids)).
+    pub fn fp_ids(&self) -> &BatchIds {
+        &self.fp_ids
+    }
+
     /// The framed payload, once the frame has been verified — by this
     /// call or an earlier one.
     fn payload(&self) -> Result<&[u8], WireError> {
@@ -482,6 +496,7 @@ impl EncodedBatch {
         flip_bit(&mut self.bytes, seed);
         self.frame = OnceLock::new();
         self.clauses = OnceLock::new();
+        self.fp_ids = BatchIds::default();
     }
 
     /// Number of clauses in the batch.

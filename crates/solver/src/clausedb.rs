@@ -1,16 +1,27 @@
 //! The clause database: one flat `u32` arena (MiniSat/CaDiCaL-style).
 //!
-//! Every clause lives inline in a single contiguous buffer: a four-word
-//! header (length; learned/dead flags plus the LBD "glue" score;
-//! activity; display id) followed by its literals. A [`ClauseRef`] is the
-//! word offset of the header, so dereferencing a clause during BCP is one
-//! indexed load into memory that neighbouring clauses already pulled into
-//! cache — no `Vec<Lit>`-behind-a-slot double indirection.
+//! Every clause lives inline in a single contiguous buffer: a two-word
+//! header (its length with the learned/dead flags; its display id)
+//! followed by its literals. A learned clause carries two more words in
+//! front of its header, its LBD "glue" score and its activity, which only
+//! learned clauses read: an original clause — every clause of the input
+//! formula, and every clause a thief loads from a spec — is two words
+//! shorter. A [`ClauseRef`] is the word offset of the header, so a
+//! clause's literals sit at the same offset from it whatever its kind,
+//! and dereferencing a clause during BCP is one indexed load into memory
+//! that neighbouring clauses already pulled into cache — no
+//! `Vec<Lit>`-behind-a-slot double indirection.
 //!
 //! ```text
-//!  arena:  | len | flags·lbd | act | id | lit lit lit | len | ... |
-//!          ^ ClauseRef(off)              ^ off + HEADER_WORDS
+//!  original:         | len·flags | id | lit lit lit | ...
+//!                    ^ ClauseRef(off)  ^ off + HEADER_WORDS
+//!  learned:  | lbd·T | act | len·flags | id | lit lit lit | ...
+//!                          ^ ClauseRef(off)  ^ off + HEADER_WORDS
 //! ```
+//!
+//! The LBD word has its top bit (`T`) set and a header word never has, so
+//! a walk over the arena tells at each record's first word whether a
+//! learned prefix or a header starts there.
 //!
 //! Deletion only sets the `dead` flag; the words stay in place as garbage
 //! until [`ClauseDb::collect`] compacts the arena. **Clause references are
@@ -26,7 +37,10 @@
 //! is what the solver compares against its budget and what a GridSAT
 //! client's memory monitor watches (paper Section 3.3): `48 + 4*len`
 //! bytes per clause, unchanged from the pre-arena model, so calibrated
-//! MEM_OUT behaviour is preserved.
+//! MEM_OUT behaviour is preserved. The collection trigger keeps its own
+//! count in the same spirit: [`CHARGED_HEADER_WORDS`] (four) words a
+//! clause plus its literals, what the arena held when every header had
+//! four words, so collections run exactly when they always did.
 
 use gridsat_cnf::{Clause, Lit};
 
@@ -73,29 +87,39 @@ impl ClauseRef {
     }
 }
 
-/// Words in a clause header: `[len, flags|lbd, activity, display_id]`.
-const HEADER_WORDS: usize = 4;
-const WORD_BYTES: usize = 4;
+/// Words in a clause header: `[len·flags, display_id]`.
+pub(crate) const HEADER_WORDS: usize = 2;
+/// Words in front of a learned clause's header: `[lbd·T, activity]`.
+pub(crate) const LEARNED_WORDS: usize = 2;
+/// Words the collection trigger charges a clause besides its literals:
+/// the four-word header every clause had before the learned-only fields
+/// moved out of it.
+pub(crate) const CHARGED_HEADER_WORDS: usize = 4;
 
 /// The memory model: bytes charged per stored literal, and fixed bytes
 /// charged per stored clause.
 const BYTES_PER_LIT: usize = 4;
 const BYTES_PER_CLAUSE: usize = 48;
 
+/// The header word: the length above two flag bits.
 const F_LEARNED: u32 = 1;
 const F_DEAD: u32 = 2;
-/// LBD occupies the flags word above the two flag bits.
-const LBD_SHIFT: u32 = 2;
-const LBD_MAX: u32 = (1 << (32 - LBD_SHIFT)) - 1;
+const LEN_SHIFT: u32 = 2;
+/// Longest clause: its header word keeps the top bit clear.
+const LEN_MAX: usize = (1 << (31 - LEN_SHIFT)) - 1;
+/// Marks a learned clause's LBD word, the first word of its record.
+const LEARNED_TAG: u32 = 1 << 31;
+/// Highest LBD stored; a larger glue saturates.
+const LBD_MAX: u32 = (1 << 30) - 1;
 
 /// Rescale all clause activities (and the increment) once either crosses
 /// this, well below `f32::MAX` so sums never reach infinity.
 const ACTIVITY_RESCALE_AT: f32 = 1e20;
 const ACTIVITY_RESCALE_BY: f32 = 1e-20;
 
-/// Relocation table produced by [`ClauseDb::collect`]: old arena offsets
-/// of the surviving clauses mapped to their new offsets, sorted by old
-/// offset (compaction preserves clause order).
+/// Relocation table produced by [`ClauseDb::collect`]: old references of
+/// the surviving clauses mapped to their new ones, sorted by old
+/// reference (compaction preserves clause order).
 pub(crate) struct RelocMap {
     pairs: Vec<(u32, u32)>,
 }
@@ -122,7 +146,10 @@ pub struct ClauseDb {
     live: usize,
     learned: usize,
     bytes: usize,
-    /// Arena words occupied by dead clauses, reclaimable by `collect`.
+    /// Words the collection trigger counts for every clause in the
+    /// arena, live or dead: [`CHARGED_HEADER_WORDS`] plus its length.
+    charged_words: usize,
+    /// The part of `charged_words` held by dead clauses.
     garbage_words: usize,
     next_display_id: u32,
     clause_activity_inc: f32,
@@ -136,6 +163,7 @@ impl ClauseDb {
             live: 0,
             learned: 0,
             bytes: 0,
+            charged_words: 0,
             garbage_words: 0,
             next_display_id: 1,
             clause_activity_inc: 1.0,
@@ -147,45 +175,68 @@ impl ClauseDb {
     }
 
     #[inline]
-    fn flags(&self, cref: ClauseRef) -> u32 {
-        self.arena[cref.0 as usize + 1]
+    fn header(&self, cref: ClauseRef) -> u32 {
+        self.arena[cref.0 as usize]
+    }
+
+    #[inline]
+    fn len_of(header: u32) -> usize {
+        (header >> LEN_SHIFT) as usize
     }
 
     #[inline]
     fn debug_assert_live(&self, cref: ClauseRef) {
-        debug_assert!(self.flags(cref) & F_DEAD == 0, "use of deleted {cref:?}");
+        debug_assert!(self.header(cref) & F_DEAD == 0, "use of deleted {cref:?}");
+    }
+
+    /// The clause whose record starts at word `off`, and the word after
+    /// its record.
+    #[inline]
+    fn record_at(&self, off: usize) -> (ClauseRef, usize) {
+        let cref = if self.arena[off] & LEARNED_TAG != 0 {
+            off + LEARNED_WORDS
+        } else {
+            off
+        };
+        let end = cref + HEADER_WORDS + Self::len_of(self.arena[cref]);
+        (ClauseRef(cref as u32), end)
     }
 
     /// Insert a clause; returns its reference. `lbd` is the glue score
     /// (0 for original clauses, computed at learn time for learned ones).
     pub fn insert(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> ClauseRef {
         debug_assert!(!lits.is_empty());
-        let off = self.arena.len();
+        debug_assert!(learned || lbd == 0, "an original clause has no glue");
+        assert!(lits.len() <= LEN_MAX, "clause of {} literals", lits.len());
+        let prefix = if learned { LEARNED_WORDS } else { 0 };
+        let words = prefix + HEADER_WORDS + lits.len();
         assert!(
-            off + HEADER_WORDS + lits.len() < (u32::MAX - 1) as usize,
+            self.arena.len() + words < (u32::MAX - 1) as usize,
             "clause arena exceeds u32 offsets"
         );
         self.bytes += Self::clause_bytes(lits.len());
+        self.charged_words += CHARGED_HEADER_WORDS + lits.len();
         self.live += 1;
+        self.arena.reserve(words);
         if learned {
             self.learned += 1;
+            self.arena.push(LEARNED_TAG | lbd.min(LBD_MAX));
+            self.arena.push(0f32.to_bits());
         }
-        let flags = (u32::from(learned) * F_LEARNED) | (lbd.min(LBD_MAX) << LBD_SHIFT);
-        self.arena.reserve(HEADER_WORDS + lits.len());
-        self.arena.push(lits.len() as u32);
-        self.arena.push(flags);
-        self.arena.push(0f32.to_bits());
+        let off = self.arena.len();
+        let flags = u32::from(learned) * F_LEARNED;
+        self.arena.push(((lits.len() as u32) << LEN_SHIFT) | flags);
         self.arena.push(self.next_display_id);
         self.next_display_id += 1;
         self.arena.extend(lits.iter().map(|l| l.code() as u32));
         ClauseRef(off as u32)
     }
 
-    /// Reserve arena room for clauses of the given lengths at once, so a
-    /// bulk load copies each clause in without regrowing the arena.
-    /// Rounded up to a power of two, as repeated doubling would have left
-    /// it: an odd-sized block is a hole nothing else reuses once the
-    /// learned clauses outgrow it.
+    /// Reserve arena room for original clauses of the given lengths at
+    /// once, so a bulk load copies each clause in without regrowing the
+    /// arena. Rounded up to a power of two, as repeated doubling would
+    /// have left it: an odd-sized block is a hole nothing else reuses once
+    /// the learned clauses outgrow it.
     pub(crate) fn reserve_for(&mut self, lens: impl Iterator<Item = usize>) {
         let words: usize = lens.map(|len| HEADER_WORDS + len).sum();
         if words > 0 {
@@ -201,16 +252,16 @@ impl ClauseDb {
     pub fn delete(&mut self, cref: ClauseRef) {
         debug_assert!(cref.is_real());
         let off = cref.0 as usize;
-        let flags = self.arena[off + 1];
-        assert!(flags & F_DEAD == 0, "double delete of {cref:?}");
-        self.arena[off + 1] = flags | F_DEAD;
-        let len = self.arena[off] as usize;
+        let header = self.arena[off];
+        assert!(header & F_DEAD == 0, "double delete of {cref:?}");
+        self.arena[off] = header | F_DEAD;
+        let len = Self::len_of(header);
         self.bytes -= Self::clause_bytes(len);
         self.live -= 1;
-        if flags & F_LEARNED != 0 {
+        if header & F_LEARNED != 0 {
             self.learned -= 1;
         }
-        self.garbage_words += HEADER_WORDS + len;
+        self.garbage_words += CHARGED_HEADER_WORDS + len;
     }
 
     /// The literals of a clause.
@@ -218,7 +269,7 @@ impl ClauseDb {
     pub fn lits(&self, cref: ClauseRef) -> &[Lit] {
         self.debug_assert_live(cref);
         let off = cref.0 as usize;
-        let len = self.arena[off] as usize;
+        let len = Self::len_of(self.arena[off]);
         debug_assert!(off + HEADER_WORDS + len <= self.arena.len());
         // SAFETY: `Lit` is `repr(transparent)` over `u32`, and every word
         // in a clause's literal region was written from `Lit::code` by
@@ -238,7 +289,7 @@ impl ClauseDb {
     pub(crate) fn lits_mut(&mut self, cref: ClauseRef) -> &mut [Lit] {
         self.debug_assert_live(cref);
         let off = cref.0 as usize;
-        let len = self.arena[off] as usize;
+        let len = Self::len_of(self.arena[off]);
         debug_assert!(off + HEADER_WORDS + len <= self.arena.len());
         // SAFETY: as in `lits`; the exclusive borrow of `self` guarantees
         // no aliasing view of the arena exists.
@@ -336,13 +387,13 @@ impl ClauseDb {
     /// The 1-based display id of a clause (paper numbering).
     pub fn display_id(&self, cref: ClauseRef) -> u32 {
         self.debug_assert_live(cref);
-        self.arena[cref.0 as usize + 3]
+        self.arena[cref.0 as usize + 1]
     }
 
     /// Is the clause learned?
     #[inline]
     pub fn is_learned(&self, cref: ClauseRef) -> bool {
-        self.flags(cref) & F_LEARNED != 0
+        self.header(cref) & F_LEARNED != 0
     }
 
     /// Is the reference live (in bounds, on a header, not deleted)?
@@ -351,20 +402,27 @@ impl ClauseDb {
     /// invariant-check helper, not a safety mechanism.
     #[doc(hidden)]
     pub fn is_live(&self, cref: ClauseRef) -> bool {
-        cref.is_real() && (cref.0 as usize + 1) < self.arena.len() && self.flags(cref) & F_DEAD == 0
+        cref.is_real()
+            && (cref.0 as usize + 1) < self.arena.len()
+            && self.header(cref) & (F_DEAD | LEARNED_TAG) == 0
     }
 
     /// The clause's LBD ("glue"): distinct decision levels among its
     /// literals at learn time. 0 for original clauses.
     #[inline]
     pub fn lbd(&self, cref: ClauseRef) -> u32 {
-        self.flags(cref) >> LBD_SHIFT
+        if self.is_learned(cref) {
+            self.arena[cref.0 as usize - LEARNED_WORDS] & !LEARNED_TAG
+        } else {
+            0
+        }
     }
 
-    /// Clause activity (reduction tie-break).
+    /// Activity of a learned clause (reduction tie-break).
     #[inline]
     pub(crate) fn activity(&self, cref: ClauseRef) -> f32 {
-        f32::from_bits(self.arena[cref.0 as usize + 2])
+        debug_assert!(self.is_learned(cref), "{cref:?} has no activity");
+        f32::from_bits(self.arena[cref.0 as usize - 1])
     }
 
     /// Live clause count.
@@ -382,22 +440,23 @@ impl ClauseDb {
         self.bytes
     }
 
-    /// Total arena size in words (live + garbage).
-    pub fn arena_words(&self) -> usize {
-        self.arena.len()
+    /// Arena size as the collection trigger counts it (live + garbage):
+    /// [`CHARGED_HEADER_WORDS`] per clause plus its literals.
+    pub fn charged_words(&self) -> usize {
+        self.charged_words
     }
 
-    /// Arena words held by dead clauses.
+    /// The part of [`ClauseDb::charged_words`] held by dead clauses.
     pub fn garbage_words(&self) -> usize {
         self.garbage_words
     }
 
-    /// Fraction of the arena occupied by dead clauses.
+    /// Fraction of the charged arena held by dead clauses.
     pub fn garbage_frac(&self) -> f64 {
-        if self.arena.is_empty() {
+        if self.charged_words == 0 {
             0.0
         } else {
-            self.garbage_words as f64 / self.arena.len() as f64
+            self.garbage_words as f64 / self.charged_words as f64
         }
     }
 
@@ -406,10 +465,10 @@ impl ClauseDb {
         let mut off = 0usize;
         std::iter::from_fn(move || {
             while off < self.arena.len() {
-                let cur = off;
-                off += HEADER_WORDS + self.arena[cur] as usize;
-                if self.arena[cur + 1] & F_DEAD == 0 {
-                    return Some(ClauseRef(cur as u32));
+                let (cref, end) = self.record_at(off);
+                off = end;
+                if self.header(cref) & F_DEAD == 0 {
+                    return Some(cref);
                 }
             }
             None
@@ -425,28 +484,31 @@ impl ClauseDb {
         let mut write = 0usize;
         let mut read = 0usize;
         while read < self.arena.len() {
-            let words = HEADER_WORDS + self.arena[read] as usize;
-            if self.arena[read + 1] & F_DEAD == 0 {
-                pairs.push((read as u32, write as u32));
+            let (cref, end) = self.record_at(read);
+            if self.header(cref) & F_DEAD == 0 {
+                let moved = write + (cref.0 as usize - read);
+                pairs.push((cref.0, moved as u32));
                 if write != read {
-                    self.arena.copy_within(read..read + words, write);
+                    self.arena.copy_within(read..end, write);
                 }
-                write += words;
+                write += end - read;
             }
-            read += words;
+            read = end;
         }
         self.arena.truncate(write);
+        self.charged_words -= self.garbage_words;
         self.garbage_words = 0;
         RelocMap { pairs }
     }
 
-    /// Bump a clause's activity (used during conflict analysis); rescales
-    /// all activities when they grow too large.
+    /// Bump a learned clause's activity (used during conflict analysis);
+    /// rescales all activities when they grow too large.
     pub fn bump_activity(&mut self, cref: ClauseRef) {
         self.debug_assert_live(cref);
-        let off = cref.0 as usize;
-        let a = f32::from_bits(self.arena[off + 2]) + self.clause_activity_inc;
-        self.arena[off + 2] = a.to_bits();
+        debug_assert!(self.is_learned(cref), "{cref:?} has no activity");
+        let at = cref.0 as usize - 1;
+        let a = f32::from_bits(self.arena[at]) + self.clause_activity_inc;
+        self.arena[at] = a.to_bits();
         if a > ACTIVITY_RESCALE_AT {
             self.rescale_activities();
         }
@@ -469,12 +531,13 @@ impl ClauseDb {
     fn rescale_activities(&mut self) {
         let mut off = 0usize;
         while off < self.arena.len() {
-            let len = self.arena[off] as usize;
-            if self.arena[off + 1] & F_DEAD == 0 {
-                let a = f32::from_bits(self.arena[off + 2]) * ACTIVITY_RESCALE_BY;
-                self.arena[off + 2] = a.to_bits();
+            let (cref, end) = self.record_at(off);
+            if self.header(cref) & (F_LEARNED | F_DEAD) == F_LEARNED {
+                let at = cref.0 as usize - 1;
+                let a = f32::from_bits(self.arena[at]) * ACTIVITY_RESCALE_BY;
+                self.arena[at] = a.to_bits();
             }
-            off += HEADER_WORDS + len;
+            off = end;
         }
         self.clause_activity_inc *= ACTIVITY_RESCALE_BY;
     }
@@ -491,35 +554,47 @@ impl ClauseDb {
     }
 
     /// Walk the arena and verify the counters (`live`, `learned`,
-    /// `bytes`, `garbage_words`) against ground truth. Test/debug only.
+    /// `bytes`, `charged_words`, `garbage_words`) against ground truth,
+    /// and that a record has the learned prefix iff its header has the
+    /// learned flag. Test/debug only.
     #[doc(hidden)]
     pub fn check_accounting(&self) {
-        let (mut live, mut learned, mut bytes, mut garbage) = (0usize, 0usize, 0usize, 0usize);
+        let (mut live, mut learned, mut bytes) = (0usize, 0usize, 0usize);
+        let (mut charged, mut garbage) = (0usize, 0usize);
         let mut off = 0usize;
         while off < self.arena.len() {
-            let len = self.arena[off] as usize;
-            let flags = self.arena[off + 1];
-            if flags & F_DEAD == 0 {
+            let (cref, end) = self.record_at(off);
+            let header = self.header(cref);
+            let len = Self::len_of(header);
+            assert_eq!(header & LEARNED_TAG, 0, "{cref:?}: a header word is tagged");
+            assert_eq!(
+                header & F_LEARNED != 0,
+                cref.0 as usize != off,
+                "{cref:?}: the learned flag and the learned prefix disagree"
+            );
+            charged += CHARGED_HEADER_WORDS + len;
+            if header & F_DEAD == 0 {
                 live += 1;
-                learned += usize::from(flags & F_LEARNED != 0);
+                learned += usize::from(header & F_LEARNED != 0);
                 bytes += Self::clause_bytes(len);
             } else {
-                garbage += HEADER_WORDS + len;
+                garbage += CHARGED_HEADER_WORDS + len;
             }
-            off += HEADER_WORDS + len;
+            off = end;
         }
         assert_eq!(off, self.arena.len(), "arena walk must end on a boundary");
         assert_eq!(live, self.live);
         assert_eq!(learned, self.learned);
         assert_eq!(bytes, self.bytes);
+        assert_eq!(charged, self.charged_words);
         assert_eq!(garbage, self.garbage_words);
-        let _ = WORD_BYTES; // accounting is word-granular; bytes derive from words
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridsat_cnf::rng::Rng;
     use gridsat_cnf::Lit;
 
     fn lits(v: &[i64]) -> Vec<Lit> {
@@ -656,5 +731,231 @@ mod tests {
         let mut db = ClauseDb::new();
         let a = db.insert(&lits(&[1, 2]), true, u32::MAX);
         assert_eq!(db.lbd(a), LBD_MAX);
+    }
+
+    /// What a clause takes in the arena, per kind: two header words for
+    /// an original clause, four for a learned one, then its literals.
+    /// A change that grows either must change this pin on purpose.
+    #[test]
+    fn header_words_per_clause_kind_are_pinned() {
+        let mut db = ClauseDb::new();
+        let mut before = 0;
+        for (learned, len, words) in [(false, 1, 3), (false, 3, 5), (true, 2, 6), (true, 7, 11)] {
+            let clause: Vec<i64> = (1..=len).collect();
+            db.insert(&lits(&clause), learned, u32::from(learned) * 2);
+            assert_eq!(
+                db.arena.len() - before,
+                words,
+                "learned {learned}, len {len}"
+            );
+            before = db.arena.len();
+        }
+        assert_eq!((HEADER_WORDS, LEARNED_WORDS), (2, 2));
+        // the collection trigger still charges four header words a clause
+        assert_eq!(db.charged_words(), 4 * 4 + 1 + 3 + 2 + 7);
+        db.check_accounting();
+    }
+
+    /// One clause of the reference model: what the arena must say about
+    /// it, and whether it still occupies arena words.
+    #[derive(Clone, Debug)]
+    struct ModelClause {
+        lits: Vec<Lit>,
+        learned: bool,
+        lbd: u32,
+        activity: f32,
+        id: u32,
+        dead: bool,
+        /// Its reference in the arena under test.
+        cref: ClauseRef,
+    }
+
+    /// The arena's contract as a plain `Vec` of clauses, in insertion
+    /// order, with the activity arithmetic done the same way.
+    #[derive(Default)]
+    struct Model {
+        clauses: Vec<ModelClause>,
+        inc: f32,
+        next_id: u32,
+    }
+
+    impl Model {
+        fn live(&self) -> impl Iterator<Item = &ModelClause> {
+            self.clauses.iter().filter(|c| !c.dead)
+        }
+
+        fn rescale(&mut self) {
+            for c in self.clauses.iter_mut().filter(|c| c.learned && !c.dead) {
+                c.activity *= ACTIVITY_RESCALE_BY;
+            }
+            self.inc *= ACTIVITY_RESCALE_BY;
+        }
+
+        /// `(charged, garbage)` words, the trigger's count.
+        fn charged(&self) -> (usize, usize) {
+            let words = |c: &ModelClause| CHARGED_HEADER_WORDS + c.lits.len();
+            let garbage = self.clauses.iter().filter(|c| c.dead).map(words).sum();
+            (self.clauses.iter().map(words).sum(), garbage)
+        }
+
+        /// Whether the solver's collection rule fires.
+        fn gc_due(&self) -> bool {
+            let (charged, garbage) = self.charged();
+            garbage > 0 && garbage as f64 / charged as f64 >= 0.25
+        }
+
+        /// Arena words: two header words a clause, two more if learned.
+        fn arena_words(&self) -> usize {
+            let words = |c: &ModelClause| 2 + 2 * usize::from(c.learned) + c.lits.len();
+            self.clauses.iter().map(words).sum()
+        }
+
+        fn check(&self, db: &ClauseDb, at: &str) {
+            db.check_accounting();
+            let walk: Vec<ClauseRef> = db.iter_refs().collect();
+            let want: Vec<ClauseRef> = self.live().map(|c| c.cref).collect();
+            assert_eq!(walk, want, "{at}: walk order");
+            for c in self.live() {
+                assert_eq!(db.lits(c.cref), c.lits.as_slice(), "{at}");
+                assert_eq!(db.is_learned(c.cref), c.learned, "{at}");
+                assert_eq!(
+                    db.lbd(c.cref),
+                    c.lbd.min(LBD_MAX) * u32::from(c.learned),
+                    "{at}"
+                );
+                assert_eq!(db.display_id(c.cref), c.id, "{at}");
+                assert!(db.is_live(c.cref), "{at}");
+                if c.learned {
+                    assert_eq!(db.activity(c.cref).to_bits(), c.activity.to_bits(), "{at}");
+                }
+            }
+            let learned = self.live().filter(|c| c.learned).count();
+            let bytes: usize = self.live().map(|c| 48 + 4 * c.lits.len()).sum();
+            assert_eq!(
+                (db.num_live(), db.num_learned()),
+                (want.len(), learned),
+                "{at}"
+            );
+            assert_eq!(db.bytes(), bytes, "{at}");
+            assert_eq!(
+                (db.charged_words(), db.garbage_words()),
+                self.charged(),
+                "{at}"
+            );
+            assert_eq!(db.arena.len(), self.arena_words(), "{at}: words per clause");
+            assert_eq!(
+                db.activity_increment().to_bits(),
+                self.inc.to_bits(),
+                "{at}"
+            );
+        }
+    }
+
+    /// The arena against a `Vec` of clauses over 400 seeded schedules of
+    /// inserts (original and learned, glue up to past the saturation
+    /// point), deletes, activity bumps and decays fast enough to rescale,
+    /// and collections with remap — whenever the solver's trigger fires
+    /// and at random. Literals, flags, glue, activity, display ids, walk
+    /// order, words per clause and the collection schedule must all be
+    /// the model's after every operation.
+    #[test]
+    fn the_arena_behaves_like_a_vec_of_clauses() {
+        let (mut collections, mut triggered, mut rescales) = (0u64, 0u64, 0u64);
+        for schedule in 0..400u64 {
+            let mut rng = Rng::seed_from_u64(schedule);
+            let mut db = ClauseDb::new();
+            let mut model = Model {
+                inc: 1.0,
+                next_id: 1,
+                ..Model::default()
+            };
+            if rng.gen_bool(0.5) {
+                let lens: Vec<usize> = (0..rng.range_usize(0..30))
+                    .map(|_| rng.range_usize(1..9))
+                    .collect();
+                db.reserve_for(lens.into_iter());
+            }
+            for step in 0..rng.range_usize(1..300) {
+                let at = format!("schedule {schedule} step {step}");
+                let live: Vec<usize> = (0..model.clauses.len())
+                    .filter(|&i| !model.clauses[i].dead)
+                    .collect();
+                match rng.range_u32(0..12) {
+                    0..=4 => {
+                        let len = rng.range_usize(1..12);
+                        let lits: Vec<Lit> = (0..len)
+                            .map(|_| Lit::from_code(rng.range_usize(0..80)))
+                            .collect();
+                        let learned = rng.gen_bool(0.6);
+                        let lbd = match (learned, rng.range_u32(0..8)) {
+                            (false, _) => 0,
+                            (true, 0) => u32::MAX - rng.range_u32(0..3),
+                            (true, _) => rng.range_u32(0..40),
+                        };
+                        let cref = db.insert(&lits, learned, lbd);
+                        model.clauses.push(ModelClause {
+                            lits,
+                            learned,
+                            lbd,
+                            activity: 0.0,
+                            id: model.next_id,
+                            dead: false,
+                            cref,
+                        });
+                        model.next_id += 1;
+                    }
+                    5 | 6 if !live.is_empty() => {
+                        let i = live[rng.range_usize(0..live.len())];
+                        db.delete(model.clauses[i].cref);
+                        model.clauses[i].dead = true;
+                    }
+                    7 | 8 => {
+                        let learned: Vec<usize> = live
+                            .iter()
+                            .copied()
+                            .filter(|&i| model.clauses[i].learned)
+                            .collect();
+                        if let Some(&i) = learned.get(rng.range_usize(0..learned.len().max(1))) {
+                            db.bump_activity(model.clauses[i].cref);
+                            let c = &mut model.clauses[i];
+                            c.activity += model.inc;
+                            if c.activity > ACTIVITY_RESCALE_AT {
+                                model.rescale();
+                                rescales += 1;
+                            }
+                        }
+                    }
+                    9 => {
+                        let factor = [0.999, 0.5, 1e-4][rng.range_usize(0..3)];
+                        db.decay_activity(factor);
+                        model.inc /= factor;
+                        if model.inc > ACTIVITY_RESCALE_AT {
+                            model.rescale();
+                            rescales += 1;
+                        }
+                    }
+                    _ => {}
+                }
+                model.check(&db, &at);
+                // the solver's rule, and now and then a forced collection
+                let due = db.garbage_words() > 0 && db.garbage_frac() >= 0.25;
+                assert_eq!(due, model.gc_due(), "{at}: collection schedule");
+                triggered += u64::from(due);
+                if due || rng.gen_bool(0.05) {
+                    let map = db.collect();
+                    model.clauses.retain(|c| !c.dead);
+                    for c in &mut model.clauses {
+                        c.cref = map.remap(c.cref);
+                    }
+                    collections += 1;
+                    assert_eq!(db.garbage_words(), 0, "{at}");
+                    model.check(&db, &format!("{at}, collected"));
+                }
+            }
+        }
+        assert!(
+            collections > 1000 && triggered > 500 && rescales > 50,
+            "{collections} collections, {triggered} triggered, {rescales} rescales"
+        );
     }
 }

@@ -49,7 +49,7 @@ pub use clausedb::ClauseRef;
 pub use config::SolverConfig;
 pub use driver::{Limits, Outcome, Report};
 pub use proof::{Proof, ProofError, ProofStep};
-pub use share::{FpIds, FpWindow, LockedWindow};
+pub use share::{BatchIds, FpIds, FpWindow, LockedWindow};
 pub use solver::{
     ConflictAnalysis, GraphNode, ResolutionStep, SolveStatus, Solver, SplitSpec, Step,
 };

@@ -31,8 +31,15 @@
 //! A shared table sits behind a mutex. Callers take it once per batch
 //! ([`FpWindow::lock`]) and insert the batch's fingerprints under one
 //! guard; [`FpWindow::insert`] locks per call.
+//!
+//! A batch fanned out to many windows over one table is interned once:
+//! the first window to see it stores the ids its table handed out in the
+//! batch's [`BatchIds`], tagged with that table, and every later window
+//! over the same table marks those ids without probing the index
+//! ([`LockedWindow::batch_ids`], [`LockedWindow::insert_id`]). A window
+//! over any other table probes per fingerprint, as for any other insert.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The index's empty-slot marker. Fingerprint 0 itself gets its id from a
 /// field beside the index.
@@ -137,6 +144,20 @@ impl FpIds {
     }
 }
 
+/// The ids one [`FpIds`] table handed out for a batch's fingerprints,
+/// index-aligned with them, filled by the first window that inserts the
+/// batch ([`LockedWindow::batch_ids`]). Lives beside the batch, so every
+/// recipient of a fan-out sees the same one.
+#[derive(Debug, Default)]
+pub struct BatchIds(OnceLock<Interned>);
+
+/// A batch's fingerprint ids and the table that handed them out.
+#[derive(Debug)]
+struct Interned {
+    table: Arc<Mutex<FpIds>>,
+    ids: Box<[u32]>,
+}
+
 /// One generation of a window: a grow-only set of fingerprint ids.
 #[derive(Clone, Debug, Default)]
 struct Generation {
@@ -220,6 +241,7 @@ impl FpWindow {
     pub fn lock(&mut self) -> LockedWindow<'_> {
         let FpWindow { ids, cur, old, cap } = self;
         LockedWindow {
+            table: ids,
             ids: ids.lock().unwrap_or_else(PoisonError::into_inner),
             cur,
             old,
@@ -254,6 +276,8 @@ impl FpWindow {
 
 /// A window with its id table locked ([`FpWindow::lock`]).
 pub struct LockedWindow<'a> {
+    /// The table `ids` guards, to recognise a batch's ids as its own.
+    table: &'a Arc<Mutex<FpIds>>,
     ids: MutexGuard<'a, FpIds>,
     cur: &'a mut Generation,
     old: &'a mut Generation,
@@ -263,11 +287,43 @@ pub struct LockedWindow<'a> {
 impl LockedWindow<'_> {
     /// [`FpWindow::insert`] under the held lock.
     pub fn insert(&mut self, fp: u64) -> bool {
-        let half = self.cap / 2;
-        if half == 0 {
+        if self.cap / 2 == 0 {
             return true; // too small a bound to remember anything
         }
         let id = self.ids.intern(fp);
+        self.insert_id(id)
+    }
+
+    /// The ids of a batch's fingerprints `fps` in this window's table,
+    /// for [`LockedWindow::insert_id`]: read off `memo` when a window over
+    /// this table filled it, interned here, in batch order, and stored in
+    /// `memo` when nobody did. `None` when `memo` holds another table's
+    /// ids, or the window remembers nothing: insert each fingerprint with
+    /// [`LockedWindow::insert`] then. Interning a batch up front hands out
+    /// the ids inserting it one by one would, so every answer is the same.
+    pub fn batch_ids<'m>(
+        &mut self,
+        fps: impl Iterator<Item = u64>,
+        memo: &'m BatchIds,
+    ) -> Option<&'m [u32]> {
+        if self.cap / 2 == 0 {
+            return None;
+        }
+        let batch = memo.0.get_or_init(|| Interned {
+            table: Arc::clone(self.table),
+            ids: fps.map(|fp| self.ids.intern(fp)).collect(),
+        });
+        Arc::ptr_eq(&batch.table, self.table).then_some(&*batch.ids)
+    }
+
+    /// [`LockedWindow::insert`] of the fingerprint this window's table
+    /// gave `id` ([`LockedWindow::batch_ids`]).
+    pub fn insert_id(&mut self, id: u32) -> bool {
+        let half = self.cap / 2;
+        if half == 0 {
+            return true;
+        }
+        debug_assert!((id as usize) < self.ids.len(), "id {id} not handed out");
         if self.cur.contains(id) || self.old.contains(id) {
             return false;
         }
@@ -545,5 +601,72 @@ mod tests {
             }
         }
         assert!(windows[4].old.len == 300 && windows[5].old.len == 50);
+    }
+
+    /// Batches fanned out to windows over one table, each interned once
+    /// into the batch's [`BatchIds`], get exactly the answers that
+    /// interning per recipient gives: the same verdict for every clause
+    /// at every window, and the same id for every fingerprint in the
+    /// table. Windows of all sizes (some rotating, one remembering
+    /// nothing) take batches in a random order and single inserts in
+    /// between; a window over a table of its own meets the same memos and
+    /// probes per fingerprint.
+    #[test]
+    fn windows_fed_one_fanned_out_batch_answer_as_per_recipient_interning() {
+        let mut next = xorshift(0x1405_7b7e_f767_814f);
+        let caps = [1usize << 16, 1 << 16, 600, 100, 7, 1, 300];
+        let (memo_table, plain_table) = (FpIds::shared(), FpIds::shared());
+        // the last window of each run has a table of its own
+        let over = |table: &Arc<Mutex<FpIds>>, k: usize| {
+            let table = if k + 1 < caps.len() {
+                table.clone()
+            } else {
+                FpIds::shared()
+            };
+            FpWindow::over(caps[k], table)
+        };
+        let mut memo: Vec<FpWindow> = (0..caps.len()).map(|k| over(&memo_table, k)).collect();
+        let mut plain: Vec<FpWindow> = (0..caps.len()).map(|k| over(&plain_table, k)).collect();
+        let (mut marked, mut probed, mut fresh) = (0u64, 0u64, 0u64);
+        for batch in 0..2_000u32 {
+            let fps: Vec<u64> = (0..next() % 40).map(|_| awkward(next() % 3_000)).collect();
+            let ids = BatchIds::default();
+            let mut order: Vec<usize> = (0..caps.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            for &k in order.iter().take(1 + (next() % caps.len() as u64) as usize) {
+                let want: Vec<bool> = {
+                    let mut w = plain[k].lock();
+                    fps.iter().map(|&fp| w.insert(fp)).collect()
+                };
+                let mut w = memo[k].lock();
+                let got: Vec<bool> = match w.batch_ids(fps.iter().copied(), &ids) {
+                    Some(ids) => {
+                        marked += ids.len() as u64;
+                        ids.iter().map(|&id| w.insert_id(id)).collect()
+                    }
+                    None => {
+                        probed += fps.len() as u64;
+                        fps.iter().map(|&fp| w.insert(fp)).collect()
+                    }
+                };
+                assert_eq!(got, want, "batch {batch}, window {k}");
+                fresh += got.iter().filter(|&&f| f).count() as u64;
+            }
+            // a node's own learned clause, offered between batches
+            let k = (next() % caps.len() as u64) as usize;
+            let fp = awkward(next() % 3_000);
+            assert_eq!(memo[k].insert(fp), plain[k].insert(fp), "batch {batch}");
+        }
+        let (a, b) = (memo_table.lock().unwrap(), plain_table.lock().unwrap());
+        assert_eq!(a.len(), b.len());
+        for fp in (0..3_000).map(awkward) {
+            assert_eq!(a.get(fp), b.get(fp), "{fp:#x}");
+        }
+        assert!(
+            marked > 50_000 && probed > 5_000 && fresh > 5_000,
+            "{marked} marked, {probed} probed, {fresh} fresh"
+        );
     }
 }

@@ -318,9 +318,11 @@ pub struct Solver {
     /// Trail length at level 0 when pruning last ran.
     pruned_at: usize,
     /// Per-level stamps for LBD computation (`lbd_stamp[level] == gen`
-    /// means the level was counted for the current clause).
-    lbd_stamp: Vec<u64>,
-    lbd_stamp_gen: u64,
+    /// means the level was counted for the current clause). One entry per
+    /// decision level reached so far, grown at a conflict; all cleared
+    /// when the generation wraps.
+    lbd_stamp: Vec<u32>,
+    lbd_stamp_gen: u32,
     trace: bool,
     /// DRAT trace, when enabled. `proof_complete` drops to false if the
     /// derivation stops being locally checkable (foreign clauses merged).
@@ -443,7 +445,7 @@ impl Solver {
             max_learned: 0.0,
             conflicts_since_decay: 0,
             pruned_at: 0,
-            lbd_stamp: vec![0; num_vars + 1],
+            lbd_stamp: Vec::new(),
             lbd_stamp_gen: 0,
             num_vars,
             config,
@@ -583,11 +585,12 @@ impl Solver {
         self.db.num_learned()
     }
 
-    /// Clause-arena occupancy: `(total_words, garbage_words)`.
-    /// Introspection for GC tests and the bench harness.
+    /// Clause-arena occupancy as the collection trigger counts it:
+    /// `(total_words, garbage_words)`, four header words a clause plus
+    /// its literals. Introspection for GC tests and the bench harness.
     #[doc(hidden)]
     pub fn db_arena_stats(&self) -> (usize, usize) {
-        (self.db.arena_words(), self.db.garbage_words())
+        (self.db.charged_words(), self.db.garbage_words())
     }
 
     /// The clause-activity increment (rescale regression tests).
@@ -669,7 +672,7 @@ impl Solver {
     /// The current VSIDS counter of a literal (introspection for the
     /// heuristic ablations).
     pub fn vsids_score(&self, l: Lit) -> u64 {
-        self.vsids.score(l)
+        u64::from(self.vsids.score(l))
     }
 
     // ------------------------------------------------------------------
@@ -1006,7 +1009,18 @@ impl Solver {
     /// still assigned. HordeSat-style clause quality: low glue ⇒ the
     /// clause links few levels and stays useful across backjumps.
     fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
-        self.lbd_stamp_gen += 1;
+        // every literal's level is at most the current one
+        let levels = self.decision_level() + 1;
+        if self.lbd_stamp.len() < levels {
+            self.lbd_stamp.resize(levels, 0);
+        }
+        self.lbd_stamp_gen = self.lbd_stamp_gen.wrapping_add(1);
+        if self.lbd_stamp_gen == 0 {
+            // a stamp left from the last round of generations could equal
+            // a new one: forget them all, and never hand out 0
+            self.lbd_stamp.fill(0);
+            self.lbd_stamp_gen = 1;
+        }
         let gen = self.lbd_stamp_gen;
         let mut lbd = 0u32;
         for &l in lits {
@@ -1072,10 +1086,14 @@ impl Solver {
             global: true,
         });
 
-        // sharing outbox (paper Section 3.2: only "short" clauses)
+        // sharing outbox (paper Section 3.2: only "short" clauses). Kept
+        // sorted, as the wire ships it: the fingerprint then folds the
+        // literals in place instead of sorting a copy of its own
         if let Some(limit) = self.config.share_len_limit {
             if lits.len() <= limit {
-                let clause = Clause::new(lits.iter().copied());
+                let mut sorted = lits.clone();
+                sorted.sort_unstable();
+                let clause = Clause::from(sorted);
                 let fp = clause.fingerprint();
                 self.outbox.push((clause, fp));
                 self.stats.shared_out += 1;
@@ -1209,8 +1227,9 @@ impl Solver {
     // Clause sharing (paper Section 3.2)
     // ------------------------------------------------------------------
 
-    /// Drain learned clauses collected for sharing, each paired with
-    /// its 64-bit fingerprint (computed once, at learn time).
+    /// Drain learned clauses collected for sharing, each with its
+    /// literals sorted and paired with its 64-bit fingerprint (computed
+    /// once, at learn time).
     pub fn take_shared(&mut self) -> Vec<(Clause, u64)> {
         std::mem::take(&mut self.outbox)
     }
@@ -2222,5 +2241,65 @@ mod tests {
             );
             assert_eq!(parts.loaded_state(), want, "{spec:?}");
         }
+    }
+
+    /// Heap bytes a solver holds per variable, summed over the arrays
+    /// sized by `num_vars` (capacities, so slack counts too).
+    fn per_var_bytes(s: &Solver) -> usize {
+        use std::mem::size_of;
+        s.watches.capacity() * size_of::<WatchList>()
+            + s.assign8.capacity()
+            + s.var_level.capacity() * size_of::<u32>()
+            + s.reason.capacity() * size_of::<ClauseRef>()
+            + s.level0_global.capacity()
+            + s.trail.capacity() * size_of::<Lit>()
+            + s.seen.capacity()
+            + s.vsids.heap_bytes()
+    }
+
+    /// What a fresh solver takes per variable: two 24-byte watch-list
+    /// headers, the assignment, level, antecedent, level-0 flag, trail
+    /// slot and analysis flag, two `u32` VSIDS counters, a `u64` heap key
+    /// and a heap position — 83 bytes. The LBD stamps are per decision
+    /// level reached, and none is reached yet. A change that grows either
+    /// must change this pin on purpose.
+    #[test]
+    fn a_fresh_solver_takes_83_bytes_per_variable() {
+        for n in [1usize, 54, 1000] {
+            let s = Solver::from_parts(n, std::iter::empty(), &[], SolverConfig::default());
+            assert_eq!(per_var_bytes(&s), 83 * n, "{n} variables");
+            assert_eq!(s.lbd_stamp.capacity(), 0);
+        }
+    }
+
+    /// The glue of every learned clause is the same whether or not the
+    /// stamp generation wraps on the way: one solver starts with its
+    /// generation at `u32::MAX`, so its first conflict wraps it, every odd
+    /// level stamped 1 by an earlier round of generations and every even
+    /// one never stamped; a twin starts from scratch. They must agree step
+    /// for step.
+    #[test]
+    fn glue_is_unchanged_across_a_wrap_of_the_stamp_generation() {
+        let f = gridsat_satgen::php::php(8, 7);
+        let mut plain = Solver::new(&f, SolverConfig::default());
+        let mut wrapped = Solver::new(&f, SolverConfig::default());
+        wrapped.lbd_stamp_gen = u32::MAX;
+        // stamps a wrap must neither take for fresh ones nor hand out
+        wrapped.lbd_stamp = (0..512).map(|level| level % 2).collect();
+        let glue = |s: &Solver| -> Vec<u32> {
+            let learned = s.db.iter_refs().filter(|&c| s.db.is_learned(c));
+            learned.map(|c| s.db.lbd(c)).collect()
+        };
+        loop {
+            let (a, b) = (plain.step(500), wrapped.step(500));
+            assert_eq!(a, b);
+            assert_eq!(glue(&plain), glue(&wrapped));
+            assert_eq!(plain.stats(), wrapped.stats(), "lbd histograms included");
+            if a != Step::Running {
+                break;
+            }
+        }
+        assert!(plain.stats().conflicts > 200);
+        assert!(wrapped.lbd_stamp_gen < 2000, "the generation wrapped");
     }
 }

@@ -49,7 +49,9 @@ pub struct Stats {
     pub peak_db_bytes: usize,
     /// Relocating garbage collections of the clause arena.
     pub gc_runs: u64,
-    /// Total arena words reclaimed by those collections.
+    /// Arena words reclaimed by those collections, counted as the
+    /// collection trigger counts them: four header words a clause, learned
+    /// or original, plus its literals.
     pub gc_words: u64,
     /// Histogram of learned-clause LBD (glue): bucket `i` counts clauses
     /// with LBD `i + 1`; the last bucket collects everything ≥ 8.

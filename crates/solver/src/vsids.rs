@@ -27,13 +27,15 @@
 
 use gridsat_cnf::{Lit, Var};
 
-/// A literal's place in the decision order as one integer: its counter in
-/// the high bits and its code complemented in the low 32, so a larger key
-/// is a higher counter and, on equal counters, a lower code.
-type Key = u128;
+/// A literal's place in the decision order as one integer: its `u32`
+/// counter in the high 32 bits and its code complemented in the low 32,
+/// so a larger key is a higher counter and, on equal counters, a lower
+/// code. Both halves are whole `u32`s, so these keys order the literals
+/// exactly as `u128` keys over `u64` counters did.
+type Key = u64;
 
 #[inline]
-fn key(score: u64, code: usize) -> Key {
+fn key(score: u32, code: usize) -> Key {
     (Key::from(score) << 32) | Key::from(!(code as u32))
 }
 
@@ -49,7 +51,10 @@ fn var_of(k: Key) -> usize {
 
 /// Per-literal VSIDS counters and the per-variable decision heap.
 pub struct Vsids {
-    score: Vec<u64>,
+    /// One counter per literal code. A bump past `u32::MAX` panics: the
+    /// counters are halved every 256 conflicts, so one that high means a
+    /// bug, and a wrapped one would silently reorder the decisions.
+    score: Vec<u32>,
     /// each entry the key of one variable's better literal, max at index 0
     heap: Vec<Key>,
     /// position of each variable in `heap`, or `NOT_IN_HEAP`
@@ -57,6 +62,14 @@ pub struct Vsids {
 }
 
 const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// A counter after one bump.
+#[inline]
+fn incremented(score: u32) -> u32 {
+    score
+        .checked_add(1)
+        .expect("a VSIDS counter passed u32::MAX")
+}
 
 impl Vsids {
     /// State for `num_vars` variables, all counters zero, every variable
@@ -124,7 +137,7 @@ impl Vsids {
     /// Increment a literal's counter (a clause containing it was added).
     pub fn bump(&mut self, l: Lit) {
         let code = l.code();
-        self.score[code] += 1;
+        self.score[code] = incremented(self.score[code]);
         let p = self.pos[code >> 1];
         if p != NOT_IN_HEAP {
             // only this literal's counter rose, so the key can only rise
@@ -140,7 +153,8 @@ impl Vsids {
     /// distinct), so a bulk load bumps this way and heapifies once instead
     /// of sifting per literal.
     pub fn bump_unordered(&mut self, l: Lit) {
-        self.score[l.code()] += 1;
+        let s = &mut self.score[l.code()];
+        *s = incremented(*s);
     }
 
     /// Rebuild the heap from the variables `keep` accepts, in the order of
@@ -174,7 +188,7 @@ impl Vsids {
     }
 
     /// Current counter of a literal.
-    pub fn score(&self, l: Lit) -> u64 {
+    pub fn score(&self, l: Lit) -> u32 {
         self.score[l.code()]
     }
 
@@ -214,6 +228,15 @@ impl Vsids {
             }
         }
         None
+    }
+
+    /// Heap bytes of the counters, the heap and the positions.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.score.capacity() * size_of::<u32>()
+            + self.heap.capacity() * size_of::<Key>()
+            + self.pos.capacity() * size_of::<u32>()
     }
 
     /// Is the variable in the heap?
@@ -459,7 +482,11 @@ mod tests {
                     }
                 }
                 assert!(heap.check_invariants(), "schedule {schedule}");
-                assert_eq!(heap.score, reference.score);
+                assert!(heap
+                    .score
+                    .iter()
+                    .map(|&s| u64::from(s))
+                    .eq(reference.score.iter().copied()));
             }
         }
         assert!(
@@ -596,6 +623,232 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The decision heap as it was with `u64` counters and `u128` keys:
+    /// the reference the `u64`-keyed heap must match entry for entry.
+    struct WideHeap {
+        score: Vec<u64>,
+        heap: Vec<u128>,
+        pos: Vec<u32>,
+    }
+
+    impl WideHeap {
+        fn key(score: u64, code: usize) -> u128 {
+            (u128::from(score) << 32) | u128::from(!(code as u32))
+        }
+
+        fn var_of(k: u128) -> usize {
+            !(k as u32) as usize >> 1
+        }
+
+        fn var_key(&self, v: usize) -> u128 {
+            Self::key(self.score[2 * v], 2 * v).max(Self::key(self.score[2 * v + 1], 2 * v + 1))
+        }
+
+        fn sift_up(&mut self, mut i: usize, k: u128) {
+            while i > 0 {
+                let parent = (i - 1) / 2;
+                let p = self.heap[parent];
+                if p >= k {
+                    break;
+                }
+                self.heap[i] = p;
+                self.pos[Self::var_of(p)] = i as u32;
+                i = parent;
+            }
+            self.heap[i] = k;
+            self.pos[Self::var_of(k)] = i as u32;
+        }
+
+        fn sift_down(&mut self, mut i: usize, k: u128) {
+            let n = self.heap.len();
+            loop {
+                let l = 2 * i + 1;
+                if l >= n {
+                    break;
+                }
+                let c = if l + 1 < n && self.heap[l + 1] > self.heap[l] {
+                    l + 1
+                } else {
+                    l
+                };
+                let ck = self.heap[c];
+                if ck <= k {
+                    break;
+                }
+                self.heap[i] = ck;
+                self.pos[Self::var_of(ck)] = i as u32;
+                i = c;
+            }
+            self.heap[i] = k;
+            self.pos[Self::var_of(k)] = i as u32;
+        }
+
+        fn bump(&mut self, code: usize) {
+            self.score[code] += 1;
+            let p = self.pos[code >> 1];
+            if p != NOT_IN_HEAP {
+                let k = self.heap[p as usize].max(Self::key(self.score[code], code));
+                self.sift_up(p as usize, k);
+            }
+        }
+
+        fn rebuild(&mut self, keep: &[bool]) {
+            self.heap.clear();
+            for (v, &kept) in keep.iter().enumerate() {
+                self.pos[v] = if kept {
+                    self.heap.len() as u32
+                } else {
+                    NOT_IN_HEAP
+                };
+                if kept {
+                    self.heap.push(0);
+                }
+            }
+            self.reorder();
+        }
+
+        fn reorder(&mut self) {
+            for v in 0..self.pos.len() {
+                if self.pos[v] != NOT_IN_HEAP {
+                    self.heap[self.pos[v] as usize] = self.var_key(v);
+                }
+            }
+            for i in (0..self.heap.len() / 2).rev() {
+                self.sift_down(i, self.heap[i]);
+            }
+        }
+
+        fn reinsert(&mut self, v: usize) {
+            if self.pos[v] == NOT_IN_HEAP {
+                self.heap.push(0);
+                self.sift_up(self.heap.len() - 1, self.var_key(v));
+            }
+        }
+
+        fn pop(&mut self, skip: usize) -> Option<usize> {
+            while let Some(&top) = self.heap.first() {
+                let last = self.heap.pop().expect("non-empty");
+                self.pos[Self::var_of(top)] = NOT_IN_HEAP;
+                if !self.heap.is_empty() {
+                    self.sift_down(0, last);
+                }
+                if Self::var_of(top) != skip {
+                    return Some(!(top as u32) as usize);
+                }
+            }
+            None
+        }
+    }
+
+    /// The `u64`-keyed heap holds, entry for entry, what the `u128`-keyed
+    /// one held, over 1,000 seeded schedules of bumps (in order, and runs
+    /// of unordered ones closed by a reorder), decays, rebuilds,
+    /// reinserts and pops — with counters from zero to a bump short of
+    /// `u32::MAX`, where a key's counter half is full.
+    #[test]
+    fn u64_keys_order_the_heap_as_u128_keys_did() {
+        let mut high = 0u64;
+        for schedule in 0..1000u64 {
+            let mut rng = Rng::seed_from_u64(schedule);
+            let n_vars = rng.range_usize(1..40);
+            let mut heap = Vsids::new(n_vars);
+            let mut wide = WideHeap {
+                score: vec![0; 2 * n_vars],
+                heap: (0..n_vars).map(|v| WideHeap::key(0, 2 * v)).collect(),
+                pos: (0..n_vars as u32).collect(),
+            };
+            // a floor under every counter: none, mid-range, or so high
+            // that the schedule's bumps end a few short of u32::MAX
+            let floor = match rng.range_u32(0..3) {
+                0 => 0,
+                1 => rng.range_u32(0..1 << 31),
+                _ => u32::MAX - 2_000,
+            };
+            for code in 0..2 * n_vars {
+                let s = floor + rng.range_u32(0..4);
+                heap.score[code] = s;
+                wide.score[code] = u64::from(s);
+            }
+            heap.reorder();
+            wide.reorder();
+            let mut out: Vec<usize> = Vec::new();
+            for _ in 0..8 * n_vars {
+                match rng.range_u32(0..10) {
+                    0..=2 => {
+                        let skip = rng.range_usize(0..n_vars);
+                        let got = heap.pop_best(|v| v.index() != skip);
+                        let want = wide.pop(skip).map(Lit::from_code);
+                        assert_eq!(got, want, "schedule {schedule}");
+                        out.extend(got.map(|l| l.var().index()));
+                    }
+                    3 | 4 => {
+                        let code = rng.range_usize(0..2 * n_vars);
+                        heap.bump(lit(code));
+                        wide.bump(code);
+                    }
+                    5 => {
+                        for _ in 0..rng.range_usize(1..8) {
+                            let code = rng.range_usize(0..2 * n_vars);
+                            heap.bump_unordered(lit(code));
+                            wide.score[code] += 1;
+                        }
+                        heap.reorder();
+                        wide.reorder();
+                    }
+                    6 => {
+                        if let Some(v) = out.pop() {
+                            heap.reinsert(Var(v as u32));
+                            wide.reinsert(v);
+                        }
+                    }
+                    7 => {
+                        let keep: Vec<bool> = (0..n_vars).map(|_| rng.gen_bool(0.8)).collect();
+                        heap.rebuild(|v| keep[v.index()]);
+                        wide.rebuild(&keep);
+                    }
+                    _ => {
+                        let shift = rng.range_u32(1..3);
+                        heap.decay(shift);
+                        for s in &mut wide.score {
+                            *s >>= shift;
+                        }
+                        wide.reorder();
+                    }
+                }
+                assert!(heap.check_invariants(), "schedule {schedule}");
+                assert!(heap
+                    .heap
+                    .iter()
+                    .map(|&k| u128::from(k))
+                    .eq(wide.heap.iter().copied()));
+                assert_eq!(heap.pos, wide.pos, "schedule {schedule}");
+                assert!(heap
+                    .score
+                    .iter()
+                    .map(|&s| u64::from(s))
+                    .eq(wide.score.iter().copied()));
+            }
+            high = high.max(wide.score.iter().copied().max().unwrap_or(0));
+        }
+        assert!(high > u64::from(u32::MAX) - 2_000, "highest counter {high}");
+    }
+
+    #[test]
+    #[should_panic(expected = "passed u32::MAX")]
+    fn a_counter_at_u32_max_panics_on_its_next_bump() {
+        let mut v = Vsids::new(2);
+        v.score[3] = u32::MAX;
+        v.bump(lit(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "passed u32::MAX")]
+    fn an_unordered_bump_past_u32_max_panics_too() {
+        let mut v = Vsids::new(2);
+        v.score[0] = u32::MAX;
+        v.bump_unordered(lit(0));
     }
 
     #[test]
