@@ -24,10 +24,12 @@
 //! master's cube ledger stays silent, the hierarchical peak queue
 //! depth honors its O(sites) bound, no foreign-clause merge charged
 //! a client more than a quantum plus the longest shareable clause, and
-//! no row's peak live heap exceeds its row in the checked-in
-//! `BENCH_scale.json` by more than 5 % — the memory footprint's
-//! regression gate. The ledger is read before the sweep runs, so
-//! `--check --out BENCH_scale.json` holds the new rows to the old ones.
+//! every row matches its row in the checked-in `BENCH_scale.json`: each
+//! simulated or counted column exactly, as written, and the peak live
+//! heap within 5 % above it (the memory footprint's regression gate;
+//! `wall_ms`, `alloc_calls` and `alloc_bytes_requested` are not held). The
+//! ledger is read after the sweep and before `--out` writes, so `--check
+//! --out BENCH_scale.json` holds the new rows to the old ones.
 
 use gridsat::client::ClientStats;
 use gridsat::{experiment, GridConfig, GridOutcome};
@@ -36,6 +38,7 @@ use gridsat_grid::Testbed;
 use gridsat_obs::json::{parse_object, JsonScalar};
 use gridsat_satgen as satgen;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
@@ -174,16 +177,29 @@ fn classify(label: &str) -> Traffic {
 /// where the root's queue is the bottleneck.
 const CLIENT_SPEED: f64 = 400.0;
 
-/// The checked-in ledger `--check` holds each row's peak live heap to.
+/// The checked-in ledger `--check` holds each row to.
 const LEDGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
 
 /// How far a row's peak live heap may rise above its checked-in row.
 const HEAP_SLACK: f64 = 1.05;
 
-/// A ledger's rows as `(n, mode, peak_live_heap_bytes)`: every line that
-/// holds one row object, the way [`json_row`] writes them. A ledger
-/// without one is an error, not a gate that holds nothing.
-fn ledger_heaps(json: &str) -> Result<Vec<(usize, String, u64)>, String> {
+/// The columns a rerun of the same tree may move: host time and what
+/// the allocator saw. Every other column is simulated or counted, and a
+/// row must write it exactly as its checked-in row does.
+const HOST_COLUMNS: [&str; 4] = [
+    "wall_ms",
+    "peak_live_heap_bytes",
+    "alloc_calls",
+    "alloc_bytes_requested",
+];
+
+/// One row object of a ledger, keyed by column.
+type Columns = BTreeMap<String, JsonScalar>;
+
+/// A ledger's rows as `(n, mode, peak_live_heap_bytes, columns)`: every
+/// line that holds one row object, the way [`json_row`] writes them. A
+/// ledger without one is an error, not a gate that holds nothing.
+fn ledger_rows(json: &str) -> Result<Vec<(usize, String, u64, Columns)>, String> {
     let rows: Vec<_> = json
         .lines()
         .map(|line| line.trim().trim_end_matches(','))
@@ -198,17 +214,39 @@ fn ledger_heaps(json: &str) -> Result<Vec<(usize, String, u64)>, String> {
                 Some(JsonScalar::Str(mode)) => mode.clone(),
                 _ => return Err(format!("no mode in {line}")),
             };
-            Ok((
-                num("n")? as usize,
-                mode,
-                num("peak_live_heap_bytes")? as u64,
-            ))
+            let (n, heap) = (num("n")? as usize, num("peak_live_heap_bytes")? as u64);
+            Ok((n, mode, heap, row))
         })
         .collect::<Result<_, String>>()?;
     if rows.is_empty() {
         return Err("no rows".into());
     }
     Ok(rows)
+}
+
+/// The columns outside [`HOST_COLUMNS`] whose written values differ
+/// between a swept row and its checked-in row, one `name: old -> new`
+/// each; a column only one side has differs too.
+fn moved_columns(checked_in: &Columns, swept: &Columns) -> Vec<String> {
+    let shown = |v: Option<&JsonScalar>| match v {
+        Some(JsonScalar::Num(x)) => x.to_string(),
+        Some(JsonScalar::Str(s)) => s.clone(),
+        Some(other) => format!("{other:?}"),
+        None => "missing".into(),
+    };
+    let names: BTreeSet<&String> = checked_in.keys().chain(swept.keys()).collect();
+    names
+        .into_iter()
+        .filter(|name| !HOST_COLUMNS.contains(&name.as_str()))
+        .filter(|name| checked_in.get(*name) != swept.get(*name))
+        .map(|name| {
+            format!(
+                "{name}: {} -> {}",
+                shown(checked_in.get(name)),
+                shown(swept.get(name))
+            )
+        })
+        .collect()
 }
 
 struct Row {
@@ -374,12 +412,6 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .map(|i| args.get(i + 1).expect("--out PATH").clone());
-    // read before the sweep: `--out` may be about to overwrite it
-    let ledger = check.then(|| {
-        std::fs::read_to_string(LEDGER)
-            .map_err(|e| format!("cannot read {LEDGER}: {e}"))
-            .and_then(|json| ledger_heaps(&json))
-    });
 
     // weak scaling: the instance grows with the fleet so total work
     // keeps 1000 slow clients occupied — hard UNSAT XOR chains (Table
@@ -470,6 +502,13 @@ fn main() {
     }
     json.push_str("\n}\n");
 
+    // read after the sweep, so no row's peak live heap counts it, and
+    // before the write: `--out` may be about to overwrite it
+    let ledger = check.then(|| {
+        std::fs::read_to_string(LEDGER)
+            .map_err(|e| format!("cannot read {LEDGER}: {e}"))
+            .and_then(|json| ledger_rows(&json))
+    });
     if let Some(path) = &out_path {
         std::fs::write(path, &json).expect("write BENCH_scale.json");
         println!("\nwrote {path}");
@@ -484,27 +523,36 @@ fn main() {
             Vec::new()
         });
         for row in &rows {
-            // the footprint: a row may not outgrow its checked-in row
             let checked_in = ledger
                 .iter()
-                .find(|(n, mode, _)| *n == row.n && mode == row.mode);
+                .find(|(n, mode, ..)| *n == row.n && mode == row.mode);
             match checked_in {
-                Some(&(_, _, heap))
-                    if row.peak_live_heap_bytes as f64 > heap as f64 * HEAP_SLACK =>
-                {
-                    failures.push(format!(
-                        "{} n={}: peak live heap {} bytes, over the checked-in {heap} by more than {:.0} %",
-                        row.mode,
-                        row.n,
-                        row.peak_live_heap_bytes,
-                        (HEAP_SLACK - 1.0) * 100.0
-                    ));
+                Some((_, _, heap, columns)) => {
+                    // the footprint: a row may not outgrow its checked-in row
+                    if row.peak_live_heap_bytes as f64 > *heap as f64 * HEAP_SLACK {
+                        failures.push(format!(
+                            "{} n={}: peak live heap {} bytes, over the checked-in {heap} by more than {:.0} %",
+                            row.mode,
+                            row.n,
+                            row.peak_live_heap_bytes,
+                            (HEAP_SLACK - 1.0) * 100.0
+                        ));
+                    }
+                    // what was simulated and counted: exactly the checked-in row
+                    let mut written = String::new();
+                    json_row(&mut written, row);
+                    let swept = parse_object(written.trim()).expect("json_row writes one object");
+                    for moved in moved_columns(columns, &swept) {
+                        failures.push(format!(
+                            "{} n={}: {moved} (checked-in -> swept)",
+                            row.mode, row.n
+                        ));
+                    }
                 }
-                Some(_) => {}
                 // unreadable: one failure above says so
                 None if ledger.is_empty() => {}
                 None => failures.push(format!(
-                    "{} n={}: no checked-in row in {LEDGER} to hold its peak live heap to",
+                    "{} n={}: no checked-in row in {LEDGER} to hold it to",
                     row.mode, row.n
                 )),
             }
@@ -551,7 +599,6 @@ mod tests {
     use gridsat::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
     use gridsat::wire::{EncodedBatch, SpecFrame};
     use gridsat_grid::{MessageSize, NodeId};
-    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     /// One message of every `GridMsg` variant (both label spellings
@@ -727,7 +774,7 @@ mod tests {
     #[test]
     fn the_ledger_holds_a_heap_bound_for_every_swept_row() {
         let rows =
-            ledger_heaps(include_str!("../../../../BENCH_scale.json")).expect("the ledger parses");
+            ledger_rows(include_str!("../../../../BENCH_scale.json")).expect("the ledger parses");
         for n in [12, 100, 1000] {
             for mode in ["flat", "hierarchical"] {
                 let found: Vec<_> = rows.iter().filter(|r| r.0 == n && r.1 == mode).collect();
@@ -736,12 +783,39 @@ mod tests {
             }
         }
         let row = r#"    {"n":12,"mode":"flat","sim_s":1.0},"#;
-        assert!(ledger_heaps(row)
+        assert!(ledger_rows(row)
             .unwrap_err()
             .contains("peak_live_heap_bytes"));
         assert_eq!(
-            ledger_heaps("{\n  \"rows\": [\n  ]\n}\n"),
+            ledger_rows("{\n  \"rows\": [\n  ]\n}\n").map(|rows| rows.len()),
             Err("no rows".into())
+        );
+    }
+
+    /// A swept row passes only if every simulated or counted column is
+    /// written as in its checked-in row; the host columns may move.
+    #[test]
+    fn a_row_that_moves_one_count_column_fails() {
+        let ledger = include_str!("../../../../BENCH_scale.json");
+        let (.., checked_in) = ledger_rows(ledger).expect("the ledger parses").remove(0);
+        let mut swept = checked_in.clone();
+        assert!(moved_columns(&checked_in, &swept).is_empty());
+        for host in HOST_COLUMNS {
+            swept.insert(host.into(), JsonScalar::Num(1.0));
+        }
+        assert!(moved_columns(&checked_in, &swept).is_empty());
+        let Some(JsonScalar::Num(splits)) = checked_in.get("splits") else {
+            panic!("the row counts its splits");
+        };
+        swept.insert("splits".into(), JsonScalar::Num(splits + 1.0));
+        assert_eq!(
+            moved_columns(&checked_in, &swept),
+            [format!("splits: {splits} -> {}", splits + 1.0)]
+        );
+        swept.remove("splits");
+        assert_eq!(
+            moved_columns(&checked_in, &swept),
+            [format!("splits: {splits} -> missing")]
         );
     }
 }

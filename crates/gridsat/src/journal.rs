@@ -24,7 +24,7 @@ use crate::msg::{Checkpoint, ProblemId};
 use crate::wire::{self, SpecFrame, WireError};
 use gridsat_cnf::{ClauseLits, Lit};
 use gridsat_grid::NodeId;
-use gridsat_nws::{Adaptive, Forecaster};
+use gridsat_nws::Adaptive;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;

@@ -5,15 +5,15 @@
 //! Network Weather Service" (Section 3.3). This crate rebuilds the two
 //! pieces that ranking needs:
 //!
-//! * [`forecast`] — a battery of time-series predictors with NWS's
-//!   hallmark *dynamic predictor selection* (always answer with the
+//! * [`forecast`] — one fixed battery of time-series predictors with
+//!   NWS's hallmark *dynamic predictor selection* (always answer with the
 //!   member that has the lowest accumulated error);
 //! * [`trace`] — seeded synthetic CPU-availability traces with the
 //!   AR(1)-plus-bursts shape of real shared-host load, standing in for
 //!   the live measurements NWS sensors would take on the GrADS testbed.
 //!
 //! ```
-//! use gridsat_nws::forecast::{Adaptive, Forecaster};
+//! use gridsat_nws::forecast::Adaptive;
 //! use gridsat_nws::trace::{LoadTrace, TraceConfig};
 //!
 //! let mut sensor = LoadTrace::new(TraceConfig::default(), 42);
@@ -30,7 +30,5 @@ pub mod forecast;
 mod metrics;
 pub mod trace;
 
-pub use forecast::{
-    Adaptive, ExpSmoothing, Forecaster, LastValue, RunningMean, SlidingMean, SlidingMedian,
-};
+pub use forecast::Adaptive;
 pub use trace::{LoadTrace, TraceConfig};

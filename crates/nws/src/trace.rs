@@ -237,8 +237,7 @@ mod diurnal_tests {
         use crate::metrics::evaluate;
         let mut t = LoadTrace::new(TraceConfig::diurnal(0.85, 0.4), 3);
         let xs = t.take(4000);
-        let mut fc = Adaptive::standard();
-        let acc = evaluate(&mut fc, &xs);
+        let acc = evaluate(&xs, Adaptive::predict);
         // tracking predictors keep MAE well under the swing amplitude
         assert!(acc.mae < 0.2, "mae {}", acc.mae);
     }
