@@ -144,7 +144,7 @@ impl Lit {
 
     /// Rebuild a literal from its dense code.
     #[inline]
-    pub fn from_code(code: usize) -> Lit {
+    pub const fn from_code(code: usize) -> Lit {
         Lit(code as u32)
     }
 

@@ -1109,11 +1109,97 @@ pub(crate) fn tree_children(slot: usize) -> std::ops::Range<usize> {
     SHARE_TREE_FANOUT * slot + 1..SHARE_TREE_FANOUT * (slot + 1) + 1
 }
 
+/// The roster: each registered client's row at its node id's index,
+/// `None` where no registered client has that id. The engine numbers its
+/// nodes densely from 0, so the table is sized once to the hosts the
+/// master knows at boot and grows only for an id past them. Iteration is
+/// in ascending node id. Equality compares occupied rows only.
+#[derive(Debug, Default)]
+pub(crate) struct Roster {
+    rows: Vec<Option<ClientInfo>>,
+    len: usize,
+}
+
+impl Roster {
+    /// A table with a slot for every id up to `last`, none occupied.
+    fn up_to(last: Option<NodeId>) -> Roster {
+        let slots = last.map_or(0, |id| id.0 as usize + 1);
+        Roster {
+            rows: (0..slots).map(|_| None).collect(),
+            len: 0,
+        }
+    }
+
+    pub(crate) fn get(&self, id: &NodeId) -> Option<&ClientInfo> {
+        self.rows.get(id.0 as usize)?.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, id: &NodeId) -> Option<&mut ClientInfo> {
+        self.rows.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    pub(crate) fn contains_key(&self, id: &NodeId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Put `info` in `id`'s row; returns the row it replaced.
+    pub(crate) fn insert(&mut self, id: NodeId, info: ClientInfo) -> Option<ClientInfo> {
+        let i = id.0 as usize;
+        if i >= self.rows.len() {
+            self.rows.resize_with(i + 1, || None);
+        }
+        let old = self.rows[i].replace(info);
+        self.len += usize::from(old.is_none());
+        old
+    }
+
+    pub(crate) fn remove(&mut self, id: &NodeId) -> Option<ClientInfo> {
+        let old = self.rows.get_mut(id.0 as usize)?.take();
+        self.len -= usize::from(old.is_some());
+        old
+    }
+
+    /// How many rows are occupied.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The occupied rows, ascending by node id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &ClientInfo)> + '_ {
+        let rows = self.rows.iter().enumerate();
+        rows.filter_map(|(i, row)| Some((NodeId(i as u32), row.as_ref()?)))
+    }
+
+    pub(crate) fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.iter().map(|(id, _)| id)
+    }
+
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut ClientInfo> {
+        self.rows.iter_mut().flatten()
+    }
+}
+
+impl std::ops::Index<&NodeId> for Roster {
+    type Output = ClientInfo;
+
+    fn index(&self, id: &NodeId) -> &ClientInfo {
+        self.get(id)
+            .unwrap_or_else(|| panic!("no roster row for {id:?}"))
+    }
+}
+
+impl PartialEq for Roster {
+    fn eq(&self, other: &Roster) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
 /// The journaled scheduling state: a deterministic fold over
 /// [`JournalRecord`]s.
 #[derive(Debug, Default)]
 pub(crate) struct MasterCore {
-    pub(crate) clients: BTreeMap<NodeId, ClientInfo>,
+    /// One row per registered client, by node id.
+    pub(crate) clients: Roster,
     pub(crate) backlog: VecDeque<NodeId>,
     /// requester -> (peer, kind, the requester's cube) for in-flight
     /// grants.
@@ -1189,6 +1275,7 @@ impl MasterCore {
     /// An empty core whose idle index knows each host's site.
     pub(crate) fn new(hosts: Hosts) -> MasterCore {
         MasterCore {
+            clients: Roster::up_to(hosts.keys().next_back().copied()),
             idle: IdleIndex::new(hosts),
             ..MasterCore::default()
         }
@@ -1308,7 +1395,7 @@ impl MasterCore {
             self.set_state(h, ClientState::Idle);
         }
         debug_assert!(
-            !(self.clients.iter()).any(|(&n, i)| names(i) && away(n)),
+            !(self.clients.iter()).any(|(n, i)| names(i) && away(n)),
             "a row names {cube:?}, which the ledger has {to:?}"
         );
     }
@@ -1821,6 +1908,34 @@ mod tests {
             core.apply(rec.clone(), f, cfg);
         }
         core
+    }
+
+    /// Roster rows come out ascending by node id whatever order they
+    /// went in, an id past the table grows it, and two rosters with the
+    /// same rows are equal however long their tables are.
+    #[test]
+    fn the_roster_iterates_ascending_and_compares_occupied_rows() {
+        let row = |id: u32| ClientInfo::launched(id as usize, 1.0, 1.0, 0.0);
+        let mut a = Roster::up_to(Some(NodeId(4)));
+        let mut b = Roster::default();
+        for id in [3, 9, 1, 4, 7] {
+            assert!(a.insert(NodeId(id), row(id)).is_none());
+            assert!(b.insert(NodeId(id), row(id)).is_none());
+        }
+        assert!(a.insert(NodeId(4), row(4)).is_some(), "a replaced row");
+        assert_eq!(a.keys().map(|id| id.0).collect::<Vec<_>>(), [1, 3, 4, 7, 9]);
+        assert!(a.iter().all(|(id, info)| info.memory == id.0 as usize));
+        assert_eq!(a.len(), 5);
+        assert_eq!(a, b);
+        assert!(a.remove(&NodeId(9)).is_some() && a.remove(&NodeId(9)).is_none());
+        assert!(a.remove(&NodeId(200)).is_none());
+        assert_ne!(a, b);
+        assert!(b.remove(&NodeId(9)).is_some());
+        assert_eq!(a, b);
+        assert_eq!((a.len(), a.contains_key(&NodeId(9))), (4, false));
+        a.get_mut(&NodeId(7)).unwrap().problem_since = 8.0;
+        assert_eq!(a[&NodeId(7)].problem_since, 8.0);
+        assert_ne!(a, b);
     }
 
     #[test]

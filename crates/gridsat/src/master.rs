@@ -30,7 +30,7 @@ use crate::config::{
 use crate::idle::{Hosts, REMOTE_DISCOUNT};
 use crate::journal::{
     tree_children, tree_parent, ClientInfo, ClientState, CubeState, JournalRecord, MasterCore,
-    MasterJournal, RecoverySpec,
+    MasterJournal, RecoverySpec, Roster,
 };
 use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
@@ -302,20 +302,17 @@ type Frames = Vec<(SpecFrame, Option<ProblemId>)>;
 
 /// The idle clients a grant may go to, ascending by node id: the walk
 /// over the whole roster that the core's idle index replaced.
-fn idle_clients(
-    clients: &BTreeMap<NodeId, ClientInfo>,
-    exclude: NodeId,
-) -> impl Iterator<Item = (&NodeId, &ClientInfo)> {
+fn idle_clients(clients: &Roster, exclude: NodeId) -> impl Iterator<Item = (NodeId, &ClientInfo)> {
     clients
         .iter()
-        .filter(move |(id, c)| **id != exclude && matches!(c.state(), ClientState::Idle))
+        .filter(move |(id, c)| *id != exclude && matches!(c.state(), ClientState::Idle))
 }
 
 /// What [`Master::pick_idle`] picks, found by walking the whole roster:
 /// the reference model the idle index is checked against, called only by
 /// that function's `debug_assert` and the tests.
 fn pick_by_walk(
-    clients: &BTreeMap<NodeId, ClientInfo>,
+    clients: &Roster,
     host_info: &Hosts,
     exclude: NodeId,
     near: Option<Site>,
@@ -329,7 +326,7 @@ fn pick_by_walk(
             // deterministic ties: lower id
             score(a, ia).total_cmp(&score(b, ib)).then(b.cmp(a))
         })
-        .map(|(id, _)| *id)
+        .map(|(id, _)| id)
 }
 
 impl Master {
@@ -405,7 +402,7 @@ impl Master {
         // colliding with them, and with an earlier master's on this node.
         m.replay(journal, now);
         m.minted = m.core.cubes.last_minted(me).max(1 << 31);
-        let mut survivors: BTreeSet<NodeId> = m.core.clients.keys().copied().collect();
+        let mut survivors: BTreeSet<NodeId> = m.core.clients.keys().collect();
         survivors.remove(&me);
         m.resync(survivors, PROMOTE_GRACE_S, ctx);
         let (mut held, _) = m.held_frames(me);
@@ -619,7 +616,8 @@ impl Master {
     /// The longest-running client with a backlogged request ("the master
     /// splits clients which have been running the longest"); the earlier
     /// entry wins a tie. Every entry is a Busy row: the fold drops it as
-    /// the row changes.
+    /// the row changes. One pass over the backlog, each entry's start read
+    /// from its roster row by index.
     fn oldest_backlogged(&self) -> Option<NodeId> {
         let since = |id: &NodeId| self.core.clients[id].problem_since;
         (self.core.backlog.iter())
@@ -828,8 +826,9 @@ impl Master {
         // enough on its subproblem that moving it is worth the transfer
         let min_age = (2.0 * self.config.min_split_timeout).max(200.0);
         let mut weakest: Option<(NodeId, f64)> = None;
-        for (id, c) in &self.core.clients {
-            if !matches!(c.state(), ClientState::Busy { .. }) || self.core.grants.contains_key(id) {
+        for (id, c) in self.core.clients.iter() {
+            if !matches!(c.state(), ClientState::Busy { .. }) || self.core.grants.contains_key(&id)
+            {
                 continue;
             }
             if ctx.now() - c.problem_since < min_age {
@@ -837,7 +836,7 @@ impl Master {
             }
             let r = c.rank();
             if weakest.map(|(_, wr)| r < wr).unwrap_or(true) {
-                weakest = Some((*id, r));
+                weakest = Some((id, r));
             }
         }
         let Some((weak_id, weak_rank)) = weakest else {
@@ -892,7 +891,7 @@ impl Master {
         self.obs
             .emit(ctx.now(), node, || Event::Outcome { outcome: cell });
         self.outcome = Some(outcome);
-        for id in self.core.clients.keys().copied().collect::<Vec<_>>() {
+        for id in self.core.clients.keys().collect::<Vec<_>>() {
             ctx.send(id, GridMsg::Terminate);
         }
         ctx.shutdown();
@@ -939,9 +938,9 @@ impl Master {
     /// every other — and every change tells everybody the whole list.
     fn relink(&mut self, changed: &[usize], ctx: &mut Ctx<GridMsg>) {
         let nodes = if self.config.share_round_s.is_none() {
-            // built once, ascending by node id (map order); the messages
+            // built once, ascending by node id (roster order); the messages
             // share it by refcount
-            let down: Arc<[NodeId]> = self.core.clients.keys().copied().collect();
+            let down: Arc<[NodeId]> = self.core.clients.keys().collect();
             for &id in down.iter() {
                 let down = Arc::clone(&down);
                 ctx.send(id, GridMsg::Peers { up: None, down });
@@ -1106,7 +1105,7 @@ impl Master {
             .clients
             .iter()
             .filter(|(_, c)| now - c.last_seen > lease)
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
             .collect();
         for id in expired {
             self.stats.lease_expiries += 1;

@@ -1372,7 +1372,7 @@ fn master_restart_replays_its_journal() {
         .collect();
     assert_eq!(replays, [(50.0, m.journal.len())]);
     // every lease restarts: heartbeats could not reach a dead master
-    assert!(m.core.clients.values().all(|c| c.last_seen == 50.0));
+    assert!(m.core.clients.iter().all(|(_, c)| c.last_seen == 50.0));
 }
 
 #[test]
@@ -1696,7 +1696,7 @@ fn promoted_standby_resumes_from_shipped_records() {
     )));
     // the replay restarted every survivor's lease at the promotion
     // instant, and a promoted master has no standby of its own
-    assert!(p.core.clients.values().all(|c| c.last_seen == 60.0));
+    assert!(p.core.clients.iter().all(|(_, c)| c.last_seen == 60.0));
     assert!(p.standby.is_none());
 }
 
@@ -1750,7 +1750,7 @@ fn assert_rows_follow_the_ledger(m: &Master, case: &str) {
             "{case}: backlogged {id} is {state:?}, granted {granted}"
         );
     }
-    for (&id, info) in &m.core.clients {
+    for (id, info) in m.core.clients.iter() {
         let Some(cube) = info.cube() else { continue };
         let state = m.core.cubes.state(cube);
         let here = match state {
@@ -1786,7 +1786,7 @@ fn randomized_schedules_replay_to_the_live_state() {
         for step in 0..40 {
             t += 0.5; // stays far under the 30 s lease
             let node = NodeId(1 + (xs(&mut seed) % 6) as u32);
-            known.extend(m.core.clients.values().filter_map(|c| c.cube()));
+            known.extend(m.core.clients.iter().filter_map(|(_, c)| c.cube()));
             known.sort_unstable();
             known.dedup();
             match xs(&mut seed) % 9 {
@@ -2122,7 +2122,6 @@ fn state_of(m: &Master, id: u32) -> &'static str {
 fn clients_in(m: &Master, state: &str) -> Vec<NodeId> {
     (m.core.clients.keys())
         .filter(|id| state_of(m, id.0) == state)
-        .copied()
         .collect()
 }
 
@@ -2182,7 +2181,7 @@ fn idle_index_agrees_with_the_roster_walk() {
             let mut cx = ctx(t);
             let idle = clients_in(&m, "idle");
             let busy = clients_in(&m, "busy");
-            let registered: Vec<NodeId> = m.core.clients.keys().copied().collect();
+            let registered: Vec<NodeId> = m.core.clients.keys().collect();
             let granted: Vec<NodeId> = m.core.grants.keys().copied().collect();
             let problem = |minted: u32| ProblemId::new(NodeId(0), minted);
             match rng.range_usize(0..12) {
@@ -2315,7 +2314,7 @@ fn idle_index_agrees_with_the_roster_walk() {
             assert!(m.outcome().is_none(), "{case}");
 
             let idle: Vec<(NodeId, f64)> = idle_clients(&m.core.clients, NodeId(u32::MAX))
-                .map(|(id, c)| (*id, c.rank()))
+                .map(|(id, c)| (id, c.rank()))
                 .collect();
             assert_eq!(m.core.idle.len(), idle.len(), "{case}");
             let busy = m.core.clients.len() - idle.len();

@@ -80,10 +80,19 @@ impl ClauseRef {
     /// fictitious antecedent "clause 0".
     pub const DECISION: ClauseRef = ClauseRef(u32::MAX - 1);
 
+    /// Sentinel: an empty watch-list slot (`watch.rs`). The value of
+    /// [`ClauseRef::NONE`], named for the role.
+    pub(crate) const VACANT: ClauseRef = ClauseRef::NONE;
+
+    /// Sentinel: slot 0 of a watch list whose watches live in a heap
+    /// block (`watch.rs`). The lowest sentinel: `ClauseDb::insert` keeps
+    /// every real reference below it.
+    pub(crate) const SPILLED: ClauseRef = ClauseRef(u32::MAX - 2);
+
     /// `true` for real clause references (not a sentinel).
     #[inline]
     pub fn is_real(self) -> bool {
-        self.0 < u32::MAX - 1
+        self.0 < ClauseRef::SPILLED.0
     }
 }
 
@@ -211,7 +220,7 @@ impl ClauseDb {
         let prefix = if learned { LEARNED_WORDS } else { 0 };
         let words = prefix + HEADER_WORDS + lits.len();
         assert!(
-            self.arena.len() + words < (u32::MAX - 1) as usize,
+            self.arena.len() + words <= ClauseRef::SPILLED.0 as usize,
             "clause arena exceeds u32 offsets"
         );
         self.bytes += Self::clause_bytes(lits.len());
@@ -650,8 +659,12 @@ mod tests {
     fn sentinels() {
         assert!(!ClauseRef::NONE.is_real());
         assert!(!ClauseRef::DECISION.is_real());
+        assert!(!ClauseRef::VACANT.is_real());
+        assert!(!ClauseRef::SPILLED.is_real());
         assert!(ClauseRef(0).is_real());
+        assert!(ClauseRef(ClauseRef::SPILLED.0 - 1).is_real());
         assert_ne!(ClauseRef::NONE, ClauseRef::DECISION);
+        assert_ne!(ClauseRef::SPILLED, ClauseRef::DECISION);
     }
 
     #[test]

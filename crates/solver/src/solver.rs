@@ -38,8 +38,13 @@
 //!
 //! # Watch lists
 //!
-//! Each literal has one `WatchList` (see `watch.rs`): two watches inline
-//! in its 24-byte header, a heap block from the third on. A cube's solver
+//! Each literal has one `WatchList` (see `watch.rs`), 16 bytes: either two
+//! watch slots, an empty one marked by the sentinel cref
+//! `ClauseRef::VACANT`, or the sentinel `ClauseRef::SPILLED` and a
+//! pointer to a heap block `[len, cap, watches…]` from the third watch on.
+//! No real clause reference reaches a sentinel (`ClauseDb::insert`
+//! asserts it, and the list's writers assert each stored cref), so a
+//! stored watch never reads as one. A cube's solver
 //! averages under two watches per literal, so most of its lists never
 //! allocate. Because a short list's slots live inside the vector of
 //! lists itself, `propagate` reaches both the walked list and the list a
@@ -808,10 +813,7 @@ impl Solver {
             // memory safety rests on this index: a real check, once a literal
             assert!(code < self.watches.len(), "{false_lit} has no watch list");
             // SAFETY: `code` indexes `watches`; the borrow ends here
-            let (ws, n) = unsafe {
-                let list = &mut *lists.add(code);
-                (list.as_mut_ptr(), list.len())
-            };
+            let (ws, n) = unsafe { (*lists.add(code)).as_mut_parts() };
             let mut i = 0;
             let mut j = 0;
             let mut visited = n;
@@ -820,7 +822,9 @@ impl Solver {
             // `watches[code]`, `n` its length, and `j <= i <= n`
             // throughout. Those slots are the list's heap block, or, while
             // it holds two watches or fewer, the list's own header inside
-            // `watches`' buffer. Either way they stay put and stay ours
+            // `watches`' buffer, where every slot written below takes a
+            // real cref, so the list's length still reads `n` until the
+            // closing `truncate`. Either way they stay put and stay ours
             // while they are walked: the only list operation inside the
             // loop is the relocation push, and it goes to another list —
             // asserted there, and true because a clause never holds a
@@ -1199,9 +1203,7 @@ impl Solver {
         let freed_words = self.db.garbage_words();
         let map = self.db.collect();
         for ws in &mut self.watches {
-            for w in ws.iter_mut() {
-                w.cref = map.remap(w.cref);
-            }
+            ws.remap(|cref| map.remap(cref));
         }
         for i in 0..self.trail.len() {
             let v = self.trail[i].var().index();
@@ -2257,17 +2259,17 @@ mod tests {
             + s.vsids.heap_bytes()
     }
 
-    /// What a fresh solver takes per variable: two 24-byte watch-list
+    /// What a fresh solver takes per variable: two 16-byte watch-list
     /// headers, the assignment, level, antecedent, level-0 flag, trail
     /// slot and analysis flag, two `u32` VSIDS counters, a `u64` heap key
-    /// and a heap position — 83 bytes. The LBD stamps are per decision
+    /// and a heap position — 67 bytes. The LBD stamps are per decision
     /// level reached, and none is reached yet. A change that grows either
     /// must change this pin on purpose.
     #[test]
-    fn a_fresh_solver_takes_83_bytes_per_variable() {
+    fn a_fresh_solver_takes_67_bytes_per_variable() {
         for n in [1usize, 54, 1000] {
             let s = Solver::from_parts(n, std::iter::empty(), &[], SolverConfig::default());
-            assert_eq!(per_var_bytes(&s), 83 * n, "{n} variables");
+            assert_eq!(per_var_bytes(&s), 67 * n, "{n} variables");
             assert_eq!(s.lbd_stamp.capacity(), 0);
         }
     }

@@ -1,30 +1,46 @@
-//! Watch lists: one per literal, each holding up to two watches in its
-//! own 24-byte header and spilling to one heap block from the third on.
+//! Watch lists: one per literal, each a 16-byte header that holds up to
+//! two watches itself and points to one heap block from the third on.
 //!
 //! A cube's solver has about two watches per literal, so a `Vec` per
-//! literal would spend one heap block on each list for 16 bytes of
-//! watches. A [`WatchList`] is the size of that `Vec`: its first two
-//! watches sit where the `Vec` kept its pointer and capacity. From the
-//! third watch on it takes one heap block of 4 watches, doubled as it
-//! fills like a `Vec`'s, so a long list allocates exactly what a `Vec`
-//! would. The block is freed only when the list is dropped; truncating
-//! to 0 keeps it.
+//! literal would spend a 24-byte header and a heap block on each list for
+//! 16 bytes of watches. A [`WatchList`] is those 16 bytes, in one of two
+//! forms:
 //!
-//! A list derefs to `[Watch]`. Its slots are inline *in the list value
-//! itself* until it spills, so a pointer to them is a pointer into the
-//! outer vector of lists: `Solver::propagate` derives the walked list's
-//! slots and the relocation target from one base pointer into that
-//! vector and never re-borrows it whole while it walks.
+//! - *inline*: two watch slots. An empty slot's cref is
+//!   [`ClauseRef::VACANT`] and the filled slots come first, so the
+//!   length is read from which slots are filled.
+//! - *spilled*: slot 0's cref is [`ClauseRef::SPILLED`], and the last 8
+//!   bytes point to a heap block `[len u32, cap u32, watches…]`. The
+//!   first block holds 4 watches (40 bytes) and doubles as it fills, like
+//!   a `Vec`'s. It is freed only when the list is dropped; truncating to
+//!   0 keeps it.
+//!
+//! The sentinel rule: a stored watch's cref is a real clause reference,
+//! so a filled slot never reads as empty or spilled. `ClauseDb::insert`
+//! keeps every real reference below both sentinels, and the list's
+//! memory safety rests on the rule, so the two safe ways to store a cref,
+//! [`WatchList::push`] and [`WatchList::remap`], assert it. The BCP
+//! walk's in-place compaction writes through raw parts
+//! ([`WatchList::as_mut_parts`]) and moves only stored watches, and it
+//! ends in [`WatchList::truncate`], which re-marks the inline slots it
+//! frees.
+//!
+//! A list derefs to `[Watch]` for reading only. Its slots are inline *in
+//! the list value itself* until it spills, so a pointer to them is a
+//! pointer into the outer vector of lists: `Solver::propagate` derives
+//! the walked list's slots and the relocation target from one base
+//! pointer into that vector and never re-borrows it whole while it walks.
 
 use crate::clausedb::ClauseRef;
 use gridsat_cnf::Lit;
 use std::alloc::{self, Layout};
-use std::mem::MaybeUninit;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::ptr::NonNull;
 
 /// One watch of a clause on a literal: the clause, and another of its
-/// literals whose truth satisfies it without a visit.
+/// literals whose truth satisfies it without a visit. `repr(C)`: the
+/// cref is a list's first word, where a spilled list keeps its mark.
+#[repr(C)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Watch {
     pub(crate) cref: ClauseRef,
@@ -32,137 +48,245 @@ pub(crate) struct Watch {
 }
 
 /// Watches kept in the header before the list takes a heap block.
-const INLINE: u32 = 2;
+const INLINE: usize = 2;
 
 /// The first heap block's capacity: a `Vec<Watch>`'s first.
 const FIRST_BLOCK: u32 = 4;
 
+/// An empty inline slot.
+const EMPTY: Watch = Watch {
+    cref: ClauseRef::VACANT,
+    blocker: Lit::from_code(0),
+};
+
 /// A literal's watch list. See the module docs.
-pub(crate) struct WatchList {
+pub(crate) struct WatchList(Repr);
+
+#[repr(C)]
+union Repr {
+    inline: [Watch; INLINE],
+    spilled: Spilled,
+}
+
+/// The spilled form. `mark` overlays slot 0's cref.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct Spilled {
+    mark: ClauseRef,
+    unused: u32,
+    block: NonNull<Block>,
+}
+
+/// The head of a spilled list's heap block; `cap` watch slots follow it.
+#[repr(C)]
+struct Block {
     len: u32,
-    /// `INLINE` while the watches sit in `slots.inline`, the heap
-    /// block's capacity (at least `FIRST_BLOCK`) once spilled.
     cap: u32,
-    slots: Slots,
 }
 
-union Slots {
-    inline: [MaybeUninit<Watch>; INLINE as usize],
-    heap: NonNull<Watch>,
-}
-
-// SAFETY: `len` and `cap` are integers, and `slots` holds either `Watch`es
-// (plain `Copy` data) or the pointer to a heap block of them that this
-// list alone owns, reads, writes and frees. Moving the list moves that
-// sole ownership; no other value reaches the block.
+// SAFETY: a list holds either `Watch`es (plain `Copy` data) or the
+// pointer to a heap block of them that this list alone owns, reads,
+// writes and frees. Moving the list moves that sole ownership; no other
+// value reaches the block.
 unsafe impl Send for WatchList {}
 
 impl WatchList {
     pub(crate) const fn new() -> WatchList {
-        WatchList {
-            len: 0,
-            cap: INLINE,
-            slots: Slots {
-                inline: [MaybeUninit::uninit(); INLINE as usize],
-            },
-        }
+        WatchList(Repr {
+            inline: [EMPTY; INLINE],
+        })
     }
 
     fn spilled(&self) -> bool {
-        self.cap != INLINE
+        // SAFETY: both forms are `repr(C)` and start with a `ClauseRef`,
+        // written in either, so slot 0's cref is a spilled list's mark
+        unsafe { self.0.inline[0].cref == ClauseRef::SPILLED }
     }
 
-    /// The first slot: in the header until the list spills, in its heap
-    /// block after.
-    pub(crate) fn as_ptr(&self) -> *const Watch {
+    /// A spilled list's block; only called once `spilled()` holds.
+    fn block(&self) -> *mut Block {
+        debug_assert!(self.spilled());
+        // SAFETY: a spilled list's `spilled` form is the one written
+        unsafe { self.0.spilled.block.as_ptr() }
+    }
+
+    /// The first of a block's watch slots: `layout` puts them right after
+    /// its head (`Block` and `Watch` are both 4-aligned, 8 bytes).
+    fn block_slots(block: *mut Block) -> *mut Watch {
+        block.wrapping_add(1).cast()
+    }
+
+    /// How many watches the list holds.
+    pub(crate) fn len(&self) -> usize {
         if self.spilled() {
-            // SAFETY: a spilled list's `slots` holds its heap block
-            unsafe { self.slots.heap.as_ptr() }
+            // SAFETY: a spilled list's block is live and ours
+            unsafe { (*self.block()).len as usize }
         } else {
-            // SAFETY: reading a union field's address reads no value
-            unsafe { self.slots.inline.as_ptr().cast() }
+            // SAFETY: an inline list's `inline` form is the one written
+            let inline = unsafe { &self.0.inline };
+            inline
+                .iter()
+                .filter(|w| w.cref != ClauseRef::VACANT)
+                .count()
         }
     }
 
-    /// [`WatchList::as_ptr`], for writing.
-    pub(crate) fn as_mut_ptr(&mut self) -> *mut Watch {
-        if self.spilled() {
-            // SAFETY: a spilled list's `slots` holds its heap block
-            unsafe { self.slots.heap.as_ptr() }
+    /// The first slot and the length: the walked list's raw parts, read
+    /// once per trail literal by `Solver::propagate`. The slots are in the
+    /// header until the list spills, in its heap block after. A write
+    /// through them must store a real cref (the module docs' sentinel
+    /// rule).
+    pub(crate) fn as_mut_parts(&mut self) -> (*mut Watch, usize) {
+        let len = self.len();
+        let first = if self.spilled() {
+            Self::block_slots(self.block())
         } else {
-            // SAFETY: as in `as_ptr`
-            unsafe { self.slots.inline.as_mut_ptr().cast() }
-        }
+            // SAFETY: taking a union field's address reads no value
+            unsafe { self.0.inline.as_mut_ptr() }
+        };
+        (first, len)
     }
 
     pub(crate) fn push(&mut self, w: Watch) {
-        if self.len == self.cap {
-            self.grow();
+        // one never-taken compare; a sentinel would change the list's form
+        assert!(w.cref.is_real(), "a watch on sentinel {:?}", w.cref);
+        if !self.spilled() {
+            // SAFETY: an inline list's `inline` form is the one written
+            let inline = unsafe { &mut self.0.inline };
+            match inline.iter_mut().find(|s| s.cref == ClauseRef::VACANT) {
+                Some(slot) => *slot = w,
+                None => self.spill(w),
+            }
+            return;
         }
-        // SAFETY: `len < cap` slots are allocated
-        unsafe { self.as_mut_ptr().add(self.len as usize).write(w) };
-        self.len += 1;
+        let mut block = self.block();
+        // SAFETY: the block is live and ours; `grow` makes `len < cap`
+        unsafe {
+            if (*block).len == (*block).cap {
+                block = self.grow();
+            }
+            let len = (*block).len;
+            Self::block_slots(block).add(len as usize).write(w);
+            (*block).len = len + 1;
+        }
     }
 
     /// Keep the first `n` watches (all of them if there are fewer).
     pub(crate) fn truncate(&mut self, n: usize) {
-        if n < self.len as usize {
-            self.len = n as u32;
+        if self.spilled() {
+            let block = self.block();
+            // SAFETY: the block is live and ours
+            unsafe { (*block).len = (*block).len.min(n as u32) };
+        } else {
+            // SAFETY: an inline list's `inline` form is the one written
+            let inline = unsafe { &mut self.0.inline };
+            for slot in inline.iter_mut().skip(n) {
+                slot.cref = ClauseRef::VACANT;
+            }
         }
     }
 
     /// Move the last watch into slot `i` and drop what was there: the
     /// order `Vec::swap_remove` leaves.
     pub(crate) fn swap_remove(&mut self, i: usize) {
-        let last = self.len as usize - 1;
-        self.swap(i, last);
-        self.len -= 1;
+        let (first, len) = self.as_mut_parts();
+        assert!(i < len, "swap_remove index {i} of a list of {len}");
+        // SAFETY: `i` and `len - 1` are slots holding watches
+        unsafe { *first.add(i) = *first.add(len - 1) };
+        self.truncate(len - 1);
     }
 
-    /// Double the capacity: the inline slots move to a first block of
-    /// `FIRST_BLOCK`, a block to one twice its size.
+    /// Rewrite every watch's cref through `f`: the GC's remap.
+    pub(crate) fn remap(&mut self, mut f: impl FnMut(ClauseRef) -> ClauseRef) {
+        let (first, len) = self.as_mut_parts();
+        // SAFETY: the first `len` slots hold written watches, and the list
+        // is borrowed mutably for as long as the slice lives
+        for w in unsafe { std::slice::from_raw_parts_mut(first, len) } {
+            let cref = f(w.cref);
+            assert!(cref.is_real(), "a watch remapped to sentinel {cref:?}");
+            w.cref = cref;
+        }
+    }
+
+    /// Move two full inline slots and `w` to a first block of
+    /// `FIRST_BLOCK`.
     #[cold]
-    fn grow(&mut self) {
-        let cap = if self.spilled() {
-            self.cap
-                .checked_mul(2)
-                .expect("watch list capacity overflows a u32")
-        } else {
-            FIRST_BLOCK
-        };
-        let layout = Self::layout(cap);
-        // SAFETY: `layout` is non-zero; a spilled block was allocated with
-        // `layout(self.cap)`, and the inline slots hold `len` watches
-        let block = unsafe {
-            if self.spilled() {
-                let old = self.slots.heap.as_ptr().cast();
-                alloc::realloc(old, Self::layout(self.cap), layout.size())
-            } else {
-                let block = alloc::alloc(layout);
-                if !block.is_null() {
-                    let inline: *const Watch = self.slots.inline.as_ptr().cast();
-                    inline.copy_to_nonoverlapping(block.cast(), self.len as usize);
-                }
-                block
-            }
-        };
-        let Some(block) = NonNull::new(block.cast::<Watch>()) else {
+    fn spill(&mut self, w: Watch) {
+        let layout = Self::layout(FIRST_BLOCK);
+        // SAFETY: `layout` is non-zero
+        let Some(block) = NonNull::new(unsafe { alloc::alloc(layout) }.cast::<Block>()) else {
             alloc::handle_alloc_error(layout)
         };
-        self.slots.heap = block;
-        self.cap = cap;
+        // SAFETY: the block has room for its head and `FIRST_BLOCK > 3`
+        // watches; the inline form is the one written, both slots full
+        unsafe {
+            block.write(Block {
+                len: INLINE as u32 + 1,
+                cap: FIRST_BLOCK,
+            });
+            let slots = Self::block_slots(block.as_ptr());
+            slots.copy_from_nonoverlapping(self.0.inline.as_ptr(), INLINE);
+            slots.add(INLINE).write(w);
+        }
+        self.0 = Repr {
+            spilled: Spilled {
+                mark: ClauseRef::SPILLED,
+                unused: 0,
+                block,
+            },
+        };
     }
 
+    /// Double a full block's capacity; returns the (moved) block.
+    #[cold]
+    fn grow(&mut self) -> *mut Block {
+        let old = self.block();
+        // SAFETY: the block is live and ours
+        let cap = unsafe { (*old).cap };
+        let new_cap = cap
+            .checked_mul(2)
+            .expect("watch list capacity overflows a u32");
+        let layout = Self::layout(new_cap);
+        // SAFETY: the block was allocated with `layout(cap)`; `layout` is
+        // non-zero
+        let grown = unsafe { alloc::realloc(old.cast(), Self::layout(cap), layout.size()) };
+        let Some(block) = NonNull::new(grown.cast::<Block>()) else {
+            alloc::handle_alloc_error(layout)
+        };
+        // SAFETY: `realloc` kept the head; the spilled form is the one
+        // written
+        unsafe {
+            (*block.as_ptr()).cap = new_cap;
+            self.0.spilled.block = block;
+        }
+        block.as_ptr()
+    }
+
+    /// A block of `cap` watches: its head, then the slots.
     fn layout(cap: u32) -> Layout {
-        Layout::array::<Watch>(cap as usize).expect("watch list block fits the address space")
+        let slots = Layout::array::<Watch>(cap as usize);
+        let block = slots.and_then(|slots| Layout::new::<Block>().extend(slots));
+        block.expect("watch list block fits the address space").0
+    }
+
+    /// Watches the list holds without allocating more.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        if self.spilled() {
+            // SAFETY: the block is live and ours
+            unsafe { (*self.block()).cap as usize }
+        } else {
+            INLINE
+        }
     }
 }
 
 impl Drop for WatchList {
     fn drop(&mut self) {
         if self.spilled() {
-            // SAFETY: the block was allocated with `layout(self.cap)`
-            unsafe { alloc::dealloc(self.slots.heap.as_ptr().cast(), Self::layout(self.cap)) };
+            let block = self.block();
+            // SAFETY: the block was allocated with `layout(cap)`
+            unsafe { alloc::dealloc(block.cast(), Self::layout((*block).cap)) };
         }
     }
 }
@@ -171,15 +295,14 @@ impl Deref for WatchList {
     type Target = [Watch];
 
     fn deref(&self) -> &[Watch] {
+        let first = if self.spilled() {
+            Self::block_slots(self.block()).cast_const()
+        } else {
+            // SAFETY: taking a union field's address reads no value
+            unsafe { self.0.inline.as_ptr() }
+        };
         // SAFETY: the first `len` slots hold written watches
-        unsafe { std::slice::from_raw_parts(self.as_ptr(), self.len as usize) }
-    }
-}
-
-impl DerefMut for WatchList {
-    fn deref_mut(&mut self) -> &mut [Watch] {
-        // SAFETY: as in `deref`
-        unsafe { std::slice::from_raw_parts_mut(self.as_mut_ptr(), self.len as usize) }
+        unsafe { std::slice::from_raw_parts(first, self.len()) }
     }
 }
 
@@ -188,83 +311,135 @@ mod tests {
     use super::*;
     use gridsat_cnf::rng::Rng;
 
+    /// A real clause reference: below every sentinel.
+    fn cref(rng: &mut Rng) -> ClauseRef {
+        ClauseRef(rng.range_u32(0..ClauseRef::SPILLED.0))
+    }
+
     fn watch(rng: &mut Rng) -> Watch {
         Watch {
-            cref: ClauseRef(rng.next_u32()),
+            cref: cref(rng),
             blocker: Lit::from_code(rng.range_usize(0..1000)),
         }
     }
 
     #[test]
-    fn a_list_is_the_size_of_the_vec_it_replaces() {
-        assert_eq!(size_of::<WatchList>(), size_of::<Vec<Watch>>());
-        assert_eq!(size_of::<WatchList>(), 24);
+    fn a_list_is_two_watches_wide() {
+        assert_eq!(size_of::<WatchList>(), INLINE * size_of::<Watch>());
+        assert_eq!(size_of::<WatchList>(), 16);
+        assert_eq!(WatchList::layout(FIRST_BLOCK).size(), 40);
+    }
+
+    /// Which of the transitions between the two forms a schedule took.
+    #[derive(Default)]
+    struct Seen {
+        one_slot: usize,
+        two_slots: usize,
+        spill_at_three: usize,
+        inline_emptied_and_refilled: usize,
+        inline_swap_remove: usize,
+        spilled_emptied: usize,
+        regrown: usize,
     }
 
     /// The list must hold what a `Vec<Watch>` given the same operations
-    /// holds, in the same order, on both sides of the spill.
+    /// holds, in the same order, in both forms and across every
+    /// transition between them.
     #[test]
     fn random_schedules_match_a_vec() {
+        let mut seen = Seen::default();
         let mut spills = 0;
-        let mut regrown = 0;
         for schedule in 0..1000u64 {
             let mut rng = Rng::seed_from_u64(schedule);
             let mut list = WatchList::new();
             let mut reference: Vec<Watch> = Vec::new();
+            let mut inline_emptied = false;
             let mut emptied_after_spill = false;
             // short lists mostly, a long one now and then
             let push_p = if rng.gen_bool(0.2) { 0.7 } else { 0.45 };
             for _ in 0..rng.range_usize(0..120) {
+                let was_spilled = list.spilled();
+                let was_len = reference.len();
                 if rng.gen_bool(push_p) {
                     let w = watch(&mut rng);
                     list.push(w);
                     reference.push(w);
-                    continue;
-                }
-                match rng.range_u32(0..5) {
-                    0 | 1 if !reference.is_empty() => {
-                        let i = rng.range_usize(0..reference.len());
-                        list.swap_remove(i);
-                        reference.swap_remove(i);
-                    }
-                    0..=2 => {
-                        let n = rng.range_usize(0..reference.len() + 2);
-                        list.truncate(n);
-                        reference.truncate(n);
-                    }
-                    3 => {
-                        // the GC's remap: every cref rewritten in place
-                        let shift = rng.next_u32();
-                        for w in list.iter_mut() {
-                            w.cref = ClauseRef(w.cref.0.wrapping_add(shift));
+                    match (was_spilled, reference.len()) {
+                        (false, 1) => seen.one_slot += 1,
+                        (false, 2) => seen.two_slots += 1,
+                        (false, 3) => {
+                            assert!(list.spilled(), "case seed {schedule}");
+                            assert_eq!(list.capacity(), FIRST_BLOCK as usize);
+                            seen.spill_at_three += 1;
                         }
-                        for w in &mut reference {
-                            w.cref = ClauseRef(w.cref.0.wrapping_add(shift));
-                        }
+                        _ => {}
                     }
-                    _ => {
-                        // the BCP walk's in-place compaction: keep some
-                        let keep: Vec<bool> = reference.iter().map(|_| rng.next_bool()).collect();
-                        let mut j = 0;
-                        for (i, &k) in keep.iter().enumerate() {
-                            if k {
-                                list[j] = list[i];
-                                j += 1;
+                    if !was_spilled && inline_emptied && was_len == 0 {
+                        seen.inline_emptied_and_refilled += 1;
+                        inline_emptied = false;
+                    }
+                } else {
+                    match rng.range_u32(0..5) {
+                        0 | 1 if was_len > 0 => {
+                            let i = rng.range_usize(0..was_len);
+                            list.swap_remove(i);
+                            reference.swap_remove(i);
+                            if !was_spilled && was_len == INLINE {
+                                seen.inline_swap_remove += 1;
                             }
                         }
-                        list.truncate(j);
-                        let mut flags = keep.iter();
-                        reference.retain(|_| *flags.next().unwrap());
+                        0..=2 => {
+                            let n = rng.range_usize(0..was_len + 2);
+                            list.truncate(n);
+                            reference.truncate(n);
+                        }
+                        3 => {
+                            // the GC's remap: every cref rewritten in place,
+                            // to another real one
+                            let shift = rng.next_u32();
+                            let remap = |cref: ClauseRef| {
+                                ClauseRef(cref.0.wrapping_add(shift) % ClauseRef::SPILLED.0)
+                            };
+                            list.remap(remap);
+                            reference.iter_mut().for_each(|w| w.cref = remap(w.cref));
+                        }
+                        _ => {
+                            // the BCP walk's in-place compaction through
+                            // the raw parts: keep some
+                            let keep: Vec<bool> =
+                                reference.iter().map(|_| rng.next_bool()).collect();
+                            let (ws, n) = list.as_mut_parts();
+                            assert_eq!(n, keep.len());
+                            let mut j = 0;
+                            for (i, &k) in keep.iter().enumerate() {
+                                if k {
+                                    // SAFETY: `j <= i < n`, slots of the list
+                                    unsafe { *ws.add(j) = *ws.add(i) };
+                                    j += 1;
+                                }
+                            }
+                            list.truncate(j);
+                            let mut flags = keep.iter();
+                            reference.retain(|_| *flags.next().unwrap());
+                        }
+                    }
+                    if reference.is_empty() && was_len > 0 {
+                        if was_spilled {
+                            assert!(list.spilled(), "case seed {schedule}: the block stays");
+                            seen.spilled_emptied += 1;
+                            emptied_after_spill = true;
+                        } else {
+                            inline_emptied = true;
+                        }
                     }
                 }
-                if list.spilled() && list.is_empty() {
-                    emptied_after_spill = true;
+                if emptied_after_spill && list.len() > INLINE {
+                    seen.regrown += 1;
                 }
-                if emptied_after_spill && list.len() > INLINE as usize {
-                    regrown += 1;
-                }
+                assert_eq!(list.spilled(), was_spilled || list.len() > INLINE);
                 assert_eq!(&list[..], &reference[..], "case seed {schedule}");
-                assert!(list.len() <= list.cap as usize, "case seed {schedule}");
+                assert_eq!(list.len(), reference.len(), "case seed {schedule}");
+                assert!(list.len() <= list.capacity(), "case seed {schedule}");
             }
             if list.spilled() {
                 spills += 1;
@@ -272,7 +447,29 @@ mod tests {
             // dropped here, spilled or not
         }
         assert!(spills > 100, "only {spills} schedules spilled");
-        assert!(regrown > 10, "only {regrown} steps regrew an emptied block");
+        let Seen {
+            one_slot,
+            two_slots,
+            spill_at_three,
+            inline_emptied_and_refilled,
+            inline_swap_remove,
+            spilled_emptied,
+            regrown,
+        } = seen;
+        for (what, n) in [
+            ("filled one slot", one_slot),
+            ("filled both slots", two_slots),
+            ("spilled at the third watch", spill_at_three),
+            (
+                "emptied an inline list and refilled it",
+                inline_emptied_and_refilled,
+            ),
+            ("swap-removed inside a full inline list", inline_swap_remove),
+            ("emptied a spilled list", spilled_emptied),
+            ("regrew an emptied block", regrown),
+        ] {
+            assert!(n > 10, "only {n} steps {what}");
+        }
     }
 
     #[test]
@@ -285,18 +482,18 @@ mod tests {
             list.push(w);
             reference.push(w);
         }
-        assert_eq!(list.cap, 8);
+        assert_eq!(list.capacity(), 8);
         let block = list.as_ptr();
         list.truncate(0);
         reference.truncate(0);
-        assert!(list.is_empty());
-        assert_eq!((list.cap, list.as_ptr()), (8, block));
+        assert!(list.is_empty() && list.spilled());
+        assert_eq!((list.capacity(), list.as_ptr()), (8, block));
         for _ in 0..20 {
             let w = watch(&mut rng);
             list.push(w);
             reference.push(w);
         }
-        assert_eq!(list.cap, 32);
+        assert_eq!(list.capacity(), 32);
         assert_eq!(&list[..], &reference[..]);
     }
 
@@ -309,13 +506,22 @@ mod tests {
             list.push(watch(&mut rng));
             let at = list.as_ptr() as usize;
             assert!(
-                at >= header && at < header + 24,
+                at >= header && at < header + 16,
                 "watch {len} left the header"
             );
         }
         list.push(watch(&mut rng));
         assert!(list.spilled());
-        assert_eq!((list.len(), list.cap), (3, FIRST_BLOCK));
+        assert_eq!((list.len(), list.capacity()), (3, FIRST_BLOCK as usize));
+    }
+
+    #[test]
+    #[should_panic(expected = "a watch on sentinel")]
+    fn a_sentinel_is_never_stored() {
+        WatchList::new().push(Watch {
+            cref: ClauseRef::SPILLED,
+            blocker: Lit::from_code(0),
+        });
     }
 
     #[test]
