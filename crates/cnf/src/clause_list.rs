@@ -20,15 +20,6 @@ pub struct ClauseList {
 }
 
 impl ClauseList {
-    /// An empty list with room for `clauses` clauses of `lits` literals
-    /// in all.
-    pub fn with_capacity(clauses: usize, lits: usize) -> ClauseList {
-        ClauseList {
-            lits: Vec::with_capacity(lits),
-            ends: Vec::with_capacity(clauses),
-        }
-    }
-
     /// Number of clauses.
     #[inline]
     pub fn len(&self) -> usize {
@@ -60,28 +51,9 @@ impl ClauseList {
     pub fn push(&mut self, lits: impl IntoIterator<Item = Lit>) -> &[Lit] {
         let start = self.lits.len();
         self.lits.extend(lits);
-        self.end_clause();
-        &self.lits[start..]
-    }
-
-    /// Append a clause whose literals `fill` writes after the ones already
-    /// held. On an error nothing is appended.
-    pub fn push_with<E>(
-        &mut self,
-        fill: impl FnOnce(&mut Vec<Lit>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let start = self.lits.len();
-        let filled = fill(&mut self.lits);
-        match filled {
-            Ok(()) => self.end_clause(),
-            Err(_) => self.lits.truncate(start),
-        }
-        filled
-    }
-
-    fn end_clause(&mut self) {
         let end = u32::try_from(self.lits.len()).expect("a clause list holds < 2^32 literals");
         self.ends.push(end);
+        &self.lits[start..]
     }
 
     /// The `i`th clause.
@@ -273,20 +245,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_failed_fill_appends_nothing() {
+    fn clauses_keep_their_order_and_print_in_paper_notation() {
         let mut list = ClauseList::default();
         list.push([Lit::pos(0), Lit::neg(1)]);
-        let failed = list.push_with(|lits| {
-            lits.push(Lit::pos(7));
-            Err("truncated")
-        });
-        assert_eq!(failed, Err("truncated"));
-        assert_eq!((list.len(), list.num_lits()), (1, 2));
-        list.push_with(|lits| {
-            lits.push(Lit::neg(3));
-            Ok::<(), ()>(())
-        })
-        .unwrap();
+        assert_eq!(list.push([Lit::neg(3)]), [Lit::neg(3)]);
+        assert_eq!((list.len(), list.num_lits()), (2, 3));
         assert_eq!(list.get(1).lits(), [Lit::neg(3)]);
         assert_eq!(format!("{list:?}"), "[(V1 + ~V2), (~V4)]");
     }

@@ -7,7 +7,7 @@ use crate::config::{
     MIN_MEMORY,
 };
 use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
-use crate::wire::{EncodedBatch, FlatSpec, SpecFrame};
+use crate::wire::{EncodedBatch, SpecFrame};
 use gridsat_cnf::Clause;
 use gridsat_grid::{Ctx, NodeId, Process};
 use gridsat_obs::{Event, Obs};
@@ -346,16 +346,10 @@ impl Client {
         }
     }
 
-    fn adopt_problem(&mut self, spec: &FlatSpec, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
+    fn adopt_problem(&mut self, mut solver: Solver, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
         debug_assert!(
             (ctx.info.memory as f64 * MEM_FRACTION) as usize >= MIN_MEMORY,
             "master must not assign work to under-provisioned hosts"
-        );
-        let mut solver = Solver::from_split_parts(
-            spec.num_vars,
-            &spec.assumptions,
-            spec.clauses(),
-            self.solver_config(ctx.info.memory),
         );
         solver.set_obs(self.obs.clone(), ctx.me().0);
         solver.set_obs_now(ctx.now());
@@ -737,12 +731,12 @@ impl Process for Client {
                 // the reliable layer already dropped checksum-failing
                 // frames; a frame that will not open is unrecoverable
                 // here — hand it back rather than adopt garbage
-                let Ok(opened) = spec.open_flat() else {
+                let Ok(solver) = spec.load(self.solver_config(ctx.info.memory)) else {
                     self.hand_back(spec, problem, ctx);
                     return;
                 };
                 self.transfer_time = 0.0; // master-local dispatch, no estimate yet
-                self.adopt_problem(&opened, problem, ctx);
+                self.adopt_problem(solver, problem, ctx);
                 self.checkpoint_now(ctx);
             }
             GridMsg::Subproblem {
@@ -756,11 +750,13 @@ impl Process for Client {
                 // current search space. An unreadable transfer is refused
                 // too, and either way the incoming half goes back so it is
                 // not lost
-                let opened = match self.state {
+                let solver = match self.state {
                     State::Solving { .. } => None,
-                    State::Idle | State::Done => spec.open_flat().ok(),
+                    State::Idle | State::Done => {
+                        spec.load(self.solver_config(ctx.info.memory)).ok()
+                    }
                 };
-                let Some(opened) = opened else {
+                let Some(solver) = solver else {
                     ctx.send(
                         self.master,
                         GridMsg::SplitDone {
@@ -777,7 +773,7 @@ impl Process for Client {
                     return;
                 };
                 self.transfer_time = (ctx.now() - sent_at).max(0.0);
-                self.adopt_problem(&opened, problem, ctx);
+                self.adopt_problem(solver, problem, ctx);
                 // Figure 3 message (4): receiver confirms the transfer.
                 // The initial recovery image rides along so the master
                 // never marks us Busy without one — a separate upload

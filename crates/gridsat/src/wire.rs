@@ -33,16 +33,19 @@
 //! varint(#clauses) · clause*
 //! ```
 //!
-//! A spec has one encoder, `SpecEncoder`, and one decoder,
-//! [`decode_spec_flat`]. A donor's split and a migration stream their
+//! A spec has one encoder, `SpecEncoder`, and one walker, `walk_spec`,
+//! which checks a payload field by field and decodes each clause in turn
+//! into one reused buffer. A donor's split and a migration stream their
 //! clauses from the solver's arena into the encoder
-//! ([`SpecFrame::split_off`], [`SpecFrame::export`]) and a thief loads
-//! its solver from the flat decode ([`FlatSpec`]), so a hand-off builds
-//! no heap `Clause` on either side. The master and its journal route the
-//! sealed frame as it is (`SpecFrame::verify`, [`SpecFrame::payload`]);
-//! [`SpecFrame::seal`] and [`SpecFrame::open`] wrap the encoder and the
-//! decoder for whoever holds a [`SplitSpec`]. A message's size is its
-//! frame's length.
+//! ([`SpecFrame::split_off`], [`SpecFrame::export`]), and a thief walks
+//! the frame twice ([`SpecFrame::load`]): once to check and count it,
+//! once to copy each clause straight into its solver's arena. A hand-off
+//! builds no heap `Clause` and no decoded copy of the spec on either
+//! side. The master and its journal only route the sealed frame, so they
+//! walk it without keeping a literal (`SpecFrame::verify`,
+//! [`SpecFrame::payload`]); [`SpecFrame::seal`] and [`SpecFrame::open`]
+//! wrap the encoder and the walker for whoever holds a [`SplitSpec`]. A
+//! message's size is its frame's length.
 //!
 //! ## Framing
 //!
@@ -58,8 +61,8 @@
 //! [`WireError`] on any mangled, truncated or over-length input — no
 //! decoder in this module can panic on external bytes.
 
-use gridsat_cnf::{Clause, ClauseList, ClauseLits, Lit};
-use gridsat_solver::{BatchIds, Solver, SplitSpec};
+use gridsat_cnf::{Clause, Lit};
+use gridsat_solver::{BatchIds, Solver, SolverConfig, SplitSpec};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -295,7 +298,7 @@ pub(crate) fn encode_codes(codes: impl ExactSizeIterator<Item = u32>, out: &mut 
 
 fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireError> {
     let mut lits = Vec::new();
-    decode_clause_into(buf, pos, &mut lits)?;
+    decode_clause_into(buf, pos, Some(&mut lits))?;
     Ok(Clause::new(lits))
 }
 
@@ -308,6 +311,7 @@ pub(crate) fn write_pairs(pairs: &[(Lit, bool)], out: &mut Vec<u8>) {
     }
 }
 
+/// Read what [`write_pairs`] wrote.
 pub(crate) fn read_pairs(buf: &[u8], pos: &mut usize) -> Result<Vec<(Lit, bool)>, WireError> {
     let n = read_varint(buf, pos)?;
     if n > buf.len() as u64 {
@@ -316,34 +320,45 @@ pub(crate) fn read_pairs(buf: &[u8], pos: &mut usize) -> Result<Vec<(Lit, bool)>
     let mut pairs = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let packed = read_varint(buf, pos)?;
-        let code = packed >> 1;
-        if code > u64::from(u32::MAX) {
-            return Err(WireError::Overflow);
-        }
-        pairs.push((Lit::from_code(code as usize), packed & 1 == 1));
+        pairs.push((literal((packed >> 1) as i64)?, packed & 1 == 1));
     }
     Ok(pairs)
 }
 
-/// The clause decoder: appends one clause's literals to `out`.
-fn decode_clause_into(buf: &[u8], pos: &mut usize, out: &mut Vec<Lit>) -> Result<(), WireError> {
+/// The literal with code `code`, if it is a `u32`.
+fn literal(code: i64) -> Result<Lit, WireError> {
+    if !(0..=i64::from(u32::MAX)).contains(&code) {
+        return Err(WireError::Overflow);
+    }
+    Ok(Lit::from_code(code as usize))
+}
+
+/// The clause decoder: checks one clause record and appends its literals
+/// to `out` when there is one. Returns the clause's length.
+fn decode_clause_into(
+    buf: &[u8],
+    pos: &mut usize,
+    mut out: Option<&mut Vec<Lit>>,
+) -> Result<usize, WireError> {
     let len = read_varint(buf, pos)?;
     if len > buf.len() as u64 {
         // each literal takes ≥ 1 byte; an impossible count means garbage
         return Err(WireError::Truncated);
     }
-    out.reserve_exact(len as usize);
+    if let Some(out) = out.as_deref_mut() {
+        out.reserve_exact(len as usize);
+    }
     let mut prev = 0i64;
     for i in 0..len {
         let d = unzigzag(read_varint(buf, pos)?);
-        let code = if i == 0 { d } else { prev + d };
-        if !(0..=i64::from(u32::MAX)).contains(&code) {
-            return Err(WireError::Overflow);
+        let code = if i == 0 { d } else { prev.saturating_add(d) };
+        let lit = literal(code)?;
+        if let Some(out) = out.as_deref_mut() {
+            out.push(lit);
         }
-        out.push(Lit::from_code(code as usize));
         prev = code;
     }
-    Ok(())
+    Ok(len as usize)
 }
 
 // ----------------------------------------------------------------------
@@ -597,39 +612,25 @@ impl SpecEncoder {
     }
 }
 
-/// A subproblem spec decoded flat: what a [`SplitSpec`] holds, with
-/// every clause's literals back to back in one [`ClauseList`] instead of
-/// a heap `Clause` each. A thief loads its solver from it
-/// ([`Solver::from_split_parts`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct FlatSpec {
-    /// Variable universe size.
-    pub num_vars: usize,
-    /// Level-0 literals: `(lit, globally_derivable)`.
-    pub assumptions: Vec<(Lit, bool)>,
-    clauses: ClauseList,
+/// What a walk of a spec payload reads besides its clauses: the head,
+/// and the size of the clause records.
+struct SpecHead {
+    num_vars: usize,
+    assumptions: Vec<(Lit, bool)>,
+    clauses: usize,
+    literals: usize,
+    longest: usize,
 }
 
-impl FlatSpec {
-    /// Each clause's literals, in order.
-    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + Clone {
-        self.clauses.iter().map(ClauseLits::lits)
-    }
+/// A clause buffer and what to hand each decoded clause to.
+type ClauseSink<'a> = (&'a mut Vec<Lit>, &'a mut dyn FnMut(&[Lit]));
 
-    /// The same spec with a heap `Clause` per clause.
-    pub fn into_spec(self) -> SplitSpec {
-        SplitSpec {
-            num_vars: self.num_vars,
-            assumptions: self.assumptions,
-            clauses: self.clauses.iter().map(Clause::from).collect(),
-        }
-    }
-}
-
-/// The one subproblem-spec decoder: inverse of `SpecEncoder`, into the
-/// flat form. Specs keep their literal order on the wire, so the
-/// round-trip is the identity.
-pub fn decode_spec_flat(buf: &[u8]) -> Result<FlatSpec, WireError> {
+/// The one subproblem-spec walker, inverse of `SpecEncoder`: checks a
+/// payload field by field and returns its head. Given a sink, it decodes each clause
+/// into the sink's buffer in turn and hands it over; given none, it only
+/// checks and counts, and keeps no literal. Specs keep their literal
+/// order on the wire, so seal and walk are inverses.
+fn walk_spec(buf: &[u8], mut sink: Option<ClauseSink<'_>>) -> Result<SpecHead, WireError> {
     let mut pos = 0usize;
     let num_vars = read_varint(buf, &mut pos)?;
     let assumptions = read_pairs(buf, &mut pos)?;
@@ -638,25 +639,34 @@ pub fn decode_spec_flat(buf: &[u8]) -> Result<FlatSpec, WireError> {
         return Err(WireError::Truncated);
     }
     // a frame's length field is a `u32`: a longer payload was never
-    // framed, and its literals could overflow the list's `u32` ends
+    // framed, and its literals could overflow an arena's `u32` offsets
     if u32::try_from(buf.len()).is_err() {
         return Err(WireError::Overflow);
     }
-    // a clause takes at least its length byte and a literal at least one
-    // byte, so what is left of the buffer bounds the literal count
-    let room = (buf.len() - pos).saturating_sub(n_clauses as usize);
-    let mut clauses = ClauseList::with_capacity(n_clauses as usize, room);
+    let mut head = SpecHead {
+        num_vars: num_vars as usize,
+        assumptions,
+        clauses: n_clauses as usize,
+        literals: 0,
+        longest: 0,
+    };
     for _ in 0..n_clauses {
-        clauses.push_with(|lits| decode_clause_into(buf, &mut pos, lits))?;
+        let len = match &mut sink {
+            Some((lits, clause)) => {
+                lits.clear();
+                let len = decode_clause_into(buf, &mut pos, Some(lits))?;
+                clause(lits);
+                len
+            }
+            None => decode_clause_into(buf, &mut pos, None)?,
+        };
+        head.literals += len;
+        head.longest = head.longest.max(len);
     }
     if pos != buf.len() {
         return Err(WireError::TrailingBytes);
     }
-    Ok(FlatSpec {
-        num_vars: num_vars as usize,
-        assumptions,
-        clauses,
-    })
+    Ok(head)
 }
 
 /// A subproblem spec sealed in a checksummed frame — the one form a cube
@@ -721,9 +731,9 @@ impl SpecFrame {
     }
 
     /// Frame a spec payload kept apart from its frame (a journaled
-    /// recovery), once the decoder has checked it parses.
+    /// recovery), once the walker has checked it.
     pub(crate) fn from_payload(payload: &[u8]) -> Result<SpecFrame, WireError> {
-        decode_spec_flat(payload)?;
+        walk_spec(payload, None)?;
         Ok(SpecFrame {
             bytes: seal_frame(payload),
         })
@@ -731,18 +741,43 @@ impl SpecFrame {
 
     /// Verify the frame and decode the spec.
     pub fn open(&self) -> Result<SplitSpec, WireError> {
-        self.open_flat().map(FlatSpec::into_spec)
+        let mut clauses = Vec::new();
+        let sink: &mut dyn FnMut(&[Lit]) = &mut |lits| clauses.push(Clause::new(lits.to_vec()));
+        let head = walk_spec(open_frame(&self.bytes)?, Some((&mut Vec::new(), sink)))?;
+        Ok(SplitSpec {
+            num_vars: head.num_vars,
+            assumptions: head.assumptions,
+            clauses,
+        })
     }
 
-    /// Verify the frame and decode the spec flat.
-    pub fn open_flat(&self) -> Result<FlatSpec, WireError> {
-        decode_spec_flat(open_frame(&self.bytes)?)
+    /// Verify the frame and build the solver for its spec, as
+    /// [`Solver::from_split`] of [`SpecFrame::open`] would, with no
+    /// decoded copy of the spec: one walk checks and counts the payload,
+    /// so the arena is reserved once, and a second copies each clause
+    /// from one reused buffer into the arena.
+    pub fn load(&self, config: SolverConfig) -> Result<Solver, WireError> {
+        let payload = open_frame(&self.bytes)?;
+        let head = walk_spec(payload, None)?;
+        let mut lits = Vec::with_capacity(head.longest);
+        let clauses = |add: &mut dyn FnMut(&[Lit])| {
+            let again = walk_spec(payload, Some((&mut lits, add)));
+            debug_assert!(again.is_ok(), "a checked payload walks clean");
+        };
+        let size = (head.clauses, head.literals);
+        Ok(Solver::from_split_parts(
+            head.num_vars,
+            &head.assumptions,
+            size,
+            clauses,
+            config,
+        ))
     }
 
-    /// Every check [`SpecFrame::open_flat`] makes — CRC and parse — with
-    /// the decode dropped: what a holder that only routes the cube runs.
-    pub(crate) fn verify(&self) -> Result<(), WireError> {
-        self.open_flat().map(drop)
+    /// Every check [`SpecFrame::open`] makes — CRC and parse — keeping
+    /// nothing: what a holder that only routes the cube runs.
+    pub fn verify(&self) -> Result<(), WireError> {
+        walk_spec(open_frame(&self.bytes)?, None).map(drop)
     }
 
     /// The spec's assumptions, read from the payload's head alone; none
@@ -1060,13 +1095,12 @@ mod tests {
         assert_eq!(frame.bytes, seal_frame(&payload));
         assert_eq!(frame.wire_len(), FRAME_HEADER_BYTES + payload.len());
         assert_eq!(SpecFrame::from_payload(&payload), Ok(frame.clone()));
-        let flat = frame.open_flat().expect("clean frame");
-        assert!(flat.clauses().eq([spec.clauses[0].lits()]));
         assert_eq!(frame.open(), Ok(spec));
         let mut bad = frame.clone();
         bad.corrupt_bit(7);
         assert!(bad.open().is_err());
-        assert_eq!(bad.verify(), bad.open_flat().map(drop));
+        assert_eq!(bad.verify(), bad.open().map(drop));
+        assert!(bad.load(SolverConfig::default()).is_err());
         assert!(SpecFrame::from_wire(vec![1, 2, 3]).open().is_err());
         assert!(SpecFrame::from_wire(vec![1, 2, 3]).payload().is_empty());
         // a payload that does not parse is never framed
@@ -1131,12 +1165,10 @@ mod tests {
                 clauses: (0..n_cl).map(|_| clause(&mut rng, 5000, 12)).collect(),
             };
             let frame = SpecFrame::seal(&spec);
-            let bytes = frame.payload();
-            assert_eq!(frame.bytes, seal_frame(bytes));
-            let flat = decode_spec_flat(bytes).expect("clean payload");
-            assert!(flat.clauses().eq(spec.clauses.iter().map(Clause::lits)));
+            assert_eq!(frame.bytes, seal_frame(frame.payload()));
+            assert_eq!(frame.verify(), Ok(()));
             // decoded and encoded again, a spec is the same bytes
-            let again = flat.clone().into_spec();
+            let again = frame.open().expect("clean frame");
             assert_eq!(SpecFrame::seal(&again), frame, "identity round trip");
             assert_eq!(again, spec);
         }

@@ -3,10 +3,10 @@
 //! round-trip clean input exactly. Covers the three wire decoders:
 //! checksummed frames ([`wire::open_frame`]), clause-share batches
 //! ([`EncodedBatch`], through both the uncached `decode` and the
-//! memoised `decoded` receivers use), subproblem specs ([`SpecFrame`],
-//! through the flat decoder held against a model of the `SplitSpec` one
-//! it replaced), and sealed journal records ([`SealedRecord`]), a
-//! recovery's journaled spec payload among them.
+//! memoised `decoded` receivers use), subproblem specs ([`SpecFrame`]:
+//! `open` and `verify`, each held against a model of the decoder as first
+//! written), and sealed journal records ([`SealedRecord`]), a recovery's
+//! journaled spec payload among them.
 //!
 //! The generator is a plain xorshift so failures reproduce from the
 //! printed seed alone (`DECODE_FUZZ_SEED=<n>`), and the iteration count
@@ -15,7 +15,7 @@
 use gridsat::journal::{JournalRecord, RecordError, RecoverySpec, SealedRecord};
 use gridsat::master::GrantKind;
 use gridsat::msg::{Checkpoint, ProblemId};
-use gridsat::wire::{self, EncodedBatch, FlatSpec, SpecFrame, WireError};
+use gridsat::wire::{self, EncodedBatch, SpecFrame, WireError};
 use gridsat_cnf::{Clause, Lit};
 use gridsat_grid::NodeId;
 use gridsat_solver::SplitSpec;
@@ -244,7 +244,7 @@ fn fuzz_share_batch_decoder_never_panics() {
 }
 
 /// The spec decoder as first written, a heap `Clause` per clause: the
-/// model the flat decoder must agree with, error for error.
+/// model the spec walker must agree with, error for error.
 fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
     fn varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
         let (mut v, mut shift) = (0u64, 0u32);
@@ -292,7 +292,7 @@ fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
         let (mut lits, mut prev) = (Vec::new(), 0i64);
         for k in 0..len {
             let d = unzigzag(varint(buf, &mut pos)?);
-            let code = if k == 0 { d } else { prev + d };
+            let code = if k == 0 { d } else { prev.saturating_add(d) };
             if !(0..=i64::from(u32::MAX)).contains(&code) {
                 return Err(WireError::Overflow);
             }
@@ -311,50 +311,35 @@ fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
     })
 }
 
+/// `frame` opened and verified: each must answer `want`.
+fn assert_spec_reads(frame: &SpecFrame, want: &Result<SplitSpec, WireError>, what: &str) {
+    assert_eq!(&frame.open(), want, "{what}: open (seed {})", seed());
+    let verdict = want.as_ref().map(drop).map_err(|e| *e);
+    assert_eq!(frame.verify(), verdict, "{what}: verify (seed {})", seed());
+}
+
 #[test]
 fn fuzz_spec_frame_decoder_never_panics() {
     let mut rng = Rng(seed() | 1);
     for i in 0..iters() {
         let spec = random_spec(&mut rng);
         let clean = SpecFrame::seal(&spec);
-        assert_eq!(
-            clean.open().expect("clean spec opens"),
-            spec,
-            "iter {i}: clean round-trip"
-        );
-        assert_eq!(
-            clean.open_flat().map(FlatSpec::into_spec),
-            Ok(spec.clone()),
-            "iter {i}: clean round-trip, flat"
-        );
+        assert_spec_reads(&clean, &Ok(spec), &format!("iter {i}: clean round-trip"));
         let mut bad = clean.clone();
         bad.corrupt_bit(rng.next());
         assert!(
-            bad.open().is_err() && bad.open_flat().is_err(),
+            bad.open().is_err() && bad.verify().is_err(),
             "iter {i}: bit-flipped spec frame opened (seed {})",
             seed()
         );
         let garbage = SpecFrame::from_wire((0..rng.below(200)).map(|_| rng.next() as u8).collect());
-        assert_eq!(
-            garbage.open_flat().map(FlatSpec::into_spec),
-            garbage.open(),
-            "iter {i}"
-        );
-        // the same mangles behind a valid checksum, so the parse itself
-        // sees them: the flat decoder answers what the model answers
+        assert_spec_reads(&garbage, &garbage.open(), &format!("iter {i}: garbage"));
+        // the same mangles behind a valid checksum, so the walk itself
+        // sees them: every reader answers what the model answers
         let payload = mangle(&mut rng, clean.payload());
-        let flat = wire::decode_spec_flat(&payload);
-        assert_eq!(
-            flat.clone().map(FlatSpec::into_spec),
-            reference_decode_spec(&payload),
-            "iter {i}: flat decode differs from the model (seed {})",
-            seed()
-        );
-        assert_eq!(
-            SpecFrame::from_wire(wire::seal_frame(&payload)).open_flat(),
-            flat,
-            "iter {i}"
-        );
+        let framed = SpecFrame::from_wire(wire::seal_frame(&payload));
+        let want = reference_decode_spec(&payload);
+        assert_spec_reads(&framed, &want, &format!("iter {i}: mangled"));
     }
 }
 
@@ -393,7 +378,7 @@ fn fuzz_sealed_record_decoder_never_panics() {
             },
         };
         let reopened = SealedRecord::seal(seq, &rec).open();
-        match wire::decode_spec_flat(&payload) {
+        match reference_decode_spec(&payload) {
             Ok(_) => assert_eq!(reopened, Ok((seq, rec)), "iter {i}"),
             Err(e) => assert_eq!(
                 reopened,

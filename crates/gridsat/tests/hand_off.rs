@@ -2,9 +2,9 @@
 //!
 //! The donor streams the half it gives away — or, migrating, the whole
 //! subproblem ([`SpecFrame::export`]) — from its clause arena into the
-//! spec encoder ([`SpecFrame::split_off`]), and the thief loads its
-//! solver from the flat decode ([`SpecFrame::open_flat`] and
-//! [`Solver::from_split_parts`]). These tests hold both against the
+//! spec encoder ([`SpecFrame::split_off`]), and the thief walks the
+//! frame straight into its solver's arena ([`SpecFrame::load`]). These
+//! tests hold both against the
 //! `SplitSpec` path they replace — [`Solver::split_off`] sealed with
 //! [`SpecFrame::seal`], [`SpecFrame::open`] loaded with
 //! [`Solver::from_split`] — on the bytes sent and on every counter,
@@ -16,21 +16,20 @@ use gridsat_cnf::{Clause, Lit, Var};
 use gridsat_satgen::random_ksat::random_ksat;
 use gridsat_solver::{Solver, SolverConfig, SplitSpec, Step};
 
-/// The thief both ways: loaded from the flat decode, and from the
-/// `SplitSpec` the same frame opens to. They must load alike and then
-/// search alike, to the same verdict.
+/// The thief both ways: loaded from the frame, and from the `SplitSpec`
+/// the same frame opens to. They must load alike, into arenas of the same
+/// size, and then search alike, to the same verdict.
 fn assert_thieves_agree(frame: &SpecFrame, config: &SolverConfig, what: &str) {
-    let flat = frame.open_flat().expect("clean frame");
-    let mut lean = Solver::from_split_parts(
-        flat.num_vars,
-        &flat.assumptions,
-        flat.clauses(),
-        config.clone(),
-    );
+    let mut lean = frame.load(config.clone()).expect("clean frame");
     let spec = frame.open().expect("clean frame");
     let mut heavy = Solver::from_split(&spec, config.clone());
     lean.check_invariants();
     assert_eq!(lean.loaded_state(), heavy.loaded_state(), "{what}: loaded");
+    assert_eq!(
+        lean.arena_capacity(),
+        heavy.arena_capacity(),
+        "{what}: arena"
+    );
     let verdict = lean.step(u64::MAX);
     assert_eq!(verdict, heavy.step(u64::MAX), "{what}: verdict");
     assert_ne!(verdict, Step::Running, "{what}");
@@ -144,10 +143,11 @@ fn arbitrary_clause(rng: &mut Rng, num_vars: usize) -> Clause {
     Clause::new(lits)
 }
 
-/// Every shape of spec the loader special-cases, sealed and opened both
-/// ways: the flat thief and the `SplitSpec` thief are one solver.
+/// Every shape of spec the loader special-cases, sealed and loaded both
+/// ways: the thief loaded from the frame and the `SplitSpec` thief are
+/// one solver.
 #[test]
-fn a_thief_from_the_flat_decode_is_the_thief_from_split_spec() {
+fn a_thief_loaded_from_the_frame_is_the_thief_from_split_spec() {
     let mut rng = Rng::seed_from_u64(28);
     for case in 0..2000 {
         let num_vars = rng.range_usize(1..13);

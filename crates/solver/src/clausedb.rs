@@ -241,13 +241,13 @@ impl ClauseDb {
         ClauseRef(off as u32)
     }
 
-    /// Reserve arena room for original clauses of the given lengths at
-    /// once, so a bulk load copies each clause in without regrowing the
+    /// Reserve arena room for `clauses` original clauses of `lits`
+    /// literals in all at once, so a bulk load copies each clause in without regrowing the
     /// arena. Rounded up to a power of two, as repeated doubling would
     /// have left it: an odd-sized block is a hole nothing else reuses once
     /// the learned clauses outgrow it.
-    pub(crate) fn reserve_for(&mut self, lens: impl Iterator<Item = usize>) {
-        let words: usize = lens.map(|len| HEADER_WORDS + len).sum();
+    pub(crate) fn reserve_for(&mut self, clauses: usize, lits: usize) {
+        let words = clauses * HEADER_WORDS + lits;
         if words > 0 {
             self.arena.reserve(words.next_power_of_two());
         }
@@ -453,6 +453,11 @@ impl ClauseDb {
     /// [`CHARGED_HEADER_WORDS`] per clause plus its literals.
     pub fn charged_words(&self) -> usize {
         self.charged_words
+    }
+
+    /// Words the arena has room for without regrowing.
+    pub fn capacity_words(&self) -> usize {
+        self.arena.capacity()
     }
 
     /// The part of [`ClauseDb::charged_words`] held by dead clauses.
@@ -886,7 +891,7 @@ mod tests {
                 let lens: Vec<usize> = (0..rng.range_usize(0..30))
                     .map(|_| rng.range_usize(1..9))
                     .collect();
-                db.reserve_for(lens.into_iter());
+                db.reserve_for(lens.len(), lens.iter().sum());
             }
             for step in 0..rng.range_usize(1..300) {
                 let at = format!("schedule {schedule} step {step}");

@@ -13,7 +13,7 @@
 //! `MEM_OUT`.
 
 use crate::{SolveStatus, Solver, SolverConfig, Stats, Step};
-use gridsat_cnf::{Assignment, ClauseLits, Formula};
+use gridsat_cnf::{Assignment, Formula};
 
 /// Outcome of a sequential run.
 #[derive(Clone, Debug, PartialEq)]
@@ -125,25 +125,6 @@ pub fn decide(formula: &Formula) -> SolveStatus {
         Outcome::Unsat => SolveStatus::Unsat,
         other => panic!("expected a decision, got {other:?}"),
     }
-}
-
-/// Solve under assumptions: is `formula` satisfiable with the given
-/// literals pinned true? This is the incremental-SAT entry point the
-/// guiding-path machinery is built from — a GridSAT subproblem *is* the
-/// original formula solved under its split assumptions.
-pub fn solve_with_assumptions(
-    formula: &Formula,
-    assumptions: &[gridsat_cnf::Lit],
-    config: SolverConfig,
-    limits: Limits,
-) -> Report {
-    let mut solver = crate::Solver::from_parts(
-        formula.num_vars(),
-        formula.clauses().map(ClauseLits::lits),
-        assumptions,
-        config,
-    );
-    run(&mut solver, limits)
 }
 
 /// Enumerate up to `limit` distinct models by adding blocking clauses

@@ -56,7 +56,7 @@ use crate::proof::{Proof, ProofStep};
 use crate::stats::Stats;
 use crate::vsids::Vsids;
 use crate::watch::{Watch, WatchList};
-use gridsat_cnf::{Assignment, Clause, ClauseLits, Formula, Lit, Value, Var};
+use gridsat_cnf::{Assignment, Clause, Formula, Lit, Value, Var};
 use gridsat_obs::{Event, Obs};
 use std::collections::VecDeque;
 
@@ -344,29 +344,36 @@ pub struct Solver {
 impl Solver {
     /// Build a solver for a whole formula (no assumptions).
     pub fn new(formula: &Formula, config: SolverConfig) -> Solver {
-        let clauses = formula.clauses().map(ClauseLits::lits);
-        let mut s = Solver::load(formula.num_vars(), clauses, &[], config);
+        let size = (formula.num_clauses(), formula.num_lits());
+        let clauses = |add: &mut dyn FnMut(&[Lit])| formula.clauses().for_each(|c| add(&c));
+        let mut s = Solver::load(formula.num_vars(), size, clauses, config);
         s.order_decisions();
         s
     }
 
     /// Build a solver for a subproblem received from a peer.
     pub fn from_split(spec: &SplitSpec, config: SolverConfig) -> Solver {
-        let clauses = spec.clauses.iter().map(Clause::lits);
-        Solver::from_split_parts(spec.num_vars, &spec.assumptions, clauses, config)
+        let size = (
+            spec.clauses.len(),
+            spec.clauses.iter().map(Clause::len).sum(),
+        );
+        let clauses = |add: &mut dyn FnMut(&[Lit])| spec.clauses.iter().for_each(|c| add(c.lits()));
+        Solver::from_split_parts(spec.num_vars, &spec.assumptions, size, clauses, config)
     }
 
-    /// Build a solver for a subproblem given as borrowed parts: the
-    /// level-0 literals with their "globally derivable" flags, and each
-    /// clause as a literal slice (a decoder's flat buffer, say). The one
-    /// constructor behind [`Solver::from_split`].
-    pub fn from_split_parts<'a>(
+    /// Build a solver for a subproblem given as parts: the level-0
+    /// literals with their "globally derivable" flags, the spec's size as
+    /// `(clauses, literals)`, and a visitor that hands each clause, as a
+    /// literal slice, to the callback it is given (a decoder walking its
+    /// payload, say). The one constructor behind [`Solver::from_split`].
+    pub fn from_split_parts(
         num_vars: usize,
         assumptions: &[(Lit, bool)],
-        clauses: impl Iterator<Item = &'a [Lit]> + Clone,
+        size: (usize, usize),
+        clauses: impl FnOnce(&mut dyn FnMut(&[Lit])),
         config: SolverConfig,
     ) -> Solver {
-        let mut s = Solver::load(num_vars, clauses, &[], config);
+        let mut s = Solver::load(num_vars, size, clauses, config);
         for &(lit, global) in assumptions {
             s.add_assumption(lit, global);
         }
@@ -375,43 +382,31 @@ impl Solver {
         s
     }
 
-    /// Build from raw parts, each clause a borrowed literal slice.
-    /// `assumptions` are pinned at level 0 and treated as non-global
-    /// (split prefix).
-    pub fn from_parts<'a>(
+    /// The one loader behind every constructor: `clauses` hands over
+    /// `size.0` clauses of `size.1` literals in all, each copied exactly
+    /// once, into an arena reserved for all of them up front. Ends with
+    /// the initial propagation; the caller finishes with
+    /// [`Solver::order_decisions`] once nothing is left to pin at level 0.
+    fn load(
         num_vars: usize,
-        clauses: impl Iterator<Item = &'a [Lit]> + Clone,
-        assumptions: &[Lit],
-        config: SolverConfig,
-    ) -> Solver {
-        let mut s = Solver::load(num_vars, clauses, assumptions, config);
-        s.order_decisions();
-        s
-    }
-
-    /// The one loader behind every constructor: clauses come in as
-    /// borrowed literal slices and are copied exactly once, into an arena
-    /// reserved for all of them up front. Ends with the initial
-    /// propagation; the caller finishes with [`Solver::order_decisions`]
-    /// once nothing is left to pin at level 0.
-    fn load<'a>(
-        num_vars: usize,
-        clauses: impl Iterator<Item = &'a [Lit]> + Clone,
-        assumptions: &[Lit],
+        (n_clauses, n_lits): (usize, usize),
+        clauses: impl FnOnce(&mut dyn FnMut(&[Lit])),
         config: SolverConfig,
     ) -> Solver {
         let mut s = Solver::empty(num_vars, config);
-        s.db.reserve_for(clauses.clone().map(<[Lit]>::len));
-        for lit in assumptions {
-            s.add_assumption(*lit, false);
-        }
-        let mut original = 0usize;
+        s.db.reserve_for(n_clauses, n_lits);
         let mut scratch = Vec::new();
-        for clause in clauses {
+        let mut seen = (0, 0);
+        clauses(&mut |clause| {
             s.add_original_clause(clause, &mut scratch);
-            original += 1;
-        }
-        s.max_learned = (original as f64 * s.config.max_learned_factor).max(1000.0);
+            seen = (seen.0 + 1, seen.1 + clause.len());
+        });
+        debug_assert_eq!(
+            seen,
+            (n_clauses, n_lits),
+            "the clauses are not the size given"
+        );
+        s.max_learned = (n_clauses as f64 * s.config.max_learned_factor).max(1000.0);
         s.initial_propagate();
         s
     }
@@ -596,6 +591,12 @@ impl Solver {
     #[doc(hidden)]
     pub fn db_arena_stats(&self) -> (usize, usize) {
         (self.db.charged_words(), self.db.garbage_words())
+    }
+
+    /// Words the clause arena has room for (load regression tests).
+    #[doc(hidden)]
+    pub fn arena_capacity(&self) -> usize {
+        self.db.capacity_words()
     }
 
     /// The clause-activity increment (rescale regression tests).
@@ -2219,7 +2220,7 @@ mod tests {
         );
     }
 
-    /// `Solver::new` and `from_parts` go through the same loader.
+    /// `Solver::new` and `from_split` go through the same loader.
     #[test]
     fn every_constructor_loads_alike() {
         let mut rng = Rng::seed_from_u64(41);
@@ -2235,13 +2236,9 @@ mod tests {
             let want = reference_from_split(&spec, SolverConfig::default()).loaded_state();
             let new = Solver::new(&f, SolverConfig::default());
             assert_eq!(new.loaded_state(), want, "{spec:?}");
-            let parts = Solver::from_parts(
-                spec.num_vars,
-                spec.clauses.iter().map(Clause::lits),
-                &[],
-                SolverConfig::default(),
-            );
-            assert_eq!(parts.loaded_state(), want, "{spec:?}");
+            let split = Solver::from_split(&spec, SolverConfig::default());
+            assert_eq!(split.loaded_state(), want, "{spec:?}");
+            assert_eq!(split.arena_capacity(), new.arena_capacity(), "{spec:?}");
         }
     }
 
@@ -2268,7 +2265,8 @@ mod tests {
     #[test]
     fn a_fresh_solver_takes_67_bytes_per_variable() {
         for n in [1usize, 54, 1000] {
-            let s = Solver::from_parts(n, std::iter::empty(), &[], SolverConfig::default());
+            let f = Formula::new(n);
+            let s = Solver::new(&f, SolverConfig::default());
             assert_eq!(per_var_bytes(&s), 67 * n, "{n} variables");
             assert_eq!(s.lbd_stamp.capacity(), 0);
         }

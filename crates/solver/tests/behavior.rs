@@ -2,9 +2,9 @@
 //! stepping, memory pressure, sharing outbox discipline,
 //! statistics, and the paper-era configuration knobs.
 
-use gridsat_cnf::{Formula, Lit};
+use gridsat_cnf::{Clause, Formula, Lit};
 use gridsat_satgen as satgen;
-use gridsat_solver::{driver, SolveStatus, Solver, SolverConfig, Step};
+use gridsat_solver::{driver, SolveStatus, Solver, SolverConfig, SplitSpec, Step};
 
 fn run_to_end(s: &mut Solver) -> SolveStatus {
     loop {
@@ -242,26 +242,29 @@ fn level0_assignment_export_matches_assumptions() {
     }
 }
 
+/// `f` solved with `assumptions` pinned at level 0, as a split's
+/// receiver pins its guiding path: a GridSAT subproblem *is* the original
+/// formula solved under its split assumptions.
+fn solve_under(f: &Formula, assumptions: &[Lit]) -> driver::Report {
+    let spec = SplitSpec {
+        num_vars: f.num_vars(),
+        assumptions: assumptions.iter().map(|&l| (l, false)).collect(),
+        clauses: f.clauses().map(Clause::from).collect(),
+    };
+    let mut solver = Solver::from_split(&spec, SolverConfig::default());
+    driver::run(&mut solver, driver::Limits::default())
+}
+
 #[test]
-fn solve_with_assumptions_partitions_like_a_split() {
+fn assumption_branches_partition_like_a_split() {
     // phi is SAT; under x1 it may or may not be, but the disjunction of
     // the two assumption branches must agree with the unassumed answer
     for seed in 0..6u64 {
         let f = satgen::random_ksat::random_ksat(25, 105, 3, seed);
         let whole = driver::solve(&f, SolverConfig::default(), driver::Limits::default());
         let x1 = Lit::from_dimacs(1);
-        let pos = driver::solve_with_assumptions(
-            &f,
-            &[x1],
-            SolverConfig::default(),
-            driver::Limits::default(),
-        );
-        let neg = driver::solve_with_assumptions(
-            &f,
-            &[!x1],
-            SolverConfig::default(),
-            driver::Limits::default(),
-        );
+        let pos = solve_under(&f, &[x1]);
+        let neg = solve_under(&f, &[!x1]);
         let whole_sat = matches!(whole.outcome, driver::Outcome::Sat(_));
         let branch_sat = matches!(pos.outcome, driver::Outcome::Sat(_))
             || matches!(neg.outcome, driver::Outcome::Sat(_));
@@ -273,12 +276,7 @@ fn solve_with_assumptions_partitions_like_a_split() {
 fn assumption_models_satisfy_the_assumptions() {
     let f = satgen::random_ksat::planted_ksat(30, 120, 3, 9);
     let a = Lit::from_dimacs(5);
-    let r = driver::solve_with_assumptions(
-        &f,
-        &[a],
-        SolverConfig::default(),
-        driver::Limits::default(),
-    );
+    let r = solve_under(&f, &[a]);
     if let driver::Outcome::Sat(model) = r.outcome {
         assert!(model.satisfies(a));
         assert!(f.is_satisfied_by(&model));
@@ -289,12 +287,7 @@ fn assumption_models_satisfy_the_assumptions() {
 fn contradictory_assumptions_are_unsat_immediately() {
     let f = satgen::php::php(5, 5); // SAT instance
     let x = Lit::from_dimacs(1);
-    let r = driver::solve_with_assumptions(
-        &f,
-        &[x, !x],
-        SolverConfig::default(),
-        driver::Limits::default(),
-    );
+    let r = solve_under(&f, &[x, !x]);
     assert_eq!(r.outcome, driver::Outcome::Unsat);
     assert_eq!(r.stats.conflicts, 0, "refuted at construction");
 }
