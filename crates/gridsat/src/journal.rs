@@ -259,7 +259,7 @@ fn get_checkpoint(buf: &[u8], pos: &mut usize) -> Result<Checkpoint, RecordError
         Some(0) => {
             *pos += 1;
             Ok(Checkpoint {
-                level0: wire::read_pairs(buf, pos)?,
+                level0: wire::read_pairs(buf, pos, u64::MAX)?,
             })
         }
         Some(_) => Err(WireError::Overflow.into()),

@@ -74,8 +74,8 @@ use std::sync::OnceLock;
 pub enum WireError {
     /// Input ended mid-value.
     Truncated,
-    /// A varint exceeded 64 bits or a literal code exceeded the
-    /// representable range.
+    /// A varint exceeded 64 bits, or a literal code the representable
+    /// range or its spec's variable count.
     Overflow,
     /// Frame did not start with the `GS` magic bytes.
     BadMagic,
@@ -298,7 +298,7 @@ pub(crate) fn encode_codes(codes: impl ExactSizeIterator<Item = u32>, out: &mut 
 
 fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireError> {
     let mut lits = Vec::new();
-    decode_clause_into(buf, pos, Some(&mut lits))?;
+    decode_clause_into(buf, pos, u64::MAX, Some(&mut lits))?;
     Ok(Clause::new(lits))
 }
 
@@ -311,8 +311,13 @@ pub(crate) fn write_pairs(pairs: &[(Lit, bool)], out: &mut Vec<u8>) {
     }
 }
 
-/// Read what [`write_pairs`] wrote.
-pub(crate) fn read_pairs(buf: &[u8], pos: &mut usize) -> Result<Vec<(Lit, bool)>, WireError> {
+/// Read what [`write_pairs`] wrote, every literal's variable below
+/// `num_vars`.
+pub(crate) fn read_pairs(
+    buf: &[u8],
+    pos: &mut usize,
+    num_vars: u64,
+) -> Result<Vec<(Lit, bool)>, WireError> {
     let n = read_varint(buf, pos)?;
     if n > buf.len() as u64 {
         return Err(WireError::Truncated);
@@ -320,24 +325,27 @@ pub(crate) fn read_pairs(buf: &[u8], pos: &mut usize) -> Result<Vec<(Lit, bool)>
     let mut pairs = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let packed = read_varint(buf, pos)?;
-        pairs.push((literal((packed >> 1) as i64)?, packed & 1 == 1));
+        pairs.push((literal((packed >> 1) as i64, num_vars)?, packed & 1 == 1));
     }
     Ok(pairs)
 }
 
-/// The literal with code `code`, if it is a `u32`.
-fn literal(code: i64) -> Result<Lit, WireError> {
-    if !(0..=i64::from(u32::MAX)).contains(&code) {
+/// The literal with code `code`, if it is a `u32` and names a variable
+/// below `num_vars`.
+fn literal(code: i64, num_vars: u64) -> Result<Lit, WireError> {
+    if !(0..=i64::from(u32::MAX)).contains(&code) || code as u64 >> 1 >= num_vars {
         return Err(WireError::Overflow);
     }
     Ok(Lit::from_code(code as usize))
 }
 
-/// The clause decoder: checks one clause record and appends its literals
-/// to `out` when there is one. Returns the clause's length.
+/// The clause decoder: checks one clause record, every literal's variable
+/// below `num_vars`, and appends its literals to `out` when there is one.
+/// Returns the clause's length.
 fn decode_clause_into(
     buf: &[u8],
     pos: &mut usize,
+    num_vars: u64,
     mut out: Option<&mut Vec<Lit>>,
 ) -> Result<usize, WireError> {
     let len = read_varint(buf, pos)?;
@@ -352,7 +360,7 @@ fn decode_clause_into(
     for i in 0..len {
         let d = unzigzag(read_varint(buf, pos)?);
         let code = if i == 0 { d } else { prev.saturating_add(d) };
-        let lit = literal(code)?;
+        let lit = literal(code, num_vars)?;
         if let Some(out) = out.as_deref_mut() {
             out.push(lit);
         }
@@ -626,14 +634,15 @@ struct SpecHead {
 type ClauseSink<'a> = (&'a mut Vec<Lit>, &'a mut dyn FnMut(&[Lit]));
 
 /// The one subproblem-spec walker, inverse of `SpecEncoder`: checks a
-/// payload field by field and returns its head. Given a sink, it decodes each clause
+/// payload field by field, every literal's variable below the spec's
+/// `num_vars`, and returns its head. Given a sink, it decodes each clause
 /// into the sink's buffer in turn and hands it over; given none, it only
 /// checks and counts, and keeps no literal. Specs keep their literal
 /// order on the wire, so seal and walk are inverses.
 fn walk_spec(buf: &[u8], mut sink: Option<ClauseSink<'_>>) -> Result<SpecHead, WireError> {
     let mut pos = 0usize;
     let num_vars = read_varint(buf, &mut pos)?;
-    let assumptions = read_pairs(buf, &mut pos)?;
+    let assumptions = read_pairs(buf, &mut pos, num_vars)?;
     let n_clauses = read_varint(buf, &mut pos)?;
     if n_clauses > buf.len() as u64 {
         return Err(WireError::Truncated);
@@ -654,11 +663,11 @@ fn walk_spec(buf: &[u8], mut sink: Option<ClauseSink<'_>>) -> Result<SpecHead, W
         let len = match &mut sink {
             Some((lits, clause)) => {
                 lits.clear();
-                let len = decode_clause_into(buf, &mut pos, Some(lits))?;
+                let len = decode_clause_into(buf, &mut pos, num_vars, Some(lits))?;
                 clause(lits);
                 len
             }
-            None => decode_clause_into(buf, &mut pos, None)?,
+            None => decode_clause_into(buf, &mut pos, num_vars, None)?,
         };
         head.literals += len;
         head.longest = head.longest.max(len);
@@ -785,7 +794,7 @@ impl SpecFrame {
     pub(crate) fn assumptions(&self) -> Vec<(Lit, bool)> {
         let (payload, mut pos) = (self.payload(), 0);
         read_varint(payload, &mut pos)
-            .and_then(|_| read_pairs(payload, &mut pos))
+            .and_then(|num_vars| read_pairs(payload, &mut pos, num_vars))
             .unwrap_or_default()
     }
 
@@ -1110,6 +1119,42 @@ mod tests {
         );
     }
 
+    /// A frame whose CRC holds but whose spec names a variable past its
+    /// `num_vars` would index past the solver's per-variable arrays: the
+    /// walker rejects it, so `verify` passes exactly what `load` builds.
+    #[test]
+    fn a_literal_past_the_variable_count_does_not_parse() {
+        let config = SolverConfig::default;
+        let clause = SplitSpec {
+            num_vars: 2,
+            assumptions: vec![],
+            clauses: vec![Clause::new([Lit::pos(5), Lit::neg(1)])],
+        };
+        let assumption = SplitSpec {
+            num_vars: 2,
+            assumptions: vec![(Lit::neg(2), false)],
+            clauses: vec![],
+        };
+        for spec in [clause, assumption] {
+            let frame = SpecFrame::seal(&spec);
+            assert!(frame.intact());
+            assert_eq!(frame.verify(), Err(WireError::Overflow));
+            assert_eq!(frame.open(), Err(WireError::Overflow));
+            assert_eq!(frame.load(config()).err(), Some(WireError::Overflow));
+            let payload = frame.payload();
+            assert_eq!(SpecFrame::from_payload(payload), Err(WireError::Overflow));
+        }
+        // the last variable is in range
+        let edge = SplitSpec {
+            num_vars: 2,
+            assumptions: vec![(Lit::neg(1), true)],
+            clauses: vec![Clause::new([Lit::pos(1), Lit::neg(0)])],
+        };
+        let frame = SpecFrame::seal(&edge);
+        assert_eq!(frame.open(), Ok(edge));
+        assert!(frame.load(config()).is_ok());
+    }
+
     #[test]
     fn random_batches_round_trip_canonically() {
         let mut rng = Rng::seed_from_u64(0x1234_5678_9abc_def0);
@@ -1158,7 +1203,7 @@ mod tests {
             let n_asm = rng.range_usize(0..6);
             let n_cl = rng.range_usize(0..10);
             let spec = SplitSpec {
-                num_vars: rng.range_usize(0..100_000),
+                num_vars: rng.range_usize(5000..100_000),
                 assumptions: (0..n_asm)
                     .map(|_| (lit(&mut rng, 5000), rng.next_bool()))
                     .collect(),

@@ -4,9 +4,10 @@
 //! checksummed frames ([`wire::open_frame`]), clause-share batches
 //! ([`EncodedBatch`], through both the uncached `decode` and the
 //! memoised `decoded` receivers use), subproblem specs ([`SpecFrame`]:
-//! `open` and `verify`, each held against a model of the decoder as first
-//! written), and sealed journal records ([`SealedRecord`]), a recovery's
-//! journaled spec payload among them.
+//! `open`, `verify` and `load`, each held against a model of the decoder
+//! as first written), and sealed journal records ([`SealedRecord`]), a
+//! recovery's journaled spec payload among them. Every spec that decodes
+//! is loaded into a solver too.
 //!
 //! The generator is a plain xorshift so failures reproduce from the
 //! printed seed alone (`DECODE_FUZZ_SEED=<n>`), and the iteration count
@@ -18,7 +19,7 @@ use gridsat::msg::{Checkpoint, ProblemId};
 use gridsat::wire::{self, EncodedBatch, SpecFrame, WireError};
 use gridsat_cnf::{Clause, Lit};
 use gridsat_grid::NodeId;
-use gridsat_solver::SplitSpec;
+use gridsat_solver::{Solver, SolverConfig, SplitSpec};
 
 const DEFAULT_ITERS: u64 = 10_000;
 
@@ -243,7 +244,8 @@ fn fuzz_share_batch_decoder_never_panics() {
     }
 }
 
-/// The spec decoder as first written, a heap `Clause` per clause: the
+/// The spec decoder as first written, a heap `Clause` per clause, with
+/// each literal's variable checked against `num_vars` as it is read: the
 /// model the spec walker must agree with, error for error.
 fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
     fn varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
@@ -274,7 +276,7 @@ fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
     let mut assumptions = Vec::new();
     for _ in 0..n_asm {
         let packed = varint(buf, &mut pos)?;
-        if packed >> 1 > u64::from(u32::MAX) {
+        if packed >> 1 > u64::from(u32::MAX) || packed >> 2 >= num_vars {
             return Err(WireError::Overflow);
         }
         assumptions.push((Lit::from_code((packed >> 1) as usize), packed & 1 == 1));
@@ -293,7 +295,7 @@ fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
         for k in 0..len {
             let d = unzigzag(varint(buf, &mut pos)?);
             let code = if k == 0 { d } else { prev.saturating_add(d) };
-            if !(0..=i64::from(u32::MAX)).contains(&code) {
+            if !(0..=i64::from(u32::MAX)).contains(&code) || code as u64 >> 1 >= num_vars {
                 return Err(WireError::Overflow);
             }
             lits.push(Lit::from_code(code as usize));
@@ -311,11 +313,23 @@ fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
     })
 }
 
-/// `frame` opened and verified: each must answer `want`.
+/// `frame` opened, verified and loaded: each must answer `want`, and a
+/// loaded solver must be the one `want`'s spec builds.
 fn assert_spec_reads(frame: &SpecFrame, want: &Result<SplitSpec, WireError>, what: &str) {
     assert_eq!(&frame.open(), want, "{what}: open (seed {})", seed());
     let verdict = want.as_ref().map(drop).map_err(|e| *e);
     assert_eq!(frame.verify(), verdict, "{what}: verify (seed {})", seed());
+    let config = SolverConfig::default();
+    let loaded = frame.load(config.clone()).map(|s| s.loaded_state());
+    let built = want
+        .as_ref()
+        .map(|spec| Solver::from_split(spec, config).loaded_state());
+    assert_eq!(
+        loaded,
+        built.map_err(|e| *e),
+        "{what}: load (seed {})",
+        seed()
+    );
 }
 
 #[test]
