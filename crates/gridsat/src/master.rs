@@ -417,7 +417,7 @@ impl Master {
         m.take_back_all(own.into_iter().chain(held).collect(), ctx);
         let records = m.journal.len();
         m.obs.emit(now, me.0, || Event::StandbyPromote { records });
-        m.dispatch_recoveries(ctx);
+        m.dispatch_recoveries(None, ctx);
         m.drain_backlog(ctx);
         ctx.schedule_tick(m.config.master_period);
         m
@@ -529,18 +529,20 @@ impl Master {
     /// The one door back into the master for a cube: queue `frame` — a
     /// handed-back frame the caller verified, or one rebuilt here from a
     /// recovery image — as a re-dispatch of `source`'s cube, count it
-    /// where `counter` says (a recovery or a requeue), and dispatch.
+    /// where `counter` says (a recovery or a requeue), and dispatch it to
+    /// anyone but the client that `refused` it.
     fn take_back(
         &mut self,
         frame: SpecFrame,
         source: Option<ProblemId>,
         counter: fn(&mut MasterStats) -> &mut u64,
+        refused: Option<NodeId>,
         ctx: &mut Ctx<GridMsg>,
     ) {
         let recovery = RecoverySpec { frame, source };
         self.commit(ctx.now(), JournalRecord::RecoveryQueued { recovery });
         *counter(&mut self.stats) += 1;
-        self.dispatch_recoveries(ctx);
+        self.dispatch_recoveries(refused, ctx);
     }
 
     /// The one way out for a cube: mint a problem id, commit `client`'s
@@ -1025,7 +1027,7 @@ impl Master {
     /// Queue `frames`, the cubes a lost holder had, for re-dispatch.
     fn take_back_all(&mut self, frames: Frames, ctx: &mut Ctx<GridMsg>) {
         for (frame, source) in frames {
-            self.take_back(frame, source, |s| &mut s.recoveries, ctx);
+            self.take_back(frame, source, |s| &mut s.recoveries, None, ctx);
         }
     }
 
@@ -1047,7 +1049,7 @@ impl Master {
             return false;
         };
         let frame = cp.frame(&self.formula);
-        self.take_back(frame, source, |s| &mut s.recoveries, ctx);
+        self.take_back(frame, source, |s| &mut s.recoveries, None, ctx);
         true
     }
 
@@ -1084,7 +1086,7 @@ impl Master {
         if idle || (self.config.reliability && (receiving || whole)) {
             self.deregister(node, ctx);
             self.take_back_all(held, ctx);
-            self.dispatch_recoveries(ctx);
+            self.dispatch_recoveries(None, ctx);
             self.drain_backlog(ctx);
         } else {
             self.finish(GridOutcome::ClientLost, ctx);
@@ -1136,7 +1138,7 @@ impl Master {
                     return;
                 }
                 // taking it back releases the row that names it
-                self.take_back(*spec, Some(problem), |s| &mut s.requeues, ctx);
+                self.take_back(*spec, Some(problem), |s| &mut s.requeues, None, ctx);
             }
             GridMsg::SplitGrant { .. } | GridMsg::Migrate { .. } => {
                 // the grant never reached the requester: forget it and
@@ -1196,10 +1198,10 @@ impl Master {
         self.ship_journal(ctx, false);
     }
 
-    /// Hand queued recovered subproblems to idle clients.
-    fn dispatch_recoveries(&mut self, ctx: &mut Ctx<GridMsg>) {
+    /// Hand queued recovered subproblems to idle clients, `exclude` aside.
+    fn dispatch_recoveries(&mut self, exclude: Option<NodeId>, ctx: &mut Ctx<GridMsg>) {
         while !self.core.pending_recovery.is_empty() {
-            let Some(target) = self.pick_idle(NodeId(u32::MAX), None) else {
+            let Some(target) = self.pick_idle(exclude.unwrap_or(NodeId(u32::MAX)), None) else {
                 return;
             };
             self.assign(target, false, ctx);
@@ -1542,7 +1544,7 @@ impl Process for Master {
                         }
                     }
                     SubResult::Unsat => {
-                        self.dispatch_recoveries(ctx);
+                        self.dispatch_recoveries(None, ctx);
                         self.drain_backlog(ctx);
                         self.maybe_migrate(ctx);
                         self.check_termination(ctx);
@@ -1579,8 +1581,10 @@ impl Process for Master {
                 // gave it — a Solve that raced with an intra-site steal
                 // making the client busy first. Taking the cube back
                 // releases the roster entry, or all-idle termination would
-                // wait forever on a cube the client is not working
-                self.take_back(*spec, problem, |s| &mut s.requeues, ctx);
+                // wait forever on a cube the client is not working; and
+                // the cube goes to someone else, or the busy sender would
+                // only refuse it again
+                self.take_back(*spec, problem, |s| &mut s.requeues, Some(from), ctx);
                 self.drain_backlog(ctx);
             }
             GridMsg::CheckpointMsg {
@@ -1662,7 +1666,7 @@ impl Process for Master {
                 let node = self.me.0;
                 self.obs
                     .emit(ctx.now(), node, || Event::ClientLaunch { client: from.0 });
-                self.dispatch_recoveries(ctx);
+                self.dispatch_recoveries(None, ctx);
                 self.drain_backlog(ctx);
                 self.note_activity();
             }
@@ -1675,7 +1679,7 @@ impl Process for Master {
                     self.on_corrupt(from, ctx);
                     return;
                 }
-                self.take_back(*spec, Some(problem), |s| &mut s.recoveries, ctx);
+                self.take_back(*spec, Some(problem), |s| &mut s.recoveries, None, ctx);
             }
             // clause-share gossip addressed to this host's retired client
             // can still be in flight when a standby promotes; sharing is
@@ -1708,7 +1712,7 @@ impl Process for Master {
         if self.outcome.is_some() {
             return;
         }
-        self.dispatch_recoveries(ctx);
+        self.dispatch_recoveries(None, ctx);
         self.drain_backlog(ctx);
         self.pull_offers(ctx);
         self.maybe_migrate(ctx);

@@ -584,32 +584,70 @@ fn requeued_assignment_releases_the_ghost_roster_entry() {
     );
     let _ = cx.take_actions();
     // the ghost assignment is gone (the handler may re-dispatch the
-    // requeued space immediately, but never under the returned id)
+    // requeued space, but never under the returned id)
     assert_ne!(m.core.clients[&NodeId(2)].cube(), Some(ghost));
-    // and the run can still terminate: close whatever is open
+    // and the run can still terminate: close whatever is open, the
+    // requeued space wherever it is dispatched next
     let mut cx = ctx(3.0);
-    if let Some(p) = m.core.clients[&NodeId(2)].cube() {
-        m.on_message(
-            NodeId(2),
-            GridMsg::Result {
-                result: SubResult::Unsat,
-                problem: p,
-            },
-            &mut cx,
-        );
+    for _ in 0..4 {
+        let mut open = [1, 2].map(NodeId).into_iter();
+        let Some((id, p)) = open.find_map(|id| Some((id, m.core.clients[&id].cube()?))) else {
+            break;
+        };
+        let (result, problem) = (SubResult::Unsat, p);
+        m.on_message(id, GridMsg::Result { result, problem }, &mut cx);
     }
-    let p1 = m.core.clients[&NodeId(1)]
-        .cube()
-        .expect("node 1 holds the root problem");
-    m.on_message(
-        NodeId(1),
-        GridMsg::Result {
-            result: SubResult::Unsat,
-            problem: p1,
-        },
-        &mut cx,
-    );
     assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
+}
+
+/// A client busy on work the master does not track hands back the
+/// `Solve` it was sent. The cube goes to another idle client, not
+/// straight back to the one that refused it; with no other client idle
+/// it waits in the queue.
+#[test]
+fn a_requeued_cube_does_not_go_back_to_the_client_that_refused_it() {
+    let mut m = Master::new(
+        gridsat_cnf::paper::fig1_formula(),
+        GridConfig::chaos_hardened(),
+        speeds(4),
+    );
+    register(&mut m, 1, 0.0); // the whole problem
+    register(&mut m, 2, 0.0);
+    register(&mut m, 3, 0.0);
+    let frame = SpecFrame::seal(&SplitSpec {
+        num_vars: 1,
+        assumptions: vec![(gridsat_cnf::Lit::pos(0), true)],
+        clauses: vec![],
+    });
+    let requeue = |m: &mut Master, from: u32, problem: Option<ProblemId>, t: f64| {
+        let mut cx = ctx(t);
+        let spec = Box::new(frame.clone());
+        m.on_message(NodeId(from), GridMsg::Requeue { spec, problem }, &mut cx);
+        cx.take_actions()
+    };
+    // the best-ranked idle client, node 3, is sent the handed-back cube
+    let sent = requeue(&mut m, 1, None, 1.0);
+    assert_eq!(solve_to(&sent, 3), Some(frame.clone()));
+    let refused = m.core.clients[&NodeId(3)].cube();
+    // node 3 turns out busy and hands it back: node 2 gets it
+    let sent = requeue(&mut m, 3, refused, 2.0);
+    assert_eq!(
+        solve_to(&sent, 3),
+        None,
+        "sent back to the client that refused it"
+    );
+    assert_eq!(solve_to(&sent, 2), Some(frame.clone()));
+    // node 2 refuses it too: node 3, idle since its hand-back, gets it
+    let refused = m.core.clients[&NodeId(2)].cube();
+    let sent = requeue(&mut m, 2, refused, 3.0);
+    assert_eq!(solve_to(&sent, 2), None);
+    assert_eq!(solve_to(&sent, 3), Some(frame.clone()));
+    // the refuser the only idle client: the cube waits in the queue
+    m.on_node_down(NodeId(2), &mut ctx(4.0));
+    let refused = m.core.clients[&NodeId(3)].cube();
+    let sent = requeue(&mut m, 3, refused, 5.0);
+    assert_eq!(solve_to(&sent, 3), None);
+    assert_eq!(m.core.pending_recovery.len(), 1);
 }
 
 /// The frame of the `Solve` among `actions` addressed to `to`.
@@ -1777,7 +1815,7 @@ fn randomized_schedules_replay_to_the_live_state() {
     // requests that backlogged, and losses of a backlogged client or of
     // one a grant names
     let (mut queued, mut lost_queued, mut lost_granted) = (0, 0, 0);
-    for round in 0..40 {
+    for round in 0..100 {
         let mut m = Master::new(f.clone(), cfg.clone(), speeds(6));
         // every cube a client was handed or named, for stale messages
         let mut known: Vec<ProblemId> = Vec::new();

@@ -15,7 +15,9 @@
 //!
 //! Every run is pinned twice. Under the paper's share protocol
 //! (`share_round_s: None`, what `GridConfig::experiment1()` runs) the
-//! constants are still the ones captured then: sharing in rounds is a
+//! constants are still the ones captured then, but for the hierarchical
+//! run's counts, re-cut when a requeued cube stopped going straight back
+//! to the client that refused it: sharing in rounds is a
 //! parameterisation of the same code path and must not move them. Under
 //! `GridConfig::default()` — rounds, fixed-size inbox, sliced merge — they
 //! were cut on the commit that introduced rounds. The failover run is
@@ -148,10 +150,10 @@ fn hierarchical_run_is_bit_identical_to_the_pinned_parent() {
         run(true, GridConfig::experiment1()),
         Pins {
             seconds_bits: 78.623115f64.to_bits(),
-            events: 9537,
-            messages_delivered: 5311,
-            bytes_delivered: 820_420,
-            ticks: 3995,
+            events: 9538,
+            messages_delivered: 5312,
+            bytes_delivered: 821_530,
+            ticks: 3993,
             splits: 11,
             clauses_received: 1587,
             dup_share_drops: 0,
@@ -228,16 +230,16 @@ fn bit_rot_run_in_rounds_is_pinned() {
     assert_eq!(
         pins,
         Pins {
-            seconds_bits: 95.625194f64.to_bits(),
-            events: 14_250,
-            messages_delivered: 5114,
-            bytes_delivered: 601_213,
-            ticks: 3760,
-            splits: 140,
-            clauses_received: 839,
-            dup_share_drops: 64,
-            shares_forwarded: 271,
-            share_batches_sent: 88,
+            seconds_bits: 83.523956f64.to_bits(),
+            events: 14_293,
+            messages_delivered: 5150,
+            bytes_delivered: 620_795,
+            ticks: 3727,
+            splits: 146,
+            clauses_received: 841,
+            dup_share_drops: 73,
+            shares_forwarded: 267,
+            share_batches_sent: 94,
         }
     );
     // every mangled payload was caught by a receiver's frame check
@@ -253,7 +255,8 @@ fn bit_rot_run_in_rounds_is_pinned() {
 /// records the master writes (103.77 s once three fields the fold reads
 /// off the core went, 105.48 s since `GrantClose` lost its flag and a
 /// take-back releases the row, 101.11 s since the fold drops backlog
-/// entries and closes a lost client's grants itself).
+/// entries and closes a lost client's grants itself, 103.73 s since a
+/// requeued cube is not dispatched back to the client that refused it).
 #[test]
 fn master_gone_failover_run_is_pinned() {
     let config = miniature(GridConfig::failover_hardened());
@@ -279,16 +282,16 @@ fn master_gone_failover_run_is_pinned() {
     assert_eq!(
         Pins::of(&r),
         Pins {
-            seconds_bits: 101.106775f64.to_bits(),
-            events: 20_594,
-            messages_delivered: 6629,
-            bytes_delivered: 962_062,
-            ticks: 4367,
-            splits: 185,
-            clauses_received: 1536,
-            dup_share_drops: 111,
-            shares_forwarded: 349,
-            share_batches_sent: 124,
+            seconds_bits: 103.728402f64.to_bits(),
+            events: 22_448,
+            messages_delivered: 7290,
+            bytes_delivered: 964_303,
+            ticks: 4748,
+            splits: 235,
+            clauses_received: 1539,
+            dup_share_drops: 124,
+            shares_forwarded: 373,
+            share_batches_sent: 135,
         }
     );
 }
