@@ -296,12 +296,6 @@ pub(crate) fn encode_codes(codes: impl ExactSizeIterator<Item = u32>, out: &mut 
     }
 }
 
-fn decode_clause(buf: &[u8], pos: &mut usize) -> Result<Clause, WireError> {
-    let mut lits = Vec::new();
-    decode_clause_into(buf, pos, u64::MAX, Some(&mut lits))?;
-    Ok(Clause::new(lits))
-}
-
 /// `(literal, flag)` pairs — a spec's assumptions, a checkpoint's level
 /// 0: their count, then `code≪1 | flag` each.
 pub(crate) fn write_pairs(pairs: &[(Lit, bool)], out: &mut Vec<u8>) {
@@ -554,7 +548,9 @@ fn decode_batch(buf: &[u8]) -> Result<Vec<(Clause, u64)>, WireError> {
     }
     let mut out = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let clause = decode_clause(buf, &mut pos)?;
+        let mut lits = Vec::new();
+        decode_clause_into(buf, &mut pos, u64::MAX, Some(&mut lits))?;
+        let clause = Clause::new(lits);
         let fp = clause.fingerprint();
         out.push((clause, fp));
     }

@@ -242,10 +242,10 @@ impl ClauseDb {
     }
 
     /// Reserve arena room for `clauses` original clauses of `lits`
-    /// literals in all at once, so a bulk load copies each clause in without regrowing the
-    /// arena. Rounded up to a power of two, as repeated doubling would
-    /// have left it: an odd-sized block is a hole nothing else reuses once
-    /// the learned clauses outgrow it.
+    /// literals in all at once, so a bulk load copies each clause in
+    /// without regrowing the arena. Rounded up to a power of two, as
+    /// repeated doubling would have left it: an odd-sized block is a hole
+    /// nothing else reuses once the learned clauses outgrow it.
     pub(crate) fn reserve_for(&mut self, clauses: usize, lits: usize) {
         let words = clauses * HEADER_WORDS + lits;
         if words > 0 {

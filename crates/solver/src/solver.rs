@@ -353,11 +353,9 @@ impl Solver {
 
     /// Build a solver for a subproblem received from a peer.
     pub fn from_split(spec: &SplitSpec, config: SolverConfig) -> Solver {
-        let size = (
-            spec.clauses.len(),
-            spec.clauses.iter().map(Clause::len).sum(),
-        );
+        let lits = spec.clauses.iter().map(Clause::len).sum();
         let clauses = |add: &mut dyn FnMut(&[Lit])| spec.clauses.iter().for_each(|c| add(c.lits()));
+        let size = (spec.clauses.len(), lits);
         Solver::from_split_parts(spec.num_vars, &spec.assumptions, size, clauses, config)
     }
 
@@ -401,11 +399,7 @@ impl Solver {
             s.add_original_clause(clause, &mut scratch);
             seen = (seen.0 + 1, seen.1 + clause.len());
         });
-        debug_assert_eq!(
-            seen,
-            (n_clauses, n_lits),
-            "the clauses are not the size given"
-        );
+        debug_assert_eq!(seen, (n_clauses, n_lits), "clauses not the size given");
         s.max_learned = (n_clauses as f64 * s.config.max_learned_factor).max(1000.0);
         s.initial_propagate();
         s
