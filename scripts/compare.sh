@@ -10,7 +10,9 @@
 # unit is `count` or `bytes` must be equal. Then the chaos gate's three
 # soaks (scripts/check.sh) and `--seeds 1000 --repro` under both presets
 # must print the same stdout and exit status (stderr carries backtraces
-# with paths). Each value and each chaos line that differs is printed.
+# with paths). Like the chaos gate, they run with debug assertions on,
+# so a change that trips a `debug_assert` fails here too. Each value and
+# each chaos line that differs is printed.
 #
 # With pairs > 0 the timing half follows: alternating runs of every
 # workload, or of the one named, at BENCHMARK.json's run length, the side
@@ -24,13 +26,14 @@
 # A side is a checkout directory or a commit (e.g. `HEAD~1`), exported
 # with `git archive` into ${TMPDIR:-/tmp}/gridsat-<full hash> and reused
 # with its build by later calls (delete it when done). Each side builds
-# once into <dir>/.bench_build: the benchmark package, then `chaos_soak`
-# through the same manifest, which reuses its libraries. The
-# `benchmark/Cargo.lock` cargo rewrites is put back.
+# once: the benchmark package into <dir>/.bench_build, then `chaos_soak`
+# through the same manifest with debug assertions on into
+# <dir>/.chaos_build. The `benchmark/Cargo.lock` cargo rewrites is put
+# back.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 5 ]]; then
-  sed -n '2,29p' "$0" >&2
+  sed -n '2,32p' "$0" >&2
   exit 2
 fi
 
@@ -83,7 +86,8 @@ build() {
   lock=$(cat "$1/benchmark/Cargo.lock")
   CARGO_TARGET_DIR="$1/.bench_build" cargo build --release --offline --quiet \
     --manifest-path "$1/benchmark/Cargo.toml"
-  CARGO_TARGET_DIR="$1/.bench_build" cargo build --release --offline --quiet \
+  CARGO_TARGET_DIR="$1/.chaos_build" RUSTFLAGS="-C debug-assertions=on" \
+    cargo build --release --offline --quiet \
     --manifest-path "$1/benchmark/Cargo.toml" -p gridsat-bench --bin chaos_soak
   echo "$lock" >"$1/benchmark/Cargo.lock"
 }
@@ -130,7 +134,7 @@ for args in "${chaos[@]}"; do
     echo "== chaos_soak $args on ${!side}" >&2
     # a soak with failures exits nonzero: the status is compared too
     # shellcheck disable=SC2086
-    { "${!side}/.bench_build/release/chaos_soak" $args 2>/dev/null || echo "exit $?"; } >"$out/$side"
+    { "${!side}/.chaos_build/release/chaos_soak" $args 2>/dev/null || echo "exit $?"; } >"$out/$side"
   done
   if ! cmp -s "$out/parent" "$out/change"; then
     echo "chaos_soak $args: stdout differs (< parent, > change)"
