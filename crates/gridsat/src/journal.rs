@@ -94,15 +94,15 @@ pub enum JournalRecord {
     /// A migration source handed its subproblem off and went idle.
     MigrateSent { requester: NodeId },
     /// Figure 3 message (4): the receiving peer confirmed the transfer
-    /// and is now busy, with its bundled initial recovery image.
+    /// and is now busy; the level 0 it bundled is the cube's image.
     TransferIn {
         peer: NodeId,
         problem: ProblemId,
         checkpoint: Option<Checkpoint>,
         at: f64,
     },
-    /// A checkpoint upload passed the freshness guard; a Receiving peer's
-    /// upload also teaches the master its subproblem id.
+    /// A checkpoint upload for the cube the client's row names: its level
+    /// 0 becomes the cube's image.
     CheckpointAccept {
         client: NodeId,
         problem: ProblemId,
@@ -675,42 +675,27 @@ impl SealedRecord {
     }
 }
 
-/// A client's scheduling state as the master sees it: the row names a
-/// cube, and keeps what that cube is rebuilt from, only while the client
-/// holds or is being sent one. An idle row naming a cube, or a busy row
-/// naming none, cannot be written.
+/// A client's scheduling state as the master sees it. A Busy row names
+/// the cube its client holds; what rebuilds that cube is the ledger's
+/// ([`Cubes::level0`]). A Receiving row names nothing: the ledger has the
+/// cube in flight to it. An idle row naming a cube, or a busy row naming
+/// none, cannot be written.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ClientState {
     /// Registered, no work.
     Idle,
-    /// A subproblem transfer to this client is in flight; its id and
-    /// image are learned early when the client's first checkpoint
-    /// overtakes the confirmation.
-    Receiving(Option<(ProblemId, RecoveryImage)>),
-    /// Solving `cube`; `image` rebuilds it if the client is lost
-    /// (reliability extension).
-    Busy {
-        cube: ProblemId,
-        image: Option<RecoveryImage>,
-    },
+    /// A subproblem transfer to this client is in flight.
+    Receiving,
+    /// Solving `cube`.
+    Busy { cube: ProblemId },
 }
 
 impl ClientState {
     /// The cube the row names, if any.
     pub(crate) fn cube(&self) -> Option<ProblemId> {
         match self {
-            ClientState::Idle => None,
-            ClientState::Receiving(learned) => learned.as_ref().map(|(cube, _)| *cube),
-            ClientState::Busy { cube, .. } => Some(*cube),
-        }
-    }
-
-    /// What the row's cube is rebuilt from if the client is lost.
-    pub(crate) fn image(&self) -> Option<&RecoveryImage> {
-        match self {
-            ClientState::Idle => None,
-            ClientState::Receiving(learned) => learned.as_ref().map(|(_, image)| image),
-            ClientState::Busy { image, .. } => image.as_ref(),
+            ClientState::Idle | ClientState::Receiving => None,
+            ClientState::Busy { cube } => Some(*cube),
         }
     }
 }
@@ -755,7 +740,7 @@ impl ClientInfo {
         &self.state
     }
 
-    /// The cube the master believes the client holds or is being sent.
+    /// The cube the master believes the client holds.
     pub(crate) fn cube(&self) -> Option<ProblemId> {
         self.state.cube()
     }
@@ -809,26 +794,6 @@ impl fmt::Debug for ClientInfo {
             .field("rank", &self.rank)
             .field("last_seen", &self.last_seen)
             .finish_non_exhaustive()
-    }
-}
-
-/// What the master rebuilds a lost client's cube from.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RecoveryImage {
-    /// The frame the master dispatched, until the client's first
-    /// checkpoint lands: recovering re-sends the same bytes.
-    Sent(SpecFrame),
-    /// The client's latest checkpoint, re-dispatched as `Checkpoint::frame`.
-    Uploaded(Checkpoint),
-}
-
-impl RecoveryImage {
-    /// The cube as the frame that re-dispatches it.
-    pub(crate) fn frame(&self, formula: &gridsat_cnf::Formula) -> SpecFrame {
-        match self {
-            RecoveryImage::Sent(frame) => frame.clone(),
-            RecoveryImage::Uploaded(cp) => cp.frame(formula),
-        }
     }
 }
 
@@ -907,7 +872,8 @@ struct Cube {
 }
 
 /// The cube ledger: the split tree of every cube the run has minted,
-/// each with its place. Every record costs O(1).
+/// each with its place and, while a client holds it, the level 0 that
+/// rebuilds it. Every record costs O(1).
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Cubes {
     map: BTreeMap<ProblemId, Cube>,
@@ -916,6 +882,10 @@ pub(crate) struct Cubes {
     kept: Vec<Kept>,
     /// Entries not `Settled`; the UNSAT verdict waits for none.
     unsettled: usize,
+    /// At most one level 0 per cube, from its holder: the one it was
+    /// dispatched with, confirmed with or last checkpointed. It goes when
+    /// the cube moves away from that holder.
+    images: BTreeMap<ProblemId, Checkpoint>,
 }
 
 impl Cubes {
@@ -952,7 +922,8 @@ impl Cubes {
         })
     }
 
-    /// Move `id` to `state`, entering it by id alone if it is new.
+    /// Move `id` to `state`, entering it by id alone if it is new; a move
+    /// away from its holder drops its level 0.
     fn enter(&mut self, id: ProblemId, state: CubeState) {
         let open = |s: CubeState| usize::from(!matches!(s, CubeState::Settled { .. }));
         let cube = self.map.entry(id).or_insert(Cube {
@@ -961,7 +932,34 @@ impl Cubes {
             state: CubeState::Settled { refuted: false },
         });
         self.unsettled = self.unsettled + open(state) - open(cube.state);
+        if state.holder() != cube.state.holder() {
+            self.images.remove(&id);
+        }
         cube.state = state;
+    }
+
+    /// Keep `level0`, which `client` was sent or reported, as what
+    /// rebuilds `id`: only while the ledger has the cube at that client.
+    fn keep(&mut self, id: ProblemId, client: NodeId, level0: Checkpoint) {
+        if self.state(id).and_then(CubeState::holder) == Some(client) {
+            self.images.insert(id, level0);
+        }
+    }
+
+    /// What rebuilds `id` over the base formula: its holder's level 0,
+    /// else its path; `None` when it has neither.
+    pub(crate) fn level0(&self, id: ProblemId) -> Option<Checkpoint> {
+        if let Some(image) = self.images.get(&id) {
+            return Some(image.clone());
+        }
+        let level0 = self.path(id)?.into_iter().map(|l| (l, false)).collect();
+        Some(Checkpoint { level0 })
+    }
+
+    /// The level 0 each cube keeps.
+    #[cfg(test)]
+    pub(crate) fn images(&self) -> &BTreeMap<ProblemId, Checkpoint> {
+        &self.images
     }
 
     /// The master sent `holder` a fresh id: the root, or the twin of the
@@ -1286,7 +1284,7 @@ impl MasterCore {
         if let Some(info) = self.clients.get(&client) {
             match info.state {
                 ClientState::Idle => self.idle.remove(client, info.rank),
-                ClientState::Busy { .. } | ClientState::Receiving(_) => self.busy -= 1,
+                ClientState::Busy { .. } | ClientState::Receiving => self.busy -= 1,
             }
         }
     }
@@ -1296,7 +1294,7 @@ impl MasterCore {
         if let Some(info) = self.clients.get(&client) {
             match info.state {
                 ClientState::Idle => self.idle.insert(client, info.rank),
-                ClientState::Busy { .. } | ClientState::Receiving(_) => self.busy += 1,
+                ClientState::Busy { .. } | ClientState::Receiving => self.busy += 1,
             }
         }
     }
@@ -1347,7 +1345,7 @@ impl MasterCore {
     fn close_grant(&mut self, requester: NodeId) {
         if let Some((peer, ..)) = self.grants.remove(&requester) {
             let receiving = (self.clients.get(&peer))
-                .is_some_and(|p| matches!(p.state, ClientState::Receiving(_)));
+                .is_some_and(|p| matches!(p.state, ClientState::Receiving));
             if receiving {
                 self.set_state(peer, ClientState::Idle);
             }
@@ -1369,16 +1367,22 @@ impl MasterCore {
         self.busy
     }
 
-    /// `client` now holds `cube` on a clock started `at`, rebuilt from
-    /// `image`, or without one from what its row had: a Receiving peer's
-    /// early checkpoint.
-    fn occupy(&mut self, client: NodeId, cube: ProblemId, image: Option<RecoveryImage>, at: f64) {
+    /// `client` now holds `cube` on a clock started `at`.
+    fn occupy(&mut self, client: NodeId, cube: ProblemId, at: f64) {
         let Some(info) = self.clients.get_mut(&client) else {
             return;
         };
         info.problem_since = at;
-        let image = image.or_else(|| info.state.image().cloned());
-        self.set_state(client, ClientState::Busy { cube, image });
+        self.set_state(client, ClientState::Busy { cube });
+    }
+
+    /// `client` confirmed it holds `cube` — message (4), a steal's settle
+    /// or an adoption claim — bundling `checkpoint`, its level 0.
+    fn confirm(&mut self, client: NodeId, cube: ProblemId, checkpoint: Option<Checkpoint>) {
+        self.relocate(cube, CubeState::Open(client));
+        if let Some(level0) = checkpoint {
+            self.cubes.keep(cube, client, level0);
+        }
     }
 
     /// Move `cube` to `to` in the ledger, and release the row that named
@@ -1409,9 +1413,12 @@ impl MasterCore {
         formula: &gridsat_cnf::Formula,
         config: &GridConfig,
     ) -> Option<RecoverySpec> {
-        // a dispatched client's first recovery image: the frame it was sent
-        let sent =
-            |frame: &SpecFrame| (config.reliability).then(|| RecoveryImage::Sent(frame.clone()));
+        // a dispatched cube's first level 0: the assumptions it was sent
+        let sent = |frame: &SpecFrame| {
+            (config.reliability).then(|| Checkpoint {
+                level0: frame.assumptions(),
+            })
+        };
         match rec {
             JournalRecord::Launch {
                 client,
@@ -1445,8 +1452,11 @@ impl MasterCore {
                 self.first_problem_sent = true;
                 let clauses = formula.clauses().map(ClauseLits::lits);
                 let frame = SpecFrame::build(formula.num_vars(), &[], clauses);
-                self.occupy(client, problem, sent(&frame), at);
+                self.occupy(client, problem, at);
                 self.cubes.mint(problem, None, client);
+                if let Some(level0) = sent(&frame) {
+                    self.cubes.keep(problem, client, level0);
+                }
                 Some(RecoverySpec {
                     frame,
                     source: None,
@@ -1458,8 +1468,11 @@ impl MasterCore {
                 at,
             } => {
                 let recovery = self.pending_recovery.pop_front()?;
-                self.occupy(client, problem, sent(&recovery.frame), at);
+                self.occupy(client, problem, at);
                 self.cubes.mint(problem, Some(&recovery), client);
+                if let Some(level0) = sent(&recovery.frame) {
+                    self.cubes.keep(problem, client, level0);
+                }
                 Some(recovery)
             }
             JournalRecord::BacklogPush { client } => {
@@ -1481,7 +1494,7 @@ impl MasterCore {
                 problem,
             } => {
                 self.unqueue(requester);
-                self.set_state(peer, ClientState::Receiving(None));
+                self.set_state(peer, ClientState::Receiving);
                 self.grants.insert(requester, (peer, kind, problem));
                 if kind == GrantKind::Split {
                     let horizon = self.cubes.last_minted(requester);
@@ -1526,8 +1539,8 @@ impl MasterCore {
                 checkpoint,
                 at,
             } => {
-                self.occupy(peer, problem, checkpoint.map(RecoveryImage::Uploaded), at);
-                self.relocate(problem, CubeState::Open(peer));
+                self.occupy(peer, problem, at);
+                self.confirm(peer, problem, checkpoint);
                 None
             }
             JournalRecord::CheckpointAccept {
@@ -1535,14 +1548,7 @@ impl MasterCore {
                 problem,
                 checkpoint,
             } => {
-                if let Some(info) = self.clients.get_mut(&client) {
-                    let upload = RecoveryImage::Uploaded(checkpoint);
-                    match &mut info.state {
-                        ClientState::Idle => {}
-                        ClientState::Receiving(learned) => *learned = Some((problem, upload)),
-                        ClientState::Busy { image, .. } => *image = Some(upload),
-                    }
-                }
+                self.cubes.keep(problem, client, checkpoint);
                 None
             }
             JournalRecord::ClientIdle { client } => {
@@ -1576,12 +1582,11 @@ impl MasterCore {
                 let mut info = ClientInfo::launched(memory, speed, availability, at);
                 info.problem_since = at;
                 if let Some(cube) = problem {
-                    let image = checkpoint.map(RecoveryImage::Uploaded);
-                    info.state = ClientState::Busy { cube, image };
+                    info.state = ClientState::Busy { cube };
                 }
                 self.admit(client, info);
                 if let Some(problem) = problem {
-                    self.relocate(problem, CubeState::Open(client));
+                    self.confirm(client, problem, checkpoint);
                 }
                 None
             }
@@ -1609,8 +1614,8 @@ impl MasterCore {
                 }
                 // thief is now busy with the stolen extension (like
                 // TransferIn, but no grant reserved it)
-                self.occupy(thief, problem, checkpoint.map(RecoveryImage::Uploaded), at);
-                self.relocate(problem, CubeState::Open(thief));
+                self.occupy(thief, problem, at);
+                self.confirm(thief, problem, checkpoint);
                 None
             }
         }
@@ -2001,16 +2006,19 @@ mod tests {
         assert_eq!(core.clients[&n1].problem_since, 3.0);
         assert!(matches!(core.clients[&n2].state, ClientState::Busy { cube, .. } if cube == p2));
         assert!(core.grants.is_empty());
-        // the whole-problem dispatch keeps the frame it sent as the
-        // recovery image: the formula, encoded by reference
+        // the whole-problem dispatch keeps the level 0 it sent, none, as
+        // the root's image, which rebuilds the formula; the peer's is the
+        // level 0 its confirmation bundled
         let whole = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
             clauses: f.clauses().map(Clause::from).collect(),
         });
-        let image = core.clients[&n1].state.image();
-        assert_eq!(image, Some(&RecoveryImage::Sent(whole.clone())));
+        let image = core.cubes.images().get(&p1);
+        assert_eq!(image, Some(&Checkpoint { level0: vec![] }));
         assert_eq!(image.unwrap().frame(&f), whole);
+        let level0 = vec![(Lit::neg(0), false)];
+        assert_eq!(core.cubes.level0(p2), Some(Checkpoint { level0 }));
     }
 
     #[test]
@@ -2059,10 +2067,11 @@ mod tests {
         assert_eq!(out.frame, frame);
         assert_eq!(out.source, Some(ProblemId::new(NodeId(0), 1)));
         assert!(core.pending_recovery.is_empty());
-        // the frame sent is the recovery image, re-sent as it was
-        let state = &core.clients[&NodeId(3)].state;
-        assert_eq!(state.cube(), Some(ProblemId::new(NodeId(0), 2)));
-        assert_eq!(state.image().map(|i| i.frame(&f)), Some(frame));
+        // the cube's image is the level 0 it was sent
+        let twin = ProblemId::new(NodeId(0), 2);
+        assert_eq!(core.clients[&NodeId(3)].state.cube(), Some(twin));
+        let level0 = vec![(Lit::neg(2), false)];
+        assert_eq!(core.cubes.images().get(&twin), Some(&Checkpoint { level0 }));
     }
 
     /// Launch `clients` on an empty core; the first is handed the whole

@@ -992,29 +992,19 @@ impl Master {
         self.relink(&changed, ctx);
     }
 
-    /// The frames that take back what `node` holds: its recovery image's
-    /// cube, and every other cube the ledger has it holding, rebuilt from
-    /// base and path; `false` if some cube has neither.
+    /// The frames that take back every cube the ledger has `node`
+    /// holding; `false` if some cube has no level 0 to rebuild it from.
     fn held_frames(&self, node: NodeId) -> (Frames, bool) {
-        let mut frames = Vec::new();
-        let info = self.core.clients.get(&node);
-        let imaged = info.and_then(|i| Some((i.cube(), i.state().image()?)));
-        if let Some((problem, image)) = imaged {
-            if !problem.is_some_and(|p| self.core.cubes.settled(p)) {
-                frames.push((image.frame(&self.formula), problem));
-            }
-        }
-        let mut whole = true;
-        for cube in self.core.cubes.held_by(node) {
-            if imaged.is_some_and(|(p, _)| p == Some(cube)) {
-                continue;
-            }
-            match self.core.cubes.path(cube) {
-                Some(path) => frames.push((self.path_frame(path), Some(cube))),
-                None => whole = false,
-            }
-        }
+        let held = self.core.cubes.held_by(node);
+        let frames: Frames = held.iter().filter_map(|&c| self.rebuilt(c)).collect();
+        let whole = frames.len() == held.len();
         (frames, whole)
+    }
+
+    /// `cube` as the frame that re-dispatches it: base ∧ its level 0.
+    fn rebuilt(&self, cube: ProblemId) -> Option<(SpecFrame, Option<ProblemId>)> {
+        let level0 = self.core.cubes.level0(cube)?;
+        Some((level0.frame(&self.formula), Some(cube)))
     }
 
     /// The cube `path` cuts out of the base formula, as the frame that
@@ -1064,7 +1054,7 @@ impl Master {
             return;
         };
         let idle = matches!(info.state(), ClientState::Idle);
-        let receiving = matches!(info.state(), ClientState::Receiving(_));
+        let receiving = matches!(info.state(), ClientState::Receiving);
         let (held, whole) = self.held_frames(node);
         // "When an idle client is killed ... the master becomes aware
         // of it and marks the resource as free."
@@ -1591,29 +1581,23 @@ impl Process for Master {
                 problem,
                 checkpoint,
             } => {
-                if self.config.reliability {
-                    if let Some(info) = self.core.clients.get(&from) {
-                        // Reordering guard: only keep a checkpoint for
-                        // the subproblem the client is known to hold. A
-                        // Receiving peer's adopt-time checkpoint usually
-                        // beats the transfer confirmation here, so it
-                        // also teaches us the subproblem id early.
-                        let receiving = matches!(info.state(), ClientState::Receiving(_));
-                        if info.cube() == Some(problem) || receiving {
-                            self.commit(
-                                ctx.now(),
-                                JournalRecord::CheckpointAccept {
-                                    client: from,
-                                    problem,
-                                    checkpoint: *checkpoint,
-                                },
-                            );
-                            let node = self.me.0;
-                            self.obs.emit(ctx.now(), node, || Event::CheckpointSaved {
-                                client: from.0,
-                            });
-                        }
-                    }
+                // Reordering guard: only keep a checkpoint for the cube
+                // the client's row names. One for a cube since moved, or
+                // for one still in flight to it, rebuilds nothing
+                let named = self.core.clients.get(&from).and_then(ClientInfo::cube);
+                if self.config.reliability && named == Some(problem) {
+                    self.commit(
+                        ctx.now(),
+                        JournalRecord::CheckpointAccept {
+                            client: from,
+                            problem,
+                            checkpoint: *checkpoint,
+                        },
+                    );
+                    let node = self.me.0;
+                    self.obs.emit(ctx.now(), node, || Event::CheckpointSaved {
+                        client: from.0,
+                    });
                 }
             }
             GridMsg::JournalAck { next } => {

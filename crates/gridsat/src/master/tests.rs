@@ -928,6 +928,63 @@ fn a_peer_lost_with_a_named_half_gets_the_half_rebuilt_from_its_path() {
     assert_eq!(m.outcome(), Some(&GridOutcome::Unsat));
 }
 
+/// A Receiving peer's checkpoint upload, for the cube in flight to it or
+/// for a stale one, is dropped: the peer's row still names no cube, and
+/// the ledger keeps no image for either. Its confirmation (4) is what
+/// makes it Busy, with the level 0 it bundles as the cube's image.
+#[test]
+fn a_receiving_peers_upload_names_no_cube_and_keeps_no_image() {
+    let f = gridsat_cnf::paper::fig1_formula();
+    let mut m = Master::new(f, GridConfig::chaos_hardened(), speeds(4));
+    register(&mut m, 1, 0.0); // busy with the whole problem
+    register(&mut m, 2, 0.0);
+    let whole = ProblemId::new(NodeId(0), 1);
+    m.on_message(
+        NodeId(1),
+        GridMsg::SplitRequest { problem: whole },
+        &mut ctx(1.0),
+    );
+    let half = ProblemId::new(NodeId(1), 1);
+    let kept = gridsat_cnf::Lit::pos(2);
+    let report = GridMsg::SplitDone {
+        requester: NodeId(1),
+        peer: NodeId(2),
+        ok: true,
+        problem: Some(half),
+        pivot: Some(kept),
+        checkpoint: None,
+        stolen: false,
+    };
+    m.on_message(NodeId(1), report, &mut ctx(2.0));
+    let level0 = || Checkpoint {
+        level0: vec![(!kept, false)],
+    };
+    let stale = ProblemId::new(NodeId(3), 7);
+    for (k, problem) in [half, stale].into_iter().enumerate() {
+        let upload = GridMsg::CheckpointMsg {
+            problem,
+            checkpoint: Box::new(level0()),
+        };
+        m.on_message(NodeId(2), upload, &mut ctx(3.0 + k as f64));
+        assert_eq!(state_of(&m, 2), "receiving", "{problem:?}");
+        assert_eq!(m.core.clients[&NodeId(2)].cube(), None, "{problem:?}");
+        assert_eq!(m.core.cubes.images().get(&problem), None, "{problem:?}");
+    }
+    let confirm = GridMsg::SplitDone {
+        requester: NodeId(1),
+        peer: NodeId(2),
+        ok: true,
+        problem: Some(half),
+        pivot: None,
+        checkpoint: Some(Box::new(level0())),
+        stolen: false,
+    };
+    m.on_message(NodeId(2), confirm, &mut ctx(5.0));
+    assert_eq!(m.core.clients[&NodeId(2)].cube(), Some(half));
+    assert_eq!(m.core.cubes.images().get(&half), Some(&level0()));
+    assert_eq!(m.fold(&m.journal), m.core);
+}
+
 #[test]
 fn sat_result_is_verified_and_ends_the_run() {
     let mut m = master();
@@ -1265,13 +1322,7 @@ fn registered_state_reads_straight_from_the_core() {
     assert_eq!(m.core.clients.len(), 2);
     let busy = &m.core.clients[&NodeId(1)];
     let whole = ProblemId::new(NodeId(0), 1);
-    assert_eq!(
-        busy.state(),
-        &ClientState::Busy {
-            cube: whole,
-            image: None
-        }
-    );
+    assert_eq!(busy.state(), &ClientState::Busy { cube: whole });
     assert_eq!(busy.problem_since, 0.0);
     assert_eq!(state_of(&m, 2), "idle");
     assert!(m.core.backlog.is_empty() && m.core.grants.is_empty());
@@ -1800,6 +1851,21 @@ fn assert_rows_follow_the_ledger(m: &Master, case: &str) {
     }
 }
 
+/// Every level 0 the ledger keeps belongs to an unsettled cube it has at
+/// a registered client.
+fn assert_images_are_held(m: &Master, case: &str) {
+    for cube in m.core.cubes.images().keys() {
+        let state = m.core.cubes.state(*cube);
+        let at = match state {
+            Some(CubeState::Open(n) | CubeState::InFlight { to: n, .. }) => {
+                m.core.clients.contains_key(&n)
+            }
+            _ => false,
+        };
+        assert!(at, "{case}: an image of {cube:?}, which is {state:?}");
+    }
+}
+
 #[test]
 fn randomized_schedules_replay_to_the_live_state() {
     // hand-rolled xorshift64: deterministic, no external dependency
@@ -1815,6 +1881,8 @@ fn randomized_schedules_replay_to_the_live_state() {
     // requests that backlogged, and losses of a backlogged client or of
     // one a grant names
     let (mut queued, mut lost_queued, mut lost_granted) = (0, 0, 0);
+    // checkpoint uploads for the held cube, a known one, one in flight
+    let mut uploads = [0; 3];
     for round in 0..100 {
         let mut m = Master::new(f.clone(), cfg.clone(), speeds(6));
         // every cube a client was handed or named, for stale messages
@@ -1884,9 +1952,18 @@ fn randomized_schedules_replay_to_the_live_state() {
                             checkpoint: Some(Box::new(Checkpoint { level0: vec![] })),
                             stolen: false,
                         };
-                        let mut order = [(requester, report), (peer, confirm)];
+                        let mut order = vec![(requester, report), (peer, confirm)];
                         if xs(&mut seed).is_multiple_of(2) {
                             order.reverse();
+                        } else if xs(&mut seed).is_multiple_of(2) {
+                            // the peer's checkpoint of the cube in flight
+                            // to it lands ahead of its confirmation
+                            let upload = GridMsg::CheckpointMsg {
+                                problem: moved,
+                                checkpoint: Box::new(Checkpoint { level0: vec![] }),
+                            };
+                            order.insert(1, (peer, upload));
+                            uploads[2] += 1;
                         }
                         for (from, msg) in order {
                             m.on_message(from, msg, &mut ctx(t));
@@ -1907,8 +1984,15 @@ fn randomized_schedules_replay_to_the_live_state() {
                     }
                 }
                 4 => {
+                    // a checkpoint upload: for the cube the client holds,
+                    // or for one it may have held long ago
                     let lit = gridsat_cnf::Lit::pos((xs(&mut seed) % 14) as u32);
-                    if let Some(p) = m.core.clients.get(&node).and_then(|c| c.cube()) {
+                    let held = m.core.clients.get(&node).and_then(|c| c.cube());
+                    let stale = known.get(xs(&mut seed) as usize % known.len().max(1));
+                    let kind = (xs(&mut seed) % 2) as usize;
+                    let problem = if kind == 0 { held } else { stale.copied() };
+                    if let Some(p) = problem {
+                        uploads[kind] += 1;
                         let mut cx = ctx(t);
                         m.on_message(
                             node,
@@ -1978,21 +2062,24 @@ fn randomized_schedules_replay_to_the_live_state() {
                     }
                 }
             }
-            assert_rows_follow_the_ledger(&m, &format!("round {round} step {step}"));
+            let case = format!("round {round} step {step}");
+            assert_rows_follow_the_ledger(&m, &case);
+            assert_images_are_held(&m, &case);
+            let replayed = m.fold(&m.journal);
+            assert_eq!(
+                replayed, m.core,
+                "{case}: replayed scheduling state diverged from live state"
+            );
             if m.outcome().is_some() {
                 break;
             }
         }
-        let replayed = m.fold(&m.journal);
-        assert_eq!(
-            replayed, m.core,
-            "round {round}: replayed scheduling state diverged from live state"
-        );
     }
     assert!(
         queued > 0 && lost_queued > 0 && lost_granted > 0,
         "backlogged {queued}, lost while backlogged {lost_queued}, lost under a grant {lost_granted}"
     );
+    assert!(uploads.iter().all(|&n| n > 0), "uploads {uploads:?}");
 }
 
 /// The three messages a settled steal and its result bring to the root:
@@ -2152,7 +2239,7 @@ fn an_early_result_releases_a_peer_whose_cube_id_was_mislearned() {
 fn state_of(m: &Master, id: u32) -> &'static str {
     match m.core.clients[&NodeId(id)].state() {
         ClientState::Idle => "idle",
-        ClientState::Receiving(_) => "receiving",
+        ClientState::Receiving => "receiving",
         ClientState::Busy { .. } => "busy",
     }
 }
