@@ -17,7 +17,7 @@
 //! live fold. The fold includes the cube ledger (`Cubes`): every cube the
 //! run minted, where it came from, and where it is.
 
-use crate::config::{GridConfig, SHARE_TREE_FANOUT};
+use crate::config::SHARE_TREE_FANOUT;
 use crate::idle::{Hosts, IdleIndex};
 use crate::master::GrantKind;
 use crate::msg::{Checkpoint, ProblemId};
@@ -1376,6 +1376,16 @@ impl MasterCore {
         self.set_state(client, ClientState::Busy { cube });
     }
 
+    /// `client` was sent `cube` on a clock started `at`: the whole
+    /// problem, or `twin`'s re-dispatch. The assumptions it was sent are
+    /// the cube's first level 0.
+    fn dispatch(&mut self, client: NodeId, cube: ProblemId, twin: Option<&RecoverySpec>, at: f64) {
+        self.occupy(client, cube, at);
+        self.cubes.mint(cube, twin, client);
+        let level0 = twin.map_or(vec![], |t| t.frame.assumptions());
+        self.cubes.keep(cube, client, Checkpoint { level0 });
+    }
+
     /// `client` confirmed it holds `cube` — message (4), a steal's settle
     /// or an adoption claim — bundling `checkpoint`, its level 0.
     fn confirm(&mut self, client: NodeId, cube: ProblemId, checkpoint: Option<Checkpoint>) {
@@ -1411,14 +1421,7 @@ impl MasterCore {
         &mut self,
         rec: JournalRecord,
         formula: &gridsat_cnf::Formula,
-        config: &GridConfig,
     ) -> Option<RecoverySpec> {
-        // a dispatched cube's first level 0: the assumptions it was sent
-        let sent = |frame: &SpecFrame| {
-            (config.reliability).then(|| Checkpoint {
-                level0: frame.assumptions(),
-            })
-        };
         match rec {
             JournalRecord::Launch {
                 client,
@@ -1452,11 +1455,7 @@ impl MasterCore {
                 self.first_problem_sent = true;
                 let clauses = formula.clauses().map(ClauseLits::lits);
                 let frame = SpecFrame::build(formula.num_vars(), &[], clauses);
-                self.occupy(client, problem, at);
-                self.cubes.mint(problem, None, client);
-                if let Some(level0) = sent(&frame) {
-                    self.cubes.keep(problem, client, level0);
-                }
+                self.dispatch(client, problem, None, at);
                 Some(RecoverySpec {
                     frame,
                     source: None,
@@ -1468,11 +1467,7 @@ impl MasterCore {
                 at,
             } => {
                 let recovery = self.pending_recovery.pop_front()?;
-                self.occupy(client, problem, at);
-                self.cubes.mint(problem, Some(&recovery), client);
-                if let Some(level0) = sent(&recovery.frame) {
-                    self.cubes.keep(problem, client, level0);
-                }
+                self.dispatch(client, problem, Some(&recovery), at);
                 Some(recovery)
             }
             JournalRecord::BacklogPush { client } => {
@@ -1902,15 +1897,11 @@ mod tests {
     use gridsat_cnf::Clause;
     use gridsat_solver::SplitSpec;
 
-    fn config() -> GridConfig {
-        GridConfig::chaos_hardened()
-    }
-
     /// The state `records` fold to, applied one by one to an empty core.
-    fn fold(f: &gridsat_cnf::Formula, cfg: &GridConfig, records: &[JournalRecord]) -> MasterCore {
+    fn fold(f: &gridsat_cnf::Formula, records: &[JournalRecord]) -> MasterCore {
         let mut core = MasterCore::default();
         for rec in records {
-            core.apply(rec.clone(), f, cfg);
+            core.apply(rec.clone(), f);
         }
         core
     }
@@ -1946,7 +1937,6 @@ mod tests {
     #[test]
     fn replay_folds_a_launch_assign_split_sequence() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let n1 = NodeId(1);
         let n2 = NodeId(2);
         let p1 = ProblemId::new(NodeId(0), 1);
@@ -1994,7 +1984,7 @@ mod tests {
             },
             JournalRecord::GrantClose { requester: n1 },
         ];
-        let core = fold(&f, &cfg, &records);
+        let core = fold(&f, &records);
         // the split tree: the root kept +1, the child holds -1
         assert_eq!(core.cubes.path(p1), Some(vec![Lit::pos(0)]));
         assert_eq!(core.cubes.path(p2), Some(vec![Lit::neg(0)]));
@@ -2024,7 +2014,6 @@ mod tests {
     #[test]
     fn assign_recovery_pops_the_queue_and_returns_the_spec() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let mut core = MasterCore::default();
         core.apply(
             JournalRecord::Launch {
@@ -2035,7 +2024,6 @@ mod tests {
                 at: 0.0,
             },
             &f,
-            &cfg,
         );
         let frame = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
@@ -2050,7 +2038,6 @@ mod tests {
                 },
             },
             &f,
-            &cfg,
         );
         assert_eq!(core.pending_recovery.len(), 1);
         let out = core
@@ -2061,7 +2048,6 @@ mod tests {
                     at: 5.0,
                 },
                 &f,
-                &cfg,
             )
             .expect("dispatch returns the spec");
         assert_eq!(out.frame, frame);
@@ -2076,7 +2062,7 @@ mod tests {
 
     /// Launch `clients` on an empty core; the first is handed the whole
     /// problem as `ProblemId(0, 1)`.
-    fn fleet(f: &gridsat_cnf::Formula, cfg: &GridConfig, clients: &[u32]) -> MasterCore {
+    fn fleet(f: &gridsat_cnf::Formula, clients: &[u32]) -> MasterCore {
         let mut core = MasterCore::default();
         for &client in clients {
             let launch = JournalRecord::Launch {
@@ -2086,29 +2072,24 @@ mod tests {
                 availability: 1.0,
                 at: 0.0,
             };
-            core.apply(launch, f, cfg);
+            core.apply(launch, f);
         }
         let whole = JournalRecord::AssignWhole {
             client: NodeId(clients[0]),
             problem: ProblemId::new(NodeId(0), 1),
             at: 0.0,
         };
-        commit(&mut core, f, cfg, whole);
+        commit(&mut core, f, whole);
         core
     }
 
     /// Apply `rec` the way the master commits it: a transition the
     /// ledger cannot take panics with the check it fails.
-    fn commit(
-        core: &mut MasterCore,
-        f: &gridsat_cnf::Formula,
-        cfg: &GridConfig,
-        rec: JournalRecord,
-    ) {
+    fn commit(core: &mut MasterCore, f: &gridsat_cnf::Formula, rec: JournalRecord) {
         if let Some(violation) = core.violation(&rec) {
             panic!("{violation}");
         }
-        core.apply(rec, f, cfg);
+        core.apply(rec, f);
     }
 
     /// The whole problem, as [`fleet`] hands it out.
@@ -2120,24 +2101,23 @@ mod tests {
     #[test]
     fn the_fold_releases_backlog_entries_and_a_lost_clients_grants() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
-        let mut core = fleet(&f, &cfg, &[1, 2, 3]);
+        let mut core = fleet(&f, &[1, 2, 3]);
         let grant = |requester: u32, peer: u32| JournalRecord::GrantOpen {
             requester: NodeId(requester),
             peer: NodeId(peer),
             kind: GrantKind::Split,
             problem: ROOT,
         };
-        core.apply(JournalRecord::BacklogPush { client: NodeId(1) }, &f, &cfg);
+        core.apply(JournalRecord::BacklogPush { client: NodeId(1) }, &f);
         assert_eq!(core.backlog, [NodeId(1)]);
-        core.apply(grant(1, 2), &f, &cfg);
+        core.apply(grant(1, 2), &f);
         assert!(core.backlog.is_empty());
         // the peer is lost: the requester's grant closes
-        core.apply(JournalRecord::Deregister { client: NodeId(2) }, &f, &cfg);
+        core.apply(JournalRecord::Deregister { client: NodeId(2) }, &f);
         assert!(core.grants.is_empty());
         // the requester is lost: its peer is released
-        core.apply(grant(1, 3), &f, &cfg);
-        core.apply(JournalRecord::Deregister { client: NodeId(1) }, &f, &cfg);
+        core.apply(grant(1, 3), &f);
+        core.apply(JournalRecord::Deregister { client: NodeId(1) }, &f);
         assert!(core.grants.is_empty());
         assert_eq!(core.clients[&NodeId(3)].state(), &ClientState::Idle);
     }
@@ -2201,18 +2181,17 @@ mod tests {
     #[test]
     fn steal_records_fold_like_a_grantless_split() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let (donor, thief) = (NodeId(1), NodeId(2));
         let root = ProblemId::new(NodeId(0), 1);
         let stolen = ProblemId::new(donor, 5);
-        let mut core = fleet(&f, &cfg, &[1, 2]);
+        let mut core = fleet(&f, &[1, 2]);
         let open = JournalRecord::StealOpen {
             donor,
             parent: root,
             problem: stolen,
             pivot: Lit::pos(3),
         };
-        commit(&mut core, &f, &cfg, open.clone());
+        commit(&mut core, &f, open.clone());
         // in flight from the donor until the thief confirms it
         let in_flight = CubeState::InFlight {
             to: donor,
@@ -2229,7 +2208,7 @@ mod tests {
             }),
             at: 2.0,
         };
-        commit(&mut core, &f, &cfg, settle);
+        commit(&mut core, &f, settle);
         assert_eq!(core.cubes.state(stolen), Some(CubeState::Open(thief)));
         let state = &core.clients[&thief].state;
         assert!(matches!(state, ClientState::Busy { cube, .. } if *cube == stolen));
@@ -2237,7 +2216,7 @@ mod tests {
         assert_eq!(core.clients[&donor].problem_since, 2.0, "fresh clock");
         // a redelivered notice after the settle reopens nothing, and the
         // donor's cube keeps its pivot once
-        commit(&mut core, &f, &cfg, open);
+        commit(&mut core, &f, open);
         assert_eq!(core.cubes.state(stolen), Some(CubeState::Open(thief)));
         assert_eq!(core.cubes.path(root), Some(vec![Lit::pos(3)]));
         // a failed steal stays in flight until its requeue lands
@@ -2248,7 +2227,7 @@ mod tests {
             problem: other,
             pivot: Lit::neg(5),
         };
-        commit(&mut core, &f, &cfg, open);
+        commit(&mut core, &f, open);
         assert_eq!(core.cubes.held_by(donor), [root, other]);
         let frame = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
@@ -2261,7 +2240,7 @@ mod tests {
                 source: Some(other),
             },
         };
-        commit(&mut core, &f, &cfg, requeue);
+        commit(&mut core, &f, requeue);
         assert_eq!(core.cubes.state(other), Some(CubeState::Backlog));
         assert_eq!(core.cubes.held_by(donor), [root]);
         assert_eq!(core.cubes.held_by(thief), [stolen]);
@@ -2273,10 +2252,9 @@ mod tests {
     #[test]
     fn an_exact_partition_settles_every_cube() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let root = ProblemId::new(NodeId(0), 1);
         let (c1, c2) = (ProblemId::new(NodeId(1), 1), ProblemId::new(NodeId(1), 2));
-        let mut core = fleet(&f, &cfg, &[1, 2, 3]);
+        let mut core = fleet(&f, &[1, 2, 3]);
         let level0 = vec![(Lit::neg(3), false), (Lit::pos(7), false)];
         for rec in [
             kept(1, ROOT, 2, c1, Lit::pos(3)),
@@ -2286,14 +2264,14 @@ mod tests {
         .into_iter()
         .flatten()
         {
-            commit(&mut core, &f, &cfg, rec);
+            commit(&mut core, &f, rec);
         }
         assert_eq!(core.cubes.path(root), Some(vec![Lit::pos(3), Lit::neg(5)]));
         assert_eq!(core.cubes.path(c1), Some(vec![Lit::neg(3)]));
         assert_eq!(core.cubes.path(c2), Some(vec![Lit::pos(3), Lit::pos(5)]));
         assert_eq!(core.cubes.unsettled(), 3);
         for (client, cube) in [(2, c1), (3, c2), (1, root)] {
-            commit(&mut core, &f, &cfg, refuted(client, cube));
+            commit(&mut core, &f, refuted(client, cube));
         }
         assert_eq!(core.cubes.unsettled(), 0);
         assert!(core.cubes.refuted(c2));
@@ -2305,14 +2283,13 @@ mod tests {
     #[test]
     fn a_leaked_cube_stays_unsettled_with_its_path() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let root = ProblemId::new(NodeId(0), 1);
         let child = ProblemId::new(NodeId(1), 1);
-        let mut core = fleet(&f, &cfg, &[1, 2]);
+        let mut core = fleet(&f, &[1, 2]);
         for rec in kept(1, ROOT, 2, child, Lit::pos(3)) {
-            commit(&mut core, &f, &cfg, rec);
+            commit(&mut core, &f, rec);
         }
-        commit(&mut core, &f, &cfg, refuted(1, root));
+        commit(&mut core, &f, refuted(1, root));
         assert_eq!(core.cubes.unsettled(), 1);
         assert_eq!(core.cubes.held_by(NodeId(2)), [child]);
         assert_eq!(core.cubes.path(child), Some(vec![Lit::neg(3)]));
@@ -2322,33 +2299,31 @@ mod tests {
     fn a_cube_owned_twice_panics_naming_its_record_and_path() {
         let msg = panic_of(|| {
             let f = gridsat_cnf::paper::fig1_formula();
-            let cfg = config();
             let child = ProblemId::new(NodeId(1), 1);
-            let mut core = fleet(&f, &cfg, &[1, 2, 3]);
+            let mut core = fleet(&f, &[1, 2, 3]);
             let records = [
                 kept(1, ROOT, 2, child, Lit::pos(3)),
                 transfer_in(2, child, vec![]),
             ];
             for rec in records.into_iter().flatten() {
-                commit(&mut core, &f, &cfg, rec);
+                commit(&mut core, &f, rec);
             }
             // no grant moves the cube from node 2 to node 3
             let [again, _] = transfer_in(3, child, vec![]);
-            commit(&mut core, &f, &cfg, again);
+            commit(&mut core, &f, again);
         });
         assert!(msg.contains("cube owned twice (TransferIn)"), "got: {msg}");
         assert!(msg.ends_with("path [-4]"), "got: {msg}");
         // a minted id handed out while its cube is still held
         let msg = panic_of(|| {
             let f = gridsat_cnf::paper::fig1_formula();
-            let cfg = config();
-            let mut core = fleet(&f, &cfg, &[1, 2]);
+            let mut core = fleet(&f, &[1, 2]);
             let again = JournalRecord::AssignWhole {
                 client: NodeId(2),
                 problem: ProblemId::new(NodeId(0), 1),
                 at: 1.0,
             };
-            commit(&mut core, &f, &cfg, again);
+            commit(&mut core, &f, again);
         });
         assert!(msg.contains("cube owned twice (AssignWhole)"), "got: {msg}");
     }
@@ -2359,11 +2334,10 @@ mod tests {
     #[test]
     fn sanctioned_twins_are_tolerated() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let root = ProblemId::new(NodeId(0), 1);
         let twin = ProblemId::new(NodeId(0), 2);
         let (a, b) = (ProblemId::new(NodeId(1), 1), ProblemId::new(NodeId(2), 1));
-        let mut core = fleet(&f, &cfg, &[1, 2, 3, 4]);
+        let mut core = fleet(&f, &[1, 2, 3, 4]);
         let whole = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![],
@@ -2388,14 +2362,14 @@ mod tests {
             .into_iter()
             .chain(splits.into_iter().flatten())
         {
-            commit(&mut core, &f, &cfg, rec);
+            commit(&mut core, &f, rec);
         }
         let superseded = CubeState::Settled { refuted: false };
         assert_eq!(core.cubes.state(root), Some(superseded));
         assert_eq!(core.cubes.path(a), core.cubes.path(b));
         assert_eq!(core.cubes.path(twin), Some(vec![Lit::pos(3)]));
         for (client, cube) in [(2, twin), (4, b), (3, a)] {
-            commit(&mut core, &f, &cfg, refuted(client, cube));
+            commit(&mut core, &f, refuted(client, cube));
         }
         assert_eq!(core.cubes.unsettled(), 0);
     }
@@ -2406,10 +2380,9 @@ mod tests {
     #[test]
     fn unknown_provenance_is_tracked_by_id_alone() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let lone = ProblemId::new(NodeId(0), 2);
         let child = ProblemId::new(NodeId(3), 1);
-        let mut core = fleet(&f, &cfg, &[1, 3, 4]);
+        let mut core = fleet(&f, &[1, 3, 4]);
         let frame = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![(Lit::neg(2), false)],
@@ -2434,7 +2407,7 @@ mod tests {
             .into_iter()
             .chain(split.into_iter().flatten())
         {
-            commit(&mut core, &f, &cfg, rec);
+            commit(&mut core, &f, rec);
         }
         assert_eq!(core.cubes.path(lone), None);
         assert_eq!(core.cubes.path(child), None);
@@ -2445,17 +2418,16 @@ mod tests {
     #[test]
     fn a_pivot_already_on_the_path_panics_naming_its_record() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let child = |n| ProblemId::new(NodeId(1), n);
         let split_twice = |second: Vec<JournalRecord>| {
-            let (f, cfg) = (f.clone(), cfg.clone());
+            let f = f.clone();
             panic_of(move || {
-                let mut core = fleet(&f, &cfg, &[1, 2, 3]);
+                let mut core = fleet(&f, &[1, 2, 3]);
                 for rec in kept(1, ROOT, 2, child(1), Lit::pos(3))
                     .into_iter()
                     .chain(second)
                 {
-                    commit(&mut core, &f, &cfg, rec);
+                    commit(&mut core, &f, rec);
                 }
             })
         };
@@ -2479,16 +2451,15 @@ mod tests {
     #[test]
     fn an_adopted_cube_off_its_path_panics_naming_its_record() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let child = ProblemId::new(NodeId(1), 1);
         let msg = panic_of(|| {
-            let mut core = fleet(&f, &cfg, &[1, 2]);
+            let mut core = fleet(&f, &[1, 2]);
             let records = [
                 kept(1, ROOT, 2, child, Lit::pos(3)),
                 transfer_in(2, child, vec![(Lit::pos(3), false)]),
             ];
             for rec in records.into_iter().flatten() {
-                commit(&mut core, &f, &cfg, rec);
+                commit(&mut core, &f, rec);
             }
         });
         assert_eq!(
@@ -2497,14 +2468,14 @@ mod tests {
              (TransferIn): path [-4]"
         );
         let msg = panic_of(|| {
-            let mut core = fleet(&f, &cfg, &[1, 2]);
+            let mut core = fleet(&f, &[1, 2]);
             let open = JournalRecord::StealOpen {
                 donor: NodeId(1),
                 parent: ProblemId::new(NodeId(0), 1),
                 problem: child,
                 pivot: Lit::pos(3),
             };
-            commit(&mut core, &f, &cfg, open);
+            commit(&mut core, &f, open);
             let settle = JournalRecord::StealSettle {
                 donor: NodeId(1),
                 thief: NodeId(2),
@@ -2514,7 +2485,7 @@ mod tests {
                 }),
                 at: 2.0,
             };
-            commit(&mut core, &f, &cfg, settle);
+            commit(&mut core, &f, settle);
         });
         assert!(
             msg.contains("recorded path (StealSettle): path [-4]"),
@@ -2528,14 +2499,13 @@ mod tests {
     #[test]
     fn a_fold_and_a_replay_reproduce_the_cubes() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let root = ProblemId::new(NodeId(0), 1);
         let (c1, c2, c3) = (
             ProblemId::new(NodeId(1), 1),
             ProblemId::new(NodeId(1), 2),
             ProblemId::new(NodeId(2), 1),
         );
-        let mut live = fleet(&f, &cfg, &[1, 2, 3]);
+        let mut live = fleet(&f, &[1, 2, 3]);
         let mut journal = MasterJournal::new();
         for client in [1, 2, 3] {
             journal.append(JournalRecord::Launch {
@@ -2565,11 +2535,11 @@ mod tests {
         ];
         for rec in records.into_iter().flatten() {
             journal.append(&rec);
-            commit(&mut live, &f, &cfg, rec);
+            commit(&mut live, &f, rec);
         }
         let (back, report) = MasterJournal::recover(journal.log_bytes());
         assert!(report.is_clean());
-        let replayed = fold(&f, &cfg, &back.records());
+        let replayed = fold(&f, &back.records());
         assert_eq!(replayed, live);
         assert_eq!(replayed.cubes.map.len(), 4);
         assert_eq!(replayed.cubes.unsettled(), live.cubes.unsettled());
@@ -2580,7 +2550,6 @@ mod tests {
     #[test]
     fn images_ignore_forecast_but_compare_scheduling_state() {
         let f = gridsat_cnf::paper::fig1_formula();
-        let cfg = config();
         let (n1, n2) = (NodeId(1), NodeId(2));
         let mut records: Vec<_> = [n1, n2]
             .map(|client| JournalRecord::Launch {
@@ -2596,8 +2565,8 @@ mod tests {
             problem: ProblemId::new(NodeId(0), 1),
             at: 0.0,
         });
-        let mut a = fold(&f, &cfg, &records);
-        let b = fold(&f, &cfg, &records);
+        let mut a = fold(&f, &records);
+        let b = fold(&f, &records);
         // live-only refinements do not affect equality
         a.report_load(n1, 0.5);
         assert_eq!(a, b);
@@ -2605,7 +2574,7 @@ mod tests {
         assert_eq!(a, b);
         // a split grant the peer's confirmation closed still waits for the
         // requester's message (5): only the core's split grants differ
-        let mut c = fold(&f, &cfg, &records);
+        let mut c = fold(&f, &records);
         let problem = ProblemId::new(NodeId(0), 1);
         let open = JournalRecord::GrantOpen {
             requester: n1,
@@ -2615,7 +2584,7 @@ mod tests {
         };
         let close = JournalRecord::GrantClose { requester: n1 };
         for rec in [open, close] {
-            c.apply(rec, &f, &cfg);
+            c.apply(rec, &f);
         }
         assert!(c.grants.is_empty() && *c.clients[&n2].state() == ClientState::Idle);
         assert_ne!(c, b);

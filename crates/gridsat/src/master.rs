@@ -34,7 +34,7 @@ use crate::journal::{
 };
 use crate::msg::{Checkpoint, GridMsg, ProblemId, SubResult};
 use crate::wire::SpecFrame;
-use gridsat_cnf::{Assignment, Formula, Lit};
+use gridsat_cnf::{Assignment, Formula};
 use gridsat_grid::{Ctx, NodeId, Process, Site};
 use gridsat_obs::{Event, Histogram, Obs};
 use std::collections::{BTreeMap, BTreeSet};
@@ -513,7 +513,7 @@ impl Master {
         let node = self.me.0;
         self.obs
             .emit(now, node, || Event::JournalAppend { record, lag });
-        self.core.apply(rec, &self.formula, &self.config)
+        self.core.apply(rec, &self.formula)
     }
 
     /// The scheduling state `journal` folds to, its idle index rebuilt
@@ -521,7 +521,7 @@ impl Master {
     fn fold(&self, journal: &MasterJournal) -> MasterCore {
         let mut core = MasterCore::new(Arc::clone(&self.host_info));
         for rec in journal.records() {
-            core.apply(rec, &self.formula, &self.config);
+            core.apply(rec, &self.formula);
         }
         core
     }
@@ -674,14 +674,13 @@ impl Master {
         }
         if ok {
             if self.core.clients.contains_key(&from) {
-                let cp = checkpoint.filter(|_| self.config.reliability).map(|b| *b);
                 self.commit(
                     ctx.now(),
                     JournalRecord::StealSettle {
                         donor,
                         thief: from,
                         problem,
-                        checkpoint: cp,
+                        checkpoint: checkpoint.map(|b| *b),
                         at: ctx.now(),
                     },
                 );
@@ -925,11 +924,9 @@ impl Master {
             return;
         }
         // all idle, yet cubes unsettled: finished under a master whose
-        // journal suffix died, or lost. Rebuild what has a path
-        let cubes = &self.core.cubes;
-        let lost: Vec<_> = (cubes.held())
-            .filter_map(|(cube, _)| Some((self.path_frame(cubes.path(cube)?), Some(cube))))
-            .collect();
+        // journal suffix died, or lost. Rebuild what has a level 0
+        let held = self.core.cubes.held();
+        let lost = held.filter_map(|(cube, _)| self.rebuilt(cube)).collect();
         self.take_back_all(lost, ctx);
     }
 
@@ -1005,13 +1002,6 @@ impl Master {
     fn rebuilt(&self, cube: ProblemId) -> Option<(SpecFrame, Option<ProblemId>)> {
         let level0 = self.core.cubes.level0(cube)?;
         Some((level0.frame(&self.formula), Some(cube)))
-    }
-
-    /// The cube `path` cuts out of the base formula, as the frame that
-    /// dispatches it.
-    fn path_frame(&self, path: Vec<Lit>) -> SpecFrame {
-        let level0 = path.into_iter().map(|l| (l, false)).collect();
-        Checkpoint { level0 }.frame(&self.formula)
     }
 
     /// Queue `frames`, the cubes a lost holder had, for re-dispatch.
@@ -1438,10 +1428,10 @@ impl Process for Master {
                             // confirms has long been handled
                             if let (true, Some(problem)) = (grant_open || sent_here, problem) {
                                 // the confirmation bundles the peer's
-                                // initial recovery image, so a client is
-                                // never Busy without one — a crash at any
-                                // point after this stays recoverable
-                                let cp = checkpoint.filter(|_| self.config.reliability).map(|b| *b);
+                                // level 0, so a client is never Busy
+                                // without an image — a crash at any point
+                                // after this stays recoverable
+                                let cp = checkpoint.map(|b| *b);
                                 let saved = cp.is_some();
                                 self.commit(
                                     ctx.now(),
@@ -1585,7 +1575,7 @@ impl Process for Master {
                 // the client's row names. One for a cube since moved, or
                 // for one still in flight to it, rebuilds nothing
                 let named = self.core.clients.get(&from).and_then(ClientInfo::cube);
-                if self.config.reliability && named == Some(problem) {
+                if named == Some(problem) {
                     self.commit(
                         ctx.now(),
                         JournalRecord::CheckpointAccept {

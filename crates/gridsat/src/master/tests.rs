@@ -985,6 +985,60 @@ fn a_receiving_peers_upload_names_no_cube_and_keeps_no_image() {
     assert_eq!(m.fold(&m.journal), m.core);
 }
 
+/// At an all-idle verdict with a cube still unsettled, the cube goes back
+/// out rebuilt from its image's level 0 — the pivot its path names and
+/// the literal its holder had implied at level 0 — not from its path
+/// alone.
+#[test]
+fn an_all_idle_verdict_rebuilds_a_lost_cube_from_its_image() {
+    let f = gridsat_cnf::paper::fig1_formula();
+    let mut m = Master::new(f.clone(), GridConfig::chaos_hardened(), speeds(4));
+    register(&mut m, 1, 0.0); // busy with the whole problem
+    register(&mut m, 2, 0.0);
+    let whole = ProblemId::new(NodeId(0), 1);
+    m.on_message(
+        NodeId(1),
+        GridMsg::SplitRequest { problem: whole },
+        &mut ctx(1.0),
+    );
+    let half = ProblemId::new(NodeId(1), 1);
+    let kept = gridsat_cnf::Lit::pos(2);
+    let done = |pivot, checkpoint| GridMsg::SplitDone {
+        requester: NodeId(1),
+        peer: NodeId(2),
+        ok: true,
+        problem: Some(half),
+        pivot,
+        checkpoint,
+        stolen: false,
+    };
+    m.on_message(NodeId(1), done(Some(kept), None), &mut ctx(2.0));
+    let level0 = vec![(!kept, false), (gridsat_cnf::Lit::pos(5), true)];
+    let image = Checkpoint { level0 };
+    let confirm = done(None, Some(Box::new(image.clone())));
+    m.on_message(NodeId(2), confirm, &mut ctx(3.0));
+    // node 2 comes back idle, as after a restart that lost its result:
+    // the ledger still has the half at it
+    let adopt = GridMsg::Adopt {
+        memory: 3 << 20,
+        availability: 1.0,
+        problem: None,
+        checkpoint: None,
+    };
+    m.on_message(NodeId(2), adopt, &mut ctx(4.0));
+    assert_eq!(m.core.cubes.held_by(NodeId(2)), [half]);
+    let result = GridMsg::Result {
+        result: SubResult::Unsat,
+        problem: whole,
+    };
+    let mut cx = ctx(5.0);
+    m.on_message(NodeId(1), result, &mut cx);
+    assert_eq!(m.outcome(), None, "the half holds the verdict");
+    let frame = solve_to(&cx.take_actions(), 2).expect("the half goes back out");
+    assert_eq!(frame, image.frame(&f));
+    assert_eq!(m.stats.recoveries, 1);
+}
+
 #[test]
 fn sat_result_is_verified_and_ends_the_run() {
     let mut m = master();
