@@ -212,21 +212,33 @@ pub struct Client {
     last_heartbeat: f64,
     /// Counter for subproblem ids minted by this client's splits.
     minted: u32,
+    /// The most variables a received spec may name: a larger `num_vars`
+    /// is refused before the solver allocates for it.
+    max_vars: usize,
     pub stats: ClientStats,
     /// Event-tracing handle, installed into every solver this client runs.
     obs: Obs,
 }
 
 impl Client {
-    /// A client whose fingerprint window has an id table of its own.
+    /// A client whose fingerprint window has an id table of its own. It
+    /// leaves the bound on a received spec's variable count off: it
+    /// loads a spec naming any number of variables.
     pub fn new(master: NodeId, config: GridConfig) -> Client {
-        Client::with_fp_ids(master, config, FpIds::shared())
+        Client::with_fp_ids(master, config, FpIds::shared(), usize::MAX)
     }
 
     /// A client whose fingerprint window indexes `ids`, the run's shared
     /// id table, so a fingerprint every client sees is stored once; the
-    /// window still remembers only what crossed this node's wire.
-    pub fn with_fp_ids(master: NodeId, config: GridConfig, ids: Arc<Mutex<FpIds>>) -> Client {
+    /// window still remembers only what crossed this node's wire. It
+    /// refuses a received spec naming more than `max_vars` variables (the
+    /// run formula's count) like any unreadable transfer.
+    pub fn with_fp_ids(
+        master: NodeId,
+        config: GridConfig,
+        ids: Arc<Mutex<FpIds>>,
+        max_vars: usize,
+    ) -> Client {
         Client {
             master,
             config,
@@ -248,6 +260,7 @@ impl Client {
             last_checkpoint: 0.0,
             last_heartbeat: 0.0,
             minted: 0,
+            max_vars,
             stats: ClientStats::default(),
             obs: Obs::default(),
         }
@@ -731,7 +744,8 @@ impl Process for Client {
                 // the reliable layer already dropped checksum-failing
                 // frames; a frame that will not open is unrecoverable
                 // here — hand it back rather than adopt garbage
-                let Ok(solver) = spec.load(self.solver_config(ctx.info.memory)) else {
+                let Ok(solver) = spec.load(self.solver_config(ctx.info.memory), self.max_vars)
+                else {
                     self.hand_back(spec, problem, ctx);
                     return;
                 };
@@ -753,7 +767,8 @@ impl Process for Client {
                 let solver = match self.state {
                     State::Solving { .. } => None,
                     State::Idle | State::Done => {
-                        spec.load(self.solver_config(ctx.info.memory)).ok()
+                        let config = self.solver_config(ctx.info.memory);
+                        spec.load(config, self.max_vars).ok()
                     }
                 };
                 let Some(solver) = solver else {

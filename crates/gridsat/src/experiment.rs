@@ -132,7 +132,8 @@ pub fn build_sim(formula: &Formula, testbed: Testbed, config: GridConfig) -> Gri
 /// Like [`build_sim`], but with an event sink threaded into the engine,
 /// the master, every client, and every solver the clients spawn. Every
 /// client's share window, the standby's too, indexes one fingerprint id
-/// table of the run ([`Client::with_fp_ids`]).
+/// table of the run, and refuses a spec naming more variables than the
+/// formula has ([`Client::with_fp_ids`]).
 pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, obs: Obs) -> GridSim {
     let master_id = NodeId(0);
     let speeds: BTreeMap<NodeId, (f64, gridsat_grid::Site)> = testbed
@@ -170,7 +171,9 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
         } else if brokers.values().any(|&b| b == id) {
             GridNode::SubMaster(Box::new(SubMaster::new(master_id)))
         } else {
-            let mut client = Client::with_fp_ids(master_id, config.clone(), fp_ids.clone());
+            let ids = fp_ids.clone();
+            let mut client =
+                Client::with_fp_ids(master_id, config.clone(), ids, formula.num_vars());
             client.set_obs(node_obs.clone());
             if let Some(&broker) = speeds.get(&id).and_then(|(_, site)| brokers.get(site)) {
                 client.set_broker(broker);
@@ -313,6 +316,56 @@ mod tests {
         assert!(r.clients.results >= r.master.results);
         assert_eq!(count("result"), r.master.results);
         assert_eq!(count("msg_deliver"), r.sim.messages_delivered);
+    }
+
+    /// A client the driver builds holds a received spec to the run
+    /// formula's variable count: one naming a single variable more is
+    /// refused like any unreadable transfer — message (4) failing, and
+    /// the frame handed back — while the formula's own count loads.
+    #[test]
+    fn a_driver_built_client_refuses_a_spec_past_the_formulas_variables() {
+        use crate::msg::ProblemId;
+        use gridsat_grid::{Action, NodeInfo};
+        use gridsat_solver::SplitSpec;
+        let f = gridsat_cnf::paper::fig1_formula();
+        let mut sim = build_sim(&f, tb(3), GridConfig::default());
+        let client = sim.process_mut(NodeId(1)).inner_mut();
+        let problem = ProblemId::new(NodeId(2), 1);
+        let mut transfer = |num_vars| {
+            let spec = SplitSpec {
+                num_vars,
+                assumptions: vec![],
+                clauses: f.clauses().map(gridsat_cnf::Clause::from).collect(),
+            };
+            let msg = GridMsg::Subproblem {
+                spec: Box::new(crate::wire::SpecFrame::seal(&spec)),
+                sent_at: 0.0,
+                problem,
+                stolen: false,
+            };
+            let mut cx = Ctx::new(NodeInfo {
+                id: NodeId(1),
+                speed: 1000.0,
+                memory: 3 << 20,
+                now: 1.0,
+                availability: 1.0,
+            });
+            client.on_message(NodeId(2), msg, &mut cx);
+            let sent: Vec<_> = (cx.take_actions().into_iter())
+                .filter_map(|a| match a {
+                    Action::Send { msg, .. } => Some(msg),
+                    _ => None,
+                })
+                .collect();
+            let confirmed = sent.iter().find_map(|m| match m {
+                GridMsg::SplitDone { ok, .. } => Some(*ok),
+                _ => None,
+            });
+            let handed_back = sent.iter().any(|m| matches!(m, GridMsg::Requeue { .. }));
+            (confirmed, handed_back)
+        };
+        assert_eq!(transfer(f.num_vars() + 1), (Some(false), true));
+        assert_eq!(transfer(f.num_vars()), (Some(true), false));
     }
 
     #[test]

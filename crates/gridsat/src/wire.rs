@@ -760,10 +760,16 @@ impl SpecFrame {
     /// [`Solver::from_split`] of [`SpecFrame::open`] would, with no
     /// decoded copy of the spec: one walk checks and counts the payload,
     /// so the arena is reserved once, and a second copies each clause
-    /// from one reused buffer into the arena.
-    pub fn load(&self, config: SolverConfig) -> Result<Solver, WireError> {
+    /// from one reused buffer into the arena. A spec naming more than
+    /// `max_vars` variables is [`WireError::Overflow`], refused before the
+    /// solver allocates: `num_vars` comes from outside bytes, and the
+    /// solver takes memory for every variable.
+    pub fn load(&self, config: SolverConfig, max_vars: usize) -> Result<Solver, WireError> {
         let payload = open_frame(&self.bytes)?;
         let head = walk_spec(payload, None)?;
+        if head.num_vars > max_vars {
+            return Err(WireError::Overflow);
+        }
         let mut lits = Vec::with_capacity(head.longest);
         let clauses = |add: &mut dyn FnMut(&[Lit])| {
             let again = walk_spec(payload, Some((&mut lits, add)));
@@ -1105,7 +1111,7 @@ mod tests {
         bad.corrupt_bit(7);
         assert!(bad.open().is_err());
         assert_eq!(bad.verify(), bad.open().map(drop));
-        assert!(bad.load(SolverConfig::default()).is_err());
+        assert!(bad.load(SolverConfig::default(), usize::MAX).is_err());
         assert!(SpecFrame::from_wire(vec![1, 2, 3]).open().is_err());
         assert!(SpecFrame::from_wire(vec![1, 2, 3]).payload().is_empty());
         // a payload that does not parse is never framed
@@ -1136,7 +1142,10 @@ mod tests {
             assert!(frame.intact());
             assert_eq!(frame.verify(), Err(WireError::Overflow));
             assert_eq!(frame.open(), Err(WireError::Overflow));
-            assert_eq!(frame.load(config()).err(), Some(WireError::Overflow));
+            assert_eq!(
+                frame.load(config(), usize::MAX).err(),
+                Some(WireError::Overflow)
+            );
             let payload = frame.payload();
             assert_eq!(SpecFrame::from_payload(payload), Err(WireError::Overflow));
         }
@@ -1148,7 +1157,29 @@ mod tests {
         };
         let frame = SpecFrame::seal(&edge);
         assert_eq!(frame.open(), Ok(edge));
-        assert!(frame.load(config()).is_ok());
+        assert!(frame.load(config(), 2).is_ok());
+    }
+
+    /// A sound spec naming more variables than the loader's bound is
+    /// refused before the solver allocates for them; routing it needs no
+    /// bound.
+    #[test]
+    fn a_spec_past_the_variable_bound_does_not_load() {
+        let huge = SpecFrame::seal(&SplitSpec {
+            num_vars: 1 << 40,
+            assumptions: vec![],
+            clauses: vec![],
+        });
+        assert!(huge.intact() && huge.verify().is_ok());
+        let load = |frame: &SpecFrame, max_vars| frame.load(SolverConfig::default(), max_vars);
+        assert_eq!(load(&huge, 1000).err(), Some(WireError::Overflow));
+        let edge = SpecFrame::seal(&SplitSpec {
+            num_vars: 3,
+            assumptions: vec![(Lit::neg(2), false)],
+            clauses: vec![],
+        });
+        assert!(load(&edge, 3).is_ok());
+        assert_eq!(load(&edge, 2).err(), Some(WireError::Overflow));
     }
 
     #[test]

@@ -54,11 +54,15 @@ fn seed() -> u64 {
         .unwrap_or(0x5eed_cafe)
 }
 
+/// The variable count of every fuzzed spec, and the bound a client built
+/// for their formula loads under.
+const VARS: usize = 40;
+
 /// A random clause already in the codec's canonical form (distinct
 /// variables, ascending), so an encode/decode round-trip is exact.
 fn random_clause(rng: &mut Rng) -> Clause {
     let len = 1 + rng.below(6);
-    let mut vars: Vec<u32> = (0..len).map(|_| rng.below(40) as u32).collect();
+    let mut vars: Vec<u32> = (0..len).map(|_| rng.below(VARS) as u32).collect();
     vars.sort_unstable();
     vars.dedup();
     Clause::new(vars.into_iter().map(|var| {
@@ -72,9 +76,9 @@ fn random_clause(rng: &mut Rng) -> Clause {
 
 fn random_spec(rng: &mut Rng) -> SplitSpec {
     SplitSpec {
-        num_vars: 40,
+        num_vars: VARS,
         assumptions: (0..rng.below(5))
-            .map(|_| (Lit::pos(rng.below(40) as u32), rng.next() & 1 == 0))
+            .map(|_| (Lit::pos(rng.below(VARS) as u32), rng.next() & 1 == 0))
             .collect(),
         clauses: (0..rng.below(8)).map(|_| random_clause(rng)).collect(),
     }
@@ -313,23 +317,21 @@ fn reference_decode_spec(buf: &[u8]) -> Result<SplitSpec, WireError> {
     })
 }
 
-/// `frame` opened, verified and loaded: each must answer `want`, and a
-/// loaded solver must be the one `want`'s spec builds.
+/// `frame` opened, verified and loaded under the formula's bound: each
+/// must answer `want`, and a loaded solver must be the one `want`'s spec
+/// builds, unless it names more than [`VARS`] variables.
 fn assert_spec_reads(frame: &SpecFrame, want: &Result<SplitSpec, WireError>, what: &str) {
     assert_eq!(&frame.open(), want, "{what}: open (seed {})", seed());
     let verdict = want.as_ref().map(drop).map_err(|e| *e);
     assert_eq!(frame.verify(), verdict, "{what}: verify (seed {})", seed());
     let config = SolverConfig::default();
-    let loaded = frame.load(config.clone()).map(|s| s.loaded_state());
-    let built = want
-        .as_ref()
-        .map(|spec| Solver::from_split(spec, config).loaded_state());
-    assert_eq!(
-        loaded,
-        built.map_err(|e| *e),
-        "{what}: load (seed {})",
-        seed()
-    );
+    let loaded = frame.load(config.clone(), VARS).map(|s| s.loaded_state());
+    let built = match want {
+        Ok(spec) if spec.num_vars > VARS => Err(WireError::Overflow),
+        Ok(spec) => Ok(Solver::from_split(spec, config).loaded_state()),
+        Err(e) => Err(*e),
+    };
+    assert_eq!(loaded, built, "{what}: load (seed {})", seed());
 }
 
 #[test]

@@ -20,7 +20,7 @@ use gridsat_solver::{Solver, SolverConfig, SplitSpec, Step};
 /// the same frame opens to. They must load alike, into arenas of the same
 /// size, and then search alike, to the same verdict.
 fn assert_thieves_agree(frame: &SpecFrame, config: &SolverConfig, what: &str) {
-    let mut lean = frame.load(config.clone()).expect("clean frame");
+    let mut lean = frame.load(config.clone(), usize::MAX).expect("clean frame");
     let spec = frame.open().expect("clean frame");
     let mut heavy = Solver::from_split(&spec, config.clone());
     lean.check_invariants();
