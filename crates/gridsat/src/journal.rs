@@ -1386,11 +1386,12 @@ impl MasterCore {
         self.cubes.keep(cube, client, Checkpoint { level0 });
     }
 
-    /// `client` confirmed it holds `cube` — message (4), a steal's settle
-    /// or an adoption claim — bundling `checkpoint`, its level 0.
-    fn confirm(&mut self, client: NodeId, cube: ProblemId, checkpoint: Option<Checkpoint>) {
+    /// `client` confirmed it holds `cube` on a clock started `at`, with
+    /// `cp`, its level 0: message (4), a steal's settle, an adoption claim.
+    fn confirm(&mut self, client: NodeId, cube: ProblemId, cp: Option<Checkpoint>, at: f64) {
+        self.occupy(client, cube, at);
         self.relocate(cube, CubeState::Open(client));
-        if let Some(level0) = checkpoint {
+        if let Some(level0) = cp {
             self.cubes.keep(cube, client, level0);
         }
     }
@@ -1534,8 +1535,7 @@ impl MasterCore {
                 checkpoint,
                 at,
             } => {
-                self.occupy(peer, problem, at);
-                self.confirm(peer, problem, checkpoint);
+                self.confirm(peer, problem, checkpoint, at);
                 None
             }
             JournalRecord::CheckpointAccept {
@@ -1574,14 +1574,10 @@ impl MasterCore {
                 checkpoint,
                 at,
             } => {
-                let mut info = ClientInfo::launched(memory, speed, availability, at);
-                info.problem_since = at;
-                if let Some(cube) = problem {
-                    info.state = ClientState::Busy { cube };
-                }
+                let info = ClientInfo::launched(memory, speed, availability, at);
                 self.admit(client, info);
                 if let Some(problem) = problem {
-                    self.confirm(client, problem, checkpoint);
+                    self.confirm(client, problem, checkpoint, at);
                 }
                 None
             }
@@ -1609,8 +1605,7 @@ impl MasterCore {
                 }
                 // thief is now busy with the stolen extension (like
                 // TransferIn, but no grant reserved it)
-                self.occupy(thief, problem, at);
-                self.confirm(thief, problem, checkpoint);
+                self.confirm(thief, problem, checkpoint, at);
                 None
             }
         }
@@ -1627,8 +1622,9 @@ impl MasterCore {
 
     /// The panic message of the ledger check `rec` fails, if any: a split
     /// must not pivot on a literal its cube's path decides, a minted or
-    /// adopted cube must not be held elsewhere, and an adopted cube's
-    /// level 0 must not contradict its path (`[?]`: path unknown).
+    /// adopted cube must not be held elsewhere, and no level 0 the ledger
+    /// keeps — confirmed or uploaded — may contradict its cube's path
+    /// (`[?]`: path unknown).
     pub(crate) fn violation(&self, rec: &JournalRecord) -> Option<String> {
         let on_path = "split pivot already on the path";
         let (check, path) = match *rec {
@@ -1669,6 +1665,11 @@ impl MasterCore {
                 ref checkpoint,
                 ..
             } => self.adoption(to, cube, checkpoint.as_ref())?,
+            JournalRecord::CheckpointAccept {
+                client,
+                problem,
+                ref checkpoint,
+            } => self.adoption(client, problem, Some(checkpoint))?,
             _ => return None,
         };
         let lits = path.map(|p| {
@@ -2490,6 +2491,43 @@ mod tests {
         assert!(
             msg.contains("recorded path (StealSettle): path [-4]"),
             "got: {msg}"
+        );
+    }
+
+    /// An upload is checked like a confirmation: a level 0 that
+    /// contradicts its cube's path panics, naming the record.
+    #[test]
+    fn an_upload_off_its_path_panics_naming_its_record() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let child = ProblemId::new(NodeId(1), 1);
+        let upload = |level0| JournalRecord::CheckpointAccept {
+            client: NodeId(2),
+            problem: child,
+            checkpoint: Checkpoint { level0 },
+        };
+        let held = || {
+            let mut core = fleet(&f, &[1, 2]);
+            let records = [
+                kept(1, ROOT, 2, child, Lit::pos(3)),
+                transfer_in(2, child, vec![(Lit::neg(3), false)]),
+            ];
+            for rec in records.into_iter().flatten() {
+                commit(&mut core, &f, rec);
+            }
+            core
+        };
+        let mut core = held();
+        let level0 = vec![(Lit::neg(3), false), (Lit::pos(6), true)];
+        commit(&mut core, &f, upload(level0.clone()));
+        assert_eq!(core.cubes.level0(child), Some(Checkpoint { level0 }));
+        let msg = panic_of(|| {
+            let mut core = held();
+            commit(&mut core, &f, upload(vec![(Lit::pos(3), true)]));
+        });
+        assert_eq!(
+            msg,
+            "search-space audit violation: adopted spec contradicts the recorded path \
+             (CheckpointAccept): path [-4]"
         );
     }
 

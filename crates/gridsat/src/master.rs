@@ -20,8 +20,8 @@
 //! The core's cube ledger is the master's account of the search space:
 //! a split reports the pivot it kept, so every cube's path is known from
 //! the split tree. "All the clients are idle" becomes UNSAT only once no
-//! cube is left unsettled, and a cube whose holder is lost is rebuilt —
-//! from its recovery image, or from the base formula and its path.
+//! cube is left unsettled, and a lost holder's cube is rebuilt as the
+//! base formula and its level 0 in the ledger: the latest, else its path.
 
 use crate::config::{
     GridConfig, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR, PROMOTE_GRACE_S,
@@ -1584,10 +1584,10 @@ impl Process for Master {
                             checkpoint: *checkpoint,
                         },
                     );
-                    let node = self.me.0;
-                    self.obs.emit(ctx.now(), node, || Event::CheckpointSaved {
-                        client: from.0,
-                    });
+                    self.obs
+                        .emit(ctx.now(), self.me.0, || Event::CheckpointSaved {
+                            client: from.0,
+                        });
                 }
             }
             GridMsg::JournalAck { next } => {
