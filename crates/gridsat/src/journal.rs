@@ -677,7 +677,7 @@ impl SealedRecord {
 
 /// A client's scheduling state as the master sees it. A Busy row names
 /// the cube its client holds; what rebuilds that cube is the ledger's
-/// ([`Cubes::level0`]). A Receiving row names nothing: the ledger has the
+/// (`Cubes::level0`). A Receiving row names nothing: the ledger has the
 /// cube in flight to it. An idle row naming a cube, or a busy row naming
 /// none, cannot be written.
 #[derive(Clone, Debug, PartialEq)]

@@ -1584,10 +1584,10 @@ impl Process for Master {
                             checkpoint: *checkpoint,
                         },
                     );
-                    self.obs
-                        .emit(ctx.now(), self.me.0, || Event::CheckpointSaved {
-                            client: from.0,
-                        });
+                    let node = self.me.0;
+                    self.obs.emit(ctx.now(), node, || Event::CheckpointSaved {
+                        client: from.0,
+                    });
                 }
             }
             GridMsg::JournalAck { next } => {
