@@ -73,6 +73,12 @@ impl IdleIndex {
         self.hosts.get(&id).map(|(_, site)| *site)
     }
 
+    /// `id`'s peak speed; 1.0 for a host the information service does
+    /// not list.
+    pub(crate) fn speed(&self, id: NodeId) -> f64 {
+        self.hosts.get(&id).map_or(1.0, |(speed, _)| *speed)
+    }
+
     pub(crate) fn insert(&mut self, id: NodeId, rank: f64) {
         let site = self.site(id);
         let fresh = self

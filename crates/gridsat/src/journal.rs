@@ -44,14 +44,6 @@ pub struct RecoverySpec {
 /// its fold.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
-    /// A client registered (or re-registered after a restart).
-    Launch {
-        client: NodeId,
-        memory: usize,
-        speed: f64,
-        availability: f64,
-        at: f64,
-    },
     /// A client left the roster (loss, lease expiry, or promotion of the
     /// standby out of client duty); every grant naming it closes.
     Deregister { client: NodeId },
@@ -70,13 +62,12 @@ pub enum JournalRecord {
     /// A split request found no idle peer and joined the backlog. The
     /// entry goes when the client's row changes or its grant opens.
     BacklogPush { client: NodeId },
-    /// A grant of the requester's cube `problem` opened: `peer` turns
+    /// A grant of the cube the requester's row names opened: `peer` turns
     /// Receiving and the requester leaves the backlog.
     GrantOpen {
         requester: NodeId,
         peer: NodeId,
         kind: GrantKind,
-        problem: ProblemId,
     },
     /// A grant closed: a peer it left Receiving returns to Idle (the
     /// transfer failed or the grant was dropped); one the confirmation
@@ -105,7 +96,6 @@ pub enum JournalRecord {
     /// 0 becomes the cube's image.
     CheckpointAccept {
         client: NodeId,
-        problem: ProblemId,
         checkpoint: Checkpoint,
     },
     /// A client finished (or was confirmed finished) and went idle.
@@ -116,12 +106,13 @@ pub enum JournalRecord {
     /// A subproblem was taken back (checkpoint recovery, undeliverable
     /// assignment, or a client's Requeue) and queued for re-dispatch.
     RecoveryQueued { recovery: RecoverySpec },
-    /// A client re-registered with its in-progress state after a
-    /// takeover (failover extension): busy on `problem`, or idle.
-    AdoptClaim {
+    /// A client joined the roster: a registration, which claims nothing,
+    /// or a re-registration after a takeover (failover extension) with its
+    /// in-progress state: busy on `problem` with its level 0, or idle. Its
+    /// host's speed is the information service's, which the fold holds.
+    Join {
         client: NodeId,
         memory: usize,
-        speed: f64,
         availability: f64,
         problem: Option<ProblemId>,
         checkpoint: Option<Checkpoint>,
@@ -246,25 +237,14 @@ fn get_bool(buf: &[u8], pos: &mut usize) -> Result<bool, RecordError> {
     }
 }
 
-/// A checkpoint is tag byte `0` and its level 0. The tag stays so that
-/// records keep the bytes the retired heavy kind (tag `1`) stood beside;
-/// any other tag is an error.
+/// A checkpoint is its level 0.
 fn put_checkpoint(cp: &Checkpoint, out: &mut Vec<u8>) {
-    out.push(0);
     wire::write_pairs(&cp.level0, out);
 }
 
 fn get_checkpoint(buf: &[u8], pos: &mut usize) -> Result<Checkpoint, RecordError> {
-    match buf.get(*pos) {
-        Some(0) => {
-            *pos += 1;
-            Ok(Checkpoint {
-                level0: wire::read_pairs(buf, pos, u64::MAX)?,
-            })
-        }
-        Some(_) => Err(WireError::Overflow.into()),
-        None => Err(WireError::Truncated.into()),
-    }
+    let level0 = wire::read_pairs(buf, pos, u64::MAX)?;
+    Ok(Checkpoint { level0 })
 }
 
 fn put_opt<T>(v: &Option<T>, put: impl Fn(&T, &mut Vec<u8>), out: &mut Vec<u8>) {
@@ -309,24 +289,10 @@ fn get_frame(buf: &[u8], pos: &mut usize) -> Result<SpecFrame, RecordError> {
 }
 
 /// Serialize one record: the variant's tag byte followed by its fields.
-/// A tag is never reused for a different variant: 4, 6, 15, 17 and 19
+/// A tag is never reused for a different variant: 0, 4, 6, 15, 17 and 19
 /// belonged to retired ones.
 fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
     match rec {
-        JournalRecord::Launch {
-            client,
-            memory,
-            speed,
-            availability,
-            at,
-        } => {
-            out.push(0);
-            put_node(*client, out);
-            wire::write_varint(*memory as u64, out);
-            put_f64(*speed, out);
-            put_f64(*availability, out);
-            put_f64(*at, out);
-        }
         JournalRecord::Deregister { client } => {
             out.push(1);
             put_node(*client, out);
@@ -359,16 +325,11 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             requester,
             peer,
             kind,
-            problem,
         } => {
             out.push(7);
             put_node(*requester, out);
             put_node(*peer, out);
-            out.push(match kind {
-                GrantKind::Split => 0,
-                GrantKind::Migrate => 1,
-            });
-            put_problem(*problem, out);
+            out.push(u8::from(*kind == GrantKind::Migrate));
         }
         JournalRecord::GrantClose { requester } => {
             out.push(8);
@@ -404,14 +365,9 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             put_opt(checkpoint, put_checkpoint, out);
             put_f64(*at, out);
         }
-        JournalRecord::CheckpointAccept {
-            client,
-            problem,
-            checkpoint,
-        } => {
+        JournalRecord::CheckpointAccept { client, checkpoint } => {
             out.push(12);
             put_node(*client, out);
-            put_problem(*problem, out);
             put_checkpoint(checkpoint, out);
         }
         JournalRecord::ClientIdle { client } => {
@@ -428,10 +384,9 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             put_frame(&recovery.frame, out);
             put_opt(&recovery.source, |p, o| put_problem(*p, o), out);
         }
-        JournalRecord::AdoptClaim {
+        JournalRecord::Join {
             client,
             memory,
-            speed,
             availability,
             problem,
             checkpoint,
@@ -440,7 +395,6 @@ fn encode_record(rec: &JournalRecord, out: &mut Vec<u8>) {
             out.push(18);
             put_node(*client, out);
             wire::write_varint(*memory as u64, out);
-            put_f64(*speed, out);
             put_f64(*availability, out);
             put_opt(problem, |p, o| put_problem(*p, o), out);
             put_opt(checkpoint, put_checkpoint, out);
@@ -484,13 +438,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
     };
     pos += 1;
     let rec = match tag {
-        0 => JournalRecord::Launch {
-            client: get_node(buf, &mut pos)?,
-            memory: wire::read_varint(buf, &mut pos)? as usize,
-            speed: get_f64(buf, &mut pos)?,
-            availability: get_f64(buf, &mut pos)?,
-            at: get_f64(buf, &mut pos)?,
-        },
         1 => JournalRecord::Deregister {
             client: get_node(buf, &mut pos)?,
         },
@@ -510,19 +457,10 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         7 => JournalRecord::GrantOpen {
             requester: get_node(buf, &mut pos)?,
             peer: get_node(buf, &mut pos)?,
-            kind: match buf.get(pos) {
-                Some(0) => {
-                    pos += 1;
-                    GrantKind::Split
-                }
-                Some(1) => {
-                    pos += 1;
-                    GrantKind::Migrate
-                }
-                Some(_) => return Err(WireError::Overflow.into()),
-                None => return Err(WireError::Truncated.into()),
+            kind: match get_bool(buf, &mut pos)? {
+                false => GrantKind::Split,
+                true => GrantKind::Migrate,
             },
-            problem: get_problem(buf, &mut pos)?,
         },
         8 => JournalRecord::GrantClose {
             requester: get_node(buf, &mut pos)?,
@@ -545,7 +483,6 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
         },
         12 => JournalRecord::CheckpointAccept {
             client: get_node(buf, &mut pos)?,
-            problem: get_problem(buf, &mut pos)?,
             checkpoint: get_checkpoint(buf, &mut pos)?,
         },
         13 => JournalRecord::ClientIdle {
@@ -561,10 +498,9 @@ fn decode_record(buf: &[u8]) -> Result<JournalRecord, RecordError> {
                 source: get_opt(buf, &mut pos, get_problem)?,
             },
         },
-        18 => JournalRecord::AdoptClaim {
+        18 => JournalRecord::Join {
             client: get_node(buf, &mut pos)?,
             memory: wire::read_varint(buf, &mut pos)? as usize,
-            speed: get_f64(buf, &mut pos)?,
             availability: get_f64(buf, &mut pos)?,
             problem: get_opt(buf, &mut pos, get_problem)?,
             checkpoint: get_opt(buf, &mut pos, get_checkpoint)?,
@@ -703,7 +639,7 @@ impl ClientState {
 /// A client's row in the master's roster. All scheduling state lives in
 /// [`MasterCore`]; the forecaster, its rank and the lease clock are
 /// live-only refinements its equality skips (they are rebuilt from the
-/// availability carried in Launch/AdoptClaim records and from fresh
+/// availability carried in Join records and from fresh
 /// traffic). State and rank change only through [`MasterCore`], which
 /// keeps its idle index in step with them.
 pub(crate) struct ClientInfo {
@@ -1424,17 +1360,6 @@ impl MasterCore {
         formula: &gridsat_cnf::Formula,
     ) -> Option<RecoverySpec> {
         match rec {
-            JournalRecord::Launch {
-                client,
-                memory,
-                speed,
-                availability,
-                at,
-            } => {
-                let info = ClientInfo::launched(memory, speed, availability, at);
-                self.admit(client, info);
-                None
-            }
             JournalRecord::Deregister { client } => {
                 self.remove(client);
                 let named: Vec<NodeId> = (self.grants.iter())
@@ -1487,8 +1412,11 @@ impl MasterCore {
                 requester,
                 peer,
                 kind,
-                problem,
             } => {
+                let Some(problem) = self.clients.get(&requester).and_then(ClientInfo::cube) else {
+                    debug_assert!(false, "granted {requester} names no cube");
+                    return None;
+                };
                 self.unqueue(requester);
                 self.set_state(peer, ClientState::Receiving);
                 self.grants.insert(requester, (peer, kind, problem));
@@ -1538,11 +1466,11 @@ impl MasterCore {
                 self.confirm(peer, problem, checkpoint, at);
                 None
             }
-            JournalRecord::CheckpointAccept {
-                client,
-                problem,
-                checkpoint,
-            } => {
+            JournalRecord::CheckpointAccept { client, checkpoint } => {
+                let Some(problem) = self.clients.get(&client).and_then(ClientInfo::cube) else {
+                    debug_assert!(false, "uploading {client} names no cube");
+                    return None;
+                };
                 self.cubes.keep(problem, client, checkpoint);
                 None
             }
@@ -1565,15 +1493,15 @@ impl MasterCore {
                 self.pending_recovery.push_back(recovery);
                 None
             }
-            JournalRecord::AdoptClaim {
+            JournalRecord::Join {
                 client,
                 memory,
-                speed,
                 availability,
                 problem,
                 checkpoint,
                 at,
             } => {
+                let speed = self.idle.speed(client);
                 let info = ClientInfo::launched(memory, speed, availability, at);
                 self.admit(client, info);
                 if let Some(problem) = problem {
@@ -1623,8 +1551,10 @@ impl MasterCore {
     /// The panic message of the ledger check `rec` fails, if any: a split
     /// must not pivot on a literal its cube's path decides, a minted or
     /// adopted cube must not be held elsewhere, and no level 0 the ledger
-    /// keeps — confirmed or uploaded — may contradict its cube's path
-    /// (`[?]`: path unknown).
+    /// keeps — confirmed, claimed or uploaded — may contradict its cube's
+    /// path (`[?]`: path unknown). A claim is not checked for ownership: a
+    /// master that lost a journal suffix closed the migration grant that
+    /// would excuse it.
     pub(crate) fn violation(&self, rec: &JournalRecord) -> Option<String> {
         let on_path = "split pivot already on the path";
         let (check, path) = match *rec {
@@ -1667,9 +1597,16 @@ impl MasterCore {
             } => self.adoption(to, cube, checkpoint.as_ref())?,
             JournalRecord::CheckpointAccept {
                 client,
-                problem,
                 ref checkpoint,
-            } => self.adoption(client, problem, Some(checkpoint))?,
+            } => {
+                let cube = self.clients.get(&client)?.cube()?;
+                self.adoption(client, cube, Some(checkpoint))?
+            }
+            JournalRecord::Join {
+                problem: Some(cube),
+                checkpoint: Some(ref checkpoint),
+                ..
+            } => self.off_path(cube, checkpoint)?,
             _ => return None,
         };
         let lits = path.map(|p| {
@@ -1710,9 +1647,18 @@ impl MasterCore {
                 return Some(("cube owned twice", self.cubes.path(cube)));
             }
         }
-        let level0 = &checkpoint?.level0;
+        self.off_path(cube, checkpoint?)
+    }
+
+    /// What is wrong with `checkpoint` rebuilding `cube`: a level 0 against
+    /// its path.
+    fn off_path(
+        &self,
+        cube: ProblemId,
+        checkpoint: &Checkpoint,
+    ) -> Option<(&'static str, Option<Vec<Lit>>)> {
         let path = self.cubes.path(cube)?;
-        let contradicts = level0.iter().any(|&(l, _)| path.contains(&!l));
+        let contradicts = (checkpoint.level0.iter()).any(|&(l, _)| path.contains(&!l));
         contradicts.then_some(("adopted spec contradicts the recorded path", Some(path)))
     }
 
@@ -1907,6 +1853,18 @@ mod tests {
         core
     }
 
+    /// `client` registers: a join that claims nothing.
+    fn join(client: NodeId) -> JournalRecord {
+        JournalRecord::Join {
+            client,
+            memory: 1 << 20,
+            availability: 1.0,
+            problem: None,
+            checkpoint: None,
+            at: 0.0,
+        }
+    }
+
     /// Roster rows come out ascending by node id whatever order they
     /// went in, an id past the table grows it, and two rosters with the
     /// same rows are equal however long their tables are.
@@ -1943,30 +1901,17 @@ mod tests {
         let p1 = ProblemId::new(NodeId(0), 1);
         let p2 = ProblemId::new(n1, 1);
         let records = vec![
-            JournalRecord::Launch {
-                client: n1,
-                memory: 1 << 20,
-                speed: 100.0,
-                availability: 1.0,
-                at: 0.0,
-            },
+            join(n1),
             JournalRecord::AssignWhole {
                 client: n1,
                 problem: p1,
                 at: 0.0,
             },
-            JournalRecord::Launch {
-                client: n2,
-                memory: 1 << 20,
-                speed: 200.0,
-                availability: 1.0,
-                at: 1.0,
-            },
+            join(n2),
             JournalRecord::GrantOpen {
                 requester: n1,
                 peer: n2,
                 kind: GrantKind::Split,
-                problem: p1,
             },
             JournalRecord::SplitKept {
                 requester: n1,
@@ -2016,16 +1961,7 @@ mod tests {
     fn assign_recovery_pops_the_queue_and_returns_the_spec() {
         let f = gridsat_cnf::paper::fig1_formula();
         let mut core = MasterCore::default();
-        core.apply(
-            JournalRecord::Launch {
-                client: NodeId(3),
-                memory: 1 << 20,
-                speed: 100.0,
-                availability: 1.0,
-                at: 0.0,
-            },
-            &f,
-        );
+        core.apply(join(NodeId(3)), &f);
         let frame = SpecFrame::seal(&SplitSpec {
             num_vars: f.num_vars(),
             assumptions: vec![(Lit::neg(2), false)],
@@ -2061,19 +1997,12 @@ mod tests {
         assert_eq!(core.cubes.images().get(&twin), Some(&Checkpoint { level0 }));
     }
 
-    /// Launch `clients` on an empty core; the first is handed the whole
+    /// Join `clients` on an empty core; the first is handed the whole
     /// problem as `ProblemId(0, 1)`.
     fn fleet(f: &gridsat_cnf::Formula, clients: &[u32]) -> MasterCore {
         let mut core = MasterCore::default();
         for &client in clients {
-            let launch = JournalRecord::Launch {
-                client: NodeId(client),
-                memory: 1 << 20,
-                speed: 100.0,
-                availability: 1.0,
-                at: 0.0,
-            };
-            core.apply(launch, f);
+            core.apply(join(NodeId(client)), f);
         }
         let whole = JournalRecord::AssignWhole {
             client: NodeId(clients[0]),
@@ -2093,9 +2022,6 @@ mod tests {
         core.apply(rec, f);
     }
 
-    /// The whole problem, as [`fleet`] hands it out.
-    const ROOT: ProblemId = ProblemId(1);
-
     /// The fold alone takes a client out of the backlog and closes a lost
     /// client's grants: a grant opening for a backlogged requester, a
     /// requester's loss and a peer's loss each need no record of their own.
@@ -2107,7 +2033,6 @@ mod tests {
             requester: NodeId(requester),
             peer: NodeId(peer),
             kind: GrantKind::Split,
-            problem: ROOT,
         };
         core.apply(JournalRecord::BacklogPush { client: NodeId(1) }, &f);
         assert_eq!(core.backlog, [NodeId(1)]);
@@ -2123,22 +2048,16 @@ mod tests {
         assert_eq!(core.clients[&NodeId(3)].state(), &ClientState::Idle);
     }
 
-    /// `requester` was granted a split of `cube` with `peer`, kept `pivot`
-    /// and handed `child` to it: a grant and message (5).
-    fn kept(
-        requester: u32,
-        cube: ProblemId,
-        peer: u32,
-        child: ProblemId,
-        pivot: Lit,
-    ) -> [JournalRecord; 2] {
+    /// `requester` was granted a split of the cube its row names with
+    /// `peer`, kept `pivot` and handed `child` to it: a grant and message
+    /// (5).
+    fn kept(requester: u32, peer: u32, child: ProblemId, pivot: Lit) -> [JournalRecord; 2] {
         let (requester, peer) = (NodeId(requester), NodeId(peer));
         [
             JournalRecord::GrantOpen {
                 requester,
                 peer,
                 kind: GrantKind::Split,
-                problem: cube,
             },
             JournalRecord::SplitKept {
                 requester,
@@ -2258,9 +2177,9 @@ mod tests {
         let mut core = fleet(&f, &[1, 2, 3]);
         let level0 = vec![(Lit::neg(3), false), (Lit::pos(7), false)];
         for rec in [
-            kept(1, ROOT, 2, c1, Lit::pos(3)),
+            kept(1, 2, c1, Lit::pos(3)),
             transfer_in(2, c1, level0),
-            kept(1, ROOT, 3, c2, Lit::neg(5)),
+            kept(1, 3, c2, Lit::neg(5)),
         ]
         .into_iter()
         .flatten()
@@ -2287,7 +2206,7 @@ mod tests {
         let root = ProblemId::new(NodeId(0), 1);
         let child = ProblemId::new(NodeId(1), 1);
         let mut core = fleet(&f, &[1, 2]);
-        for rec in kept(1, ROOT, 2, child, Lit::pos(3)) {
+        for rec in kept(1, 2, child, Lit::pos(3)) {
             commit(&mut core, &f, rec);
         }
         commit(&mut core, &f, refuted(1, root));
@@ -2303,7 +2222,7 @@ mod tests {
             let child = ProblemId::new(NodeId(1), 1);
             let mut core = fleet(&f, &[1, 2, 3]);
             let records = [
-                kept(1, ROOT, 2, child, Lit::pos(3)),
+                kept(1, 2, child, Lit::pos(3)),
                 transfer_in(2, child, vec![]),
             ];
             for rec in records.into_iter().flatten() {
@@ -2329,9 +2248,9 @@ mod tests {
         assert!(msg.contains("cube owned twice (AssignWhole)"), "got: {msg}");
     }
 
-    /// A re-dispatch supersedes its source with a twin. The falsely
-    /// expired holder of the source keeps solving and splitting it; both
-    /// lineages split on the same pivot, and neither is owned twice.
+    /// A re-dispatch supersedes its source with a twin. The source's
+    /// holder split it before it was taken back, and the twin's holder
+    /// splits on the same pivot: neither half is owned twice.
     #[test]
     fn sanctioned_twins_are_tolerated() {
         let f = gridsat_cnf::paper::fig1_formula();
@@ -2355,14 +2274,12 @@ mod tests {
             problem: twin,
             at: 5.0,
         };
-        let splits = [
-            kept(1, ROOT, 3, a, Lit::pos(3)),
-            kept(2, twin, 4, b, Lit::pos(3)),
+        let records = [
+            kept(1, 3, a, Lit::pos(3)).to_vec(),
+            vec![requeue, assign],
+            kept(2, 4, b, Lit::pos(3)).to_vec(),
         ];
-        for rec in [requeue, assign]
-            .into_iter()
-            .chain(splits.into_iter().flatten())
-        {
+        for rec in records.into_iter().flatten() {
             commit(&mut core, &f, rec);
         }
         let superseded = CubeState::Settled { refuted: false };
@@ -2401,7 +2318,7 @@ mod tests {
             at: 5.0,
         };
         let split = [
-            kept(3, lone, 4, child, Lit::pos(1)),
+            kept(3, 4, child, Lit::pos(1)),
             transfer_in(4, child, vec![(Lit::pos(1), false)]),
         ];
         for rec in [requeue, assign]
@@ -2424,15 +2341,12 @@ mod tests {
             let f = f.clone();
             panic_of(move || {
                 let mut core = fleet(&f, &[1, 2, 3]);
-                for rec in kept(1, ROOT, 2, child(1), Lit::pos(3))
-                    .into_iter()
-                    .chain(second)
-                {
+                for rec in kept(1, 2, child(1), Lit::pos(3)).into_iter().chain(second) {
                     commit(&mut core, &f, rec);
                 }
             })
         };
-        let msg = split_twice(kept(1, ROOT, 3, child(2), Lit::neg(3)).to_vec());
+        let msg = split_twice(kept(1, 3, child(2), Lit::neg(3)).to_vec());
         assert_eq!(
             msg,
             "search-space audit violation: split pivot already on the path (SplitKept): path [4]"
@@ -2456,7 +2370,7 @@ mod tests {
         let msg = panic_of(|| {
             let mut core = fleet(&f, &[1, 2]);
             let records = [
-                kept(1, ROOT, 2, child, Lit::pos(3)),
+                kept(1, 2, child, Lit::pos(3)),
                 transfer_in(2, child, vec![(Lit::pos(3), false)]),
             ];
             for rec in records.into_iter().flatten() {
@@ -2494,6 +2408,45 @@ mod tests {
         );
     }
 
+    /// A claim is checked against its cube's path, not its place: a
+    /// master that lost a journal suffix closed the migration grant that
+    /// would excuse a claim on a cube the ledger has elsewhere, and the
+    /// claimed level 0 rebuilds the cube. One off the path panics.
+    #[test]
+    fn a_claim_off_its_path_panics_naming_its_record() {
+        let f = gridsat_cnf::paper::fig1_formula();
+        let child = ProblemId::new(NodeId(1), 1);
+        let claim = |level0| JournalRecord::Join {
+            client: NodeId(3),
+            memory: 1 << 20,
+            availability: 1.0,
+            problem: Some(child),
+            checkpoint: Some(Checkpoint { level0 }),
+            at: 2.0,
+        };
+        let sent = || {
+            let mut core = fleet(&f, &[1, 2, 3]);
+            for rec in kept(1, 2, child, Lit::pos(3)) {
+                commit(&mut core, &f, rec);
+            }
+            core
+        };
+        let mut core = sent();
+        let level0 = vec![(Lit::neg(3), false), (Lit::pos(6), true)];
+        commit(&mut core, &f, claim(level0.clone()));
+        assert_eq!(core.cubes.state(child), Some(CubeState::Open(NodeId(3))));
+        assert_eq!(core.cubes.level0(child), Some(Checkpoint { level0 }));
+        let msg = panic_of(|| {
+            let mut core = sent();
+            commit(&mut core, &f, claim(vec![(Lit::pos(3), true)]));
+        });
+        assert_eq!(
+            msg,
+            "search-space audit violation: adopted spec contradicts the recorded path \
+             (Join): path [-4]"
+        );
+    }
+
     /// An upload is checked like a confirmation: a level 0 that
     /// contradicts its cube's path panics, naming the record.
     #[test]
@@ -2502,13 +2455,12 @@ mod tests {
         let child = ProblemId::new(NodeId(1), 1);
         let upload = |level0| JournalRecord::CheckpointAccept {
             client: NodeId(2),
-            problem: child,
             checkpoint: Checkpoint { level0 },
         };
         let held = || {
             let mut core = fleet(&f, &[1, 2]);
             let records = [
-                kept(1, ROOT, 2, child, Lit::pos(3)),
+                kept(1, 2, child, Lit::pos(3)),
                 transfer_in(2, child, vec![(Lit::neg(3), false)]),
             ];
             for rec in records.into_iter().flatten() {
@@ -2546,13 +2498,7 @@ mod tests {
         let mut live = fleet(&f, &[1, 2, 3]);
         let mut journal = MasterJournal::new();
         for client in [1, 2, 3] {
-            journal.append(JournalRecord::Launch {
-                client: NodeId(client),
-                memory: 1 << 20,
-                speed: 100.0,
-                availability: 1.0,
-                at: 0.0,
-            });
+            journal.append(join(NodeId(client)));
         }
         journal.append(JournalRecord::AssignWhole {
             client: NodeId(1),
@@ -2566,10 +2512,10 @@ mod tests {
             pivot: Lit::pos(6),
         };
         let records = [
-            kept(1, ROOT, 2, c1, Lit::pos(3)),
+            kept(1, 2, c1, Lit::pos(3)),
             transfer_in(2, c1, vec![(Lit::neg(3), false)]),
             [steal, refuted(2, c1)],
-            kept(1, ROOT, 3, c2, Lit::neg(5)),
+            kept(1, 3, c2, Lit::neg(5)),
         ];
         for rec in records.into_iter().flatten() {
             journal.append(&rec);
@@ -2589,15 +2535,7 @@ mod tests {
     fn images_ignore_forecast_but_compare_scheduling_state() {
         let f = gridsat_cnf::paper::fig1_formula();
         let (n1, n2) = (NodeId(1), NodeId(2));
-        let mut records: Vec<_> = [n1, n2]
-            .map(|client| JournalRecord::Launch {
-                client,
-                memory: 1 << 20,
-                speed: 100.0,
-                availability: 1.0,
-                at: 0.0,
-            })
-            .into();
+        let mut records: Vec<_> = [n1, n2].map(join).into();
         records.push(JournalRecord::AssignWhole {
             client: n1,
             problem: ProblemId::new(NodeId(0), 1),
@@ -2613,12 +2551,10 @@ mod tests {
         // a split grant the peer's confirmation closed still waits for the
         // requester's message (5): only the core's split grants differ
         let mut c = fold(&f, &records);
-        let problem = ProblemId::new(NodeId(0), 1);
         let open = JournalRecord::GrantOpen {
             requester: n1,
             peer: n2,
             kind: GrantKind::Split,
-            problem,
         };
         let close = JournalRecord::GrantClose { requester: n1 };
         for rec in [open, close] {
@@ -2646,12 +2582,10 @@ mod tests {
     fn record_sizes_scale_with_payload() {
         let small = JournalRecord::CheckpointAccept {
             client: NodeId(1),
-            problem: ProblemId::new(NodeId(1), 1),
             checkpoint: Checkpoint { level0: vec![] },
         };
         let big = JournalRecord::CheckpointAccept {
             client: NodeId(1),
-            problem: ProblemId::new(NodeId(1), 1),
             checkpoint: Checkpoint {
                 level0: (0..100).map(|v| (Lit::pos(v), false)).collect(),
             },
@@ -2678,11 +2612,12 @@ mod tests {
             clauses: vec![Clause::new(vec![Lit::neg(0), Lit::pos(5)])],
         });
         vec![
-            JournalRecord::Launch {
+            JournalRecord::Join {
                 client: NodeId(1),
                 memory: 1 << 30,
-                speed: 123.5,
                 availability: 0.875,
+                problem: None,
+                checkpoint: None,
                 at: 1.25,
             },
             JournalRecord::Deregister { client: NodeId(2) },
@@ -2701,7 +2636,6 @@ mod tests {
                 requester: NodeId(1),
                 peer: NodeId(3),
                 kind: GrantKind::Split,
-                problem: ProblemId::new(NodeId(0), 1),
             },
             JournalRecord::GrantClose {
                 requester: NodeId(1),
@@ -2730,7 +2664,6 @@ mod tests {
             },
             JournalRecord::CheckpointAccept {
                 client: NodeId(3),
-                problem: ProblemId::new(NodeId(1), 2),
                 checkpoint: cp_deeper.clone(),
             },
             JournalRecord::ClientIdle { client: NodeId(3) },
@@ -2748,10 +2681,9 @@ mod tests {
                     source: Some(ProblemId::new(NodeId(3), 9)),
                 },
             },
-            JournalRecord::AdoptClaim {
+            JournalRecord::Join {
                 client: NodeId(7),
                 memory: 1 << 20,
-                speed: 42.0,
                 availability: 0.5,
                 problem: Some(ProblemId::new(NodeId(7), 3)),
                 checkpoint: Some(cp_deeper),
@@ -2844,96 +2776,71 @@ mod tests {
         assert_eq!(sealed.open(), Ok((0, empty)));
     }
 
-    /// A checkpoint record keeps the tag byte `0` heavy checkpoints once
-    /// stood beside, so its sealed bytes are the ones the two-kind
-    /// encoding wrote (captured before the heavy kind went), less the
-    /// trailing byte that said whether a Receiving peer's id was learned,
-    /// which the fold reads off the row.
+    /// `rec` sealed at `seq` is the pinned bytes: the stamp and the
+    /// payload's length (one byte each here), `check`, then `payload`.
+    fn assert_pinned(seq: u8, rec: JournalRecord, check: [u8; 4], payload: &[u8]) {
+        let pinned = [&[seq, payload.len() as u8], &check[..], payload].concat();
+        let sealed = SealedRecord::seal(u64::from(seq), &rec);
+        assert_eq!(sealed.bytes, pinned, "{rec:?}");
+        assert_eq!(sealed.open(), Ok((u64::from(seq), rec)));
+    }
+
+    /// A checkpoint upload is its client and the level 0's pairs: the
+    /// cube is the one the row names, and a checkpoint has no tag byte.
     #[test]
     fn a_checkpoint_record_seals_to_the_pinned_bytes() {
         let rec = JournalRecord::CheckpointAccept {
             client: NodeId(3),
-            problem: ProblemId::new(NodeId(1), 2),
             checkpoint: Checkpoint {
                 level0: vec![(Lit::pos(1), false), (Lit::neg(4), true)],
             },
         };
-        let pinned: [u8; 17] = [
-            5, 11, 184, 108, 55, 147, 12, 3, 130, 128, 128, 128, 16, 0, 2, 4, 19,
-        ];
-        let sealed = SealedRecord::seal(5, &rec);
-        assert_eq!(sealed.bytes, pinned);
-        assert_eq!(sealed.open(), Ok((5, rec)));
+        assert_pinned(5, rec, [217, 133, 36, 229], &[12, 3, 2, 4, 19]);
     }
 
-    /// A record carrying a checkpoint in the retired heavy encoding (tag
-    /// `1`, level 0, then learned clauses) is an error, not a checkpoint.
+    /// A grant is its requester, its peer and its kind: the cube is the
+    /// one the requester's row names.
     #[test]
-    fn a_heavy_checkpoint_record_does_not_decode() {
-        let level0 = vec![(Lit::pos(1), false), (Lit::neg(4), true)];
-        let mut light = vec![0];
-        wire::write_pairs(&level0, &mut light);
-        // tag 1, level 0, and one learned clause
-        let mut heavy = vec![1];
-        wire::write_pairs(&level0, &mut heavy);
-        wire::write_varint(1, &mut heavy);
-        let learned = [Lit::pos(0), Lit::neg(2)];
-        wire::encode_codes(learned.iter().map(|l| l.code() as u32), &mut heavy);
-        // `head`, the checkpoint's bytes, `tail`, sealed at seq 0
-        let open = |head: &[u8], checkpoint: &[u8], tail: &[u8]| {
-            let payload = [head, checkpoint, tail].concat();
-            let mut bytes = Vec::new();
-            wire::write_varint(0, &mut bytes);
-            wire::write_varint(payload.len() as u64, &mut bytes);
-            bytes.extend_from_slice(&record_check(0, &payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            SealedRecord::from_wire(bytes).open()
+    fn a_grant_record_seals_to_the_pinned_bytes() {
+        let rec = JournalRecord::GrantOpen {
+            requester: NodeId(1),
+            peer: NodeId(3),
+            kind: GrantKind::Migrate,
         };
-        let (client, problem) = (NodeId(3), ProblemId::new(NodeId(1), 2));
-        let checkpoint = Checkpoint {
-            level0: level0.clone(),
-        };
-        let retired = Err(RecordError::Wire(WireError::Overflow));
+        assert_pinned(4, rec, [34, 8, 166, 153], &[7, 1, 3, 1]);
+    }
 
-        let mut head = vec![12];
-        put_node(client, &mut head);
-        put_problem(problem, &mut head);
-        let tail = Vec::new();
-        let accept = JournalRecord::CheckpointAccept {
-            client,
-            problem,
-            checkpoint: checkpoint.clone(),
-        };
-        assert_eq!(open(&head, &light, &tail), Ok((0, accept)));
-        assert_eq!(open(&head, &heavy, &tail), retired);
-
-        let mut head = vec![18];
-        put_node(client, &mut head);
-        wire::write_varint(1 << 20, &mut head);
-        put_f64(42.0, &mut head);
-        put_f64(0.5, &mut head);
-        put_opt(&Some(problem), |p, o| put_problem(*p, o), &mut head);
-        head.push(1); // the checkpoint is Some
-        let mut tail = Vec::new();
-        put_f64(6.0, &mut tail);
-        let adopt = JournalRecord::AdoptClaim {
-            client,
+    /// A join is its client, memory, availability, claim and clock; the
+    /// host's speed is the fold's. A registration claims nothing, a
+    /// re-registration after a takeover a cube and its level 0.
+    #[test]
+    fn a_join_record_seals_to_the_pinned_bytes() {
+        let join = |problem, checkpoint| JournalRecord::Join {
+            client: NodeId(3),
             memory: 1 << 20,
-            speed: 42.0,
             availability: 0.5,
-            problem: Some(problem),
-            checkpoint: Some(checkpoint),
+            problem,
+            checkpoint,
             at: 6.0,
         };
-        assert_eq!(open(&head, &light, &tail), Ok((0, adopt)));
-        assert_eq!(open(&head, &heavy, &tail), retired);
+        // tag, client, memory, availability, the two options, clock
+        let mut payload = vec![18, 3, 128, 128, 64, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0];
+        payload.extend([0, 0, 0, 0, 0, 0, 24, 64]);
+        assert_pinned(2, join(None, None), [143, 123, 216, 136], &payload);
+        // the claim: a cube and a level 0 of two pairs
+        payload.splice(13..15, [1, 130, 128, 128, 128, 16, 1, 2, 4, 19]);
+        let level0 = vec![(Lit::pos(1), false), (Lit::neg(4), true)];
+        let rec = join(
+            Some(ProblemId::new(NodeId(1), 2)),
+            Some(Checkpoint { level0 }),
+        );
+        assert_pinned(2, rec, [162, 94, 160, 74], &payload);
     }
 
     #[test]
     fn sealed_record_rejects_any_single_bit_flip() {
         let rec = JournalRecord::CheckpointAccept {
             client: NodeId(3),
-            problem: ProblemId::new(NodeId(1), 2),
             checkpoint: Checkpoint {
                 level0: vec![(Lit::pos(1), false)],
             },
@@ -2964,9 +2871,10 @@ mod tests {
             SealedRecord::from_wire(padded).open(),
             Err(RecordError::Wire(WireError::TrailingBytes))
         );
-        // an unknown tag and a retired one (6, the backlog remove the
-        // fold made redundant), re-sealed with a valid CRC
-        for tag in [200u8, 6] {
+        // an unknown tag and retired ones (6, the backlog remove the fold
+        // made redundant; 0, the launch a join without a claim replaced),
+        // re-sealed with a valid CRC
+        for tag in [200u8, 6, 0] {
             let payload = [tag, 1];
             let mut bytes = Vec::new();
             wire::write_varint(0, &mut bytes);

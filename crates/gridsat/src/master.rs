@@ -597,6 +597,32 @@ impl Master {
         ctx.send(to, GridMsg::JournalBatch { start, records });
     }
 
+    /// `client` joins the roster — claiming the cube it holds, with its
+    /// level 0, after a takeover — and takes its place in the share tree.
+    fn join(
+        &mut self,
+        client: NodeId,
+        memory: usize,
+        availability: f64,
+        problem: Option<ProblemId>,
+        checkpoint: Option<Checkpoint>,
+        ctx: &mut Ctx<GridMsg>,
+    ) {
+        let at = ctx.now();
+        let rec = JournalRecord::Join {
+            client,
+            memory,
+            availability,
+            problem,
+            checkpoint,
+            at,
+        };
+        self.commit(at, rec);
+        self.link_in(client, ctx);
+        let node = self.me.0;
+        (self.obs).emit(at, node, || Event::ClientLaunch { client: client.0 });
+    }
+
     fn site_of(&self, id: NodeId) -> Option<Site> {
         self.host_info.get(&id).map(|(_, site)| *site)
     }
@@ -731,7 +757,6 @@ impl Master {
                 requester,
                 peer,
                 kind: GrantKind::Split,
-                problem,
             },
         );
         // close the request->grant latency window, and re-anchor the
@@ -858,7 +883,6 @@ impl Master {
                     requester: weak_id,
                     peer: best_idle,
                     kind: GrantKind::Migrate,
-                    problem,
                 },
             );
             ctx.send(
@@ -1133,16 +1157,8 @@ impl Master {
                 self.saturated.remove(&to);
                 self.pulls.remove(&to);
             }
-            GridMsg::JournalBatch { start, .. } => {
-                // the standby missed a batch: rewind the ship cursor so
-                // the next ship re-sends from the gap
-                if let Some(link) = self.standby.as_mut() {
-                    if link.node == to {
-                        link.sent = link.sent.min(start);
-                    }
-                }
-            }
-            // a terminate to a dead client changes nothing
+            // a terminate to a dead client changes nothing; a journal
+            // batch the standby missed is re-shipped on its repeated ack
             _ => {}
         }
         self.ship_journal(ctx, false);
@@ -1272,24 +1288,10 @@ impl Process for Master {
                 memory,
                 availability,
             } => {
-                let speed = self.host_info.get(&from).map(|(s, _)| *s).unwrap_or(1.0);
                 // a client registering again has restarted: whatever the
                 // ledger has it holding is lost
                 let (held, _) = self.held_frames(from);
-                self.commit(
-                    ctx.now(),
-                    JournalRecord::Launch {
-                        client: from,
-                        memory,
-                        speed,
-                        availability,
-                        at: ctx.now(),
-                    },
-                );
-                self.link_in(from, ctx);
-                let node = self.me.0;
-                self.obs
-                    .emit(ctx.now(), node, || Event::ClientLaunch { client: from.0 });
+                self.join(from, memory, availability, None, None, ctx);
                 self.take_back_all(held, ctx);
                 if !self.core.first_problem_sent {
                     // "The first client to register with the master is
@@ -1580,7 +1582,6 @@ impl Process for Master {
                         ctx.now(),
                         JournalRecord::CheckpointAccept {
                             client: from,
-                            problem,
                             checkpoint: *checkpoint,
                         },
                     );
@@ -1616,30 +1617,14 @@ impl Process for Master {
                 problem,
                 checkpoint,
             } => {
-                // re-registration with in-progress state after a takeover
-                let speed = self.host_info.get(&from).map(|(s, _)| *s).unwrap_or(1.0);
+                // re-registration with in-progress state after a takeover;
                 // a claim overtaken by the result of the cube it names:
                 // the client has been idle since
                 let (problem, checkpoint) = match problem {
                     Some(p) if self.core.cubes.refuted(p) => (None, None),
                     _ => (problem, checkpoint.map(|b| *b)),
                 };
-                self.commit(
-                    ctx.now(),
-                    JournalRecord::AdoptClaim {
-                        client: from,
-                        memory,
-                        speed,
-                        availability,
-                        problem,
-                        checkpoint,
-                        at: ctx.now(),
-                    },
-                );
-                self.link_in(from, ctx);
-                let node = self.me.0;
-                self.obs
-                    .emit(ctx.now(), node, || Event::ClientLaunch { client: from.0 });
+                self.join(from, memory, availability, problem, checkpoint, ctx);
                 self.dispatch_recoveries(None, ctx);
                 self.drain_backlog(ctx);
                 self.note_activity();

@@ -1293,7 +1293,6 @@ fn backlog_prefers_longest_running_requester() {
                 requester,
                 peer,
                 kind: GrantKind::Split,
-                problem: ProblemId::new(NodeId(0), 1),
             },
             JournalRecord::TransferIn {
                 peer,
@@ -1712,6 +1711,29 @@ fn standby_rejects_a_corrupted_record_and_the_dup_ack_re_requests_it() {
     assert!(s.promoted_master().is_some(), "standby takes over");
 }
 
+/// One batch to the standby, the standby's ack to the master, and what the
+/// master re-ships in answer; the standby's journal stays a byte prefix of
+/// the master's.
+fn deliver(
+    m: &mut Master,
+    s: &mut crate::standby::StandbyNode,
+    (start, records): (u64, Vec<SealedRecord>),
+    t: f64,
+) -> Vec<(u64, Vec<SealedRecord>)> {
+    let mut cx = ctx_at(1, t);
+    s.on_message(NodeId(0), GridMsg::JournalBatch { start, records }, &mut cx);
+    let mut reshipped = Vec::new();
+    for action in cx.take_actions() {
+        if let Action::Send { msg, .. } = action {
+            let mut cx = ctx(t);
+            m.on_message(NodeId(1), msg, &mut cx);
+            reshipped.extend(batches_to_standby(&cx.take_actions()));
+        }
+    }
+    assert!(m.journal.log_bytes().starts_with(s.tailed().log_bytes()));
+    reshipped
+}
+
 #[test]
 fn standby_journal_is_the_masters_byte_prefix_through_a_rejected_record() {
     let (mut m, mut s) = master_and_standby();
@@ -1720,39 +1742,57 @@ fn standby_journal_is_the_masters_byte_prefix_through_a_rejected_record() {
         batches.extend(batches_to_standby(&register(&mut m, id, t)));
     }
     assert!(batches.len() >= 3 && batches[0].1.len() >= 2);
-    // one batch to the standby; the standby's ack to the master; what
-    // the master re-ships in answer
-    let deliver = |m: &mut Master, s: &mut crate::standby::StandbyNode, (start, records), t| {
-        let mut cx = ctx_at(1, t);
-        s.on_message(NodeId(0), GridMsg::JournalBatch { start, records }, &mut cx);
-        let mut reshipped = Vec::new();
-        for action in cx.take_actions() {
-            if let Action::Send { msg, .. } = action {
-                let mut cx = ctx(t);
-                m.on_message(NodeId(1), msg, &mut cx);
-                reshipped.extend(batches_to_standby(&cx.take_actions()));
-            }
-        }
-        assert!(m.journal.log_bytes().starts_with(s.tailed().log_bytes()));
-        reshipped
-    };
     // the first batch's second record is mangled in flight: its first
     // record is acked
     let (start, mut records) = batches[0].clone();
     records[1].corrupt_bit(3);
     assert!(deliver(&mut m, &mut s, (start, records), 1.5).is_empty());
     assert_eq!((s.tailed().len(), s.rejected()), (1, 1));
-    // the third batch overtakes the second and is staged; the repeated
-    // ack re-ships from the rejected record, which closes the gap and
-    // releases the staged batch
+    // the third batch overtakes the second and is dropped, not kept for
+    // later; the repeated ack re-ships from the rejected record
     let reshipped = deliver(&mut m, &mut s, batches[2].clone(), 1.6);
-    assert_eq!(s.tailed().len(), 1, "a batch past the gap waits");
+    assert_eq!(s.tailed().len(), 1, "a batch past the gap is dropped");
     assert_eq!(reshipped.first().map(|(start, _)| *start), Some(1));
     for batch in reshipped {
         deliver(&mut m, &mut s, batch, 2.0);
     }
     assert_eq!(s.tailed().log_bytes(), m.journal.log_bytes());
+    // the second batch, landing late, holds nothing new
+    deliver(&mut m, &mut s, batches[1].clone(), 2.5);
+    assert_eq!(s.tailed().log_bytes(), m.journal.log_bytes());
     assert_eq!(s.tailed().records(), m.journal.records());
+}
+
+#[test]
+fn a_batch_lost_on_the_wire_is_re_shipped_after_the_next_keepalives_ack() {
+    let (mut m, mut s) = master_and_standby();
+    for batch in batches_to_standby(&register(&mut m, 2, 0.0)) {
+        assert!(deliver(&mut m, &mut s, batch, 0.1).is_empty());
+    }
+    let held = s.tailed().len();
+    // the second registration's batch is lost, and nothing follows it
+    assert!(!batches_to_standby(&register(&mut m, 3, 0.5)).is_empty());
+    assert!(m.journal.len() > held);
+    // the next tick's keepalive starts past what the standby holds: it
+    // is dropped, and its repeated ack re-ships the lost records
+    let mut cx = ctx(5.0);
+    m.on_tick(&mut cx);
+    let keepalive = cx.take_actions().into_iter().find_map(|a| match a {
+        Action::Send {
+            to: NodeId(1),
+            msg: GridMsg::JournalBatch { start, records },
+        } => Some((start, records)),
+        _ => None,
+    });
+    let keepalive = keepalive.expect("a keepalive batch");
+    assert!(keepalive.0 > held && keepalive.1.is_empty());
+    let reshipped = deliver(&mut m, &mut s, keepalive, 5.1);
+    assert_eq!(s.tailed().len(), held);
+    assert_eq!(reshipped.first().map(|(start, _)| *start), Some(held));
+    for batch in reshipped {
+        deliver(&mut m, &mut s, batch, 5.2);
+    }
+    assert_eq!(s.tailed().log_bytes(), m.journal.log_bytes());
 }
 
 /// Node 0 serves clients 1 (the standby, which gets the problem), 2 and 3,
@@ -1937,6 +1977,9 @@ fn randomized_schedules_replay_to_the_live_state() {
     let (mut queued, mut lost_queued, mut lost_granted) = (0, 0, 0);
     // checkpoint uploads for the held cube, a known one, one in flight
     let mut uploads = [0; 3];
+    // joins that claim nothing, and claims of a cube the ledger has at
+    // the claiming client
+    let mut joins = [0; 2];
     for round in 0..100 {
         let mut m = Master::new(f.clone(), cfg.clone(), speeds(6));
         // every cube a client was handed or named, for stale messages
@@ -1951,15 +1994,34 @@ fn randomized_schedules_replay_to_the_live_state() {
             known.dedup();
             match xs(&mut seed) % 9 {
                 0 => {
-                    let mut cx = ctx(t);
-                    m.on_message(
-                        node,
+                    // a registration, or a re-registration after a
+                    // takeover claiming what the ledger has the client
+                    // holding, with the level 0 that rebuilds it
+                    let (memory, availability) = (3 << 20, 1.0);
+                    let msg = if xs(&mut seed).is_multiple_of(2) {
                         GridMsg::Register {
-                            memory: 3 << 20,
-                            availability: 1.0,
-                        },
-                        &mut cx,
+                            memory,
+                            availability,
+                        }
+                    } else {
+                        let problem = m.core.cubes.held_by(node).first().copied();
+                        let checkpoint = problem.and_then(|c| m.core.cubes.level0(c));
+                        GridMsg::Adopt {
+                            memory,
+                            availability,
+                            problem,
+                            checkpoint: checkpoint.map(Box::new),
+                        }
+                    };
+                    let claims = matches!(
+                        msg,
+                        GridMsg::Adopt {
+                            problem: Some(_),
+                            ..
+                        }
                     );
+                    joins[usize::from(claims)] += 1;
+                    m.on_message(node, msg, &mut ctx(t));
                 }
                 1 => {
                     // the cube the client holds, or one it may have held
@@ -2064,7 +2126,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                     // the migration policy's grant, for a busy client
                     // without one, toward an idle peer
                     let busy = m.core.clients.get(&node).map(|c| c.state());
-                    if let (Some(&ClientState::Busy { cube, .. }), false) =
+                    if let (Some(&ClientState::Busy { .. }), false) =
                         (busy, m.core.grants.contains_key(&node))
                     {
                         if let Some(peer) = m.pick_idle(node, None) {
@@ -2072,7 +2134,6 @@ fn randomized_schedules_replay_to_the_live_state() {
                                 requester: node,
                                 peer,
                                 kind: GrantKind::Migrate,
-                                problem: cube,
                             };
                             m.commit(t, rec);
                         }
@@ -2134,6 +2195,7 @@ fn randomized_schedules_replay_to_the_live_state() {
         "backlogged {queued}, lost while backlogged {lost_queued}, lost under a grant {lost_granted}"
     );
     assert!(uploads.iter().all(|&n| n > 0), "uploads {uploads:?}");
+    assert!(joins.iter().all(|&n| n > 0), "joins {joins:?}");
 }
 
 /// The three messages a settled steal and its result bring to the root:
@@ -2400,17 +2462,12 @@ fn idle_index_agrees_with_the_roster_walk() {
                         } else {
                             GrantKind::Migrate
                         };
-                        let problem = m.core.clients[&requester].cube();
-                        let problem = problem.unwrap_or(ProblemId::new(requester, 0));
-                        m.commit(
-                            t,
-                            JournalRecord::GrantOpen {
-                                requester,
-                                peer,
-                                kind,
-                                problem,
-                            },
-                        );
+                        let rec = JournalRecord::GrantOpen {
+                            requester,
+                            peer,
+                            kind,
+                        };
+                        m.commit(t, rec);
                     }
                 }
                 4 => {

@@ -3,9 +3,10 @@
 //! The designated standby node runs an ordinary [`Client`] — it
 //! registers, solves, splits — while also tailing the master's
 //! write-ahead journal: every [`GridMsg::JournalBatch`] piggybacked on
-//! the control plane is staged, appended in sequence order to a
-//! [`MasterJournal`] of its own, and cumulatively acknowledged. The
-//! tailed log is the master's, byte for byte, as far as it verified. The
+//! the control plane that continues what it holds is appended to a
+//! [`MasterJournal`] of its own, and every batch is cumulatively
+//! acknowledged. The tailed log is the master's, byte for byte, as far as
+//! it verified; a repeated ack makes the master re-ship the rest. The
 //! master sends an *empty* batch every housekeeping period as a
 //! keepalive, so a quiet feed and a dead master are distinguishable:
 //! when the feed has been silent for longer than [`PROMOTE_GRACE_S`] the
@@ -33,9 +34,6 @@ pub struct StandbyNode {
     /// The master's journal as far as it verified here: every record
     /// appended only once its checksum, payload and stamp checked out.
     journal: MasterJournal,
-    /// Out-of-order batches, keyed by their start sequence; verified
-    /// record by record when they become contiguous.
-    staged: BTreeMap<u64, Vec<SealedRecord>>,
     /// Sealed records rejected for a bad checksum or sequence stamp.
     rejected: u64,
     /// Simulated second of the last journal batch (keepalives count).
@@ -60,7 +58,6 @@ impl StandbyNode {
             config,
             host_info,
             journal: MasterJournal::new(),
-            staged: BTreeMap::new(),
             rejected: 0,
             last_feed: 0.0,
             promoted: None,
@@ -89,9 +86,12 @@ impl StandbyNode {
         self.rejected
     }
 
-    /// Fold a batch into the contiguous prefix; stage it when it starts
-    /// beyond what we hold (an earlier batch was lost and will be
-    /// re-shipped once the master notices the undeliverable).
+    /// Append the records of a batch starting at `start` that the journal
+    /// does not hold yet. A batch starting past them is dropped (an
+    /// earlier one was lost), and so is a record that fails verification,
+    /// with the rest of its batch: it must never enter the replayed
+    /// history. Either way the ack this batch draws repeats the last one,
+    /// which tells the master to re-ship from the gap.
     fn absorb_batch(
         &mut self,
         from: NodeId,
@@ -100,28 +100,10 @@ impl StandbyNode {
         now: f64,
         me: u32,
     ) {
-        if start <= self.journal.len() {
-            self.extend(from, start, batch, now, me);
-        } else {
-            self.staged.insert(start, batch);
-        }
-        while let Some(first) = self.staged.first_entry() {
-            if *first.key() > self.journal.len() {
-                break;
-            }
-            let (s, batch) = first.remove_entry();
-            self.extend(from, s, batch, now, me);
-        }
-    }
-
-    /// Append the records of a batch starting at `start` that the journal
-    /// does not hold yet. A record that fails verification must never
-    /// enter the replayed history: it and the rest of its batch are
-    /// dropped, and the resulting withheld ack (a duplicate of the last
-    /// one) is what tells the master to re-ship from the gap.
-    fn extend(&mut self, from: NodeId, start: u64, batch: Vec<SealedRecord>, now: f64, me: u32) {
-        let held = (self.journal.len() - start) as usize;
-        for sealed in &batch[held.min(batch.len())..] {
+        let Some(held) = self.journal.len().checked_sub(start) else {
+            return;
+        };
+        for sealed in batch.iter().skip(held as usize) {
             if self.journal.append_sealed(sealed).is_err() {
                 self.rejected += 1;
                 self.obs.emit(now, me, || Event::CorruptDrop {

@@ -109,7 +109,6 @@ fn random_record(rng: &mut Rng) -> JournalRecord {
             } else {
                 GrantKind::Migrate
             },
-            problem: random_problem(rng),
         },
         7 => JournalRecord::StealOpen {
             donor: NodeId(rng.below(9) as u32),
@@ -127,11 +126,12 @@ fn random_record(rng: &mut Rng) -> JournalRecord {
         0 => JournalRecord::ClientIdle {
             client: NodeId(rng.below(9) as u32),
         },
-        1 => JournalRecord::Launch {
+        1 => JournalRecord::Join {
             client: NodeId(rng.below(9) as u32),
             memory: rng.below(1 << 20),
-            speed: rng.below(4000) as f64,
             availability: 0.5,
+            problem: (rng.next() & 1 == 0).then(|| random_problem(rng)),
+            checkpoint: (rng.next() & 1 == 0).then(|| random_checkpoint(rng)),
             at: rng.below(1000) as f64,
         },
         2 => JournalRecord::BacklogPush {
@@ -139,13 +139,16 @@ fn random_record(rng: &mut Rng) -> JournalRecord {
         },
         _ => JournalRecord::CheckpointAccept {
             client: NodeId(rng.below(9) as u32),
-            problem: ProblemId::new(NodeId(1), rng.next() as u32 & 0xffff),
-            checkpoint: Checkpoint {
-                level0: (0..1 + rng.below(3))
-                    .map(|_| (Lit::pos(rng.below(40) as u32), rng.next() & 1 == 0))
-                    .collect(),
-            },
+            checkpoint: random_checkpoint(rng),
         },
+    }
+}
+
+fn random_checkpoint(rng: &mut Rng) -> Checkpoint {
+    Checkpoint {
+        level0: (0..1 + rng.below(3))
+            .map(|_| (Lit::pos(rng.below(40) as u32), rng.next() & 1 == 0))
+            .collect(),
     }
 }
 

@@ -258,7 +258,8 @@ fn bit_rot_run_in_rounds_is_pinned() {
 /// entries and closes a lost client's grants itself, 103.73 s since a
 /// requeued cube is not dispatched back to the client that refused it,
 /// 101.22 s since the promoted master rebuilds the cubes its all-idle
-/// verdict finds lost from their images' level 0).
+/// verdict finds lost from their images' level 0, 104.89 s since a record
+/// keeps no field its fold can work out).
 #[test]
 fn master_gone_failover_run_is_pinned() {
     let config = miniature(GridConfig::failover_hardened());
@@ -284,16 +285,16 @@ fn master_gone_failover_run_is_pinned() {
     assert_eq!(
         Pins::of(&r),
         Pins {
-            seconds_bits: 101.221186f64.to_bits(),
-            events: 22_218,
-            messages_delivered: 7266,
-            bytes_delivered: 950_754,
-            ticks: 4677,
-            splits: 232,
-            clauses_received: 1538,
-            dup_share_drops: 128,
-            shares_forwarded: 373,
-            share_batches_sent: 143,
+            seconds_bits: 104.892773f64.to_bits(),
+            events: 19_321,
+            messages_delivered: 5796,
+            bytes_delivered: 685_603,
+            ticks: 4283,
+            splits: 177,
+            clauses_received: 1508,
+            dup_share_drops: 126,
+            shares_forwarded: 387,
+            share_batches_sent: 124,
         }
     );
 }
