@@ -282,12 +282,10 @@ impl Client {
         self.broker = Some(broker);
     }
 
-    /// The broker to talk to right now, or `None` when hierarchy is off,
-    /// no broker is wired, or the broker is inside its failure cooldown.
+    /// The broker to talk to right now, or `None` when no broker is wired
+    /// (the driver wires one only under the hierarchy) or the broker is
+    /// inside its failure cooldown.
     fn broker_target(&mut self, now: f64) -> Option<NodeId> {
-        if !self.config.hierarchy {
-            return None;
-        }
         let broker = self.broker?;
         if let Some(down) = self.broker_down_at {
             if now - down < BROKER_RETRY_COOLDOWN_S {
@@ -310,20 +308,17 @@ impl Client {
     /// Re-announce idleness when the steal period has elapsed; the
     /// announcement is best-effort soft state, so it is simply repeated.
     fn maybe_announce_idle(&mut self, ctx: &mut Ctx<GridMsg>) {
-        if !self.config.hierarchy {
-            return;
-        }
         if ctx.now() - self.last_idle_announce >= STEAL_PERIOD_S {
             self.announce_idle(ctx);
         }
     }
 
-    /// Transition to waiting-for-work. Without the hierarchy extension an
-    /// idle client parks (reliability keeps it ticking for heartbeats);
-    /// with it, the client announces itself to the sub-master and keeps
-    /// ticking so the announcement refreshes.
+    /// Transition to waiting-for-work. Without a broker an idle client
+    /// parks (reliability keeps it ticking for heartbeats); with one, the
+    /// client announces itself to the sub-master and keeps ticking so the
+    /// announcement refreshes.
     fn enter_idle(&mut self, ctx: &mut Ctx<GridMsg>) {
-        if self.config.hierarchy {
+        if self.broker.is_some() {
             self.announce_idle(ctx);
             ctx.schedule_tick(STEAL_PERIOD_S);
         } else {
@@ -719,9 +714,9 @@ impl Process for Client {
             // idle clients must keep ticking to renew their lease
             ctx.schedule_tick(HEARTBEAT_PERIOD_S);
         }
-        if self.config.hierarchy {
-            // announce idleness to the site sub-master (once the driver
-            // has wired one) and keep ticking to refresh it
+        if self.broker.is_some() {
+            // announce idleness to the site sub-master and keep ticking
+            // to refresh it
             self.announce_idle(ctx);
             ctx.schedule_tick(STEAL_PERIOD_S);
         }
@@ -1031,7 +1026,7 @@ impl Process for Client {
                     self.maybe_heartbeat(ctx);
                     next = next.min(HEARTBEAT_PERIOD_S);
                 }
-                if self.config.hierarchy {
+                if self.broker.is_some() {
                     self.maybe_announce_idle(ctx);
                     next = next.min(STEAL_PERIOD_S);
                 }
@@ -2091,15 +2086,15 @@ mod tests {
                 msg: GridMsg::StealRequest
             }
         )));
-        // hierarchy mode without a wired broker keeps ticking but sends
-        // no announcements
+        // a hierarchical client with no broker wired parks like a flat
+        // one: no announcement, and no tick to refresh one
         let mut lone = Client::new(NodeId(0), GridConfig::default().hierarchical());
         let mut cx = ctx(0.0);
         lone.on_start(&mut cx);
-        assert!(!cx.take_actions().iter().any(|a| matches!(
+        assert!(cx.take_actions().iter().all(|a| matches!(
             a,
             gridsat_grid::Action::Send {
-                msg: GridMsg::StealRequest,
+                msg: GridMsg::Register { .. },
                 ..
             }
         )));
