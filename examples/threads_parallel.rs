@@ -7,7 +7,7 @@
 use gridsat::{Client, GridConfig, GridNode, Master};
 use gridsat_grid::{NodeId, Site, ThreadGrid};
 use gridsat_satgen as satgen;
-use gridsat_solver::{driver, SolverConfig};
+use gridsat_solver::{driver, FpIds, SolverConfig};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -50,6 +50,7 @@ fn main() {
         .map(|i| (NodeId(i), (1.0, Site::Ucsd)))
         .collect();
     let f2 = formula.clone();
+    let num_vars = formula.num_vars();
     let t0 = Instant::now();
     let grid = ThreadGrid::spawn(workers + 1, 3 << 20, move |id| {
         if id == NodeId(0) {
@@ -59,7 +60,11 @@ fn main() {
                 host_info.clone(),
             )))
         } else {
-            GridNode::Client(Box::new(Client::new(NodeId(0), config.clone())))
+            // its own fingerprint id table, and a transfer naming more
+            // variables than the formula refused like any unreadable one
+            let ids = FpIds::shared();
+            let client = Client::with_fp_ids(NodeId(0), config.clone(), ids, num_vars);
+            GridNode::Client(Box::new(client))
         }
     });
     let nodes = grid.join(Duration::from_secs(120));
