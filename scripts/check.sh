@@ -25,7 +25,10 @@ export CARGO_NET_OFFLINE=true
 # and the two failover integration tests. The fast profile samples 5
 # seeds of every plan; the hierarchical plan gets its full 20 as well
 # (60 runs, seconds): the ghost-Busy thief it found at seed 10 is a
-# two-message race the fast profile never sampled. Then 20 seeds of
+# two-message race the fast profile never sampled. The master-gone plan
+# gets 1000 seeds (3,000 runs, ~7 s on two cores): it is the one plan
+# that runs on the standby's journal feed, which the fast profile
+# samples at 5 seeds. Then 20 seeds of
 # every plan under the paper's share protocol (`--preset paper`:
 # share_round_s None, the all-pairs flood as soon as learned; what
 # Table 1 runs): 420 runs, under a second. Then 1000 seeds of every
@@ -50,6 +53,9 @@ gate_chaos() {
   echo "== chaos soak (submaster-loss, 20 seeds)"
   RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- \
     --plan submaster-loss --seeds 20 --repro
+  echo "== chaos soak (master-gone, 1000 seeds)"
+  RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- \
+    --plan master-gone --seeds 1000 --repro
   echo "== chaos soak (paper share protocol, every plan, 20 seeds)"
   RUSTFLAGS="-C debug-assertions=on" cargo run --release -p gridsat-bench --bin chaos_soak -- \
     --preset paper --seeds 20 --repro

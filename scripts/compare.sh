@@ -7,7 +7,7 @@
 # The identity half always runs. Each workload BENCHMARK.json lists runs
 # on each side once traced (`--trace 1`) and once for a single untraced
 # pass (`--seconds 0`): `sim_answer_s` and every per-layer metric whose
-# unit is `count` or `bytes` must be equal. Then the chaos gate's three
+# unit is `count` or `bytes` must be equal. Then the chaos gate's four
 # soaks (scripts/check.sh) and `--seeds 1000 --repro` under both presets
 # must print the same stdout and exit status (stderr carries backtraces
 # with paths). Like the chaos gate, they run with debug assertions on,
@@ -75,6 +75,7 @@ metrics=(sim_answer_s host_wall_s setup_s peak_rss_mb)
 chaos=(
   "--fast"
   "--plan submaster-loss --seeds 20 --repro"
+  "--plan master-gone --seeds 1000 --repro"
   "--preset paper --seeds 20 --repro"
   "--seeds 1000 --repro"
   "--preset paper --seeds 1000 --repro"
