@@ -223,7 +223,10 @@ pub struct Client {
 impl Client {
     /// A client whose fingerprint window has an id table of its own. It
     /// leaves the bound on a received spec's variable count off: it
-    /// loads a spec naming any number of variables.
+    /// loads a spec naming any number of variables. Unit tests build
+    /// clients with it, and so does the benchmark's threads layer
+    /// (`benchmark/src/layers.rs`); every other builder passes the run
+    /// formula's count to [`Client::with_fp_ids`].
     pub fn new(master: NodeId, config: GridConfig) -> Client {
         Client::with_fp_ids(master, config, FpIds::shared(), usize::MAX)
     }
