@@ -96,7 +96,7 @@ impl StandbyNode {
         &mut self,
         from: NodeId,
         start: u64,
-        batch: Vec<SealedRecord>,
+        batch: &[SealedRecord],
         now: f64,
         me: u32,
     ) {
@@ -165,7 +165,7 @@ impl Process for StandbyNode {
         match msg {
             GridMsg::JournalBatch { start, records } => {
                 self.last_feed = ctx.now();
-                self.absorb_batch(from, start, records, ctx.now(), ctx.me().0);
+                self.absorb_batch(from, start, &records, ctx.now(), ctx.me().0);
                 // acked on every batch, even a rejected or gapped one:
                 // repeating the last ack is the re-request signal
                 ctx.send(
