@@ -379,9 +379,9 @@ impl Client {
     }
 
     /// Renew the lease with the master when the period has elapsed
-    /// (reliability extension; no-op when reliability is off).
+    /// (reliability extension; no-op without leases).
     fn maybe_heartbeat(&mut self, ctx: &mut Ctx<GridMsg>) {
-        if !self.config.reliability {
+        if !self.config.reliability.leases() {
             return;
         }
         if ctx.now() - self.last_heartbeat >= HEARTBEAT_PERIOD_S {
@@ -407,13 +407,12 @@ impl Client {
             | GridMsg::Result { .. }
             | GridMsg::CheckpointMsg { .. }
             | GridMsg::Requeue { .. }
-            | GridMsg::StealNotice { .. }
-            | GridMsg::Adopt { .. } => {
+            | GridMsg::StealNotice { .. } => {
                 // soundness-critical reports to the master: keep trying
                 // with a fresh retry budget, toward the *current* master —
                 // a takeover may have retargeted us while the send was in
                 // flight (the overall timeout bounds the retrying)
-                debug_assert!(to == self.master || self.config.failover);
+                debug_assert!(to == self.master || self.config.reliability.standby());
                 ctx.send(self.master, msg);
             }
             // the request itself re-arises from the time-out heuristic;
@@ -546,7 +545,7 @@ impl Client {
         let State::Solving { solver, .. } = &self.state else {
             return None;
         };
-        self.config.reliability.then(|| {
+        self.config.reliability.leases().then(|| {
             Box::new(Checkpoint {
                 level0: solver.level0_assignment(),
             })
@@ -578,13 +577,22 @@ impl Client {
     /// Hand a transfer nobody here will solve back to the master, so its
     /// search space is not lost.
     fn hand_back(&self, spec: Box<SpecFrame>, problem: ProblemId, ctx: &mut Ctx<GridMsg>) {
-        ctx.send(
-            self.master,
-            GridMsg::Requeue {
-                spec,
-                problem: Some(problem),
-            },
-        );
+        ctx.send(self.master, GridMsg::Requeue { spec, problem });
+    }
+
+    /// Register with the master: at start-up, claiming nothing, and in
+    /// answer to a [`GridMsg::Takeover`], claiming the cube in hand with
+    /// its level 0 so the new master's roster covers this search space.
+    fn register(&mut self, ctx: &mut Ctx<GridMsg>) {
+        self.split_requested_at = None;
+        self.last_heartbeat = ctx.now();
+        let register = GridMsg::Register {
+            memory: ctx.info.memory,
+            availability: ctx.info.availability,
+            problem: self.problem(),
+            checkpoint: self.build_checkpoint(),
+        };
+        ctx.send(self.master, register);
     }
 
     /// Split `problem`, the subproblem in hand, and send the other half to
@@ -701,19 +709,11 @@ impl Process for Client {
         // pre-crash solving state (the master has already recovered or
         // requeued the subproblem) and registers as a fresh resource
         self.state = State::Idle;
-        self.split_requested_at = None;
         self.export_buf.clear();
         self.up = None;
         self.down = Arc::default();
-        self.last_heartbeat = ctx.now();
-        ctx.send(
-            self.master,
-            GridMsg::Register {
-                memory: ctx.info.memory,
-                availability: ctx.info.availability,
-            },
-        );
-        if self.config.reliability {
+        self.register(ctx);
+        if self.config.reliability.leases() {
             // idle clients must keep ticking to renew their lease
             ctx.schedule_tick(HEARTBEAT_PERIOD_S);
         }
@@ -941,20 +941,9 @@ impl Process for Client {
             }
             GridMsg::Takeover => {
                 // a promoted standby is the master now: retarget control
-                // traffic and re-register with our in-progress state so
-                // the new master's roster covers our search space
+                // traffic and register again, claiming the cube in hand
                 self.master = from;
-                self.split_requested_at = None;
-                self.last_heartbeat = ctx.now();
-                ctx.send(
-                    self.master,
-                    GridMsg::Adopt {
-                        memory: ctx.info.memory,
-                        availability: ctx.info.availability,
-                        problem: self.problem(),
-                        checkpoint: self.build_checkpoint(),
-                    },
-                );
+                self.register(ctx);
             }
             GridMsg::StealTicket { donor, problem } => {
                 // the sub-master paired us with a loaded sibling; only an
@@ -1003,8 +992,7 @@ impl Process for Client {
             | GridMsg::StealRequest
             | GridMsg::StealNotice { .. }
             | GridMsg::SplitEscalate { .. }
-            | GridMsg::OfferSolicit { .. }
-            | GridMsg::Adopt { .. } => {
+            | GridMsg::OfferSolicit { .. } => {
                 debug_assert!(
                     false,
                     "client {:?} got master message from {from}",
@@ -1025,7 +1013,7 @@ impl Process for Client {
                 if let Some(wait) = self.idle_flush_in(ctx.now()) {
                     next = next.min(wait);
                 }
-                if self.config.reliability {
+                if self.config.reliability.leases() {
                     self.maybe_heartbeat(ctx);
                     next = next.min(HEARTBEAT_PERIOD_S);
                 }
@@ -1954,6 +1942,72 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// The start-up registration and the answer to a takeover are one
+    /// message: only the second, sent mid-cube, claims the cube in hand
+    /// with its level 0, and pays the image's bytes for it.
+    #[test]
+    fn a_takeover_is_answered_by_the_start_up_registration_with_a_claim() {
+        use gridsat_grid::{Action, MessageSize};
+        let registration = |cx: &mut Ctx<GridMsg>| {
+            let mut sent = cx.take_actions().into_iter().filter_map(|a| match a {
+                Action::Send {
+                    to,
+                    msg: msg @ GridMsg::Register { .. },
+                } => Some((to, msg)),
+                _ => None,
+            });
+            let one = sent.next().expect("a registration");
+            assert!(sent.next().is_none(), "one registration");
+            one
+        };
+        let mut c = Client::new(NodeId(0), GridConfig::failover_hardened());
+        let mut cx = ctx(0.0);
+        c.on_start(&mut cx);
+        let (to, start) = registration(&mut cx);
+        assert_eq!((to, start.size_bytes()), (NodeId(0), 64));
+        let GridMsg::Register {
+            memory,
+            availability,
+            problem: None,
+            checkpoint: None,
+        } = start
+        else {
+            panic!("a fresh client claims nothing: {start:?}");
+        };
+
+        let cube = ProblemId::new(NodeId(0), 1);
+        let mut cx = ctx(1.0);
+        let spec = framed(&whole_problem());
+        c.on_message(
+            NodeId(0),
+            GridMsg::Solve {
+                spec,
+                problem: cube,
+            },
+            &mut cx,
+        );
+        let _ = cx.take_actions();
+        let level0 = c.solver().expect("solving").level0_assignment();
+
+        // the standby on node 9 takes over
+        let mut cx = ctx(5.0);
+        c.on_message(NodeId(9), GridMsg::Takeover, &mut cx);
+        let (to, answer) = registration(&mut cx);
+        let image = 8 + level0.len() * 5;
+        assert_eq!((to, answer.size_bytes()), (NodeId(9), 64 + image));
+        let GridMsg::Register {
+            memory: again,
+            availability: still,
+            problem: Some(claimed),
+            checkpoint: Some(checkpoint),
+        } = answer
+        else {
+            panic!("a busy client claims its cube: {answer:?}");
+        };
+        assert_eq!((again, still, claimed), (memory, availability, cube));
+        assert_eq!(checkpoint.level0, level0);
     }
 
     #[test]

@@ -20,17 +20,15 @@ pub const ASSUMED_BW_BYTES_PER_S: f64 = 4_000.0;
 /// parent and at most this many children.
 pub const SHARE_TREE_FANOUT: usize = 4;
 
-/// Client heartbeat period under [`GridConfig::reliability`], seconds
-/// (robustness extension; the paper's protocol assumes TCP and concedes
-/// it "will not tolerate a machine crash"). The wire half of the layer —
-/// retransmit time-out, backoff, retry budget, jitter — lives in
+/// Client heartbeat period with leases on, seconds. The wire half of the
+/// layer — retransmit time-out, backoff, retry budget, jitter — lives in
 /// constants of `gridsat_grid::reliable`.
 pub const HEARTBEAT_PERIOD_S: f64 = 10.0;
 
-/// Period of a busy client's level-0 checkpoint uploads under
-/// [`GridConfig::reliability`], seconds (the paper's Section 3.4 sketch,
-/// as an extension). A checkpoint also goes up after each adopt and
-/// split, so an image never lags the cube it describes.
+/// Period of a busy client's level-0 checkpoint uploads with leases on,
+/// seconds (the paper's Section 3.4 sketch, as an extension). A checkpoint
+/// also goes up after each adopt and split, so an image never lags the
+/// cube it describes.
 pub const CHECKPOINT_PERIOD_S: f64 = 30.0;
 
 /// Consecutive missed heartbeats before the master expires a client's
@@ -45,12 +43,44 @@ pub const LEASE_MISSES: u32 = 3;
 pub const QUARANTINE_STRIKES: u32 = 40;
 
 /// Node that doubles as the journal-tailing standby under
-/// [`GridConfig::failover`].
+/// [`Reliability::Standby`].
 pub const STANDBY_NODE: u32 = 1;
 
 /// Silence (no journal batches, not even keepalives) the standby
 /// tolerates before promoting itself, seconds.
 pub const PROMOTE_GRACE_S: f64 = 20.0;
+
+/// How long a master restarted from a damaged journal holds its all-idle
+/// verdict for the fleet's claims without a standby, seconds (with one,
+/// [`PROMOTE_GRACE_S`]).
+pub const RESYNC_GRACE_S: f64 = 2.0;
+
+/// The robustness extension's level; each adds to the one before. The
+/// paper's protocol assumes TCP and "will not tolerate a machine crash".
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reliability {
+    /// The paper's bare protocol, on a wire bit-identical to a build
+    /// without the reliability layer: a lost busy client ends the run.
+    Bare,
+    /// Reliable control-plane delivery, heartbeat leases, and level-0
+    /// checkpoints, so a lost busy client's cube is recovered.
+    Leases,
+    /// Leases, and node [`STANDBY_NODE`] tails the master's journal and
+    /// takes over when the feed goes quiet for [`PROMOTE_GRACE_S`].
+    Standby,
+}
+
+impl Reliability {
+    /// Reliable delivery, leases and checkpoints are on.
+    pub fn leases(self) -> bool {
+        self != Reliability::Bare
+    }
+
+    /// A journal-tailing standby runs beside the master.
+    pub fn standby(self) -> bool {
+        self == Reliability::Standby
+    }
+}
 
 /// Tunables of a GridSAT run. Defaults are the paper's first experiment
 /// set (share limit 10, 100-second split time-out floor) with clause
@@ -86,18 +116,9 @@ pub struct GridConfig {
     /// quantum, everything, in learn order), queue without bound, merge
     /// the whole inbox at level 0.
     pub share_round_s: Option<f64>,
-    /// Reliable control-plane delivery, heartbeat leases, and level-0
-    /// checkpoints every [`CHECKPOINT_PERIOD_S`], so a lost busy client's
-    /// cube is recovered instead of ending the run. `false` (the default)
-    /// runs the paper's bare protocol — the wire is then bit-identical to
-    /// a build without the reliability layer.
-    pub reliability: bool,
-    /// Master failover (robustness extension): node [`STANDBY_NODE`] tails
-    /// the master's write-ahead journal over the control plane and
-    /// promotes itself to master when the feed goes quiet for longer than
-    /// [`PROMOTE_GRACE_S`]. `false` (the default, and the paper's
-    /// behaviour) means a dead master wedges the run.
-    pub failover: bool,
+    /// The robustness extension's level; the default is the paper's bare
+    /// protocol.
+    pub reliability: Reliability,
     /// Hierarchical control plane (scaling extension): per-site
     /// sub-masters broker split traffic locally via steal tickets, and
     /// the root pulls offers from sites with no idle capacity for its
@@ -118,8 +139,7 @@ impl Default for GridConfig {
             master_period: 5.0,
             migration: true,
             share_round_s: Some(5.0),
-            reliability: false,
-            failover: false,
+            reliability: Reliability::Bare,
             hierarchy: false,
         }
     }
@@ -157,7 +177,7 @@ impl GridConfig {
     /// client is recovered instead of ending the run.
     pub fn chaos_hardened() -> GridConfig {
         GridConfig {
-            reliability: true,
+            reliability: Reliability::Leases,
             ..GridConfig::default()
         }
     }
@@ -172,7 +192,7 @@ impl GridConfig {
     /// the journal as a standby and takes over after the grace period.
     pub fn failover_hardened() -> GridConfig {
         GridConfig {
-            failover: true,
+            reliability: Reliability::Standby,
             ..GridConfig::chaos_hardened()
         }
     }
@@ -207,18 +227,26 @@ mod tests {
         assert_eq!(GridConfig::default().share_round_s, Some(5.0));
         assert_eq!(GridConfig::chaos_hardened().share_round_s, Some(5.0));
 
-        // the paper presets run the bare protocol: reliability stays off
-        assert!(!e1.reliability && !e1.failover);
-        assert!(!e2.reliability && !e2.failover);
-        let hardened = GridConfig::chaos_hardened();
-        assert!(hardened.reliability && !hardened.failover);
+        // the paper presets run the bare protocol; the chaos profiles add
+        // leases, then the standby
+        assert_eq!(e1.reliability, Reliability::Bare);
+        assert_eq!(e2.reliability, Reliability::Bare);
+        assert_eq!(GridConfig::default().reliability, Reliability::Bare);
+        let hardened = GridConfig::chaos_hardened().reliability;
+        assert_eq!(hardened, Reliability::Leases);
+        let failover = GridConfig::failover_hardened().reliability;
+        assert_eq!(failover, Reliability::Standby);
+        let levels = [Reliability::Bare, hardened, failover];
+        let reads = levels.map(|r| (r.leases(), r.standby()));
+        assert_eq!(reads, [(false, false), (true, false), (true, true)]);
         assert_eq!((HEARTBEAT_PERIOD_S, LEASE_MISSES), (10.0, 3));
         assert_eq!(CHECKPOINT_PERIOD_S, 30.0);
         assert_eq!(QUARANTINE_STRIKES, 40);
 
-        let failover = GridConfig::failover_hardened();
-        assert!(failover.reliability && failover.failover);
-        assert_eq!((STANDBY_NODE, PROMOTE_GRACE_S), (1, 20.0));
+        assert_eq!(
+            (STANDBY_NODE, PROMOTE_GRACE_S, RESYNC_GRACE_S),
+            (1, 20.0, 2.0)
+        );
 
         // the paper's control plane is flat; hierarchy is opt-in
         assert!(!e1.hierarchy);

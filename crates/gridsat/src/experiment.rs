@@ -88,7 +88,7 @@ impl ReliableProcess for GridNode {
 
 /// The simulation type for a GridSAT run: every node is wrapped in the
 /// reliability layer (a pure passthrough unless
-/// [`GridConfig::reliability`] is set).
+/// [`GridConfig::reliability`] turns leases on).
 pub type GridSim = Sim<Reliable<GridNode>>;
 
 /// A finished GridSAT run.
@@ -145,7 +145,7 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
     let formula = formula.clone();
     let node_obs = obs.clone();
     let fp_ids = FpIds::shared();
-    let standby_id = config.failover.then_some(NodeId(STANDBY_NODE));
+    let standby_id = config.reliability.standby().then_some(NodeId(STANDBY_NODE));
     // hierarchy wiring: hosts marked as brokers become per-site
     // sub-masters, and every solver client is pointed at its site's one
     let brokers: std::collections::HashMap<gridsat_grid::Site, NodeId> = if config.hierarchy {
@@ -191,7 +191,7 @@ pub fn build_sim_obs(formula: &Formula, testbed: Testbed, config: GridConfig, ob
             }
         };
         let mut wrapped =
-            Reliable::new(node, config.reliability).with_rng_salt(u64::from(id.0) + 1);
+            Reliable::new(node, config.reliability.leases()).with_rng_salt(u64::from(id.0) + 1);
         wrapped.set_obs(node_obs.clone());
         wrapped
     });

@@ -25,7 +25,7 @@
 
 use crate::config::{
     GridConfig, HEARTBEAT_PERIOD_S, LEASE_MISSES, MIGRATION_FACTOR, PROMOTE_GRACE_S,
-    QUARANTINE_STRIKES, STANDBY_NODE,
+    QUARANTINE_STRIKES, RESYNC_GRACE_S, STANDBY_NODE,
 };
 use crate::idle::{Hosts, REMOTE_DISCOUNT};
 use crate::journal::{
@@ -261,8 +261,8 @@ pub struct Master {
     journal: MasterJournal,
     standby: Option<StandbyLink>,
     /// After a promotion, hold the all-idle UNSAT verdict until this
-    /// instant: adoption claims from surviving clients may still be in
-    /// flight, and the replayed journal suffix can be behind them.
+    /// instant: claims from surviving clients may still be in flight, and
+    /// the replayed journal suffix can be behind them.
     reconcile_until: f64,
     /// Set by the first `on_start`; a second call means the master node
     /// was restarted, which replays the journal and grants every client
@@ -346,11 +346,12 @@ impl Master {
         host_info: BTreeMap<NodeId, (f64, Site)>,
         me: NodeId,
     ) -> Master {
-        let standby = (config.failover && me.0 != STANDBY_NODE).then_some(StandbyLink {
-            node: NodeId(STANDBY_NODE),
-            sent: 0,
-            acked: 0,
-        });
+        let standby =
+            (config.reliability.standby() && me.0 != STANDBY_NODE).then_some(StandbyLink {
+                node: NodeId(STANDBY_NODE),
+                sent: 0,
+                acked: 0,
+            });
         let host_info = Arc::new(host_info);
         Master {
             formula,
@@ -405,11 +406,7 @@ impl Master {
         let mut survivors: BTreeSet<NodeId> = m.core.clients.keys().collect();
         survivors.remove(&me);
         m.resync(survivors, PROMOTE_GRACE_S, ctx);
-        let (mut held, _) = m.held_frames(me);
-        held.retain(|(_, cube)| {
-            own.as_ref()
-                .is_none_or(|(_, source)| *cube != Some(*source))
-        });
+        let (held, _) = m.held_frames(me, own.as_ref().map(|&(_, source)| source));
         if m.core.clients.contains_key(&me) {
             m.commit(now, JournalRecord::Deregister { client: me });
         }
@@ -447,10 +444,10 @@ impl Master {
     /// block the all-idle UNSAT verdict forever. A transfer that died on
     /// the wire comes back as the requester's Requeue. `targets` are told
     /// to re-announce their in-progress work ([`GridMsg::Takeover`], answered
-    /// by [`GridMsg::Adopt`]), so the roster reconverges on who actually
-    /// holds what. The verdict is held for `grace` seconds while their
-    /// claims land: right after the loss every client can look idle even
-    /// though some are still mid-cube.
+    /// by a [`GridMsg::Register`] with a claim), so the roster reconverges
+    /// on who actually holds what. The verdict is held for `grace` seconds
+    /// while their claims land: right after the loss every client can look
+    /// idle even though some are still mid-cube.
     fn resync(&mut self, targets: BTreeSet<NodeId>, grace: f64, ctx: &mut Ctx<GridMsg>) {
         let now = ctx.now();
         for requester in self.core.grants.keys().copied().collect::<Vec<_>>() {
@@ -597,17 +594,27 @@ impl Master {
         ctx.send(to, GridMsg::JournalBatch { start, records });
     }
 
-    /// `client` joins the roster — claiming the cube it holds, with its
-    /// level 0, after a takeover — and takes its place in the share tree.
+    /// `client` registered: it joins the roster and takes its place in the
+    /// share tree. A registration answering a takeover claims the cube the
+    /// client holds, with its level 0, unless that cube's result overtook
+    /// the claim: the client has been idle since. Every other cube the
+    /// ledger has it holding is lost — a client registering unprompted has
+    /// restarted — and comes back. The first idle joiner is sent the whole
+    /// problem; any other join may unblock the backlog.
     fn join(
         &mut self,
         client: NodeId,
         memory: usize,
         availability: f64,
         problem: Option<ProblemId>,
-        checkpoint: Option<Checkpoint>,
+        checkpoint: Option<Box<Checkpoint>>,
         ctx: &mut Ctx<GridMsg>,
     ) {
+        let (problem, checkpoint) = match problem {
+            Some(p) if self.core.cubes.refuted(p) => (None, None),
+            _ => (problem, checkpoint.map(|b| *b)),
+        };
+        let (held, _) = self.held_frames(client, problem);
         let at = ctx.now();
         let rec = JournalRecord::Join {
             client,
@@ -621,6 +628,15 @@ impl Master {
         self.link_in(client, ctx);
         let node = self.me.0;
         (self.obs).emit(at, node, || Event::ClientLaunch { client: client.0 });
+        self.take_back_all(held, ctx);
+        if !self.core.first_problem_sent && problem.is_none() {
+            // "The first client to register with the master is sent the
+            // entire problem to solve."
+            self.assign(client, true, ctx);
+        } else {
+            self.drain_backlog(ctx);
+        }
+        self.note_activity();
     }
 
     fn site_of(&self, id: NodeId) -> Option<Site> {
@@ -1014,9 +1030,11 @@ impl Master {
     }
 
     /// The frames that take back every cube the ledger has `node`
-    /// holding; `false` if some cube has no level 0 to rebuild it from.
-    fn held_frames(&self, node: NodeId) -> (Frames, bool) {
-        let held = self.core.cubes.held_by(node);
+    /// holding but `keep`; `false` if some cube has no level 0 to rebuild
+    /// it from.
+    fn held_frames(&self, node: NodeId, keep: Option<ProblemId>) -> (Frames, bool) {
+        let mut held = self.core.cubes.held_by(node);
+        held.retain(|&cube| Some(cube) != keep);
         let frames: Frames = held.iter().filter_map(|&c| self.rebuilt(c)).collect();
         let whole = frames.len() == held.len();
         (frames, whole)
@@ -1069,7 +1087,7 @@ impl Master {
         };
         let idle = matches!(info.state(), ClientState::Idle);
         let receiving = matches!(info.state(), ClientState::Receiving);
-        let (held, whole) = self.held_frames(node);
+        let (held, whole) = self.held_frames(node, None);
         // "When an idle client is killed ... the master becomes aware
         // of it and marks the resource as free."
         //
@@ -1087,7 +1105,7 @@ impl Master {
         // machine crash". The client leaves the roster first: a take-back
         // releases the row naming the cube, and a released client still
         // on the roster would be handed its own cube back.
-        if idle || (self.config.reliability && (receiving || whole)) {
+        if idle || (self.config.reliability.leases() && (receiving || whole)) {
             self.deregister(node, ctx);
             self.take_back_all(held, ctx);
             self.dispatch_recoveries(None, ctx);
@@ -1101,7 +1119,7 @@ impl Master {
     /// out: a partitioned or silently-dead client is treated exactly like
     /// a crashed one (reliability extension).
     fn expire_leases(&mut self, ctx: &mut Ctx<GridMsg>) {
-        if !self.config.reliability {
+        if !self.config.reliability.leases() {
             return;
         }
         let lease = HEARTBEAT_PERIOD_S * f64::from(LEASE_MISSES);
@@ -1177,7 +1195,8 @@ impl Master {
         let strikes = self.corrupt_strikes.entry(from).or_insert(0);
         *strikes += 1;
         let strikes = u64::from(*strikes);
-        let quarantine = self.config.reliability && strikes >= u64::from(QUARANTINE_STRIKES);
+        let quarantine =
+            self.config.reliability.leases() && strikes >= u64::from(QUARANTINE_STRIKES);
         if !quarantine || !self.core.clients.contains_key(&from) {
             return;
         }
@@ -1261,10 +1280,10 @@ impl Process for Master {
                 // longer remembers (or remembers wrong).
                 let mut hosts: BTreeSet<NodeId> = self.host_info.keys().copied().collect();
                 hosts.remove(&self.me);
-                let grace = if self.config.failover {
+                let grace = if self.config.reliability.standby() {
                     PROMOTE_GRACE_S
                 } else {
-                    2.0
+                    RESYNC_GRACE_S
                 };
                 self.resync(hosts, grace, ctx);
             }
@@ -1287,22 +1306,9 @@ impl Process for Master {
             GridMsg::Register {
                 memory,
                 availability,
-            } => {
-                // a client registering again has restarted: whatever the
-                // ledger has it holding is lost
-                let (held, _) = self.held_frames(from);
-                self.join(from, memory, availability, None, None, ctx);
-                self.take_back_all(held, ctx);
-                if !self.core.first_problem_sent {
-                    // "The first client to register with the master is
-                    // sent the entire problem to solve."
-                    self.assign(from, true, ctx);
-                } else {
-                    // a fresh resource may unblock the backlog
-                    self.drain_backlog(ctx);
-                }
-                self.note_activity();
-            }
+                problem,
+                checkpoint,
+            } => self.join(from, memory, availability, problem, checkpoint, ctx),
             GridMsg::SplitRequest { problem } => {
                 self.handle_split_request(from, problem, ctx);
             }
@@ -1397,7 +1403,7 @@ impl Process for Master {
                             // the peer died before this report landed: the
                             // half went with it
                             if !self.core.clients.contains_key(&peer) {
-                                let (held, _) = self.held_frames(peer);
+                                let (held, _) = self.held_frames(peer, None);
                                 self.take_back_all(held, ctx);
                             }
                         }
@@ -1555,7 +1561,7 @@ impl Process for Master {
                 // steal; the thief's own hand-back follows its
                 // SplitDone{ok:false}, which counted the abort already
                 if let Some(CubeState::InFlight { to, steal: true }) =
-                    problem.and_then(|p| self.core.cubes.state(p))
+                    self.core.cubes.state(problem)
                 {
                     self.stats.steals_aborted += u64::from(to == from);
                 }
@@ -1566,7 +1572,7 @@ impl Process for Master {
                 // wait forever on a cube the client is not working; and
                 // the cube goes to someone else, or the busy sender would
                 // only refuse it again
-                self.take_back(*spec, problem, |s| &mut s.requeues, Some(from), ctx);
+                self.take_back(*spec, Some(problem), |s| &mut s.requeues, Some(from), ctx);
                 self.drain_backlog(ctx);
             }
             GridMsg::CheckpointMsg {
@@ -1611,24 +1617,6 @@ impl Process for Master {
             // slow); clients follow whoever spoke last, so staying silent
             // and continuing to ship our own journal is the safe move
             GridMsg::Takeover | GridMsg::JournalBatch { .. } => {}
-            GridMsg::Adopt {
-                memory,
-                availability,
-                problem,
-                checkpoint,
-            } => {
-                // re-registration with in-progress state after a takeover;
-                // a claim overtaken by the result of the cube it names:
-                // the client has been idle since
-                let (problem, checkpoint) = match problem {
-                    Some(p) if self.core.cubes.refuted(p) => (None, None),
-                    _ => (problem, checkpoint.map(|b| *b)),
-                };
-                self.join(from, memory, availability, problem, checkpoint, ctx);
-                self.dispatch_recoveries(None, ctx);
-                self.drain_backlog(ctx);
-                self.note_activity();
-            }
             // a subproblem transfer addressed to this node's retired
             // client role can still land after a promotion (the dead
             // master brokered the split): recover the cube instead of

@@ -41,6 +41,8 @@ fn register(m: &mut Master, id: u32, t: f64) -> Vec<Action<GridMsg>> {
         GridMsg::Register {
             memory: 3 << 20,
             availability: 1.0,
+            problem: None,
+            checkpoint: None,
         },
         &mut cx,
     );
@@ -522,7 +524,7 @@ fn requeue_message_returns_a_lost_transfer() {
                 assumptions: vec![(gridsat_cnf::Lit::pos(0), true)],
                 clauses: vec![],
             })),
-            problem: None,
+            problem: ProblemId::new(NodeId(1), 1),
         },
         &mut cx,
     );
@@ -564,7 +566,7 @@ fn requeued_assignment_releases_the_ghost_roster_entry() {
         NodeId(1),
         GridMsg::Requeue {
             spec: Box::new(SpecFrame::seal(&spec)),
-            problem: None,
+            problem: ProblemId::new(NodeId(1), 1),
         },
         &mut cx,
     );
@@ -578,7 +580,7 @@ fn requeued_assignment_releases_the_ghost_roster_entry() {
         NodeId(2),
         GridMsg::Requeue {
             spec: Box::new(SpecFrame::seal(&spec)),
-            problem: Some(ghost),
+            problem: ghost,
         },
         &mut cx,
     );
@@ -619,18 +621,19 @@ fn a_requeued_cube_does_not_go_back_to_the_client_that_refused_it() {
         assumptions: vec![(gridsat_cnf::Lit::pos(0), true)],
         clauses: vec![],
     });
-    let requeue = |m: &mut Master, from: u32, problem: Option<ProblemId>, t: f64| {
+    let requeue = |m: &mut Master, from: u32, problem: ProblemId, t: f64| {
         let mut cx = ctx(t);
         let spec = Box::new(frame.clone());
         m.on_message(NodeId(from), GridMsg::Requeue { spec, problem }, &mut cx);
         cx.take_actions()
     };
     // the best-ranked idle client, node 3, is sent the handed-back cube
-    let sent = requeue(&mut m, 1, None, 1.0);
+    let sent = requeue(&mut m, 1, ProblemId::new(NodeId(1), 1), 1.0);
     assert_eq!(solve_to(&sent, 3), Some(frame.clone()));
-    let refused = m.core.clients[&NodeId(3)].cube();
+    let refused = |m: &Master, id| m.core.clients[&NodeId(id)].cube().expect("sent");
+    let refused_by_3 = refused(&m, 3);
     // node 3 turns out busy and hands it back: node 2 gets it
-    let sent = requeue(&mut m, 3, refused, 2.0);
+    let sent = requeue(&mut m, 3, refused_by_3, 2.0);
     assert_eq!(
         solve_to(&sent, 3),
         None,
@@ -638,14 +641,14 @@ fn a_requeued_cube_does_not_go_back_to_the_client_that_refused_it() {
     );
     assert_eq!(solve_to(&sent, 2), Some(frame.clone()));
     // node 2 refuses it too: node 3, idle since its hand-back, gets it
-    let refused = m.core.clients[&NodeId(2)].cube();
-    let sent = requeue(&mut m, 2, refused, 3.0);
+    let refused_by_2 = refused(&m, 2);
+    let sent = requeue(&mut m, 2, refused_by_2, 3.0);
     assert_eq!(solve_to(&sent, 2), None);
     assert_eq!(solve_to(&sent, 3), Some(frame.clone()));
     // the refuser the only idle client: the cube waits in the queue
     m.on_node_down(NodeId(2), &mut ctx(4.0));
-    let refused = m.core.clients[&NodeId(3)].cube();
-    let sent = requeue(&mut m, 3, refused, 5.0);
+    let refused_by_3 = refused(&m, 3);
+    let sent = requeue(&mut m, 3, refused_by_3, 5.0);
     assert_eq!(solve_to(&sent, 3), None);
     assert_eq!(m.core.pending_recovery.len(), 1);
 }
@@ -681,14 +684,8 @@ fn a_requeued_frame_reaches_the_next_solve_byte_for_byte() {
     let frame = handed_back(3);
     let mut cx = ctx(1.0);
     let spec = Box::new(frame.clone());
-    m.on_message(
-        NodeId(1),
-        GridMsg::Requeue {
-            spec,
-            problem: None,
-        },
-        &mut cx,
-    );
+    let problem = ProblemId::new(NodeId(1), 1);
+    m.on_message(NodeId(1), GridMsg::Requeue { spec, problem }, &mut cx);
     assert_eq!(m.stats.requeues, 1);
     assert_eq!(m.core.pending_recovery[0].frame, frame);
     // the master restarts: the queue is folded back from the journal's
@@ -705,14 +702,8 @@ fn a_requeued_frame_reaches_the_next_solve_byte_for_byte() {
     let frame = handed_back(5);
     let mut cx = ctx(6.0);
     let spec = Box::new(frame.clone());
-    m.on_message(
-        NodeId(1),
-        GridMsg::Requeue {
-            spec,
-            problem: None,
-        },
-        &mut cx,
-    );
+    let problem = ProblemId::new(NodeId(1), 2);
+    m.on_message(NodeId(1), GridMsg::Requeue { spec, problem }, &mut cx);
     assert_eq!(solve_to(&cx.take_actions(), 3), Some(frame));
     assert!(m.core.pending_recovery.is_empty());
 }
@@ -1017,15 +1008,15 @@ fn an_all_idle_verdict_rebuilds_a_lost_cube_from_its_image() {
     let image = Checkpoint { level0 };
     let confirm = done(None, Some(Box::new(image.clone())));
     m.on_message(NodeId(2), confirm, &mut ctx(3.0));
-    // node 2 comes back idle, as after a restart that lost its result:
-    // the ledger still has the half at it
-    let adopt = GridMsg::Adopt {
-        memory: 3 << 20,
-        availability: 1.0,
-        problem: None,
-        checkpoint: None,
+    // node 2 reports a model that does not verify (the unit clause 9
+    // fails): it goes idle, and the ledger still has the half at it
+    let bogus = GridMsg::Result {
+        result: SubResult::Sat(vec![]),
+        problem: half,
     };
-    m.on_message(NodeId(2), adopt, &mut ctx(4.0));
+    m.on_message(NodeId(2), bogus, &mut ctx(4.0));
+    assert_eq!(m.stats.verification_failures, 1);
+    assert_eq!(m.core.clients[&NodeId(2)].state(), &ClientState::Idle);
     assert_eq!(m.core.cubes.held_by(NodeId(2)), [half]);
     let result = GridMsg::Result {
         result: SubResult::Unsat,
@@ -1037,6 +1028,71 @@ fn an_all_idle_verdict_rebuilds_a_lost_cube_from_its_image() {
     let frame = solve_to(&cx.take_actions(), 2).expect("the half goes back out");
     assert_eq!(frame, image.frame(&f));
     assert_eq!(m.stats.recoveries, 1);
+}
+
+/// A registration claiming one cube — as a client answers a takeover —
+/// takes back every other cube the ledger has at the claimant then and
+/// there, rebuilt from its image, instead of leaving it until an
+/// all-idle verdict finds it.
+#[test]
+fn a_claiming_join_takes_back_every_other_cube_the_ledger_has_at_the_claimant() {
+    let f = gridsat_cnf::paper::fig1_formula();
+    let mut m = Master::new(f.clone(), GridConfig::chaos_hardened(), speeds(4));
+    register(&mut m, 1, 0.0); // busy with the whole problem
+    register(&mut m, 2, 0.0);
+    let whole = ProblemId::new(NodeId(0), 1);
+    // node 1 splits twice toward node 2, keeping `kept` each time; node 2
+    // confirms each half with its level 0
+    let split = |m: &mut Master, half, kept, level0, t| {
+        let request = GridMsg::SplitRequest { problem: whole };
+        m.on_message(NodeId(1), request, &mut ctx(t));
+        let done = |pivot, checkpoint| GridMsg::SplitDone {
+            requester: NodeId(1),
+            peer: NodeId(2),
+            ok: true,
+            problem: Some(half),
+            pivot,
+            checkpoint,
+            stolen: false,
+        };
+        m.on_message(NodeId(1), done(Some(kept), None), &mut ctx(t + 0.5));
+        let image = Checkpoint { level0 };
+        let confirm = done(None, Some(Box::new(image.clone())));
+        m.on_message(NodeId(2), confirm, &mut ctx(t + 1.0));
+        image
+    };
+    let (first, second) = (ProblemId::new(NodeId(1), 1), ProblemId::new(NodeId(1), 2));
+    let (p2, p3) = (gridsat_cnf::Lit::pos(2), gridsat_cnf::Lit::pos(3));
+    let lost = split(&mut m, first, p2, vec![(!p2, false)], 1.0);
+    // node 2's model of the first half does not verify: it goes idle with
+    // the half still at it in the ledger, and takes the second
+    let bogus = GridMsg::Result {
+        result: SubResult::Sat(vec![]),
+        problem: first,
+    };
+    m.on_message(NodeId(2), bogus, &mut ctx(3.0));
+    let claimed = split(&mut m, second, p3, vec![(p2, false), (!p3, false)], 4.0);
+    assert_eq!(m.core.cubes.held_by(NodeId(2)), [first, second]);
+    assert_eq!(m.stats.recoveries, 0);
+
+    // node 2 registers claiming the second half
+    let claim = GridMsg::Register {
+        memory: 3 << 20,
+        availability: 1.0,
+        problem: Some(second),
+        checkpoint: Some(Box::new(claimed)),
+    };
+    m.on_message(NodeId(2), claim, &mut ctx(6.0));
+    assert_eq!(m.core.clients[&NodeId(2)].cube(), Some(second));
+    assert_eq!(m.core.cubes.held_by(NodeId(2)), [second]);
+    assert_eq!(m.stats.recoveries, 1);
+    // nobody is idle: the first half waits, rebuilt from its image
+    let queued = &m.core.pending_recovery[0];
+    assert_eq!(m.core.pending_recovery.len(), 1);
+    assert_eq!(
+        (&queued.frame, queued.source),
+        (&lost.frame(&f), Some(first))
+    );
 }
 
 #[test]
@@ -1889,7 +1945,7 @@ fn an_adoption_claim_overtaken_by_its_result_leaves_the_client_idle() {
     // Its claim, a snapshot taken when the takeover reached it, is lost
     // once; the cube's result overtakes the retransmission.
     let cube = ProblemId::new(NodeId(3), 7);
-    let adopt = || GridMsg::Adopt {
+    let claim = || GridMsg::Register {
         memory: 3 << 20,
         availability: 1.0,
         problem: Some(cube),
@@ -1902,9 +1958,9 @@ fn an_adoption_claim_overtaken_by_its_result_leaves_the_client_idle() {
     for overtaken in [true, false] {
         let (mut p, _) = promote_node_1();
         let order = if overtaken {
-            [result(), adopt()]
+            [result(), claim()]
         } else {
-            [adopt(), result()]
+            [claim(), result()]
         };
         for (k, msg) in order.into_iter().enumerate() {
             let mut cx = ctx_at(1, 61.0 + k as f64);
@@ -1998,29 +2054,19 @@ fn randomized_schedules_replay_to_the_live_state() {
                     // takeover claiming what the ledger has the client
                     // holding, with the level 0 that rebuilds it
                     let (memory, availability) = (3 << 20, 1.0);
-                    let msg = if xs(&mut seed).is_multiple_of(2) {
-                        GridMsg::Register {
-                            memory,
-                            availability,
-                        }
+                    let problem = if xs(&mut seed).is_multiple_of(2) {
+                        None
                     } else {
-                        let problem = m.core.cubes.held_by(node).first().copied();
-                        let checkpoint = problem.and_then(|c| m.core.cubes.level0(c));
-                        GridMsg::Adopt {
-                            memory,
-                            availability,
-                            problem,
-                            checkpoint: checkpoint.map(Box::new),
-                        }
+                        m.core.cubes.held_by(node).first().copied()
                     };
-                    let claims = matches!(
-                        msg,
-                        GridMsg::Adopt {
-                            problem: Some(_),
-                            ..
-                        }
-                    );
-                    joins[usize::from(claims)] += 1;
+                    let checkpoint = problem.and_then(|c| m.core.cubes.level0(c));
+                    let msg = GridMsg::Register {
+                        memory,
+                        availability,
+                        problem,
+                        checkpoint: checkpoint.map(Box::new),
+                    };
+                    joins[usize::from(problem.is_some())] += 1;
                     m.on_message(node, msg, &mut ctx(t));
                 }
                 1 => {
@@ -2151,7 +2197,7 @@ fn randomized_schedules_replay_to_the_live_state() {
                         };
                         let requeue = GridMsg::Requeue {
                             spec: Box::new(SpecFrame::seal(&spec)),
-                            problem: Some(cube),
+                            problem: cube,
                         };
                         m.on_message(holder, requeue, &mut ctx(t));
                     }
@@ -2401,6 +2447,8 @@ fn idle_index_agrees_with_the_roster_walk() {
     let register = |availability| GridMsg::Register {
         memory: MEMORY,
         availability,
+        problem: None,
+        checkpoint: None,
     };
     let f = gridsat_cnf::paper::fig1_formula();
     let cfg = GridConfig::default();

@@ -65,8 +65,16 @@ pub enum GridMsg {
     // ---- client -> master ----
     /// A client came up and registered (paper: clients "contact the
     /// master and register with it"). Carries the host memory so the
-    /// master can rank, and the initial availability measurement.
-    Register { memory: usize, availability: f64 },
+    /// master can rank, and the initial availability measurement. Sent
+    /// again to answer a [`GridMsg::Takeover`], it claims the cube in hand,
+    /// `problem`, with its level 0 (failover extension); both are `None`
+    /// at start-up.
+    Register {
+        memory: usize,
+        availability: f64,
+        problem: Option<ProblemId>,
+        checkpoint: Option<Box<Checkpoint>>,
+    },
     /// Figure 3 message (1): "client A notifies the master that it
     /// wishes to split its subproblem".
     SplitRequest { problem: ProblemId },
@@ -112,13 +120,12 @@ pub enum GridMsg {
     /// periodically so the master detects silent loss itself instead of
     /// relying solely on connection teardown.
     Heartbeat,
-    /// A subproblem transfer became undeliverable; its spec is handed
-    /// back to the master for re-dispatch (reliability extension).
-    /// `problem` names the lost instance when the sender knows it, so
-    /// the re-dispatch can be attributed to the original subproblem.
+    /// A subproblem transfer became undeliverable, or a client refused
+    /// an assignment; its spec, the cube `problem`, is handed back to the
+    /// master for re-dispatch (reliability extension).
     Requeue {
         spec: Box<SpecFrame>,
-        problem: Option<ProblemId>,
+        problem: ProblemId,
     },
 
     // ---- master -> client ----
@@ -130,10 +137,10 @@ pub enum GridMsg {
         problem: ProblemId,
     },
     /// Figure 3 message (2): the master grants a split and names the
-    /// idle peer to split with. `issued_at` guards against the grant
-    /// arriving after the requester's subproblem has changed.
-    /// The grant names the subproblem it applies to; the client rejects
-    /// it if its current subproblem differs.
+    /// idle peer to split with. The grant names the subproblem it applies
+    /// to; the client rejects it if its current subproblem differs, so a
+    /// grant arriving after the requester's subproblem changed is
+    /// harmless.
     SplitGrant { peer: NodeId, problem: ProblemId },
     /// Move the current subproblem to `peer` (backlog/migration).
     Migrate { peer: NodeId, problem: ProblemId },
@@ -191,17 +198,10 @@ pub enum GridMsg {
     /// Standby's cumulative ack: it holds every record below `next`.
     /// Lossy by design — a missed ack only inflates the reported lag.
     JournalAck { next: u64 },
-    /// A promoted standby announces itself; clients retarget their
-    /// control traffic and answer with [`GridMsg::Adopt`].
+    /// A promoted standby, or a master restarted from a damaged journal,
+    /// announces itself; clients retarget their control traffic and
+    /// register again with their claim ([`GridMsg::Register`]).
     Takeover,
-    /// Re-registration with state: what the client is working on right
-    /// now, so the new master can reconcile the journal suffix it lost.
-    Adopt {
-        memory: usize,
-        availability: f64,
-        problem: Option<ProblemId>,
-        checkpoint: Option<Box<Checkpoint>>,
-    },
 
     // ---- hierarchical control plane (scaling extension) ----
     /// Idle client announces itself to its site sub-master as a steal
@@ -263,7 +263,6 @@ impl GridMsg {
             GridMsg::Register { .. }
             | GridMsg::JournalBatch { .. }
             | GridMsg::Takeover
-            | GridMsg::Adopt { .. }
             | GridMsg::SplitRequest { .. }
             | GridMsg::SplitDone { .. }
             | GridMsg::Result { .. }
@@ -287,11 +286,15 @@ impl GridMsg {
 /// A control message is a 24-byte header and a fixed body: `SplitDone`'s
 /// requester and peer (4 bytes each), `ok`, `stolen`, the checkpoint's
 /// presence (1 each), problem (8) and pivot (4) are 23 of its 24, and
-/// `StealNotice`'s parent, half (8 each) and pivot (4) 20 of 20.
+/// `StealNotice`'s parent, half (8 each) and pivot (4) 20 of 20. A
+/// checkpoint a message carries (a split confirmation's, an upload's, a
+/// registration's claim) costs the same bytes on top of its body.
 impl MessageSize for GridMsg {
     fn size_bytes(&self) -> usize {
         match self {
-            GridMsg::Register { .. } => 64,
+            GridMsg::Register { checkpoint, .. } => {
+                64 + checkpoint.as_deref().map_or(0, Checkpoint::size_bytes)
+            }
             GridMsg::SplitRequest { .. } => 40,
             GridMsg::SplitDone { checkpoint, .. } => {
                 48 + checkpoint.as_deref().map_or(0, Checkpoint::size_bytes)
@@ -329,9 +332,6 @@ impl MessageSize for GridMsg {
             GridMsg::StealNotice { .. } => 44,
             GridMsg::SplitEscalate { offers } => 24 + offers.len() * 12,
             GridMsg::OfferSolicit { .. } => 28,
-            GridMsg::Adopt { checkpoint, .. } => {
-                64 + checkpoint.as_deref().map_or(0, Checkpoint::size_bytes)
-            }
         }
     }
 
@@ -364,7 +364,6 @@ impl MessageSize for GridMsg {
             GridMsg::JournalBatch { records, .. } => format!("journal-batch({})", records.len()),
             GridMsg::JournalAck { .. } => "journal-ack".into(),
             GridMsg::Takeover => "takeover".into(),
-            GridMsg::Adopt { .. } => "adopt".into(),
             GridMsg::StealRequest => "steal-request".into(),
             GridMsg::StealTicket { .. } => "steal-ticket".into(),
             GridMsg::Steal { .. } => "steal".into(),
@@ -497,8 +496,19 @@ mod tests {
                 GridMsg::Register {
                     memory: 1 << 20,
                     availability: 1.0,
+                    problem: None,
+                    checkpoint: None,
                 },
                 64,
+            ),
+            (
+                GridMsg::Register {
+                    memory: 1 << 20,
+                    availability: 1.0,
+                    problem: Some(problem),
+                    checkpoint: Some(Box::new(checkpoint.clone())),
+                },
+                64 + image,
             ),
             (GridMsg::SplitRequest { problem }, 40),
             (
@@ -539,7 +549,7 @@ mod tests {
             (
                 GridMsg::Requeue {
                     spec: spec(),
-                    problem: Some(problem),
+                    problem,
                 },
                 24 + spec_len,
             ),
@@ -570,15 +580,6 @@ mod tests {
             ),
             (GridMsg::JournalAck { next: 9 }, 24),
             (GridMsg::Takeover, 24),
-            (
-                GridMsg::Adopt {
-                    memory: 1 << 20,
-                    availability: 1.0,
-                    problem: Some(problem),
-                    checkpoint: Some(Box::new(checkpoint)),
-                },
-                64 + image,
-            ),
             (GridMsg::StealRequest, 24),
             (GridMsg::StealTicket { donor, problem }, 36),
             (GridMsg::Steal { problem }, 32),
@@ -647,13 +648,13 @@ mod tests {
             checkpoint: Box::new(checkpoint.clone()),
         };
         assert_eq!(upload.size_bytes(), 32 + payload);
-        let adopt = GridMsg::Adopt {
+        let claim = GridMsg::Register {
             memory: 1 << 20,
             availability: 1.0,
             problem: Some(problem),
             checkpoint: boxed(),
         };
-        assert_eq!(adopt.size_bytes(), 64 + payload);
+        assert_eq!(claim.size_bytes(), 64 + payload);
     }
 
     #[test]

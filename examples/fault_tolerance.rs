@@ -6,11 +6,11 @@
 //!
 //!     cargo run --release -p gridsat-examples --bin fault_tolerance
 
-use gridsat::{experiment, GridConfig, GridOutcome};
+use gridsat::{experiment, GridConfig, GridOutcome, Reliability};
 use gridsat_grid::Testbed;
 use gridsat_satgen as satgen;
 
-fn run(reliability: bool) -> GridOutcome {
+fn run(reliability: Reliability) -> GridOutcome {
     let formula = satgen::php::php(9, 8);
     let mut testbed = Testbed::uniform(5, 1000.0, 3 << 20);
     // worker n1 (which receives the whole problem first) dies at t=60
@@ -26,7 +26,7 @@ fn run(reliability: bool) -> GridOutcome {
 fn main() {
     println!("killing a busy client at t=60 s...");
 
-    let without = run(false);
+    let without = run(Reliability::Bare);
     println!("  checkpointing off:   {:?}", without.table_cell());
     assert_eq!(
         without,
@@ -34,7 +34,7 @@ fn main() {
         "paper: the run cannot continue"
     );
 
-    let with = run(true);
+    let with = run(Reliability::Leases);
     println!("  level-0 checkpoints: {:?}", with.table_cell());
     assert_eq!(with, GridOutcome::Unsat, "recovered and finished correctly");
 

@@ -2,7 +2,7 @@
 //! recovery" (idle-client loss tolerated, busy-client loss fatal) and the
 //! checkpointing extension that lifts the limitation.
 
-use gridsat::{experiment, GridConfig, GridOutcome};
+use gridsat::{experiment, GridConfig, GridOutcome, Reliability};
 use gridsat_grid::Testbed;
 use gridsat_satgen as satgen;
 
@@ -42,7 +42,7 @@ fn checkpointing_survives_cascading_failures() {
     tb.hosts[1].down_at = 80.0;
     tb.hosts[2].down_at = 160.0;
     let config = GridConfig {
-        reliability: true,
+        reliability: Reliability::Leases,
         min_split_timeout: 15.0,
         ..GridConfig::default()
     };
@@ -60,7 +60,7 @@ fn an_interior_share_tree_node_killed_mid_run_costs_shares_never_the_verdict() {
     let killed_at = 100.0;
     tb.hosts[2].down_at = killed_at;
     let config = GridConfig {
-        reliability: true,
+        reliability: Reliability::Leases,
         min_split_timeout: 15.0,
         ..GridConfig::default()
     };
@@ -109,7 +109,7 @@ fn sat_answers_survive_recovery() {
         let mut tb = Testbed::uniform(4, 1000.0, 3 << 20);
         tb.hosts[1].down_at = 30.0;
         let config = GridConfig {
-            reliability: true,
+            reliability: Reliability::Leases,
             min_split_timeout: 10.0,
             ..GridConfig::default()
         };

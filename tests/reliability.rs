@@ -102,7 +102,7 @@ fn sat_models_survive_chaos() {
 fn dead_master_fails_over_to_the_standby() {
     // the master dies for good at t=8 on a lossy network; under the
     // failover profile node 1 tails the journal, notices the silence,
-    // promotes itself, re-adopts the survivors, and drives the run to
+    // promotes itself, takes the survivors' claims, and drives the run to
     // the oracle's answer — with the master's cube ledger checking that
     // no cube is ever lost or owned twice along the way
     let f = satgen::php::php(7, 6);
